@@ -17,14 +17,14 @@
 //!   nanoseconds (optionally stretched by `time_scale`) and pushes
 //!   `(id, arrival_ns)` into a bounded SPSC ring;
 //! * the **batcher** drives the exact same clock-agnostic
-//!   [`BatchPolicy`] the discrete-event scheduler uses — admission,
-//!   overload policy and size/deadline/drain launch triggers are one
-//!   implementation, not a reimplementation — and dispatches formed
-//!   batches round-robin to the shard rings;
-//! * each **worker** owns one [`UpdlrmEngine`] shard, runs every batch
-//!   through `serve_stream`, and reports the pooled embeddings plus the
-//!   modeled breakdown and its *measured* wall time back on a
-//!   completion ring.
+//!   [`BatchPolicy`] and [`Tally`] the discrete-event scheduler uses —
+//!   admission, overload policy, launch triggers and report statistics
+//!   are one implementation, not a reimplementation — and dispatches
+//!   formed batches round-robin to the shard rings;
+//! * each **worker** owns one engine shard (any [`BatchServer`]), ticks
+//!   it to the batch's launch instant, runs the batch through
+//!   `serve_stream`, and reports the pooled embeddings plus the modeled
+//!   breakdown and its *measured* wall time back on a completion ring.
 //!
 //! All rings are the hand-rolled lock-free SPSC of [`ring`] — bounded,
 //! so a slow stage exerts backpressure instead of growing a queue.
@@ -32,11 +32,11 @@
 //! ## The oracle lock
 //!
 //! In **deterministic mode** ([`RuntimeConfig::deterministic`]) no wall
-//! clock enters any decision: the batcher replays modeled time in
-//! lockstep — it holds a one-arrival lookahead (the next arrival, or
-//! end-of-stream, must be known before a launch commits, exactly like
-//! the event loop's `times[next]` peek) and waits for each batch's
-//! modeled service time before advancing `engine_free`. The result is
+//! clock enters any decision: the batcher *is* the scheduler's
+//! [`EventLoop`], fed from the arrival ring (whose blocking pop gives
+//! the loop its one-arrival lookahead) and served in lockstep — each
+//! batch is dispatched to its shard and awaited before modeled time
+//! advances. The result is
 //! **byte-identical batches, pooled embeddings and `SchedReport`** to
 //! [`Scheduler::run`](scheduler::Scheduler::run) on the same trace —
 //! `tests/differential.rs` enforces it. That lock is what makes the
@@ -62,11 +62,11 @@ use std::time::Instant;
 
 use dlrm_model::{Matrix, QueryBatch};
 use scheduler::{
-    assemble_into, report_is_finite, service_ns_to_u64, AdmitOutcome, BatchPolicy, SchedConfig,
-    SchedReport,
+    assemble_into, check_servable, service_ns_to_u64, BatchPolicy, EventLoop, Launch, SchedConfig,
+    SchedReport, Serve, Tally,
 };
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::{percentile, CoreError, Result, SchedTrigger, UpdlrmEngine};
+use updlrm_core::{BatchServer, CoreError, MetricsRegistry, Result, SchedTrigger};
 use workloads::{Workload, NS_PER_SEC};
 
 pub use ring::{ring, Consumer, Producer};
@@ -78,7 +78,7 @@ pub struct RuntimeConfig {
     /// the modeled oracle, so the two are directly comparable.
     pub sched: SchedConfig,
     /// Engine shards (worker threads). Each shard needs its own
-    /// [`UpdlrmEngine`]; identical engines make dispatch-order
+    /// engine; identical engines make dispatch-order
     /// invisible in the pooled outputs.
     pub shards: usize,
     /// Wall nanoseconds per modeled nanosecond during trace replay.
@@ -182,24 +182,26 @@ pub struct RuntimeReport {
 /// A formed batch on its way to a shard worker.
 struct WorkItem {
     seq: usize,
+    /// Launch instant in modeled ns, for the engine's between-batch
+    /// tick.
+    launch_ns: u64,
     ids: Vec<u32>,
     batch: QueryBatch,
 }
 
-/// What a shard worker sends back per batch.
-enum Completion {
-    Done {
-        seq: usize,
-        ids: Vec<u32>,
-        pooled: Vec<Matrix>,
-        breakdown: EmbeddingBreakdown,
-        /// Measured wall time of the `serve_stream` call (ns).
-        service_wall_ns: u64,
-        /// Wall instant (ns since runtime start) the batch finished.
-        done_wall_ns: u64,
-    },
-    Failed(CoreError),
+/// What a shard worker sends back per executed batch.
+struct Done {
+    seq: usize,
+    ids: Vec<u32>,
+    pooled: Vec<Matrix>,
+    breakdown: EmbeddingBreakdown,
+    /// Measured wall time of the `serve_stream` call (ns).
+    service_wall_ns: u64,
+    /// Wall instant (ns since runtime start) the batch finished.
+    done_wall_ns: u64,
 }
+
+type Completion = Result<Done>;
 
 /// The wall-clock concurrent serving runtime. Stateless between runs;
 /// holds only the validated configuration.
@@ -226,9 +228,14 @@ impl Runtime {
     }
 
     /// Serves `workload`'s arrival trace through `engines` (one per
-    /// shard). `sink(batch_seq, query_ids, pooled, breakdown)` fires
-    /// once per executed batch on the calling thread — in launch order
-    /// when deterministic, in completion order otherwise.
+    /// shard). Each worker ticks its engine at the batch's launch
+    /// instant before serving it, so an engine with an online replanner
+    /// migrates exactly as it does under the modeled scheduler.
+    /// `sink(batch_seq, query_ids, pooled, breakdown)` fires once per
+    /// executed batch on the calling thread — in launch order when
+    /// deterministic, in completion order otherwise. The front-end's
+    /// admission and batching counters land in shard 0's telemetry
+    /// registry.
     ///
     /// # Errors
     ///
@@ -236,22 +243,18 @@ impl Runtime {
     /// trace, `engines.len() != shards`, or any engine cannot take
     /// `max_batch_size` batches; [`CoreError::Invariant`] if a worker
     /// dies or modeled time runs backwards; engine errors propagate.
-    pub fn run<F>(
+    pub fn run<E, F>(
         &self,
-        engines: &mut [UpdlrmEngine],
+        engines: &mut [E],
         workload: &Workload,
         sink: F,
     ) -> Result<RuntimeReport>
     where
+        E: BatchServer + Send,
         F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
     {
         let cfg = self.cfg;
-        let times = &workload.arrivals.times_ns;
-        if times.is_empty() {
-            return Err(CoreError::InvalidConfig(
-                "workload has no arrival trace (closed-loop); stamp arrivals first".into(),
-            ));
-        }
+        let trace = &workload.arrivals;
         if engines.len() != cfg.shards {
             return Err(CoreError::InvalidConfig(format!(
                 "runtime configured for {} shards but {} engines supplied",
@@ -260,18 +263,16 @@ impl Runtime {
             )));
         }
         for engine in engines.iter() {
-            if cfg.sched.max_batch_size > engine.config().batch_size * 2 {
-                return Err(CoreError::InvalidConfig(format!(
-                    "max_batch_size {} exceeds the engine's staged capacity {} (2x its batch_size)",
-                    cfg.sched.max_batch_size,
-                    engine.config().batch_size * 2
-                )));
-            }
+            check_servable(&cfg.sched, trace, engine.staged_batch_capacity())?;
         }
+        // The workers own the engines for the whole run, so the batcher
+        // counts into a registry of its own, folded into shard 0's once
+        // the workers have handed the engines back.
+        let mut metrics = MetricsRegistry::new(engines[0].metrics_mut().enabled(), 0);
 
         let start = Instant::now();
-        std::thread::scope(|s| {
-            let (arrival_tx, arrival_rx) = ring::<(u32, u64)>(cfg.ring_capacity);
+        let report = std::thread::scope(|s| -> Result<RuntimeReport> {
+            let (arrival_tx, mut arrival_rx) = ring::<(u32, u64)>(cfg.ring_capacity);
             let mut work_txs = Vec::with_capacity(cfg.shards);
             let mut done_rxs = Vec::with_capacity(cfg.shards);
             for engine in engines.iter_mut() {
@@ -281,37 +282,55 @@ impl Runtime {
                 done_rxs.push(done_rx);
                 s.spawn(move || shard_worker(engine, work_rx, done_tx, start));
             }
-            s.spawn(move || ingest(times, cfg, start, arrival_tx));
+            s.spawn(move || ingest(&trace.times_ns, cfg, start, arrival_tx));
             // The batcher runs right here on the caller's thread, so the
             // sink needs no `Send` bound and fires where the caller
             // expects it.
             let mut b = Batcher {
                 cfg,
                 workload,
-                policy: BatchPolicy::new(cfg.sched)?,
-                arrival_rx,
                 work_txs,
                 done_rxs,
                 start,
                 sink,
-                report: blank_report(workload),
-                latencies: Vec::with_capacity(times.len()),
-                hist: vec![0; cfg.sched.max_batch_size + 1],
+                metrics: &mut metrics,
                 batches_per_shard: vec![0; cfg.shards],
                 modeled_service_ns: 0.0,
                 measured_service_ns: 0.0,
-                seq: 0,
-                in_flight: 0,
-                last_done_wall: 0,
-                pending_triggers: Vec::new(),
             };
-            if cfg.deterministic {
-                b.run_deterministic()?;
+            let (mut tally, makespan_ns) = if cfg.deterministic {
+                // The oracle-locked mode is the modeled scheduler's own
+                // loop: arrivals off the ring, batches served in
+                // lockstep (see `impl Serve for Batcher`).
+                let mut core = EventLoop::new(cfg.sched)?;
+                let makespan_ns = core.run(trace, || arrival_rx.pop_blocking(), &mut b)?;
+                (core.tally, makespan_ns)
             } else {
-                b.run_wall()?;
-            }
-            Ok(b.finish())
-        })
+                b.run_wall(&mut arrival_rx)?
+            };
+            let sched = tally.finish(makespan_ns);
+            let wall_elapsed_ns = start.elapsed().as_nanos() as f64;
+            Ok(RuntimeReport {
+                wall: WallStats {
+                    wall_elapsed_ns,
+                    measured_qps: if wall_elapsed_ns > 0.0 {
+                        sched.completed as f64 * NS_PER_SEC / wall_elapsed_ns
+                    } else {
+                        0.0
+                    },
+                    modeled_service_ns: b.modeled_service_ns,
+                    measured_service_ns: b.measured_service_ns,
+                    time_scale: cfg.time_scale,
+                },
+                sched,
+                shards: cfg.shards,
+                deterministic: cfg.deterministic,
+                batches_per_shard: b.batches_per_shard,
+                batch_histogram: tally.histogram().to_vec(),
+            })
+        })?;
+        engines[0].metrics_mut().absorb(&metrics, 0);
+        Ok(report)
     }
 }
 
@@ -330,37 +349,38 @@ fn ingest(times: &[u64], cfg: RuntimeConfig, start: Instant, mut tx: Producer<(u
     // Dropping `tx` is the end-of-stream signal.
 }
 
-/// One shard: executes every batch the batcher dispatches, measuring
-/// the wall cost of each modeled pipeline. Exits on end-of-stream, on
-/// engine error (after reporting it), or when the batcher is gone.
-fn shard_worker(
-    engine: &mut UpdlrmEngine,
+/// One shard: ticks its engine to each batch's launch instant, executes
+/// the batch, and measures the wall cost of the modeled pipeline. Exits
+/// on end-of-stream, on engine error (after reporting it), or when the
+/// batcher is gone.
+fn shard_worker<E: BatchServer>(
+    engine: &mut E,
     mut work_rx: Consumer<WorkItem>,
     mut done_tx: Producer<Completion>,
     start: Instant,
 ) {
     while let Some(item) = work_rx.pop_blocking() {
+        let ticked = engine.on_tick(item.launch_ns);
         let t0 = Instant::now();
         let mut pooled = Vec::new();
         let mut breakdown = EmbeddingBreakdown::default();
-        let res = engine.serve_stream(std::slice::from_ref(&item.batch), |_, p, bd| {
-            pooled = p.to_vec();
-            breakdown = *bd;
+        let res = ticked.and_then(|()| {
+            engine.serve_stream(std::slice::from_ref(&item.batch), |_, p, bd| {
+                pooled = p.to_vec();
+                breakdown = *bd;
+            })
         });
         let service_wall_ns = t0.elapsed().as_nanos() as u64;
         let done_wall_ns = start.elapsed().as_nanos() as u64;
-        let msg = match res {
-            Ok(_) => Completion::Done {
-                seq: item.seq,
-                ids: item.ids,
-                pooled,
-                breakdown,
-                service_wall_ns,
-                done_wall_ns,
-            },
-            Err(e) => Completion::Failed(e),
-        };
-        let failed = matches!(msg, Completion::Failed(_));
+        let msg = res.map(|_| Done {
+            seq: item.seq,
+            ids: item.ids,
+            pooled,
+            breakdown,
+            service_wall_ns,
+            done_wall_ns,
+        });
+        let failed = msg.is_err();
         if done_tx.push_blocking(msg).is_err() || failed {
             return;
         }
@@ -390,118 +410,67 @@ fn sleep_until(start: Instant, target_ns: u64) {
     }
 }
 
-fn blank_report(workload: &Workload) -> SchedReport {
-    SchedReport {
-        requests: workload.arrivals.times_ns.len() as u64,
-        admitted: 0,
-        completed: 0,
-        shed: 0,
-        rejected: 0,
-        blocked: 0,
-        batches: 0,
-        trigger_size: 0,
-        trigger_deadline: 0,
-        trigger_drain: 0,
-        queue_high_water: 0,
-        mean_batch_size: 0.0,
-        offered_qps: workload.arrivals.measured_offered_qps(),
-        achieved_qps: 0.0,
-        makespan_ns: 0.0,
-        mean_latency_ns: 0.0,
-        p50_latency_ns: 0.0,
-        p95_latency_ns: 0.0,
-        p99_latency_ns: 0.0,
-        max_latency_ns: 0.0,
-    }
-}
-
-/// The batcher's whole world: rings on both sides, the clock-agnostic
-/// policy in the middle, and the accounting the report is built from.
+/// The batcher's transport and accounting, shared by both modes: shard
+/// rings on the far side, the caller's sink, and the measured-vs-modeled
+/// service sums [`WallStats`] reports.
 struct Batcher<'a, F> {
     cfg: RuntimeConfig,
     workload: &'a Workload,
-    policy: BatchPolicy,
-    arrival_rx: Consumer<(u32, u64)>,
     work_txs: Vec<Producer<WorkItem>>,
     done_rxs: Vec<Consumer<Completion>>,
     start: Instant,
     sink: F,
-    report: SchedReport,
-    /// Per-request latencies: modeled ns when deterministic, measured
-    /// wall ns otherwise.
-    latencies: Vec<u64>,
-    hist: Vec<u64>,
+    /// Where the front-end's admission and batching counters go while
+    /// the workers hold the engines.
+    metrics: &'a mut MetricsRegistry,
     batches_per_shard: Vec<u64>,
     modeled_service_ns: f64,
     measured_service_ns: f64,
-    seq: usize,
-    // Wall-mode state (unused when deterministic: the lockstep loop
-    // never has more than one batch in flight).
-    in_flight: usize,
-    last_done_wall: u64,
+}
+
+/// What the free-running mode tracks on top of [`Batcher`]: the report
+/// tally and the batches currently out at the shards.
+struct InFlight {
+    tally: Tally,
     /// Launch triggers of in-flight batches, keyed by seq because
     /// completions arrive out of order across shards. Bounded by the
     /// rings, so linear scans are fine.
-    pending_triggers: Vec<(usize, SchedTrigger)>,
+    triggers: Vec<(usize, SchedTrigger)>,
+    last_done_wall: u64,
 }
 
 impl<F> Batcher<'_, F>
 where
     F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
 {
-    /// Folds an admission outcome into the report. Returns `true` when
-    /// the arrival was consumed (`false` = held at a blocked door).
-    fn apply_admit(&mut self, outcome: AdmitOutcome) -> bool {
-        match outcome {
-            AdmitOutcome::Admitted { depth } => {
-                self.report.admitted += 1;
-                self.report.queue_high_water = self.report.queue_high_water.max(depth as u64);
-                true
-            }
-            AdmitOutcome::AdmittedAfterShed { depth, .. } => {
-                self.report.shed += 1;
-                self.report.admitted += 1;
-                self.report.queue_high_water = self.report.queue_high_water.max(depth as u64);
-                true
-            }
-            AdmitOutcome::Rejected => {
-                self.report.rejected += 1;
-                true
-            }
-            AdmitOutcome::Blocked => false,
-        }
-    }
-
-    /// Assembles the just-taken batch into a fresh [`WorkItem`] for the
-    /// round-robin shard of the current `seq`.
-    fn make_item(&self, ids: &[u32]) -> WorkItem {
+    /// Assembles `launch` into a fresh [`WorkItem`].
+    fn make_item(&self, launch: &Launch<'_>) -> WorkItem {
         let mut batch = QueryBatch {
             sparse: vec![Default::default(); self.workload.config.num_tables],
             ..Default::default()
         };
-        assemble_into(self.workload, ids, &mut batch);
+        assemble_into(self.workload, launch.ids, &mut batch);
         WorkItem {
-            seq: self.seq,
-            ids: ids.to_vec(),
+            seq: launch.seq,
+            launch_ns: launch.at_ns,
+            ids: launch.ids.to_vec(),
             batch,
         }
     }
 
-    /// Deterministic-mode dispatch: the lockstep loop immediately waits
-    /// for the completion, so a plain blocking push cannot deadlock.
-    /// Returns the shard the batch went to.
-    fn dispatch_lockstep(&mut self, ids: &[u32]) -> Result<usize> {
-        let shard = self.seq % self.cfg.shards;
-        let item = self.make_item(ids);
-        if self.work_txs[shard].push_blocking(item).is_err() {
-            return Err(CoreError::Invariant(format!(
-                "shard {shard} worker exited before batch {} was dispatched",
-                self.seq
-            )));
-        }
-        self.batches_per_shard[shard] += 1;
-        self.seq += 1;
-        Ok(shard)
+    fn worker_gone(shard: usize, seq: usize, stage: &str) -> CoreError {
+        CoreError::Invariant(format!(
+            "shard {shard} worker exited before batch {seq} {stage}"
+        ))
+    }
+
+    /// Books an executed batch's service walls and hands it to the
+    /// sink. Counters and latencies are the tally's business (the two
+    /// modes measure them on different clocks).
+    fn book(&mut self, done: &Done) {
+        self.modeled_service_ns += done.breakdown.total_ns();
+        self.measured_service_ns += done.service_wall_ns as f64;
+        (self.sink)(done.seq, &done.ids, &done.pooled, &done.breakdown);
     }
 
     /// Wall-mode dispatch. Must NOT block without draining completions:
@@ -509,268 +478,109 @@ where
     /// blocks pushing its completion and a blocked batcher would never
     /// drain it — a cycle. So this spins on `try_push`, draining
     /// completions between attempts.
-    fn dispatch_wall(&mut self, ids: &[u32], trigger: SchedTrigger) -> Result<()> {
-        let shard = self.seq % self.cfg.shards;
-        self.pending_triggers.push((self.seq, trigger));
-        let mut item = self.make_item(ids);
-        loop {
-            match self.work_txs[shard].try_push(item) {
-                Ok(()) => break,
-                Err(back) => {
-                    if self.work_txs[shard].is_disconnected() {
-                        return Err(CoreError::Invariant(format!(
-                            "shard {shard} worker exited before batch {} was dispatched",
-                            self.seq
-                        )));
-                    }
-                    item = back;
-                    self.drain_completions()?;
-                    std::thread::yield_now();
-                }
+    fn dispatch_wall(
+        &mut self,
+        fl: &mut InFlight,
+        launch: &Launch<'_>,
+        trigger: SchedTrigger,
+    ) -> Result<()> {
+        let shard = launch.seq % self.cfg.shards;
+        fl.triggers.push((launch.seq, trigger));
+        let mut item = self.make_item(launch);
+        while let Err(back) = self.work_txs[shard].try_push(item) {
+            if self.work_txs[shard].is_disconnected() {
+                return Err(Self::worker_gone(shard, launch.seq, "was dispatched"));
             }
+            item = back;
+            self.drain_completions(fl)?;
+            std::thread::yield_now();
         }
         self.batches_per_shard[shard] += 1;
-        self.seq += 1;
-        self.in_flight += 1;
         Ok(())
     }
 
     /// Books every completion currently waiting on any shard's ring
     /// (non-blocking): trigger attribution, measured latency, sink.
-    fn drain_completions(&mut self) -> Result<()> {
+    fn drain_completions(&mut self, fl: &mut InFlight) -> Result<()> {
         let times = &self.workload.arrivals.times_ns;
-        let scale = self.cfg.time_scale;
         for shard in 0..self.cfg.shards {
             while let Some(msg) = self.done_rxs[shard].try_pop() {
-                match msg {
-                    Completion::Done {
-                        seq,
-                        ids: done_ids,
-                        pooled,
-                        breakdown,
-                        service_wall_ns,
-                        done_wall_ns,
-                    } => {
-                        self.in_flight -= 1;
-                        self.last_done_wall = self.last_done_wall.max(done_wall_ns);
-                        let slot = self
-                            .pending_triggers
-                            .iter()
-                            .position(|&(s, _)| s == seq)
-                            .expect("every dispatched seq has a pending trigger");
-                        let (_, trigger) = self.pending_triggers.swap_remove(slot);
-                        self.book_completion(
-                            trigger,
-                            &done_ids,
-                            &pooled,
-                            &breakdown,
-                            seq,
-                            service_wall_ns,
-                        );
-                        for &id in &done_ids {
-                            // Open-loop latency: measured completion
-                            // minus *ideal* arrival, so ingest lag
-                            // counts against us (no coordinated
-                            // omission).
-                            let ideal = modeled_to_wall(times[id as usize], scale);
-                            self.latencies.push(done_wall_ns.saturating_sub(ideal));
-                        }
-                    }
-                    Completion::Failed(e) => return Err(e),
+                let done = msg?;
+                fl.last_done_wall = fl.last_done_wall.max(done.done_wall_ns);
+                let slot = fl
+                    .triggers
+                    .iter()
+                    .position(|&(s, _)| s == done.seq)
+                    .expect("every dispatched seq has a pending trigger");
+                let (_, trigger) = fl.triggers.swap_remove(slot);
+                fl.tally.batch(done.ids.len(), trigger, self.metrics);
+                self.book(&done);
+                for &id in &done.ids {
+                    // Open-loop latency: measured completion minus
+                    // *ideal* arrival, so ingest lag counts against us
+                    // (no coordinated omission).
+                    let ideal = modeled_to_wall(times[id as usize], self.cfg.time_scale);
+                    fl.tally
+                        .latencies
+                        .push(done.done_wall_ns.saturating_sub(ideal));
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Books a completed batch: trigger counts, histogram, service
-    /// sums, sink. Latencies are the caller's business (the two modes
-    /// measure them on different clocks).
-    fn book_completion(
-        &mut self,
-        trigger: SchedTrigger,
-        ids: &[u32],
-        pooled: &[Matrix],
-        breakdown: &EmbeddingBreakdown,
-        seq: usize,
-        service_wall_ns: u64,
-    ) {
-        self.report.batches += 1;
-        match trigger {
-            SchedTrigger::Size => self.report.trigger_size += 1,
-            SchedTrigger::Deadline => self.report.trigger_deadline += 1,
-            SchedTrigger::Drain => self.report.trigger_drain += 1,
-        }
-        self.hist[ids.len()] += 1;
-        self.report.completed += ids.len() as u64;
-        self.modeled_service_ns += breakdown.total_ns();
-        self.measured_service_ns += service_wall_ns as f64;
-        (self.sink)(seq, ids, pooled, breakdown);
-    }
-
-    /// The oracle-locked mode: modeled time in lockstep, mirroring the
-    /// discrete-event loop decision for decision (see the module docs
-    /// for why the one-arrival lookahead and the per-batch wait are
-    /// what make the replay exact).
-    fn run_deterministic(&mut self) -> Result<()> {
-        let times = &self.workload.arrivals.times_ns;
-        let mut peeked: Option<(u32, u64)> = None;
-        let mut eos = false;
-        let mut now = 0u64;
-        let mut engine_free = 0u64;
-        let mut door_blocked = false;
-        let mut blocked_counted = 0u32;
-        let mut ids = Vec::with_capacity(self.cfg.sched.max_batch_size);
-
-        loop {
-            // One-arrival lookahead: block until the next arrival (or
-            // end-of-stream) is known — every decision below needs it.
-            if peeked.is_none() && !eos {
-                match self.arrival_rx.pop_blocking() {
-                    Some(a) => peeked = Some(a),
-                    None => eos = true,
-                }
-            }
-
-            if self.policy.is_empty() {
-                let Some((id, at)) = peeked else { break };
-                // Jump the clock to the next arrival; an empty queue
-                // always has room so the door reopens.
-                now = now.max(at);
-                door_blocked = false;
-                let outcome = self.policy.admit(id, at);
-                let consumed = self.apply_admit(outcome);
-                debug_assert!(consumed, "empty queue cannot block");
-                peeked = None;
-                continue;
-            }
-
-            let plan = self
-                .policy
-                .launch_at(now, engine_free, peeked.is_none())
-                .expect("queue is nonempty");
-
-            if let Some((id, at)) = peeked {
-                if !door_blocked && at <= plan.at_ns {
-                    now = now.max(at);
-                    let outcome = self.policy.admit(id, at);
-                    if self.apply_admit(outcome) {
-                        peeked = None;
-                    } else {
-                        door_blocked = true;
-                        if id >= blocked_counted {
-                            self.report.blocked += 1;
-                            blocked_counted = id + 1;
-                        }
-                    }
-                    continue;
-                }
-            }
-
-            // Launch, in lockstep with the oracle: dispatch, then wait
-            // for this batch's completion before modeled time advances.
-            now = plan.at_ns;
-            let newest = self.policy.take_batch(&mut ids).expect("queue is nonempty");
-            if newest > now {
-                return Err(CoreError::Invariant(format!(
-                    "batch {} launches at {now} ns but contains an arrival \
-                     admitted at {newest} ns",
-                    self.seq
-                )));
-            }
-            let seq = self.seq;
-            let shard = self.dispatch_lockstep(&ids)?;
-            let (done_ids, pooled, breakdown, service_wall_ns) =
-                match self.done_rxs[shard].pop_blocking() {
-                    Some(Completion::Done {
-                        seq: done_seq,
-                        ids,
-                        pooled,
-                        breakdown,
-                        service_wall_ns,
-                        ..
-                    }) => {
-                        debug_assert_eq!(done_seq, seq, "lockstep completion order");
-                        (ids, pooled, breakdown, service_wall_ns)
-                    }
-                    Some(Completion::Failed(e)) => return Err(e),
-                    None => {
-                        return Err(CoreError::Invariant(format!(
-                            "shard {shard} worker exited before batch {seq} completed"
-                        )))
-                    }
-                };
-            engine_free = now.saturating_add(service_ns_to_u64(breakdown.total_ns()));
-            self.book_completion(
-                plan.trigger,
-                &done_ids,
-                &pooled,
-                &breakdown,
-                seq,
-                service_wall_ns,
-            );
-            for &id in &done_ids {
-                // arrival <= now <= engine_free, so this never wraps.
-                self.latencies.push(engine_free - times[id as usize]);
-            }
-            door_blocked = false;
-        }
-        self.report.makespan_ns = engine_free as f64;
         Ok(())
     }
 
     /// The wall-clock mode: the batcher polls a monotonic clock (mapped
     /// to modeled ns by `time_scale`), shards drain concurrently, and
-    /// latencies are measured, not modeled.
-    fn run_wall(&mut self) -> Result<()> {
+    /// latencies are measured, not modeled. Unlike [`EventLoop::run`] it
+    /// never blocks on one batch — many are in flight and they are
+    /// booked in completion order — so it is its own loop over the same
+    /// [`BatchPolicy`] and [`Tally`]. Returns the tally and the measured
+    /// makespan (wall ns of the last completion).
+    fn run_wall(&mut self, arrival_rx: &mut Consumer<(u32, u64)>) -> Result<(Tally, u64)> {
         let scale = self.cfg.time_scale;
+        let mut policy = BatchPolicy::new(self.cfg.sched)?;
+        let mut fl = InFlight {
+            tally: Tally::new(self.cfg.sched.max_batch_size),
+            triggers: Vec::new(),
+            last_done_wall: 0,
+        };
+        fl.tally.begin(&self.workload.arrivals);
         let mut peeked: Option<(u32, u64)> = None;
         let mut eos = false;
         let mut door_blocked = false;
-        let mut blocked_counted = 0u32;
+        let mut seq = 0usize;
         let mut ids = Vec::with_capacity(self.cfg.sched.max_batch_size);
 
         loop {
             // 1. Drain completions from every shard (non-blocking).
-            self.drain_completions()?;
+            self.drain_completions(&mut fl)?;
 
             // 2. Admit whatever the ingest thread has delivered.
-            if self.policy.is_empty() {
+            if policy.is_empty() {
                 door_blocked = false;
             }
             while !door_blocked {
                 if peeked.is_none() {
-                    match self.arrival_rx.try_pop() {
-                        Some(a) => peeked = Some(a),
-                        None => {
-                            // Empty + producer gone = end of stream;
-                            // re-pop after the liveness load so a value
-                            // pushed between the two cannot be missed.
-                            if self.arrival_rx.is_disconnected() {
-                                match self.arrival_rx.try_pop() {
-                                    Some(a) => peeked = Some(a),
-                                    None => eos = true,
-                                }
-                            }
-                        }
+                    peeked = arrival_rx.try_pop();
+                    // Empty + producer gone = end of stream; re-pop
+                    // after the liveness load so a value pushed between
+                    // the two cannot be missed.
+                    if peeked.is_none() && arrival_rx.is_disconnected() {
+                        peeked = arrival_rx.try_pop();
+                        eos = peeked.is_none();
                     }
                 }
                 let Some((id, at)) = peeked else { break };
-                let outcome = self.policy.admit(id, at);
-                if self.apply_admit(outcome) {
+                if fl.tally.admit(&mut policy, id, at, self.metrics) {
                     peeked = None;
                 } else {
                     door_blocked = true;
-                    if id >= blocked_counted {
-                        self.report.blocked += 1;
-                        blocked_counted = id + 1;
-                    }
                 }
             }
 
             let drained = eos && peeked.is_none();
-            if self.policy.is_empty() {
-                if drained && self.in_flight == 0 {
+            if policy.is_empty() {
+                if drained && fl.triggers.is_empty() {
                     break;
                 }
                 // Nothing to batch; give ingest / workers real CPU
@@ -784,13 +594,18 @@ where
             // `engine_free = 0`: shard availability is expressed by
             // ring backpressure, not by a single modeled server.
             let now = (self.start.elapsed().as_nanos() as f64 / scale) as u64;
-            let plan = self
-                .policy
+            let plan = policy
                 .launch_at(now, 0, drained)
                 .expect("queue is nonempty");
             if plan.at_ns <= now {
-                self.policy.take_batch(&mut ids).expect("queue is nonempty");
-                self.dispatch_wall(&ids, plan.trigger)?;
+                policy.take_batch(&mut ids).expect("queue is nonempty");
+                let launch = Launch {
+                    seq,
+                    at_ns: now,
+                    ids: &ids,
+                };
+                self.dispatch_wall(&mut fl, &launch, plan.trigger)?;
+                seq += 1;
                 door_blocked = false;
             } else {
                 // Sleep toward the planned launch, but wake early: a
@@ -802,57 +617,35 @@ where
                 sleep_until(self.start, elapsed + slice);
             }
         }
-        self.report.makespan_ns = self.last_done_wall as f64;
-        Ok(())
+        Ok((fl.tally, fl.last_done_wall))
+    }
+}
+
+/// The oracle-locked mode's half of [`EventLoop::run`]: each formed
+/// batch is dispatched to its round-robin shard and awaited before
+/// modeled time advances. The loop never has more than one batch in
+/// flight, so a plain blocking push cannot deadlock.
+impl<F> Serve for Batcher<'_, F>
+where
+    F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
+{
+    fn metrics_mut(&mut self) -> &mut MetricsRegistry {
+        self.metrics
     }
 
-    /// Derives the f64 statistics and packages the report — the same
-    /// math, in the same order, as the modeled scheduler, so the
-    /// deterministic mode's report is bit-identical to the oracle's.
-    fn finish(mut self) -> RuntimeReport {
-        let makespan = self.report.makespan_ns;
-        self.report.achieved_qps = if makespan > 0.0 {
-            self.report.completed as f64 * NS_PER_SEC / makespan
-        } else {
-            0.0
-        };
-        self.report.mean_batch_size = if self.report.batches > 0 {
-            self.report.completed as f64 / self.report.batches as f64
-        } else {
-            0.0
-        };
-        self.latencies.sort_unstable();
-        let lat_stats: Vec<f64> = self.latencies.iter().map(|&l| l as f64).collect();
-        if let Some(&max) = self.latencies.last() {
-            self.report.max_latency_ns = max as f64;
-            self.report.mean_latency_ns = self.latencies.iter().map(|&l| l as u128).sum::<u128>()
-                as f64
-                / self.latencies.len() as f64;
-        }
-        self.report.p50_latency_ns = percentile(&lat_stats, 0.50);
-        self.report.p95_latency_ns = percentile(&lat_stats, 0.95);
-        self.report.p99_latency_ns = percentile(&lat_stats, 0.99);
-        debug_assert!(report_is_finite(&self.report));
-
-        let wall_elapsed_ns = self.start.elapsed().as_nanos() as f64;
-        RuntimeReport {
-            wall: WallStats {
-                wall_elapsed_ns,
-                measured_qps: if wall_elapsed_ns > 0.0 {
-                    self.report.completed as f64 * NS_PER_SEC / wall_elapsed_ns
-                } else {
-                    0.0
-                },
-                modeled_service_ns: self.modeled_service_ns,
-                measured_service_ns: self.measured_service_ns,
-                time_scale: self.cfg.time_scale,
-            },
-            sched: self.report,
-            shards: self.cfg.shards,
-            deterministic: self.cfg.deterministic,
-            batches_per_shard: self.batches_per_shard,
-            batch_histogram: self.hist,
-        }
+    fn serve(&mut self, launch: &Launch<'_>) -> Result<u64> {
+        let shard = launch.seq % self.cfg.shards;
+        let item = self.make_item(launch);
+        self.work_txs[shard]
+            .push_blocking(item)
+            .map_err(|_| Self::worker_gone(shard, launch.seq, "was dispatched"))?;
+        self.batches_per_shard[shard] += 1;
+        let done = self.done_rxs[shard]
+            .pop_blocking()
+            .ok_or_else(|| Self::worker_gone(shard, launch.seq, "completed"))??;
+        debug_assert_eq!(done.seq, launch.seq, "lockstep completion order");
+        self.book(&done);
+        Ok(service_ns_to_u64(done.breakdown.total_ns()))
     }
 }
 

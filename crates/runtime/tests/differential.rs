@@ -1,14 +1,18 @@
 //! The oracle lock (ISSUE 6 acceptance): `Runtime` in deterministic
 //! mode must reproduce `Scheduler::run` **byte for byte** on the same
 //! UPWL trace — identical batch composition in launch order, identical
-//! pooled embeddings (bit-compared), identical `SchedReport` — for
-//! every overload policy and for both 1 and 2 shards. Concurrency is
-//! allowed to change the clock, never the semantics.
+//! pooled embeddings (bit-compared), identical `SchedReport`, identical
+//! scheduler telemetry — for every overload policy (the case table
+//! shared with the tenancy suite) and for both 1 and 2 shards.
+//! Concurrency is allowed to change the clock, never the semantics.
+
+#[path = "../../scheduler/tests/cases/mod.rs"]
+mod cases;
 
 use dlrm_model::EmbeddingTable;
 use runtime::{Runtime, RuntimeConfig};
 use scheduler::{OverloadPolicy, SchedConfig, SchedReport, Scheduler};
-use updlrm_core::{PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
+use updlrm_core::{PartitionStrategy, SchedSnapshot, UpdlrmConfig, UpdlrmEngine};
 use workloads::{ArrivalProcess, DatasetSpec, TraceConfig, Workload};
 
 const DIM: usize = 32;
@@ -33,6 +37,7 @@ fn setup(num_batches: usize, process: ArrivalProcess) -> (Vec<EmbeddingTable>, W
 fn engine(tables: &[EmbeddingTable], workload: &Workload, max_batch: usize) -> UpdlrmEngine {
     let config = UpdlrmConfig {
         batch_size: max_batch,
+        telemetry: true,
         ..UpdlrmConfig::with_dpus(16, PartitionStrategy::NonUniform)
     };
     UpdlrmEngine::from_workload(config, tables, workload).unwrap()
@@ -47,7 +52,7 @@ fn oracle(
     workload: &Workload,
     cfg: SchedConfig,
     max_batch: usize,
-) -> (SchedReport, BatchTrace, Vec<u64>) {
+) -> (SchedReport, BatchTrace, Vec<u64>, SchedSnapshot) {
     let mut eng = engine(tables, workload, max_batch);
     let mut s = Scheduler::new(cfg).unwrap();
     let mut trace = BatchTrace::new();
@@ -56,7 +61,8 @@ fn oracle(
             trace.push((seq, ids.to_vec(), pooled_bits(pooled)));
         })
         .unwrap();
-    (report, trace, s.batch_histogram().to_vec())
+    let sched_telemetry = eng.metrics_snapshot().sched;
+    (report, trace, s.batch_histogram().to_vec(), sched_telemetry)
 }
 
 fn pooled_bits(pooled: &[dlrm_model::Matrix]) -> Vec<Vec<u32>> {
@@ -72,7 +78,7 @@ fn runtime_det(
     cfg: SchedConfig,
     max_batch: usize,
     shards: usize,
-) -> (runtime::RuntimeReport, BatchTrace) {
+) -> (runtime::RuntimeReport, BatchTrace, SchedSnapshot) {
     let mut engines: Vec<UpdlrmEngine> = (0..shards)
         .map(|_| engine(tables, workload, max_batch))
         .collect();
@@ -90,15 +96,39 @@ fn runtime_det(
             trace.push((seq, ids.to_vec(), pooled_bits(pooled)));
         })
         .unwrap();
-    (report, trace)
+    // The front-end's counters land in shard 0's registry.
+    let sched_telemetry = engines[0].metrics_snapshot().sched;
+    (report, trace, sched_telemetry)
 }
 
-fn assert_locked(process: ArrivalProcess, cfg: SchedConfig, max_batch: usize) {
+/// `assert_locked` on the shared table's case `name` (one `#[test]`
+/// per case, so they run in parallel and fail by name).
+fn assert_case_locked(name: &str) {
+    let case = cases::CASES.iter().find(|c| c.name == name);
+    assert_locked(case.unwrap_or_else(|| panic!("no differential case named '{name}'")));
+}
+
+fn assert_locked(case: &cases::Case) {
+    let process = if case.bursty {
+        ArrivalProcess::bursty(case.qps, case.seed)
+    } else {
+        ArrivalProcess::poisson(case.qps, case.seed)
+    };
+    let (cfg, max_batch) = (case.sched, case.sched.max_batch_size);
     let (tables, workload) = setup(3, process);
-    let (oracle_report, oracle_trace, oracle_hist) = oracle(&tables, &workload, cfg, max_batch);
+    let (oracle_report, oracle_trace, oracle_hist, oracle_telemetry) =
+        oracle(&tables, &workload, cfg, max_batch);
     assert!(!oracle_trace.is_empty(), "oracle must form batches");
+    case.assert_exercised(&oracle_report);
+    assert_eq!(oracle_telemetry.batches, oracle_report.batches);
     for shards in [1usize, 2] {
-        let (rt_report, rt_trace) = runtime_det(&tables, &workload, cfg, max_batch, shards);
+        let (rt_report, rt_trace, rt_telemetry) =
+            runtime_det(&tables, &workload, cfg, max_batch, shards);
+        assert_eq!(
+            rt_telemetry, oracle_telemetry,
+            "{} shards / {}: scheduler telemetry must be identical",
+            shards, cfg.policy
+        );
         assert_eq!(
             rt_report.sched, oracle_report,
             "{} shards / {}: report must be byte-identical",
@@ -124,58 +154,22 @@ fn assert_locked(process: ArrivalProcess, cfg: SchedConfig, max_batch: usize) {
 
 #[test]
 fn deterministic_runtime_matches_oracle_under_light_load() {
-    assert_locked(
-        ArrivalProcess::poisson(1_000.0, 11),
-        SchedConfig {
-            max_batch_size: 32,
-            max_wait_ns: 50_000,
-            queue_cap: 64,
-            policy: OverloadPolicy::ShedOldest,
-        },
-        32,
-    );
+    assert_case_locked("light load");
 }
 
 #[test]
 fn deterministic_runtime_matches_oracle_under_shedding_saturation() {
-    assert_locked(
-        ArrivalProcess::poisson(50_000_000.0, 13),
-        SchedConfig {
-            max_batch_size: 32,
-            max_wait_ns: 100_000,
-            queue_cap: 48,
-            policy: OverloadPolicy::ShedOldest,
-        },
-        32,
-    );
+    assert_case_locked("shedding saturation");
 }
 
 #[test]
 fn deterministic_runtime_matches_oracle_when_rejecting() {
-    assert_locked(
-        ArrivalProcess::bursty(20_000_000.0, 17),
-        SchedConfig {
-            max_batch_size: 16,
-            max_wait_ns: 30_000,
-            queue_cap: 24,
-            policy: OverloadPolicy::RejectNew,
-        },
-        16,
-    );
+    assert_case_locked("rejecting bursts");
 }
 
 #[test]
 fn deterministic_runtime_matches_oracle_when_blocking() {
-    assert_locked(
-        ArrivalProcess::poisson(50_000_000.0, 19),
-        SchedConfig {
-            max_batch_size: 32,
-            max_wait_ns: 100_000,
-            queue_cap: 48,
-            policy: OverloadPolicy::Block,
-        },
-        32,
-    );
+    assert_case_locked("blocking saturation");
 }
 
 #[test]
@@ -187,8 +181,8 @@ fn deterministic_runtime_is_reproducible_across_runs() {
         queue_cap: 64,
         policy: OverloadPolicy::ShedOldest,
     };
-    let (a, ta) = runtime_det(&tables, &workload, cfg, 32, 2);
-    let (b, tb) = runtime_det(&tables, &workload, cfg, 32, 2);
+    let (a, ta, _) = runtime_det(&tables, &workload, cfg, 32, 2);
+    let (b, tb, _) = runtime_det(&tables, &workload, cfg, 32, 2);
     assert_eq!(a.sched, b.sched);
     assert_eq!(ta, tb);
 }

@@ -1,0 +1,351 @@
+//! The one modeled-time serving loop behind every front-end.
+//!
+//! [`EventLoop::run`] owns what the serving front-ends have in common:
+//! the door latch, admission accounting, the `launch_at` / `take_batch`
+//! / launch-monotonicity sequence, the trigger and histogram tallies,
+//! the telemetry records and — through [`Tally::finish`] — the
+//! [`SchedReport`] statistics. A front-end chooses only two things:
+//!
+//! 1. **where the next arrival comes from** — a closure yielding
+//!    `(id, arrival_ns)` in order and `None` at end of stream. The loop
+//!    keeps a one-arrival lookahead on top of it, so a slice iterator
+//!    (`Scheduler::run`, the tenant lanes) and a blocking SPSC-ring pop
+//!    (the deterministic wall runtime) make byte-identical decisions;
+//! 2. **how a formed batch is served** — a [`Serve`] implementation
+//!    returning the batch's integer-ns service time.
+//!
+//! The free-running wall batcher is the one front-end that is *not*
+//! this loop — it never blocks, keeps many batches in flight and books
+//! them in completion order — but it counts through the same [`Tally`].
+
+use updlrm_core::{percentile, CoreError, MetricsRegistry, Result, SchedTrigger};
+use workloads::{ArrivalTrace, NS_PER_SEC};
+
+use crate::{AdmitOutcome, BatchPolicy, SchedConfig, SchedReport};
+
+/// A batch the loop has just closed, as handed to [`Serve::serve`].
+#[derive(Debug, Clone, Copy)]
+pub struct Launch<'a> {
+    /// Formed-batch sequence number, from 0 in launch order.
+    pub seq: usize,
+    /// Launch instant on the loop's clock (integer ns).
+    pub at_ns: u64,
+    /// Member query ids in admission (FIFO) order.
+    pub ids: &'a [u32],
+}
+
+/// How a front-end serves the batches [`EventLoop::run`] forms.
+pub trait Serve {
+    /// The registry the loop records admissions, overload outcomes and
+    /// formed batches in — the serving engine's own, so one snapshot
+    /// carries both halves of the run.
+    fn metrics_mut(&mut self) -> &mut MetricsRegistry;
+
+    /// Serves `launch` to completion and returns its service time in
+    /// integer ns on the loop's clock (the single modeled server is
+    /// busy until `launch.at_ns + service`).
+    ///
+    /// # Errors
+    ///
+    /// Whatever the serving engine reports; the loop stops on the
+    /// first error.
+    fn serve(&mut self, launch: &Launch<'_>) -> Result<u64>;
+}
+
+/// Checks that `trace` can be served open-loop under `cfg` by an engine
+/// whose staging holds `staged` queries — every front-end's precondition.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidConfig`] on an empty (closed-loop) trace or a
+/// `max_batch_size` beyond the engine's staged capacity.
+pub fn check_servable(cfg: &SchedConfig, trace: &ArrivalTrace, staged: usize) -> Result<()> {
+    if trace.times_ns.is_empty() {
+        return Err(CoreError::InvalidConfig(
+            "workload has no arrival trace (closed-loop); stamp arrivals first".into(),
+        ));
+    }
+    if cfg.max_batch_size > staged {
+        return Err(CoreError::InvalidConfig(format!(
+            "max_batch_size {} exceeds the engine's staged capacity {staged} (2x its batch_size)",
+            cfg.max_batch_size
+        )));
+    }
+    Ok(())
+}
+
+/// The counters, latency samples and batch-size histogram one serving
+/// run accumulates, and the only code that turns them into a
+/// [`SchedReport`]. Buffers are reused across runs: after the first
+/// run of a given trace length nothing here allocates.
+#[derive(Debug)]
+pub struct Tally {
+    report: SchedReport,
+    /// Completed-request latencies, integer ns; sorted by `finish`.
+    /// [`EventLoop::run`] records dedicated-server latencies; a
+    /// front-end that completes batches on another clock (the tenant
+    /// fleet's shared timeline) clears them and records its own.
+    pub latencies: Vec<u64>,
+    /// f64 view of the sorted latencies for the quantile statistics.
+    lat_stats: Vec<f64>,
+    /// `hist[k]` = batches formed with exactly `k` queries.
+    hist: Vec<u64>,
+    /// First arrival id not yet counted as blocked, so a query held at
+    /// the door across several loop turns counts once.
+    blocked_counted: u32,
+}
+
+impl Tally {
+    /// A tally for batches of at most `max_batch_size` queries.
+    pub fn new(max_batch_size: usize) -> Tally {
+        Tally {
+            report: SchedReport::default(),
+            latencies: Vec::new(),
+            lat_stats: Vec::new(),
+            hist: vec![0; max_batch_size + 1],
+            blocked_counted: 0,
+        }
+    }
+
+    /// Resets for a run over `trace`, sizing the latency buffers to it.
+    pub fn begin(&mut self, trace: &ArrivalTrace) {
+        let n = trace.times_ns.len();
+        self.report = SchedReport {
+            requests: n as u64,
+            offered_qps: trace.measured_offered_qps(),
+            ..SchedReport::default()
+        };
+        self.latencies.clear();
+        self.latencies.reserve(n);
+        self.lat_stats.clear();
+        self.lat_stats.reserve(n);
+        self.hist.fill(0);
+        self.blocked_counted = 0;
+    }
+
+    /// Offers arrival `(id, at_ns)` to `policy` and folds the outcome
+    /// into the report and `metrics`. Returns `false` when the arrival
+    /// was *not* consumed: the queue is full under `Block` and the
+    /// caller must latch its door shut until the next launch frees a
+    /// slot (re-offering immediately would spin).
+    pub fn admit(
+        &mut self,
+        policy: &mut BatchPolicy,
+        id: u32,
+        at_ns: u64,
+        metrics: &mut MetricsRegistry,
+    ) -> bool {
+        let r = &mut self.report;
+        let depth = match policy.admit(id, at_ns) {
+            AdmitOutcome::Admitted { depth } => depth,
+            AdmitOutcome::AdmittedAfterShed { depth, .. } => {
+                r.shed += 1;
+                metrics.record_sched_shed();
+                depth
+            }
+            AdmitOutcome::Rejected => {
+                r.rejected += 1;
+                metrics.record_sched_reject();
+                return true;
+            }
+            AdmitOutcome::Blocked => {
+                if id >= self.blocked_counted {
+                    r.blocked += 1;
+                    self.blocked_counted = id + 1;
+                    metrics.record_sched_block();
+                }
+                return false;
+            }
+        };
+        r.admitted += 1;
+        r.queue_high_water = r.queue_high_water.max(depth as u64);
+        metrics.record_sched_admit(depth);
+        true
+    }
+
+    /// Books one formed batch of `size` queries closed by `trigger`.
+    pub fn batch(&mut self, size: usize, trigger: SchedTrigger, metrics: &mut MetricsRegistry) {
+        self.report.batches += 1;
+        match trigger {
+            SchedTrigger::Size => self.report.trigger_size += 1,
+            SchedTrigger::Deadline => self.report.trigger_deadline += 1,
+            SchedTrigger::Drain => self.report.trigger_drain += 1,
+        }
+        self.hist[size] += 1;
+        self.report.completed += size as u64;
+        metrics.record_sched_batch(size, trigger);
+    }
+
+    /// `histogram()[k]` = batches formed with exactly `k` queries.
+    pub fn histogram(&self) -> &[u64] {
+        &self.hist
+    }
+
+    /// Derives the report's f64 statistics from the counters, the
+    /// latencies and the run's makespan — the only place f64 touches
+    /// event times, and the only place the latency quantiles are
+    /// computed.
+    pub fn finish(&mut self, makespan_ns: u64) -> SchedReport {
+        let r = &mut self.report;
+        r.makespan_ns = makespan_ns as f64;
+        r.achieved_qps = if makespan_ns > 0 {
+            r.completed as f64 * NS_PER_SEC / makespan_ns as f64
+        } else {
+            0.0
+        };
+        r.mean_batch_size = if r.batches > 0 {
+            r.completed as f64 / r.batches as f64
+        } else {
+            0.0
+        };
+        self.latencies.sort_unstable();
+        self.lat_stats.clear();
+        self.lat_stats
+            .extend(self.latencies.iter().map(|&l| l as f64));
+        if let Some(&max) = self.latencies.last() {
+            r.max_latency_ns = max as f64;
+            r.mean_latency_ns = self.latencies.iter().map(|&l| l as u128).sum::<u128>() as f64
+                / self.latencies.len() as f64;
+        }
+        r.p50_latency_ns = percentile(&self.lat_stats, 0.50);
+        r.p95_latency_ns = percentile(&self.lat_stats, 0.95);
+        r.p99_latency_ns = percentile(&self.lat_stats, 0.99);
+        debug_assert!(crate::report_is_finite(r), "non-finite stat in {r:?}");
+        *r
+    }
+}
+
+/// The discrete-event batch-formation loop (see the module docs). Owns
+/// the admission queue, the formed-id scratch and the [`Tally`], so one
+/// `EventLoop` drives many runs without allocating after the first.
+#[derive(Debug)]
+pub struct EventLoop {
+    policy: BatchPolicy,
+    /// Ids popped for the batch being formed.
+    ids: Vec<u32>,
+    /// The last run's counters and latencies, for the caller to
+    /// [`finish`](Tally::finish).
+    pub tally: Tally,
+}
+
+impl EventLoop {
+    /// Creates a loop, preallocating the admission queue and histogram.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] if `cfg` fails
+    /// [`SchedConfig::validate`].
+    pub fn new(cfg: SchedConfig) -> Result<EventLoop> {
+        Ok(EventLoop {
+            policy: BatchPolicy::new(cfg)?,
+            ids: Vec::with_capacity(cfg.max_batch_size),
+            tally: Tally::new(cfg.max_batch_size),
+        })
+    }
+
+    /// The configuration this loop batches under.
+    pub fn config(&self) -> &SchedConfig {
+        self.policy.config()
+    }
+
+    /// Replays `trace` through admission and batch formation, serving
+    /// every formed batch through `server`. `next_arrival` yields the
+    /// trace's `(id, arrival_ns)` pairs in order and `None` once the
+    /// stream has drained. Returns the makespan — the instant the last
+    /// batch drains — for [`Tally::finish`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Invariant`] if a batch would launch before one of
+    /// its members arrived; `server` errors propagate.
+    pub fn run<A, S>(
+        &mut self,
+        trace: &ArrivalTrace,
+        mut next_arrival: A,
+        server: &mut S,
+    ) -> Result<u64>
+    where
+        A: FnMut() -> Option<(u32, u64)>,
+        S: Serve,
+    {
+        let times = &trace.times_ns;
+        self.policy.clear();
+        self.tally.begin(trace);
+        // One-arrival lookahead: the next arrival not yet admitted or
+        // dropped (`None` = stream drained). Every decision below needs
+        // it before a launch can commit.
+        let mut peeked = next_arrival();
+        let mut now = 0u64;
+        let mut engine_free = 0u64;
+        let mut seq = 0usize;
+        // Under Block a full queue latches the door shut until the next
+        // launch frees slots.
+        let mut door_blocked = false;
+
+        loop {
+            // Earliest legal launch instant for the current queue —
+            // never before `now` (events already applied) or
+            // `engine_free` (single modeled server). `None` = empty.
+            let plan = match (
+                self.policy.launch_at(now, engine_free, peeked.is_none()),
+                peeked,
+            ) {
+                (None, None) => break,
+                (Some(plan), None) => plan,
+                (Some(plan), Some((_, at))) if door_blocked || at > plan.at_ns => plan,
+                // Arrivals at or before the launch instant are admitted
+                // first — they may join this batch or change the
+                // trigger. An empty queue (no plan) jumps the clock to
+                // the next arrival; it always has room, so the door
+                // reopens.
+                (_, Some((id, at))) => {
+                    now = now.max(at);
+                    let consumed = self
+                        .tally
+                        .admit(&mut self.policy, id, at, server.metrics_mut());
+                    if consumed {
+                        peeked = next_arrival();
+                    }
+                    door_blocked = !consumed;
+                    continue;
+                }
+            };
+
+            // Launch. The policy already attributed the trigger by
+            // exact integer comparison (size beats deadline beats
+            // drain on ties).
+            now = plan.at_ns;
+            let newest = self
+                .policy
+                .take_batch(&mut self.ids)
+                .expect("launch_at planned a nonempty queue");
+            // Exact integer-ns invariant, enforced in release builds
+            // too: every admitted arrival precedes (or coincides with)
+            // the launch instant.
+            if newest > now {
+                return Err(CoreError::Invariant(format!(
+                    "batch {seq} launches at {now} ns but contains an arrival \
+                     admitted at {newest} ns"
+                )));
+            }
+            let service_ns = server.serve(&Launch {
+                seq,
+                at_ns: now,
+                ids: &self.ids,
+            })?;
+            // Modeled time is monotone: the server is never marked free
+            // before the batch drains (and `now` only grows).
+            engine_free = now.saturating_add(service_ns);
+            self.tally
+                .batch(self.ids.len(), plan.trigger, server.metrics_mut());
+            for &id in &self.ids {
+                // Latency from the original arrival to the batch drain;
+                // arrival <= now <= engine_free, so this never wraps.
+                self.tally.latencies.push(engine_free - times[id as usize]);
+            }
+            seq += 1;
+            door_blocked = false;
+        }
+        Ok(engine_free)
+    }
+}

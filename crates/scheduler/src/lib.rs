@@ -34,21 +34,28 @@
 //! dropping nanoseconds past 2^53 ns ≈ 104 days) and the
 //! size/deadline/drain trigger attribution is an exact integer
 //! comparison rather than an ulp-sensitive float equality. f64 appears
-//! only in [`SchedReport`]'s derived statistics. The batch-forming
-//! decisions themselves live in the clock-agnostic
-//! [`BatchPolicy`](policy::BatchPolicy), which the wall-clock `runtime`
-//! crate drives with real timestamps to form byte-identical batches.
+//! only in [`SchedReport`]'s derived statistics.
+//!
+//! The loop itself is [`EventLoop`] (module [`event_loop`]): one copy,
+//! parameterised by where arrivals come from and how a formed batch is
+//! served. [`Scheduler`] is its slice-fed, in-thread instance; the
+//! tenant fleet's lanes and the oracle-locked wall runtime are the
+//! other two. The batch-forming decisions live in the clock-agnostic
+//! [`BatchPolicy`], which the free-running wall
+//! batcher also drives, with real timestamps.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod event_loop;
 pub mod policy;
 
 use dlrm_model::{Matrix, QueryBatch};
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::{percentile, BatchServer, CoreError, MetricsRegistry, Result, SchedTrigger};
-use workloads::{Workload, NS_PER_SEC};
+use updlrm_core::{BatchServer, CoreError, MetricsRegistry, Result};
+use workloads::Workload;
 
+pub use event_loop::{check_servable, EventLoop, Launch, Serve, Tally};
 pub use policy::{AdmitOutcome, BatchPolicy, LaunchPlan};
 
 /// Converts a modeled f64 service time (ns) to the integer-ns clock.
@@ -171,7 +178,7 @@ impl SchedConfig {
 ///
 /// Every field is a count or a modeled time — two runs with the same
 /// workload and configuration produce bit-identical reports.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SchedReport {
     /// Queries in the arrival trace.
     pub requests: u64,
@@ -254,24 +261,16 @@ pub fn assemble_into(workload: &Workload, ids: &[u32], out: &mut QueryBatch) {
     }
 }
 
-/// The discrete-event scheduler. Owns all steady-state scratch (queue,
-/// assembly batch, latency buffer, histogram), so one `Scheduler` can
-/// drive many runs without allocating after the first.
+/// The discrete-event scheduler: the shared [`EventLoop`] fed from the
+/// workload's arrival slice and served by an in-thread engine. Owns all
+/// steady-state scratch (the loop's queue, tally and histogram plus the
+/// assembly batch), so one `Scheduler` can drive many runs without
+/// allocating after the first.
 #[derive(Debug)]
 pub struct Scheduler {
-    /// The clock-agnostic batch-forming core (admission queue, launch
-    /// triggers) shared with the wall-clock runtime.
-    policy: BatchPolicy,
-    /// Ids popped for the batch being formed.
-    formed_ids: Vec<u32>,
+    core: EventLoop,
     /// The assembled CSR batch handed to the engine.
     batch: QueryBatch,
-    /// Completed-request latencies, integer ns, sorted at report time.
-    latencies: Vec<u64>,
-    /// f64 view of the sorted latencies for the quantile statistics.
-    lat_stats: Vec<f64>,
-    /// `hist[k]` = batches formed with exactly `k` queries.
-    hist: Vec<u64>,
 }
 
 impl Scheduler {
@@ -284,25 +283,27 @@ impl Scheduler {
     /// [`SchedConfig::validate`].
     pub fn new(cfg: SchedConfig) -> Result<Scheduler> {
         Ok(Scheduler {
-            policy: BatchPolicy::new(cfg)?,
-            formed_ids: Vec::with_capacity(cfg.max_batch_size),
+            core: EventLoop::new(cfg)?,
             batch: QueryBatch::default(),
-            latencies: Vec::new(),
-            lat_stats: Vec::new(),
-            hist: vec![0; cfg.max_batch_size + 1],
         })
     }
 
     /// The configuration this scheduler runs.
     pub fn config(&self) -> &SchedConfig {
-        self.policy.config()
+        self.core.config()
     }
 
     /// Batch-size histogram of the last run: `histogram()[k]` is the
     /// number of batches formed with exactly `k` queries
     /// (`0 <= k <= max_batch_size`).
     pub fn batch_histogram(&self) -> &[u64] {
-        &self.hist
+        self.core.tally.histogram()
+    }
+
+    /// The last run's [`Tally`], for front-ends that complete the
+    /// batches [`form`](Self::form) produced on a clock of their own.
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.core.tally
     }
 
     /// Replays `workload`'s arrival trace through the event loop,
@@ -326,233 +327,80 @@ impl Scheduler {
         E: BatchServer,
         F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
     {
-        let times = &workload.arrivals.times_ns;
-        let n = times.len();
-        if n == 0 {
-            return Err(CoreError::InvalidConfig(
-                "workload has no arrival trace (closed-loop); stamp arrivals first".into(),
-            ));
-        }
-        let cfg = *self.policy.config();
-        if cfg.max_batch_size > engine.staged_batch_capacity() {
-            return Err(CoreError::InvalidConfig(format!(
-                "max_batch_size {} exceeds the engine's staged capacity {} (2x its batch_size)",
-                cfg.max_batch_size,
-                engine.staged_batch_capacity()
-            )));
-        }
+        let makespan_ns = self.form(engine, workload, |launch, pooled, bd| {
+            sink(launch.seq, launch.ids, pooled, bd)
+        })?;
+        Ok(self.core.tally.finish(makespan_ns))
+    }
+
+    /// [`run`](Self::run) without the report: forms and serves every
+    /// batch, lending `sink` each [`Launch`] (so it sees the launch
+    /// instant too), and returns the dedicated-server makespan. The
+    /// counters and latencies stay in [`tally_mut`](Self::tally_mut)
+    /// until the caller finishes them.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn form<E, F>(&mut self, engine: &mut E, workload: &Workload, sink: F) -> Result<u64>
+    where
+        E: BatchServer,
+        F: FnMut(&Launch<'_>, &[Matrix], &EmbeddingBreakdown),
+    {
+        let trace = &workload.arrivals;
+        check_servable(self.config(), trace, engine.staged_batch_capacity())?;
         // Size the assembly scratch to the workload's table count once;
         // reuse thereafter.
         if self.batch.sparse.len() != workload.config.num_tables {
             self.batch.sparse = vec![Default::default(); workload.config.num_tables];
         }
-        self.policy.clear();
-        self.latencies.clear();
-        self.latencies.reserve(n);
-        self.lat_stats.clear();
-        self.lat_stats.reserve(n);
-        self.hist.fill(0);
+        let mut arrivals = (0u32..).zip(trace.times_ns.iter().copied());
+        self.core.run(
+            trace,
+            || arrivals.next(),
+            &mut InThread {
+                engine,
+                workload,
+                batch: &mut self.batch,
+                sink,
+            },
+        )
+    }
+}
 
-        let mut report = SchedReport {
-            requests: n as u64,
-            admitted: 0,
-            completed: 0,
-            shed: 0,
-            rejected: 0,
-            blocked: 0,
-            batches: 0,
-            trigger_size: 0,
-            trigger_deadline: 0,
-            trigger_drain: 0,
-            queue_high_water: 0,
-            mean_batch_size: 0.0,
-            offered_qps: workload.arrivals.measured_offered_qps(),
-            achieved_qps: 0.0,
-            makespan_ns: 0.0,
-            mean_latency_ns: 0.0,
-            p50_latency_ns: 0.0,
-            p95_latency_ns: 0.0,
-            p99_latency_ns: 0.0,
-            max_latency_ns: 0.0,
-        };
+/// [`Serve`] on the caller's thread: tick the engine, assemble the
+/// batch into the reused scratch, run it through `serve_stream`.
+struct InThread<'a, E, F> {
+    engine: &'a mut E,
+    workload: &'a Workload,
+    batch: &'a mut QueryBatch,
+    sink: F,
+}
 
-        let mut next = 0usize; // next arrival not yet admitted or dropped
-        let mut now = 0u64;
-        let mut engine_free = 0u64;
-        let mut seq = 0usize; // formed-batch sequence number
-                              // Under Block, a full queue latches the door shut until the next
-                              // launch frees slots (re-attempting immediately would spin).
-        let mut door_blocked = false;
-        // First arrival index already counted as blocked, so a query
-        // waiting at the door across several loop turns counts once.
-        let mut blocked_counted = 0usize;
-
-        loop {
-            if self.policy.is_empty() {
-                if next >= n {
-                    break;
-                }
-                // Jump the clock to the next arrival; an empty queue
-                // always has room (queue_cap >= 1) so the door reopens.
-                now = now.max(times[next]);
-                door_blocked = false;
-                self.admit(
-                    engine.metrics_mut(),
-                    times,
-                    &mut next,
-                    &mut report,
-                    &mut door_blocked,
-                );
-                continue;
-            }
-
-            // Earliest legal launch instant given the current queue —
-            // never before `now` (events already applied) or
-            // `engine_free` (single modeled server).
-            let plan = self
-                .policy
-                .launch_at(now, engine_free, next >= n)
-                .expect("queue is nonempty");
-
-            // Arrivals at or before the launch instant are admitted
-            // first — they may join this batch or change the trigger.
-            if !door_blocked && next < n && times[next] <= plan.at_ns {
-                now = now.max(times[next]);
-                self.admit(
-                    engine.metrics_mut(),
-                    times,
-                    &mut next,
-                    &mut report,
-                    &mut door_blocked,
-                );
-                if door_blocked && next >= blocked_counted {
-                    report.blocked += 1;
-                    blocked_counted = next + 1;
-                    engine.metrics_mut().record_sched_block();
-                }
-                continue;
-            }
-
-            // Launch. The policy already attributed the trigger by
-            // exact integer comparison (size beats deadline beats
-            // drain on ties).
-            now = plan.at_ns;
-            // Between-batch tick: lets the engine's online replanner
-            // flip a completed migration (or begin one) at the launch
-            // instant, never mid-pipeline — serve_stream below runs a
-            // single batch, so placement is stable within it.
-            engine.on_tick(now)?;
-            let newest = self
-                .policy
-                .take_batch(&mut self.formed_ids)
-                .expect("queue is nonempty");
-            let k = self.formed_ids.len();
-            // Exact integer-ns invariant, enforced in release builds
-            // too: every admitted arrival precedes (or coincides with)
-            // the launch instant. The f64 loop needed a +1.0 ns slop
-            // here to absorb ulp drift; integer time has none.
-            if newest > now {
-                return Err(CoreError::Invariant(format!(
-                    "batch {seq} launches at {now} ns but contains an arrival \
-                     admitted at {newest} ns"
-                )));
-            }
-            let Scheduler {
-                batch, formed_ids, ..
-            } = &mut *self;
-            assemble_into(workload, formed_ids, batch);
-            let mut service_ns = 0.0f64;
-            engine.serve_stream(std::slice::from_ref(&*batch), |_, pooled, bd| {
-                service_ns = bd.total_ns();
-                sink(seq, formed_ids, pooled, bd);
-            })?;
-            // Modeled time is monotone: `ceil` never lets the engine
-            // free up before the pipeline drains (and `now` only grows).
-            engine_free = now.saturating_add(service_ns_to_u64(service_ns));
-            report.batches += 1;
-            match plan.trigger {
-                SchedTrigger::Size => report.trigger_size += 1,
-                SchedTrigger::Deadline => report.trigger_deadline += 1,
-                SchedTrigger::Drain => report.trigger_drain += 1,
-            }
-            self.hist[k] += 1;
-            engine.metrics_mut().record_sched_batch(k, plan.trigger);
-            for i in 0..k {
-                // Latency from the original arrival to the batch drain;
-                // arrival <= now <= engine_free, so this never wraps.
-                self.latencies
-                    .push(engine_free - times[self.formed_ids[i] as usize]);
-            }
-            report.completed += k as u64;
-            seq += 1;
-            door_blocked = false;
-        }
-
-        // Report statistics are the only place f64 touches event times.
-        report.makespan_ns = engine_free as f64;
-        report.achieved_qps = if engine_free > 0 {
-            report.completed as f64 * NS_PER_SEC / engine_free as f64
-        } else {
-            0.0
-        };
-        report.mean_batch_size = if report.batches > 0 {
-            report.completed as f64 / report.batches as f64
-        } else {
-            0.0
-        };
-        self.latencies.sort_unstable();
-        self.lat_stats
-            .extend(self.latencies.iter().map(|&l| l as f64));
-        if let Some(&max) = self.latencies.last() {
-            report.max_latency_ns = max as f64;
-            report.mean_latency_ns = self.latencies.iter().map(|&l| l as u128).sum::<u128>() as f64
-                / self.latencies.len() as f64;
-        }
-        report.p50_latency_ns = percentile(&self.lat_stats, 0.50);
-        report.p95_latency_ns = percentile(&self.lat_stats, 0.95);
-        report.p99_latency_ns = percentile(&self.lat_stats, 0.99);
-        debug_assert!(report_is_finite(&report), "non-finite stat in {report:?}");
-        Ok(report)
+impl<E, F> Serve for InThread<'_, E, F>
+where
+    E: BatchServer,
+    F: FnMut(&Launch<'_>, &[Matrix], &EmbeddingBreakdown),
+{
+    fn metrics_mut(&mut self) -> &mut MetricsRegistry {
+        self.engine.metrics_mut()
     }
 
-    /// Admits arrival `*next` through the [`BatchPolicy`], folding the
-    /// outcome into `report` and the engine's telemetry. Advances
-    /// `*next` unless the policy is Block and the queue is full, in
-    /// which case `*door_blocked` latches shut.
-    fn admit(
-        &mut self,
-        metrics: &mut MetricsRegistry,
-        times: &[u64],
-        next: &mut usize,
-        report: &mut SchedReport,
-        door_blocked: &mut bool,
-    ) {
-        match self.policy.admit(*next as u32, times[*next]) {
-            AdmitOutcome::Admitted { depth } => {
-                report.admitted += 1;
-                report.queue_high_water = report.queue_high_water.max(depth as u64);
-                metrics.record_sched_admit(depth);
-                *next += 1;
-            }
-            AdmitOutcome::AdmittedAfterShed { depth, .. } => {
-                report.shed += 1;
-                metrics.record_sched_shed();
-                report.admitted += 1;
-                report.queue_high_water = report.queue_high_water.max(depth as u64);
-                metrics.record_sched_admit(depth);
-                *next += 1;
-            }
-            AdmitOutcome::Rejected => {
-                report.rejected += 1;
-                metrics.record_sched_reject();
-                *next += 1;
-            }
-            AdmitOutcome::Blocked => {
-                // `next` stays put and is re-offered after the next
-                // launch frees a slot.
-                *door_blocked = true;
-            }
-        }
+    fn serve(&mut self, launch: &Launch<'_>) -> Result<u64> {
+        // Between-batch tick: lets the engine's online replanner flip a
+        // completed migration (or begin one) at the launch instant,
+        // never mid-pipeline — serve_stream below runs a single batch,
+        // so placement is stable within it.
+        self.engine.on_tick(launch.at_ns)?;
+        assemble_into(self.workload, launch.ids, self.batch);
+        let mut service_ns = 0.0f64;
+        let sink = &mut self.sink;
+        self.engine
+            .serve_stream(std::slice::from_ref(&*self.batch), |_, pooled, bd| {
+                service_ns = bd.total_ns();
+                sink(launch, pooled, bd);
+            })?;
+        Ok(service_ns_to_u64(service_ns))
     }
 }
 

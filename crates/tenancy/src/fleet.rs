@@ -7,10 +7,10 @@
 //! [`TenantFleet::run`]:
 //!
 //! 1. **Formation + execution** (per tenant, in isolation): each
-//!    tenant's arrival trace is replayed through its own
-//!    [`BatchPolicy`] admission queue exactly as the single-tenant
-//!    `scheduler::Scheduler` would — same admission order, same
-//!    overload policy, same size/deadline/drain triggers, paced by a
+//!    tenant's arrival trace is replayed by the tenant's own
+//!    single-tenant [`Scheduler`] — the one shared event loop, so
+//!    admission order, overload policy and size/deadline/drain
+//!    triggers are the solo scheduler's by construction — paced by a
 //!    *virtual dedicated-fleet clock* (the instant the tenant's own
 //!    engine would free up if it had the whole fleet to itself). Every
 //!    formed batch runs through the tenant's engine here, producing
@@ -46,16 +46,15 @@
 //! byte-identical [`FleetReport`]s and telemetry snapshots.
 
 use crate::spec::{Arbitration, FleetConfig, TenantSpec};
-use dlrm_model::{EmbeddingTable, Matrix, QueryBatch};
+use dlrm_model::{EmbeddingTable, Matrix};
 use placement::interleaved_offsets;
-use scheduler::{assemble_into, service_ns_to_u64, AdmitOutcome, BatchPolicy, SchedReport};
+use scheduler::{service_ns_to_u64, SchedReport, Scheduler};
 use updlrm_core::engine::EmbeddingBreakdown;
 use updlrm_core::telemetry::Snapshot;
 use updlrm_core::{
-    percentile, BatchServer, CoreError, MetricsRegistry, Result, SchedTrigger, TenantSnapshot,
-    UpdlrmConfig, UpdlrmEngine,
+    BatchServer, CoreError, MetricsRegistry, Result, TenantSnapshot, UpdlrmConfig, UpdlrmEngine,
 };
-use workloads::{TraceConfig, Workload, NS_PER_SEC};
+use workloads::{TraceConfig, Workload};
 
 /// One formed batch awaiting fleet dispatch: its phase-1 launch
 /// instant, integer-ns service time and member range into the lane's
@@ -67,241 +66,70 @@ struct FormedBatch {
     members: (u32, u32),
 }
 
-/// Per-tenant serving state: spec, workload, engine, admission queue
-/// and all steady-state scratch (preallocated per run; the event loops
-/// do not allocate).
+/// Per-tenant serving state: spec, workload, engine, the tenant's own
+/// [`Scheduler`] (admission queue, tally, assembly scratch) and the
+/// formed-batch log the arbiter consumes (preallocated per run; the
+/// event loops do not allocate).
 #[derive(Debug)]
 struct Lane<E> {
     spec: TenantSpec,
     workload: Workload,
     engine: E,
-    policy: BatchPolicy,
+    sched: Scheduler,
     dpu_offset: usize,
-    formed_ids: Vec<u32>,
-    batch: QueryBatch,
     batches: Vec<FormedBatch>,
     members: Vec<u32>,
-    latencies: Vec<u64>,
-    lat_stats: Vec<f64>,
-    report: SchedReport,
     last_completion_ns: u64,
     busy_ns: u64,
 }
 
-fn blank_report(requests: u64, offered_qps: f64) -> SchedReport {
-    SchedReport {
-        requests,
-        admitted: 0,
-        completed: 0,
-        shed: 0,
-        rejected: 0,
-        blocked: 0,
-        batches: 0,
-        trigger_size: 0,
-        trigger_deadline: 0,
-        trigger_drain: 0,
-        queue_high_water: 0,
-        mean_batch_size: 0.0,
-        offered_qps,
-        achieved_qps: 0.0,
-        makespan_ns: 0.0,
-        mean_latency_ns: 0.0,
-        p50_latency_ns: 0.0,
-        p95_latency_ns: 0.0,
-        p99_latency_ns: 0.0,
-        max_latency_ns: 0.0,
-    }
-}
-
 impl<E: BatchServer> Lane<E> {
-    /// Phase 1: replay this tenant's arrival trace through its
-    /// admission queue and engine, recording each formed batch's
-    /// launch instant and service time. Mirrors
-    /// `scheduler::Scheduler::run` exactly (the differential test
-    /// holds them equal), with the engine-busy floor supplied by the
-    /// tenant's own virtual clock.
+    /// Phase 1: the single-tenant scheduler's own loop over this
+    /// tenant's trace and engine — paced by the tenant's virtual
+    /// dedicated-fleet clock — with a sink that logs each formed
+    /// batch's launch instant, service time and members for the
+    /// arbiter.
     fn form_and_serve<F>(&mut self, tenant: usize, sink: &mut F) -> Result<()>
     where
         F: FnMut(usize, usize, &[u32], &[Matrix], &EmbeddingBreakdown),
     {
         let n = self.workload.arrivals.times_ns.len();
-        if n == 0 {
-            return Err(CoreError::InvalidConfig(format!(
-                "tenant '{}' has no arrival trace (closed-loop)",
-                self.spec.name
-            )));
-        }
-        let cfg = *self.policy.config();
-        if cfg.max_batch_size > self.engine.staged_batch_capacity() {
-            return Err(CoreError::InvalidConfig(format!(
-                "tenant '{}': max_batch {} exceeds the engine's staged capacity {}",
-                self.spec.name,
-                cfg.max_batch_size,
-                self.engine.staged_batch_capacity()
-            )));
-        }
-        if self.batch.sparse.len() != self.workload.config.num_tables {
-            self.batch.sparse = vec![Default::default(); self.workload.config.num_tables];
-        }
-        self.policy.clear();
         self.batches.clear();
         self.batches.reserve(n);
         self.members.clear();
         self.members.reserve(n);
-        self.latencies.clear();
-        self.latencies.reserve(n);
-        self.lat_stats.clear();
-        self.lat_stats.reserve(n);
-        self.report = blank_report(n as u64, self.workload.arrivals.measured_offered_qps());
         self.last_completion_ns = 0;
         self.busy_ns = 0;
-
-        let mut next = 0usize;
-        let mut now = 0u64;
-        let mut virt_free = 0u64; // the tenant's dedicated-fleet clock
-        let mut seq = 0usize;
-        let mut door_blocked = false;
-        let mut blocked_counted = 0usize;
-
-        loop {
-            if self.policy.is_empty() {
-                if next >= n {
-                    break;
+        let Lane {
+            spec,
+            sched,
+            engine,
+            workload,
+            batches,
+            members,
+            ..
+        } = self;
+        sched
+            .form(engine, workload, |launch, pooled, bd| {
+                let start = members.len() as u32;
+                members.extend_from_slice(launch.ids);
+                batches.push(FormedBatch {
+                    ready_ns: launch.at_ns,
+                    service_ns: service_ns_to_u64(bd.total_ns()),
+                    members: (start, members.len() as u32),
+                });
+                sink(tenant, launch.seq, launch.ids, pooled, bd);
+            })
+            .map_err(|e| match e {
+                CoreError::InvalidConfig(m) => {
+                    CoreError::InvalidConfig(format!("tenant '{}': {m}", spec.name))
                 }
-                now = now.max(self.arrival(next));
-                door_blocked = false;
-                self.admit(&mut next, &mut door_blocked);
-                continue;
-            }
-            let plan = self
-                .policy
-                .launch_at(now, virt_free, next >= n)
-                .expect("queue is nonempty");
-            if !door_blocked && next < n && self.arrival(next) <= plan.at_ns {
-                now = now.max(self.arrival(next));
-                self.admit(&mut next, &mut door_blocked);
-                if door_blocked && next >= blocked_counted {
-                    self.report.blocked += 1;
-                    blocked_counted = next + 1;
-                    self.engine.metrics_mut().record_sched_block();
-                }
-                continue;
-            }
-            now = plan.at_ns;
-            self.engine.on_tick(now)?;
-            let newest = self
-                .policy
-                .take_batch(&mut self.formed_ids)
-                .expect("queue is nonempty");
-            let k = self.formed_ids.len();
-            if newest > now {
-                return Err(CoreError::Invariant(format!(
-                    "tenant '{}': batch {seq} launches at {now} ns but contains an \
-                     arrival admitted at {newest} ns",
-                    self.spec.name
-                )));
-            }
-            let Lane {
-                batch,
-                formed_ids,
-                workload,
-                engine,
-                ..
-            } = &mut *self;
-            assemble_into(workload, formed_ids, batch);
-            let mut service = 0.0f64;
-            engine.serve_stream(std::slice::from_ref(&*batch), |_, pooled, bd| {
-                service = bd.total_ns();
-                sink(tenant, seq, formed_ids, pooled, bd);
+                other => other,
             })?;
-            let service_ns = service_ns_to_u64(service);
-            virt_free = now.saturating_add(service_ns);
-            let start = self.members.len() as u32;
-            self.members.extend_from_slice(&self.formed_ids);
-            self.batches.push(FormedBatch {
-                ready_ns: now,
-                service_ns,
-                members: (start, self.members.len() as u32),
-            });
-            self.report.batches += 1;
-            match plan.trigger {
-                SchedTrigger::Size => self.report.trigger_size += 1,
-                SchedTrigger::Deadline => self.report.trigger_deadline += 1,
-                SchedTrigger::Drain => self.report.trigger_drain += 1,
-            }
-            self.engine
-                .metrics_mut()
-                .record_sched_batch(k, plan.trigger);
-            self.report.completed += k as u64;
-            seq += 1;
-            door_blocked = false;
-        }
+        // Phase 1 timed every request against the dedicated clock; the
+        // latencies that count come from the shared timeline.
+        sched.tally_mut().latencies.clear();
         Ok(())
-    }
-
-    fn arrival(&self, i: usize) -> u64 {
-        self.workload.arrivals.times_ns[i]
-    }
-
-    /// Admission step, identical to the scheduler's.
-    fn admit(&mut self, next: &mut usize, door_blocked: &mut bool) {
-        let at = self.arrival(*next);
-        let metrics = self.engine.metrics_mut();
-        match self.policy.admit(*next as u32, at) {
-            AdmitOutcome::Admitted { depth } => {
-                self.report.admitted += 1;
-                self.report.queue_high_water = self.report.queue_high_water.max(depth as u64);
-                metrics.record_sched_admit(depth);
-                *next += 1;
-            }
-            AdmitOutcome::AdmittedAfterShed { depth, .. } => {
-                self.report.shed += 1;
-                metrics.record_sched_shed();
-                self.report.admitted += 1;
-                self.report.queue_high_water = self.report.queue_high_water.max(depth as u64);
-                metrics.record_sched_admit(depth);
-                *next += 1;
-            }
-            AdmitOutcome::Rejected => {
-                self.report.rejected += 1;
-                metrics.record_sched_reject();
-                *next += 1;
-            }
-            AdmitOutcome::Blocked => {
-                *door_blocked = true;
-            }
-        }
-    }
-
-    /// Phase 3: derived statistics from the shared-timeline latencies.
-    fn finalize(&mut self) {
-        self.latencies.sort_unstable();
-        self.lat_stats
-            .extend(self.latencies.iter().map(|&l| l as f64));
-        let r = &mut self.report;
-        r.makespan_ns = self.last_completion_ns as f64;
-        r.achieved_qps = if self.last_completion_ns > 0 {
-            r.completed as f64 * NS_PER_SEC / self.last_completion_ns as f64
-        } else {
-            0.0
-        };
-        r.mean_batch_size = if r.batches > 0 {
-            r.completed as f64 / r.batches as f64
-        } else {
-            0.0
-        };
-        if let Some(&max) = self.latencies.last() {
-            r.max_latency_ns = max as f64;
-            r.mean_latency_ns = self.latencies.iter().map(|&l| l as u128).sum::<u128>() as f64
-                / self.latencies.len() as f64;
-        }
-        r.p50_latency_ns = percentile(&self.lat_stats, 0.50);
-        r.p95_latency_ns = percentile(&self.lat_stats, 0.95);
-        r.p99_latency_ns = percentile(&self.lat_stats, 0.99);
-    }
-
-    fn slo_ns(&self) -> u64 {
-        (self.spec.slo_p99_us * 1_000.0).round() as u64
     }
 }
 
@@ -457,22 +285,14 @@ impl<E: BatchServer> TenantFleet<E> {
             .into_iter()
             .zip(offsets)
             .map(|((spec, workload, engine), dpu_offset)| {
-                let policy = BatchPolicy::new(spec.sched_config())?;
-                let requests = workload.arrivals.times_ns.len() as u64;
-                let offered = workload.arrivals.measured_offered_qps();
                 Ok(Lane {
-                    formed_ids: Vec::with_capacity(spec.sched_config().max_batch_size),
+                    sched: Scheduler::new(spec.sched_config())?,
                     spec,
                     workload,
                     engine,
-                    policy,
                     dpu_offset,
-                    batch: QueryBatch::default(),
                     batches: Vec::new(),
                     members: Vec::new(),
-                    latencies: Vec::new(),
-                    lat_stats: Vec::new(),
-                    report: blank_report(requests, offered),
                     last_completion_ns: 0,
                     busy_ns: 0,
                 })
@@ -523,9 +343,6 @@ impl<E: BatchServer> TenantFleet<E> {
             lane.form_and_serve(tenant, &mut sink)?;
         }
         self.arbitrate();
-        for lane in &mut self.lanes {
-            lane.finalize();
-        }
         Ok(self.build_report())
     }
 
@@ -604,9 +421,6 @@ impl<E: BatchServer> TenantFleet<E> {
                 }
             }
         }
-        for lane in &mut self.lanes {
-            debug_assert_eq!(lane.latencies.len(), lane.report.completed as usize);
-        }
     }
 
     /// Serves one batch on the shared timeline; returns the new fleet
@@ -616,8 +430,9 @@ impl<E: BatchServer> TenantFleet<E> {
         let start = now.max(b.ready_ns);
         let completion = start.saturating_add(b.service_ns);
         let times = &lane.workload.arrivals.times_ns;
+        let tally = lane.sched.tally_mut();
         for &id in &lane.members[b.members.0 as usize..b.members.1 as usize] {
-            lane.latencies.push(completion - times[id as usize]);
+            tally.latencies.push(completion - times[id as usize]);
         }
         lane.busy_ns += b.service_ns;
         lane.last_completion_ns = completion;
@@ -639,9 +454,13 @@ impl<E: BatchServer> TenantFleet<E> {
         let mut agg = vec![0u64; self.cfg.fleet_dpus];
         let mut tenants = Vec::with_capacity(self.lanes.len());
         for lane in &mut self.lanes {
-            let slo_ns = lane.slo_ns();
+            let slo_ns = (lane.spec.slo_p99_us * 1_000.0).round() as u64;
+            // The lane's report, finished on the shared timeline.
+            let tally = lane.sched.tally_mut();
+            debug_assert_eq!(tally.latencies.len(), lane.members.len());
+            let r = tally.finish(lane.last_completion_ns);
             let violations = if slo_ns > 0 {
-                lane.latencies.iter().filter(|&&l| l > slo_ns).count() as u64
+                tally.latencies.iter().filter(|&&l| l > slo_ns).count() as u64
             } else {
                 0
             };
@@ -660,7 +479,6 @@ impl<E: BatchServer> TenantFleet<E> {
             // per-tenant breakout below.
             self.metrics
                 .absorb(lane.engine.metrics_mut(), lane.dpu_offset);
-            let r = &lane.report;
             self.metrics.record_tenant(TenantSnapshot {
                 name: lane.spec.name.clone(),
                 weight: lane.spec.weight,
@@ -687,7 +505,7 @@ impl<E: BatchServer> TenantFleet<E> {
                 fleet_share_configured: share_conf,
                 fleet_share_achieved: share_ach,
                 dpu_offset: lane.dpu_offset,
-                sched: lane.report,
+                sched: r,
             });
         }
         let mean = agg.iter().map(|&c| c as f64).sum::<f64>() / agg.len() as f64;

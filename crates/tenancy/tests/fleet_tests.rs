@@ -11,6 +11,9 @@
 //! * weighted arbitration (heavier tenants see lower latency under
 //!   saturation) and the capacity sweep's knee.
 
+#[path = "../../scheduler/tests/cases/mod.rs"]
+mod cases;
+
 use dlrm_model::EmbeddingTable;
 use scheduler::{report_is_finite, Scheduler};
 use tenancy::{
@@ -60,7 +63,7 @@ fn solo_engine_and_workload(spec: &TenantSpec) -> (UpdlrmEngine, Workload) {
         .collect();
     let config = UpdlrmConfig {
         batch_size: spec.max_batch,
-        telemetry: false,
+        telemetry: true,
         embed_dtype: spec.dtype,
         ..UpdlrmConfig::with_dpus(FLEET_DPUS, spec.strategy)
     };
@@ -109,39 +112,65 @@ fn run_bits(fleet: &mut TenantFleet, tenants: usize) -> (Vec<Vec<u32>>, tenancy:
 
 #[test]
 fn one_tenant_fleet_equals_the_single_tenant_scheduler() {
-    // A saturating spec so shedding, size triggers and the overload
-    // path are all exercised, for both arbitration disciplines.
-    for arbitration in [Arbitration::Drr, Arbitration::Fcfs] {
-        let spec = TenantSpec {
-            name: "only".into(),
-            qps: 100_000.0,
-            queue_cap: 64,
-            num_batches: 8,
-            seed: 3,
-            ..TenantSpec::default()
-        };
+    // The shared overload case table (every policy at saturation plus
+    // a light-load control), telemetry on, for both arbitration
+    // disciplines.
+    for case in &cases::CASES {
+        for arbitration in [Arbitration::Drr, Arbitration::Fcfs] {
+            let spec = TenantSpec {
+                name: "only".into(),
+                qps: case.qps,
+                arrival: if case.bursty {
+                    ArrivalKind::Bursty
+                } else {
+                    ArrivalKind::Poisson
+                },
+                seed: case.seed,
+                max_batch: case.sched.max_batch_size,
+                max_wait_us: case.sched.max_wait_ns / 1_000,
+                queue_cap: case.sched.queue_cap,
+                policy: case.sched.policy,
+                num_batches: 8,
+                ..TenantSpec::default()
+            };
+            assert_eq!(spec.sched_config(), case.sched);
+            let what = format!("{} / {arbitration:?}", case.name);
 
-        let (mut engine, workload) = solo_engine_and_workload(&spec);
-        let mut sched = Scheduler::new(spec.sched_config()).unwrap();
-        let mut solo_bits: Vec<u32> = Vec::new();
-        let solo = sched
-            .run(&mut engine, &workload, |_, _, pooled, _| {
-                for m in pooled {
-                    solo_bits.extend(m.as_slice().iter().map(|v| v.to_bits()));
-                }
-            })
-            .unwrap();
+            let (mut engine, workload) = solo_engine_and_workload(&spec);
+            let mut sched = Scheduler::new(spec.sched_config()).unwrap();
+            let mut solo_bits: Vec<u32> = Vec::new();
+            let solo = sched
+                .run(&mut engine, &workload, |_, _, pooled, _| {
+                    for m in pooled {
+                        solo_bits.extend(m.as_slice().iter().map(|v| v.to_bits()));
+                    }
+                })
+                .unwrap();
+            case.assert_exercised(&solo);
 
-        let mut fleet =
-            TenantFleet::from_specs(std::slice::from_ref(&spec), fleet_cfg(arbitration)).unwrap();
-        let (bits, report) = run_bits(&mut fleet, 1);
+            let cfg = FleetConfig {
+                telemetry: true,
+                ..fleet_cfg(arbitration)
+            };
+            let mut fleet = TenantFleet::from_specs(std::slice::from_ref(&spec), cfg).unwrap();
+            let (bits, report) = run_bits(&mut fleet, 1);
 
-        // Same batches, same embeddings, same latencies, same derived
-        // stats — the whole report, field for field.
-        assert_eq!(bits[0], solo_bits, "{arbitration:?}");
-        assert_eq!(report.tenants[0].sched, solo, "{arbitration:?}");
-        assert!(solo.shed > 0, "spec must exercise overload: {solo:?}");
-        assert!(fleet_report_is_finite(&report));
+            // Same batches, same embeddings, same latencies, same derived
+            // stats — the whole report, field for field — and the same
+            // scheduler telemetry, in the lane's registry and in the
+            // fleet-wide fold.
+            assert_eq!(bits[0], solo_bits, "{what}");
+            assert_eq!(report.tenants[0].sched, solo, "{what}");
+            let solo_telemetry = engine.metrics_snapshot().sched;
+            assert_eq!(solo_telemetry.batches, solo.batches, "{what}");
+            assert_eq!(
+                fleet.engine_mut(0).metrics_snapshot().sched,
+                solo_telemetry,
+                "{what}"
+            );
+            assert_eq!(fleet.metrics_snapshot().sched, solo_telemetry, "{what}");
+            assert!(fleet_report_is_finite(&report));
+        }
     }
 }
 

@@ -496,29 +496,9 @@ impl TieredEngine {
         scr.latencies.clear();
         let mut wall = 0.0f64;
         for (i, batch) in batches.iter().enumerate() {
-            let routed = self.route_batch(batch)?;
-            let mut bd = EmbeddingBreakdown {
-                route_ns: routed.route_ns,
-                cache_hits: routed.host_hits,
-                emt_lookups: routed.pim_refs,
-                ..EmbeddingBreakdown::default()
-            };
-            let scatter = self.scatter_streams()?;
-            bd.stage1_ns = scatter.wall_ns;
-            bd.energy_pj += scatter.energy_pj;
-            let s2 = self.launch_stage2(routed.batch_size)?;
-            bd.stage2_ns = s2.wall_ns;
-            bd.energy_pj += s2.energy_pj;
-            bd.dma_transfers += s2.dma_transfers;
-            bd.instrs += s2.instrs;
-            bd.lookup_imbalance = s2.lookup_imbalance;
-            let (pooled, combine_ns, gather) = self.gather_combine(routed.batch_size)?;
-            bd.stage3_ns = gather.wall_ns;
-            bd.energy_pj += gather.energy_pj;
-            bd.combine_ns = combine_ns;
+            let (pooled, bd) = self.run_batch(batch)?;
             wall += bd.total_ns();
             scr.latencies.push(bd.total_ns());
-            self.metrics.record_batch(routed.batch_size, &bd);
             scr.breakdowns.push(bd);
             sink(i, &pooled, scr.breakdowns.last().expect("just pushed"));
             self.recycle_pooled(pooled);

@@ -21,10 +21,10 @@
 //!   `rate_boost`) and an optional diurnal curve (`period_ns`,
 //!   `amplitude`). [`Workload::save`] stamps v3 only when a drift
 //!   schedule is attached — stationary workloads keep writing v2
-//!   byte-for-byte — and [`Workload::save_v1`] emits the legacy layout
-//!   (dropping arrivals and drift) for old readers. The loader rejects
-//!   v3 files whose schedule references hot-set rows beyond the spec's
-//!   row count.
+//!   byte-for-byte. Nothing writes v1 any more (the loader tests keep
+//!   a test-only writer for it); v1 and v2 files still load. The loader
+//!   rejects v3 files whose schedule references hot-set rows beyond the
+//!   spec's row count.
 
 use crate::arrival::{ArrivalProcess, ArrivalTrace};
 use crate::drift::{DiurnalCurve, DriftSchedule, FlashCrowd, HotSetRotation};
@@ -234,13 +234,10 @@ impl Workload {
         self.save_version(writer, version)
     }
 
-    /// Serializes in the legacy `UPWL` v1 layout for old readers,
-    /// dropping the arrival trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `writer`.
-    pub fn save_v1<W: Write>(&self, writer: &mut W) -> io::Result<()> {
+    /// Serializes in the legacy `UPWL` v1 layout (no arrival trace) so
+    /// the loader tests can prove v1 files still load.
+    #[cfg(test)]
+    pub(crate) fn save_v1<W: Write>(&self, writer: &mut W) -> io::Result<()> {
         self.save_version(writer, V1)
     }
 

@@ -173,15 +173,26 @@ fn build_setting(
             ..TraceConfig::default()
         },
     );
-    let model = Arc::new(Dlrm::new(DlrmConfig {
+    let model = Arc::new(dlrm_for(&spec, 8, 32, args.num("seed", 7) as u64)?);
+    Ok((spec, workload, model))
+}
+
+/// The CLI's fixed DLRM shape (13 dense features, 64 / 64-16 MLPs)
+/// over `tables` embedding tables of `spec.num_items` rows.
+fn dlrm_for(
+    spec: &DatasetSpec,
+    tables: usize,
+    dim: usize,
+    seed: u64,
+) -> Result<Dlrm, updlrm::dlrm_model::ModelError> {
+    Dlrm::new(DlrmConfig {
         num_dense: 13,
-        embedding_dim: 32,
-        table_rows: vec![spec.num_items; 8],
+        embedding_dim: dim,
+        table_rows: vec![spec.num_items; tables],
         bottom_hidden: vec![64],
         top_hidden: vec![64, 16],
-        seed: args.num("seed", 7) as u64,
-    })?);
-    Ok((spec, workload, model))
+        seed,
+    })
 }
 
 /// Measured (host wall-clock, not modeled) timing section of the
@@ -237,27 +248,16 @@ impl StagesJson {
         // no typed parse accepts).
         let n = n.max(1.0);
         let t = pim.total_ns();
+        let pct = |stage_ns: f64| if t > 0.0 { 100.0 * stage_ns / t } else { 0.0 };
         StagesJson {
             stage1_us: pim.stage1_ns / n / 1e3,
             stage2_us: pim.stage2_ns / n / 1e3,
             stage3_us: pim.stage3_ns / n / 1e3,
             route_us: pim.route_ns / n / 1e3,
             combine_us: pim.combine_ns / n / 1e3,
-            stage1_pct: if t > 0.0 {
-                100.0 * pim.stage1_ns / t
-            } else {
-                0.0
-            },
-            stage2_pct: if t > 0.0 {
-                100.0 * pim.stage2_ns / t
-            } else {
-                0.0
-            },
-            stage3_pct: if t > 0.0 {
-                100.0 * pim.stage3_ns / t
-            } else {
-                0.0
-            },
+            stage1_pct: pct(pim.stage1_ns),
+            stage2_pct: pct(pim.stage2_ns),
+            stage3_pct: pct(pim.stage3_ns),
             lookup_imbalance: pim.lookup_imbalance,
             pipelining_savings_pct: (1.0 - 1.0 / pr.speedup()) * 100.0,
         }
@@ -278,7 +278,7 @@ struct ServeJson {
 }
 
 /// Machine-readable mirror of a `run` invocation (`--json FILE`).
-#[derive(serde::Serialize)]
+#[derive(Default, serde::Serialize)]
 struct RunJson {
     backend: String,
     dataset: String,
@@ -296,12 +296,63 @@ struct RunJson {
     measured: Option<MeasuredJson>,
 }
 
-fn write_json(args: &Args, report: &RunJson) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(path) = args.flags.get("json") {
-        std::fs::write(path, serde::json::to_string_pretty(report))?;
-        println!("wrote {path}");
+impl RunJson {
+    /// Prints a back-to-back run's per-batch means and fills the
+    /// report's derived sections from them: `total` is summed over `n`
+    /// batches, `breakdowns` holds one pass's PIM stage splits (empty
+    /// for the CPU/GPU backends).
+    fn fill_sequential(
+        &mut self,
+        passes: &Passes,
+        total: &LatencyReport,
+        n: f64,
+        breakdowns: &[EmbeddingBreakdown],
+        measured: MeasuredJson,
+    ) {
+        println!("per-batch mean:");
+        println!("  embedding: {:10.1} us", total.embedding_ns / n / 1e3);
+        println!("  dense:     {:10.1} us", total.dense_ns / n / 1e3);
+        println!("  transfer:  {:10.1} us", total.transfer_ns / n / 1e3);
+        println!("  total:     {:10.1} us", total.total_ns() / n / 1e3);
+        passes.print_measured(&measured);
+        self.measured = Some(measured);
+        self.mean_embedding_us = total.embedding_ns / n / 1e3;
+        self.mean_dense_us = total.dense_ns / n / 1e3;
+        self.mean_total_us = total.total_ns() / n / 1e3;
+        if let Some(pim) = &total.pim {
+            let t = pim.total_ns().max(f64::MIN_POSITIVE);
+            println!(
+                "  PIM stages: s1 {:.0}% / s2 {:.0}% / s3 {:.0}%  (imbalance {:.2})",
+                100.0 * pim.stage1_ns / t,
+                100.0 * pim.stage2_ns / t,
+                100.0 * pim.stage3_ns / t,
+                pim.lookup_imbalance,
+            );
+            let pr = PipelineReport::from_batches(breakdowns);
+            println!(
+                "  inter-batch pipelining would save {:.1}%",
+                (1.0 - 1.0 / pr.speedup()) * 100.0
+            );
+            self.stages = Some(StagesJson::from_totals(pim, n, &pr));
+        }
     }
-    Ok(())
+
+    /// Writes the `--json` report and, when `--metrics` asked for one,
+    /// the engine's telemetry snapshot.
+    fn write(
+        &self,
+        args: &Args,
+        snapshot: impl FnOnce() -> Snapshot,
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        if let Some(path) = args.flags.get("json") {
+            std::fs::write(path, serde::json::to_string_pretty(self))?;
+            println!("wrote {path}");
+        }
+        if let Some(path) = args.flags.get("metrics") {
+            write_metrics(path, &snapshot())?;
+        }
+        Ok(())
+    }
 }
 
 fn write_metrics(path: &str, snapshot: &Snapshot) -> Result<(), Box<dyn std::error::Error>> {
@@ -310,6 +361,101 @@ fn write_metrics(path: &str, snapshot: &Snapshot) -> Result<(), Box<dyn std::err
     std::fs::write(path, text)?;
     println!("wrote {path}");
     Ok(())
+}
+
+/// `--iters` / `--warmup`: the host wall-clock measurement every `run`
+/// path shares.
+struct Passes {
+    iters: usize,
+    warmup: usize,
+    /// Measured wall-clock is nondeterministic; keep default stdout
+    /// byte-stable (the host-threads determinism diff depends on it)
+    /// and only print the measured line when measurement was asked for.
+    /// The `--json` report always carries it.
+    print: bool,
+}
+
+impl Passes {
+    fn from_args(args: &Args) -> Passes {
+        let iters = args.num("iters", 1);
+        if iters == 0 {
+            eprintln!("--iters must be >= 1 (0 measures nothing)");
+            std::process::exit(2)
+        }
+        Passes {
+            iters,
+            warmup: args.num("warmup", 0),
+            print: args.flag_set("iters") || args.flag_set("warmup"),
+        }
+    }
+
+    /// Runs the warm-up passes — they fill the scratch arenas and both
+    /// staging slots' kernels, so the timed passes see the steady
+    /// state — then times `iters` passes over `samples` queries each.
+    /// `pass(None)` is a warm-up pass, `pass(Some(i))` the `i`-th timed
+    /// one; modeled results repeat identically per pass, so callers
+    /// keep pass 0's.
+    fn time(
+        &self,
+        samples: usize,
+        mut pass: impl FnMut(Option<usize>) -> Result<(), Box<dyn std::error::Error>>,
+    ) -> Result<MeasuredJson, Box<dyn std::error::Error>> {
+        for _ in 0..self.warmup {
+            pass(None)?;
+        }
+        let t0 = std::time::Instant::now();
+        for i in 0..self.iters {
+            pass(Some(i))?;
+        }
+        let host_wall_ns_mean = t0.elapsed().as_nanos() as f64 / self.iters as f64;
+        Ok(MeasuredJson {
+            iters: self.iters,
+            warmup: self.warmup,
+            host_wall_ns_mean,
+            host_ns_per_sample: host_wall_ns_mean / samples.max(1) as f64,
+        })
+    }
+
+    /// [`time`](Self::time) over `serve_stream` passes of any engine;
+    /// also returns the first timed pass's per-batch breakdowns.
+    fn time_stream<E: BatchServer>(
+        &self,
+        engine: &mut E,
+        batches: &[QueryBatch],
+    ) -> Result<(Vec<EmbeddingBreakdown>, MeasuredJson), Box<dyn std::error::Error>> {
+        let samples = batches.iter().map(|b| b.batch_size()).sum();
+        let mut breakdowns = Vec::new();
+        let measured = self.time(samples, |pass| {
+            engine.serve_stream(batches, |_, _, bd| {
+                if pass == Some(0) {
+                    breakdowns.push(*bd);
+                }
+            })?;
+            Ok(())
+        })?;
+        Ok((breakdowns, measured))
+    }
+
+    fn print_measured(&self, m: &MeasuredJson) {
+        if self.print {
+            println!(
+                "  host wall (measured): {:.1} us/pass  {:.1} ns/sample  \
+                 ({} timed passes, {} warm-up)",
+                m.host_wall_ns_mean / 1e3,
+                m.host_ns_per_sample,
+                m.iters,
+                m.warmup,
+            );
+        }
+    }
+}
+
+fn sum_breakdowns(breakdowns: &[EmbeddingBreakdown]) -> EmbeddingBreakdown {
+    let mut total = EmbeddingBreakdown::default();
+    for bd in breakdowns {
+        total.accumulate(bd);
+    }
+    total
 }
 
 fn strategy_or_exit(args: &Args) -> PartitionStrategy {
@@ -528,32 +674,16 @@ fn cmd_run_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             ..TraceConfig::default()
         },
     );
-    let model = Dlrm::new(DlrmConfig {
-        num_dense: 13,
-        embedding_dim: prov.dim,
-        table_rows: vec![spec.num_items; prov.tables],
-        bottom_hidden: vec![64],
-        top_hidden: vec![64, 16],
-        seed: prov.seed,
-    })?;
+    let model = dlrm_for(&spec, prov.tables, prov.dim, prov.seed)?;
     let mut config = UpdlrmConfig {
         batch_size: workload.config.batch_size,
         ..UpdlrmConfig::default()
     };
     config.host_threads = args.num("host-threads", config.host_threads);
-    let metrics_path = args.flags.get("metrics").cloned();
-    config.telemetry = metrics_path.is_some();
-    let iters = args.num("iters", 1);
-    let warmup = args.num("warmup", 0);
-    if iters == 0 {
-        eprintln!("--iters must be >= 1 (0 measures nothing)");
-        std::process::exit(2)
-    }
-    let print_measured = args.flags.contains_key("iters") || args.flags.contains_key("warmup");
+    config.telemetry = args.flag_set("metrics");
+    let passes = Passes::from_args(args);
     let mut engine = TieredEngine::new(config.clone(), &plan, model.tables())?;
 
-    let host: usize = plan.tables.iter().map(|t| t.host_rows.len()).sum();
-    let rep: usize = plan.tables.iter().map(|t| t.replicated_rows.len()).sum();
     println!(
         "UpDLRM (tiered plan) on {} ({} items/table, {} batches of {})",
         spec.name,
@@ -561,38 +691,10 @@ fn cmd_run_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         workload.batches.len(),
         workload.config.batch_size,
     );
-    println!(
-        "  plan {path}: {} ranks x {} DPUs ({} used), {} host / {} replicated / {} cold rows",
-        plan.config.topology.nr_ranks,
-        plan.config.topology.dpus_per_rank,
-        plan.dpus_used,
-        host,
-        rep,
-        plan.total_rows() - host - rep,
-    );
+    print_plan_summary(path, &plan);
 
-    for _ in 0..warmup {
-        engine.serve_stream(&workload.batches, |_, _, _| {})?;
-    }
-    let mut breakdowns: Vec<EmbeddingBreakdown> = Vec::new();
-    let t0 = std::time::Instant::now();
-    for pass in 0..iters {
-        engine.serve_stream(&workload.batches, |_, _, bd| {
-            if pass == 0 {
-                breakdowns.push(*bd);
-            }
-        })?;
-    }
-    let host_wall_ns_mean = t0.elapsed().as_nanos() as f64 / iters as f64;
-    let samples: usize = workload.batches.iter().map(|b| b.batch_size()).sum();
-
-    let mut pim_total = EmbeddingBreakdown::default();
-    for bd in &breakdowns {
-        pim_total.accumulate(bd);
-    }
-    let n = (breakdowns.len() as f64).max(1.0);
-    println!("per-batch mean:");
-    println!("  embedding: {:10.1} us", pim_total.total_ns() / n / 1e3);
+    let (breakdowns, measured) = passes.time_stream(&mut engine, &workload.batches)?;
+    let pim_total = sum_breakdowns(&breakdowns);
     let lookups = pim_total.cache_hits + pim_total.emt_lookups;
     if lookups > 0 {
         println!(
@@ -602,25 +704,7 @@ fn cmd_run_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             100.0 * pim_total.cache_hits as f64 / lookups as f64,
         );
     }
-    let t = pim_total.total_ns().max(f64::MIN_POSITIVE);
-    println!(
-        "  PIM stages: s1 {:.0}% / s2 {:.0}% / s3 {:.0}%  (imbalance {:.2})",
-        100.0 * pim_total.stage1_ns / t,
-        100.0 * pim_total.stage2_ns / t,
-        100.0 * pim_total.stage3_ns / t,
-        pim_total.lookup_imbalance,
-    );
-    if print_measured {
-        println!(
-            "  host wall (measured): {:.1} us/pass  {:.1} ns/sample  \
-             ({iters} timed passes, {warmup} warm-up)",
-            host_wall_ns_mean / 1e3,
-            host_wall_ns_mean / samples.max(1) as f64,
-        );
-    }
-
-    let pr = PipelineReport::from_batches(&breakdowns);
-    let report_json = RunJson {
+    let mut report_json = RunJson {
         backend: "updlrm".to_string(),
         dataset: spec.short.to_string(),
         strategy: "plan".to_string(),
@@ -629,23 +713,16 @@ fn cmd_run_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         host_threads: config.host_threads,
         pipeline: "sequential".to_string(),
         queue_depth: 1,
-        mean_embedding_us: pim_total.total_ns() / n / 1e3,
-        mean_dense_us: 0.0,
-        mean_total_us: pim_total.total_ns() / n / 1e3,
-        stages: Some(StagesJson::from_totals(&pim_total, n, &pr)),
-        serve: None,
-        measured: Some(MeasuredJson {
-            iters,
-            warmup,
-            host_wall_ns_mean,
-            host_ns_per_sample: host_wall_ns_mean / samples.max(1) as f64,
-        }),
+        ..RunJson::default()
     };
-    write_json(args, &report_json)?;
-    if let Some(path) = &metrics_path {
-        write_metrics(path, &engine.metrics_snapshot())?;
-    }
-    Ok(())
+    let total = LatencyReport {
+        embedding_ns: pim_total.total_ns(),
+        pim: Some(pim_total),
+        ..LatencyReport::default()
+    };
+    let n = (breakdowns.len() as f64).max(1.0);
+    report_json.fill_sequential(&passes, &total, n, &breakdowns, measured);
+    report_json.write(args, || engine.metrics_snapshot())
 }
 
 fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
@@ -697,8 +774,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     config.pipeline_mode = pipeline;
     config.queue_depth = queue_depth;
-    let metrics_path = args.flags.get("metrics").cloned();
-    if metrics_path.is_some() {
+    if args.flag_set("metrics") {
         // Fleet telemetry lives in the PIM engine; the CPU/GPU
         // baselines have no DPUs to report on.
         let backend_name = args.str("backend", "updlrm");
@@ -708,17 +784,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         config.telemetry = true;
     }
-    let iters = args.num("iters", 1);
-    let warmup = args.num("warmup", 0);
-    // Measured wall-clock is nondeterministic; keep default stdout
-    // byte-stable (the host-threads determinism diff depends on it) and
-    // only print the measured line when measurement was asked for. The
-    // --json report always carries it.
-    let print_measured = args.flags.contains_key("iters") || args.flags.contains_key("warmup");
-    if iters == 0 {
-        eprintln!("--iters must be >= 1 (0 measures nothing)");
-        std::process::exit(2)
-    }
+    let passes = Passes::from_args(args);
     let mut report_json = RunJson {
         backend: args.str("backend", "updlrm"),
         dataset: spec.short.to_string(),
@@ -728,12 +794,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         host_threads: config.host_threads,
         pipeline: pipeline.to_string(),
         queue_depth,
-        mean_embedding_us: 0.0,
-        mean_dense_us: 0.0,
-        mean_total_us: 0.0,
-        stages: None,
-        serve: None,
-        measured: None,
+        ..RunJson::default()
     };
     let mem = CpuMemoryModel::default();
 
@@ -748,30 +809,8 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             std::process::exit(2)
         }
         let mut backend = UpdlrmBackend::from_workload(config, model.clone(), &workload, mem)?;
-        // Warm-up passes fill the scratch arenas and both staging
-        // slots' kernels; the timed passes then run the zero-allocation
-        // `serve_stream` path, so `host_ns_per_sample` reflects the
-        // steady state rather than first-batch growth.
-        for _ in 0..warmup {
-            backend
-                .engine_mut()
-                .serve_stream(&workload.batches, |_, _, _| {})?;
-        }
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            backend
-                .engine_mut()
-                .serve_stream(&workload.batches, |_, _, _| {})?;
-        }
-        let host_wall_ns_mean = t0.elapsed().as_nanos() as f64 / iters as f64;
+        let (_, measured) = passes.time_stream(backend.engine_mut(), &workload.batches)?;
         let outcome = backend.engine_mut().serve(&workload.batches)?;
-        let samples = outcome.report.samples.max(1) as f64;
-        report_json.measured = Some(MeasuredJson {
-            iters,
-            warmup,
-            host_wall_ns_mean,
-            host_ns_per_sample: host_wall_ns_mean / samples,
-        });
         let n = outcome.report.batches.max(1) as f64;
         let mean_embedding_ns = outcome.breakdowns.iter().map(|b| b.total_ns()).sum::<f64>() / n;
         let pr = PipelineReport::from_batches(&outcome.breakdowns);
@@ -793,20 +832,11 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             outcome.report.p99_latency_ns / 1e3,
         );
         println!("  speedup over back-to-back: {:.2}x", pr.speedup());
-        if print_measured {
-            println!(
-                "  host wall (measured): {:.1} us/pass  {:.1} ns/sample  \
-                 ({iters} timed passes, {warmup} warm-up)",
-                host_wall_ns_mean / 1e3,
-                host_wall_ns_mean / samples,
-            );
-        }
+        passes.print_measured(&measured);
+        report_json.measured = Some(measured);
         report_json.mean_embedding_us = mean_embedding_ns / 1e3;
         report_json.mean_total_us = mean_embedding_ns / 1e3;
-        let mut pim_total = EmbeddingBreakdown::default();
-        for bd in &outcome.breakdowns {
-            pim_total.accumulate(bd);
-        }
+        let pim_total = sum_breakdowns(&outcome.breakdowns);
         report_json.stages = Some(StagesJson::from_totals(&pim_total, n, &pr));
         report_json.serve = Some(ServeJson {
             mode: outcome.report.mode.to_string(),
@@ -818,11 +848,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             p99_latency_ns: outcome.report.p99_latency_ns,
             speedup_vs_sequential: pr.speedup(),
         });
-        write_json(args, &report_json)?;
-        if let Some(path) = &metrics_path {
-            write_metrics(path, &backend.engine().metrics_snapshot())?;
-        }
-        return Ok(());
+        return report_json.write(args, || backend.engine().metrics_snapshot());
     }
     let mut backend: Box<dyn InferenceBackend> = match args.str("backend", "updlrm").as_str() {
         "updlrm" => Box::new(UpdlrmBackend::from_workload(
@@ -866,78 +892,30 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         workload.batches.len(),
         workload.config.batch_size,
     );
-    for _ in 0..warmup {
-        for batch in &workload.batches {
-            backend.run_batch(batch)?;
-        }
-    }
     let mut total = LatencyReport::default();
     let mut breakdowns = Vec::new();
-    let t0 = std::time::Instant::now();
-    for pass in 0..iters {
+    let samples = workload.batches.iter().map(|b| b.batch_size()).sum();
+    let measured = passes.time(samples, |pass| {
         for batch in &workload.batches {
             let (_, report) = backend.run_batch(batch)?;
-            // Modeled breakdowns repeat identically per pass; keep one
-            // pass's worth so the pipelining estimate stays per-stream.
-            if pass == 0 {
-                if let Some(pim) = report.pim {
-                    breakdowns.push(pim);
-                }
+            if pass.is_some() {
+                total.accumulate(&report);
             }
-            total.accumulate(&report);
+            if let (Some(0), Some(pim)) = (pass, report.pim) {
+                breakdowns.push(pim);
+            }
         }
-    }
-    let host_wall_ns_mean = t0.elapsed().as_nanos() as f64 / iters as f64;
-    let samples: usize = workload.batches.iter().map(|b| b.batch_size()).sum();
-    report_json.measured = Some(MeasuredJson {
-        iters,
-        warmup,
-        host_wall_ns_mean,
-        host_ns_per_sample: host_wall_ns_mean / samples.max(1) as f64,
-    });
+        Ok(())
+    })?;
     // `--batches 0` is a legal (if degenerate) run: divide by at least
     // one so every derived mean serializes as a finite zero.
-    let n = ((workload.batches.len() * iters) as f64).max(1.0);
-    println!("per-batch mean:");
-    println!("  embedding: {:10.1} us", total.embedding_ns / n / 1e3);
-    println!("  dense:     {:10.1} us", total.dense_ns / n / 1e3);
-    println!("  transfer:  {:10.1} us", total.transfer_ns / n / 1e3);
-    println!("  total:     {:10.1} us", total.total_ns() / n / 1e3);
-    if print_measured {
-        println!(
-            "  host wall (measured): {:.1} us/pass  {:.1} ns/sample  \
-             ({iters} timed passes, {warmup} warm-up)",
-            host_wall_ns_mean / 1e3,
-            host_wall_ns_mean / samples.max(1) as f64,
-        );
-    }
-    report_json.mean_embedding_us = total.embedding_ns / n / 1e3;
-    report_json.mean_dense_us = total.dense_ns / n / 1e3;
-    report_json.mean_total_us = total.total_ns() / n / 1e3;
-    if let Some(pim) = &total.pim {
-        let t = pim.total_ns();
-        println!(
-            "  PIM stages: s1 {:.0}% / s2 {:.0}% / s3 {:.0}%  (imbalance {:.2})",
-            100.0 * pim.stage1_ns / t,
-            100.0 * pim.stage2_ns / t,
-            100.0 * pim.stage3_ns / t,
-            pim.lookup_imbalance,
-        );
-        let pr = PipelineReport::from_batches(&breakdowns);
-        println!(
-            "  inter-batch pipelining would save {:.1}%",
-            (1.0 - 1.0 / pr.speedup()) * 100.0
-        );
-        report_json.stages = Some(StagesJson::from_totals(pim, n, &pr));
-    }
-    write_json(args, &report_json)?;
-    if let Some(path) = &metrics_path {
-        let snapshot = backend
+    let n = ((workload.batches.len() * passes.iters) as f64).max(1.0);
+    report_json.fill_sequential(&passes, &total, n, &breakdowns, measured);
+    report_json.write(args, || {
+        backend
             .metrics_snapshot()
-            .expect("--metrics was validated to require the updlrm backend");
-        write_metrics(path, &snapshot)?;
-    }
-    Ok(())
+            .expect("--metrics was validated to require the updlrm backend")
+    })
 }
 
 /// Machine-readable mirror of a `serve` invocation (`--json FILE`).
@@ -1038,6 +1016,15 @@ fn tenants_file_or_exit(args: &Args, path: &str) -> TenantsFile {
     file
 }
 
+/// A tenant's SLO verdict as the serve and stats printers show it.
+fn slo_label(slo_p99_ns: f64, violations: u64) -> String {
+    if slo_p99_ns > 0.0 {
+        format!("slo {:.0} us ({violations} violations)", slo_p99_ns / 1e3)
+    } else {
+        "no slo".to_string()
+    }
+}
+
 /// `updlrm serve --tenants FILE.toml`: the mixed multi-tenant workload
 /// end to end on one shared modeled fleet.
 fn cmd_serve_tenants(args: &Args, path: &str) -> Result<(), Box<dyn std::error::Error>> {
@@ -1059,15 +1046,7 @@ fn cmd_serve_tenants(args: &Args, path: &str) -> Result<(), Box<dyn std::error::
         report.fleet_utilization,
     );
     for t in &report.tenants {
-        let slo = if t.slo_p99_ns > 0.0 {
-            format!(
-                "slo {:.0} us ({} violations)",
-                t.slo_p99_ns / 1e3,
-                t.slo_violations
-            )
-        } else {
-            "no slo".to_string()
-        };
+        let slo = slo_label(t.slo_p99_ns, t.slo_violations);
         println!(
             "  {} (w {:.1}, dpu offset {}): p50 {:.1} us  p99 {:.1} us  {}  \
              share {:.2} (configured {:.2})",
@@ -1251,13 +1230,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 );
                 std::process::exit(2)
             }
-            if replan.enabled() {
-                eprintln!(
-                    "--replan: replanning requires the modeled runtime (--runtime modeled); \
-                     the wall runtime's shards serve from static placements"
-                );
-                std::process::exit(2)
-            }
         }
         other => {
             eprintln!("unknown runtime '{other}' (want modeled or wall)");
@@ -1292,14 +1264,8 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             std::process::exit(2)
         }
         let spec = workload.spec.clone();
-        let model = Arc::new(Dlrm::new(DlrmConfig {
-            num_dense: 13,
-            embedding_dim: 32,
-            table_rows: vec![spec.num_items; workload.config.num_tables],
-            bottom_hidden: vec![64],
-            top_hidden: vec![64, 16],
-            seed: args.num("seed", 7) as u64,
-        })?);
+        let seed = args.num("seed", 7) as u64;
+        let model = Arc::new(dlrm_for(&spec, workload.config.num_tables, 32, seed)?);
         (spec, workload, model)
     } else {
         let qps = args.positive_float("qps");
@@ -1329,33 +1295,92 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         policy,
     };
 
-    if runtime_mode == "wall" {
-        return serve_wall(ServeWall {
-            args,
-            spec: &spec,
-            workload: &workload,
-            model: &model,
-            config,
-            sched_config,
+    // One identical engine per shard (a single one under `--runtime
+    // modeled`); only engine 0 carries telemetry (the snapshot is a
+    // single registry, not a fleet merge).
+    let mut engines: Vec<UpdlrmEngine> = (0..shards)
+        .map(|i| {
+            let mut c = config.clone();
+            c.telemetry &= i == 0;
+            UpdlrmEngine::from_workload(c, model.tables(), &workload)
+        })
+        .collect::<Result<_, _>>()?;
+    let mut sched = Scheduler::new(sched_config)?;
+    let (report, batch_hist, runtime) = if runtime_mode == "wall" {
+        // The modeled oracle first — same trace, same policy, telemetry
+        // off so the measured engines own the metrics registry — then
+        // the concurrent runtime on `--shards` engine workers. In
+        // `--deterministic` mode the runtime must reproduce the oracle's
+        // `SchedReport` byte for byte.
+        let mut oracle_config = config.clone();
+        oracle_config.telemetry = false;
+        let mut oracle = UpdlrmEngine::from_workload(oracle_config, model.tables(), &workload)?;
+        let modeled = sched.run(&mut oracle, &workload, |_, _, _, _| {})?;
+        let rt = Runtime::new(RuntimeConfig {
+            sched: sched_config,
             shards,
             time_scale,
             deterministic,
-            qps,
-            metrics_path,
+            ring_capacity: 64,
+        })?;
+        let r = rt.run(&mut engines, &workload, |_, _, _, _| {})?;
+        engines[0].metrics_mut().record_runtime(RuntimeSnapshot {
+            shards: shards as u64,
+            deterministic,
+            time_scale,
+            wall_elapsed_ns: r.wall.wall_elapsed_ns,
+            measured_qps: r.wall.measured_qps,
+            modeled_service_ns: r.wall.modeled_service_ns,
+            measured_service_ns: r.wall.measured_service_ns,
+            measured_p50_latency_ns: r.sched.p50_latency_ns,
+            measured_p95_latency_ns: r.sched.p95_latency_ns,
+            measured_p99_latency_ns: r.sched.p99_latency_ns,
         });
-    }
+        println!(
+            "wall-clock serve on {} ({} arrivals, {} shard{}, time-scale {:.0}x, {})",
+            spec.name,
+            r.sched.requests,
+            shards,
+            if shards == 1 { "" } else { "s" },
+            time_scale,
+            if deterministic {
+                "deterministic"
+            } else {
+                "free-running"
+            },
+        );
+        println!(
+            "  measured: {:.0} qps over {:.1} ms of wall time; latencies below are {} time",
+            r.wall.measured_qps,
+            r.wall.wall_elapsed_ns / 1e6,
+            if deterministic {
+                "modeled"
+            } else {
+                "measured wall"
+            },
+        );
+        let runtime = RuntimeJson {
+            shards,
+            time_scale,
+            deterministic,
+            wall: r.wall,
+            modeled_report: modeled,
+            batches_per_shard: r.batches_per_shard,
+        };
+        (r.sched, r.batch_histogram, Some(runtime))
+    } else {
+        let report = sched.run(&mut engines[0], &workload, |_, _, _, _| {})?;
+        println!(
+            "open-loop serve on {} ({} arrivals, {} over {:.1} ms of modeled time)",
+            spec.name,
+            report.requests,
+            process.tag(),
+            report.makespan_ns / 1e6,
+        );
+        (report, sched.batch_histogram().to_vec(), None)
+    };
+    let engine = &engines[0];
 
-    let mut engine = UpdlrmEngine::from_workload(config, model.tables(), &workload)?;
-    let mut sched = Scheduler::new(sched_config)?;
-    let report = sched.run(&mut engine, &workload, |_, _, _, _| {})?;
-
-    println!(
-        "open-loop serve on {} ({} arrivals, {} over {:.1} ms of modeled time)",
-        spec.name,
-        report.requests,
-        process.tag(),
-        report.makespan_ns / 1e6,
-    );
     println!(
         "  load: offered {:.0} qps  achieved {:.0} qps",
         report.offered_qps, report.achieved_qps,
@@ -1401,6 +1426,32 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             d.migration_ns / 1e3,
         );
     }
+    if let Some(rt) = &runtime {
+        println!(
+            "  shards: batches per shard {:?}; service walls: modeled {:.2} ms vs measured \
+             {:.2} ms per run",
+            rt.batches_per_shard,
+            rt.wall.modeled_service_ns / 1e6,
+            rt.wall.measured_service_ns / 1e6,
+        );
+        println!(
+            "  modeled oracle: {:.0} qps achieved, p50 {:.1} us  p95 {:.1} us  p99 {:.1} us",
+            rt.modeled_report.achieved_qps,
+            rt.modeled_report.p50_latency_ns / 1e3,
+            rt.modeled_report.p95_latency_ns / 1e3,
+            rt.modeled_report.p99_latency_ns / 1e3,
+        );
+        if deterministic {
+            if report == rt.modeled_report {
+                println!(
+                    "  oracle lock: OK — wall runtime reproduced the modeled scheduler byte \
+                     for byte"
+                );
+            } else {
+                eprintln!("warning: deterministic wall run diverged from the modeled oracle");
+            }
+        }
+    }
 
     if let Some(path) = args.flags.get("json") {
         let json = SchedJson {
@@ -1414,8 +1465,8 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             queue_cap,
             policy: policy.to_string(),
             report,
-            batch_hist: sched.batch_histogram().to_vec(),
-            runtime: None,
+            batch_hist,
+            runtime,
         };
         std::fs::write(path, serde::json::to_string_pretty(&json))?;
         println!("wrote {path}");
@@ -1437,169 +1488,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 std::process::exit(1)
             }
         }
-    }
-    Ok(())
-}
-
-/// Everything `serve_wall` needs from `cmd_serve`, bundled so the
-/// hand-off stays readable.
-struct ServeWall<'a> {
-    args: &'a Args,
-    spec: &'a DatasetSpec,
-    workload: &'a Workload,
-    model: &'a Dlrm,
-    config: UpdlrmConfig,
-    sched_config: SchedConfig,
-    shards: usize,
-    time_scale: f64,
-    deterministic: bool,
-    qps: f64,
-    metrics_path: Option<String>,
-}
-
-/// The `--runtime wall` path: run the modeled oracle first, then the
-/// concurrent wall-clock runtime on `--shards` engine workers, and
-/// print the two side by side. In `--deterministic` mode the runtime
-/// must reproduce the oracle's `SchedReport` byte for byte.
-fn serve_wall(p: ServeWall<'_>) -> Result<(), Box<dyn std::error::Error>> {
-    let ServeWall {
-        args,
-        spec,
-        workload,
-        model,
-        config,
-        sched_config,
-        shards,
-        time_scale,
-        deterministic,
-        qps,
-        metrics_path,
-    } = p;
-
-    // The modeled oracle: same trace, same policy, telemetry off so the
-    // measured engines own the metrics registry.
-    let mut oracle_config = config.clone();
-    oracle_config.telemetry = false;
-    let mut oracle_engine = UpdlrmEngine::from_workload(oracle_config, model.tables(), workload)?;
-    let mut sched = Scheduler::new(sched_config)?;
-    let modeled = sched.run(&mut oracle_engine, workload, |_, _, _, _| {})?;
-
-    // One identical engine per shard; only shard 0 carries telemetry
-    // (the snapshot is a single registry, not a fleet merge).
-    let mut engines: Vec<UpdlrmEngine> = (0..shards)
-        .map(|i| {
-            let mut c = config.clone();
-            c.telemetry = metrics_path.is_some() && i == 0;
-            UpdlrmEngine::from_workload(c, model.tables(), workload)
-        })
-        .collect::<Result<_, _>>()?;
-    let rt = Runtime::new(RuntimeConfig {
-        sched: sched_config,
-        shards,
-        time_scale,
-        deterministic,
-        ring_capacity: 64,
-    })?;
-    let report = rt.run(&mut engines, workload, |_, _, _, _| {})?;
-
-    println!(
-        "wall-clock serve on {} ({} arrivals, {} shard{}, time-scale {:.0}x, {})",
-        spec.name,
-        report.sched.requests,
-        shards,
-        if shards == 1 { "" } else { "s" },
-        time_scale,
-        if deterministic {
-            "deterministic"
-        } else {
-            "free-running"
-        },
-    );
-    println!(
-        "  measured: {:.0} qps over {:.1} ms of wall time ({} completed, {} shed, {} rejected)",
-        report.wall.measured_qps,
-        report.wall.wall_elapsed_ns / 1e6,
-        report.sched.completed,
-        report.sched.shed,
-        report.sched.rejected,
-    );
-    let latency_clock = if deterministic { "modeled" } else { "measured" };
-    println!(
-        "  latency ({latency_clock}): mean {:.1} us  p50 {:.1} us  p95 {:.1} us  p99 {:.1} us",
-        report.sched.mean_latency_ns / 1e3,
-        report.sched.p50_latency_ns / 1e3,
-        report.sched.p95_latency_ns / 1e3,
-        report.sched.p99_latency_ns / 1e3,
-    );
-    println!(
-        "  modeled oracle: {:.0} qps achieved, p50 {:.1} us  p95 {:.1} us  p99 {:.1} us",
-        modeled.achieved_qps,
-        modeled.p50_latency_ns / 1e3,
-        modeled.p95_latency_ns / 1e3,
-        modeled.p99_latency_ns / 1e3,
-    );
-    println!(
-        "  batching: {} batches over {} shard{} {:?}, mean fill {:.1}",
-        report.sched.batches,
-        shards,
-        if shards == 1 { "" } else { "s" },
-        report.batches_per_shard,
-        report.sched.mean_batch_size,
-    );
-    println!(
-        "  service walls: modeled {:.2} ms vs measured {:.2} ms per run",
-        report.wall.modeled_service_ns / 1e6,
-        report.wall.measured_service_ns / 1e6,
-    );
-    if deterministic {
-        if report.sched == modeled {
-            println!(
-                "  oracle lock: OK — wall runtime reproduced the modeled scheduler byte for byte"
-            );
-        } else {
-            eprintln!("warning: deterministic wall run diverged from the modeled oracle");
-        }
-    }
-
-    if let Some(path) = args.flags.get("json") {
-        let json = SchedJson {
-            dataset: spec.short.to_string(),
-            strategy: args.str("strategy", "ca"),
-            dpus: args.num("dpus", 256),
-            arrival: workload.arrivals.process.tag().to_string(),
-            offered_qps: qps,
-            max_batch: sched_config.max_batch_size,
-            max_wait_us: (sched_config.max_wait_ns / 1_000) as usize,
-            queue_cap: sched_config.queue_cap,
-            policy: sched_config.policy.to_string(),
-            report: report.sched,
-            batch_hist: report.batch_histogram.clone(),
-            runtime: Some(RuntimeJson {
-                shards,
-                time_scale,
-                deterministic,
-                wall: report.wall,
-                modeled_report: modeled,
-                batches_per_shard: report.batches_per_shard.clone(),
-            }),
-        };
-        std::fs::write(path, serde::json::to_string_pretty(&json))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = &metrics_path {
-        engines[0].metrics_mut().record_runtime(RuntimeSnapshot {
-            shards: shards as u64,
-            deterministic,
-            time_scale,
-            wall_elapsed_ns: report.wall.wall_elapsed_ns,
-            measured_qps: report.wall.measured_qps,
-            modeled_service_ns: report.wall.modeled_service_ns,
-            measured_service_ns: report.wall.measured_service_ns,
-            measured_p50_latency_ns: report.sched.p50_latency_ns,
-            measured_p95_latency_ns: report.sched.p95_latency_ns,
-            measured_p99_latency_ns: report.sched.p99_latency_ns,
-        });
-        write_metrics(path, &engines[0].metrics_snapshot())?;
     }
     Ok(())
 }
@@ -1721,15 +1609,7 @@ fn cmd_stats(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             "  tenant {} (w {:.1}): {} admitted ({} shed, {} rejected), {} completed in {} batches",
             t.name, t.weight, t.admitted, t.shed, t.rejected, t.completed, t.batches,
         );
-        let slo = if t.slo_p99_ns > 0.0 {
-            format!(
-                "slo {:.0} us ({} violations)",
-                t.slo_p99_ns / 1e3,
-                t.slo_violations
-            )
-        } else {
-            "no slo".into()
-        };
+        let slo = slo_label(t.slo_p99_ns, t.slo_violations);
         println!(
             "    p50 {:.1} us  p95 {:.1} us  p99 {:.1} us  {slo}  \
              fleet share {:.2} (configured {:.2})",

@@ -1061,25 +1061,6 @@ fn serve_replan_flag_is_validated() {
         .output()
         .expect("serve");
     assert_eq!(out.status.code(), Some(2));
-    // Replanning needs the modeled scheduler's between-batch tick.
-    let out = updlrm()
-        .args([
-            "serve",
-            "--qps",
-            "1000",
-            "--replan",
-            "periodic:4",
-            "--runtime",
-            "wall",
-        ])
-        .output()
-        .expect("serve");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("replanning requires the modeled runtime"),
-        "stderr should explain the wall-runtime limitation: {err}"
-    );
     // A drift snapshot without a replanner can never exist.
     let out = updlrm()
         .args([
@@ -1092,6 +1073,117 @@ fn serve_replan_flag_is_validated() {
         .output()
         .expect("serve");
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// Runs `serve` with `args` plus `--metrics`, returning stdout and the
+/// parsed snapshot.
+fn serve_with_metrics(
+    args: &[&str],
+    extra: &[&str],
+    tag: &str,
+) -> (String, updlrm::prelude::Snapshot) {
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let metrics = dir.join(format!("{tag}-metrics.json"));
+    let out = updlrm()
+        .args(args)
+        .args(extra)
+        .arg("--metrics")
+        .arg(&metrics)
+        .output()
+        .expect("serve");
+    assert!(
+        out.status.success(),
+        "{tag} stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&metrics).expect("metrics written");
+    std::fs::remove_file(&metrics).ok();
+    let snapshot = serde::json::from_str(&text).expect("parse snapshot");
+    (String::from_utf8_lossy(&out.stdout).into_owned(), snapshot)
+}
+
+const WALL_LOCKED: [&str; 3] = ["--runtime", "wall", "--deterministic"];
+
+#[test]
+fn serve_wall_deterministic_records_the_modeled_sched_telemetry() {
+    // Regression: the wall runtime's batcher kept its own copy of the
+    // admission accounting that recorded no telemetry, so an
+    // oracle-locked wall run wrote an all-zero "sched" block.
+    let args: Vec<&str> = QUICK_SERVE
+        .iter()
+        .copied()
+        .chain(["--seed", "7", "--host-threads", "1", "--arrival", "bursty"])
+        .chain(["--max-batch", "32", "--queue-cap", "48"])
+        .collect();
+    let (_, modeled) = serve_with_metrics(&args, &[], "sched-modeled");
+    let (text, wall) = serve_with_metrics(&args, &WALL_LOCKED, "sched-wall");
+    assert!(text.contains("oracle lock: OK"), "stdout: {text}");
+    assert_eq!(modeled.sched.admitted, 192, "{:?}", modeled.sched);
+    assert_eq!(modeled.sched.shed_oldest, 112, "{:?}", modeled.sched);
+    assert_eq!(wall.sched, modeled.sched);
+}
+
+#[test]
+fn serve_wall_replans_like_the_modeled_scheduler() {
+    // The CI drift trace: the wall runtime's workers tick their engine
+    // at every launch instant, so an oracle-locked run migrates exactly
+    // as the modeled scheduler does.
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace_path = dir.join("drift-wall.upwl");
+    let out = updlrm()
+        .args([
+            "trace",
+            "--dataset",
+            "read",
+            "--scale",
+            "5000",
+            "--batches",
+            "6",
+            "--seed",
+            "7",
+            "--qps",
+            "10000",
+            "--rotate",
+            "4:64:2000:0.8",
+            "--out",
+        ])
+        .arg(&trace_path)
+        .output()
+        .expect("trace");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = trace_path.to_str().expect("utf8 temp path");
+    let args = [
+        "serve",
+        "--workload-v3",
+        trace,
+        "--max-batch",
+        "32",
+        "--dpus",
+        "128",
+        "--strategy",
+        "u",
+        "--host-threads",
+        "1",
+        "--replan",
+        "periodic:8",
+    ];
+    let (_, modeled) = serve_with_metrics(&args, &[], "replan-modeled");
+    let (text, wall) = serve_with_metrics(&args, &WALL_LOCKED, "replan-wall");
+    std::fs::remove_file(&trace_path).ok();
+    assert!(text.contains("oracle lock: OK"), "stdout: {text}");
+    assert!(text.contains("replan [periodic:8]"), "stdout: {text}");
+    assert!(
+        modeled.drift.migrations_completed > 0,
+        "{:?}",
+        modeled.drift
+    );
+    assert_eq!(wall.drift, modeled.drift);
 }
 
 fn tenants_toml() -> std::path::PathBuf {
