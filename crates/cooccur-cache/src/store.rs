@@ -8,7 +8,7 @@
 //! property tests of this crate pin down.
 
 use crate::mine::CacheListSet;
-use dlrm_model::{simd, EmbeddingTable, FxHashMap, ModelError, Result};
+use dlrm_model::{simd, EmbeddingTable, ModelError, Result};
 
 /// One cached combination: a subset of a cache list and its partial sum.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,6 +72,16 @@ impl CacheTraffic {
         self.covered_refs += (sample_len - hit.residual.len()) as u64;
     }
 
+    /// Adds another cell's counters (a serving loop counts a batch
+    /// locally and folds it in once).
+    pub fn merge(&mut self, other: &CacheTraffic) {
+        self.lookups += other.lookups;
+        self.refs += other.refs;
+        self.hit_entries += other.hit_entries;
+        self.covered_refs += other.covered_refs;
+        self.residual_refs += other.residual_refs;
+    }
+
     /// Fraction of references served from cached combinations
     /// (`0.0` before the first reference).
     pub fn hit_rate(&self) -> f64 {
@@ -89,15 +99,21 @@ impl CacheTraffic {
     }
 }
 
-/// Reusable working state for [`PartialSumCache::lookup_into`].
+/// Reusable working state for [`PartialSumCache::lookup_into`]. One
+/// scratch serves caches of any size; every field is grow-only and all
+/// zero (or empty) between calls.
 #[derive(Debug, Default)]
 pub struct LookupScratch {
     /// Mask accumulated per cache list for the current sample,
-    /// direct-mapped by list index (grow-only; entries for lists not in
-    /// `touched` are zero).
+    /// direct-mapped by list index.
     mask_of_list: Vec<u32>,
-    /// Cache lists touched by the current sample, in first-touch order.
-    touched: Vec<u32>,
+    /// One bit per cache list with a nonzero mask. Walking its set bits
+    /// visits the touched lists in ascending order — the (list, mask)
+    /// entry order — in O(lists / 64 + touched) with no sort.
+    touched_bits: Vec<u64>,
+    /// Single-item entries serving repeated cached indices, in sample
+    /// order.
+    repeats: Vec<usize>,
 }
 
 /// Materialized partial-sum cache for one embedding table.
@@ -109,8 +125,10 @@ pub struct PartialSumCache {
     /// on the serving path, so this trades one word per table row
     /// (under 1% of the row data itself) for a branch-free probe.
     item_pos: Vec<u32>,
-    /// (list, mask) -> entry index
-    combo_index: FxHashMap<(usize, u32), usize>,
+    /// Entry index of each list's `mask = 1` row. Entries are
+    /// list-major, mask-minor and complete, so `(l, mask)` lives at
+    /// `list_base[l] + mask - 1`.
+    list_base: Vec<usize>,
     dim: usize,
 }
 
@@ -127,7 +145,7 @@ impl PartialSumCache {
     pub fn materialize(lists: &CacheListSet, table: &EmbeddingTable) -> Result<Self> {
         let mut entries = Vec::new();
         let mut item_pos = vec![0u32; table.rows()];
-        let mut combo_index = FxHashMap::default();
+        let mut list_base = Vec::with_capacity(lists.lists.len());
         for (l, list) in lists.lists.iter().enumerate() {
             if list.items.len() > 20 {
                 return Err(ModelError::InvalidConfig(format!(
@@ -145,6 +163,7 @@ impl PartialSumCache {
                 })?;
                 *slot = ((l as u32) << POS_BIT_WIDTH | bit as u32) + 1;
             }
+            list_base.push(entries.len());
             let k = list.items.len() as u32;
             for mask in 1u32..(1 << k) {
                 let items: Vec<u64> = (0..k)
@@ -152,7 +171,6 @@ impl PartialSumCache {
                     .map(|b| list.items[b as usize])
                     .collect();
                 let vector = table.partial_sum(&items)?;
-                combo_index.insert((l, mask), entries.len());
                 entries.push(CacheEntry {
                     list: l,
                     mask,
@@ -164,7 +182,7 @@ impl PartialSumCache {
         Ok(PartialSumCache {
             entries,
             item_pos,
-            combo_index,
+            list_base,
             dim: table.dim(),
         })
     }
@@ -190,7 +208,8 @@ impl PartialSumCache {
     /// For each cache list, the intersection with the sample maps to
     /// exactly one combination row (its bitmask); intersections of size
     /// one are served from the cache too (the single-item combination is
-    /// cached), everything else becomes residual EMT lookups.
+    /// cached), everything else becomes residual EMT lookups. See
+    /// [`PartialSumCache::lookup_into`] for the order of the result.
     pub fn lookup(&self, sample: &[u64]) -> CacheHit {
         let mut out = CacheHit::default();
         self.lookup_into(sample, &mut LookupScratch::default(), &mut out);
@@ -200,11 +219,27 @@ impl PartialSumCache {
     /// [`PartialSumCache::lookup`] writing into a caller-owned
     /// [`CacheHit`] (cleared first, capacity reused) via reusable
     /// working state — the zero-allocation form used by the serving
-    /// path. Results are identical to [`PartialSumCache::lookup`]:
-    /// entries sorted by (list, mask), residuals in sample order.
+    /// path, one pass over the sample plus a walk of the touched lists.
+    ///
+    /// The order of the result is part of the contract (it fixes the
+    /// f32 summation order downstream):
+    ///
+    /// 1. `entries` starts with one combination per touched list, in
+    ///    ascending (list, mask) order;
+    /// 2. then, for every *repeated* occurrence of a cached index (a
+    ///    sample may name a row twice; the mask can only count it
+    ///    once), that item's single-item entry, in sample order;
+    /// 3. `residual` holds the uncached indices in sample order,
+    ///    repeats included.
     pub fn lookup_into(&self, sample: &[u64], scratch: &mut LookupScratch, out: &mut CacheHit) {
         out.entries.clear();
         out.residual.clear();
+        let n_lists = self.list_base.len();
+        let n_words = n_lists.div_ceil(64);
+        if scratch.mask_of_list.len() < n_lists {
+            scratch.mask_of_list.resize(n_lists, 0);
+            scratch.touched_bits.resize(n_words, 0);
+        }
         for &i in sample {
             // One array read per index; uncached items (and indices past
             // the direct map, which only happens for corrupt samples the
@@ -212,27 +247,28 @@ impl PartialSumCache {
             match self.item_pos.get(i as usize).copied().unwrap_or(0) {
                 0 => out.residual.push(i),
                 packed => {
-                    let l = (packed - 1) >> POS_BIT_WIDTH;
-                    let bit = (packed - 1) & ((1 << POS_BIT_WIDTH) - 1);
-                    if scratch.mask_of_list.len() <= l as usize {
-                        scratch.mask_of_list.resize(l as usize + 1, 0);
+                    let l = ((packed - 1) >> POS_BIT_WIDTH) as usize;
+                    let bit = 1u32 << ((packed - 1) & ((1 << POS_BIT_WIDTH) - 1));
+                    let m = &mut scratch.mask_of_list[l];
+                    if *m & bit != 0 {
+                        scratch.repeats.push(self.list_base[l] + bit as usize - 1);
+                    } else {
+                        *m |= bit;
+                        scratch.touched_bits[l / 64] |= 1 << (l % 64);
                     }
-                    let m = &mut scratch.mask_of_list[l as usize];
-                    if *m == 0 {
-                        scratch.touched.push(l);
-                    }
-                    *m |= 1 << bit;
                 }
             }
         }
-        // Each touched list maps to exactly one combination row, so
-        // sorting the list ids alone reproduces the (list, mask) order.
-        scratch.touched.sort_unstable();
-        out.entries.extend(scratch.touched.iter().map(|&l| {
-            let mask = std::mem::take(&mut scratch.mask_of_list[l as usize]);
-            self.combo_index[&(l as usize, mask)]
-        }));
-        scratch.touched.clear();
+        for (w, word) in scratch.touched_bits[..n_words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let l = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mask = std::mem::take(&mut scratch.mask_of_list[l]);
+                out.entries.push(self.list_base[l] + mask as usize - 1);
+            }
+        }
+        out.entries.append(&mut scratch.repeats);
     }
 
     /// Reconstructs a sample's full reduction from a lookup — reference
@@ -319,6 +355,27 @@ mod tests {
         let via_cache = c.reduce_with_table(&hit, &t).unwrap();
         let direct = t.partial_sum(&sample).unwrap();
         assert_eq!(via_cache, direct);
+    }
+
+    #[test]
+    fn repeated_indices_are_each_served_once() {
+        let t = table();
+        let c = PartialSumCache::materialize(&lists(), &t).unwrap();
+        let sample = [2u64, 1, 20, 1, 7, 20, 2, 1];
+        let hit = c.lookup(&sample);
+        // Ordered (list, mask) entries first, then one single-item
+        // entry per repeat in sample order; residual keeps its repeats.
+        let items: Vec<&[u64]> = hit
+            .entries
+            .iter()
+            .map(|&e| c.entries()[e].items.as_slice())
+            .collect();
+        assert_eq!(items, [&[1, 2][..], &[7], &[1], &[2], &[1]]);
+        assert_eq!(hit.residual, vec![20, 20]);
+        assert_eq!(
+            c.reduce_with_table(&hit, &t).unwrap(),
+            t.partial_sum(&sample).unwrap()
+        );
     }
 
     #[test]

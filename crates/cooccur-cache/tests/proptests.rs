@@ -1,14 +1,19 @@
 //! Property tests for the partial-sum cache: the cache must never change
 //! the result of a reduction, only the number of memory accesses.
 
-use cooccur_cache::{CacheList, CacheListSet, PartialSumCache};
+use cooccur_cache::{CacheHit, CacheList, CacheListSet, LookupScratch, PartialSumCache};
 use dlrm_model::EmbeddingTable;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 /// Strategy: a set of disjoint cache lists over items `0..n`.
 fn disjoint_lists(n: u64) -> impl Strategy<Value = CacheListSet> {
-    prop::collection::vec(1usize..5, 0..4).prop_map(move |sizes| {
+    disjoint_lists_up_to(n, 4)
+}
+
+/// Strategy: fewer than `max_lists` disjoint cache lists over `0..n`.
+fn disjoint_lists_up_to(n: u64, max_lists: usize) -> impl Strategy<Value = CacheListSet> {
+    prop::collection::vec(1usize..5, 0..max_lists).prop_map(move |sizes| {
         let mut next = 0u64;
         let mut lists = Vec::new();
         for s in sizes {
@@ -25,7 +30,73 @@ fn disjoint_lists(n: u64) -> impl Strategy<Value = CacheListSet> {
     })
 }
 
+/// `lookup_into` written from its doc comment with no index structures:
+/// per-list intersection -> mask -> linear search of `entries()`, then
+/// the single-item entry of every repeated cached index, in sample order.
+fn naive_lookup(lists: &CacheListSet, cache: &PartialSumCache, sample: &[u64]) -> CacheHit {
+    let find = |list: usize, mask: u32| {
+        cache
+            .entries()
+            .iter()
+            .position(|e| e.list == list && e.mask == mask)
+            .expect("every (list, mask) combination is materialized")
+    };
+    let pos = |i: u64| {
+        lists.lists.iter().enumerate().find_map(|(l, list)| {
+            let bit = list.items.iter().position(|&x| x == i)?;
+            Some((l, bit))
+        })
+    };
+    let mut hit = CacheHit::default();
+    for (l, list) in lists.lists.iter().enumerate() {
+        let mask = (0..list.items.len())
+            .filter(|&b| sample.contains(&list.items[b]))
+            .fold(0u32, |m, b| m | 1 << b);
+        if mask != 0 {
+            hit.entries.push(find(l, mask));
+        }
+    }
+    for (n, &i) in sample.iter().enumerate() {
+        match pos(i) {
+            Some((l, bit)) if sample[..n].contains(&i) => hit.entries.push(find(l, 1 << bit)),
+            Some(_) => {}
+            None => hit.residual.push(i),
+        }
+    }
+    hit
+}
+
+/// Table rows of the naive-reference test: room for 150 disjoint lists.
+const ROWS: u64 = 400;
+
 proptest! {
+    /// `lookup_into` (with a scratch reused across differently sized
+    /// caches, up to 150 lists so the touched-list bitmap spans several
+    /// words) equals the naive reference — entry order, residual order
+    /// — on samples with repeats, uncached items and indices past the
+    /// table, and reconstructs the direct reduction whenever that
+    /// exists.
+    #[test]
+    fn lookup_matches_naive_reference(
+        lists in disjoint_lists_up_to(ROWS, 150),
+        other in disjoint_lists(ROWS),
+        sample in prop::collection::vec(0u64..ROWS + 20, 0..120),
+        seed in any::<u64>(),
+    ) {
+        let table = EmbeddingTable::random_integer_valued(ROWS as usize, 8, 4, seed).unwrap();
+        let mut scratch = LookupScratch::default();
+        let mut hit = CacheHit::default();
+        for set in [&other, &lists, &other] {
+            let cache = PartialSumCache::materialize(set, &table).unwrap();
+            cache.lookup_into(&sample, &mut scratch, &mut hit);
+            prop_assert_eq!(&hit, &naive_lookup(set, &cache, &sample));
+            if sample.iter().all(|&i| i < ROWS) {
+                let via_cache = cache.reduce_with_table(&hit, &table).unwrap();
+                prop_assert_eq!(via_cache, table.partial_sum(&sample).unwrap());
+            }
+        }
+    }
+
     /// Cached reduction == direct reduction, for any sample.
     #[test]
     fn cache_never_changes_results(

@@ -18,12 +18,14 @@
 
 use crate::config::UpdlrmConfig;
 use crate::error::{CoreError, Result};
-use crate::kernel::{build_stream_into, DpuTask, EmbeddingKernel, StreamBuilder, CACHE_REF_BIT};
+use crate::kernel::{DpuTask, EmbeddingKernel, StreamWriter, CACHE_REF_BIT};
 use crate::partition::{self, PartitionStrategy, RowAssignment};
 use crate::replan::{self, ReplanPolicy};
 use crate::telemetry::{MetricsRegistry, Snapshot};
 use crate::tiling::{Tiling, TilingProblem};
-use cooccur_cache::{CacheHit, CacheListSet, CooccurGraph, LookupScratch, PartialSumCache};
+use cooccur_cache::{
+    CacheHit, CacheListSet, CacheTraffic, CooccurGraph, LookupScratch, PartialSumCache,
+};
 use dlrm_model::{quant, simd, Dlrm, EmbedDtype, EmbeddingTable, Matrix, QueryBatch};
 use upmem_sim::{Cycles, DpuId, LaunchReport, PimConfig, PimSystem};
 use workloads::{FreqProfile, Workload};
@@ -100,8 +102,9 @@ pub struct TableReport {
 
 struct CacheState {
     store: PartialSumCache,
-    entry_part: Vec<u32>,
-    entry_slot: Vec<u32>,
+    /// Per store entry: `(partition, CACHE_REF_BIT | cache slot)` — where
+    /// a hit on the entry goes and the reference word it becomes.
+    entry_route: Vec<(u32, u32)>,
     cache_rows_per_part: Vec<u32>,
     placed_lists: usize,
     /// The truncated mined list set, kept so a replan can re-place and
@@ -291,51 +294,44 @@ fn build_cache_tile(
     }
 }
 
-/// Inverts cache entry maps into per-partition slot order: element
+/// Inverts the entry routes into per-partition slot order: element
 /// `[p][s]` is the store entry at slot `s` of partition `p`'s cache
 /// region.
-fn entries_in_parts(
-    entry_part: &[u32],
-    entry_slot: &[u32],
-    cache_rows_per_part: &[u32],
-) -> Vec<Vec<usize>> {
+fn entries_in_parts(entry_route: &[(u32, u32)], cache_rows_per_part: &[u32]) -> Vec<Vec<usize>> {
     let mut v: Vec<Vec<usize>> = cache_rows_per_part
         .iter()
         .map(|&n| vec![0; n as usize])
         .collect();
-    for (e, (&p, &s)) in entry_part.iter().zip(entry_slot.iter()).enumerate() {
-        v[p as usize][s as usize] = e;
+    for (e, &(p, word)) in entry_route.iter().enumerate() {
+        v[p as usize][(word & !CACHE_REF_BIT) as usize] = e;
     }
     v
 }
 
-/// Assigns cache slots for a cache-aware placement: combos of one list
-/// are consecutive in the owning partition's cache region, in the same
-/// (list-major, mask-minor) order the store enumerates.
-fn cache_entry_maps(ca: &partition::CacheAwareAssignment) -> (Vec<u32>, Vec<u32>) {
+/// Assigns cache slots for a cache-aware placement and returns each
+/// store entry's route (see [`CacheState::entry_route`]): combos of one
+/// list are consecutive in the owning partition's cache region, in the
+/// same (list-major, mask-minor) order the store enumerates.
+fn cache_entry_routes(ca: &partition::CacheAwareAssignment) -> Vec<(u32, u32)> {
     let parts = ca.cache_rows_per_part.len();
     let mut next_slot = vec![0u32; parts];
-    let mut entry_part = Vec::new();
-    let mut entry_slot = Vec::new();
+    let mut entry_route = Vec::new();
     for (l, list) in ca.placed_lists.lists.iter().enumerate() {
         let p = ca.list_part[l];
         let combos = list.num_combinations() as u32;
-        for i in 0..combos {
-            entry_part.push(p);
-            entry_slot.push(next_slot[p as usize] + i);
-        }
+        let first = next_slot[p as usize];
+        entry_route.extend((first..first + combos).map(|slot| (p, CACHE_REF_BIT | slot)));
         next_slot[p as usize] += combos;
     }
-    (entry_part, entry_slot)
+    entry_route
 }
 
 /// New cache layout staged by a pending migration (cache-aware tables
-/// only): the re-materialized store plus its entry maps, installed at
+/// only): the re-materialized store plus its entry routes, installed at
 /// the flip.
 struct CacheFlip {
     store: PartialSumCache,
-    entry_part: Vec<u32>,
-    entry_slot: Vec<u32>,
+    entry_route: Vec<(u32, u32)>,
     cache_rows_per_part: Vec<u32>,
     placed_lists: usize,
 }
@@ -433,15 +429,11 @@ struct StreamSlot {
 /// heap allocation — see `DESIGN.md` §4.5 for the ownership model.
 #[derive(Debug, Default)]
 struct BatchScratch {
-    /// Per-(partition, sample) routed references for the table being
-    /// routed, indexed `p * batch_size + s`. Grows to the largest
-    /// `row_parts x batch_size` seen and is never shrunk, so the inner
-    /// `Vec`s keep their capacity across tables and batches.
-    refs: Vec<Vec<u32>>,
+    /// The routed references of the table being routed, in CSR form
+    /// per row partition (reused across tables and batches).
+    writer: StreamWriter,
     /// One serialized stream per (table, row partition), fixed order.
     streams: Vec<StreamSlot>,
-    /// Dedup-format stream serializer state.
-    builder: StreamBuilder,
     /// Cache lookup working set (cache-aware partitioning only).
     lookup: LookupScratch,
     hit: CacheHit,
@@ -810,14 +802,13 @@ impl UpdlrmEngine {
                     &lists,
                 )?;
                 let store = PartialSumCache::materialize(&ca.placed_lists, table)?;
-                let (entry_part, entry_slot) = cache_entry_maps(&ca);
+                let entry_route = cache_entry_routes(&ca);
                 let placed = ca.placed_lists.lists.len();
                 (
                     ca.rows,
                     Some(CacheState {
                         store,
-                        entry_part,
-                        entry_slot,
+                        entry_route,
                         cache_rows_per_part: ca.cache_rows_per_part,
                         placed_lists: placed,
                         lists,
@@ -897,7 +888,7 @@ impl UpdlrmEngine {
         let rows_in_part = replan::rows_in_parts(&state.assignment, rc);
         // Entries per partition in slot order.
         let entries_in_part: Vec<Vec<usize>> = match &state.cache {
-            Some(c) => entries_in_parts(&c.entry_part, &c.entry_slot, &c.cache_rows_per_part),
+            Some(c) => entries_in_parts(&c.entry_route, &c.cache_rows_per_part),
             None => vec![Vec::new(); parts],
         };
 
@@ -1061,6 +1052,9 @@ impl UpdlrmEngine {
             emt_lookups: 0,
         };
         let mut route_refs = 0usize;
+        // Cache-probe counters of the whole batch, folded into the
+        // telemetry registry once at the end.
+        let mut traffic = CacheTraffic::default();
         let UpdlrmEngine {
             tables,
             config,
@@ -1069,68 +1063,58 @@ impl UpdlrmEngine {
             drift,
             ..
         } = self;
+        let BatchScratch {
+            writer,
+            streams,
+            lookup,
+            hit,
+            ..
+        } = scratch;
         let mut k = 0usize; // stream slot index, table-major then part
         for (t, state) in tables.iter().enumerate() {
             let sparse = &batch.sparse[t];
             let parts = state.tiling.row_parts;
-            // The refs arena only ever grows: indexed `p * b + s` for
-            // this table, each inner Vec keeps its capacity.
-            let need = parts * b;
-            if scratch.refs.len() < need {
-                scratch.refs.resize_with(need, Vec::new);
+            route_refs += sparse.total_lookups();
+            // Sliding-window profile for the replanner: raw row
+            // references, before the cache split, so a replan sees the
+            // same frequencies a fresh trace profile would.
+            if let Some(d) = drift.as_mut() {
+                d.window[t].record_input(sparse);
             }
-            let refs = &mut scratch.refs[..need];
-            for v in refs.iter_mut() {
-                v.clear();
-            }
-            #[allow(clippy::needless_range_loop)] // s indexes two structures
-            for s in 0..b {
-                let sample = sparse.sample(s);
-                route_refs += sample.len();
-                // Sliding-window profile for the replanner: raw row
-                // references, before the cache split, so a replan sees
-                // the same frequencies a fresh trace profile would.
-                if let Some(d) = drift.as_mut() {
-                    let w = &mut d.window[t];
-                    for &idx in sample {
-                        w.record(idx);
+            // One pass over the table's indices, in sample order: every
+            // reference goes straight into its partition's CSR stream.
+            writer.begin(parts, b);
+            match &state.cache {
+                Some(cs) => {
+                    for (s, sample) in sparse.iter().enumerate() {
+                        cs.store.lookup_into(sample, lookup, hit);
+                        traffic.record(sample.len(), hit);
+                        for &e in &hit.entries {
+                            let (p, word) = cs.entry_route[e];
+                            writer.push(p as usize, word);
+                        }
+                        for &idx in &hit.residual {
+                            let (p, slot) = Self::route_row(state, idx, s)?;
+                            writer.push(p, slot);
+                        }
+                        writer.end_sample();
                     }
                 }
-                match &state.cache {
-                    Some(cs) => {
-                        cs.store
-                            .lookup_into(sample, &mut scratch.lookup, &mut scratch.hit);
-                        metrics.record_cache_lookup(sample.len(), &scratch.hit);
-                        routed.cache_hits += scratch.hit.entries.len() as u64;
-                        routed.emt_lookups += scratch.hit.residual.len() as u64;
-                        for &e in &scratch.hit.entries {
-                            let p = cs.entry_part[e] as usize;
-                            refs[p * b + s].push(CACHE_REF_BIT | cs.entry_slot[e]);
-                        }
-                        for &idx in &scratch.hit.residual {
-                            let (p, slot) = Self::route_row(state, idx, s)?;
-                            refs[p * b + s].push(slot);
-                        }
-                    }
-                    None => {
-                        routed.emt_lookups += sample.len() as u64;
+                None => {
+                    routed.emt_lookups += sparse.total_lookups() as u64;
+                    for (s, sample) in sparse.iter().enumerate() {
                         for &idx in sample {
                             let (p, slot) = Self::route_row(state, idx, s)?;
-                            refs[p * b + s].push(slot);
+                            writer.push(p, slot);
                         }
+                        writer.end_sample();
                     }
                 }
             }
             for p in 0..parts {
-                let slot = &mut scratch.streams[k];
+                let slot = &mut streams[k];
                 debug_assert_eq!((slot.table, slot.part), (t, p));
-                build_stream_into(
-                    &refs[p * b..(p + 1) * b],
-                    tasklets,
-                    config.dedup,
-                    &mut scratch.builder,
-                    &mut slot.bytes,
-                );
+                writer.write_stream(p, tasklets, config.dedup, &mut slot.bytes);
                 if slot.bytes.len() > config.input_reserve_bytes {
                     return Err(CoreError::CapacityExceeded {
                         partition: p,
@@ -1141,18 +1125,16 @@ impl UpdlrmEngine {
                 k += 1;
             }
         }
+        routed.cache_hits = traffic.hit_entries;
+        routed.emt_lookups += traffic.residual_refs;
+        metrics.record_cache_traffic(&traffic);
         routed.route_ns = route_refs as f64 * config.route_ns_per_ref;
         if let Some(d) = drift.as_mut() {
             d.batches_in_window += 1;
         }
         if config.pad_transfers {
-            let max_len = scratch
-                .streams
-                .iter()
-                .map(|s| s.bytes.len())
-                .max()
-                .unwrap_or(0);
-            for s in &mut scratch.streams {
+            let max_len = streams.iter().map(|s| s.bytes.len()).max().unwrap_or(0);
+            for s in streams.iter_mut() {
                 s.bytes.resize(max_len, 0);
             }
         }
@@ -1437,15 +1419,14 @@ impl UpdlrmEngine {
                             break 'plan;
                         }
                     };
-                    let (entry_part, entry_slot) = cache_entry_maps(&ca);
+                    let entry_route = cache_entry_routes(&ca);
                     let placed = ca.placed_lists.lists.len();
                     TableFlip {
                         assignment: ca.rows,
                         replicas: Vec::new(),
                         cache: Some(CacheFlip {
                             store,
-                            entry_part,
-                            entry_slot,
+                            entry_route,
                             cache_rows_per_part: ca.cache_rows_per_part,
                             placed_lists: placed,
                         }),
@@ -1517,9 +1498,10 @@ impl UpdlrmEngine {
                 let row_bytes = tiling.row_bytes();
                 let rc = flip.replicas.len();
                 let local = replan::rows_in_parts(&flip.assignment, rc);
-                let entries = flip.cache.as_ref().map(|cf| {
-                    entries_in_parts(&cf.entry_part, &cf.entry_slot, &cf.cache_rows_per_part)
-                });
+                let entries = flip
+                    .cache
+                    .as_ref()
+                    .map(|cf| entries_in_parts(&cf.entry_route, &cf.cache_rows_per_part));
                 for p in 0..tiling.row_parts {
                     for c in 0..tiling.col_slices {
                         let dpu = state.dpu(p, c);
@@ -1587,8 +1569,7 @@ impl UpdlrmEngine {
             if let Some(cf) = flip.cache {
                 let cs = state.cache.as_mut().expect("CA table has cache state");
                 cs.store = cf.store;
-                cs.entry_part = cf.entry_part;
-                cs.entry_slot = cf.entry_slot;
+                cs.entry_route = cf.entry_route;
                 cs.cache_rows_per_part = cf.cache_rows_per_part;
                 cs.placed_lists = cf.placed_lists;
             }

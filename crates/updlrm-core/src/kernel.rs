@@ -30,7 +30,6 @@
 
 use dlrm_model::quant::{self, QROW_HEADER_BYTES};
 use dlrm_model::{simd, EmbedDtype, FxHashMap};
-use std::collections::HashMap;
 use std::sync::Mutex;
 use upmem_sim::{DpuId, Kernel, SimError, TaskletCtx};
 
@@ -75,8 +74,9 @@ pub struct EmbeddingKernel {
     /// [`quant`]-format `[scale][min][u8 values]` record dequantized on
     /// the fly into the accumulate.
     pub dtype: EmbedDtype,
-    /// Per-DPU parameters; DPUs not present return immediately.
-    pub tasks: HashMap<DpuId, DpuTask>,
+    /// Per-DPU parameters; DPUs not present return immediately. Probed
+    /// by every tasklet run (as is `scratch`), hence the fast hasher.
+    pub tasks: FxHashMap<DpuId, DpuTask>,
     /// Reusable per-DPU tasklet scratch (accumulator/stream/output
     /// buffers; embedding rows are borrowed straight out of MRAM via
     /// [`TaskletCtx::mram_view`]). Behind a `Mutex` only to satisfy
@@ -85,7 +85,7 @@ pub struct EmbeddingKernel {
     /// parallel launch workers own disjoint DPU sets, so every lock is
     /// uncontended. Warmed buffers make steady-state runs allocation
     /// free.
-    scratch: HashMap<DpuId, Mutex<TaskletScratch>>,
+    scratch: FxHashMap<DpuId, Mutex<TaskletScratch>>,
 }
 
 /// Reusable buffers for one DPU's tasklets (see
@@ -114,8 +114,8 @@ impl EmbeddingKernel {
             row_bytes,
             dedup,
             dtype,
-            tasks: HashMap::new(),
-            scratch: HashMap::new(),
+            tasks: FxHashMap::default(),
+            scratch: FxHashMap::default(),
         }
     }
 
@@ -548,7 +548,10 @@ impl EmbeddingKernel {
     }
 }
 
-/// Builds one DPU's reference stream from per-sample reference lists.
+/// Builds one DPU's reference stream from per-sample reference lists —
+/// the convenience form of [`StreamWriter`] for tests and benches (the
+/// serving path fills one writer per table and never materializes
+/// per-sample lists).
 ///
 /// `refs_per_sample[s]` holds sample `s`'s encoded references (EMT slot
 /// or cache slot with [`CACHE_REF_BIT`]).
@@ -564,136 +567,204 @@ impl EmbeddingKernel {
 ///
 /// Returns the bytes to write at `input_base` (8-byte padded).
 pub fn build_stream(refs_per_sample: &[Vec<u32>], n_tasklets: usize, dedup: bool) -> Vec<u8> {
-    let mut builder = StreamBuilder::default();
+    let mut writer = StreamWriter::default();
+    writer.begin(1, refs_per_sample.len());
+    for refs in refs_per_sample {
+        for &r in refs {
+            writer.push(0, r);
+        }
+        writer.end_sample();
+    }
     let mut out = Vec::new();
-    build_stream_into(refs_per_sample, n_tasklets, dedup, &mut builder, &mut out);
+    writer.write_stream(0, n_tasklets, dedup, &mut out);
     out
 }
 
-/// Reusable working state for [`build_stream_into`]: the dedup format's
-/// first-seen-order index and per-tasklet streams. One builder serves
-/// any number of streams; a warm builder makes stream construction
-/// allocation free.
+/// Stage-1 routing's one-pass stream writer: the reference streams of
+/// every row partition of one table, filled in sample order and kept in
+/// CSR form — per partition a flat `u32` reference array plus each
+/// sample's end offset, which *is* the paper's IDX+OFFSET stream up to
+/// a byte copy.
+///
+/// Protocol per table: [`begin`](StreamWriter::begin), then per sample
+/// any number of [`push`](StreamWriter::push)es followed by one
+/// [`end_sample`](StreamWriter::end_sample), then one
+/// [`write_stream`](StreamWriter::write_stream) per partition. Every
+/// arena is grow-only, so a warm writer allocates nothing.
 #[derive(Debug, Default)]
-pub struct StreamBuilder {
-    /// ref -> slot in `order`/`users`. Probed once per reference on the
-    /// serving path, hence the fast hasher.
+pub struct StreamWriter {
+    /// Per partition: references in sample order (only the first
+    /// `parts` are live).
+    refs: Vec<Vec<u32>>,
+    /// Row-major `parts x (n_samples + 1)` CSR offsets: row `p` starts
+    /// with 0 and holds `refs[p].len()` as of the end of each sample.
+    offsets: Vec<u32>,
+    parts: usize,
+    n_samples: usize,
+    /// Samples closed by `end_sample` so far.
+    closed: usize,
+    /// Dedup format only: ref -> slot in `order`/`users`. Probed once
+    /// per reference on the serving path, hence the fast hasher.
     index: FxHashMap<u32, usize>,
-    /// Unique refs in first-seen order.
+    /// Dedup: unique refs in first-seen order.
     order: Vec<u32>,
-    /// Sample ids per unique ref, parallel to `order` (recycled
+    /// Dedup: sample ids per unique ref, parallel to `order` (recycled
     /// lazily: only the first `order.len()` entries are live).
     users: Vec<Vec<u32>>,
-    /// Per-tasklet u32 streams.
+    /// Dedup: per-tasklet u32 streams.
     streams: Vec<Vec<u32>>,
 }
 
-/// [`build_stream`] serializing into the caller-owned `out` (cleared
-/// first, capacity reused, pre-sized from the known sample/ref counts).
-/// `builder` holds the dedup working state; it is untouched for CSR
-/// streams. Output bytes are identical to [`build_stream`].
-pub fn build_stream_into(
-    refs_per_sample: &[Vec<u32>],
-    n_tasklets: usize,
-    dedup: bool,
-    builder: &mut StreamBuilder,
-    out: &mut Vec<u8>,
-) {
-    assert!(n_tasklets > 0, "need at least one tasklet");
-    out.clear();
-    if !dedup {
-        // CSR: offsets (n_samples + 1, 8-byte padded), then refs — both
-        // region sizes are known up front.
-        let n = refs_per_sample.len();
-        let total_refs: usize = refs_per_sample.iter().map(Vec::len).sum();
-        let off_bytes = ((n + 1) * 4 + 7) & !7;
-        let ref_bytes = (total_refs * 4 + 7) & !7;
-        out.reserve(off_bytes + ref_bytes);
-        let mut acc = 0u32;
-        out.extend_from_slice(&0u32.to_le_bytes());
-        for refs in refs_per_sample {
-            acc += refs.len() as u32;
-            out.extend_from_slice(&acc.to_le_bytes());
+/// Appends `words` to `out` as little-endian bytes (a plain copy on
+/// little-endian hosts once the loop is vectorized).
+fn extend_le_words(out: &mut Vec<u8>, words: &[u32]) {
+    let start = out.len();
+    out.resize(start + words.len() * 4, 0);
+    for (dst, w) in out[start..].chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+impl StreamWriter {
+    /// Starts a table of `parts` row partitions and `n_samples` samples,
+    /// discarding the previous table's references.
+    pub fn begin(&mut self, parts: usize, n_samples: usize) {
+        if self.refs.len() < parts {
+            self.refs.resize_with(parts, Vec::new);
         }
-        out.resize(off_bytes, 0);
-        for refs in refs_per_sample {
-            for r in refs {
-                out.extend_from_slice(&r.to_le_bytes());
+        for refs in &mut self.refs[..parts] {
+            refs.clear();
+        }
+        self.offsets.clear();
+        self.offsets.resize(parts * (n_samples + 1), 0);
+        self.parts = parts;
+        self.n_samples = n_samples;
+        self.closed = 0;
+    }
+
+    /// Appends reference word `r` to the current sample of partition
+    /// `part`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` is not below the `parts` of the last `begin`.
+    #[inline]
+    pub fn push(&mut self, part: usize, r: u32) {
+        self.refs[..self.parts][part].push(r);
+    }
+
+    /// Closes the current sample in every partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called more than `n_samples` times since `begin`.
+    #[inline]
+    pub fn end_sample(&mut self) {
+        assert!(self.closed < self.n_samples, "more samples than begun");
+        self.closed += 1;
+        let stride = self.n_samples + 1;
+        for (p, refs) in self.refs[..self.parts].iter().enumerate() {
+            self.offsets[p * stride + self.closed] = refs.len() as u32;
+        }
+    }
+
+    /// Serializes partition `part`'s stream into the caller-owned `out`
+    /// (cleared first, capacity reused) in the format [`build_stream`]
+    /// documents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_tasklets` is 0, `part` is out of range or a sample
+    /// is still open.
+    pub fn write_stream(&mut self, part: usize, n_tasklets: usize, dedup: bool, out: &mut Vec<u8>) {
+        assert!(n_tasklets > 0, "need at least one tasklet");
+        assert_eq!(self.closed, self.n_samples, "unclosed samples");
+        let stride = self.n_samples + 1;
+        let offsets = &self.offsets[part * stride..(part + 1) * stride];
+        let refs = &self.refs[..self.parts][part];
+        out.clear();
+        if !dedup {
+            // CSR: offsets (n_samples + 1, 8-byte padded), then refs —
+            // the writer's arrays as they are.
+            let off_bytes = (offsets.len() * 4 + 7) & !7;
+            let ref_bytes = (refs.len() * 4 + 7) & !7;
+            out.reserve(off_bytes + ref_bytes);
+            extend_le_words(out, offsets);
+            out.resize(off_bytes, 0);
+            extend_le_words(out, refs);
+            out.resize(off_bytes + ref_bytes, 0);
+            return;
+        }
+        let StreamWriter {
+            index,
+            order,
+            users,
+            streams,
+            ..
+        } = self;
+        // Collect (ref -> sample ids), preserving first-seen order.
+        index.clear();
+        order.clear();
+        for (s, w) in offsets.windows(2).enumerate() {
+            for &r in &refs[w[0] as usize..w[1] as usize] {
+                let slot = match index.entry(r) {
+                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        let slot = order.len();
+                        order.push(r);
+                        if users.len() <= slot {
+                            users.push(Vec::new());
+                        }
+                        users[slot].clear();
+                        e.insert(slot);
+                        slot
+                    }
+                };
+                users[slot].push(s as u32);
             }
         }
-        out.resize(off_bytes + ref_bytes, 0);
-        return;
-    }
-    let StreamBuilder {
-        index,
-        order,
-        users,
-        streams,
-    } = builder;
-    // Collect (ref -> sample ids), preserving first-seen order.
-    index.clear();
-    order.clear();
-    for (s, refs) in refs_per_sample.iter().enumerate() {
-        for &r in refs {
-            let slot = match index.entry(r) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let slot = order.len();
-                    order.push(r);
-                    if users.len() <= slot {
-                        users.push(Vec::new());
-                    }
-                    users[slot].clear();
-                    e.insert(slot);
-                    slot
-                }
+        // Deal entries round-robin to tasklet streams. Each stream leads
+        // with its entry count, which round-robin dealing fixes up front:
+        // tasklet t gets entries t, t + n_tasklets, ...
+        if streams.len() < n_tasklets {
+            streams.resize_with(n_tasklets, Vec::new);
+        }
+        for (t, st) in streams.iter_mut().enumerate().take(n_tasklets) {
+            st.clear();
+            let count = if order.len() > t {
+                (order.len() - t).div_ceil(n_tasklets)
+            } else {
+                0
             };
-            users[slot].push(s as u32);
+            st.push(count as u32);
         }
-    }
-    // Deal entries round-robin to tasklet streams. Each stream leads
-    // with its entry count, which round-robin dealing fixes up front:
-    // tasklet t gets entries t, t + n_tasklets, ...
-    if streams.len() < n_tasklets {
-        streams.resize_with(n_tasklets, Vec::new);
-    }
-    for (t, st) in streams.iter_mut().enumerate().take(n_tasklets) {
-        st.clear();
-        let count = if order.len() > t {
-            (order.len() - t).div_ceil(n_tasklets)
-        } else {
-            0
-        };
-        st.push(count as u32);
-    }
-    for (i, r) in order.iter().enumerate() {
-        let t = i % n_tasklets;
-        let ids = &users[i];
-        streams[t].push(*r);
-        streams[t].push(ids.len() as u32);
-        streams[t].extend_from_slice(ids);
-    }
-    // Header: a leading zero plus the end offset of each tasklet's
-    // stream in bytes, zero-padded to n_tasklets + 2 words and then to
-    // 8 bytes — both paddings are plain zero bytes, written by the
-    // final resize.
-    let header_bytes = ((n_tasklets + 2) * 4 + 7) & !7;
-    let body_words: usize = streams[..n_tasklets].iter().map(Vec::len).sum();
-    let body_bytes = (body_words * 4 + 7) & !7;
-    out.reserve(header_bytes + body_bytes);
-    out.extend_from_slice(&0u32.to_le_bytes());
-    let mut acc = 0u32;
-    for s in &streams[..n_tasklets] {
-        acc += (s.len() * 4) as u32;
-        out.extend_from_slice(&acc.to_le_bytes());
-    }
-    out.resize(header_bytes, 0);
-    for s in &streams[..n_tasklets] {
-        for w in s {
-            out.extend_from_slice(&w.to_le_bytes());
+        for (i, r) in order.iter().enumerate() {
+            let t = i % n_tasklets;
+            let ids = &users[i];
+            streams[t].push(*r);
+            streams[t].push(ids.len() as u32);
+            streams[t].extend_from_slice(ids);
         }
+        // Header: a leading zero plus the end offset of each tasklet's
+        // stream in bytes, zero-padded to n_tasklets + 2 words and then to
+        // 8 bytes — both paddings are plain zero bytes, written by the
+        // final resize.
+        let header_bytes = ((n_tasklets + 2) * 4 + 7) & !7;
+        let body_words: usize = streams[..n_tasklets].iter().map(Vec::len).sum();
+        let body_bytes = (body_words * 4 + 7) & !7;
+        out.reserve(header_bytes + body_bytes);
+        out.extend_from_slice(&0u32.to_le_bytes());
+        let mut acc = 0u32;
+        for s in &streams[..n_tasklets] {
+            acc += (s.len() * 4) as u32;
+            out.extend_from_slice(&acc.to_le_bytes());
+        }
+        out.resize(header_bytes, 0);
+        for s in &streams[..n_tasklets] {
+            extend_le_words(out, s);
+        }
+        out.resize(header_bytes + body_bytes, 0);
     }
-    out.resize(header_bytes + body_bytes, 0);
 }
 
 #[cfg(test)]

@@ -461,13 +461,13 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one sample's partial-sum cache lookup outcome.
+    /// Folds one batch's partial-sum cache lookup counters in.
     #[inline]
-    pub(crate) fn record_cache_lookup(&mut self, sample_len: usize, hit: &cooccur_cache::CacheHit) {
+    pub(crate) fn record_cache_traffic(&mut self, batch: &CacheTraffic) {
         if !self.enabled {
             return;
         }
-        self.cache.record(sample_len, hit);
+        self.cache.merge(batch);
     }
 
     /// Records one completed serve: its executed wall and the

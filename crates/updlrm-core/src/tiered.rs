@@ -38,7 +38,7 @@
 use crate::config::UpdlrmConfig;
 use crate::engine::EmbeddingBreakdown;
 use crate::error::{CoreError, Result};
-use crate::kernel::{build_stream_into, DpuTask, EmbeddingKernel, StreamBuilder};
+use crate::kernel::{DpuTask, EmbeddingKernel, StreamWriter};
 use crate::pipeline::sequential_wall_ns;
 use crate::serve::{finish_report, PipelineMode, ServeReport, ServeScratch};
 use crate::telemetry::{MetricsRegistry, Snapshot};
@@ -83,12 +83,11 @@ struct StreamSlot {
 /// single-rank engine's `BatchScratch`).
 #[derive(Debug, Default)]
 struct TieredScratch {
-    /// Per-(partition, sample) routed references of the table being
-    /// routed, indexed `p * batch_size + s`.
-    refs: Vec<Vec<u32>>,
+    /// The PIM-bound references of the table being routed, in CSR form
+    /// per partition.
+    writer: StreamWriter,
     /// One stream per cold partition, table-major.
     streams: Vec<StreamSlot>,
-    builder: StreamBuilder,
     /// Host-tier hits per table: `(sample, host slot)` in route order.
     host_refs: Vec<Vec<(u32, u32)>>,
     /// Per in-use rank: stage-3 gather request list.
@@ -556,18 +555,11 @@ impl TieredEngine {
         for (t, state) in tables.iter().enumerate() {
             let sparse = &batch.sparse[t];
             let parts = state.parts;
-            let need = parts * b;
-            if scratch.refs.len() < need {
-                scratch.refs.resize_with(need, Vec::new);
-            }
-            let refs = &mut scratch.refs[..need];
-            for v in refs.iter_mut() {
-                v.clear();
-            }
+            let writer = &mut scratch.writer;
+            writer.begin(parts, b);
             scratch.host_refs[t].clear();
-            for s in 0..b {
-                let sample = sparse.sample(s);
-                total_refs += sample.len() as u64;
+            total_refs += sparse.total_lookups() as u64;
+            for (s, sample) in sparse.iter().enumerate() {
                 for &idx in sample {
                     let r = idx as usize;
                     if r >= state.rows {
@@ -587,25 +579,20 @@ impl TieredEngine {
                             // the same slot; spread round-robin like the
                             // single-rank engine.
                             pim_refs += 1;
-                            refs[((r + s) % parts) * b + s].push(slot);
+                            writer.push((r + s) % parts, slot);
                         }
                         _ => {
                             pim_refs += 1;
-                            refs[state.part_of_row[r] as usize * b + s].push(slot);
+                            writer.push(state.part_of_row[r] as usize, slot);
                         }
                     }
                 }
+                writer.end_sample();
             }
             for p in 0..parts {
                 let slot = &mut scratch.streams[k];
                 debug_assert_eq!(slot.table, t);
-                build_stream_into(
-                    &refs[p * b..(p + 1) * b],
-                    tasklets,
-                    config.dedup,
-                    &mut scratch.builder,
-                    &mut slot.bytes,
-                );
+                writer.write_stream(p, tasklets, config.dedup, &mut slot.bytes);
                 if slot.bytes.len() > config.input_reserve_bytes {
                     return Err(CoreError::CapacityExceeded {
                         partition: p,

@@ -449,3 +449,59 @@ fn int8_constant_rows_stay_exact() {
         assert_eq!(a.as_slice(), b.as_slice(), "table {t}");
     }
 }
+
+#[test]
+fn repeated_indices_sum_every_occurrence() {
+    // Samples may name a row more than once (imported traces do); each
+    // occurrence counts — of cached rows (the mask holds an item once,
+    // the repeats ride on its single-item combination) and of EMT rows.
+    use cooccur_cache::{CacheList, CacheListSet};
+    use workloads::FreqProfile;
+
+    let rows = 64;
+    let table = EmbeddingTable::random_integer_valued(rows, DIM, 3, 5).unwrap();
+    let lists = CacheListSet {
+        lists: vec![
+            CacheList {
+                items: vec![1, 2, 3],
+                benefit: 10.0,
+            },
+            CacheList {
+                items: vec![7, 8],
+                benefit: 5.0,
+            },
+        ],
+    };
+    let samples: [&[u64]; 4] = [
+        &[1, 1, 2, 20, 20],
+        &[7, 7, 7],
+        &[3, 2, 3, 8, 8, 30, 30, 30],
+        &[],
+    ];
+    let sparse = SparseInput::from_samples(samples);
+    let profile = FreqProfile::from_inputs(rows, [&sparse]);
+    let batch = QueryBatch::new(vec![0.0; samples.len()], 1, vec![sparse]).unwrap();
+    for dedup in [false, true] {
+        let mut config = UpdlrmConfig::with_dpus(4, PartitionStrategy::CacheAware);
+        config.dedup = dedup;
+        let mut engine = UpdlrmEngine::new(
+            config,
+            std::slice::from_ref(&table),
+            std::slice::from_ref(&profile),
+            std::slice::from_ref(&lists),
+        )
+        .unwrap();
+        assert_eq!(engine.table_report(0).cached_lists, 2);
+        let (pooled, breakdown) = engine.run_batch(&batch).unwrap();
+        // {1,2} + 1 | {7} + 7 + 7 | {2,3} + {8} + 3 + 8.
+        assert_eq!(breakdown.cache_hits, 2 + 3 + 4, "dedup {dedup}");
+        assert_eq!(breakdown.emt_lookups, 2 + 3, "dedup {dedup}");
+        for (s, sample) in samples.iter().enumerate() {
+            assert_eq!(
+                pooled[0].row(s),
+                table.partial_sum(sample).unwrap().as_slice(),
+                "dedup {dedup}, sample {s}"
+            );
+        }
+    }
+}

@@ -668,12 +668,8 @@ impl Dpu {
 
         // The barrier means phase times add up; the launch overhead is
         // charged once.
-        let no_overhead = CostModel {
-            launch_overhead_cycles: 0,
-            ..cost.clone()
-        };
-        let p1 = Self::account(&phase1[..n_tasklets], cost);
-        let p2 = Self::account(&phase2[..n_tasklets], &no_overhead);
+        let p1 = Self::account(&phase1[..n_tasklets], cost, cost.launch_overhead_cycles);
+        let p2 = Self::account(&phase2[..n_tasklets], cost, 0);
         out.cycles = p1.cycles + p2.cycles;
         out.totals = p1.totals;
         out.totals.merge(&p2.totals);
@@ -686,8 +682,13 @@ impl Dpu {
         Ok(())
     }
 
-    /// Aggregates per-tasklet counters into a modeled launch time.
-    fn account(per_tasklet: &[TaskletStats], cost: &CostModel) -> PhaseAccount {
+    /// Aggregates one phase's per-tasklet counters into a modeled time,
+    /// `overhead_cycles` of fixed launch cost included.
+    fn account(
+        per_tasklet: &[TaskletStats],
+        cost: &CostModel,
+        overhead_cycles: u64,
+    ) -> PhaseAccount {
         let mut totals = TaskletStats::default();
         for t in per_tasklet {
             totals.merge(t);
@@ -709,7 +710,7 @@ impl Dpu {
             pipeline_bound
                 .max(dma_bound)
                 .max(serial_bound)
-                .saturating_add(cost.launch_overhead_cycles),
+                .saturating_add(overhead_cycles),
         );
         let energy_pj =
             totals.instrs as f64 * cost.instr_pj + totals.dma_bytes as f64 * cost.dma_pj_per_byte;
@@ -791,10 +792,7 @@ mod tests {
 
     #[test]
     fn accounting_uses_max_of_bounds() {
-        let cost = CostModel {
-            launch_overhead_cycles: 0,
-            ..CostModel::default()
-        };
+        let cost = CostModel::default();
         // Compute-heavy kernel: pipeline bound dominates.
         let heavy = vec![
             TaskletStats {
@@ -804,7 +802,7 @@ mod tests {
             };
             14
         ];
-        let s = Dpu::account(&heavy, &cost);
+        let s = Dpu::account(&heavy, &cost, 0);
         assert_eq!(s.cycles.0, 14 * 10_000);
         // DMA-heavy kernel: DMA engine occupancy bound dominates.
         let dma = vec![
@@ -816,7 +814,7 @@ mod tests {
             };
             14
         ];
-        let s = Dpu::account(&dma, &cost);
+        let s = Dpu::account(&dma, &cost, 0);
         assert_eq!(s.cycles.0, 14 * 10_000);
         // Single tasklet: serial bound dominates.
         let single = vec![TaskletStats {
@@ -824,7 +822,7 @@ mod tests {
             dma_cycles: 5_000,
             ..Default::default()
         }];
-        let s = Dpu::account(&single, &cost);
+        let s = Dpu::account(&single, &cost, 0);
         assert_eq!(s.cycles.0, 1_000 * PIPELINE_DEPTH + 5_000);
     }
 
