@@ -5,8 +5,8 @@
 //! For each scale multiplier the sweep plans the same Zipf-profiled
 //! catalog twice — once with the host-DRAM hot cache and replicated
 //! hot shards enabled, once forced pure-cold (everything in MRAM
-//! partitions) — then serves an identical trace through a
-//! [`TieredEngine`] built from each plan and compares *modeled* batch
+//! partitions) — then serves an identical trace through an
+//! [`UpdlrmEngine`] built from each plan and compares *modeled* batch
 //! time. The knee shape is asserted, not eyeballed:
 //!
 //! 1. at every scale the tiered plan is no slower than pure MRAM;
@@ -35,7 +35,7 @@ use bench::timing;
 use dlrm_model::EmbeddingTable;
 use placement::{plan, Catalog, PlacementPlan, PlannerConfig};
 use serde::Value;
-use updlrm_core::{TieredEngine, UpdlrmConfig};
+use updlrm_core::{UpdlrmConfig, UpdlrmEngine};
 use upmem_sim::RankTopology;
 use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
@@ -131,7 +131,8 @@ fn modeled_batch_ns(p: &PlacementPlan, tables: &[EmbeddingTable], workload: &Wor
         batch_size: workload.config.batch_size,
         ..UpdlrmConfig::default()
     };
-    let mut eng = TieredEngine::new(config, p, tables).expect("plan fits the simulated fleet");
+    let mut eng =
+        UpdlrmEngine::from_plan(config, p, tables).expect("plan fits the simulated fleet");
     let mut total = 0.0;
     for b in &workload.batches {
         let (_, bd) = eng.run_batch(b).expect("batch serves");

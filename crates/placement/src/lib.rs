@@ -15,9 +15,10 @@
 //!
 //! The plan carries analytic tiered-vs-pure-MRAM cost estimates (the
 //! tiering knee of `BENCH_placement.json`) and is consumed by
-//! `updlrm_core::TieredEngine`, which must produce bit-identical
-//! pooled embeddings to the untiered single-rank engine under *any*
-//! valid plan — the differential suite in `updlrm-core` enforces that.
+//! `updlrm_core::UpdlrmEngine::from_plan`, which must produce pooled
+//! embeddings bit-identical to an engine that partitioned the tables
+//! itself under *any* valid plan — the differential suite in
+//! `updlrm-core` (`tests/plan_diff.rs`) enforces that.
 //!
 //! ## Example
 //!

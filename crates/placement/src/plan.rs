@@ -151,7 +151,9 @@ pub struct TablePlacement {
     /// (`rank = dpu / dpus_per_rank`).
     pub dpus: Vec<usize>,
     /// Tier of each row: [`TIER_HOST`], [`TIER_REPLICATED`] or
-    /// [`TIER_COLD`].
+    /// [`TIER_COLD`]. Redundant with the `part_of_row` sentinels (the
+    /// invariant checker holds the two to each other); the engine reads
+    /// only `part_of_row`.
     pub tier_of_row: Vec<u8>,
     /// Partition of each cold row; [`HOST_ROW_PART`] /
     /// [`REPLICATED_ROW_PART`] sentinels for the other tiers.

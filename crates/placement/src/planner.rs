@@ -195,7 +195,7 @@ fn place_table(
         rows_per_part[best] += 1;
         part_load[best] += mass[r as usize];
     }
-    // Replica refs route per sample (`sample % parts` in the tiered
+    // Replica refs route per sample (`(row + sample) % parts` in the
     // engine), spreading the replicated mass evenly in expectation.
     if replica_mass > 0.0 {
         let share = replica_mass / parts as f64;

@@ -1,8 +1,8 @@
-//! Scheduler × tiered engine (satellite 2): batches formed by
+//! Scheduler × tiered plan (satellite 2): batches formed by
 //! [`BatchPolicy`](scheduler::BatchPolicy) and served through a
-//! multi-rank [`TieredEngine`] still satisfy the PR 5 accounting
+//! multi-rank plan-built [`UpdlrmEngine`] still satisfy the PR 5 accounting
 //! identities — and the pooled embeddings bit-match a direct
-//! `serve_stream` of the same formed sequence on a fresh tiered engine.
+//! `serve_stream` of the same formed sequence on a fresh plan-built engine.
 //! The scheduler is a front-end for *any* [`BatchServer`]; swapping the
 //! numerics back-end must change neither the bookkeeping nor the bits.
 
@@ -13,7 +13,7 @@ use proptest::TestRunner;
 use scheduler::{
     assemble_into, report_is_finite, OverloadPolicy, SchedConfig, SchedReport, Scheduler,
 };
-use updlrm_core::{TieredEngine, UpdlrmConfig};
+use updlrm_core::{UpdlrmConfig, UpdlrmEngine};
 use upmem_sim::RankTopology;
 use workloads::{ArrivalProcess, DatasetSpec, FreqProfile, TraceConfig, Workload};
 
@@ -52,16 +52,16 @@ fn setup() -> (DatasetSpec, Workload, Vec<EmbeddingTable>, PlacementPlan) {
     (spec, workload, tables, p)
 }
 
-fn tiered(tables: &[EmbeddingTable], p: &PlacementPlan) -> TieredEngine {
+fn tiered(tables: &[EmbeddingTable], p: &PlacementPlan) -> UpdlrmEngine {
     let config = UpdlrmConfig {
         batch_size: ENGINE_BATCH,
         ..UpdlrmConfig::default()
     };
-    TieredEngine::new(config, p, tables).unwrap()
+    UpdlrmEngine::from_plan(config, p, tables).unwrap()
 }
 
 fn run_once(
-    eng: &mut TieredEngine,
+    eng: &mut UpdlrmEngine,
     wl: &Workload,
     cfg: SchedConfig,
 ) -> (SchedReport, Vec<Vec<u32>>, Vec<Vec<Matrix>>) {
@@ -152,7 +152,7 @@ fn tiered_scheduler_accounting_and_bits_hold_for_random_loads() {
             }
 
             // Bit-identity: replay the formed sequence through a fresh
-            // tiered engine's serve_stream.
+            // plan-built engine's serve_stream.
             let batches: Vec<QueryBatch> = formed
                 .iter()
                 .map(|ids| {

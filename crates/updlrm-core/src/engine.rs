@@ -15,6 +15,17 @@
 //! The per-stage wall times form the Fig. 10 latency breakdown; the
 //! pooled embeddings are bit-compatible with the
 //! [`dlrm_model`] reference (exactly so for integer-valued tables).
+//!
+//! *Where* each row lives is data the engine reads, not a second
+//! executor (DESIGN.md §4.9). [`UpdlrmEngine::new`] partitions the
+//! tables itself onto one rank of `nr_dpus` DPUs;
+//! [`UpdlrmEngine::from_plan`] executes a [`PlacementPlan`] — one
+//! full-width partition per fleet DPU across several ranks, hot rows
+//! replicated into every partition or kept in a host-DRAM store the
+//! host probes during routing and folds in during the combine. Both
+//! drive a [`Fleet`]: the stages run rank by rank and are combined with
+//! [`Fleet::combine_transfers`] / [`Fleet::combine_launches`], whose
+//! per-rank tolls are `0.0` for the one-rank engine.
 
 use crate::config::UpdlrmConfig;
 use crate::error::{CoreError, Result};
@@ -27,7 +38,8 @@ use cooccur_cache::{
     CacheHit, CacheListSet, CacheTraffic, CooccurGraph, LookupScratch, PartialSumCache,
 };
 use dlrm_model::{quant, simd, Dlrm, EmbedDtype, EmbeddingTable, Matrix, QueryBatch};
-use upmem_sim::{Cycles, DpuId, LaunchReport, PimConfig, PimSystem};
+use placement::{PlacementPlan, HOST_ROW_PART};
+use upmem_sim::{Cycles, DpuId, Fleet, LaunchReport, RankCostModel, RankTopology, TransferReport};
 use workloads::{FreqProfile, Workload};
 
 /// Per-batch latency breakdown of the embedding layer (Fig. 10).
@@ -118,13 +130,24 @@ struct CacheState {
 /// the other slot (see [`crate::serve`]).
 pub(crate) const STAGING_SLOTS: usize = 2;
 
+/// [`UpdlrmEngine::route_row`]'s partition for a host-tier row.
+const HOST_PART: usize = HOST_ROW_PART as usize;
+
 struct TableState {
     tiling: Tiling,
+    /// Row → (partition, slot). Beyond the partitioners' sentinels a
+    /// plan-built table marks host-tier rows with [`HOST_ROW_PART`];
+    /// their slot indexes `host_store`.
     assignment: RowAssignment,
     cache: Option<CacheState>,
     /// Rows replicated into every partition, in replica-slot order.
     replicas: Vec<u32>,
-    dpu_base: usize,
+    /// Per row partition: `(rank, rank-local id of column slice 0)`;
+    /// the partition's slices are consecutive ids on that rank.
+    locs: Vec<(usize, u32)>,
+    /// Host-tier rows in host-slot order, `dim` f32s each. Empty unless
+    /// a plan put rows there.
+    host_store: Vec<f32>,
     /// Double-buffered EMT region bases, indexed by the engine's
     /// `active_emt`. Equal when replanning is off (one region).
     emt_bases: [u32; 2],
@@ -141,8 +164,80 @@ struct TableState {
 }
 
 impl TableState {
-    fn dpu(&self, part: usize, slice: usize) -> DpuId {
-        DpuId((self.dpu_base + part * self.tiling.col_slices + slice) as u32)
+    /// Lays out one table's MRAM regions: `[EMT | cache | slot0 input
+    /// | slot0 output | slot1 input | slot1 output]`. Two staging slots
+    /// double-buffer the per-batch regions so consecutive batches never
+    /// share reference streams or partial sums (see crate::serve); with
+    /// replanning enabled the EMT and cache regions are themselves
+    /// double-buffered so migrations can stage the next placement.
+    /// `cache_cap_rows` is the cache placement's capacity bound (0
+    /// without a cache).
+    fn new(
+        config: &UpdlrmConfig,
+        tiling: Tiling,
+        assignment: RowAssignment,
+        cache: Option<CacheState>,
+        cache_cap_rows: usize,
+        locs: Vec<(usize, u32)>,
+        host_store: Vec<f32>,
+    ) -> Result<TableState> {
+        let replicas = replan::replica_block(&assignment);
+        let row_bytes = tiling.row_bytes();
+        // EMT rows are stored at the configured dtype's stride; cache,
+        // input and output regions stay f32. Under int8 the narrower
+        // stride both fits more rows per DPU and shrinks the per-lookup
+        // row DMA.
+        let emt_row_bytes = config.embed_dtype.stored_row_bytes(tiling.n_c);
+        let emt_rows_max =
+            replicas.len() + assignment.rows_per_part.iter().copied().max().unwrap_or(0) as usize;
+        let cache_rows_max = cache
+            .as_ref()
+            .map(|c| c.cache_rows_per_part.iter().copied().max().unwrap_or(0) as usize)
+            .unwrap_or(0);
+        let capacity = |e: upmem_sim::SimError| match e {
+            upmem_sim::SimError::MramOutOfBounds {
+                addr,
+                len,
+                capacity,
+            } => CoreError::CapacityExceeded {
+                partition: 0,
+                required: addr as usize + len,
+                available: capacity,
+            },
+            other => CoreError::Sim(other),
+        };
+        let regions = compute_regions(&RegionSpec {
+            replan: config.replan.enabled(),
+            emt_rows_max,
+            emt_cap_rows: config.emt_capacity_bytes / emt_row_bytes,
+            emt_row_bytes,
+            cache_rows_max,
+            cache_cap_rows,
+            row_bytes,
+            input_reserve_bytes: config.input_reserve_bytes,
+            output_bytes: config.batch_size * row_bytes * 2,
+        })
+        .map_err(capacity)?;
+        Ok(TableState {
+            tiling,
+            assignment,
+            cache,
+            replicas,
+            locs,
+            host_store,
+            emt_bases: regions.emt_bases,
+            cache_bases: regions.cache_bases,
+            emt_region_rows: regions.emt_region_rows,
+            cache_region_rows: regions.cache_region_rows,
+            slots: regions.slots,
+            dim: tiling.n_c * tiling.col_slices,
+        })
+    }
+
+    /// `(rank, rank-local id)` of the DPU holding `(part, slice)`.
+    fn dpu(&self, part: usize, slice: usize) -> (usize, DpuId) {
+        let (rank, first) = self.locs[part];
+        (rank, DpuId(first + slice as u32))
     }
 
     fn input_base(&self, slot: usize) -> u32 {
@@ -423,6 +518,31 @@ struct StreamSlot {
     bytes: Vec<u8>,
 }
 
+/// One rank's share of the stage-1/stage-3 bus phases: which streams it
+/// receives and which partial sums it returns, both in global
+/// `(table, part, slice)` order, fixed at construction.
+#[derive(Debug)]
+struct RankIo {
+    rank: usize,
+    /// Indices into `BatchScratch::streams` / `stream_groups`.
+    streams: Vec<usize>,
+    /// `(rank-local dpu, table, col slice)` per stage-3 gather request.
+    gathers: Vec<(DpuId, usize, usize)>,
+    /// Per-batch gather request list (lengths depend on the batch size).
+    requests: Vec<(DpuId, u32, usize)>,
+    /// Staging buffer for this rank's gathered partial-sum rows.
+    gather_buf: Vec<u8>,
+}
+
+/// One stage-2 kernel launch: the DPUs of one table on one rank, in
+/// (row part, col slice) order.
+#[derive(Debug)]
+struct LaunchGroup {
+    table: usize,
+    rank: usize,
+    ids: Vec<DpuId>,
+}
+
 /// Reusable per-engine working memory for the per-batch pipeline. Every
 /// stage clears and refills its arena instead of allocating, so after
 /// the first (warm-up) batch the steady-state serving path performs no
@@ -434,24 +554,34 @@ struct BatchScratch {
     writer: StreamWriter,
     /// One serialized stream per (table, row partition), fixed order.
     streams: Vec<StreamSlot>,
+    /// Host-tier hits of the batch just routed, `(table, sample, host
+    /// slot)` in route order.
+    host_refs: Vec<(u32, u32, u32)>,
+    /// Host-tier hits of the batch occupying each staging slot: the
+    /// scatter swaps `host_refs` in, the slot's combine folds them.
+    staged_host_refs: [Vec<(u32, u32, u32)>; STAGING_SLOTS],
     /// Cache lookup working set (cache-aware partitioning only).
     lookup: LookupScratch,
     hit: CacheHit,
-    /// Stage-3 gather request list (lengths depend on the batch size).
-    requests: Vec<(DpuId, u32, usize)>,
-    /// Staging buffer for all gathered partial-sum rows.
-    gather_buf: Vec<u8>,
-    /// Recycled per-launch report (per-DPU stats vectors reused).
+    /// Per-rank reports of the bus phase in progress.
+    transfers: Vec<TransferReport>,
+    /// Recycled per-launch report (per-DPU stats vectors reused; one
+    /// for all launch groups, so a batch's launches stay in cache).
     launch: LaunchReport,
-    /// Per-DPU cycle counts across all table groups of one batch.
+    /// `(wall_ns, energy_pj)` per launch group of the batch in progress.
+    launches: Vec<(f64, f64)>,
+    /// Per-DPU cycle counts across all launch groups of one batch.
     all_cycles: Vec<u64>,
     /// Returned pooled-output sets available for reuse (see
     /// [`UpdlrmEngine::recycle_pooled`]).
     matrix_pool: Vec<Vec<Matrix>>,
 }
 
-/// The UpDLRM system: a PIM array loaded with partitioned embedding
+/// The UpDLRM system: a PIM fleet loaded with partitioned embedding
 /// tables, executing the three-stage embedding pipeline per batch.
+/// Built by partitioning the tables ([`UpdlrmEngine::new`] /
+/// [`UpdlrmEngine::from_workload`]) or from a placement plan
+/// ([`UpdlrmEngine::from_plan`]).
 ///
 /// ## Example
 ///
@@ -479,20 +609,27 @@ struct BatchScratch {
 /// # }
 /// ```
 pub struct UpdlrmEngine {
-    sys: PimSystem,
+    fleet: Fleet,
     config: UpdlrmConfig,
     tables: Vec<TableState>,
     /// One prebuilt kernel per (table, staging slot): tasks are
-    /// registered once at construction; only each task's `n_samples` is
+    /// registered once at construction, keyed by rank-local DPU id (a
+    /// table's partitions share their MRAM bases, so ids repeating
+    /// across ranks share an entry); only each task's `n_samples` is
     /// updated per launch, so stage 2 builds nothing per batch.
     kernels: Vec<[EmbeddingKernel; STAGING_SLOTS]>,
-    /// Launch-order DPU ids per table (row-part major, col-slice minor).
-    table_ids: Vec<Vec<DpuId>>,
-    /// Broadcast target group per reference stream, aligned with
+    /// Stage-2 launches in (table, rank) order.
+    launch_groups: Vec<LaunchGroup>,
+    /// Broadcast target group per reference stream (rank-local ids of
+    /// the partition's column slices), aligned with
     /// `BatchScratch::streams`.
     stream_groups: Vec<Vec<DpuId>>,
-    /// `(table, col slice)` per stage-3 gather request, in request order.
-    gather_meta: Vec<(usize, usize)>,
+    /// Ranks holding at least one partition, ascending.
+    ranks: Vec<RankIo>,
+    /// Host ns per host-tier probe / per host-tier scalar add (from the
+    /// plan; `0.0` without one).
+    host_probe_ns: f64,
+    host_combine_ns_per_add: f64,
     scratch: BatchScratch,
     pub(crate) serve_scratch: crate::serve::ServeScratch,
     /// Telemetry recorder; a disabled registry (the default) makes every
@@ -511,8 +648,7 @@ pub struct UpdlrmEngine {
 impl std::fmt::Debug for UpdlrmEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpdlrmEngine")
-            .field("nr_dpus", &self.config.nr_dpus)
-            .field("strategy", &self.config.strategy)
+            .field("topology", &self.fleet.topology())
             .field("tables", &self.tables.len())
             .finish()
     }
@@ -548,7 +684,7 @@ impl UpdlrmEngine {
                 tables.len()
             )));
         }
-        if !config.nr_dpus.is_multiple_of(tables.len()) {
+        if config.nr_dpus == 0 || !config.nr_dpus.is_multiple_of(tables.len()) {
             return Err(CoreError::InvalidConfig(format!(
                 "{} dpus not divisible into {} table groups",
                 config.nr_dpus,
@@ -562,45 +698,207 @@ impl UpdlrmEngine {
                 tables.len()
             )));
         }
-        let mut sys = PimSystem::new(PimConfig {
-            nr_dpus: config.nr_dpus,
-            tasklets: config.tasklets,
-            cost: config.cost.clone(),
-            host_threads: config.host_threads,
-        })?;
-
+        // One rank of `nr_dpus` DPUs with free rank crossings: the
+        // fleet combine rules then reproduce a single rank's timing
+        // exactly (`0.0 * n + wall == wall`).
+        let fleet = Fleet::new(
+            RankTopology {
+                nr_ranks: 1,
+                dpus_per_rank: config.nr_dpus,
+            },
+            config.tasklets,
+            config.cost.clone(),
+            config.host_threads,
+            RankCostModel {
+                rank_base_ns: 0.0,
+                rank_launch_ns: 0.0,
+            },
+        )?;
         let dpus_per_table = config.nr_dpus / tables.len();
         let mut states = Vec::with_capacity(tables.len());
         for (t, table) in tables.iter().enumerate() {
-            let state = Self::build_table(
+            states.push(Self::build_table(
                 &config,
                 table,
                 &profiles[t],
                 cache_lists.get(t),
                 t * dpus_per_table,
                 dpus_per_table,
-            )?;
-            Self::load_table(&mut sys, table, &state, config.embed_dtype)?;
-            // Pre-commit each DPU's bank through the last staging slot:
-            // the regions only the kernel writes (reference streams,
-            // partial-sum outputs) would otherwise regrow the bank —
-            // with whole-bank memcpys — across the first few launches.
+            )?);
+        }
+        Self::assemble(config, fleet, states, tables, 0.0, 0.0)
+    }
+
+    /// Builds an engine that executes `plan` instead of partitioning the
+    /// tables itself: the fleet takes the plan's topology and rank
+    /// tolls, every cold partition owns one fleet DPU holding full-width
+    /// rows (`col_slices = 1`, `n_c = dim`) behind the shared replica
+    /// block, and host-tier rows stay in a host-side store. From
+    /// `config`, `nr_dpus`, `strategy`, `n_c` and the cache knobs are
+    /// unused — the plan governs placement; everything else (pipeline
+    /// mode, queue depth, dtype, dedup, telemetry, …) applies as for
+    /// [`UpdlrmEngine::new`].
+    ///
+    /// Under *any* valid plan the pooled embeddings equal the
+    /// strategy-built engine's on the same trace — bit-identical for
+    /// integer-valued f32 tables (`tests/plan_diff.rs`). In the
+    /// breakdown host-tier hits count as `cache_hits`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] when the plan fails its own
+    /// invariants or does not match `tables` (count, rows, dim), when a
+    /// row exceeds one DMA transfer (2048 B) or is not 8-byte aligned,
+    /// or when `config.replan` is enabled (a refit would have to keep
+    /// host-tier rows out of MRAM, which no partitioner here can —
+    /// DESIGN.md §4.11); [`CoreError::CapacityExceeded`] when the MRAM
+    /// regions overflow a bank; simulator errors propagate.
+    pub fn from_plan(
+        config: UpdlrmConfig,
+        plan: &PlacementPlan,
+        tables: &[EmbeddingTable],
+    ) -> Result<Self> {
+        plan.check_invariants()
+            .map_err(|e| CoreError::InvalidConfig(format!("placement plan: {e}")))?;
+        if config.replan.enabled() {
+            return Err(CoreError::InvalidConfig(format!(
+                "replan policy '{}' cannot drive a plan-built engine: refitting would move \
+                 host-tier rows into MRAM partitions",
+                config.replan
+            )));
+        }
+        if tables.len() != plan.tables.len() {
+            return Err(CoreError::InvalidConfig(format!(
+                "plan places {} tables, engine got {}",
+                plan.tables.len(),
+                tables.len()
+            )));
+        }
+        let topo = plan.config.topology;
+        let fleet = Fleet::new(
+            topo,
+            config.tasklets,
+            config.cost.clone(),
+            config.host_threads,
+            plan.config.rank_cost.clone(),
+        )?;
+        let mut states = Vec::with_capacity(tables.len());
+        for (t, (table, tp)) in tables.iter().zip(plan.tables.iter()).enumerate() {
+            if table.rows() != tp.rows || table.dim() != tp.dim {
+                return Err(CoreError::InvalidConfig(format!(
+                    "table {t}: plan places {} x {}, engine got {} x {}",
+                    tp.rows,
+                    tp.dim,
+                    table.rows(),
+                    table.dim()
+                )));
+            }
+            let row_bytes = tp.dim * 4;
+            if !row_bytes.is_multiple_of(8) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "table {t}: dim {} rows are not 8-byte aligned (need an even dim)",
+                    tp.dim
+                )));
+            }
+            if row_bytes > upmem_sim::arch::DMA_MAX_TRANSFER {
+                return Err(CoreError::InvalidConfig(format!(
+                    "table {t}: {row_bytes}-byte rows exceed one {}-byte DMA (a plan stores \
+                     full rows per partition)",
+                    upmem_sim::arch::DMA_MAX_TRANSFER
+                )));
+            }
+            let tiling = Tiling {
+                n_c: tp.dim,
+                col_slices: 1,
+                row_parts: tp.parts,
+                n_r: tp.rows.div_ceil(tp.parts),
+                est_cost_ns: 0.0, // no Eq. 1 search ran
+            };
+            let assignment = RowAssignment {
+                part_of_row: tp.part_of_row.clone(),
+                slot_of_row: tp.slot_of_row.clone(),
+                rows_per_part: tp.rows_per_part.clone(),
+                part_load: tp.part_load.clone(),
+            };
+            let locs = tp
+                .dpus
+                .iter()
+                .map(|&global| {
+                    let (rank, local) = topo.locate(global);
+                    (rank, local as u32)
+                })
+                .collect();
+            let mut host_store = Vec::with_capacity(tp.host_rows.len() * tp.dim);
+            for &r in &tp.host_rows {
+                host_store.extend_from_slice(table.row(r)?);
+            }
+            states.push(TableState::new(
+                &config, tiling, assignment, None, 0, locs, host_store,
+            )?);
+        }
+        Self::assemble(
+            config,
+            fleet,
+            states,
+            tables,
+            plan.config.host_probe_ns,
+            plan.config.host_combine_ns_per_add,
+        )
+    }
+
+    /// The constructors' shared back half: loads every table into MRAM
+    /// (untimed pre-processing, as in the paper) and fixes the
+    /// batch-independent launch/scatter/gather structure for the
+    /// engine's lifetime, so no per-batch call rebuilds it.
+    fn assemble(
+        config: UpdlrmConfig,
+        mut fleet: Fleet,
+        states: Vec<TableState>,
+        tables: &[EmbeddingTable],
+        host_probe_ns: f64,
+        host_combine_ns_per_add: f64,
+    ) -> Result<Self> {
+        for (table, state) in tables.iter().zip(&states) {
+            Self::load_table(&mut fleet, table, state, config.embed_dtype)?;
+            // Pre-commit the bank of every DPU holding a partition
+            // through the last staging slot: the regions only the kernel
+            // writes (reference streams, partial-sum outputs) would
+            // otherwise regrow the bank — with whole-bank memcpys —
+            // across the first few launches. DPUs a plan leaves empty
+            // stay uncommitted.
             let mram_end = state.slots[STAGING_SLOTS - 1].1 as usize
                 + config.batch_size * state.tiling.row_bytes() * 2;
             for p in 0..state.tiling.row_parts {
                 for c in 0..state.tiling.col_slices {
-                    sys.dpu_mut(state.dpu(p, c))?.mram_mut().commit(mram_end);
+                    let (rank, dpu) = state.dpu(p, c);
+                    fleet
+                        .rank_mut(rank)?
+                        .dpu_mut(dpu)?
+                        .mram_mut()
+                        .commit(mram_end);
                 }
             }
-            states.push(state);
         }
 
-        // Batch-independent launch/scatter/gather structure, fixed for
-        // the engine's lifetime so no per-batch call rebuilds it.
+        let mut rank_ids: Vec<usize> = states
+            .iter()
+            .flat_map(|s| s.locs.iter().map(|&(rank, _)| rank))
+            .collect();
+        rank_ids.sort_unstable();
+        rank_ids.dedup();
+        let mut ranks: Vec<RankIo> = rank_ids
+            .into_iter()
+            .map(|rank| RankIo {
+                rank,
+                streams: Vec::new(),
+                gathers: Vec::new(),
+                requests: Vec::new(),
+                gather_buf: Vec::new(),
+            })
+            .collect();
         let mut kernels = Vec::with_capacity(states.len());
-        let mut table_ids = Vec::with_capacity(states.len());
+        let mut launch_groups: Vec<LaunchGroup> = Vec::new();
         let mut stream_groups = Vec::new();
-        let mut gather_meta = Vec::new();
         let mut streams = Vec::new();
         for (t, state) in states.iter().enumerate() {
             let kset: [EmbeddingKernel; STAGING_SLOTS] = std::array::from_fn(|slot| {
@@ -612,7 +910,7 @@ impl UpdlrmEngine {
                 for p in 0..state.tiling.row_parts {
                     for c in 0..state.tiling.col_slices {
                         kernel.set_task(
-                            state.dpu(p, c),
+                            state.dpu(p, c).1,
                             DpuTask {
                                 emt_base: state.emt_bases[0],
                                 cache_base: state.cache_bases[0],
@@ -625,28 +923,42 @@ impl UpdlrmEngine {
                 }
                 kernel
             });
-            let mut ids = Vec::new();
+            kernels.push(kset);
+            let first_group = launch_groups.len();
             for p in 0..state.tiling.row_parts {
-                for c in 0..state.tiling.col_slices {
-                    ids.push(state.dpu(p, c));
-                    gather_meta.push((t, c));
+                let rank = state.locs[p].0;
+                let group: Vec<DpuId> = (0..state.tiling.col_slices)
+                    .map(|c| state.dpu(p, c).1)
+                    .collect();
+                let io = ranks
+                    .iter_mut()
+                    .find(|io| io.rank == rank)
+                    .expect("every rank in use was collected above");
+                io.streams.push(streams.len());
+                io.gathers
+                    .extend(group.iter().enumerate().map(|(c, &dpu)| (dpu, t, c)));
+                match launch_groups[first_group..]
+                    .iter_mut()
+                    .find(|g| g.rank == rank)
+                {
+                    Some(g) => g.ids.extend_from_slice(&group),
+                    None => launch_groups.push(LaunchGroup {
+                        table: t,
+                        rank,
+                        ids: group.clone(),
+                    }),
                 }
-                stream_groups.push(
-                    (0..state.tiling.col_slices)
-                        .map(|c| state.dpu(p, c))
-                        .collect(),
-                );
+                stream_groups.push(group);
                 streams.push(StreamSlot {
                     table: t,
                     part: p,
                     bytes: Vec::new(),
                 });
             }
-            kernels.push(kset);
-            table_ids.push(ids);
+            launch_groups[first_group..].sort_by_key(|g| g.rank);
         }
 
-        let metrics = MetricsRegistry::new(config.telemetry, config.nr_dpus);
+        let metrics = MetricsRegistry::new(config.telemetry, fleet.nr_dpus());
         let (host_tables, drift) = if config.replan.enabled() {
             (
                 tables.to_vec(),
@@ -661,13 +973,15 @@ impl UpdlrmEngine {
             (Vec::new(), None)
         };
         Ok(UpdlrmEngine {
-            sys,
+            fleet,
             config,
             tables: states,
             kernels,
-            table_ids,
+            launch_groups,
             stream_groups,
-            gather_meta,
+            ranks,
+            host_probe_ns,
+            host_combine_ns_per_add,
             scratch: BatchScratch {
                 streams,
                 ..BatchScratch::default()
@@ -747,14 +1061,9 @@ impl UpdlrmEngine {
             Some(n_c) => problem.tiling_for_nc(n_c, &config.cost)?,
             None => problem.search(&config.cost)?,
         };
-        let row_bytes = tiling.row_bytes();
-        // EMT rows are stored at the configured dtype's stride; cache,
-        // input and output regions stay f32. Under int8 the narrower
-        // stride both fits more rows per DPU and shrinks the per-lookup
-        // row DMA.
-        let emt_row_bytes = config.embed_dtype.stored_row_bytes(tiling.n_c);
         let parts = tiling.row_parts;
-        let emt_cap_rows = config.emt_capacity_bytes / emt_row_bytes;
+        let emt_cap_rows =
+            config.emt_capacity_bytes / config.embed_dtype.stored_row_bytes(tiling.n_c);
 
         // Capacity bound of the cache placement (set under CA): the
         // cache region size a replanned placement can always fit.
@@ -817,64 +1126,26 @@ impl UpdlrmEngine {
             }
         };
 
-        // Replica block (Replicated strategy): rows in slot order.
-        let replicas = replan::replica_block(&assignment);
-
-        // MRAM regions: [EMT | cache | slot0 input | slot0 output |
-        // slot1 input | slot1 output]. Two staging slots double-buffer
-        // the per-batch regions so consecutive batches never share
-        // reference streams or partial sums (see crate::serve); with
-        // replanning enabled the EMT and cache regions are themselves
-        // double-buffered so migrations can stage the next placement.
-        let emt_rows_max =
-            replicas.len() + assignment.rows_per_part.iter().copied().max().unwrap_or(0) as usize;
-        let cache_rows_max = cache
-            .as_ref()
-            .map(|c| c.cache_rows_per_part.iter().copied().max().unwrap_or(0) as usize)
-            .unwrap_or(0);
-        let capacity = |e: upmem_sim::SimError| match e {
-            upmem_sim::SimError::MramOutOfBounds {
-                addr,
-                len,
-                capacity,
-            } => CoreError::CapacityExceeded {
-                partition: 0,
-                required: addr as usize + len,
-                available: capacity,
-            },
-            other => CoreError::Sim(other),
-        };
-        let regions = compute_regions(&RegionSpec {
-            replan: config.replan.enabled(),
-            emt_rows_max,
-            emt_cap_rows,
-            emt_row_bytes,
-            cache_rows_max,
-            cache_cap_rows,
-            row_bytes,
-            input_reserve_bytes: config.input_reserve_bytes,
-            output_bytes: config.batch_size * row_bytes * 2,
-        })
-        .map_err(capacity)?;
-        Ok(TableState {
+        // One rank: partition `p` owns the consecutive local ids of its
+        // column slices.
+        let locs = (0..parts)
+            .map(|p| (0, (dpu_base + p * tiling.col_slices) as u32))
+            .collect();
+        TableState::new(
+            config,
             tiling,
             assignment,
             cache,
-            replicas,
-            dpu_base,
-            emt_bases: regions.emt_bases,
-            cache_bases: regions.cache_bases,
-            emt_region_rows: regions.emt_region_rows,
-            cache_region_rows: regions.cache_region_rows,
-            slots: regions.slots,
-            dim: table.dim(),
-        })
+            cache_cap_rows,
+            locs,
+            Vec::new(),
+        )
     }
 
     /// Loads the EMT tiles and cache regions into MRAM (untimed
     /// pre-processing, as in the paper).
     fn load_table(
-        sys: &mut PimSystem,
+        fleet: &mut Fleet,
         table: &EmbeddingTable,
         state: &TableState,
         dtype: EmbedDtype,
@@ -894,7 +1165,8 @@ impl UpdlrmEngine {
 
         for p in 0..parts {
             for c in 0..tiling.col_slices {
-                let dpu = state.dpu(p, c);
+                let (rank, dpu) = state.dpu(p, c);
+                let sys = fleet.rank_mut(rank)?;
                 // EMT tile: the shared replica block (slots 0..rc), then
                 // this partition's rows, columns [c*n_c, ...), stored at
                 // the configured dtype (each int8 row quantized
@@ -1061,15 +1333,18 @@ impl UpdlrmEngine {
             scratch,
             metrics,
             drift,
+            host_probe_ns,
             ..
         } = self;
         let BatchScratch {
             writer,
             streams,
+            host_refs,
             lookup,
             hit,
             ..
         } = scratch;
+        host_refs.clear();
         let mut k = 0usize; // stream slot index, table-major then part
         for (t, state) in tables.iter().enumerate() {
             let sparse = &batch.sparse[t];
@@ -1083,6 +1358,8 @@ impl UpdlrmEngine {
             }
             // One pass over the table's indices, in sample order: every
             // reference goes straight into its partition's CSR stream.
+            // The loop is picked once per table from what the table
+            // holds, never per reference.
             writer.begin(parts, b);
             match &state.cache {
                 Some(cs) => {
@@ -1100,7 +1377,7 @@ impl UpdlrmEngine {
                         writer.end_sample();
                     }
                 }
-                None => {
+                None if state.host_store.is_empty() => {
                     routed.emt_lookups += sparse.total_lookups() as u64;
                     for (s, sample) in sparse.iter().enumerate() {
                         for &idx in sample {
@@ -1109,6 +1386,24 @@ impl UpdlrmEngine {
                         }
                         writer.end_sample();
                     }
+                }
+                // A host tier: its rows never reach the PIM array; the
+                // combine adds them straight from the host store.
+                None => {
+                    let staged = host_refs.len();
+                    for (s, sample) in sparse.iter().enumerate() {
+                        for &idx in sample {
+                            let (p, slot) = Self::route_row(state, idx, s)?;
+                            if p == HOST_PART {
+                                host_refs.push((t as u32, s as u32, slot));
+                            } else {
+                                writer.push(p, slot);
+                            }
+                        }
+                        writer.end_sample();
+                    }
+                    let hits = (host_refs.len() - staged) as u64;
+                    routed.emt_lookups += sparse.total_lookups() as u64 - hits;
                 }
             }
             for p in 0..parts {
@@ -1125,10 +1420,13 @@ impl UpdlrmEngine {
                 k += 1;
             }
         }
-        routed.cache_hits = traffic.hit_entries;
+        // Host-tier hits are served by a host-side cache: they report
+        // as cache hits and pay the probe on top of the routing pass.
+        routed.cache_hits = traffic.hit_entries + host_refs.len() as u64;
         routed.emt_lookups += traffic.residual_refs;
         metrics.record_cache_traffic(&traffic);
-        routed.route_ns = route_refs as f64 * config.route_ns_per_ref;
+        routed.route_ns =
+            route_refs as f64 * config.route_ns_per_ref + host_refs.len() as f64 * *host_probe_ns;
         if let Some(d) = drift.as_mut() {
             d.batches_in_window += 1;
         }
@@ -1143,68 +1441,82 @@ impl UpdlrmEngine {
 
     /// Stage 1: scatters the routed reference streams (left in
     /// [`BatchScratch`] by [`UpdlrmEngine::route_batch`]) into staging
-    /// slot `slot` (each row partition's stream is broadcast to all of
-    /// its column slices in a single bus pass). Allocation-free: the
+    /// slot `slot`, rank by rank (each row partition's stream is
+    /// broadcast to all of its column slices in a single bus pass), and
+    /// stages the batch's host-tier hits with them. Allocation-free: the
     /// broadcast groups were precomputed at construction.
-    pub(crate) fn scatter_streams(&mut self, slot: usize) -> Result<upmem_sim::TransferReport> {
+    pub(crate) fn scatter_streams(&mut self, slot: usize) -> Result<TransferReport> {
         let UpdlrmEngine {
-            sys,
+            fleet,
             tables,
             stream_groups,
+            ranks,
             scratch,
             metrics,
             ..
         } = self;
-        let report =
-            sys.scatter_broadcast_with(scratch.streams.iter().zip(stream_groups.iter()).map(
-                |(s, ids)| {
-                    (
-                        ids.as_slice(),
-                        tables[s.table].input_base(slot),
-                        s.bytes.as_slice(),
-                    )
-                },
-            ))?;
+        std::mem::swap(&mut scratch.host_refs, &mut scratch.staged_host_refs[slot]);
+        let streams = &scratch.streams;
+        scratch.transfers.clear();
+        for io in ranks.iter() {
+            let groups = io.streams.iter().map(|&k| {
+                let s = &streams[k];
+                (
+                    stream_groups[k].as_slice(),
+                    tables[s.table].input_base(slot),
+                    s.bytes.as_slice(),
+                )
+            });
+            let report = fleet.rank_mut(io.rank)?.scatter_broadcast_with(groups)?;
+            scratch.transfers.push(report);
+        }
+        let report = fleet.combine_transfers(&scratch.transfers);
         metrics.record_transfer(true, &report);
         Ok(report)
     }
 
     /// Stage 2: launches the embedding kernels reading slot `slot`'s
-    /// reference streams and writing its partial-sum region (all table
-    /// groups run concurrently; the wall is the slowest group).
+    /// reference streams and writing its partial-sum region, one launch
+    /// per `(table, rank)` group (all groups run concurrently; the wall
+    /// is the slowest group plus the fleet's per-launch dispatch toll).
     ///
     /// The kernels are the prebuilt per-(table, slot) instances: only
     /// `n_samples` changes per batch, and the launch report plus cycle
     /// list are recycled through [`BatchScratch`].
     pub(crate) fn launch_stage2(&mut self, n_samples: usize, slot: usize) -> Result<Stage2Report> {
         let UpdlrmEngine {
-            sys,
+            fleet,
             kernels,
-            table_ids,
+            launch_groups,
             scratch,
             metrics,
             ..
         } = self;
         let mut out = Stage2Report::default();
         scratch.all_cycles.clear();
-        for (kset, ids) in kernels.iter_mut().zip(table_ids.iter()) {
-            let kernel = &mut kset[slot];
-            for task in kernel.tasks.values_mut() {
+        for kset in kernels.iter_mut() {
+            for task in kset[slot].tasks.values_mut() {
                 task.n_samples = n_samples as u32;
             }
-            sys.launch_into(ids, &*kernel, &mut scratch.launch)?;
-            let report = &scratch.launch;
-            out.wall_ns = out.wall_ns.max(report.wall_ns);
-            out.energy_pj += report.energy_pj;
+        }
+        let dpus_per_rank = fleet.topology().dpus_per_rank;
+        scratch.launches.clear();
+        for g in launch_groups.iter() {
+            let report = &mut scratch.launch;
+            fleet
+                .rank_mut(g.rank)?
+                .launch_into(&g.ids, &kernels[g.table][slot], report)?;
+            scratch.launches.push((report.wall_ns, report.energy_pj));
             out.dma_transfers += report.total_dma_transfers();
             out.instrs += report.total_instrs();
             for (id, stats) in &report.per_dpu {
-                metrics.record_dpu(id.0 as usize, stats);
+                metrics.record_dpu(g.rank * dpus_per_rank + id.0 as usize, stats);
             }
             scratch
                 .all_cycles
                 .extend(report.per_dpu.iter().map(|(_, s)| s.cycles.0));
         }
+        (out.wall_ns, out.energy_pj) = fleet.combine_launches(scratch.launches.iter().copied());
         let all_cycles = &scratch.all_cycles;
         if !all_cycles.is_empty() {
             let max = *all_cycles.iter().max().expect("nonempty") as f64;
@@ -1216,38 +1528,39 @@ impl UpdlrmEngine {
     }
 
     /// Stage 3 + host combine: gathers slot `slot`'s partial-sum rows
-    /// and assembles the pooled `batch x dim` matrices. Returns the
-    /// pooled embeddings, the modeled host combine time, and the bus
-    /// transfer report.
+    /// rank by rank and assembles the pooled `batch x dim` matrices —
+    /// the slot's host-tier rows first, then the PIM partials rank-major
+    /// in `(table, part, slice)` order. Returns the pooled embeddings,
+    /// the modeled host combine time, and the bus transfer report.
     pub(crate) fn gather_combine(
         &mut self,
         n_samples: usize,
         slot: usize,
-    ) -> Result<(Vec<Matrix>, f64, upmem_sim::TransferReport)> {
+    ) -> Result<(Vec<Matrix>, f64, TransferReport)> {
         let b = n_samples;
         let UpdlrmEngine {
-            sys,
+            fleet,
             tables,
-            gather_meta,
+            ranks,
             scratch,
             config,
             metrics,
+            host_combine_ns_per_add,
             ..
         } = self;
-        scratch.requests.clear();
-        for state in tables.iter() {
-            let row_bytes = state.tiling.row_bytes();
-            for p in 0..state.tiling.row_parts {
-                for c in 0..state.tiling.col_slices {
-                    scratch.requests.push((
-                        state.dpu(p, c),
-                        state.output_base(slot),
-                        b * row_bytes,
-                    ));
-                }
-            }
+        scratch.transfers.clear();
+        for io in ranks.iter_mut() {
+            io.requests.clear();
+            io.requests.extend(io.gathers.iter().map(|&(dpu, t, _)| {
+                let state = &tables[t];
+                (dpu, state.output_base(slot), b * state.tiling.row_bytes())
+            }));
+            let report = fleet
+                .rank(io.rank)?
+                .gather_into(&io.requests, &mut io.gather_buf)?;
+            scratch.transfers.push(report);
         }
-        let gather_report = sys.gather_into(&scratch.requests, &mut scratch.gather_buf)?;
+        let gather_report = fleet.combine_transfers(&scratch.transfers);
         metrics.record_transfer(false, &gather_report);
 
         // Pooled outputs come from the recycle pool when a returned set
@@ -1264,22 +1577,32 @@ impl UpdlrmEngine {
             }
             _ => tables.iter().map(|s| Matrix::zeros(b, s.dim)).collect(),
         };
+        let mut host_adds = 0u64;
+        for &(t, s, host_slot) in &scratch.staged_host_refs[slot] {
+            let state = &tables[t as usize];
+            let row = &state.host_store[host_slot as usize * state.dim..][..state.dim];
+            simd::add_assign(pooled[t as usize].row_mut(s as usize), row);
+            host_adds += state.dim as u64;
+        }
         let mut combine_adds = 0u64;
-        let mut off = 0usize;
-        for (&(_, _, len), &(t, c)) in scratch.requests.iter().zip(gather_meta.iter()) {
-            let buf = &scratch.gather_buf[off..off + len];
-            off += len;
-            let state = &tables[t];
-            let n_c = state.tiling.n_c;
-            let row_bytes = state.tiling.row_bytes();
-            for s in 0..b {
-                let row = &buf[s * row_bytes..(s + 1) * row_bytes];
-                let out = pooled[t].row_mut(s);
-                simd::add_assign_le(&mut out[c * n_c..(c + 1) * n_c], row);
-                combine_adds += n_c as u64;
+        for io in ranks.iter() {
+            let mut off = 0usize;
+            for &(_, t, c) in &io.gathers {
+                let state = &tables[t];
+                let n_c = state.tiling.n_c;
+                let row_bytes = state.tiling.row_bytes();
+                let buf = &io.gather_buf[off..off + b * row_bytes];
+                off += b * row_bytes;
+                for s in 0..b {
+                    let row = &buf[s * row_bytes..(s + 1) * row_bytes];
+                    let out = pooled[t].row_mut(s);
+                    simd::add_assign_le(&mut out[c * n_c..(c + 1) * n_c], row);
+                    combine_adds += n_c as u64;
+                }
             }
         }
-        let combine_ns = combine_adds as f64 * config.combine_ns_per_add;
+        let combine_ns = combine_adds as f64 * config.combine_ns_per_add
+            + host_adds as f64 * *host_combine_ns_per_add;
         Ok((pooled, combine_ns, gather_report))
     }
 
@@ -1293,6 +1616,13 @@ impl UpdlrmEngine {
         }
     }
 
+    /// Resolves one EMT reference to `(partition, slot)`. A host-tier
+    /// row comes back as `(HOST_PART, host slot)`; it exists only in
+    /// tables with a host store, whose routing loop is the one that
+    /// checks for it. Runs once per reference from all three routing
+    /// loops; left to the inliner's own judgement it stays a call
+    /// (measured +19% host time per `run --plan` batch).
+    #[inline]
     fn route_row(state: &TableState, idx: u64, sample: usize) -> Result<(usize, u32)> {
         let r = idx as usize;
         if r >= state.assignment.part_of_row.len() {
@@ -1308,7 +1638,10 @@ impl UpdlrmEngine {
                 "row {idx} is cache-resident but was routed to the EMT path"
             )));
         }
-        if p == partition::REPLICATED_ROW_PART {
+        if p >= HOST_ROW_PART {
+            if p == HOST_ROW_PART {
+                return Ok((HOST_PART, slot));
+            }
             // Replicated rows live in every partition at the same slot;
             // spread their traffic round-robin by (row, sample).
             let parts = state.tiling.row_parts;
@@ -1481,7 +1814,7 @@ impl UpdlrmEngine {
         let mut max_dpu = Cycles(0);
         {
             let UpdlrmEngine {
-                sys,
+                fleet,
                 tables,
                 host_tables,
                 config,
@@ -1504,7 +1837,8 @@ impl UpdlrmEngine {
                     .map(|cf| entries_in_parts(&cf.entry_route, &cf.cache_rows_per_part));
                 for p in 0..tiling.row_parts {
                     for c in 0..tiling.col_slices {
-                        let dpu = state.dpu(p, c);
+                        let (rank, dpu) = state.dpu(p, c);
+                        let sys = fleet.rank_mut(rank)?;
                         let n = rc + local[p].len();
                         let mut buf = Vec::with_capacity(n * emt_row_bytes);
                         build_emt_tile(table, dtype, n_c, c, &flip.replicas, &local[p], &mut buf)?;

@@ -31,7 +31,6 @@ pub mod replan;
 pub mod serve;
 pub mod stats;
 pub mod telemetry;
-pub mod tiered;
 pub mod tiling;
 
 pub use config::UpdlrmConfig;
@@ -50,5 +49,4 @@ pub use telemetry::{
     DriftSnapshot, MetricsRegistry, RuntimeSnapshot, SchedSnapshot, SchedTrigger, Snapshot,
     TenantSnapshot, SNAPSHOT_SCHEMA_VERSION,
 };
-pub use tiered::TieredEngine;
 pub use tiling::{Tiling, TilingProblem, CANDIDATE_NC, MAX_TILE_ELEMENTS};

@@ -55,10 +55,13 @@ pub const REPLICATED_ROW_PART: u32 = u32::MAX;
 /// Assignment of every table row to a row partition.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RowAssignment {
-    /// Partition of each row (`len == rows`).
+    /// Partition of each row (`len == rows`): a partition index,
+    /// [`REPLICATED_ROW_PART`], or — only in an assignment copied from
+    /// a placement plan — `placement::HOST_ROW_PART`.
     pub part_of_row: Vec<u32>,
-    /// Slot of each row inside its partition's EMT region, or
-    /// [`CACHED_ROW_SLOT`] for cache-resident rows.
+    /// Slot of each row inside its partition's EMT region (the host
+    /// store, for a host-tier row), or [`CACHED_ROW_SLOT`] for
+    /// cache-resident rows.
     pub slot_of_row: Vec<u32>,
     /// EMT rows stored per partition.
     pub rows_per_part: Vec<u32>,

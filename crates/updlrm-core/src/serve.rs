@@ -26,12 +26,11 @@ use dlrm_model::{Matrix, QueryBatch};
 
 /// A batch-serving engine the open-loop front-ends can drive.
 ///
-/// Both the single-rank [`UpdlrmEngine`] and the multi-rank
-/// [`TieredEngine`](crate::tiered::TieredEngine) implement this, so the
-/// scheduler's event loop (and any other front-end) is generic over the
-/// back-end that executes its formed batches. The contract mirrors
-/// `serve_stream`: the sink fires once per batch in batch order,
-/// lending the pooled embeddings.
+/// [`UpdlrmEngine`] — strategy- or plan-built — is the one
+/// implementor; the scheduler's event loop and the other front-ends
+/// are written against this trait rather than the engine. The contract
+/// mirrors `serve_stream`: the sink fires once per batch in batch
+/// order, lending the pooled embeddings.
 pub trait BatchServer {
     /// Largest batch the engine's staged MRAM output regions can hold
     /// (sized at construction; `route_batch` rejects anything larger).
@@ -176,15 +175,13 @@ pub(crate) struct ServeScratch {
     s1_done: Vec<f64>,
     s2_done: Vec<f64>,
     drain: Vec<f64>,
-    pub(crate) latencies: Vec<f64>,
+    latencies: Vec<f64>,
     pub(crate) breakdowns: Vec<EmbeddingBreakdown>,
 }
 
 /// Assembles the aggregate [`ServeReport`] from a finished schedule's
-/// scratch (sorts the latency list in place). Shared by the
-/// single-rank serve schedules here and the tiered engine's sequential
-/// schedule ([`crate::tiered`]).
-pub(crate) fn finish_report(
+/// scratch (sorts the latency list in place).
+fn finish_report(
     mode: PipelineMode,
     queue_depth: usize,
     batches: &[QueryBatch],

@@ -12,8 +12,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dlrm_model::EmbeddingTable;
+use placement::{plan, Catalog, PlannerConfig};
 use updlrm_core::{PartitionStrategy, PipelineMode, UpdlrmConfig, UpdlrmEngine};
-use workloads::{DatasetSpec, TraceConfig, Workload};
+use upmem_sim::RankTopology;
+use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
 /// Counts every alloc/realloc (frees are not counted: a steady-state
 /// path that frees without allocating is impossible anyway, and
@@ -46,7 +48,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn setup(strategy: PartitionStrategy, telemetry: bool) -> (UpdlrmEngine, Workload) {
+/// What places the rows: a partitioning strategy run by the engine, or
+/// a placement plan the engine executes (2 ranks; host, replicated and
+/// cold tiers all populated).
+#[derive(Debug, Clone, Copy)]
+enum Placement {
+    Strategy(PartitionStrategy),
+    Plan,
+}
+
+fn setup(placement: Placement, telemetry: bool) -> (UpdlrmEngine, Workload) {
     let spec = DatasetSpec::goodreads().scaled_down(5000);
     let num_tables = 2;
     let workload = Workload::generate(
@@ -60,6 +71,10 @@ fn setup(strategy: PartitionStrategy, telemetry: bool) -> (UpdlrmEngine, Workloa
     let tables: Vec<EmbeddingTable> = (0..num_tables)
         .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, 32, 3, t as u64).unwrap())
         .collect();
+    let strategy = match placement {
+        Placement::Strategy(s) => s,
+        Placement::Plan => PartitionStrategy::Uniform, // unused by from_plan
+    };
     let mut config = UpdlrmConfig::with_dpus(16, strategy)
         .with_pipeline_mode(PipelineMode::DoubleBuf)
         .with_queue_depth(2)
@@ -68,7 +83,33 @@ fn setup(strategy: PartitionStrategy, telemetry: bool) -> (UpdlrmEngine, Workloa
         .with_host_threads(1);
     config.telemetry = telemetry;
     config.batch_size = workload.config.batch_size;
-    let engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+    let engine = match placement {
+        Placement::Strategy(_) => UpdlrmEngine::from_workload(config, &tables, &workload),
+        Placement::Plan => {
+            let profiles: Vec<FreqProfile> = (0..num_tables)
+                .map(|t| FreqProfile::from_inputs(spec.num_items, workload.table_inputs(t)))
+                .collect();
+            let planner = PlannerConfig {
+                topology: RankTopology {
+                    nr_ranks: 2,
+                    dpus_per_rank: 8,
+                },
+                emt_capacity_bytes: (spec.num_items / 3 + 64) * 32 * 4,
+                host_cache_bytes: num_tables * 48 * 32 * 4,
+                replicate_top: 16,
+                ..PlannerConfig::default()
+            };
+            let catalog = Catalog::homogeneous(num_tables, spec.num_items, 32);
+            let p = plan(&catalog, &profiles, &planner).unwrap();
+            assert!(p.rank_rows.iter().all(|&r| r > 0), "both ranks hold rows");
+            for tp in &p.tables {
+                assert!(!tp.host_rows.is_empty() && !tp.replicated_rows.is_empty());
+                assert!(tp.rows_per_part.iter().any(|&n| n > 0), "a cold tier");
+            }
+            UpdlrmEngine::from_plan(config, &p, &tables)
+        }
+    }
+    .unwrap();
     (engine, workload)
 }
 
@@ -79,13 +120,17 @@ fn steady_state_serve_stream_is_allocation_free() {
     // hold the same invariant: its counter arenas (per-DPU cells, span
     // accumulators, cache traffic) are preallocated at construction, so
     // recording adds zero heap operations to the hot path.
-    for (strategy, telemetry) in [
-        (PartitionStrategy::Uniform, false),
-        (PartitionStrategy::CacheAware, false),
-        (PartitionStrategy::Uniform, true),
-        (PartitionStrategy::CacheAware, true),
+    // A plan-built engine is the same engine: its per-rank scatter and
+    // gather lists and its host-tier hit lists are arenas too.
+    for (placement, telemetry) in [
+        (Placement::Strategy(PartitionStrategy::Uniform), false),
+        (Placement::Strategy(PartitionStrategy::CacheAware), false),
+        (Placement::Plan, false),
+        (Placement::Strategy(PartitionStrategy::Uniform), true),
+        (Placement::Strategy(PartitionStrategy::CacheAware), true),
+        (Placement::Plan, true),
     ] {
-        let (mut engine, workload) = setup(strategy, telemetry);
+        let (mut engine, workload) = setup(placement, telemetry);
 
         // Warm-up: two serves populate every arena (both MRAM staging
         // slots' kernels, stream buffers at their high-water marks, the
@@ -107,7 +152,7 @@ fn steady_state_serve_stream_is_allocation_free() {
         assert_eq!(
             after - before,
             0,
-            "steady-state serve_stream allocated under {strategy} (telemetry {telemetry}) \
+            "steady-state serve_stream allocated under {placement:?} (telemetry {telemetry}) \
              ({} heap ops for {} batches)",
             after - before,
             report.batches

@@ -1,7 +1,10 @@
-//! Tiered-vs-untiered differential suite (the tentpole proof): under
-//! *any* valid placement plan, the pooled embeddings computed by the
-//! multi-rank [`TieredEngine`] are bit-identical to the untiered
-//! single-rank [`UpdlrmEngine`] on the same trace.
+//! Plan-vs-strategy differential suite (the reference suite for
+//! [`UpdlrmEngine::from_plan`]): under *any* valid placement plan, the
+//! pooled embeddings of an engine built from the plan are bit-identical
+//! to those of an engine that partitioned the tables itself, on the
+//! same trace — under every serving schedule, with and without dedup —
+//! and a plan that describes exactly what a strategy would have chosen
+//! reproduces that strategy's modeled breakdown field by field.
 //!
 //! Tables are integer-valued with small magnitude, so every partial sum
 //! is exact in f32 and addition grouping cannot perturb bits — any
@@ -9,12 +12,15 @@
 
 use std::sync::OnceLock;
 
-use dlrm_model::{EmbeddingTable, Matrix};
-use placement::{plan, Catalog, PlacementPlan, PlannerConfig};
+use dlrm_model::{quant, EmbedDtype, EmbeddingTable, Matrix};
+use placement::{plan, Catalog, PlacementPlan, PlannerConfig, TablePlacement, TIER_COLD};
 use proptest::prelude::*;
 use proptest::TestRunner;
-use updlrm_core::{PartitionStrategy, TieredEngine, UpdlrmConfig, UpdlrmEngine};
-use upmem_sim::RankTopology;
+use updlrm_core::{
+    non_uniform, pipelined_wall_ns, sequential_wall_ns, CoreError, PartitionStrategy, PipelineMode,
+    ReplanPolicy, UpdlrmConfig, UpdlrmEngine,
+};
+use upmem_sim::{RankCostModel, RankTopology};
 use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
 const DIM: usize = 32;
@@ -105,11 +111,11 @@ fn plan_with(
     plan(&fix.catalog, &fix.profiles, &config).unwrap()
 }
 
-/// Runs the tiered engine over the fixture trace batch by batch and
+/// Runs a plan-built engine over the fixture trace batch by batch and
 /// checks every pooled matrix against the untiered reference.
 fn assert_plan_matches_reference(p: &PlacementPlan, ctx: &str) {
     let fix = fixture();
-    let mut tiered = TieredEngine::new(
+    let mut tiered = UpdlrmEngine::from_plan(
         UpdlrmConfig {
             telemetry: true,
             ..UpdlrmConfig::default()
@@ -210,7 +216,7 @@ fn tiered_serve_stream_matches_run_batch() {
         TABLES * 32 * DIM * 4,
         16,
     );
-    let mut tiered = TieredEngine::new(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
+    let mut tiered = UpdlrmEngine::from_plan(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
     let mut served: Vec<Vec<Matrix>> = Vec::new();
     let report = tiered
         .serve_stream(&fix.workload.batches, |i, pooled, bd| {
@@ -245,8 +251,8 @@ fn tiered_runs_are_deterministic() {
         TABLES * 48 * DIM * 4,
         24,
     );
-    let mut a = TieredEngine::new(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
-    let mut b = TieredEngine::new(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
+    let mut a = UpdlrmEngine::from_plan(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
+    let mut b = UpdlrmEngine::from_plan(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
     for (bi, batch) in fix.workload.batches.iter().enumerate() {
         let (pa, bda) = a.run_batch(batch).unwrap();
         let (pb, bdb) = b.run_batch(batch).unwrap();
@@ -274,7 +280,7 @@ fn tier_accounting_covers_every_lookup() {
         TABLES * 128 * DIM * 4,
         16,
     );
-    let mut tiered = TieredEngine::new(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
+    let mut tiered = UpdlrmEngine::from_plan(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
     let mut host = 0u64;
     let mut pim = 0u64;
     for batch in &fix.workload.batches {
@@ -300,7 +306,7 @@ fn mismatched_plan_is_rejected() {
         dpus_per_rank: 4,
     };
     let p = plan_with(topo, fix.spec.num_items + 64, 0, 0);
-    let err = TieredEngine::new(UpdlrmConfig::default(), &p, &fix.tables[..1])
+    let err = UpdlrmEngine::from_plan(UpdlrmConfig::default(), &p, &fix.tables[..1])
         .expect_err("table-count mismatch must fail");
     assert!(err.to_string().contains("tables"), "{err}");
 
@@ -314,13 +320,254 @@ fn mismatched_plan_is_rejected() {
         ..PlannerConfig::default()
     };
     let wrong_rows = plan(&other, &profiles, &config).unwrap();
-    let err = TieredEngine::new(UpdlrmConfig::default(), &wrong_rows, &fix.tables)
+    let err = UpdlrmEngine::from_plan(UpdlrmConfig::default(), &wrong_rows, &fix.tables)
         .expect_err("row-count mismatch must fail");
     assert!(err.to_string().contains("plan places"), "{err}");
 }
 
+/// Replanning a plan-built engine is refused at construction, by name,
+/// instead of being silently ignored.
+#[test]
+fn replan_policy_is_rejected_for_a_plan() {
+    let fix = fixture();
+    let topo = RankTopology {
+        nr_ranks: 2,
+        dpus_per_rank: 8,
+    };
+    let p = plan_with(topo, fix.spec.num_items / 3 + 64, TABLES * 32 * DIM * 4, 8);
+    let config = UpdlrmConfig::default().with_replan(ReplanPolicy::Periodic { every_batches: 4 });
+    let err = UpdlrmEngine::from_plan(config, &p, &fix.tables)
+        .expect_err("a replan policy must not be dropped on the floor");
+    assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+    assert!(err.to_string().contains("periodic:4"), "{err}");
+    assert!(err.to_string().contains("host-tier"), "{err}");
+}
+
+/// The plan `partition::non_uniform` itself would produce: one rank,
+/// one full-width partition per DPU in the strategy engine's table-major
+/// DPU order, no host tier, no replicas.
+fn degenerate_plan(dpus: usize, rank_cost: RankCostModel) -> PlacementPlan {
+    let fix = fixture();
+    let config = PlannerConfig {
+        topology: RankTopology {
+            nr_ranks: 1,
+            dpus_per_rank: dpus,
+        },
+        host_cache_bytes: 0,
+        replicate_top: 0,
+        rank_cost,
+        ..PlannerConfig::default()
+    };
+    // Any valid plan provides the plan-level fields; the tables are
+    // replaced by the partitioner's own assignment.
+    let mut p = plan(&fix.catalog, &fix.profiles, &config).unwrap();
+    let parts = dpus / TABLES;
+    let emt_cap_rows = UpdlrmConfig::default().emt_capacity_bytes / (DIM * 4);
+    p.tables = (0..TABLES)
+        .map(|t| {
+            let rows = fix.spec.num_items;
+            let a = non_uniform(rows, parts, emt_cap_rows, &fix.profiles[t]).unwrap();
+            TablePlacement {
+                rows,
+                dim: DIM,
+                parts,
+                dpus: (t * parts..(t + 1) * parts).collect(),
+                tier_of_row: vec![TIER_COLD; rows],
+                part_of_row: a.part_of_row,
+                slot_of_row: a.slot_of_row,
+                host_rows: Vec::new(),
+                replicated_rows: Vec::new(),
+                rows_per_part: a.rows_per_part,
+                part_load: a.part_load,
+                host_mass: 0.0,
+                replica_mass: 0.0,
+            }
+        })
+        .collect();
+    p.dpus_used = dpus;
+    p.check_invariants().unwrap();
+    p
+}
+
+/// Degenerate-plan identity: a one-rank, no-host-tier, zero-toll plan
+/// carrying the NonUniform partitioner's own assignment is the same
+/// engine as the NonUniform strategy at `n_c = dim` — every breakdown
+/// field equal, not just the pooled bits.
+#[test]
+fn degenerate_plan_reproduces_the_strategy_breakdown() {
+    let fix = fixture();
+    let dpus = 16;
+    let free = RankCostModel {
+        rank_base_ns: 0.0,
+        rank_launch_ns: 0.0,
+    };
+    let mut by_strategy = UpdlrmEngine::from_workload(
+        UpdlrmConfig::with_dpus(dpus, PartitionStrategy::NonUniform).with_fixed_nc(DIM),
+        &fix.tables,
+        &fix.workload,
+    )
+    .unwrap();
+    let p = degenerate_plan(dpus, free);
+    // Anti-vacuity: the plan-built engine never saw the strategy (its
+    // config asks for cache-aware placement on 256 DPUs, which the plan
+    // overrides), yet lands on the same placement.
+    let config = UpdlrmConfig::default();
+    assert_eq!(config.strategy, PartitionStrategy::CacheAware);
+    let mut by_plan = UpdlrmEngine::from_plan(config, &p, &fix.tables).unwrap();
+    assert_eq!(by_plan.table_report(0).tiling.col_slices, 1);
+    assert_eq!(
+        by_plan.table_report(0).part_load,
+        by_strategy.table_report(0).part_load
+    );
+    let tolled = degenerate_plan(
+        dpus,
+        RankCostModel {
+            rank_base_ns: 1_500.0,
+            rank_launch_ns: 0.0,
+        },
+    );
+    let mut by_tolled_plan =
+        UpdlrmEngine::from_plan(UpdlrmConfig::default(), &tolled, &fix.tables).unwrap();
+    for (bi, batch) in fix.workload.batches.iter().enumerate() {
+        let (pooled_s, bd_s) = by_strategy.run_batch(batch).unwrap();
+        let (pooled_p, bd_p) = by_plan.run_batch(batch).unwrap();
+        assert_eq!(bd_p, bd_s, "batch {bi}: breakdowns differ");
+        for (t, (a, b)) in pooled_p.iter().zip(&pooled_s).enumerate() {
+            assert_bit_identical(a, b, &format!("degenerate batch {bi} table {t}"));
+        }
+        // ...and the equality is not blind to the rank tolls: charging
+        // one breaks it in exactly the transfer stages.
+        let (_, bd_t) = by_tolled_plan.run_batch(batch).unwrap();
+        assert_eq!(bd_t.stage2_ns, bd_s.stage2_ns);
+        assert_eq!(bd_t.stage1_ns, 1_500.0 + bd_s.stage1_ns);
+        assert_ne!(bd_t, bd_s);
+    }
+}
+
+/// Everything the serving path offers is reachable from a plan: both
+/// schedules, with and without dedup, keep the pooled embeddings
+/// bit-identical to the strategy engine's and the executed wall equal
+/// to the analytic model of the collected breakdowns.
+#[test]
+fn plan_serves_under_every_schedule_and_dedup() {
+    let fix = fixture();
+    let p = plan_with(
+        RankTopology {
+            nr_ranks: 3,
+            dpus_per_rank: 8,
+        },
+        fix.spec.num_items / 4 + 64,
+        TABLES * 48 * DIM * 4,
+        16,
+    );
+    for mode in [PipelineMode::Sequential, PipelineMode::DoubleBuf] {
+        for dedup in [false, true] {
+            let config = UpdlrmConfig {
+                dedup,
+                ..UpdlrmConfig::default().with_pipeline_mode(mode)
+            };
+            let mut engine = UpdlrmEngine::from_plan(config, &p, &fix.tables).unwrap();
+            let outcome = engine.serve(&fix.workload.batches).unwrap();
+            let ctx = format!("{mode} dedup={dedup}");
+            assert_eq!(outcome.report.mode, mode, "{ctx}");
+            let analytic = match mode {
+                PipelineMode::Sequential => sequential_wall_ns(&outcome.breakdowns),
+                PipelineMode::DoubleBuf => pipelined_wall_ns(&outcome.breakdowns),
+            };
+            assert_eq!(outcome.report.wall_ns, analytic, "{ctx}");
+            if mode == PipelineMode::DoubleBuf {
+                assert!(
+                    outcome.report.wall_ns < sequential_wall_ns(&outcome.breakdowns),
+                    "{ctx}: the overlap must save wall"
+                );
+            }
+            assert!(
+                outcome.breakdowns.iter().all(|bd| bd.cache_hits > 0),
+                "{ctx}: every batch hits the host tier"
+            );
+            for (bi, (got, want)) in outcome.pooled.iter().zip(&fix.reference).enumerate() {
+                for (t, (a, b)) in got.iter().zip(want).enumerate() {
+                    assert_bit_identical(a, b, &format!("{ctx} batch {bi} table {t}"));
+                }
+            }
+        }
+    }
+}
+
+/// Int8 EMT storage under a plan: host-tier rows stay f32 on the host,
+/// PIM-resident rows pay at most one quantization error per reference;
+/// constant rows quantize exactly, so there the bits match.
+#[test]
+fn plan_with_int8_rows_stays_within_the_quantization_bound() {
+    let fix = fixture();
+    let p = plan_with(
+        RankTopology {
+            nr_ranks: 2,
+            dpus_per_rank: 8,
+        },
+        fix.spec.num_items / 3 + 64,
+        TABLES * 64 * DIM * 4,
+        16,
+    );
+    let rows = fix.spec.num_items;
+    let fractional: Vec<EmbeddingTable> = (0..TABLES)
+        .map(|t| EmbeddingTable::random(rows, DIM, 2.5, 100 + t as u64).unwrap())
+        .collect();
+    let constant: Vec<EmbeddingTable> = (0..TABLES)
+        .map(|t| {
+            let mut table = EmbeddingTable::zeros(rows, DIM).unwrap();
+            for r in 0..rows {
+                let v = ((r * 7 + t * 3) % 13) as f32 - 6.0;
+                table.as_mut_slice()[r * DIM..(r + 1) * DIM].fill(v);
+            }
+            table
+        })
+        .collect();
+    let int8 = UpdlrmConfig::default().with_embed_dtype(EmbedDtype::Int8);
+    for (tables, exact) in [(&fractional, false), (&constant, true)] {
+        let bounds: Vec<f32> = tables
+            .iter()
+            .map(|table| {
+                (0..rows)
+                    .map(|r| {
+                        let row = table.row(r as u64).unwrap();
+                        let lo = row.iter().cloned().fold(f32::INFINITY, f32::min);
+                        let hi = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                        quant::max_abs_error_bound((hi - lo) / 255.0, lo.abs().max(hi.abs()))
+                    })
+                    .fold(0.0, f32::max)
+            })
+            .collect();
+        let mut f32_engine = UpdlrmEngine::from_plan(UpdlrmConfig::default(), &p, tables).unwrap();
+        let mut i8_engine = UpdlrmEngine::from_plan(int8.clone(), &p, tables).unwrap();
+        for batch in &fix.workload.batches {
+            let (want, f32_bd) = f32_engine.run_batch(batch).unwrap();
+            let (got, i8_bd) = i8_engine.run_batch(batch).unwrap();
+            assert!(
+                i8_bd.stage2_ns < f32_bd.stage2_ns,
+                "narrower rows, less DMA"
+            );
+            for (t, (a, b)) in want.iter().zip(&got).enumerate() {
+                if exact {
+                    assert_bit_identical(a, b, &format!("constant rows table {t}"));
+                    continue;
+                }
+                for s in 0..batch.batch_size() {
+                    let budget = batch.sparse[t].sample(s).len() as f32 * bounds[t] * 1.5;
+                    for (x, y) in a.row(s).iter().zip(b.row(s)) {
+                        assert!(
+                            (x - y).abs() <= budget,
+                            "table {t} sample {s}: |{x} - {y}| > {budget}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Property: for *random* feasible planner knobs (topology, partition
-/// budget, host cache, replica depth) the tiered engine bit-matches the
+/// budget, host cache, replica depth) the plan-built engine bit-matches the
 /// untiered reference on the whole trace. CI runs this at
 /// `PROPTEST_CASES=1024`.
 #[test]
@@ -359,7 +606,8 @@ fn prop_any_valid_plan_is_bit_identical() {
                 // problem, covered by placement's own proptests.
                 return Ok(());
             };
-            let mut tiered = TieredEngine::new(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
+            let mut tiered =
+                UpdlrmEngine::from_plan(UpdlrmConfig::default(), &p, &fix.tables).unwrap();
             for (bi, batch) in fix.workload.batches.iter().enumerate() {
                 let (pooled, _) = tiered.run_batch(batch).unwrap();
                 for (t, m) in pooled.iter().enumerate() {

@@ -22,13 +22,13 @@
 //!
 //! The combine rules live in [`Fleet::combine_transfers`] and
 //! [`Fleet::combine_launches`] so callers that drive ranks directly
-//! (the tiered engine) and tests agree on one implementation.
+//! (the embedding engine) and tests agree on one implementation.
 //! DESIGN.md §4.9 documents the model and its known divergences.
 
 use crate::cost::CostModel;
 use crate::error::{Result, SimError};
 use crate::host::{PimConfig, PimSystem};
-use crate::stats::{LaunchReport, TransferReport};
+use crate::stats::TransferReport;
 
 /// Shape of a multi-rank fleet: `nr_ranks` ranks of `dpus_per_rank`
 /// DPUs each.
@@ -147,10 +147,12 @@ impl Fleet {
     /// [`SimError::UnknownDpu`]-style range error for an out-of-range
     /// rank index.
     pub fn rank(&self, r: usize) -> Result<&PimSystem> {
-        self.ranks.get(r).ok_or(SimError::InvalidConfig(format!(
-            "rank {r} out of range ({} ranks)",
-            self.ranks.len()
-        )))
+        self.ranks.get(r).ok_or_else(|| {
+            SimError::InvalidConfig(format!(
+                "rank {r} out of range ({} ranks)",
+                self.ranks.len()
+            ))
+        })
     }
 
     /// Mutably borrow rank `r`.
@@ -160,9 +162,9 @@ impl Fleet {
     /// Same conditions as [`Fleet::rank`].
     pub fn rank_mut(&mut self, r: usize) -> Result<&mut PimSystem> {
         let n = self.ranks.len();
-        self.ranks.get_mut(r).ok_or(SimError::InvalidConfig(format!(
-            "rank {r} out of range ({n} ranks)"
-        )))
+        self.ranks
+            .get_mut(r)
+            .ok_or_else(|| SimError::InvalidConfig(format!("rank {r} out of range ({n} ranks)")))
     }
 
     /// Combines per-rank transfer reports of one fleet-wide phase.
@@ -197,28 +199,27 @@ impl Fleet {
         out
     }
 
-    /// Combines per-rank launch walls of one fleet-wide launch phase:
-    /// ranks run concurrently (max wall) after a serial
-    /// `rank_launch_ns` dispatch per rank touched. Returns the combined
-    /// `(wall_ns, energy_pj)`; per-DPU statistics stay with the
-    /// per-rank [`LaunchReport`]s.
-    pub fn combine_launches<'a>(
-        &self,
-        reports: impl IntoIterator<Item = &'a LaunchReport>,
-    ) -> (f64, f64) {
-        let mut ranks_touched = 0usize;
+    /// Combines the `(wall_ns, energy_pj)` of every launch of one
+    /// fleet-wide launch phase: launches run concurrently (max wall)
+    /// after a serial `rank_launch_ns` dispatch per launch issued.
+    /// Returns the combined `(wall_ns, energy_pj)`; per-DPU statistics
+    /// stay with the per-launch [`LaunchReport`]s.
+    ///
+    /// [`LaunchReport`]: crate::stats::LaunchReport
+    pub fn combine_launches(&self, launches: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
+        let mut issued = 0usize;
         let mut max_wall = 0.0f64;
         let mut energy = 0.0f64;
-        for r in reports {
-            ranks_touched += 1;
-            max_wall = max_wall.max(r.wall_ns);
-            energy += r.energy_pj;
+        for (wall_ns, energy_pj) in launches {
+            issued += 1;
+            max_wall = max_wall.max(wall_ns);
+            energy += energy_pj;
         }
-        if ranks_touched == 0 {
+        if issued == 0 {
             return (0.0, 0.0);
         }
         (
-            self.rank_cost.rank_launch_ns * ranks_touched as f64 + max_wall,
+            self.rank_cost.rank_launch_ns * issued as f64 + max_wall,
             energy,
         )
     }
@@ -329,17 +330,7 @@ mod tests {
     #[test]
     fn launch_combine_is_max_plus_dispatch() {
         let fleet = small_fleet(3, 2);
-        let a = LaunchReport {
-            wall_ns: 5_000.0,
-            energy_pj: 10.0,
-            ..Default::default()
-        };
-        let b = LaunchReport {
-            wall_ns: 7_000.0,
-            energy_pj: 20.0,
-            ..Default::default()
-        };
-        let (wall, energy) = fleet.combine_launches([&a, &b]);
+        let (wall, energy) = fleet.combine_launches([(5_000.0, 10.0), (7_000.0, 20.0)]);
         assert_eq!(wall, 2.0 * fleet.rank_cost().rank_launch_ns + 7_000.0);
         assert_eq!(energy, 30.0);
         assert_eq!(fleet.combine_launches([]), (0.0, 0.0));

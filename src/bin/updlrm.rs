@@ -161,19 +161,34 @@ fn spec_or_exit(args: &Args) -> DatasetSpec {
     }
 }
 
+/// Generates the dataset, trace and model a command runs on: shaped by
+/// `plan`'s provenance when one is given (so `run --plan` rebuilds the
+/// workload the plan was made for), by the CLI flags otherwise.
 fn build_setting(
     args: &Args,
+    plan: Option<&PlacementPlan>,
 ) -> Result<(DatasetSpec, Workload, Arc<Dlrm>), Box<dyn std::error::Error>> {
-    let spec = spec_or_exit(args).scaled_down(args.num("scale", 200));
+    let prov = match plan {
+        Some(p) => p.provenance.clone(),
+        None => PlanProvenance {
+            scale: args.num("scale", 200) as u64,
+            tables: 8,
+            batches: args.num("batches", 10),
+            seed: args.num("seed", 7) as u64,
+            dim: 32,
+        },
+    };
+    let spec = spec_or_exit(args).scaled_down(prov.scale as usize);
     let workload = Workload::generate(
         &spec,
         TraceConfig {
-            num_batches: args.num("batches", 10),
-            seed: args.num("seed", 7) as u64,
+            num_tables: prov.tables,
+            num_batches: prov.batches,
+            seed: prov.seed,
             ..TraceConfig::default()
         },
     );
-    let model = Arc::new(dlrm_for(&spec, 8, 32, args.num("seed", 7) as u64)?);
+    let model = Arc::new(dlrm_for(&spec, prov.tables, prov.dim, prov.seed)?);
     Ok((spec, workload, model))
 }
 
@@ -576,7 +591,7 @@ fn cmd_pack(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("pack needs --out FILE");
         usage()
     };
-    let (spec, _, model) = build_setting(args)?;
+    let (spec, _, model) = build_setting(args, None)?;
     save_packed(model.tables(), out)?;
     let bytes: usize = model.tables().iter().map(|t| t.rows() * t.dim() * 4).sum();
     println!(
@@ -645,91 +660,43 @@ fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The `run --plan FILE` path: rebuild the plan's workload from its
-/// provenance (plus the `--dataset` flag) and serve the trace through
-/// the tiered multi-rank engine.
-fn cmd_run_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let backend_name = args.str("backend", "updlrm");
-    if backend_name != "updlrm" {
-        eprintln!("--plan requires --backend updlrm (got '{backend_name}')");
-        std::process::exit(2)
-    }
-    if args.flag_set("embed-dtype") || args.flag_set("tables") {
-        // The tiered plan engine stores all tiers as f32 and rebuilds
-        // its tables from the plan's provenance; refusing here beats
-        // silently ignoring the flags.
-        eprintln!("--embed-dtype / --tables do not apply to `run --plan`");
-        std::process::exit(2)
-    }
-    let path = args.flags.get("plan").expect("cmd_run checked --plan");
-    let plan = load_plan_or_exit(path);
-    let prov = plan.provenance.clone();
-    let spec = spec_or_exit(args).scaled_down(prov.scale as usize);
-    let workload = Workload::generate(
-        &spec,
-        TraceConfig {
-            num_tables: prov.tables,
-            num_batches: prov.batches,
-            seed: prov.seed,
-            ..TraceConfig::default()
-        },
-    );
-    let model = dlrm_for(&spec, prov.tables, prov.dim, prov.seed)?;
-    let mut config = UpdlrmConfig {
-        batch_size: workload.config.batch_size,
-        ..UpdlrmConfig::default()
-    };
-    config.host_threads = args.num("host-threads", config.host_threads);
-    config.telemetry = args.flag_set("metrics");
-    let passes = Passes::from_args(args);
-    let mut engine = TieredEngine::new(config.clone(), &plan, model.tables())?;
-
-    println!(
-        "UpDLRM (tiered plan) on {} ({} items/table, {} batches of {})",
-        spec.name,
-        spec.num_items,
-        workload.batches.len(),
-        workload.config.batch_size,
-    );
-    print_plan_summary(path, &plan);
-
-    let (breakdowns, measured) = passes.time_stream(&mut engine, &workload.batches)?;
-    let pim_total = sum_breakdowns(&breakdowns);
-    let lookups = pim_total.cache_hits + pim_total.emt_lookups;
-    if lookups > 0 {
-        println!(
-            "  tier routing: {} host hits, {} PIM lookups ({:.1}% served from host DRAM)",
-            pim_total.cache_hits,
-            pim_total.emt_lookups,
-            100.0 * pim_total.cache_hits as f64 / lookups as f64,
-        );
-    }
-    let mut report_json = RunJson {
-        backend: "updlrm".to_string(),
-        dataset: spec.short.to_string(),
-        strategy: "plan".to_string(),
-        dpus: plan.dpus_used,
-        batches: workload.batches.len(),
-        host_threads: config.host_threads,
-        pipeline: "sequential".to_string(),
-        queue_depth: 1,
-        ..RunJson::default()
-    };
-    let total = LatencyReport {
-        embedding_ns: pim_total.total_ns(),
-        pim: Some(pim_total),
-        ..LatencyReport::default()
-    };
-    let n = (breakdowns.len() as f64).max(1.0);
-    report_json.fill_sequential(&passes, &total, n, &breakdowns, measured);
-    report_json.write(args, || engine.metrics_snapshot())
-}
-
+/// `updlrm run`. With `--plan FILE` the PIM engine executes that
+/// placement plan on the workload rebuilt from its provenance instead of
+/// partitioning the tables itself; every other flag means the same.
 fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    if args.flag_set("plan") {
-        return cmd_run_plan(args);
+    let backend_name = args.str("backend", "updlrm");
+    let pipeline: PipelineMode = match args.str("pipeline", "sequential").parse() {
+        Ok(mode) => mode,
+        Err(e) => {
+            eprintln!("{e}");
+            usage()
+        }
+    };
+    // Placement plans, the double-buffered schedule and fleet telemetry
+    // live in the PIM embedding engine; the CPU/GPU baselines have no
+    // DPUs to place rows on, overlap or report on.
+    let pim_only = [
+        ("plan", args.flag_set("plan")),
+        ("pipeline doublebuf", pipeline == PipelineMode::DoubleBuf),
+        ("metrics", args.flag_set("metrics")),
+    ];
+    let misused = pim_only
+        .iter()
+        .find(|(_, set)| *set && backend_name != "updlrm");
+    if let Some((flag, _)) = misused {
+        eprintln!("--{flag} requires --backend updlrm (got '{backend_name}')");
+        std::process::exit(2)
     }
-    let (spec, workload, mut model) = build_setting(args)?;
+    let plan = args.flags.get("plan").map(|path| {
+        if args.flag_set("tables") {
+            // The tables are rebuilt from the plan's provenance; refusing
+            // here beats silently ignoring the flag.
+            eprintln!("--tables does not apply to `run --plan`");
+            std::process::exit(2)
+        }
+        (path.as_str(), load_plan_or_exit(path))
+    });
+    let (spec, workload, mut model) = build_setting(args, plan.as_ref().map(|(_, p)| p))?;
     if let Some(path) = args.flags.get("tables") {
         let packed = load_packed_or_exit(path);
         let dlrm = Arc::get_mut(&mut model).expect("model not yet shared");
@@ -749,7 +716,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             *slot = EmbeddingTable::from_view(&view)?;
         }
     }
-    let profiles: Vec<FreqProfile> = (0..8)
+    let profiles: Vec<FreqProfile> = (0..workload.config.num_tables)
         .map(|t| FreqProfile::from_inputs(spec.num_items, workload.table_inputs(t)))
         .collect();
     let strategy = strategy_or_exit(args);
@@ -760,13 +727,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         v => config.n_c = Some(v.parse()?),
     }
     config.host_threads = args.num("host-threads", config.host_threads);
-    let pipeline: PipelineMode = match args.str("pipeline", "sequential").parse() {
-        Ok(mode) => mode,
-        Err(e) => {
-            eprintln!("{e}");
-            usage()
-        }
-    };
     let queue_depth = args.num("queue-depth", config.queue_depth);
     if queue_depth == 0 {
         eprintln!("--queue-depth must be >= 1 (0 admits no batch in flight)");
@@ -774,19 +734,10 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     config.pipeline_mode = pipeline;
     config.queue_depth = queue_depth;
-    if args.flag_set("metrics") {
-        // Fleet telemetry lives in the PIM engine; the CPU/GPU
-        // baselines have no DPUs to report on.
-        let backend_name = args.str("backend", "updlrm");
-        if backend_name != "updlrm" {
-            eprintln!("--metrics requires --backend updlrm (got '{backend_name}')");
-            std::process::exit(2)
-        }
-        config.telemetry = true;
-    }
+    config.telemetry = args.flag_set("metrics");
     let passes = Passes::from_args(args);
     let mut report_json = RunJson {
-        backend: args.str("backend", "updlrm"),
+        backend: backend_name.clone(),
         dataset: spec.short.to_string(),
         strategy: args.str("strategy", "ca"),
         dpus: config.nr_dpus,
@@ -796,29 +747,35 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         queue_depth,
         ..RunJson::default()
     };
+    if let Some((path, plan)) = &plan {
+        report_json.strategy = "plan".to_string();
+        report_json.dpus = plan.dpus_used;
+        println!(
+            "UpDLRM (tiered plan) on {} ({} items/table, {} batches of {})",
+            spec.name,
+            spec.num_items,
+            workload.batches.len(),
+            workload.config.batch_size,
+        );
+        print_plan_summary(path, plan);
+    }
     let mem = CpuMemoryModel::default();
+    // The one place the two engine constructors differ.
+    let pim_engine = |config: UpdlrmConfig| match &plan {
+        Some((_, plan)) => UpdlrmEngine::from_plan(config, plan, model.tables()),
+        None => UpdlrmEngine::from_workload(config, model.tables(), &workload),
+    };
 
     if pipeline == PipelineMode::DoubleBuf {
-        // The double-buffered schedule lives in the PIM embedding
-        // engine; it has no meaning for the CPU/GPU baselines.
-        if report_json.backend != "updlrm" {
-            eprintln!(
-                "--pipeline doublebuf requires --backend updlrm (got '{}')",
-                report_json.backend
-            );
-            std::process::exit(2)
-        }
-        let mut backend = UpdlrmBackend::from_workload(config, model.clone(), &workload, mem)?;
-        let (_, measured) = passes.time_stream(backend.engine_mut(), &workload.batches)?;
-        let outcome = backend.engine_mut().serve(&workload.batches)?;
+        let mut engine = pim_engine(config)?;
+        let (_, measured) = passes.time_stream(&mut engine, &workload.batches)?;
+        let outcome = engine.serve(&workload.batches)?;
         let n = outcome.report.batches.max(1) as f64;
         let mean_embedding_ns = outcome.breakdowns.iter().map(|b| b.total_ns()).sum::<f64>() / n;
         let pr = PipelineReport::from_batches(&outcome.breakdowns);
         println!(
-            "{} serving {} batches double-buffered (queue depth {})",
-            backend.name(),
-            outcome.report.batches,
-            outcome.report.queue_depth,
+            "UpDLRM serving {} batches double-buffered (queue depth {})",
+            outcome.report.batches, outcome.report.queue_depth,
         );
         println!(
             "  wall {:.1} us  throughput {:.0} samples/s",
@@ -848,9 +805,33 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             p99_latency_ns: outcome.report.p99_latency_ns,
             speedup_vs_sequential: pr.speedup(),
         });
-        return report_json.write(args, || backend.engine().metrics_snapshot());
+        return report_json.write(args, || engine.metrics_snapshot());
     }
-    let mut backend: Box<dyn InferenceBackend> = match args.str("backend", "updlrm").as_str() {
+    if plan.is_some() {
+        // A plan describes the embedding layer only: serve the trace
+        // through the engine and report its stages, no dense layers.
+        let mut engine = pim_engine(config)?;
+        let (breakdowns, measured) = passes.time_stream(&mut engine, &workload.batches)?;
+        let pim_total = sum_breakdowns(&breakdowns);
+        let lookups = pim_total.cache_hits + pim_total.emt_lookups;
+        if lookups > 0 {
+            println!(
+                "  tier routing: {} host hits, {} PIM lookups ({:.1}% served from host DRAM)",
+                pim_total.cache_hits,
+                pim_total.emt_lookups,
+                100.0 * pim_total.cache_hits as f64 / lookups as f64,
+            );
+        }
+        let total = LatencyReport {
+            embedding_ns: pim_total.total_ns(),
+            pim: Some(pim_total),
+            ..LatencyReport::default()
+        };
+        let n = (breakdowns.len() as f64).max(1.0);
+        report_json.fill_sequential(&passes, &total, n, &breakdowns, measured);
+        return report_json.write(args, || engine.metrics_snapshot());
+    }
+    let mut backend: Box<dyn InferenceBackend> = match backend_name.as_str() {
         "updlrm" => Box::new(UpdlrmBackend::from_workload(
             config,
             model.clone(),
@@ -1270,7 +1251,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         let qps = args.positive_float("qps");
         let process = arrival_or_exit(args, qps);
-        let (spec, mut workload, model) = build_setting(args)?;
+        let (spec, mut workload, model) = build_setting(args, None)?;
         workload.stamp_arrivals(process);
         (spec, workload, model)
     };

@@ -91,8 +91,7 @@ pub mod prelude {
     pub use updlrm_core::{
         BatchServer, EmbeddingBreakdown, MetricsRegistry, PartitionStrategy, PipelineMode,
         PipelineReport, ReplanPolicy, RuntimeSnapshot, ServeOutcome, ServeReport, Snapshot,
-        TenantSnapshot, TieredEngine, Tiling, TilingProblem, UpdlrmConfig, UpdlrmEngine,
-        SNAPSHOT_SCHEMA_VERSION,
+        TenantSnapshot, Tiling, TilingProblem, UpdlrmConfig, UpdlrmEngine, SNAPSHOT_SCHEMA_VERSION,
     };
     pub use upmem_sim::{CostModel, DpuId, PimConfig, PimSystem, RankCostModel, RankTopology};
     pub use workloads::{

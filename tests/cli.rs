@@ -926,16 +926,84 @@ fn run_with_plan_serves_the_tiered_engine() {
     assert!(json.contains("\"dpus\": 6"), "{json}");
     let metrics = std::fs::read_to_string(&metrics_path).expect("metrics");
     assert!(metrics.contains("\"per_dpu\""), "{metrics}");
-    // A tiered backend other than updlrm is a contradiction: exit 2.
+    // The plan is an input to the one engine, so the serving flags apply
+    // to it like to any other run (they used to be dropped or refused).
     let out = updlrm()
-        .args(["run", "--dataset", "read", "--backend", "cpu", "--plan"])
+        .args(["run", "--dataset", "read", "--plan"])
         .arg(&plan_path)
+        .args(["--pipeline", "doublebuf", "--embed-dtype", "int8", "--json"])
+        .arg(&json_path)
         .output()
-        .expect("run --plan --backend cpu");
-    assert_eq!(out.status.code(), Some(2));
+        .expect("run --plan --pipeline doublebuf");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("double-buffered"), "stdout: {text}");
+    let json = std::fs::read_to_string(&json_path).expect("report json");
+    assert!(json.contains("\"pipeline\": \"doublebuf\""), "{json}");
+    assert!(json.contains("\"strategy\": \"plan\""), "{json}");
+    assert!(json.contains("\"speedup_vs_sequential\""), "{json}");
+    assert!(!json.contains("\"serve\": null"), "{json}");
+    // A tiered backend other than updlrm is a contradiction, and packed
+    // tables cannot replace the ones the plan was made for: exit 2.
+    for extra in [["--backend", "cpu"], ["--tables", "nonexistent.uptb"]] {
+        let out = updlrm()
+            .args(["run", "--dataset", "read"])
+            .args(extra)
+            .arg("--plan")
+            .arg(&plan_path)
+            .output()
+            .expect("run --plan with a contradicting flag");
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+    }
     for p in [&plan_path, &json_path, &metrics_path] {
         std::fs::remove_file(p).ok();
     }
+}
+
+#[test]
+fn golden_plan_run_snapshot_matches_checked_in_file() {
+    // Recorded with the pre-merge tiered engine: the only artifact that
+    // pins a plan-built engine's modeled per-stage, per-DPU numbers.
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("plan-run-golden.json");
+    let out = updlrm()
+        .args(["run", "--dataset", "read", "--plan"])
+        .arg(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/placement_plan.json"
+        ))
+        .args(["--host-threads", "1", "--metrics"])
+        .arg(&path)
+        .output()
+        .expect("run --plan");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("tier routing: 12005 host hits, 51470 PIM lookups"),
+        "stdout: {text}"
+    );
+    let fresh = std::fs::read(&path).expect("regenerated snapshot");
+    let golden = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/plan_run_snapshot.json"
+    ))
+    .expect("checked-in golden snapshot");
+    assert!(
+        fresh == golden,
+        "plan-run snapshot diverges from tests/golden/plan_run_snapshot.json; if intentional, \
+         regenerate it with `updlrm run --dataset read --plan tests/golden/placement_plan.json \
+         --host-threads 1 --metrics tests/golden/plan_run_snapshot.json`"
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
