@@ -29,9 +29,9 @@ impl Kernel for BagSum {
         for i in 0..LOOKUPS_PER_TASKLET {
             let addr = (((stride + i * 7) % 256) * ROW_BYTES) as u32;
             ctx.mram_read(addr, &mut row)?;
-            ctx.charge_accumulate(ROW_BYTES as u64 / 4);
+            ctx.charges().charge_accumulate(ROW_BYTES as u64 / 4, 1);
         }
-        ctx.charge_loop(LOOKUPS_PER_TASKLET as u64);
+        ctx.charges().charge_loop(LOOKUPS_PER_TASKLET as u64);
         Ok(())
     }
 }

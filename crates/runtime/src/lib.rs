@@ -21,12 +21,12 @@
 //!   admission, overload policy, launch triggers and report statistics
 //!   are one implementation, not a reimplementation — and dispatches
 //!   formed batches round-robin to the shard rings;
-//! * each **worker** owns one engine shard (any [`BatchServer`]), ticks
+//! * each **worker** owns one [`UpdlrmEngine`] shard, ticks
 //!   it to the batch's launch instant, runs the batch through
 //!   `serve_stream`, and reports the pooled embeddings plus the modeled
 //!   breakdown and its *measured* wall time back on a completion ring.
 //!
-//! All rings are the hand-rolled lock-free SPSC of [`ring`] — bounded,
+//! All rings are the hand-rolled lock-free SPSC of [`mod@ring`] — bounded,
 //! so a slow stage exerts backpressure instead of growing a queue.
 //!
 //! ## The oracle lock
@@ -66,7 +66,7 @@ use scheduler::{
     SchedReport, Serve, Tally,
 };
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::{BatchServer, CoreError, MetricsRegistry, Result, SchedTrigger};
+use updlrm_core::{CoreError, MetricsRegistry, Result, SchedTrigger, UpdlrmEngine};
 use workloads::{Workload, NS_PER_SEC};
 
 pub use ring::{ring, Consumer, Producer};
@@ -243,14 +243,13 @@ impl Runtime {
     /// trace, `engines.len() != shards`, or any engine cannot take
     /// `max_batch_size` batches; [`CoreError::Invariant`] if a worker
     /// dies or modeled time runs backwards; engine errors propagate.
-    pub fn run<E, F>(
+    pub fn run<F>(
         &self,
-        engines: &mut [E],
+        engines: &mut [UpdlrmEngine],
         workload: &Workload,
         sink: F,
     ) -> Result<RuntimeReport>
     where
-        E: BatchServer + Send,
         F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
     {
         let cfg = self.cfg;
@@ -353,8 +352,8 @@ fn ingest(times: &[u64], cfg: RuntimeConfig, start: Instant, mut tx: Producer<(u
 /// the batch, and measures the wall cost of the modeled pipeline. Exits
 /// on end-of-stream, on engine error (after reporting it), or when the
 /// batcher is gone.
-fn shard_worker<E: BatchServer>(
-    engine: &mut E,
+fn shard_worker(
+    engine: &mut UpdlrmEngine,
     mut work_rx: Consumer<WorkItem>,
     mut done_tx: Producer<Completion>,
     start: Instant,

@@ -26,7 +26,7 @@
 //! (`None` from [`Consumer::pop_blocking`]); a producer pushing into a
 //! full ring whose consumer is gone gets its value back instead of
 //! spinning forever. Both blocking loops yield first and then back off
-//! to short sleeps ([`Backoff`]) — the CI container has a single CPU,
+//! to short sleeps (`Backoff`) — the CI container has a single CPU,
 //! so a pure spin would starve the very thread it waits on, and with
 //! several idle workers even pure yielding steals enough timeslices to
 //! serialize the whole runtime.

@@ -52,7 +52,7 @@ pub mod policy;
 
 use dlrm_model::{Matrix, QueryBatch};
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::{BatchServer, CoreError, MetricsRegistry, Result};
+use updlrm_core::{CoreError, MetricsRegistry, Result, UpdlrmEngine};
 use workloads::Workload;
 
 pub use event_loop::{check_servable, EventLoop, Launch, Serve, Tally};
@@ -317,14 +317,13 @@ impl Scheduler {
     /// [`CoreError::InvalidConfig`] if the workload has no arrival
     /// trace (closed-loop) or the engine cannot take batches of
     /// `max_batch_size`; engine errors propagate.
-    pub fn run<E, F>(
+    pub fn run<F>(
         &mut self,
-        engine: &mut E,
+        engine: &mut UpdlrmEngine,
         workload: &Workload,
         mut sink: F,
     ) -> Result<SchedReport>
     where
-        E: BatchServer,
         F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
     {
         let makespan_ns = self.form(engine, workload, |launch, pooled, bd| {
@@ -342,9 +341,13 @@ impl Scheduler {
     /// # Errors
     ///
     /// As [`run`](Self::run).
-    pub fn form<E, F>(&mut self, engine: &mut E, workload: &Workload, sink: F) -> Result<u64>
+    pub fn form<F>(
+        &mut self,
+        engine: &mut UpdlrmEngine,
+        workload: &Workload,
+        sink: F,
+    ) -> Result<u64>
     where
-        E: BatchServer,
         F: FnMut(&Launch<'_>, &[Matrix], &EmbeddingBreakdown),
     {
         let trace = &workload.arrivals;
@@ -370,16 +373,15 @@ impl Scheduler {
 
 /// [`Serve`] on the caller's thread: tick the engine, assemble the
 /// batch into the reused scratch, run it through `serve_stream`.
-struct InThread<'a, E, F> {
-    engine: &'a mut E,
+struct InThread<'a, F> {
+    engine: &'a mut UpdlrmEngine,
     workload: &'a Workload,
     batch: &'a mut QueryBatch,
     sink: F,
 }
 
-impl<E, F> Serve for InThread<'_, E, F>
+impl<F> Serve for InThread<'_, F>
 where
-    E: BatchServer,
     F: FnMut(&Launch<'_>, &[Matrix], &EmbeddingBreakdown),
 {
     fn metrics_mut(&mut self) -> &mut MetricsRegistry {

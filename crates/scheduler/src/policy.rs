@@ -77,7 +77,7 @@ impl BatchPolicy {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] if `cfg` fails
+    /// [`updlrm_core::CoreError::InvalidConfig`] if `cfg` fails
     /// [`SchedConfig::validate`].
     pub fn new(cfg: SchedConfig) -> Result<BatchPolicy> {
         cfg.validate()?;

@@ -3,8 +3,8 @@
 //! multi-rank plan-built [`UpdlrmEngine`] still satisfy the PR 5 accounting
 //! identities — and the pooled embeddings bit-match a direct
 //! `serve_stream` of the same formed sequence on a fresh plan-built engine.
-//! The scheduler is a front-end for *any* [`BatchServer`]; swapping the
-//! numerics back-end must change neither the bookkeeping nor the bits.
+//! Swapping how the engine was built must change neither the
+//! bookkeeping nor the bits.
 
 use dlrm_model::{EmbeddingTable, Matrix, QueryBatch, SparseInput};
 use placement::{plan, Catalog, PlacementPlan, PlannerConfig};

@@ -51,9 +51,7 @@ use placement::interleaved_offsets;
 use scheduler::{service_ns_to_u64, SchedReport, Scheduler};
 use updlrm_core::engine::EmbeddingBreakdown;
 use updlrm_core::telemetry::Snapshot;
-use updlrm_core::{
-    BatchServer, CoreError, MetricsRegistry, Result, TenantSnapshot, UpdlrmConfig, UpdlrmEngine,
-};
+use updlrm_core::{CoreError, MetricsRegistry, Result, TenantSnapshot, UpdlrmConfig, UpdlrmEngine};
 use workloads::{TraceConfig, Workload};
 
 /// One formed batch awaiting fleet dispatch: its phase-1 launch
@@ -71,10 +69,10 @@ struct FormedBatch {
 /// formed-batch log the arbiter consumes (preallocated per run; the
 /// event loops do not allocate).
 #[derive(Debug)]
-struct Lane<E> {
+struct Lane {
     spec: TenantSpec,
     workload: Workload,
-    engine: E,
+    engine: UpdlrmEngine,
     sched: Scheduler,
     dpu_offset: usize,
     batches: Vec<FormedBatch>,
@@ -83,7 +81,7 @@ struct Lane<E> {
     busy_ns: u64,
 }
 
-impl<E: BatchServer> Lane<E> {
+impl Lane {
     /// Phase 1: the single-tenant scheduler's own loop over this
     /// tenant's trace and engine — paced by the tenant's virtual
     /// dedicated-fleet clock — with a sink that logs each formed
@@ -201,13 +199,13 @@ pub fn fleet_report_is_finite(report: &FleetReport) -> bool {
 /// N tenants sharing one modeled DPU fleet. See the module docs for
 /// the two-phase serving design.
 #[derive(Debug)]
-pub struct TenantFleet<E: BatchServer = UpdlrmEngine> {
+pub struct TenantFleet {
     cfg: FleetConfig,
-    lanes: Vec<Lane<E>>,
+    lanes: Vec<Lane>,
     metrics: MetricsRegistry,
 }
 
-impl TenantFleet<UpdlrmEngine> {
+impl TenantFleet {
     /// Builds a fleet of [`UpdlrmEngine`]s, one per spec: each
     /// tenant's catalog is generated from its dataset/seed (integer-
     /// valued rows, so pooled sums are order-exact), its tables
@@ -254,9 +252,7 @@ impl TenantFleet<UpdlrmEngine> {
         }
         Self::with_engines(cfg, parts)
     }
-}
 
-impl<E: BatchServer> TenantFleet<E> {
     /// Builds a fleet from pre-constructed engines (one per tenant) —
     /// the escape hatch for tiered or otherwise custom back-ends. Each
     /// workload must carry an open-loop arrival trace.
@@ -265,7 +261,10 @@ impl<E: BatchServer> TenantFleet<E> {
     ///
     /// [`CoreError::InvalidConfig`] on empty tenant lists, invalid
     /// specs or an invalid fleet config.
-    pub fn with_engines(cfg: FleetConfig, parts: Vec<(TenantSpec, Workload, E)>) -> Result<Self> {
+    pub fn with_engines(
+        cfg: FleetConfig,
+        parts: Vec<(TenantSpec, Workload, UpdlrmEngine)>,
+    ) -> Result<Self> {
         cfg.validate().map_err(CoreError::InvalidConfig)?;
         if parts.is_empty() {
             return Err(CoreError::InvalidConfig(
@@ -322,7 +321,7 @@ impl<E: BatchServer> TenantFleet<E> {
     }
 
     /// Borrow a tenant's engine (for per-tenant telemetry).
-    pub fn engine_mut(&mut self, tenant: usize) -> &mut E {
+    pub fn engine_mut(&mut self, tenant: usize) -> &mut UpdlrmEngine {
         &mut self.lanes[tenant].engine
     }
 
@@ -425,7 +424,7 @@ impl<E: BatchServer> TenantFleet<E> {
 
     /// Serves one batch on the shared timeline; returns the new fleet
     /// clock. Latency = shared completion − original arrival.
-    fn dispatch(lane: &mut Lane<E>, head: &mut usize, now: u64) -> u64 {
+    fn dispatch(lane: &mut Lane, head: &mut usize, now: u64) -> u64 {
         let b = lane.batches[*head];
         let start = now.max(b.ready_ns);
         let completion = start.saturating_add(b.service_ns);

@@ -27,8 +27,6 @@ pub struct UpdlrmConfig {
     pub cache_fraction: f64,
     /// Per-DPU MRAM bytes reserved for the EMT region.
     pub emt_capacity_bytes: usize,
-    /// Per-DPU MRAM bytes reserved for per-batch reference streams.
-    pub input_reserve_bytes: usize,
     /// Batch size assumed by the tiling cost model.
     pub batch_size: usize,
     /// Average reduction assumed by the tiling cost model (overridden
@@ -49,10 +47,6 @@ pub struct UpdlrmConfig {
     /// Rows replicated into every partition under
     /// [`PartitionStrategy::Replicated`] (ignored otherwise).
     pub replicate_top: usize,
-    /// Host CPU nanoseconds per routed reference (stage-1 preprocessing).
-    pub route_ns_per_ref: f64,
-    /// Host CPU nanoseconds per scalar add when combining partial sums.
-    pub combine_ns_per_add: f64,
     /// Host threads used to fan out the functional DPU simulation
     /// (`1` = serial). Modeled timing is unaffected; this only changes
     /// simulator wall-clock throughput. Defaults to the machine's
@@ -96,7 +90,6 @@ impl Default for UpdlrmConfig {
             strategy: PartitionStrategy::CacheAware,
             cache_fraction: 1.0,
             emt_capacity_bytes: 48 << 20,
-            input_reserve_bytes: 2 << 20,
             batch_size: 64,
             avg_reduction_hint: 100.0,
             cost: CostModel::default(),
@@ -104,8 +97,6 @@ impl Default for UpdlrmConfig {
             pad_transfers: true,
             miner: MinerConfig::default(),
             replicate_top: 64,
-            route_ns_per_ref: 1.0,
-            combine_ns_per_add: 0.1,
             host_threads: upmem_sim::default_host_threads(),
             pipeline_mode: PipelineMode::Sequential,
             queue_depth: 2,

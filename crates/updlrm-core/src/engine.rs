@@ -133,6 +133,14 @@ pub(crate) const STAGING_SLOTS: usize = 2;
 /// [`UpdlrmEngine::route_row`]'s partition for a host-tier row.
 const HOST_PART: usize = HOST_ROW_PART as usize;
 
+/// Per-DPU MRAM bytes reserved for each staging slot's reference
+/// stream (calibration constants: DESIGN.md §7).
+const INPUT_RESERVE_BYTES: usize = 2 << 20;
+/// Host CPU nanoseconds per routed reference (stage-1 preprocessing).
+const ROUTE_NS_PER_REF: f64 = 1.0;
+/// Host CPU nanoseconds per scalar add when combining partial sums.
+const COMBINE_NS_PER_ADD: f64 = 0.1;
+
 struct TableState {
     tiling: Tiling,
     /// Row → (partition, slot). Beyond the partitioners' sentinels a
@@ -214,7 +222,7 @@ impl TableState {
             cache_rows_max,
             cache_cap_rows,
             row_bytes,
-            input_reserve_bytes: config.input_reserve_bytes,
+            input_reserve_bytes: INPUT_RESERVE_BYTES,
             output_bytes: config.batch_size * row_bytes * 2,
         })
         .map_err(capacity)?;
@@ -615,8 +623,8 @@ pub struct UpdlrmEngine {
     /// One prebuilt kernel per (table, staging slot): tasks are
     /// registered once at construction, keyed by rank-local DPU id (a
     /// table's partitions share their MRAM bases, so ids repeating
-    /// across ranks share an entry); only each task's `n_samples` is
-    /// updated per launch, so stage 2 builds nothing per batch.
+    /// across ranks share an entry); only the kernel's `n_samples` is
+    /// set per launch, so stage 2 builds nothing per batch.
     kernels: Vec<[EmbeddingKernel; STAGING_SLOTS]>,
     /// Stage-2 launches in (table, rank) order.
     launch_groups: Vec<LaunchGroup>,
@@ -916,7 +924,6 @@ impl UpdlrmEngine {
                                 cache_base: state.cache_bases[0],
                                 input_base: state.input_base(slot),
                                 output_base: state.output_base(slot),
-                                n_samples: 0,
                             },
                         );
                     }
@@ -1203,6 +1210,13 @@ impl UpdlrmEngine {
         &self.config
     }
 
+    /// Largest batch the staged MRAM output regions can hold (sized at
+    /// construction for `config.batch_size` samples, x2 slack;
+    /// `route_batch` rejects anything larger).
+    pub fn staged_batch_capacity(&self) -> usize {
+        self.config.batch_size * 2
+    }
+
     /// The live telemetry recorder (disabled unless the engine was built
     /// with [`UpdlrmConfig::telemetry`](crate::config::UpdlrmConfig) set).
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -1304,10 +1318,9 @@ impl UpdlrmEngine {
                     "batch {b} x {row_bytes} B rows needs {acc} B of WRAM accumulators (64 KB available)"
                 )));
             }
-            // Each MRAM staging slot's partial-sum region was sized for
-            // `config.batch_size` samples (x2 slack) at construction; a
-            // larger batch would silently overflow into the next region.
-            let out_cap = self.config.batch_size * 2;
+            // A batch larger than the staged partial-sum region would
+            // silently overflow into the next region.
+            let out_cap = self.staged_batch_capacity();
             if b > out_cap {
                 return Err(CoreError::InvalidConfig(format!(
                     "batch of {b} samples exceeds the {out_cap} staged output rows per DPU \
@@ -1410,11 +1423,11 @@ impl UpdlrmEngine {
                 let slot = &mut streams[k];
                 debug_assert_eq!((slot.table, slot.part), (t, p));
                 writer.write_stream(p, tasklets, config.dedup, &mut slot.bytes);
-                if slot.bytes.len() > config.input_reserve_bytes {
+                if slot.bytes.len() > INPUT_RESERVE_BYTES {
                     return Err(CoreError::CapacityExceeded {
                         partition: p,
                         required: slot.bytes.len(),
-                        available: config.input_reserve_bytes,
+                        available: INPUT_RESERVE_BYTES,
                     });
                 }
                 k += 1;
@@ -1426,7 +1439,7 @@ impl UpdlrmEngine {
         routed.emt_lookups += traffic.residual_refs;
         metrics.record_cache_traffic(&traffic);
         routed.route_ns =
-            route_refs as f64 * config.route_ns_per_ref + host_refs.len() as f64 * *host_probe_ns;
+            route_refs as f64 * ROUTE_NS_PER_REF + host_refs.len() as f64 * *host_probe_ns;
         if let Some(d) = drift.as_mut() {
             d.batches_in_window += 1;
         }
@@ -1495,9 +1508,7 @@ impl UpdlrmEngine {
         let mut out = Stage2Report::default();
         scratch.all_cycles.clear();
         for kset in kernels.iter_mut() {
-            for task in kset[slot].tasks.values_mut() {
-                task.n_samples = n_samples as u32;
-            }
+            kset[slot].n_samples = n_samples as u32;
         }
         let dpus_per_rank = fleet.topology().dpus_per_rank;
         scratch.launches.clear();
@@ -1543,7 +1554,6 @@ impl UpdlrmEngine {
             tables,
             ranks,
             scratch,
-            config,
             metrics,
             host_combine_ns_per_add,
             ..
@@ -1601,8 +1611,8 @@ impl UpdlrmEngine {
                 }
             }
         }
-        let combine_ns = combine_adds as f64 * config.combine_ns_per_add
-            + host_adds as f64 * *host_combine_ns_per_add;
+        let combine_ns =
+            combine_adds as f64 * COMBINE_NS_PER_ADD + host_adds as f64 * *host_combine_ns_per_add;
         Ok((pooled, combine_ns, gather_report))
     }
 
@@ -1912,7 +1922,7 @@ impl UpdlrmEngine {
         let active = self.active_emt;
         for (state, kset) in self.tables.iter().zip(self.kernels.iter_mut()) {
             for kernel in kset.iter_mut() {
-                for task in kernel.tasks.values_mut() {
+                for task in kernel.tasks_mut() {
                     task.emt_base = state.emt_bases[active];
                     task.cache_base = state.cache_bases[active];
                 }

@@ -31,7 +31,8 @@
 use dlrm_model::quant::{self, QROW_HEADER_BYTES};
 use dlrm_model::{simd, EmbedDtype, FxHashMap};
 use std::sync::Mutex;
-use upmem_sim::{DpuId, Kernel, SimError, TaskletCtx};
+use upmem_sim::arch::DMA_MAX_TRANSFER;
+use upmem_sim::{Charges, DpuId, Kernel, Mram, SimError, TaskletCtx};
 
 /// High bit of a reference word: set = cache region, clear = EMT region.
 pub const CACHE_REF_BIT: u32 = 1 << 31;
@@ -47,8 +48,6 @@ pub struct DpuTask {
     pub input_base: u32,
     /// MRAM base of the output region (`n_samples` rows).
     pub output_base: u32,
-    /// Samples in the batch.
-    pub n_samples: u32,
 }
 
 /// The embedding lookup-and-reduce kernel.
@@ -62,6 +61,13 @@ pub struct DpuTask {
 /// * **Dedup** (`dedup = true`, an extension): unique rows are dealt
 ///   round-robin to tasklets, accumulated into shared WRAM and written
 ///   back after a barrier ([`Kernel::finalize`]).
+///
+/// Both fetch rows the same way: a tasklet run first checks the task's
+/// row shape with the DMA engine's own rule ([`Mram::check_dma`] on
+/// each region's first row — odd-sized or oversized rows and misaligned
+/// bases fail the launch there), then every reference word goes through
+/// one decode (`Rows::resolve`) to a bounds-checked row borrowed
+/// straight out of MRAM.
 #[derive(Debug, Default)]
 pub struct EmbeddingKernel {
     /// Bytes per *output* (and cache) row (`N_c * 4`), a multiple of 8.
@@ -74,29 +80,99 @@ pub struct EmbeddingKernel {
     /// [`quant`]-format `[scale][min][u8 values]` record dequantized on
     /// the fly into the accumulate.
     pub dtype: EmbedDtype,
-    /// Per-DPU parameters; DPUs not present return immediately. Probed
-    /// by every tasklet run (as is `scratch`), hence the fast hasher.
-    pub tasks: FxHashMap<DpuId, DpuTask>,
-    /// Reusable per-DPU tasklet scratch (accumulator/stream/output
-    /// buffers; embedding rows are borrowed straight out of MRAM via
-    /// [`TaskletCtx::mram_view`]). Behind a `Mutex` only to satisfy
-    /// `Kernel: Sync`: all
-    /// tasklets of one DPU run sequentially on one host thread, and
-    /// parallel launch workers own disjoint DPU sets, so every lock is
-    /// uncontended. Warmed buffers make steady-state runs allocation
-    /// free.
-    scratch: FxHashMap<DpuId, Mutex<TaskletScratch>>,
+    /// Samples in the batch being launched — one value per launch, the
+    /// same on every DPU.
+    pub n_samples: u32,
+    /// Registered DPUs; others return immediately. Probed by every
+    /// tasklet run, hence the fast hasher.
+    dpus: FxHashMap<DpuId, DpuEntry>,
 }
 
-/// Reusable buffers for one DPU's tasklets (see
-/// [`EmbeddingKernel::scratch`](EmbeddingKernel)).
+/// One registered DPU: its launch parameters and its reusable tasklet
+/// scratch. The scratch sits behind a `Mutex` only to satisfy
+/// `Kernel: Sync`: all tasklets of one DPU run sequentially on one host
+/// thread, and parallel launch workers own disjoint DPU sets, so every
+/// lock is uncontended. Warmed buffers make steady-state runs
+/// allocation free.
+#[derive(Debug)]
+struct DpuEntry {
+    task: DpuTask,
+    scratch: Mutex<TaskletScratch>,
+}
+
+/// Reusable buffers for one DPU's tasklets.
 #[derive(Debug, Default)]
 struct TaskletScratch {
     /// f32 accumulator (row decode / CSR sample accumulate).
     acc: Vec<f32>,
     /// Absolute MRAM byte offsets of one sample's rows, staged for the
-    /// fused [`simd::sum_rows_le`] gather (CSR f32 fast path).
+    /// fused [`simd::sum_rows_le`] gather (CSR f32 arm).
     offs: Vec<usize>,
+}
+
+/// Where one DPU's reference words point: the EMT tile and the cached
+/// partial-sum rows, each an MRAM base and a row stride in bytes.
+#[derive(Debug, Clone, Copy)]
+struct Rows {
+    emt_base: u32,
+    emt_stride: usize,
+    cache_base: u32,
+    cache_stride: usize,
+    /// Whether EMT rows are stored as f32 (cache rows always are).
+    emt_f32: bool,
+}
+
+impl Rows {
+    /// The one reference decode: maps reference word `r` to its row's
+    /// absolute byte offset in a bank of `bank_len` bytes, plus whether
+    /// the row is stored as f32 (else a quantized EMT record). A row
+    /// past the bank fails with the error its DMA fetch would raise.
+    #[inline]
+    fn resolve(&self, r: u32, bank_len: usize) -> Result<(usize, bool), SimError> {
+        let cached = r & CACHE_REF_BIT != 0;
+        let (base, stride) = if cached {
+            (self.cache_base, self.cache_stride)
+        } else {
+            (self.emt_base, self.emt_stride)
+        };
+        let off = (r & !CACHE_REF_BIT) as usize * stride;
+        let abs = base as usize + off;
+        if abs + stride > bank_len {
+            return Err(SimError::MramOutOfBounds {
+                addr: base.wrapping_add(off as u32),
+                len: stride,
+                capacity: bank_len,
+            });
+        }
+        Ok((abs, cached || self.emt_f32))
+    }
+}
+
+fn u32_at(buf: &[u8], idx: usize) -> u32 {
+    u32::from_le_bytes([
+        buf[4 * idx],
+        buf[4 * idx + 1],
+        buf[4 * idx + 2],
+        buf[4 * idx + 3],
+    ])
+}
+
+/// Charges a contiguous `len`-byte MRAM read as the series of
+/// `<= DMA_MAX_TRANSFER` chunks a staged copy would issue.
+fn charge_chunked(ch: &mut Charges<'_>, len: usize) {
+    ch.charge_dma(DMA_MAX_TRANSFER, (len / DMA_MAX_TRANSFER) as u64);
+    let rest = len % DMA_MAX_TRANSFER;
+    ch.charge_dma(rest, u64::from(rest > 0));
+}
+
+/// Adds the quantized EMT record `qrow` into `acc`, dequantizing on the
+/// fly.
+#[inline]
+fn add_dequant(acc: &mut [f32], qrow: &[u8]) -> Result<(), SimError> {
+    let (scale, min) = quant::row_params(qrow).map_err(|e| SimError::KernelFault(e.to_string()))?;
+    let q = &qrow[QROW_HEADER_BYTES..QROW_HEADER_BYTES + acc.len()];
+    simd::add_assign_dequant_u8(acc, q, scale, min);
+    Ok(())
 }
 
 impl EmbeddingKernel {
@@ -114,8 +190,7 @@ impl EmbeddingKernel {
             row_bytes,
             dedup,
             dtype,
-            tasks: FxHashMap::default(),
-            scratch: FxHashMap::default(),
+            ..Self::default()
         }
     }
 
@@ -125,35 +200,24 @@ impl EmbeddingKernel {
         self.dtype.stored_row_bytes(self.row_bytes / 4)
     }
 
-    /// Registers one DPU's launch parameters (and allocates its
-    /// reusable scratch entry).
+    /// Registers one DPU's launch parameters, keeping its warmed
+    /// scratch if it was registered before.
     pub fn set_task(&mut self, dpu: DpuId, task: DpuTask) {
-        self.tasks.insert(dpu, task);
-        self.scratch.entry(dpu).or_default();
+        self.dpus
+            .entry(dpu)
+            .and_modify(|entry| entry.task = task)
+            .or_insert_with(|| DpuEntry {
+                task,
+                scratch: Mutex::default(),
+            });
     }
 
-    /// Locks `dpu`'s scratch and runs `f` with it; DPUs registered
-    /// through [`EmbeddingKernel::set_task`] always have one, but a
-    /// task inserted directly into [`EmbeddingKernel::tasks`] falls
-    /// back to a temporary.
-    fn with_scratch<R>(&self, dpu: DpuId, f: impl FnOnce(&mut TaskletScratch) -> R) -> R {
-        match self.scratch.get(&dpu) {
-            Some(m) => f(&mut m.lock().unwrap_or_else(|e| e.into_inner())),
-            None => f(&mut TaskletScratch::default()),
-        }
+    /// Every registered DPU's launch parameters, for repointing regions
+    /// in place (the migration flip).
+    pub fn tasks_mut(&mut self) -> impl Iterator<Item = &mut DpuTask> {
+        self.dpus.values_mut().map(|entry| &mut entry.task)
     }
-}
 
-fn u32_at(buf: &[u8], idx: usize) -> u32 {
-    u32::from_le_bytes([
-        buf[4 * idx],
-        buf[4 * idx + 1],
-        buf[4 * idx + 2],
-        buf[4 * idx + 3],
-    ])
-}
-
-impl EmbeddingKernel {
     /// CSR mode: each tasklet serves its own samples end to end.
     ///
     /// The whole read side (offset pairs, reference arrays, embedding
@@ -169,30 +233,14 @@ impl EmbeddingKernel {
         &self,
         ctx: &mut TaskletCtx<'_>,
         task: DpuTask,
+        rows: Rows,
         scr: &mut TaskletScratch,
     ) -> Result<(), SimError> {
         let t = ctx.tasklet_id();
         let n_tasklets = ctx.n_tasklets();
         let n_c = self.row_bytes / 4;
-        let n_samples = task.n_samples as usize;
+        let n_samples = self.n_samples as usize;
         let refs_base = task.input_base + (((n_samples + 1) * 4 + 7) & !7) as u32;
-        let erb = self.emt_row_bytes();
-        // Fast row path: when every row fetch is a single aligned DMA
-        // (the layout planner always produces this shape), rows are
-        // indexed straight out of the region slices and the per-row
-        // charges are issued in bulk after the loop — all charge
-        // counters are integers, so `n` identical charges and one
-        // multiplied charge are the same sum. Odd-shaped tasks (rows
-        // not a multiple of 8, oversized rows, misaligned bases) take
-        // the general per-row DMA path below, which reports the exact
-        // alignment/size errors the DMA engine would.
-        let align = upmem_sim::arch::DMA_ALIGN;
-        let fast = self.row_bytes.is_multiple_of(align)
-            && erb.is_multiple_of(align)
-            && self.row_bytes <= upmem_sim::arch::DMA_MAX_TRANSFER
-            && erb <= upmem_sim::arch::DMA_MAX_TRANSFER
-            && (task.emt_base as usize).is_multiple_of(align)
-            && (task.cache_base as usize).is_multiple_of(align);
         let mut s = t;
         while s < n_samples {
             let (mram, ch) = ctx.split_reader(task.output_base as usize);
@@ -202,7 +250,7 @@ impl EmbeddingKernel {
             let ostart = oaddr & !7;
             let oend = (oaddr as usize + 8 + 7) & !7;
             let ow = mram.dma(ostart, oend - ostart as usize)?;
-            ch.charge_dma(oend - ostart as usize);
+            ch.charge_dma(oend - ostart as usize, 1);
             let olead = (oaddr - ostart) as usize;
             let start = u32_at(&ow[olead..], 0) as usize;
             let end = u32_at(&ow[olead..], 1) as usize;
@@ -214,146 +262,52 @@ impl EmbeddingKernel {
             }
             let n_refs = end - start;
             // Reference array: one contiguous borrow, charged as the
-            // same <= 2048 B DMA chunk series a staged read would use.
+            // chunk series of a staged read.
             let raddr = refs_base + (4 * start) as u32;
             let rstart = raddr & !7;
             let rend = (raddr as usize + 4 * n_refs + 7) & !7;
             let window = rend - rstart as usize;
             let refs = if n_refs > 0 {
-                let refs = mram.window(rstart, window)?;
-                let mut off = 0usize;
-                while off < window {
-                    let chunk = (window - off).min(upmem_sim::arch::DMA_MAX_TRANSFER);
-                    ch.charge_dma(chunk);
-                    off += chunk;
-                }
-                &refs[(raddr - rstart) as usize..]
+                charge_chunked(ch, window);
+                &mram.window(rstart, window)?[(raddr - rstart) as usize..]
             } else {
                 &[][..]
             };
             scr.acc.clear();
             scr.acc.resize(n_c, 0.0);
             ch.charge_int_ops((n_c / 2) as u64);
-            // Loop bookkeeping is linear in iterations, so one bulk
-            // charge up front is bit-identical to charging inside the
-            // loop — and keeps the per-reference path to the fetch,
-            // the accumulate and their own charges.
+            // Rows are indexed straight out of the bank and their
+            // fetch/accumulate/loop charges issued in bulk: every charge
+            // counter is an integer, so one charge multiplied by `n`
+            // and `n` single charges are the same sum.
             ch.charge_loop(n_refs as u64);
-            if fast && n_refs > 0 {
-                let cache_rows = mram.tail(task.cache_base)?;
-                let emt_rows = mram.tail(task.emt_base)?;
-                let oob = |base: u32, off: usize, len: usize| SimError::MramOutOfBounds {
-                    addr: base + off as u32,
-                    len,
-                    capacity: mram.len(),
-                };
-                let mut n_cache = 0u64;
-                let mut n_emt = 0u64;
-                match self.dtype {
-                    EmbedDtype::F32 => {
-                        // Cache and EMT rows have the same shape, so
-                        // one pair of bulk charges covers both regions.
-                        // Row addresses are resolved (and bounds-checked
-                        // with the DMA engine's exact error) up front,
-                        // then all rows accumulate in one fused SIMD
-                        // pass that keeps the accumulator in registers.
-                        let bank = mram.tail(0)?;
-                        scr.offs.clear();
-                        for i in 0..n_refs {
-                            let r = u32_at(refs, i);
-                            let off = (r & !CACHE_REF_BIT) as usize * self.row_bytes;
-                            let base = if r & CACHE_REF_BIT != 0 {
-                                n_cache += 1;
-                                task.cache_base
-                            } else {
-                                n_emt += 1;
-                                task.emt_base
-                            };
-                            let abs = base as usize + off;
-                            if abs + self.row_bytes > bank.len() {
-                                return Err(oob(base, off, self.row_bytes));
-                            }
-                            scr.offs.push(abs);
-                        }
-                        simd::sum_rows_le(&mut scr.acc, bank, &scr.offs);
-                        ch.charge_dma_repeat(self.row_bytes, n_cache + n_emt);
-                        ch.charge_accumulate_repeat(n_c as u64, n_cache + n_emt);
-                    }
-                    EmbedDtype::Int8 => {
-                        for i in 0..n_refs {
-                            let r = u32_at(refs, i);
-                            let slot = (r & !CACHE_REF_BIT) as usize;
-                            if r & CACHE_REF_BIT != 0 {
-                                // Cache rows stay f32 partial sums.
-                                let off = slot * self.row_bytes;
-                                let row = cache_rows
-                                    .get(off..off + self.row_bytes)
-                                    .ok_or_else(|| oob(task.cache_base, off, self.row_bytes))?;
-                                simd::add_assign_le(&mut scr.acc, row);
-                                n_cache += 1;
-                            } else {
-                                let off = slot * erb;
-                                let qrow = emt_rows
-                                    .get(off..off + erb)
-                                    .ok_or_else(|| oob(task.emt_base, off, erb))?;
-                                let (scale, min) = quant::row_params(qrow)
-                                    .map_err(|e| SimError::KernelFault(e.to_string()))?;
-                                simd::add_assign_dequant_u8(
-                                    &mut scr.acc,
-                                    &qrow[QROW_HEADER_BYTES..QROW_HEADER_BYTES + n_c],
-                                    scale,
-                                    min,
-                                );
-                                n_emt += 1;
-                            }
-                        }
-                        ch.charge_dma_repeat(self.row_bytes, n_cache);
-                        ch.charge_dma_repeat(erb, n_emt);
-                        ch.charge_accumulate_repeat(n_c as u64, n_cache);
-                        ch.charge_accumulate_u8_repeat(n_c as u64, n_emt);
-                    }
+            let bank = mram.bytes();
+            let mut n_u8 = 0u64;
+            if rows.emt_f32 {
+                // Every row has the same shape: resolve them all, then
+                // accumulate in one fused SIMD pass that keeps the
+                // accumulator in registers.
+                scr.offs.clear();
+                for i in 0..n_refs {
+                    scr.offs.push(rows.resolve(u32_at(refs, i), bank.len())?.0);
                 }
+                simd::sum_rows_le(&mut scr.acc, bank, &scr.offs);
             } else {
                 for i in 0..n_refs {
-                    let r = u32_at(refs, i);
-                    let slot = (r & !CACHE_REF_BIT) as usize;
-                    if r & CACHE_REF_BIT != 0 {
-                        // Cache rows are always stored as f32 partial sums.
-                        let row = mram.dma(
-                            task.cache_base + (slot * self.row_bytes) as u32,
-                            self.row_bytes,
-                        )?;
-                        ch.charge_dma(self.row_bytes);
-                        simd::add_assign_le(&mut scr.acc, row);
-                        ch.charge_accumulate(n_c as u64);
+                    let (abs, f32_row) = rows.resolve(u32_at(refs, i), bank.len())?;
+                    if f32_row {
+                        simd::add_assign_le(&mut scr.acc, &bank[abs..abs + self.row_bytes]);
                     } else {
-                        match self.dtype {
-                            EmbedDtype::F32 => {
-                                let row = mram.dma(
-                                    task.emt_base + (slot * self.row_bytes) as u32,
-                                    self.row_bytes,
-                                )?;
-                                ch.charge_dma(self.row_bytes);
-                                simd::add_assign_le(&mut scr.acc, row);
-                                ch.charge_accumulate(n_c as u64);
-                            }
-                            EmbedDtype::Int8 => {
-                                let qrow = mram.dma(task.emt_base + (slot * erb) as u32, erb)?;
-                                ch.charge_dma(erb);
-                                let (scale, min) = quant::row_params(qrow)
-                                    .map_err(|e| SimError::KernelFault(e.to_string()))?;
-                                simd::add_assign_dequant_u8(
-                                    &mut scr.acc,
-                                    &qrow[QROW_HEADER_BYTES..QROW_HEADER_BYTES + n_c],
-                                    scale,
-                                    min,
-                                );
-                                ch.charge_accumulate_u8(n_c as u64);
-                            }
-                        }
+                        add_dequant(&mut scr.acc, &bank[abs..abs + rows.emt_stride])?;
+                        n_u8 += 1;
                     }
                 }
             }
+            let n_f32 = n_refs as u64 - n_u8;
+            ch.charge_dma(self.row_bytes, n_f32);
+            ch.charge_dma(rows.emt_stride, n_u8);
+            ch.charge_accumulate(n_c as u64, n_f32);
+            ch.charge_accumulate_u8(n_c as u64, n_u8);
             let dst = ctx.mram_view_mut(
                 task.output_base + (s * self.row_bytes) as u32,
                 self.row_bytes,
@@ -361,74 +315,25 @@ impl EmbeddingKernel {
             for (b, a) in dst.chunks_exact_mut(4).zip(scr.acc.iter()) {
                 b.copy_from_slice(&a.to_le_bytes());
             }
-            ctx.charge_loop(1);
+            ctx.charges().charge_loop(1);
             s += n_tasklets;
         }
         Ok(())
     }
-}
 
-impl Kernel for EmbeddingKernel {
-    fn shared_wram_bytes(&self) -> usize {
-        if !self.dedup {
-            return 0;
-        }
-        // The shared accumulator block: one row per sample of the
-        // largest registered batch.
-        self.tasks
-            .values()
-            .map(|t| t.n_samples as usize * self.row_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
-        let Some(task) = self.tasks.get(&ctx.dpu_id()).copied() else {
-            return Ok(());
-        };
-        if !self.dedup {
-            return self.with_scratch(ctx.dpu_id(), |scr| self.run_csr(ctx, task, scr));
-        }
-        self.with_scratch(ctx.dpu_id(), |scr| self.run_dedup(ctx, task, scr))
-    }
-
-    fn finalize(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
-        // Post-barrier phase (dedup mode only): each tasklet writes its
-        // share of the per-sample output rows from the shared
-        // accumulators to MRAM.
-        if !self.dedup {
-            return Ok(());
-        }
-        let Some(task) = self.tasks.get(&ctx.dpu_id()).copied() else {
-            return Ok(());
-        };
-        let t = ctx.tasklet_id();
-        let n_tasklets = ctx.n_tasklets();
-        let n_samples = task.n_samples as usize;
-        let mut s = t;
-        while s < n_samples {
-            let off = s * self.row_bytes;
-            ctx.mram_write_from_shared(task.output_base + off as u32, off, self.row_bytes)?;
-            ctx.charge_loop(1);
-            s += n_tasklets;
-        }
-        Ok(())
-    }
-}
-
-impl EmbeddingKernel {
     /// Dedup mode: unique rows dealt round-robin, accumulated into the
     /// shared WRAM block.
     fn run_dedup(
         &self,
         ctx: &mut TaskletCtx<'_>,
         task: DpuTask,
+        rows: Rows,
         scr: &mut TaskletScratch,
     ) -> Result<(), SimError> {
         let t = ctx.tasklet_id();
         let n_tasklets = ctx.n_tasklets();
         let n_c = self.row_bytes / 4;
-        let n_samples = task.n_samples as usize;
+        let n_samples = self.n_samples as usize;
         let acc_bytes = n_samples * self.row_bytes;
         // As in `run_csr`, the read side (header, tasklet stream,
         // rows) is borrowed zero-copy from a split reader; the shared
@@ -436,6 +341,7 @@ impl EmbeddingKernel {
         // stay alive across shared-WRAM accumulates. Charges mirror the
         // staged-copy path exactly.
         let (mram, shared, ch) = ctx.split_reader_shared(task.output_base as usize);
+        let bank = mram.bytes();
 
         // Tasklet 0 zeroes the shared accumulator block (the others
         // wait at a barrier on real hardware; launch overhead covers it).
@@ -446,12 +352,11 @@ impl EmbeddingKernel {
 
         // Header: stream end-offsets for every tasklet (one padded DMA
         // window — `MAX_TASKLETS + 2` u32s fit a single transfer).
-        let hbytes = (n_tasklets + 2) * 4;
-        let hwin = (hbytes + 7) & !7;
+        let hwin = ((n_tasklets + 2) * 4 + 7) & !7;
         let hdr = mram.dma(task.input_base, hwin)?;
-        ch.charge_dma(hwin);
+        ch.charge_dma(hwin, 1);
         ch.charge_int_ops(4);
-        let streams_base = task.input_base + (((n_tasklets + 2) * 4 + 7) & !7) as u32;
+        let streams_base = task.input_base + hwin as u32;
         let start = u32_at(hdr, t);
         let end = u32_at(hdr, t + 1);
         if end < start {
@@ -461,7 +366,7 @@ impl EmbeddingKernel {
         }
 
         // This tasklet's unique-row entries: one contiguous borrow,
-        // charged as the <= 2048 B DMA chunk series of a staged read.
+        // charged as the chunk series of a staged read.
         let slen = (end - start) as usize;
         if slen > 0 {
             let saddr = streams_base + start;
@@ -469,12 +374,7 @@ impl EmbeddingKernel {
             let send = (saddr as usize + slen + 7) & !7;
             let swin = send - sstart as usize;
             let sview = mram.window(sstart, swin)?;
-            let mut off = 0usize;
-            while off < swin {
-                let chunk = (swin - off).min(upmem_sim::arch::DMA_MAX_TRANSFER);
-                ch.charge_dma(chunk);
-                off += chunk;
-            }
+            charge_chunked(ch, swin);
             let stream = &sview[(saddr - sstart) as usize..];
             let n_entries = u32_at(stream, 0) as usize;
             ch.charge_int_ops(2);
@@ -492,39 +392,24 @@ impl EmbeddingKernel {
                 // Resolve the row address, fetch it once, and decode it
                 // to f32 once; it is added into every referencing
                 // sample below.
-                let slot = (r & !CACHE_REF_BIT) as usize;
                 ch.charge_loop(1);
-                if r & CACHE_REF_BIT != 0 || self.dtype == EmbedDtype::F32 {
-                    let base = if r & CACHE_REF_BIT != 0 {
-                        task.cache_base
-                    } else {
-                        task.emt_base
-                    };
-                    let row = mram.dma(base + (slot * self.row_bytes) as u32, self.row_bytes)?;
-                    ch.charge_dma(self.row_bytes);
-                    scr.acc.clear();
+                let (abs, f32_row) = rows.resolve(r, bank.len())?;
+                scr.acc.clear();
+                if f32_row {
+                    ch.charge_dma(self.row_bytes, 1);
                     scr.acc.extend(
-                        row.chunks_exact(4)
+                        bank[abs..abs + self.row_bytes]
+                            .chunks_exact(4)
                             .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
                     );
                 } else {
                     // Quantized EMT row: fetch the narrow record and
                     // dequantize into the per-entry decode buffer (the
                     // dequantize cost rides on the u8 accumulate charge).
-                    let erb = self.emt_row_bytes();
-                    let qrow = mram.dma(task.emt_base + (slot * erb) as u32, erb)?;
-                    ch.charge_dma(erb);
-                    let (scale, min) = quant::row_params(qrow)
-                        .map_err(|e| SimError::KernelFault(e.to_string()))?;
-                    scr.acc.clear();
+                    ch.charge_dma(rows.emt_stride, 1);
                     scr.acc.resize(n_c, 0.0);
-                    simd::add_assign_dequant_u8(
-                        &mut scr.acc,
-                        &qrow[QROW_HEADER_BYTES..QROW_HEADER_BYTES + n_c],
-                        scale,
-                        min,
-                    );
-                    ch.charge_accumulate_u8(n_c as u64);
+                    add_dequant(&mut scr.acc, &bank[abs..abs + rows.emt_stride])?;
+                    ch.charge_accumulate_u8(n_c as u64, 1);
                 }
                 // Accumulate into each referencing sample's shared row
                 // (mutex-guarded on hardware; cost inside the charge).
@@ -538,12 +423,70 @@ impl EmbeddingKernel {
                     let off = sample * self.row_bytes;
                     let dst = &mut shared[off..off + self.row_bytes];
                     simd::add_assign_into_le(dst, &scr.acc);
-                    ch.charge_accumulate(n_c as u64);
                 }
+                ch.charge_accumulate(n_c as u64, k as u64);
                 pos += k;
             }
         }
 
+        Ok(())
+    }
+}
+
+impl Kernel for EmbeddingKernel {
+    fn shared_wram_bytes(&self) -> usize {
+        // Dedup mode's shared accumulator block: one row per sample.
+        if self.dedup {
+            self.n_samples as usize * self.row_bytes
+        } else {
+            0
+        }
+    }
+
+    fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
+        let Some(entry) = self.dpus.get(&ctx.dpu_id()) else {
+            return Ok(());
+        };
+        let task = entry.task;
+        let rows = Rows {
+            emt_base: task.emt_base,
+            emt_stride: self.emt_row_bytes(),
+            cache_base: task.cache_base,
+            cache_stride: self.row_bytes,
+            emt_f32: self.dtype == EmbedDtype::F32,
+        };
+        // Every row fetch is one DMA of its region's stride from its
+        // region's base plus a multiple of that stride, so the first
+        // row's check covers the shape of all of them.
+        Mram::check_dma(rows.emt_base, rows.emt_stride)?;
+        Mram::check_dma(rows.cache_base, rows.cache_stride)?;
+        let scr = &mut entry.scratch.lock().unwrap_or_else(|e| e.into_inner());
+        if self.dedup {
+            self.run_dedup(ctx, task, rows, scr)
+        } else {
+            self.run_csr(ctx, task, rows, scr)
+        }
+    }
+
+    fn finalize(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
+        // Post-barrier phase (dedup mode only): each tasklet writes its
+        // share of the per-sample output rows from the shared
+        // accumulators to MRAM.
+        if !self.dedup {
+            return Ok(());
+        }
+        let Some(entry) = self.dpus.get(&ctx.dpu_id()) else {
+            return Ok(());
+        };
+        let n_tasklets = ctx.n_tasklets();
+        let mut s = ctx.tasklet_id();
+        while s < self.n_samples as usize {
+            let off = s * self.row_bytes;
+            let dst = entry.task.output_base + off as u32;
+            ctx.mram_write_from_shared(dst, off, self.row_bytes)?;
+            ctx.charges().charge_loop(1);
+            s += n_tasklets;
+        }
         Ok(())
     }
 }
@@ -792,6 +735,7 @@ mod tests {
         sys.load_mram(dpu, input_base, &stream).unwrap();
         let output_base = 8192u32;
         let mut kernel = EmbeddingKernel::new(row_bytes, true);
+        kernel.n_samples = refs_per_sample.len() as u32;
         kernel.set_task(
             dpu,
             DpuTask {
@@ -799,7 +743,6 @@ mod tests {
                 cache_base: 2048,
                 input_base,
                 output_base,
-                n_samples: refs_per_sample.len() as u32,
             },
         );
         sys.launch_all(&kernel).unwrap();
@@ -896,6 +839,7 @@ mod tests {
         )
         .unwrap();
         let mut kernel = EmbeddingKernel::new(row_bytes, false);
+        kernel.n_samples = refs_per_sample.len() as u32;
         kernel.set_task(
             dpu,
             DpuTask {
@@ -903,7 +847,6 @@ mod tests {
                 cache_base: 2048,
                 input_base,
                 output_base: 8192,
-                n_samples: refs_per_sample.len() as u32,
             },
         );
         sys.launch_all(&kernel).unwrap();
@@ -974,6 +917,7 @@ mod tests {
         sys.load_mram(dpu, input_base, &build_stream(&refs, 2, true))
             .unwrap();
         let mut kernel = EmbeddingKernel::new(row_bytes, true);
+        kernel.n_samples = 1;
         kernel.set_task(
             dpu,
             DpuTask {
@@ -981,7 +925,6 @@ mod tests {
                 cache_base,
                 input_base,
                 output_base: 8192,
-                n_samples: 1,
             },
         );
         sys.launch_all(&kernel).unwrap();
@@ -1011,6 +954,7 @@ mod tests {
             sys.load_mram(dpu, 4096, &build_stream(refs, 4, true))
                 .unwrap();
             let mut kernel = EmbeddingKernel::new(8, true);
+            kernel.n_samples = refs.len() as u32;
             kernel.set_task(
                 dpu,
                 DpuTask {
@@ -1018,7 +962,6 @@ mod tests {
                     cache_base: 2048,
                     input_base: 4096,
                     output_base: 8192,
-                    n_samples: refs.len() as u32,
                 },
             );
             sys.launch_all(&kernel).unwrap().total_dma_transfers()
@@ -1029,6 +972,61 @@ mod tests {
             shared + 6 <= distinct,
             "shared {shared} vs distinct {distinct}"
         );
+    }
+
+    /// Launches one sample with an *empty* reference list on a task of
+    /// the given shape: no row is ever fetched, so whatever fails is
+    /// the up-front shape check.
+    fn launch_rowless(
+        row_bytes: usize,
+        dtype: EmbedDtype,
+        (emt_base, cache_base): (u32, u32),
+        dedup: bool,
+    ) -> Result<upmem_sim::LaunchReport, SimError> {
+        let mut sys = PimSystem::new(PimConfig::new(1, 2)).unwrap();
+        let dpu = DpuId(0);
+        sys.load_mram(dpu, 8192, &build_stream(&[vec![]], 2, dedup))
+            .unwrap();
+        let mut kernel = EmbeddingKernel::with_dtype(row_bytes, dedup, dtype);
+        kernel.n_samples = 1;
+        kernel.set_task(
+            dpu,
+            DpuTask {
+                emt_base,
+                cache_base,
+                input_base: 8192,
+                output_base: 16384,
+            },
+        );
+        sys.launch_all(&kernel)
+    }
+
+    #[test]
+    fn bad_row_shapes_fail_the_launch_before_any_row_is_read() {
+        use EmbedDtype::{Int8, F32};
+        let max = DMA_MAX_TRANSFER;
+        for dedup in [false, true] {
+            // Sanity: the planner's shape launches fine without rows.
+            launch_rowless(32, F32, (0, 4096), dedup).unwrap();
+            launch_rowless(32, Int8, (0, 4096), dedup).unwrap();
+            for (row_bytes, dtype, bases, bad) in [
+                // Odd N_c: 12-byte rows are not a multiple of the DMA grain.
+                (12, F32, (0, 4096), (0, 12)),
+                // The cache row is checked even when the EMT record is fine
+                // (N_c = 3 as int8: 8 + 3 -> 16-byte records, 12-byte cache rows).
+                (12, Int8, (0, 4096), (4096, 12)),
+                // One row over the single-transfer limit.
+                (max + 8, F32, (0, 8192), (0, max + 8)),
+                // Misaligned region bases.
+                (32, F32, (4, 4096), (4, 32)),
+                (32, F32, (0, 4100), (4100, 32)),
+                (32, Int8, (12, 4096), (12, 16)),
+            ] {
+                let err = launch_rowless(row_bytes, dtype, bases, dedup).unwrap_err();
+                let want = Mram::check_dma(bad.0, bad.1).unwrap_err();
+                assert_eq!(err, want, "{row_bytes} B {dtype:?} rows at {bases:?}");
+            }
+        }
     }
 
     #[test]
@@ -1074,6 +1072,7 @@ mod tests {
             .unwrap();
         let output_base = 16384u32;
         let mut kernel = EmbeddingKernel::with_dtype(row_bytes, dedup, dtype);
+        kernel.n_samples = refs_per_sample.len() as u32;
         kernel.set_task(
             dpu,
             DpuTask {
@@ -1081,7 +1080,6 @@ mod tests {
                 cache_base: 4096,
                 input_base,
                 output_base,
-                n_samples: refs_per_sample.len() as u32,
             },
         );
         let rep = sys.launch_all(&kernel).unwrap();

@@ -43,7 +43,7 @@ pub use partition::{
 };
 pub use pipeline::{pipelined_wall_ns, sequential_wall_ns, PipelineReport};
 pub use replan::ReplanPolicy;
-pub use serve::{BatchServer, PipelineMode, ServeOutcome, ServeReport};
+pub use serve::{PipelineMode, ServeOutcome, ServeReport};
 pub use stats::percentile;
 pub use telemetry::{
     DriftSnapshot, MetricsRegistry, RuntimeSnapshot, SchedSnapshot, SchedTrigger, Snapshot,

@@ -12,8 +12,8 @@
 //! * a sliding-window access profile per table, accumulated by
 //!   `route_batch` and consumed by
 //!   [`UpdlrmEngine::on_tick`](crate::engine::UpdlrmEngine::on_tick);
-//! * the pure planning helpers ([`plan_rows`], [`window_imbalance`],
-//!   [`rows_in_parts`], [`replica_block`]) that the engine's migration
+//! * the pure planning helpers (`plan_rows`, `window_imbalance`,
+//!   `rows_in_parts`, `replica_block`) that the engine's migration
 //!   machinery calls and the property tests below pin down.
 //!
 //! The *mechanism* — double-buffered MRAM regions, modeled migration

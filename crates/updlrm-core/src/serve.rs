@@ -6,7 +6,7 @@
 //! per DPU ([`crate::engine`]): batch `i` lands in slot `i % 2`, so
 //! batch `i + 1`'s stage-1 scatter can be issued while batch `i` still
 //! owns the other slot, exactly the depth-2 schedule that
-//! [`pipelined_wall_ns`](crate::pipeline::pipelined_wall_ns) assumes.
+//! [`pipelined_wall_ns`] assumes.
 //! The host bus serializes all stage-1/stage-3 phases in batch order
 //! (`s1_0, s1_1, s3_0, s1_2, s3_1, …`) while stage-2 kernels overlap
 //! them on the DPU array.
@@ -21,70 +21,7 @@ use crate::engine::{EmbeddingBreakdown, UpdlrmEngine, STAGING_SLOTS};
 use crate::error::{CoreError, Result};
 use crate::pipeline::{pipelined_wall_ns, sequential_wall_ns};
 use crate::stats::percentile;
-use crate::telemetry::MetricsRegistry;
 use dlrm_model::{Matrix, QueryBatch};
-
-/// A batch-serving engine the open-loop front-ends can drive.
-///
-/// [`UpdlrmEngine`] — strategy- or plan-built — is the one
-/// implementor; the scheduler's event loop and the other front-ends
-/// are written against this trait rather than the engine. The contract
-/// mirrors `serve_stream`: the sink fires once per batch in batch
-/// order, lending the pooled embeddings.
-pub trait BatchServer {
-    /// Largest batch the engine's staged MRAM output regions can hold
-    /// (sized at construction; `route_batch` rejects anything larger).
-    fn staged_batch_capacity(&self) -> usize;
-
-    /// The engine's telemetry recorder, for front-ends that fold their
-    /// own counters (admissions, sheds, formed batches) into the same
-    /// snapshot.
-    fn metrics_mut(&mut self) -> &mut MetricsRegistry;
-
-    /// Serves `batches`, lending each batch's pooled embeddings and
-    /// breakdown to `sink(batch_index, pooled, breakdown)`.
-    ///
-    /// # Errors
-    ///
-    /// Batch validation, capacity and simulator errors, as documented
-    /// by each implementation.
-    fn serve_stream<F>(&mut self, batches: &[QueryBatch], sink: F) -> Result<ServeReport>
-    where
-        F: FnMut(usize, &[Matrix], &EmbeddingBreakdown);
-
-    /// Advances any engine-internal background machinery to modeled
-    /// instant `now_ns`. Front-ends with a clock (the scheduler) call
-    /// this between batches; [`UpdlrmEngine`] uses it to drive the
-    /// online replanner (DESIGN.md §4.11). Default: no-op.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-defined; the default never fails.
-    fn on_tick(&mut self, _now_ns: u64) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl BatchServer for UpdlrmEngine {
-    fn staged_batch_capacity(&self) -> usize {
-        self.config().batch_size * 2
-    }
-
-    fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
-    fn serve_stream<F>(&mut self, batches: &[QueryBatch], sink: F) -> Result<ServeReport>
-    where
-        F: FnMut(usize, &[Matrix], &EmbeddingBreakdown),
-    {
-        UpdlrmEngine::serve_stream(self, batches, sink)
-    }
-
-    fn on_tick(&mut self, now_ns: u64) -> Result<()> {
-        UpdlrmEngine::on_tick(self, now_ns)
-    }
-}
 
 /// Batch schedule used by [`UpdlrmEngine::serve`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -215,10 +152,10 @@ impl UpdlrmEngine {
     ///
     /// Under [`PipelineMode::DoubleBuf`] (with `queue_depth >= 2`) the
     /// executed wall equals
-    /// [`pipelined_wall_ns`](crate::pipeline::pipelined_wall_ns) of the
+    /// [`pipelined_wall_ns`] of the
     /// returned breakdowns exactly; under [`PipelineMode::Sequential`]
     /// (or `queue_depth == 1`) it equals
-    /// [`sequential_wall_ns`](crate::pipeline::sequential_wall_ns).
+    /// [`sequential_wall_ns`].
     ///
     /// This is a convenience wrapper over
     /// [`UpdlrmEngine::serve_stream`] that clones every batch's pooled
@@ -337,7 +274,7 @@ impl UpdlrmEngine {
 
     /// Depth-2 double-buffered schedule. The event bookkeeping below is
     /// a line-for-line mirror of
-    /// [`pipelined_wall_ns`](crate::pipeline::pipelined_wall_ns) — the
+    /// [`pipelined_wall_ns`] — the
     /// same recurrence over the same measured stage times in the same
     /// f64 operation order — which is what makes the executed wall
     /// *exactly* equal to the analytic model.

@@ -155,7 +155,7 @@ impl CostModel {
 
     /// DMA-engine cycles for `rows` back-to-back row transfers of
     /// `row_bytes` each — the host-driven bulk path (EMT shard
-    /// migration) mirror of `Charges::charge_dma_repeat`: every
+    /// migration) mirror of `Charges::charge_dma`: every
     /// increment is an integer multiple of the single-transfer charge,
     /// so one bulk charge equals `rows` repeated charges exactly and
     /// modeled migration time stays bit-deterministic.

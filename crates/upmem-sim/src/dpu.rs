@@ -84,8 +84,9 @@ pub struct TaskletCtx<'a> {
 /// The cycle/DMA accounting half of a [`TaskletCtx`], separable from
 /// the MRAM borrow via [`TaskletCtx::split_reader`] so a kernel can
 /// hold zero-copy MRAM views *while* charging for the transfers they
-/// stand for. Every charge method is identical to its `TaskletCtx`
-/// counterpart — the context just delegates here.
+/// stand for; [`TaskletCtx::charges`] reaches the same counters
+/// without a split. Each method takes a repeat count where kernels
+/// charge in bulk: a single charge is the `n = 1` case.
 #[derive(Debug)]
 pub struct Charges<'a> {
     cost: &'a CostModel,
@@ -116,31 +117,13 @@ impl<'a> Charges<'a> {
         }
     }
 
-    /// Charges one DMA transfer of `len` bytes.
-    #[inline]
-    pub fn charge_dma(&mut self, len: usize) {
-        if self.dma_memo.0 != len {
-            self.dma_memo = (
-                len,
-                self.cost.dma_cycles(len).0,
-                self.cost.dma_engine_cycles(len).0,
-            );
-        }
-        self.stats.dma_cycles += self.dma_memo.1;
-        self.stats.dma_engine_cycles += self.dma_memo.2;
-        self.stats.dma_transfers += 1;
-        self.stats.dma_bytes += len as u64;
-        // Issuing a DMA costs a few pipeline instructions (address setup).
-        self.stats.instrs += 4 * self.cost.int_op_cycles;
-    }
-
     /// Charges `n` identical DMA transfers of `len` bytes each. Every
-    /// counter increment of [`Charges::charge_dma`] is an integer, so
-    /// one multiplied charge equals `n` repeated charges exactly —
-    /// kernels whose inner loop issues only same-shaped transfers can
-    /// hoist the charging out of the loop without moving modeled time.
+    /// counter increment is an integer, so one multiplied charge equals
+    /// `n` single charges exactly — a kernel whose inner loop issues
+    /// only same-shaped transfers can hoist the charging out of the
+    /// loop without moving modeled time.
     #[inline]
-    pub fn charge_dma_repeat(&mut self, len: usize, n: u64) {
+    pub fn charge_dma(&mut self, len: usize, n: u64) {
         if n == 0 {
             return;
         }
@@ -155,6 +138,7 @@ impl<'a> Charges<'a> {
         self.stats.dma_engine_cycles += n * self.dma_memo.2;
         self.stats.dma_transfers += n;
         self.stats.dma_bytes += n * len as u64;
+        // Issuing a DMA costs a few pipeline instructions (address setup).
         self.stats.instrs += n * 4 * self.cost.int_op_cycles;
     }
 
@@ -170,76 +154,57 @@ impl<'a> Charges<'a> {
         self.stats.instrs += n * self.cost.int_op_cycles;
     }
 
-    /// Charges `n` software-emulated fp32 additions.
+    /// Charges `n` software-emulated fp32 additions (the DPU has no FPU).
     #[inline]
     pub fn charge_fp32_adds(&mut self, n: u64) {
         self.stats.instrs += n * self.cost.fp32_add_cycles;
     }
 
-    /// Charges one vector-accumulate of `n_elems` elements.
+    /// Charges `n` vector-accumulates of `n_elems` elements each: a
+    /// fixed parse/address/branch cost plus packed-add work (two 32-bit
+    /// lanes per instruction — embedding accumulation uses the DPU's
+    /// native 64-bit integer path on fixed-point lanes).
     #[inline]
-    pub fn charge_accumulate(&mut self, n_elems: u64) {
-        if self.acc_memo.0 != n_elems {
-            self.acc_memo = (
-                n_elems,
-                self.cost.accumulate_base_instrs
-                    + (self.cost.accumulate_per_elem_instrs * n_elems as f64).round() as u64,
-            );
-        }
-        self.stats.instrs += self.acc_memo.1;
+    pub fn charge_accumulate(&mut self, n_elems: u64, n: u64) {
+        self.accumulate(false, n_elems, n);
     }
 
-    /// Charges `n` vector-accumulates of `n_elems` elements each —
-    /// the multiplied form of [`Charges::charge_accumulate`] (integer
-    /// increments, so exactly `n` repeated charges).
+    /// Charges `n` *dequantizing* vector-accumulates of `n_elems`
+    /// quantized-u8 elements each: same fixed cost as
+    /// [`Charges::charge_accumulate`], but the per-element slope is
+    /// [`CostModel::accumulate_per_elem_instrs_u8`] — eight 8-bit lanes
+    /// unpack per 64-bit load, so the fused dequantize-accumulate loop
+    /// retires fewer instructions per element than the fp32 path.
     #[inline]
-    pub fn charge_accumulate_repeat(&mut self, n_elems: u64, n: u64) {
+    pub fn charge_accumulate_u8(&mut self, n_elems: u64, n: u64) {
+        self.accumulate(true, n_elems, n);
+    }
+
+    /// The accumulate formula, on fp32 or quantized-u8 lanes. `n = 0`
+    /// leaves the memo alone: a tasklet that never accumulates never
+    /// evaluates the curve.
+    #[inline]
+    fn accumulate(&mut self, u8_lanes: bool, n_elems: u64, n: u64) {
         if n == 0 {
             return;
         }
-        if self.acc_memo.0 != n_elems {
-            self.acc_memo = (
-                n_elems,
-                self.cost.accumulate_base_instrs
-                    + (self.cost.accumulate_per_elem_instrs * n_elems as f64).round() as u64,
-            );
+        let (memo, slope) = if u8_lanes {
+            (
+                &mut self.acc_u8_memo,
+                self.cost.accumulate_per_elem_instrs_u8,
+            )
+        } else {
+            (&mut self.acc_memo, self.cost.accumulate_per_elem_instrs)
+        };
+        if memo.0 != n_elems {
+            let work = (slope * n_elems as f64).round() as u64;
+            *memo = (n_elems, self.cost.accumulate_base_instrs + work);
         }
-        self.stats.instrs += n * self.acc_memo.1;
+        self.stats.instrs += n * memo.1;
     }
 
-    /// Charges one dequantizing vector-accumulate of `n_elems`
-    /// quantized-u8 elements.
-    #[inline]
-    pub fn charge_accumulate_u8(&mut self, n_elems: u64) {
-        if self.acc_u8_memo.0 != n_elems {
-            self.acc_u8_memo = (
-                n_elems,
-                self.cost.accumulate_base_instrs
-                    + (self.cost.accumulate_per_elem_instrs_u8 * n_elems as f64).round() as u64,
-            );
-        }
-        self.stats.instrs += self.acc_u8_memo.1;
-    }
-
-    /// Charges `n` dequantizing vector-accumulates of `n_elems`
-    /// elements each — the multiplied form of
-    /// [`Charges::charge_accumulate_u8`].
-    #[inline]
-    pub fn charge_accumulate_u8_repeat(&mut self, n_elems: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if self.acc_u8_memo.0 != n_elems {
-            self.acc_u8_memo = (
-                n_elems,
-                self.cost.accumulate_base_instrs
-                    + (self.cost.accumulate_per_elem_instrs_u8 * n_elems as f64).round() as u64,
-            );
-        }
-        self.stats.instrs += n * self.acc_u8_memo.1;
-    }
-
-    /// Charges loop bookkeeping for `iters` iterations.
+    /// Charges loop bookkeeping for `iters` iterations of an
+    /// embedding-style loop (address computation, compare, branch).
     #[inline]
     pub fn charge_loop(&mut self, iters: u64) {
         self.stats.instrs += iters * self.cost.loop_overhead_instrs;
@@ -303,35 +268,14 @@ impl<'a> MramReader<'a> {
         Ok(&self.data[start..end])
     }
 
-    /// Borrows everything from DMA-aligned `addr` to the reader's end —
-    /// a region base for kernels that index fixed-stride rows directly
-    /// (each row access then needs only a range check against this
-    /// slice). Per-row charging stays the caller's job. An `addr` at or
-    /// past the end yields an empty slice: the caller's row bounds
-    /// check reports the miss with the row's own address.
-    ///
-    /// # Errors
-    ///
-    /// Unaligned `addr`.
+    /// Every committed byte this reader sees, for kernels that index
+    /// fixed-stride rows directly: each row access then needs only a
+    /// range check against this slice. Per-row charging stays the
+    /// caller's job, as does checking the row shape against
+    /// [`Mram::check_dma`].
     #[inline]
-    pub fn tail(&self, addr: u32) -> Result<&'a [u8]> {
-        let start = addr as usize;
-        if !start.is_multiple_of(crate::arch::DMA_ALIGN) {
-            return Err(SimError::UnalignedDma { addr, len: 0 });
-        }
-        Ok(&self.data[start.min(self.data.len())..])
-    }
-
-    /// Total committed bytes visible to this reader.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the reader sees no committed bytes at all.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+    pub fn bytes(&self) -> &'a [u8] {
+        self.data
     }
 }
 
@@ -354,12 +298,6 @@ impl<'a> TaskletCtx<'a> {
         self.n_tasklets
     }
 
-    /// The cost model in effect (read-only).
-    #[inline]
-    pub fn cost(&self) -> &CostModel {
-        self.charges.cost
-    }
-
     /// Splits this context into a read-only MRAM window over the first
     /// `end` bytes plus the charge counters — disjoint borrows, so a
     /// kernel can keep rows, reference streams and offset arrays
@@ -367,18 +305,13 @@ impl<'a> TaskletCtx<'a> {
     /// transfers they stand for. The bank is grown (with zeros) to
     /// `end` once up front, exactly like a read of never-written MRAM.
     ///
-    /// Charges issued through the returned [`Charges`] are identical to
-    /// the context's own methods; a kernel using `dma`/`window` plus
-    /// the matching `charge_dma` calls is indistinguishable in modeled
-    /// time from one using [`TaskletCtx::mram_read`].
+    /// A kernel using `dma`/`window` plus the matching `charge_dma`
+    /// calls is indistinguishable in modeled time from one using
+    /// [`TaskletCtx::mram_read`].
     #[inline]
     pub fn split_reader(&mut self, end: usize) -> (MramReader<'_>, &mut Charges<'a>) {
-        (
-            MramReader {
-                data: self.mram.frozen(end),
-            },
-            &mut self.charges,
-        )
+        let (mram, _, charges) = self.split_reader_shared(end);
+        (mram, charges)
     }
 
     /// Like [`TaskletCtx::split_reader`], but also hands out the shared
@@ -406,25 +339,8 @@ impl<'a> TaskletCtx<'a> {
     #[inline]
     pub fn mram_read(&mut self, addr: u32, buf: &mut [u8]) -> Result<()> {
         self.mram.dma_read(addr, buf)?;
-        self.charges.charge_dma(buf.len());
+        self.charges.charge_dma(buf.len(), 1);
         Ok(())
-    }
-
-    /// Zero-copy DMA read: borrows the MRAM window directly instead of
-    /// copying it into a caller buffer, with identical validation and
-    /// identical DMA charges to [`TaskletCtx::mram_read`] — modeled
-    /// time cannot tell the two apart; only the simulator's host-side
-    /// wall clock changes. The borrow ends at the next `&mut` context
-    /// call, so the pattern is fetch, consume, then charge.
-    ///
-    /// # Errors
-    ///
-    /// Propagates alignment/size/bounds violations from [`Mram`].
-    #[inline]
-    pub fn mram_view(&mut self, addr: u32, len: usize) -> Result<&[u8]> {
-        Mram::check_dma(addr, len)?;
-        self.charges.charge_dma(len);
-        self.mram.dma_view(addr, len)
     }
 
     /// DMA write from a caller buffer into MRAM, charging DMA latency.
@@ -435,7 +351,7 @@ impl<'a> TaskletCtx<'a> {
     #[inline]
     pub fn mram_write(&mut self, addr: u32, buf: &[u8]) -> Result<()> {
         self.mram.dma_write(addr, buf)?;
-        self.charges.charge_dma(buf.len());
+        self.charges.charge_dma(buf.len(), 1);
         Ok(())
     }
 
@@ -451,7 +367,7 @@ impl<'a> TaskletCtx<'a> {
     #[inline]
     pub fn mram_view_mut(&mut self, addr: u32, len: usize) -> Result<&mut [u8]> {
         Mram::check_dma(addr, len)?;
-        self.charges.charge_dma(len);
+        self.charges.charge_dma(len, 1);
         self.mram.dma_view_mut(addr, len)
     }
 
@@ -474,53 +390,16 @@ impl<'a> TaskletCtx<'a> {
     ) -> Result<()> {
         self.mram
             .dma_write(addr, &self.shared[shared_off..shared_off + len])?;
-        self.charges.charge_dma(len);
+        self.charges.charge_dma(len, 1);
         Ok(())
     }
 
-    /// Charges `n` generic pipeline instructions (1 cycle slots each).
+    /// The cycle/DMA counters of this tasklet: every explicit charge a
+    /// kernel makes goes through here (the same [`Charges`] that
+    /// [`TaskletCtx::split_reader`] hands out beside an MRAM window).
     #[inline]
-    pub fn charge_instrs(&mut self, n: u64) {
-        self.charges.charge_instrs(n);
-    }
-
-    /// Charges `n` native 32-bit integer ALU operations.
-    #[inline]
-    pub fn charge_int_ops(&mut self, n: u64) {
-        self.charges.charge_int_ops(n);
-    }
-
-    /// Charges `n` software-emulated fp32 additions (the DPU has no FPU).
-    #[inline]
-    pub fn charge_fp32_adds(&mut self, n: u64) {
-        self.charges.charge_fp32_adds(n);
-    }
-
-    /// Charges one vector-accumulate of `n_elems` elements: a fixed
-    /// parse/address/branch cost plus packed-add work (two 32-bit lanes
-    /// per instruction — embedding accumulation uses the DPU's native
-    /// 64-bit integer path on fixed-point lanes).
-    #[inline]
-    pub fn charge_accumulate(&mut self, n_elems: u64) {
-        self.charges.charge_accumulate(n_elems);
-    }
-
-    /// Charges one *dequantizing* vector-accumulate of `n_elems`
-    /// quantized-u8 elements: same fixed cost as
-    /// [`Self::charge_accumulate`], but the per-element slope uses
-    /// [`CostModel::accumulate_per_elem_instrs_u8`] — eight 8-bit lanes
-    /// unpack per 64-bit load, so the fused dequantize-accumulate loop
-    /// retires fewer instructions per element than the fp32 path.
-    #[inline]
-    pub fn charge_accumulate_u8(&mut self, n_elems: u64) {
-        self.charges.charge_accumulate_u8(n_elems);
-    }
-
-    /// Charges loop bookkeeping for `iters` iterations of an
-    /// embedding-style loop (address computation, compare, branch).
-    #[inline]
-    pub fn charge_loop(&mut self, iters: u64) {
-        self.charges.charge_loop(iters);
+    pub fn charges(&mut self) -> &mut Charges<'a> {
+        &mut self.charges
     }
 
     /// The WRAM region shared by all tasklets of this DPU.
@@ -533,12 +412,6 @@ impl<'a> TaskletCtx<'a> {
     #[inline]
     pub fn local_wram(&mut self) -> &mut [u8] {
         self.local
-    }
-
-    /// Counters accumulated so far (mainly for tests).
-    #[inline]
-    pub fn stats(&self) -> &TaskletStats {
-        &self.charges.stats
     }
 }
 
@@ -747,7 +620,7 @@ mod tests {
             let mut buf = vec![0u8; self.row_bytes];
             for i in 0..per {
                 ctx.mram_read((i * self.row_bytes) as u32 & !7, &mut buf)?;
-                ctx.charge_instrs(self.instrs_per_read);
+                ctx.charges().charge_instrs(self.instrs_per_read);
             }
             Ok(())
         }

@@ -188,22 +188,9 @@ impl PimSystem {
     /// targets in one bus pass, so each group's bytes are charged once
     /// regardless of how many DPUs receive them (UpDLRM uses this to
     /// hand one row partition's reference stream to all of its column
-    /// slices).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bounds/alignment errors and unknown DPU ids.
-    pub fn scatter_broadcast(
-        &mut self,
-        groups: &[(&[DpuId], u32, &[u8])],
-    ) -> Result<TransferReport> {
-        self.scatter_broadcast_with(groups.iter().map(|(ids, addr, data)| (*ids, *addr, *data)))
-    }
-
-    /// Iterator form of [`PimSystem::scatter_broadcast`]: the caller
-    /// streams `(targets, addr, data)` groups without materializing a
-    /// transfer list, so a warm serving path can scatter with zero heap
-    /// allocation. Timing is identical to the slice form.
+    /// slices). The caller streams `(targets, addr, data)` groups
+    /// without materializing a transfer list, so a warm serving path
+    /// scatters with zero heap allocation.
     ///
     /// # Errors
     ///
@@ -534,7 +521,7 @@ mod tests {
     struct Nop;
     impl Kernel for Nop {
         fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<()> {
-            ctx.charge_instrs(10);
+            ctx.charges().charge_instrs(10);
             Ok(())
         }
     }
@@ -592,7 +579,7 @@ mod tests {
                 } else {
                     1_000
                 };
-                ctx.charge_instrs(w);
+                ctx.charges().charge_instrs(w);
                 Ok(())
             }
         }
@@ -695,12 +682,12 @@ mod tests {
             for _ in 0..=(id % 7) {
                 ctx.mram_read(((id * 64) % 4096) as u32 & !7, &mut buf)?;
             }
-            ctx.charge_instrs(100 + 37 * id + 11 * t);
-            ctx.charge_fp32_adds(id * 3);
+            ctx.charges().charge_instrs(100 + 37 * id + 11 * t);
+            ctx.charges().charge_fp32_adds(id * 3);
             Ok(())
         }
         fn finalize(&self, ctx: &mut TaskletCtx<'_>) -> Result<()> {
-            ctx.charge_instrs(5);
+            ctx.charges().charge_instrs(5);
             Ok(())
         }
     }
@@ -765,7 +752,7 @@ mod tests {
                 if ctx.dpu_id() == DpuId(3) && ctx.tasklet_id() == 0 {
                     return Err(SimError::KernelFault("dpu3 exploded".into()));
                 }
-                ctx.charge_instrs(10);
+                ctx.charges().charge_instrs(10);
                 Ok(())
             }
         }

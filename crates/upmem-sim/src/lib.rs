@@ -34,7 +34,7 @@
 //!             .chunks_exact(4)
 //!             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
 //!             .sum();
-//!         ctx.charge_int_ops(8);
+//!         ctx.charges().charge_int_ops(8);
 //!         ctx.mram_write(64, &(sum as u64).to_le_bytes())?;
 //!         Ok(())
 //!     }

@@ -87,23 +87,6 @@ impl Mram {
         Ok(())
     }
 
-    /// Zero-copy DMA read: borrows `len` bytes at `addr` directly from
-    /// the backing store, growing it with zeros when the window extends
-    /// past the high-water mark (never-written MRAM reads as zeros,
-    /// exactly like [`Mram::dma_read`]). Validation and failure modes
-    /// are identical to `dma_read` — only the host-side copy is skipped.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the transfer violates DMA rules (see [`Mram::check_dma`]).
-    #[inline]
-    pub fn dma_view(&mut self, addr: u32, len: usize) -> Result<&[u8]> {
-        Self::check_dma(addr, len)?;
-        let start = addr as usize;
-        self.ensure(start + len);
-        Ok(&self.data[start..start + len])
-    }
-
     /// Mutable zero-copy DMA window: borrows `len` writable bytes at
     /// `addr` so a kernel can serialize its result in place instead of
     /// staging it in a scratch buffer and copying. Validation and

@@ -11,7 +11,7 @@ fn broadcast_charges_bytes_once_per_group() {
 
     // Broadcast one buffer to 8 DPUs...
     let broadcast = sys
-        .scatter_broadcast(&[(all.as_slice(), 0, buf.as_slice())])
+        .scatter_broadcast_with(std::iter::once((all.as_slice(), 0, buf.as_slice())))
         .unwrap();
     // ...versus scattering 8 copies.
     let per_dpu: Vec<(DpuId, u32, &[u8])> =
@@ -60,7 +60,7 @@ impl Kernel for BarrierProbe {
     fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
         let t = ctx.tasklet_id();
         ctx.shared_wram()[t] = (t as u8) + 1;
-        ctx.charge_instrs(10);
+        ctx.charges().charge_instrs(10);
         Ok(())
     }
 
@@ -75,7 +75,7 @@ impl Kernel for BarrierProbe {
                 )));
             }
         }
-        ctx.charge_instrs(5);
+        ctx.charges().charge_instrs(5);
         Ok(())
     }
 }
@@ -94,11 +94,11 @@ struct TwoPhaseCost;
 
 impl Kernel for TwoPhaseCost {
     fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
-        ctx.charge_instrs(1_000);
+        ctx.charges().charge_instrs(1_000);
         Ok(())
     }
     fn finalize(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
-        ctx.charge_instrs(500);
+        ctx.charges().charge_instrs(500);
         Ok(())
     }
 }
@@ -107,7 +107,7 @@ struct OnePhaseCost;
 
 impl Kernel for OnePhaseCost {
     fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
-        ctx.charge_instrs(1_500);
+        ctx.charges().charge_instrs(1_500);
         Ok(())
     }
 }

@@ -36,9 +36,9 @@ impl Kernel for MixedFleet {
         let mut buf = [0u8; 64];
         for i in 0..=skew {
             ctx.mram_read(((i % 8) * 64) as u32, &mut buf)?;
-            ctx.charge_accumulate(16);
+            ctx.charges().charge_accumulate(16, 1);
         }
-        ctx.charge_loop(skew as u64 + 1);
+        ctx.charges().charge_loop(skew as u64 + 1);
         Ok(())
     }
 }

@@ -24,7 +24,7 @@
 //! updlrm serve --tenants FILE.toml [--no-isolation] [--quantum-us N]
 //!              [--dpus N] [--json FILE] [--metrics FILE]
 //! updlrm capacity --tenants FILE.toml [--min-dpus 8] [--max-dpus 256]
-//!              [--json FILE]
+//!              [--no-isolation] [--quantum-us N] [--json FILE]
 //! updlrm stats --metrics FILE
 //! updlrm trace [--dataset movie] [--scale 200] [--batches 10]
 //!              [--arrival poisson|bursty --qps N]
@@ -33,6 +33,8 @@
 //!              [--diurnal PERIOD_US:AMPLITUDE] --out trace.upwl
 //! updlrm info  [--dataset read]
 //! ```
+//!
+//! A flag a subcommand does not read is an error (exit 2), not ignored.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -58,7 +60,8 @@ fn usage() -> ! {
          [--drift-snapshot FILE] [--json FILE] [--metrics FILE]\n  \
          updlrm serve --tenants FILE.toml [--no-isolation] [--quantum-us N] [--dpus N] \
          [--json FILE] [--metrics FILE]\n  \
-         updlrm capacity --tenants FILE.toml [--min-dpus N] [--max-dpus N] [--json FILE]\n  \
+         updlrm capacity --tenants FILE.toml [--min-dpus N] [--max-dpus N] [--no-isolation] \
+         [--quantum-us N] [--json FILE]\n  \
          updlrm stats --metrics FILE\n  \
          updlrm trace [--dataset TAG] [--scale N] [--batches N] [--seed N] \
          [--arrival poisson|bursty --qps N] [--rotate SETS:ROWS:PERIOD_US:HOT] \
@@ -74,6 +77,36 @@ struct Args {
 
 /// Flags that take no value (presence alone turns them on).
 const BARE_FLAGS: &[&str] = &["deterministic", "no-isolation"];
+
+/// Every form of every subcommand with the flags it reads (the union
+/// of its space-separated lists) — what [`Args::expect_form`] checks a
+/// command line against before the subcommand runs.
+const FORMS: &[(&str, &[&str])] = &[
+    ("run", &[RUN_FLAGS]),
+    ("pack", &["out dataset scale seed"]),
+    ("plan", &[PLAN_FLAGS]),
+    ("serve", &[SERVE_FLAGS]),
+    ("serve --runtime wall", &[SERVE_FLAGS, WALL_FLAGS]),
+    ("serve --tenants", &[TENANT_FLAGS, "dpus json metrics"]),
+    ("capacity", &[TENANT_FLAGS, "min-dpus max-dpus json"]),
+    ("stats", &["metrics"]),
+    ("trace", &[TRACE_FLAGS]),
+    ("info", &["dataset"]),
+];
+const RUN_FLAGS: &str = "dataset backend strategy dpus nc scale batches seed host-threads \
+    embed-dtype tables pipeline queue-depth plan iters warmup json metrics";
+const PLAN_FLAGS: &str = "out load dataset scale tables batches seed ranks dpus-per-rank emt-kb \
+    host-kb replicate-top";
+const SERVE_FLAGS: &str = "qps arrival max-batch max-wait-us policy queue-cap runtime dataset \
+    strategy dpus scale batches seed host-threads workload-v3 replan drift-snapshot json metrics";
+const WALL_FLAGS: &str = "shards time-scale deterministic";
+const TENANT_FLAGS: &str = "tenants no-isolation quantum-us";
+const TRACE_FLAGS: &str = "dataset scale batches seed arrival qps rotate spike diurnal out";
+
+/// Whether `name` is in one of the space-separated flag `lists`.
+fn reads(lists: &[&str], name: &str) -> bool {
+    lists.iter().any(|l| l.split(' ').any(|f| f == name))
+}
 
 impl Args {
     fn parse(raw: &[String]) -> Args {
@@ -96,6 +129,31 @@ impl Args {
             }
         }
         Args { flags }
+    }
+
+    /// Exits 2 unless every flag given is one that `form` (a key of
+    /// [`FORMS`]) reads. A flag that belongs to a sibling form of the
+    /// same subcommand is pointed there instead of called unknown.
+    fn expect_form(&self, form: &str) {
+        let Some((_, allowed)) = FORMS.iter().find(|(f, _)| *f == form) else {
+            usage()
+        };
+        // The alphabetically first offender, so the message is stable.
+        let stray = self.flags.keys().map(String::as_str);
+        let Some(name) = stray.filter(|n| !reads(allowed, n)).min() else {
+            return;
+        };
+        let sub = form.split(' ').next();
+        let sibling = FORMS
+            .iter()
+            .find(|(f, lists)| f.split(' ').next() == sub && reads(lists, name));
+        match sibling {
+            Some((other, _)) => eprintln!(
+                "--{name} does not apply to `updlrm {form}` (it is a `updlrm {other}` flag)"
+            ),
+            None => eprintln!("unknown flag --{name} for `updlrm {form}`"),
+        }
+        std::process::exit(2)
     }
 
     fn flag_set(&self, name: &str) -> bool {
@@ -431,11 +489,11 @@ impl Passes {
         })
     }
 
-    /// [`time`](Self::time) over `serve_stream` passes of any engine;
+    /// [`time`](Self::time) over `serve_stream` passes of `engine`;
     /// also returns the first timed pass's per-batch breakdowns.
-    fn time_stream<E: BatchServer>(
+    fn time_stream(
         &self,
-        engine: &mut E,
+        engine: &mut UpdlrmEngine,
         batches: &[QueryBatch],
     ) -> Result<(Vec<EmbeddingBreakdown>, MeasuredJson), Box<dyn std::error::Error>> {
         let samples = batches.iter().map(|b| b.batch_size()).sum();
@@ -939,34 +997,6 @@ struct RuntimeJson {
 /// Loads and parses a `--tenants FILE.toml`, applying the CLI
 /// overrides (`--dpus`, `--quantum-us`, `--no-isolation`), or exits 2.
 fn tenants_file_or_exit(args: &Args, path: &str) -> TenantsFile {
-    for bad in [
-        "qps",
-        "arrival",
-        "workload-v3",
-        "replan",
-        "runtime",
-        "shards",
-        "time-scale",
-        "deterministic",
-        "drift-snapshot",
-        "dataset",
-        "strategy",
-        "scale",
-        "batches",
-        "seed",
-        "max-batch",
-        "max-wait-us",
-        "policy",
-        "queue-cap",
-        "embed-dtype",
-    ] {
-        if args.flag_set(bad) {
-            eprintln!(
-                "--{bad} does not apply with --tenants (per-tenant settings live in the file)"
-            );
-            std::process::exit(2)
-        }
-    }
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -1142,10 +1172,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = args.flags.get("tenants").cloned() {
         return cmd_serve_tenants(args, &path);
     }
-    if args.flag_set("no-isolation") || args.flag_set("quantum-us") {
-        eprintln!("--no-isolation / --quantum-us only apply to --tenants serving");
-        std::process::exit(2)
-    }
     let workload_path = args.flags.get("workload-v3").cloned();
     if workload_path.is_some() && (args.flag_set("qps") || args.flag_set("arrival")) {
         eprintln!(
@@ -1198,12 +1224,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         1.0
     };
     match runtime_mode.as_str() {
-        "modeled" => {
-            if args.flag_set("shards") || args.flag_set("time-scale") || deterministic {
-                eprintln!("--shards / --time-scale / --deterministic only apply to --runtime wall");
-                std::process::exit(2)
-            }
-        }
+        "modeled" => {}
         "wall" => {
             if shards == 0 {
                 eprintln!(
@@ -1756,6 +1777,11 @@ fn main() -> ExitCode {
         usage();
     };
     let args = Args::parse(rest);
+    args.expect_form(match cmd.as_str() {
+        "serve" if args.flag_set("tenants") => "serve --tenants",
+        "serve" if args.str("runtime", "modeled") == "wall" => "serve --runtime wall",
+        other => other,
+    });
     let result = match cmd.as_str() {
         "run" => cmd_run(&args),
         "pack" => cmd_pack(&args),

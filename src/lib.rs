@@ -89,9 +89,9 @@ pub mod prelude {
         TenantFleet, TenantReport, TenantSpec, TenantsFile,
     };
     pub use updlrm_core::{
-        BatchServer, EmbeddingBreakdown, MetricsRegistry, PartitionStrategy, PipelineMode,
-        PipelineReport, ReplanPolicy, RuntimeSnapshot, ServeOutcome, ServeReport, Snapshot,
-        TenantSnapshot, Tiling, TilingProblem, UpdlrmConfig, UpdlrmEngine, SNAPSHOT_SCHEMA_VERSION,
+        EmbeddingBreakdown, MetricsRegistry, PartitionStrategy, PipelineMode, PipelineReport,
+        ReplanPolicy, RuntimeSnapshot, ServeOutcome, ServeReport, Snapshot, TenantSnapshot, Tiling,
+        TilingProblem, UpdlrmConfig, UpdlrmEngine, SNAPSHOT_SCHEMA_VERSION,
     };
     pub use upmem_sim::{CostModel, DpuId, PimConfig, PimSystem, RankCostModel, RankTopology};
     pub use workloads::{

@@ -147,6 +147,44 @@ fn run_rejects_garbage_host_threads() {
 }
 
 #[test]
+fn unknown_flags_are_rejected_naming_the_flag_and_subcommand() {
+    // A flag the subcommand does not read (typo or borrowed from another
+    // subcommand) must not be silently dropped.
+    for (args, flag, form) in [
+        (&["run", "--bathces", "1"][..], "--bathces", "updlrm run"),
+        (
+            &["info", "--nonsense", "3"][..],
+            "--nonsense",
+            "updlrm info",
+        ),
+        (
+            &["serve", "--qps", "1000", "--embed-dtype", "int8"][..],
+            "--embed-dtype",
+            "updlrm serve",
+        ),
+        (
+            &["pack", "--out", "x", "--batches", "2"][..],
+            "--batches",
+            "updlrm pack",
+        ),
+        (
+            &["stats", "--metrics", "x", "--json", "y"][..],
+            "--json",
+            "updlrm stats",
+        ),
+    ] {
+        let out = updlrm().args(args).output().expect("updlrm");
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        assert!(out.stdout.is_empty(), "args {args:?} must not run anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(flag) && err.contains(form),
+            "args {args:?}: stderr {err}"
+        );
+    }
+}
+
+#[test]
 fn run_pipeline_doublebuf_reports_serving_stats() {
     let out = updlrm()
         .args(QUICK_RUN)
