@@ -216,6 +216,7 @@ mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::RowOffset;
     use std::arch::x86_64::*;
 
     #[inline]
@@ -488,7 +489,7 @@ mod x86 {
         add_assign_dequant_u8_avx2(&mut out[i..n], &q[i..n], scale, min);
     }
 
-    pub fn sum_rows_le_sse2(out: &mut [f32], data: &[u8], offs: &[usize]) {
+    pub fn sum_rows_le_sse2(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
         let n = out.len();
         let mut i = 0;
         while i + 16 <= n {
@@ -497,7 +498,7 @@ mod x86 {
                 let mut a1 = _mm_loadu_ps(out.as_ptr().add(i + 4));
                 let mut a2 = _mm_loadu_ps(out.as_ptr().add(i + 8));
                 let mut a3 = _mm_loadu_ps(out.as_ptr().add(i + 12));
-                for &o in offs {
+                for o in offs.iter().map(|o| o.to_usize()) {
                     let p = data[o + i * 4..o + i * 4 + 64].as_ptr().cast::<f32>();
                     a0 = _mm_add_ps(a0, _mm_loadu_ps(p));
                     a1 = _mm_add_ps(a1, _mm_loadu_ps(p.add(4)));
@@ -518,7 +519,7 @@ mod x86 {
             unsafe {
                 let mut a0 = _mm_loadu_ps(out.as_ptr().add(i));
                 let mut a1 = _mm_loadu_ps(out.as_ptr().add(i + 4));
-                for &o in offs {
+                for o in offs.iter().map(|o| o.to_usize()) {
                     let p = data[o + i * 4..o + i * 4 + 32].as_ptr().cast::<f32>();
                     a0 = _mm_add_ps(a0, _mm_loadu_ps(p));
                     a1 = _mm_add_ps(a1, _mm_loadu_ps(p.add(4)));
@@ -531,7 +532,7 @@ mod x86 {
         if i + 4 <= n {
             unsafe {
                 let mut a0 = _mm_loadu_ps(out.as_ptr().add(i));
-                for &o in offs {
+                for o in offs.iter().map(|o| o.to_usize()) {
                     let p = data[o + i * 4..o + i * 4 + 16].as_ptr().cast::<f32>();
                     a0 = _mm_add_ps(a0, _mm_loadu_ps(p));
                 }
@@ -540,7 +541,7 @@ mod x86 {
             i += 4;
         }
         if i < n {
-            for &o in offs {
+            for o in offs.iter().map(|o| o.to_usize()) {
                 add_assign_le_sse2(&mut out[i..], &data[o + i * 4..o + n * 4]);
             }
         }
@@ -549,13 +550,13 @@ mod x86 {
     /// # Safety
     /// Caller must have verified AVX2 support at runtime.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sum_rows_le_avx2(out: &mut [f32], data: &[u8], offs: &[usize]) {
+    pub unsafe fn sum_rows_le_avx2(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
         let n = out.len();
         let mut i = 0;
         while i + 16 <= n {
             let mut a0 = _mm256_loadu_ps(out.as_ptr().add(i));
             let mut a1 = _mm256_loadu_ps(out.as_ptr().add(i + 8));
-            for &o in offs {
+            for o in offs.iter().map(|o| o.to_usize()) {
                 let p = data[o + i * 4..o + i * 4 + 64].as_ptr().cast::<f32>();
                 a0 = _mm256_add_ps(a0, _mm256_loadu_ps(p));
                 a1 = _mm256_add_ps(a1, _mm256_loadu_ps(p.add(8)));
@@ -565,7 +566,7 @@ mod x86 {
             i += 16;
         }
         if i < n {
-            for &o in offs {
+            for o in offs.iter().map(|o| o.to_usize()) {
                 add_assign_le_avx2(&mut out[i..], &data[o + i * 4..o + n * 4]);
             }
         }
@@ -574,13 +575,13 @@ mod x86 {
     /// # Safety
     /// Caller must have verified AVX-512F (and AVX2) support at runtime.
     #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn sum_rows_le_avx512(out: &mut [f32], data: &[u8], offs: &[usize]) {
+    pub unsafe fn sum_rows_le_avx512(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
         let n = out.len();
         let mut i = 0;
         while i + 32 <= n {
             let mut a0 = _mm512_loadu_ps(out.as_ptr().add(i));
             let mut a1 = _mm512_loadu_ps(out.as_ptr().add(i + 16));
-            for &o in offs {
+            for o in offs.iter().map(|o| o.to_usize()) {
                 let p = data[o + i * 4..o + i * 4 + 128].as_ptr().cast::<f32>();
                 a0 = _mm512_add_ps(a0, _mm512_loadu_ps(p));
                 a1 = _mm512_add_ps(a1, _mm512_loadu_ps(p.add(16)));
@@ -591,7 +592,7 @@ mod x86 {
         }
         while i + 16 <= n {
             let mut a0 = _mm512_loadu_ps(out.as_ptr().add(i));
-            for &o in offs {
+            for o in offs.iter().map(|o| o.to_usize()) {
                 let p = data[o + i * 4..o + i * 4 + 64].as_ptr().cast::<f32>();
                 a0 = _mm512_add_ps(a0, _mm512_loadu_ps(p));
             }
@@ -599,7 +600,7 @@ mod x86 {
             i += 16;
         }
         if i < n {
-            for &o in offs {
+            for o in offs.iter().map(|o| o.to_usize()) {
                 add_assign_le_avx2(&mut out[i..], &data[o + i * 4..o + n * 4]);
             }
         }
@@ -612,6 +613,7 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
+    use super::RowOffset;
     use std::arch::aarch64::*;
 
     #[inline]
@@ -702,7 +704,7 @@ mod neon {
         super::scalar::add_assign_dequant_u8(&mut out[i..n], &q[i..n], scale, min);
     }
 
-    pub fn sum_rows_le_neon(out: &mut [f32], data: &[u8], offs: &[usize]) {
+    pub fn sum_rows_le_neon(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
         let n = out.len();
         let mut i = 0;
         while i + 16 <= n {
@@ -711,7 +713,7 @@ mod neon {
                 let mut a1 = vld1q_f32(out.as_ptr().add(i + 4));
                 let mut a2 = vld1q_f32(out.as_ptr().add(i + 8));
                 let mut a3 = vld1q_f32(out.as_ptr().add(i + 12));
-                for &o in offs {
+                for o in offs.iter().map(|o| o.to_usize()) {
                     let p = data[o + i * 4..o + i * 4 + 64].as_ptr().cast::<f32>();
                     a0 = vaddq_f32(a0, vld1q_f32(p));
                     a1 = vaddq_f32(a1, vld1q_f32(p.add(4)));
@@ -731,7 +733,7 @@ mod neon {
             unsafe {
                 let mut a0 = vld1q_f32(out.as_ptr().add(i));
                 let mut a1 = vld1q_f32(out.as_ptr().add(i + 4));
-                for &o in offs {
+                for o in offs.iter().map(|o| o.to_usize()) {
                     let p = data[o + i * 4..o + i * 4 + 32].as_ptr().cast::<f32>();
                     a0 = vaddq_f32(a0, vld1q_f32(p));
                     a1 = vaddq_f32(a1, vld1q_f32(p.add(4)));
@@ -744,7 +746,7 @@ mod neon {
         if i + 4 <= n {
             unsafe {
                 let mut a0 = vld1q_f32(out.as_ptr().add(i));
-                for &o in offs {
+                for o in offs.iter().map(|o| o.to_usize()) {
                     let p = data[o + i * 4..o + i * 4 + 16].as_ptr().cast::<f32>();
                     a0 = vaddq_f32(a0, vld1q_f32(p));
                 }
@@ -753,7 +755,7 @@ mod neon {
             i += 4;
         }
         if i < n {
-            for &o in offs {
+            for o in offs.iter().map(|o| o.to_usize()) {
                 add_assign_le_neon(&mut out[i..], &data[o + i * 4..o + n * 4]);
             }
         }
@@ -892,6 +894,28 @@ pub fn add_assign_dequant_u8(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
     }
 }
 
+/// A row's byte offset as [`sum_rows_le`] takes it: `usize`, or `u32`
+/// where the caller has checked that the store fits (a list of them is
+/// half the size).
+pub trait RowOffset: Copy {
+    /// The offset as an index.
+    fn to_usize(self) -> usize;
+}
+
+impl RowOffset for usize {
+    #[inline(always)]
+    fn to_usize(self) -> usize {
+        self
+    }
+}
+
+impl RowOffset for u32 {
+    #[inline(always)]
+    fn to_usize(self) -> usize {
+        self as usize
+    }
+}
+
 /// Fused multi-row gather-accumulate: for each `o` in `offs`, in order,
 /// `out[i] += le_f32(data[o + 4i..])` over all `out.len()` elements —
 /// equivalent to one [`add_assign_le`] call per row, but the
@@ -902,7 +926,7 @@ pub fn add_assign_dequant_u8(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
 ///
 /// Panics if any row `data[o..o + 4 * out.len()]` is out of bounds.
 #[inline]
-pub fn sum_rows_le(out: &mut [f32], data: &[u8], offs: &[usize]) {
+pub fn sum_rows_le(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
     match tier() {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx512 if out.len() >= AVX512_MIN_ELEMS => unsafe {
@@ -919,7 +943,7 @@ pub fn sum_rows_le(out: &mut [f32], data: &[u8], offs: &[usize]) {
         #[cfg(target_arch = "aarch64")]
         SimdTier::Neon => neon::sum_rows_le_neon(out, data, offs),
         _ => {
-            for &o in offs {
+            for o in offs.iter().map(|o| o.to_usize()) {
                 scalar::add_assign_le(out, &data[o..o + 4 * out.len()]);
             }
         }

@@ -48,9 +48,10 @@ pub struct UpdlrmConfig {
     /// [`PartitionStrategy::Replicated`] (ignored otherwise).
     pub replicate_top: usize,
     /// Host threads used to fan out the functional DPU simulation
-    /// (`1` = serial). Modeled timing is unaffected; this only changes
-    /// simulator wall-clock throughput. Defaults to the machine's
-    /// available parallelism.
+    /// (`1` = serial, the default). Modeled timing is unaffected; this
+    /// only changes simulator wall-clock throughput, and more than one
+    /// thread has not raised it on any box measured (EXPERIMENTS.md,
+    /// "Stage 2 simulates a DPU").
     pub host_threads: usize,
     /// Batch schedule used by [`UpdlrmEngine::serve`](crate::engine::UpdlrmEngine::serve):
     /// back-to-back (the paper's measurement mode) or double-buffered
@@ -97,7 +98,7 @@ impl Default for UpdlrmConfig {
             pad_transfers: true,
             miner: MinerConfig::default(),
             replicate_top: 64,
-            host_threads: upmem_sim::default_host_threads(),
+            host_threads: 1,
             pipeline_mode: PipelineMode::Sequential,
             queue_depth: 2,
             telemetry: false,

@@ -1309,11 +1309,12 @@ impl UpdlrmEngine {
         let b = batch.batch_size();
         let tasklets = self.config.tasklets;
         for state in &self.tables {
-            // The kernel's shared WRAM accumulator block must leave room
-            // for per-tasklet locals.
+            // The dedup kernel's shared WRAM accumulator block must leave
+            // room for per-tasklet locals (the CSR kernel has no such
+            // block: each tasklet accumulates one row at a time).
             let row_bytes = state.tiling.row_bytes();
             let acc = b * row_bytes;
-            if acc + tasklets * 64 > upmem_sim::arch::WRAM_CAPACITY {
+            if self.config.dedup && acc + tasklets * 64 > upmem_sim::arch::WRAM_CAPACITY {
                 return Err(CoreError::InvalidConfig(format!(
                     "batch {b} x {row_bytes} B rows needs {acc} B of WRAM accumulators (64 KB available)"
                 )));

@@ -7,17 +7,38 @@
 //!
 //! ## Execution model
 //!
-//! The host deduplicates row references across the whole batch
-//! (pre-processing, Fig. 4 stage 1): a row needed by several samples is
-//! fetched from MRAM exactly once. Unique rows are distributed
-//! round-robin over the tasklets; every tasklet accumulates its rows
-//! into a *shared* WRAM accumulator block (`n_samples x row_bytes`),
-//! which on real hardware is guarded by per-accumulator mutexes (the
-//! cost model charges that synchronization inside the accumulate cost).
-//! Finally each tasklet writes its share of the per-sample partial-sum
-//! rows to the MRAM output region.
+//! The modeled DPU program runs `n_tasklets` tasklets. In the paper's
+//! CSR format tasklet `t` owns the samples `s ≡ t (mod n_tasklets)`: per
+//! sample it reads the two offsets, stages the reference array, fetches
+//! and accumulates every referenced row and writes the partial-sum row.
+//! In the dedup format the host deduplicates row references across the
+//! batch; unique rows are dealt round-robin over the tasklets, which
+//! accumulate them into a *shared* WRAM block (`n_samples x row_bytes`,
+//! mutex-guarded on hardware — the accumulate cost covers it) and,
+//! after a barrier, each write their share of the rows to MRAM.
+//!
+//! The simulator does not interpret that program tasklet by tasklet.
+//! What lands in the output rows depends only on the reference stream,
+//! and what each tasklet is charged is a closed form of the stream's
+//! counts, so [`EmbeddingKernel`] is a [`DpuProgram`]: one pass per
+//! launched DPU that validates and decodes the stream into flat row
+//! offsets, derives every tasklet's counters from the offsets, and sums
+//! the rows sample by sample straight into the output region. Stage 1
+//! broadcasts one stream to every column slice of a partition, so the
+//! kernel keeps its last decode and reuses it on a DPU whose stream
+//! bytes compare equal. The tasklet-by-tasklet program survives as the
+//! test oracle (`tests/stream_props.rs`), which must agree with this
+//! pass in every output byte and every per-tasklet counter.
 //!
 //! ## Reference stream layout (little-endian `u32`, 8-byte padded)
+//!
+//! CSR (see [`build_stream`]):
+//!
+//! ```text
+//! input_base: [n_samples + 1 reference end-offsets] [flat reference array]
+//! ```
+//!
+//! Dedup:
 //!
 //! ```text
 //! input_base: [n_tasklets + 1 stream end-offsets, bytes rel. to streams_base]
@@ -30,9 +51,9 @@
 
 use dlrm_model::quant::{self, QROW_HEADER_BYTES};
 use dlrm_model::{simd, EmbedDtype, FxHashMap};
-use std::sync::Mutex;
-use upmem_sim::arch::DMA_MAX_TRANSFER;
-use upmem_sim::{Charges, DpuId, Kernel, Mram, SimError, TaskletCtx};
+use std::sync::{Mutex, TryLockError};
+use upmem_sim::arch::{DMA_ALIGN, DMA_MAX_TRANSFER, MAX_TASKLETS, MRAM_CAPACITY};
+use upmem_sim::{CostModel, CostTable, DpuId, DpuPass, DpuProgram, Mram, SimError, TaskletStats};
 
 /// High bit of a reference word: set = cache region, clear = EMT region.
 pub const CACHE_REF_BIT: u32 = 1 << 31;
@@ -60,14 +81,15 @@ pub struct DpuTask {
 ///   barrier needed.
 /// * **Dedup** (`dedup = true`, an extension): unique rows are dealt
 ///   round-robin to tasklets, accumulated into shared WRAM and written
-///   back after a barrier ([`Kernel::finalize`]).
+///   back after a barrier.
 ///
-/// Both fetch rows the same way: a tasklet run first checks the task's
-/// row shape with the DMA engine's own rule ([`Mram::check_dma`] on
-/// each region's first row — odd-sized or oversized rows and misaligned
-/// bases fail the launch there), then every reference word goes through
-/// one decode (`Rows::resolve`) to a bounds-checked row borrowed
-/// straight out of MRAM.
+/// Both run as one whole-DPU pass (module docs). The pass first checks
+/// the task's row shapes with the DMA engine's own rule
+/// ([`Mram::check_dma`] on the first EMT, cache and output row —
+/// odd-sized or oversized rows and misaligned bases fail the launch
+/// there), then every reference word goes through one decode
+/// (`Rows::resolve`) to a bounds-checked row offset, before any row is
+/// summed.
 #[derive(Debug, Default)]
 pub struct EmbeddingKernel {
     /// Bytes per *output* (and cache) row (`N_c * 4`), a multiple of 8.
@@ -83,31 +105,12 @@ pub struct EmbeddingKernel {
     /// Samples in the batch being launched — one value per launch, the
     /// same on every DPU.
     pub n_samples: u32,
-    /// Registered DPUs; others return immediately. Probed by every
-    /// tasklet run, hence the fast hasher.
-    dpus: FxHashMap<DpuId, DpuEntry>,
-}
-
-/// One registered DPU: its launch parameters and its reusable tasklet
-/// scratch. The scratch sits behind a `Mutex` only to satisfy
-/// `Kernel: Sync`: all tasklets of one DPU run sequentially on one host
-/// thread, and parallel launch workers own disjoint DPU sets, so every
-/// lock is uncontended. Warmed buffers make steady-state runs
-/// allocation free.
-#[derive(Debug)]
-struct DpuEntry {
-    task: DpuTask,
-    scratch: Mutex<TaskletScratch>,
-}
-
-/// Reusable buffers for one DPU's tasklets.
-#[derive(Debug, Default)]
-struct TaskletScratch {
-    /// f32 accumulator (row decode / CSR sample accumulate).
-    acc: Vec<f32>,
-    /// Absolute MRAM byte offsets of one sample's rows, staged for the
-    /// fused [`simd::sum_rows_le`] gather (CSR f32 arm).
-    offs: Vec<usize>,
+    /// Registered DPUs; others return immediately.
+    dpus: FxHashMap<DpuId, DpuTask>,
+    /// The last stream decoded, for the DPUs that received the same
+    /// bytes. Serial launches always get the lock; a parallel launch
+    /// worker that finds it taken decodes into a buffer of its own.
+    decoded: Mutex<Decoded>,
 }
 
 /// Where one DPU's reference words point: the EMT tile and the cached
@@ -122,13 +125,17 @@ struct Rows {
     emt_f32: bool,
 }
 
+/// Set on a decoded row offset whose row is a quantized EMT record.
+/// Offsets lie inside a 64 MB bank, so the bit is free.
+const QUANT_ROW_BIT: u32 = 1 << 31;
+
 impl Rows {
     /// The one reference decode: maps reference word `r` to its row's
-    /// absolute byte offset in a bank of `bank_len` bytes, plus whether
-    /// the row is stored as f32 (else a quantized EMT record). A row
-    /// past the bank fails with the error its DMA fetch would raise.
+    /// absolute byte offset in a bank of `bank_len` bytes, tagged with
+    /// [`QUANT_ROW_BIT`] unless the row is stored as f32. A row past
+    /// the bank fails with the error its DMA fetch would raise.
     #[inline]
-    fn resolve(&self, r: u32, bank_len: usize) -> Result<(usize, bool), SimError> {
+    fn resolve(&self, r: u32, bank_len: usize) -> Result<u32, SimError> {
         let cached = r & CACHE_REF_BIT != 0;
         let (base, stride) = if cached {
             (self.cache_base, self.cache_stride)
@@ -144,7 +151,13 @@ impl Rows {
                 capacity: bank_len,
             });
         }
-        Ok((abs, cached || self.emt_f32))
+        let tag = if cached || self.emt_f32 {
+            0
+        } else {
+            QUANT_ROW_BIT
+        };
+        // `abs < bank_len <= MRAM_CAPACITY`, well below the tag bit.
+        Ok(abs as u32 | tag)
     }
 }
 
@@ -157,12 +170,32 @@ fn u32_at(buf: &[u8], idx: usize) -> u32 {
     ])
 }
 
+/// `len` rounded up to the DMA grain.
+const fn pad8(len: usize) -> usize {
+    (len + DMA_ALIGN - 1) & !(DMA_ALIGN - 1)
+}
+
+/// The aligned window `[start, end)` a staged copy of `len` bytes at
+/// `addr` reads, checked against the bank.
+fn window(addr: usize, len: usize, bank_len: usize) -> Result<(usize, usize), SimError> {
+    let start = addr & !(DMA_ALIGN - 1);
+    let end = pad8(addr + len);
+    if end > bank_len {
+        return Err(SimError::MramOutOfBounds {
+            addr: start as u32,
+            len: end - start,
+            capacity: bank_len,
+        });
+    }
+    Ok((start, end))
+}
+
 /// Charges a contiguous `len`-byte MRAM read as the series of
 /// `<= DMA_MAX_TRANSFER` chunks a staged copy would issue.
-fn charge_chunked(ch: &mut Charges<'_>, len: usize) {
-    ch.charge_dma(DMA_MAX_TRANSFER, (len / DMA_MAX_TRANSFER) as u64);
+fn charge_chunked(costs: &CostTable, stats: &mut TaskletStats, len: usize) {
+    costs.charge_dma(stats, DMA_MAX_TRANSFER, (len / DMA_MAX_TRANSFER) as u64);
     let rest = len % DMA_MAX_TRANSFER;
-    ch.charge_dma(rest, u64::from(rest > 0));
+    costs.charge_dma(stats, rest, u64::from(rest > 0));
 }
 
 /// Adds the quantized EMT record `qrow` into `acc`, dequantizing on the
@@ -173,6 +206,332 @@ fn add_dequant(acc: &mut [f32], qrow: &[u8]) -> Result<(), SimError> {
     let q = &qrow[QROW_HEADER_BYTES..QROW_HEADER_BYTES + acc.len()];
     simd::add_assign_dequant_u8(acc, q, scale, min);
     Ok(())
+}
+
+/// Everything a decode depends on besides the stream bytes, the bank's
+/// length and the cost model: a held decode serves a DPU only under an
+/// equal key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DecodeKey {
+    task: DpuTask,
+    row_bytes: usize,
+    dtype: EmbedDtype,
+    dedup: bool,
+    n_samples: u32,
+    n_tasklets: usize,
+}
+
+/// One validated, decoded reference stream: the flat row offsets the
+/// functional half sums, and the per-tasklet counters of the timing
+/// half.
+#[derive(Debug, Default)]
+struct Decoded {
+    /// The key decoded under and the model the counters were charged
+    /// from; `None` while no complete decode is held — a decode that
+    /// fails part-way leaves nothing to reuse.
+    key: Option<(DecodeKey, CostModel)>,
+    /// The stream region as decoded: every byte the decode read, from
+    /// `input_base` rounded down to the DMA grain.
+    bytes: Vec<u8>,
+    /// Decoded row offsets ([`Rows::resolve`]). CSR: sample `s` sums
+    /// `rows[ends[s]..ends[s + 1]]`. Dedup: unique entry `e` is
+    /// `rows[e]`, added into the samples `users[ends[e]..ends[e + 1]]`,
+    /// entries in tasklet order.
+    rows: Vec<u32>,
+    ends: Vec<u32>,
+    users: Vec<u32>,
+    /// One past the last byte of any decoded row.
+    rows_end: usize,
+    /// Phase-1 and phase-2 counters of every tasklet.
+    stats: [[TaskletStats; MAX_TASKLETS]; 2],
+    /// One row's accumulator (functional half).
+    acc: Vec<f32>,
+}
+
+impl Decoded {
+    /// Whether this decode was made under `key` and `cost` from the
+    /// bytes `bank` holds, with every decoded row inside `bank`.
+    fn serves(&self, key: &DecodeKey, cost: &CostModel, bank: &[u8]) -> bool {
+        let start = key.task.input_base as usize & !(DMA_ALIGN - 1);
+        matches!(&self.key, Some((k, c)) if k == key && c == cost)
+            && self.rows_end <= bank.len()
+            && bank.get(start..start + self.bytes.len()) == Some(&self.bytes[..])
+    }
+
+    fn reset(&mut self) {
+        self.key = None;
+        self.rows.clear();
+        self.ends.clear();
+        self.ends.push(0);
+        self.users.clear();
+        self.rows_end = 0;
+        self.stats = Default::default();
+    }
+
+    /// Decodes reference word `r`, keeping the row's end for
+    /// [`Decoded::serves`].
+    #[inline]
+    fn push_row(&mut self, rows: &Rows, r: u32, bank_len: usize) -> Result<bool, SimError> {
+        let row = rows.resolve(r, bank_len)?;
+        let quantized = row & QUANT_ROW_BIT != 0;
+        let stride = if quantized {
+            rows.emt_stride
+        } else {
+            rows.cache_stride
+        };
+        self.rows_end = self.rows_end.max((row & !QUANT_ROW_BIT) as usize + stride);
+        self.rows.push(row);
+        Ok(quantized)
+    }
+
+    /// CSR format: validates the offsets and every reference in sample
+    /// order and charges tasklet `s mod n_tasklets` what serving sample
+    /// `s` costs — its offsets window, its reference array as staged
+    /// chunks, one row fetch and accumulate per reference, and the
+    /// output row.
+    fn decode_csr(
+        &mut self,
+        key: &DecodeKey,
+        rows: &Rows,
+        bank: &[u8],
+        costs: &CostTable,
+    ) -> Result<(), SimError> {
+        let cost = costs.model();
+        let n_c = key.row_bytes / 4;
+        let n_samples = key.n_samples as usize;
+        let input = key.task.input_base as usize;
+        let refs_base = input + pad8((n_samples + 1) * 4);
+        let acc_f32 = costs.accumulate_instrs(false, n_c as u64);
+        let acc_u8 = costs.accumulate_instrs(true, n_c as u64);
+        let mut region_end = input & !(DMA_ALIGN - 1);
+        for s in 0..n_samples {
+            let st = &mut self.stats[0][s % key.n_tasklets];
+            // offsets[s], offsets[s + 1]: the 8-byte request spans at
+            // most 16 aligned bytes, always a single DMA.
+            let oaddr = input + 4 * s;
+            let (ostart, oend) = window(oaddr, 8, bank.len())?;
+            costs.charge_dma(st, oend - ostart, 1);
+            let start = u32_at(&bank[oaddr..], 0) as usize;
+            let end = u32_at(&bank[oaddr..], 1) as usize;
+            st.instrs += 4 * cost.int_op_cycles;
+            if end < start {
+                return Err(SimError::KernelFault(format!(
+                    "sample {s}: offsets decrease ({start}..{end})"
+                )));
+            }
+            region_end = region_end.max(oend);
+            let n_refs = end - start;
+            let mut n_u8 = 0u64;
+            if n_refs > 0 {
+                // Reference array: charged as the chunk series of a
+                // staged read of its aligned window.
+                let raddr = refs_base + 4 * start;
+                let (rstart, rend) = window(raddr, 4 * n_refs, bank.len())?;
+                charge_chunked(costs, st, rend - rstart);
+                region_end = region_end.max(rend);
+                self.rows.reserve(n_refs);
+                for word in bank[raddr..raddr + 4 * n_refs].chunks_exact(4) {
+                    let r = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
+                    n_u8 += u64::from(self.push_row(rows, r, bank.len())?);
+                }
+            }
+            self.ends.push(self.rows.len() as u32);
+            // Every charge counter is an integer, so a row's fetch and
+            // accumulate charged `n` times over is `n` single charges.
+            let st = &mut self.stats[0][s % key.n_tasklets];
+            let n_f32 = n_refs as u64 - n_u8;
+            st.instrs += (n_c / 2) as u64 * cost.int_op_cycles
+                + (n_refs as u64 + 1) * cost.loop_overhead_instrs
+                + n_f32 * acc_f32
+                + n_u8 * acc_u8;
+            costs.charge_dma(st, rows.cache_stride, n_f32 + 1);
+            costs.charge_dma(st, rows.emt_stride, n_u8);
+        }
+        self.keep_region(key, cost, bank, region_end);
+        Ok(())
+    }
+
+    /// Dedup format: validates the header and every tasklet's entry
+    /// stream in tasklet order. Phase 1 charges tasklet `t` its header
+    /// read, its stream as staged chunks, one row fetch per entry and
+    /// one shared-WRAM accumulate per referencing sample (tasklet 0
+    /// also zeroes the block); phase 2 charges the output rows
+    /// `s ≡ t (mod n_tasklets)`.
+    fn decode_dedup(
+        &mut self,
+        key: &DecodeKey,
+        rows: &Rows,
+        bank: &[u8],
+        costs: &CostTable,
+    ) -> Result<(), SimError> {
+        let cost = costs.model();
+        let n_c = key.row_bytes / 4;
+        let n_samples = key.n_samples as usize;
+        let n_tasklets = key.n_tasklets;
+        let acc_f32 = costs.accumulate_instrs(false, n_c as u64);
+        let acc_u8 = costs.accumulate_instrs(true, n_c as u64);
+        // Header: stream end-offsets for every tasklet, one padded DMA
+        // (`MAX_TASKLETS + 2` u32s fit a single transfer).
+        let hwin = pad8((n_tasklets + 2) * 4);
+        Mram::check_dma(key.task.input_base, hwin)?;
+        let input = key.task.input_base as usize;
+        let (_, streams_base) = window(input, hwin, bank.len())?;
+        let hdr = &bank[input..streams_base];
+        let mut region_end = streams_base;
+        for t in 0..n_tasklets {
+            let st = &mut self.stats[0][t];
+            if t == 0 {
+                st.instrs += (n_samples * n_c / 2) as u64 * cost.int_op_cycles;
+            }
+            costs.charge_dma(st, hwin, 1);
+            st.instrs += 4 * cost.int_op_cycles;
+            let (start, end) = (u32_at(hdr, t) as usize, u32_at(hdr, t + 1) as usize);
+            if end < start {
+                return Err(SimError::KernelFault(format!(
+                    "tasklet {t}: stream ends before it starts ({start}..{end})"
+                )));
+            }
+            let slen = end - start;
+            if slen == 0 {
+                continue;
+            }
+            let saddr = streams_base + start;
+            let (sstart, send) = window(saddr, slen, bank.len())?;
+            charge_chunked(costs, st, send - sstart);
+            st.instrs += 2 * cost.int_op_cycles;
+            region_end = region_end.max(send);
+            let stream = &bank[saddr..saddr + slen];
+            if slen < 4 {
+                return Err(SimError::KernelFault("truncated stream entry".into()));
+            }
+            let n_entries = u32_at(stream, 0) as usize;
+            let mut pos = 1usize; // u32 cursor
+            for _ in 0..n_entries {
+                if (pos + 2) * 4 > slen {
+                    return Err(SimError::KernelFault("truncated stream entry".into()));
+                }
+                let r = u32_at(stream, pos);
+                let k = u32_at(stream, pos + 1) as usize;
+                pos += 2;
+                if (pos + k) * 4 > slen {
+                    return Err(SimError::KernelFault("truncated sample id list".into()));
+                }
+                // One fetch per unique row — a quantized record is
+                // dequantized once, on the u8 accumulate charge — then
+                // one accumulate per referencing sample.
+                let quantized = self.push_row(rows, r, bank.len())?;
+                let st = &mut self.stats[0][t];
+                st.instrs += cost.loop_overhead_instrs + k as u64 * acc_f32;
+                if quantized {
+                    costs.charge_dma(st, rows.emt_stride, 1);
+                    st.instrs += acc_u8;
+                } else {
+                    costs.charge_dma(st, rows.cache_stride, 1);
+                }
+                for j in 0..k {
+                    let sample = u32_at(stream, pos + j);
+                    if sample as usize >= n_samples {
+                        return Err(SimError::KernelFault(format!(
+                            "sample id {sample} out of range {n_samples}"
+                        )));
+                    }
+                    self.users.push(sample);
+                }
+                self.ends.push(self.users.len() as u32);
+                pos += k;
+            }
+        }
+        // After the barrier each tasklet writes its share of the
+        // per-sample rows from the shared accumulators to MRAM.
+        for (t, st) in self.stats[1][..n_tasklets].iter_mut().enumerate() {
+            let share = n_samples.saturating_sub(t).div_ceil(n_tasklets) as u64;
+            costs.charge_dma(st, key.row_bytes, share);
+            st.instrs += share * cost.loop_overhead_instrs;
+        }
+        self.keep_region(key, cost, bank, region_end);
+        Ok(())
+    }
+
+    /// Completes a decode: keeps the stream region for later DPUs to
+    /// compare against and marks the decode reusable.
+    fn keep_region(&mut self, key: &DecodeKey, cost: &CostModel, bank: &[u8], region_end: usize) {
+        let start = key.task.input_base as usize & !(DMA_ALIGN - 1);
+        self.bytes.clear();
+        self.bytes.extend_from_slice(&bank[start..region_end]);
+        self.key = Some((*key, cost.clone()));
+    }
+
+    /// The functional half: sums the decoded rows into the `n_samples`
+    /// output rows at `out_base` of `bank`, in reference order per
+    /// sample (CSR) or entry order per tasklet stream (dedup) — the
+    /// order the tasklet program accumulates in, so the rows are
+    /// bit-equal to its.
+    fn sum_into(&mut self, key: &DecodeKey, rows: &Rows, bank: &mut [u8]) -> Result<(), SimError> {
+        if key.n_samples == 0 {
+            return Ok(());
+        }
+        let row_bytes = key.row_bytes;
+        let out_base = key.task.output_base as usize;
+        let Decoded {
+            rows: offs,
+            ends,
+            users,
+            acc,
+            ..
+        } = self;
+        acc.resize(row_bytes / 4, 0.0);
+        let spans = ends.windows(2).map(|w| w[0] as usize..w[1] as usize);
+        if key.dedup {
+            bank[out_base..out_base + key.n_samples as usize * row_bytes].fill(0);
+            for (&row, users_of_row) in offs.iter().zip(spans) {
+                // The row is fetched once and decoded to f32 once; it
+                // is added into every referencing sample below.
+                let abs = (row & !QUANT_ROW_BIT) as usize;
+                if row & QUANT_ROW_BIT == 0 {
+                    for (a, c) in acc.iter_mut().zip(bank[abs..].chunks_exact(4)) {
+                        *a = f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+                    }
+                } else {
+                    acc.fill(0.0);
+                    add_dequant(acc, &bank[abs..abs + rows.emt_stride])?;
+                }
+                for &sample in &users[users_of_row] {
+                    let dst = out_base + sample as usize * row_bytes;
+                    simd::add_assign_into_le(&mut bank[dst..dst + row_bytes], acc);
+                }
+            }
+            return Ok(());
+        }
+        for (s, refs) in spans.enumerate() {
+            acc.fill(0.0);
+            // A run of f32 rows — every row, on an f32 tile — is one
+            // fused SIMD pass that keeps the accumulator in registers
+            // (an untagged offset is the row's address); quantized
+            // records in between are dequantized one by one.
+            let mut refs = &offs[refs];
+            while let Some((&row, rest)) = refs.split_first() {
+                if row & QUANT_ROW_BIT != 0 {
+                    let abs = (row & !QUANT_ROW_BIT) as usize;
+                    add_dequant(acc, &bank[abs..abs + rows.emt_stride])?;
+                    refs = rest;
+                    continue;
+                }
+                let run = if rows.emt_f32 {
+                    refs.len()
+                } else {
+                    let quantized = |&row: &u32| row & QUANT_ROW_BIT != 0;
+                    refs.iter().position(quantized).unwrap_or(refs.len())
+                };
+                simd::sum_rows_le(acc, bank, &refs[..run]);
+                refs = &refs[run..];
+            }
+            let dst = &mut bank[out_base + s * row_bytes..][..row_bytes];
+            for (b, a) in dst.chunks_exact_mut(4).zip(acc.iter()) {
+                b.copy_from_slice(&a.to_le_bytes());
+            }
+        }
+        Ok(())
+    }
 }
 
 impl EmbeddingKernel {
@@ -200,240 +559,19 @@ impl EmbeddingKernel {
         self.dtype.stored_row_bytes(self.row_bytes / 4)
     }
 
-    /// Registers one DPU's launch parameters, keeping its warmed
-    /// scratch if it was registered before.
+    /// Registers one DPU's launch parameters.
     pub fn set_task(&mut self, dpu: DpuId, task: DpuTask) {
-        self.dpus
-            .entry(dpu)
-            .and_modify(|entry| entry.task = task)
-            .or_insert_with(|| DpuEntry {
-                task,
-                scratch: Mutex::default(),
-            });
+        self.dpus.insert(dpu, task);
     }
 
     /// Every registered DPU's launch parameters, for repointing regions
     /// in place (the migration flip).
     pub fn tasks_mut(&mut self) -> impl Iterator<Item = &mut DpuTask> {
-        self.dpus.values_mut().map(|entry| &mut entry.task)
-    }
-
-    /// CSR mode: each tasklet serves its own samples end to end.
-    ///
-    /// The whole read side (offset pairs, reference arrays, embedding
-    /// and cache rows) runs over a [`TaskletCtx::split_reader`] window:
-    /// every array is borrowed straight out of MRAM with zero staging
-    /// copies, while the matching DMA charges go through the split-off
-    /// [`upmem_sim::Charges`] — the same charge sequence the copying
-    /// path would issue, so modeled time is unchanged. The reader spans
-    /// everything below the output region (EMT, cache, input — the
-    /// layout places output last), which is exactly the kernel's read
-    /// footprint.
-    fn run_csr(
-        &self,
-        ctx: &mut TaskletCtx<'_>,
-        task: DpuTask,
-        rows: Rows,
-        scr: &mut TaskletScratch,
-    ) -> Result<(), SimError> {
-        let t = ctx.tasklet_id();
-        let n_tasklets = ctx.n_tasklets();
-        let n_c = self.row_bytes / 4;
-        let n_samples = self.n_samples as usize;
-        let refs_base = task.input_base + (((n_samples + 1) * 4 + 7) & !7) as u32;
-        let mut s = t;
-        while s < n_samples {
-            let (mram, ch) = ctx.split_reader(task.output_base as usize);
-            // offsets[s], offsets[s+1]: the 8-byte request spans at most
-            // 16 aligned bytes, always a single DMA.
-            let oaddr = task.input_base + (4 * s) as u32;
-            let ostart = oaddr & !7;
-            let oend = (oaddr as usize + 8 + 7) & !7;
-            let ow = mram.dma(ostart, oend - ostart as usize)?;
-            ch.charge_dma(oend - ostart as usize, 1);
-            let olead = (oaddr - ostart) as usize;
-            let start = u32_at(&ow[olead..], 0) as usize;
-            let end = u32_at(&ow[olead..], 1) as usize;
-            ch.charge_int_ops(4);
-            if end < start {
-                return Err(SimError::KernelFault(format!(
-                    "sample {s}: offsets decrease ({start}..{end})"
-                )));
-            }
-            let n_refs = end - start;
-            // Reference array: one contiguous borrow, charged as the
-            // chunk series of a staged read.
-            let raddr = refs_base + (4 * start) as u32;
-            let rstart = raddr & !7;
-            let rend = (raddr as usize + 4 * n_refs + 7) & !7;
-            let window = rend - rstart as usize;
-            let refs = if n_refs > 0 {
-                charge_chunked(ch, window);
-                &mram.window(rstart, window)?[(raddr - rstart) as usize..]
-            } else {
-                &[][..]
-            };
-            scr.acc.clear();
-            scr.acc.resize(n_c, 0.0);
-            ch.charge_int_ops((n_c / 2) as u64);
-            // Rows are indexed straight out of the bank and their
-            // fetch/accumulate/loop charges issued in bulk: every charge
-            // counter is an integer, so one charge multiplied by `n`
-            // and `n` single charges are the same sum.
-            ch.charge_loop(n_refs as u64);
-            let bank = mram.bytes();
-            let mut n_u8 = 0u64;
-            if rows.emt_f32 {
-                // Every row has the same shape: resolve them all, then
-                // accumulate in one fused SIMD pass that keeps the
-                // accumulator in registers.
-                scr.offs.clear();
-                for i in 0..n_refs {
-                    scr.offs.push(rows.resolve(u32_at(refs, i), bank.len())?.0);
-                }
-                simd::sum_rows_le(&mut scr.acc, bank, &scr.offs);
-            } else {
-                for i in 0..n_refs {
-                    let (abs, f32_row) = rows.resolve(u32_at(refs, i), bank.len())?;
-                    if f32_row {
-                        simd::add_assign_le(&mut scr.acc, &bank[abs..abs + self.row_bytes]);
-                    } else {
-                        add_dequant(&mut scr.acc, &bank[abs..abs + rows.emt_stride])?;
-                        n_u8 += 1;
-                    }
-                }
-            }
-            let n_f32 = n_refs as u64 - n_u8;
-            ch.charge_dma(self.row_bytes, n_f32);
-            ch.charge_dma(rows.emt_stride, n_u8);
-            ch.charge_accumulate(n_c as u64, n_f32);
-            ch.charge_accumulate_u8(n_c as u64, n_u8);
-            let dst = ctx.mram_view_mut(
-                task.output_base + (s * self.row_bytes) as u32,
-                self.row_bytes,
-            )?;
-            for (b, a) in dst.chunks_exact_mut(4).zip(scr.acc.iter()) {
-                b.copy_from_slice(&a.to_le_bytes());
-            }
-            ctx.charges().charge_loop(1);
-            s += n_tasklets;
-        }
-        Ok(())
-    }
-
-    /// Dedup mode: unique rows dealt round-robin, accumulated into the
-    /// shared WRAM block.
-    fn run_dedup(
-        &self,
-        ctx: &mut TaskletCtx<'_>,
-        task: DpuTask,
-        rows: Rows,
-        scr: &mut TaskletScratch,
-    ) -> Result<(), SimError> {
-        let t = ctx.tasklet_id();
-        let n_tasklets = ctx.n_tasklets();
-        let n_c = self.row_bytes / 4;
-        let n_samples = self.n_samples as usize;
-        let acc_bytes = n_samples * self.row_bytes;
-        // As in `run_csr`, the read side (header, tasklet stream,
-        // rows) is borrowed zero-copy from a split reader; the shared
-        // accumulator block comes from the same split, so row views
-        // stay alive across shared-WRAM accumulates. Charges mirror the
-        // staged-copy path exactly.
-        let (mram, shared, ch) = ctx.split_reader_shared(task.output_base as usize);
-        let bank = mram.bytes();
-
-        // Tasklet 0 zeroes the shared accumulator block (the others
-        // wait at a barrier on real hardware; launch overhead covers it).
-        if t == 0 {
-            shared[..acc_bytes].fill(0);
-            ch.charge_int_ops((n_samples * n_c / 2) as u64);
-        }
-
-        // Header: stream end-offsets for every tasklet (one padded DMA
-        // window — `MAX_TASKLETS + 2` u32s fit a single transfer).
-        let hwin = ((n_tasklets + 2) * 4 + 7) & !7;
-        let hdr = mram.dma(task.input_base, hwin)?;
-        ch.charge_dma(hwin, 1);
-        ch.charge_int_ops(4);
-        let streams_base = task.input_base + hwin as u32;
-        let start = u32_at(hdr, t);
-        let end = u32_at(hdr, t + 1);
-        if end < start {
-            return Err(SimError::KernelFault(format!(
-                "tasklet {t}: stream ends before it starts ({start}..{end})"
-            )));
-        }
-
-        // This tasklet's unique-row entries: one contiguous borrow,
-        // charged as the chunk series of a staged read.
-        let slen = (end - start) as usize;
-        if slen > 0 {
-            let saddr = streams_base + start;
-            let sstart = saddr & !7;
-            let send = (saddr as usize + slen + 7) & !7;
-            let swin = send - sstart as usize;
-            let sview = mram.window(sstart, swin)?;
-            charge_chunked(ch, swin);
-            let stream = &sview[(saddr - sstart) as usize..];
-            let n_entries = u32_at(stream, 0) as usize;
-            ch.charge_int_ops(2);
-            let mut pos = 1usize; // u32 cursor
-            for _ in 0..n_entries {
-                if (pos + 2) * 4 > slen {
-                    return Err(SimError::KernelFault("truncated stream entry".into()));
-                }
-                let r = u32_at(stream, pos);
-                let k = u32_at(stream, pos + 1) as usize;
-                pos += 2;
-                if (pos + k) * 4 > slen {
-                    return Err(SimError::KernelFault("truncated sample id list".into()));
-                }
-                // Resolve the row address, fetch it once, and decode it
-                // to f32 once; it is added into every referencing
-                // sample below.
-                ch.charge_loop(1);
-                let (abs, f32_row) = rows.resolve(r, bank.len())?;
-                scr.acc.clear();
-                if f32_row {
-                    ch.charge_dma(self.row_bytes, 1);
-                    scr.acc.extend(
-                        bank[abs..abs + self.row_bytes]
-                            .chunks_exact(4)
-                            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
-                    );
-                } else {
-                    // Quantized EMT row: fetch the narrow record and
-                    // dequantize into the per-entry decode buffer (the
-                    // dequantize cost rides on the u8 accumulate charge).
-                    ch.charge_dma(rows.emt_stride, 1);
-                    scr.acc.resize(n_c, 0.0);
-                    add_dequant(&mut scr.acc, &bank[abs..abs + rows.emt_stride])?;
-                    ch.charge_accumulate_u8(n_c as u64, 1);
-                }
-                // Accumulate into each referencing sample's shared row
-                // (mutex-guarded on hardware; cost inside the charge).
-                for j in 0..k {
-                    let sample = u32_at(stream, pos + j) as usize;
-                    if sample >= n_samples {
-                        return Err(SimError::KernelFault(format!(
-                            "sample id {sample} out of range {n_samples}"
-                        )));
-                    }
-                    let off = sample * self.row_bytes;
-                    let dst = &mut shared[off..off + self.row_bytes];
-                    simd::add_assign_into_le(dst, &scr.acc);
-                }
-                ch.charge_accumulate(n_c as u64, k as u64);
-                pos += k;
-            }
-        }
-
-        Ok(())
+        self.dpus.values_mut()
     }
 }
 
-impl Kernel for EmbeddingKernel {
+impl DpuProgram for EmbeddingKernel {
     fn shared_wram_bytes(&self) -> usize {
         // Dedup mode's shared accumulator block: one row per sample.
         if self.dedup {
@@ -443,11 +581,10 @@ impl Kernel for EmbeddingKernel {
         }
     }
 
-    fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
-        let Some(entry) = self.dpus.get(&ctx.dpu_id()) else {
+    fn run_dpu(&self, pass: &mut DpuPass<'_>) -> Result<(), SimError> {
+        let Some(&task) = self.dpus.get(&pass.dpu_id()) else {
             return Ok(());
         };
-        let task = entry.task;
         let rows = Rows {
             emt_base: task.emt_base,
             emt_stride: self.emt_row_bytes(),
@@ -457,36 +594,68 @@ impl Kernel for EmbeddingKernel {
         };
         // Every row fetch is one DMA of its region's stride from its
         // region's base plus a multiple of that stride, so the first
-        // row's check covers the shape of all of them.
+        // row's check covers the shape of all of them; the output rows
+        // must also end inside the bank.
         Mram::check_dma(rows.emt_base, rows.emt_stride)?;
         Mram::check_dma(rows.cache_base, rows.cache_stride)?;
-        let scr = &mut entry.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        if self.dedup {
-            self.run_dedup(ctx, task, rows, scr)
-        } else {
-            self.run_csr(ctx, task, rows, scr)
+        let n_samples = self.n_samples as usize;
+        let out_base = task.output_base as usize;
+        let out_end = out_base + n_samples * self.row_bytes;
+        if n_samples > 0 {
+            Mram::check_dma(task.output_base, self.row_bytes)?;
+            if out_end > MRAM_CAPACITY {
+                let fit = (MRAM_CAPACITY - out_base) / self.row_bytes;
+                return Err(SimError::MramOutOfBounds {
+                    addr: (out_base + fit * self.row_bytes) as u32,
+                    len: self.row_bytes,
+                    capacity: MRAM_CAPACITY,
+                });
+            }
         }
-    }
 
-    fn finalize(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
-        // Post-barrier phase (dedup mode only): each tasklet writes its
-        // share of the per-sample output rows from the shared
-        // accumulators to MRAM.
-        if !self.dedup {
-            return Ok(());
-        }
-        let Some(entry) = self.dpus.get(&ctx.dpu_id()) else {
-            return Ok(());
+        let costs = pass.costs();
+        let n_tasklets = pass.n_tasklets();
+        let key = DecodeKey {
+            task,
+            row_bytes: self.row_bytes,
+            dtype: self.dtype,
+            dedup: self.dedup,
+            n_samples: self.n_samples,
+            n_tasklets,
         };
-        let n_tasklets = ctx.n_tasklets();
-        let mut s = ctx.tasklet_id();
-        while s < self.n_samples as usize {
-            let off = s * self.row_bytes;
-            let dst = entry.task.output_base + off as u32;
-            ctx.mram_write_from_shared(dst, off, self.row_bytes)?;
-            ctx.charges().charge_loop(1);
-            s += n_tasklets;
+        let (mut shared, mut own);
+        let decoded: &mut Decoded = match self.decoded.try_lock() {
+            Ok(guard) => {
+                shared = guard;
+                &mut shared
+            }
+            // A decode is reusable only once complete, so whatever a
+            // panicking holder left behind is safe to overwrite.
+            Err(TryLockError::Poisoned(poisoned)) => {
+                shared = poisoned.into_inner();
+                &mut shared
+            }
+            Err(TryLockError::WouldBlock) => {
+                own = Decoded::default();
+                &mut own
+            }
+        };
+        // The stream and the rows may lie anywhere in the committed
+        // bank, which reaches at least to the output region (the layout
+        // places it last).
+        let bank: &[u8] = pass.mram().committed_mut(out_base);
+        if !decoded.serves(&key, costs.model(), bank) {
+            decoded.reset();
+            if self.dedup {
+                decoded.decode_dedup(&key, &rows, bank, costs)?;
+            } else {
+                decoded.decode_csr(&key, &rows, bank, costs)?;
+            }
         }
+        decoded.sum_into(&key, &rows, pass.mram().committed_mut(out_end))?;
+        let (phase1, phase2) = pass.stats_mut();
+        phase1.copy_from_slice(&decoded.stats[0][..n_tasklets]);
+        phase2.copy_from_slice(&decoded.stats[1][..n_tasklets]);
         Ok(())
     }
 }

@@ -224,6 +224,44 @@ fn engine_rejects_mismatched_batches() {
     assert!(engine.run_batch(&bad2).is_err());
 }
 
+/// Only the dedup format keeps a shared WRAM accumulator block, one row
+/// per sample; the CSR kernel accumulates one row at a time, so a batch
+/// whose rows would not fit the block is the dedup format's to refuse.
+#[test]
+fn only_the_dedup_format_is_held_to_its_wram_block() {
+    const B: usize = 4096;
+    let spec = DatasetSpec::goodreads().scaled_down(5000);
+    let (tables, workload) = setup(&spec, 2, 1);
+    let sparse = (0..2usize)
+        .map(|t| {
+            SparseInput::from_samples(
+                (0..B).map(|s| vec![((s * 7 + t) % spec.num_items) as u64, (s % 5) as u64]),
+            )
+        })
+        .collect();
+    let batch = QueryBatch::new(vec![0.0; B * 13], 13, sparse).unwrap();
+    let engine = |dedup: bool| {
+        let config = UpdlrmConfig {
+            dedup,
+            batch_size: B,
+            ..UpdlrmConfig::with_dpus(16, PartitionStrategy::Uniform).with_fixed_nc(8)
+        };
+        UpdlrmEngine::from_workload(config, &tables, &workload).unwrap()
+    };
+    let (pooled, _) = engine(false).run_batch(&batch).unwrap();
+    let expect = reference_pooled(&tables, &batch);
+    for (t, m) in pooled.iter().enumerate() {
+        assert_eq!(m.as_slice(), expect[t].as_slice(), "table {t}");
+    }
+    let err = engine(true).run_batch(&batch).unwrap_err();
+    assert!(
+        err.to_string().contains(
+            "batch 4096 x 32 B rows needs 131072 B of WRAM accumulators (64 KB available)"
+        ),
+        "{err}"
+    );
+}
+
 #[test]
 fn engine_rejects_bad_configs() {
     let spec = DatasetSpec::amazon_clothes().scaled_down(20_000);

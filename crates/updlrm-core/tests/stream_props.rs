@@ -6,18 +6,24 @@
 //!   partitions of a table at once, sample by sample — must produce,
 //!   for every partition, the bytes of `build_stream` over that
 //!   partition's per-sample lists and of the longhand layout.
-//! * The stage-2 kernel, which borrows rows out of MRAM and charges in
-//!   bulk, must produce the output rows *and* the per-tasklet counters
-//!   of a kernel that stages every array with `mram_read`, fetches every
-//!   row with its own DMA and issues every charge singly.
+//! * The stage-2 kernel, which runs a whole DPU in one pass — one
+//!   decode per distinct stream, counters derived from the offsets,
+//!   rows summed straight into the output region — must produce the
+//!   output rows *and* the per-tasklet counters of the tasklet program
+//!   it models, written as a [`Kernel`] the simulator interprets
+//!   tasklet by tasklet: every array staged with `mram_read`, every row
+//!   fetched with its own DMA, every charge issued singly. Streams with
+//!   one fault must fail both the same way.
 
 use dlrm_model::{quant, EmbedDtype};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use updlrm_core::kernel::StreamWriter;
 use updlrm_core::{build_stream, DpuTask, EmbeddingKernel, CACHE_REF_BIT};
-use upmem_sim::arch::DMA_MAX_TRANSFER;
-use upmem_sim::{DpuId, DpuRunStats, Kernel, PimConfig, PimSystem, SimError, TaskletCtx};
+use upmem_sim::arch::{DMA_MAX_TRANSFER, MRAM_CAPACITY};
+use upmem_sim::{
+    DpuId, DpuProgram, DpuRunStats, Kernel, PimConfig, PimSystem, SimError, TaskletCtx,
+};
 
 fn pad8(out: &mut Vec<u8>) {
     out.resize((out.len() + 7) & !7, 0);
@@ -78,8 +84,8 @@ fn naive_stream(refs_per_sample: &[Vec<u32>], n_tasklets: usize, dedup: bool) ->
     out
 }
 
-/// The embedding kernel written longhand: no borrowed views, no fused
-/// gather, no bulk charges.
+/// The embedding kernel written longhand, tasklet by tasklet: no shared
+/// decode, no fused gather, no bulk charges.
 struct Longhand {
     n_c: usize,
     dedup: bool,
@@ -146,6 +152,11 @@ impl Longhand {
             let ends = le_words(&Self::staged(ctx, self.task.input_base + 4 * s as u32, 8)?);
             ctx.charges().charge_int_ops(4);
             let (start, end) = (ends[0], ends[1]);
+            if end < start {
+                return Err(SimError::KernelFault(format!(
+                    "sample {s}: offsets decrease"
+                )));
+            }
             let refs = if end > start {
                 let bytes = 4 * (end - start) as usize;
                 le_words(&Self::staged(ctx, refs_base + 4 * start, bytes)?)
@@ -186,6 +197,11 @@ impl Longhand {
         let ends = le_words(&Self::staged(ctx, self.task.input_base, hwin)?);
         ctx.charges().charge_int_ops(4);
         let (start, end) = (ends[t], ends[t + 1]);
+        if end < start {
+            return Err(SimError::KernelFault(format!(
+                "tasklet {t}: offsets decrease"
+            )));
+        }
         if end == start {
             return Ok(());
         }
@@ -259,45 +275,270 @@ const TASK: DpuTask = DpuTask {
     output_base: 32768,
 };
 
-/// Deterministic, fractional row values (so addition order matters).
+/// Deterministic, fractional row values (so addition order matters),
+/// different in every region of every DPU.
 fn row_values(region: usize, row: usize, n_c: usize) -> Vec<f32> {
     (0..n_c)
         .map(|j| ((region * 53 + row * 31 + j * 17) % 97) as f32 * 0.37 - 11.5)
         .collect()
 }
 
-/// Loads the tile, cache rows and `stream` into one fresh DPU, launches
-/// `kernel` and returns the output region and the DPU's counters.
-fn launch_on_fresh_dpu<K: Kernel>(
-    kernel: &K,
-    (n_c, int8, n_tasklets, n_samples): (usize, bool, usize, usize),
-    stream: &[u8],
-) -> (Vec<u8>, DpuRunStats) {
-    let mut sys = PimSystem::new(PimConfig::new(1, n_tasklets)).unwrap();
-    let dpu = DpuId(0);
-    let mut emt = Vec::new();
-    for row in 0..EMT_ROWS {
-        let vals = row_values(0, row, n_c);
-        if int8 {
-            let mut rec = vec![0u8; quant::quantized_row_bytes(n_c)];
-            quant::quantize_row_into(&vals, &mut rec).unwrap();
-            emt.extend_from_slice(&rec);
+/// The tile shape of one case.
+#[derive(Clone, Copy)]
+struct Shape {
+    n_c: usize,
+    int8: bool,
+    dedup: bool,
+    n_tasklets: usize,
+    n_samples: usize,
+}
+
+impl Shape {
+    fn dtype(&self) -> EmbedDtype {
+        if self.int8 {
+            EmbedDtype::Int8
         } else {
-            emt.extend(vals.iter().flat_map(|v| v.to_le_bytes()));
+            EmbedDtype::F32
         }
     }
-    let cache: Vec<u8> = (0..CACHE_ROWS)
-        .flat_map(|row| row_values(1, row, n_c))
-        .flat_map(f32::to_le_bytes)
-        .collect();
-    sys.load_mram(dpu, TASK.emt_base, &emt).unwrap();
-    sys.load_mram(dpu, TASK.cache_base, &cache).unwrap();
-    sys.load_mram(dpu, TASK.input_base, stream).unwrap();
-    let report = sys.launch_all(kernel).unwrap();
-    let (out, _) = sys
-        .gather(&[(dpu, TASK.output_base, n_samples * n_c * 4)])
+
+    /// The kernel under test, with `task` registered on the first
+    /// `n_dpus` DPUs.
+    fn kernel(&self, task: DpuTask, n_dpus: usize) -> EmbeddingKernel {
+        let mut kernel = EmbeddingKernel::with_dtype(self.n_c * 4, self.dedup, self.dtype());
+        kernel.n_samples = self.n_samples as u32;
+        for d in 0..n_dpus {
+            kernel.set_task(DpuId(d as u32), task);
+        }
+        kernel
+    }
+
+    fn longhand(&self, task: DpuTask) -> Longhand {
+        Longhand {
+            n_c: self.n_c,
+            dedup: self.dedup,
+            int8: self.int8,
+            n_samples: self.n_samples,
+            task,
+        }
+    }
+
+    /// `EMT_ROWS` tile rows (in this shape's dtype) and `CACHE_ROWS`
+    /// cache rows of value family `seed`.
+    fn regions(&self, seed: usize) -> (Vec<u8>, Vec<u8>) {
+        let mut emt = Vec::new();
+        for row in 0..EMT_ROWS {
+            let vals = row_values(2 * seed, row, self.n_c);
+            if self.int8 {
+                let mut rec = vec![0u8; quant::quantized_row_bytes(self.n_c)];
+                quant::quantize_row_into(&vals, &mut rec).unwrap();
+                emt.extend_from_slice(&rec);
+            } else {
+                emt.extend(vals.iter().flat_map(|v| v.to_le_bytes()));
+            }
+        }
+        let cache = (0..CACHE_ROWS)
+            .flat_map(|row| row_values(2 * seed + 1, row, self.n_c))
+            .flat_map(f32::to_le_bytes)
+            .collect();
+        (emt, cache)
+    }
+
+    /// A system of one DPU per stream — each with a tile and cache rows
+    /// of its own, as the column slices of a partition have — with
+    /// `streams[d]` loaded at DPU `d`'s `task.input_base`.
+    fn fleet(&self, task: DpuTask, streams: &[&[u8]], host_threads: usize) -> PimSystem {
+        let config = PimConfig::new(streams.len(), self.n_tasklets).with_host_threads(host_threads);
+        let mut sys = PimSystem::new(config).unwrap();
+        for (d, stream) in streams.iter().enumerate() {
+            let dpu = DpuId(d as u32);
+            let (emt, cache) = self.regions(d);
+            sys.load_mram(dpu, task.emt_base, &emt).unwrap();
+            sys.load_mram(dpu, task.cache_base, &cache).unwrap();
+            sys.load_mram(dpu, task.input_base, stream).unwrap();
+        }
+        sys
+    }
+}
+
+/// Launches `program` on every DPU of `sys` and returns each DPU's
+/// output region and counters.
+fn launch<P: DpuProgram>(
+    sys: &mut PimSystem,
+    program: &P,
+    task: DpuTask,
+    shape: Shape,
+) -> Result<Vec<(Vec<u8>, DpuRunStats)>, SimError> {
+    let report = sys.launch_all(program)?;
+    let out_len = shape.n_samples * shape.n_c * 4;
+    Ok(report
+        .per_dpu
+        .into_iter()
+        .map(|(dpu, stats)| {
+            let (out, _) = sys.gather(&[(dpu, task.output_base, out_len)]).unwrap();
+            (out[0].clone(), stats)
+        })
+        .collect())
+}
+
+/// The two kinds a malformed stream is refused with.
+fn is_stream_fault(e: &SimError) -> bool {
+    matches!(
+        e,
+        SimError::KernelFault(_) | SimError::MramOutOfBounds { .. }
+    )
+}
+
+/// One reference word: an EMT slot, or a cache slot.
+fn word(slot: usize, cached: bool) -> u32 {
+    if cached {
+        CACHE_REF_BIT | (slot % CACHE_ROWS) as u32
+    } else {
+        slot as u32
+    }
+}
+
+/// Overwrites little-endian word `idx` of `stream`.
+fn patch(stream: &mut [u8], idx: usize, w: u32) {
+    stream[4 * idx..4 * idx + 4].copy_from_slice(&w.to_le_bytes());
+}
+
+/// The single-fault streams: `(what, task, bytes loaded at
+/// task.input_base)`.
+fn faulty_streams(shape: Shape) -> Vec<(&'static str, DpuTask, Vec<u8>)> {
+    let good: Vec<Vec<u32>> = vec![vec![3, 5], vec![7], vec![9, 11, 13]];
+    let build = |refs: &[Vec<u32>]| build_stream(refs, shape.n_tasklets, shape.dedup);
+
+    // Offsets that decrease: sample 1's end below its start (CSR);
+    // tasklet 0's stream end below its start (dedup; the header leads
+    // with a zero, so the start is made non-zero instead).
+    let mut decreasing = build(&good);
+    if shape.dedup {
+        patch(&mut decreasing, 0, 8);
+        patch(&mut decreasing, 1, 4);
+    } else {
+        patch(&mut decreasing, 2, 1);
+    }
+
+    // A reference to the first EMT row past the 64 MB bank.
+    let past_row = MRAM_CAPACITY / shape.dtype().stored_row_bytes(shape.n_c);
+    let past_bank = build(&[vec![3], vec![past_row as u32], vec![5]]);
+
+    // A stream laid over the last 64 bytes of the bank that announces
+    // more references than fit before the bank ends.
+    let long = build(&[(0..600).map(|i| word(i % EMT_ROWS, false)).collect()]);
+    let tail_task = DpuTask {
+        input_base: (MRAM_CAPACITY - 64) as u32,
+        ..TASK
+    };
+
+    vec![
+        ("decreasing offsets", TASK, decreasing),
+        ("reference past the bank", TASK, past_bank),
+        (
+            "reference array truncated by the bank end",
+            tail_task,
+            long[..64].to_vec(),
+        ),
+    ]
+}
+
+/// A stream with one fault fails the launch the way the tasklet program
+/// does, twice in a row, and the kernel that failed then serves a
+/// well-formed stream it had decoded before the failures: a failed
+/// decode leaves nothing to reuse, and does not spoil the kernel.
+#[test]
+fn single_fault_streams_fail_like_the_longhand_kernel_and_leave_no_memo() {
+    let refs: Vec<Vec<u32>> = vec![vec![3, 5, word(4, true)], vec![], vec![9, 3, 13]];
+    for (int8, dedup) in [(false, false), (false, true), (true, false), (true, true)] {
+        let shape = Shape {
+            n_c: 8,
+            int8,
+            dedup,
+            n_tasklets: 3,
+            n_samples: refs.len(),
+        };
+        let good = build_stream(&refs, shape.n_tasklets, dedup);
+        let want = launch(
+            &mut shape.fleet(TASK, &[&good], 1),
+            &shape.longhand(TASK),
+            TASK,
+            shape,
+        )
         .unwrap();
-    (out[0].clone(), report.per_dpu[0].1.clone())
+        for (what, task, bytes) in faulty_streams(shape) {
+            let case = format!("{what}, int8={int8} dedup={dedup}");
+            let longhand = launch(
+                &mut shape.fleet(task, &[&bytes], 1),
+                &shape.longhand(task),
+                task,
+                shape,
+            )
+            .expect_err(&case);
+            assert!(is_stream_fault(&longhand), "{case}: longhand {longhand}");
+
+            let mut kernel = shape.kernel(TASK, 1);
+            let mut sys = shape.fleet(TASK, &[&good], 1);
+            assert_eq!(
+                launch(&mut sys, &kernel, TASK, shape).unwrap(),
+                want,
+                "{case}"
+            );
+            kernel.set_task(DpuId(0), task);
+            sys.load_mram(DpuId(0), task.input_base, &bytes).unwrap();
+            for attempt in 0..2 {
+                let err = launch(&mut sys, &kernel, task, shape).expect_err(&case);
+                assert_eq!(
+                    std::mem::discriminant(&err),
+                    std::mem::discriminant(&longhand),
+                    "{case}, attempt {attempt}: {err} vs longhand {longhand}"
+                );
+            }
+            kernel.set_task(DpuId(0), TASK);
+            sys.load_mram(DpuId(0), TASK.input_base, &good).unwrap();
+            assert_eq!(
+                launch(&mut sys, &kernel, TASK, shape).unwrap(),
+                want,
+                "{case}"
+            );
+        }
+    }
+}
+
+/// The migration flip repoints a kernel's tasks at the other EMT/cache
+/// region pair (`tasks_mut`) while the staged stream bytes stay what
+/// they were: the rows must come from the new regions.
+#[test]
+fn repointed_bases_are_served_from_the_new_regions() {
+    let refs: Vec<Vec<u32>> = vec![vec![3, 5, word(4, true)], vec![word(7, true)], vec![9, 3]];
+    let flipped = DpuTask {
+        emt_base: 65536,
+        cache_base: 65536 + 8192,
+        ..TASK
+    };
+    for (int8, dedup) in [(false, false), (false, true), (true, false), (true, true)] {
+        let shape = Shape {
+            n_c: 4,
+            int8,
+            dedup,
+            n_tasklets: 2,
+            n_samples: refs.len(),
+        };
+        let stream = build_stream(&refs, shape.n_tasklets, dedup);
+        let mut sys = shape.fleet(TASK, &[&stream], 1);
+        let (emt, cache) = shape.regions(9);
+        sys.load_mram(DpuId(0), flipped.emt_base, &emt).unwrap();
+        sys.load_mram(DpuId(0), flipped.cache_base, &cache).unwrap();
+        let mut kernel = shape.kernel(TASK, 1);
+        let before = launch(&mut sys, &kernel, TASK, shape).unwrap();
+        for task in kernel.tasks_mut() {
+            (task.emt_base, task.cache_base) = (flipped.emt_base, flipped.cache_base);
+        }
+        let after = launch(&mut sys, &kernel, TASK, shape).unwrap();
+        let want = launch(&mut sys, &shape.longhand(flipped), TASK, shape).unwrap();
+        assert_eq!(after, want, "int8={int8} dedup={dedup}");
+        assert_ne!(after[0].0, before[0].0, "the regions hold different rows");
+    }
 }
 
 proptest! {
@@ -308,6 +549,14 @@ proptest! {
     /// reference array (CSR) or a tasklet stream (dedup) past one
     /// `DMA_MAX_TRANSFER` chunk. Empty samples and all-EMT, all-cache
     /// and mixed lists occur.
+    ///
+    /// Each case is a whole launch over five DPUs holding different
+    /// tiles, as the column slices of a partition do: all receive the
+    /// same stream except DPU 2, whose stream has one reference changed
+    /// (in the CSR format that is one byte). The kernel may decode once
+    /// for the DPUs that share bytes but must notice the one that does
+    /// not — every DPU's rows and counters, tasklet by tasklet, equal
+    /// the longhand kernel's, whatever the number of launch workers.
     #[test]
     fn kernel_matches_the_longhand_kernel_in_rows_and_counters(
         samples in prop::collection::vec(
@@ -318,32 +567,44 @@ proptest! {
         n_c in (0usize..3).prop_map(|i| [2usize, 4, 8][i]),
         n_tasklets in 1usize..17,
     ) {
-        let word = |slot: usize, cached: bool| {
-            if cached {
-                CACHE_REF_BIT | (slot % CACHE_ROWS) as u32
-            } else {
-                slot as u32
-            }
-        };
         let mut refs_per_sample: Vec<Vec<u32>> = samples
             .iter()
             .map(|s| s.iter().map(|&(slot, cached)| word(slot, cached)).collect())
             .collect();
         refs_per_sample[0].extend((0..bulk).map(|i| word(i * 7 % EMT_ROWS, i % 5 == 0)));
-        let n_samples = refs_per_sample.len();
+        // Both region sizes are even, so the neighbouring slot exists.
+        let mut altered = refs_per_sample.clone();
+        if let Some(r) = altered.iter_mut().flatten().last() {
+            *r ^= 1;
+        }
         for int8 in [false, true] {
             for dedup in [false, true] {
+                let shape = Shape { n_c, int8, dedup, n_tasklets, n_samples: samples.len() };
                 let stream = build_stream(&refs_per_sample, n_tasklets, dedup);
-                let shape = (n_c, int8, n_tasklets, n_samples);
-                let dtype = if int8 { EmbedDtype::Int8 } else { EmbedDtype::F32 };
-                let mut kernel = EmbeddingKernel::with_dtype(n_c * 4, dedup, dtype);
-                kernel.n_samples = n_samples as u32;
-                kernel.set_task(DpuId(0), TASK);
-                let longhand = Longhand { n_c, dedup, int8, n_samples, task: TASK };
-                let (rows, counters) = launch_on_fresh_dpu(&kernel, shape, &stream);
-                let (want_rows, want_counters) = launch_on_fresh_dpu(&longhand, shape, &stream);
-                prop_assert_eq!(rows, want_rows, "int8={} dedup={}", int8, dedup);
-                prop_assert_eq!(counters, want_counters, "int8={} dedup={}", int8, dedup);
+                let odd_one = build_stream(&altered, n_tasklets, dedup);
+                let streams = [&stream[..], &stream, &odd_one, &stream, &stream];
+                let want = launch(
+                    &mut shape.fleet(TASK, &streams, 1),
+                    &shape.longhand(TASK),
+                    TASK,
+                    shape,
+                )
+                .unwrap();
+                for host_threads in [1, 4] {
+                    let got = launch(
+                        &mut shape.fleet(TASK, &streams, host_threads),
+                        &shape.kernel(TASK, streams.len()),
+                        TASK,
+                        shape,
+                    )
+                    .unwrap();
+                    for (d, (got, want)) in got.iter().zip(&want).enumerate() {
+                        prop_assert_eq!(
+                            got, want,
+                            "DPU {} int8={} dedup={} host_threads={}", d, int8, dedup, host_threads
+                        );
+                    }
+                }
             }
         }
     }

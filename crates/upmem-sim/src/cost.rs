@@ -15,7 +15,8 @@
 //!   DPUs proceed in parallel only when every buffer has the same size
 //!   (paper §2.2), otherwise they serialize.
 
-use crate::arch::{Cycles, DEFAULT_CLOCK_HZ, DMA_MAX_TRANSFER};
+use crate::arch::{Cycles, DEFAULT_CLOCK_HZ, DMA_ALIGN, DMA_MAX_TRANSFER};
+use crate::stats::TaskletStats;
 
 /// Tunable cost model for one [`PimSystem`](crate::host::PimSystem).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -128,6 +129,21 @@ impl CostModel {
         )
     }
 
+    /// Pipeline instructions of one vector-accumulate of `n_elems`
+    /// elements: a fixed parse/address/branch cost plus packed-add work,
+    /// at [`CostModel::accumulate_per_elem_instrs_u8`] per element on
+    /// quantized-u8 lanes and [`CostModel::accumulate_per_elem_instrs`]
+    /// otherwise.
+    #[inline]
+    pub fn accumulate_instrs(&self, u8_lanes: bool, n_elems: u64) -> u64 {
+        let slope = if u8_lanes {
+            self.accumulate_per_elem_instrs_u8
+        } else {
+            self.accumulate_per_elem_instrs
+        };
+        self.accumulate_base_instrs + (slope * n_elems as f64).round() as u64
+    }
+
     /// Nanoseconds for one MRAM DMA transfer of `len` bytes — the Fig. 3
     /// curve in time units.
     #[inline]
@@ -168,9 +184,140 @@ impl CostModel {
     }
 }
 
+/// Longest accumulated vector with a tabled cost: one f32 row of the
+/// largest single DMA transfer.
+const TABLED_ELEMS: usize = DMA_MAX_TRANSFER / 4;
+
+/// A [`CostModel`] with its per-launch curves evaluated ahead of time.
+///
+/// A [`PimSystem`](crate::host::PimSystem) builds one when it is
+/// created and every launch charges from it, so the launch path does
+/// integer table look-ups only: the f64 curve of a DMA transfer or a
+/// vector accumulate is evaluated here, once per length. Both the
+/// tasklet interpreter ([`Charges`](crate::dpu::Charges)) and
+/// whole-DPU programs ([`DpuPass::costs`](crate::dpu::DpuPass::costs))
+/// charge through [`CostTable::charge_dma`] and
+/// [`CostTable::accumulate_instrs`], so the two cannot drift apart.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostTable {
+    model: CostModel,
+    /// `(dma_cycles, dma_engine_cycles)` of a legal transfer of `len`
+    /// bytes at index `len / 8`; entry 0 (no transfer) is zero.
+    dma: Vec<(u64, u64)>,
+    /// `accumulate_instrs(false, n)` / `(true, n)` at index `n`.
+    accumulate: Vec<[u64; 2]>,
+}
+
+impl CostTable {
+    /// Evaluates `model`'s curves at every legal DMA length and every
+    /// vector length up to one maximal f32 row.
+    pub fn new(model: &CostModel) -> Self {
+        let dma = (0..=DMA_MAX_TRANSFER / DMA_ALIGN)
+            .map(|i| match i * DMA_ALIGN {
+                0 => (0, 0),
+                len => (model.dma_cycles(len).0, model.dma_engine_cycles(len).0),
+            })
+            .collect();
+        let accumulate = (0..=TABLED_ELEMS as u64)
+            .map(|n| {
+                [
+                    model.accumulate_instrs(false, n),
+                    model.accumulate_instrs(true, n),
+                ]
+            })
+            .collect();
+        CostTable {
+            model: model.clone(),
+            dma,
+            accumulate,
+        }
+    }
+
+    /// The model the tables were built from.
+    #[inline]
+    pub fn model(&self) -> &CostModel {
+        &self.model
+    }
+
+    /// Adds `n` identical DMA transfers of `len` bytes each to `stats`:
+    /// latency, engine occupancy, transfer and byte counts, and the few
+    /// pipeline instructions that issue each transfer. Every increment
+    /// is an integer, so one charge multiplied by `n` equals `n` single
+    /// charges exactly.
+    #[inline]
+    pub fn charge_dma(&self, stats: &mut TaskletStats, len: usize, n: u64) {
+        let (latency, engine) = if len.is_multiple_of(DMA_ALIGN) && len <= DMA_MAX_TRANSFER {
+            self.dma[len / DMA_ALIGN]
+        } else {
+            // Not a transfer the memory layer would accept; charged by
+            // the curve all the same.
+            (
+                self.model.dma_cycles(len).0,
+                self.model.dma_engine_cycles(len).0,
+            )
+        };
+        stats.dma_cycles += n * latency;
+        stats.dma_engine_cycles += n * engine;
+        stats.dma_transfers += n;
+        stats.dma_bytes += n * len as u64;
+        // Issuing a DMA costs a few pipeline instructions (address setup).
+        stats.instrs += n * 4 * self.model.int_op_cycles;
+    }
+
+    /// [`CostModel::accumulate_instrs`], from the table for every
+    /// vector that fits one DMA transfer.
+    #[inline]
+    pub fn accumulate_instrs(&self, u8_lanes: bool, n_elems: u64) -> u64 {
+        match self.accumulate.get(n_elems as usize) {
+            Some(row) => row[usize::from(u8_lanes)],
+            None => self.model.accumulate_instrs(u8_lanes, n_elems),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tables hold the curves' own values, for a model whose slopes
+    /// make the rounding matter, inside and outside the tabled range.
+    #[test]
+    fn cost_table_matches_the_curves_it_tabulates() {
+        let model = CostModel {
+            dma_cycles_per_byte: 0.37,
+            accumulate_per_elem_instrs: 0.3,
+            accumulate_per_elem_instrs_u8: 0.15,
+            int_op_cycles: 2,
+            ..CostModel::default()
+        };
+        let table = CostTable::new(&model);
+        assert_eq!(table.model(), &model);
+        for len in (8..=DMA_MAX_TRANSFER).step_by(8) {
+            let mut stats = TaskletStats::default();
+            table.charge_dma(&mut stats, len, 3);
+            let want = TaskletStats {
+                instrs: 3 * 4 * 2,
+                dma_cycles: 3 * model.dma_cycles(len).0,
+                dma_engine_cycles: 3 * model.dma_engine_cycles(len).0,
+                dma_transfers: 3,
+                dma_bytes: 3 * len as u64,
+            };
+            assert_eq!(stats, want, "len {len}");
+        }
+        let mut none = TaskletStats::default();
+        table.charge_dma(&mut none, 0, 0);
+        table.charge_dma(&mut none, 64, 0);
+        assert_eq!(none, TaskletStats::default());
+        for n in [0u64, 1, 2, 3, 7, 8, 511, 512, 513, 100_000] {
+            for u8_lanes in [false, true] {
+                assert_eq!(
+                    table.accumulate_instrs(u8_lanes, n),
+                    model.accumulate_instrs(u8_lanes, n),
+                    "n {n} u8 {u8_lanes}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn default_dma_curve_is_flat_then_steep() {

@@ -1,8 +1,9 @@
 //! One DPU: tasklets, pipeline timing and kernel execution.
 //!
 //! Kernels are ordinary Rust values implementing [`Kernel`]. The
-//! simulator runs each tasklet's body sequentially (for determinism) but
-//! *accounts* time as the hardware would execute them concurrently:
+//! simulator interprets such a kernel tasklet by tasklet, running each
+//! tasklet's body sequentially (for determinism), but *accounts* time
+//! as the hardware would execute them concurrently:
 //!
 //! * the 11-deep single-issue pipeline retires at most one instruction
 //!   per cycle across all tasklets, and a lone tasklet can only issue one
@@ -11,9 +12,16 @@
 //!   other tasklets' compute;
 //! * the modeled launch time is the maximum of the pipeline bound, the
 //!   DMA bound, and the slowest single tasklet's serial critical path.
+//!
+//! The accounting needs only each tasklet's counters, not the
+//! interpretation that usually produces them. A program whose counters
+//! are a closed form of its input implements [`DpuProgram`] instead: it
+//! gets the whole DPU once per launch ([`DpuPass`]), computes its result
+//! in one pass and reports what every tasklet would have been charged.
+//! Every [`Kernel`] is a [`DpuProgram`] through the tasklet interpreter.
 
 use crate::arch::{Cycles, DpuId, MAX_TASKLETS, PIPELINE_DEPTH, WRAM_CAPACITY};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, CostTable};
 use crate::error::{Result, SimError};
 use crate::mem::{Mram, Wram};
 use crate::stats::{DpuRunStats, TaskletStats};
@@ -29,11 +37,7 @@ use crate::stats::{DpuRunStats, TaskletStats};
 /// host threads (see `PimConfig::host_threads`), with every worker
 /// reading the same kernel value concurrently. Kernels are plain data in
 /// practice (per-DPU task tables built before the launch), so the bound
-/// is free. Kernel *results* belong in MRAM/WRAM, but a kernel may own
-/// reusable per-DPU scratch buffers behind thread-safe interior
-/// mutability (e.g. a per-`DpuId` `Mutex`): all tasklets of one DPU run
-/// on one host thread, and concurrent workers only ever touch different
-/// DPUs' entries, so such locks are uncontended by construction.
+/// is free. Kernel *results* belong in MRAM/WRAM.
 pub trait Kernel: Sync {
     /// Bytes of WRAM reserved as a region shared by all tasklets of a
     /// DPU (e.g. a software row cache). The remainder of WRAM is split
@@ -65,6 +69,142 @@ pub trait Kernel: Sync {
     }
 }
 
+/// A DPU-side program launched one whole DPU at a time.
+///
+/// Where a [`Kernel`] is called once per tasklet and charged as it
+/// goes, a `DpuProgram` is called once per launched DPU with a
+/// [`DpuPass`]: it reads and writes the DPU's MRAM directly and fills
+/// in the counters each tasklet of the modeled program would have
+/// accumulated, phase by phase. The simulator turns those counters into
+/// a launch time exactly as it does the interpreter's, so a program and
+/// a kernel that report equal counters are indistinguishable in modeled
+/// time. Every [`Kernel`] is a `DpuProgram` whose pass is the tasklet
+/// interpreter.
+///
+/// `Sync` for the same reason as [`Kernel`]: launch workers share one
+/// program value. A program may keep reusable buffers behind
+/// thread-safe interior mutability, as long as what they hold only
+/// shortens the way to the result a fresh pass computes — which worker
+/// runs which DPU, and in what order, must not reach the report.
+pub trait DpuProgram: Sync {
+    /// Bytes of WRAM the modeled program reserves as a region shared by
+    /// all tasklets; the launch fails unless every tasklet is left some
+    /// private WRAM beside it.
+    fn shared_wram_bytes(&self) -> usize {
+        0
+    }
+
+    /// Runs the program on one DPU.
+    ///
+    /// # Errors
+    ///
+    /// Whatever fails the launch on this DPU: memory-rule violations as
+    /// the [`SimError`] the DMA engine would raise,
+    /// [`SimError::KernelFault`] for the program's own failures.
+    fn run_dpu(&self, pass: &mut DpuPass<'_>) -> Result<()>;
+}
+
+impl<K: Kernel + ?Sized> DpuProgram for K {
+    fn shared_wram_bytes(&self) -> usize {
+        Kernel::shared_wram_bytes(self)
+    }
+
+    fn run_dpu(&self, pass: &mut DpuPass<'_>) -> Result<()> {
+        pass.interpret(self)
+    }
+}
+
+/// One launched DPU, handed to a [`DpuProgram`]: its memories, the
+/// launch's tasklet count and cost tables, and the per-tasklet counters
+/// of both barrier phases (all zero on entry).
+#[derive(Debug)]
+pub struct DpuPass<'a> {
+    dpu: DpuId,
+    n_tasklets: usize,
+    mram: &'a mut Mram,
+    wram: &'a mut Wram,
+    shared_len: usize,
+    costs: &'a CostTable,
+    /// Phase-1 and phase-2 counters, `n_tasklets` entries each.
+    stats: [&'a mut [TaskletStats]; 2],
+}
+
+impl<'a> DpuPass<'a> {
+    /// The DPU being launched.
+    #[inline]
+    pub fn dpu_id(&self) -> DpuId {
+        self.dpu
+    }
+
+    /// Number of tasklets in the launch.
+    #[inline]
+    pub fn n_tasklets(&self) -> usize {
+        self.n_tasklets
+    }
+
+    /// The launch's cost tables, for charging into
+    /// [`DpuPass::stats_mut`].
+    #[inline]
+    pub fn costs(&self) -> &'a CostTable {
+        self.costs
+    }
+
+    /// The DPU's MRAM bank.
+    #[inline]
+    pub fn mram(&mut self) -> &mut Mram {
+        self.mram
+    }
+
+    /// Per-tasklet counters of phase 1 and of phase 2 (after the
+    /// barrier), `n_tasklets` entries each. A single-phase program
+    /// leaves the second slice zero.
+    #[inline]
+    pub fn stats_mut(&mut self) -> (&mut [TaskletStats], &mut [TaskletStats]) {
+        let [phase1, phase2] = &mut self.stats;
+        (phase1, phase2)
+    }
+
+    /// The tasklet interpreter: runs `kernel` tasklet by tasklet, phase
+    /// by phase, collecting what each tasklet charged.
+    fn interpret<K: Kernel + ?Sized>(&mut self, kernel: &K) -> Result<()> {
+        // Split WRAM: [shared | t0 local | t1 local | ...]. Tasklets run
+        // sequentially, so re-borrowing per tasklet is safe and keeps the
+        // shared region's contents visible across tasklets. Phase 2
+        // (`finalize`) starts only after every tasklet completed phase 1
+        // — the hardware barrier.
+        let n_tasklets = self.n_tasklets;
+        let local_len = (WRAM_CAPACITY - self.shared_len) / n_tasklets;
+        for (phase, stats) in self.stats.iter_mut().enumerate() {
+            for (t, slot) in stats.iter_mut().enumerate() {
+                let (shared, rest) = self
+                    .wram
+                    .slice_mut(0, WRAM_CAPACITY)?
+                    .split_at_mut(self.shared_len);
+                let local = &mut rest[t * local_len..(t + 1) * local_len];
+                let mut ctx = TaskletCtx {
+                    dpu: self.dpu,
+                    tasklet: t,
+                    n_tasklets,
+                    mram: self.mram,
+                    shared,
+                    local,
+                    charges: Charges {
+                        costs: self.costs,
+                        stats: TaskletStats::default(),
+                    },
+                };
+                if phase == 0 {
+                    kernel.run(&mut ctx)?;
+                } else {
+                    kernel.finalize(&mut ctx)?;
+                }
+                *slot = ctx.charges.stats;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Execution context handed to a kernel for one tasklet.
 ///
 /// All MRAM traffic and explicit instruction charges flow through this
@@ -81,65 +221,23 @@ pub struct TaskletCtx<'a> {
     charges: Charges<'a>,
 }
 
-/// The cycle/DMA accounting half of a [`TaskletCtx`], separable from
-/// the MRAM borrow via [`TaskletCtx::split_reader`] so a kernel can
-/// hold zero-copy MRAM views *while* charging for the transfers they
-/// stand for; [`TaskletCtx::charges`] reaches the same counters
-/// without a split. Each method takes a repeat count where kernels
-/// charge in bulk: a single charge is the `n = 1` case.
+/// The cycle/DMA counters of one tasklet, reached through
+/// [`TaskletCtx::charges`]. Each method takes a repeat count where
+/// kernels charge in bulk: a single charge is the `n = 1` case. The
+/// curves come from the launch's [`CostTable`], the same one a
+/// [`DpuProgram`] charges from.
 #[derive(Debug)]
 pub struct Charges<'a> {
-    cost: &'a CostModel,
+    costs: &'a CostTable,
     stats: TaskletStats,
-    /// One-entry memo `(len, dma_cycles, dma_engine_cycles)` for the
-    /// dominant same-size DMA charge: embedding kernels issue thousands
-    /// of row-sized transfers per launch, and the f64 cost-curve
-    /// evaluation would otherwise dwarf the counter update. `len = 0`
-    /// is never charged (empty DMAs fault first), so it marks "empty".
-    dma_memo: (usize, u64, u64),
-    /// Same for vector accumulates of a fixed element count
-    /// (`u64::MAX` marks "empty").
-    acc_memo: (u64, u64),
-    /// Memo for quantized-u8 accumulates, kept separate from
-    /// [`Self::acc_memo`] so kernels mixing fp32 cache rows and int8
-    /// EMT rows do not thrash a single entry.
-    acc_u8_memo: (u64, u64),
 }
 
-impl<'a> Charges<'a> {
-    fn new(cost: &'a CostModel) -> Self {
-        Charges {
-            cost,
-            stats: TaskletStats::default(),
-            dma_memo: (0, 0, 0),
-            acc_memo: (u64::MAX, 0),
-            acc_u8_memo: (u64::MAX, 0),
-        }
-    }
-
-    /// Charges `n` identical DMA transfers of `len` bytes each. Every
-    /// counter increment is an integer, so one multiplied charge equals
-    /// `n` single charges exactly — a kernel whose inner loop issues
-    /// only same-shaped transfers can hoist the charging out of the
-    /// loop without moving modeled time.
+impl Charges<'_> {
+    /// Charges `n` identical DMA transfers of `len` bytes each
+    /// ([`CostTable::charge_dma`]).
     #[inline]
     pub fn charge_dma(&mut self, len: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if self.dma_memo.0 != len {
-            self.dma_memo = (
-                len,
-                self.cost.dma_cycles(len).0,
-                self.cost.dma_engine_cycles(len).0,
-            );
-        }
-        self.stats.dma_cycles += n * self.dma_memo.1;
-        self.stats.dma_engine_cycles += n * self.dma_memo.2;
-        self.stats.dma_transfers += n;
-        self.stats.dma_bytes += n * len as u64;
-        // Issuing a DMA costs a few pipeline instructions (address setup).
-        self.stats.instrs += n * 4 * self.cost.int_op_cycles;
+        self.costs.charge_dma(&mut self.stats, len, n);
     }
 
     /// Charges `n` generic pipeline instructions (1 cycle slots each).
@@ -151,13 +249,13 @@ impl<'a> Charges<'a> {
     /// Charges `n` native 32-bit integer ALU operations.
     #[inline]
     pub fn charge_int_ops(&mut self, n: u64) {
-        self.stats.instrs += n * self.cost.int_op_cycles;
+        self.stats.instrs += n * self.costs.model().int_op_cycles;
     }
 
     /// Charges `n` software-emulated fp32 additions (the DPU has no FPU).
     #[inline]
     pub fn charge_fp32_adds(&mut self, n: u64) {
-        self.stats.instrs += n * self.cost.fp32_add_cycles;
+        self.stats.instrs += n * self.costs.model().fp32_add_cycles;
     }
 
     /// Charges `n` vector-accumulates of `n_elems` elements each: a
@@ -166,116 +264,26 @@ impl<'a> Charges<'a> {
     /// native 64-bit integer path on fixed-point lanes).
     #[inline]
     pub fn charge_accumulate(&mut self, n_elems: u64, n: u64) {
-        self.accumulate(false, n_elems, n);
+        self.stats.instrs += n * self.costs.accumulate_instrs(false, n_elems);
     }
 
     /// Charges `n` *dequantizing* vector-accumulates of `n_elems`
     /// quantized-u8 elements each: same fixed cost as
     /// [`Charges::charge_accumulate`], but the per-element slope is
-    /// [`CostModel::accumulate_per_elem_instrs_u8`] — eight 8-bit lanes
-    /// unpack per 64-bit load, so the fused dequantize-accumulate loop
-    /// retires fewer instructions per element than the fp32 path.
+    /// [`CostModel::accumulate_per_elem_instrs_u8`](crate::CostModel::accumulate_per_elem_instrs_u8)
+    /// — eight 8-bit lanes unpack per 64-bit load, so the fused
+    /// dequantize-accumulate loop retires fewer instructions per
+    /// element than the fp32 path.
     #[inline]
     pub fn charge_accumulate_u8(&mut self, n_elems: u64, n: u64) {
-        self.accumulate(true, n_elems, n);
-    }
-
-    /// The accumulate formula, on fp32 or quantized-u8 lanes. `n = 0`
-    /// leaves the memo alone: a tasklet that never accumulates never
-    /// evaluates the curve.
-    #[inline]
-    fn accumulate(&mut self, u8_lanes: bool, n_elems: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let (memo, slope) = if u8_lanes {
-            (
-                &mut self.acc_u8_memo,
-                self.cost.accumulate_per_elem_instrs_u8,
-            )
-        } else {
-            (&mut self.acc_memo, self.cost.accumulate_per_elem_instrs)
-        };
-        if memo.0 != n_elems {
-            let work = (slope * n_elems as f64).round() as u64;
-            *memo = (n_elems, self.cost.accumulate_base_instrs + work);
-        }
-        self.stats.instrs += n * memo.1;
+        self.stats.instrs += n * self.costs.accumulate_instrs(true, n_elems);
     }
 
     /// Charges loop bookkeeping for `iters` iterations of an
     /// embedding-style loop (address computation, compare, branch).
     #[inline]
     pub fn charge_loop(&mut self, iters: u64) {
-        self.stats.instrs += iters * self.cost.loop_overhead_instrs;
-    }
-}
-
-/// Read-only zero-copy window over the committed prefix of one DPU's
-/// MRAM bank, obtained from [`TaskletCtx::split_reader`]. Unlike the
-/// context methods, views taken here stay alive across further reads
-/// and across [`Charges`] calls — multiple immutable borrows coexist.
-///
-/// The reader spans `[0, end)` bytes fixed at split time; requests
-/// beyond that error instead of zero-extending (use
-/// [`TaskletCtx::mram_read`] for reads past the planned layout).
-#[derive(Debug, Clone, Copy)]
-pub struct MramReader<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> MramReader<'a> {
-    /// Borrows one DMA transfer's window: same alignment and size rules
-    /// as [`Mram::check_dma`]. Charging is the caller's job
-    /// ([`Charges::charge_dma`] with the same `len`).
-    ///
-    /// # Errors
-    ///
-    /// Unaligned/oversized requests and requests past the reader's end.
-    #[inline]
-    pub fn dma(&self, addr: u32, len: usize) -> Result<&'a [u8]> {
-        if len > crate::arch::DMA_MAX_TRANSFER {
-            return Err(SimError::DmaTooLarge { len });
-        }
-        self.window(addr, len)
-    }
-
-    /// Borrows an aligned span that may exceed the single-transfer DMA
-    /// limit — the backing store is contiguous, so a multi-chunk read
-    /// needs only one borrow. The caller must charge the same chunk
-    /// series the copying path would ([`Charges::charge_dma`] per
-    /// `DMA_MAX_TRANSFER`-sized chunk).
-    ///
-    /// # Errors
-    ///
-    /// Unaligned requests and requests past the reader's end.
-    #[inline]
-    pub fn window(&self, addr: u32, len: usize) -> Result<&'a [u8]> {
-        let start = addr as usize;
-        if !start.is_multiple_of(crate::arch::DMA_ALIGN)
-            || !len.is_multiple_of(crate::arch::DMA_ALIGN)
-        {
-            return Err(SimError::UnalignedDma { addr, len });
-        }
-        let end = start + len;
-        if end > self.data.len() {
-            return Err(SimError::MramOutOfBounds {
-                addr,
-                len,
-                capacity: self.data.len(),
-            });
-        }
-        Ok(&self.data[start..end])
-    }
-
-    /// Every committed byte this reader sees, for kernels that index
-    /// fixed-stride rows directly: each row access then needs only a
-    /// range check against this slice. Per-row charging stays the
-    /// caller's job, as does checking the row shape against
-    /// [`Mram::check_dma`].
-    #[inline]
-    pub fn bytes(&self) -> &'a [u8] {
-        self.data
+        self.stats.instrs += iters * self.costs.model().loop_overhead_instrs;
     }
 }
 
@@ -296,39 +304,6 @@ impl<'a> TaskletCtx<'a> {
     #[inline]
     pub fn n_tasklets(&self) -> usize {
         self.n_tasklets
-    }
-
-    /// Splits this context into a read-only MRAM window over the first
-    /// `end` bytes plus the charge counters — disjoint borrows, so a
-    /// kernel can keep rows, reference streams and offset arrays
-    /// borrowed from MRAM *simultaneously* while charging for the
-    /// transfers they stand for. The bank is grown (with zeros) to
-    /// `end` once up front, exactly like a read of never-written MRAM.
-    ///
-    /// A kernel using `dma`/`window` plus the matching `charge_dma`
-    /// calls is indistinguishable in modeled time from one using
-    /// [`TaskletCtx::mram_read`].
-    #[inline]
-    pub fn split_reader(&mut self, end: usize) -> (MramReader<'_>, &mut Charges<'a>) {
-        let (mram, _, charges) = self.split_reader_shared(end);
-        (mram, charges)
-    }
-
-    /// Like [`TaskletCtx::split_reader`], but also hands out the shared
-    /// WRAM region — for barrier-phase kernels that accumulate borrowed
-    /// MRAM rows directly into shared accumulators.
-    #[inline]
-    pub fn split_reader_shared(
-        &mut self,
-        end: usize,
-    ) -> (MramReader<'_>, &mut [u8], &mut Charges<'a>) {
-        (
-            MramReader {
-                data: self.mram.frozen(end),
-            },
-            self.shared,
-            &mut self.charges,
-        )
     }
 
     /// DMA read from MRAM into a caller buffer, charging DMA latency.
@@ -355,48 +330,8 @@ impl<'a> TaskletCtx<'a> {
         Ok(())
     }
 
-    /// Zero-copy DMA write: borrows a writable MRAM window so the
-    /// kernel serializes its result in place, with identical validation
-    /// and identical DMA charges to [`TaskletCtx::mram_write`] —
-    /// modeled time cannot tell the two apart. The caller must fill
-    /// the whole window (it is the bytes "transferred" by the DMA).
-    ///
-    /// # Errors
-    ///
-    /// Propagates alignment/size/bounds violations from [`Mram`].
-    #[inline]
-    pub fn mram_view_mut(&mut self, addr: u32, len: usize) -> Result<&mut [u8]> {
-        Mram::check_dma(addr, len)?;
-        self.charges.charge_dma(len, 1);
-        self.mram.dma_view_mut(addr, len)
-    }
-
-    /// DMA write sourced from the shared-WRAM region: copies
-    /// `len` bytes at `shared_off` straight into MRAM without the
-    /// caller staging them in a private buffer first (the two regions
-    /// live behind the same `&mut self`, so a plain
-    /// [`TaskletCtx::mram_write`] would force that extra copy).
-    /// Validation and charges are identical to `mram_write`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates alignment/size/bounds violations from [`Mram`].
-    #[inline]
-    pub fn mram_write_from_shared(
-        &mut self,
-        addr: u32,
-        shared_off: usize,
-        len: usize,
-    ) -> Result<()> {
-        self.mram
-            .dma_write(addr, &self.shared[shared_off..shared_off + len])?;
-        self.charges.charge_dma(len, 1);
-        Ok(())
-    }
-
     /// The cycle/DMA counters of this tasklet: every explicit charge a
-    /// kernel makes goes through here (the same [`Charges`] that
-    /// [`TaskletCtx::split_reader`] hands out beside an MRAM window).
+    /// kernel makes goes through here.
     #[inline]
     pub fn charges(&mut self) -> &mut Charges<'a> {
         &mut self.charges
@@ -448,24 +383,24 @@ impl Dpu {
         &mut self.mram
     }
 
-    /// Runs `kernel` with `n_tasklets` tasklets and returns the modeled
+    /// Runs `program` with `n_tasklets` tasklets and returns the modeled
     /// launch statistics.
     ///
     /// # Errors
     ///
     /// * [`SimError::InvalidConfig`] if `n_tasklets` is 0 or exceeds
     ///   [`MAX_TASKLETS`].
-    /// * [`SimError::WramExhausted`] if the kernel's shared region leaves
-    ///   no per-tasklet WRAM.
-    /// * Any error returned by the kernel body.
-    pub fn launch<K: Kernel + ?Sized>(
+    /// * [`SimError::WramExhausted`] if the program's shared region
+    ///   leaves no per-tasklet WRAM.
+    /// * Any error returned by the program.
+    pub fn launch<P: DpuProgram + ?Sized>(
         &mut self,
-        kernel: &K,
+        program: &P,
         n_tasklets: usize,
-        cost: &CostModel,
+        costs: &CostTable,
     ) -> Result<DpuRunStats> {
         let mut out = DpuRunStats::default();
-        self.launch_into(kernel, n_tasklets, cost, &mut out)?;
+        self.launch_into(program, n_tasklets, costs, &mut out)?;
         Ok(out)
     }
 
@@ -480,11 +415,11 @@ impl Dpu {
     /// # Errors
     ///
     /// Same conditions as [`Dpu::launch`].
-    pub fn launch_into<K: Kernel + ?Sized>(
+    pub fn launch_into<P: DpuProgram + ?Sized>(
         &mut self,
-        kernel: &K,
+        program: &P,
         n_tasklets: usize,
-        cost: &CostModel,
+        costs: &CostTable,
         out: &mut DpuRunStats,
     ) -> Result<()> {
         if n_tasklets == 0 || n_tasklets > MAX_TASKLETS {
@@ -492,55 +427,35 @@ impl Dpu {
                 "tasklets must be in 1..={MAX_TASKLETS}, got {n_tasklets}"
             )));
         }
-        let shared_len = kernel.shared_wram_bytes();
+        let shared_len = program.shared_wram_bytes();
         if shared_len >= WRAM_CAPACITY {
             return Err(SimError::WramExhausted {
                 requested: shared_len,
                 available: WRAM_CAPACITY,
             });
         }
-        let local_len = (WRAM_CAPACITY - shared_len) / n_tasklets;
-        if local_len == 0 {
+        if (WRAM_CAPACITY - shared_len) / n_tasklets == 0 {
             return Err(SimError::WramExhausted {
                 requested: shared_len + n_tasklets,
                 available: WRAM_CAPACITY,
             });
         }
 
-        // Split WRAM: [shared | t0 local | t1 local | ...]. Tasklets run
-        // sequentially, so re-borrowing per tasklet is safe and keeps the
-        // shared region's contents visible across tasklets. Phase 2
-        // (`finalize`) starts only after every tasklet completed phase 1
-        // — the hardware barrier.
         let mut phase1 = [TaskletStats::default(); MAX_TASKLETS];
         let mut phase2 = [TaskletStats::default(); MAX_TASKLETS];
-        for (phase, stats) in [(0usize, &mut phase1), (1, &mut phase2)] {
-            for (t, slot) in stats.iter_mut().enumerate().take(n_tasklets) {
-                let (shared, rest) = self
-                    .wram
-                    .slice_mut(0, WRAM_CAPACITY)?
-                    .split_at_mut(shared_len);
-                let local = &mut rest[t * local_len..(t + 1) * local_len];
-                let mut ctx = TaskletCtx {
-                    dpu: self.id,
-                    tasklet: t,
-                    n_tasklets,
-                    mram: &mut self.mram,
-                    shared,
-                    local,
-                    charges: Charges::new(cost),
-                };
-                if phase == 0 {
-                    kernel.run(&mut ctx)?;
-                } else {
-                    kernel.finalize(&mut ctx)?;
-                }
-                *slot = ctx.charges.stats;
-            }
-        }
+        program.run_dpu(&mut DpuPass {
+            dpu: self.id,
+            n_tasklets,
+            mram: &mut self.mram,
+            wram: &mut self.wram,
+            shared_len,
+            costs,
+            stats: [&mut phase1[..n_tasklets], &mut phase2[..n_tasklets]],
+        })?;
 
         // The barrier means phase times add up; the launch overhead is
         // charged once.
+        let cost = costs.model();
         let p1 = Self::account(&phase1[..n_tasklets], cost, cost.launch_overhead_cycles);
         let p2 = Self::account(&phase2[..n_tasklets], cost, 0);
         out.cycles = p1.cycles + p2.cycles;
@@ -634,10 +549,9 @@ mod tests {
             row_bytes: 8,
             instrs_per_read: 1,
         };
-        assert!(d.launch(&k, 0, &CostModel::default()).is_err());
-        assert!(d
-            .launch(&k, MAX_TASKLETS + 1, &CostModel::default())
-            .is_err());
+        let costs = CostTable::new(&CostModel::default());
+        assert!(d.launch(&k, 0, &costs).is_err());
+        assert!(d.launch(&k, MAX_TASKLETS + 1, &costs).is_err());
     }
 
     #[test]
@@ -645,7 +559,7 @@ mod tests {
         // With 1 tasklet every DMA is exposed serially; with 14 the DMA
         // engine bound (sum of transfer costs) dominates, which is lower
         // than the serial bound because compute overlaps.
-        let cost = CostModel::default();
+        let cost = CostTable::new(&CostModel::default());
         let k = ReadLoop {
             reads: 1400,
             row_bytes: 64,
@@ -725,7 +639,66 @@ mod tests {
         let k = Sum8 {
             expect: [1, 2, 3, 4, 5, 6, 7, 8],
         };
-        d.launch(&k, 2, &CostModel::default()).unwrap();
+        d.launch(&k, 2, &CostTable::new(&CostModel::default()))
+            .unwrap();
+    }
+
+    /// The launch accounting sees only counters: a whole-DPU program
+    /// that reports what a two-phase kernel's tasklets are charged, and
+    /// writes what they write, is that kernel to the simulator.
+    #[test]
+    fn a_program_reporting_a_kernels_counters_gets_its_launch_stats() {
+        struct TwoPhase;
+        impl Kernel for TwoPhase {
+            fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<()> {
+                let mut buf = [0u8; 64];
+                ctx.mram_read(0, &mut buf)?;
+                ctx.charges().charge_accumulate(16, 2);
+                let t = ctx.tasklet_id() as u64;
+                ctx.charges().charge_instrs(10 + t);
+                Ok(())
+            }
+            fn finalize(&self, ctx: &mut TaskletCtx<'_>) -> Result<()> {
+                let t = ctx.tasklet_id();
+                ctx.mram_write(1024 + 8 * t as u32, &[t as u8; 8])?;
+                ctx.charges().charge_loop(1);
+                Ok(())
+            }
+        }
+        struct ClosedForm;
+        impl DpuProgram for ClosedForm {
+            fn run_dpu(&self, pass: &mut DpuPass<'_>) -> Result<()> {
+                let costs = pass.costs();
+                let n_tasklets = pass.n_tasklets();
+                let bank = pass.mram().committed_mut(1024 + 8 * n_tasklets);
+                for t in 0..n_tasklets {
+                    bank[1024 + 8 * t..][..8].fill(t as u8);
+                }
+                let (phase1, phase2) = pass.stats_mut();
+                for (t, (p1, p2)) in phase1.iter_mut().zip(phase2).enumerate() {
+                    costs.charge_dma(p1, 64, 1);
+                    p1.instrs += 2 * costs.accumulate_instrs(false, 16) + 10 + t as u64;
+                    costs.charge_dma(p2, 8, 1);
+                    p2.instrs += costs.model().loop_overhead_instrs;
+                }
+                Ok(())
+            }
+        }
+        let costs = CostTable::new(&CostModel::default());
+        for n_tasklets in [1, 5, 14] {
+            let (mut a, mut b) = (Dpu::new(DpuId(0)), Dpu::new(DpuId(0)));
+            let interpreted = a.launch(&TwoPhase, n_tasklets, &costs).unwrap();
+            let reported = b.launch(&ClosedForm, n_tasklets, &costs).unwrap();
+            assert_eq!(interpreted, reported, "{n_tasklets} tasklets");
+            assert_eq!(
+                interpreted.energy_pj.to_bits(),
+                reported.energy_pj.to_bits()
+            );
+            let mut out = (vec![0u8; 8 * n_tasklets], vec![0u8; 8 * n_tasklets]);
+            a.mram().host_read(1024, &mut out.0).unwrap();
+            b.mram().host_read(1024, &mut out.1).unwrap();
+            assert_eq!(out.0, out.1);
+        }
     }
 
     #[test]
@@ -747,7 +720,8 @@ mod tests {
             }
         }
         let mut d = Dpu::new(DpuId(0));
-        d.launch(&Chain, 4, &CostModel::default()).unwrap();
+        d.launch(&Chain, 4, &CostTable::new(&CostModel::default()))
+            .unwrap();
     }
 
     #[test]
@@ -763,14 +737,14 @@ mod tests {
         }
         let mut d = Dpu::new(DpuId(0));
         assert!(matches!(
-            d.launch(&Greedy, 1, &CostModel::default()),
+            d.launch(&Greedy, 1, &CostTable::new(&CostModel::default())),
             Err(SimError::WramExhausted { .. })
         ));
     }
 
     #[test]
     fn energy_scales_with_work() {
-        let cost = CostModel::default();
+        let cost = CostTable::new(&CostModel::default());
         let small = ReadLoop {
             reads: 140,
             row_bytes: 32,

@@ -6,14 +6,16 @@
 //! timing follows the UPMEM rank rule: per-DPU buffers move in parallel
 //! when they all have the same size and serialize otherwise.
 //!
-//! Kernel launches are *functionally* executed across
+//! Kernel launches can be *functionally* executed across
 //! [`PimConfig::host_threads`] host worker threads (DPUs are isolated,
 //! so the fleet is embarrassingly parallel), while *modeled* timing
 //! stays bit-identical to serial execution — see [`PimSystem::launch`].
+//! The default is serial: a launch group is a handful of DPUs of a few
+//! hundred nanoseconds each, less than spawning its workers costs.
 
 use crate::arch::{Cycles, DpuId};
-use crate::cost::CostModel;
-use crate::dpu::{Dpu, Kernel};
+use crate::cost::{CostModel, CostTable};
+use crate::dpu::{Dpu, DpuProgram};
 use crate::error::{Result, SimError};
 use crate::stats::{DpuRunStats, LaunchReport, TransferReport};
 
@@ -27,27 +29,24 @@ pub struct PimConfig {
     /// Host worker threads used to *execute* kernel launches
     /// functionally. Purely a simulator-throughput knob: the modeled
     /// timing/energy is bit-identical for every value (see
-    /// [`PimSystem::launch`]). `1` runs the fleet serially on the
-    /// calling thread; the default is the host's available parallelism.
+    /// [`PimSystem::launch`]). `1`, the default, runs the fleet serially
+    /// on the calling thread; more has not paid for its thread spawns on
+    /// any box measured (EXPERIMENTS.md, "Stage 2 simulates a DPU").
     pub host_threads: usize,
     /// Timing/energy model.
     pub cost: CostModel,
 }
 
-/// The default for [`PimConfig::host_threads`]: one worker per
-/// available host CPU (at least 1).
+/// The host's available parallelism (at least 1): the most workers
+/// [`PimConfig::host_threads`] can put to use. Not the default, which
+/// is 1 — a sweep over `host_threads` ends here.
 pub fn default_host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 impl Default for PimConfig {
     fn default() -> Self {
-        PimConfig {
-            nr_dpus: crate::arch::DEFAULT_NR_DPUS,
-            tasklets: crate::arch::DEFAULT_TASKLETS,
-            host_threads: default_host_threads(),
-            cost: CostModel::default(),
-        }
+        PimConfig::new(crate::arch::DEFAULT_NR_DPUS, crate::arch::DEFAULT_TASKLETS)
     }
 }
 
@@ -57,7 +56,7 @@ impl PimConfig {
         PimConfig {
             nr_dpus,
             tasklets,
-            host_threads: default_host_threads(),
+            host_threads: 1,
             cost: CostModel::default(),
         }
     }
@@ -82,6 +81,9 @@ impl PimConfig {
 pub struct PimSystem {
     dpus: Vec<Dpu>,
     config: PimConfig,
+    /// `config.cost` with its launch-path curves tabulated, built once
+    /// here so no launch evaluates (or clones) the model.
+    costs: CostTable,
 }
 
 impl PimSystem {
@@ -110,7 +112,12 @@ impl PimSystem {
         let dpus = (0..config.nr_dpus)
             .map(|i| Dpu::new(DpuId(i as u32)))
             .collect();
-        Ok(PimSystem { dpus, config })
+        let costs = CostTable::new(&config.cost);
+        Ok(PimSystem {
+            dpus,
+            config,
+            costs,
+        })
     }
 
     /// The system configuration.
@@ -307,9 +314,10 @@ impl PimSystem {
         }
     }
 
-    /// Launches `kernel` on the given DPUs with the configured tasklet
-    /// count. DPUs execute in parallel: the report's wall time is the
-    /// slowest DPU's time.
+    /// Launches `kernel` — a [`Kernel`](crate::dpu::Kernel), interpreted
+    /// tasklet by tasklet, or any other [`DpuProgram`] — on the given
+    /// DPUs with the configured tasklet count. DPUs execute in parallel:
+    /// the report's wall time is the slowest DPU's time.
     ///
     /// Functionally, the fleet is executed across up to
     /// [`PimConfig::host_threads`] host worker threads. Real thread
@@ -326,7 +334,7 @@ impl PimSystem {
     /// As with a mid-scatter error, DPU memory state afterwards is
     /// unspecified-but-valid: workers that already ran other DPUs leave
     /// their writes in place.
-    pub fn launch<K: Kernel + ?Sized>(
+    pub fn launch<K: DpuProgram + ?Sized>(
         &mut self,
         ids: &[DpuId],
         kernel: &K,
@@ -346,28 +354,25 @@ impl PimSystem {
     ///
     /// Same conditions as [`PimSystem::launch`]; on error `out` is left
     /// in an unspecified (but valid) state.
-    pub fn launch_into<K: Kernel + ?Sized>(
+    pub fn launch_into<K: DpuProgram + ?Sized>(
         &mut self,
         ids: &[DpuId],
         kernel: &K,
         out: &mut LaunchReport,
     ) -> Result<()> {
-        let tasklets = self.config.tasklets;
-        let cost = self.config.cost.clone();
         let workers = self.config.host_threads.min(ids.len());
         if workers <= 1 {
-            self.run_fleet_serial_into(ids, kernel, tasklets, &cost, &mut out.per_dpu)?;
+            self.run_fleet_serial_into(ids, kernel, &mut out.per_dpu)?;
         } else {
-            match self.disjoint_dpu_refs(ids)? {
+            match Self::disjoint_dpu_refs(&mut self.dpus, ids)? {
                 // Duplicate ids cannot be split into disjoint `&mut`
                 // chunks; re-launching the same DPU is deterministic
                 // either way, so fall back to the serial path.
-                None => {
-                    self.run_fleet_serial_into(ids, kernel, tasklets, &cost, &mut out.per_dpu)?;
-                }
+                None => self.run_fleet_serial_into(ids, kernel, &mut out.per_dpu)?,
                 Some(fleet) => {
+                    let (tasklets, costs) = (self.config.tasklets, &self.costs);
                     let results =
-                        Self::run_fleet_parallel(fleet, kernel, tasklets, &cost, workers)?;
+                        Self::run_fleet_parallel(fleet, kernel, tasklets, costs, workers)?;
                     out.per_dpu.clear();
                     out.per_dpu.extend(results);
                 }
@@ -384,7 +389,7 @@ impl PimSystem {
             energy += stats.energy_pj;
         }
         out.wall_cycles = wall;
-        out.wall_ns = cost.cycles_to_ns(wall);
+        out.wall_ns = self.config.cost.cycles_to_ns(wall);
         out.energy_pj = energy;
         Ok(())
     }
@@ -392,12 +397,10 @@ impl PimSystem {
     /// Serial fleet execution on the calling thread (`host_threads = 1`
     /// and the duplicate-id fallback), writing each DPU's stats in place
     /// over `out`'s recycled entries.
-    fn run_fleet_serial_into<K: Kernel + ?Sized>(
+    fn run_fleet_serial_into<K: DpuProgram + ?Sized>(
         &mut self,
         ids: &[DpuId],
         kernel: &K,
-        tasklets: usize,
-        cost: &CostModel,
         out: &mut Vec<(DpuId, DpuRunStats)>,
     ) -> Result<()> {
         out.truncate(ids.len());
@@ -409,7 +412,7 @@ impl PimSystem {
                 .dpus
                 .get_mut(id.index())
                 .ok_or(SimError::UnknownDpu { id, nr_dpus: n })?;
-            dpu.launch_into(kernel, tasklets, cost, &mut slot.1)?;
+            dpu.launch_into(kernel, self.config.tasklets, &self.costs, &mut slot.1)?;
         }
         Ok(())
     }
@@ -424,8 +427,11 @@ impl PimSystem {
     ///
     /// [`SimError::UnknownDpu`] for the out-of-range id earliest in
     /// `ids`, matching the serial path's error.
-    fn disjoint_dpu_refs(&mut self, ids: &[DpuId]) -> Result<Option<Vec<(usize, &mut Dpu)>>> {
-        let nr_dpus = self.dpus.len();
+    fn disjoint_dpu_refs<'a>(
+        dpus: &'a mut [Dpu],
+        ids: &[DpuId],
+    ) -> Result<Option<Vec<(usize, &'a mut Dpu)>>> {
+        let nr_dpus = dpus.len();
         if let Some(&bad) = ids.iter().find(|id| id.index() >= nr_dpus) {
             return Err(SimError::UnknownDpu { id: bad, nr_dpus });
         }
@@ -435,7 +441,7 @@ impl PimSystem {
         let mut order: Vec<usize> = (0..ids.len()).collect();
         order.sort_unstable_by_key(|&pos| ids[pos].index());
         let mut fleet = Vec::with_capacity(ids.len());
-        let mut rest: &mut [Dpu] = &mut self.dpus;
+        let mut rest: &mut [Dpu] = dpus;
         let mut consumed = 0usize;
         for &pos in &order {
             let idx = ids[pos].index();
@@ -453,11 +459,11 @@ impl PimSystem {
 
     /// Executes the fleet on `workers` scoped host threads, returning
     /// per-DPU results re-assembled in launch order.
-    fn run_fleet_parallel<K: Kernel + ?Sized>(
+    fn run_fleet_parallel<K: DpuProgram + ?Sized>(
         mut fleet: Vec<(usize, &mut Dpu)>,
         kernel: &K,
         tasklets: usize,
-        cost: &CostModel,
+        costs: &CostTable,
         workers: usize,
     ) -> Result<Vec<(DpuId, DpuRunStats)>> {
         let n = fleet.len();
@@ -471,7 +477,7 @@ impl PimSystem {
                             chunk
                                 .iter_mut()
                                 .map(|(pos, dpu)| {
-                                    (*pos, dpu.id(), dpu.launch(kernel, tasklets, cost))
+                                    (*pos, dpu.id(), dpu.launch(kernel, tasklets, costs))
                                 })
                                 .collect()
                         })
@@ -507,7 +513,7 @@ impl PimSystem {
     /// # Errors
     ///
     /// Propagates kernel faults.
-    pub fn launch_all<K: Kernel + ?Sized>(&mut self, kernel: &K) -> Result<LaunchReport> {
+    pub fn launch_all<K: DpuProgram + ?Sized>(&mut self, kernel: &K) -> Result<LaunchReport> {
         let ids: Vec<DpuId> = self.dpu_ids().collect();
         self.launch(&ids, kernel)
     }
@@ -516,7 +522,7 @@ impl PimSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpu::TaskletCtx;
+    use crate::dpu::{Kernel, TaskletCtx};
 
     struct Nop;
     impl Kernel for Nop {

@@ -15,6 +15,11 @@
 //! * no inter-DPU communication path — all data exchange goes through
 //!   the host, exactly as on the real DIMMs.
 //!
+//! A DPU-side program is a [`Kernel`], which the simulator interprets
+//! tasklet by tasklet, or — when its per-tasklet counters are a closed
+//! form of its input — a [`DpuProgram`], which gets each launched DPU
+//! once and reports the counters itself.
+//!
 //! ## Example
 //!
 //! ```rust
@@ -65,8 +70,8 @@ pub mod mem;
 pub mod stats;
 
 pub use arch::{Cycles, DpuId};
-pub use cost::CostModel;
-pub use dpu::{Charges, Dpu, Kernel, MramReader, TaskletCtx};
+pub use cost::{CostModel, CostTable};
+pub use dpu::{Charges, Dpu, DpuPass, DpuProgram, Kernel, TaskletCtx};
 pub use error::{Result, SimError};
 pub use fleet::{Fleet, RankCostModel, RankTopology};
 pub use host::{default_host_threads, PimConfig, PimSystem};

@@ -87,30 +87,18 @@ impl Mram {
         Ok(())
     }
 
-    /// Mutable zero-copy DMA window: borrows `len` writable bytes at
-    /// `addr` so a kernel can serialize its result in place instead of
-    /// staging it in a scratch buffer and copying. Validation and
-    /// failure modes are identical to [`Mram::dma_write`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the transfer violates DMA rules (see [`Mram::check_dma`]).
+    /// Grows the bank (with zeros) to at least `end` bytes (clamped to
+    /// [`MRAM_CAPACITY`]) and returns every committed byte, writable —
+    /// the one borrow through which a whole-DPU program
+    /// ([`DpuPass::mram`](crate::dpu::DpuPass::mram)) indexes its rows
+    /// and streams and writes its result rows in place. Never-written
+    /// MRAM reads as zeros, exactly like [`Mram::dma_read`]; checking
+    /// each access against the DMA rules ([`Mram::check_dma`]) and
+    /// against this slice's length is the caller's job.
     #[inline]
-    pub fn dma_view_mut(&mut self, addr: u32, len: usize) -> Result<&mut [u8]> {
-        Self::check_dma(addr, len)?;
-        let start = addr as usize;
-        self.ensure(start + len);
-        Ok(&mut self.data[start..start + len])
-    }
-
-    /// Grows the bank (with zeros) to at least `end` bytes and returns
-    /// the whole committed prefix as an immutable slice — the backing
-    /// store for a `MramReader` split (never-written MRAM reads as
-    /// zeros, exactly like [`Mram::dma_read`]).
-    #[inline]
-    pub fn frozen(&mut self, end: usize) -> &[u8] {
-        self.ensure(end.min(MRAM_CAPACITY));
-        &self.data
+    pub fn committed_mut(&mut self, end: usize) -> &mut [u8] {
+        self.commit(end);
+        &mut self.data
     }
 
     /// Host-side pre-commit: eagerly backs the first `end` bytes of the
