@@ -166,7 +166,7 @@ impl Fig6Result {
 ///
 /// Partitioning errors (capacity, configuration).
 pub fn fig6(eval: EvalConfig) -> Result<Fig6Result, CoreError> {
-    use cooccur_cache::{CacheListSet, CooccurGraph, MinerConfig};
+    use cooccur_cache::{CacheListSet, MinerConfig};
 
     let spec = eval.scale(&DatasetSpec::movie());
     let w = Workload::generate(
@@ -183,20 +183,7 @@ pub fn fig6(eval: EvalConfig) -> Result<Fig6Result, CoreError> {
     let nu = updlrm_core::non_uniform(spec.num_items, parts, cap, &profile)?;
 
     // Mine cache lists and measure their real benefit on the trace.
-    let miner = MinerConfig::default();
-    let mut graph = CooccurGraph::new(&profile, miner.hot_set_size);
-    let mut budget = miner.max_samples;
-    'outer: for input in w.table_inputs(0) {
-        for s in input.iter() {
-            if budget == 0 {
-                break 'outer;
-            }
-            graph.record_sample(s);
-            budget -= 1;
-        }
-    }
-    let mut lists = CacheListSet::mine(&graph, &miner);
-    lists.measure_benefit(w.table_inputs(0));
+    let lists = CacheListSet::from_trace(&profile, w.table_inputs(0), &MinerConfig::default());
 
     // Naive placement: a list's cache rows land on the NU partition of
     // its hottest member; accesses to the list's items migrate there as
@@ -690,26 +677,15 @@ pub fn ablations(eval: EvalConfig) -> Result<Vec<AblationRow>, CoreError> {
     // Zeroed-benefit run: emulate by mining lists and rebuilding the
     // engine through the low-level API.
     let ca_off = {
-        use cooccur_cache::{CacheListSet, CooccurGraph};
+        use cooccur_cache::CacheListSet;
         let config = base(PartitionStrategy::CacheAware);
         let mut profiles = Vec::new();
         let mut lists = Vec::new();
         for t in 0..8 {
             let profile =
                 FreqProfile::from_inputs(setup.spec.num_items, setup.workload.table_inputs(t));
-            let mut graph = CooccurGraph::new(&profile, config.miner.hot_set_size);
-            let mut budget = config.miner.max_samples;
-            'rec: for input in setup.workload.table_inputs(t) {
-                for s in input.iter() {
-                    if budget == 0 {
-                        break 'rec;
-                    }
-                    graph.record_sample(s);
-                    budget -= 1;
-                }
-            }
-            let mut set = CacheListSet::mine(&graph, &config.miner);
-            set.measure_benefit(setup.workload.table_inputs(t));
+            let mut set =
+                CacheListSet::from_trace(&profile, setup.workload.table_inputs(t), &config.miner);
             for l in &mut set.lists {
                 l.benefit = 0.0; // ablate line 10
             }

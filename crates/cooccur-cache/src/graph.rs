@@ -4,23 +4,37 @@
 //! combinations from a graph whose nodes are items and whose edge
 //! weights count how often two items appear in the same sample. Like
 //! GRACE, we restrict the graph to the hottest items — cold items cannot
-//! amortize cached partial sums — which bounds the memory of the
-//! otherwise quadratic pair counting.
+//! amortize cached partial sums.
+//!
+//! The graph is not held as a set of edges. Recording a sample stores
+//! the sample's hot ranks (at most [`CooccurGraph::MAX_PAIR_SPAN`] of
+//! them) in one flat arena; edge weights are counted on demand, one
+//! adjacency row at a time, by [`crate::CacheListSet::mine`], which
+//! only ever asks for the rows of the seeds it reaches. Memory is the
+//! arena, an index of the same size and one row, whatever the number of
+//! nonzero edges.
 
-use dlrm_model::FxHashMap;
 use workloads::FreqProfile;
 
 /// Co-occurrence graph over the `hot_set_size` most frequent items.
 #[derive(Debug, Clone)]
 pub struct CooccurGraph {
-    /// Hot item id -> dense hot rank (0 = hottest).
-    hot_rank: FxHashMap<u64, u32>,
+    /// Table row -> hot rank + 1 (0 = not hot), direct-mapped over the
+    /// profile's rows: one array read per sample index.
+    rank_of_row: Vec<u32>,
     /// Hot items in rank order.
     hot_items: Vec<u64>,
-    /// Edge weights keyed by (min_rank, max_rank).
-    edges: FxHashMap<(u32, u32), u64>,
     /// Per-hot-item total accesses (copied from the profile).
     freq: Vec<u64>,
+    /// Every recorded sample's hot ranks — ascending, distinct, strided
+    /// to at most `MAX_PAIR_SPAN` — back to back. Samples with fewer
+    /// than two hot ranks hold no pair and are not stored.
+    sample_ranks: Vec<u32>,
+    /// Where each stored sample's run starts in `sample_ranks`, plus the
+    /// end of the last one.
+    run_starts: Vec<usize>,
+    /// The current sample's hot ranks before striding (reused).
+    scratch: Vec<u32>,
 }
 
 impl CooccurGraph {
@@ -32,17 +46,18 @@ impl CooccurGraph {
             .into_iter()
             .take(hot_set_size)
             .collect();
-        let hot_rank = hot_items
-            .iter()
-            .enumerate()
-            .map(|(r, &i)| (i, r as u32))
-            .collect();
+        let mut rank_of_row = vec![0u32; profile.num_items()];
+        for (r, &i) in hot_items.iter().enumerate() {
+            rank_of_row[i as usize] = r as u32 + 1;
+        }
         let freq = hot_items.iter().map(|&i| profile.count(i)).collect();
         CooccurGraph {
-            hot_rank,
+            rank_of_row,
             hot_items,
-            edges: FxHashMap::default(),
             freq,
+            sample_ranks: Vec::new(),
+            run_starts: vec![0],
+            scratch: Vec::new(),
         }
     }
 
@@ -71,27 +86,28 @@ impl CooccurGraph {
     /// similarly samples its graph construction).
     pub const MAX_PAIR_SPAN: usize = 64;
 
-    /// Records one sample's index list: every pair of hot items in the
-    /// sample gains one unit of edge weight. At most
-    /// [`CooccurGraph::MAX_PAIR_SPAN`] of the sample's hot items take
-    /// part (pair counting is quadratic); when a sample exceeds that,
-    /// an evenly-strided subset is used so that mid-popularity pairs
-    /// are not systematically dropped.
+    /// Records one sample's index list: every pair of distinct hot
+    /// items in the sample gains one unit of edge weight (an item named
+    /// twice still occurs once — it does not co-occur with itself). At
+    /// most [`CooccurGraph::MAX_PAIR_SPAN`] of the sample's hot items
+    /// take part (pair counting is quadratic); when a sample exceeds
+    /// that, an evenly-strided subset is used so that mid-popularity
+    /// pairs are not systematically dropped.
     pub fn record_sample(&mut self, sample: &[u64]) {
-        let mut hot: Vec<u32> = sample
-            .iter()
-            .filter_map(|i| self.hot_rank.get(i).copied())
-            .collect();
+        let hot = &mut self.scratch;
+        hot.clear();
+        hot.extend(sample.iter().filter_map(|&i| {
+            let rank = *self.rank_of_row.get(i as usize)?;
+            rank.checked_sub(1)
+        }));
         hot.sort_unstable();
-        if hot.len() > Self::MAX_PAIR_SPAN {
-            let stride = hot.len().div_ceil(Self::MAX_PAIR_SPAN);
-            hot = hot.into_iter().step_by(stride).collect();
+        hot.dedup();
+        if hot.len() < 2 {
+            return;
         }
-        for (k, &a) in hot.iter().enumerate() {
-            for &b in &hot[k + 1..] {
-                *self.edges.entry((a, b)).or_insert(0) += 1;
-            }
-        }
+        let stride = hot.len().div_ceil(Self::MAX_PAIR_SPAN);
+        self.sample_ranks.extend(hot.iter().step_by(stride));
+        self.run_starts.push(self.sample_ranks.len());
     }
 
     /// Records every sample of an iterator of CSR inputs.
@@ -106,53 +122,75 @@ impl CooccurGraph {
         }
     }
 
-    /// Co-occurrence count of two hot ranks.
+    /// Stored sample `s`'s ranks.
+    fn run(&self, s: usize) -> &[u32] {
+        &self.sample_ranks[self.run_starts[s]..self.run_starts[s + 1]]
+    }
+
+    /// Every stored sample's ranks, in recording order.
+    fn runs(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.run_starts
+            .windows(2)
+            .map(|w| &self.sample_ranks[w[0]..w[1]])
+    }
+
+    /// Co-occurrence count of two hot ranks: a scan of the stored
+    /// samples (the miner counts whole adjacency rows instead).
     pub fn edge(&self, a: u32, b: u32) -> u64 {
-        let key = (a.min(b), a.max(b));
-        self.edges.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Number of nonzero edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// The neighbors of `rank` sorted by descending edge weight, with
-    /// their weights.
-    ///
-    /// For a single query this scans all edges; bulk consumers (the
-    /// miner) should use [`CooccurGraph::adjacency`] instead.
-    pub fn neighbors_by_weight(&self, rank: u32) -> Vec<(u32, u64)> {
-        let mut out: Vec<(u32, u64)> = self
-            .edges
-            .iter()
-            .filter_map(|(&(a, b), &w)| {
-                if a == rank {
-                    Some((b, w))
-                } else if b == rank {
-                    Some((a, w))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        out.sort_by_key(|&(n, w)| (std::cmp::Reverse(w), n));
-        out
-    }
-
-    /// Builds the full adjacency structure in one O(E) pass: entry
-    /// `rank` holds that rank's neighbors sorted by descending weight.
-    pub fn adjacency(&self) -> Vec<Vec<(u32, u64)>> {
-        let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); self.hot_items.len()];
-        for (&(a, b), &w) in &self.edges {
-            adj[a as usize].push((b, w));
-            adj[b as usize].push((a, w));
+        if a == b {
+            return 0;
         }
-        for n in &mut adj {
-            n.sort_by_key(|&(r, w)| (std::cmp::Reverse(w), r));
-        }
-        adj
+        self.runs()
+            .filter(|run| run.binary_search(&a).is_ok() && run.binary_search(&b).is_ok())
+            .count() as u64
     }
+
+    /// Indexes the stored samples by the ranks they hold, in one
+    /// counting pass over the arena.
+    pub(crate) fn samples_by_rank(&self) -> SamplesByRank {
+        let mut starts = vec![0usize; self.hot_items.len() + 1];
+        for &r in &self.sample_ranks {
+            starts[r as usize + 1] += 1;
+        }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        let mut next = starts.clone();
+        let mut samples = vec![0u32; self.sample_ranks.len()];
+        for (s, run) in self.runs().enumerate() {
+            for &r in run {
+                // A stored sample holds two ranks or more, so a count
+                // past `u32` would need a 32 GB arena first.
+                samples[next[r as usize]] = s as u32;
+                next[r as usize] += 1;
+            }
+        }
+        SamplesByRank { starts, samples }
+    }
+
+    /// Writes the adjacency row of `rank` into `row` (`hot_set_size()`
+    /// wide): `row[b]` becomes the weight of edge `(rank, b)`. Walks
+    /// only the stored samples that hold `rank`.
+    pub(crate) fn count_row(&self, rank: u32, index: &SamplesByRank, row: &mut [u32]) {
+        let r = rank as usize;
+        row.fill(0);
+        for &s in &index.samples[index.starts[r]..index.starts[r + 1]] {
+            for &b in self.run(s as usize) {
+                row[b as usize] += 1;
+            }
+        }
+        row[r] = 0;
+    }
+}
+
+/// Which stored samples hold each hot rank (CSR over ranks) — what lets
+/// [`CooccurGraph::count_row`] count one adjacency row without passing
+/// over the samples that cannot contribute to it.
+#[derive(Debug)]
+pub(crate) struct SamplesByRank {
+    /// `samples[starts[r]..starts[r + 1]]` are the samples holding `r`.
+    starts: Vec<usize>,
+    samples: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -168,6 +206,17 @@ mod tests {
             }
         }
         p
+    }
+
+    /// Every adjacency row, `H x H`.
+    fn all_rows(g: &CooccurGraph) -> Vec<u32> {
+        let h = g.hot_set_size();
+        let index = g.samples_by_rank();
+        let mut rows = vec![0; h * h];
+        for (a, row) in rows.chunks_mut(h).enumerate() {
+            g.count_row(a as u32, &index, row);
+        }
+        rows
     }
 
     #[test]
@@ -187,6 +236,7 @@ mod tests {
         assert_eq!(g.edge(0, 1), 2);
         assert_eq!(g.edge(1, 0), 2);
         assert_eq!(g.edge(0, 2), 0);
+        assert_eq!(all_rows(&g), [0, 2, 0, 2, 0, 0, 0, 0, 0]);
     }
 
     #[test]
@@ -194,8 +244,9 @@ mod tests {
         let p = profile_with_counts(&[9, 8, 1, 1]);
         let mut g = CooccurGraph::new(&p, 2);
         g.record_sample(&[0, 1, 2, 3]);
+        g.record_sample(&[0, 2, 99]);
         assert_eq!(g.edge(0, 1), 1);
-        assert_eq!(g.num_edges(), 1);
+        assert_eq!(all_rows(&g), [0, 1, 1, 0]);
     }
 
     #[test]
@@ -203,7 +254,39 @@ mod tests {
         let p = profile_with_counts(&[2, 2, 2]);
         let mut g = CooccurGraph::new(&p, 3);
         g.record_sample(&[0, 1, 2]);
-        assert_eq!(g.num_edges(), 3);
+        assert_eq!(all_rows(&g), [0, 1, 1, 1, 0, 1, 1, 1, 0]);
+    }
+
+    #[test]
+    fn counted_rows_match_edges() {
+        let p = profile_with_counts(&[9, 8, 7, 6, 5]);
+        let mut g = CooccurGraph::new(&p, 5);
+        g.record_sample(&[0, 2, 4]);
+        g.record_sample(&[2, 3]);
+        g.record_sample(&[4, 3, 2]);
+        g.record_sample(&[1]); // no pair: not stored
+        let index = g.samples_by_rank();
+        let mut row = vec![100u32; 5]; // stale contents are overwritten
+        for a in 0..5u32 {
+            g.count_row(a, &index, &mut row);
+            for b in 0..5u32 {
+                assert_eq!(u64::from(row[b as usize]), g.edge(a, b), "edge ({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_sample_is_strided_to_the_span() {
+        let n = 2 * CooccurGraph::MAX_PAIR_SPAN + 6;
+        let p = profile_with_counts(&vec![1; n]);
+        let mut g = CooccurGraph::new(&p, n);
+        let sample: Vec<u64> = (0..n as u64).collect();
+        g.record_sample(&sample);
+        // stride = ceil(134 / 64) = 3: ranks 0, 3, 6, ... take part.
+        assert_eq!(g.edge(0, 3), 1);
+        assert_eq!(g.edge(3, 132), 1);
+        assert_eq!(g.edge(0, 1), 0);
+        assert_eq!(g.run_starts, [0, n.div_ceil(3)]);
     }
 
     #[test]
@@ -213,8 +296,10 @@ mod tests {
         g.record_sample(&[0, 1]);
         g.record_sample(&[0, 1]);
         g.record_sample(&[0, 2]);
-        let n = g.neighbors_by_weight(0);
-        assert_eq!(n, vec![(1, 2), (2, 1)]);
+        assert_eq!(all_rows(&g)[..4], [0, 2, 1, 0]);
+        // The miner grows a seed's list strongest neighbour first.
+        let set = crate::CacheListSet::mine(&g, &crate::MinerConfig::default());
+        assert_eq!(set.lists[0].items, [0, 1, 2]);
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //! traffic. GRACE itself is not redistributable, so this crate
 //! implements the same role from scratch:
 //!
-//! 1. [`CooccurGraph`] counts pairwise co-occurrence among hot items;
+//! 1. [`CooccurGraph`] records which hot items each sample holds, and
+//!    counts pairwise co-occurrence from that on demand;
 //! 2. [`CacheListSet::mine`] greedily clusters the graph into disjoint
 //!    cache lists with per-list benefit estimates (the `cache_res`
 //!    input of the paper's Algorithm 1);
 //! 3. [`PartialSumCache`] materializes all `2^k - 1` combination rows
 //!    and answers lookups, preserving the exact-reconstruction
 //!    invariant (cached sums + residual rows = full reduction).
+//!
+//! [`CacheListSet::from_trace`] runs steps 1 and 2 for one table's
+//! trace the way the engine build does (sample budget, measured
+//! benefit); the example below spells the steps out.
 //!
 //! The paper notes UpDLRM "does not rely on GRACE and can work with any
 //! other caching technique" — mirroring that, `updlrm-core` consumes

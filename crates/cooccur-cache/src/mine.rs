@@ -9,7 +9,7 @@
 
 use crate::graph::CooccurGraph;
 use dlrm_model::SparseInput;
-use dlrm_model::{FxHashMap, FxHashSet};
+use workloads::FreqProfile;
 
 /// One mined cache list.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -22,6 +22,11 @@ pub struct CacheList {
 }
 
 impl CacheList {
+    /// Most items a list may hold: its `2^k - 1` combination rows are
+    /// all materialized, and the cache packs an item's position in its
+    /// list into 5 bits.
+    pub const MAX_ITEMS: usize = 20;
+
     /// Number of cached combination rows for this list (`2^k - 1`).
     pub fn num_combinations(&self) -> usize {
         (1usize << self.items.len()) - 1
@@ -64,6 +69,28 @@ impl Default for MinerConfig {
     }
 }
 
+impl MinerConfig {
+    /// Checks the fields a trace cannot be mined without: a nonempty
+    /// hot set, and lists of 2 to [`CacheList::MAX_ITEMS`] items.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field, its value and the allowed range.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        if self.hot_set_size == 0 {
+            return Err("miner.hot_set_size is 0, must be at least 1".into());
+        }
+        if !(2..=CacheList::MAX_ITEMS).contains(&self.max_list_len) {
+            return Err(format!(
+                "miner.max_list_len is {}, must be in 2..={}",
+                self.max_list_len,
+                CacheList::MAX_ITEMS
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The miner's output: disjoint cache lists, strongest first.
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct CacheListSet {
@@ -72,85 +99,92 @@ pub struct CacheListSet {
 }
 
 impl CacheListSet {
+    /// Mines one table's cache lists from its trace and measures their
+    /// benefit on it: the first `config.max_samples` samples of `inputs`
+    /// build the co-occurrence graph, [`CacheListSet::mine`] clusters
+    /// it, and [`CacheListSet::measure_benefit`] scores the lists on the
+    /// whole of `inputs`. `config` is taken as given — check it with
+    /// [`MinerConfig::validate`] first: an empty hot set or lists of
+    /// fewer than two items mine nothing, and lists of more than
+    /// [`CacheList::MAX_ITEMS`] cannot be materialized.
+    pub fn from_trace<'a>(
+        profile: &FreqProfile,
+        inputs: impl IntoIterator<Item = &'a SparseInput>,
+        config: &MinerConfig,
+    ) -> CacheListSet {
+        let inputs: Vec<&SparseInput> = inputs.into_iter().collect();
+        let mut set = {
+            let mut graph = CooccurGraph::new(profile, config.hot_set_size);
+            let samples = inputs.iter().flat_map(|input| input.iter());
+            for sample in samples.take(config.max_samples) {
+                graph.record_sample(sample);
+            }
+            CacheListSet::mine(&graph, config)
+        };
+        set.measure_benefit(inputs);
+        set
+    }
+
     /// Mines cache lists from a co-occurrence graph.
     ///
     /// Greedy clustering: seed with the hottest unassigned item, grow
     /// with its strongest unassigned neighbors whose edge weight clears
     /// `min_edge_fraction` of the seed frequency, emit if at least two
     /// items cluster.
+    ///
+    /// Edge weights are counted lazily: one adjacency row per seed the
+    /// loop actually grows from, into one reused buffer. Ranks already
+    /// in a list, and those past the end of the loop (`max_lists`
+    /// reached, or a zero-frequency seed), never have a row counted.
     pub fn mine(graph: &CooccurGraph, config: &MinerConfig) -> CacheListSet {
-        let adjacency = graph.adjacency();
-        let mut assigned: FxHashSet<u32> = FxHashSet::default();
+        let h = graph.hot_set_size();
+        let mut assigned = vec![false; h];
+        let index = graph.samples_by_rank();
+        let mut row = vec![0u32; h];
+        let mut neighbors = Vec::with_capacity(config.max_list_len);
         let mut lists = Vec::new();
-        for seed in 0..graph.hot_set_size() as u32 {
+        for seed in 0..h {
             if lists.len() >= config.max_lists {
                 break;
             }
-            if assigned.contains(&seed) {
+            if assigned[seed] {
                 continue;
             }
-            let seed_freq = graph.rank_freq(seed);
+            let seed_freq = graph.rank_freq(seed as u32);
             if seed_freq == 0 {
                 break;
             }
+            graph.count_row(seed as u32, &index, &mut row);
             let threshold = (seed_freq as f64 * config.min_edge_fraction).max(1.0);
-            let mut members = vec![seed];
-            let mut min_edge = u64::MAX;
-            for &(n, w) in &adjacency[seed as usize] {
-                if members.len() >= config.max_list_len {
-                    break;
-                }
-                if assigned.contains(&n) || (w as f64) < threshold {
-                    continue;
-                }
-                members.push(n);
-                min_edge = min_edge.min(w);
-            }
-            if members.len() < 2 {
+            strongest_neighbors(
+                &row,
+                &assigned,
+                threshold,
+                config.max_list_len.saturating_sub(1),
+                &mut neighbors,
+            );
+            let Some(&(min_edge, _)) = neighbors.last() else {
                 continue;
+            };
+            assigned[seed] = true;
+            let mut items = vec![graph.rank_item(seed as u32)];
+            for &(_, n) in &neighbors {
+                assigned[n as usize] = true;
+                items.push(graph.rank_item(n));
             }
-            assigned.extend(members.iter().copied());
             // Benefit: every time the whole group co-occurs, k reads
             // collapse into one — (k-1) saved per co-occurrence. The
             // weakest pairwise edge lower-bounds group co-occurrence.
-            let benefit = min_edge as f64 * (members.len() as f64 - 1.0);
-            lists.push(CacheList {
-                items: members.iter().map(|&r| graph.rank_item(r)).collect(),
-                benefit,
-            });
+            let benefit = min_edge as f64 * neighbors.len() as f64;
+            lists.push(CacheList { items, benefit });
         }
-        lists.sort_by(|a, b| {
-            b.benefit
-                .partial_cmp(&a.benefit)
-                .expect("benefits are finite")
-        });
-        CacheListSet { lists }
+        let mut set = CacheListSet { lists };
+        set.sort_by_benefit();
+        set
     }
 
-    /// Replaces each list's estimated benefit with one *measured* on a
-    /// trace: the number of memory accesses the cache would actually
-    /// save (covered items minus one cache read, per sample).
-    pub fn measure_benefit<'a>(&mut self, inputs: impl IntoIterator<Item = &'a SparseInput>) {
-        let item_to_list = self.item_index();
-        let mut saved = vec![0u64; self.lists.len()];
-        for input in inputs {
-            for sample in input.iter() {
-                let mut matched: FxHashMap<usize, u64> = FxHashMap::default();
-                for i in sample {
-                    if let Some(&l) = item_to_list.get(i) {
-                        *matched.entry(l).or_insert(0) += 1;
-                    }
-                }
-                for (l, k) in matched {
-                    if k >= 2 {
-                        saved[l] += k - 1;
-                    }
-                }
-            }
-        }
-        for (list, s) in self.lists.iter_mut().zip(saved) {
-            list.benefit = s as f64;
-        }
+    /// Stable sort, strongest list first.
+    fn sort_by_benefit(&mut self) {
         self.lists.sort_by(|a, b| {
             b.benefit
                 .partial_cmp(&a.benefit)
@@ -158,15 +192,55 @@ impl CacheListSet {
         });
     }
 
-    /// Item -> list index (lists are disjoint by construction).
-    pub fn item_index(&self) -> FxHashMap<u64, usize> {
-        let mut m = FxHashMap::default();
+    /// Replaces each list's estimated benefit with one *measured* on a
+    /// trace: the number of memory accesses the cache would actually
+    /// save (covered items minus one cache read, per sample).
+    ///
+    /// Items are table rows: the item -> list map is one word per row up
+    /// to the largest listed item.
+    pub fn measure_benefit<'a>(&mut self, inputs: impl IntoIterator<Item = &'a SparseInput>) {
+        // item -> list + 1 (0 = not listed; lists are disjoint).
+        let rows = self
+            .lists
+            .iter()
+            .flat_map(|list| &list.items)
+            .max()
+            .map_or(0, |&max| max as usize + 1);
+        let mut list_of_item = vec![0u32; rows];
         for (l, list) in self.lists.iter().enumerate() {
             for &i in &list.items {
-                m.insert(i, l);
+                list_of_item[i as usize] = l as u32 + 1;
             }
         }
-        m
+        // A list's first item in a sample costs the one cache read;
+        // every further one is a saved access. `last_sample[l]` is the
+        // 1-based ordinal of the last sample that touched list `l`.
+        let mut saved = vec![0u64; self.lists.len()];
+        let mut last_sample = vec![0u64; self.lists.len()];
+        let mut ordinal = 0u64;
+        for input in inputs {
+            for sample in input.iter() {
+                ordinal += 1;
+                for &i in sample {
+                    let Some(l) = list_of_item
+                        .get(i as usize)
+                        .and_then(|&packed| packed.checked_sub(1))
+                    else {
+                        continue;
+                    };
+                    let l = l as usize;
+                    if last_sample[l] == ordinal {
+                        saved[l] += 1;
+                    } else {
+                        last_sample[l] = ordinal;
+                    }
+                }
+            }
+        }
+        for (list, s) in self.lists.iter_mut().zip(saved) {
+            list.benefit = s as f64;
+        }
+        self.sort_by_benefit();
     }
 
     /// Total cache storage at dimension `dim` for every list.
@@ -199,6 +273,51 @@ impl CacheListSet {
     /// True when no lists were mined.
     pub fn is_empty(&self) -> bool {
         self.lists.is_empty()
+    }
+}
+
+/// The up to `k` strongest eligible neighbors of the seed whose
+/// adjacency row is `row`, as `(weight, rank)`, strongest first: weight
+/// descending, then rank ascending — the first `k` eligible entries of
+/// the row sorted in that order. Eligible means not yet assigned and a
+/// weight of at least `threshold` (which is at least 1, so absent edges
+/// and the seed's own zero cell never qualify).
+fn strongest_neighbors(
+    row: &[u32],
+    assigned: &[bool],
+    threshold: f64,
+    k: usize,
+    out: &mut Vec<(u32, u32)>,
+) {
+    out.clear();
+    if k == 0 {
+        return;
+    }
+    // Weights are integers, so `w >= threshold` is `w >= ceil(threshold)`
+    // (the cast saturates). Once `k` are held, a later rank must beat
+    // the weakest strictly: on a tie the lower rank stays.
+    let mut floor = threshold.ceil() as u64;
+    // Nearly every cell is below the floor; a block's maximum (a
+    // vectorized reduction) dismisses it without a branch per cell.
+    const BLOCK: usize = 32;
+    for (block, cells) in row.chunks(BLOCK).enumerate() {
+        let max = cells.iter().fold(0, |m, &w| m.max(w));
+        if u64::from(max) < floor {
+            continue;
+        }
+        for (n, &w) in (block * BLOCK..).zip(cells) {
+            if u64::from(w) < floor || assigned[n] {
+                continue;
+            }
+            if out.len() == k {
+                out.pop();
+            }
+            let at = out.partition_point(|&(held, _)| held >= w);
+            out.insert(at, (w, n as u32));
+            if out.len() == k {
+                floor = u64::from(out[k - 1].0) + 1;
+            }
+        }
     }
 }
 
@@ -273,6 +392,70 @@ mod tests {
         };
         let set = CacheListSet::mine(&g, &cfg);
         assert!(set.lists.iter().all(|l| l.items.len() <= 2));
+    }
+
+    #[test]
+    fn validate_names_the_field_and_its_range() {
+        let default = MinerConfig::default();
+        let hot = |hot_set_size| MinerConfig {
+            hot_set_size,
+            ..default
+        };
+        let len = |max_list_len| MinerConfig {
+            max_list_len,
+            ..default
+        };
+        for ok in [default, hot(1), len(2), len(CacheList::MAX_ITEMS)] {
+            assert_eq!(ok.validate(), Ok(()));
+        }
+        assert_eq!(
+            hot(0).validate().unwrap_err(),
+            "miner.hot_set_size is 0, must be at least 1"
+        );
+        for bad in [0, 1, 21] {
+            assert_eq!(
+                len(bad).validate().unwrap_err(),
+                format!("miner.max_list_len is {bad}, must be in 2..=20")
+            );
+        }
+    }
+
+    /// The neighbour scan against the definition it replaces: sort the
+    /// eligible cells by (weight descending, rank ascending), take `k`.
+    #[test]
+    fn strongest_neighbors_is_a_prefix_of_the_sorted_row() {
+        // Ties across a block edge, a run of equal weights longer than
+        // `k`, cells at and one below the threshold, assigned cells.
+        let mut row = vec![0u32; 100];
+        for (n, w) in [
+            (3, 5),
+            (30, 9),
+            (31, 5),
+            (32, 5),
+            (33, 9),
+            (64, 5),
+            (70, 4),
+            (99, 9),
+        ] {
+            row[n] = w;
+        }
+        let mut assigned = vec![false; 100];
+        assigned[33] = true;
+        let mut got = Vec::new();
+        for threshold in [1.0, 4.0, 4.5, 5.0, 5.1, 9.0, 9.5, 1e30] {
+            for k in 0..8 {
+                let mut want: Vec<(u32, u32)> = row
+                    .iter()
+                    .enumerate()
+                    .filter(|&(n, &w)| !assigned[n] && f64::from(w) >= threshold)
+                    .map(|(n, &w)| (w, n as u32))
+                    .collect();
+                want.sort_by_key(|&(w, n)| (std::cmp::Reverse(w), n));
+                want.truncate(k);
+                strongest_neighbors(&row, &assigned, threshold, k, &mut got);
+                assert_eq!(got, want, "threshold {threshold}, k {k}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! residual rows reconstruct the exact full reduction — is what the
 //! property tests of this crate pin down.
 
-use crate::mine::CacheListSet;
+use crate::mine::{CacheList, CacheListSet};
 use dlrm_model::{simd, EmbeddingTable, ModelError, Result};
 
 /// One cached combination: a subset of a cache list and its partial sum.
@@ -132,8 +132,8 @@ pub struct PartialSumCache {
     dim: usize,
 }
 
-/// A cache list holds at most 20 items, so the bit position fits in the
-/// low 5 bits of the packed `item_pos` word.
+/// A cache list holds at most [`CacheList::MAX_ITEMS`] (20) items, so the
+/// bit position fits in the low 5 bits of the packed `item_pos` word.
 const POS_BIT_WIDTH: u32 = 5;
 
 impl PartialSumCache {
@@ -147,7 +147,7 @@ impl PartialSumCache {
         let mut item_pos = vec![0u32; table.rows()];
         let mut list_base = Vec::with_capacity(lists.lists.len());
         for (l, list) in lists.lists.iter().enumerate() {
-            if list.items.len() > 20 {
+            if list.items.len() > CacheList::MAX_ITEMS {
                 return Err(ModelError::InvalidConfig(format!(
                     "cache list of {} items would need 2^{} combination rows",
                     list.items.len(),
@@ -287,7 +287,6 @@ impl PartialSumCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mine::CacheList;
 
     fn table() -> EmbeddingTable {
         EmbeddingTable::random_integer_valued(32, 4, 3, 99).unwrap()

@@ -97,6 +97,26 @@ proptest! {
         }
     }
 
+    /// Every cached combination is bit-equal to the table's own
+    /// left-to-right partial sum of its items — on real-valued rows,
+    /// where f32 addition does not associate, so the order in which
+    /// `materialize` adds rows is part of its contract.
+    #[test]
+    fn materialized_entries_equal_partial_sums_bit_for_bit(
+        lists in disjoint_lists_up_to(64, 8),
+        seed in any::<u64>(),
+    ) {
+        let table = EmbeddingTable::random(64, 8, 0.5, seed).unwrap();
+        let cache = PartialSumCache::materialize(&lists, &table).unwrap();
+        let combos: usize = lists.lists.iter().map(|l| l.num_combinations()).sum();
+        prop_assert_eq!(cache.entries().len(), combos);
+        for e in cache.entries() {
+            let want = table.partial_sum(&e.items).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            prop_assert_eq!(bits(&e.vector), bits(&want), "list {} mask {:#b}", e.list, e.mask);
+        }
+    }
+
     /// Cached reduction == direct reduction, for any sample.
     #[test]
     fn cache_never_changes_results(

@@ -34,9 +34,7 @@ use crate::partition::{self, PartitionStrategy, RowAssignment};
 use crate::replan::{self, ReplanPolicy};
 use crate::telemetry::{MetricsRegistry, Snapshot};
 use crate::tiling::{Tiling, TilingProblem};
-use cooccur_cache::{
-    CacheHit, CacheListSet, CacheTraffic, CooccurGraph, LookupScratch, PartialSumCache,
-};
+use cooccur_cache::{CacheHit, CacheListSet, CacheTraffic, LookupScratch, PartialSumCache};
 use dlrm_model::{quant, simd, Dlrm, EmbedDtype, EmbeddingTable, Matrix, QueryBatch};
 use placement::{PlacementPlan, HOST_ROW_PART};
 use upmem_sim::{Cycles, DpuId, Fleet, LaunchReport, RankCostModel, RankTopology, TransferReport};
@@ -1020,26 +1018,20 @@ impl UpdlrmEngine {
                 tables.len()
             )));
         }
+        if config.strategy == PartitionStrategy::CacheAware {
+            config.miner.validate().map_err(CoreError::InvalidConfig)?;
+        }
         config.avg_reduction_hint = workload.measured_avg_reduction().max(1.0);
         let mut profiles = Vec::with_capacity(tables.len());
         let mut lists = Vec::with_capacity(tables.len());
         for (t, table) in tables.iter().enumerate() {
             let profile = FreqProfile::from_inputs(table.rows(), workload.table_inputs(t));
             if config.strategy == PartitionStrategy::CacheAware {
-                let mut graph = CooccurGraph::new(&profile, config.miner.hot_set_size);
-                let mut budget = config.miner.max_samples;
-                'record: for input in workload.table_inputs(t) {
-                    for sample in input.iter() {
-                        if budget == 0 {
-                            break 'record;
-                        }
-                        graph.record_sample(sample);
-                        budget -= 1;
-                    }
-                }
-                let mut set = CacheListSet::mine(&graph, &config.miner);
-                set.measure_benefit(workload.table_inputs(t));
-                lists.push(set);
+                lists.push(CacheListSet::from_trace(
+                    &profile,
+                    workload.table_inputs(t),
+                    &config.miner,
+                ));
             } else {
                 lists.push(CacheListSet::default());
             }

@@ -5,13 +5,20 @@
 //! `serve_stream` over the same batch stream must perform exactly zero
 //! allocations and reallocations.
 //!
+//! The engine build's two per-sample loops are held to the same
+//! standard first: `CooccurGraph::record_sample` only ever grows its
+//! arenas (amortized doubling, no allocation per sample), and
+//! `CacheListSet::measure_benefit` performs the same few heap operations
+//! however many samples it is given.
+//!
 //! This file intentionally holds a single test: the allocation counter
 //! is process-global, so concurrent tests would pollute the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dlrm_model::EmbeddingTable;
+use cooccur_cache::{CacheListSet, CooccurGraph, MinerConfig};
+use dlrm_model::{EmbeddingTable, SparseInput};
 use placement::{plan, Catalog, PlannerConfig};
 use updlrm_core::{PartitionStrategy, PipelineMode, UpdlrmConfig, UpdlrmEngine};
 use upmem_sim::RankTopology;
@@ -113,8 +120,68 @@ fn setup(placement: Placement, telemetry: bool) -> (UpdlrmEngine, Workload) {
     (engine, workload)
 }
 
+/// Heap operations performed by `f`.
+fn heap_ops(f: impl FnOnce()) -> u64 {
+    let before = ALLOC_OPS.load(Ordering::SeqCst);
+    f();
+    ALLOC_OPS.load(Ordering::SeqCst) - before
+}
+
+/// The cache-list miner's per-sample loops: recording a sample and
+/// scoring it against the mined lists allocate nothing of their own.
+fn mining_loops_do_not_allocate_per_sample() {
+    let spec = DatasetSpec::goodreads().scaled_down(500);
+    let workload = Workload::generate(
+        &spec,
+        TraceConfig {
+            num_tables: 1,
+            num_batches: 16,
+            ..TraceConfig::default()
+        },
+    );
+    let inputs: Vec<&SparseInput> = workload.table_inputs(0).collect();
+    let samples: Vec<&[u64]> = inputs.iter().flat_map(|i| i.iter()).collect();
+    assert!(samples.len() >= 1000);
+    let profile = FreqProfile::from_inputs(spec.num_items, inputs.iter().copied());
+    let miner = MinerConfig::default();
+
+    // The first sample sizes the scratch; after it the only heap
+    // operations are the arenas doubling — a few dozen over a thousand
+    // samples, where one allocation per sample would be a thousand.
+    let mut graph = CooccurGraph::new(&profile, miner.hot_set_size);
+    graph.record_sample(samples[0]);
+    let ops = heap_ops(|| {
+        for sample in &samples[1..] {
+            graph.record_sample(sample);
+        }
+    });
+    assert!(
+        ops <= 48,
+        "record_sample: {ops} heap ops over {} samples",
+        samples.len() - 1
+    );
+
+    // Same lists, one sample or all of them: the same heap operations
+    // (the direct map, the per-list counters, the final sort).
+    let mined = CacheListSet::mine(&graph, &miner);
+    assert!(mined.len() > 20, "lists to measure");
+    let one_sample = SparseInput::from_samples([samples[0]]);
+    let (mut a, mut b) = (mined.clone(), mined);
+    let ops_one = heap_ops(|| a.measure_benefit([&one_sample]));
+    let ops_all = heap_ops(|| b.measure_benefit(inputs.iter().copied()));
+    assert_eq!(
+        ops_all,
+        ops_one,
+        "measure_benefit allocated per sample ({} samples)",
+        samples.len()
+    );
+    assert!(b.lists[0].benefit > 0.0, "the trace hits the lists");
+}
+
 #[test]
 fn steady_state_serve_stream_is_allocation_free() {
+    mining_loops_do_not_allocate_per_sample();
+
     // Cache-aware is the worst case: routing exercises the partial-sum
     // cache lookup scratch on top of everything else. Telemetry must
     // hold the same invariant: its counter arenas (per-DPU cells, span

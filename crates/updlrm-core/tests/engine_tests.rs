@@ -4,7 +4,7 @@
 //! qualitative claims.
 
 use dlrm_model::{EmbeddingTable, QueryBatch, SparseInput};
-use updlrm_core::{PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
+use updlrm_core::{CoreError, PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
 use workloads::{DatasetSpec, TraceConfig, Workload};
 
 const DIM: usize = 32;
@@ -273,6 +273,44 @@ fn engine_rejects_bad_configs() {
         &workload
     )
     .is_err());
+}
+
+/// A miner configuration that cannot produce cache lists is refused
+/// before any table is mined, naming the field and its range; a
+/// strategy that never mines does not look at it.
+#[test]
+fn bad_miner_config_is_rejected_before_mining() {
+    use cooccur_cache::MinerConfig;
+    let spec = DatasetSpec::goodreads().scaled_down(5000);
+    let (tables, workload) = setup(&spec, 2, 1);
+    let build = |strategy, miner| {
+        let mut config = UpdlrmConfig::with_dpus(16, strategy);
+        config.miner = miner;
+        UpdlrmEngine::from_workload(config, &tables, &workload)
+    };
+    let ca = PartitionStrategy::CacheAware;
+    let default = MinerConfig::default();
+    let hot = |hot_set_size| MinerConfig {
+        hot_set_size,
+        ..default
+    };
+    let len = |max_list_len| MinerConfig {
+        max_list_len,
+        ..default
+    };
+    for (miner, want) in [
+        (hot(0), "miner.hot_set_size is 0, must be at least 1"),
+        (len(1), "miner.max_list_len is 1, must be in 2..=20"),
+        (len(21), "miner.max_list_len is 21, must be in 2..=20"),
+    ] {
+        match build(ca, miner) {
+            Err(CoreError::InvalidConfig(msg)) => assert_eq!(msg, want),
+            other => panic!("expected InvalidConfig({want}), got {:?}", other.err()),
+        }
+    }
+    assert!(build(ca, len(2)).is_ok());
+    assert!(build(ca, hot(1)).is_ok());
+    assert!(build(PartitionStrategy::Uniform, len(99)).is_ok());
 }
 
 #[test]
