@@ -31,7 +31,7 @@ use crate::config::UpdlrmConfig;
 use crate::error::{CoreError, Result};
 use crate::kernel::{DpuTask, EmbeddingKernel, StreamWriter, CACHE_REF_BIT};
 use crate::partition::{self, PartitionStrategy, RowAssignment};
-use crate::replan::{self, ReplanPolicy};
+use crate::replan::{self, PartLists, ReplanPolicy};
 use crate::telemetry::{MetricsRegistry, Snapshot};
 use crate::tiling::{Tiling, TilingProblem};
 use cooccur_cache::{CacheHit, CacheListSet, CacheTraffic, LookupScratch, PartialSumCache};
@@ -343,70 +343,93 @@ pub(crate) fn compute_regions(
     })
 }
 
-/// Serializes one `(partition, column slice)` EMT tile — the shared
-/// replica block followed by the partition's local rows, at the
-/// configured dtype — appending to `buf`. Shared by the initial
-/// (untimed) load and the migration scatter so both produce
-/// byte-identical tiles for the same placement.
-fn build_emt_tile(
+/// One table's placement as the tile writer reads it: what every EMT
+/// slot and every cache slot of each partition holds.
+struct TileSource<'a> {
+    /// The shared replica block (EMT slots `0..replicas.len()` of every
+    /// partition), in replica-slot order.
+    replicas: &'a [u32],
+    /// Per partition, the rows behind the replica block in slot order
+    /// ([`replan::rows_in_parts`]).
+    rows: &'a PartLists,
+    /// The partial-sum store and, per partition, its entries in
+    /// cache-slot order ([`entries_in_parts`]); `None` outside CA.
+    cache: Option<(&'a PartialSumCache, &'a PartLists)>,
+}
+
+/// The one tile writer: serializes every `(partition, column slice)`
+/// tile of one table straight into MRAM region `region` of the DPU
+/// that holds it — the EMT tile (replica block, then the partition's
+/// local rows, columns `[c * n_c, (c + 1) * n_c)`, stored at `dtype`;
+/// each int8 row quantized per slice with its own scale/min header),
+/// then the partition's cache rows (always f32). The initial (untimed)
+/// load and the migration scatter are both this function, so the same
+/// placement yields byte-identical tiles whichever of them wrote it.
+fn write_tiles(
+    fleet: &mut Fleet,
+    state: &TableState,
     table: &EmbeddingTable,
     dtype: EmbedDtype,
-    n_c: usize,
-    c: usize,
-    replicas: &[u32],
-    local_rows: &[u32],
-    buf: &mut Vec<u8>,
+    src: &TileSource<'_>,
+    region: usize,
 ) -> Result<()> {
+    let tiling = &state.tiling;
+    let n_c = tiling.n_c;
     let emt_row_bytes = dtype.stored_row_bytes(n_c);
-    let mut qrec = vec![0u8; emt_row_bytes];
-    for &r in replicas.iter().chain(local_rows.iter()) {
-        let row = table.row(r as u64)?;
-        let slice = &row[c * n_c..(c + 1) * n_c];
-        match dtype {
-            EmbedDtype::F32 => {
-                for &v in slice {
-                    buf.extend_from_slice(&v.to_le_bytes());
+    let row_bytes = tiling.row_bytes();
+    for p in 0..tiling.row_parts {
+        let local = src.rows.part(p);
+        let n = src.replicas.len() + local.len();
+        for c in 0..tiling.col_slices {
+            let cols = c * n_c..(c + 1) * n_c;
+            let (rank, dpu) = state.dpu(p, c);
+            let sys = fleet.rank_mut(rank)?;
+            if n > 0 {
+                let tile =
+                    sys.load_mram_in_place(dpu, state.emt_bases[region], n * emt_row_bytes)?;
+                let rows = src.replicas.iter().chain(local);
+                for (&r, out) in rows.zip(tile.chunks_exact_mut(emt_row_bytes)) {
+                    let slice = &table.row(r as u64)?[cols.clone()];
+                    match dtype {
+                        EmbedDtype::F32 => write_f32_le(slice, out),
+                        EmbedDtype::Int8 => quant::quantize_row_into(slice, out)?,
+                    }
                 }
             }
-            EmbedDtype::Int8 => {
-                quant::quantize_row_into(slice, &mut qrec)?;
-                buf.extend_from_slice(&qrec);
+            if let Some((store, entries)) = src.cache {
+                let entries = entries.part(p);
+                if !entries.is_empty() {
+                    let tile = sys.load_mram_in_place(
+                        dpu,
+                        state.cache_bases[region],
+                        entries.len() * row_bytes,
+                    )?;
+                    for (&e, out) in entries.iter().zip(tile.chunks_exact_mut(row_bytes)) {
+                        write_f32_le(&store.entries()[e as usize].vector[cols.clone()], out);
+                    }
+                }
             }
         }
     }
     Ok(())
 }
 
-/// Serializes one partition's cache-region column slice (always f32),
-/// appending to `buf`. `entries` is the partition's store-entry list
-/// in cache-slot order.
-fn build_cache_tile(
-    store: &PartialSumCache,
-    entries: &[usize],
-    n_c: usize,
-    c: usize,
-    buf: &mut Vec<u8>,
-) {
-    for &e in entries {
-        let vec = &store.entries()[e].vector;
-        for &v in &vec[c * n_c..(c + 1) * n_c] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+/// Stores `src` into `dst` (exactly `4 * src.len()` bytes) as
+/// little-endian f32s.
+fn write_f32_le(src: &[f32], dst: &mut [u8]) {
+    for (d, v) in dst.chunks_exact_mut(4).zip(src) {
+        d.copy_from_slice(&v.to_le_bytes());
     }
 }
 
-/// Inverts the entry routes into per-partition slot order: element
-/// `[p][s]` is the store entry at slot `s` of partition `p`'s cache
-/// region.
-fn entries_in_parts(entry_route: &[(u32, u32)], cache_rows_per_part: &[u32]) -> Vec<Vec<usize>> {
-    let mut v: Vec<Vec<usize>> = cache_rows_per_part
-        .iter()
-        .map(|&n| vec![0; n as usize])
-        .collect();
+/// Inverts the entry routes into per-partition slot order: element `s`
+/// of `out.part(p)` is the store entry at slot `s` of partition `p`'s
+/// cache region.
+fn entries_in_parts(entry_route: &[(u32, u32)], cache_rows_per_part: &[u32], out: &mut PartLists) {
+    out.reset(cache_rows_per_part);
     for (e, &(p, word)) in entry_route.iter().enumerate() {
-        v[p as usize][(word & !CACHE_REF_BIT) as usize] = e;
+        out.set(p as usize, (word & !CACHE_REF_BIT) as usize, e as u32);
     }
-    v
 }
 
 /// Assigns cache slots for a cache-aware placement and returns each
@@ -463,6 +486,13 @@ struct DriftState {
     batches_in_window: u64,
     /// The migration currently in flight, if any (at most one).
     pending: Option<PendingMigration>,
+    /// `PendingMigration::tables`' storage between migrations: empty,
+    /// capacity kept, so a replan plans into it instead of a new list.
+    flip_buf: Vec<TableFlip>,
+    /// The slot-order inverses the tile writer reads, for the table
+    /// being scattered; refilled in place per table per replan.
+    tile_rows: PartLists,
+    tile_entries: PartLists,
     /// Telemetry snapshot taken mid-first-migration (between the
     /// scatter and the flip) — the drift-snapshot golden the CI
     /// byte-compares.
@@ -864,14 +894,15 @@ impl UpdlrmEngine {
         host_probe_ns: f64,
         host_combine_ns_per_add: f64,
     ) -> Result<Self> {
+        let (mut tile_rows, mut tile_entries) = (PartLists::default(), PartLists::default());
         for (table, state) in tables.iter().zip(&states) {
-            Self::load_table(&mut fleet, table, state, config.embed_dtype)?;
-            // Pre-commit the bank of every DPU holding a partition
-            // through the last staging slot: the regions only the kernel
-            // writes (reference streams, partial-sum outputs) would
-            // otherwise regrow the bank — with whole-bank memcpys —
-            // across the first few launches. DPUs a plan leaves empty
-            // stay uncommitted.
+            // Size the bank of every DPU holding a partition once, to
+            // the end of its layout (through the last staging slot),
+            // *before* anything is written: the tiles then land in the
+            // bank's final allocation and no later launch regrows it.
+            // Committing writes nothing, so the staging reserves are
+            // address space until a batch's streams and partial sums
+            // touch them. DPUs a plan leaves empty stay uncommitted.
             let mram_end = state.slots[STAGING_SLOTS - 1].1 as usize
                 + config.batch_size * state.tiling.row_bytes() * 2;
             for p in 0..state.tiling.row_parts {
@@ -884,6 +915,14 @@ impl UpdlrmEngine {
                         .commit(mram_end);
                 }
             }
+            Self::load_table(
+                &mut fleet,
+                table,
+                state,
+                config.embed_dtype,
+                &mut tile_rows,
+                &mut tile_entries,
+            )?;
         }
 
         let mut rank_ids: Vec<usize> = states
@@ -971,6 +1010,9 @@ impl UpdlrmEngine {
                     window: tables.iter().map(|t| FreqProfile::new(t.rows())).collect(),
                     batches_in_window: 0,
                     pending: None,
+                    flip_buf: Vec::with_capacity(tables.len()),
+                    tile_rows,
+                    tile_entries,
                     first_snapshot: None,
                 }),
             )
@@ -1142,59 +1184,27 @@ impl UpdlrmEngine {
     }
 
     /// Loads the EMT tiles and cache regions into MRAM (untimed
-    /// pre-processing, as in the paper).
+    /// pre-processing, as in the paper). `rows` / `entries` are scratch
+    /// for the placement's slot-order inverses.
     fn load_table(
         fleet: &mut Fleet,
         table: &EmbeddingTable,
         state: &TableState,
         dtype: EmbedDtype,
+        rows: &mut PartLists,
+        entries: &mut PartLists,
     ) -> Result<()> {
-        let tiling = &state.tiling;
-        let n_c = tiling.n_c;
-        let row_bytes = tiling.row_bytes();
-        let parts = tiling.row_parts;
-        let rc = state.replicas.len();
-        // slot -> row per partition.
-        let rows_in_part = replan::rows_in_parts(&state.assignment, rc);
-        // Entries per partition in slot order.
-        let entries_in_part: Vec<Vec<usize>> = match &state.cache {
-            Some(c) => entries_in_parts(&c.entry_route, &c.cache_rows_per_part),
-            None => vec![Vec::new(); parts],
+        replan::rows_in_parts(&state.assignment, state.replicas.len(), rows);
+        let cache = state.cache.as_ref().map(|cs| {
+            entries_in_parts(&cs.entry_route, &cs.cache_rows_per_part, entries);
+            (&cs.store, &*entries)
+        });
+        let src = TileSource {
+            replicas: &state.replicas,
+            rows,
+            cache,
         };
-
-        for p in 0..parts {
-            for c in 0..tiling.col_slices {
-                let (rank, dpu) = state.dpu(p, c);
-                let sys = fleet.rank_mut(rank)?;
-                // EMT tile: the shared replica block (slots 0..rc), then
-                // this partition's rows, columns [c*n_c, ...), stored at
-                // the configured dtype (each int8 row quantized
-                // per-slice with its own scale/min header).
-                let emt_row_bytes = dtype.stored_row_bytes(n_c);
-                let mut buf = Vec::with_capacity((rc + rows_in_part[p].len()) * emt_row_bytes);
-                build_emt_tile(
-                    table,
-                    dtype,
-                    n_c,
-                    c,
-                    &state.replicas,
-                    &rows_in_part[p],
-                    &mut buf,
-                )?;
-                if !buf.is_empty() {
-                    sys.load_mram(dpu, state.emt_bases[0], &buf)?;
-                }
-                // Cache region: this partition's combination rows.
-                if let Some(cs) = &state.cache {
-                    let mut cbuf = Vec::with_capacity(entries_in_part[p].len() * row_bytes);
-                    build_cache_tile(&cs.store, &entries_in_part[p], n_c, c, &mut cbuf);
-                    if !cbuf.is_empty() {
-                        sys.load_mram(dpu, state.cache_bases[0], &cbuf)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+        write_tiles(fleet, state, table, dtype, &src, 0)
     }
 
     /// The engine configuration.
@@ -1714,21 +1724,16 @@ impl UpdlrmEngine {
         self.drift.as_ref().and_then(|d| d.first_snapshot.as_ref())
     }
 
-    /// Plans a fresh placement for every table from the sliding window,
-    /// scatters the re-partitioned tiles into the inactive MRAM
-    /// regions, and charges the modeled migration cost. The flip is
-    /// deferred to the modeled instant the scatter completes
-    /// ([`UpdlrmEngine::on_tick`]); until then serving continues on the
-    /// old placement, whose regions the scatter never touches.
-    fn begin_migration(&mut self, now_ns: u64) -> Result<()> {
-        // Plan phase (no mutation): any failure — a plan that cannot
-        // fit the staged regions, an infeasible cache placement — or a
-        // plan identical to the current placement declines the replan.
+    /// Plan phase of a replan: a fresh placement for every table from
+    /// the sliding window, pushed onto the (empty) `flips`. Takes
+    /// `&self`: planning reads the engine and cannot mutate what
+    /// serves. Returns `false` to decline the replan — a plan that
+    /// cannot fit the staged regions, an infeasible cache placement,
+    /// or a plan identical to the current placement.
+    fn plan_flips(&self, flips: &mut Vec<TableFlip>) -> bool {
         let drift = self.drift.as_ref().expect("replanning enabled");
-        let mut flips: Vec<TableFlip> = Vec::with_capacity(self.tables.len());
         let mut changed = false;
-        let mut feasible = true;
-        'plan: for (t, state) in self.tables.iter().enumerate() {
+        for (t, state) in self.tables.iter().enumerate() {
             let profile = &drift.window[t];
             let rows = state.assignment.part_of_row.len();
             let parts = state.tiling.row_parts;
@@ -1748,12 +1753,8 @@ impl UpdlrmEngine {
                             PartialSumCache::materialize(&ca.placed_lists, &self.host_tables[t])?;
                         Ok((ca, store))
                     });
-                    let (ca, store) = match planned {
-                        Ok(x) => x,
-                        Err(_) => {
-                            feasible = false;
-                            break 'plan;
-                        }
+                    let Ok((ca, store)) = planned else {
+                        return false;
                     };
                     let entry_route = cache_entry_routes(&ca);
                     let placed = ca.placed_lists.lists.len();
@@ -1769,39 +1770,49 @@ impl UpdlrmEngine {
                     }
                 }
                 strategy => {
-                    match replan::plan_rows(
+                    let Ok((assignment, replicas)) = replan::plan_rows(
                         strategy,
                         rows,
                         parts,
                         state.emt_region_rows,
                         self.config.replicate_top,
                         profile,
-                    ) {
-                        Ok((assignment, replicas)) => TableFlip {
-                            assignment,
-                            replicas,
-                            cache: None,
-                        },
-                        Err(_) => {
-                            feasible = false;
-                            break 'plan;
-                        }
+                    ) else {
+                        return false;
+                    };
+                    TableFlip {
+                        assignment,
+                        replicas,
+                        cache: None,
                     }
                 }
             };
             changed |= flip.assignment != state.assignment;
             flips.push(flip);
         }
+        changed
+    }
+
+    /// Plans a fresh placement for every table from the sliding window,
+    /// scatters the re-partitioned tiles into the inactive MRAM
+    /// regions, and charges the modeled migration cost. The flip is
+    /// deferred to the modeled instant the scatter completes
+    /// ([`UpdlrmEngine::on_tick`]); until then serving continues on the
+    /// old placement, whose regions the scatter never touches.
+    fn begin_migration(&mut self, now_ns: u64) -> Result<()> {
+        let drift = self.drift.as_mut().expect("replanning enabled");
+        let mut flips = std::mem::take(&mut drift.flip_buf);
+        let go = self.plan_flips(&mut flips);
 
         // The window is consumed by the decision either way.
-        {
-            let drift = self.drift.as_mut().expect("replanning enabled");
-            for w in &mut drift.window {
-                *w = FreqProfile::new(w.num_items());
-            }
-            drift.batches_in_window = 0;
+        let drift = self.drift.as_mut().expect("replanning enabled");
+        for w in &mut drift.window {
+            w.clear();
         }
-        if !feasible || !changed {
+        drift.batches_in_window = 0;
+        if !go {
+            flips.clear();
+            drift.flip_buf = flips;
             self.metrics.record_replan_skip();
             return Ok(());
         }
@@ -1821,48 +1832,44 @@ impl UpdlrmEngine {
                 tables,
                 host_tables,
                 config,
+                drift,
                 ..
             } = self;
+            let DriftState {
+                tile_rows,
+                tile_entries,
+                ..
+            } = drift.as_mut().expect("replanning enabled");
             let cost = &config.cost;
             let dtype = config.embed_dtype;
             for (t, flip) in flips.iter().enumerate() {
                 let state = &tables[t];
-                let table = &host_tables[t];
                 let tiling = &state.tiling;
-                let n_c = tiling.n_c;
-                let emt_row_bytes = dtype.stored_row_bytes(n_c);
-                let row_bytes = tiling.row_bytes();
-                let rc = flip.replicas.len();
-                let local = replan::rows_in_parts(&flip.assignment, rc);
-                let entries = flip
-                    .cache
-                    .as_ref()
-                    .map(|cf| entries_in_parts(&cf.entry_route, &cf.cache_rows_per_part));
+                replan::rows_in_parts(&flip.assignment, flip.replicas.len(), tile_rows);
+                let cache = flip.cache.as_ref().map(|cf| {
+                    entries_in_parts(&cf.entry_route, &cf.cache_rows_per_part, tile_entries);
+                    (&cf.store, &*tile_entries)
+                });
+                let src = TileSource {
+                    replicas: &flip.replicas,
+                    rows: tile_rows,
+                    cache,
+                };
+                write_tiles(fleet, state, &host_tables[t], dtype, &src, inactive)?;
+                // Every column slice of a partition absorbs the same
+                // `n` rows of `bytes` each.
+                let mut charge = |n: usize, bytes: usize| {
+                    rows_moved += (n * tiling.col_slices) as u64;
+                    total_bytes += n * bytes * tiling.col_slices;
+                    max_dpu = max_dpu.max(cost.bulk_rows_dma_cycles(bytes, n as u64));
+                };
                 for p in 0..tiling.row_parts {
-                    for c in 0..tiling.col_slices {
-                        let (rank, dpu) = state.dpu(p, c);
-                        let sys = fleet.rank_mut(rank)?;
-                        let n = rc + local[p].len();
-                        let mut buf = Vec::with_capacity(n * emt_row_bytes);
-                        build_emt_tile(table, dtype, n_c, c, &flip.replicas, &local[p], &mut buf)?;
-                        if !buf.is_empty() {
-                            sys.load_mram(dpu, state.emt_bases[inactive], &buf)?;
-                        }
-                        rows_moved += n as u64;
-                        total_bytes += buf.len();
-                        let cyc = cost.bulk_rows_dma_cycles(emt_row_bytes, n as u64);
-                        max_dpu = Cycles(max_dpu.0.max(cyc.0));
-                        if let (Some(cf), Some(ep)) = (flip.cache.as_ref(), entries.as_ref()) {
-                            let mut cbuf = Vec::with_capacity(ep[p].len() * row_bytes);
-                            build_cache_tile(&cf.store, &ep[p], n_c, c, &mut cbuf);
-                            if !cbuf.is_empty() {
-                                sys.load_mram(dpu, state.cache_bases[inactive], &cbuf)?;
-                            }
-                            rows_moved += ep[p].len() as u64;
-                            total_bytes += cbuf.len();
-                            let cyc = cost.bulk_rows_dma_cycles(row_bytes, ep[p].len() as u64);
-                            max_dpu = Cycles(max_dpu.0.max(cyc.0));
-                        }
+                    charge(
+                        src.replicas.len() + src.rows.part(p).len(),
+                        dtype.stored_row_bytes(tiling.n_c),
+                    );
+                    if let Some((_, entries)) = src.cache {
+                        charge(entries.part(p).len(), tiling.row_bytes());
                     }
                 }
             }
@@ -1899,8 +1906,8 @@ impl UpdlrmEngine {
     /// cost was charged when the scatter was staged.
     fn complete_migration(&mut self, now_ns: u64) {
         let drift = self.drift.as_mut().expect("replanning enabled");
-        let pending = drift.pending.take().expect("migration in flight");
-        for (state, flip) in self.tables.iter_mut().zip(pending.tables) {
+        let mut flips = drift.pending.take().expect("migration in flight").tables;
+        for (state, flip) in self.tables.iter_mut().zip(flips.drain(..)) {
             state.assignment = flip.assignment;
             state.replicas = flip.replicas;
             if let Some(cf) = flip.cache {
@@ -1911,6 +1918,7 @@ impl UpdlrmEngine {
                 cs.placed_lists = cf.placed_lists;
             }
         }
+        drift.flip_buf = flips;
         self.active_emt ^= 1;
         let active = self.active_emt;
         for (state, kset) in self.tables.iter().zip(self.kernels.iter_mut()) {
@@ -1939,5 +1947,140 @@ impl UpdlrmEngine {
         let (pooled, breakdown) = self.run_batch(batch)?;
         let out = model.forward_with_pooled(batch, &pooled)?;
         Ok((out, breakdown))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use workloads::{
+        ArrivalProcess, DatasetSpec, DriftSchedule, HotSetRotation, TraceConfig, Workload,
+    };
+
+    /// The bytes of one DPU's MRAM at `[addr, addr + len)`.
+    fn mram_bytes(fleet: &Fleet, rank: usize, dpu: DpuId, addr: u32, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        let sys = fleet.rank(rank).unwrap();
+        sys.dpu(dpu)
+            .unwrap()
+            .mram()
+            .host_read(addr, &mut out)
+            .unwrap();
+        out
+    }
+
+    /// The one-tile-writer property: the tiles a migration scattered
+    /// into the region now serving equal, byte for byte, the tiles an
+    /// initial load of the same placement writes into region 0 of a
+    /// fresh fleet — replica blocks, int8 rows and CA cache rows
+    /// included.
+    #[test]
+    fn migrated_tiles_equal_loaded_tiles_for_the_same_placement() {
+        let spec = DatasetSpec::goodreads().scaled_down(5000);
+        let drift = DriftSchedule {
+            rotation: Some(HotSetRotation {
+                num_sets: 4,
+                set_size: 64,
+                period_ns: 150_000,
+                hot_fraction: 0.8,
+            }),
+            spikes: Vec::new(),
+            diurnal: None,
+        };
+        let workload = Workload::generate_drifting(
+            &spec,
+            TraceConfig {
+                num_tables: 2,
+                num_batches: 8,
+                ..TraceConfig::default()
+            },
+            drift,
+            ArrivalProcess::poisson(1_000_000.0, 7),
+        );
+        let tables: Vec<EmbeddingTable> = (0..2)
+            .map(|t| EmbeddingTable::random(spec.num_items, 32, 0.1, t).unwrap())
+            .collect();
+        for (strategy, dtype) in [
+            (PartitionStrategy::Replicated, EmbedDtype::F32),
+            (PartitionStrategy::Replicated, EmbedDtype::Int8),
+            (PartitionStrategy::CacheAware, EmbedDtype::F32),
+            (PartitionStrategy::CacheAware, EmbedDtype::Int8),
+        ] {
+            let config = UpdlrmConfig::with_dpus(16, strategy)
+                .with_replan(ReplanPolicy::Periodic { every_batches: 3 })
+                .with_embed_dtype(dtype)
+                .with_telemetry();
+            let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+            for (i, batch) in workload.batches.iter().enumerate() {
+                engine.on_tick((i as u64 + 1) * 50_000).unwrap();
+                engine.run_batch(batch).unwrap();
+            }
+            if engine.migration_in_flight() {
+                engine.on_tick(u64::MAX).unwrap();
+            }
+            assert!(
+                engine.metrics_snapshot().drift.migrations_completed >= 1,
+                "{strategy} {dtype:?}: the serving region must be one a migration wrote"
+            );
+
+            let active = engine.active_emt;
+            let topology = engine.fleet.topology();
+            let (mut rows, mut entries) = (PartLists::default(), PartLists::default());
+            let (mut emt_bytes, mut cache_bytes) = (0usize, 0usize);
+            for (state, table) in engine.tables.iter().zip(&engine.host_tables) {
+                let mut fresh = Fleet::new(
+                    topology,
+                    engine.config.tasklets,
+                    engine.config.cost.clone(),
+                    1,
+                    RankCostModel {
+                        rank_base_ns: 0.0,
+                        rank_launch_ns: 0.0,
+                    },
+                )
+                .unwrap();
+                UpdlrmEngine::load_table(&mut fresh, table, state, dtype, &mut rows, &mut entries)
+                    .unwrap();
+                assert_ne!(state.emt_bases[0], state.emt_bases[1]);
+                let emt_row_bytes = dtype.stored_row_bytes(state.tiling.n_c);
+                for p in 0..state.tiling.row_parts {
+                    let emt_len = (state.replicas.len()
+                        + state.assignment.rows_per_part[p] as usize)
+                        * emt_row_bytes;
+                    let cache_len = state.cache.as_ref().map_or(0, |cs| {
+                        cs.cache_rows_per_part[p] as usize * state.tiling.row_bytes()
+                    });
+                    for c in 0..state.tiling.col_slices {
+                        let (rank, dpu) = state.dpu(p, c);
+                        assert_eq!(
+                            mram_bytes(&fresh, rank, dpu, state.emt_bases[0], emt_len),
+                            mram_bytes(&engine.fleet, rank, dpu, state.emt_bases[active], emt_len),
+                            "{strategy} {dtype:?}: EMT tile ({p}, {c})"
+                        );
+                        assert_eq!(
+                            mram_bytes(&fresh, rank, dpu, state.cache_bases[0], cache_len),
+                            mram_bytes(
+                                &engine.fleet,
+                                rank,
+                                dpu,
+                                state.cache_bases[active],
+                                cache_len
+                            ),
+                            "{strategy} {dtype:?}: cache tile ({p}, {c})"
+                        );
+                        emt_bytes += emt_len;
+                        cache_bytes += cache_len;
+                    }
+                }
+                if strategy == PartitionStrategy::Replicated {
+                    assert!(
+                        !state.replicas.is_empty(),
+                        "replica block must be exercised"
+                    );
+                }
+            }
+            assert!(emt_bytes > 0);
+            assert_eq!(cache_bytes > 0, strategy == PartitionStrategy::CacheAware);
+        }
     }
 }

@@ -181,17 +181,49 @@ pub(crate) fn replica_block(assignment: &RowAssignment) -> Vec<u32> {
     replicas.into_iter().map(|(_, r)| r).collect()
 }
 
+/// Per-partition lists in one flat buffer (partition `p`'s items are
+/// [`PartLists::part`]`(p)`): the slot-order inverses of a placement
+/// that the engine's tile writer reads. A replan refills them in place
+/// instead of allocating a `Vec` per partition per table.
+#[derive(Debug, Default)]
+pub(crate) struct PartLists {
+    items: Vec<u32>,
+    /// `parts + 1` offsets into `items`.
+    starts: Vec<usize>,
+}
+
+impl PartLists {
+    /// Reshapes to one zero-filled list of `lens[p]` items per partition.
+    pub(crate) fn reset(&mut self, lens: &[u32]) {
+        self.starts.clear();
+        self.starts.push(0);
+        let mut total = 0usize;
+        for &n in lens {
+            total += n as usize;
+            self.starts.push(total);
+        }
+        self.items.clear();
+        self.items.resize(total, 0);
+    }
+
+    /// Stores `item` at position `slot` of partition `p`'s list.
+    pub(crate) fn set(&mut self, p: usize, slot: usize, item: u32) {
+        self.items[self.starts[p]..self.starts[p + 1]][slot] = item;
+    }
+
+    /// Partition `p`'s list.
+    pub(crate) fn part(&self, p: usize) -> &[u32] {
+        &self.items[self.starts[p]..self.starts[p + 1]]
+    }
+}
+
 /// Inverts an assignment into per-partition local-slot order: element
-/// `[p][s]` is the row stored at slot `rc + s` of partition `p`'s EMT
-/// tile (`rc` = replica-block length). Cached, replicated and host-tier
-/// rows are excluded — they live in the cache region / the shared
-/// block / the host store.
-pub(crate) fn rows_in_parts(assignment: &RowAssignment, rc: usize) -> Vec<Vec<u32>> {
-    let mut rows_in_part: Vec<Vec<u32>> = assignment
-        .rows_per_part
-        .iter()
-        .map(|&n| vec![0u32; n as usize])
-        .collect();
+/// `s` of `out.part(p)` is the row stored at slot `rc + s` of partition
+/// `p`'s EMT tile (`rc` = replica-block length). Cached, replicated and
+/// host-tier rows are excluded — they live in the cache region / the
+/// shared block / the host store.
+pub(crate) fn rows_in_parts(assignment: &RowAssignment, rc: usize, out: &mut PartLists) {
+    out.reset(&assignment.rows_per_part);
     for (r, (&p, &s)) in assignment
         .part_of_row
         .iter()
@@ -199,10 +231,9 @@ pub(crate) fn rows_in_parts(assignment: &RowAssignment, rc: usize) -> Vec<Vec<u3
         .enumerate()
     {
         if p < placement::HOST_ROW_PART && s != partition::CACHED_ROW_SLOT {
-            rows_in_part[p as usize][s as usize - rc] = r as u32;
+            out.set(p as usize, s as usize - rc, r as u32);
         }
     }
-    rows_in_part
 }
 
 /// Max-over-mean partition load the *current* assignment would see
@@ -332,9 +363,10 @@ mod tests {
             assert_eq!(a.slot_of_row[r as usize], slot as u32);
             placed[r as usize] += 1;
         }
-        let local = rows_in_parts(a, rc);
-        assert_eq!(local.len(), parts);
-        for (p, rows_p) in local.iter().enumerate() {
+        let mut local = PartLists::default();
+        rows_in_parts(a, rc, &mut local);
+        for p in 0..parts {
+            let rows_p = local.part(p);
             assert_eq!(rows_p.len(), a.rows_per_part[p] as usize);
             for (s, &r) in rows_p.iter().enumerate() {
                 assert_eq!(a.part_of_row[r as usize] as usize, p);

@@ -170,6 +170,17 @@ impl PimSystem {
         self.dpu_mut(id)?.mram_mut().host_write(addr, data)
     }
 
+    /// [`PimSystem::load_mram`] without the staging buffer: the `len`
+    /// bytes at `addr` of a DPU's MRAM, for the caller to serialize
+    /// static data into directly. Untimed like `load_mram`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bounds/alignment errors and unknown DPU ids.
+    pub fn load_mram_in_place(&mut self, id: DpuId, addr: u32, len: usize) -> Result<&mut [u8]> {
+        self.dpu_mut(id)?.mram_mut().host_window_mut(addr, len)
+    }
+
     /// Timed CPU→MRAM scatter: writes one buffer per `(dpu, addr, data)`
     /// triple (stage 1 of the UpDLRM pipeline).
     ///

@@ -3,8 +3,23 @@
 //!
 //! Both memories hold real bytes — kernels running on the simulator
 //! compute real results, which downstream crates check against a pure-CPU
-//! reference. MRAM storage is grown on demand so that simulating 256 DPUs
-//! does not eagerly commit 16 GB of host memory.
+//! reference.
+//!
+//! **MRAM backing** (DESIGN.md, `crates/upmem-sim`). A bank costs host
+//! time and host memory in proportion to the bytes *written* to it,
+//! never to the address range *committed*: its storage comes zeroed
+//! from the allocator (`alloc_zeroed` — untouched zero pages the OS
+//! makes resident only when they are written), committing a range
+//! writes nothing into it, and the one thing growth copies is the
+//! range committed before it. A 2 MB staging reserve per slot per DPU
+//! is therefore address space, not resident memory, and the paper's
+//! 2,560-DPU system simulates in the memory its tables and touched
+//! staging bytes need. The one party that can still clear a reserve is
+//! the allocator itself, when it serves `alloc_zeroed` from a freed
+//! chunk it recycles rather than from fresh pages (glibc does once
+//! enough bank-sized chunks have been freed in one process —
+//! EXPERIMENTS.md, "An engine costs what it writes"); the simulator
+//! never does.
 
 use crate::arch::{DMA_ALIGN, DMA_MAX_TRANSFER, MRAM_CAPACITY, WRAM_CAPACITY};
 use crate::error::{Result, SimError};
@@ -13,21 +28,28 @@ use crate::error::{Result, SimError};
 ///
 /// All accesses go through DMA-shaped read/write methods that enforce the
 /// hardware's alignment (8 B) and size (≤ 2048 B) rules. The backing
-/// storage grows lazily up to [`MRAM_CAPACITY`].
+/// storage grows lazily up to [`MRAM_CAPACITY`] (see the module docs
+/// for what growth costs).
 #[derive(Debug, Clone, Default)]
 pub struct Mram {
+    /// Zero-initialized backing, at least `committed` bytes long. No
+    /// write reaches past `committed`, so the tail is still the zeros
+    /// the allocator handed out and reads as never-written MRAM must.
     data: Vec<u8>,
+    committed: usize,
 }
 
 impl Mram {
     /// Creates an empty MRAM bank.
     pub fn new() -> Self {
-        Mram { data: Vec::new() }
+        Mram::default()
     }
 
-    /// Bytes currently committed (high-water mark of writes).
+    /// Bytes currently committed: the high-water mark of every write
+    /// and [`Mram::commit`] so far. Bytes below it that were never
+    /// written read as zeros, like everything above it.
     pub fn committed(&self) -> usize {
-        self.data.len()
+        self.committed
     }
 
     /// Validates a DMA request against alignment, size and capacity rules.
@@ -58,11 +80,30 @@ impl Mram {
         Ok(())
     }
 
+    /// The single growth point: raises the committed mark to `end`
+    /// (callers have checked `end <= MRAM_CAPACITY`) without writing a
+    /// byte of the range it adds.
     #[inline]
     fn ensure(&mut self, end: usize) {
-        if self.data.len() < end {
-            self.data.resize(end, 0);
+        if end > self.committed {
+            if end > self.data.len() {
+                self.grow(end);
+            }
+            self.committed = end;
         }
+    }
+
+    /// Moves the bank into a larger zeroed allocation, copying only the
+    /// committed prefix; everything else stays untouched zero pages.
+    /// Doubling keeps a bank grown write by write at amortized O(1) per
+    /// byte, and a bank committed once to its planned end
+    /// ([`Mram::commit`]) never comes back here.
+    #[cold]
+    fn grow(&mut self, end: usize) {
+        let len = end.max(self.data.len() * 2).min(MRAM_CAPACITY);
+        let mut data = vec![0u8; len];
+        data[..self.committed].copy_from_slice(&self.data[..self.committed]);
+        self.data = data;
     }
 
     /// DMA read of `buf.len()` bytes starting at `addr` into `buf`.
@@ -87,7 +128,7 @@ impl Mram {
         Ok(())
     }
 
-    /// Grows the bank (with zeros) to at least `end` bytes (clamped to
+    /// Commits the bank to at least `end` bytes (clamped to
     /// [`MRAM_CAPACITY`]) and returns every committed byte, writable —
     /// the one borrow through which a whole-DPU program
     /// ([`DpuPass::mram`](crate::dpu::DpuPass::mram)) indexes its rows
@@ -98,15 +139,19 @@ impl Mram {
     #[inline]
     pub fn committed_mut(&mut self, end: usize) -> &mut [u8] {
         self.commit(end);
-        &mut self.data
+        &mut self.data[..self.committed]
     }
 
-    /// Host-side pre-commit: eagerly backs the first `end` bytes of the
-    /// bank (clamped to [`MRAM_CAPACITY`]) with zeroed storage. Purely a
-    /// simulator-host optimization — committing a planned layout up
-    /// front avoids repeated `Vec` regrowth (and whole-bank memcpys)
-    /// while the first launches push the high-water mark outward.
-    /// Functionally a no-op: unwritten MRAM reads as zeros either way.
+    /// Host-side pre-commit: raises the committed mark to `end`
+    /// (clamped to [`MRAM_CAPACITY`]). It writes nothing — the range it
+    /// adds is address space until something is stored there — so
+    /// committing a planned layout costs the same however large its
+    /// staging reserves are. What a caller may rely on: commit a bank
+    /// once to the end of its layout *before* loading it and every
+    /// later write lands in that one allocation; load first and commit
+    /// afterwards and the bank is equal byte for byte, at the price of
+    /// one copy of what was loaded. Functionally a no-op: unwritten
+    /// MRAM reads as zeros either way.
     pub fn commit(&mut self, end: usize) {
         self.ensure(end.min(MRAM_CAPACITY));
     }
@@ -132,23 +177,32 @@ impl Mram {
     ///
     /// Fails on unaligned or out-of-bounds writes.
     pub fn host_write(&mut self, addr: u32, buf: &[u8]) -> Result<()> {
+        self.host_window_mut(addr, buf.len())?.copy_from_slice(buf);
+        Ok(())
+    }
+
+    /// The `len` bytes at `addr`, committed and writable in place: what
+    /// [`Mram::host_write`] copies into, for a host that serializes
+    /// straight into the bank instead of staging a buffer first. Same
+    /// rules and errors as [`Mram::host_write`].
+    ///
+    /// # Errors
+    ///
+    /// Fails on unaligned or out-of-bounds ranges.
+    pub fn host_window_mut(&mut self, addr: u32, len: usize) -> Result<&mut [u8]> {
         if !(addr as usize).is_multiple_of(DMA_ALIGN) {
-            return Err(SimError::UnalignedDma {
-                addr,
-                len: buf.len(),
-            });
+            return Err(SimError::UnalignedDma { addr, len });
         }
-        let end = addr as usize + buf.len();
+        let end = (addr as usize).saturating_add(len);
         if end > MRAM_CAPACITY {
             return Err(SimError::MramOutOfBounds {
                 addr,
-                len: buf.len(),
+                len,
                 capacity: MRAM_CAPACITY,
             });
         }
         self.ensure(end);
-        self.data[addr as usize..end].copy_from_slice(buf);
-        Ok(())
+        Ok(&mut self.data[addr as usize..end])
     }
 
     /// Host-side bulk read (MRAM→CPU).

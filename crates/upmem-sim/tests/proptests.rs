@@ -27,7 +27,135 @@ fn launch_with_cycles(cycles: &[u64]) -> LaunchReport {
     }
 }
 
+/// Address range the MRAM-oracle properties touch: small enough to
+/// hold a flat copy, large enough that a bank regrows several times.
+const ORACLE_SPAN: usize = 64 << 10;
+
+/// One step of an [`Mram`] interleaving: `(kind, 8-byte block, length in
+/// 8-byte blocks, fill byte)`.
+type MramOp = (u8, u32, usize, u8);
+
+fn mram_ops() -> impl Strategy<Value = Vec<MramOp>> {
+    let blocks = (ORACLE_SPAN / 2 / 8) as u32;
+    prop::collection::vec(
+        (
+            0u8..6,
+            0..blocks,
+            1usize..=(DMA_MAX_TRANSFER / 8),
+            any::<u8>(),
+        ),
+        1..48,
+    )
+}
+
+/// Flat model of the touched range: never-written bytes are zero, the
+/// committed mark is the high-water end of every write and commit.
+struct FlatBank {
+    bytes: Vec<u8>,
+    high: usize,
+}
+
+impl FlatBank {
+    fn new() -> Self {
+        FlatBank {
+            bytes: vec![0; ORACLE_SPAN],
+            high: 0,
+        }
+    }
+
+    fn write(&mut self, addr: usize, data: &[u8]) {
+        self.bytes[addr..addr + data.len()].copy_from_slice(data);
+        self.high = self.high.max(addr + data.len());
+    }
+}
+
+/// The bank's first [`ORACLE_SPAN`] bytes, read through the host path.
+fn bank_image(m: &Mram) -> Vec<u8> {
+    let mut image = vec![0xEEu8; ORACLE_SPAN];
+    m.host_read(0, &mut image).unwrap();
+    image
+}
+
 proptest! {
+    /// Any interleaving of host writes, DMA writes, commits, in-place
+    /// writes through `committed_mut` and reads (straddling the
+    /// committed end included) behaves like a flat zero-initialized
+    /// array: never-written bytes read as zero, written bytes survive
+    /// every later growth, and `committed()` is the high-water mark.
+    #[test]
+    fn mram_matches_a_flat_oracle_under_any_interleaving(ops in mram_ops()) {
+        let mut m = Mram::new();
+        let mut oracle = FlatBank::new();
+        for (kind, blk, len_blk, fill) in ops {
+            let addr = blk as usize * 8;
+            let len = len_blk * 8;
+            let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8) | 1).collect();
+            match kind {
+                0 => {
+                    // Host writes need an aligned base only: odd lengths are legal.
+                    let data = &data[..len - (fill as usize % 8)];
+                    m.host_write(addr as u32, data).unwrap();
+                    oracle.write(addr, data);
+                }
+                1 => {
+                    m.dma_write(addr as u32, &data).unwrap();
+                    oracle.write(addr, &data);
+                }
+                2 => {
+                    let end = addr + fill as usize;
+                    m.commit(end);
+                    oracle.high = oracle.high.max(end);
+                }
+                3 => {
+                    let end = addr + fill as usize;
+                    oracle.high = oracle.high.max(end);
+                    let bank = m.committed_mut(end);
+                    prop_assert_eq!(&*bank, &oracle.bytes[..oracle.high]);
+                    if let Some(last) = bank.last_mut() {
+                        *last = fill | 1;
+                        oracle.bytes[oracle.high - 1] = fill | 1;
+                    }
+                }
+                4 => {
+                    let mut out = vec![0xEEu8; len - (fill as usize % 8)];
+                    m.host_read(addr as u32, &mut out).unwrap();
+                    prop_assert_eq!(&out[..], &oracle.bytes[addr..addr + out.len()]);
+                }
+                _ => {
+                    let mut out = vec![0xEEu8; len];
+                    m.dma_read(addr as u32, &mut out).unwrap();
+                    prop_assert_eq!(&out[..], &oracle.bytes[addr..addr + len]);
+                }
+            }
+            prop_assert_eq!(m.committed(), oracle.high);
+        }
+        prop_assert_eq!(bank_image(&m), oracle.bytes);
+    }
+
+    /// A bank written first and committed afterwards equals one
+    /// committed first, byte for byte and in its committed mark.
+    #[test]
+    fn write_then_commit_equals_commit_then_write(ops in mram_ops(), end in 0usize..ORACLE_SPAN) {
+        let writes = |m: &mut Mram| {
+            for &(kind, blk, len_blk, fill) in &ops {
+                let data = vec![fill | 1; len_blk * 8];
+                if kind % 2 == 0 {
+                    m.host_write(blk * 8, &data).unwrap();
+                } else {
+                    m.dma_write(blk * 8, &data).unwrap();
+                }
+            }
+        };
+        let mut committed_first = Mram::new();
+        committed_first.commit(end);
+        writes(&mut committed_first);
+        let mut written_first = Mram::new();
+        writes(&mut written_first);
+        written_first.commit(end);
+        prop_assert_eq!(committed_first.committed(), written_first.committed());
+        prop_assert_eq!(bank_image(&committed_first), bank_image(&written_first));
+    }
+
     /// Any aligned, sized, in-bounds DMA write is readable back verbatim.
     #[test]
     fn dma_write_read_round_trip(

@@ -24,6 +24,13 @@ impl FreqProfile {
         }
     }
 
+    /// Resets every count to zero in place, keeping the item range (and
+    /// the allocation) — how a sliding window starts its next period.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.total = 0;
+    }
+
     /// Builds a profile by counting every index in `inputs`.
     ///
     /// Out-of-range indices are ignored (they cannot occur in traces
@@ -160,6 +167,14 @@ mod tests {
         assert_eq!(p.counts(), &[1, 2, 1, 0]);
         assert_eq!(p.total_accesses(), 4);
         assert_eq!(p.count(1), 2);
+    }
+
+    #[test]
+    fn clear_equals_a_new_profile_over_the_same_items() {
+        let input = SparseInput::from_samples([vec![0u64, 1, 1], vec![2]]);
+        let mut p = FreqProfile::from_inputs(4, [&input]);
+        p.clear();
+        assert_eq!(p, FreqProfile::new(4));
     }
 
     #[test]
