@@ -31,24 +31,13 @@
 //!    static controls never did, and two runs of each arm produce
 //!    identical reports + drift counters.
 //!
-//! The *measured* number tracked across PRs is wall time per offered
-//! request around engine build + `Scheduler::run` (a fresh engine per
-//! iteration, since replanning mutates placement). It lands in
-//! `BENCH_drift.json` at the repo root. Flags (same protocol as
-//! `sched_sweep`):
-//!
-//! * `--smoke` — short timing window, same traces and gates
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >20% ns/request regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! The rows are the golden `BENCH_drift.json` (`--check FILE | --out
+//! FILE`, see `bench::protocol`).
 
-use std::hint::black_box;
-
-use bench::timing;
+use bench::protocol::Mode;
 use dlrm_model::EmbeddingTable;
 use scheduler::{OverloadPolicy, SchedConfig, SchedReport, Scheduler};
-use serde::Value;
+use serde::{Serialize, Value};
 use updlrm_core::{DriftSnapshot, PartitionStrategy, ReplanPolicy, UpdlrmConfig, UpdlrmEngine};
 use workloads::{
     ArrivalProcess, DatasetSpec, DiurnalCurve, DriftSchedule, FlashCrowd, HotSetRotation,
@@ -97,23 +86,13 @@ const DIURNAL_AMPLITUDE: f64 = 0.4;
 /// control must exceed it (anti-vacuous).
 const GATE_RATIO: f64 = 2.0;
 
-struct Sweep {
-    window_ms: u64,
-}
-
-const FULL: Sweep = Sweep { window_ms: 300 };
-// Smoke trims only the timing window: the traces, arms and gates are
-// identical, so the CI smoke run exercises the exact committed
-// scenario and its rows stay comparable at the same trace length.
-const SMOKE: Sweep = Sweep { window_ms: 30 };
-
 /// Trace length: 32 generator batches x 64 samples = 2048 requests
 /// per arm, i.e. four full rotations at `ROT_REQUESTS`.
 const TRACE_BATCHES: usize = 32;
 
-#[derive(serde::Serialize)]
+#[derive(Serialize)]
 struct Row {
-    /// Arm name (the baseline key).
+    /// Arm name (the row key).
     arm: String,
     offered_qps: f64,
     achieved_qps: f64,
@@ -130,13 +109,6 @@ struct Row {
     rows_moved: u64,
     migrated_kb: f64,
     migration_us: f64,
-    /// Wall time per offered request around engine build + run (the
-    /// software cost this bench tracks across PRs).
-    measured_ns_per_request: f64,
-    /// ns/request of the carried baseline row, 0.0 when none matched.
-    baseline_ns_per_request: f64,
-    /// baseline / measured; 0.0 when no baseline row matched.
-    speedup_vs_baseline: f64,
 }
 
 fn drift(num_sets: usize, period_ns: u64) -> DriftSchedule {
@@ -217,102 +189,8 @@ fn run_arm(
     (report, eng.metrics_snapshot().drift)
 }
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// arm -> measured ns/request, hand-parsed so schema drift across PRs
-/// never breaks reading old files.
-fn parse_rows(rows: &Value) -> Vec<(String, f64)> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let Value::Str(arm) = r.get("arm")? else {
-                return None;
-            };
-            let ns = num(r.get("measured_ns_per_request")?)?;
-            Some((arm.clone(), ns))
-        })
-        .collect()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_drift.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
-    let sweep = if smoke { SMOKE } else { FULL };
-
-    // Cargo runs bench binaries from the package directory, so resolve
-    // relative paths against the repo root — CI passes plain
-    // `BENCH_drift.json` and means the committed file.
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    // In check mode a missing or malformed baseline is a failure, not
-    // a free pass — CI relies on this to keep the committed trajectory
-    // file honest.
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
+    let mode = Mode::from_env("BENCH_drift.json");
 
     let spec = DatasetSpec::goodreads().scaled_down(2000);
     let tables: Vec<EmbeddingTable> = (0..NUM_TABLES)
@@ -337,9 +215,8 @@ fn main() {
     println!(
         "drift sweep: {NUM_TABLES} tables x {NR_DPUS} DPUs, goodreads/2000, \
          {NUM_SETS}x{SET_SIZE} hot sets @ {HOT_FRACTION} hot, balanced capacity {capacity_qps:.0} qps, \
-         offering {offered:.0} qps, rotating every {:.1} ms{}",
+         offering {offered:.0} qps, rotating every {:.1} ms",
         period_ns as f64 / 1e6,
-        if smoke { " (smoke)" } else { "" }
     );
 
     // The deployment-time trace the engines are fit to, and the two
@@ -389,76 +266,17 @@ fn main() {
         ("diurnal-rotate-static", &diurnal_wl, false),
     ];
 
-    let mut rows = Vec::new();
-    let mut regressions = Vec::new();
     let mut results: Vec<(&str, SchedReport, DriftSnapshot)> = Vec::new();
     for (arm, wl, replan) in arms {
-        // Determinism identity before anything is timed: the whole
-        // serving path — including mid-stream migration — runs on
-        // modeled time only, so two runs agree exactly.
+        // Determinism identity: the whole serving path — including
+        // mid-stream migration — runs on modeled time only, so two
+        // runs agree exactly.
         let (report, dsnap) = run_arm(&tables, &deploy_wl, wl, PartitionStrategy::Uniform, replan);
         let (report_b, dsnap_b) =
             run_arm(&tables, &deploy_wl, wl, PartitionStrategy::Uniform, replan);
         assert_eq!(report, report_b, "{arm}: reports differ across runs");
         assert_eq!(dsnap, dsnap_b, "{arm}: drift counters differ across runs");
 
-        let m = timing::run_with_window(&format!("drift/{arm}"), sweep.window_ms, || {
-            black_box(run_arm(
-                black_box(&tables),
-                black_box(&deploy_wl),
-                black_box(wl),
-                PartitionStrategy::Uniform,
-                replan,
-            ));
-        });
-        let measured = m.mean_ns / report.requests as f64;
-        let base = baseline_rows
-            .iter()
-            .find(|(a, _)| a == arm)
-            .map(|(_, ns)| *ns)
-            .unwrap_or(0.0);
-        let speedup = if base > 0.0 { base / measured } else { 0.0 };
-        println!(
-            "  {arm:<14} achieved {:>8.0} qps  p50 {:>8.1} us  p99 {:>9.1} us  \
-             replans {:>2} ({} skipped)  migrations {:>2}  {measured:>7.1} ns/request{}",
-            report.achieved_qps,
-            report.p50_latency_ns / 1e3,
-            report.p99_latency_ns / 1e3,
-            dsnap.replans_triggered,
-            dsnap.replans_skipped,
-            dsnap.migrations_completed,
-            if base > 0.0 {
-                format!("  {speedup:.2}x vs baseline")
-            } else {
-                String::new()
-            }
-        );
-        if base > 0.0 && measured > base * 1.20 {
-            regressions.push(format!(
-                "{arm}: {measured:.1} ns/request vs baseline {base:.1} (+{:.0}%)",
-                (measured / base - 1.0) * 100.0
-            ));
-        }
-        rows.push(Row {
-            arm: arm.to_string(),
-            offered_qps: offered,
-            achieved_qps: report.achieved_qps,
-            completed: report.completed,
-            batches: report.batches,
-            mean_batch_size: report.mean_batch_size,
-            p50_latency_us: report.p50_latency_ns / 1e3,
-            p99_latency_us: report.p99_latency_ns / 1e3,
-            p99_vs_steady: 0.0, // filled below once the baseline arm is known
-            replans_triggered: dsnap.replans_triggered,
-            replans_skipped: dsnap.replans_skipped,
-            migrations_completed: dsnap.migrations_completed,
-            rows_moved: dsnap.rows_moved,
-            migrated_kb: dsnap.migrated_bytes as f64 / 1024.0,
-            migration_us: dsnap.migration_ns / 1e3,
-            measured_ns_per_request: measured,
-            baseline_ns_per_request: base,
-            speedup_vs_baseline: speedup,
-        });
         results.push((arm, report, dsnap));
     }
 
@@ -497,12 +315,29 @@ fn main() {
             );
         }
     }
-    for row in &mut rows {
-        row.p99_vs_steady = ratios
-            .iter()
-            .find(|(a, _)| *a == row.arm)
-            .map_or(1.0, |(_, r)| *r);
-    }
+    let rows: Vec<Row> = results
+        .iter()
+        .map(|(arm, report, dsnap)| Row {
+            arm: arm.to_string(),
+            offered_qps: offered,
+            achieved_qps: report.achieved_qps,
+            completed: report.completed,
+            batches: report.batches,
+            mean_batch_size: report.mean_batch_size,
+            p50_latency_us: report.p50_latency_ns / 1e3,
+            p99_latency_us: report.p99_latency_ns / 1e3,
+            p99_vs_steady: ratios
+                .iter()
+                .find(|(a, _)| a == arm)
+                .map_or(1.0, |(_, r)| *r),
+            replans_triggered: dsnap.replans_triggered,
+            replans_skipped: dsnap.replans_skipped,
+            migrations_completed: dsnap.migrations_completed,
+            rows_moved: dsnap.rows_moved,
+            migrated_kb: dsnap.migrated_bytes as f64 / 1024.0,
+            migration_us: dsnap.migration_ns / 1e3,
+        })
+        .collect();
     let gate_line = ratios
         .iter()
         .map(|(a, r)| format!("{a} {r:.2}x"))
@@ -513,63 +348,31 @@ fn main() {
          static controls > {GATE_RATIO})"
     );
 
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >20% ns/request regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("drift_sweep".into())),
-        ("dataset".into(), Value::Str("goodreads/2000".into())),
-        ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
-        ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
-        ("dim".into(), Value::UInt(DIM as u64)),
-        ("max_batch".into(), Value::UInt(MAX_BATCH as u64)),
-        ("num_sets".into(), Value::UInt(NUM_SETS as u64)),
-        ("set_size".into(), Value::UInt(SET_SIZE as u64)),
-        ("hot_fraction".into(), Value::Float(HOT_FRACTION)),
-        ("load_frac".into(), Value::Float(LOAD_FRAC)),
-        ("replan_every_batches".into(), Value::UInt(REPLAN_EVERY)),
-        ("rotation_period_ns".into(), Value::UInt(period_ns)),
-        ("capacity_qps".into(), Value::Float(capacity_qps)),
-        ("offered_qps".into(), Value::Float(offered)),
-        (
-            "spike_target_set".into(),
-            Value::UInt(SPIKE_TARGET_SET as u64),
-        ),
-        ("spike_extra_hot".into(), Value::Float(SPIKE_EXTRA_HOT)),
-        ("diurnal_cycles".into(), Value::Float(DIURNAL_CYCLES)),
-        ("diurnal_amplitude".into(), Value::Float(DIURNAL_AMPLITUDE)),
-        ("gate_ratio".into(), Value::Float(GATE_RATIO)),
-        (
-            "p99_vs_steady".into(),
-            Value::Object(
-                ratios
-                    .iter()
-                    .map(|(a, r)| (a.clone(), Value::Float(*r)))
-                    .collect(),
-            ),
-        ),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
+    let p99_vs_steady = ratios
+        .iter()
+        .map(|(a, r)| (a.clone(), Value::Float(*r)))
+        .collect();
+    let header = [
+        ("bench", "drift_sweep".to_value()),
+        ("dataset", "goodreads/2000".to_value()),
+        ("nr_dpus", NR_DPUS.to_value()),
+        ("num_tables", NUM_TABLES.to_value()),
+        ("dim", DIM.to_value()),
+        ("max_batch", MAX_BATCH.to_value()),
+        ("num_sets", NUM_SETS.to_value()),
+        ("set_size", SET_SIZE.to_value()),
+        ("hot_fraction", HOT_FRACTION.to_value()),
+        ("load_frac", LOAD_FRAC.to_value()),
+        ("replan_every_batches", REPLAN_EVERY.to_value()),
+        ("rotation_period_ns", period_ns.to_value()),
+        ("capacity_qps", capacity_qps.to_value()),
+        ("offered_qps", offered.to_value()),
+        ("spike_target_set", SPIKE_TARGET_SET.to_value()),
+        ("spike_extra_hot", SPIKE_EXTRA_HOT.to_value()),
+        ("diurnal_cycles", DIURNAL_CYCLES.to_value()),
+        ("diurnal_amplitude", DIURNAL_AMPLITUDE.to_value()),
+        ("gate_ratio", GATE_RATIO.to_value()),
+        ("p99_vs_steady", Value::Object(p99_vs_steady)),
     ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+    mode.finish(&["arm"], &header, &rows);
 }

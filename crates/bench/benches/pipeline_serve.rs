@@ -6,10 +6,13 @@
 //! latency. Two invariants are asserted along the way: the executed
 //! double-buffered wall equals the analytic `pipelined_wall_ns` of the
 //! collected breakdowns bit-for-bit, and pipelining never loses to the
-//! sequential schedule for two or more batches. Results land in
-//! repo-root `BENCH_pipeline.json`.
+//! sequential schedule for two or more batches. The rows are the
+//! golden `BENCH_pipeline.json` (`--check FILE | --out FILE`, see
+//! `bench::protocol`).
 
+use bench::protocol::Mode;
 use dlrm_model::EmbeddingTable;
+use serde::Serialize;
 use updlrm_core::{
     pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, PipelineMode, UpdlrmConfig,
     UpdlrmEngine,
@@ -37,7 +40,7 @@ fn build(num_batches: usize) -> (Vec<EmbeddingTable>, Workload) {
     (tables, workload)
 }
 
-#[derive(serde::Serialize)]
+#[derive(Serialize)]
 struct SweepRow {
     batches: usize,
     sequential_wall_ns: f64,
@@ -50,15 +53,8 @@ struct SweepRow {
     p99_latency_ns: f64,
 }
 
-#[derive(serde::Serialize)]
-struct Output {
-    nr_dpus: usize,
-    num_tables: usize,
-    dataset: String,
-    rows: Vec<SweepRow>,
-}
-
 fn main() {
+    let mode = Mode::from_env("BENCH_pipeline.json");
     println!("serve sweep: {NUM_TABLES} tables x {NR_DPUS} DPUs, goodreads/2000");
     let mut rows = Vec::new();
     for &n in &BATCH_SWEEP {
@@ -99,11 +95,6 @@ fn main() {
         }
 
         let speedup = seq.report.wall_ns / dbl.report.wall_ns;
-        println!(
-            "  batches={n:<2} sequential {:>10.1} us  pipelined {:>10.1} us  speedup {speedup:.3}x",
-            seq.report.wall_ns / 1e3,
-            dbl.report.wall_ns / 1e3,
-        );
         rows.push(SweepRow {
             batches: n,
             sequential_wall_ns: seq.report.wall_ns,
@@ -117,18 +108,10 @@ fn main() {
         });
     }
 
-    let out = Output {
-        nr_dpus: NR_DPUS,
-        num_tables: NUM_TABLES,
-        dataset: "goodreads/2000".to_string(),
-        rows,
-    };
-    let json = serde::json::to_string_pretty(&out);
-    // cargo runs benches with cwd = the package dir; anchor at the
-    // repo root, where all BENCH_*.json trajectory files live.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    let header = [
+        ("nr_dpus", NR_DPUS.to_value()),
+        ("num_tables", NUM_TABLES.to_value()),
+        ("dataset", "goodreads/2000".to_value()),
+    ];
+    mode.finish(&["batches"], &header, &rows);
 }

@@ -13,24 +13,13 @@
 //! 3. two runs of any load point produce identical `SchedReport`s
 //!    (the scheduler is wall-clock-free).
 //!
-//! The *measured* number tracked across PRs is the simulator's own
-//! wall clock per offered request around `Scheduler::run` — the cost
-//! of the event loop + admission queue + batch assembly + engine. It
-//! lands in `BENCH_sched.json` at the repo root. Flags (same protocol
-//! as `steady_state`):
-//!
-//! * `--smoke` — two load points, short window
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >20% ns/request regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! The rows are the golden `BENCH_sched.json` (`--check FILE | --out
+//! FILE`, see `bench::protocol`).
 
-use std::hint::black_box;
-
-use bench::timing;
+use bench::protocol::Mode;
 use dlrm_model::EmbeddingTable;
 use scheduler::{OverloadPolicy, SchedConfig, SchedReport, Scheduler};
-use serde::Value;
+use serde::Serialize;
 use updlrm_core::{PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
 use workloads::{ArrivalProcess, DatasetSpec, TraceConfig, Workload};
 
@@ -42,31 +31,13 @@ const MAX_WAIT_NS: u64 = 200_000;
 const QUEUE_CAP: usize = 64;
 const ARRIVAL_SEED: u64 = 7;
 
-struct Sweep {
-    /// Offered load as percent of probed capacity.
-    load_pct: &'static [u64],
-    num_batches: usize,
-    window_ms: u64,
-}
+/// Offered load as percent of probed capacity.
+const LOAD_PCT: [u64; 5] = [25, 50, 100, 200, 400];
+const NUM_BATCHES: usize = 8;
 
-const FULL: Sweep = Sweep {
-    load_pct: &[25, 50, 100, 200, 400],
-    num_batches: 8,
-    window_ms: 300,
-};
-// Smoke trims load points and the timing window but keeps the trace
-// length: ns/request amortizes per-run fixed costs over the request
-// count, so rows are only comparable to the committed full sweep's at
-// the same trace length.
-const SMOKE: Sweep = Sweep {
-    load_pct: &[50, 400],
-    num_batches: FULL.num_batches,
-    window_ms: 30,
-};
-
-#[derive(serde::Serialize)]
+#[derive(Serialize)]
 struct Row {
-    /// Offered load, percent of probed capacity (the baseline key).
+    /// Offered load, percent of probed capacity (the row key).
     load_pct: u64,
     offered_qps: f64,
     achieved_qps: f64,
@@ -76,13 +47,6 @@ struct Row {
     mean_batch_size: f64,
     p50_latency_us: f64,
     p99_latency_us: f64,
-    /// Simulator wall clock per *offered* request (the software cost
-    /// this bench tracks across PRs).
-    measured_ns_per_request: f64,
-    /// ns/request of the carried baseline row, 0.0 when none matched.
-    baseline_ns_per_request: f64,
-    /// baseline / measured; 0.0 when no baseline row matched.
-    speedup_vs_baseline: f64,
 }
 
 fn build(num_batches: usize) -> (Vec<EmbeddingTable>, Workload) {
@@ -102,10 +66,8 @@ fn build(num_batches: usize) -> (Vec<EmbeddingTable>, Workload) {
 }
 
 fn engine(tables: &[EmbeddingTable], workload: &Workload) -> UpdlrmEngine {
-    let mut config = UpdlrmConfig::with_dpus(NR_DPUS, PartitionStrategy::CacheAware)
-        // Serial fleet execution keeps the run allocation-free and the
-        // measured number about the event loop, not thread spawning.
-        .with_host_threads(1);
+    let mut config =
+        UpdlrmConfig::with_dpus(NR_DPUS, PartitionStrategy::CacheAware).with_host_threads(1);
     config.batch_size = MAX_BATCH;
     UpdlrmEngine::from_workload(config, tables, workload).expect("engine builds")
 }
@@ -124,102 +86,9 @@ fn run_once(eng: &mut UpdlrmEngine, workload: &Workload, s: &mut Scheduler) -> S
     s.run(eng, workload, |_, _, _, _| {}).expect("runs")
 }
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// load_pct -> measured ns/request, hand-parsed so schema drift across
-/// PRs never breaks reading old files.
-fn parse_rows(rows: &Value) -> Vec<(u64, f64)> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let pct = num(r.get("load_pct")?)? as u64;
-            let ns = num(r.get("measured_ns_per_request")?)?;
-            Some((pct, ns))
-        })
-        .collect()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_sched.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
-    let sweep = if smoke { SMOKE } else { FULL };
-
-    // Cargo runs bench binaries from the package directory, so resolve
-    // relative paths against the repo root — CI passes plain
-    // `BENCH_sched.json` and means the committed file.
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    // In check mode a missing or malformed baseline is a failure, not a
-    // free pass — CI relies on this to keep the committed trajectory
-    // file honest.
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
-
-    let (tables, base_workload) = build(sweep.num_batches);
+    let mode = Mode::from_env("BENCH_sched.json");
+    let (tables, base_workload) = build(NUM_BATCHES);
 
     // Capacity probe: offer load far above anything serveable; with a
     // shed-oldest queue the engine then runs back-to-back full batches,
@@ -230,21 +99,19 @@ fn main() {
     let capacity_qps = run_once(&mut eng, &probe_wl, &mut sched()).achieved_qps;
     println!(
         "sched sweep: {NUM_TABLES} tables x {NR_DPUS} DPUs, goodreads/2000, \
-         max-batch {MAX_BATCH}, probed capacity {capacity_qps:.0} qps{}",
-        if smoke { " (smoke)" } else { "" }
+         max-batch {MAX_BATCH}, probed capacity {capacity_qps:.0} qps"
     );
 
     let mut rows = Vec::new();
-    let mut regressions = Vec::new();
     let mut reports: Vec<(u64, SchedReport)> = Vec::new();
-    for &pct in sweep.load_pct {
+    for pct in LOAD_PCT {
         let offered = capacity_qps * pct as f64 / 100.0;
         let mut wl = base_workload.clone();
         wl.stamp_arrivals(ArrivalProcess::poisson(offered, ARRIVAL_SEED));
         let mut s = sched();
 
-        // Determinism identity before anything is timed: the scheduler
-        // runs on modeled time only, so two runs agree exactly.
+        // Determinism identity: the scheduler runs on modeled time
+        // only, so two runs agree exactly.
         let report = run_once(&mut eng, &wl, &mut s);
         assert_eq!(
             report,
@@ -252,35 +119,6 @@ fn main() {
             "load {pct}%: reports differ across runs"
         );
 
-        let m = timing::run_with_window(&format!("sched/load{pct}"), sweep.window_ms, || {
-            black_box(run_once(black_box(&mut eng), black_box(&wl), &mut s));
-        });
-        let measured = m.mean_ns / report.requests as f64;
-        let base = baseline_rows
-            .iter()
-            .find(|(p, _)| *p == pct)
-            .map(|(_, ns)| *ns)
-            .unwrap_or(0.0);
-        let speedup = if base > 0.0 { base / measured } else { 0.0 };
-        println!(
-            "  load {pct:>3}%  offered {offered:>9.0} qps  achieved {:>9.0} qps  \
-             p99 {:>8.1} us  shed {:>4}  fill {:>4.1}  {measured:>7.1} ns/request{}",
-            report.achieved_qps,
-            report.p99_latency_ns / 1e3,
-            report.shed,
-            report.mean_batch_size,
-            if base > 0.0 {
-                format!("  {speedup:.2}x vs baseline")
-            } else {
-                String::new()
-            }
-        );
-        if base > 0.0 && measured > base * 1.20 {
-            regressions.push(format!(
-                "load {pct}%: {measured:.1} ns/request vs baseline {base:.1} (+{:.0}%)",
-                (measured / base - 1.0) * 100.0
-            ));
-        }
         rows.push(Row {
             load_pct: pct,
             offered_qps: offered,
@@ -291,17 +129,14 @@ fn main() {
             mean_batch_size: report.mean_batch_size,
             p50_latency_us: report.p50_latency_ns / 1e3,
             p99_latency_us: report.p99_latency_ns / 1e3,
-            measured_ns_per_request: measured,
-            baseline_ns_per_request: base,
-            speedup_vs_baseline: speedup,
         });
         reports.push((pct, report));
     }
 
     // The knee itself, asserted on modeled time.
     let at = |pct: u64| &reports.iter().find(|(p, _)| *p == pct).unwrap().1;
-    let lowest = at(sweep.load_pct[0]);
-    let highest = at(*sweep.load_pct.last().unwrap());
+    let lowest = at(LOAD_PCT[0]);
+    let highest = at(LOAD_PCT[LOAD_PCT.len() - 1]);
     assert_eq!(lowest.shed, 0, "below capacity nothing is shed");
     assert!(
         highest.shed > 0,
@@ -318,52 +153,25 @@ fn main() {
         "achieved QPS must plateau at capacity ({} vs {capacity_qps})",
         highest.achieved_qps
     );
-    if !smoke {
-        // Overload points plateau at the same achieved throughput.
-        let (a2, a4) = (at(200).achieved_qps, at(400).achieved_qps);
-        assert!(
-            (a4 - a2).abs() <= 0.10 * a2,
-            "overloaded points must plateau together ({a2} vs {a4})"
-        );
-    }
+    // Overload points plateau at the same achieved throughput.
+    let (a2, a4) = (at(200).achieved_qps, at(400).achieved_qps);
+    assert!(
+        (a4 - a2).abs() <= 0.10 * a2,
+        "overloaded points must plateau together ({a2} vs {a4})"
+    );
     println!("knee OK: plateau at {capacity_qps:.0} qps, p99 grows, shedding engages");
 
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >20% ns/request regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("sched_sweep".into())),
-        ("dataset".into(), Value::Str("goodreads/2000".into())),
-        ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
-        ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
-        ("dim".into(), Value::UInt(DIM as u64)),
-        ("max_batch".into(), Value::UInt(MAX_BATCH as u64)),
-        ("max_wait_ns".into(), Value::UInt(MAX_WAIT_NS)),
-        ("queue_cap".into(), Value::UInt(QUEUE_CAP as u64)),
-        ("policy".into(), Value::Str("shed-oldest".into())),
-        ("capacity_qps".into(), Value::Float(capacity_qps)),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
+    let header = [
+        ("bench", "sched_sweep".to_value()),
+        ("dataset", "goodreads/2000".to_value()),
+        ("nr_dpus", NR_DPUS.to_value()),
+        ("num_tables", NUM_TABLES.to_value()),
+        ("dim", DIM.to_value()),
+        ("max_batch", MAX_BATCH.to_value()),
+        ("max_wait_ns", MAX_WAIT_NS.to_value()),
+        ("queue_cap", QUEUE_CAP.to_value()),
+        ("policy", "shed-oldest".to_value()),
+        ("capacity_qps", capacity_qps.to_value()),
     ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+    mode.finish(&["load_pct"], &header, &rows);
 }

@@ -1,12 +1,9 @@
-//! Steady-state serving throughput: simulator ns/sample across batch
-//! size × pipeline mode.
+//! Steady-state serving: modeled ns/sample and its stage split across
+//! batch size × pipeline mode.
 //!
-//! Unlike `pipeline_serve` (which reports the *modeled* walls), this
-//! bench measures the *simulator's own* wall clock around repeated
-//! `UpdlrmEngine::serve` calls on one engine — the number that the
-//! zero-allocation scratch-arena and SIMD kernel work moves. Four
-//! identities are asserted on every f32 configuration before anything
-//! is timed:
+//! One engine per configuration serves the same batch stream through
+//! `UpdlrmEngine::serve`. Four identities are asserted on every f32
+//! configuration:
 //!
 //! 1. every pooled row equals the ground-truth
 //!    `EmbeddingTable::partial_sum` bit-for-bit (integer tables);
@@ -17,72 +14,37 @@
 //! 4. serve output under the detected SIMD tier is bit-identical to a
 //!    forced-scalar serve (the `bit_identical` column records this).
 //!
-//! The embedding tables are generated once, written to the packed
-//! on-disk format (`workloads::pack`), and mmap-loaded back per sweep
-//! point — the measured load wall of the first point is reported as a
-//! `coldstart` row (its `measured_ns_per_sample` is the *total* load
-//! ns; it never participates in regression gating). One `int8` EMT
-//! configuration rides along and must model a strictly smaller stage-2
-//! than its f32 twin.
+//! One `int8` EMT configuration rides along and must model a strictly
+//! smaller stage-2 than its f32 twin.
 //!
-//! Results land in `BENCH_steady_state.json` at the repo root. A
-//! previously committed file's rows are carried forward as
-//! `baseline_rows` (label via `--baseline-label`), so the perf
-//! trajectory accumulates across PRs. Every row records the SIMD tier
-//! (`simd`) and EMT dtype (`embed_dtype`) it measured; baseline rows
-//! only gate rows with the same tier and dtype (rows from before these
-//! fields existed match any). Flags:
-//!
-//! * `--smoke` — tiny sweep (batch 16, 3 batches, short window)
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >20% ns/sample regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! The rows are the golden `BENCH_steady_state.json` (`--check FILE |
+//! --out FILE`, see `bench::protocol`); they hold no host time, so they
+//! are the same under every SIMD tier.
 
-use std::hint::black_box;
-use std::time::Instant;
-
-use bench::timing;
+use bench::protocol::Mode;
 use dlrm_model::{simd, EmbedDtype, EmbeddingTable};
-use serde::Value;
+use serde::Serialize;
 use updlrm_core::{
     pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, PipelineMode, UpdlrmConfig,
     UpdlrmEngine,
 };
-use workloads::pack::{save_packed, PackedTables};
 use workloads::{DatasetSpec, TraceConfig, Workload};
 
 const NUM_TABLES: usize = 4;
 const NR_DPUS: usize = 64;
 const DIM: usize = 32;
 
-struct Sweep {
-    batch_sizes: &'static [usize],
-    num_batches: usize,
-    window_ms: u64,
-}
+const BATCH_SIZES: [usize; 3] = [16, 64, 256];
+const NUM_BATCHES: usize = 8;
+/// Batch size of the int8 rider (and of the f32 twin it must beat).
+const INT8_BATCH: usize = BATCH_SIZES[1];
 
-const FULL: Sweep = Sweep {
-    batch_sizes: &[16, 64, 256],
-    num_batches: 8,
-    window_ms: 300,
-};
-const SMOKE: Sweep = Sweep {
-    batch_sizes: &[16],
-    num_batches: 3,
-    window_ms: 30,
-};
-
-#[derive(serde::Serialize)]
+#[derive(Serialize)]
 struct Row {
     batch_size: usize,
     mode: String,
     batches: usize,
     samples_per_serve: usize,
-    /// Simulator wall clock per sample (the software cost this bench
-    /// tracks across PRs). For the `coldstart` row this is the total
-    /// packed-table mmap-load wall instead.
-    measured_ns_per_sample: f64,
     /// Modeled hardware time per sample (`ServeReport::wall_ns`).
     modeled_ns_per_sample: f64,
     /// Modeled host share: (route + combine) / total_with_host.
@@ -90,10 +52,7 @@ struct Row {
     /// Serve output under the detected SIMD tier was bit-identical to
     /// a forced-scalar serve of the same workload.
     bit_identical: bool,
-    /// Runtime-dispatched SIMD tier this row measured (`scalar`,
-    /// `sse2`, `avx2`, `avx512`, `neon`).
-    simd: String,
-    /// EMT storage dtype this row measured (`f32` or `int8`).
+    /// EMT storage dtype of this row (`f32` or `int8`).
     embed_dtype: String,
     /// Modeled stage-1 (CPU→MRAM scatter) time per sample (ns).
     stage1_ns_per_sample: f64,
@@ -101,15 +60,6 @@ struct Row {
     stage2_ns_per_sample: f64,
     /// Modeled stage-3 (MRAM→CPU gather) time per sample (ns).
     stage3_ns_per_sample: f64,
-    /// Measured simulator-wall cost of enabling telemetry, percent
-    /// (telemetry-on ns/sample over telemetry-off, minus one). Reported
-    /// for visibility — the ≤2% budget is asserted statistically by the
-    /// snapshot job, not gated here, because a single window is noisy.
-    telemetry_overhead_pct: f64,
-    /// ns/sample of the carried baseline row, 0.0 when none matched.
-    baseline_ns_per_sample: f64,
-    /// baseline / measured; 0.0 when no baseline row matched.
-    speedup_vs_baseline: f64,
 }
 
 fn dataset_spec() -> DatasetSpec {
@@ -123,13 +73,13 @@ fn build_tables() -> Vec<EmbeddingTable> {
         .collect()
 }
 
-fn build_workload(batch_size: usize, num_batches: usize) -> Workload {
+fn build_workload(batch_size: usize) -> Workload {
     Workload::generate(
         &dataset_spec(),
         TraceConfig {
             num_tables: NUM_TABLES,
             batch_size,
-            num_batches,
+            num_batches: NUM_BATCHES,
             ..TraceConfig::default()
         },
     )
@@ -139,7 +89,6 @@ fn engine(
     mode: PipelineMode,
     tables: &[EmbeddingTable],
     workload: &Workload,
-    telemetry: bool,
     dtype: EmbedDtype,
 ) -> UpdlrmEngine {
     let batch_size = workload.config.batch_size;
@@ -149,7 +98,6 @@ fn engine(
         .with_embed_dtype(dtype);
     // MRAM staging slots are sized for `config.batch_size` samples.
     config.batch_size = batch_size;
-    config.telemetry = telemetry;
     UpdlrmEngine::from_workload(config, tables, workload).expect("engine builds")
 }
 
@@ -180,7 +128,7 @@ fn assert_bit_identity(
         }
     }
     // 2. differential vs back-to-back run_batch on a fresh engine.
-    let mut fresh = engine(mode, tables, workload, false, EmbedDtype::F32);
+    let mut fresh = engine(mode, tables, workload, EmbedDtype::F32);
     for (i, batch) in workload.batches.iter().enumerate() {
         let (pooled, bd) = fresh.run_batch(batch).expect("run_batch");
         assert_eq!(pooled, outcome.pooled[i], "pooled departs from run_batch");
@@ -212,7 +160,7 @@ fn assert_scalar_identity(
     outcome: &updlrm_core::ServeOutcome,
 ) -> bool {
     simd::force_tier(Some(simd::SimdTier::Scalar));
-    let mut eng = engine(mode, tables, workload, false, dtype);
+    let mut eng = engine(mode, tables, workload, dtype);
     let scalar = eng.serve(&workload.batches).expect("serves");
     simd::force_tier(None);
     assert_eq!(
@@ -238,356 +186,91 @@ fn assert_scalar_identity(
     true
 }
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// One baseline row, hand-parsed so schema drift across PRs never
-/// breaks reading old files. `simd`/`embed_dtype` are `None` for rows
-/// written before those fields existed — they match any current row.
-struct BaseRow {
+/// Serves one configuration, asserts its identities and returns its row.
+fn sweep_point(
+    tables: &[EmbeddingTable],
     batch_size: usize,
-    mode: String,
-    ns: f64,
-    simd: Option<String>,
-    embed_dtype: Option<String>,
-}
+    mode: PipelineMode,
+    dtype: EmbedDtype,
+) -> Row {
+    let workload = build_workload(batch_size);
+    let samples = (batch_size * NUM_BATCHES) as f64;
+    let dtype_name = dtype.as_str();
+    let mut eng = engine(mode, tables, &workload, dtype);
+    let outcome = eng.serve(&workload.batches).expect("serves");
+    if dtype == EmbedDtype::F32 {
+        assert_bit_identity(mode, tables, &workload, &outcome);
+    }
+    let bit_identical = assert_scalar_identity(mode, tables, &workload, dtype, &outcome);
 
-fn parse_rows(rows: &Value) -> Vec<BaseRow> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let batch_size = num(r.get("batch_size")?)? as usize;
-            let mode = match r.get("mode")? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            let ns = num(r.get("measured_ns_per_sample")?)?;
-            let text = |k: &str| match r.get(k) {
-                Some(Value::Str(s)) => Some(s.clone()),
-                _ => None,
-            };
-            Some(BaseRow {
-                batch_size,
-                mode,
-                ns,
-                simd: text("simd"),
-                embed_dtype: text("embed_dtype"),
-            })
-        })
-        .collect()
+    let modeled = outcome.report.wall_ns / samples;
+    let (host, total_with_host) = outcome.breakdowns.iter().fold((0.0, 0.0), |(h, t), b| {
+        (h + b.route_ns + b.combine_ns, t + b.total_with_host_ns())
+    });
+    let (s1, s2, s3) = outcome
+        .breakdowns
+        .iter()
+        .fold((0.0, 0.0, 0.0), |(a, b, c), bd| {
+            (a + bd.stage1_ns, b + bd.stage2_ns, c + bd.stage3_ns)
+        });
+    Row {
+        batch_size,
+        mode: mode.as_str().to_string(),
+        batches: NUM_BATCHES,
+        samples_per_serve: batch_size * NUM_BATCHES,
+        modeled_ns_per_sample: modeled,
+        host_overhead_share: host / total_with_host,
+        bit_identical,
+        embed_dtype: dtype_name.to_string(),
+        stage1_ns_per_sample: s1 / samples,
+        stage2_ns_per_sample: s2 / samples,
+        stage3_ns_per_sample: s3 / samples,
+    }
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_steady_state.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
-    let sweep = if smoke { SMOKE } else { FULL };
-
-    // Cargo runs bench binaries from the package directory, so resolve
-    // relative paths against the repo root — CI passes plain
-    // `BENCH_steady_state.json` and means the committed file.
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    // Baseline: from --check FILE, else from the existing output file.
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    // In check mode a missing or malformed baseline is a failure, not a
-    // free pass — CI relies on this to keep the committed trajectory
-    // file honest.
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    // Prefer the file's own measured rows (they describe the committed
-    // code); fall back to its carried baseline only if rows are absent.
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
-    let simd_tier = simd::tier_name().to_string();
-    // A baseline row gates only rows of the same tier and dtype.
-    // Rows predating the `simd` field match any tier (the carried
-    // history stays meaningful); rows predating `embed_dtype` measured
-    // f32, so they gate only f32 rows. Coldstart rows never match a
-    // serve row's mode.
-    let find_base = |batch_size: usize, mode: &str, dtype: &str| -> f64 {
-        baseline_rows
-            .iter()
-            .find(|r| {
-                r.batch_size == batch_size
-                    && r.mode == mode
-                    && r.simd.as_deref().is_none_or(|s| s == simd_tier)
-                    && r.embed_dtype.as_deref().unwrap_or("f32") == dtype
-            })
-            .map(|r| r.ns)
-            .unwrap_or(0.0)
-    };
-
+    let protocol = Mode::from_env("BENCH_steady_state.json");
     println!(
         "steady-state sweep: {NUM_TABLES} tables x {NR_DPUS} DPUs, goodreads/2000, \
-         {} batches/serve, simd {simd_tier}{}",
-        sweep.num_batches,
-        if smoke { " (smoke)" } else { "" }
+         {NUM_BATCHES} batches/serve, simd {}",
+        simd::tier_name()
     );
 
-    // Tables are generated once, packed, and mmap-loaded per sweep
-    // point; the first load's wall is the reported cold start.
-    let pack_path = std::env::temp_dir().join(format!(
-        "updlrm_steady_state_tables_{}.uptb",
-        std::process::id()
-    ));
-    save_packed(&build_tables(), &pack_path).expect("pack tables");
-    let load_tables = || -> (Vec<EmbeddingTable>, f64) {
-        let t0 = Instant::now();
-        let packed = PackedTables::open(&pack_path).expect("open packed tables");
-        let tables = packed
-            .views()
-            .iter()
-            .map(|v| EmbeddingTable::from_view(v).expect("decode table"))
-            .collect();
-        (tables, t0.elapsed().as_nanos() as f64)
-    };
-
+    let tables = build_tables();
     let mut rows: Vec<Row> = Vec::new();
-    let mut regressions = Vec::new();
-    let mut coldstart_ns = None;
-    let measure = |rows: &mut Vec<Row>,
-                   regressions: &mut Vec<String>,
-                   tables: &[EmbeddingTable],
-                   batch_size: usize,
-                   mode: PipelineMode,
-                   dtype: EmbedDtype| {
-        let workload = build_workload(batch_size, sweep.num_batches);
-        let samples = batch_size * sweep.num_batches;
-        let dtype_name = match dtype {
-            EmbedDtype::F32 => "f32",
-            EmbedDtype::Int8 => "int8",
-        };
-        let mut eng = engine(mode, tables, &workload, false, dtype);
-        let outcome = eng.serve(&workload.batches).expect("serves");
-        if dtype == EmbedDtype::F32 {
-            assert_bit_identity(mode, tables, &workload, &outcome);
-        }
-        let bit_identical = assert_scalar_identity(mode, tables, &workload, dtype, &outcome);
-
-        let label_name = format!("serve/b{batch_size}/{mode}/{dtype_name}");
-        let m = timing::run_with_window(&label_name, sweep.window_ms, || {
-            black_box(eng.serve(black_box(&workload.batches)).expect("serves"));
-        });
-        // Telemetry-enabled twin in the same window: its modeled
-        // outputs are identical, so the ns/sample delta is the pure
-        // recording cost.
-        let mut eng_tel = engine(mode, tables, &workload, true, dtype);
-        eng_tel.serve(&workload.batches).expect("serves");
-        let m_tel = timing::run_with_window(&format!("{label_name}/tel"), sweep.window_ms, || {
-            black_box(eng_tel.serve(black_box(&workload.batches)).expect("serves"));
-        });
-        let telemetry_overhead_pct = (m_tel.mean_ns / m.mean_ns - 1.0) * 100.0;
-        let measured = m.mean_ns / samples as f64;
-        let modeled = outcome.report.wall_ns / samples as f64;
-        let (host, total_with_host) = outcome.breakdowns.iter().fold((0.0, 0.0), |(h, t), b| {
-            (h + b.route_ns + b.combine_ns, t + b.total_with_host_ns())
-        });
-        let (s1, s2, s3) = outcome
-            .breakdowns
-            .iter()
-            .fold((0.0, 0.0, 0.0), |(a, b, c), bd| {
-                (a + bd.stage1_ns, b + bd.stage2_ns, c + bd.stage3_ns)
-            });
-        let base = find_base(batch_size, mode.as_str(), dtype_name);
-        let speedup = if base > 0.0 { base / measured } else { 0.0 };
-        println!(
-            "  b={batch_size:<4} {mode:<10} {dtype_name:<5} {measured:>9.1} ns/sample \
-             (model {modeled:>9.1}, host share {:.2}, telemetry {telemetry_overhead_pct:+.1}%){}",
-            host / total_with_host,
-            if base > 0.0 {
-                format!("  {speedup:.2}x vs baseline")
-            } else {
-                String::new()
-            }
-        );
-        if base > 0.0 && measured > base * 1.20 {
-            regressions.push(format!(
-                "b={batch_size} {mode} {dtype_name}: {measured:.1} ns/sample vs baseline \
-                 {base:.1} (+{:.0}%)",
-                (measured / base - 1.0) * 100.0
-            ));
-        }
-        rows.push(Row {
-            batch_size,
-            mode: mode.as_str().to_string(),
-            batches: sweep.num_batches,
-            samples_per_serve: samples,
-            measured_ns_per_sample: measured,
-            modeled_ns_per_sample: modeled,
-            host_overhead_share: host / total_with_host,
-            bit_identical,
-            simd: simd_tier.clone(),
-            embed_dtype: dtype_name.to_string(),
-            stage1_ns_per_sample: s1 / samples as f64,
-            stage2_ns_per_sample: s2 / samples as f64,
-            stage3_ns_per_sample: s3 / samples as f64,
-            telemetry_overhead_pct,
-            baseline_ns_per_sample: base,
-            speedup_vs_baseline: speedup,
-        });
-    };
-
-    for &batch_size in sweep.batch_sizes {
-        let (tables, load_ns) = load_tables();
-        coldstart_ns.get_or_insert(load_ns);
+    for batch_size in BATCH_SIZES {
         for mode in [PipelineMode::Sequential, PipelineMode::DoubleBuf] {
-            measure(
-                &mut rows,
-                &mut regressions,
-                &tables,
-                batch_size,
-                mode,
-                EmbedDtype::F32,
-            );
+            rows.push(sweep_point(&tables, batch_size, mode, EmbedDtype::F32));
         }
     }
 
     // Int8 EMT rider: one sequential config; the quantized kernel must
     // model a strictly smaller stage 2 than its f32 twin (smaller MRAM
     // rows and the cheaper u8 accumulate path).
-    let int8_batch = sweep.batch_sizes[1.min(sweep.batch_sizes.len() - 1)];
-    {
-        let (tables, _) = load_tables();
-        measure(
-            &mut rows,
-            &mut regressions,
-            &tables,
-            int8_batch,
-            PipelineMode::Sequential,
-            EmbedDtype::Int8,
-        );
-        let s2 = |dtype: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.batch_size == int8_batch && r.mode == "sequential" && r.embed_dtype == dtype
-                })
-                .map(|r| r.stage2_ns_per_sample)
-                .expect("both dtypes swept")
-        };
-        assert!(
-            s2("int8") < s2("f32"),
-            "int8 stage 2 ({}) must model strictly below f32 ({})",
-            s2("int8"),
-            s2("f32")
-        );
-    }
-    let _ = std::fs::remove_file(&pack_path);
+    let int8 = sweep_point(
+        &tables,
+        INT8_BATCH,
+        PipelineMode::Sequential,
+        EmbedDtype::Int8,
+    );
+    let f32_twin = rows
+        .iter()
+        .find(|r| r.batch_size == INT8_BATCH && r.mode == "sequential")
+        .expect("the f32 twin was swept");
+    assert!(
+        int8.stage2_ns_per_sample < f32_twin.stage2_ns_per_sample,
+        "int8 stage 2 ({}) must model strictly below f32 ({})",
+        int8.stage2_ns_per_sample,
+        f32_twin.stage2_ns_per_sample
+    );
+    rows.push(int8);
 
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >20% ns/sample regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-
-    // The cold-start row: total wall of the first packed-table
-    // mmap-load of this run. Reported for trajectory visibility only —
-    // its mode never matches a serve row, so it is never gated.
-    let cold = coldstart_ns.expect("at least one sweep point ran");
-    println!("  coldstart (packed-table mmap load): {:.1} us", cold / 1e3);
-    rows.push(Row {
-        batch_size: 0,
-        mode: "coldstart".to_string(),
-        batches: 0,
-        samples_per_serve: 0,
-        measured_ns_per_sample: cold,
-        modeled_ns_per_sample: 0.0,
-        host_overhead_share: 0.0,
-        bit_identical: true,
-        simd: simd_tier.clone(),
-        embed_dtype: "f32".to_string(),
-        stage1_ns_per_sample: 0.0,
-        stage2_ns_per_sample: 0.0,
-        stage3_ns_per_sample: 0.0,
-        telemetry_overhead_pct: 0.0,
-        baseline_ns_per_sample: 0.0,
-        speedup_vs_baseline: 0.0,
-    });
-
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("steady_state".into())),
-        ("dataset".into(), Value::Str("goodreads/2000".into())),
-        ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
-        ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
-        ("dim".into(), Value::UInt(DIM as u64)),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
+    let header = [
+        ("bench", "steady_state".to_value()),
+        ("dataset", "goodreads/2000".to_value()),
+        ("nr_dpus", NR_DPUS.to_value()),
+        ("num_tables", NUM_TABLES.to_value()),
+        ("dim", DIM.to_value()),
     ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+    protocol.finish(&["batch_size", "mode", "embed_dtype"], &header, &rows);
 }

@@ -24,21 +24,11 @@
 //!    (it is genuinely overloaded), and two runs of each arm
 //!    serialize byte-identically.
 //!
-//! The *measured* number tracked across PRs is wall time per offered
-//! request around fleet build + `TenantFleet::run`. It lands in
-//! `BENCH_tenants.json` at the repo root. Flags (same protocol as
-//! `drift_sweep`):
-//!
-//! * `--smoke` — short timing window, same traces and gates
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >20% ns/request regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! The rows are the golden `BENCH_tenants.json` (`--check FILE | --out
+//! FILE`, see `bench::protocol`).
 
-use std::hint::black_box;
-
-use bench::timing;
-use serde::Value;
+use bench::protocol::Mode;
+use serde::Serialize;
 use tenancy::{Arbitration, ArrivalKind, FleetConfig, FleetReport, TenantFleet, TenantSpec};
 
 const FLEET_DPUS: usize = 16;
@@ -46,15 +36,6 @@ const QUANTUM_NS: u64 = 100_000;
 /// The isolation gate: with DRR on, the adversary must not push the
 /// victim's p99 beyond this factor of solo serving; with FCFS it must.
 const GATE_RATIO: f64 = 1.5;
-
-struct Sweep {
-    window_ms: u64,
-}
-
-const FULL: Sweep = Sweep { window_ms: 300 };
-// Smoke trims only the timing window: traces, arms and gates are
-// identical, so CI exercises the exact committed scenario.
-const SMOKE: Sweep = Sweep { window_ms: 30 };
 
 /// Steady Poisson tenant with double arbitration weight. Its 500 us
 /// batching window keeps batches full at 10k qps.
@@ -114,9 +95,9 @@ fn run_arm(specs: &[TenantSpec], arbitration: Arbitration) -> (FleetReport, Vec<
     (report, bits)
 }
 
-#[derive(serde::Serialize)]
+#[derive(Serialize)]
 struct Row {
-    /// Arm name (the baseline key).
+    /// Arm name (the row key).
     arm: String,
     victim_offered_qps: f64,
     victim_achieved_qps: f64,
@@ -127,105 +108,10 @@ struct Row {
     victim_p99_vs_solo: f64,
     adversary_shed: u64,
     fleet_utilization: f64,
-    /// Wall time per offered request around fleet build + run (the
-    /// software cost this bench tracks across PRs).
-    measured_ns_per_request: f64,
-    /// ns/request of the carried baseline row, 0.0 when none matched.
-    baseline_ns_per_request: f64,
-    /// baseline / measured; 0.0 when no baseline row matched.
-    speedup_vs_baseline: f64,
-}
-
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// arm -> measured ns/request, hand-parsed so schema drift across PRs
-/// never breaks reading old files.
-fn parse_rows(rows: &Value) -> Vec<(String, f64)> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let Value::Str(arm) = r.get("arm")? else {
-                return None;
-            };
-            let ns = num(r.get("measured_ns_per_request")?)?;
-            Some((arm.clone(), ns))
-        })
-        .collect()
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_tenants.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
-    let sweep = if smoke { SMOKE } else { FULL };
-
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
+    let mode = Mode::from_env("BENCH_tenants.json");
 
     let solo = [victim()];
     let duo = [victim(), adversary()];
@@ -236,18 +122,15 @@ fn main() {
     ];
     println!(
         "tenants bench: victim 10k qps poisson (weight 2) vs adversary 30k qps bursty, \
-         {FLEET_DPUS} DPUs, quantum {} us{}",
+         {FLEET_DPUS} DPUs, quantum {} us",
         QUANTUM_NS / 1000,
-        if smoke { " (smoke)" } else { "" }
     );
 
-    let mut rows = Vec::new();
-    let mut regressions = Vec::new();
     let mut results: Vec<(&str, FleetReport, Vec<u32>)> = Vec::new();
     for (arm, specs, arbitration) in arms {
-        // Determinism identity before anything is timed: the whole
-        // fleet — batch formation, arbitration, telemetry — runs on
-        // modeled time only, so two runs serialize byte-identically.
+        // Determinism identity: the whole fleet — batch formation,
+        // arbitration, telemetry — runs on modeled time only, so two
+        // runs serialize byte-identically.
         let (report, bits) = run_arm(specs, arbitration);
         let (report_b, bits_b) = run_arm(specs, arbitration);
         assert_eq!(
@@ -257,51 +140,6 @@ fn main() {
         );
         assert_eq!(bits, bits_b, "{arm}: embedding bits differ across runs");
 
-        let requests: u64 = report.tenants.iter().map(|t| t.sched.requests).sum();
-        let m = timing::run_with_window(&format!("tenants/{arm}"), sweep.window_ms, || {
-            black_box(run_arm(black_box(specs), arbitration));
-        });
-        let measured = m.mean_ns / requests as f64;
-        let base = baseline_rows
-            .iter()
-            .find(|(a, _)| a == arm)
-            .map(|(_, ns)| *ns)
-            .unwrap_or(0.0);
-        let speedup = if base > 0.0 { base / measured } else { 0.0 };
-        let v = &report.tenants[0].sched;
-        println!(
-            "  {arm:<12} victim p50 {:>7.1} us  p99 {:>8.1} us  completed {:>5}  \
-             util {:.2}  {measured:>7.1} ns/request{}",
-            v.p50_latency_ns / 1e3,
-            v.p99_latency_ns / 1e3,
-            v.completed,
-            report.fleet_utilization,
-            if base > 0.0 {
-                format!("  {speedup:.2}x vs baseline")
-            } else {
-                String::new()
-            }
-        );
-        if base > 0.0 && measured > base * 1.20 {
-            regressions.push(format!(
-                "{arm}: {measured:.1} ns/request vs baseline {base:.1} (+{:.0}%)",
-                (measured / base - 1.0) * 100.0
-            ));
-        }
-        rows.push(Row {
-            arm: arm.to_string(),
-            victim_offered_qps: v.offered_qps,
-            victim_achieved_qps: v.achieved_qps,
-            victim_completed: v.completed,
-            victim_p50_latency_us: v.p50_latency_ns / 1e3,
-            victim_p99_latency_us: v.p99_latency_ns / 1e3,
-            victim_p99_vs_solo: 0.0, // filled below once solo is known
-            adversary_shed: report.tenants.get(1).map_or(0, |t| t.sched.shed),
-            fleet_utilization: report.fleet_utilization,
-            measured_ns_per_request: measured,
-            baseline_ns_per_request: base,
-            speedup_vs_baseline: speedup,
-        });
         results.push((arm, report, bits));
     }
 
@@ -313,13 +151,23 @@ fn main() {
     let solo_p99 = solo_rep.tenants[0].sched.p99_latency_ns;
     let ratio_drr = drr_rep.tenants[0].sched.p99_latency_ns / solo_p99;
     let ratio_fcfs = fcfs_rep.tenants[0].sched.p99_latency_ns / solo_p99;
-    for row in &mut rows {
-        row.victim_p99_vs_solo = match row.arm.as_str() {
-            "duo-drr" => ratio_drr,
-            "duo-fcfs" => ratio_fcfs,
-            _ => 1.0,
-        };
-    }
+    let rows: Vec<Row> = results
+        .iter()
+        .map(|(arm, report, _)| {
+            let v = &report.tenants[0].sched;
+            Row {
+                arm: arm.to_string(),
+                victim_offered_qps: v.offered_qps,
+                victim_achieved_qps: v.achieved_qps,
+                victim_completed: v.completed,
+                victim_p50_latency_us: v.p50_latency_ns / 1e3,
+                victim_p99_latency_us: v.p99_latency_ns / 1e3,
+                victim_p99_vs_solo: v.p99_latency_ns / solo_p99,
+                adversary_shed: report.tenants.get(1).map_or(0, |t| t.sched.shed),
+                fleet_utilization: report.fleet_utilization,
+            }
+        })
+        .collect();
     println!(
         "gate: victim p99 duo-drr {ratio_drr:.2}x solo (<= {GATE_RATIO} required), \
          duo-fcfs {ratio_fcfs:.2}x (> {GATE_RATIO} required)"
@@ -349,38 +197,13 @@ fn main() {
          {ratio_fcfs:.2}x solo — the adversary no longer stresses the fleet"
     );
 
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >20% ns/request regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("tenants".into())),
-        ("fleet_dpus".into(), Value::UInt(FLEET_DPUS as u64)),
-        ("quantum_ns".into(), Value::UInt(QUANTUM_NS)),
-        ("gate_ratio".into(), Value::Float(GATE_RATIO)),
-        ("victim_p99_ratio_drr".into(), Value::Float(ratio_drr)),
-        ("victim_p99_ratio_fcfs".into(), Value::Float(ratio_fcfs)),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
+    let header = [
+        ("bench", "tenants".to_value()),
+        ("fleet_dpus", FLEET_DPUS.to_value()),
+        ("quantum_ns", QUANTUM_NS.to_value()),
+        ("gate_ratio", GATE_RATIO.to_value()),
+        ("victim_p99_ratio_drr", ratio_drr.to_value()),
+        ("victim_p99_ratio_fcfs", ratio_fcfs.to_value()),
     ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+    mode.finish(&["arm"], &header, &rows);
 }

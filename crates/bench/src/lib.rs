@@ -10,13 +10,20 @@
 //! Scale is controlled by the `UPDLRM_EVAL` environment variable:
 //! `quick` (CI), unset/`standard`, or `full` (the paper's 12,800
 //! inferences).
+//!
+//! The six `benches/` sweeps (`steady_state`, `sched_sweep`,
+//! `placement_sweep`, `tenants`, `drift_sweep`, `pipeline_serve`) run
+//! on the modeled clock only: each asserts its gates, then hands its
+//! rows to [`protocol`], which writes or byte-compares the repo-root
+//! `BENCH_<name>.json`. Nothing in this crate reads a host clock —
+//! host time is measured by the `benchmark/` package (`BENCHMARK.json`).
 
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod protocol;
 pub mod report;
 pub mod setup;
-pub mod timing;
 
 pub use report::{fmt_ns, BarChart, Table};
 pub use setup::{EvalConfig, EvalSetup};

@@ -3,7 +3,7 @@
 //! UPWL trace — identical batch composition in launch order, identical
 //! pooled embeddings (bit-compared), identical `SchedReport`, identical
 //! scheduler telemetry — for every overload policy (the case table
-//! shared with the tenancy suite) and for both 1 and 2 shards.
+//! shared with the tenancy suite) and for 1, 2 and 4 shards.
 //! Concurrency is allowed to change the clock, never the semantics.
 
 #[path = "../../scheduler/tests/cases/mod.rs"]
@@ -121,7 +121,7 @@ fn assert_locked(case: &cases::Case) {
     assert!(!oracle_trace.is_empty(), "oracle must form batches");
     case.assert_exercised(&oracle_report);
     assert_eq!(oracle_telemetry.batches, oracle_report.batches);
-    for shards in [1usize, 2] {
+    for shards in [1usize, 2, 4] {
         let (rt_report, rt_trace, rt_telemetry) =
             runtime_det(&tables, &workload, cfg, max_batch, shards);
         assert_eq!(

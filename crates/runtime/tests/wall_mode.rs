@@ -77,7 +77,7 @@ fn wall_mode_conserves_requests_and_reports_finite_stats() {
         queue_cap: 256,
         policy: OverloadPolicy::ShedOldest,
     };
-    for shards in [1usize, 2] {
+    for shards in [1usize, 2, 4] {
         let r = run_wall(&tables, &workload, sched, 64, shards, 20.0);
         assert_eq!(r.sched.completed, r.sched.requests, "{shards} shards");
         assert_eq!(r.sched.shed + r.sched.rejected, 0);
@@ -97,7 +97,7 @@ fn wall_mode_conserves_requests_and_reports_finite_stats() {
             r.sched.batches,
             "histogram mass equals batch count"
         );
-        if shards == 2 && r.sched.batches >= 2 {
+        if r.sched.batches >= shards as u64 {
             assert!(
                 r.batches_per_shard.iter().all(|&b| b > 0),
                 "round-robin uses every shard: {:?}",

@@ -33,7 +33,7 @@ pub const NS_PER_SEC: f64 = 1e9;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ArrivalProcess {
     /// No arrival times: the legacy regime where the caller feeds
-    /// batches back-to-back. UPWL v1 files load as this.
+    /// batches back-to-back.
     #[default]
     ClosedLoop,
     /// Exponential inter-arrivals at `qps` requests per second.

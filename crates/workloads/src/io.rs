@@ -9,11 +9,11 @@
 //!
 //! ## Versions
 //!
-//! * **v1** — spec + config + batches. Still loads: the arrival trace
-//!   defaults to the closed-loop sentinel.
-//! * **v2** — v1 plus an arrival block between the config and the
-//!   batches: a process tag (`0` closed-loop, `1` Poisson, `2`
-//!   bursty), the process parameters, and the per-query timestamps.
+//! * **v1** — spec + config + batches, no arrival block. No longer
+//!   read: a v1 file fails with `unsupported UPWL version 1`.
+//! * **v2** — spec + config, an arrival block (a process tag — `0`
+//!   closed-loop, `1` Poisson, `2` bursty — the process parameters and
+//!   the per-query timestamps), then the batches.
 //! * **v3** (current) — v2 plus a drift block between the arrivals and
 //!   the batches: an optional hot-set rotation (`num_sets`, `set_size`,
 //!   `period_ns`, `hot_fraction`), a list of flash-crowd spikes
@@ -21,10 +21,9 @@
 //!   `rate_boost`) and an optional diurnal curve (`period_ns`,
 //!   `amplitude`). [`Workload::save`] stamps v3 only when a drift
 //!   schedule is attached — stationary workloads keep writing v2
-//!   byte-for-byte. Nothing writes v1 any more (the loader tests keep
-//!   a test-only writer for it); v1 and v2 files still load. The loader
-//!   rejects v3 files whose schedule references hot-set rows beyond the
-//!   spec's row count.
+//!   byte-for-byte, and v2 files still load. The loader rejects v3
+//!   files whose schedule references hot-set rows beyond the spec's row
+//!   count.
 
 use crate::arrival::{ArrivalProcess, ArrivalTrace};
 use crate::drift::{DiurnalCurve, DriftSchedule, FlashCrowd, HotSetRotation};
@@ -34,7 +33,6 @@ use dlrm_model::{QueryBatch, SparseInput};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"UPWL";
-const V1: u32 = 1;
 const VERSION: u32 = 2;
 const V3: u32 = 3;
 
@@ -231,17 +229,6 @@ impl Workload {
     /// `Write` works (`workload.save(&mut file)?`).
     pub fn save<W: Write>(&self, writer: &mut W) -> io::Result<()> {
         let version = if self.drift.is_some() { V3 } else { VERSION };
-        self.save_version(writer, version)
-    }
-
-    /// Serializes in the legacy `UPWL` v1 layout (no arrival trace) so
-    /// the loader tests can prove v1 files still load.
-    #[cfg(test)]
-    pub(crate) fn save_v1<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        self.save_version(writer, V1)
-    }
-
-    fn save_version<W: Write>(&self, writer: &mut W, version: u32) -> io::Result<()> {
         writer.write_all(MAGIC)?;
         w_u32(writer, version)?;
         // Spec.
@@ -267,16 +254,10 @@ impl Workload {
         w_u64(writer, self.config.num_batches as u64)?;
         w_u64(writer, self.config.num_dense as u64)?;
         w_u64(writer, self.config.seed)?;
-        // Arrival schedule (v2+).
-        if version >= 2 {
-            w_arrivals(writer, &self.arrivals)?;
-        }
-        // Drift schedule (v3+).
-        if version >= 3 {
-            w_drift(
-                writer,
-                self.drift.as_ref().unwrap_or(&DriftSchedule::default()),
-            )?;
+        w_arrivals(writer, &self.arrivals)?;
+        // Drift schedule (v3 only).
+        if let Some(drift) = &self.drift {
+            w_drift(writer, drift)?;
         }
         // Batches.
         w_u64(writer, self.batches.len() as u64)?;
@@ -313,8 +294,8 @@ impl Workload {
             return Err(bad("not a UPWL workload file"));
         }
         let version = r_u32(reader)?;
-        if version != V1 && version != VERSION && version != V3 {
-            return Err(bad("unsupported UPWL version"));
+        if version != VERSION && version != V3 {
+            return Err(bad(&format!("unsupported UPWL version {version}")));
         }
         let name = r_str(reader)?;
         let short = r_str(reader)?;
@@ -350,15 +331,10 @@ impl Workload {
             num_dense: r_u64(reader)? as usize,
             seed: r_u64(reader)?,
         };
-        // v1 has no arrival block: default to the closed-loop sentinel.
-        let arrivals = if version >= 2 {
-            r_arrivals(reader)?
-        } else {
-            ArrivalTrace::closed_loop()
-        };
+        let arrivals = r_arrivals(reader)?;
         // v3 adds the drift block; validate its hot-set geometry
         // against the spec before trusting any of its row ranges.
-        let drift = if version >= 3 {
+        let drift = if version == V3 {
             let schedule = r_drift(reader)?;
             schedule.validate(spec.num_items).map_err(|e| bad(&e))?;
             Some(schedule)
@@ -471,20 +447,6 @@ mod tests {
         assert_eq!(loaded.arrivals.times_ns, w.arrivals.times_ns);
     }
 
-    #[test]
-    fn v1_files_load_with_closed_loop_sentinel() {
-        let mut w = sample_workload();
-        w.stamp_arrivals(ArrivalProcess::poisson(20_000.0, 42));
-        let mut buf = Vec::new();
-        w.save_v1(&mut buf).unwrap();
-        assert_eq!(&buf[4..8], &1u32.to_le_bytes(), "save_v1 stamps version 1");
-        let loaded = Workload::load(&mut buf.as_slice()).unwrap();
-        assert!(loaded.arrivals.is_closed_loop());
-        assert_eq!(loaded.batches, w.batches);
-        assert_eq!(loaded.spec, w.spec);
-        assert_eq!(loaded.config, w.config);
-    }
-
     fn sample_drift() -> DriftSchedule {
         DriftSchedule {
             rotation: Some(HotSetRotation {
@@ -544,17 +506,6 @@ mod tests {
         w.save(&mut buf).unwrap();
         assert_eq!(&buf[4..8], &2u32.to_le_bytes());
         assert_eq!(Workload::load(&mut buf.as_slice()).unwrap().drift, None);
-    }
-
-    #[test]
-    fn v1_save_drops_drift() {
-        let w = drifting_workload();
-        let mut buf = Vec::new();
-        w.save_v1(&mut buf).unwrap();
-        let loaded = Workload::load(&mut buf.as_slice()).unwrap();
-        assert_eq!(loaded.drift, None);
-        assert!(loaded.arrivals.is_closed_loop());
-        assert_eq!(loaded.batches, w.batches);
     }
 
     #[test]
@@ -624,8 +575,15 @@ mod tests {
     fn rejects_bad_version() {
         let mut buf = Vec::new();
         sample_workload().save(&mut buf).unwrap();
-        buf[4] = 99;
-        assert!(Workload::load(&mut buf.as_slice()).is_err());
+        // v1 had no arrival block and is no longer read.
+        for version in [0u8, 1, 4, 99] {
+            buf[4] = version;
+            let err = Workload::load(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("unsupported UPWL version {version}")
+            );
+        }
     }
 
     #[test]

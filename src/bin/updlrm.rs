@@ -1240,7 +1240,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let (spec, workload, model) = if let Some(path) = &workload_path {
-        // A stamped UPWL file (v1/v2/v3) replayed as-is: the loader
+        // A stamped UPWL file (v2/v3) replayed as-is: the loader
         // already validated the drift schedule against the embedded
         // spec's row count, and a file without arrivals cannot be
         // served open-loop.
