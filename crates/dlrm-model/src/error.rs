@@ -35,6 +35,16 @@ pub enum ModelError {
         /// Sparse groups in the batch.
         batch: usize,
     },
+    /// A backend handed the dense side a pooled-embedding matrix of the
+    /// wrong shape.
+    PooledShapeMismatch {
+        /// Index of the table the matrix belongs to.
+        table: usize,
+        /// Its shape (rows, cols).
+        got: (usize, usize),
+        /// `(batch, embedding_dim)`.
+        expected: (usize, usize),
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -56,6 +66,15 @@ impl fmt::Display for ModelError {
             ModelError::TableCountMismatch { model, batch } => write!(
                 f,
                 "batch has {batch} sparse feature groups but model has {model} embedding tables"
+            ),
+            ModelError::PooledShapeMismatch {
+                table,
+                got,
+                expected,
+            } => write!(
+                f,
+                "pooled embeddings of table {table} are ({}x{}), expected ({}x{})",
+                got.0, got.1, expected.0, expected.1
             ),
         }
     }

@@ -1,6 +1,7 @@
 //! Fully-connected layers: the bottom and top MLPs of DLRM.
 
 use crate::error::{ModelError, Result};
+use crate::simd;
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,14 +77,49 @@ impl Linear {
     }
 
     /// [`Linear::forward`] writing into a caller-provided output matrix
-    /// (reshaped in place, allocation reused) — bit-identical results;
-    /// the row-slice [`Matrix::matmul_into`] does the heavy lifting.
+    /// (reshaped in place, allocation reused) — bit-identical results.
     ///
     /// # Errors
     ///
     /// Fails on a shape mismatch.
     pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) -> Result<()> {
-        x.matmul_into(&self.weight, y)?;
+        self.forward_parts(x.rows(), &[(x.as_slice(), x.cols())], y)
+    }
+
+    /// Forward pass over an input given as column blocks: each part is
+    /// a row-major `rows x width` slice, and the layer sees their
+    /// horizontal concatenation without it being built. Part `p`
+    /// multiplies the weight rows its columns would occupy and
+    /// accumulates into `y` after the parts before it — ascending `k`
+    /// across the concatenation, so the result is bit-identical to
+    /// [`Linear::forward`] over [`Matrix::hconcat`] of the parts.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the widths do not sum to the input dimension or a part
+    /// is not `rows x width`; `y` is untouched then.
+    pub(crate) fn forward_parts(
+        &self,
+        rows: usize,
+        parts: &[(&[f32], usize)],
+        y: &mut Matrix,
+    ) -> Result<()> {
+        let n = self.out_dim();
+        let width: usize = parts.iter().map(|&(_, w)| w).sum();
+        if width != self.in_dim() || parts.iter().any(|&(x, w)| x.len() != rows * w) {
+            return Err(ModelError::ShapeMismatch {
+                op: "matmul",
+                lhs: (rows, width),
+                rhs: (self.in_dim(), n),
+            });
+        }
+        y.reset_zeroed(rows, n);
+        let mut k0 = 0;
+        for &(x, w) in parts {
+            let weight_rows = &self.weight.as_slice()[k0 * n..(k0 + w) * n];
+            simd::gemm(y.as_mut_slice(), x, w, weight_rows, n);
+            k0 += w;
+        }
         y.add_bias(&self.bias)?;
         match self.activation {
             Activation::Relu => y.relu_in_place(),
@@ -275,9 +311,23 @@ impl Mlp {
     ///
     /// Fails on a shape mismatch.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let mut cur = self.layers[0].forward(x)?;
+        self.forward_parts(x.rows(), &[(x.as_slice(), x.cols())])
+    }
+
+    /// Forward pass over an input given as column blocks (see
+    /// [`Linear::forward_parts`]); the layers after the first ping-pong
+    /// between two buffers.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a shape mismatch.
+    pub(crate) fn forward_parts(&self, rows: usize, parts: &[(&[f32], usize)]) -> Result<Matrix> {
+        let mut cur = Matrix::zeros(0, 0);
+        self.layers[0].forward_parts(rows, parts, &mut cur)?;
+        let mut next = Matrix::zeros(0, 0);
         for layer in &self.layers[1..] {
-            cur = layer.forward(&cur)?;
+            layer.forward_into(&cur, &mut next)?;
+            std::mem::swap(&mut cur, &mut next);
         }
         Ok(cur)
     }
@@ -413,6 +463,25 @@ mod tests {
         let mlp = Mlp::new(&[4, 4], Activation::None, 0).unwrap();
         let x = Matrix::zeros(2, 5);
         assert!(mlp.forward(&x).is_err());
+    }
+
+    #[test]
+    fn forward_parts_rejects_widths_that_do_not_fill_the_input() {
+        let layer = Linear::xavier(6, 5, Activation::None, 1).unwrap();
+        let x = [0.5f32; 12];
+        let mut y = Matrix::from_vec(1, 1, vec![42.0]).unwrap();
+        // 2 + 3 columns against 6 inputs; 2 + 4 with a short slice.
+        assert!(layer
+            .forward_parts(2, &[(&x[..4], 2), (&x[..6], 3)], &mut y)
+            .is_err());
+        assert!(layer
+            .forward_parts(2, &[(&x[..4], 2), (&x[..7], 4)], &mut y)
+            .is_err());
+        assert_eq!(y.as_slice(), &[42.0]);
+        layer
+            .forward_parts(2, &[(&x[..4], 2), (&x[..8], 4)], &mut y)
+            .unwrap();
+        assert_eq!((y.rows(), y.cols()), (2, 5));
     }
 
     #[test]

@@ -224,12 +224,16 @@ impl Dlrm {
     }
 
     /// Dense side of the forward pass, given pooled embeddings computed
-    /// by any backend.
+    /// by any backend. The bottom MLP reads `batch.dense` in place and
+    /// the top MLP's first layer takes the interaction vector part by
+    /// part (dense features, then each table's pooled rows), so neither
+    /// a copy of the dense features nor the concatenation is built.
     ///
     /// # Errors
     ///
     /// Fails on shape mismatches between the batch, the pooled
-    /// embeddings and the model.
+    /// embeddings and the model; a pooled matrix that is not
+    /// `batch x embedding_dim` is named by its table index.
     pub fn forward_with_pooled(&self, batch: &QueryBatch, pooled: &[Matrix]) -> Result<Vec<f32>> {
         if pooled.len() != self.tables.len() {
             return Err(ModelError::TableCountMismatch {
@@ -238,14 +242,25 @@ impl Dlrm {
             });
         }
         let b = batch.batch_size();
-        let dense = Matrix::from_vec(b, self.config.num_dense, batch.dense.clone())?;
-        let dense_feat = self.bottom.forward(&dense)?;
-        let mut parts: Vec<&Matrix> = Vec::with_capacity(1 + pooled.len());
-        parts.push(&dense_feat);
-        parts.extend(pooled.iter());
-        let interaction = Matrix::hconcat(&parts)?;
-        let out = self.top.forward(&interaction)?;
-        Ok(out.into_vec())
+        let d = self.config.embedding_dim;
+        if let Some((table, m)) = pooled
+            .iter()
+            .enumerate()
+            .find(|(_, m)| (m.rows(), m.cols()) != (b, d))
+        {
+            return Err(ModelError::PooledShapeMismatch {
+                table,
+                got: (m.rows(), m.cols()),
+                expected: (b, d),
+            });
+        }
+        let dense_feat = self
+            .bottom
+            .forward_parts(b, &[(&batch.dense, self.config.num_dense)])?;
+        let mut parts = Vec::with_capacity(1 + pooled.len());
+        parts.push((dense_feat.as_slice(), d));
+        parts.extend(pooled.iter().map(|m| (m.as_slice(), d)));
+        Ok(self.top.forward_parts(b, &parts)?.into_vec())
     }
 }
 
@@ -315,6 +330,46 @@ mod tests {
         let pooled = m.pool_embeddings(&b).unwrap();
         let via_pooled = m.forward_with_pooled(&b, &pooled).unwrap();
         assert_eq!(via_pooled, m.forward(&b).unwrap());
+    }
+
+    #[test]
+    fn forward_with_pooled_matches_the_concatenated_formulation() {
+        // Part-by-part accumulation into the first top layer is
+        // ascending `k` across the concatenation it no longer builds.
+        let m = tiny_model();
+        let b = tiny_batch(&m, 11, 13);
+        let pooled = m.pool_embeddings(&b).unwrap();
+        let dense = Matrix::from_vec(11, m.config().num_dense, b.dense.clone()).unwrap();
+        let dense_feat = m.bottom_mlp().forward(&dense).unwrap();
+        let mut parts = vec![&dense_feat];
+        parts.extend(pooled.iter());
+        let concatenated = m
+            .top_mlp()
+            .forward(&Matrix::hconcat(&parts).unwrap())
+            .unwrap();
+        let via_parts = m.forward_with_pooled(&b, &pooled).unwrap();
+        for (x, y) in via_parts.iter().zip(concatenated.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn pooled_of_the_wrong_shape_is_rejected_by_table_index() {
+        let m = tiny_model();
+        let b = tiny_batch(&m, 4, 2);
+        // Widths 4 and 12 still sum to the two tables' 16 columns.
+        let swapped = [Matrix::zeros(4, 4), Matrix::zeros(4, 12)];
+        assert_eq!(
+            m.forward_with_pooled(&b, &swapped),
+            Err(ModelError::PooledShapeMismatch {
+                table: 0,
+                got: (4, 4),
+                expected: (4, 8),
+            })
+        );
+        let short = [Matrix::zeros(4, 8), Matrix::zeros(3, 8)];
+        let err = m.forward_with_pooled(&b, &short).unwrap_err();
+        assert!(err.to_string().contains("table 1"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Runtime-dispatched SIMD primitives for the embedding/MLP hot loops.
 //!
-//! Every serving-path inner loop — the matmul axpy, the kernel's
-//! row accumulation, `gather_combine`'s little-endian partial-sum adds
-//! and the dequant-on-gather fuse — funnels through the handful of
-//! primitives in this module. Each primitive picks an implementation
-//! once per process from the CPU's capabilities:
+//! Every serving-path inner loop — the MLPs' matrix products, the
+//! kernel's row accumulation, `gather_combine`'s little-endian
+//! partial-sum adds and the dequant-on-gather fuse — funnels through
+//! the handful of primitives in this module. Each primitive picks an
+//! implementation once per process from the CPU's capabilities:
 //!
 //! * **x86_64** — AVX-512 when `is_x86_feature_detected!("avx512f")`
 //!   says so, else AVX2 when `is_x86_feature_detected!("avx2")` says
@@ -14,16 +14,18 @@
 //! * anything else, or `UPDLRM_FORCE_SCALAR=1` in the environment — the
 //!   scalar reference loops.
 //!
-//! **Bit-exactness contract.** All primitives are elementwise: lane `i`
-//! of the output depends only on lane `i` of the inputs, and every
-//! implementation performs the *same* sequence of IEEE-754 single
-//! operations per lane (multiply, then add — never a fused
-//! multiply-add, which skips the intermediate rounding). Vectorizing
-//! therefore changes nothing about the results: scalar and SIMD are
-//! bit-identical on every input, which the differential tests in this
-//! module and in every caller pin down. That is also why the dispatch
-//! tier is *not* recorded in any modeled output — only wall-clock
-//! speed changes with the tier.
+//! **Bit-exactness contract.** Every implementation of a primitive
+//! performs the *same* sequence of IEEE-754 single operations on each
+//! output element (multiply, then add — never a fused multiply-add,
+//! which skips the intermediate rounding). The elementwise primitives
+//! get that for free: lane `i` of the output depends only on lane `i`
+//! of the inputs. [`gemm`] sums over `k`, and keeps it by adding every
+//! element's products in ascending `k` whatever the blocking.
+//! Vectorizing therefore changes nothing about the results: scalar and
+//! SIMD are bit-identical on every input, which the differential tests
+//! in this module and in every caller pin down. That is also why the
+//! dispatch tier is *not* recorded in any modeled output — only
+//! wall-clock speed changes with the tier.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -68,6 +70,7 @@ fn detect() -> SimdTier {
     detect_capability()
 }
 
+/// Inverse of the `SimdTier as u8 + 1` that [`TIER`] stores.
 fn decode(v: u8) -> SimdTier {
     match v {
         2 => SimdTier::Sse2,
@@ -88,7 +91,7 @@ pub fn tier() -> SimdTier {
             TIER.store(t as u8 + 1, Ordering::Relaxed);
             t
         }
-        v => decode(v - 1),
+        v => decode(v),
     }
 }
 
@@ -178,13 +181,6 @@ mod scalar {
     }
 
     #[inline]
-    pub fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
-        for (o, &v) in out.iter_mut().zip(x.iter()) {
-            *o += a * v;
-        }
-    }
-
-    #[inline]
     pub fn add_assign_le(out: &mut [f32], bytes: &[u8]) {
         for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
             *o += f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -203,6 +199,39 @@ mod scalar {
     pub fn add_assign_dequant_u8(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
         for (o, &b) in out.iter_mut().zip(q.iter()) {
             *o += min + scale * b as f32;
+        }
+    }
+
+    /// The ascending-`k` loop nest that defines [`super::gemm`]: the
+    /// scalar tier, the NEON tier's body, and what every blocked tile
+    /// must reproduce bit for bit.
+    pub fn gemm(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32], n: usize) {
+        let k = b.len() / n;
+        for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+            let a_row = &a[r * a_stride..][..k];
+            for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
+    /// Columns `j0..n` of [`gemm`], one dot product per output element:
+    /// where the vector tiers finish a width that is not a whole number
+    /// of vectors, and all of the 16→1 CTR head.
+    #[cfg(target_arch = "x86_64")]
+    pub fn gemm_cols(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32], n: usize, j0: usize) {
+        let k = b.len() / n;
+        for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+            let a_row = &a[r * a_stride..][..k];
+            for (j, o) in out_row.iter_mut().enumerate().skip(j0) {
+                let mut acc = *o;
+                for (kk, &av) in a_row.iter().enumerate() {
+                    acc += av * b[kk * n + j];
+                }
+                *o = acc;
+            }
         }
     }
 }
@@ -247,42 +276,6 @@ mod x86 {
             i += 8;
         }
         add_assign_sse2(&mut out[i..n], &x[i..n]);
-    }
-
-    #[inline]
-    pub fn axpy_sse2(out: &mut [f32], a: f32, x: &[f32]) {
-        let n = out.len().min(x.len());
-        let mut i = 0;
-        unsafe {
-            let av = _mm_set1_ps(a);
-            while i + 4 <= n {
-                let o = _mm_loadu_ps(out.as_ptr().add(i));
-                let v = _mm_loadu_ps(x.as_ptr().add(i));
-                // Multiply then add — no FMA, so each lane rounds
-                // exactly like the scalar `o + a * v`.
-                let p = _mm_mul_ps(av, v);
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_add_ps(o, p));
-                i += 4;
-            }
-        }
-        super::scalar::axpy(&mut out[i..n], a, &x[i..n]);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_avx2(out: &mut [f32], a: f32, x: &[f32]) {
-        let n = out.len().min(x.len());
-        let mut i = 0;
-        let av = _mm256_set1_ps(a);
-        while i + 8 <= n {
-            let o = _mm256_loadu_ps(out.as_ptr().add(i));
-            let v = _mm256_loadu_ps(x.as_ptr().add(i));
-            let p = _mm256_mul_ps(av, v);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(o, p));
-            i += 8;
-        }
-        axpy_sse2(&mut out[i..n], a, &x[i..n]);
     }
 
     #[inline]
@@ -416,24 +409,6 @@ mod x86 {
             i += 16;
         }
         add_assign_avx2(&mut out[i..n], &x[i..n]);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX-512F (and AVX2) support at runtime.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn axpy_avx512(out: &mut [f32], a: f32, x: &[f32]) {
-        let n = out.len().min(x.len());
-        let mut i = 0;
-        let av = _mm512_set1_ps(a);
-        while i + 16 <= n {
-            let o = _mm512_loadu_ps(out.as_ptr().add(i));
-            let v = _mm512_loadu_ps(x.as_ptr().add(i));
-            // Multiply then add — no FMA, matching the scalar rounding.
-            let p = _mm512_mul_ps(av, v);
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_add_ps(o, p));
-            i += 16;
-        }
-        axpy_avx2(&mut out[i..n], a, &x[i..n]);
     }
 
     /// # Safety
@@ -605,6 +580,143 @@ mod x86 {
             }
         }
     }
+
+    /// One tier of the register-blocked GEMM behind [`super::gemm`]:
+    /// `$tile` keeps an `NR`-row x `NV`-vector block of `out` in
+    /// registers across the whole `k` loop, each `b` vector loaded once
+    /// per `k` and shared by the `NR` rows; `$block` sweeps the rows of
+    /// one column block four at a time, then singly; `$gemm` sweeps
+    /// columns `j0..n` in blocks of `$nv` vectors, widest first, and
+    /// hands what is narrower than one vector to `$tail`.
+    macro_rules! gemm_tier {
+        (
+            $feat:literal, $lanes:literal,
+            $zero:ident, $loadu:ident, $storeu:ident, $splat:ident, $mul:ident, $add:ident,
+            $tile:ident, $block:ident, $gemm:ident, blocks [$($nv:literal),+], tail $tail:path
+        ) => {
+            /// # Safety
+            /// Caller must have verified the tier's features at runtime.
+            /// For every `r < NR`, `kk < k` and `c < NV * lanes`,
+            /// `out.add(r * n + c)` must be valid for reads and writes
+            /// and `a.add(r * a_stride + kk)`, `b.add(kk * n + c)` for
+            /// reads.
+            #[target_feature(enable = $feat)]
+            unsafe fn $tile<const NR: usize, const NV: usize>(
+                out: *mut f32,
+                a: *const f32,
+                a_stride: usize,
+                b: *const f32,
+                k: usize,
+                n: usize,
+            ) {
+                let mut acc = [[$zero(); NV]; NR];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    for (c, v) in row.iter_mut().enumerate() {
+                        *v = $loadu(out.add(r * n + c * $lanes));
+                    }
+                }
+                for kk in 0..k {
+                    let mut bv = [$zero(); NV];
+                    for (c, v) in bv.iter_mut().enumerate() {
+                        *v = $loadu(b.add(kk * n + c * $lanes));
+                    }
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        let av = $splat(*a.add(r * a_stride + kk));
+                        for (v, &bc) in row.iter_mut().zip(bv.iter()) {
+                            // Multiply then add — no FMA, so each lane
+                            // rounds exactly like the scalar `o + a * b`.
+                            *v = $add(*v, $mul(av, bc));
+                        }
+                    }
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    for (c, &v) in row.iter().enumerate() {
+                        $storeu(out.add(r * n + c * $lanes), v);
+                    }
+                }
+            }
+
+            /// # Safety
+            /// As the tile's, for every `r < rows`.
+            #[target_feature(enable = $feat)]
+            unsafe fn $block<const NV: usize>(
+                out: *mut f32,
+                a: *const f32,
+                a_stride: usize,
+                b: *const f32,
+                rows: usize,
+                k: usize,
+                n: usize,
+            ) {
+                let mut r = 0;
+                while r + 4 <= rows {
+                    $tile::<4, NV>(out.add(r * n), a.add(r * a_stride), a_stride, b, k, n);
+                    r += 4;
+                }
+                while r < rows {
+                    $tile::<1, NV>(out.add(r * n), a.add(r * a_stride), a_stride, b, k, n);
+                    r += 1;
+                }
+            }
+
+            /// # Safety
+            /// Caller must have verified the tier's features at runtime
+            /// and the shape conditions [`super::gemm`] asserts
+            /// (`n > 0`, `out` and `b` whole rows of `n`, `a` holding
+            /// `b.len() / n` values at every row's `a_stride` offset).
+            #[target_feature(enable = $feat)]
+            pub unsafe fn $gemm(
+                out: &mut [f32],
+                a: &[f32],
+                a_stride: usize,
+                b: &[f32],
+                n: usize,
+                j0: usize,
+            ) {
+                let (rows, k) = (out.len() / n, b.len() / n);
+                let mut j = j0;
+                $(
+                    while j + $nv * $lanes <= n {
+                        $block::<$nv>(
+                            out.as_mut_ptr().add(j),
+                            a.as_ptr(),
+                            a_stride,
+                            b.as_ptr().add(j),
+                            rows,
+                            k,
+                            n,
+                        );
+                        j += $nv * $lanes;
+                    }
+                )+
+                if j < n {
+                    $tail(out, a, a_stride, b, n, j);
+                }
+            }
+        };
+    }
+
+    // Register budget: a 4 x NV tile holds 4·NV accumulators, NV `b`
+    // vectors, one broadcast and one product. 32 zmm registers take
+    // NV = 4 (22 live); the 16 ymm/xmm registers of the narrower tiers
+    // take NV = 2 (12 live) and would spill at 4.
+    gemm_tier!(
+        "sse2", 4,
+        _mm_setzero_ps, _mm_loadu_ps, _mm_storeu_ps, _mm_set1_ps, _mm_mul_ps, _mm_add_ps,
+        gemm_tile_sse2, gemm_block_sse2, gemm_sse2, blocks [2, 1], tail super::scalar::gemm_cols
+    );
+    gemm_tier!(
+        "avx2", 8,
+        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_mul_ps,
+        _mm256_add_ps,
+        gemm_tile_avx2, gemm_block_avx2, gemm_avx2, blocks [2, 1], tail gemm_sse2
+    );
+    gemm_tier!(
+        "avx512f,avx2", 16,
+        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_mul_ps,
+        _mm512_add_ps,
+        gemm_tile_avx512, gemm_block_avx512, gemm_avx512, blocks [4, 2, 1], tail gemm_avx2
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -629,25 +741,6 @@ mod neon {
             }
         }
         super::scalar::add_assign(&mut out[i..n], &x[i..n]);
-    }
-
-    #[inline]
-    pub fn axpy_neon(out: &mut [f32], a: f32, x: &[f32]) {
-        let n = out.len().min(x.len());
-        let mut i = 0;
-        unsafe {
-            let av = vdupq_n_f32(a);
-            while i + 4 <= n {
-                let o = vld1q_f32(out.as_ptr().add(i));
-                let v = vld1q_f32(x.as_ptr().add(i));
-                // vmulq + vaddq, not vfmaq: keep the intermediate
-                // rounding so lanes match the scalar loop bit-for-bit.
-                let p = vmulq_f32(av, v);
-                vst1q_f32(out.as_mut_ptr().add(i), vaddq_f32(o, p));
-                i += 4;
-            }
-        }
-        super::scalar::axpy(&mut out[i..n], a, &x[i..n]);
     }
 
     #[inline]
@@ -773,16 +866,43 @@ mod neon {
 /// than the wider vectors save. SSE2 and AVX2 are elementwise
 /// bit-identical (same per-lane op sequence), so the routing is
 /// invisible in results — only wall-clock speed changes.
+///
+/// Both cutoffs come from this table: ns per call in a hot loop, each
+/// tier forced with the cutoffs at 0, median of three runs on the
+/// AVX-512 box the benchmark runs on (`sum_rows_le` over 8 rows).
+///
+/// | lanes | primitive | xmm | ymm | zmm |
+/// |---|---|---|---|---|
+/// | 8 | `add_assign` / `_le` / `_into_le` | 4.4 / 4.3 / 4.7 | 6.0 / 5.8 / 6.5 | 5.2 / 6.5 / 7.4 |
+/// | 8 | `add_assign_dequant_u8` / `sum_rows_le` | 6.5 / 11.1 | 5.8 / 36.6 | 6.8 / 36.4 |
+/// | 16 | `add_assign` / `_le` / `_into_le` | 5.0 / 5.2 / 5.3 | 5.8 / 5.9 / 6.6 | 5.7 / 6.3 / 7.7 |
+/// | 16 | `add_assign_dequant_u8` / `sum_rows_le` | 11.7 / 14.2 | 7.2 / 11.4 | 7.6 / 11.8 |
+/// | 32 | `add_assign` / `_le` / `_into_le` | 6.8 / 7.0 / 7.4 | 6.1 / 6.7 / 8.1 | 6.8 / 7.2 / 7.4 |
+/// | 32 | `add_assign_dequant_u8` / `sum_rows_le` | 18.5 / 22.3 | 8.2 / 18.5 | 8.6 / 15.3 |
+/// | 64 | `add_assign` / `_le` / `_into_le` | 11.1 / 11.6 / 12.0 | 8.2 / 8.9 / 10.4 | 7.8 / 8.7 / 9.5 |
+/// | 64 | `add_assign_dequant_u8` / `sum_rows_le` | 33.8 / 38.8 | 10.7 / 29.4 | 10.9 / 28.3 |
+/// | 288 | `add_assign` / `_le` / `_into_le` | 25.8 / 29.2 / 30.6 | 20.6 / 20.6 / 26.2 | 19.9 / 15.6 / 24.0 |
+/// | 288 | `add_assign_dequant_u8` / `sum_rows_le` | 140 / 156 | 30.4 / 129 | 20.6 / 91.3 |
+///
+/// ymm first wins at 16 lanes (dequant by 4.5 ns, the fused row sum by
+/// 2.8 ns; the three adds give back at most 1.3 ns there and are level
+/// from 32), so this cutoff stays at 16.
 #[cfg(target_arch = "x86_64")]
 const AVX2_MIN_ELEMS: usize = 16;
 
-/// Same idea one tier up: below one full zmm vector the AVX-512 tier
-/// routes to AVX2 (which itself may route to SSE2 below
-/// [`AVX2_MIN_ELEMS`]). Embedding-row sweeps (32 lanes) measured zmm
-/// and ymm within noise of each other with zmm marginally ahead, so
-/// the cutover sits at the smallest width a zmm op can fill.
+/// Same idea one tier up: below this the AVX-512 tier routes to AVX2
+/// (which itself may route to SSE2 below [`AVX2_MIN_ELEMS`]). In the
+/// table above, at 16 lanes — one zmm vector against two ymm — zmm is
+/// never ahead (level to 1.1 ns behind on all five); at 32 lanes, one
+/// embedding row, the fused row sum is 3.2 ns ahead and the rest are
+/// within 0.7 ns either way; from 64 zmm is ahead or level everywhere.
+/// Through the benchmark, 32-lane rows on zmm against the same build
+/// cutting over at 64: `route_heavy` ahead in 6 of 6 alternating pairs
+/// (≈ +3%), `pool_heavy` in 3 of 4, `pool_int8` behind in 4 of 4 by
+/// under 1%. So the cutover is two zmm vectors. ([`gemm`] has no
+/// cutoff: its tiers hand narrow column blocks down themselves.)
 #[cfg(target_arch = "x86_64")]
-const AVX512_MIN_ELEMS: usize = 16;
+const AVX512_MIN_ELEMS: usize = 32;
 
 /// `out[i] += x[i]` over `min(out.len(), x.len())` elements.
 #[inline]
@@ -801,25 +921,6 @@ pub fn add_assign(out: &mut [f32], x: &[f32]) {
         #[cfg(target_arch = "aarch64")]
         SimdTier::Neon => neon::add_assign_neon(out, x),
         _ => scalar::add_assign(out, x),
-    }
-}
-
-/// `out[i] += a * x[i]` (multiply then add, no FMA) over
-/// `min(out.len(), x.len())` elements.
-#[inline]
-pub fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 if out.len() >= AVX512_MIN_ELEMS => unsafe { x86::axpy_avx512(out, a, x) },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 if out.len() >= AVX2_MIN_ELEMS => unsafe {
-            x86::axpy_avx2(out, a, x)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 | SimdTier::Sse2 => x86::axpy_sse2(out, a, x),
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => neon::axpy_neon(out, a, x),
-        _ => scalar::axpy(out, a, x),
     }
 }
 
@@ -891,6 +992,64 @@ pub fn add_assign_dequant_u8(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
         #[cfg(target_arch = "aarch64")]
         SimdTier::Neon => neon::add_assign_dequant_u8_neon(out, q, scale, min),
         _ => scalar::add_assign_dequant_u8(out, q, scale, min),
+    }
+}
+
+/// Accumulating row-major matrix product over slices:
+/// `out[r, j] += Σ_kk a[r, kk] · b[kk, j]`, where `out` is `rows x n`,
+/// `b` is `k x n` (so `rows = out.len() / n`, `k = b.len() / n`) and row
+/// `r` of `a` is the `k` values at `a[r * a_stride..]` — a stride wider
+/// than `k` multiplies a column range of a wider matrix in place.
+///
+/// Every output element starts from the value `out` holds and adds its
+/// products in ascending `kk`, each a multiply **then** an add (never a
+/// fused multiply-add), on every tier. The vector tiers block the loop
+/// nest (accumulators stay in registers across the whole `k` loop) but
+/// do not reorder any element's sum, so all tiers are bit-identical to
+/// the scalar loop nest — and a product split along `k` into several
+/// calls that accumulate into one `out`, first part first, is
+/// bit-identical to the one-call product.
+///
+/// Products with `a[r, kk] == 0.0` are added like any other (the
+/// axpy-per-`k` matmul this replaced skipped them). For finite `b` that
+/// is unobservable when `out` starts at `+0.0`: such a product is `±0`,
+/// a sum that starts at `+0.0` can never become `-0.0`, and adding `±0`
+/// to anything but `-0.0` returns it unchanged. A non-finite `b` is
+/// where the two differ (`0 · inf` is NaN), so weights must be finite.
+///
+/// # Panics
+///
+/// Panics if `out` or `b` is not a whole number of `n`-wide rows, if
+/// `a_stride < k`, or if `a` ends before the last row's `k` values.
+pub fn gemm(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32], n: usize) {
+    if n == 0 {
+        assert!(out.is_empty() && b.is_empty(), "gemm: rows of width 0");
+        return;
+    }
+    let (rows, k) = (out.len() / n, b.len() / n);
+    assert!(
+        out.len() == rows * n && b.len() == k * n,
+        "gemm: ragged rows"
+    );
+    assert!(a_stride >= k, "gemm: a_stride {a_stride} < k {k}");
+    assert!(
+        rows == 0 || a.len() >= (rows - 1) * a_stride + k,
+        "gemm: a holds {} values, {rows} rows of {k} at stride {a_stride} need more",
+        a.len()
+    );
+    // SAFETY (the three x86 arms): `tier()` only names a tier the CPU
+    // was detected to support, and the asserts above are the shape
+    // conditions the kernels require.
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { x86::gemm_avx512(out, a, a_stride, b, n, 0) },
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { x86::gemm_avx2(out, a, a_stride, b, n, 0) },
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Sse2 => unsafe { x86::gemm_sse2(out, a, a_stride, b, n, 0) },
+        // NEON runs the loop nest (which LLVM vectorizes) until a tile
+        // can be built and tested on an aarch64 toolchain.
+        _ => scalar::gemm(out, a, a_stride, b, n),
     }
 }
 
@@ -997,6 +1156,7 @@ mod tests {
         let reference = f();
         for t in capability_tiers() {
             force_tier(Some(t));
+            assert_eq!(tier(), t, "a forced tier is the tier that runs");
             let got = f();
             assert_eq!(got.len(), reference.len());
             for (i, (g, r)) in got.iter().zip(reference.iter()).enumerate() {
@@ -1022,17 +1182,185 @@ mod tests {
         }
     }
 
-    #[test]
-    fn axpy_matches_scalar_all_tiers() {
-        for len in [0, 1, 3, 4, 6, 8, 11, 16, 31, 64, 97] {
-            for a in [0.0f32, 1.0, -2.5, 3.141592e-3, 1.7e5] {
-                differential(|| {
-                    let mut out = gen(len, 3);
-                    axpy(&mut out, a, &gen(len, 4));
-                    out
-                });
+    /// The same products added in ascending `k`, multiply then add, one
+    /// output element at a time — written out here so the blocked tiles
+    /// are checked against something that shares no code with them.
+    /// `skip_zeros` is the axpy-per-`k` matmul's `a == 0.0` shortcut.
+    fn gemm_ijk(
+        out: &mut [f32],
+        a: &[f32],
+        a_stride: usize,
+        b: &[f32],
+        n: usize,
+        skip_zeros: bool,
+    ) {
+        let (rows, k) = (
+            out.len().checked_div(n).unwrap_or(0),
+            b.len().checked_div(n).unwrap_or(0),
+        );
+        for r in 0..rows {
+            for j in 0..n {
+                let mut acc = out[r * n + j];
+                for kk in 0..k {
+                    let av = a[r * a_stride + kk];
+                    if skip_zeros && av == 0.0 {
+                        continue;
+                    }
+                    acc += av * b[kk * n + j];
+                }
+                out[r * n + j] = acc;
             }
         }
+    }
+
+    /// [`gen`] with `-0.0` and subnormals mixed in: the left-hand values
+    /// the dropped zero skip and the flush-free contract care about.
+    fn gen_lhs(len: usize, seed: u32) -> Vec<f32> {
+        let mut v = gen(len, seed);
+        for (i, x) in v.iter_mut().enumerate() {
+            match i % 11 {
+                5 => *x = -0.0,
+                8 => *x = f32::from_bits((seed.wrapping_mul(i as u32 + 1) & 0x807f_ffff) | 1),
+                _ => {}
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn gemm_matches_scalar_all_tiers() {
+        // The five layers of the paper-shape model at batch 16, a row
+        // count that leaves a remainder tile, and widths that end in
+        // every narrower block and in the dot-product tail.
+        for (rows, k, n) in [
+            (16, 13, 64),
+            (16, 64, 32),
+            (16, 288, 64),
+            (16, 64, 16),
+            (16, 16, 1),
+            (5, 7, 130),
+            (3, 9, 31),
+            (9, 4, 7),
+        ] {
+            differential(|| {
+                let mut out = gen(rows * n, 3);
+                gemm(&mut out, &gen_lhs(rows * k, 4), k, &gen(k * n, 14), n);
+                out
+            });
+        }
+    }
+
+    #[test]
+    fn gemm_accepts_empty_shapes() {
+        let mut none: [f32; 0] = [];
+        gemm(&mut none, &[], 0, &[], 0);
+        gemm(&mut none, &[], 3, &[1.0; 6], 2);
+        let mut out = [1.5f32, -2.0];
+        gemm(&mut out, &[], 0, &[], 2);
+        assert_eq!(out, [1.5, -2.0]);
+    }
+
+    #[test]
+    fn gemm_zero_skip_is_unobservable_from_a_zeroed_output() {
+        // The matmul this replaced skipped `a == 0.0`; from `+0.0` and
+        // with finite `b` the skipped and the unskipped sums agree in
+        // every bit, signed zeros included.
+        let (rows, k, n) = (6, 23, 37);
+        let a = gen_lhs(rows * k, 21);
+        assert!(a.iter().any(|v| v.to_bits() == 0) && a.iter().any(|v| v.to_bits() == 1 << 31));
+        let b = gen(k * n, 22);
+        let mut skipped = vec![0.0f32; rows * n];
+        gemm_ijk(&mut skipped, &a, k, &b, n, true);
+        differential(|| {
+            let mut out = vec![0.0f32; rows * n];
+            gemm(&mut out, &a, k, &b, n);
+            for (o, s) in out.iter().zip(&skipped) {
+                assert_eq!(o.to_bits(), s.to_bits(), "{o} vs skipped {s}");
+            }
+            out
+        });
+    }
+
+    #[test]
+    fn gemm_adds_zero_times_infinity_which_is_why_weights_must_be_finite() {
+        // The precondition of the test above, made explicit: a zero
+        // left-hand value against a non-finite weight is a NaN product,
+        // which the old zero skip never formed.
+        let mut skipped = [0.0f32];
+        gemm_ijk(&mut skipped, &[0.0], 1, &[f32::INFINITY], 1, true);
+        assert_eq!(skipped[0].to_bits(), 0);
+        differential(|| {
+            let mut out = vec![0.0f32; 16];
+            gemm(&mut out, &[0.0], 1, &[f32::INFINITY; 16], 16);
+            assert!(out.iter().all(|v| v.is_nan()));
+            // NaN payloads are not part of the contract.
+            vec![]
+        });
+    }
+
+    proptest::proptest! {
+        /// Blocked GEMM against the i-j-k oracle: every row remainder,
+        /// column block and tail, a strided left-hand side, and the
+        /// product split along `k` into parts that accumulate into a
+        /// non-zero `out` — `to_bits` equality on every tier.
+        #[test]
+        fn gemm_matches_naive_oracle_on_every_tier(
+            rows in 0usize..=9,
+            k in 0usize..=40,
+            n_idx in 0usize..12,
+            pad in 0usize..=5,
+            parts in 1usize..=3,
+            seed in proptest::any::<u32>(),
+        ) {
+            let n = [0, 1, 3, 15, 16, 17, 31, 32, 48, 64, 65, 130][n_idx];
+            let stride = k + pad;
+            let a = gen_lhs(rows * stride, seed);
+            let b = gen(k * n, seed ^ 0x55);
+            let start = gen(rows * n, seed ^ 0xaa);
+            // Part `p` is columns `cuts[p]..cuts[p + 1]` of `a` against
+            // the same rows of `b`.
+            let cuts: Vec<usize> = (0..=parts).map(|p| k * p / parts).collect();
+            let mut want = start.clone();
+            gemm_ijk(&mut want, &a, stride, &b, n, false);
+            let _guard = test_tier_lock();
+            for t in capability_tiers() {
+                force_tier(Some(t));
+                let mut got = start.clone();
+                for w in cuts.windows(2) {
+                    // The last row's part must end inside `a`.
+                    let a_part = if rows == 0 { &a[..] } else { &a[w[0]..(rows - 1) * stride + w[1]] };
+                    gemm(&mut got, a_part, stride, &b[w[0] * n..w[1] * n], n);
+                }
+                force_tier(None);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    proptest::prop_assert_eq!(
+                        g.to_bits(), w.to_bits(),
+                        "tier {} {}x{}x{} stride {} parts {} element {}: {} != {}",
+                        t.as_str(), rows, k, n, stride, parts, i, g, w
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tier_is_stable_across_calls() {
+        let _guard = test_tier_lock();
+        // From the undetected state: the call that detects and the
+        // calls that read the cache back must agree.
+        TIER.store(0, Ordering::Relaxed);
+        assert_eq!([tier(), tier(), tier()], [detect(); 3]);
+    }
+
+    #[test]
+    fn forced_tier_is_the_tier_that_runs() {
+        let _guard = test_tier_lock();
+        for t in capability_tiers() {
+            force_tier(Some(t));
+            assert_eq!([tier(), tier()], [t; 2]);
+            assert_eq!(tier_name(), t.as_str());
+        }
+        force_tier(None);
     }
 
     #[test]

@@ -134,10 +134,8 @@ impl Matrix {
     /// capacity suffices) — the allocation-free form of
     /// [`Matrix::matmul`], bit-identical to it.
     ///
-    /// The i-k-j loop order streams whole rows of `other` against one
-    /// output row slice (cache friendly, dispatched to the runtime
-    /// SIMD axpy) and skips zero left-hand entries; each output element
-    /// still accumulates its products in ascending-`k` order with a
+    /// This is [`simd::gemm`] over a zeroed `out`: each output element
+    /// accumulates its products in ascending-`k` order with a
     /// multiply-then-add per product (no FMA), so the result matches
     /// the naive i-j-k ordering bit for bit on every dispatch tier.
     ///
@@ -152,21 +150,14 @@ impl Matrix {
                 rhs: (other.rows, other.cols),
             });
         }
-        out.rows = self.rows;
-        out.cols = other.cols;
-        out.data.clear();
-        out.data.resize(self.rows * other.cols, 0.0);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                simd::axpy(out_row, a, b_row);
-            }
-        }
+        out.reset_zeroed(self.rows, other.cols);
+        simd::gemm(
+            &mut out.data,
+            &self.data,
+            self.cols,
+            &other.data,
+            other.cols,
+        );
         Ok(())
     }
 
