@@ -52,7 +52,6 @@ pub mod backend;
 pub mod cpu;
 pub mod fae;
 pub mod gpu;
-pub mod hetero;
 pub mod hybrid;
 pub mod memory;
 pub mod updlrm;
@@ -61,7 +60,6 @@ pub use backend::{InferenceBackend, LatencyReport};
 pub use cpu::DlrmCpu;
 pub use fae::Fae;
 pub use gpu::GpuModel;
-pub use hetero::DpuGpuHetero;
 pub use hybrid::DlrmHybrid;
 pub use memory::CpuMemoryModel;
 pub use updlrm::UpdlrmBackend;

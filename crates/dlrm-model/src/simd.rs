@@ -3,59 +3,59 @@
 //! Every serving-path inner loop — the MLPs' matrix products, the
 //! kernel's row accumulation, `gather_combine`'s little-endian
 //! partial-sum adds and the dequant-on-gather fuse — funnels through
-//! the handful of primitives in this module. Each primitive picks an
-//! implementation once per process from the CPU's capabilities:
+//! the six primitives in this module.
 //!
-//! * **x86_64** — AVX-512 when `is_x86_feature_detected!("avx512f")`
-//!   says so, else AVX2 when `is_x86_feature_detected!("avx2")` says
-//!   so, otherwise SSE2 (part of the x86_64 baseline, always
-//!   available);
-//! * **aarch64** — NEON (part of the aarch64 baseline);
-//! * anything else, or `UPDLRM_FORCE_SCALAR=1` in the environment — the
-//!   scalar reference loops.
+//! **One source per primitive.** Each primitive is written once, in
+//! `mod body`, as a plain safe loop over fixed-width blocks that the
+//! compiler vectorizes, and every tier is that same source compiled for
+//! that tier (`multiversion!`):
 //!
-//! **Bit-exactness contract.** Every implementation of a primitive
-//! performs the *same* sequence of IEEE-754 single operations on each
-//! output element (multiply, then add — never a fused multiply-add,
-//! which skips the intermediate rounding). The elementwise primitives
-//! get that for free: lane `i` of the output depends only on lane `i`
-//! of the inputs. [`gemm`] sums over `k`, and keeps it by adding every
-//! element's products in ascending `k` whatever the blocking.
-//! Vectorizing therefore changes nothing about the results: scalar and
-//! SIMD are bit-identical on every input, which the differential tests
-//! in this module and in every caller pin down. That is also why the
-//! dispatch tier is *not* recorded in any modeled output — only
-//! wall-clock speed changes with the tier.
+//! * `scalar` — the body at the build's baseline instruction set: SSE2
+//!   on x86_64, NEON on aarch64, whatever the target has elsewhere.
+//!   Inlined into the caller; the only tier off x86_64, and what
+//!   `UPDLRM_FORCE_SCALAR=1` in the environment pins;
+//! * `avx2` — the body again under `#[target_feature(enable = "avx2")]`,
+//!   taken when `is_x86_feature_detected!("avx2")` says so;
+//! * `avx512` — and under `avx512f,avx2`, when both are detected.
+//!
+//! **Bit-exactness contract.** Every tier performs the *same* sequence
+//! of IEEE-754 single operations on each output element (multiply, then
+//! add — never a fused multiply-add, which skips the intermediate
+//! rounding). With one source that holds by construction: rustc fuses
+//! a multiply and an add only where the source asks for the fused
+//! operation by name, which this crate never does, and vectorizing a
+//! loop does not reorder any one element's operations. The elementwise primitives depend on lane `i` of their
+//! inputs only; [`gemm`] sums over `k` and adds every element's
+//! products in ascending `k` whatever the blocking. So the tiers are
+//! bit-identical on every input — the tests in this module check the
+//! one source against per-element oracles that share no code with it,
+//! and every caller's differential tests pin the tiers to each other.
+//! That is also why the dispatch tier is *not* recorded in any modeled
+//! output — only wall-clock speed changes with the tier.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// The instruction-set tier a primitive dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The instruction-set tier a primitive dispatches to, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
-    /// Scalar reference loops (fallback, or forced via
-    /// `UPDLRM_FORCE_SCALAR=1`).
+    /// The baseline copy: compiled for the target's default features
+    /// (fallback, or forced via `UPDLRM_FORCE_SCALAR=1`).
     Scalar,
-    /// 128-bit SSE2 (x86_64 baseline).
-    Sse2,
-    /// 256-bit AVX2.
+    /// The copy compiled for 256-bit AVX2.
     Avx2,
-    /// 512-bit AVX-512 (F subset only — no masked tails, the AVX2
-    /// implementations handle remainders).
+    /// The copy compiled for 512-bit AVX-512 (F subset, plus AVX2 for
+    /// the blocks narrower than one zmm vector).
     Avx512,
-    /// 128-bit NEON (aarch64 baseline).
-    Neon,
 }
 
 impl SimdTier {
     /// Stable lower-case name, recorded in bench rows
-    /// (`"avx512" | "avx2" | "sse2" | "neon" | "scalar"`).
+    /// (`"avx512" | "avx2" | "scalar"`).
     pub fn as_str(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Avx2 => "avx2",
             SimdTier::Avx512 => "avx512",
-            SimdTier::Neon => "neon",
         }
     }
 }
@@ -73,10 +73,8 @@ fn detect() -> SimdTier {
 /// Inverse of the `SimdTier as u8 + 1` that [`TIER`] stores.
 fn decode(v: u8) -> SimdTier {
     match v {
-        2 => SimdTier::Sse2,
-        3 => SimdTier::Avx2,
-        4 => SimdTier::Avx512,
-        5 => SimdTier::Neon,
+        2 => SimdTier::Avx2,
+        3 => SimdTier::Avx512,
         _ => SimdTier::Scalar,
     }
 }
@@ -107,14 +105,8 @@ pub fn tier_name() -> &'static str {
 /// detected tier is always correct.
 pub fn force_tier(t: Option<SimdTier>) {
     let t = match t {
-        Some(want) => {
-            let have = detect_capability();
-            if tier_supported(want, have) {
-                want
-            } else {
-                SimdTier::Scalar
-            }
-        }
+        Some(want) if want <= detect_capability() => want,
+        Some(_) => SimdTier::Scalar,
         None => detect(),
     };
     TIER.store(t as u8 + 1, Ordering::Relaxed);
@@ -123,38 +115,17 @@ pub fn force_tier(t: Option<SimdTier>) {
 /// Detection ignoring the `UPDLRM_FORCE_SCALAR` override: what the CPU
 /// can actually execute.
 fn detect_capability() -> SimdTier {
+    // The 512-bit copy is compiled with AVX2 as well, so it needs both
+    // features (every real AVX-512F part has AVX2).
     #[cfg(target_arch = "x86_64")]
-    {
-        // The 512-bit tier tails into the AVX2 implementations, so it
-        // needs both features (every real AVX-512F part has AVX2).
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return if std::arch::is_x86_feature_detected!("avx512f") {
             SimdTier::Avx512
-        } else if std::arch::is_x86_feature_detected!("avx2") {
-            SimdTier::Avx2
         } else {
-            SimdTier::Sse2
-        }
+            SimdTier::Avx2
+        };
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        SimdTier::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        SimdTier::Scalar
-    }
-}
-
-fn tier_supported(want: SimdTier, have: SimdTier) -> bool {
-    match want {
-        SimdTier::Scalar => true,
-        SimdTier::Sse2 => matches!(have, SimdTier::Sse2 | SimdTier::Avx2 | SimdTier::Avx512),
-        SimdTier::Avx2 => matches!(have, SimdTier::Avx2 | SimdTier::Avx512),
-        SimdTier::Avx512 => have == SimdTier::Avx512,
-        SimdTier::Neon => have == SimdTier::Neon,
-    }
+    SimdTier::Scalar
 }
 
 /// The dispatch tier is process-global, so tests anywhere in this
@@ -168,26 +139,29 @@ pub(crate) fn test_tier_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar reference implementations. These define the semantics; every
-// SIMD variant must match them bit-for-bit.
+// The one implementation of each primitive. Everything here is
+// `#[inline(always)]` so that it is compiled with the features of the
+// copy it is inlined into; nothing here names an instruction set.
 // ---------------------------------------------------------------------------
 
-mod scalar {
-    #[inline]
+mod body {
+    use super::RowOffset;
+
+    #[inline(always)]
     pub fn add_assign(out: &mut [f32], x: &[f32]) {
         for (o, &v) in out.iter_mut().zip(x.iter()) {
             *o += v;
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn add_assign_le(out: &mut [f32], bytes: &[u8]) {
         for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
             *o += f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn add_assign_into_le(dst: &mut [u8], add: &[f32]) {
         for (d, &v) in dst.chunks_exact_mut(4).zip(add.iter()) {
             let cur = f32::from_le_bytes([d[0], d[1], d[2], d[3]]);
@@ -195,661 +169,190 @@ mod scalar {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn add_assign_dequant_u8(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
         for (o, &b) in out.iter_mut().zip(q.iter()) {
             *o += min + scale * b as f32;
         }
     }
 
-    /// The ascending-`k` loop nest that defines [`super::gemm`]: the
-    /// scalar tier, the NEON tier's body, and what every blocked tile
-    /// must reproduce bit for bit.
-    pub fn gemm(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32], n: usize) {
-        let k = b.len() / n;
-        for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
-            let a_row = &a[r * a_stride..][..k];
-            for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
+    /// Elements `i..i + W` of [`sum_rows_le`]: loaded once into an array
+    /// the compiler keeps in vector registers, given every row's `W`
+    /// values in `offs` order, stored once.
+    #[inline(always)]
+    fn sum_rows_block<const W: usize>(
+        out: &mut [f32],
+        data: &[u8],
+        offs: &[impl RowOffset],
+        i: usize,
+    ) {
+        let out = &mut out[i..i + W];
+        let mut acc = [0.0f32; W];
+        acc.copy_from_slice(out);
+        for o in offs {
+            let row = &data[o.to_usize() + 4 * i..][..4 * W];
+            for (a, c) in acc.iter_mut().zip(row.chunks_exact(4)) {
+                *a += f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
             }
         }
+        out.copy_from_slice(&acc);
     }
 
-    /// Columns `j0..n` of [`gemm`], one dot product per output element:
-    /// where the vector tiers finish a width that is not a whole number
-    /// of vectors, and all of the 16→1 CTR head.
-    #[cfg(target_arch = "x86_64")]
-    pub fn gemm_cols(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32], n: usize, j0: usize) {
-        let k = b.len() / n;
-        for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
-            let a_row = &a[r * a_stride..][..k];
-            for (j, o) in out_row.iter_mut().enumerate().skip(j0) {
-                let mut acc = *o;
-                for (kk, &av) in a_row.iter().enumerate() {
-                    acc += av * b[kk * n + j];
-                }
-                *o = acc;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// x86_64: SSE2 (baseline, safe to call unconditionally) and AVX2
-// (runtime-gated). Loads/stores are unaligned variants throughout; the
-// byte-slice entry points reinterpret little-endian f32 bytes, which on
-// this (little-endian) architecture is exactly `from_le_bytes`.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::RowOffset;
-    use std::arch::x86_64::*;
-
-    #[inline]
-    pub fn add_assign_sse2(out: &mut [f32], x: &[f32]) {
-        let n = out.len().min(x.len());
-        let mut i = 0;
-        unsafe {
-            while i + 4 <= n {
-                let o = _mm_loadu_ps(out.as_ptr().add(i));
-                let v = _mm_loadu_ps(x.as_ptr().add(i));
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_add_ps(o, v));
-                i += 4;
-            }
-        }
-        super::scalar::add_assign(&mut out[i..n], &x[i..n]);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign_avx2(out: &mut [f32], x: &[f32]) {
-        let n = out.len().min(x.len());
-        let mut i = 0;
-        while i + 8 <= n {
-            let o = _mm256_loadu_ps(out.as_ptr().add(i));
-            let v = _mm256_loadu_ps(x.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(o, v));
-            i += 8;
-        }
-        add_assign_sse2(&mut out[i..n], &x[i..n]);
-    }
-
-    #[inline]
-    pub fn add_assign_le_sse2(out: &mut [f32], bytes: &[u8]) {
-        let n = out.len().min(bytes.len() / 4);
-        let mut i = 0;
-        unsafe {
-            while i + 4 <= n {
-                let o = _mm_loadu_ps(out.as_ptr().add(i));
-                let v = _mm_loadu_ps(bytes.as_ptr().add(i * 4).cast::<f32>());
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_add_ps(o, v));
-                i += 4;
-            }
-        }
-        super::scalar::add_assign_le(&mut out[i..n], &bytes[i * 4..n * 4]);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign_le_avx2(out: &mut [f32], bytes: &[u8]) {
-        let n = out.len().min(bytes.len() / 4);
-        let mut i = 0;
-        while i + 8 <= n {
-            let o = _mm256_loadu_ps(out.as_ptr().add(i));
-            let v = _mm256_loadu_ps(bytes.as_ptr().add(i * 4).cast::<f32>());
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(o, v));
-            i += 8;
-        }
-        add_assign_le_sse2(&mut out[i..n], &bytes[i * 4..n * 4]);
-    }
-
-    #[inline]
-    pub fn add_assign_into_le_sse2(dst: &mut [u8], add: &[f32]) {
-        let n = add.len().min(dst.len() / 4);
-        let mut i = 0;
-        unsafe {
-            while i + 4 <= n {
-                let cur = _mm_loadu_ps(dst.as_ptr().add(i * 4).cast::<f32>());
-                let v = _mm_loadu_ps(add.as_ptr().add(i));
-                _mm_storeu_ps(
-                    dst.as_mut_ptr().add(i * 4).cast::<f32>(),
-                    _mm_add_ps(cur, v),
-                );
-                i += 4;
-            }
-        }
-        super::scalar::add_assign_into_le(&mut dst[i * 4..n * 4], &add[i..n]);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign_into_le_avx2(dst: &mut [u8], add: &[f32]) {
-        let n = add.len().min(dst.len() / 4);
-        let mut i = 0;
-        while i + 8 <= n {
-            let cur = _mm256_loadu_ps(dst.as_ptr().add(i * 4).cast::<f32>());
-            let v = _mm256_loadu_ps(add.as_ptr().add(i));
-            _mm256_storeu_ps(
-                dst.as_mut_ptr().add(i * 4).cast::<f32>(),
-                _mm256_add_ps(cur, v),
-            );
-            i += 8;
-        }
-        add_assign_into_le_sse2(&mut dst[i * 4..n * 4], &add[i..n]);
-    }
-
-    #[inline]
-    pub fn add_assign_dequant_u8_sse2(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
-        let n = out.len().min(q.len());
-        let mut i = 0;
-        unsafe {
-            let sv = _mm_set1_ps(scale);
-            let mv = _mm_set1_ps(min);
-            let zero = _mm_setzero_si128();
-            while i + 4 <= n {
-                // Widen 4 u8 lanes to i32 (SSE2: zero-extend in two
-                // unpack steps), convert to f32, then min + scale * q
-                // in the exact scalar op order.
-                let raw =
-                    _mm_cvtsi32_si128(i32::from_le_bytes([q[i], q[i + 1], q[i + 2], q[i + 3]]));
-                let w16 = _mm_unpacklo_epi8(raw, zero);
-                let w32 = _mm_unpacklo_epi16(w16, zero);
-                let f = _mm_cvtepi32_ps(w32);
-                let t = _mm_add_ps(mv, _mm_mul_ps(sv, f));
-                let o = _mm_loadu_ps(out.as_ptr().add(i));
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_add_ps(o, t));
-                i += 4;
-            }
-        }
-        super::scalar::add_assign_dequant_u8(&mut out[i..n], &q[i..n], scale, min);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign_dequant_u8_avx2(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
-        let n = out.len().min(q.len());
-        let mut i = 0;
-        let sv = _mm256_set1_ps(scale);
-        let mv = _mm256_set1_ps(min);
-        while i + 8 <= n {
-            let raw = _mm_loadl_epi64(q.as_ptr().add(i).cast::<__m128i>());
-            let w32 = _mm256_cvtepu8_epi32(raw);
-            let f = _mm256_cvtepi32_ps(w32);
-            let t = _mm256_add_ps(mv, _mm256_mul_ps(sv, f));
-            let o = _mm256_loadu_ps(out.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(o, t));
-            i += 8;
-        }
-        add_assign_dequant_u8_sse2(&mut out[i..n], &q[i..n], scale, min);
-    }
-
-    // 512-bit variants (AVX-512F). `vaddps`/`vmulps` on zmm registers
-    // are the same per-lane IEEE single operations as their xmm/ymm
-    // forms, so these remain bit-identical to the scalar reference.
-    // Tails (< 16 lanes) fall through to the AVX2 implementations —
-    // the functions enable both features so those calls are direct.
-
-    /// # Safety
-    /// Caller must have verified AVX-512F (and AVX2) support at runtime.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn add_assign_avx512(out: &mut [f32], x: &[f32]) {
-        let n = out.len().min(x.len());
-        let mut i = 0;
-        while i + 16 <= n {
-            let o = _mm512_loadu_ps(out.as_ptr().add(i));
-            let v = _mm512_loadu_ps(x.as_ptr().add(i));
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_add_ps(o, v));
-            i += 16;
-        }
-        add_assign_avx2(&mut out[i..n], &x[i..n]);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX-512F (and AVX2) support at runtime.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn add_assign_le_avx512(out: &mut [f32], bytes: &[u8]) {
-        let n = out.len().min(bytes.len() / 4);
-        let mut i = 0;
-        while i + 16 <= n {
-            let o = _mm512_loadu_ps(out.as_ptr().add(i));
-            let v = _mm512_loadu_ps(bytes.as_ptr().add(i * 4).cast::<f32>());
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_add_ps(o, v));
-            i += 16;
-        }
-        add_assign_le_avx2(&mut out[i..n], &bytes[i * 4..n * 4]);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX-512F (and AVX2) support at runtime.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn add_assign_into_le_avx512(dst: &mut [u8], add: &[f32]) {
-        let n = add.len().min(dst.len() / 4);
-        let mut i = 0;
-        while i + 16 <= n {
-            let cur = _mm512_loadu_ps(dst.as_ptr().add(i * 4).cast::<f32>());
-            let v = _mm512_loadu_ps(add.as_ptr().add(i));
-            _mm512_storeu_ps(
-                dst.as_mut_ptr().add(i * 4).cast::<f32>(),
-                _mm512_add_ps(cur, v),
-            );
-            i += 16;
-        }
-        add_assign_into_le_avx2(&mut dst[i * 4..n * 4], &add[i..n]);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX-512F (and AVX2) support at runtime.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn add_assign_dequant_u8_avx512(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
-        let n = out.len().min(q.len());
-        let mut i = 0;
-        let sv = _mm512_set1_ps(scale);
-        let mv = _mm512_set1_ps(min);
-        while i + 16 <= n {
-            let raw = _mm_loadu_si128(q.as_ptr().add(i).cast::<__m128i>());
-            let w32 = _mm512_cvtepu8_epi32(raw);
-            let f = _mm512_cvtepi32_ps(w32);
-            let t = _mm512_add_ps(mv, _mm512_mul_ps(sv, f));
-            let o = _mm512_loadu_ps(out.as_ptr().add(i));
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), _mm512_add_ps(o, t));
-            i += 16;
-        }
-        add_assign_dequant_u8_avx2(&mut out[i..n], &q[i..n], scale, min);
-    }
-
-    pub fn sum_rows_le_sse2(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
+    #[inline(always)]
+    pub fn sum_rows_le(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
         let n = out.len();
         let mut i = 0;
-        while i + 16 <= n {
-            unsafe {
-                let mut a0 = _mm_loadu_ps(out.as_ptr().add(i));
-                let mut a1 = _mm_loadu_ps(out.as_ptr().add(i + 4));
-                let mut a2 = _mm_loadu_ps(out.as_ptr().add(i + 8));
-                let mut a3 = _mm_loadu_ps(out.as_ptr().add(i + 12));
-                for o in offs.iter().map(|o| o.to_usize()) {
-                    let p = data[o + i * 4..o + i * 4 + 64].as_ptr().cast::<f32>();
-                    a0 = _mm_add_ps(a0, _mm_loadu_ps(p));
-                    a1 = _mm_add_ps(a1, _mm_loadu_ps(p.add(4)));
-                    a2 = _mm_add_ps(a2, _mm_loadu_ps(p.add(8)));
-                    a3 = _mm_add_ps(a3, _mm_loadu_ps(p.add(12)));
-                }
-                _mm_storeu_ps(out.as_mut_ptr().add(i), a0);
-                _mm_storeu_ps(out.as_mut_ptr().add(i + 4), a1);
-                _mm_storeu_ps(out.as_mut_ptr().add(i + 8), a2);
-                _mm_storeu_ps(out.as_mut_ptr().add(i + 12), a3);
-            }
-            i += 16;
+        while i + 32 <= n {
+            sum_rows_block::<32>(out, data, offs, i);
+            i += 32;
         }
         // Embedding tiles are narrow (the paper's Eq. 3 caps N_c at 8),
         // so the short blocks matter most: they keep the whole
         // accumulator in registers across the entire row list.
+        if i + 16 <= n {
+            sum_rows_block::<16>(out, data, offs, i);
+            i += 16;
+        }
         if i + 8 <= n {
-            unsafe {
-                let mut a0 = _mm_loadu_ps(out.as_ptr().add(i));
-                let mut a1 = _mm_loadu_ps(out.as_ptr().add(i + 4));
-                for o in offs.iter().map(|o| o.to_usize()) {
-                    let p = data[o + i * 4..o + i * 4 + 32].as_ptr().cast::<f32>();
-                    a0 = _mm_add_ps(a0, _mm_loadu_ps(p));
-                    a1 = _mm_add_ps(a1, _mm_loadu_ps(p.add(4)));
-                }
-                _mm_storeu_ps(out.as_mut_ptr().add(i), a0);
-                _mm_storeu_ps(out.as_mut_ptr().add(i + 4), a1);
-            }
+            sum_rows_block::<8>(out, data, offs, i);
             i += 8;
         }
         if i + 4 <= n {
-            unsafe {
-                let mut a0 = _mm_loadu_ps(out.as_ptr().add(i));
-                for o in offs.iter().map(|o| o.to_usize()) {
-                    let p = data[o + i * 4..o + i * 4 + 16].as_ptr().cast::<f32>();
-                    a0 = _mm_add_ps(a0, _mm_loadu_ps(p));
-                }
-                _mm_storeu_ps(out.as_mut_ptr().add(i), a0);
-            }
+            sum_rows_block::<4>(out, data, offs, i);
             i += 4;
         }
         if i < n {
             for o in offs.iter().map(|o| o.to_usize()) {
-                add_assign_le_sse2(&mut out[i..], &data[o + i * 4..o + n * 4]);
+                add_assign_le(&mut out[i..], &data[o + 4 * i..o + 4 * n]);
             }
         }
     }
 
-    /// # Safety
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sum_rows_le_avx2(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            let mut a0 = _mm256_loadu_ps(out.as_ptr().add(i));
-            let mut a1 = _mm256_loadu_ps(out.as_ptr().add(i + 8));
-            for o in offs.iter().map(|o| o.to_usize()) {
-                let p = data[o + i * 4..o + i * 4 + 64].as_ptr().cast::<f32>();
-                a0 = _mm256_add_ps(a0, _mm256_loadu_ps(p));
-                a1 = _mm256_add_ps(a1, _mm256_loadu_ps(p.add(8)));
-            }
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), a0);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i + 8), a1);
-            i += 16;
+    /// One `NR`-row x `W`-column tile of [`gemm`], with `out`, `a` and
+    /// `b` starting at the tile's first row and column: the tile is an
+    /// array the compiler keeps in vector registers across the whole
+    /// `k` loop, each `b` row's `W` values loaded once per `k` and
+    /// shared by the `NR` rows.
+    #[inline(always)]
+    fn gemm_tile<const NR: usize, const W: usize>(
+        out: &mut [f32],
+        a: &[f32],
+        a_stride: usize,
+        b: &[f32],
+        n: usize,
+        k: usize,
+    ) {
+        // A plain loop, not `array::from_fn`: left out of line (it was,
+        // in one width) that call hides that every row is `k` long, and
+        // the `k` loop then checks each row's index separately.
+        let mut a_rows = [&a[..0]; NR];
+        for (r, a_row) in a_rows.iter_mut().enumerate() {
+            *a_row = &a[r * a_stride..][..k];
         }
-        if i < n {
-            for o in offs.iter().map(|o| o.to_usize()) {
-                add_assign_le_avx2(&mut out[i..], &data[o + i * 4..o + n * 4]);
+        let mut acc = [[0.0f32; W]; NR];
+        for (r, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&out[r * n..][..W]);
+        }
+        for kk in 0..k {
+            let bv = &b[kk * n..][..W];
+            for (row, a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = a_row[kk];
+                for (v, &bc) in row.iter_mut().zip(bv) {
+                    // Multiply then add, as two operations: each
+                    // element rounds exactly like the oracle's
+                    // `acc + a * b`.
+                    *v += av * bc;
+                }
             }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            out[r * n..][..W].copy_from_slice(row);
         }
     }
 
-    /// # Safety
-    /// Caller must have verified AVX-512F (and AVX2) support at runtime.
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    pub unsafe fn sum_rows_le_avx512(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 32 <= n {
-            let mut a0 = _mm512_loadu_ps(out.as_ptr().add(i));
-            let mut a1 = _mm512_loadu_ps(out.as_ptr().add(i + 16));
-            for o in offs.iter().map(|o| o.to_usize()) {
-                let p = data[o + i * 4..o + i * 4 + 128].as_ptr().cast::<f32>();
-                a0 = _mm512_add_ps(a0, _mm512_loadu_ps(p));
-                a1 = _mm512_add_ps(a1, _mm512_loadu_ps(p.add(16)));
+    /// Columns `j..` of [`gemm`] in whole `W`-wide blocks, each swept
+    /// four rows at a time, then singly; returns the first column left.
+    #[inline(always)]
+    fn gemm_blocks<const W: usize>(
+        out: &mut [f32],
+        a: &[f32],
+        a_stride: usize,
+        b: &[f32],
+        n: usize,
+        mut j: usize,
+    ) -> usize {
+        let (rows, k) = (out.len() / n, b.len() / n);
+        while j + W <= n {
+            let b_j = &b[j..];
+            let mut r = 0;
+            while r + 4 <= rows {
+                let (out_r, a_r) = (&mut out[r * n + j..], &a[r * a_stride..]);
+                gemm_tile::<4, W>(out_r, a_r, a_stride, b_j, n, k);
+                r += 4;
             }
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), a0);
-            _mm512_storeu_ps(out.as_mut_ptr().add(i + 16), a1);
-            i += 32;
-        }
-        while i + 16 <= n {
-            let mut a0 = _mm512_loadu_ps(out.as_ptr().add(i));
-            for o in offs.iter().map(|o| o.to_usize()) {
-                let p = data[o + i * 4..o + i * 4 + 64].as_ptr().cast::<f32>();
-                a0 = _mm512_add_ps(a0, _mm512_loadu_ps(p));
+            while r < rows {
+                let (out_r, a_r) = (&mut out[r * n + j..], &a[r * a_stride..]);
+                gemm_tile::<1, W>(out_r, a_r, a_stride, b_j, n, k);
+                r += 1;
             }
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), a0);
-            i += 16;
+            j += W;
         }
-        if i < n {
-            for o in offs.iter().map(|o| o.to_usize()) {
-                add_assign_le_avx2(&mut out[i..], &data[o + i * 4..o + n * 4]);
-            }
-        }
+        j
     }
 
-    /// One tier of the register-blocked GEMM behind [`super::gemm`]:
-    /// `$tile` keeps an `NR`-row x `NV`-vector block of `out` in
-    /// registers across the whole `k` loop, each `b` vector loaded once
-    /// per `k` and shared by the `NR` rows; `$block` sweeps the rows of
-    /// one column block four at a time, then singly; `$gemm` sweeps
-    /// columns `j0..n` in blocks of `$nv` vectors, widest first, and
-    /// hands what is narrower than one vector to `$tail`.
-    macro_rules! gemm_tier {
-        (
-            $feat:literal, $lanes:literal,
-            $zero:ident, $loadu:ident, $storeu:ident, $splat:ident, $mul:ident, $add:ident,
-            $tile:ident, $block:ident, $gemm:ident, blocks [$($nv:literal),+], tail $tail:path
-        ) => {
-            /// # Safety
-            /// Caller must have verified the tier's features at runtime.
-            /// For every `r < NR`, `kk < k` and `c < NV * lanes`,
-            /// `out.add(r * n + c)` must be valid for reads and writes
-            /// and `a.add(r * a_stride + kk)`, `b.add(kk * n + c)` for
-            /// reads.
-            #[target_feature(enable = $feat)]
-            unsafe fn $tile<const NR: usize, const NV: usize>(
-                out: *mut f32,
-                a: *const f32,
-                a_stride: usize,
-                b: *const f32,
-                k: usize,
-                n: usize,
-            ) {
-                let mut acc = [[$zero(); NV]; NR];
-                for (r, row) in acc.iter_mut().enumerate() {
-                    for (c, v) in row.iter_mut().enumerate() {
-                        *v = $loadu(out.add(r * n + c * $lanes));
-                    }
-                }
-                for kk in 0..k {
-                    let mut bv = [$zero(); NV];
-                    for (c, v) in bv.iter_mut().enumerate() {
-                        *v = $loadu(b.add(kk * n + c * $lanes));
-                    }
-                    for (r, row) in acc.iter_mut().enumerate() {
-                        let av = $splat(*a.add(r * a_stride + kk));
-                        for (v, &bc) in row.iter_mut().zip(bv.iter()) {
-                            // Multiply then add — no FMA, so each lane
-                            // rounds exactly like the scalar `o + a * b`.
-                            *v = $add(*v, $mul(av, bc));
-                        }
-                    }
-                }
-                for (r, row) in acc.iter().enumerate() {
-                    for (c, &v) in row.iter().enumerate() {
-                        $storeu(out.add(r * n + c * $lanes), v);
-                    }
-                }
-            }
-
-            /// # Safety
-            /// As the tile's, for every `r < rows`.
-            #[target_feature(enable = $feat)]
-            unsafe fn $block<const NV: usize>(
-                out: *mut f32,
-                a: *const f32,
-                a_stride: usize,
-                b: *const f32,
-                rows: usize,
-                k: usize,
-                n: usize,
-            ) {
-                let mut r = 0;
-                while r + 4 <= rows {
-                    $tile::<4, NV>(out.add(r * n), a.add(r * a_stride), a_stride, b, k, n);
-                    r += 4;
-                }
-                while r < rows {
-                    $tile::<1, NV>(out.add(r * n), a.add(r * a_stride), a_stride, b, k, n);
-                    r += 1;
-                }
-            }
-
-            /// # Safety
-            /// Caller must have verified the tier's features at runtime
-            /// and the shape conditions [`super::gemm`] asserts
-            /// (`n > 0`, `out` and `b` whole rows of `n`, `a` holding
-            /// `b.len() / n` values at every row's `a_stride` offset).
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $gemm(
-                out: &mut [f32],
-                a: &[f32],
-                a_stride: usize,
-                b: &[f32],
-                n: usize,
-                j0: usize,
-            ) {
-                let (rows, k) = (out.len() / n, b.len() / n);
-                let mut j = j0;
-                $(
-                    while j + $nv * $lanes <= n {
-                        $block::<$nv>(
-                            out.as_mut_ptr().add(j),
-                            a.as_ptr(),
-                            a_stride,
-                            b.as_ptr().add(j),
-                            rows,
-                            k,
-                            n,
-                        );
-                        j += $nv * $lanes;
-                    }
-                )+
-                if j < n {
-                    $tail(out, a, a_stride, b, n, j);
-                }
-            }
-        };
-    }
-
-    // Register budget: a 4 x NV tile holds 4·NV accumulators, NV `b`
-    // vectors, one broadcast and one product. 32 zmm registers take
-    // NV = 4 (22 live); the 16 ymm/xmm registers of the narrower tiers
-    // take NV = 2 (12 live) and would spill at 4.
-    gemm_tier!(
-        "sse2", 4,
-        _mm_setzero_ps, _mm_loadu_ps, _mm_storeu_ps, _mm_set1_ps, _mm_mul_ps, _mm_add_ps,
-        gemm_tile_sse2, gemm_block_sse2, gemm_sse2, blocks [2, 1], tail super::scalar::gemm_cols
-    );
-    gemm_tier!(
-        "avx2", 8,
-        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_mul_ps,
-        _mm256_add_ps,
-        gemm_tile_avx2, gemm_block_avx2, gemm_avx2, blocks [2, 1], tail gemm_sse2
-    );
-    gemm_tier!(
-        "avx512f,avx2", 16,
-        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_mul_ps,
-        _mm512_add_ps,
-        gemm_tile_avx512, gemm_block_avx512, gemm_avx512, blocks [4, 2, 1], tail gemm_avx2
-    );
-}
-
-// ---------------------------------------------------------------------------
-// aarch64 NEON (baseline feature, safe to call unconditionally).
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::RowOffset;
-    use std::arch::aarch64::*;
-
-    #[inline]
-    pub fn add_assign_neon(out: &mut [f32], x: &[f32]) {
-        let n = out.len().min(x.len());
-        let mut i = 0;
-        unsafe {
-            while i + 4 <= n {
-                let o = vld1q_f32(out.as_ptr().add(i));
-                let v = vld1q_f32(x.as_ptr().add(i));
-                vst1q_f32(out.as_mut_ptr().add(i), vaddq_f32(o, v));
-                i += 4;
-            }
+    /// [`super::gemm`] with column blocks up to `MAXW` wide: the widest
+    /// 4-row tile the copy's register file holds beside the `b` values,
+    /// one broadcast and one product — 4 x 8 floats in 8 of 16 xmm,
+    /// 4 x 16 in 8 of 16 ymm, 4 x 64 in 16 of 32 zmm.
+    #[inline(always)]
+    pub fn gemm<const MAXW: usize>(
+        out: &mut [f32],
+        a: &[f32],
+        a_stride: usize,
+        b: &[f32],
+        n: usize,
+    ) {
+        if n == 0 {
+            assert!(out.is_empty() && b.is_empty(), "gemm: rows of width 0");
+            return;
         }
-        super::scalar::add_assign(&mut out[i..n], &x[i..n]);
-    }
-
-    #[inline]
-    pub fn add_assign_le_neon(out: &mut [f32], bytes: &[u8]) {
-        let n = out.len().min(bytes.len() / 4);
-        let mut i = 0;
-        unsafe {
-            while i + 4 <= n {
-                let o = vld1q_f32(out.as_ptr().add(i));
-                let v = vld1q_f32(bytes.as_ptr().add(i * 4).cast::<f32>());
-                vst1q_f32(out.as_mut_ptr().add(i), vaddq_f32(o, v));
-                i += 4;
-            }
+        let (rows, k) = (out.len() / n, b.len() / n);
+        assert!(
+            out.len() == rows * n && b.len() == k * n,
+            "gemm: ragged rows"
+        );
+        assert!(a_stride >= k, "gemm: a_stride {a_stride} < k {k}");
+        assert!(
+            rows == 0 || a.len() >= (rows - 1) * a_stride + k,
+            "gemm: a holds {} values, {rows} rows of {k} at stride {a_stride} need more",
+            a.len()
+        );
+        if k == 0 {
+            return;
         }
-        super::scalar::add_assign_le(&mut out[i..n], &bytes[i * 4..n * 4]);
-    }
-
-    #[inline]
-    pub fn add_assign_into_le_neon(dst: &mut [u8], add: &[f32]) {
-        let n = add.len().min(dst.len() / 4);
-        let mut i = 0;
-        unsafe {
-            while i + 4 <= n {
-                let cur = vld1q_f32(dst.as_ptr().add(i * 4).cast::<f32>());
-                let v = vld1q_f32(add.as_ptr().add(i));
-                vst1q_f32(dst.as_mut_ptr().add(i * 4).cast::<f32>(), vaddq_f32(cur, v));
-                i += 4;
-            }
+        // Widest block first; a block wider than `MAXW` would spill.
+        let mut j = 0;
+        if MAXW >= 64 {
+            j = gemm_blocks::<64>(out, a, a_stride, b, n, j);
         }
-        super::scalar::add_assign_into_le(&mut dst[i * 4..n * 4], &add[i..n]);
-    }
-
-    #[inline]
-    pub fn add_assign_dequant_u8_neon(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
-        let n = out.len().min(q.len());
-        let mut i = 0;
-        unsafe {
-            let sv = vdupq_n_f32(scale);
-            let mv = vdupq_n_f32(min);
-            while i + 4 <= n {
-                let w = [
-                    q[i] as u32,
-                    q[i + 1] as u32,
-                    q[i + 2] as u32,
-                    q[i + 3] as u32,
-                ];
-                let f = vcvtq_f32_u32(vld1q_u32(w.as_ptr()));
-                let t = vaddq_f32(mv, vmulq_f32(sv, f));
-                let o = vld1q_f32(out.as_ptr().add(i));
-                vst1q_f32(out.as_mut_ptr().add(i), vaddq_f32(o, t));
-                i += 4;
-            }
+        if MAXW >= 32 {
+            j = gemm_blocks::<32>(out, a, a_stride, b, n, j);
         }
-        super::scalar::add_assign_dequant_u8(&mut out[i..n], &q[i..n], scale, min);
-    }
-
-    pub fn sum_rows_le_neon(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 16 <= n {
-            unsafe {
-                let mut a0 = vld1q_f32(out.as_ptr().add(i));
-                let mut a1 = vld1q_f32(out.as_ptr().add(i + 4));
-                let mut a2 = vld1q_f32(out.as_ptr().add(i + 8));
-                let mut a3 = vld1q_f32(out.as_ptr().add(i + 12));
-                for o in offs.iter().map(|o| o.to_usize()) {
-                    let p = data[o + i * 4..o + i * 4 + 64].as_ptr().cast::<f32>();
-                    a0 = vaddq_f32(a0, vld1q_f32(p));
-                    a1 = vaddq_f32(a1, vld1q_f32(p.add(4)));
-                    a2 = vaddq_f32(a2, vld1q_f32(p.add(8)));
-                    a3 = vaddq_f32(a3, vld1q_f32(p.add(12)));
+        if MAXW >= 16 {
+            j = gemm_blocks::<16>(out, a, a_stride, b, n, j);
+        }
+        j = gemm_blocks::<8>(out, a, a_stride, b, n, j);
+        j = gemm_blocks::<4>(out, a, a_stride, b, n, j);
+        // What is narrower than the narrowest block — and all of the
+        // 16→1 CTR head — is one dot product per output element.
+        for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+            let a_row = &a[r * a_stride..][..k];
+            for (j, o) in out_row.iter_mut().enumerate().skip(j) {
+                let mut acc = *o;
+                for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+                    acc += av * b_row[j];
                 }
-                vst1q_f32(out.as_mut_ptr().add(i), a0);
-                vst1q_f32(out.as_mut_ptr().add(i + 4), a1);
-                vst1q_f32(out.as_mut_ptr().add(i + 8), a2);
-                vst1q_f32(out.as_mut_ptr().add(i + 12), a3);
-            }
-            i += 16;
-        }
-        // Narrow-tile blocks (Eq. 3 caps N_c at 8): keep the whole
-        // accumulator in registers across the entire row list.
-        if i + 8 <= n {
-            unsafe {
-                let mut a0 = vld1q_f32(out.as_ptr().add(i));
-                let mut a1 = vld1q_f32(out.as_ptr().add(i + 4));
-                for o in offs.iter().map(|o| o.to_usize()) {
-                    let p = data[o + i * 4..o + i * 4 + 32].as_ptr().cast::<f32>();
-                    a0 = vaddq_f32(a0, vld1q_f32(p));
-                    a1 = vaddq_f32(a1, vld1q_f32(p.add(4)));
-                }
-                vst1q_f32(out.as_mut_ptr().add(i), a0);
-                vst1q_f32(out.as_mut_ptr().add(i + 4), a1);
-            }
-            i += 8;
-        }
-        if i + 4 <= n {
-            unsafe {
-                let mut a0 = vld1q_f32(out.as_ptr().add(i));
-                for o in offs.iter().map(|o| o.to_usize()) {
-                    let p = data[o + i * 4..o + i * 4 + 16].as_ptr().cast::<f32>();
-                    a0 = vaddq_f32(a0, vld1q_f32(p));
-                }
-                vst1q_f32(out.as_mut_ptr().add(i), a0);
-            }
-            i += 4;
-        }
-        if i < n {
-            for o in offs.iter().map(|o| o.to_usize()) {
-                add_assign_le_neon(&mut out[i..], &data[o + i * 4..o + n * 4]);
+                *o = acc;
             }
         }
     }
@@ -859,198 +362,143 @@ mod neon {
 // Dispatched entry points.
 // ---------------------------------------------------------------------------
 
-/// Below this element count the AVX2 tier routes to the inline SSE2
-/// implementation instead: a `#[target_feature]` function cannot be
-/// inlined into a caller compiled without that feature, and for
-/// embedding-sized vectors (`n_c ≤ 8`) the out-of-line call costs more
-/// than the wider vectors save. SSE2 and AVX2 are elementwise
-/// bit-identical (same per-lane op sequence), so the routing is
-/// invisible in results — only wall-clock speed changes.
+/// Below this element count the AVX2 tier runs the inlined baseline
+/// copy instead: a `#[target_feature]` function cannot be inlined into
+/// a caller compiled without that feature, and for embedding-sized
+/// vectors (`n_c ≤ 8`) the out-of-line call costs more than the wider
+/// vectors save. The copies are one source, so the routing is invisible
+/// in results — only wall-clock speed changes.
 ///
-/// Both cutoffs come from this table: ns per call in a hot loop, each
-/// tier forced with the cutoffs at 0, median of three runs on the
-/// AVX-512 box the benchmark runs on (`sum_rows_le` over 8 rows).
-///
-/// | lanes | primitive | xmm | ymm | zmm |
-/// |---|---|---|---|---|
-/// | 8 | `add_assign` / `_le` / `_into_le` | 4.4 / 4.3 / 4.7 | 6.0 / 5.8 / 6.5 | 5.2 / 6.5 / 7.4 |
-/// | 8 | `add_assign_dequant_u8` / `sum_rows_le` | 6.5 / 11.1 | 5.8 / 36.6 | 6.8 / 36.4 |
-/// | 16 | `add_assign` / `_le` / `_into_le` | 5.0 / 5.2 / 5.3 | 5.8 / 5.9 / 6.6 | 5.7 / 6.3 / 7.7 |
-/// | 16 | `add_assign_dequant_u8` / `sum_rows_le` | 11.7 / 14.2 | 7.2 / 11.4 | 7.6 / 11.8 |
-/// | 32 | `add_assign` / `_le` / `_into_le` | 6.8 / 7.0 / 7.4 | 6.1 / 6.7 / 8.1 | 6.8 / 7.2 / 7.4 |
-/// | 32 | `add_assign_dequant_u8` / `sum_rows_le` | 18.5 / 22.3 | 8.2 / 18.5 | 8.6 / 15.3 |
-/// | 64 | `add_assign` / `_le` / `_into_le` | 11.1 / 11.6 / 12.0 | 8.2 / 8.9 / 10.4 | 7.8 / 8.7 / 9.5 |
-/// | 64 | `add_assign_dequant_u8` / `sum_rows_le` | 33.8 / 38.8 | 10.7 / 29.4 | 10.9 / 28.3 |
-/// | 288 | `add_assign` / `_le` / `_into_le` | 25.8 / 29.2 / 30.6 | 20.6 / 20.6 / 26.2 | 19.9 / 15.6 / 24.0 |
-/// | 288 | `add_assign_dequant_u8` / `sum_rows_le` | 140 / 156 | 30.4 / 129 | 20.6 / 91.3 |
-///
-/// ymm first wins at 16 lanes (dequant by 4.5 ns, the fused row sum by
-/// 2.8 ns; the three adds give back at most 1.3 ns there and are level
-/// from 32), so this cutoff stays at 16.
+/// Both cutoffs are read off the width table in DESIGN.md §4.10 (ns
+/// per call in a hot loop, each tier forced with the cutoffs at 0,
+/// median of three, on the AVX-512 box the benchmark runs on). At 16
+/// lanes the ymm copy is behind the inlined xmm one on all four
+/// elementwise primitives (by 1.6–3.4 ns: the vectorizer's main loop
+/// takes 32 floats a turn and leaves 16 to its epilogue) and level on
+/// the fused row sum; at 32 it is ahead on all five (by 0.7–2.8 ns).
 #[cfg(target_arch = "x86_64")]
-const AVX2_MIN_ELEMS: usize = 16;
+const AVX2_MIN_ELEMS: usize = 32;
 
-/// Same idea one tier up: below this the AVX-512 tier routes to AVX2
-/// (which itself may route to SSE2 below [`AVX2_MIN_ELEMS`]). In the
-/// table above, at 16 lanes — one zmm vector against two ymm — zmm is
-/// never ahead (level to 1.1 ns behind on all five); at 32 lanes, one
-/// embedding row, the fused row sum is 3.2 ns ahead and the rest are
-/// within 0.7 ns either way; from 64 zmm is ahead or level everywhere.
-/// Through the benchmark, 32-lane rows on zmm against the same build
-/// cutting over at 64: `route_heavy` ahead in 6 of 6 alternating pairs
-/// (≈ +3%), `pool_heavy` in 3 of 4, `pool_int8` behind in 4 of 4 by
-/// under 1%. So the cutover is two zmm vectors. ([`gemm`] has no
-/// cutoff: its tiers hand narrow column blocks down themselves.)
+/// Same idea one tier up: below this the AVX-512 tier runs the AVX2
+/// copy (or the baseline copy below [`AVX2_MIN_ELEMS`]). In the same
+/// table, at 32 lanes — one embedding row — the zmm copy is 1.5–2.7 ns
+/// behind ymm on the elementwise primitives (its main loop takes 64
+/// floats a turn) and 1.4 ns ahead on the row sum; from 64 it is ahead
+/// or level on all five. ([`gemm`] has no cutoff: every copy hands
+/// narrow column blocks down itself.)
 #[cfg(target_arch = "x86_64")]
-const AVX512_MIN_ELEMS: usize = 32;
+const AVX512_MIN_ELEMS: usize = 64;
 
-/// `out[i] += x[i]` over `min(out.len(), x.len())` elements.
-#[inline]
-pub fn add_assign(out: &mut [f32], x: &[f32]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 if out.len() >= AVX512_MIN_ELEMS => unsafe {
-            x86::add_assign_avx512(out, x)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 if out.len() >= AVX2_MIN_ELEMS => unsafe {
-            x86::add_assign_avx2(out, x)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 | SimdTier::Sse2 => x86::add_assign_sse2(out, x),
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => neon::add_assign_neon(out, x),
-        _ => scalar::add_assign(out, x),
-    }
-}
-
-/// `out[i] += f32::from_le_bytes(bytes[4i..4i+4])` over
-/// `min(out.len(), bytes.len() / 4)` elements — the partial-sum decode
-/// used by `gather_combine` and the kernel's row accumulation.
-#[inline]
-pub fn add_assign_le(out: &mut [f32], bytes: &[u8]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 if out.len() >= AVX512_MIN_ELEMS => unsafe {
-            x86::add_assign_le_avx512(out, bytes)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 if out.len() >= AVX2_MIN_ELEMS => unsafe {
-            x86::add_assign_le_avx2(out, bytes)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 | SimdTier::Sse2 => x86::add_assign_le_sse2(out, bytes),
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => neon::add_assign_le_neon(out, bytes),
-        _ => scalar::add_assign_le(out, bytes),
-    }
-}
-
-/// Read-modify-write of little-endian f32 bytes:
-/// `dst[4i..4i+4] = le(f32::from_le(dst[4i..4i+4]) + add[i])` over
-/// `min(add.len(), dst.len() / 4)` elements — the dedup kernel's
-/// shared-WRAM accumulator update.
-#[inline]
-pub fn add_assign_into_le(dst: &mut [u8], add: &[f32]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 if add.len() >= AVX512_MIN_ELEMS => unsafe {
-            x86::add_assign_into_le_avx512(dst, add)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 if add.len() >= AVX2_MIN_ELEMS => unsafe {
-            x86::add_assign_into_le_avx2(dst, add)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 | SimdTier::Sse2 => {
-            x86::add_assign_into_le_sse2(dst, add)
+/// Gives one entry point its three copies of one body. `$body` is
+/// called in an inlined baseline copy and, on x86_64, in an `avx2` and
+/// an `avx512` copy compiled with those features; the one `match
+/// tier()` picks a wide copy when the tier has it and the call spans at
+/// least that tier's cutoff of `$elems` elements. Each copy defines
+/// `MAXW`, the widest [`gemm`] column block its register file holds,
+/// for `$body` to name.
+macro_rules! multiversion {
+    (
+        $(#[$attr:meta])*
+        pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) = $body:expr, elems $elems:expr;
+    ) => {
+        $(#[$attr])*
+        pub fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                fn avx2($($arg: $ty),*) {
+                    #[allow(dead_code)]
+                    const MAXW: usize = 16;
+                    $body($($arg),*)
+                }
+                #[target_feature(enable = "avx512f,avx2")]
+                fn avx512($($arg: $ty),*) {
+                    #[allow(dead_code)]
+                    const MAXW: usize = 64;
+                    $body($($arg),*)
+                }
+                let elems: usize = $elems;
+                // SAFETY: tier() only names a tier the CPU was detected to support
+                match tier() {
+                    SimdTier::Avx512 if elems >= AVX512_MIN_ELEMS => {
+                        return unsafe { avx512($($arg),*) };
+                    }
+                    SimdTier::Avx512 | SimdTier::Avx2 if elems >= AVX2_MIN_ELEMS => {
+                        return unsafe { avx2($($arg),*) };
+                    }
+                    _ => {}
+                }
+            }
+            #[allow(dead_code)]
+            const MAXW: usize = 8;
+            $body($($arg),*)
         }
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => neon::add_assign_into_le_neon(dst, add),
-        _ => scalar::add_assign_into_le(dst, add),
-    }
+    };
 }
 
-/// Fused dequantize-and-accumulate: `out[i] += min + scale * q[i]`
-/// (per lane: convert, multiply, add min, accumulate — same op order in
-/// every implementation) over `min(out.len(), q.len())` elements.
-#[inline]
-pub fn add_assign_dequant_u8(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 if out.len() >= AVX512_MIN_ELEMS => unsafe {
-            x86::add_assign_dequant_u8_avx512(out, q, scale, min)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 if out.len() >= AVX2_MIN_ELEMS => unsafe {
-            x86::add_assign_dequant_u8_avx2(out, q, scale, min)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 | SimdTier::Sse2 => {
-            x86::add_assign_dequant_u8_sse2(out, q, scale, min)
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => neon::add_assign_dequant_u8_neon(out, q, scale, min),
-        _ => scalar::add_assign_dequant_u8(out, q, scale, min),
-    }
+multiversion! {
+    /// `out[i] += x[i]` over `min(out.len(), x.len())` elements.
+    #[inline]
+    pub fn add_assign(out: &mut [f32], x: &[f32]) = body::add_assign, elems out.len();
 }
 
-/// Accumulating row-major matrix product over slices:
-/// `out[r, j] += Σ_kk a[r, kk] · b[kk, j]`, where `out` is `rows x n`,
-/// `b` is `k x n` (so `rows = out.len() / n`, `k = b.len() / n`) and row
-/// `r` of `a` is the `k` values at `a[r * a_stride..]` — a stride wider
-/// than `k` multiplies a column range of a wider matrix in place.
-///
-/// Every output element starts from the value `out` holds and adds its
-/// products in ascending `kk`, each a multiply **then** an add (never a
-/// fused multiply-add), on every tier. The vector tiers block the loop
-/// nest (accumulators stay in registers across the whole `k` loop) but
-/// do not reorder any element's sum, so all tiers are bit-identical to
-/// the scalar loop nest — and a product split along `k` into several
-/// calls that accumulate into one `out`, first part first, is
-/// bit-identical to the one-call product.
-///
-/// Products with `a[r, kk] == 0.0` are added like any other (the
-/// axpy-per-`k` matmul this replaced skipped them). For finite `b` that
-/// is unobservable when `out` starts at `+0.0`: such a product is `±0`,
-/// a sum that starts at `+0.0` can never become `-0.0`, and adding `±0`
-/// to anything but `-0.0` returns it unchanged. A non-finite `b` is
-/// where the two differ (`0 · inf` is NaN), so weights must be finite.
-///
-/// # Panics
-///
-/// Panics if `out` or `b` is not a whole number of `n`-wide rows, if
-/// `a_stride < k`, or if `a` ends before the last row's `k` values.
-pub fn gemm(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32], n: usize) {
-    if n == 0 {
-        assert!(out.is_empty() && b.is_empty(), "gemm: rows of width 0");
-        return;
-    }
-    let (rows, k) = (out.len() / n, b.len() / n);
-    assert!(
-        out.len() == rows * n && b.len() == k * n,
-        "gemm: ragged rows"
-    );
-    assert!(a_stride >= k, "gemm: a_stride {a_stride} < k {k}");
-    assert!(
-        rows == 0 || a.len() >= (rows - 1) * a_stride + k,
-        "gemm: a holds {} values, {rows} rows of {k} at stride {a_stride} need more",
-        a.len()
-    );
-    // SAFETY (the three x86 arms): `tier()` only names a tier the CPU
-    // was detected to support, and the asserts above are the shape
-    // conditions the kernels require.
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { x86::gemm_avx512(out, a, a_stride, b, n, 0) },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { x86::gemm_avx2(out, a, a_stride, b, n, 0) },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => unsafe { x86::gemm_sse2(out, a, a_stride, b, n, 0) },
-        // NEON runs the loop nest (which LLVM vectorizes) until a tile
-        // can be built and tested on an aarch64 toolchain.
-        _ => scalar::gemm(out, a, a_stride, b, n),
-    }
+multiversion! {
+    /// `out[i] += f32::from_le_bytes(bytes[4i..4i+4])` over
+    /// `min(out.len(), bytes.len() / 4)` elements — the partial-sum decode
+    /// used by `gather_combine` and the kernel's row accumulation.
+    #[inline]
+    pub fn add_assign_le(out: &mut [f32], bytes: &[u8]) = body::add_assign_le, elems out.len();
+}
+
+multiversion! {
+    /// Read-modify-write of little-endian f32 bytes:
+    /// `dst[4i..4i+4] = le(f32::from_le(dst[4i..4i+4]) + add[i])` over
+    /// `min(add.len(), dst.len() / 4)` elements — the dedup kernel's
+    /// shared-WRAM accumulator update.
+    #[inline]
+    pub fn add_assign_into_le(dst: &mut [u8], add: &[f32]) = body::add_assign_into_le, elems add.len();
+}
+
+multiversion! {
+    /// Fused dequantize-and-accumulate: `out[i] += min + scale * q[i]`
+    /// (per element: convert, multiply, add min, accumulate) over
+    /// `min(out.len(), q.len())` elements.
+    #[inline]
+    pub fn add_assign_dequant_u8(out: &mut [f32], q: &[u8], scale: f32, min: f32) =
+        body::add_assign_dequant_u8, elems out.len();
+}
+
+multiversion! {
+    /// Accumulating row-major matrix product over slices:
+    /// `out[r, j] += Σ_kk a[r, kk] · b[kk, j]`, where `out` is `rows x n`,
+    /// `b` is `k x n` (so `rows = out.len() / n`, `k = b.len() / n`) and row
+    /// `r` of `a` is the `k` values at `a[r * a_stride..]` — a stride wider
+    /// than `k` multiplies a column range of a wider matrix in place.
+    ///
+    /// Every output element starts from the value `out` holds and adds its
+    /// products in ascending `kk`, each a multiply **then** an add (never a
+    /// fused multiply-add), on every tier. The loop nest is blocked — a
+    /// 4-row tile of accumulators stays in registers across the whole `k`
+    /// loop, over column blocks from the tier's widest down to 4, then one
+    /// dot product per leftover column — but no element's sum is
+    /// reordered, so every tier is bit-identical to the plain loop nest,
+    /// and a product split along `k` into several calls that accumulate
+    /// into one `out`, first part first, is bit-identical to the one-call
+    /// product.
+    ///
+    /// Products with `a[r, kk] == 0.0` are added like any other (the
+    /// axpy-per-`k` matmul this replaced skipped them). For finite `b` that
+    /// is unobservable when `out` starts at `+0.0`: such a product is `±0`,
+    /// a sum that starts at `+0.0` can never become `-0.0`, and adding `±0`
+    /// to anything but `-0.0` returns it unchanged. A non-finite `b` is
+    /// where the two differ (`0 · inf` is NaN), so weights must be finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` or `b` is not a whole number of `n`-wide rows, if
+    /// `a_stride < k`, or if `a` ends before the last row's `k` values.
+    pub fn gemm(out: &mut [f32], a: &[f32], a_stride: usize, b: &[f32], n: usize) =
+        body::gemm::<MAXW>, elems usize::MAX;
 }
 
 /// A row's byte offset as [`sum_rows_le`] takes it: `usize`, or `u32`
@@ -1075,38 +523,19 @@ impl RowOffset for u32 {
     }
 }
 
-/// Fused multi-row gather-accumulate: for each `o` in `offs`, in order,
-/// `out[i] += le_f32(data[o + 4i..])` over all `out.len()` elements —
-/// equivalent to one [`add_assign_le`] call per row, but the
-/// accumulator stays in vector registers across the whole row list
-/// instead of round-tripping through memory per row. Every element's
-/// additions run in `offs` order in every tier, so results are
-/// bit-identical to the per-row calls.
-///
-/// Panics if any row `data[o..o + 4 * out.len()]` is out of bounds.
-#[inline]
-pub fn sum_rows_le(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 if out.len() >= AVX512_MIN_ELEMS => unsafe {
-            x86::sum_rows_le_avx512(out, data, offs)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 if out.len() >= AVX2_MIN_ELEMS => unsafe {
-            x86::sum_rows_le_avx2(out, data, offs)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 | SimdTier::Avx2 | SimdTier::Sse2 => {
-            x86::sum_rows_le_sse2(out, data, offs)
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => neon::sum_rows_le_neon(out, data, offs),
-        _ => {
-            for o in offs.iter().map(|o| o.to_usize()) {
-                scalar::add_assign_le(out, &data[o..o + 4 * out.len()]);
-            }
-        }
-    }
+multiversion! {
+    /// Fused multi-row gather-accumulate: for each `o` in `offs`, in order,
+    /// `out[i] += le_f32(data[o + 4i..])` over all `out.len()` elements —
+    /// equivalent to one [`add_assign_le`] call per row, but the
+    /// accumulator stays in vector registers across the whole row list
+    /// instead of round-tripping through memory per row. Every element's
+    /// additions run in `offs` order in every tier, so results are
+    /// bit-identical to the per-row calls.
+    ///
+    /// Panics if any row `data[o..o + 4 * out.len()]` is out of bounds.
+    #[inline]
+    pub fn sum_rows_le(out: &mut [f32], data: &[u8], offs: &[impl RowOffset]) =
+        body::sum_rows_le, elems out.len();
 }
 
 #[cfg(test)]
@@ -1132,49 +561,110 @@ mod tests {
     }
 
     fn capability_tiers() -> Vec<SimdTier> {
-        let mut tiers = vec![SimdTier::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            tiers.push(SimdTier::Sse2);
-            if std::arch::is_x86_feature_detected!("avx2") {
-                tiers.push(SimdTier::Avx2);
-            }
-            if detect_capability() == SimdTier::Avx512 {
-                tiers.push(SimdTier::Avx512);
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        tiers.push(SimdTier::Neon);
-        tiers
+        [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512]
+            .into_iter()
+            .filter(|&t| t <= detect_capability())
+            .collect()
     }
 
-    /// Runs `f` under every supported tier and asserts the outputs are
-    /// bit-identical to the scalar reference. Restores detection after.
-    fn differential(mut f: impl FnMut() -> Vec<f32>) {
+    /// Runs `f` under every supported tier and asserts each output is
+    /// bit-identical to `want`, which the caller computed with an oracle
+    /// from [`oracle`] or [`gemm_ijk`] — with one body per primitive,
+    /// comparing tiers with each other would compare a function with
+    /// itself compiled wider. Restores detection after.
+    fn differential(want: &[f32], mut f: impl FnMut() -> Vec<f32>) {
         let _guard = test_tier_lock();
-        force_tier(Some(SimdTier::Scalar));
-        let reference = f();
         for t in capability_tiers() {
             force_tier(Some(t));
             assert_eq!(tier(), t, "a forced tier is the tier that runs");
             let got = f();
-            assert_eq!(got.len(), reference.len());
-            for (i, (g, r)) in got.iter().zip(reference.iter()).enumerate() {
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
                 assert_eq!(
                     g.to_bits(),
-                    r.to_bits(),
-                    "tier {} lane {i}: {g} != {r}",
-                    t.as_str()
+                    w.to_bits(),
+                    "tier {} lane {i} of {}: {g} != {w}",
+                    t.as_str(),
+                    want.len()
                 );
             }
         }
         force_tier(None);
     }
 
+    /// What each primitive computes, one element at a time by index —
+    /// no blocks, no iterator adaptors, nothing shared with `mod body`.
+    #[allow(clippy::needless_range_loop, clippy::assign_op_pattern)]
+    mod oracle {
+        fn le(bytes: &[u8], i: usize) -> f32 {
+            f32::from_bits(u32::from_le_bytes([
+                bytes[4 * i],
+                bytes[4 * i + 1],
+                bytes[4 * i + 2],
+                bytes[4 * i + 3],
+            ]))
+        }
+
+        pub fn add_assign(out: &mut [f32], x: &[f32]) {
+            for i in 0..out.len().min(x.len()) {
+                out[i] = out[i] + x[i];
+            }
+        }
+
+        pub fn add_assign_le(out: &mut [f32], bytes: &[u8]) {
+            for i in 0..out.len().min(bytes.len() / 4) {
+                out[i] = out[i] + le(bytes, i);
+            }
+        }
+
+        pub fn add_assign_into_le(dst: &mut [u8], add: &[f32]) {
+            for i in 0..add.len().min(dst.len() / 4) {
+                let sum = le(dst, i) + add[i];
+                dst[4 * i..4 * i + 4].copy_from_slice(&sum.to_bits().to_le_bytes());
+            }
+        }
+
+        pub fn add_assign_dequant_u8(out: &mut [f32], q: &[u8], scale: f32, min: f32) {
+            for i in 0..out.len().min(q.len()) {
+                let product = scale * f32::from(q[i]);
+                let value = min + product;
+                out[i] = out[i] + value;
+            }
+        }
+
+        pub fn sum_rows_le(out: &mut [f32], data: &[u8], offs: &[usize]) {
+            for i in 0..out.len() {
+                for &o in offs {
+                    out[i] = out[i] + le(&data[o..], i);
+                }
+            }
+        }
+    }
+
+    fn le_bytes(vals: &[f32]) -> Vec<u8> {
+        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    fn le_floats(bytes: &[u8]) -> Vec<f32> {
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect()
+    }
+
+    /// Every length that starts, ends or straddles a 32 / 16 / 8 / 4
+    /// block or the tail, both cutoffs, and lengths that take the
+    /// 32-wide `while` around more than once.
+    fn lens() -> impl Iterator<Item = usize> {
+        (0..=70).chain([95, 96, 97, 100, 127, 128, 131, 288])
+    }
+
     #[test]
     fn add_assign_matches_scalar_all_tiers() {
-        for len in [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 63, 100] {
-            differential(|| {
+        for len in lens() {
+            let mut want = gen(len, 1);
+            oracle::add_assign(&mut want, &gen(len, 2));
+            differential(&want, || {
                 let mut out = gen(len, 1);
                 add_assign(&mut out, &gen(len, 2));
                 out
@@ -1242,9 +732,12 @@ mod tests {
             (3, 9, 31),
             (9, 4, 7),
         ] {
-            differential(|| {
+            let (a, b) = (gen_lhs(rows * k, 4), gen(k * n, 14));
+            let mut want = gen(rows * n, 3);
+            gemm_ijk(&mut want, &a, k, &b, n, false);
+            differential(&want, || {
                 let mut out = gen(rows * n, 3);
-                gemm(&mut out, &gen_lhs(rows * k, 4), k, &gen(k * n, 14), n);
+                gemm(&mut out, &a, k, &b, n);
                 out
             });
         }
@@ -1271,12 +764,9 @@ mod tests {
         let b = gen(k * n, 22);
         let mut skipped = vec![0.0f32; rows * n];
         gemm_ijk(&mut skipped, &a, k, &b, n, true);
-        differential(|| {
+        differential(&skipped, || {
             let mut out = vec![0.0f32; rows * n];
             gemm(&mut out, &a, k, &b, n);
-            for (o, s) in out.iter().zip(&skipped) {
-                assert_eq!(o.to_bits(), s.to_bits(), "{o} vs skipped {s}");
-            }
             out
         });
     }
@@ -1289,7 +779,7 @@ mod tests {
         let mut skipped = [0.0f32];
         gemm_ijk(&mut skipped, &[0.0], 1, &[f32::INFINITY], 1, true);
         assert_eq!(skipped[0].to_bits(), 0);
-        differential(|| {
+        differential(&[], || {
             let mut out = vec![0.0f32; 16];
             gemm(&mut out, &[0.0], 1, &[f32::INFINITY; 16], 16);
             assert!(out.iter().all(|v| v.is_nan()));
@@ -1365,10 +855,12 @@ mod tests {
 
     #[test]
     fn add_assign_le_matches_scalar_all_tiers() {
-        for len in [0, 1, 2, 4, 5, 8, 13, 16, 33, 80] {
-            differential(|| {
+        for len in lens() {
+            let bytes = le_bytes(&gen(len, 6));
+            let mut want = gen(len, 5);
+            oracle::add_assign_le(&mut want, &bytes);
+            differential(&want, || {
                 let mut out = gen(len, 5);
-                let bytes: Vec<u8> = gen(len, 6).iter().flat_map(|v| v.to_le_bytes()).collect();
                 add_assign_le(&mut out, &bytes);
                 out
             });
@@ -1377,29 +869,31 @@ mod tests {
 
     #[test]
     fn add_assign_into_le_matches_scalar_all_tiers() {
-        for len in [0, 1, 2, 4, 6, 8, 12, 16, 29, 72] {
-            differential(|| {
-                let mut dst: Vec<u8> = gen(len, 7).iter().flat_map(|v| v.to_le_bytes()).collect();
+        for len in lens() {
+            let mut want = le_bytes(&gen(len, 7));
+            oracle::add_assign_into_le(&mut want, &gen(len, 8));
+            differential(&le_floats(&want), || {
+                let mut dst = le_bytes(&gen(len, 7));
                 add_assign_into_le(&mut dst, &gen(len, 8));
-                dst.chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect()
+                le_floats(&dst)
             });
         }
     }
 
     #[test]
     fn dequant_accumulate_matches_scalar_all_tiers() {
-        for len in [0, 1, 3, 4, 7, 8, 9, 16, 21, 64] {
+        for len in lens() {
+            let q: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
             for (scale, min) in [
                 (0.0f32, 0.0f32),
                 (0.013, -1.7),
                 (2.0e-4, 0.55),
                 (1.5, -200.0),
             ] {
-                differential(|| {
+                let mut want = gen(len, 9);
+                oracle::add_assign_dequant_u8(&mut want, &q, scale, min);
+                differential(&want, || {
                     let mut out = gen(len, 9);
-                    let q: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
                     add_assign_dequant_u8(&mut out, &q, scale, min);
                     out
                 });
@@ -1409,22 +903,44 @@ mod tests {
 
     #[test]
     fn sum_rows_le_matches_scalar_all_tiers() {
-        for len in [0, 1, 2, 4, 5, 8, 13, 16, 17, 32, 33, 48, 80] {
-            for n_rows in [0usize, 1, 2, 3, 7, 20] {
-                differential(|| {
+        for len in lens() {
+            for n_rows in [0usize, 1, 2, 7, 20] {
+                let data = le_bytes(&gen(len * n_rows, 11));
+                // Rows visited in a scrambled order (3 is coprime to
+                // every row count here), the first one twice: offsets
+                // need be neither sorted nor distinct.
+                let mut offs: Vec<usize> = (0..n_rows)
+                    .map(|r| (r * 3 + 1) % n_rows * len * 4)
+                    .collect();
+                offs.extend(offs.first().copied());
+                let mut want = gen(len, 10);
+                oracle::sum_rows_le(&mut want, &data, &offs);
+                differential(&want, || {
                     let mut out = gen(len, 10);
-                    let data: Vec<u8> = gen(len * n_rows, 11)
-                        .iter()
-                        .flat_map(|v| v.to_le_bytes())
-                        .collect();
-                    // Rows visited back to front: offsets need not be
-                    // sorted or disjoint from each other's order.
-                    let offs: Vec<usize> = (0..n_rows).rev().map(|r| r * len * 4).collect();
                     sum_rows_le(&mut out, &data, &offs);
                     out
                 });
+                // The kernel's half-width offsets take the same path.
+                let offs32: Vec<u32> = offs.iter().map(|&o| o as u32).collect();
+                let mut out = gen(len, 10);
+                sum_rows_le(&mut out, &data, &offs32);
+                assert!(out
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits()));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn sum_rows_le_panics_when_a_rows_last_block_runs_past_data() {
+        // 44 = 32 + 8 + 4: the second row starts one float late, so only
+        // its last, 4-wide block ends past `data` — by four bytes.
+        let len = 44;
+        let data = le_bytes(&gen(2 * len, 15));
+        let mut out = gen(len, 16);
+        sum_rows_le(&mut out, &data, &[0, 4 * len + 4]);
     }
 
     #[test]
@@ -1451,15 +967,11 @@ mod tests {
     #[test]
     fn forcing_unsupported_tier_falls_back_to_scalar() {
         let _guard = test_tier_lock();
-        #[cfg(target_arch = "x86_64")]
-        {
-            force_tier(Some(SimdTier::Neon));
-            assert_eq!(tier(), SimdTier::Scalar);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            force_tier(Some(SimdTier::Avx2));
-            assert_eq!(tier(), SimdTier::Scalar);
+        let have = detect_capability();
+        for want in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+            force_tier(Some(want));
+            let expect = if want <= have { want } else { SimdTier::Scalar };
+            assert_eq!(tier(), expect, "forcing {want:?} on a {have:?} host");
         }
         force_tier(None);
     }
@@ -1467,10 +979,8 @@ mod tests {
     #[test]
     fn tier_names_are_stable() {
         assert_eq!(SimdTier::Scalar.as_str(), "scalar");
-        assert_eq!(SimdTier::Sse2.as_str(), "sse2");
         assert_eq!(SimdTier::Avx2.as_str(), "avx2");
         assert_eq!(SimdTier::Avx512.as_str(), "avx512");
-        assert_eq!(SimdTier::Neon.as_str(), "neon");
         assert!(!tier_name().is_empty());
     }
 }

@@ -88,6 +88,22 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
+/// Reads the `n` elements a count field announced. At most `1 << 16`
+/// are reserved up front and the vector grows as elements arrive, so a
+/// count that lies about the file meets `UnexpectedEof` before it
+/// meets the allocator (a failed allocation aborts the process).
+fn r_vec<R: Read, T>(
+    reader: &mut R,
+    n: u64,
+    mut elem: impl FnMut(&mut R) -> io::Result<T>,
+) -> io::Result<Vec<T>> {
+    let mut v = Vec::with_capacity(n.min(1 << 16) as usize);
+    for _ in 0..n {
+        v.push(elem(reader)?);
+    }
+    Ok(v)
+}
+
 fn w_arrivals<W: Write>(writer: &mut W, arrivals: &ArrivalTrace) -> io::Result<()> {
     match arrivals.process {
         ArrivalProcess::ClosedLoop => w_u32(writer, 0)?,
@@ -157,20 +173,19 @@ fn r_drift<R: Read>(reader: &mut R) -> io::Result<DriftSchedule> {
         }),
         _ => return Err(bad("unknown hot-set rotation tag")),
     };
-    let n_spikes = r_u32(reader)? as usize;
+    let n_spikes = r_u32(reader)?;
     if n_spikes > 1 << 16 {
         return Err(bad("spike count implausible"));
     }
-    let mut spikes = Vec::with_capacity(n_spikes);
-    for _ in 0..n_spikes {
-        spikes.push(FlashCrowd {
-            start_ns: r_u64(reader)?,
-            duration_ns: r_u64(reader)?,
-            target_set: r_u64(reader)? as usize,
-            extra_hot: r_f64(reader)?,
-            rate_boost: r_f64(reader)?,
-        });
-    }
+    let spikes = r_vec(reader, n_spikes.into(), |r| {
+        Ok(FlashCrowd {
+            start_ns: r_u64(r)?,
+            duration_ns: r_u64(r)?,
+            target_set: r_u64(r)? as usize,
+            extra_hot: r_f64(r)?,
+            rate_boost: r_f64(r)?,
+        })
+    })?;
     let diurnal = match r_u32(reader)? {
         0 => None,
         1 => Some(DiurnalCurve {
@@ -201,20 +216,19 @@ fn r_arrivals<R: Read>(reader: &mut R) -> io::Result<ArrivalTrace> {
         },
         _ => return Err(bad("unknown arrival process tag")),
     };
-    let n = r_u64(reader)? as usize;
+    let n = r_u64(reader)?;
     if n > 1 << 28 {
         return Err(bad("arrival count implausible"));
     }
-    let mut times_ns = Vec::with_capacity(n);
     let mut prev = 0u64;
-    for _ in 0..n {
-        let t = r_u64(reader)?;
+    let times_ns = r_vec(reader, n, |r| {
+        let t = r_u64(r)?;
         if t < prev {
             return Err(bad("arrival times must be non-decreasing"));
         }
         prev = t;
-        times_ns.push(t);
-    }
+        Ok(t)
+    })?;
     Ok(ArrivalTrace { process, times_ns })
 }
 
@@ -341,42 +355,30 @@ impl Workload {
         } else {
             None
         };
-        let n_batches = r_u64(reader)? as usize;
+        let n_batches = r_u64(reader)?;
         if n_batches > 1 << 24 {
             return Err(bad("batch count implausible"));
         }
-        let mut batches = Vec::with_capacity(n_batches);
-        for _ in 0..n_batches {
-            let dense_len = r_u64(reader)? as usize;
-            let mut dense = Vec::with_capacity(dense_len);
-            for _ in 0..dense_len {
+        let batches = r_vec(reader, n_batches, |r| {
+            let dense_len = r_u64(r)?;
+            let dense = r_vec(r, dense_len, |r| {
                 let mut b = [0u8; 4];
-                reader.read_exact(&mut b)?;
-                dense.push(f32::from_le_bytes(b));
+                r.read_exact(&mut b)?;
+                Ok(f32::from_le_bytes(b))
+            })?;
+            let n_sparse = r_u64(r)?;
+            if n_sparse != config.num_tables as u64 {
+                return Err(bad("a batch's sparse input count is not the table count"));
             }
-            let n_sparse = r_u64(reader)? as usize;
-            let mut sparse = Vec::with_capacity(n_sparse);
-            for _ in 0..n_sparse {
-                let n_off = r_u64(reader)? as usize;
-                let mut offsets = Vec::with_capacity(n_off);
-                for _ in 0..n_off {
-                    offsets.push(r_u64(reader)? as usize);
-                }
-                let n_idx = r_u64(reader)? as usize;
-                let mut indices = Vec::with_capacity(n_idx);
-                for _ in 0..n_idx {
-                    indices.push(r_u64(reader)?);
-                }
-                sparse.push(
-                    SparseInput::new(indices, offsets)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-                );
-            }
-            batches.push(
-                QueryBatch::new(dense, config.num_dense, sparse)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-            );
-        }
+            let sparse = r_vec(r, n_sparse, |r| {
+                let n_off = r_u64(r)?;
+                let offsets = r_vec(r, n_off, |r| Ok(r_u64(r)? as usize))?;
+                let n_idx = r_u64(r)?;
+                let indices = r_vec(r, n_idx, r_u64)?;
+                SparseInput::new(indices, offsets).map_err(|e| bad(&e.to_string()))
+            })?;
+            QueryBatch::new(dense, config.num_dense, sparse).map_err(|e| bad(&e.to_string()))
+        })?;
         let workload = Workload {
             spec,
             config,
@@ -592,6 +594,135 @@ mod tests {
         sample_workload().save(&mut buf).unwrap();
         buf.truncate(buf.len() / 2);
         assert!(Workload::load(&mut buf.as_slice()).is_err());
+    }
+
+    /// A file small enough to load every prefix of: 2 batches of 2.
+    fn tiny(drifting: bool) -> Vec<u8> {
+        let spec = DatasetSpec::movie().scaled_down(2000);
+        let config = TraceConfig {
+            num_tables: 2,
+            batch_size: 2,
+            num_batches: 2,
+            num_dense: 4,
+            seed: 9,
+        };
+        let process = ArrivalProcess::poisson(40_000.0, 17);
+        let w = if drifting {
+            Workload::generate_drifting(&spec, config, sample_drift(), process)
+        } else {
+            let mut w = Workload::generate(&spec, config);
+            w.stamp_arrivals(process);
+            w
+        };
+        let mut buf = Vec::new();
+        w.save(&mut buf).unwrap();
+        buf
+    }
+
+    /// `(position, width, value)` of every count field in a saved file,
+    /// found by walking the layout `save` writes.
+    fn count_fields(buf: &[u8]) -> Vec<(usize, usize, u64)> {
+        let u32_at = |p: usize| u32::from_le_bytes(buf[p..p + 4].try_into().unwrap());
+        let u64_at = |p: usize| u64::from_le_bytes(buf[p..p + 8].try_into().unwrap());
+        let mut fields = Vec::new();
+        let mut count = |p: usize, width: usize| {
+            let v = if width == 4 {
+                u32_at(p).into()
+            } else {
+                u64_at(p)
+            };
+            fields.push((p, width, v));
+            (p + width, v as usize)
+        };
+        let version = u32_at(4);
+        let mut p = 8;
+        for _ in 0..2 {
+            p += 4 + u32_at(p) as usize; // name, short
+        }
+        p += 4 + 6 * 8; // hotness, six spec numbers
+        let num_tables = u64_at(p) as usize;
+        p += 5 * 8; // config
+        p += 4 + [0, 16, 32][u32_at(p) as usize]; // arrival tag, parameters
+        let (q, n) = count(p, 8);
+        p = q + 8 * n;
+        if version == 3 {
+            p += 4 + 32 * u32_at(p) as usize; // rotation
+            let (q, n) = count(p, 4);
+            p = q + 40 * n;
+            p += 4 + 16 * u32_at(p) as usize; // diurnal
+        }
+        let (q, n_batches) = count(p, 8);
+        p = q;
+        for _ in 0..n_batches {
+            let (q, dense_len) = count(p, 8);
+            p = q + 4 * dense_len;
+            p = count(p, 8).0;
+            for _ in 0..num_tables {
+                for _ in 0..2 {
+                    let (q, n) = count(p, 8); // offsets, then indices
+                    p = q + 8 * n;
+                }
+            }
+        }
+        assert_eq!(p, buf.len(), "the walk covers the whole file");
+        fields
+    }
+
+    #[test]
+    fn lying_counts_fail_before_they_allocate() {
+        // Regression: every count but three went straight into
+        // `Vec::with_capacity`, so `1 << 60` aborted the process with
+        // "memory allocation of … bytes failed" instead of returning.
+        for buf in [tiny(false), tiny(true)] {
+            let fields = count_fields(&buf);
+            assert!(fields.len() >= 2 + 2 * (2 + 2 * 2));
+            for (p, width, v) in fields {
+                for lie in [1u64 << 60, v + 1] {
+                    let mut doctored = buf.clone();
+                    if width == 4 {
+                        let lie = u32::try_from(lie).unwrap_or(u32::MAX);
+                        doctored[p..p + 4].copy_from_slice(&lie.to_le_bytes());
+                    } else {
+                        doctored[p..p + 8].copy_from_slice(&lie.to_le_bytes());
+                    }
+                    let err = Workload::load(&mut doctored.as_slice())
+                        .expect_err("a count that lies about the file");
+                    assert!(
+                        matches!(
+                            err.kind(),
+                            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                        ),
+                        "count at byte {p} set to {lie}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_a_sparse_count_that_is_not_the_table_count() {
+        let buf = tiny(false);
+        // The second count of a batch, after the batch and dense counts.
+        let (p, _, v) = count_fields(&buf)[3];
+        assert_eq!(v, 2);
+        let mut doctored = buf.clone();
+        doctored[p..p + 8].copy_from_slice(&1u64.to_le_bytes());
+        let err = Workload::load(&mut doctored.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("table count"), "{err}");
+    }
+
+    #[test]
+    fn rejects_every_strict_prefix() {
+        for buf in [tiny(false), tiny(true)] {
+            assert!(Workload::load(&mut buf.as_slice()).is_ok());
+            for len in 0..buf.len() {
+                assert!(
+                    Workload::load(&mut &buf[..len]).is_err(),
+                    "a {len}-byte prefix of a {}-byte file loaded",
+                    buf.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `updlrm` — command-line driver for the reproduction.
 //!
 //! ```text
-//! updlrm run   [--dataset read] [--backend updlrm|cpu|hybrid|fae|hetero]
+//! updlrm run   [--dataset read] [--backend updlrm|cpu|hybrid|fae]
 //!              [--strategy u|nu|ca|nur] [--dpus 256] [--nc auto|2|4|8]
 //!              [--scale 200] [--batches 10] [--seed 7] [--host-threads N]
 //!              [--embed-dtype f32|int8] [--tables FILE]
@@ -43,7 +43,7 @@ use updlrm::prelude::*;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  updlrm run   [--dataset TAG] [--backend updlrm|cpu|hybrid|fae|hetero] \
+        "usage:\n  updlrm run   [--dataset TAG] [--backend updlrm|cpu|hybrid|fae] \
          [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|2|4|8] [--scale N] [--batches N] [--seed N] \
          [--host-threads N] [--embed-dtype f32|int8] [--tables FILE] \
          [--pipeline sequential|doublebuf] [--queue-depth N] \
@@ -910,12 +910,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             GpuModel::default(),
             0.85,
         )?),
-        "hetero" => Box::new(DpuGpuHetero::from_workload(
-            config,
-            model.clone(),
-            &workload,
-            GpuModel::default(),
-        )?),
         other => {
             eprintln!("unknown backend '{other}'");
             usage()
@@ -1499,16 +1493,31 @@ fn cmd_stats(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("stats needs --metrics FILE (a snapshot written by `updlrm run --metrics`)");
         usage()
     };
-    let text = std::fs::read_to_string(path)?;
-    let snap: Snapshot = serde::json::from_str(&text)?;
-    if snap.schema_version != SNAPSHOT_SCHEMA_VERSION {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read metrics snapshot {path}: {e}");
+        std::process::exit(2)
+    });
+    let invalid = |e: &dyn std::fmt::Display| -> ! {
+        eprintln!("invalid metrics snapshot {path}: {e}");
+        std::process::exit(2)
+    };
+    // The version is read off the untyped document first: a snapshot
+    // from an older schema lacks fields this binary's `Snapshot` has,
+    // so the typed decode would fail on one of those instead.
+    let doc = serde::json::parse(&text).unwrap_or_else(|e| invalid(&e));
+    let found = match doc.get("schema_version") {
+        Some(serde::Value::UInt(v)) => *v,
+        _ => invalid(&"missing or non-integer schema_version"),
+    };
+    if found != u64::from(SNAPSHOT_SCHEMA_VERSION) {
         eprintln!(
-            "metrics snapshot {path} has schema v{}, but this binary reads v{}; \
+            "metrics snapshot {path} has schema v{found}, but this binary reads v{}; \
              regenerate it with `updlrm run --metrics {path}`",
-            snap.schema_version, SNAPSHOT_SCHEMA_VERSION,
+            SNAPSHOT_SCHEMA_VERSION,
         );
         std::process::exit(2)
     }
+    let snap: Snapshot = serde::Deserialize::from_value(&doc).unwrap_or_else(|e| invalid(&e));
     println!(
         "metrics snapshot {path} (schema v{}, telemetry {})",
         snap.schema_version,

@@ -71,8 +71,8 @@ pub use workloads;
 /// The most commonly used types, one `use` away.
 pub mod prelude {
     pub use baselines::{
-        CpuMemoryModel, DlrmCpu, DlrmHybrid, DpuGpuHetero, Fae, GpuModel, InferenceBackend,
-        LatencyReport, UpdlrmBackend,
+        CpuMemoryModel, DlrmCpu, DlrmHybrid, Fae, GpuModel, InferenceBackend, LatencyReport,
+        UpdlrmBackend,
     };
     pub use cooccur_cache::{CacheList, CacheListSet, CooccurGraph, MinerConfig, PartialSumCache};
     pub use dlrm_model::{

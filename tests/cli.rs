@@ -74,6 +74,33 @@ fn run_supports_every_backend() {
 }
 
 #[test]
+fn run_rejects_unknown_backends_naming_them() {
+    // `hetero` was a backend until its module was deleted; it is now an
+    // unknown name like any other.
+    for backend in ["hetero", "gpu"] {
+        let out = updlrm()
+            .args([
+                "run",
+                "--dataset",
+                "clo",
+                "--scale",
+                "2000",
+                "--batches",
+                "1",
+            ])
+            .args(["--backend", backend])
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(2), "{backend}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown backend '{backend}'")),
+            "stderr: {err}"
+        );
+    }
+}
+
+#[test]
 fn trace_round_trips_through_a_file() {
     let dir = std::env::temp_dir().join("updlrm-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -732,7 +759,43 @@ fn stats_rejects_snapshots_from_other_schema_versions() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("schema v1"), "stderr: {err}");
     assert!(err.contains("reads v5"), "stderr: {err}");
-    std::fs::remove_file(&path).ok();
+
+    // Regression: the version was compared only after the typed decode,
+    // so a real older snapshot — one that lacks a field — died on
+    // "missing field" (exit 1), and so did anything unreadable. Each
+    // case now exits 2 with a message that names the file.
+    let stats = |text: Option<&str>| {
+        match text {
+            Some(text) => std::fs::write(&path, text).expect("write snapshot"),
+            None => std::fs::remove_file(&path).expect("remove snapshot"),
+        }
+        let out = updlrm()
+            .arg("stats")
+            .arg("--metrics")
+            .arg(&path)
+            .output()
+            .expect("stats");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+        assert!(err.contains("metrics-doctored.json"), "stderr: {err}");
+        err
+    };
+    let older = text
+        .replace("\"schema_version\": 5", "\"schema_version\": 4")
+        .replace("  \"enabled\": true,\n", "");
+    assert_ne!(older.len(), text.len(), "a field was removed");
+    let err = stats(Some(&older));
+    assert!(err.contains("schema v4"), "stderr: {err}");
+    assert!(err.contains("reads v5"), "stderr: {err}");
+    let err = stats(Some(&text.replace("  \"enabled\": true,\n", "")));
+    assert!(err.contains("invalid metrics snapshot"), "stderr: {err}");
+    let err = stats(Some("[]"));
+    assert!(err.contains("invalid metrics snapshot"), "stderr: {err}");
+    let err = stats(None);
+    assert!(
+        err.contains("cannot read metrics snapshot"),
+        "stderr: {err}"
+    );
 }
 
 #[test]
@@ -1156,6 +1219,53 @@ fn serve_rejects_doctored_v3_with_out_of_range_hot_sets() {
     assert_eq!(out.status.code(), Some(2), "doctored v3 must exit 2");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("rows"), "stderr: {err}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn serve_rejects_a_count_that_lies_about_the_file() {
+    // Regression: 138 bytes — a valid v2 header, one batch announced,
+    // its dense vector 1 << 60 floats long — used to abort the process
+    // (SIGABRT, "memory allocation of … bytes failed") inside the loader.
+    let mut bytes = b"UPWL".to_vec();
+    bytes.extend(2u32.to_le_bytes());
+    for text in ["m", "m"] {
+        bytes.extend(1u32.to_le_bytes());
+        bytes.extend(text.as_bytes());
+    }
+    bytes.extend(1u32.to_le_bytes()); // hotness: medium
+    for spec in [
+        40.0f64.to_bits(),
+        1000,
+        0.9f64.to_bits(),
+        4,
+        0.5f64.to_bits(),
+        0.5f64.to_bits(),
+    ] {
+        bytes.extend(spec.to_le_bytes());
+    }
+    for config in [8u64, 32, 1, 13, 7] {
+        bytes.extend(config.to_le_bytes());
+    }
+    bytes.extend(0u32.to_le_bytes()); // closed loop,
+    bytes.extend(0u64.to_le_bytes()); // no arrival stamps
+    bytes.extend(1u64.to_le_bytes()); // one batch
+    bytes.extend((1u64 << 60).to_le_bytes()); // of 2^60 dense values
+    assert_eq!(bytes.len(), 138);
+
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("huge.upwl");
+    std::fs::write(&path, bytes).expect("write");
+    let out = updlrm()
+        .args(["serve", "--max-batch", "32", "--dpus", "8"])
+        .arg("--workload-v3")
+        .arg(&path)
+        .output()
+        .expect("serve");
+    assert_eq!(out.status.code(), Some(2), "a lying count must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("huge.upwl"), "stderr: {err}");
     std::fs::remove_file(&path).ok();
 }
 
