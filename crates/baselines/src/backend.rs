@@ -61,6 +61,12 @@ pub trait InferenceBackend {
     fn metrics_snapshot(&self) -> Option<updlrm_core::Snapshot> {
         None
     }
+
+    /// What the backend keeps resident in its DPUs' WRAM; `None` for
+    /// the CPU/GPU baselines, which have no DPUs.
+    fn residency(&self) -> Option<updlrm_core::ResidencyReport> {
+        None
+    }
 }
 
 #[cfg(test)]

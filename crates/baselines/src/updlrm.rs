@@ -69,6 +69,10 @@ impl InferenceBackend for UpdlrmBackend {
     fn metrics_snapshot(&self) -> Option<updlrm_core::Snapshot> {
         Some(self.engine.metrics_snapshot())
     }
+
+    fn residency(&self) -> Option<updlrm_core::ResidencyReport> {
+        Some(self.engine.residency())
+    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@ fn main() {
             "FAE",
             "UpDLRM",
             "UpDLRM total",
+            "+WRAM-resident",
+            "+WRAM total",
         ],
     );
     for r in &rows {
@@ -31,6 +33,8 @@ fn main() {
             format!("{:.2}x", s[2]),
             format!("{:.2}x", s[3]),
             fmt_ns(r.updlrm_ns),
+            format!("{:.2}x", r.cpu_ns / r.updlrm_resident_ns),
+            fmt_ns(r.updlrm_resident_ns),
         ]);
     }
     t.print();
@@ -42,4 +46,6 @@ fn main() {
     chart.print();
     println!("paper: UpDLRM 1.9-3.2x vs CPU, 2.2-4.6x vs Hybrid, 1.1-2.3x vs FAE;");
     println!("       Hybrid worst overall; highest UpDLRM speedups on High Hot datasets");
+    println!("+WRAM-resident: this repository's extension (hottest rows kept in each DPU's");
+    println!("       WRAM across launches); the UpDLRM column is the paper's design, unchanged");
 }

@@ -229,8 +229,11 @@ pub struct Fig8Row {
     pub hybrid_ns: f64,
     /// FAE total (ns).
     pub fae_ns: f64,
-    /// UpDLRM total (ns).
+    /// UpDLRM total (ns), the paper's design.
     pub updlrm_ns: f64,
+    /// UpDLRM total (ns) with the DPUs' hottest rows WRAM-resident,
+    /// the first batch's fill included.
+    pub updlrm_resident_ns: f64,
 }
 
 impl Fig8Row {
@@ -269,6 +272,7 @@ pub fn fig8_one(spec: &DatasetSpec, eval: EvalConfig) -> Result<Fig8Row, CoreErr
     let mut hybrid = setup.hybrid()?;
     let mut fae = setup.fae()?;
     let mut updlrm = setup.updlrm(PartitionStrategy::CacheAware, None)?;
+    let mut resident = setup.updlrm_resident(PartitionStrategy::CacheAware, None)?;
     Ok(Fig8Row {
         dataset: spec.short.clone(),
         hotness: spec.hotness.to_string(),
@@ -276,6 +280,7 @@ pub fn fig8_one(spec: &DatasetSpec, eval: EvalConfig) -> Result<Fig8Row, CoreErr
         hybrid_ns: setup.measure(&mut hybrid)?,
         fae_ns: setup.measure(&mut fae)?,
         updlrm_ns: setup.measure(&mut updlrm)?,
+        updlrm_resident_ns: setup.measure(&mut resident)?,
     })
 }
 
@@ -358,6 +363,11 @@ pub struct Fig10Row {
     pub stage3_frac: f64,
     /// Absolute embedding time over the trace (ns).
     pub total_ns: f64,
+    /// Stage 2's share with the DPUs' hottest rows WRAM-resident.
+    pub resident_stage2_frac: f64,
+    /// Absolute embedding time over the trace (ns) with them resident,
+    /// the first batch's fill included.
+    pub resident_total_ns: f64,
 }
 
 /// Regenerates Fig. 10 (GoodReads, U/NU/CA x N_c in {2,4,8}).
@@ -374,14 +384,18 @@ pub fn fig10(eval: EvalConfig) -> Result<Vec<Fig10Row>, CoreError> {
         PartitionStrategy::CacheAware,
     ] {
         for n_c in [2usize, 4, 8] {
-            let mut backend = setup.updlrm(strategy, Some(n_c))?;
-            let mut acc = updlrm_core::EmbeddingBreakdown::default();
-            for batch in &setup.workload.batches {
-                let (_, report) = backend.run_batch(batch)?;
-                if let Some(pim) = report.pim {
-                    acc.accumulate(&pim);
+            let breakdown = |mut backend: baselines::UpdlrmBackend| -> Result<_, CoreError> {
+                let mut acc = updlrm_core::EmbeddingBreakdown::default();
+                for batch in &setup.workload.batches {
+                    let (_, report) = backend.run_batch(batch)?;
+                    if let Some(pim) = report.pim {
+                        acc.accumulate(&pim);
+                    }
                 }
-            }
+                Ok(acc)
+            };
+            let acc = breakdown(setup.updlrm(strategy, Some(n_c))?)?;
+            let resident = breakdown(setup.updlrm_resident(strategy, Some(n_c))?)?;
             let total = acc.total_ns().max(f64::MIN_POSITIVE);
             out.push(Fig10Row {
                 strategy: strategy.to_string(),
@@ -390,6 +404,9 @@ pub fn fig10(eval: EvalConfig) -> Result<Vec<Fig10Row>, CoreError> {
                 stage2_frac: acc.stage2_ns / total,
                 stage3_frac: acc.stage3_ns / total,
                 total_ns: acc.total_ns(),
+                resident_stage2_frac: resident.stage2_ns
+                    / resident.total_ns().max(f64::MIN_POSITIVE),
+                resident_total_ns: resident.total_ns(),
             });
         }
     }
@@ -432,7 +449,8 @@ pub fn fig11(eval: EvalConfig) -> Result<Vec<Fig11Row>, CoreError> {
             .collect::<Result<_, _>>()?;
         for &n_c in &[2usize, 4, 8, 16, 32] {
             let mut config = UpdlrmConfig::with_dpus(eval.nr_dpus, PartitionStrategy::Uniform)
-                .with_fixed_nc(n_c);
+                .with_fixed_nc(n_c)
+                .with_wram_tenants(0); // the paper's kernel
             config.tasklets = eval.tasklets;
             // The batch-dedup extension is what reproduces the paper's
             // saturation at large lookup sizes (see EXPERIMENTS.md).
@@ -478,8 +496,9 @@ pub fn cache_capacity(eval: EvalConfig) -> Result<Vec<CacheCapacityRow>, CoreErr
         } else {
             PartitionStrategy::CacheAware
         };
-        let mut config =
-            UpdlrmConfig::with_dpus(setup.eval.nr_dpus, strategy).with_cache_fraction(fraction);
+        let mut config = UpdlrmConfig::with_dpus(setup.eval.nr_dpus, strategy)
+            .with_cache_fraction(fraction)
+            .with_wram_tenants(0); // the paper's kernel
         config.tasklets = setup.eval.tasklets;
         let mut backend = baselines::UpdlrmBackend::from_workload(
             config,
@@ -633,8 +652,10 @@ pub fn ablations(eval: EvalConfig) -> Result<Vec<AblationRow>, CoreError> {
         }
         Ok(total)
     };
+    // Every knob is measured on the paper's kernel; the last row turns
+    // WRAM residency on over it.
     let base = |strategy| {
-        let mut c = UpdlrmConfig::with_dpus(setup.eval.nr_dpus, strategy);
+        let mut c = UpdlrmConfig::with_dpus(setup.eval.nr_dpus, strategy).with_wram_tenants(0);
         c.tasklets = setup.eval.tasklets;
         c
     };
@@ -711,6 +732,13 @@ pub fn ablations(eval: EvalConfig) -> Result<Vec<AblationRow>, CoreError> {
         knob: "hot-row replication (NU+R vs NU)".into(),
         on_ns: measure(base(PartitionStrategy::Replicated))?,
         off_ns: measure(base(PartitionStrategy::NonUniform))?,
+    });
+    // 6. hottest rows WRAM-resident across launches (extension; the
+    // first batch's fill is in the ON time) versus the paper's kernel.
+    out.push(AblationRow {
+        knob: "WRAM-resident hot rows (CA)".into(),
+        on_ns: measure(base(PartitionStrategy::CacheAware).with_wram_tenants(1))?,
+        off_ns: ca_on,
     });
     Ok(out)
 }

@@ -199,7 +199,10 @@ impl EvalSetup {
         )
     }
 
-    /// UpDLRM backend with the given strategy and optional fixed `N_c`.
+    /// UpDLRM backend with the given strategy and optional fixed `N_c`,
+    /// as the paper designed it: every row read is an MRAM DMA
+    /// (`wram_tenants = 0`). The figure sweeps reproduce the paper's
+    /// numbers with this one.
     ///
     /// # Errors
     ///
@@ -209,7 +212,32 @@ impl EvalSetup {
         strategy: PartitionStrategy,
         n_c: Option<usize>,
     ) -> Result<UpdlrmBackend, CoreError> {
-        let mut config = UpdlrmConfig::with_dpus(self.eval.nr_dpus, strategy);
+        self.updlrm_with(strategy, n_c, false)
+    }
+
+    /// [`EvalSetup::updlrm`] with the DPUs' hottest rows WRAM-resident
+    /// (the engine's default) — the column Figs. 8 and 10 print beside
+    /// the paper design.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine construction failures.
+    pub fn updlrm_resident(
+        &self,
+        strategy: PartitionStrategy,
+        n_c: Option<usize>,
+    ) -> Result<UpdlrmBackend, CoreError> {
+        self.updlrm_with(strategy, n_c, true)
+    }
+
+    fn updlrm_with(
+        &self,
+        strategy: PartitionStrategy,
+        n_c: Option<usize>,
+        resident: bool,
+    ) -> Result<UpdlrmBackend, CoreError> {
+        let mut config = UpdlrmConfig::with_dpus(self.eval.nr_dpus, strategy)
+            .with_wram_tenants(usize::from(resident));
         config.tasklets = self.eval.tasklets;
         config.n_c = n_c;
         UpdlrmBackend::from_workload(

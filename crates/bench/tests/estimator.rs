@@ -20,6 +20,9 @@ fn estimator_ranking_agrees_with_measurement_on_extremes() {
         batch_size: 64,
         avg_reduction: setup.workload.measured_avg_reduction(),
         emt_capacity_bytes: 48 << 20,
+        tasklets: eval.tasklets,
+        // `EvalSetup::updlrm` measures the paper's kernel.
+        wram_hit_share: 0.0,
     };
     let cost = CostModel::default();
 

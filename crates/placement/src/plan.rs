@@ -5,8 +5,9 @@ use upmem_sim::{CostModel, RankCostModel, RankTopology};
 
 /// Schema version written into every serialized plan. Bump on any
 /// incompatible change; loaders reject foreign versions (exit 2 at the
-/// CLI, mirroring the telemetry snapshot contract).
-pub const PLAN_SCHEMA_VERSION: u64 = 1;
+/// CLI, mirroring the telemetry snapshot contract). v2 (PR 23):
+/// [`PlannerConfig::wram_resident_bytes`].
+pub const PLAN_SCHEMA_VERSION: u64 = 2;
 
 /// Host-cache tier tag in [`TablePlacement::tier_of_row`].
 pub const TIER_HOST: u8 = 0;
@@ -83,6 +84,15 @@ pub struct PlannerConfig {
     pub host_probe_ns: f64,
     /// Host nanoseconds per scalar add when combining host-tier rows.
     pub host_combine_ns_per_add: f64,
+    /// Bytes of each DPU's WRAM the serving engine fills with its
+    /// hottest rows (`UpdlrmConfig::wram_resident_bytes(dim)` of the
+    /// engine the plan will be run on — it depends on that engine's
+    /// tasklets, dtype, stream format and tenants, which the planner
+    /// cannot know). The cost estimates read a partition's first
+    /// `wram_resident_bytes / row bytes` slots from WRAM; `0`, the
+    /// default, prices the paper's kernel, every reference one MRAM
+    /// DMA. Placement does not depend on it.
+    pub wram_resident_bytes: usize,
     /// Echoed into the plan; the planner is deterministic in all of its
     /// inputs, so equal seeds (and inputs) imply byte-identical plans.
     pub seed: u64,
@@ -104,6 +114,7 @@ impl Default for PlannerConfig {
             avg_reduction_hint: 100.0,
             host_probe_ns: 2.0,
             host_combine_ns_per_add: 0.1,
+            wram_resident_bytes: 0,
             seed: 7,
         }
     }
@@ -185,8 +196,9 @@ pub struct TablePlacement {
 pub struct PlanCostEstimate {
     /// Modeled ns for one batch under this tiered plan.
     pub tiered_batch_ns: f64,
-    /// Modeled ns for one batch with every row in cold MRAM (no host
-    /// tier, no replication) on the same fleet.
+    /// Modeled ns for one batch with every row in cold MRAM on the same
+    /// fleet: the `tiered_batch_ns` of the plan this planner makes of
+    /// the catalog with no host tier and no replication.
     pub mram_batch_ns: f64,
     /// `tiered_batch_ns` per embedding lookup.
     pub tiered_ns_per_lookup: f64,

@@ -16,8 +16,8 @@ use crate::plan::{
     Catalog, PlacementPlan, PlanCostEstimate, PlanProvenance, PlannerConfig, TablePlacement,
     HOST_ROW_PART, PLAN_SCHEMA_VERSION, REPLICATED_ROW_PART, TIER_COLD, TIER_HOST, TIER_REPLICATED,
 };
-use upmem_sim::arch::DMA_MAX_TRANSFER;
-use upmem_sim::{CostModel, Cycles};
+use upmem_sim::arch::DEFAULT_TASKLETS;
+use upmem_sim::CostTable;
 use workloads::FreqProfile;
 
 /// Builds a deterministic tiered placement of `catalog` over
@@ -55,7 +55,7 @@ pub fn plan(
     }
 
     let packing = pack_ranks(&mut tables, config)?;
-    let est = estimate(catalog, profiles, &tables, config);
+    let est = estimate(catalog, profiles, &tables, config)?;
 
     let plan = PlacementPlan {
         schema_version: PLAN_SCHEMA_VERSION,
@@ -320,54 +320,62 @@ pub fn interleaved_offsets(num_tenants: usize, fleet_dpus: usize) -> Vec<usize> 
         .collect()
 }
 
-/// Nanoseconds to DMA one `row_bytes` row MRAM→WRAM, split into
-/// 2048-byte engine transfers.
-fn row_dma_ns(cost: &CostModel, row_bytes: usize) -> f64 {
-    let full = row_bytes / DMA_MAX_TRANSFER;
-    let rem = row_bytes % DMA_MAX_TRANSFER;
-    let mut ns = full as f64 * cost.dma_nanos(DMA_MAX_TRANSFER);
-    if rem > 0 {
-        ns += cost.dma_nanos(rem);
-    }
-    ns
+/// Nanoseconds one reference adds to a partition's kernel, priced with
+/// the charges the stage-2 kernel makes ([`CostTable::lookup_cycles`]):
+/// a loop iteration, a `dim`-element accumulate and the row's read — a
+/// WRAM-resident operand with probability `hit_share`, an MRAM DMA
+/// otherwise — under the default tasklet count.
+fn lookup_ns(costs: &CostTable, dim: usize, hit_share: f64) -> f64 {
+    let cycles = costs.lookup_cycles(dim * 4, false, dim as u64, hit_share, DEFAULT_TASKLETS);
+    cycles * 1e9 / costs.model().clock_hz as f64
 }
 
-/// Analytic per-batch cost of the tiered plan vs an untiered pure-MRAM
-/// sharding of the same catalog on the same fleet. DESIGN.md §4.9
-/// documents the deliberate divergences from the simulated engine
+/// One side of a [`PlanCostEstimate`]: the analytic per-batch time of
+/// serving `tables` as placed, and the partition counts behind it.
+struct SideEstimate {
+    batch_ns: f64,
+    parts_total: usize,
+    ranks_touched: usize,
+}
+
+/// Analytic per-batch cost of one placement of the catalog: host probes
+/// and combines for the host tier, then one scatter, the hottest
+/// partition's kernel, and one gather. DESIGN.md §4.9 documents the
+/// deliberate divergences from the simulated engine
 /// (expected-partitions-touched vs the engine's all-partition gather,
 /// no pipelining, no stream padding).
-fn estimate(
-    catalog: &Catalog,
+fn estimate_side(
     profiles: &[FreqProfile],
     tables: &[TablePlacement],
     config: &PlannerConfig,
-) -> PlanCostEstimate {
+) -> SideEstimate {
     let cost = &config.cost;
-    let topo = config.topology;
+    let costs = CostTable::new(cost);
     let b = config.batch_hint as f64;
     let refs_per_table = b * config.avg_reduction_hint;
-    let total_refs = refs_per_table * catalog.tables.len() as f64;
 
-    // ---- tiered plan ----
-    let mut host_mass = 0.0;
-    let mut replica_mass = 0.0;
+    let mut host_ns = 0.0;
     let mut parts_touched_total = 0usize;
-    let mut tiered_gather_bytes = 0.0;
-    let mut tiered_scatter_bytes = 0.0;
-    let mut tiered_launch_ns = 0.0f64;
-    let mut host_combine_adds = 0.0;
+    let mut gather_bytes = 0.0;
+    let mut scatter_bytes = 0.0;
+    let mut launch_ns = 0.0f64;
     let mut parts_total = 0usize;
-    for tp in tables {
-        host_mass += tp.host_mass / tables.len() as f64;
-        replica_mass += tp.replica_mass / tables.len() as f64;
+    for (tp, profile) in tables.iter().zip(profiles) {
         parts_total += tp.parts;
-        let cold_mass = (1.0 - tp.host_mass - tp.replica_mass).max(0.0);
+        if tp.host_mass > 0.0 {
+            // Every reference probes the hot-cache index; the hits are
+            // combined on the host.
+            host_ns += refs_per_table
+                * (config.host_probe_ns
+                    + tp.host_mass * tp.dim as f64 * config.host_combine_ns_per_add);
+        }
+        let pim_mass = (1.0 - tp.host_mass).max(0.0);
+        let cold_mass = (pim_mass - tp.replica_mass).max(0.0);
         let cold_refs = (refs_per_table * cold_mass).ceil() as usize;
         // Replica refs cluster per sample (one partition per sample),
         // cold refs can each touch a distinct partition; the host tier
-        // absorbs the rest. This is where the tiered estimate
-        // saturates while the pure-MRAM baseline keeps growing.
+        // absorbs the rest. This is where a tiered plan saturates while
+        // an untiered one keeps growing.
         let replica_parts = if tp.replica_mass > 0.0 {
             tp.parts.min(config.batch_hint)
         } else {
@@ -375,76 +383,89 @@ fn estimate(
         };
         let touched = tp.parts.min(replica_parts + cold_refs);
         parts_touched_total += touched;
-        let row_bytes = (tp.dim * 4) as f64;
-        tiered_gather_bytes += touched as f64 * b * row_bytes;
-        let pim_refs = refs_per_table * (tp.replica_mass + cold_mass);
-        tiered_scatter_bytes += pim_refs * 4.0;
-        // Kernel wall: the hottest partition's expected refs.
+        // Every touched partition stages output for the whole batch.
+        gather_bytes += touched as f64 * b * (tp.dim * 4) as f64;
+        scatter_bytes += refs_per_table * pim_mass * 4.0;
+        // Kernel wall: the hottest partition's expected refs, the share
+        // of the PIM traffic that lands on WRAM-resident slots (the
+        // replica block first, then each partition's hottest cold
+        // rows) read from there.
         let max_load = tp.part_load.iter().copied().fold(0.0, f64::max);
-        let per_ref = row_dma_ns(cost, tp.dim * 4)
-            + cost.cycles_to_ns(Cycles(tp.dim as u64 * cost.fp32_add_cycles));
-        tiered_launch_ns = tiered_launch_ns.max(refs_per_table * max_load * per_ref);
-        host_combine_adds += refs_per_table * tp.host_mass * tp.dim as f64;
+        let resident = config.wram_resident_bytes / (tp.dim * 4);
+        let mass = row_mass(profile, tp.rows);
+        let resident_mass: f64 = (0..tp.rows)
+            .filter(|&r| tp.tier_of_row[r] != TIER_HOST && (tp.slot_of_row[r] as usize) < resident)
+            .map(|r| mass[r])
+            .sum();
+        let hit_share = if pim_mass > 0.0 {
+            resident_mass / pim_mass
+        } else {
+            0.0
+        };
+        let per_ref = lookup_ns(&costs, tp.dim, hit_share);
+        launch_ns = launch_ns.max(refs_per_table * max_load * per_ref);
     }
-    let ranks_touched = parts_touched_total.min(topo.nr_ranks).max(1);
-    let rank_ns = |ranks: usize| config.rank_cost.rank_base_ns * ranks as f64;
-    let tiered_batch_ns = config.host_probe_ns * total_refs
-        + host_combine_adds * config.host_combine_ns_per_add
-        + cost.host_transfer_base_ns
-        + cost.host_to_mram_ns(tiered_scatter_bytes as usize)
-        + rank_ns(ranks_touched)
-        + tiered_launch_ns
+    // The engine scatters, launches and gathers even when the host tier
+    // served the whole batch, so at least one rank is always paid for.
+    let ranks_touched = parts_touched_total.min(config.topology.nr_ranks).max(1);
+    let rank_ns = config.rank_cost.rank_base_ns * ranks_touched as f64;
+    let pim_ns = cost.host_transfer_base_ns
+        + cost.host_to_mram_ns(scatter_bytes as usize)
+        + rank_ns
+        + launch_ns
         + config.rank_cost.rank_launch_ns * ranks_touched as f64
         + cost.host_transfer_base_ns
-        + cost.mram_to_host_ns(tiered_gather_bytes as usize)
-        + rank_ns(ranks_touched);
-
-    // ---- pure-MRAM baseline: contiguous untiered sharding ----
-    let mut mram_parts_total = 0usize;
-    let mut mram_gather_bytes = 0.0;
-    let mut mram_launch_ns = 0.0f64;
-    for (desc, profile) in catalog.tables.iter().zip(profiles) {
-        let row_bytes = desc.dim * 4;
-        let cap = (config.emt_capacity_bytes / row_bytes).max(1);
-        let parts = desc.rows.div_ceil(cap);
-        mram_parts_total += parts;
-        // Every partition stages output for the whole batch, and the
-        // untiered engine gathers them all.
-        mram_gather_bytes += parts as f64 * b * row_bytes as f64;
-        // Contiguous uniform sharding concentrates hot rows: the wall
-        // is the hottest chunk's mass.
-        let mass = row_mass(profile, desc.rows);
-        let max_chunk: f64 = mass
-            .chunks(cap)
-            .map(|c| c.iter().sum::<f64>())
-            .fold(0.0, f64::max);
-        let per_ref = row_dma_ns(cost, row_bytes)
-            + cost.cycles_to_ns(Cycles(desc.dim as u64 * cost.fp32_add_cycles));
-        mram_launch_ns = mram_launch_ns.max(refs_per_table * max_chunk * per_ref);
-    }
-    let mram_ranks_touched = mram_parts_total.min(topo.nr_ranks).max(1);
-    let mram_batch_ns = cost.host_transfer_base_ns
-        + cost.host_to_mram_ns((total_refs * 4.0) as usize)
-        + rank_ns(mram_ranks_touched)
-        + mram_launch_ns
-        + config.rank_cost.rank_launch_ns * mram_ranks_touched as f64
-        + cost.host_transfer_base_ns
-        + cost.mram_to_host_ns(mram_gather_bytes as usize)
-        + rank_ns(mram_ranks_touched);
-
-    let lookups = total_refs.max(1.0);
-    PlanCostEstimate {
-        tiered_batch_ns,
-        mram_batch_ns,
-        tiered_ns_per_lookup: tiered_batch_ns / lookups,
-        mram_ns_per_lookup: mram_batch_ns / lookups,
-        host_mass,
-        replica_mass,
+        + cost.mram_to_host_ns(gather_bytes as usize)
+        + rank_ns;
+    SideEstimate {
+        batch_ns: host_ns + pim_ns,
         parts_total,
-        mram_parts_total,
         ranks_touched,
-        mram_ranks_touched,
     }
+}
+
+/// Analytic per-batch cost of the tiered plan vs the same catalog
+/// placed by this planner with both hot tiers off — greedy cold
+/// packing only, the pure-MRAM plan `placement_sweep` simulates beside
+/// it — on the same fleet.
+fn estimate(
+    catalog: &Catalog,
+    profiles: &[FreqProfile],
+    tables: &[TablePlacement],
+    config: &PlannerConfig,
+) -> Result<PlanCostEstimate> {
+    let tiered = estimate_side(profiles, tables, config);
+
+    // A catalog the host tier holds whole can be planned with no EMT
+    // room at all; its baseline still needs a partition that holds a row.
+    let widest_row = catalog.tables.iter().map(|d| d.dim * 4).max().unwrap_or(0);
+    let untiered = PlannerConfig {
+        replicate_top: 0,
+        emt_capacity_bytes: config.emt_capacity_bytes.max(widest_row),
+        ..config.clone()
+    };
+    let cold_only = catalog
+        .tables
+        .iter()
+        .zip(profiles)
+        .map(|(desc, profile)| place_table(desc.rows, desc.dim, profile, 0, &untiered))
+        .collect::<Result<Vec<_>>>()?;
+    let mram = estimate_side(profiles, &cold_only, &untiered);
+
+    let n = tables.len() as f64;
+    let lookups = (config.batch_hint as f64 * config.avg_reduction_hint * n).max(1.0);
+    Ok(PlanCostEstimate {
+        tiered_batch_ns: tiered.batch_ns,
+        mram_batch_ns: mram.batch_ns,
+        tiered_ns_per_lookup: tiered.batch_ns / lookups,
+        mram_ns_per_lookup: mram.batch_ns / lookups,
+        host_mass: tables.iter().map(|tp| tp.host_mass).sum::<f64>() / n,
+        replica_mass: tables.iter().map(|tp| tp.replica_mass).sum::<f64>() / n,
+        parts_total: tiered.parts_total,
+        mram_parts_total: mram.parts_total,
+        ranks_touched: tiered.ranks_touched,
+        mram_ranks_touched: mram.ranks_touched,
+    })
 }
 
 #[cfg(test)]

@@ -278,42 +278,105 @@ fn invalid_inputs_rejected() {
     ));
 }
 
-/// The cost estimates must show the tiering knee: at small table sizes
-/// the host probe overhead makes pure MRAM competitive, while at
-/// 10-100x scale the pure-MRAM gather wall (every partition stages the
-/// whole batch) grows linearly and tiering wins decisively.
+/// A catalog the host tier holds whole needs no EMT room, and its plan
+/// still carries a pure-MRAM estimate: the baseline is given a
+/// partition that holds a row.
+#[test]
+fn a_host_resident_catalog_plans_without_emt_room() {
+    let catalog = Catalog::homogeneous(2, 40, 8);
+    let profiles: Vec<FreqProfile> = (0..2).map(|t| random_profile(40, 9 + t)).collect();
+    let config = PlannerConfig {
+        emt_capacity_bytes: 0,
+        host_cache_bytes: 2 * 40 * 8 * 4,
+        ..PlannerConfig::default()
+    };
+    let p = plan(&catalog, &profiles, &config).expect("the host tier holds every row");
+    assert!(p.tables.iter().all(|t| t.host_rows.len() == 40));
+    assert_eq!(p.est.mram_parts_total, 2 * 40);
+    assert!(p.est.tiered_batch_ns < p.est.mram_batch_ns);
+}
+
+/// The serving engine's WRAM-resident bytes are an input of the cost
+/// estimates only: both sides get cheaper as the hottest slots of every
+/// partition are read from WRAM, and not one placement byte moves.
+#[test]
+fn resident_bytes_price_the_estimate_and_place_nothing() {
+    let catalog = Catalog::homogeneous(2, 6_000, 32);
+    let profiles: Vec<FreqProfile> = (0..2).map(|t| random_profile(6_000, 5 + t)).collect();
+    let mk = |wram_resident_bytes: usize| {
+        let config = PlannerConfig {
+            emt_capacity_bytes: 2_000 * 32 * 4,
+            host_cache_bytes: 16 * 1024,
+            wram_resident_bytes,
+            ..PlannerConfig::default()
+        };
+        plan(&catalog, &profiles, &config).expect("feasible")
+    };
+    let (paper, half, full) = (mk(0), mk(12 * 1024), mk(28 * 1024));
+    assert_eq!(paper.tables, half.tables);
+    assert_eq!(paper.tables, full.tables);
+    for (less, more) in [(&paper, &half), (&half, &full)] {
+        assert!(more.est.tiered_batch_ns < less.est.tiered_batch_ns);
+        assert!(more.est.mram_batch_ns < less.est.mram_batch_ns);
+    }
+}
+
+/// The cost estimates must show the tiering knee the simulator shows
+/// (`BENCH_placement.json`, whose sweep gates the same direction on
+/// modeled time): while the fixed hot tier holds a large share of a
+/// small catalog tiering wins clearly, and as the tables outgrow it the
+/// advantage *decays* — the cold partitions' all-partition gather grows
+/// on both sides alike — until the two plans converge and what is left
+/// of the difference is the host tier's probes. The baseline is this
+/// planner with both hot tiers off, the plan the sweep simulates beside
+/// the tiered one.
 #[test]
 fn cost_estimate_crosses_over_at_scale() {
     let dim = 32;
-    let mk = |rows: usize, seed: u64| {
+    let mk = |rows: usize, tiered: bool| {
         let catalog = Catalog::homogeneous(4, rows, dim);
-        let profiles: Vec<FreqProfile> = (0..4).map(|t| random_profile(rows, seed + t)).collect();
+        let profiles: Vec<FreqProfile> = (0..4).map(|t| random_profile(rows, 1 + t)).collect();
         let config = PlannerConfig {
             topology: RankTopology {
                 nr_ranks: 8,
                 dpus_per_rank: 64,
             },
             emt_capacity_bytes: 2_000 * dim * 4,
-            host_cache_bytes: 64 * 1024,
+            host_cache_bytes: if tiered { 64 * 1024 } else { 0 },
+            replicate_top: if tiered { 64 } else { 0 },
             ..PlannerConfig::default()
         };
         plan(&catalog, &profiles, &config).expect("feasible")
     };
-    let small = mk(2_000, 1);
-    let large = mk(200_000, 1); // 100x
+    let small = mk(2_000, true);
+    let large = mk(200_000, true); // 100x
     assert!(
-        large.est.tiered_batch_ns < large.est.mram_batch_ns,
-        "tiering must win at 100x scale: tiered {} vs mram {}",
-        large.est.tiered_batch_ns,
-        large.est.mram_batch_ns
+        small.est.tiered_batch_ns < small.est.mram_batch_ns,
+        "tiering must win at 1x scale: tiered {} vs mram {}",
+        small.est.tiered_batch_ns,
+        small.est.mram_batch_ns
     );
-    // The tiered advantage must *grow* with scale (the knee exists).
+    // The tiered advantage must *decay* with scale (the knee exists),
+    // and not past break-even by more than the host probes cost.
     let small_ratio = small.est.mram_batch_ns / small.est.tiered_batch_ns;
     let large_ratio = large.est.mram_batch_ns / large.est.tiered_batch_ns;
     assert!(
-        large_ratio > small_ratio,
-        "advantage must grow with scale: {small_ratio} -> {large_ratio}"
+        large_ratio < small_ratio,
+        "advantage must decay with scale: {small_ratio} -> {large_ratio}"
     );
+    assert!(
+        large_ratio > 0.95,
+        "past the knee the plans converge: {large_ratio}"
+    );
+    // The baseline is a plan this planner makes: the same catalog with
+    // both hot tiers off estimates, as its own tiered side, exactly
+    // what the tiered plan reports as its pure-MRAM side.
+    for (rows, tiered) in [(2_000, &small), (200_000, &large)] {
+        let cold_only = mk(rows, false);
+        assert_eq!(cold_only.est.tiered_batch_ns, tiered.est.mram_batch_ns);
+        assert_eq!(cold_only.est.tiered_batch_ns, cold_only.est.mram_batch_ns);
+        assert_eq!(cold_only.est.parts_total, tiered.est.mram_parts_total);
+    }
     // And the mechanism is partition-touch saturation: the tiered plan
     // has hundreds of partitions but a batch only ever touches a
     // bounded, rank-count-capped subset. (The tiered plan can hold

@@ -264,6 +264,13 @@ impl Runtime {
         for engine in engines.iter() {
             check_servable(&cfg.sched, trace, engine.staged_batch_capacity())?;
         }
+        // The shards are host-side replicas of one modeled fleet, and a
+        // fleet fills its DPUs' WRAM-resident rows once: batch 0 goes to
+        // shard 0, which pays for it on the modeled clock; the others
+        // start out filled.
+        for replica in engines.iter_mut().skip(1) {
+            replica.prefill_resident()?;
+        }
         // The workers own the engines for the whole run, so the batcher
         // counts into a registry of its own, folded into shard 0's once
         // the workers have handed the engines back.

@@ -67,6 +67,10 @@ fn accounting_identities_hold_for_random_configs() {
     let mut config = UpdlrmConfig::with_dpus(16, PartitionStrategy::NonUniform);
     config.batch_size = ENGINE_BATCH;
     let mut eng = UpdlrmEngine::from_workload(config, &tables, &base).expect("engine builds");
+    // One engine serves every case, twice: a warm-up batch pays the
+    // fill of its DPUs' resident rows, or the very first run alone
+    // would and differ from its repeat.
+    eng.run_batch(&base.batches[0]).expect("warm-up");
 
     let strategy = (
         500u64..50_000_000,         // offered qps: idle to far past saturation

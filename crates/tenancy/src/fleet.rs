@@ -241,10 +241,14 @@ impl TenantFleet {
                     .map_err(|e| CoreError::InvalidConfig(format!("tenant '{}': {e}", spec.name)))
                 })
                 .collect::<Result<_>>()?;
+            // The tenants time-share the same DPUs, and a DPU's WRAM
+            // outlives a launch: each tenant's resident rows get an
+            // equal share of the budget so all of them fit at once.
             let config = UpdlrmConfig {
                 batch_size: spec.max_batch,
                 telemetry: cfg.telemetry,
                 embed_dtype: spec.dtype,
+                wram_tenants: specs.len(),
                 ..UpdlrmConfig::with_dpus(cfg.fleet_dpus, spec.strategy)
             };
             let engine = UpdlrmEngine::from_workload(config, &tables, &workload)?;
@@ -255,12 +259,17 @@ impl TenantFleet {
 
     /// Builds a fleet from pre-constructed engines (one per tenant) —
     /// the escape hatch for tiered or otherwise custom back-ends. Each
-    /// workload must carry an open-loop arrival trace.
+    /// workload must carry an open-loop arrival trace. The engines
+    /// share the fleet's DPUs, so what they keep WRAM-resident must fit
+    /// a DPU together (build each with
+    /// [`UpdlrmConfig::wram_tenants`] set to the tenant count, as
+    /// [`TenantFleet::from_specs`] does).
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] on empty tenant lists, invalid
-    /// specs or an invalid fleet config.
+    /// specs, an invalid fleet config, or engines whose WRAM demands
+    /// add up to more than a DPU has.
     pub fn with_engines(
         cfg: FleetConfig,
         parts: Vec<(TenantSpec, Workload, UpdlrmEngine)>,
@@ -273,6 +282,21 @@ impl TenantFleet {
         }
         for (spec, _, _) in &parts {
             spec.validate().map_err(CoreError::InvalidConfig)?;
+        }
+        // One tenant runs at a time, so the tasklet locals and the
+        // accumulator block are whoever's turn it is — the largest —
+        // but every tenant's resident rows stay put between its turns.
+        let reports: Vec<_> = parts.iter().map(|(_, _, e)| e.residency()).collect();
+        let resident: usize = reports.iter().map(|r| r.max_bytes).sum();
+        let transient = reports.iter().map(|r| r.max_wram_bytes - r.max_bytes).max();
+        let needed = resident + transient.unwrap_or(0);
+        let wram = updlrm_core::ResidencyReport::WRAM_BYTES;
+        if resident > 0 && needed > wram {
+            return Err(CoreError::InvalidConfig(format!(
+                "the tenants' engines keep {resident} B of rows WRAM-resident on one DPU and need \
+                 {needed} B of its {wram} B WRAM in all; build each with wram_tenants = {}",
+                parts.len()
+            )));
         }
         let offsets = if cfg.interleave {
             interleaved_offsets(parts.len(), cfg.fleet_dpus)
@@ -315,7 +339,7 @@ impl TenantFleet {
     }
 
     /// The fleet-level telemetry snapshot of the last [`run`](Self::run)
-    /// (schema v5: per-tenant breakouts live in `tenants`).
+    /// (schema v6: per-tenant breakouts live in `tenants`).
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.metrics.snapshot()
     }
@@ -440,7 +464,7 @@ impl TenantFleet {
     }
 
     /// Folds the lanes into a [`FleetReport`] and records the
-    /// per-tenant telemetry breakout (schema v5).
+    /// per-tenant telemetry breakout (since schema v5).
     fn build_report(&mut self) -> FleetReport {
         let total_w: f64 = self.lanes.iter().map(|l| l.spec.weight).sum();
         let total_busy: u64 = self.lanes.iter().map(|l| l.busy_ns).sum();

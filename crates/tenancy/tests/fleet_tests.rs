@@ -395,6 +395,55 @@ fn capacity_sweep_finds_the_fleet_size_knee() {
     assert_eq!(back, points);
 }
 
+/// Tenants time-share the DPUs, and what each keeps WRAM-resident stays
+/// put between its turns: a fleet built from specs gives every tenant
+/// an equal share of the budget, so on one DPU the tenants' resident
+/// blocks together with the larger tenant's tasklet locals and
+/// accumulators stay within the 64 KB — and engines built as if each
+/// had the DPUs to itself are turned away.
+#[test]
+fn two_tenants_resident_rows_fit_one_dpu_together() {
+    use updlrm_core::ResidencyReport;
+    // Tables large enough that a tenant alone would fill the budget.
+    let specs = [victim(), adversary()].map(|spec| TenantSpec { scale: 500, ..spec });
+    let mut fleet = TenantFleet::from_specs(&specs, fleet_cfg(Arbitration::Drr)).unwrap();
+    let reports: Vec<ResidencyReport> = (0..specs.len())
+        .map(|i| fleet.engine_mut(i).residency())
+        .collect();
+    let (solo, _) = solo_engine_and_workload(&specs[0]);
+    let solo = solo.residency();
+    let mut resident = 0;
+    for r in &reports {
+        assert!(r.max_rows > 0, "{r:?}");
+        assert_eq!(r.budget_bytes, solo.budget_bytes / specs.len(), "{r:?}");
+        assert!(r.max_bytes <= r.budget_bytes, "{r:?}");
+        resident += r.max_bytes;
+    }
+    let transient = reports
+        .iter()
+        .map(|r| r.max_wram_bytes - r.max_bytes)
+        .max()
+        .unwrap();
+    assert!(
+        resident + transient <= ResidencyReport::WRAM_BYTES,
+        "{resident} B resident + {transient} B transient"
+    );
+    // The shared fleet still serves.
+    let report = fleet.run(|_, _, _, _, _| {}).unwrap();
+    assert!(report.tenants.iter().all(|t| t.sched.completed > 0));
+
+    // Two engines that each took the whole budget do not fit together.
+    let parts = specs
+        .iter()
+        .map(|spec| {
+            let (engine, workload) = solo_engine_and_workload(spec);
+            (spec.clone(), workload, engine)
+        })
+        .collect();
+    let err = TenantFleet::with_engines(fleet_cfg(Arbitration::Drr), parts).unwrap_err();
+    assert!(err.to_string().contains("wram_tenants = 2"), "{err}");
+}
+
 #[test]
 fn invalid_fleets_are_rejected() {
     let err = TenantFleet::from_specs(&[], fleet_cfg(Arbitration::Drr)).unwrap_err();

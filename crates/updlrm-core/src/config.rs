@@ -1,11 +1,12 @@
 //! Engine configuration.
 
+use crate::kernel;
 use crate::partition::PartitionStrategy;
 use crate::replan::ReplanPolicy;
 use crate::serve::PipelineMode;
 use cooccur_cache::MinerConfig;
 use dlrm_model::EmbedDtype;
-use upmem_sim::CostModel;
+use upmem_sim::{CostModel, WramBudget};
 
 /// Configuration of an [`UpdlrmEngine`](crate::engine::UpdlrmEngine).
 ///
@@ -80,6 +81,17 @@ pub struct UpdlrmConfig {
     /// reserve double-buffered EMT/cache MRAM regions so a stale
     /// placement can be migrated mid-serving and flipped atomically.
     pub replan: ReplanPolicy,
+    /// Engines time-sharing each DPU's WRAM (DESIGN.md §7, "The WRAM
+    /// axis"). Every DPU keeps its hottest rows WRAM-resident across
+    /// launches, in the bytes the tasklet locals and the dedup
+    /// accumulator block leave free; that budget is computed, not
+    /// configured, and an engine fills `1 / wram_tenants` of it (`1`,
+    /// the default: all of it; the multi-tenant fleet sets its tenant
+    /// count). `0` keeps nothing resident — the paper's kernel, every
+    /// reference one MRAM DMA, through the same code path; the figure
+    /// sweeps use it to print the paper-design column. Programmatic
+    /// only, like `dedup`: no CLI flag sets it.
+    pub wram_tenants: usize,
 }
 
 impl Default for UpdlrmConfig {
@@ -104,6 +116,7 @@ impl Default for UpdlrmConfig {
             telemetry: false,
             embed_dtype: EmbedDtype::F32,
             replan: ReplanPolicy::Off,
+            wram_tenants: 1,
         }
     }
 }
@@ -162,10 +175,46 @@ impl UpdlrmConfig {
         self
     }
 
+    /// Returns a copy whose DPUs' WRAM is shared by `n` engines (`0`:
+    /// nothing WRAM-resident, the paper's kernel).
+    pub fn with_wram_tenants(mut self, n: usize) -> Self {
+        self.wram_tenants = n;
+        self
+    }
+
     /// Returns a copy with the given online re-partitioning policy.
     pub fn with_replan(mut self, policy: ReplanPolicy) -> Self {
         self.replan = policy;
         self
+    }
+
+    /// The WRAM account of one DPU of an engine configured like this,
+    /// for tiles of `n_c` columns and a batch of `n_samples`
+    /// ([`kernel::wram_budget`]): the one place the resident rows are
+    /// sized from, a batch is checked against and the summary reads.
+    pub(crate) fn wram_account(&self, n_c: usize, n_samples: usize) -> WramBudget {
+        kernel::wram_budget(
+            n_c * 4,
+            self.embed_dtype,
+            self.dedup,
+            self.tasklets,
+            n_samples,
+        )
+    }
+
+    /// Bytes of each DPU's WRAM one engine may fill with the resident
+    /// rows of a table tiled `n_c` columns wide: what the WRAM account
+    /// leaves beside the tasklet locals and — under `dedup` — the
+    /// accumulator block of the largest batch the staging regions hold,
+    /// divided by the engines sharing the DPU. Zero with
+    /// [`wram_tenants`](Self::wram_tenants) at 0. Estimators that price
+    /// this engine's lookups take it as an input
+    /// (`placement::PlannerConfig::wram_resident_bytes`).
+    pub fn wram_resident_bytes(&self, n_c: usize) -> usize {
+        if self.wram_tenants == 0 {
+            return 0;
+        }
+        self.wram_account(n_c, self.batch_size * 2).resident_bytes() / self.wram_tenants
     }
 }
 
@@ -191,6 +240,8 @@ mod tests {
         assert_eq!(c.embed_dtype, EmbedDtype::F32);
         // Placement is static unless replanning is opted into.
         assert_eq!(c.replan, ReplanPolicy::Off);
+        // Hot rows stay WRAM-resident, with the whole budget.
+        assert_eq!(c.wram_tenants, 1);
     }
 
     #[test]

@@ -29,14 +29,16 @@
 
 use crate::config::UpdlrmConfig;
 use crate::error::{CoreError, Result};
-use crate::kernel::{DpuTask, EmbeddingKernel, StreamWriter, CACHE_REF_BIT};
+use crate::kernel::{DpuTask, EmbeddingKernel, ResidentRows, StreamWriter, CACHE_REF_BIT};
 use crate::partition::{self, PartitionStrategy, RowAssignment};
 use crate::replan::{self, PartLists, ReplanPolicy};
+use crate::residency::{self, PartResidency, ResidencyReport};
 use crate::telemetry::{MetricsRegistry, Snapshot};
 use crate::tiling::{Tiling, TilingProblem};
 use cooccur_cache::{CacheHit, CacheListSet, CacheTraffic, LookupScratch, PartialSumCache};
 use dlrm_model::{quant, simd, Dlrm, EmbedDtype, EmbeddingTable, Matrix, QueryBatch};
 use placement::{PlacementPlan, HOST_ROW_PART};
+use upmem_sim::arch::WRAM_CAPACITY;
 use upmem_sim::{Cycles, DpuId, Fleet, LaunchReport, RankCostModel, RankTopology, TransferReport};
 use workloads::{FreqProfile, Workload};
 
@@ -65,6 +67,13 @@ pub struct EmbeddingBreakdown {
     pub emt_lookups: u64,
     /// Slowest-DPU over mean-DPU lookup cycles (1.0 = perfectly balanced).
     pub lookup_imbalance: f64,
+    /// Row reads the kernels served from WRAM-resident rows instead of
+    /// an MRAM DMA.
+    pub wram_rows: u64,
+    /// Cycles the slowest DPU spent copying its resident rows
+    /// MRAM→WRAM (inside `stage2_ns`): nonzero on the first batch after
+    /// a build or a migration flip, zero otherwise.
+    pub wram_fill_cycles: u64,
 }
 
 impl EmbeddingBreakdown {
@@ -92,6 +101,8 @@ impl EmbeddingBreakdown {
         self.cache_hits += other.cache_hits;
         self.emt_lookups += other.emt_lookups;
         self.lookup_imbalance = self.lookup_imbalance.max(other.lookup_imbalance);
+        self.wram_rows += other.wram_rows;
+        self.wram_fill_cycles += other.wram_fill_cycles;
     }
 }
 
@@ -167,6 +178,11 @@ struct TableState {
     /// Per staging slot: (reference-stream base, partial-sum base).
     slots: [(u32, u32); STAGING_SLOTS],
     dim: usize,
+    /// Per row partition: the slot prefixes its DPUs keep WRAM-resident.
+    resident: Vec<PartResidency>,
+    /// Whether `resident` was picked from a profile, i.e. its
+    /// `covered` counts mean what `assignment.part_load` means.
+    profiled: bool,
 }
 
 impl TableState {
@@ -177,7 +193,11 @@ impl TableState {
     /// replanning enabled the EMT and cache regions are themselves
     /// double-buffered so migrations can stage the next placement.
     /// `cache_cap_rows` is the cache placement's capacity bound (0
-    /// without a cache).
+    /// without a cache). The WRAM-resident rows are picked from
+    /// `profile`, what the placement was fit to (`None` for a plan's),
+    /// and `cache_slot_refs`, the references it expects each cache slot
+    /// to serve ([`cache_entry_routes`]; empty without a cache).
+    #[allow(clippy::too_many_arguments)]
     fn new(
         config: &UpdlrmConfig,
         tiling: Tiling,
@@ -186,8 +206,18 @@ impl TableState {
         cache_cap_rows: usize,
         locs: Vec<(usize, u32)>,
         host_store: Vec<f32>,
+        profile: Option<&FreqProfile>,
+        cache_slot_refs: &[Vec<f64>],
     ) -> Result<TableState> {
         let replicas = replan::replica_block(&assignment);
+        let resident = pick_resident(
+            config,
+            &tiling,
+            &assignment,
+            replicas.len(),
+            cache_slot_refs,
+            profile,
+        );
         let row_bytes = tiling.row_bytes();
         // EMT rows are stored at the configured dtype's stride; cache,
         // input and output regions stay f32. Under int8 the narrower
@@ -224,7 +254,7 @@ impl TableState {
             output_bytes: config.batch_size * row_bytes * 2,
         })
         .map_err(capacity)?;
-        Ok(TableState {
+        let state = TableState {
             tiling,
             assignment,
             cache,
@@ -237,7 +267,22 @@ impl TableState {
             cache_region_rows: regions.cache_region_rows,
             slots: regions.slots,
             dim: tiling.n_c * tiling.col_slices,
-        })
+            resident,
+            profiled: profile.is_some(),
+        };
+        // What was picked must fit beside the tasklet locals and the
+        // largest batch's accumulator block, on every DPU.
+        let block = state.max_resident_bytes(config.embed_dtype);
+        let needed = config
+            .wram_account(tiling.n_c, config.batch_size * 2)
+            .needed(block);
+        if block > 0 && needed > WRAM_CAPACITY {
+            return Err(CoreError::InvalidConfig(format!(
+                "{block} B of WRAM-resident rows bring a DPU's WRAM to {needed} B of \
+                 {WRAM_CAPACITY}"
+            )));
+        }
+        Ok(state)
     }
 
     /// `(rank, rank-local id)` of the DPU holding `(part, slice)`.
@@ -250,9 +295,46 @@ impl TableState {
         self.slots[slot].0
     }
 
+    /// Bytes of the largest resident block any partition's DPUs hold.
+    fn max_resident_bytes(&self, dtype: EmbedDtype) -> usize {
+        let (emt, row) = (
+            dtype.stored_row_bytes(self.tiling.n_c),
+            self.tiling.row_bytes(),
+        );
+        let blocks = self
+            .resident
+            .iter()
+            .map(|r| r.rows(0).block_bytes(emt, row));
+        blocks.max().unwrap_or(0)
+    }
+
     fn output_base(&self, slot: usize) -> u32 {
         self.slots[slot].1
     }
+}
+
+/// Picks every partition's WRAM-resident slot prefixes for a placement
+/// of one table ([`residency::plan_table`] at this engine's budget and
+/// row strides).
+fn pick_resident(
+    config: &UpdlrmConfig,
+    tiling: &Tiling,
+    assignment: &RowAssignment,
+    n_replicas: usize,
+    cache_slot_refs: &[Vec<f64>],
+    profile: Option<&FreqProfile>,
+) -> Vec<PartResidency> {
+    residency::plan_table(
+        assignment,
+        n_replicas,
+        cache_slot_refs,
+        profile,
+        (
+            config.embed_dtype.stored_row_bytes(tiling.n_c),
+            tiling.row_bytes(),
+        ),
+        config.wram_resident_bytes(tiling.n_c),
+    )
 }
 
 /// The per-DPU MRAM region plan shared by every (partition, slice) of
@@ -433,21 +515,46 @@ fn entries_in_parts(entry_route: &[(u32, u32)], cache_rows_per_part: &[u32], out
 }
 
 /// Assigns cache slots for a cache-aware placement and returns each
-/// store entry's route (see [`CacheState::entry_route`]): combos of one
-/// list are consecutive in the owning partition's cache region, in the
-/// same (list-major, mask-minor) order the store enumerates.
-fn cache_entry_routes(ca: &partition::CacheAwareAssignment) -> Vec<(u32, u32)> {
+/// store entry's route (see [`CacheState::entry_route`]) — entries in
+/// the store's (list-major, mask-minor) order — with, per partition,
+/// the references `profile` expects each slot to serve, descending.
+/// Within a partition slots go to the
+/// combinations in descending expected references
+/// ([`residency::entry_refs`]; ties in entry order), so that the
+/// hottest cached rows form a prefix of the region.
+fn cache_entry_routes(
+    ca: &partition::CacheAwareAssignment,
+    profile: &FreqProfile,
+) -> (Vec<(u32, u32)>, Vec<Vec<f64>>) {
     let parts = ca.cache_rows_per_part.len();
-    let mut next_slot = vec![0u32; parts];
-    let mut entry_route = Vec::new();
-    for (l, list) in ca.placed_lists.lists.iter().enumerate() {
-        let p = ca.list_part[l];
-        let combos = list.num_combinations() as u32;
-        let first = next_slot[p as usize];
-        entry_route.extend((first..first + combos).map(|slot| (p, CACHE_REF_BIT | slot)));
-        next_slot[p as usize] += combos;
+    // Per partition: (expected references, entry).
+    let mut ranked: Vec<Vec<(f64, u32)>> = ca
+        .cache_rows_per_part
+        .iter()
+        .map(|&n| Vec::with_capacity(n as usize))
+        .collect();
+    let (mut counts, mut refs) = (Vec::new(), Vec::new());
+    let mut entry = 0u32;
+    for (list, &p) in ca.placed_lists.lists.iter().zip(&ca.list_part) {
+        counts.clear();
+        counts.extend(list.items.iter().map(|&i| profile.count(i) as f64));
+        let fetches = counts.iter().sum::<f64>() - list.benefit;
+        residency::entry_refs(&counts, fetches, &mut refs);
+        for &r in &refs {
+            ranked[p as usize].push((r, entry));
+            entry += 1;
+        }
     }
-    entry_route
+    let mut entry_route = vec![(0u32, 0u32); entry as usize];
+    let mut slot_refs = Vec::with_capacity(parts);
+    for (p, entries) in ranked.iter_mut().enumerate() {
+        entries.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (slot, &(_, e)) in entries.iter().enumerate() {
+            entry_route[e as usize] = (p as u32, CACHE_REF_BIT | slot as u32);
+        }
+        slot_refs.push(entries.iter().map(|&(r, _)| r).collect());
+    }
+    (entry_route, slot_refs)
 }
 
 /// New cache layout staged by a pending migration (cache-aware tables
@@ -466,6 +573,10 @@ struct TableFlip {
     assignment: RowAssignment,
     replicas: Vec<u32>,
     cache: Option<CacheFlip>,
+    /// The staged placement's WRAM-resident prefixes, picked from the
+    /// window it was fit to; a DPU refills on its first launch after
+    /// the flip.
+    resident: Vec<PartResidency>,
 }
 
 /// An in-flight migration: the staged per-table placements and the
@@ -531,6 +642,8 @@ pub(crate) struct Stage2Report {
     pub(crate) dma_transfers: u64,
     pub(crate) instrs: u64,
     pub(crate) lookup_imbalance: f64,
+    pub(crate) wram_rows: u64,
+    pub(crate) wram_fill_cycles: u64,
 }
 
 impl Stage2Report {
@@ -540,6 +653,8 @@ impl Stage2Report {
         breakdown.dma_transfers += self.dma_transfers;
         breakdown.instrs += self.instrs;
         breakdown.lookup_imbalance = self.lookup_imbalance;
+        breakdown.wram_rows += self.wram_rows;
+        breakdown.wram_fill_cycles += self.wram_fill_cycles;
     }
 }
 
@@ -571,12 +686,18 @@ struct RankIo {
 }
 
 /// One stage-2 kernel launch: the DPUs of one table on one rank, in
-/// (row part, col slice) order.
+/// (row part, col slice) order, and the prebuilt kernel per staging
+/// slot that runs on them. Tasks are registered once at construction,
+/// keyed by rank-local DPU id — which is why a kernel belongs to one
+/// rank: two partitions of a table may share a local id across ranks
+/// but not their resident rows. Only a kernel's `n_samples` is set per
+/// launch, so stage 2 builds nothing per batch.
 #[derive(Debug)]
 struct LaunchGroup {
     table: usize,
     rank: usize,
     ids: Vec<DpuId>,
+    kernels: [EmbeddingKernel; STAGING_SLOTS],
 }
 
 /// Reusable per-engine working memory for the per-batch pipeline. Every
@@ -648,12 +769,6 @@ pub struct UpdlrmEngine {
     fleet: Fleet,
     config: UpdlrmConfig,
     tables: Vec<TableState>,
-    /// One prebuilt kernel per (table, staging slot): tasks are
-    /// registered once at construction, keyed by rank-local DPU id (a
-    /// table's partitions share their MRAM bases, so ids repeating
-    /// across ranks share an entry); only the kernel's `n_samples` is
-    /// set per launch, so stage 2 builds nothing per batch.
-    kernels: Vec<[EmbeddingKernel; STAGING_SLOTS]>,
     /// Stage-2 launches in (table, rank) order.
     launch_groups: Vec<LaunchGroup>,
     /// Broadcast target group per reference stream (rank-local ids of
@@ -677,6 +792,9 @@ pub struct UpdlrmEngine {
     host_tables: Vec<EmbeddingTable>,
     /// Which EMT/cache region pair is serving (`emt_bases[active_emt]`).
     active_emt: usize,
+    /// Generation of the MRAM rows the resident blocks copy
+    /// ([`ResidentRows::epoch`]): 1 at build, one more per flip.
+    resident_epoch: u32,
     /// Replanner state; `None` unless `config.replan` is enabled.
     drift: Option<DriftState>,
 }
@@ -869,7 +987,15 @@ impl UpdlrmEngine {
                 host_store.extend_from_slice(table.row(r)?);
             }
             states.push(TableState::new(
-                &config, tiling, assignment, None, 0, locs, host_store,
+                &config,
+                tiling,
+                assignment,
+                None,
+                0,
+                locs,
+                host_store,
+                None,
+                &[],
             )?);
         }
         Self::assemble(
@@ -941,33 +1067,11 @@ impl UpdlrmEngine {
                 gather_buf: Vec::new(),
             })
             .collect();
-        let mut kernels = Vec::with_capacity(states.len());
+        let resident_epoch = 1;
         let mut launch_groups: Vec<LaunchGroup> = Vec::new();
         let mut stream_groups = Vec::new();
         let mut streams = Vec::new();
         for (t, state) in states.iter().enumerate() {
-            let kset: [EmbeddingKernel; STAGING_SLOTS] = std::array::from_fn(|slot| {
-                let mut kernel = EmbeddingKernel::with_dtype(
-                    state.tiling.row_bytes(),
-                    config.dedup,
-                    config.embed_dtype,
-                );
-                for p in 0..state.tiling.row_parts {
-                    for c in 0..state.tiling.col_slices {
-                        kernel.set_task(
-                            state.dpu(p, c).1,
-                            DpuTask {
-                                emt_base: state.emt_bases[0],
-                                cache_base: state.cache_bases[0],
-                                input_base: state.input_base(slot),
-                                output_base: state.output_base(slot),
-                            },
-                        );
-                    }
-                }
-                kernel
-            });
-            kernels.push(kset);
             let first_group = launch_groups.len();
             for p in 0..state.tiling.row_parts {
                 let rank = state.locs[p].0;
@@ -981,16 +1085,41 @@ impl UpdlrmEngine {
                 io.streams.push(streams.len());
                 io.gathers
                     .extend(group.iter().enumerate().map(|(c, &dpu)| (dpu, t, c)));
-                match launch_groups[first_group..]
-                    .iter_mut()
-                    .find(|g| g.rank == rank)
+                let launch = match launch_groups[first_group..]
+                    .iter()
+                    .position(|g| g.rank == rank)
                 {
-                    Some(g) => g.ids.extend_from_slice(&group),
-                    None => launch_groups.push(LaunchGroup {
-                        table: t,
-                        rank,
-                        ids: group.clone(),
-                    }),
+                    Some(g) => &mut launch_groups[first_group + g],
+                    None => {
+                        launch_groups.push(LaunchGroup {
+                            table: t,
+                            rank,
+                            ids: Vec::new(),
+                            kernels: std::array::from_fn(|_| {
+                                EmbeddingKernel::with_dtype(
+                                    state.tiling.row_bytes(),
+                                    config.dedup,
+                                    config.embed_dtype,
+                                )
+                            }),
+                        });
+                        launch_groups.last_mut().expect("just pushed")
+                    }
+                };
+                launch.ids.extend_from_slice(&group);
+                for (slot, kernel) in launch.kernels.iter_mut().enumerate() {
+                    for &dpu in &group {
+                        kernel.set_task(
+                            dpu,
+                            DpuTask {
+                                emt_base: state.emt_bases[0],
+                                cache_base: state.cache_bases[0],
+                                input_base: state.input_base(slot),
+                                output_base: state.output_base(slot),
+                                resident: state.resident[p].rows(resident_epoch),
+                            },
+                        );
+                    }
                 }
                 stream_groups.push(group);
                 streams.push(StreamSlot {
@@ -1023,7 +1152,6 @@ impl UpdlrmEngine {
             fleet,
             config,
             tables: states,
-            kernels,
             launch_groups,
             stream_groups,
             ranks,
@@ -1037,6 +1165,7 @@ impl UpdlrmEngine {
             metrics,
             host_tables,
             active_emt: 0,
+            resident_epoch,
             drift,
         })
     }
@@ -1097,6 +1226,15 @@ impl UpdlrmEngine {
             batch_size: config.batch_size,
             avg_reduction: config.avg_reduction_hint,
             emt_capacity_bytes: config.emt_capacity_bytes,
+            tasklets: config.tasklets,
+            // Whole rows the group's WRAM can keep, however the rows
+            // are sliced (the widest tile's budget; the locals' few
+            // bytes per column aside it is the same for every `N_c`).
+            wram_hit_share: {
+                let n_c = config.n_c.unwrap_or(table.dim().min(8));
+                let group_bytes = config.wram_resident_bytes(n_c) * dpus;
+                residency::top_rows_share(profile, table.rows(), group_bytes / (table.dim() * 4))
+            },
         };
         let tiling = match config.n_c {
             Some(n_c) => problem.tiling_for_nc(n_c, &config.cost)?,
@@ -1109,6 +1247,7 @@ impl UpdlrmEngine {
         // Capacity bound of the cache placement (set under CA): the
         // cache region size a replanned placement can always fit.
         let mut cache_cap_rows = 0usize;
+        let mut cache_slot_refs = Vec::new();
         let (assignment, cache) = match config.strategy {
             PartitionStrategy::Uniform => (
                 partition::uniform(table.rows(), parts, emt_cap_rows, profile)?,
@@ -1152,7 +1291,8 @@ impl UpdlrmEngine {
                     &lists,
                 )?;
                 let store = PartialSumCache::materialize(&ca.placed_lists, table)?;
-                let entry_route = cache_entry_routes(&ca);
+                let entry_route;
+                (entry_route, cache_slot_refs) = cache_entry_routes(&ca, profile);
                 let placed = ca.placed_lists.lists.len();
                 (
                     ca.rows,
@@ -1180,6 +1320,8 @@ impl UpdlrmEngine {
             cache_cap_rows,
             locs,
             Vec::new(),
+            Some(profile),
+            &cache_slot_refs,
         )
     }
 
@@ -1241,6 +1383,74 @@ impl UpdlrmEngine {
     /// Resets all telemetry counters to zero (arenas stay allocated).
     pub fn reset_metrics(&mut self) {
         self.metrics.reset();
+    }
+
+    /// What the engine keeps WRAM-resident on its DPUs (DESIGN.md §7,
+    /// "The WRAM axis"): the derived budget, the largest resident block
+    /// and the hit share the fit profile predicts.
+    pub fn residency(&self) -> ResidencyReport {
+        let dtype = self.config.embed_dtype;
+        let mut report = ResidencyReport {
+            budget_bytes: 0,
+            max_bytes: 0,
+            max_rows: 0,
+            max_wram_bytes: 0,
+            predicted_hit_share: None,
+        };
+        let (mut covered, mut load) = (0.0f64, 0.0f64);
+        for state in &self.tables {
+            let n_c = state.tiling.n_c;
+            let budget = self.config.wram_resident_bytes(n_c);
+            report.budget_bytes = report.budget_bytes.max(budget);
+            let block = state.max_resident_bytes(dtype);
+            report.max_bytes = report.max_bytes.max(block);
+            let wram = self.config.wram_account(n_c, self.staged_batch_capacity());
+            report.max_wram_bytes = report.max_wram_bytes.max(wram.needed(block));
+            for r in &state.resident {
+                let rows = (r.emt_rows + r.cache_rows) as usize;
+                report.max_rows = report.max_rows.max(rows);
+                covered += r.covered;
+            }
+            load += state.assignment.part_load.iter().sum::<f64>();
+        }
+        if self.tables.iter().all(|s| s.profiled) && load > 0.0 {
+            report.predicted_hit_share = Some(covered / load);
+        }
+        report
+    }
+
+    /// The slot prefixes partition `part` of table `table` keeps
+    /// WRAM-resident on each of its DPUs (what its kernel tasks carry).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` or `part` is out of range.
+    pub fn resident_rows(&self, table: usize, part: usize) -> ResidentRows {
+        self.tables[table].resident[part].rows(self.resident_epoch)
+    }
+
+    /// Fills every DPU's resident rows now, outside modeled time, so
+    /// that no later batch is charged for it. Its one caller is
+    /// `runtime::Runtime::run`, for an engine that stands in for a
+    /// fleet whose fill is already on the books: the wall runtime's
+    /// shards beyond the first are host-side replicas of *one* modeled
+    /// fleet, and only the first pays (`shards - 1` fills leave the
+    /// wall run's modeled clock; none at one shard, which is what the
+    /// benchmark's `wall_rt` runs). Anything else — tests included —
+    /// lets its first batch pay (DESIGN.md §7): the launch this runs
+    /// is an empty batch whose report is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Simulator faults.
+    pub fn prefill_resident(&mut self) -> Result<()> {
+        for g in &mut self.launch_groups {
+            let kernel = &mut g.kernels[0];
+            kernel.n_samples = 0;
+            let rank = self.fleet.rank_mut(g.rank)?;
+            rank.launch_into(&g.ids, kernel, &mut self.scratch.launch)?;
+        }
+        Ok(())
     }
 
     /// Number of embedding tables loaded.
@@ -1311,14 +1521,20 @@ impl UpdlrmEngine {
         let b = batch.batch_size();
         let tasklets = self.config.tasklets;
         for state in &self.tables {
-            // The dedup kernel's shared WRAM accumulator block must leave
-            // room for per-tasklet locals (the CSR kernel has no such
-            // block: each tasklet accumulates one row at a time).
+            // One WRAM account: the tasklet locals, the resident rows
+            // and — for the dedup kernel only; the CSR kernel
+            // accumulates one row at a time — this batch's shared
+            // accumulator block must fit a DPU together.
             let row_bytes = state.tiling.row_bytes();
-            let acc = b * row_bytes;
-            if self.config.dedup && acc + tasklets * 64 > upmem_sim::arch::WRAM_CAPACITY {
+            let budget = self.config.wram_account(state.tiling.n_c, b);
+            let resident = state.max_resident_bytes(self.config.embed_dtype);
+            let needed = budget.needed(resident);
+            if needed > WRAM_CAPACITY {
                 return Err(CoreError::InvalidConfig(format!(
-                    "batch {b} x {row_bytes} B rows needs {acc} B of WRAM accumulators (64 KB available)"
+                    "batch {b} x {row_bytes} B rows needs {needed} B of WRAM ({} B of accumulators, \
+                     {resident} B of resident rows, {} B of tasklet locals), {WRAM_CAPACITY} B \
+                     available",
+                    budget.block_bytes, budget.locals_bytes
                 )));
             }
             // A batch larger than the staged partial-sum region would
@@ -1502,7 +1718,6 @@ impl UpdlrmEngine {
     pub(crate) fn launch_stage2(&mut self, n_samples: usize, slot: usize) -> Result<Stage2Report> {
         let UpdlrmEngine {
             fleet,
-            kernels,
             launch_groups,
             scratch,
             metrics,
@@ -1510,19 +1725,19 @@ impl UpdlrmEngine {
         } = self;
         let mut out = Stage2Report::default();
         scratch.all_cycles.clear();
-        for kset in kernels.iter_mut() {
-            kset[slot].n_samples = n_samples as u32;
-        }
         let dpus_per_rank = fleet.topology().dpus_per_rank;
         scratch.launches.clear();
-        for g in launch_groups.iter() {
+        for g in launch_groups.iter_mut() {
             let report = &mut scratch.launch;
+            g.kernels[slot].n_samples = n_samples as u32;
             fleet
                 .rank_mut(g.rank)?
-                .launch_into(&g.ids, &kernels[g.table][slot], report)?;
+                .launch_into(&g.ids, &g.kernels[slot], report)?;
             scratch.launches.push((report.wall_ns, report.energy_pj));
             out.dma_transfers += report.total_dma_transfers();
             out.instrs += report.total_instrs();
+            out.wram_rows += report.total_wram_rows();
+            out.wram_fill_cycles = out.wram_fill_cycles.max(report.max_fill_cycles().0);
             for (id, stats) in &report.per_dpu {
                 metrics.record_dpu(g.rank * dpus_per_rank + id.0 as usize, stats);
             }
@@ -1735,6 +1950,7 @@ impl UpdlrmEngine {
         let mut changed = false;
         for (t, state) in self.tables.iter().enumerate() {
             let profile = &drift.window[t];
+            let (config, tiling, window) = (&self.config, &state.tiling, Some(profile));
             let rows = state.assignment.part_of_row.len();
             let parts = state.tiling.row_parts;
             let flip = match self.config.strategy {
@@ -1756,9 +1972,10 @@ impl UpdlrmEngine {
                     let Ok((ca, store)) = planned else {
                         return false;
                     };
-                    let entry_route = cache_entry_routes(&ca);
+                    let (entry_route, slot_refs) = cache_entry_routes(&ca, profile);
                     let placed = ca.placed_lists.lists.len();
                     TableFlip {
+                        resident: pick_resident(config, tiling, &ca.rows, 0, &slot_refs, window),
                         assignment: ca.rows,
                         replicas: Vec::new(),
                         cache: Some(CacheFlip {
@@ -1781,6 +1998,14 @@ impl UpdlrmEngine {
                         return false;
                     };
                     TableFlip {
+                        resident: pick_resident(
+                            config,
+                            tiling,
+                            &assignment,
+                            replicas.len(),
+                            &[],
+                            window,
+                        ),
                         assignment,
                         replicas,
                         cache: None,
@@ -1910,6 +2135,7 @@ impl UpdlrmEngine {
         for (state, flip) in self.tables.iter_mut().zip(flips.drain(..)) {
             state.assignment = flip.assignment;
             state.replicas = flip.replicas;
+            state.resident = flip.resident;
             if let Some(cf) = flip.cache {
                 let cs = state.cache.as_mut().expect("CA table has cache state");
                 cs.store = cf.store;
@@ -1920,12 +2146,23 @@ impl UpdlrmEngine {
         }
         drift.flip_buf = flips;
         self.active_emt ^= 1;
-        let active = self.active_emt;
-        for (state, kset) in self.tables.iter().zip(self.kernels.iter_mut()) {
-            for kernel in kset.iter_mut() {
-                for task in kernel.tasks_mut() {
-                    task.emt_base = state.emt_bases[active];
-                    task.cache_base = state.cache_bases[active];
+        // A new generation: what a DPU's WRAM holds is a copy of the
+        // region that stopped serving, so every resident block refills
+        // (and is charged for it) on its DPU's next launch.
+        self.resident_epoch += 1;
+        let (active, epoch) = (self.active_emt, self.resident_epoch);
+        for g in &mut self.launch_groups {
+            let state = &self.tables[g.table];
+            for p in (0..state.tiling.row_parts).filter(|&p| state.locs[p].0 == g.rank) {
+                for c in 0..state.tiling.col_slices {
+                    for kernel in &mut g.kernels {
+                        let task = kernel.task_mut(state.dpu(p, c).1).expect(
+                            "every partition's DPUs are registered with its rank's kernels",
+                        );
+                        task.emt_base = state.emt_bases[active];
+                        task.cache_base = state.cache_bases[active];
+                        task.resident = state.resident[p].rows(epoch);
+                    }
                 }
             }
         }
@@ -1967,6 +2204,146 @@ mod tests {
             .host_read(addr, &mut out)
             .unwrap();
         out
+    }
+
+    /// "What is selected is what runs": the rows the engine reports
+    /// resident are exactly the rows the kernels charge as WRAM reads.
+    /// A hand-built batch names, per partition, the rows at the last
+    /// resident EMT slot and at the first slot past it, and — under CA
+    /// — every item of the list behind the last resident cache slot and
+    /// of the one behind the first slot past it; each DPU's `wram_rows`
+    /// (telemetry) must be its partition's resident references, the
+    /// kernels' tasks must carry what `resident_rows` reports, and the
+    /// block must be the bytes `residency` reports.
+    #[test]
+    fn the_reported_resident_rows_are_the_rows_served_from_wram() {
+        use dlrm_model::SparseInput;
+        let spec = DatasetSpec::goodreads().scaled_down(500);
+        let workload = Workload::generate(
+            &spec,
+            TraceConfig {
+                num_tables: 2,
+                num_batches: 4,
+                ..TraceConfig::default()
+            },
+        );
+        let tables: Vec<EmbeddingTable> = (0..2)
+            .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, 32, 3, t).unwrap())
+            .collect();
+        for (strategy, dtype, dedup) in [
+            (PartitionStrategy::NonUniform, EmbedDtype::F32, false),
+            (PartitionStrategy::NonUniform, EmbedDtype::Int8, true),
+            (PartitionStrategy::Replicated, EmbedDtype::F32, false),
+            (PartitionStrategy::CacheAware, EmbedDtype::F32, false),
+            (PartitionStrategy::CacheAware, EmbedDtype::Int8, false),
+            (PartitionStrategy::CacheAware, EmbedDtype::F32, true),
+        ] {
+            let case = format!("{strategy} {dtype:?} dedup={dedup}");
+            let mut config = UpdlrmConfig::with_dpus(16, strategy)
+                .with_fixed_nc(8)
+                .with_embed_dtype(dtype)
+                .with_telemetry();
+            config.dedup = dedup;
+            config.replicate_top = 4;
+            let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+
+            // One sample per probe; expected WRAM reads per (table, part).
+            let mut samples: Vec<Vec<Vec<u64>>> = vec![Vec::new(); tables.len()];
+            let mut want: Vec<Vec<u64>> = Vec::new();
+            let mut rows = PartLists::default();
+            let mut entries = PartLists::default();
+            for (t, state) in engine.tables.iter().enumerate() {
+                let parts = state.tiling.row_parts;
+                let rc = state.replicas.len();
+                let mut hits = vec![0u64; parts];
+                replan::rows_in_parts(&state.assignment, rc, &mut rows);
+                for (p, hits) in hits.iter_mut().enumerate() {
+                    let r = state.resident[p];
+                    assert_eq!(engine.resident_rows(t, p), r.rows(1), "{case}");
+                    // The local rows at the two slots around the threshold.
+                    for (slot, resident) in [
+                        ((r.emt_rows as usize).wrapping_sub(1), true),
+                        (r.emt_rows as usize, false),
+                    ] {
+                        let Some(&row) = slot.checked_sub(rc).and_then(|s| rows.part(p).get(s))
+                        else {
+                            continue;
+                        };
+                        samples[t].push(vec![row as u64]);
+                        *hits += u64::from(resident);
+                    }
+                    let Some(cs) = &state.cache else { continue };
+                    entries_in_parts(&cs.entry_route, &cs.cache_rows_per_part, &mut entries);
+                    for (slot, resident) in [
+                        ((r.cache_rows as usize).wrapping_sub(1), true),
+                        (r.cache_rows as usize, false),
+                    ] {
+                        let Some(&e) = entries.part(p).get(slot) else {
+                            continue;
+                        };
+                        // Exactly this combination's items: one cache read.
+                        samples[t].push(cs.store.entries()[e as usize].items.clone());
+                        *hits += u64::from(resident);
+                    }
+                }
+                assert!(
+                    hits.iter().sum::<u64>() > 0,
+                    "{case}: nothing resident to probe"
+                );
+                want.push(hits);
+            }
+            let b = samples.iter().map(Vec::len).max().unwrap();
+            for s in &mut samples {
+                s.resize(b, Vec::new());
+            }
+            let sparse = samples.into_iter().map(SparseInput::from_samples).collect();
+            let batch = QueryBatch::new(vec![0.0; b * 13], 13, sparse).unwrap();
+
+            engine.run_batch(&batch).unwrap(); // pays the fill
+            engine.reset_metrics();
+            let (_, breakdown) = engine.run_batch(&batch).unwrap();
+            assert_eq!(breakdown.wram_fill_cycles, 0, "{case}");
+            let snap = engine.metrics_snapshot();
+            let mut total = 0u64;
+            let (mut max_bytes, mut max_rows) = (0usize, 0usize);
+            for (t, state) in engine.tables.iter().enumerate() {
+                let emt_stride = dtype.stored_row_bytes(state.tiling.n_c);
+                for (p, &want) in want[t].iter().enumerate() {
+                    let r = state.resident[p].rows(1);
+                    max_bytes = max_bytes.max(r.block_bytes(emt_stride, state.tiling.row_bytes()));
+                    max_rows = max_rows.max((r.emt_rows + r.cache_rows) as usize);
+                    for c in 0..state.tiling.col_slices {
+                        let (_, dpu) = state.dpu(p, c);
+                        assert_eq!(
+                            snap.per_dpu[dpu.0 as usize].wram_rows, want,
+                            "{case}: table {t} part {p} slice {c}"
+                        );
+                        total += want;
+                    }
+                }
+            }
+            assert_eq!(breakdown.wram_rows, total, "{case}");
+            let report = engine.residency();
+            assert_eq!(
+                (report.max_bytes, report.max_rows),
+                (max_bytes, max_rows),
+                "{case}"
+            );
+            assert!(report.max_bytes <= report.budget_bytes, "{case}");
+            assert!(report.max_wram_bytes <= WRAM_CAPACITY, "{case}");
+            // The tasks the kernels launch with carry the same rows.
+            for g in &mut engine.launch_groups {
+                let state = &engine.tables[g.table];
+                for p in 0..state.tiling.row_parts {
+                    for c in 0..state.tiling.col_slices {
+                        for kernel in &mut g.kernels {
+                            let task = kernel.task_mut(state.dpu(p, c).1).unwrap();
+                            assert_eq!(task.resident, state.resident[p].rows(1), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The one-tile-writer property: the tiles a migration scattered

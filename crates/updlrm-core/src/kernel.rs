@@ -48,18 +48,79 @@
 //! A `ref` with [`CACHE_REF_BIT`] set addresses the cache region
 //! (slot within this partition's cached combination rows), otherwise
 //! the EMT region.
+//!
+//! ## WRAM-resident rows
+//!
+//! A task may declare a prefix of each region resident
+//! ([`ResidentRows`]): the modeled program keeps EMT slots
+//! `0..emt_rows` and cache slots `0..cache_rows` in the shared WRAM
+//! region, behind a tag naming what they are a copy of, and serves a
+//! reference to such a slot from there — no MRAM DMA
+//! ([`CostTable::charge_wram_rows`]). WRAM outlives a launch, so the
+//! block is copied once: a launch that finds another tag in WRAM (the
+//! first after a build, or after a migration flip changed bases and
+//! epoch) spends a *fill phase* copying the two prefixes in
+//! `DMA_MAX_TRANSFER` chunks dealt over the tasklets, then a barrier,
+//! then the lookups. The reference word needs no residency bit: whether
+//! a slot is resident is one compare against its region's threshold, a
+//! launch argument. An empty [`ResidentRows`] is the paper's kernel —
+//! the same code with both thresholds at zero.
 
 use dlrm_model::quant::{self, QROW_HEADER_BYTES};
 use dlrm_model::{simd, EmbedDtype, FxHashMap};
 use std::sync::{Mutex, TryLockError};
 use upmem_sim::arch::{DMA_ALIGN, DMA_MAX_TRANSFER, MAX_TASKLETS, MRAM_CAPACITY};
-use upmem_sim::{CostModel, CostTable, DpuId, DpuPass, DpuProgram, Mram, SimError, TaskletStats};
+use upmem_sim::{
+    CostModel, CostTable, DpuId, DpuPass, DpuProgram, Mram, SimError, TaskletStats, WramBudget,
+};
 
 /// High bit of a reference word: set = cache region, clear = EMT region.
 pub const CACHE_REF_BIT: u32 = 1 << 31;
 
+/// Bytes of the tag that leads a resident block in shared WRAM: six
+/// little-endian words — epoch, EMT base, cache base, resident EMT
+/// rows, resident cache rows, [`RESIDENT_TAG_MAGIC`].
+pub const RESIDENT_TAG_BYTES: usize = 24;
+
+/// Last word of a resident block's tag; nonzero, so zeroed WRAM never
+/// reads as a filled block.
+pub const RESIDENT_TAG_MAGIC: u32 = 0x5752_414d; // "WRAM"
+
+/// The WRAM-resident part of one DPU's rows: a prefix of each region's
+/// slots (module docs). The default — nothing resident — is the
+/// paper's kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResidentRows {
+    /// EMT slots below this are served from WRAM.
+    pub emt_rows: u32,
+    /// Cache slots below this are served from WRAM.
+    pub cache_rows: u32,
+    /// Generation of the resident rows' MRAM contents. Whoever rewrites
+    /// them (a migration flip) picks a value no earlier fill on this
+    /// DPU used; a DPU whose WRAM holds another generation refills.
+    pub epoch: u32,
+}
+
+impl ResidentRows {
+    /// True when no row is resident.
+    pub fn is_empty(&self) -> bool {
+        self.emt_rows == 0 && self.cache_rows == 0
+    }
+
+    /// Bytes of shared WRAM the block takes — tag, EMT rows of
+    /// `emt_row_bytes`, cache rows of `row_bytes` — or zero when empty.
+    pub fn block_bytes(&self, emt_row_bytes: usize, row_bytes: usize) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
+        RESIDENT_TAG_BYTES
+            + self.emt_rows as usize * emt_row_bytes
+            + self.cache_rows as usize * row_bytes
+    }
+}
+
 /// Per-DPU launch parameters for [`EmbeddingKernel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DpuTask {
     /// MRAM base of the EMT tile (row-major `row_bytes` rows).
     pub emt_base: u32,
@@ -69,6 +130,27 @@ pub struct DpuTask {
     pub input_base: u32,
     /// MRAM base of the output region (`n_samples` rows).
     pub output_base: u32,
+    /// Which rows the DPU keeps in WRAM across launches.
+    pub resident: ResidentRows,
+}
+
+impl DpuTask {
+    /// The tag a resident block filled for this task carries.
+    fn resident_tag(&self) -> [u8; RESIDENT_TAG_BYTES] {
+        let words = [
+            self.resident.epoch,
+            self.emt_base,
+            self.cache_base,
+            self.resident.emt_rows,
+            self.resident.cache_rows,
+            RESIDENT_TAG_MAGIC,
+        ];
+        let mut tag = [0u8; RESIDENT_TAG_BYTES];
+        for (dst, w) in tag.chunks_exact_mut(4).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+        tag
+    }
 }
 
 /// The embedding lookup-and-reduce kernel.
@@ -123,6 +205,8 @@ struct Rows {
     cache_stride: usize,
     /// Whether EMT rows are stored as f32 (cache rows always are).
     emt_f32: bool,
+    /// Slots of each region below which a row is WRAM-resident.
+    resident: ResidentRows,
 }
 
 /// Set on a decoded row offset whose row is a quantized EMT record.
@@ -132,17 +216,21 @@ const QUANT_ROW_BIT: u32 = 1 << 31;
 impl Rows {
     /// The one reference decode: maps reference word `r` to its row's
     /// absolute byte offset in a bank of `bank_len` bytes, tagged with
-    /// [`QUANT_ROW_BIT`] unless the row is stored as f32. A row past
-    /// the bank fails with the error its DMA fetch would raise.
+    /// [`QUANT_ROW_BIT`] unless the row is stored as f32, and says
+    /// whether the row is WRAM-resident — one compare of the slot with
+    /// its region's threshold. A row past the bank fails with the error
+    /// its DMA fetch would raise, resident or not: the block is a copy
+    /// of rows that exist.
     #[inline]
-    fn resolve(&self, r: u32, bank_len: usize) -> Result<u32, SimError> {
+    fn resolve(&self, r: u32, bank_len: usize) -> Result<(u32, bool), SimError> {
         let cached = r & CACHE_REF_BIT != 0;
-        let (base, stride) = if cached {
-            (self.cache_base, self.cache_stride)
+        let slot = r & !CACHE_REF_BIT;
+        let (base, stride, resident_below) = if cached {
+            (self.cache_base, self.cache_stride, self.resident.cache_rows)
         } else {
-            (self.emt_base, self.emt_stride)
+            (self.emt_base, self.emt_stride, self.resident.emt_rows)
         };
-        let off = (r & !CACHE_REF_BIT) as usize * stride;
+        let off = slot as usize * stride;
         let abs = base as usize + off;
         if abs + stride > bank_len {
             return Err(SimError::MramOutOfBounds {
@@ -157,8 +245,17 @@ impl Rows {
             QUANT_ROW_BIT
         };
         // `abs < bank_len <= MRAM_CAPACITY`, well below the tag bit.
-        Ok(abs as u32 | tag)
+        Ok((abs as u32 | tag, slot < resident_below))
     }
+}
+
+/// What [`Decoded::push_row`] found out about the row it decoded.
+#[derive(Debug, Clone, Copy)]
+struct RowKind {
+    /// A quantized EMT record (else an f32 row).
+    quantized: bool,
+    /// Served from the WRAM-resident block (else fetched from MRAM).
+    resident: bool,
 }
 
 fn u32_at(buf: &[u8], idx: usize) -> u32 {
@@ -271,8 +368,8 @@ impl Decoded {
     /// Decodes reference word `r`, keeping the row's end for
     /// [`Decoded::serves`].
     #[inline]
-    fn push_row(&mut self, rows: &Rows, r: u32, bank_len: usize) -> Result<bool, SimError> {
-        let row = rows.resolve(r, bank_len)?;
+    fn push_row(&mut self, rows: &Rows, r: u32, bank_len: usize) -> Result<RowKind, SimError> {
+        let (row, resident) = rows.resolve(r, bank_len)?;
         let quantized = row & QUANT_ROW_BIT != 0;
         let stride = if quantized {
             rows.emt_stride
@@ -281,14 +378,17 @@ impl Decoded {
         };
         self.rows_end = self.rows_end.max((row & !QUANT_ROW_BIT) as usize + stride);
         self.rows.push(row);
-        Ok(quantized)
+        Ok(RowKind {
+            quantized,
+            resident,
+        })
     }
 
     /// CSR format: validates the offsets and every reference in sample
     /// order and charges tasklet `s mod n_tasklets` what serving sample
     /// `s` costs — its offsets window, its reference array as staged
-    /// chunks, one row fetch and accumulate per reference, and the
-    /// output row.
+    /// chunks, one row read (a DMA fetch, or a WRAM-resident operand)
+    /// and accumulate per reference, and the output row.
     fn decode_csr(
         &mut self,
         key: &DecodeKey,
@@ -321,7 +421,9 @@ impl Decoded {
             }
             region_end = region_end.max(oend);
             let n_refs = end - start;
-            let mut n_u8 = 0u64;
+            // References to quantized records, and the WRAM-resident
+            // ones among the f32 rows and among the records.
+            let (mut n_u8, mut hit_f32, mut hit_u8) = (0u64, 0u64, 0u64);
             if n_refs > 0 {
                 // Reference array: charged as the chunk series of a
                 // staged read of its aligned window.
@@ -332,20 +434,26 @@ impl Decoded {
                 self.rows.reserve(n_refs);
                 for word in bank[raddr..raddr + 4 * n_refs].chunks_exact(4) {
                     let r = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
-                    n_u8 += u64::from(self.push_row(rows, r, bank.len())?);
+                    let kind = self.push_row(rows, r, bank.len())?;
+                    n_u8 += u64::from(kind.quantized);
+                    hit_u8 += u64::from(kind.quantized & kind.resident);
+                    hit_f32 += u64::from(!kind.quantized & kind.resident);
                 }
             }
             self.ends.push(self.rows.len() as u32);
-            // Every charge counter is an integer, so a row's fetch and
+            // Every charge counter is an integer, so a row's read and
             // accumulate charged `n` times over is `n` single charges.
+            // A resident row's read is its count; the rest are fetched,
+            // and the output row is one more f32-row DMA.
             let st = &mut self.stats[0][s % key.n_tasklets];
             let n_f32 = n_refs as u64 - n_u8;
             st.instrs += (n_c / 2) as u64 * cost.int_op_cycles
                 + (n_refs as u64 + 1) * cost.loop_overhead_instrs
                 + n_f32 * acc_f32
                 + n_u8 * acc_u8;
-            costs.charge_dma(st, rows.cache_stride, n_f32 + 1);
-            costs.charge_dma(st, rows.emt_stride, n_u8);
+            costs.charge_wram_rows(st, hit_f32 + hit_u8);
+            costs.charge_dma(st, rows.cache_stride, n_f32 - hit_f32 + 1);
+            costs.charge_dma(st, rows.emt_stride, n_u8 - hit_u8);
         }
         self.keep_region(key, cost, bank, region_end);
         Ok(())
@@ -353,8 +461,9 @@ impl Decoded {
 
     /// Dedup format: validates the header and every tasklet's entry
     /// stream in tasklet order. Phase 1 charges tasklet `t` its header
-    /// read, its stream as staged chunks, one row fetch per entry and
-    /// one shared-WRAM accumulate per referencing sample (tasklet 0
+    /// read, its stream as staged chunks, one row read per entry (a
+    /// DMA fetch, or a WRAM-resident operand) and one shared-WRAM
+    /// accumulate per referencing sample (tasklet 0
     /// also zeroes the block); phase 2 charges the output rows
     /// `s ≡ t (mod n_tasklets)`.
     fn decode_dedup(
@@ -416,15 +525,19 @@ impl Decoded {
                 if (pos + k) * 4 > slen {
                     return Err(SimError::KernelFault("truncated sample id list".into()));
                 }
-                // One fetch per unique row — a quantized record is
+                // One read per unique row — a quantized record is
                 // dequantized once, on the u8 accumulate charge — then
                 // one accumulate per referencing sample.
-                let quantized = self.push_row(rows, r, bank.len())?;
+                let kind = self.push_row(rows, r, bank.len())?;
                 let st = &mut self.stats[0][t];
                 st.instrs += cost.loop_overhead_instrs + k as u64 * acc_f32;
-                if quantized {
-                    costs.charge_dma(st, rows.emt_stride, 1);
+                if kind.quantized {
                     st.instrs += acc_u8;
+                }
+                if kind.resident {
+                    costs.charge_wram_rows(st, 1);
+                } else if kind.quantized {
+                    costs.charge_dma(st, rows.emt_stride, 1);
                 } else {
                     costs.charge_dma(st, rows.cache_stride, 1);
                 }
@@ -569,16 +682,92 @@ impl EmbeddingKernel {
     pub fn tasks_mut(&mut self) -> impl Iterator<Item = &mut DpuTask> {
         self.dpus.values_mut()
     }
+
+    /// One registered DPU's launch parameters.
+    pub fn task_mut(&mut self, dpu: DpuId) -> Option<&mut DpuTask> {
+        self.dpus.get_mut(&dpu)
+    }
+
+    /// [`wram_budget`] of this kernel's shape.
+    fn wram_budget(&self, n_tasklets: usize, n_samples: usize) -> WramBudget {
+        wram_budget(
+            self.row_bytes,
+            self.dtype,
+            self.dedup,
+            n_tasklets,
+            n_samples,
+        )
+    }
+
+    /// Brings the DPU's resident block up to date with `task`: nothing
+    /// when WRAM already holds the block's tag; otherwise the fill —
+    /// both region prefixes copied MRAM→WRAM behind the tag, in
+    /// `DMA_MAX_TRANSFER` chunks dealt round-robin over the tasklets and
+    /// charged to the fill phase, one DMA and one loop iteration each.
+    fn fill_resident(
+        &self,
+        pass: &mut DpuPass<'_>,
+        task: &DpuTask,
+        rows: &Rows,
+    ) -> Result<(), SimError> {
+        let costs = pass.costs();
+        let n_tasklets = pass.n_tasklets();
+        let tag = task.resident_tag();
+        let sources = [
+            (
+                rows.emt_base,
+                rows.resident.emt_rows as usize * rows.emt_stride,
+            ),
+            (
+                rows.cache_base,
+                rows.resident.cache_rows as usize * rows.cache_stride,
+            ),
+        ];
+        let (mram, shared, stats) = pass.fill_phase();
+        let end = sources.map(|(base, len)| base as usize + len);
+        let bank: &[u8] = mram.committed_mut(end[0].max(end[1]));
+        for (base, len) in sources {
+            window(base as usize, len, bank.len())?;
+        }
+        let (held, block) = shared.split_at_mut(RESIDENT_TAG_BYTES);
+        let copies = sources.iter().scan(0, |at, &(base, len)| {
+            let dst = *at..*at + len;
+            *at += len;
+            Some((&bank[base as usize..base as usize + len], dst))
+        });
+        if held == tag {
+            // Between two fills the rows behind a tag do not change:
+            // a host that rewrites them bumps the epoch. The functional
+            // half reads them from MRAM on that footing.
+            debug_assert!(copies.clone().all(|(src, dst)| block[dst] == *src));
+            return Ok(());
+        }
+        let mut chunk = 0usize;
+        for (src, dst) in copies {
+            block[dst].copy_from_slice(src);
+            for part in src.chunks(DMA_MAX_TRANSFER) {
+                let st = &mut stats[chunk % n_tasklets];
+                costs.charge_dma(st, part.len(), 1);
+                st.instrs += costs.model().loop_overhead_instrs;
+                chunk += 1;
+            }
+        }
+        held.copy_from_slice(&tag);
+        Ok(())
+    }
 }
 
 impl DpuProgram for EmbeddingKernel {
     fn shared_wram_bytes(&self) -> usize {
-        // Dedup mode's shared accumulator block: one row per sample.
-        if self.dedup {
-            self.n_samples as usize * self.row_bytes
-        } else {
-            0
-        }
+        // The largest resident block of any registered DPU, then dedup
+        // mode's shared accumulator block: one row per sample.
+        let (emt, row) = (self.emt_row_bytes(), self.row_bytes);
+        let resident = self.dpus.values().map(|t| t.resident.block_bytes(emt, row));
+        resident.max().unwrap_or(0) + self.wram_budget(0, self.n_samples as usize).block_bytes
+    }
+
+    fn tasklet_wram_bytes(&self) -> usize {
+        self.wram_budget(1, 0).tasklet_bytes
     }
 
     fn run_dpu(&self, pass: &mut DpuPass<'_>) -> Result<(), SimError> {
@@ -591,6 +780,7 @@ impl DpuProgram for EmbeddingKernel {
             cache_base: task.cache_base,
             cache_stride: self.row_bytes,
             emt_f32: self.dtype == EmbedDtype::F32,
+            resident: task.resident,
         };
         // Every row fetch is one DMA of its region's stride from its
         // region's base plus a multiple of that stride, so the first
@@ -611,6 +801,10 @@ impl DpuProgram for EmbeddingKernel {
                     capacity: MRAM_CAPACITY,
                 });
             }
+        }
+
+        if !task.resident.is_empty() {
+            self.fill_resident(pass, &task, &rows)?;
         }
 
         let costs = pass.costs();
@@ -658,6 +852,27 @@ impl DpuProgram for EmbeddingKernel {
         phase2.copy_from_slice(&decoded.stats[1][..n_tasklets]);
         Ok(())
     }
+}
+
+/// How an [`EmbeddingKernel`] of this shape divides a DPU's WRAM between
+/// `n_tasklets` tasklets' locals (a stream chunk, an EMT row at `dtype`,
+/// an f32 accumulator row, stack) and, under `dedup`, the shared
+/// accumulator block of `n_samples` rows — the one account the engine
+/// sizes [`ResidentRows`] against and checks a batch against.
+pub fn wram_budget(
+    row_bytes: usize,
+    dtype: EmbedDtype,
+    dedup: bool,
+    n_tasklets: usize,
+    n_samples: usize,
+) -> WramBudget {
+    let block = if dedup { n_samples * row_bytes } else { 0 };
+    WramBudget::new(
+        n_tasklets,
+        dtype.stored_row_bytes(row_bytes / 4),
+        row_bytes,
+        block,
+    )
 }
 
 /// Builds one DPU's reference stream from per-sample reference lists —
@@ -912,6 +1127,7 @@ mod tests {
                 cache_base: 2048,
                 input_base,
                 output_base,
+                ..DpuTask::default()
             },
         );
         sys.launch_all(&kernel).unwrap();
@@ -1016,6 +1232,7 @@ mod tests {
                 cache_base: 2048,
                 input_base,
                 output_base: 8192,
+                ..DpuTask::default()
             },
         );
         sys.launch_all(&kernel).unwrap();
@@ -1094,6 +1311,7 @@ mod tests {
                 cache_base,
                 input_base,
                 output_base: 8192,
+                ..DpuTask::default()
             },
         );
         sys.launch_all(&kernel).unwrap();
@@ -1131,6 +1349,7 @@ mod tests {
                     cache_base: 2048,
                     input_base: 4096,
                     output_base: 8192,
+                    ..DpuTask::default()
                 },
             );
             sys.launch_all(&kernel).unwrap().total_dma_transfers()
@@ -1165,6 +1384,7 @@ mod tests {
                 cache_base,
                 input_base: 8192,
                 output_base: 16384,
+                ..DpuTask::default()
             },
         );
         sys.launch_all(&kernel)
@@ -1249,6 +1469,7 @@ mod tests {
                 cache_base: 4096,
                 input_base,
                 output_base,
+                ..DpuTask::default()
             },
         );
         let rep = sys.launch_all(&kernel).unwrap();

@@ -28,6 +28,7 @@ pub mod kernel;
 pub mod partition;
 pub mod pipeline;
 pub mod replan;
+pub mod residency;
 pub mod serve;
 pub mod stats;
 pub mod telemetry;
@@ -36,13 +37,14 @@ pub mod tiling;
 pub use config::UpdlrmConfig;
 pub use engine::{EmbeddingBreakdown, UpdlrmEngine};
 pub use error::{CoreError, Result};
-pub use kernel::{build_stream, DpuTask, EmbeddingKernel, CACHE_REF_BIT};
+pub use kernel::{build_stream, DpuTask, EmbeddingKernel, ResidentRows, CACHE_REF_BIT};
 pub use partition::{
     cache_aware, non_uniform, uniform, CacheAwareAssignment, PartitionStrategy, RowAssignment,
     CACHED_ROW_SLOT,
 };
 pub use pipeline::{pipelined_wall_ns, sequential_wall_ns, PipelineReport};
 pub use replan::ReplanPolicy;
+pub use residency::ResidencyReport;
 pub use serve::{PipelineMode, ServeOutcome, ServeReport};
 pub use stats::percentile;
 pub use telemetry::{

@@ -41,7 +41,10 @@ use crate::serve::ServeReport;
 /// v5 added the [`TenantSnapshot`] breakout (per-tenant admission,
 /// latency, SLO and fleet-share statistics from the multi-tenant
 /// fleet; an empty list outside `updlrm serve --tenants`).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
+/// v6 added [`DpuSnapshot::wram_rows`] (row reads served from
+/// WRAM-resident rows; beside it `dma_transfers`/`mram_bytes` count
+/// only what still went to MRAM, the one-off fills included).
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
 
 /// Why the open-loop batcher closed a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,6 +127,8 @@ pub struct DpuSnapshot {
     pub dma_transfers: u64,
     /// Total bytes moved over the MRAM DMA engine.
     pub mram_bytes: u64,
+    /// Total row reads served from WRAM-resident rows (no MRAM DMA).
+    pub wram_rows: u64,
     /// Mean tasklet occupancy over all launches (busy / provisioned).
     pub tasklet_occupancy: f64,
 }
@@ -700,6 +705,7 @@ impl MetricsRegistry {
                     instrs: c.instrs,
                     dma_transfers: c.dma_transfers,
                     mram_bytes: c.dma_bytes,
+                    wram_rows: c.wram_rows,
                     tasklet_occupancy: c.occupancy(),
                 })
                 .collect(),

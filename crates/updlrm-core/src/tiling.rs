@@ -14,12 +14,7 @@
 //! `<= 1.6e7` (Eq. 2) — and picks the estimated-cost minimizer of Eq. 1.
 
 use crate::error::{CoreError, Result};
-use upmem_sim::{CostModel, Cycles};
-
-#[inline]
-fn cycles(c: u64) -> Cycles {
-    Cycles(c)
-}
+use upmem_sim::{CostModel, CostTable};
 
 /// The paper's Eq. 3 candidate set for columns per tile.
 pub const CANDIDATE_NC: [usize; 4] = [2, 4, 6, 8];
@@ -69,6 +64,15 @@ pub struct TilingProblem {
     pub avg_reduction: f64,
     /// MRAM bytes available for the EMT region of each DPU.
     pub emt_capacity_bytes: usize,
+    /// Tasklets per DPU (sets how much of a lookup's serial path a DPU
+    /// hides).
+    pub tasklets: usize,
+    /// Share of the lookups expected to find their row WRAM-resident
+    /// (the profile's mass on the rows the group's DPUs can keep; `0.0`
+    /// prices the paper's kernel). It does not depend on `N_c`: a
+    /// group's WRAM holds the same number of whole rows however they
+    /// are sliced.
+    pub wram_hit_share: f64,
 }
 
 impl TilingProblem {
@@ -120,14 +124,19 @@ impl TilingProblem {
         // Stage 1: each reference is a 4-byte CSR entry broadcast to
         // its row partition's column slices in one bus pass.
         let t_c = total_lookups * cost.host_to_mram_ns(4);
-        // Stage 2: one MRAM read of N_c*4 bytes plus the accumulate
-        // instructions per lookup, on the slowest (here: any) DPU.
-        let per_lookup_cycles = cost.dma_engine_cycles(n_c * 4).0.max(
-            cost.accumulate_base_instrs
-                + (cost.accumulate_per_elem_instrs * n_c as f64).round() as u64
-                + cost.loop_overhead_instrs,
+        // Stage 2: what the kernel charges a lookup — a loop iteration,
+        // an accumulate and the row's read, an MRAM DMA of N_c*4 bytes
+        // or a WRAM-resident operand — through the launch accounting's
+        // bounds (`CostTable::lookup_cycles`), on the slowest (here:
+        // any) DPU.
+        let per_lookup_cycles = CostTable::new(cost).lookup_cycles(
+            n_c * 4,
+            false,
+            n_c as u64,
+            self.wram_hit_share,
+            self.tasklets,
         );
-        let t_lkp = lookups_per_dpu * cost.cycles_to_ns(cycles(per_lookup_cycles));
+        let t_lkp = lookups_per_dpu * per_lookup_cycles * 1e9 / cost.clock_hz as f64;
         // Stage 3: every DPU returns one partial-sum row (N_c*4 B) per
         // sample over the shared bus: batch * 4 * C * row_parts bytes.
         let t_d = self.batch_size as f64 * cost.mram_to_host_ns(4 * self.cols) * row_parts as f64;
@@ -170,6 +179,8 @@ mod tests {
             batch_size: 64,
             avg_reduction: 100.0,
             emt_capacity_bytes: 48 << 20,
+            tasklets: 14,
+            wram_hit_share: 0.0,
         }
     }
 
@@ -225,6 +236,36 @@ mod tests {
         assert!(t8.n_r < t2.n_r);
     }
 
+    /// The estimator prices a lookup with the kernel's own charges:
+    /// at `N_c = 8` on 14 tasklets that is the pipeline bound, 36
+    /// instructions with the row fetched and 32 with it WRAM-resident,
+    /// and nothing else in Eq. 1 moves with the hit share.
+    #[test]
+    fn stage_two_is_priced_by_the_kernels_charges() {
+        let cost = CostModel::default();
+        let cold = paper_problem();
+        let warm = TilingProblem {
+            wram_hit_share: 1.0,
+            ..cold
+        };
+        let lookups_per_dpu = 64.0 * 100.0 / 8.0;
+        let ns = |cycles: f64| cycles * 1e9 / cost.clock_hz as f64;
+        let saved = cold.tiling_for_nc(8, &cost).unwrap().est_cost_ns
+            - warm.tiling_for_nc(8, &cost).unwrap().est_cost_ns;
+        assert!(
+            (saved - lookups_per_dpu * ns(36.0 - 32.0)).abs() < 1e-6,
+            "{saved}"
+        );
+        let half = TilingProblem {
+            wram_hit_share: 0.5,
+            ..cold
+        };
+        let mid = half.tiling_for_nc(8, &cost).unwrap().est_cost_ns;
+        assert!(
+            (cold.tiling_for_nc(8, &cost).unwrap().est_cost_ns - mid - saved / 2.0).abs() < 1e-6
+        );
+    }
+
     #[test]
     fn capacity_bound_rejects_huge_tiles() {
         let p = TilingProblem {
@@ -234,6 +275,8 @@ mod tests {
             batch_size: 64,
             avg_reduction: 50.0,
             emt_capacity_bytes: 48 << 20,
+            tasklets: 14,
+            wram_hit_share: 0.0,
         };
         // 200M rows / 2 row parts = 100M rows * 2 cols = 2e8 > 1.6e7.
         assert!(p.tiling_for_nc(2, &CostModel::default()).is_err());
@@ -248,6 +291,8 @@ mod tests {
             batch_size: 64,
             avg_reduction: 50.0,
             emt_capacity_bytes: 48 << 20,
+            tasklets: 14,
+            wram_hit_share: 0.0,
         };
         assert!(matches!(
             p.search(&CostModel::default()),

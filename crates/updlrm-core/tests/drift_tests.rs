@@ -218,3 +218,69 @@ fn replan_off_allocates_no_drift_state() {
     assert!(engine.drift_snapshot().is_none());
     assert_eq!(engine.metrics_snapshot().drift, Default::default());
 }
+
+/// The fill is visible, and paid when it happens: the first batch after
+/// the build and the first after every migration flip carry the cycles
+/// the slowest DPU spends copying its resident rows MRAM→WRAM — the
+/// DMA engine's occupancy by the copy's `DMA_MAX_TRANSFER` chunks,
+/// straight from the cost model's constants — inside stage 2, and every
+/// other batch carries none.
+#[test]
+fn the_fill_is_charged_at_build_and_at_every_flip_and_nowhere_else() {
+    use dlrm_model::EmbedDtype;
+    use upmem_sim::arch::DMA_MAX_TRANSFER;
+    let (tables, workload) = drifting_setup();
+    for (strategy, dtype) in [
+        (PartitionStrategy::Uniform, EmbedDtype::F32),
+        (PartitionStrategy::CacheAware, EmbedDtype::Int8),
+    ] {
+        let config = UpdlrmConfig::with_dpus(16, strategy)
+            .with_fixed_nc(8)
+            .with_embed_dtype(dtype)
+            .with_replan(ReplanPolicy::Periodic { every_batches: 3 })
+            .with_telemetry();
+        let cost = config.cost.clone();
+        let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+        // What copying the largest resident block costs the DMA engine.
+        let fill_cost = |engine: &UpdlrmEngine| -> u64 {
+            let mut worst = 0;
+            for t in 0..engine.num_tables() {
+                for p in 0..engine.table_report(t).tiling.row_parts {
+                    let r = engine.resident_rows(t, p);
+                    let arrays = [
+                        r.emt_rows as usize * dtype.stored_row_bytes(8),
+                        r.cache_rows as usize * 32,
+                    ];
+                    let chunks = arrays.iter().flat_map(|&len| {
+                        (0..len)
+                            .step_by(DMA_MAX_TRANSFER)
+                            .map(move |off| DMA_MAX_TRANSFER.min(len - off))
+                    });
+                    worst = worst.max(chunks.map(|c| cost.dma_engine_cycles(c).0).sum());
+                }
+            }
+            worst
+        };
+        let mut flips_seen = 0u64;
+        let mut fills = 0;
+        let mut expect_fill = true; // the build
+        for (i, batch) in workload.batches.iter().enumerate() {
+            engine.on_tick((i as u64 + 1) * TICK_NS).unwrap();
+            let flips = engine.metrics_snapshot().drift.migrations_completed;
+            expect_fill |= flips > flips_seen;
+            flips_seen = flips;
+            let want = if expect_fill { fill_cost(&engine) } else { 0 };
+            let (_, b) = engine.run_batch(batch).unwrap();
+            assert_eq!(b.wram_fill_cycles, want, "{strategy} batch {i}");
+            if expect_fill {
+                assert!(want > 0, "{strategy} batch {i}: something is resident");
+                let fill_ns = cost.cycles_to_ns(upmem_sim::Cycles(want));
+                assert!(b.stage2_ns > fill_ns, "{strategy} batch {i}");
+                fills += 1;
+            }
+            expect_fill = false;
+        }
+        assert!(flips_seen >= 2, "{strategy}: {flips_seen} flips");
+        assert_eq!(fills, 1 + flips_seen, "{strategy}");
+    }
+}

@@ -3,8 +3,10 @@
 //! tile shape, and its performance counters must reflect the paper's
 //! qualitative claims.
 
-use dlrm_model::{EmbeddingTable, QueryBatch, SparseInput};
-use updlrm_core::{CoreError, PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
+use dlrm_model::{EmbedDtype, EmbeddingTable, QueryBatch, SparseInput};
+use proptest::prelude::*;
+use updlrm_core::{kernel, CoreError, PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
+use upmem_sim::arch::WRAM_CAPACITY;
 use workloads::{DatasetSpec, TraceConfig, Workload};
 
 const DIM: usize = 32;
@@ -77,7 +79,8 @@ fn engine_matches_reference_for_fixed_nc() {
 #[test]
 fn cache_aware_reduces_dma_traffic_on_hot_data() {
     // §3.3 / Fig. 6: partial-sum caching cuts memory accesses on
-    // co-occurrence-heavy, skewed workloads.
+    // co-occurrence-heavy, skewed workloads. The paper's kernel
+    // (nothing WRAM-resident), where every row read is an MRAM DMA.
     let mut spec = DatasetSpec::movie().scaled_down(500);
     spec.cooccur.cluster_rate = 0.6;
     let (tables, workload) = setup(&spec, 1, 4);
@@ -86,10 +89,11 @@ fn cache_aware_reduces_dma_traffic_on_hot_data() {
         .into_iter()
         .enumerate()
     {
-        let config = UpdlrmConfig::with_dpus(16, strategy);
+        let config = UpdlrmConfig::with_dpus(16, strategy).with_wram_tenants(0);
         let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
         for batch in &workload.batches {
             let (_, b) = engine.run_batch(batch).unwrap();
+            assert_eq!(b.wram_rows, 0);
             total[i] += b.dma_transfers;
         }
     }
@@ -256,7 +260,8 @@ fn only_the_dedup_format_is_held_to_its_wram_block() {
     let err = engine(true).run_batch(&batch).unwrap_err();
     assert!(
         err.to_string().contains(
-            "batch 4096 x 32 B rows needs 131072 B of WRAM accumulators (64 KB available)"
+            "batch 4096 x 32 B rows needs 167808 B of WRAM (131072 B of accumulators, 0 B of \
+             resident rows, 36736 B of tasklet locals), 65536 B available"
         ),
         "{err}"
     );
@@ -403,7 +408,11 @@ fn replicated_strategy_matches_reference_and_balances_a_hot_row() {
         // reflects the lookup load alone.
         config.cost.launch_overhead_cycles = 0;
         let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+        // The first batch also fills the DPUs' resident rows; the
+        // second is lookups alone.
+        engine.run_batch(&workload.batches[0]).unwrap();
         let (pooled, b) = engine.run_batch(&workload.batches[0]).unwrap();
+        assert_eq!(b.wram_fill_cycles, 0);
         (pooled[0].as_slice().to_vec(), b.lookup_imbalance)
     };
     let (nu_out, nu_imb) = run(PartitionStrategy::NonUniform);
@@ -578,6 +587,86 @@ fn repeated_indices_sum_every_occurrence() {
                 table.partial_sum(sample).unwrap().as_slice(),
                 "dedup {dedup}, sample {s}"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The one WRAM account, for every strategy x dtype x `dedup` and a
+    /// range of tasklet counts, tile widths, batch sizes and sharing
+    /// tenants: on every DPU the resident block, the dedup accumulator
+    /// block at the staged batch capacity and the tasklet locals are at
+    /// most 64 KB — added up here from the per-partition rows the engine
+    /// reports, not read off its own total — the block is within the
+    /// engine's share of the budget, and a batch launches (the
+    /// simulator rejects a shared region that starves the tasklets).
+    #[test]
+    fn resident_rows_accumulators_and_locals_fit_wram_on_every_dpu(
+        strategy in (0usize..4).prop_map(|i| [
+            PartitionStrategy::Uniform,
+            PartitionStrategy::NonUniform,
+            PartitionStrategy::CacheAware,
+            PartitionStrategy::Replicated,
+        ][i]),
+        int8 in any::<bool>(),
+        dedup in any::<bool>(),
+        tasklets in 1usize..25,
+        n_c in (0usize..3).prop_map(|i| [2usize, 4, 8][i]),
+        batch_size in (0usize..3).prop_map(|i| [8usize, 64, 200][i]),
+        wram_tenants in 0usize..4,
+    ) {
+        let spec = DatasetSpec::goodreads().scaled_down(2000);
+        let (tables, workload) = setup(&spec, 2, 1);
+        let dtype = if int8 { EmbedDtype::Int8 } else { EmbedDtype::F32 };
+        let mut config = UpdlrmConfig::with_dpus(32, strategy)
+            .with_fixed_nc(n_c)
+            .with_embed_dtype(dtype)
+            .with_wram_tenants(wram_tenants);
+        config.dedup = dedup;
+        config.tasklets = tasklets;
+        config.batch_size = batch_size;
+        let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+        let report = engine.residency();
+        let row_bytes = n_c * 4;
+        let account = kernel::wram_budget(row_bytes, dtype, dedup, tasklets, 2 * batch_size);
+        let mut max_block = 0;
+        for t in 0..engine.num_tables() {
+            for p in 0..engine.table_report(t).tiling.row_parts {
+                let rows = engine.resident_rows(t, p);
+                let block = rows.block_bytes(dtype.stored_row_bytes(n_c), row_bytes);
+                prop_assert!(block <= report.budget_bytes, "{} B block of {} B", block, report.budget_bytes);
+                // (Tasklet locals and a full staging region's
+                // accumulators can overflow WRAM on their own — 24
+                // tasklets, 400 staged rows; such an engine keeps
+                // nothing resident and refuses the batches that do not
+                // fit when they arrive.)
+                prop_assert!(
+                    account.needed(block) <= WRAM_CAPACITY
+                        || (block == 0 && account.needed(0) > WRAM_CAPACITY),
+                    "table {} part {}: {} B of WRAM", t, p, account.needed(block)
+                );
+                max_block = max_block.max(block);
+            }
+        }
+        prop_assert_eq!(report.max_bytes, max_block);
+        prop_assert_eq!(report.max_wram_bytes, account.needed(max_block));
+        // No tenant, no share; a skewed trace and room for a row behind
+        // the 24-byte tag: something is kept.
+        let share = account.resident_bytes().checked_div(wram_tenants).unwrap_or(0);
+        prop_assert_eq!(report.budget_bytes, share);
+        prop_assert_eq!(report.max_rows > 0, share >= 24 + row_bytes);
+        // Batches of 64 fit every staging region sized above 32.
+        if batch_size >= 64 && account.needed(0) <= WRAM_CAPACITY {
+            let (pooled, b) = engine.run_batch(&workload.batches[0]).unwrap();
+            let expect = reference_pooled(&tables, &workload.batches[0]);
+            for (t, m) in pooled.iter().enumerate() {
+                // (int8 rows are exact only up to their quantization.)
+                prop_assert!(int8 || m.as_slice() == expect[t].as_slice());
+            }
+            prop_assert_eq!(b.wram_rows > 0, report.max_rows > 0);
+            prop_assert_eq!(b.wram_fill_cycles > 0, report.max_rows > 0);
         }
     }
 }

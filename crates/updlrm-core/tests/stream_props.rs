@@ -14,15 +14,22 @@
 //!   tasklet by tasklet: every array staged with `mram_read`, every row
 //!   fetched with its own DMA, every charge issued singly. Streams with
 //!   one fault must fail both the same way.
+//! * The tasklet program has a real WRAM: when its task declares
+//!   resident rows it copies them MRAM→WRAM chunk by chunk in a fill
+//!   phase — unless the shared region already carries their tag — and
+//!   serves a resident reference from those bytes, with no DMA. The
+//!   kernel's counters, fill phase and rows must equal it there too,
+//!   launch after launch.
 
 use dlrm_model::{quant, EmbedDtype};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use updlrm_core::kernel::StreamWriter;
-use updlrm_core::{build_stream, DpuTask, EmbeddingKernel, CACHE_REF_BIT};
+use updlrm_core::kernel::{StreamWriter, RESIDENT_TAG_BYTES, RESIDENT_TAG_MAGIC};
+use updlrm_core::{build_stream, DpuTask, EmbeddingKernel, ResidentRows, CACHE_REF_BIT};
 use upmem_sim::arch::{DMA_MAX_TRANSFER, MRAM_CAPACITY};
 use upmem_sim::{
-    DpuId, DpuProgram, DpuRunStats, Kernel, PimConfig, PimSystem, SimError, TaskletCtx,
+    CostModel, DpuId, DpuProgram, DpuRunStats, Kernel, PimConfig, PimSystem, SimError, TaskletCtx,
+    TaskletStats, TASKLET_STACK_BYTES,
 };
 
 fn pad8(out: &mut Vec<u8>) {
@@ -85,7 +92,8 @@ fn naive_stream(refs_per_sample: &[Vec<u32>], n_tasklets: usize, dedup: bool) ->
 }
 
 /// The embedding kernel written longhand, tasklet by tasklet: no shared
-/// decode, no fused gather, no bulk charges.
+/// decode, no fused gather, no bulk charges, and a resident block that
+/// lives in `ctx.shared_wram()`.
 struct Longhand {
     n_c: usize,
     dedup: bool,
@@ -106,6 +114,82 @@ impl Longhand {
         self.n_c * 4
     }
 
+    /// Bytes per EMT row as stored.
+    fn emt_row_bytes(&self) -> usize {
+        if self.int8 {
+            quant::quantized_row_bytes(self.n_c)
+        } else {
+            self.row_bytes()
+        }
+    }
+
+    /// The resident block's layout in shared WRAM: `[tag | EMT slots
+    /// 0..emt_rows | cache slots 0..cache_rows]`; returns the offsets
+    /// of the two row arrays and the block's length (all zero when
+    /// nothing is resident).
+    fn resident_layout(&self) -> (usize, usize, usize) {
+        let r = self.task.resident;
+        if r.emt_rows == 0 && r.cache_rows == 0 {
+            return (0, 0, 0);
+        }
+        let emt_at = RESIDENT_TAG_BYTES;
+        let cache_at = emt_at + r.emt_rows as usize * self.emt_row_bytes();
+        (
+            emt_at,
+            cache_at,
+            cache_at + r.cache_rows as usize * self.row_bytes(),
+        )
+    }
+
+    /// What the block's tag reads once it holds this task's rows.
+    fn tag(&self) -> Vec<u8> {
+        let r = self.task.resident;
+        let mut tag = Vec::new();
+        words(
+            &mut tag,
+            [
+                r.epoch,
+                self.task.emt_base,
+                self.task.cache_base,
+                r.emt_rows,
+                r.cache_rows,
+                RESIDENT_TAG_MAGIC,
+            ],
+        );
+        tag
+    }
+
+    /// The fill phase: unless the tag is in place, tasklet `t` copies
+    /// chunks `t, t + n_tasklets, ...` of the two resident row arrays,
+    /// one `mram_read` each; the tasklet that runs last sets the tag.
+    fn fill(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
+        let (emt_at, cache_at, end) = self.resident_layout();
+        if end == 0 || ctx.shared_wram()[..RESIDENT_TAG_BYTES] == self.tag()[..] {
+            return Ok(());
+        }
+        let arrays = [
+            (self.task.emt_base, emt_at, cache_at - emt_at),
+            (self.task.cache_base, cache_at, end - cache_at),
+        ];
+        let mut chunk = 0;
+        for (base, at, len) in arrays {
+            for off in (0..len).step_by(DMA_MAX_TRANSFER) {
+                if chunk % ctx.n_tasklets() == ctx.tasklet_id() {
+                    let mut buf = vec![0u8; DMA_MAX_TRANSFER.min(len - off)];
+                    ctx.mram_read(base + off as u32, &mut buf)?;
+                    ctx.shared_wram()[at + off..][..buf.len()].copy_from_slice(&buf);
+                    ctx.charges().charge_loop(1);
+                }
+                chunk += 1;
+            }
+        }
+        if ctx.tasklet_id() + 1 == ctx.n_tasklets() {
+            let tag = self.tag();
+            ctx.shared_wram()[..RESIDENT_TAG_BYTES].copy_from_slice(&tag);
+        }
+        Ok(())
+    }
+
     /// Copies `len` bytes at 4-byte-aligned `addr` out of MRAM the way
     /// a DPU program has to: the enclosing 8-byte-aligned window, one
     /// `mram_read` per `DMA_MAX_TRANSFER` chunk.
@@ -119,26 +203,35 @@ impl Longhand {
         Ok(window[(addr - start) as usize..][..len].to_vec())
     }
 
-    /// Fetches reference `r`'s row with a DMA of its own and decodes it
-    /// to f32; also says whether it was a quantized EMT record.
+    /// Reads reference `r`'s row — out of the resident block when its
+    /// slot is below its region's threshold, else with a DMA of its own
+    /// — and decodes it to f32; also says whether it was a quantized
+    /// EMT record.
     fn fetch(&self, ctx: &mut TaskletCtx<'_>, r: u32) -> Result<(Vec<f32>, bool), SimError> {
         let slot = (r & !CACHE_REF_BIT) as usize;
         let cached = r & CACHE_REF_BIT != 0;
+        let (emt_at, cache_at, _) = self.resident_layout();
+        let (base, len, resident_below, at) = if cached {
+            let below = self.task.resident.cache_rows;
+            (self.task.cache_base, self.row_bytes(), below, cache_at)
+        } else {
+            let below = self.task.resident.emt_rows;
+            (self.task.emt_base, self.emt_row_bytes(), below, emt_at)
+        };
+        let mut row = vec![0u8; len];
+        if slot < resident_below as usize {
+            row.copy_from_slice(&ctx.shared_wram()[at + slot * len..][..len]);
+            ctx.charges().charge_wram_rows(1);
+        } else {
+            ctx.mram_read(base + (slot * len) as u32, &mut row)?;
+        }
         if cached || !self.int8 {
-            let base = if cached {
-                self.task.cache_base
-            } else {
-                self.task.emt_base
-            };
-            let mut row = vec![0u8; self.row_bytes()];
-            ctx.mram_read(base + (slot * row.len()) as u32, &mut row)?;
             let vals = row
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes(c.try_into().unwrap()));
             return Ok((vals.collect(), false));
         }
-        let mut rec = vec![0u8; quant::quantized_row_bytes(self.n_c)];
-        ctx.mram_read(self.task.emt_base + (slot * rec.len()) as u32, &mut rec)?;
+        let rec = row;
         let scale = f32::from_le_bytes(rec[0..4].try_into().unwrap());
         let min = f32::from_le_bytes(rec[4..8].try_into().unwrap());
         let vals = rec[8..8 + self.n_c].iter().map(|&q| min + scale * q as f32);
@@ -188,8 +281,10 @@ impl Longhand {
         let n_c = self.n_c as u64;
         let rb = self.row_bytes();
         let t = ctx.tasklet_id();
+        // The accumulator block follows the resident block.
+        let acc_at = self.resident_layout().2;
         if t == 0 {
-            ctx.shared_wram()[..self.n_samples * rb].fill(0);
+            ctx.shared_wram()[acc_at..][..self.n_samples * rb].fill(0);
             ctx.charges()
                 .charge_int_ops(self.n_samples as u64 * n_c / 2);
         }
@@ -222,7 +317,7 @@ impl Longhand {
                 ctx.charges().charge_accumulate_u8(n_c, 1);
             }
             for &sample in &stream[pos..pos + k] {
-                let dst = &mut ctx.shared_wram()[sample as usize * rb..][..rb];
+                let dst = &mut ctx.shared_wram()[acc_at + sample as usize * rb..][..rb];
                 for (d, v) in dst.chunks_exact_mut(4).zip(&vals) {
                     let cur = f32::from_le_bytes((&*d).try_into().unwrap());
                     d.copy_from_slice(&(cur + v).to_le_bytes());
@@ -237,11 +332,21 @@ impl Longhand {
 
 impl Kernel for Longhand {
     fn shared_wram_bytes(&self) -> usize {
-        if self.dedup {
+        let acc = if self.dedup {
             self.n_samples * self.row_bytes()
         } else {
             0
-        }
+        };
+        self.resident_layout().2 + acc
+    }
+
+    /// A stream chunk, an EMT row, an accumulator row and the stack.
+    fn tasklet_wram_bytes(&self) -> usize {
+        DMA_MAX_TRANSFER + self.emt_row_bytes() + self.row_bytes() + TASKLET_STACK_BYTES
+    }
+
+    fn prepare(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
+        self.fill(ctx)
     }
 
     fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<(), SimError> {
@@ -257,8 +362,9 @@ impl Kernel for Longhand {
             return Ok(());
         }
         let rb = self.row_bytes();
+        let acc_at = self.resident_layout().2;
         for s in (ctx.tasklet_id()..self.n_samples).step_by(ctx.n_tasklets()) {
-            let row = ctx.shared_wram()[s * rb..][..rb].to_vec();
+            let row = ctx.shared_wram()[acc_at + s * rb..][..rb].to_vec();
             ctx.mram_write(self.task.output_base + (s * rb) as u32, &row)?;
             ctx.charges().charge_loop(1);
         }
@@ -273,6 +379,11 @@ const TASK: DpuTask = DpuTask {
     cache_base: 8192,
     input_base: 16384,
     output_base: 32768,
+    resident: ResidentRows {
+        emt_rows: 0,
+        cache_rows: 0,
+        epoch: 0,
+    },
 };
 
 /// Deterministic, fractional row values (so addition order matters),
@@ -541,6 +652,311 @@ fn repointed_bases_are_served_from_the_new_regions() {
     }
 }
 
+/// A task like `TASK` keeping the first `emt_rows` EMT slots and
+/// `cache_rows` cache slots WRAM-resident, generation `epoch`.
+fn resident_task(task: DpuTask, emt_rows: u32, cache_rows: u32, epoch: u32) -> DpuTask {
+    DpuTask {
+        resident: ResidentRows {
+            emt_rows,
+            cache_rows,
+            epoch,
+        },
+        ..task
+    }
+}
+
+/// References of `refs_per_sample` a task's resident rows serve: every
+/// one in the CSR format, each distinct word once in the dedup format.
+fn resident_refs(refs_per_sample: &[Vec<u32>], task: DpuTask, dedup: bool) -> u64 {
+    let mut words: Vec<u32> = refs_per_sample.iter().flatten().copied().collect();
+    if dedup {
+        words.sort_unstable();
+        words.dedup();
+    }
+    let resident = |&r: &u32| {
+        let below = if r & CACHE_REF_BIT != 0 {
+            task.resident.cache_rows
+        } else {
+            task.resident.emt_rows
+        };
+        r & !CACHE_REF_BIT < below
+    };
+    words.iter().filter(|r| resident(r)).count() as u64
+}
+
+/// The CI guard that nothing resident *is* the pre-change model: the
+/// per-tasklet counters and launch cycles of a fixed case — 700
+/// references in one sample (several stream chunks), an empty sample,
+/// cache and EMT rows, three tasklets — as the parent of the
+/// WRAM-residency change printed them, for both formats and dtypes.
+#[test]
+fn nothing_resident_is_the_pre_change_closed_form() {
+    let mut refs: Vec<Vec<u32>> = vec![
+        vec![3, 5, word(4, true)],
+        vec![],
+        vec![9, 3, 13],
+        vec![word(7, true)],
+    ];
+    refs[0].extend((0..700).map(|i| word(i * 7 % EMT_ROWS, i % 5 == 0)));
+    // (int8, dedup) -> launch cycles, then per tasklet [instrs,
+    // dma_cycles, dma_engine_cycles, dma_transfers, dma_bytes].
+    type Pinned = ((bool, bool), u64, [[u64; 5]; 3]);
+    let pinned: [Pinned; 4] = [
+        (
+            (false, false),
+            358_911,
+            [
+                [25404, 67467, 24096, 711, 25440],
+                [24, 178, 56, 2, 48],
+                [136, 538, 172, 6, 152],
+            ],
+        ),
+        (
+            (false, true),
+            90_164,
+            [
+                [6378, 6547, 2704, 63, 3392],
+                [6506, 6373, 2652, 61, 3352],
+                [6290, 6353, 2632, 61, 3312],
+            ],
+        ),
+        (
+            (true, false),
+            342_051,
+            [
+                [24280, 62971, 19600, 711, 16448],
+                [24, 178, 56, 2, 48],
+                [130, 514, 148, 6, 104],
+            ],
+        ),
+        (
+            (true, true),
+            102_566,
+            [
+                [7588, 6107, 2264, 63, 2512],
+                [7672, 5949, 2228, 61, 2504],
+                [7456, 5929, 2208, 61, 2464],
+            ],
+        ),
+    ];
+    for ((int8, dedup), cycles, per_tasklet) in pinned {
+        let shape = Shape {
+            n_c: 8,
+            int8,
+            dedup,
+            n_tasklets: 3,
+            n_samples: refs.len(),
+        };
+        let stream = build_stream(&refs, shape.n_tasklets, dedup);
+        let got = launch(
+            &mut shape.fleet(TASK, &[&stream], 1),
+            &shape.kernel(TASK, 1),
+            TASK,
+            shape,
+        )
+        .unwrap();
+        let stats = &got[0].1;
+        let want: Vec<TaskletStats> = per_tasklet
+            .iter()
+            .map(
+                |&[instrs, dma_cycles, dma_engine_cycles, dma_transfers, dma_bytes]| TaskletStats {
+                    instrs,
+                    dma_cycles,
+                    dma_engine_cycles,
+                    dma_transfers,
+                    dma_bytes,
+                    wram_rows: 0,
+                },
+            )
+            .collect();
+        assert_eq!(stats.per_tasklet, want, "int8={int8} dedup={dedup}");
+        assert_eq!(stats.cycles.0, cycles, "int8={int8} dedup={dedup}");
+        assert_eq!(stats.fill_cycles.0, 0);
+    }
+}
+
+/// A resident row is a fetch not made, one for one: against the same
+/// launch with nothing resident, the WRAM reads are exactly the
+/// references to resident slots, the DMA transfers fall by that many
+/// (and the bytes by their rows'), the instructions by the 4 that
+/// issue each transfer — and every output byte is the same.
+#[test]
+fn wram_rows_plus_row_fetches_are_the_references() {
+    let mut refs: Vec<Vec<u32>> = vec![
+        vec![3, 5, word(4, true), 150],
+        vec![],
+        vec![9, 3, 13, word(30, true)],
+    ];
+    refs[0].extend((0..300).map(|i| word(i * 7 % EMT_ROWS, i % 5 == 0)));
+    let issue = 4 * CostModel::default().int_op_cycles;
+    for (int8, dedup) in [(false, false), (false, true), (true, false), (true, true)] {
+        let shape = Shape {
+            n_c: 8,
+            int8,
+            dedup,
+            n_tasklets: 5,
+            n_samples: refs.len(),
+        };
+        let stream = build_stream(&refs, shape.n_tasklets, dedup);
+        let plain = launch(
+            &mut shape.fleet(TASK, &[&stream], 1),
+            &shape.kernel(TASK, 1),
+            TASK,
+            shape,
+        )
+        .unwrap();
+        let task = resident_task(TASK, 40, 10, 1);
+        let mut sys = shape.fleet(task, &[&stream], 1);
+        let kernel = shape.kernel(task, 1);
+        launch(&mut sys, &kernel, task, shape).unwrap(); // pays the fill
+        let warm = launch(&mut sys, &kernel, task, shape).unwrap();
+        let (plain, warm) = (&plain[0], &warm[0]);
+        let case = format!("int8={int8} dedup={dedup}");
+        assert_eq!(warm.0, plain.0, "{case}: output rows");
+        let hits = resident_refs(&refs, task, dedup);
+        assert!(hits > 0, "{case}");
+        let (p, w) = (plain.1.totals, warm.1.totals);
+        assert_eq!(w.wram_rows, hits, "{case}");
+        assert_eq!(p.wram_rows, 0, "{case}");
+        assert_eq!(w.dma_transfers + w.wram_rows, p.dma_transfers, "{case}");
+        assert_eq!(w.instrs + issue * hits, p.instrs, "{case}");
+        assert!(
+            w.dma_bytes < p.dma_bytes && w.dma_cycles < p.dma_cycles,
+            "{case}"
+        );
+        assert!(warm.1.cycles < plain.1.cycles, "{case}");
+    }
+}
+
+/// The fill is visible and paid once per generation: the first launch
+/// of a task with resident rows copies them in `DMA_MAX_TRANSFER`
+/// chunks — here the DMA engine's occupancy by those chunks, straight
+/// from the cost model's constants, outlasts any one tasklet — the
+/// next launch pays nothing and differs from the first by exactly that
+/// phase, and a new epoch pays again.
+#[test]
+fn the_fill_is_charged_exactly_once_per_generation() {
+    let refs: Vec<Vec<u32>> = vec![vec![3, 5, word(4, true)], vec![150], vec![9, 3, 13]];
+    let model = CostModel::default();
+    for (int8, dedup) in [(false, false), (false, true), (true, false), (true, true)] {
+        let shape = Shape {
+            n_c: 8,
+            int8,
+            dedup,
+            n_tasklets: 3,
+            n_samples: refs.len(),
+        };
+        let case = format!("int8={int8} dedup={dedup}");
+        let stream = build_stream(&refs, shape.n_tasklets, dedup);
+        let task = resident_task(TASK, EMT_ROWS as u32, CACHE_ROWS as u32, 1);
+        // 200 EMT rows and 60 cache rows of 32 bytes (16 as int8).
+        let arrays = [
+            EMT_ROWS * shape.dtype().stored_row_bytes(shape.n_c),
+            CACHE_ROWS * 32,
+        ];
+        let chunks: Vec<usize> = arrays
+            .iter()
+            .flat_map(|&len| {
+                (0..len)
+                    .step_by(DMA_MAX_TRANSFER)
+                    .map(move |off| DMA_MAX_TRANSFER.min(len - off))
+            })
+            .collect();
+        let engine: u64 = chunks.iter().map(|&c| model.dma_engine_cycles(c).0).sum();
+        let mut sys = shape.fleet(task, &[&stream], 1);
+        let mut kernel = shape.kernel(task, 1);
+        let first = launch(&mut sys, &kernel, task, shape).unwrap();
+        let second = launch(&mut sys, &kernel, task, shape).unwrap();
+        let (first, second) = (&first[0].1, &second[0].1);
+        assert_eq!(first.fill_cycles.0, engine, "{case}");
+        assert_eq!(second.fill_cycles.0, 0, "{case}");
+        assert_eq!(first.cycles.0, second.cycles.0 + engine, "{case}");
+        assert_eq!(
+            first.totals.dma_transfers,
+            second.totals.dma_transfers + chunks.len() as u64,
+            "{case}"
+        );
+        assert_eq!(
+            first.totals.dma_bytes,
+            second.totals.dma_bytes + arrays.iter().sum::<usize>() as u64,
+            "{case}"
+        );
+        assert_eq!(first.totals.wram_rows, second.totals.wram_rows, "{case}");
+        // The longhand program agrees on both launches.
+        let mut oracle = shape.fleet(task, &[&stream], 1);
+        let want_first = launch(&mut oracle, &shape.longhand(task), task, shape).unwrap();
+        let want_second = launch(&mut oracle, &shape.longhand(task), task, shape).unwrap();
+        assert_eq!(
+            (first, second),
+            (&want_first[0].1, &want_second[0].1),
+            "{case}"
+        );
+        // A new generation of the same rows refills.
+        for t in kernel.tasks_mut() {
+            t.resident.epoch = 2;
+        }
+        let third = launch(&mut sys, &kernel, task, shape).unwrap();
+        assert_eq!(third[0].1.fill_cycles.0, engine, "{case}");
+    }
+}
+
+/// The planted stale-residency case. Two migrations in a row bring the
+/// serving region back to where it started — same bases, same
+/// thresholds — with *different rows* in it. Only the epoch tells the
+/// DPU its resident copy is stale: after the flip both programs refill
+/// and serve the new bytes. (Without the bump the tasklet program, which
+/// really reads WRAM, serves the old ones — the test has teeth.)
+#[test]
+fn a_resident_row_rewritten_by_a_migration_is_served_new_after_the_flip() {
+    let refs: Vec<Vec<u32>> = vec![vec![3, 5, word(4, true)], vec![word(7, true)], vec![9, 3]];
+    for (int8, dedup) in [(false, false), (false, true), (true, false), (true, true)] {
+        let shape = Shape {
+            n_c: 4,
+            int8,
+            dedup,
+            n_tasklets: 2,
+            n_samples: refs.len(),
+        };
+        let case = format!("int8={int8} dedup={dedup}");
+        let stream = build_stream(&refs, shape.n_tasklets, dedup);
+        let task = resident_task(TASK, 16, 8, 1);
+        let flipped = resident_task(TASK, 16, 8, 3);
+        let (emt, cache) = shape.regions(9);
+        // What a fresh DPU holding the new rows serves.
+        let mut fresh = shape.fleet(flipped, &[&stream], 1);
+        fresh.load_mram(DpuId(0), TASK.emt_base, &emt).unwrap();
+        fresh.load_mram(DpuId(0), TASK.cache_base, &cache).unwrap();
+        let want = launch(&mut fresh, &shape.longhand(flipped), flipped, shape).unwrap();
+
+        let mut sys = shape.fleet(task, &[&stream], 1);
+        let mut oracle = shape.fleet(task, &[&stream], 1);
+        let mut kernel = shape.kernel(task, 1);
+        let before = launch(&mut sys, &kernel, task, shape).unwrap();
+        let old = launch(&mut oracle, &shape.longhand(task), task, shape).unwrap();
+        assert_eq!(before, old, "{case}");
+        assert_ne!(before[0].0, want[0].0, "{case}: the two generations differ");
+        for s in [&mut sys, &mut oracle] {
+            s.load_mram(DpuId(0), TASK.emt_base, &emt).unwrap();
+            s.load_mram(DpuId(0), TASK.cache_base, &cache).unwrap();
+        }
+        // No bump: the tasklet program still reads its old copy.
+        let stale = launch(&mut oracle, &shape.longhand(task), task, shape).unwrap();
+        assert_eq!(
+            stale[0].0, old[0].0,
+            "{case}: WRAM is not refreshed by an MRAM write"
+        );
+        // The flip bumps the epoch: both refill, both serve the new rows.
+        for t in kernel.tasks_mut() {
+            t.resident.epoch = 3;
+        }
+        let after = launch(&mut sys, &kernel, flipped, shape).unwrap();
+        let after_oracle = launch(&mut oracle, &shape.longhand(flipped), flipped, shape).unwrap();
+        assert_eq!(after, want, "{case}");
+        assert_eq!(after_oracle, want, "{case}");
+        assert!(after[0].1.fill_cycles.0 > 0, "{case}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -566,7 +982,11 @@ proptest! {
         bulk in (0usize..4).prop_map(|i| [0usize, 0, 90, 700][i]),
         n_c in (0usize..3).prop_map(|i| [2usize, 4, 8][i]),
         n_tasklets in 1usize..17,
+        resident in (0usize..4).prop_map(|i| [(0u32, 0u32), (7, 5), (64, 0), (200, 60)][i]),
     ) {
+        // Nothing resident (the paper's kernel), a few rows, one region
+        // only, everything: the thresholds are launch arguments.
+        let task = resident_task(TASK, resident.0, resident.1, 1);
         let mut refs_per_sample: Vec<Vec<u32>> = samples
             .iter()
             .map(|s| s.iter().map(|&(slot, cached)| word(slot, cached)).collect())
@@ -583,26 +1003,27 @@ proptest! {
                 let stream = build_stream(&refs_per_sample, n_tasklets, dedup);
                 let odd_one = build_stream(&altered, n_tasklets, dedup);
                 let streams = [&stream[..], &stream, &odd_one, &stream, &stream];
-                let want = launch(
-                    &mut shape.fleet(TASK, &streams, 1),
-                    &shape.longhand(TASK),
-                    TASK,
-                    shape,
-                )
-                .unwrap();
+                // Two launches each: the first fills the resident block,
+                // the second finds it in WRAM.
+                let mut oracle = shape.fleet(task, &streams, 1);
+                let want = [(); 2].map(|()| {
+                    launch(&mut oracle, &shape.longhand(task), task, shape).unwrap()
+                });
+                let filled = want[0].iter().all(|(_, stats)| stats.fill_cycles.0 > 0);
+                prop_assert_eq!(filled, resident != (0, 0));
+                prop_assert!(want[1].iter().all(|(_, stats)| stats.fill_cycles.0 == 0));
                 for host_threads in [1, 4] {
-                    let got = launch(
-                        &mut shape.fleet(TASK, &streams, host_threads),
-                        &shape.kernel(TASK, streams.len()),
-                        TASK,
-                        shape,
-                    )
-                    .unwrap();
-                    for (d, (got, want)) in got.iter().zip(&want).enumerate() {
-                        prop_assert_eq!(
-                            got, want,
-                            "DPU {} int8={} dedup={} host_threads={}", d, int8, dedup, host_threads
-                        );
+                    let mut sys = shape.fleet(task, &streams, host_threads);
+                    let kernel = shape.kernel(task, streams.len());
+                    for (nth, want) in want.iter().enumerate() {
+                        let got = launch(&mut sys, &kernel, task, shape).unwrap();
+                        for (d, (got, want)) in got.iter().zip(want).enumerate() {
+                            prop_assert_eq!(
+                                got, want,
+                                "launch {} DPU {} int8={} dedup={} host_threads={}",
+                                nth, d, int8, dedup, host_threads
+                            );
+                        }
                     }
                 }
             }

@@ -14,8 +14,14 @@
 //! * **Host transfers** — per-byte CPU⇄MRAM costs; transfers to multiple
 //!   DPUs proceed in parallel only when every buffer has the same size
 //!   (paper §2.2), otherwise they serialize.
+//! * **WRAM** — scratchpad accesses complete within the pipeline, so an
+//!   operand that is already WRAM-resident costs nothing beyond the
+//!   instructions that consume it ([`CostTable::charge_wram_rows`]);
+//!   what WRAM costs is its 64 KB, divided by [`WramBudget`].
 
-use crate::arch::{Cycles, DEFAULT_CLOCK_HZ, DMA_ALIGN, DMA_MAX_TRANSFER};
+use crate::arch::{
+    Cycles, DEFAULT_CLOCK_HZ, DMA_ALIGN, DMA_MAX_TRANSFER, PIPELINE_DEPTH, WRAM_CAPACITY,
+};
 use crate::stats::TaskletStats;
 
 /// Tunable cost model for one [`PimSystem`](crate::host::PimSystem).
@@ -264,6 +270,17 @@ impl CostTable {
         stats.instrs += n * 4 * self.model.int_op_cycles;
     }
 
+    /// Adds `n` row operands read from the WRAM-resident block to
+    /// `stats` — the WRAM axis of the model. A resident row is not
+    /// fetched: no DMA latency, no engine occupancy, no transfer or byte
+    /// count and none of the instructions that issue a transfer; the
+    /// accumulate that consumes the row already reads its operand from
+    /// WRAM. Only the count moves.
+    #[inline]
+    pub fn charge_wram_rows(&self, stats: &mut TaskletStats, n: u64) {
+        stats.wram_rows += n;
+    }
+
     /// [`CostModel::accumulate_instrs`], from the table for every
     /// vector that fits one DMA transfer.
     #[inline]
@@ -272,6 +289,96 @@ impl CostTable {
             Some(row) => row[usize::from(u8_lanes)],
             None => self.model.accumulate_instrs(u8_lanes, n_elems),
         }
+    }
+
+    /// Expected launch cycles one gather-reduce reference adds to a DPU
+    /// whose `n_tasklets` tasklets share the references evenly: a loop
+    /// iteration, an accumulate of `n_elems` elements and the read of
+    /// its `row_len`-byte operand — from the WRAM-resident block with
+    /// probability `hit_share`, otherwise one MRAM DMA. The charges are
+    /// the ones a kernel makes ([`CostTable::charge_dma`],
+    /// [`CostTable::charge_wram_rows`], [`CostTable::accumulate_instrs`]),
+    /// mixed by `hit_share` and put through the launch accounting's
+    /// three bounds (pipeline, DMA engine, one tasklet's serial path
+    /// over `n_tasklets`), so an analytic estimator that prices a
+    /// lookup here cannot drift from the simulated kernel.
+    pub fn lookup_cycles(
+        &self,
+        row_len: usize,
+        u8_lanes: bool,
+        n_elems: u64,
+        hit_share: f64,
+        n_tasklets: usize,
+    ) -> f64 {
+        let reference = |resident: bool| {
+            let mut st = TaskletStats {
+                instrs: self.model.loop_overhead_instrs + self.accumulate_instrs(u8_lanes, n_elems),
+                ..TaskletStats::default()
+            };
+            self.charge_dma(&mut st, row_len, u64::from(!resident));
+            self.charge_wram_rows(&mut st, u64::from(resident));
+            st
+        };
+        let (miss, hit) = (reference(false), reference(true));
+        let hit_share = hit_share.clamp(0.0, 1.0);
+        let mix = |of: fn(&TaskletStats) -> u64| {
+            (1.0 - hit_share) * of(&miss) as f64 + hit_share * of(&hit) as f64
+        };
+        let instrs = mix(|s| s.instrs);
+        let serial = instrs * PIPELINE_DEPTH as f64 + mix(|s| s.dma_cycles);
+        instrs
+            .max(mix(|s| s.dma_engine_cycles))
+            .max(serial / n_tasklets.max(1) as f64)
+    }
+}
+
+/// Stack bytes [`WramBudget`] reserves per tasklet.
+pub const TASKLET_STACK_BYTES: usize = 512;
+
+/// How a gather-reduce program divides one DPU's [`WRAM_CAPACITY`]: the
+/// single account the shared accumulator block, the resident block and
+/// the tasklet locals are all drawn from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WramBudget {
+    /// Private bytes per tasklet: one [`DMA_MAX_TRANSFER`]-byte staging
+    /// chunk for its reference stream, one source row, one accumulator
+    /// row and [`TASKLET_STACK_BYTES`] of stack.
+    pub tasklet_bytes: usize,
+    /// Private bytes of all tasklets together.
+    pub locals_bytes: usize,
+    /// Bytes of the shared accumulator block (zero without one).
+    pub block_bytes: usize,
+}
+
+impl WramBudget {
+    /// The budget of `n_tasklets` tasklets that gather `src_row_bytes`
+    /// rows into `acc_row_bytes` accumulators beside a shared block of
+    /// `block_bytes`.
+    pub fn new(
+        n_tasklets: usize,
+        src_row_bytes: usize,
+        acc_row_bytes: usize,
+        block_bytes: usize,
+    ) -> Self {
+        let tasklet_bytes = DMA_MAX_TRANSFER + src_row_bytes + acc_row_bytes + TASKLET_STACK_BYTES;
+        WramBudget {
+            tasklet_bytes,
+            locals_bytes: n_tasklets * tasklet_bytes,
+            block_bytes,
+        }
+    }
+
+    /// Bytes left for a WRAM-resident block once the tasklet locals and
+    /// the shared block are placed (zero when those alone fill WRAM).
+    pub fn resident_bytes(&self) -> usize {
+        WRAM_CAPACITY.saturating_sub(self.locals_bytes + self.block_bytes)
+    }
+
+    /// Bytes the program needs with a resident block of
+    /// `resident_bytes`; it fits a DPU when this is at most
+    /// [`WRAM_CAPACITY`].
+    pub fn needed(&self, resident_bytes: usize) -> usize {
+        self.locals_bytes + self.block_bytes + resident_bytes
     }
 }
 
@@ -301,6 +408,7 @@ mod tests {
                 dma_engine_cycles: 3 * model.dma_engine_cycles(len).0,
                 dma_transfers: 3,
                 dma_bytes: 3 * len as u64,
+                wram_rows: 0,
             };
             assert_eq!(stats, want, "len {len}");
         }
@@ -317,6 +425,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The WRAM axis: a resident row moves its own count and nothing
+    /// else, so a launch's `wram_rows + row fetches` is its references.
+    #[test]
+    fn a_wram_row_is_charged_nothing_but_its_count() {
+        let table = CostTable::new(&CostModel::default());
+        let mut stats = TaskletStats::default();
+        table.charge_wram_rows(&mut stats, 5);
+        let want = TaskletStats {
+            wram_rows: 5,
+            ..TaskletStats::default()
+        };
+        assert_eq!(stats, want);
+    }
+
+    /// `lookup_cycles` is the launch accounting applied to the kernel's
+    /// own per-reference charges, at both ends of the hit share and in
+    /// between, on the default model at `N_c = 8`: 36 instructions, a
+    /// 93-cycle DMA that occupies the engine for 32 — 4 instructions
+    /// and the whole DMA fewer for a resident row.
+    #[test]
+    fn lookup_cycles_prices_the_kernels_own_charges() {
+        let model = CostModel::default();
+        let table = CostTable::new(&model);
+        let instrs = (model.loop_overhead_instrs + model.accumulate_instrs(false, 8)) as f64;
+        let issue = (4 * model.int_op_cycles) as f64;
+        let (latency, engine) = (
+            model.dma_cycles(32).0 as f64,
+            model.dma_engine_cycles(32).0 as f64,
+        );
+        let depth = PIPELINE_DEPTH as f64;
+        // One tasklet: the serial path.
+        assert_eq!(
+            table.lookup_cycles(32, false, 8, 0.0, 1),
+            (instrs + issue) * depth + latency
+        );
+        assert_eq!(table.lookup_cycles(32, false, 8, 1.0, 1), instrs * depth);
+        // Fourteen: the pipeline bound (36, then 32 instructions).
+        assert_eq!(table.lookup_cycles(32, false, 8, 0.0, 14), instrs + issue);
+        assert_eq!(table.lookup_cycles(32, false, 8, 1.0, 14), instrs);
+        let half = table.lookup_cycles(32, false, 8, 0.5, 14);
+        assert_eq!(half, instrs + issue / 2.0);
+        // Wide rows: the DMA engine bound, which a hit share scales.
+        assert_eq!(
+            table.lookup_cycles(2048, false, 8, 0.0, 14),
+            model.dma_engine_cycles(2048).0 as f64
+        );
+        assert!(engine < instrs + issue);
+        // Out-of-range shares clamp.
+        assert_eq!(table.lookup_cycles(32, false, 8, 7.0, 14), instrs);
+    }
+
+    #[test]
+    fn wram_budget_accounts_every_byte_once() {
+        let b = WramBudget::new(14, 32, 32, 0);
+        assert_eq!(b.tasklet_bytes, 2048 + 32 + 32 + TASKLET_STACK_BYTES);
+        assert_eq!(b.locals_bytes, 14 * b.tasklet_bytes);
+        assert_eq!(b.resident_bytes(), WRAM_CAPACITY - b.locals_bytes);
+        assert_eq!(b.needed(b.resident_bytes()), WRAM_CAPACITY);
+        // A shared block comes out of the resident share, byte for byte.
+        let with_block = WramBudget::new(14, 32, 32, 4096);
+        assert_eq!(with_block.resident_bytes(), b.resident_bytes() - 4096);
+        // Locals that fill WRAM leave nothing, and say how much they need.
+        let wide = WramBudget::new(14, 2048, 2048, 0);
+        assert_eq!(wide.resident_bytes(), 0);
+        assert!(wide.needed(0) > WRAM_CAPACITY);
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! * the modeled launch time is the maximum of the pipeline bound, the
 //!   DMA bound, and the slowest single tasklet's serial critical path.
 //!
+//! A launch has up to three barrier-separated phases — *fill*
+//! ([`Kernel::prepare`]), the body ([`Kernel::run`]) and
+//! [`Kernel::finalize`] — whose times add up. WRAM is not cleared
+//! between launches (`dpu_launch` does not reload it on hardware
+//! either), so what a fill phase copies into the shared region stays
+//! there for later launches to read.
+//!
 //! The accounting needs only each tasklet's counters, not the
 //! interpretation that usually produces them. A program whose counters
 //! are a closed form of its input implements [`DpuProgram`] instead: it
@@ -44,6 +51,28 @@ pub trait Kernel: Sync {
     /// evenly into per-tasklet private regions.
     fn shared_wram_bytes(&self) -> usize {
         0
+    }
+
+    /// Private WRAM every tasklet of this kernel needs (staging
+    /// buffers, stack); the launch fails when the shared region leaves
+    /// a tasklet less.
+    fn tasklet_wram_bytes(&self) -> usize {
+        1
+    }
+
+    /// Optional fill phase, executed by every tasklet before any
+    /// tasklet enters [`Kernel::run`]: where a kernel brings the shared
+    /// WRAM region up to date (it persists across launches, so most
+    /// launches find it so and charge nothing). Fill cycle costs are
+    /// accounted on their own ([`DpuRunStats::fill_cycles`]) and added
+    /// to the launch. The default does nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Kernel::run`].
+    fn prepare(&self, ctx: &mut TaskletCtx<'_>) -> Result<()> {
+        let _ = ctx;
+        Ok(())
     }
 
     /// Runs the kernel body for one tasklet (phase 1).
@@ -88,10 +117,15 @@ pub trait Kernel: Sync {
 /// runs which DPU, and in what order, must not reach the report.
 pub trait DpuProgram: Sync {
     /// Bytes of WRAM the modeled program reserves as a region shared by
-    /// all tasklets; the launch fails unless every tasklet is left some
-    /// private WRAM beside it.
+    /// all tasklets; the launch fails unless every tasklet is left its
+    /// [`DpuProgram::tasklet_wram_bytes`] beside it.
     fn shared_wram_bytes(&self) -> usize {
         0
+    }
+
+    /// Private WRAM every tasklet of the modeled program needs.
+    fn tasklet_wram_bytes(&self) -> usize {
+        1
     }
 
     /// Runs the program on one DPU.
@@ -109,14 +143,21 @@ impl<K: Kernel + ?Sized> DpuProgram for K {
         Kernel::shared_wram_bytes(self)
     }
 
+    fn tasklet_wram_bytes(&self) -> usize {
+        Kernel::tasklet_wram_bytes(self)
+    }
+
     fn run_dpu(&self, pass: &mut DpuPass<'_>) -> Result<()> {
         pass.interpret(self)
     }
 }
 
+/// Barrier phases of a launch: fill, body, finalize.
+const PHASES: usize = 3;
+
 /// One launched DPU, handed to a [`DpuProgram`]: its memories, the
 /// launch's tasklet count and cost tables, and the per-tasklet counters
-/// of both barrier phases (all zero on entry).
+/// of the three barrier phases (all zero on entry).
 #[derive(Debug)]
 pub struct DpuPass<'a> {
     dpu: DpuId,
@@ -125,8 +166,8 @@ pub struct DpuPass<'a> {
     wram: &'a mut Wram,
     shared_len: usize,
     costs: &'a CostTable,
-    /// Phase-1 and phase-2 counters, `n_tasklets` entries each.
-    stats: [&'a mut [TaskletStats]; 2],
+    /// Fill, phase-1 and phase-2 counters, `n_tasklets` entries each.
+    stats: [&'a mut [TaskletStats]; PHASES],
 }
 
 impl<'a> DpuPass<'a> {
@@ -155,12 +196,27 @@ impl<'a> DpuPass<'a> {
         self.mram
     }
 
+    /// What a fill phase works on: the MRAM bank, the WRAM region
+    /// shared by all tasklets ([`DpuProgram::shared_wram_bytes`] long,
+    /// as earlier launches left it), and the per-tasklet counters of
+    /// the phase, which ends at a barrier before phase 1 — all at once,
+    /// for a charged copy between the memories. A program that fills
+    /// nothing leaves the counters zero.
+    #[inline]
+    pub fn fill_phase(&mut self) -> (&mut Mram, &mut [u8], &mut [TaskletStats]) {
+        let shared = self
+            .wram
+            .slice_mut(0, self.shared_len)
+            .expect("the launch checked the shared region against WRAM");
+        (self.mram, shared, self.stats[0])
+    }
+
     /// Per-tasklet counters of phase 1 and of phase 2 (after the
     /// barrier), `n_tasklets` entries each. A single-phase program
     /// leaves the second slice zero.
     #[inline]
     pub fn stats_mut(&mut self) -> (&mut [TaskletStats], &mut [TaskletStats]) {
-        let [phase1, phase2] = &mut self.stats;
+        let [_, phase1, phase2] = &mut self.stats;
         (phase1, phase2)
     }
 
@@ -169,9 +225,9 @@ impl<'a> DpuPass<'a> {
     fn interpret<K: Kernel + ?Sized>(&mut self, kernel: &K) -> Result<()> {
         // Split WRAM: [shared | t0 local | t1 local | ...]. Tasklets run
         // sequentially, so re-borrowing per tasklet is safe and keeps the
-        // shared region's contents visible across tasklets. Phase 2
-        // (`finalize`) starts only after every tasklet completed phase 1
-        // — the hardware barrier.
+        // shared region's contents visible across tasklets. A phase
+        // starts only after every tasklet completed the one before —
+        // the hardware barrier.
         let n_tasklets = self.n_tasklets;
         let local_len = (WRAM_CAPACITY - self.shared_len) / n_tasklets;
         for (phase, stats) in self.stats.iter_mut().enumerate() {
@@ -193,10 +249,10 @@ impl<'a> DpuPass<'a> {
                         stats: TaskletStats::default(),
                     },
                 };
-                if phase == 0 {
-                    kernel.run(&mut ctx)?;
-                } else {
-                    kernel.finalize(&mut ctx)?;
+                match phase {
+                    0 => kernel.prepare(&mut ctx)?,
+                    1 => kernel.run(&mut ctx)?,
+                    _ => kernel.finalize(&mut ctx)?,
                 }
                 *slot = ctx.charges.stats;
             }
@@ -238,6 +294,13 @@ impl Charges<'_> {
     #[inline]
     pub fn charge_dma(&mut self, len: usize, n: u64) {
         self.costs.charge_dma(&mut self.stats, len, n);
+    }
+
+    /// Charges `n` row operands read from the WRAM-resident block
+    /// ([`CostTable::charge_wram_rows`]).
+    #[inline]
+    pub fn charge_wram_rows(&mut self, n: u64) {
+        self.costs.charge_wram_rows(&mut self.stats, n);
     }
 
     /// Charges `n` generic pipeline instructions (1 cycle slots each).
@@ -391,7 +454,7 @@ impl Dpu {
     /// * [`SimError::InvalidConfig`] if `n_tasklets` is 0 or exceeds
     ///   [`MAX_TASKLETS`].
     /// * [`SimError::WramExhausted`] if the program's shared region
-    ///   leaves no per-tasklet WRAM.
+    ///   leaves a tasklet less than the private WRAM it declares.
     /// * Any error returned by the program.
     pub fn launch<P: DpuProgram + ?Sized>(
         &mut self,
@@ -434,15 +497,16 @@ impl Dpu {
                 available: WRAM_CAPACITY,
             });
         }
-        if (WRAM_CAPACITY - shared_len) / n_tasklets == 0 {
+        let tasklet_len = program.tasklet_wram_bytes().max(1);
+        if (WRAM_CAPACITY - shared_len) / n_tasklets < tasklet_len {
             return Err(SimError::WramExhausted {
-                requested: shared_len + n_tasklets,
+                requested: shared_len + n_tasklets * tasklet_len,
                 available: WRAM_CAPACITY,
             });
         }
 
-        let mut phase1 = [TaskletStats::default(); MAX_TASKLETS];
-        let mut phase2 = [TaskletStats::default(); MAX_TASKLETS];
+        let mut stats = [[TaskletStats::default(); MAX_TASKLETS]; PHASES];
+        let [fill, phase1, phase2] = &mut stats;
         program.run_dpu(&mut DpuPass {
             dpu: self.id,
             n_tasklets,
@@ -450,23 +514,35 @@ impl Dpu {
             wram: &mut self.wram,
             shared_len,
             costs,
-            stats: [&mut phase1[..n_tasklets], &mut phase2[..n_tasklets]],
+            stats: [
+                &mut fill[..n_tasklets],
+                &mut phase1[..n_tasklets],
+                &mut phase2[..n_tasklets],
+            ],
         })?;
 
-        // The barrier means phase times add up; the launch overhead is
-        // charged once.
+        // The barriers mean phase times add up; the launch overhead is
+        // charged once. A phase nobody charged accounts to zero.
         let cost = costs.model();
+        let p0 = Self::account(&fill[..n_tasklets], cost, 0);
         let p1 = Self::account(&phase1[..n_tasklets], cost, cost.launch_overhead_cycles);
         let p2 = Self::account(&phase2[..n_tasklets], cost, 0);
-        out.cycles = p1.cycles + p2.cycles;
-        out.totals = p1.totals;
+        out.fill_cycles = p0.cycles;
+        out.cycles = p0.cycles + p1.cycles + p2.cycles;
+        out.totals = p0.totals;
+        out.totals.merge(&p1.totals);
         out.totals.merge(&p2.totals);
         out.per_tasklet.clear();
         out.per_tasklet.extend_from_slice(&phase1[..n_tasklets]);
-        for (a, b) in out.per_tasklet.iter_mut().zip(&phase2[..n_tasklets]) {
+        for (a, (f, b)) in out
+            .per_tasklet
+            .iter_mut()
+            .zip(fill.iter().zip(&phase2[..n_tasklets]))
+        {
+            a.merge(f);
             a.merge(b);
         }
-        out.energy_pj = p1.energy_pj + p2.energy_pj;
+        out.energy_pj = p0.energy_pj + p1.energy_pj + p2.energy_pj;
         Ok(())
     }
 
@@ -740,6 +816,99 @@ mod tests {
             d.launch(&Greedy, 1, &CostTable::new(&CostModel::default())),
             Err(SimError::WramExhausted { .. })
         ));
+    }
+
+    /// A kernel that keeps the first 4 KB of MRAM resident in shared
+    /// WRAM behind a one-byte tag: the fill phase copies it (two chunks,
+    /// dealt over the tasklets) unless the tag is already there, and
+    /// the body reads the resident bytes without a DMA.
+    struct Resident;
+    impl Kernel for Resident {
+        fn shared_wram_bytes(&self) -> usize {
+            8 + 4096
+        }
+        fn tasklet_wram_bytes(&self) -> usize {
+            2048
+        }
+        fn prepare(&self, ctx: &mut TaskletCtx<'_>) -> Result<()> {
+            if ctx.shared_wram()[0] == 1 {
+                return Ok(());
+            }
+            for chunk in (ctx.tasklet_id()..2).step_by(ctx.n_tasklets()) {
+                let mut buf = [0u8; 2048];
+                ctx.mram_read(2048 * chunk as u32, &mut buf)?;
+                ctx.shared_wram()[8 + 2048 * chunk..][..2048].copy_from_slice(&buf);
+            }
+            // The interpreter runs tasklets in order: the last one sets
+            // the tag, after every chunk has landed.
+            if ctx.tasklet_id() + 1 == ctx.n_tasklets() {
+                ctx.shared_wram()[0] = 1;
+            }
+            Ok(())
+        }
+        fn run(&self, ctx: &mut TaskletCtx<'_>) -> Result<()> {
+            if ctx.shared_wram()[8 + 4095] != 0xAB {
+                return Err(SimError::KernelFault("resident byte lost".into()));
+            }
+            ctx.charges().charge_wram_rows(1);
+            Ok(())
+        }
+    }
+
+    /// WRAM outlives a launch: the first launch pays the fill — its own
+    /// phase, at least the DMA engine's time for the copied bytes — and
+    /// the second finds the block in place and pays nothing.
+    #[test]
+    fn a_fill_is_charged_once_and_wram_persists_across_launches() {
+        let model = CostModel::default();
+        let costs = CostTable::new(&model);
+        let mut d = Dpu::new(DpuId(0));
+        let mut block = vec![0u8; 4096];
+        block[4095] = 0xAB;
+        d.mram_mut().host_write(0, &block).unwrap();
+        let first = d.launch(&Resident, 2, &costs).unwrap();
+        let second = d.launch(&Resident, 2, &costs).unwrap();
+        // Two tasklets, one 2048-byte chunk each: the engine serializes
+        // them (2 x 1040 cycles) and that outlasts one tasklet's serial
+        // path (4 issue instructions + 1101 cycles of latency).
+        assert_eq!(first.fill_cycles.0, model.bulk_rows_dma_cycles(2048, 2).0);
+        assert!(first.fill_cycles.0 > 4 * PIPELINE_DEPTH + model.dma_cycles(2048).0);
+        assert_eq!(first.cycles.0, second.cycles.0 + first.fill_cycles.0);
+        assert_eq!(first.totals.dma_bytes, 4096);
+        assert_eq!(second.fill_cycles, Cycles(0));
+        assert_eq!(second.totals.dma_transfers, 0);
+        assert_eq!(second.totals.wram_rows, 2);
+        assert_eq!(second.per_tasklet[1].wram_rows, 1);
+    }
+
+    /// The shared region must leave every tasklet what the program
+    /// declares it needs, not just a byte.
+    #[test]
+    fn a_shared_region_that_starves_the_tasklets_is_rejected() {
+        let costs = CostTable::new(&CostModel::default());
+        let mut d = Dpu::new(DpuId(0));
+        // 8 + 4096 shared, 2048 per tasklet: 29 tasklets' worth of WRAM
+        // is free, 24 fit; make the region large enough that they don't.
+        struct Wide;
+        impl Kernel for Wide {
+            fn shared_wram_bytes(&self) -> usize {
+                WRAM_CAPACITY - 2 * 2048 + 8
+            }
+            fn tasklet_wram_bytes(&self) -> usize {
+                2048
+            }
+            fn run(&self, _ctx: &mut TaskletCtx<'_>) -> Result<()> {
+                Ok(())
+            }
+        }
+        d.launch(&Wide, 1, &costs).unwrap();
+        assert_eq!(
+            d.launch(&Wide, 2, &costs),
+            Err(SimError::WramExhausted {
+                requested: WRAM_CAPACITY - 2 * 2048 + 8 + 2 * 2048,
+                available: WRAM_CAPACITY,
+            })
+        );
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod mem;
 pub mod stats;
 
 pub use arch::{Cycles, DpuId};
-pub use cost::{CostModel, CostTable};
+pub use cost::{CostModel, CostTable, WramBudget, TASKLET_STACK_BYTES};
 pub use dpu::{Charges, Dpu, DpuPass, DpuProgram, Kernel, TaskletCtx};
 pub use error::{Result, SimError};
 pub use fleet::{Fleet, RankCostModel, RankTopology};

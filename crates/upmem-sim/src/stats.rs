@@ -16,6 +16,10 @@ pub struct TaskletStats {
     pub dma_transfers: u64,
     /// Bytes moved over the MRAM DMA engine.
     pub dma_bytes: u64,
+    /// Row operands read from the WRAM-resident block instead of being
+    /// fetched from MRAM: a count only — no latency, no engine
+    /// occupancy, no issue instructions ([`CostTable::charge_wram_rows`](crate::CostTable::charge_wram_rows)).
+    pub wram_rows: u64,
 }
 
 impl TaskletStats {
@@ -26,6 +30,7 @@ impl TaskletStats {
         self.dma_engine_cycles += other.dma_engine_cycles;
         self.dma_transfers += other.dma_transfers;
         self.dma_bytes += other.dma_bytes;
+        self.wram_rows += other.wram_rows;
     }
 }
 
@@ -34,6 +39,10 @@ impl TaskletStats {
 pub struct DpuRunStats {
     /// Modeled wall-clock cycles for the launch on this DPU.
     pub cycles: Cycles,
+    /// The part of `cycles` spent in the fill phase, before the first
+    /// barrier (copying a resident block MRAM→WRAM); zero for a launch
+    /// that charged nothing there.
+    pub fill_cycles: Cycles,
     /// Aggregate counters over all tasklets.
     pub totals: TaskletStats,
     /// Per-tasklet counters (length = tasklets used by the launch).
@@ -78,6 +87,8 @@ pub struct DpuCounters {
     pub dma_transfers: u64,
     /// Total bytes moved over the MRAM DMA engine.
     pub dma_bytes: u64,
+    /// Total row operands read from the WRAM-resident block.
+    pub wram_rows: u64,
     /// Sum over launches of tasklets that did real work.
     pub busy_tasklets: u64,
     /// Sum over launches of tasklets provisioned.
@@ -92,6 +103,7 @@ impl DpuCounters {
         self.instrs += stats.totals.instrs;
         self.dma_transfers += stats.totals.dma_transfers;
         self.dma_bytes += stats.totals.dma_bytes;
+        self.wram_rows += stats.totals.wram_rows;
         self.busy_tasklets += stats.busy_tasklets() as u64;
         self.tasklet_slots += stats.per_tasklet.len() as u64;
     }
@@ -105,6 +117,7 @@ impl DpuCounters {
         self.instrs += other.instrs;
         self.dma_transfers += other.dma_transfers;
         self.dma_bytes += other.dma_bytes;
+        self.wram_rows += other.wram_rows;
         self.busy_tasklets += other.busy_tasklets;
         self.tasklet_slots += other.tasklet_slots;
     }
@@ -151,6 +164,17 @@ impl LaunchReport {
             .iter()
             .map(|(_, s)| s.totals.dma_transfers)
             .sum()
+    }
+
+    /// Sum of WRAM-resident row reads over all DPUs.
+    pub fn total_wram_rows(&self) -> u64 {
+        self.per_dpu.iter().map(|(_, s)| s.totals.wram_rows).sum()
+    }
+
+    /// Slowest fill phase over the launched DPUs (zero when none filled).
+    pub fn max_fill_cycles(&self) -> Cycles {
+        let fills = self.per_dpu.iter().map(|(_, s)| s.fill_cycles);
+        fills.max().unwrap_or_default()
     }
 
     /// Cycle-imbalance ratio: slowest DPU over mean DPU (1.0 = perfectly
@@ -204,6 +228,7 @@ mod tests {
             dma_engine_cycles: 2,
             dma_transfers: 3,
             dma_bytes: 4,
+            wram_rows: 5,
         };
         let b = TaskletStats {
             instrs: 10,
@@ -211,6 +236,7 @@ mod tests {
             dma_engine_cycles: 20,
             dma_transfers: 30,
             dma_bytes: 40,
+            wram_rows: 50,
         };
         a.merge(&b);
         assert_eq!(
@@ -221,6 +247,7 @@ mod tests {
                 dma_engine_cycles: 22,
                 dma_transfers: 33,
                 dma_bytes: 44,
+                wram_rows: 55,
             }
         );
     }
@@ -234,12 +261,14 @@ mod tests {
     fn dpu_counters_fold_launches_and_occupancy() {
         let stats = DpuRunStats {
             cycles: Cycles(100),
+            fill_cycles: Cycles(0),
             totals: TaskletStats {
                 instrs: 30,
                 dma_cycles: 0,
                 dma_engine_cycles: 0,
                 dma_transfers: 4,
                 dma_bytes: 256,
+                wram_rows: 7,
             },
             per_tasklet: vec![
                 TaskletStats {
@@ -266,6 +295,7 @@ mod tests {
         assert_eq!(cell.instrs, 60);
         assert_eq!(cell.dma_transfers, 8);
         assert_eq!(cell.dma_bytes, 512);
+        assert_eq!(cell.wram_rows, 14);
         assert_eq!(cell.busy_tasklets, 4);
         assert_eq!(cell.tasklet_slots, 6);
         assert!((cell.occupancy() - 2.0 / 3.0).abs() < 1e-12);

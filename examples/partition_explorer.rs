@@ -66,6 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batch_size: 64,
         avg_reduction: spec.avg_reduction,
         emt_capacity_bytes: 48 << 20,
+        tasklets: 14,
+        // The paper's kernel: no row WRAM-resident.
+        wram_hit_share: 0.0,
     };
     let cost = CostModel::default();
     println!("\nEq. 1-3 tiling candidates (32 DPUs per table):");

@@ -350,6 +350,37 @@ struct ServeJson {
     speedup_vs_sequential: f64,
 }
 
+/// Prints what `engine` keeps WRAM-resident on its DPUs and how many
+/// of the run's row reads (`pim`, summed over its batches) that served.
+fn print_residency(r: &ResidencyReport, pim: &EmbeddingBreakdown) {
+    assert!(
+        r.max_wram_bytes <= ResidencyReport::WRAM_BYTES,
+        "a DPU's WRAM is over-committed: {r:?}"
+    );
+    if r.max_rows == 0 {
+        println!("  WRAM-resident rows: none (every row read is an MRAM DMA)");
+        return;
+    }
+    let predicted = match r.predicted_hit_share {
+        Some(share) => format!("{:.1}%", 100.0 * share),
+        None => "n/a (no profile)".to_string(),
+    };
+    println!(
+        "  WRAM-resident rows: up to {} rows / {} B per DPU of a {} B budget ({} B of {} B WRAM \
+         committed); profile-predicted hit share {predicted}",
+        r.max_rows,
+        r.max_bytes,
+        r.budget_bytes,
+        r.max_wram_bytes,
+        ResidencyReport::WRAM_BYTES,
+    );
+    println!(
+        "    stage 2 read {} rows from WRAM beside {} MRAM DMA transfers; the fill took {} cycles on \
+         the slowest DPU",
+        pim.wram_rows, pim.dma_transfers, pim.wram_fill_cycles,
+    );
+}
+
 /// Machine-readable mirror of a `run` invocation (`--json FILE`).
 #[derive(Default, serde::Serialize)]
 struct RunJson {
@@ -701,6 +732,8 @@ fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         emt_capacity_bytes: args.num("emt-kb", defaults.emt_capacity_bytes / 1024) * 1024,
         host_cache_bytes: args.num("host-kb", defaults.host_cache_bytes / 1024) * 1024,
         replicate_top: args.num("replicate-top", defaults.replicate_top),
+        // `run --plan` serves the plan on a default-configured engine.
+        wram_resident_bytes: UpdlrmConfig::default().wram_resident_bytes(dim),
         seed,
         ..defaults
     };
@@ -847,6 +880,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             outcome.report.p99_latency_ns / 1e3,
         );
         println!("  speedup over back-to-back: {:.2}x", pr.speedup());
+        print_residency(&engine.residency(), &sum_breakdowns(&outcome.breakdowns));
         passes.print_measured(&measured);
         report_json.measured = Some(measured);
         report_json.mean_embedding_us = mean_embedding_ns / 1e3;
@@ -887,6 +921,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         };
         let n = (breakdowns.len() as f64).max(1.0);
         report_json.fill_sequential(&passes, &total, n, &breakdowns, measured);
+        print_residency(&engine.residency(), &sum_breakdowns(&breakdowns));
         return report_json.write(args, || engine.metrics_snapshot());
     }
     let mut backend: Box<dyn InferenceBackend> = match backend_name.as_str() {
@@ -944,6 +979,9 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // one so every derived mean serializes as a finite zero.
     let n = ((workload.batches.len() * passes.iters) as f64).max(1.0);
     report_json.fill_sequential(&passes, &total, n, &breakdowns, measured);
+    if let Some(r) = backend.residency() {
+        print_residency(&r, &sum_breakdowns(&breakdowns));
+    }
     report_json.write(args, || {
         backend
             .metrics_snapshot()
@@ -1573,6 +1611,13 @@ fn cmd_stats(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         snap.stage1_bytes as f64 / 1e6,
         snap.stage3_bytes as f64 / 1e6,
     );
+    let wram_rows: u64 = snap.per_dpu.iter().map(|d| d.wram_rows).sum();
+    if wram_rows > 0 {
+        let dma: u64 = snap.per_dpu.iter().map(|d| d.dma_transfers).sum();
+        println!(
+            "  WRAM: {wram_rows} row reads served from resident rows beside {dma} MRAM DMA transfers",
+        );
+    }
     if snap.sched.batches > 0 {
         println!(
             "  scheduler: {} admitted, {} shed, {} rejected, {} blocked, queue high-water {}",

@@ -90,8 +90,8 @@ pub mod prelude {
     };
     pub use updlrm_core::{
         EmbeddingBreakdown, MetricsRegistry, PartitionStrategy, PipelineMode, PipelineReport,
-        ReplanPolicy, RuntimeSnapshot, ServeOutcome, ServeReport, Snapshot, TenantSnapshot, Tiling,
-        TilingProblem, UpdlrmConfig, UpdlrmEngine, SNAPSHOT_SCHEMA_VERSION,
+        ReplanPolicy, ResidencyReport, RuntimeSnapshot, ServeOutcome, ServeReport, Snapshot,
+        TenantSnapshot, Tiling, TilingProblem, UpdlrmConfig, UpdlrmEngine, SNAPSHOT_SCHEMA_VERSION,
     };
     pub use upmem_sim::{CostModel, DpuId, PimConfig, PimSystem, RankCostModel, RankTopology};
     pub use workloads::{

@@ -350,7 +350,7 @@ fn metrics_snapshot_is_deterministic_across_runs() {
     );
     // The snapshot carries only modeled values and counts.
     let text = String::from_utf8(first).expect("utf8 json");
-    assert!(text.contains("\"schema_version\": 5"), "{text}");
+    assert!(text.contains("\"schema_version\": 6"), "{text}");
     assert!(text.contains("\"per_dpu\""), "{text}");
     assert!(text.contains("\"load_imbalance\""), "{text}");
     std::fs::remove_file(&a).ok();
@@ -385,7 +385,7 @@ fn stats_pretty_prints_a_snapshot() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("schema v5"), "stdout: {text}");
+    assert!(text.contains("schema v6"), "stdout: {text}");
     assert!(text.contains("stage shares"), "stdout: {text}");
     assert!(text.contains("load imbalance"), "stdout: {text}");
     assert!(text.contains("fleet: 32 DPUs"), "stdout: {text}");
@@ -746,8 +746,8 @@ fn stats_rejects_snapshots_from_other_schema_versions() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(&path).expect("snapshot");
-    assert!(text.contains("\"schema_version\": 5"), "{text}");
-    let doctored = text.replace("\"schema_version\": 5", "\"schema_version\": 1");
+    assert!(text.contains("\"schema_version\": 6"), "{text}");
+    let doctored = text.replace("\"schema_version\": 6", "\"schema_version\": 1");
     std::fs::write(&path, doctored).expect("doctor snapshot");
     let out = updlrm()
         .arg("stats")
@@ -758,7 +758,7 @@ fn stats_rejects_snapshots_from_other_schema_versions() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("schema v1"), "stderr: {err}");
-    assert!(err.contains("reads v5"), "stderr: {err}");
+    assert!(err.contains("reads v6"), "stderr: {err}");
 
     // Regression: the version was compared only after the typed decode,
     // so a real older snapshot — one that lacks a field — died on
@@ -781,12 +781,12 @@ fn stats_rejects_snapshots_from_other_schema_versions() {
         err
     };
     let older = text
-        .replace("\"schema_version\": 5", "\"schema_version\": 4")
+        .replace("\"schema_version\": 6", "\"schema_version\": 4")
         .replace("  \"enabled\": true,\n", "");
     assert_ne!(older.len(), text.len(), "a field was removed");
     let err = stats(Some(&older));
     assert!(err.contains("schema v4"), "stderr: {err}");
-    assert!(err.contains("reads v5"), "stderr: {err}");
+    assert!(err.contains("reads v6"), "stderr: {err}");
     let err = stats(Some(&text.replace("  \"enabled\": true,\n", "")));
     assert!(err.contains("invalid metrics snapshot"), "stderr: {err}");
     let err = stats(Some("[]"));
@@ -921,7 +921,7 @@ fn plan_generation_is_deterministic_and_inspectable() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("schema v1, planner seed 7"), "stdout: {text}");
+    assert!(text.contains("schema v2, planner seed 7"), "stdout: {text}");
     assert!(text.contains("rank balance"), "stdout: {text}");
     std::fs::remove_file(&a).ok();
     std::fs::remove_file(&b).ok();
@@ -974,8 +974,8 @@ fn plan_and_run_reject_foreign_schema_versions() {
         .expect("plan");
     assert!(out.status.success());
     let text = std::fs::read_to_string(&path).expect("plan");
-    assert!(text.contains("\"schema_version\": 1"), "{text}");
-    let doctored = text.replace("\"schema_version\": 1", "\"schema_version\": 99");
+    assert!(text.contains("\"schema_version\": 2"), "{text}");
+    let doctored = text.replace("\"schema_version\": 2", "\"schema_version\": 99");
     std::fs::write(&path, doctored).expect("doctor plan");
     for args in [
         vec!["plan", "--load"],
@@ -985,7 +985,7 @@ fn plan_and_run_reject_foreign_schema_versions() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("schema v99"), "stderr: {err}");
-        assert!(err.contains("reads v1"), "stderr: {err}");
+        assert!(err.contains("reads v2"), "stderr: {err}");
     }
     std::fs::remove_file(&path).ok();
 }
