@@ -175,16 +175,27 @@ fn fig11_shape_linear_small_saturating_large() {
     assert!(t(300, 8) > t(300, 64));
 }
 
+/// §3.3 as a fidelity assertion, at the standard scale EXPERIMENTS.md
+/// reports: the paper cuts lookup time by 17% / 22% / 26% at 40% / 70%
+/// / 100% capacity. The reduction must not fall as capacity grows and
+/// must reach the paper's 26% with the whole cache (32% / 34% / 34%
+/// here; an overshoot is reported there, not tuned away).
 #[test]
 fn cache_capacity_shape_more_cache_less_lookup() {
-    let rows = experiments::cache_capacity(quick()).expect("cache capacity");
+    let rows = experiments::cache_capacity(EvalConfig::standard()).expect("cache capacity");
     assert_eq!(rows.len(), 4);
-    // Lookup time is non-increasing in capacity and the full cache
-    // yields a real reduction (paper: 26%).
+    let reductions: Vec<f64> = rows.iter().map(|r| r.reduction_vs_no_cache).collect();
     for w in rows.windows(2) {
-        assert!(w[1].lookup_ns <= w[0].lookup_ns * 1.02);
+        assert!(
+            w[1].lookup_ns <= w[0].lookup_ns,
+            "lookup time grew with capacity: reductions {reductions:?}"
+        );
     }
-    assert!(rows[3].reduction_vs_no_cache > 0.05);
+    assert!(
+        reductions[3] >= 0.26,
+        "full cache cuts lookup time by {:.1}%, the paper 26%",
+        reductions[3] * 100.0
+    );
 }
 
 #[test]

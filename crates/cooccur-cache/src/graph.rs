@@ -24,8 +24,9 @@ pub struct CooccurGraph {
     rank_of_row: Vec<u32>,
     /// Hot items in rank order.
     hot_items: Vec<u64>,
-    /// Per-hot-item total accesses (copied from the profile).
-    freq: Vec<u64>,
+    /// Hot ranks the profile counted at least once — a prefix, since
+    /// ranks run hottest first. Only these may seed a list.
+    seed_ranks: usize,
     /// Every recorded sample's hot ranks — ascending, distinct, strided
     /// to at most `MAX_PAIR_SPAN` — back to back. Samples with fewer
     /// than two hot ranks hold no pair and are not stored.
@@ -50,11 +51,11 @@ impl CooccurGraph {
         for (r, &i) in hot_items.iter().enumerate() {
             rank_of_row[i as usize] = r as u32 + 1;
         }
-        let freq = hot_items.iter().map(|&i| profile.count(i)).collect();
+        let seed_ranks = hot_items.partition_point(|&i| profile.count(i) > 0);
         CooccurGraph {
             rank_of_row,
             hot_items,
-            freq,
+            seed_ranks,
             sample_ranks: Vec::new(),
             run_starts: vec![0],
             scratch: Vec::new(),
@@ -71,9 +72,10 @@ impl CooccurGraph {
         &self.hot_items
     }
 
-    /// Access frequency of a hot item by rank.
-    pub fn rank_freq(&self, rank: u32) -> u64 {
-        self.freq[rank as usize]
+    /// Number of hot ranks that may seed a list: those the profile
+    /// counted at least once (ranks `0..seed_ranks()`).
+    pub fn seed_ranks(&self) -> usize {
+        self.seed_ranks
     }
 
     /// Item id of a hot rank.
@@ -193,6 +195,15 @@ pub(crate) struct SamplesByRank {
     samples: Vec<u32>,
 }
 
+impl SamplesByRank {
+    /// `n(rank)`: the stored samples holding `rank` — the population
+    /// every edge weight `w(rank, b)` is counted over.
+    pub(crate) fn occurrences(&self, rank: u32) -> usize {
+        let r = rank as usize;
+        self.starts[r + 1] - self.starts[r]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +235,12 @@ mod tests {
         let p = profile_with_counts(&[5, 1, 9, 3]);
         let g = CooccurGraph::new(&p, 2);
         assert_eq!(g.hot_items(), &[2, 0]);
-        assert_eq!(g.rank_freq(0), 9);
+        assert_eq!(g.seed_ranks(), 2);
+        // Ranks past the profile's nonzero counts are hot but seed nothing.
+        let p = profile_with_counts(&[5, 0, 9, 0]);
+        let g = CooccurGraph::new(&p, 4);
+        assert_eq!(g.hot_items(), &[2, 0, 1, 3]);
+        assert_eq!(g.seed_ranks(), 2);
     }
 
     #[test]
@@ -266,6 +282,8 @@ mod tests {
         g.record_sample(&[4, 3, 2]);
         g.record_sample(&[1]); // no pair: not stored
         let index = g.samples_by_rank();
+        let n: Vec<usize> = (0..5).map(|r| index.occurrences(r)).collect();
+        assert_eq!(n, [1, 0, 3, 2, 2], "stored samples per rank");
         let mut row = vec![100u32; 5]; // stale contents are overwritten
         for a in 0..5u32 {
             g.count_row(a, &index, &mut row);

@@ -11,9 +11,10 @@
 //! 2. [`CacheListSet::mine`] greedily clusters the graph into disjoint
 //!    cache lists with per-list benefit estimates (the `cache_res`
 //!    input of the paper's Algorithm 1);
-//! 3. [`PartialSumCache`] materializes all `2^k - 1` combination rows
-//!    and answers lookups, preserving the exact-reconstruction
-//!    invariant (cached sums + residual rows = full reduction).
+//! 3. [`PartialSumCache`] indexes all `2^k - 1` combination rows,
+//!    computes each from the table's rows on demand, and answers
+//!    lookups, preserving the exact-reconstruction invariant (cached
+//!    sums + residual rows = full reduction).
 //!
 //! [`CacheListSet::from_trace`] runs steps 1 and 2 for one table's
 //! trace the way the engine build does (sample budget, measured
@@ -56,4 +57,4 @@ pub mod store;
 
 pub use graph::CooccurGraph;
 pub use mine::{CacheList, CacheListSet, MinerConfig};
-pub use store::{CacheEntry, CacheHit, CacheTraffic, LookupScratch, PartialSumCache};
+pub use store::{CacheHit, CacheTraffic, LookupScratch, PartialSumCache};

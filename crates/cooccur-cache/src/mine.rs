@@ -48,12 +48,14 @@ pub struct MinerConfig {
     /// small; GRACE uses similarly small combinations).
     pub max_list_len: usize,
     /// Minimum co-occurrence weight for a neighbor to join a list, as a
-    /// fraction of the seed item's own frequency.
+    /// fraction of the seed item's own occurrences: `w(a, b) / n(a)`,
+    /// both counted over the samples recorded into the graph.
     pub min_edge_fraction: f64,
     /// Maximum number of lists to emit.
     pub max_lists: usize,
     /// Maximum trace samples fed into graph construction (mining cost
-    /// control; benefits are still measured on the full trace).
+    /// control only: edge weights and their bar are counted over the
+    /// same samples, and benefits are measured on the full trace).
     pub max_samples: usize,
 }
 
@@ -128,9 +130,12 @@ impl CacheListSet {
     /// Mines cache lists from a co-occurrence graph.
     ///
     /// Greedy clustering: seed with the hottest unassigned item, grow
-    /// with its strongest unassigned neighbors whose edge weight clears
-    /// `min_edge_fraction` of the seed frequency, emit if at least two
-    /// items cluster.
+    /// with its strongest unassigned neighbors `b` whose edge weight
+    /// clears `min_edge_fraction` of the seed's occurrences —
+    /// `w(seed, b) >= min_edge_fraction × n(seed)`, both counted over
+    /// the graph's stored samples — and emit if at least two items
+    /// cluster. The profile ranks the seeds; the bar does not depend on
+    /// how many samples the graph was fed.
     ///
     /// Edge weights are counted lazily: one adjacency row per seed the
     /// loop actually grows from, into one reused buffer. Ranks already
@@ -143,19 +148,18 @@ impl CacheListSet {
         let mut row = vec![0u32; h];
         let mut neighbors = Vec::with_capacity(config.max_list_len);
         let mut lists = Vec::new();
-        for seed in 0..h {
+        for seed in 0..graph.seed_ranks() {
             if lists.len() >= config.max_lists {
                 break;
             }
             if assigned[seed] {
                 continue;
             }
-            let seed_freq = graph.rank_freq(seed as u32);
-            if seed_freq == 0 {
-                break;
-            }
             graph.count_row(seed as u32, &index, &mut row);
-            let threshold = (seed_freq as f64 * config.min_edge_fraction).max(1.0);
+            // Edge weights count co-occurrences among the stored samples,
+            // so the bar is a fraction of the seed's occurrences there.
+            let seed_runs = index.occurrences(seed as u32);
+            let threshold = (seed_runs as f64 * config.min_edge_fraction).max(1.0);
             strongest_neighbors(
                 &row,
                 &assigned,
@@ -194,41 +198,53 @@ impl CacheListSet {
 
     /// Replaces each list's estimated benefit with one *measured* on a
     /// trace: the number of memory accesses the cache would actually
-    /// save (covered items minus one cache read, per sample).
+    /// save (distinct covered items minus one cache read, per sample
+    /// and list — a repeated item is served again from its single-item
+    /// entry, so it saves nothing).
     ///
-    /// Items are table rows: the item -> list map is one word per row up
+    /// Items are table rows: the item -> slot map is one word per row up
     /// to the largest listed item.
     pub fn measure_benefit<'a>(&mut self, inputs: impl IntoIterator<Item = &'a SparseInput>) {
-        // item -> list + 1 (0 = not listed; lists are disjoint).
+        // item -> slot + 1 (0 = not listed; lists are disjoint), where a
+        // slot is the item's place among all listed items.
         let rows = self
             .lists
             .iter()
             .flat_map(|list| &list.items)
             .max()
             .map_or(0, |&max| max as usize + 1);
-        let mut list_of_item = vec![0u32; rows];
+        let mut slot_of_item = vec![0u32; rows];
+        let mut list_of_slot = Vec::with_capacity(self.lists.iter().map(|l| l.items.len()).sum());
         for (l, list) in self.lists.iter().enumerate() {
             for &i in &list.items {
-                list_of_item[i as usize] = l as u32 + 1;
+                list_of_slot.push(l as u32);
+                slot_of_item[i as usize] = list_of_slot.len() as u32;
             }
         }
         // A list's first item in a sample costs the one cache read;
-        // every further one is a saved access. `last_sample[l]` is the
-        // 1-based ordinal of the last sample that touched list `l`.
+        // every further distinct one is a saved access. `last_sample[l]`
+        // (`slot_sample[s]`) is the 1-based ordinal of the last sample
+        // that touched list `l` (slot `s`).
         let mut saved = vec![0u64; self.lists.len()];
         let mut last_sample = vec![0u64; self.lists.len()];
+        let mut slot_sample = vec![0u64; list_of_slot.len()];
         let mut ordinal = 0u64;
         for input in inputs {
             for sample in input.iter() {
                 ordinal += 1;
                 for &i in sample {
-                    let Some(l) = list_of_item
+                    let Some(s) = slot_of_item
                         .get(i as usize)
                         .and_then(|&packed| packed.checked_sub(1))
                     else {
                         continue;
                     };
-                    let l = l as usize;
+                    let s = s as usize;
+                    if slot_sample[s] == ordinal {
+                        continue;
+                    }
+                    slot_sample[s] = ordinal;
+                    let l = list_of_slot[s] as usize;
                     if last_sample[l] == ordinal {
                         saved[l] += 1;
                     } else {
@@ -369,18 +385,49 @@ mod tests {
 
     #[test]
     fn weak_edges_are_rejected() {
-        let g = clustered_graph();
-        // min_edge_fraction 0.9 means a neighbor must co-occur in 90% of
-        // the seed's accesses — the 5/50 edges fail.
+        // Items 3 and 4 are each recorded in 50 samples and meet in 5
+        // of them: w(3, 4) / n(3) = w(3, 4) / n(4) = 0.1.
+        let mut g = clustered_graph();
+        for k in 0..45u64 {
+            g.record_sample(&[3, 5 + k % 2]);
+            g.record_sample(&[4, 7]);
+        }
+        for (fraction, joined) in [(0.9, false), (0.1, true)] {
+            let cfg = MinerConfig {
+                min_edge_fraction: fraction,
+                ..MinerConfig::default()
+            };
+            let set = CacheListSet::mine(&g, &cfg);
+            let together = set.lists.iter().any(|l| {
+                let s: HashSet<u64> = l.items.iter().copied().collect();
+                s.contains(&3) && s.contains(&4)
+            });
+            assert_eq!(together, joined, "min_edge_fraction {fraction}");
+        }
+    }
+
+    /// The bar is a fraction of the seed's occurrences among the
+    /// samples the graph recorded, not of its profile count: a pair
+    /// that always co-occurs is listed however small a prefix of the
+    /// profiled trace was recorded.
+    #[test]
+    fn threshold_counts_the_recorded_samples_only() {
+        let mut p = FreqProfile::new(4);
+        for _ in 0..1000 {
+            p.record(0);
+            p.record(1);
+        }
+        let mut g = CooccurGraph::new(&p, 4);
+        for _ in 0..10 {
+            g.record_sample(&[0, 1]);
+        }
         let cfg = MinerConfig {
-            min_edge_fraction: 0.9,
+            min_edge_fraction: 0.5,
             ..MinerConfig::default()
         };
         let set = CacheListSet::mine(&g, &cfg);
-        assert!(set.lists.iter().all(|l| {
-            let s: HashSet<u64> = l.items.iter().copied().collect();
-            !s.contains(&3) || !s.contains(&4)
-        }));
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.lists[0].items, [0, 1]);
     }
 
     #[test]
@@ -482,6 +529,22 @@ mod tests {
             .find(|l| l.items.contains(&0))
             .expect("cluster list");
         assert_eq!(cluster.benefit, 3.0);
+    }
+
+    /// The cache serves `[1, 1, 2]` as the {1, 2} entry plus the {1}
+    /// entry for the repeat: two references for three lookups, one
+    /// saved — not two.
+    #[test]
+    fn measured_benefit_counts_a_repeated_item_once() {
+        let mut set = CacheListSet {
+            lists: vec![CacheList {
+                items: vec![1, 2],
+                benefit: 0.0,
+            }],
+        };
+        let input = SparseInput::from_samples([vec![1u64, 1, 2], vec![2, 2], vec![2, 1, 2, 1]]);
+        set.measure_benefit([&input]);
+        assert_eq!(set.lists[0].benefit, 2.0);
     }
 
     #[test]

@@ -1,32 +1,26 @@
 //! Functional partial-sum cache storage and lookup.
 //!
-//! Materializes every combination row of a [`CacheListSet`] from an
+//! Indexes every combination row of a [`CacheListSet`] over an
 //! embedding table and answers, for a sample's index list, which cached
 //! partial sums can serve it and which indices remain for regular EMT
 //! lookups. The fundamental correctness invariant — cache rows plus
 //! residual rows reconstruct the exact full reduction — is what the
 //! property tests of this crate pin down.
+//!
+//! The store holds no row: an entry is a (list, mask) pair, and its
+//! partial sum is computed from the table's rows by
+//! [`PartialSumCache::entry_sum_into`] whenever it is needed — by the
+//! engine's tile writer, straight into the MRAM slice that serves it.
 
 use crate::mine::{CacheList, CacheListSet};
 use dlrm_model::{simd, EmbeddingTable, ModelError, Result};
-
-/// One cached combination: a subset of a cache list and its partial sum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheEntry {
-    /// Owning list index in the originating [`CacheListSet`].
-    pub list: usize,
-    /// Bitmask over the list's items selecting this combination.
-    pub mask: u32,
-    /// The combination's items (ascending by position in the list).
-    pub items: Vec<u64>,
-    /// The cached partial-sum vector (length = embedding dim).
-    pub vector: Vec<f32>,
-}
+use std::ops::Range;
 
 /// Result of a cache lookup for one sample.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheHit {
-    /// Indices of matched [`CacheEntry`]s in [`PartialSumCache::entries`].
+    /// Entry indices of the matched combinations (see
+    /// [`PartialSumCache::entry_items`]).
     pub entries: Vec<usize>,
     /// Sample indices not covered by any cached combination.
     pub residual: Vec<u64>,
@@ -116,19 +110,25 @@ pub struct LookupScratch {
     repeats: Vec<usize>,
 }
 
-/// Materialized partial-sum cache for one embedding table.
+/// Partial-sum cache index for one embedding table: which combination
+/// entries exist and which items each one sums. Four flat arrays, so
+/// its size and its heap allocations do not grow with the number of
+/// entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialSumCache {
-    entries: Vec<CacheEntry>,
     /// item -> packed `(list << 5 | bit) + 1` (0 = not cached),
     /// direct-mapped over the table's rows. Read once per sample index
     /// on the serving path, so this trades one word per table row
     /// (under 1% of the row data itself) for a branch-free probe.
     item_pos: Vec<u32>,
-    /// Entry index of each list's `mask = 1` row. Entries are
-    /// list-major, mask-minor and complete, so `(l, mask)` lives at
-    /// `list_base[l] + mask - 1`.
+    /// Entry index of each list's `mask = 1` row, then the entry count.
+    /// Entries are list-major, mask-minor and complete, so `(l, mask)`
+    /// lives at `list_base[l] + mask - 1`.
     list_base: Vec<usize>,
+    /// Every list's items, list after list, in list order.
+    items: Vec<u64>,
+    /// Where each list's items start in `items`, then `items.len()`.
+    item_starts: Vec<usize>,
     dim: usize,
 }
 
@@ -137,15 +137,19 @@ pub struct PartialSumCache {
 const POS_BIT_WIDTH: u32 = 5;
 
 impl PartialSumCache {
-    /// Computes all `2^k - 1` combination rows for every list.
+    /// Indexes all `2^k - 1` combination entries of every list over
+    /// `table`. No row is summed here: see
+    /// [`PartialSumCache::entry_sum_into`].
     ///
     /// # Errors
     ///
     /// Fails if any listed item is out of range for `table`.
     pub fn materialize(lists: &CacheListSet, table: &EmbeddingTable) -> Result<Self> {
-        let mut entries = Vec::new();
         let mut item_pos = vec![0u32; table.rows()];
-        let mut list_base = Vec::with_capacity(lists.lists.len());
+        let mut list_base = Vec::with_capacity(lists.lists.len() + 1);
+        let mut items = Vec::with_capacity(lists.lists.iter().map(|l| l.items.len()).sum());
+        let mut item_starts = Vec::with_capacity(lists.lists.len() + 1);
+        let mut entries = 0usize;
         for (l, list) in lists.lists.iter().enumerate() {
             if list.items.len() > CacheList::MAX_ITEMS {
                 return Err(ModelError::InvalidConfig(format!(
@@ -163,33 +167,76 @@ impl PartialSumCache {
                 })?;
                 *slot = ((l as u32) << POS_BIT_WIDTH | bit as u32) + 1;
             }
-            list_base.push(entries.len());
-            let k = list.items.len() as u32;
-            for mask in 1u32..(1 << k) {
-                let items: Vec<u64> = (0..k)
-                    .filter(|b| mask & (1 << b) != 0)
-                    .map(|b| list.items[b as usize])
-                    .collect();
-                let vector = table.partial_sum(&items)?;
-                entries.push(CacheEntry {
-                    list: l,
-                    mask,
-                    items,
-                    vector,
-                });
-            }
+            list_base.push(entries);
+            item_starts.push(items.len());
+            items.extend_from_slice(&list.items);
+            entries += list.num_combinations();
         }
+        list_base.push(entries);
+        item_starts.push(items.len());
         Ok(PartialSumCache {
-            entries,
             item_pos,
             list_base,
+            items,
+            item_starts,
             dim: table.dim(),
         })
     }
 
-    /// The cached entries (stable order: list-major, mask-minor).
-    pub fn entries(&self) -> &[CacheEntry] {
-        &self.entries
+    /// Number of combination entries (entry indices are `0..` this, in
+    /// list-major, mask-minor order).
+    pub fn num_entries(&self) -> usize {
+        *self
+            .list_base
+            .last()
+            .expect("list_base ends with the entry count")
+    }
+
+    /// The list entry `e` belongs to, as an index into the
+    /// originating [`CacheListSet`].
+    pub fn entry_list(&self, e: usize) -> usize {
+        assert!(e < self.num_entries(), "entry {e} out of range");
+        self.list_base.partition_point(|&base| base <= e) - 1
+    }
+
+    /// Bitmask over its list's items selecting entry `e`'s combination.
+    pub fn entry_mask(&self, e: usize) -> u32 {
+        (e - self.list_base[self.entry_list(e)] + 1) as u32
+    }
+
+    /// Entry `e`'s items, in list order.
+    pub fn entry_items(&self, e: usize) -> impl Iterator<Item = u64> + '_ {
+        let l = self.entry_list(e);
+        let mask = e - self.list_base[l] + 1;
+        let list = &self.items[self.item_starts[l]..self.item_starts[l + 1]];
+        list.iter()
+            .enumerate()
+            .filter(move |&(bit, _)| mask & (1 << bit) != 0)
+            .map(|(_, &i)| i)
+    }
+
+    /// Writes columns `cols` of entry `e`'s partial sum into `out`
+    /// (`cols.len()` wide): zero, then each item's row slice added in
+    /// list order — per element the additions
+    /// [`EmbeddingTable::partial_sum`] makes, so the result is that
+    /// sum's `cols`, bit for bit. `table` must be the table the cache
+    /// was indexed over.
+    ///
+    /// # Errors
+    ///
+    /// Fails if an item is out of range for `table`.
+    pub fn entry_sum_into(
+        &self,
+        e: usize,
+        table: &EmbeddingTable,
+        cols: Range<usize>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        out.fill(0.0);
+        for i in self.entry_items(e) {
+            simd::add_assign(out, &table.row(i)?[cols.clone()]);
+        }
+        Ok(())
     }
 
     /// Embedding dimension of the cached rows.
@@ -199,7 +246,7 @@ impl PartialSumCache {
 
     /// Total storage bytes of the cached rows.
     pub fn storage_bytes(&self) -> usize {
-        self.entries.len() * self.dim * 4
+        self.num_entries() * self.dim * 4
     }
 
     /// Splits a sample's index list into cached combinations and
@@ -234,7 +281,7 @@ impl PartialSumCache {
     pub fn lookup_into(&self, sample: &[u64], scratch: &mut LookupScratch, out: &mut CacheHit) {
         out.entries.clear();
         out.residual.clear();
-        let n_lists = self.list_base.len();
+        let n_lists = self.list_base.len() - 1;
         let n_words = n_lists.div_ceil(64);
         if scratch.mask_of_list.len() < n_lists {
             scratch.mask_of_list.resize(n_lists, 0);
@@ -275,8 +322,10 @@ impl PartialSumCache {
     /// combining logic used by tests and the CPU-side aggregator.
     pub fn reduce_with_table(&self, hit: &CacheHit, table: &EmbeddingTable) -> Result<Vec<f32>> {
         let mut acc = vec![0.0f32; self.dim];
+        let mut row = vec![0.0f32; self.dim];
         for &e in &hit.entries {
-            simd::add_assign(&mut acc, &self.entries[e].vector);
+            self.entry_sum_into(e, table, 0..self.dim, &mut row)?;
+            simd::add_assign(&mut acc, &row);
         }
         let residual_sum = table.partial_sum(&hit.residual)?;
         simd::add_assign(&mut acc, &residual_sum);
@@ -307,20 +356,45 @@ mod tests {
         }
     }
 
+    fn items(c: &PartialSumCache, e: usize) -> Vec<u64> {
+        c.entry_items(e).collect()
+    }
+
     #[test]
     fn materializes_all_combinations() {
         let c = PartialSumCache::materialize(&lists(), &table()).unwrap();
-        assert_eq!(c.entries().len(), 7 + 3);
+        assert_eq!(c.num_entries(), 7 + 3);
         assert_eq!(c.storage_bytes(), 10 * 4 * 4);
+        // List-major, mask-minor.
+        let lm: Vec<(usize, u32)> = (0..c.num_entries())
+            .map(|e| (c.entry_list(e), c.entry_mask(e)))
+            .collect();
+        let want: Vec<(usize, u32)> = (1..8)
+            .map(|m| (0, m))
+            .chain((1..4).map(|m| (1, m)))
+            .collect();
+        assert_eq!(lm, want);
+        assert_eq!(items(&c, 3), [3]);
+        assert_eq!(items(&c, 4), [1, 3]);
+        assert_eq!(items(&c, 6), [1, 2, 3]);
+        assert_eq!(items(&c, 9), [7, 8]);
+        let empty = PartialSumCache::materialize(&CacheListSet::default(), &table()).unwrap();
+        assert_eq!(empty.num_entries(), 0);
+        assert!(empty.lookup(&[1, 2]).entries.is_empty());
     }
 
     #[test]
     fn combination_vectors_are_sums() {
         let t = table();
         let c = PartialSumCache::materialize(&lists(), &t).unwrap();
-        for e in c.entries() {
-            let expect = t.partial_sum(&e.items).unwrap();
-            assert_eq!(e.vector, expect);
+        let mut row = vec![f32::NAN; 4];
+        for e in 0..c.num_entries() {
+            let expect = t.partial_sum(&items(&c, e)).unwrap();
+            c.entry_sum_into(e, &t, 0..4, &mut row).unwrap();
+            assert_eq!(row, expect);
+            let mut slice = [f32::NAN; 2];
+            c.entry_sum_into(e, &t, 1..3, &mut slice).unwrap();
+            assert_eq!(slice, expect[1..3]);
         }
     }
 
@@ -332,8 +406,7 @@ mod tests {
         assert_eq!(hit.entries.len(), 1);
         assert_eq!(hit.residual, vec![20]);
         assert_eq!(hit.accesses_saved(3), 1);
-        let e = &c.entries()[hit.entries[0]];
-        assert_eq!(e.items, vec![1, 2]);
+        assert_eq!(items(&c, hit.entries[0]), vec![1, 2]);
     }
 
     #[test]
@@ -364,12 +437,8 @@ mod tests {
         let hit = c.lookup(&sample);
         // Ordered (list, mask) entries first, then one single-item
         // entry per repeat in sample order; residual keeps its repeats.
-        let items: Vec<&[u64]> = hit
-            .entries
-            .iter()
-            .map(|&e| c.entries()[e].items.as_slice())
-            .collect();
-        assert_eq!(items, [&[1, 2][..], &[7], &[1], &[2], &[1]]);
+        let served: Vec<Vec<u64>> = hit.entries.iter().map(|&e| items(&c, e)).collect();
+        assert_eq!(served, [&[1, 2][..], &[7], &[1], &[2], &[1]]);
         assert_eq!(hit.residual, vec![20, 20]);
         assert_eq!(
             c.reduce_with_table(&hit, &t).unwrap(),

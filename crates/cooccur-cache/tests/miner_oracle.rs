@@ -5,9 +5,12 @@
 //! hash map of edge weights filled by a pair loop per sample, an
 //! adjacency list per rank sorted by (weight descending, rank
 //! ascending), a greedy walk of those lists, and a benefit measurement
-//! that builds one map per sample. Its only edit is the one-line dedup
-//! of a sample's hot ranks (a row named twice occurs once), which the
-//! real path received in the same change. The real path — rank arena,
+//! that builds one map per sample. Its edits follow the real path's:
+//! a row named twice in a sample occurs once, both in the graph (its
+//! hot ranks are deduplicated) and in the measured benefit (a repeat
+//! saves no access); and a seed's edge threshold is a fraction of its
+//! occurrences among the recorded samples the edges are counted over,
+//! not of its profile count. The real path — rank arena,
 //! adjacency rows counted per seed, top-k row scan, direct-mapped
 //! benefit — must
 //! emit byte-identical `CacheListSet` JSON: same lists, same item order,
@@ -53,6 +56,8 @@ mod oracle {
         hot_items: Vec<u64>,
         edges: FxHashMap<(u32, u32), u64>,
         freq: Vec<u64>,
+        /// Per rank, the recorded samples holding it that hold a pair.
+        occurrences: Vec<u64>,
     }
 
     impl Graph {
@@ -70,6 +75,7 @@ mod oracle {
             let freq = hot_items.iter().map(|&i| profile.count(i)).collect();
             Graph {
                 hot_rank,
+                occurrences: vec![0; hot_items.len()],
                 hot_items,
                 edges: FxHashMap::default(),
                 freq,
@@ -83,12 +89,17 @@ mod oracle {
                 .collect();
             hot.sort_unstable();
             let with_repeats = hot.len();
-            hot.dedup(); // the one edit: a row does not co-occur with itself
+            hot.dedup(); // a row does not co-occur with itself
             cov.repeats |= hot.len() < with_repeats;
             if hot.len() > CooccurGraph::MAX_PAIR_SPAN {
                 cov.strided = true;
                 let stride = hot.len().div_ceil(CooccurGraph::MAX_PAIR_SPAN);
                 hot = hot.into_iter().step_by(stride).collect();
+            }
+            if hot.len() >= 2 {
+                for &a in &hot {
+                    self.occurrences[a as usize] += 1;
+                }
             }
             for (k, &a) in hot.iter().enumerate() {
                 for &b in &hot[k + 1..] {
@@ -132,7 +143,8 @@ mod oracle {
                 cov.zero_freq_cut = true;
                 break;
             }
-            let threshold = (seed_freq as f64 * config.min_edge_fraction).max(1.0);
+            let seed_runs = graph.occurrences[seed as usize];
+            let threshold = (seed_runs as f64 * config.min_edge_fraction).max(1.0);
             let mut members = vec![seed];
             let mut min_edge = u64::MAX;
             let mut last_w = None;
@@ -185,7 +197,8 @@ mod oracle {
         for input in inputs {
             for sample in input.iter() {
                 let mut matched: FxHashMap<usize, u64> = FxHashMap::default();
-                for i in sample {
+                let distinct: FxHashSet<u64> = sample.iter().copied().collect();
+                for i in &distinct {
                     if let Some(&l) = item_to_list.get(i) {
                         *matched.entry(l).or_insert(0) += 1;
                     }

@@ -31,14 +31,12 @@ fn disjoint_lists_up_to(n: u64, max_lists: usize) -> impl Strategy<Value = Cache
 }
 
 /// `lookup_into` written from its doc comment with no index structures:
-/// per-list intersection -> mask -> linear search of `entries()`, then
+/// per-list intersection -> mask -> linear search of the entries, then
 /// the single-item entry of every repeated cached index, in sample order.
 fn naive_lookup(lists: &CacheListSet, cache: &PartialSumCache, sample: &[u64]) -> CacheHit {
     let find = |list: usize, mask: u32| {
-        cache
-            .entries()
-            .iter()
-            .position(|e| e.list == list && e.mask == mask)
+        (0..cache.num_entries())
+            .position(|e| cache.entry_list(e) == list && cache.entry_mask(e) == mask)
             .expect("every (list, mask) combination is materialized")
     };
     let pos = |i: u64| {
@@ -98,22 +96,34 @@ proptest! {
     }
 
     /// Every cached combination is bit-equal to the table's own
-    /// left-to-right partial sum of its items — on real-valued rows,
-    /// where f32 addition does not associate, so the order in which
-    /// `materialize` adds rows is part of its contract.
+    /// left-to-right partial sum of its items, whole or one column
+    /// slice at a time — on real-valued rows, where f32 addition does
+    /// not associate, so the order in which `entry_sum_into` adds rows
+    /// is part of its contract.
     #[test]
     fn materialized_entries_equal_partial_sums_bit_for_bit(
         lists in disjoint_lists_up_to(64, 8),
         seed in any::<u64>(),
+        log_n_c in 0u32..4,
     ) {
+        let n_c = 1usize << log_n_c;
         let table = EmbeddingTable::random(64, 8, 0.5, seed).unwrap();
         let cache = PartialSumCache::materialize(&lists, &table).unwrap();
         let combos: usize = lists.lists.iter().map(|l| l.num_combinations()).sum();
-        prop_assert_eq!(cache.entries().len(), combos);
-        for e in cache.entries() {
-            let want = table.partial_sum(&e.items).unwrap();
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-            prop_assert_eq!(bits(&e.vector), bits(&want), "list {} mask {:#b}", e.list, e.mask);
+        prop_assert_eq!(cache.num_entries(), combos);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut slice = vec![0f32; n_c];
+        for e in 0..cache.num_entries() {
+            let items: Vec<u64> = cache.entry_items(e).collect();
+            let list = &lists.lists[cache.entry_list(e)];
+            prop_assert_eq!(items.len(), cache.entry_mask(e).count_ones() as usize);
+            prop_assert!(items.iter().all(|i| list.items.contains(i)));
+            let want = table.partial_sum(&items).unwrap();
+            for c in 0..8 / n_c {
+                let cols = c * n_c..(c + 1) * n_c;
+                cache.entry_sum_into(e, &table, cols.clone(), &mut slice).unwrap();
+                prop_assert_eq!(bits(&slice), bits(&want[cols]), "entry {}", e);
+            }
         }
     }
 
@@ -148,7 +158,7 @@ proptest! {
         // Every covered item + every residual item = the sample, exactly once.
         let mut covered: Vec<u64> = hit.residual.clone();
         for &e in &hit.entries {
-            covered.extend(cache.entries()[e].items.iter().copied());
+            covered.extend(cache.entry_items(e));
         }
         let covered_set: HashSet<u64> = covered.iter().copied().collect();
         let sample_set: HashSet<u64> = sample.iter().copied().collect();

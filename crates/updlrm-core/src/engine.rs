@@ -444,9 +444,11 @@ struct TileSource<'a> {
 /// that holds it — the EMT tile (replica block, then the partition's
 /// local rows, columns `[c * n_c, (c + 1) * n_c)`, stored at `dtype`;
 /// each int8 row quantized per slice with its own scale/min header),
-/// then the partition's cache rows (always f32). The initial (untimed)
-/// load and the migration scatter are both this function, so the same
-/// placement yields byte-identical tiles whichever of them wrote it.
+/// then the partition's cache rows (always f32, each slice summed from
+/// the table's rows as it is written — no host copy of a cache row
+/// exists). The initial (untimed) load and the migration scatter are
+/// both this function, so the same placement yields byte-identical
+/// tiles whichever of them wrote it.
 fn write_tiles(
     fleet: &mut Fleet,
     state: &TableState,
@@ -459,6 +461,7 @@ fn write_tiles(
     let n_c = tiling.n_c;
     let emt_row_bytes = dtype.stored_row_bytes(n_c);
     let row_bytes = tiling.row_bytes();
+    let mut cache_row = vec![0f32; n_c];
     for p in 0..tiling.row_parts {
         let local = src.rows.part(p);
         let n = src.replicas.len() + local.len();
@@ -487,7 +490,8 @@ fn write_tiles(
                         entries.len() * row_bytes,
                     )?;
                     for (&e, out) in entries.iter().zip(tile.chunks_exact_mut(row_bytes)) {
-                        write_f32_le(&store.entries()[e as usize].vector[cols.clone()], out);
+                        store.entry_sum_into(e as usize, table, cols.clone(), &mut cache_row)?;
+                        write_f32_le(&cache_row, out);
                     }
                 }
             }
@@ -2282,7 +2286,7 @@ mod tests {
                             continue;
                         };
                         // Exactly this combination's items: one cache read.
-                        samples[t].push(cs.store.entries()[e as usize].items.clone());
+                        samples[t].push(cs.store.entry_items(e as usize).collect());
                         *hits += u64::from(resident);
                     }
                 }
@@ -2458,6 +2462,103 @@ mod tests {
             }
             assert!(emt_bytes > 0);
             assert_eq!(cache_bytes > 0, strategy == PartitionStrategy::CacheAware);
+        }
+    }
+
+    /// Checks every cache row of the serving region against the
+    /// table's own partial sum of its entry's items, column slice by
+    /// column slice, bit for bit. Returns the rows checked.
+    fn assert_cache_rows_are_partial_sums(engine: &UpdlrmEngine, case: &str) -> usize {
+        let region = engine.active_emt;
+        let mut entries = PartLists::default();
+        let mut checked = 0;
+        for (state, table) in engine.tables.iter().zip(&engine.host_tables) {
+            let cs = state.cache.as_ref().expect("a cache-aware table");
+            entries_in_parts(&cs.entry_route, &cs.cache_rows_per_part, &mut entries);
+            let (n_c, row_bytes) = (state.tiling.n_c, state.tiling.row_bytes());
+            for p in 0..state.tiling.row_parts {
+                for (slot, &e) in entries.part(p).iter().enumerate() {
+                    let items: Vec<u64> = cs.store.entry_items(e as usize).collect();
+                    let want = table.partial_sum(&items).unwrap();
+                    for c in 0..state.tiling.col_slices {
+                        let (rank, dpu) = state.dpu(p, c);
+                        let addr = state.cache_bases[region] + (slot * row_bytes) as u32;
+                        let got: Vec<u32> = mram_bytes(&engine.fleet, rank, dpu, addr, row_bytes)
+                            .chunks_exact(4)
+                            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+                            .collect();
+                        let want: Vec<u32> = want[c * n_c..(c + 1) * n_c]
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect();
+                        assert_eq!(
+                            got, want,
+                            "{case}: items {items:?} at ({p}, {c}) slot {slot}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        checked
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+        /// Every cache row in MRAM is `partial_sum(items)[cols]` bit for
+        /// bit — on real-valued rows, where f32 addition does not
+        /// associate; under f32 and int8 engines, whose cache rows are
+        /// both f32; as the initial load wrote it and after a replan
+        /// flip installed a re-placed, re-summed cache.
+        #[test]
+        fn cache_rows_in_mram_are_partial_sums_bit_for_bit(
+            seed in proptest::prelude::any::<u64>(),
+            int8 in proptest::prelude::any::<bool>(),
+        ) {
+            let spec = DatasetSpec::goodreads().scaled_down(5000);
+            let drift = DriftSchedule {
+                rotation: Some(HotSetRotation {
+                    num_sets: 4,
+                    set_size: 64,
+                    period_ns: 150_000,
+                    hot_fraction: 0.8,
+                }),
+                spikes: Vec::new(),
+                diurnal: None,
+            };
+            let workload = Workload::generate_drifting(
+                &spec,
+                TraceConfig {
+                    num_tables: 2,
+                    num_batches: 8,
+                    seed,
+                    ..TraceConfig::default()
+                },
+                drift,
+                ArrivalProcess::poisson(1_000_000.0, seed),
+            );
+            let tables: Vec<EmbeddingTable> = (0..2)
+                .map(|t| EmbeddingTable::random(spec.num_items, 32, 0.1, seed ^ t).unwrap())
+                .collect();
+            let dtype = if int8 { EmbedDtype::Int8 } else { EmbedDtype::F32 };
+            let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware)
+                .with_replan(ReplanPolicy::Periodic { every_batches: 3 })
+                .with_embed_dtype(dtype)
+                .with_telemetry();
+            let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+            let case = format!("seed {seed} {dtype:?}");
+            proptest::prop_assert!(assert_cache_rows_are_partial_sums(&engine, &case) > 0);
+            for (i, batch) in workload.batches.iter().enumerate() {
+                engine.on_tick((i as u64 + 1) * 50_000).unwrap();
+                engine.run_batch(batch).unwrap();
+            }
+            if engine.migration_in_flight() {
+                engine.on_tick(u64::MAX).unwrap();
+            }
+            proptest::prop_assert!(engine.metrics_snapshot().drift.migrations_completed >= 1);
+            let flipped = assert_cache_rows_are_partial_sums(&engine, &format!("{case}, flipped"));
+            proptest::prop_assert!(flipped > 0);
         }
     }
 }

@@ -9,7 +9,9 @@
 //! standard first: `CooccurGraph::record_sample` only ever grows its
 //! arenas (amortized doubling, no allocation per sample), and
 //! `CacheListSet::measure_benefit` performs the same few heap operations
-//! however many samples it is given.
+//! however many samples it is given. So is the partial-sum store:
+//! `PartialSumCache::materialize` performs the same heap operations
+//! however many combination entries its lists have.
 //!
 //! This file intentionally holds a single test: the allocation counter
 //! is process-global, so concurrent tests would pollute the count.
@@ -17,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cooccur_cache::{CacheListSet, CooccurGraph, MinerConfig};
+use cooccur_cache::{CacheList, CacheListSet, CooccurGraph, MinerConfig, PartialSumCache};
 use dlrm_model::{EmbeddingTable, SparseInput};
 use placement::{plan, Catalog, PlannerConfig};
 use updlrm_core::{PartitionStrategy, PipelineMode, UpdlrmConfig, UpdlrmEngine};
@@ -178,9 +180,41 @@ fn mining_loops_do_not_allocate_per_sample() {
     assert!(b.lists[0].benefit > 0.0, "the trace hits the lists");
 }
 
+/// The partial-sum store allocates per table, not per cached row: 768
+/// four-item lists (11,520 entries) take the heap operations 768
+/// two-item lists (2,304 entries) take. A host copy of each entry's
+/// row or item list would be one or two allocations per entry.
+fn cache_index_does_not_allocate_per_entry() {
+    let table = EmbeddingTable::zeros(4 * 768, 4).unwrap();
+    let lists = |k: u64| CacheListSet {
+        lists: (0..768)
+            .map(|l| CacheList {
+                items: (l * k..(l + 1) * k).collect(),
+                benefit: 1.0,
+            })
+            .collect(),
+    };
+    let (two, four) = (lists(2), lists(4));
+    let mut entries = [0; 2];
+    let ops_two = heap_ops(|| {
+        let cache = PartialSumCache::materialize(&two, &table).unwrap();
+        entries[0] = cache.num_entries();
+    });
+    let ops_four = heap_ops(|| {
+        let cache = PartialSumCache::materialize(&four, &table).unwrap();
+        entries[1] = cache.num_entries();
+    });
+    assert_eq!(entries, [768 * 3, 768 * 15]);
+    assert_eq!(
+        ops_four, ops_two,
+        "materialize allocated per entry ({ops_two} heap ops for two-item lists)"
+    );
+}
+
 #[test]
 fn steady_state_serve_stream_is_allocation_free() {
     mining_loops_do_not_allocate_per_sample();
+    cache_index_does_not_allocate_per_entry();
 
     // Cache-aware is the worst case: routing exercises the partial-sum
     // cache lookup scratch on top of everything else. Telemetry must
