@@ -29,13 +29,14 @@
 
 use crate::config::UpdlrmConfig;
 use crate::error::{CoreError, Result};
-use crate::kernel::{DpuTask, EmbeddingKernel, ResidentRows, StreamWriter, CACHE_REF_BIT};
+use crate::kernel::{DpuTask, EmbeddingKernel, ResidentRows, StreamWriter};
 use crate::partition::{self, PartitionStrategy, RowAssignment};
+use crate::place::{place, Placement};
 use crate::replan::{self, PartLists, ReplanPolicy};
-use crate::residency::{self, PartResidency, ResidencyReport};
+use crate::residency::{self, ResidencyReport};
 use crate::telemetry::{MetricsRegistry, Snapshot};
 use crate::tiling::{Tiling, TilingProblem};
-use cooccur_cache::{CacheHit, CacheListSet, CacheTraffic, LookupScratch, PartialSumCache};
+use cooccur_cache::{CacheHit, CacheListSet, CacheTraffic, LookupScratch};
 use dlrm_model::{quant, simd, Dlrm, EmbedDtype, EmbeddingTable, Matrix, QueryBatch};
 use placement::{PlacementPlan, HOST_ROW_PART};
 use upmem_sim::arch::WRAM_CAPACITY;
@@ -121,18 +122,6 @@ pub struct TableReport {
     pub cache_rows_per_part: Vec<u32>,
 }
 
-struct CacheState {
-    store: PartialSumCache,
-    /// Per store entry: `(partition, CACHE_REF_BIT | cache slot)` — where
-    /// a hit on the entry goes and the reference word it becomes.
-    entry_route: Vec<(u32, u32)>,
-    cache_rows_per_part: Vec<u32>,
-    placed_lists: usize,
-    /// The truncated mined list set, kept so a replan can re-place and
-    /// re-materialize the cache from fresh window frequencies.
-    lists: CacheListSet,
-}
-
 /// Number of MRAM staging slots per DPU: slot 0 serves `run_batch` and
 /// sequential serving, slot 1 is the double-buffer partner that lets
 /// batch `i + 1`'s reference streams land while batch `i` still owns
@@ -152,13 +141,12 @@ const COMBINE_NS_PER_ADD: f64 = 0.1;
 
 struct TableState {
     tiling: Tiling,
-    /// Row → (partition, slot). Beyond the partitioners' sentinels a
-    /// plan-built table marks host-tier rows with [`HOST_ROW_PART`];
-    /// their slot indexes `host_store`.
-    assignment: RowAssignment,
-    cache: Option<CacheState>,
-    /// Rows replicated into every partition, in replica-slot order.
-    replicas: Vec<u32>,
+    /// What the serving regions hold; a migration flip replaces it.
+    placement: Placement,
+    /// The truncated mined list set (empty outside CA), kept so a
+    /// replan can re-place and re-materialize the cache from fresh
+    /// window frequencies.
+    lists: CacheListSet,
     /// Per row partition: `(rank, rank-local id of column slice 0)`;
     /// the partition's slices are consecutive ids on that rank.
     locs: Vec<(usize, u32)>,
@@ -178,65 +166,51 @@ struct TableState {
     /// Per staging slot: (reference-stream base, partial-sum base).
     slots: [(u32, u32); STAGING_SLOTS],
     dim: usize,
-    /// Per row partition: the slot prefixes its DPUs keep WRAM-resident.
-    resident: Vec<PartResidency>,
-    /// Whether `resident` was picked from a profile, i.e. its
-    /// `covered` counts mean what `assignment.part_load` means.
+    /// Whether the placement's resident rows were picked from a
+    /// profile, i.e. their `covered` counts mean what
+    /// `assignment.part_load` means (false for a plan's).
     profiled: bool,
 }
 
 impl TableState {
-    /// Lays out one table's MRAM regions: `[EMT | cache | slot0 input
+    /// Lays out table `t`'s MRAM regions: `[EMT | cache | slot0 input
     /// | slot0 output | slot1 input | slot1 output]`. Two staging slots
     /// double-buffer the per-batch regions so consecutive batches never
     /// share reference streams or partial sums (see crate::serve); with
     /// replanning enabled the EMT and cache regions are themselves
     /// double-buffered so migrations can stage the next placement.
     /// `cache_cap_rows` is the cache placement's capacity bound (0
-    /// without a cache). The WRAM-resident rows are picked from
-    /// `profile`, what the placement was fit to (`None` for a plan's),
-    /// and `cache_slot_refs`, the references it expects each cache slot
-    /// to serve ([`cache_entry_routes`]; empty without a cache).
-    #[allow(clippy::too_many_arguments)]
+    /// without a cache). The state starts with no host store and no
+    /// mined lists, as a profiled placement.
     fn new(
         config: &UpdlrmConfig,
+        t: usize,
         tiling: Tiling,
-        assignment: RowAssignment,
-        cache: Option<CacheState>,
+        placement: Placement,
         cache_cap_rows: usize,
         locs: Vec<(usize, u32)>,
-        host_store: Vec<f32>,
-        profile: Option<&FreqProfile>,
-        cache_slot_refs: &[Vec<f64>],
     ) -> Result<TableState> {
-        let replicas = replan::replica_block(&assignment);
-        let resident = pick_resident(
-            config,
-            &tiling,
-            &assignment,
-            replicas.len(),
-            cache_slot_refs,
-            profile,
-        );
         let row_bytes = tiling.row_bytes();
         // EMT rows are stored at the configured dtype's stride; cache,
         // input and output regions stay f32. Under int8 the narrower
         // stride both fits more rows per DPU and shrinks the per-lookup
         // row DMA.
         let emt_row_bytes = config.embed_dtype.stored_row_bytes(tiling.n_c);
-        let emt_rows_max =
-            replicas.len() + assignment.rows_per_part.iter().copied().max().unwrap_or(0) as usize;
-        let cache_rows_max = cache
+        let max_rows = |rows: &[u32]| rows.iter().copied().max().unwrap_or(0) as usize;
+        let emt_rows_max = placement.replicas.len() + max_rows(&placement.assignment.rows_per_part);
+        let cache_rows_max = placement
+            .cache
             .as_ref()
-            .map(|c| c.cache_rows_per_part.iter().copied().max().unwrap_or(0) as usize)
-            .unwrap_or(0);
+            .map_or(0, |c| max_rows(&c.cache_rows_per_part));
+        // The layout is the table's, shared by all of its partitions.
         let capacity = |e: upmem_sim::SimError| match e {
             upmem_sim::SimError::MramOutOfBounds {
                 addr,
                 len,
                 capacity,
-            } => CoreError::CapacityExceeded {
-                partition: 0,
+            } => CoreError::TableCapacityExceeded {
+                table: t,
+                partition: None,
                 required: addr as usize + len,
                 available: capacity,
             },
@@ -256,19 +230,17 @@ impl TableState {
         .map_err(capacity)?;
         let state = TableState {
             tiling,
-            assignment,
-            cache,
-            replicas,
+            placement,
+            lists: CacheListSet::default(),
             locs,
-            host_store,
+            host_store: Vec::new(),
             emt_bases: regions.emt_bases,
             cache_bases: regions.cache_bases,
             emt_region_rows: regions.emt_region_rows,
             cache_region_rows: regions.cache_region_rows,
             slots: regions.slots,
             dim: tiling.n_c * tiling.col_slices,
-            resident,
-            profiled: profile.is_some(),
+            profiled: true,
         };
         // What was picked must fit beside the tasklet locals and the
         // largest batch's accumulator block, on every DPU.
@@ -302,6 +274,7 @@ impl TableState {
             self.tiling.row_bytes(),
         );
         let blocks = self
+            .placement
             .resident
             .iter()
             .map(|r| r.rows(0).block_bytes(emt, row));
@@ -311,30 +284,6 @@ impl TableState {
     fn output_base(&self, slot: usize) -> u32 {
         self.slots[slot].1
     }
-}
-
-/// Picks every partition's WRAM-resident slot prefixes for a placement
-/// of one table ([`residency::plan_table`] at this engine's budget and
-/// row strides).
-fn pick_resident(
-    config: &UpdlrmConfig,
-    tiling: &Tiling,
-    assignment: &RowAssignment,
-    n_replicas: usize,
-    cache_slot_refs: &[Vec<f64>],
-    profile: Option<&FreqProfile>,
-) -> Vec<PartResidency> {
-    residency::plan_table(
-        assignment,
-        n_replicas,
-        cache_slot_refs,
-        profile,
-        (
-            config.embed_dtype.stored_row_bytes(tiling.n_c),
-            tiling.row_bytes(),
-        ),
-        config.wram_resident_bytes(tiling.n_c),
-    )
 }
 
 /// The per-DPU MRAM region plan shared by every (partition, slice) of
@@ -425,22 +374,8 @@ pub(crate) fn compute_regions(
     })
 }
 
-/// One table's placement as the tile writer reads it: what every EMT
-/// slot and every cache slot of each partition holds.
-struct TileSource<'a> {
-    /// The shared replica block (EMT slots `0..replicas.len()` of every
-    /// partition), in replica-slot order.
-    replicas: &'a [u32],
-    /// Per partition, the rows behind the replica block in slot order
-    /// ([`replan::rows_in_parts`]).
-    rows: &'a PartLists,
-    /// The partial-sum store and, per partition, its entries in
-    /// cache-slot order ([`entries_in_parts`]); `None` outside CA.
-    cache: Option<(&'a PartialSumCache, &'a PartLists)>,
-}
-
 /// The one tile writer: serializes every `(partition, column slice)`
-/// tile of one table straight into MRAM region `region` of the DPU
+/// tile of `placement` straight into MRAM region `region` of the DPU
 /// that holds it — the EMT tile (replica block, then the partition's
 /// local rows, columns `[c * n_c, (c + 1) * n_c)`, stored at `dtype`;
 /// each int8 row quantized per slice with its own scale/min header),
@@ -448,23 +383,30 @@ struct TileSource<'a> {
 /// the table's rows as it is written — no host copy of a cache row
 /// exists). The initial (untimed) load and the migration scatter are
 /// both this function, so the same placement yields byte-identical
-/// tiles whichever of them wrote it.
+/// tiles whichever of them wrote it. `rows` / `entries` are scratch for
+/// the placement's slot-order inverses.
 fn write_tiles(
     fleet: &mut Fleet,
     state: &TableState,
+    placement: &Placement,
     table: &EmbeddingTable,
     dtype: EmbedDtype,
-    src: &TileSource<'_>,
     region: usize,
+    [rows, entries]: &mut [PartLists; 2],
 ) -> Result<()> {
     let tiling = &state.tiling;
     let n_c = tiling.n_c;
     let emt_row_bytes = dtype.stored_row_bytes(n_c);
     let row_bytes = tiling.row_bytes();
+    let replicas = &placement.replicas;
+    replan::rows_in_parts(&placement.assignment, replicas.len(), rows);
+    if let Some(cache) = &placement.cache {
+        cache.entries_in_parts(entries);
+    }
     let mut cache_row = vec![0f32; n_c];
     for p in 0..tiling.row_parts {
-        let local = src.rows.part(p);
-        let n = src.replicas.len() + local.len();
+        let local = rows.part(p);
+        let n = replicas.len() + local.len();
         for c in 0..tiling.col_slices {
             let cols = c * n_c..(c + 1) * n_c;
             let (rank, dpu) = state.dpu(p, c);
@@ -472,7 +414,7 @@ fn write_tiles(
             if n > 0 {
                 let tile =
                     sys.load_mram_in_place(dpu, state.emt_bases[region], n * emt_row_bytes)?;
-                let rows = src.replicas.iter().chain(local);
+                let rows = replicas.iter().chain(local);
                 for (&r, out) in rows.zip(tile.chunks_exact_mut(emt_row_bytes)) {
                     let slice = &table.row(r as u64)?[cols.clone()];
                     match dtype {
@@ -481,7 +423,7 @@ fn write_tiles(
                     }
                 }
             }
-            if let Some((store, entries)) = src.cache {
+            if let Some(cache) = &placement.cache {
                 let entries = entries.part(p);
                 if !entries.is_empty() {
                     let tile = sys.load_mram_in_place(
@@ -490,7 +432,10 @@ fn write_tiles(
                         entries.len() * row_bytes,
                     )?;
                     for (&e, out) in entries.iter().zip(tile.chunks_exact_mut(row_bytes)) {
-                        store.entry_sum_into(e as usize, table, cols.clone(), &mut cache_row)?;
+                        let e = e as usize;
+                        cache
+                            .store
+                            .entry_sum_into(e, table, cols.clone(), &mut cache_row)?;
                         write_f32_le(&cache_row, out);
                     }
                 }
@@ -508,87 +453,13 @@ fn write_f32_le(src: &[f32], dst: &mut [u8]) {
     }
 }
 
-/// Inverts the entry routes into per-partition slot order: element `s`
-/// of `out.part(p)` is the store entry at slot `s` of partition `p`'s
-/// cache region.
-fn entries_in_parts(entry_route: &[(u32, u32)], cache_rows_per_part: &[u32], out: &mut PartLists) {
-    out.reset(cache_rows_per_part);
-    for (e, &(p, word)) in entry_route.iter().enumerate() {
-        out.set(p as usize, (word & !CACHE_REF_BIT) as usize, e as u32);
-    }
-}
-
-/// Assigns cache slots for a cache-aware placement and returns each
-/// store entry's route (see [`CacheState::entry_route`]) — entries in
-/// the store's (list-major, mask-minor) order — with, per partition,
-/// the references `profile` expects each slot to serve, descending.
-/// Within a partition slots go to the
-/// combinations in descending expected references
-/// ([`residency::entry_refs`]; ties in entry order), so that the
-/// hottest cached rows form a prefix of the region.
-fn cache_entry_routes(
-    ca: &partition::CacheAwareAssignment,
-    profile: &FreqProfile,
-) -> (Vec<(u32, u32)>, Vec<Vec<f64>>) {
-    let parts = ca.cache_rows_per_part.len();
-    // Per partition: (expected references, entry).
-    let mut ranked: Vec<Vec<(f64, u32)>> = ca
-        .cache_rows_per_part
-        .iter()
-        .map(|&n| Vec::with_capacity(n as usize))
-        .collect();
-    let (mut counts, mut refs) = (Vec::new(), Vec::new());
-    let mut entry = 0u32;
-    for (list, &p) in ca.placed_lists.lists.iter().zip(&ca.list_part) {
-        counts.clear();
-        counts.extend(list.items.iter().map(|&i| profile.count(i) as f64));
-        let fetches = counts.iter().sum::<f64>() - list.benefit;
-        residency::entry_refs(&counts, fetches, &mut refs);
-        for &r in &refs {
-            ranked[p as usize].push((r, entry));
-            entry += 1;
-        }
-    }
-    let mut entry_route = vec![(0u32, 0u32); entry as usize];
-    let mut slot_refs = Vec::with_capacity(parts);
-    for (p, entries) in ranked.iter_mut().enumerate() {
-        entries.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (slot, &(_, e)) in entries.iter().enumerate() {
-            entry_route[e as usize] = (p as u32, CACHE_REF_BIT | slot as u32);
-        }
-        slot_refs.push(entries.iter().map(|&(r, _)| r).collect());
-    }
-    (entry_route, slot_refs)
-}
-
-/// New cache layout staged by a pending migration (cache-aware tables
-/// only): the re-materialized store plus its entry routes, installed at
-/// the flip.
-struct CacheFlip {
-    store: PartialSumCache,
-    entry_route: Vec<(u32, u32)>,
-    cache_rows_per_part: Vec<u32>,
-    placed_lists: usize,
-}
-
-/// One table's staged placement: the new row assignment and replica
-/// block whose tiles already sit in the inactive MRAM regions.
-struct TableFlip {
-    assignment: RowAssignment,
-    replicas: Vec<u32>,
-    cache: Option<CacheFlip>,
-    /// The staged placement's WRAM-resident prefixes, picked from the
-    /// window it was fit to; a DPU refills on its first launch after
-    /// the flip.
-    resident: Vec<PartResidency>,
-}
-
-/// An in-flight migration: the staged per-table placements and the
-/// modeled instant the scatter completes, at which point
+/// An in-flight migration: the staged per-table placements, whose
+/// tiles already sit in the inactive MRAM regions, and the modeled
+/// instant the scatter completes, at which point
 /// [`UpdlrmEngine::on_tick`] performs the atomic flip.
 struct PendingMigration {
     done_at_ns: u64,
-    tables: Vec<TableFlip>,
+    tables: Vec<Placement>,
 }
 
 /// Replanner state, present only when
@@ -603,11 +474,10 @@ struct DriftState {
     pending: Option<PendingMigration>,
     /// `PendingMigration::tables`' storage between migrations: empty,
     /// capacity kept, so a replan plans into it instead of a new list.
-    flip_buf: Vec<TableFlip>,
+    staged_buf: Vec<Placement>,
     /// The slot-order inverses the tile writer reads, for the table
     /// being scattered; refilled in place per table per replan.
-    tile_rows: PartLists,
-    tile_entries: PartLists,
+    tile_scratch: [PartLists; 2],
     /// Telemetry snapshot taken mid-first-migration (between the
     /// scatter and the flip) — the drift-snapshot golden the CI
     /// byte-compares.
@@ -877,10 +747,10 @@ impl UpdlrmEngine {
         for (t, table) in tables.iter().enumerate() {
             states.push(Self::build_table(
                 &config,
+                t,
                 table,
                 &profiles[t],
                 cache_lists.get(t),
-                t * dpus_per_table,
                 dpus_per_table,
             )?);
         }
@@ -909,8 +779,8 @@ impl UpdlrmEngine {
     /// row exceeds one DMA transfer (2048 B) or is not 8-byte aligned,
     /// or when `config.replan` is enabled (a refit would have to keep
     /// host-tier rows out of MRAM, which no partitioner here can —
-    /// DESIGN.md §4.11); [`CoreError::CapacityExceeded`] when the MRAM
-    /// regions overflow a bank; simulator errors propagate.
+    /// DESIGN.md §4.11); [`CoreError::TableCapacityExceeded`] when a
+    /// table's MRAM regions overflow a bank; simulator errors propagate.
     pub fn from_plan(
         config: UpdlrmConfig,
         plan: &PlacementPlan,
@@ -990,17 +860,14 @@ impl UpdlrmEngine {
             for &r in &tp.host_rows {
                 host_store.extend_from_slice(table.row(r)?);
             }
-            states.push(TableState::new(
-                &config,
-                tiling,
-                assignment,
-                None,
-                0,
-                locs,
+            // No profile: the resident prefixes follow the plan's slot
+            // order, and their `covered` counts mean nothing.
+            let placement = Placement::new(&config, &tiling, assignment, None, None);
+            states.push(TableState {
                 host_store,
-                None,
-                &[],
-            )?);
+                profiled: false,
+                ..TableState::new(&config, t, tiling, placement, 0, locs)?
+            });
         }
         Self::assemble(
             config,
@@ -1024,7 +891,7 @@ impl UpdlrmEngine {
         host_probe_ns: f64,
         host_combine_ns_per_add: f64,
     ) -> Result<Self> {
-        let (mut tile_rows, mut tile_entries) = (PartLists::default(), PartLists::default());
+        let mut tile_scratch = <[PartLists; 2]>::default();
         for (table, state) in tables.iter().zip(&states) {
             // Size the bank of every DPU holding a partition once, to
             // the end of its layout (through the last staging slot),
@@ -1045,13 +912,14 @@ impl UpdlrmEngine {
                         .commit(mram_end);
                 }
             }
-            Self::load_table(
+            write_tiles(
                 &mut fleet,
-                table,
                 state,
+                &state.placement,
+                table,
                 config.embed_dtype,
-                &mut tile_rows,
-                &mut tile_entries,
+                0,
+                &mut tile_scratch,
             )?;
         }
 
@@ -1120,7 +988,7 @@ impl UpdlrmEngine {
                                 cache_base: state.cache_bases[0],
                                 input_base: state.input_base(slot),
                                 output_base: state.output_base(slot),
-                                resident: state.resident[p].rows(resident_epoch),
+                                resident: state.placement.resident[p].rows(resident_epoch),
                             },
                         );
                     }
@@ -1143,9 +1011,8 @@ impl UpdlrmEngine {
                     window: tables.iter().map(|t| FreqProfile::new(t.rows())).collect(),
                     batches_in_window: 0,
                     pending: None,
-                    flip_buf: Vec::with_capacity(tables.len()),
-                    tile_rows,
-                    tile_entries,
+                    staged_buf: Vec::with_capacity(tables.len()),
+                    tile_scratch,
                     first_snapshot: None,
                 }),
             )
@@ -1215,12 +1082,14 @@ impl UpdlrmEngine {
         Self::new(config, tables, &profiles, &lists)
     }
 
+    /// Tiles and places table `t` on its group of `dpus` DPUs of the
+    /// one rank, the `t`-th group in DPU order.
     fn build_table(
         config: &UpdlrmConfig,
+        t: usize,
         table: &EmbeddingTable,
         profile: &FreqProfile,
         cache_lists: Option<&CacheListSet>,
-        dpu_base: usize,
         dpus: usize,
     ) -> Result<TableState> {
         let problem = TilingProblem {
@@ -1248,109 +1117,42 @@ impl UpdlrmEngine {
         let emt_cap_rows =
             config.emt_capacity_bytes / config.embed_dtype.stored_row_bytes(tiling.n_c);
 
-        // Capacity bound of the cache placement (set under CA): the
-        // cache region size a replanned placement can always fit.
+        // Under CA: the lists to place and the capacity bound of the
+        // cache placement — the cache region size a replanned placement
+        // can always fit.
+        let mut lists = CacheListSet::default();
         let mut cache_cap_rows = 0usize;
-        let mut cache_slot_refs = Vec::new();
-        let (assignment, cache) = match config.strategy {
-            PartitionStrategy::Uniform => (
-                partition::uniform(table.rows(), parts, emt_cap_rows, profile)?,
-                None,
-            ),
-            PartitionStrategy::NonUniform => (
-                partition::non_uniform(table.rows(), parts, emt_cap_rows, profile)?,
-                None,
-            ),
-            PartitionStrategy::Replicated => (
-                partition::replicated_non_uniform(
-                    table.rows(),
-                    parts,
-                    emt_cap_rows,
-                    profile,
-                    config.replicate_top,
-                )?,
-                None,
-            ),
-            PartitionStrategy::CacheAware => {
-                let mut lists = cache_lists.cloned().unwrap_or_default();
-                // The paper's cache-capacity knob: keep the best lists
-                // fitting in `fraction` of the full requirement.
-                let required = lists.total_storage_bytes(table.dim());
-                let budget = (required as f64 * config.cache_fraction) as usize;
-                lists.truncate_to_bytes(budget, table.dim());
-                let total_combos: usize = lists.lists.iter().map(|l| l.num_combinations()).sum();
-                let largest = lists
-                    .lists
-                    .iter()
-                    .map(|l| l.num_combinations())
-                    .max()
-                    .unwrap_or(0);
-                cache_cap_rows = total_combos.div_ceil(parts.max(1)) + largest;
-                let ca = partition::cache_aware(
-                    table.rows(),
-                    parts,
-                    emt_cap_rows,
-                    cache_cap_rows,
-                    profile,
-                    &lists,
-                )?;
-                let store = PartialSumCache::materialize(&ca.placed_lists, table)?;
-                let entry_route;
-                (entry_route, cache_slot_refs) = cache_entry_routes(&ca, profile);
-                let placed = ca.placed_lists.lists.len();
-                (
-                    ca.rows,
-                    Some(CacheState {
-                        store,
-                        entry_route,
-                        cache_rows_per_part: ca.cache_rows_per_part,
-                        placed_lists: placed,
-                        lists,
-                    }),
-                )
-            }
-        };
+        if config.strategy == PartitionStrategy::CacheAware {
+            lists = cache_lists.cloned().unwrap_or_default();
+            // The paper's cache-capacity knob: keep the best lists
+            // fitting in `fraction` of the full requirement.
+            let required = lists.total_storage_bytes(table.dim());
+            let budget = (required as f64 * config.cache_fraction) as usize;
+            lists.truncate_to_bytes(budget, table.dim());
+            let combos = lists.lists.iter().map(|l| l.num_combinations());
+            let largest = combos.clone().max().unwrap_or(0);
+            cache_cap_rows = combos.sum::<usize>().div_ceil(parts.max(1)) + largest;
+        }
+        let capacity = (emt_cap_rows, cache_cap_rows);
+        let placement = place(
+            config,
+            &tiling,
+            config.strategy,
+            table,
+            profile,
+            &lists,
+            capacity,
+        )?;
 
         // One rank: partition `p` owns the consecutive local ids of its
         // column slices.
         let locs = (0..parts)
-            .map(|p| (0, (dpu_base + p * tiling.col_slices) as u32))
+            .map(|p| (0, (t * dpus + p * tiling.col_slices) as u32))
             .collect();
-        TableState::new(
-            config,
-            tiling,
-            assignment,
-            cache,
-            cache_cap_rows,
-            locs,
-            Vec::new(),
-            Some(profile),
-            &cache_slot_refs,
-        )
-    }
-
-    /// Loads the EMT tiles and cache regions into MRAM (untimed
-    /// pre-processing, as in the paper). `rows` / `entries` are scratch
-    /// for the placement's slot-order inverses.
-    fn load_table(
-        fleet: &mut Fleet,
-        table: &EmbeddingTable,
-        state: &TableState,
-        dtype: EmbedDtype,
-        rows: &mut PartLists,
-        entries: &mut PartLists,
-    ) -> Result<()> {
-        replan::rows_in_parts(&state.assignment, state.replicas.len(), rows);
-        let cache = state.cache.as_ref().map(|cs| {
-            entries_in_parts(&cs.entry_route, &cs.cache_rows_per_part, entries);
-            (&cs.store, &*entries)
-        });
-        let src = TileSource {
-            replicas: &state.replicas,
-            rows,
-            cache,
-        };
-        write_tiles(fleet, state, table, dtype, &src, 0)
+        Ok(TableState {
+            lists,
+            ..TableState::new(config, t, tiling, placement, cache_cap_rows, locs)?
+        })
     }
 
     /// The engine configuration.
@@ -1410,12 +1212,12 @@ impl UpdlrmEngine {
             report.max_bytes = report.max_bytes.max(block);
             let wram = self.config.wram_account(n_c, self.staged_batch_capacity());
             report.max_wram_bytes = report.max_wram_bytes.max(wram.needed(block));
-            for r in &state.resident {
+            for r in &state.placement.resident {
                 let rows = (r.emt_rows + r.cache_rows) as usize;
                 report.max_rows = report.max_rows.max(rows);
                 covered += r.covered;
             }
-            load += state.assignment.part_load.iter().sum::<f64>();
+            load += state.placement.assignment.part_load.iter().sum::<f64>();
         }
         if self.tables.iter().all(|s| s.profiled) && load > 0.0 {
             report.predicted_hit_share = Some(covered / load);
@@ -1430,7 +1232,7 @@ impl UpdlrmEngine {
     ///
     /// Panics if `table` or `part` is out of range.
     pub fn resident_rows(&self, table: usize, part: usize) -> ResidentRows {
-        self.tables[table].resident[part].rows(self.resident_epoch)
+        self.tables[table].placement.resident[part].rows(self.resident_epoch)
     }
 
     /// Fills every DPU's resident rows now, outside modeled time, so
@@ -1469,14 +1271,13 @@ impl UpdlrmEngine {
     /// Panics if `t` is out of range.
     pub fn table_report(&self, t: usize) -> TableReport {
         let s = &self.tables[t];
+        let (assignment, cache) = (&s.placement.assignment, s.placement.cache.as_ref());
         TableReport {
             tiling: s.tiling,
-            part_load: s.assignment.part_load.clone(),
-            imbalance: s.assignment.imbalance(),
-            cached_lists: s.cache.as_ref().map(|c| c.placed_lists).unwrap_or(0),
-            cache_rows_per_part: s
-                .cache
-                .as_ref()
+            part_load: assignment.part_load.clone(),
+            imbalance: assignment.imbalance(),
+            cached_lists: cache.map_or(0, |c| c.placed_lists),
+            cache_rows_per_part: cache
                 .map(|c| c.cache_rows_per_part.clone())
                 .unwrap_or_default(),
         }
@@ -1597,7 +1398,7 @@ impl UpdlrmEngine {
             // The loop is picked once per table from what the table
             // holds, never per reference.
             writer.begin(parts, b);
-            match &state.cache {
+            match &state.placement.cache {
                 Some(cs) => {
                     for (s, sample) in sparse.iter().enumerate() {
                         cs.store.lookup_into(sample, lookup, hit);
@@ -1647,8 +1448,9 @@ impl UpdlrmEngine {
                 debug_assert_eq!((slot.table, slot.part), (t, p));
                 writer.write_stream(p, tasklets, config.dedup, &mut slot.bytes);
                 if slot.bytes.len() > INPUT_RESERVE_BYTES {
-                    return Err(CoreError::CapacityExceeded {
-                        partition: p,
+                    return Err(CoreError::TableCapacityExceeded {
+                        table: t,
+                        partition: Some(p),
                         required: slot.bytes.len(),
                         available: INPUT_RESERVE_BYTES,
                     });
@@ -1857,14 +1659,15 @@ impl UpdlrmEngine {
     #[inline]
     fn route_row(state: &TableState, idx: u64, sample: usize) -> Result<(usize, u32)> {
         let r = idx as usize;
-        if r >= state.assignment.part_of_row.len() {
+        let assignment = &state.placement.assignment;
+        if r >= assignment.part_of_row.len() {
             return Err(CoreError::Model(dlrm_model::ModelError::IndexOutOfRange {
                 index: idx,
-                rows: state.assignment.part_of_row.len(),
+                rows: assignment.part_of_row.len(),
             }));
         }
-        let p = state.assignment.part_of_row[r];
-        let slot = state.assignment.slot_of_row[r];
+        let p = assignment.part_of_row[r];
+        let slot = assignment.slot_of_row[r];
         if slot == partition::CACHED_ROW_SLOT {
             return Err(CoreError::InvalidConfig(format!(
                 "row {idx} is cache-resident but was routed to the EMT path"
@@ -1919,7 +1722,7 @@ impl UpdlrmEngine {
                         .tables
                         .iter()
                         .zip(drift.window.iter())
-                        .map(|(s, w)| replan::window_imbalance(&s.assignment, w))
+                        .map(|(s, w)| replan::window_imbalance(&s.placement.assignment, w))
                         .fold(1.0f64, f64::max)
                         > threshold
             }
@@ -1943,81 +1746,31 @@ impl UpdlrmEngine {
         self.drift.as_ref().and_then(|d| d.first_snapshot.as_ref())
     }
 
-    /// Plan phase of a replan: a fresh placement for every table from
-    /// the sliding window, pushed onto the (empty) `flips`. Takes
+    /// Plan phase of a replan: every table refit by [`place`] — the
+    /// build's own function — to the sliding window and the staged
+    /// regions' capacities, pushed onto the (empty) `staged`. Takes
     /// `&self`: planning reads the engine and cannot mutate what
-    /// serves. Returns `false` to decline the replan — a plan that
-    /// cannot fit the staged regions, an infeasible cache placement,
-    /// or a plan identical to the current placement.
-    fn plan_flips(&self, flips: &mut Vec<TableFlip>) -> bool {
+    /// serves. Returns `false` to decline the replan — a placement that
+    /// cannot fit the staged regions, or one whose assignment compares
+    /// equal to the serving one's (`part_load` included).
+    fn plan_flips(&self, staged: &mut Vec<Placement>) -> bool {
         let drift = self.drift.as_ref().expect("replanning enabled");
+        // A refit exists because load must follow the window; a uniform
+        // re-cut would reproduce the contiguous hot block behind it.
+        use PartitionStrategy::{NonUniform, Uniform};
+        let s = self.config.strategy;
+        let strategy = if s == Uniform { NonUniform } else { s };
         let mut changed = false;
-        for (t, state) in self.tables.iter().enumerate() {
-            let profile = &drift.window[t];
-            let (config, tiling, window) = (&self.config, &state.tiling, Some(profile));
-            let rows = state.assignment.part_of_row.len();
-            let parts = state.tiling.row_parts;
-            let flip = match self.config.strategy {
-                PartitionStrategy::CacheAware => {
-                    let cs = state.cache.as_ref().expect("CA table has cache state");
-                    let planned = partition::cache_aware(
-                        rows,
-                        parts,
-                        state.emt_region_rows,
-                        state.cache_region_rows,
-                        profile,
-                        &cs.lists,
-                    )
-                    .and_then(|ca| {
-                        let store =
-                            PartialSumCache::materialize(&ca.placed_lists, &self.host_tables[t])?;
-                        Ok((ca, store))
-                    });
-                    let Ok((ca, store)) = planned else {
-                        return false;
-                    };
-                    let (entry_route, slot_refs) = cache_entry_routes(&ca, profile);
-                    let placed = ca.placed_lists.lists.len();
-                    TableFlip {
-                        resident: pick_resident(config, tiling, &ca.rows, 0, &slot_refs, window),
-                        assignment: ca.rows,
-                        replicas: Vec::new(),
-                        cache: Some(CacheFlip {
-                            store,
-                            entry_route,
-                            cache_rows_per_part: ca.cache_rows_per_part,
-                            placed_lists: placed,
-                        }),
-                    }
-                }
-                strategy => {
-                    let Ok((assignment, replicas)) = replan::plan_rows(
-                        strategy,
-                        rows,
-                        parts,
-                        state.emt_region_rows,
-                        self.config.replicate_top,
-                        profile,
-                    ) else {
-                        return false;
-                    };
-                    TableFlip {
-                        resident: pick_resident(
-                            config,
-                            tiling,
-                            &assignment,
-                            replicas.len(),
-                            &[],
-                            window,
-                        ),
-                        assignment,
-                        replicas,
-                        cache: None,
-                    }
-                }
+        for ((state, table), window) in self.tables.iter().zip(&self.host_tables).zip(&drift.window)
+        {
+            let capacity = (state.emt_region_rows, state.cache_region_rows);
+            let (config, tiling, lists) = (&self.config, &state.tiling, &state.lists);
+            let Ok(placement) = place(config, tiling, strategy, table, window, lists, capacity)
+            else {
+                return false;
             };
-            changed |= flip.assignment != state.assignment;
-            flips.push(flip);
+            changed |= placement.assignment != state.placement.assignment;
+            staged.push(placement);
         }
         changed
     }
@@ -2030,8 +1783,8 @@ impl UpdlrmEngine {
     /// old placement, whose regions the scatter never touches.
     fn begin_migration(&mut self, now_ns: u64) -> Result<()> {
         let drift = self.drift.as_mut().expect("replanning enabled");
-        let mut flips = std::mem::take(&mut drift.flip_buf);
-        let go = self.plan_flips(&mut flips);
+        let mut staged = std::mem::take(&mut drift.staged_buf);
+        let go = self.plan_flips(&mut staged);
 
         // The window is consumed by the decision either way.
         let drift = self.drift.as_mut().expect("replanning enabled");
@@ -2040,8 +1793,8 @@ impl UpdlrmEngine {
         }
         drift.batches_in_window = 0;
         if !go {
-            flips.clear();
-            drift.flip_buf = flips;
+            staged.clear();
+            drift.staged_buf = staged;
             self.metrics.record_replan_skip();
             return Ok(());
         }
@@ -2064,27 +1817,12 @@ impl UpdlrmEngine {
                 drift,
                 ..
             } = self;
-            let DriftState {
-                tile_rows,
-                tile_entries,
-                ..
-            } = drift.as_mut().expect("replanning enabled");
+            let scratch = &mut drift.as_mut().expect("replanning enabled").tile_scratch;
             let cost = &config.cost;
             let dtype = config.embed_dtype;
-            for (t, flip) in flips.iter().enumerate() {
-                let state = &tables[t];
+            for ((state, placement), table) in tables.iter().zip(&staged).zip(host_tables.iter()) {
+                write_tiles(fleet, state, placement, table, dtype, inactive, scratch)?;
                 let tiling = &state.tiling;
-                replan::rows_in_parts(&flip.assignment, flip.replicas.len(), tile_rows);
-                let cache = flip.cache.as_ref().map(|cf| {
-                    entries_in_parts(&cf.entry_route, &cf.cache_rows_per_part, tile_entries);
-                    (&cf.store, &*tile_entries)
-                });
-                let src = TileSource {
-                    replicas: &flip.replicas,
-                    rows: tile_rows,
-                    cache,
-                };
-                write_tiles(fleet, state, &host_tables[t], dtype, &src, inactive)?;
                 // Every column slice of a partition absorbs the same
                 // `n` rows of `bytes` each.
                 let mut charge = |n: usize, bytes: usize| {
@@ -2094,11 +1832,11 @@ impl UpdlrmEngine {
                 };
                 for p in 0..tiling.row_parts {
                     charge(
-                        src.replicas.len() + src.rows.part(p).len(),
+                        placement.replicas.len() + placement.assignment.rows_per_part[p] as usize,
                         dtype.stored_row_bytes(tiling.n_c),
                     );
-                    if let Some((_, entries)) = src.cache {
-                        charge(entries.part(p).len(), tiling.row_bytes());
+                    if let Some(cache) = &placement.cache {
+                        charge(cache.cache_rows_per_part[p] as usize, tiling.row_bytes());
                     }
                 }
             }
@@ -2120,7 +1858,7 @@ impl UpdlrmEngine {
         let drift = self.drift.as_mut().expect("replanning enabled");
         drift.pending = Some(PendingMigration {
             done_at_ns,
-            tables: flips,
+            tables: staged,
         });
         if let Some(s) = snapshot {
             drift.first_snapshot = Some(s);
@@ -2128,27 +1866,18 @@ impl UpdlrmEngine {
         Ok(())
     }
 
-    /// The atomic flip: installs the staged placement — assignments,
-    /// replica blocks, cache maps — and repoints every kernel task's
-    /// EMT/cache bases at the freshly scattered regions. Between two
-    /// batches this is instantaneous in modeled time; the migration's
-    /// cost was charged when the scatter was staged.
+    /// The atomic flip: installs every table's staged placement and
+    /// repoints every kernel task's EMT/cache bases at the freshly
+    /// scattered regions. Between two batches this is instantaneous in
+    /// modeled time; the migration's cost was charged when the scatter
+    /// was staged.
     fn complete_migration(&mut self, now_ns: u64) {
         let drift = self.drift.as_mut().expect("replanning enabled");
-        let mut flips = drift.pending.take().expect("migration in flight").tables;
-        for (state, flip) in self.tables.iter_mut().zip(flips.drain(..)) {
-            state.assignment = flip.assignment;
-            state.replicas = flip.replicas;
-            state.resident = flip.resident;
-            if let Some(cf) = flip.cache {
-                let cs = state.cache.as_mut().expect("CA table has cache state");
-                cs.store = cf.store;
-                cs.entry_route = cf.entry_route;
-                cs.cache_rows_per_part = cf.cache_rows_per_part;
-                cs.placed_lists = cf.placed_lists;
-            }
+        let mut staged = drift.pending.take().expect("migration in flight").tables;
+        for (state, placement) in self.tables.iter_mut().zip(staged.drain(..)) {
+            state.placement = placement;
         }
-        drift.flip_buf = flips;
+        drift.staged_buf = staged;
         self.active_emt ^= 1;
         // A new generation: what a DPU's WRAM holds is a copy of the
         // region that stopped serving, so every resident block refills
@@ -2165,7 +1894,7 @@ impl UpdlrmEngine {
                         );
                         task.emt_base = state.emt_bases[active];
                         task.cache_base = state.cache_bases[active];
-                        task.resident = state.resident[p].rows(epoch);
+                        task.resident = state.placement.resident[p].rows(epoch);
                     }
                 }
             }
@@ -2258,11 +1987,12 @@ mod tests {
             let mut entries = PartLists::default();
             for (t, state) in engine.tables.iter().enumerate() {
                 let parts = state.tiling.row_parts;
-                let rc = state.replicas.len();
+                let placement = &state.placement;
+                let rc = placement.replicas.len();
                 let mut hits = vec![0u64; parts];
-                replan::rows_in_parts(&state.assignment, rc, &mut rows);
+                replan::rows_in_parts(&placement.assignment, rc, &mut rows);
                 for (p, hits) in hits.iter_mut().enumerate() {
-                    let r = state.resident[p];
+                    let r = placement.resident[p];
                     assert_eq!(engine.resident_rows(t, p), r.rows(1), "{case}");
                     // The local rows at the two slots around the threshold.
                     for (slot, resident) in [
@@ -2276,8 +2006,8 @@ mod tests {
                         samples[t].push(vec![row as u64]);
                         *hits += u64::from(resident);
                     }
-                    let Some(cs) = &state.cache else { continue };
-                    entries_in_parts(&cs.entry_route, &cs.cache_rows_per_part, &mut entries);
+                    let Some(cs) = &placement.cache else { continue };
+                    cs.entries_in_parts(&mut entries);
                     for (slot, resident) in [
                         ((r.cache_rows as usize).wrapping_sub(1), true),
                         (r.cache_rows as usize, false),
@@ -2313,7 +2043,7 @@ mod tests {
             for (t, state) in engine.tables.iter().enumerate() {
                 let emt_stride = dtype.stored_row_bytes(state.tiling.n_c);
                 for (p, &want) in want[t].iter().enumerate() {
-                    let r = state.resident[p].rows(1);
+                    let r = state.placement.resident[p].rows(1);
                     max_bytes = max_bytes.max(r.block_bytes(emt_stride, state.tiling.row_bytes()));
                     max_rows = max_rows.max((r.emt_rows + r.cache_rows) as usize);
                     for c in 0..state.tiling.col_slices {
@@ -2342,7 +2072,8 @@ mod tests {
                     for c in 0..state.tiling.col_slices {
                         for kernel in &mut g.kernels {
                             let task = kernel.task_mut(state.dpu(p, c).1).unwrap();
-                            assert_eq!(task.resident, state.resident[p].rows(1), "{case}");
+                            let want = state.placement.resident[p].rows(1);
+                            assert_eq!(task.resident, want, "{case}");
                         }
                     }
                 }
@@ -2406,9 +2137,10 @@ mod tests {
 
             let active = engine.active_emt;
             let topology = engine.fleet.topology();
-            let (mut rows, mut entries) = (PartLists::default(), PartLists::default());
+            let mut scratch = <[PartLists; 2]>::default();
             let (mut emt_bytes, mut cache_bytes) = (0usize, 0usize);
             for (state, table) in engine.tables.iter().zip(&engine.host_tables) {
+                let placement = &state.placement;
                 let mut fresh = Fleet::new(
                     topology,
                     engine.config.tasklets,
@@ -2420,15 +2152,14 @@ mod tests {
                     },
                 )
                 .unwrap();
-                UpdlrmEngine::load_table(&mut fresh, table, state, dtype, &mut rows, &mut entries)
-                    .unwrap();
+                write_tiles(&mut fresh, state, placement, table, dtype, 0, &mut scratch).unwrap();
                 assert_ne!(state.emt_bases[0], state.emt_bases[1]);
                 let emt_row_bytes = dtype.stored_row_bytes(state.tiling.n_c);
                 for p in 0..state.tiling.row_parts {
-                    let emt_len = (state.replicas.len()
-                        + state.assignment.rows_per_part[p] as usize)
+                    let emt_len = (placement.replicas.len()
+                        + placement.assignment.rows_per_part[p] as usize)
                         * emt_row_bytes;
-                    let cache_len = state.cache.as_ref().map_or(0, |cs| {
+                    let cache_len = placement.cache.as_ref().map_or(0, |cs| {
                         cs.cache_rows_per_part[p] as usize * state.tiling.row_bytes()
                     });
                     for c in 0..state.tiling.col_slices {
@@ -2455,7 +2186,7 @@ mod tests {
                 }
                 if strategy == PartitionStrategy::Replicated {
                     assert!(
-                        !state.replicas.is_empty(),
+                        !placement.replicas.is_empty(),
                         "replica block must be exercised"
                     );
                 }
@@ -2473,8 +2204,8 @@ mod tests {
         let mut entries = PartLists::default();
         let mut checked = 0;
         for (state, table) in engine.tables.iter().zip(&engine.host_tables) {
-            let cs = state.cache.as_ref().expect("a cache-aware table");
-            entries_in_parts(&cs.entry_route, &cs.cache_rows_per_part, &mut entries);
+            let cs = state.placement.cache.as_ref().expect("a cache-aware table");
+            cs.entries_in_parts(&mut entries);
             let (n_c, row_bytes) = (state.tiling.n_c, state.tiling.row_bytes());
             for p in 0..state.tiling.row_parts {
                 for (slot, &e) in entries.part(p).iter().enumerate() {

@@ -29,6 +29,21 @@ pub enum CoreError {
         /// Bytes available.
         available: usize,
     },
+    /// One table's data exceeded the MRAM bytes it may occupy on a DPU:
+    /// its region layout, shared by all of its partitions
+    /// (`partition: None`), or one partition's reference stream of a
+    /// batch.
+    TableCapacityExceeded {
+        /// Table index.
+        table: usize,
+        /// The row partition whose reference stream overflowed its
+        /// reserve; `None` for the table's region layout.
+        partition: Option<usize>,
+        /// Bytes required.
+        required: usize,
+        /// Bytes available.
+        available: usize,
+    },
     /// Invalid engine or partitioning configuration.
     InvalidConfig(String),
     /// An internal scheduling invariant was violated — a bug in the
@@ -54,6 +69,26 @@ impl fmt::Display for CoreError {
             } => write!(
                 f,
                 "partition {partition} needs {required} bytes but only {available} available"
+            ),
+            CoreError::TableCapacityExceeded {
+                table,
+                partition: None,
+                required,
+                available,
+            } => write!(
+                f,
+                "table {table}: MRAM layout needs {required} bytes per DPU but only {available} \
+                 available"
+            ),
+            CoreError::TableCapacityExceeded {
+                table,
+                partition: Some(p),
+                required,
+                available,
+            } => write!(
+                f,
+                "table {table} partition {p}: reference stream needs {required} bytes but only \
+                 {available} reserved"
             ),
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CoreError::Invariant(msg) => write!(f, "scheduling invariant violated: {msg}"),

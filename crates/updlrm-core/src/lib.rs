@@ -27,6 +27,7 @@ pub mod error;
 pub mod kernel;
 pub mod partition;
 pub mod pipeline;
+mod place;
 pub mod replan;
 pub mod residency;
 pub mod serve;

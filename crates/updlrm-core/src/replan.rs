@@ -12,15 +12,18 @@
 //! * a sliding-window access profile per table, accumulated by
 //!   `route_batch` and consumed by
 //!   [`UpdlrmEngine::on_tick`](crate::engine::UpdlrmEngine::on_tick);
-//! * the pure planning helpers (`plan_rows`, `window_imbalance`,
-//!   `rows_in_parts`, `replica_block`) that the engine's migration
-//!   machinery calls and the property tests below pin down.
+//! * `window_imbalance`, the quantity the imbalance policy thresholds,
+//!   and `rows_in_parts` / `PartLists`, the slot-order inverses the
+//!   engine's tile writer reads.
 //!
-//! The *mechanism* — double-buffered MRAM regions, modeled migration
-//! cost, the atomic flip — lives in [`crate::engine`].
+//! A refit is not planned here: the engine refits every table with the
+//! function that built it (`place`, on the window profile and the
+//! staged regions' capacities), and the property tests below pin down
+//! that its placements put every row exactly once. The *mechanism* —
+//! double-buffered MRAM regions, modeled migration cost, the atomic
+//! flip — lives in [`crate::engine`].
 
-use crate::error::Result;
-use crate::partition::{self, PartitionStrategy, RowAssignment};
+use crate::partition::{self, RowAssignment};
 use workloads::FreqProfile;
 
 /// When (and whether) the engine refreshes its placement from the
@@ -126,61 +129,6 @@ impl std::str::FromStr for ReplanPolicy {
     }
 }
 
-/// Plans a fresh row assignment for one (non-cache-aware) table from a
-/// window profile, returning the assignment and the replica block in
-/// slot order.
-///
-/// The `Uniform` strategy is *upgraded* to non-uniform packing: a
-/// replan exists precisely because load must follow the profile, and a
-/// uniform re-cut would reproduce the contiguous hot block that caused
-/// the imbalance. `CacheAware` tables are planned by the engine (the
-/// cache-list placement needs the host-resident partial-sum store);
-/// this helper rejects them.
-///
-/// # Errors
-///
-/// Partitioner errors: zero rows/parts, or a plan that cannot fit
-/// `capacity_rows` per partition — the engine treats any error as
-/// "decline this replan", deterministically.
-pub(crate) fn plan_rows(
-    strategy: PartitionStrategy,
-    rows: usize,
-    parts: usize,
-    capacity_rows: usize,
-    replicate_top: usize,
-    profile: &FreqProfile,
-) -> Result<(RowAssignment, Vec<u32>)> {
-    let assignment = match strategy {
-        PartitionStrategy::Uniform | PartitionStrategy::NonUniform => {
-            partition::non_uniform(rows, parts, capacity_rows, profile)?
-        }
-        PartitionStrategy::Replicated => {
-            partition::replicated_non_uniform(rows, parts, capacity_rows, profile, replicate_top)?
-        }
-        PartitionStrategy::CacheAware => {
-            return Err(crate::error::CoreError::InvalidConfig(
-                "cache-aware tables are replanned by the engine, not plan_rows".into(),
-            ))
-        }
-    };
-    let replicas = replica_block(&assignment);
-    Ok((assignment, replicas))
-}
-
-/// The replicated rows of `assignment` in replica-slot order (the
-/// shared block layout every partition stores at its region start).
-pub(crate) fn replica_block(assignment: &RowAssignment) -> Vec<u32> {
-    let mut replicas: Vec<(u32, u32)> = assignment
-        .part_of_row
-        .iter()
-        .enumerate()
-        .filter(|&(_, &p)| p == partition::REPLICATED_ROW_PART)
-        .map(|(r, _)| (assignment.slot_of_row[r], r as u32))
-        .collect();
-    replicas.sort_unstable();
-    replicas.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Per-partition lists in one flat buffer (partition `p`'s items are
 /// [`PartLists::part`]`(p)`): the slot-order inverses of a placement
 /// that the engine's tile writer reads. A replan refills them in place
@@ -284,7 +232,13 @@ pub(crate) fn window_imbalance(assignment: &RowAssignment, window: &FreqProfile)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::UpdlrmConfig;
     use crate::engine::{compute_regions, RegionSpec};
+    use crate::partition::PartitionStrategy;
+    use crate::place::{place, Placement};
+    use crate::tiling::Tiling;
+    use cooccur_cache::{CacheList, CacheListSet};
+    use dlrm_model::EmbeddingTable;
     use proptest::prelude::*;
 
     #[test]
@@ -349,6 +303,31 @@ mod tests {
         );
     }
 
+    /// Places a table of `profile.num_items()` rows over `parts`
+    /// partitions with [`place`], the function that builds and refits
+    /// every table of an engine.
+    fn place_rows(
+        strategy: PartitionStrategy,
+        parts: usize,
+        replicate_top: usize,
+        profile: &FreqProfile,
+        lists: &CacheListSet,
+        capacity: (usize, usize),
+    ) -> Placement {
+        let rows = profile.num_items();
+        let mut config = UpdlrmConfig::with_dpus(parts, strategy);
+        config.replicate_top = replicate_top;
+        let tiling = Tiling {
+            n_c: 8,
+            col_slices: 1,
+            row_parts: parts,
+            n_r: rows.div_ceil(parts),
+            est_cost_ns: 0.0,
+        };
+        let table = EmbeddingTable::random(rows, 8, 0.1, rows as u64).unwrap();
+        place(&config, &tiling, strategy, &table, profile, lists, capacity).unwrap()
+    }
+
     /// Checks the migration row-placement invariant on one assignment:
     /// every row is placed exactly once — in the shared replica block,
     /// in exactly one partition's local slots (dense, non-overlapping),
@@ -385,8 +364,10 @@ mod tests {
     }
 
     proptest! {
-        /// Every replan plan places every row exactly once, for all
-        /// three replannable strategies, arbitrary shapes and windows.
+        /// Every placement puts every row exactly once, for all four
+        /// strategies (every one a refit can run), arbitrary shapes and
+        /// windows; a cache-aware one also gives every combination of
+        /// its lists exactly one cache slot.
         #[test]
         fn planned_assignments_place_every_row_exactly_once(
             rows in 1usize..200,
@@ -401,20 +382,59 @@ mod tests {
                 *c = (x >> 33) as u32 % 17;
             }
             let profile = profile_from_counts(&counts);
-            let capacity = rows + replicate_top; // always feasible
+            // Disjoint lists of 2..=4 consecutive rows, as many as fit
+            // (up to six); every one fits the cache capacity below.
+            let mut lists = CacheListSet::default();
+            let (mut start, mut lens) = (0usize, seed);
+            while lists.lists.len() < 6 {
+                let len = 2 + (lens % 3) as usize;
+                lens /= 3;
+                if start + len > rows {
+                    break;
+                }
+                let items = (start..start + len).map(|r| r as u64).collect();
+                lists.lists.push(CacheList { items, benefit: len as f64 });
+                start += len + 1;
+            }
+            let capacity = (rows + replicate_top, 6 * 15); // always feasible
             for strategy in [
                 PartitionStrategy::Uniform,
                 PartitionStrategy::NonUniform,
                 PartitionStrategy::Replicated,
+                PartitionStrategy::CacheAware,
             ] {
-                let (a, replicas) =
-                    plan_rows(strategy, rows, parts, capacity, replicate_top, &profile).unwrap();
+                let placed = place_rows(strategy, parts, replicate_top, &profile, &lists, capacity);
+                let (a, replicas) = (&placed.assignment, &placed.replicas);
                 if strategy == PartitionStrategy::Replicated {
                     prop_assert_eq!(replicas.len(), replicate_top.min(rows));
                 } else {
                     prop_assert!(replicas.is_empty());
                 }
-                assert_rows_placed_exactly_once(&a, &replicas);
+                assert_rows_placed_exactly_once(a, replicas);
+                prop_assert_eq!(placed.resident.len(), parts);
+                let Some(cache) = &placed.cache else {
+                    prop_assert!(strategy != PartitionStrategy::CacheAware);
+                    continue;
+                };
+                // The cached rows are exactly the lists' items ...
+                let cached: Vec<u64> = (0..rows as u64)
+                    .filter(|&r| a.slot_of_row[r as usize] == partition::CACHED_ROW_SLOT)
+                    .collect();
+                let items: Vec<u64> =
+                    lists.lists.iter().flat_map(|l| l.items.iter().copied()).collect();
+                prop_assert_eq!(cached, items);
+                // ... and each store entry sits in exactly one slot.
+                prop_assert_eq!(cache.entry_route.len(), cache.store.num_entries());
+                let mut entries = PartLists::default();
+                cache.entries_in_parts(&mut entries);
+                let mut seen = vec![0u32; cache.entry_route.len()];
+                for p in 0..parts {
+                    prop_assert_eq!(entries.part(p).len(), cache.cache_rows_per_part[p] as usize);
+                    for &e in entries.part(p) {
+                        seen[e as usize] += 1;
+                    }
+                }
+                prop_assert!(seen.iter().all(|&n| n == 1), "slots per entry: {:?}", seen);
             }
         }
 
@@ -494,10 +514,10 @@ mod tests {
                 *c = (x >> 40) as u32 % 9;
             }
             let profile = profile_from_counts(&counts);
-            let (a, _) = plan_rows(
-                PartitionStrategy::NonUniform, rows, parts, rows, 0, &profile,
-            ).unwrap();
-            let imb = window_imbalance(&a, &profile);
+            let none = CacheListSet::default();
+            let placed =
+                place_rows(PartitionStrategy::NonUniform, parts, 0, &profile, &none, (rows, 0));
+            let imb = window_imbalance(&placed.assignment, &profile);
             prop_assert!(imb.is_finite());
             prop_assert!(imb >= 1.0 - 1e-9, "imbalance {imb} below 1");
         }

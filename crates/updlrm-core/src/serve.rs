@@ -247,25 +247,12 @@ impl UpdlrmEngine {
         scr.latencies.clear();
         let mut wall = 0.0f64;
         for (i, batch) in batches.iter().enumerate() {
-            // Same stage sequence (and f64 operation order) as
-            // `run_batch`, with the pooled set recycled after the sink.
-            let routed = self.route_batch(batch)?;
-            let mut bd = routed.breakdown_seed();
-            let scatter = self.scatter_streams(0)?;
-            bd.stage1_ns = scatter.wall_ns;
-            bd.energy_pj += scatter.energy_pj;
-            let stage2 = self.launch_stage2(routed.batch_size, 0)?;
-            stage2.fold_into(&mut bd);
-            let (pooled, combine_ns, gather) = self.gather_combine(routed.batch_size, 0)?;
-            bd.stage3_ns = gather.wall_ns;
-            bd.energy_pj += gather.energy_pj;
-            bd.combine_ns = combine_ns;
+            let (pooled, bd) = self.run_batch(batch)?;
             // Matches `sequential_wall_ns`'s `map(total_ns).sum()` fold.
             wall += bd.total_ns();
             scr.latencies.push(bd.total_ns());
-            self.metrics.record_batch(routed.batch_size, &bd);
             scr.breakdowns.push(bd);
-            sink(i, &pooled, scr.breakdowns.last().expect("just pushed"));
+            sink(i, &pooled, &bd);
             self.recycle_pooled(pooled);
         }
         debug_assert_eq!(wall, sequential_wall_ns(&scr.breakdowns));

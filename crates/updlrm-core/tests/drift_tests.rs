@@ -204,6 +204,58 @@ fn imbalance_policy_triggers_only_past_threshold() {
     }
 }
 
+/// Build and refit are one function: an engine that serves exactly the
+/// trace it was fit to, once, and then replans refits every table to
+/// the profile it was built from — so the refit equals the build and
+/// the replan is declined. Uniform is the exception that proves it: a
+/// refit upgrades it to non-uniform packing, so it must migrate.
+#[test]
+fn a_refit_on_the_fit_profile_is_the_build() {
+    let spec = DatasetSpec::goodreads().scaled_down(5000);
+    let workload = Workload::generate(
+        &spec,
+        TraceConfig {
+            num_tables: NUM_TABLES,
+            num_batches: 4,
+            ..TraceConfig::default()
+        },
+    );
+    let tables: Vec<EmbeddingTable> = (0..NUM_TABLES)
+        .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, DIM, 3, t as u64).unwrap())
+        .collect();
+    for strategy in [
+        PartitionStrategy::Uniform,
+        PartitionStrategy::NonUniform,
+        PartitionStrategy::Replicated,
+        PartitionStrategy::CacheAware,
+    ] {
+        let every_batches = workload.batches.len() as u64;
+        let config = UpdlrmConfig::with_dpus(16, strategy)
+            .with_replan(ReplanPolicy::Periodic { every_batches })
+            .with_telemetry();
+        let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+        if strategy == PartitionStrategy::CacheAware {
+            assert!(
+                engine.table_report(0).cached_lists > 0,
+                "lists are refit too"
+            );
+        }
+        for batch in &workload.batches {
+            engine.run_batch(batch).unwrap();
+        }
+        engine.on_tick(TICK_NS).unwrap();
+        let migrates = strategy == PartitionStrategy::Uniform;
+        assert_eq!(engine.migration_in_flight(), migrates, "{strategy}");
+        engine.on_tick(u64::MAX).unwrap();
+        let drift = engine.metrics_snapshot().drift;
+        assert_eq!(
+            (drift.replans_skipped, drift.migrations_completed),
+            if migrates { (0, 1) } else { (1, 0) },
+            "{strategy}: {drift:?}"
+        );
+    }
+}
+
 #[test]
 fn replan_off_allocates_no_drift_state() {
     let (tables, workload) = drifting_setup();

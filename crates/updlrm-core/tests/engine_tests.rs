@@ -7,7 +7,7 @@ use dlrm_model::{EmbedDtype, EmbeddingTable, QueryBatch, SparseInput};
 use proptest::prelude::*;
 use updlrm_core::{kernel, CoreError, PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
 use upmem_sim::arch::WRAM_CAPACITY;
-use workloads::{DatasetSpec, TraceConfig, Workload};
+use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
 const DIM: usize = 32;
 
@@ -226,6 +226,67 @@ fn engine_rejects_mismatched_batches() {
     )
     .unwrap();
     assert!(engine.run_batch(&bad2).is_err());
+}
+
+/// An MRAM overflow names the table it belongs to: a region layout is
+/// one table's, shared by all of its partitions, and a reference stream
+/// one partition's of one table. Table 1 is far larger than table 0, and
+/// both overflow there.
+#[test]
+fn an_mram_overflow_names_its_table() {
+    use upmem_sim::arch::MRAM_CAPACITY;
+    const ROWS: [usize; 2] = [100, 400_000];
+    let tables: Vec<EmbeddingTable> = ROWS
+        .iter()
+        .map(|&rows| EmbeddingTable::random_integer_valued(rows, 2, 3, rows as u64).unwrap())
+        .collect();
+    let profiles: Vec<FreqProfile> = ROWS.iter().map(|&rows| FreqProfile::new(rows)).collect();
+    let config = UpdlrmConfig::with_dpus(2, PartitionStrategy::Uniform).with_fixed_nc(2);
+
+    // Two staging slots of 1.9 M output rows (8 B each, x2 slack) fit
+    // beside table 0's 800-byte tile but not beside table 1's 3.2 MB.
+    let mut huge_batches = config.clone();
+    huge_batches.batch_size = 1_900_000;
+    match UpdlrmEngine::new(huge_batches, &tables, &profiles, &[]) {
+        Err(e @ CoreError::TableCapacityExceeded { .. }) => {
+            assert_eq!(
+                e,
+                CoreError::TableCapacityExceeded {
+                    table: 1,
+                    partition: None,
+                    required: 2 * (2 << 20) + 4 * 1_900_000 * 8 + ROWS[1] * 8,
+                    available: MRAM_CAPACITY,
+                }
+            );
+            assert!(e.to_string().starts_with("table 1: MRAM layout"), "{e}");
+        }
+        other => panic!(
+            "expected table 1's layout to overflow, got {:?}",
+            other.err()
+        ),
+    }
+
+    // One sample of 600 K references to table 1 overflows its one
+    // partition's 2 MB reference-stream reserve.
+    let mut engine = UpdlrmEngine::new(config, &tables, &profiles, &[]).unwrap();
+    let refs: Vec<u64> = (0..600_000).map(|i| i % ROWS[1] as u64).collect();
+    let sparse = vec![
+        SparseInput::from_samples([vec![0u64]]),
+        SparseInput::from_samples([refs]),
+    ];
+    let batch = QueryBatch::new(vec![0.0; 13], 13, sparse).unwrap();
+    match engine.run_batch(&batch) {
+        Err(CoreError::TableCapacityExceeded {
+            table: 1,
+            partition: Some(0),
+            required,
+            available,
+        }) => assert!(required > available, "{required} <= {available}"),
+        other => panic!(
+            "expected table 1's stream to overflow, got {:?}",
+            other.err()
+        ),
+    }
 }
 
 /// Only the dedup format keeps a shared WRAM accumulator block, one row
