@@ -20,13 +20,17 @@ pub enum CoreError {
         /// DPUs available for the table.
         dpus: usize,
     },
-    /// A partition exceeded its MRAM capacity.
+    /// A partitioner ran out of EMT rows.
     CapacityExceeded {
-        /// Partition index.
-        partition: usize,
-        /// Bytes required.
+        /// Table index, attached by the engine; `None` from a bare
+        /// partitioner call.
+        table: Option<usize>,
+        /// The partition over its capacity; `None` when the table as a
+        /// whole does not fit (every partition is full).
+        partition: Option<usize>,
+        /// Rows required.
         required: usize,
-        /// Bytes available.
+        /// Rows available.
         available: usize,
     },
     /// One table's data exceeded the MRAM bytes it may occupy on a DPU:
@@ -63,13 +67,22 @@ impl fmt::Display for CoreError {
                 "no feasible tiling for a {rows}x{cols} table on {dpus} dpus under Eq. 2-3"
             ),
             CoreError::CapacityExceeded {
+                table,
                 partition,
                 required,
                 available,
-            } => write!(
-                f,
-                "partition {partition} needs {required} bytes but only {available} available"
-            ),
+            } => {
+                match (table, partition) {
+                    (Some(t), Some(p)) => write!(f, "table {t} partition {p}: ")?,
+                    (Some(t), None) => write!(f, "table {t}: ")?,
+                    (None, Some(p)) => write!(f, "partition {p}: ")?,
+                    (None, None) => {}
+                }
+                write!(
+                    f,
+                    "{required} EMT rows to place but only {available} rows of capacity"
+                )
+            }
             CoreError::TableCapacityExceeded {
                 table,
                 partition: None,

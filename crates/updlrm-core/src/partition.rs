@@ -91,7 +91,8 @@ impl RowAssignment {
         for (p, &used) in self.rows_per_part.iter().enumerate() {
             if used as usize > capacity_rows {
                 return Err(CoreError::CapacityExceeded {
-                    partition: p,
+                    table: None,
+                    partition: Some(p),
                     required: used as usize,
                     available: capacity_rows,
                 });
@@ -160,7 +161,8 @@ pub fn non_uniform(
         let r = item as usize;
         let p = least_loaded_with_room(&part_load, &rows_per_part, 1, capacity_rows).ok_or(
             CoreError::CapacityExceeded {
-                partition: 0,
+                table: None,
+                partition: None,
                 required: rows,
                 available: capacity_rows * parts,
             },
@@ -202,7 +204,8 @@ pub fn replicated_non_uniform(
     let replicate_top = replicate_top.min(rows);
     if replicate_top > capacity_rows {
         return Err(CoreError::CapacityExceeded {
-            partition: 0,
+            table: None,
+            partition: None,
             required: replicate_top,
             available: capacity_rows,
         });
@@ -237,11 +240,13 @@ pub fn replicated_non_uniform(
         if is_replicated[r] {
             continue;
         }
+        // Every partition stores the replica block beside its own rows.
         let p = least_loaded_with_room(&part_load, &rows_per_part, 1, local_capacity).ok_or(
             CoreError::CapacityExceeded {
-                partition: 0,
+                table: None,
+                partition: None,
                 required: rows,
-                available: capacity_rows * parts,
+                available: replicate_top + local_capacity * parts,
             },
         )?;
         part_of_row[r] = p as u32;
@@ -337,13 +342,13 @@ pub fn cache_aware(
         if is_cached[r] {
             continue;
         }
-        let p = least_loaded_with_room(&part_count, &rows_per_part, 1, emt_capacity_rows).ok_or(
-            CoreError::CapacityExceeded {
-                partition: 0,
-                required: rows,
+        let p = least_loaded_with_room(&part_count, &rows_per_part, 1, emt_capacity_rows)
+            .ok_or_else(|| CoreError::CapacityExceeded {
+                table: None,
+                partition: None,
+                required: is_cached.iter().filter(|&&c| !c).count(),
                 available: emt_capacity_rows * parts,
-            },
-        )?;
+            })?;
         part_of_row[r] = p as u32;
         slot_of_row[r] = rows_per_part[p];
         rows_per_part[p] += 1;

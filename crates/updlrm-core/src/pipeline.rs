@@ -27,12 +27,25 @@ pub fn sequential_wall_ns(batches: &[EmbeddingBreakdown]) -> f64 {
 /// order (stage 3 of batch `i` before stage 1 of batch `i + 2`), which
 /// is what a host driver with a bounded MRAM staging area does.
 pub fn pipelined_wall_ns(batches: &[EmbeddingBreakdown]) -> f64 {
+    pipelined_schedule(batches, |_, _| {})
+}
+
+/// The depth-2 recurrence behind [`pipelined_wall_ns`]: returns the
+/// wall and reports, batch by batch in order, the instant its stage 1
+/// was issued and the instant its stage 3 drained as
+/// `on_drain(issue_ns, drain_ns)`. The executed double-buffered serve
+/// takes its wall and latencies from here.
+pub(crate) fn pipelined_schedule(
+    batches: &[EmbeddingBreakdown],
+    mut on_drain: impl FnMut(f64, f64),
+) -> f64 {
+    // Only two batches are ever in flight (batch i's and batch i - 1's),
+    // so the recurrence needs no arrays and stays heap-free, which the
+    // steady-state serve path relies on.
     let mut bus_free = 0.0f64; // when the host bus is next available
     let mut dpu_free = 0.0f64; // when the DPU array is next available
-                               // Only two stage-2 completion times are ever live at once (batch
-                               // i's and batch i - 1's), so the event recurrence needs no arrays —
-                               // this keeps the function heap-free, which the steady-state serve
-                               // path relies on when it re-checks itself against this model.
+    let mut s1_issue_prev; // stage-1 issue of batch i - 1
+    let mut s1_issue_cur = 0.0f64; // stage-1 issue of batch i
     let mut s2_done_prev; // s2_done of batch i - 1
     let mut s2_done_cur = 0.0f64; // s2_done of batch i
     let mut finish = 0.0f64;
@@ -44,11 +57,13 @@ pub fn pipelined_wall_ns(batches: &[EmbeddingBreakdown]) -> f64 {
         // stage 1 of batch i.
         let start = bus_free;
         bus_free = start + batches[i].stage1_ns;
-        let s1_done = bus_free;
+        let s1_landed = bus_free;
+        s1_issue_prev = s1_issue_cur;
+        s1_issue_cur = start;
 
         // stage 2 of batch i can start once its stage 1 landed and the
         // DPU array is free.
-        let start = s1_done.max(dpu_free);
+        let start = s1_landed.max(dpu_free);
         dpu_free = start + batches[i].stage2_ns;
         s2_done_prev = s2_done_cur;
         s2_done_cur = dpu_free;
@@ -60,11 +75,14 @@ pub fn pipelined_wall_ns(batches: &[EmbeddingBreakdown]) -> f64 {
             let start = s2_done_prev.max(bus_free);
             bus_free = start + batches[j].stage3_ns;
             finish = finish.max(bus_free);
+            on_drain(s1_issue_prev, bus_free);
         }
     }
     if let Some(last) = batches.len().checked_sub(1) {
         let start = s2_done_cur.max(bus_free);
-        finish = finish.max(start + batches[last].stage3_ns);
+        let drain = start + batches[last].stage3_ns;
+        finish = finish.max(drain);
+        on_drain(s1_issue_cur, drain);
     }
     finish
 }

@@ -4,26 +4,32 @@
 //! training trace. Under drifting traffic (UPWL v3 hot-set rotation,
 //! flash crowds) that placement goes stale: the rows that are hot *now*
 //! pile onto whichever partitions the old profile assigned them to, and
-//! the stage-2 wall — the slowest DPU — blows up. This module holds the
-//! *decision* side of live reconfiguration:
+//! the stage-2 wall — the slowest DPU — blows up. This module holds
+//! live reconfiguration, decision and mechanism:
 //!
 //! * [`ReplanPolicy`] — when to refresh the placement (`off`,
 //!   `periodic:N` batches, `imbalance:T[:N]` threshold);
-//! * a sliding-window access profile per table, accumulated by
-//!   `route_batch` and consumed by
-//!   [`UpdlrmEngine::on_tick`](crate::engine::UpdlrmEngine::on_tick);
+//! * a sliding-window access profile per table, accumulated by stage 1
+//!   and consumed by [`UpdlrmEngine::on_tick`];
 //! * `window_imbalance`, the quantity the imbalance policy thresholds,
 //!   and `rows_in_parts` / `PartLists`, the slot-order inverses the
-//!   engine's tile writer reads.
+//!   engine's tile writer reads;
+//! * the migration itself: plan, scatter into the inactive one of each
+//!   table's double-buffered MRAM regions at a modeled cost, and the
+//!   atomic flip.
 //!
-//! A refit is not planned here: the engine refits every table with the
-//! function that built it (`place`, on the window profile and the
-//! staged regions' capacities), and the property tests below pin down
-//! that its placements put every row exactly once. The *mechanism* —
-//! double-buffered MRAM regions, modeled migration cost, the atomic
-//! flip — lives in [`crate::engine`].
+//! A refit is planned with the function that built the table (`place`,
+//! on the window profile and the staged regions' capacities), and the
+//! property tests below pin down that its placements put every row
+//! exactly once.
 
-use crate::partition::{self, RowAssignment};
+use crate::engine::{build::write_tiles, UpdlrmEngine};
+use crate::error::Result;
+use crate::partition::{self, PartitionStrategy, RowAssignment};
+use crate::place::{place, Placement};
+use crate::telemetry::Snapshot;
+use dlrm_model::EmbeddingTable;
+use upmem_sim::Cycles;
 use workloads::FreqProfile;
 
 /// When (and whether) the engine refreshes its placement from the
@@ -229,11 +235,268 @@ pub(crate) fn window_imbalance(assignment: &RowAssignment, window: &FreqProfile)
     }
 }
 
+/// An in-flight migration: the staged per-table placements, whose
+/// tiles already sit in the inactive MRAM regions, and the modeled
+/// instant the scatter completes, at which point
+/// [`UpdlrmEngine::on_tick`] performs the atomic flip.
+struct PendingMigration {
+    done_at_ns: u64,
+    tables: Vec<Placement>,
+}
+
+/// Replanner state, present only when
+/// [`UpdlrmConfig::replan`](crate::config::UpdlrmConfig) is enabled.
+pub(crate) struct DriftState {
+    /// Sliding-window access profile per table, accumulated by stage 1
+    /// and reset at every replan decision.
+    pub(crate) window: Vec<FreqProfile>,
+    /// Batches folded into the current window.
+    pub(crate) batches_in_window: u64,
+    /// The migration currently in flight, if any (at most one).
+    pending: Option<PendingMigration>,
+    /// `PendingMigration::tables`' storage between migrations: empty,
+    /// capacity kept, so a replan plans into it instead of a new list.
+    staged_buf: Vec<Placement>,
+    /// The slot-order inverses the tile writer reads, for the table
+    /// being scattered; refilled in place per table per replan.
+    tile_scratch: [PartLists; 2],
+    /// Telemetry snapshot taken mid-first-migration (between the
+    /// scatter and the flip) — the drift-snapshot golden the CI
+    /// byte-compares.
+    first_snapshot: Option<Snapshot>,
+}
+
+impl DriftState {
+    /// An empty window over `tables`, keeping the build's tile scratch.
+    pub(crate) fn new(tables: &[EmbeddingTable], tile_scratch: [PartLists; 2]) -> DriftState {
+        DriftState {
+            window: tables.iter().map(|t| FreqProfile::new(t.rows())).collect(),
+            batches_in_window: 0,
+            pending: None,
+            staged_buf: Vec::with_capacity(tables.len()),
+            tile_scratch,
+            first_snapshot: None,
+        }
+    }
+}
+
+impl UpdlrmEngine {
+    /// Advances the replanner to modeled instant `now_ns`: completes a
+    /// migration whose staged scatter has drained (the atomic flip), or
+    /// checks the replan policy against the sliding window and begins a
+    /// new migration. A no-op unless
+    /// [`UpdlrmConfig::replan`](crate::config::UpdlrmConfig) is
+    /// enabled. Front-ends call this between batches — the scheduler's
+    /// event loop ticks it at every launch instant.
+    ///
+    /// # Errors
+    ///
+    /// Simulator faults while scattering the staged tiles. Planning
+    /// failures (a placement that no longer fits the staged regions)
+    /// are *not* errors: the replan is declined, counted in
+    /// [`DriftSnapshot::replans_skipped`](crate::telemetry::DriftSnapshot),
+    /// and the window resets.
+    pub fn on_tick(&mut self, now_ns: u64) -> Result<()> {
+        let Some(mut drift) = self.drift.take() else {
+            return Ok(());
+        };
+        let result = match &drift.pending {
+            Some(p) if now_ns >= p.done_at_ns => {
+                self.complete_migration(&mut drift, now_ns);
+                Ok(())
+            }
+            None if self.replan_due(&drift) => self.begin_migration(&mut drift, now_ns),
+            _ => Ok(()),
+        };
+        self.drift = Some(drift);
+        result
+    }
+
+    /// True while a migration's staged scatter has not yet flipped.
+    pub fn migration_in_flight(&self) -> bool {
+        self.drift.as_ref().is_some_and(|d| d.pending.is_some())
+    }
+
+    /// The telemetry snapshot captured mid-first-migration (after the
+    /// staging scatter was charged, before the flip) — the fixed-seed
+    /// golden CI byte-compares. `None` until the first migration
+    /// begins, or when telemetry is off.
+    pub fn drift_snapshot(&self) -> Option<&Snapshot> {
+        self.drift.as_ref().and_then(|d| d.first_snapshot.as_ref())
+    }
+
+    /// Whether the policy calls for a replan on the window so far.
+    fn replan_due(&self, drift: &DriftState) -> bool {
+        match self.config.replan {
+            ReplanPolicy::Off => false,
+            ReplanPolicy::Periodic { every_batches } => drift.batches_in_window >= every_batches,
+            ReplanPolicy::Imbalance {
+                threshold,
+                min_batches,
+            } => {
+                drift.batches_in_window >= min_batches
+                    && self
+                        .tables
+                        .iter()
+                        .zip(drift.window.iter())
+                        .map(|(s, w)| window_imbalance(&s.placement.assignment, w))
+                        .fold(1.0f64, f64::max)
+                        > threshold
+            }
+        }
+    }
+
+    /// Plan phase of a replan: every table refit by [`place`] — the
+    /// build's own function — to the sliding window and the staged
+    /// regions' capacities, pushed onto the (empty) `staged`. Takes
+    /// `&self`: planning reads the engine and cannot mutate what
+    /// serves. Returns `false` to decline the replan — a placement that
+    /// cannot fit the staged regions, or one whose assignment compares
+    /// equal to the serving one's (`part_load` included).
+    fn plan_flips(&self, window: &[FreqProfile], staged: &mut Vec<Placement>) -> bool {
+        // A refit exists because load must follow the window; a uniform
+        // re-cut would reproduce the contiguous hot block behind it.
+        use PartitionStrategy::{NonUniform, Uniform};
+        let s = self.config.strategy;
+        let strategy = if s == Uniform { NonUniform } else { s };
+        let mut changed = false;
+        for ((state, table), window) in self.tables.iter().zip(&self.host_tables).zip(window) {
+            let capacity = (
+                state.regions.emt_region_rows,
+                state.regions.cache_region_rows,
+            );
+            let (config, tiling, lists) = (&self.config, &state.tiling, &state.lists);
+            let Ok(placement) = place(config, tiling, strategy, table, window, lists, capacity)
+            else {
+                return false;
+            };
+            changed |= placement.assignment != state.placement.assignment;
+            staged.push(placement);
+        }
+        changed
+    }
+
+    /// Plans a fresh placement for every table from the sliding window,
+    /// scatters the re-partitioned tiles into the inactive MRAM
+    /// regions, and charges the modeled migration cost. The flip is
+    /// deferred to the modeled instant the scatter completes
+    /// ([`UpdlrmEngine::on_tick`]); until then serving continues on the
+    /// old placement, whose regions the scatter never touches.
+    fn begin_migration(&mut self, drift: &mut DriftState, now_ns: u64) -> Result<()> {
+        let mut staged = std::mem::take(&mut drift.staged_buf);
+        let go = self.plan_flips(&drift.window, &mut staged);
+
+        // The window is consumed by the decision either way.
+        for w in &mut drift.window {
+            w.clear();
+        }
+        drift.batches_in_window = 0;
+        if !go {
+            staged.clear();
+            drift.staged_buf = staged;
+            self.metrics.record_replan_skip();
+            return Ok(());
+        }
+
+        // Scatter phase: write the staged tiles into the inactive
+        // regions (functionally safe — nothing serves from them) and
+        // accumulate the modeled cost: one host->MRAM bulk pass over
+        // every staged byte, plus the slowest DPU's DMA-engine time
+        // absorbing its rows (the `charge_dma_repeat` bulk mirror).
+        let inactive = self.active_emt ^ 1;
+        let mut total_bytes = 0usize;
+        let mut rows_moved = 0u64;
+        let mut max_dpu = Cycles(0);
+        let (cost, dtype) = (&self.config.cost, self.config.embed_dtype);
+        let tables = self.tables.iter().zip(&staged).zip(&self.host_tables);
+        for ((state, placement), table) in tables {
+            let scratch = &mut drift.tile_scratch;
+            write_tiles(
+                &mut self.fleet,
+                state,
+                placement,
+                table,
+                dtype,
+                inactive,
+                scratch,
+            )?;
+            let tiling = &state.tiling;
+            // Every column slice of a partition absorbs the same
+            // `n` rows of `bytes` each.
+            let mut charge = |n: usize, bytes: usize| {
+                rows_moved += (n * tiling.col_slices) as u64;
+                total_bytes += n * bytes * tiling.col_slices;
+                max_dpu = max_dpu.max(cost.bulk_rows_dma_cycles(bytes, n as u64));
+            };
+            for p in 0..tiling.row_parts {
+                charge(
+                    placement.replicas.len() + placement.assignment.rows_per_part[p] as usize,
+                    dtype.stored_row_bytes(tiling.n_c),
+                );
+                if let Some(cache) = &placement.cache {
+                    charge(cache.cache_rows_per_part[p] as usize, tiling.row_bytes());
+                }
+            }
+        }
+        let migration_ns = cost.host_to_mram_ns(total_bytes)
+            + cost.host_transfer_base_ns
+            + cost.cycles_to_ns(max_dpu);
+        let done_at_ns = now_ns.saturating_add(migration_ns.max(0.0).ceil() as u64);
+        self.metrics
+            .record_replan_begin(rows_moved, total_bytes as u64, migration_ns);
+        // The mid-migration golden: counters show the replan charged
+        // but not yet flipped.
+        if self.config.telemetry && drift.first_snapshot.is_none() {
+            drift.first_snapshot = Some(self.metrics.snapshot());
+        }
+        drift.pending = Some(PendingMigration {
+            done_at_ns,
+            tables: staged,
+        });
+        Ok(())
+    }
+
+    /// The atomic flip: installs every table's staged placement and
+    /// repoints every kernel task's EMT/cache bases at the freshly
+    /// scattered regions. Between two batches this is instantaneous in
+    /// modeled time; the migration's cost was charged when the scatter
+    /// was staged.
+    fn complete_migration(&mut self, drift: &mut DriftState, now_ns: u64) {
+        let mut staged = drift.pending.take().expect("migration in flight").tables;
+        for (state, placement) in self.tables.iter_mut().zip(staged.drain(..)) {
+            state.placement = placement;
+        }
+        drift.staged_buf = staged;
+        self.active_emt ^= 1;
+        // A new generation: what a DPU's WRAM holds is a copy of the
+        // region that stopped serving, so every resident block refills
+        // (and is charged for it) on its DPU's next launch.
+        self.resident_epoch += 1;
+        let (active, epoch) = (self.active_emt, self.resident_epoch);
+        for g in &mut self.launch_groups {
+            let state = &self.tables[g.table];
+            for p in (0..state.tiling.row_parts).filter(|&p| state.locs[p].0 == g.rank) {
+                for c in 0..state.tiling.col_slices {
+                    for kernel in &mut g.kernels {
+                        let task = kernel.task_mut(state.dpu(p, c).1).expect(
+                            "every partition's DPUs are registered with its rank's kernels",
+                        );
+                        task.emt_base = state.regions.emt_bases[active];
+                        task.cache_base = state.regions.cache_bases[active];
+                        task.resident = state.placement.resident[p].rows(epoch);
+                    }
+                }
+            }
+        }
+        self.metrics.record_migration_flip(now_ns);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::UpdlrmConfig;
-    use crate::engine::{compute_regions, RegionSpec};
+    use crate::engine::build::{compute_regions, RegionSpec};
     use crate::partition::PartitionStrategy;
     use crate::place::{place, Placement};
     use crate::tiling::Tiling;

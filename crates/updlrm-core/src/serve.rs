@@ -1,25 +1,26 @@
-//! Executed pipelined serving — the double-buffered batch schedule that
-//! [`crate::pipeline`] only models analytically.
+//! Executed pipelined serving — the double-buffered batch schedule of
+//! [`crate::pipeline`], run on the engine.
 //!
 //! [`UpdlrmEngine::serve`] drives a stream of [`QueryBatch`]es through
 //! the three-stage pipeline using the two MRAM staging slots reserved
 //! per DPU ([`crate::engine`]): batch `i` lands in slot `i % 2`, so
 //! batch `i + 1`'s stage-1 scatter can be issued while batch `i` still
 //! owns the other slot, exactly the depth-2 schedule that
-//! [`pipelined_wall_ns`] assumes.
+//! [`pipelined_wall_ns`](crate::pipeline::pipelined_wall_ns) assumes.
 //! The host bus serializes all stage-1/stage-3 phases in batch order
 //! (`s1_0, s1_1, s3_0, s1_2, s3_1, …`) while stage-2 kernels overlap
 //! them on the DPU array.
 //!
-//! The headline invariant (checked by `tests/serve_tests.rs`): the
-//! executed wall clock equals `pipelined_wall_ns` of the collected
-//! per-batch breakdowns *exactly* (same recurrence, same operation
-//! order — not approximately), and the pooled embeddings are
-//! bit-identical to back-to-back [`UpdlrmEngine::run_batch`] calls.
+//! The schedule calls the same three stage methods as
+//! [`UpdlrmEngine::run_batch`] and takes its wall from the one
+//! recurrence in [`crate::pipeline`], so the executed wall *is*
+//! `pipelined_wall_ns` of the collected breakdowns, and the pooled
+//! embeddings are bit-identical to back-to-back `run_batch` calls
+//! (both checked by `tests/serve_tests.rs`).
 
 use crate::engine::{EmbeddingBreakdown, UpdlrmEngine, STAGING_SLOTS};
 use crate::error::{CoreError, Result};
-use crate::pipeline::{pipelined_wall_ns, sequential_wall_ns};
+use crate::pipeline::{pipelined_schedule, sequential_wall_ns};
 use crate::stats::percentile;
 use dlrm_model::{Matrix, QueryBatch};
 
@@ -103,15 +104,11 @@ pub struct ServeOutcome {
 }
 
 /// Reusable per-engine working memory for [`UpdlrmEngine::serve_stream`]
-/// — event-time vectors and the per-batch breakdown list. Cleared and
-/// refilled each call, so steady-state serving allocates nothing here
-/// after warm-up.
+/// — the per-batch latency and breakdown lists. Cleared and refilled
+/// each call, so steady-state serving allocates nothing here after
+/// warm-up.
 #[derive(Debug, Default)]
 pub(crate) struct ServeScratch {
-    s1_start: Vec<f64>,
-    s1_done: Vec<f64>,
-    s2_done: Vec<f64>,
-    drain: Vec<f64>,
     latencies: Vec<f64>,
     pub(crate) breakdowns: Vec<EmbeddingBreakdown>,
 }
@@ -152,7 +149,7 @@ impl UpdlrmEngine {
     ///
     /// Under [`PipelineMode::DoubleBuf`] (with `queue_depth >= 2`) the
     /// executed wall equals
-    /// [`pipelined_wall_ns`] of the
+    /// [`pipelined_wall_ns`](crate::pipeline::pipelined_wall_ns) of the
     /// returned breakdowns exactly; under [`PipelineMode::Sequential`]
     /// (or `queue_depth == 1`) it equals
     /// [`sequential_wall_ns`].
@@ -259,12 +256,14 @@ impl UpdlrmEngine {
         Ok(finish_report(mode, 1, batches, scr, wall))
     }
 
-    /// Depth-2 double-buffered schedule. The event bookkeeping below is
-    /// a line-for-line mirror of
-    /// [`pipelined_wall_ns`] — the
-    /// same recurrence over the same measured stage times in the same
-    /// f64 operation order — which is what makes the executed wall
-    /// *exactly* equal to the analytic model.
+    /// Depth-2 double-buffered schedule: the three stage methods of
+    /// [`UpdlrmEngine::run_batch`], interleaved so that the bus phases
+    /// run in batch order (`s1_0, s1_1, s3_0, s1_2, s3_1, …`) — batch
+    /// `i`'s scatter reuses slot `i % 2`, which batch `i - 2` released
+    /// when its stage 3 drained one iteration earlier. The wall and the
+    /// per-batch latencies are then read off [`pipelined_schedule`] —
+    /// the recurrence behind `pipelined_wall_ns` — over the breakdowns
+    /// measured here.
     fn serve_doublebuf<F>(
         &mut self,
         batches: &[QueryBatch],
@@ -274,100 +273,33 @@ impl UpdlrmEngine {
     where
         F: FnMut(usize, &[Matrix], &EmbeddingBreakdown),
     {
-        let n = batches.len();
         scr.breakdowns.clear();
-        scr.s1_start.clear();
-        scr.s1_start.resize(n, 0.0);
-        scr.s1_done.clear();
-        scr.s1_done.resize(n, 0.0);
-        scr.s2_done.clear();
-        scr.s2_done.resize(n, 0.0);
-        scr.drain.clear();
-        scr.drain.resize(n, 0.0);
-
-        let mut bus_free = 0.0f64; // when the host bus is next available
-        let mut dpu_free = 0.0f64; // when the DPU array is next available
-        let mut finish = 0.0f64;
-
-        // Bus phases run in batch order: s1_0, s1_1, s3_0, s1_2, s3_1,
-        // ... — batch i's scatter reuses slot i % 2, which batch i - 2
-        // released when its stage 3 drained one iteration ago.
-        for i in 0..n {
-            // stage 1 of batch i.
-            let routed = self.route_batch(&batches[i])?;
-            let mut bd = routed.breakdown_seed();
-            let scatter = self.scatter_streams(i % STAGING_SLOTS)?;
-            bd.stage1_ns = scatter.wall_ns;
-            bd.energy_pj += scatter.energy_pj;
-            let start = bus_free;
-            bus_free = start + bd.stage1_ns;
-            scr.s1_start[i] = start;
-            scr.s1_done[i] = bus_free;
-
-            // stage 2 of batch i can start once its stage 1 landed and
-            // the DPU array is free.
-            let stage2 = self.launch_stage2(routed.batch_size, i % STAGING_SLOTS)?;
-            stage2.fold_into(&mut bd);
-            let start = scr.s1_done[i].max(dpu_free);
-            dpu_free = start + bd.stage2_ns;
-            scr.s2_done[i] = dpu_free;
-            scr.breakdowns.push(bd);
-
-            // stage 3 of batch i - 1 (its results are ready by now or
-            // we wait for them); one batch in flight bounds staging.
-            if i > 0 {
-                let j = i - 1;
-                bus_free = self.gather_one(batches, j, scr, bus_free, &mut sink)?;
-                finish = finish.max(bus_free);
-                scr.drain[j] = bus_free;
+        for i in 0..=batches.len() {
+            if let Some(batch) = batches.get(i) {
+                let mut bd = self.stage1(batch, i % STAGING_SLOTS)?;
+                self.stage2(i % STAGING_SLOTS, &mut bd)?;
+                scr.breakdowns.push(bd);
+            }
+            // Stage 3 of batch i - 1, one batch in flight behind i.
+            if let Some(j) = i.checked_sub(1) {
+                let bd = &mut scr.breakdowns[j];
+                let pooled = self.stage3(j % STAGING_SLOTS, bd)?;
+                sink(j, &pooled, bd);
+                self.recycle_pooled(pooled);
             }
         }
-        // Drain the last batch's stage 3.
-        if let Some(last) = n.checked_sub(1) {
-            let end = self.gather_one(batches, last, scr, bus_free, &mut sink)?;
-            finish = finish.max(end);
-            scr.drain[last] = end;
-        }
-        debug_assert_eq!(finish, pipelined_wall_ns(&scr.breakdowns));
-
         scr.latencies.clear();
-        for i in 0..n {
-            scr.latencies.push(scr.drain[i] - scr.s1_start[i]);
-        }
+        let latencies = &mut scr.latencies;
+        let wall = pipelined_schedule(&scr.breakdowns, |issue, drain| {
+            latencies.push(drain - issue);
+        });
         Ok(finish_report(
             PipelineMode::DoubleBuf,
             STAGING_SLOTS,
             batches,
             scr,
-            finish,
+            wall,
         ))
-    }
-
-    /// Gathers batch `j`'s partial sums out of its slot, fills in its
-    /// breakdown, lends the pooled set to the sink, and returns when its
-    /// stage 3 leaves the bus.
-    fn gather_one<F>(
-        &mut self,
-        batches: &[QueryBatch],
-        j: usize,
-        scr: &mut ServeScratch,
-        bus_free: f64,
-        sink: &mut F,
-    ) -> Result<f64>
-    where
-        F: FnMut(usize, &[Matrix], &EmbeddingBreakdown),
-    {
-        let b = batches[j].batch_size();
-        let (pooled, combine_ns, report) = self.gather_combine(b, j % STAGING_SLOTS)?;
-        scr.breakdowns[j].stage3_ns = report.wall_ns;
-        scr.breakdowns[j].energy_pj += report.energy_pj;
-        scr.breakdowns[j].combine_ns = combine_ns;
-        self.metrics.record_batch(b, &scr.breakdowns[j]);
-        let start = scr.s2_done[j].max(bus_free);
-        let end = start + scr.breakdowns[j].stage3_ns;
-        sink(j, &pooled, &scr.breakdowns[j]);
-        self.recycle_pooled(pooled);
-        Ok(end)
     }
 }
 

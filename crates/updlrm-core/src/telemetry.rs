@@ -353,30 +353,11 @@ impl Snapshot {
 /// allocation and determinism contracts.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: bool,
-    serves: u64,
-    batches: u64,
-    samples: u64,
-    route_ns: Accum,
-    stage1_ns: Accum,
-    stage2_ns: Accum,
-    stage3_ns: Accum,
-    combine_ns: Accum,
-    energy_pj: f64,
-    serve_wall_ns: f64,
-    sequential_wall_ns: f64,
-    overlap_saved_ns: f64,
-    stage1_bytes: u64,
-    stage3_bytes: u64,
-    launches: u64,
-    load_imbalance: Accum,
+    /// Every total, held in the shape a snapshot reports it. Its
+    /// `cache` and `per_dpu` stay empty: the two cells below record
+    /// those, and [`MetricsRegistry::snapshot`] converts them.
+    totals: Snapshot,
     cache: CacheTraffic,
-    sched: SchedSnapshot,
-    runtime: RuntimeSnapshot,
-    drift: DriftSnapshot,
-    /// Per-tenant breakouts, recorded once per tenant at end of a
-    /// multi-tenant run (never in the steady-state serving loop).
-    tenants: Vec<TenantSnapshot>,
     /// One preallocated cell per DPU, indexed by DPU id.
     per_dpu: Vec<DpuCounters>,
 }
@@ -387,66 +368,67 @@ impl MetricsRegistry {
     /// is a single branch.
     pub fn new(enabled: bool, nr_dpus: usize) -> Self {
         MetricsRegistry {
-            enabled,
+            totals: Snapshot {
+                enabled,
+                ..Snapshot::default()
+            },
+            cache: CacheTraffic::default(),
             per_dpu: if enabled {
                 vec![DpuCounters::default(); nr_dpus]
             } else {
                 Vec::new()
             },
-            ..MetricsRegistry::default()
         }
     }
 
     /// Whether this registry records anything.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.totals.enabled
+    }
+
+    /// The totals to record into, `None` when disabled.
+    #[inline]
+    fn on(&mut self) -> Option<&mut Snapshot> {
+        self.totals.enabled.then_some(&mut self.totals)
     }
 
     /// Resets every counter to zero (the arenas stay allocated).
     pub fn reset(&mut self) {
-        let enabled = self.enabled;
-        let mut per_dpu = std::mem::take(&mut self.per_dpu);
-        per_dpu.fill(DpuCounters::default());
-        *self = MetricsRegistry {
-            enabled,
-            per_dpu,
-            ..MetricsRegistry::default()
+        self.totals = Snapshot {
+            enabled: self.totals.enabled,
+            ..Snapshot::default()
         };
+        self.cache = CacheTraffic::default();
+        self.per_dpu.fill(DpuCounters::default());
     }
 
     /// Records one completed batch's stage breakdown.
     #[inline]
     pub(crate) fn record_batch(&mut self, batch_size: usize, bd: &EmbeddingBreakdown) {
-        if !self.enabled {
-            return;
-        }
-        self.batches += 1;
-        self.samples += batch_size as u64;
-        self.route_ns.record(bd.route_ns);
-        self.stage1_ns.record(bd.stage1_ns);
-        self.stage2_ns.record(bd.stage2_ns);
-        self.stage3_ns.record(bd.stage3_ns);
-        self.combine_ns.record(bd.combine_ns);
-        self.energy_pj += bd.energy_pj;
+        let Some(t) = self.on() else { return };
+        t.batches += 1;
+        t.samples += batch_size as u64;
+        t.route_ns.record(bd.route_ns);
+        t.stage1_ns.record(bd.stage1_ns);
+        t.stage2_ns.record(bd.stage2_ns);
+        t.stage3_ns.record(bd.stage3_ns);
+        t.combine_ns.record(bd.combine_ns);
+        t.energy_pj += bd.energy_pj;
     }
 
     /// Records one stage-2 fleet launch: its load-imbalance index and
     /// every participating DPU's run statistics.
     #[inline]
     pub(crate) fn record_launch(&mut self, imbalance: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.launches += 1;
-        self.load_imbalance.record(imbalance);
+        let Some(t) = self.on() else { return };
+        t.launches += 1;
+        t.load_imbalance.record(imbalance);
     }
 
-    /// Folds one DPU's launch statistics into its preallocated cell.
+    /// Folds one DPU's launch statistics into its preallocated cell
+    /// (a disabled registry has none).
     #[inline]
     pub(crate) fn record_dpu(&mut self, dpu: usize, stats: &upmem_sim::DpuRunStats) {
-        if !self.enabled {
-            return;
-        }
         if let Some(cell) = self.per_dpu.get_mut(dpu) {
             cell.record(stats);
         }
@@ -456,85 +438,73 @@ impl MetricsRegistry {
     /// stage 1 from stage 3).
     #[inline]
     pub(crate) fn record_transfer(&mut self, to_mram: bool, report: &upmem_sim::TransferReport) {
-        if !self.enabled {
-            return;
-        }
+        let Some(t) = self.on() else { return };
         if to_mram {
-            self.stage1_bytes += report.bytes;
+            t.stage1_bytes += report.bytes;
         } else {
-            self.stage3_bytes += report.bytes;
+            t.stage3_bytes += report.bytes;
         }
     }
 
     /// Folds one batch's partial-sum cache lookup counters in.
     #[inline]
     pub(crate) fn record_cache_traffic(&mut self, batch: &CacheTraffic) {
-        if !self.enabled {
-            return;
+        if self.enabled() {
+            self.cache.merge(batch);
         }
-        self.cache.merge(batch);
     }
 
     /// Records one completed serve: its executed wall and the
     /// back-to-back wall of the same batches.
     #[inline]
     pub(crate) fn record_serve(&mut self, report: &ServeReport, sequential_ns: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.serves += 1;
-        self.serve_wall_ns += report.wall_ns;
-        self.sequential_wall_ns += sequential_ns;
-        self.overlap_saved_ns += sequential_ns - report.wall_ns;
+        let Some(t) = self.on() else { return };
+        t.serves += 1;
+        t.serve_wall_ns += report.wall_ns;
+        t.sequential_wall_ns += sequential_ns;
+        t.overlap_saved_ns += sequential_ns - report.wall_ns;
     }
 
     /// Records one request admitted into the scheduler queue and the
     /// queue depth right after admission.
     #[inline]
     pub fn record_sched_admit(&mut self, depth_after: usize) {
-        if !self.enabled {
-            return;
-        }
-        self.sched.admitted += 1;
-        self.sched.queue_depth_high_water =
-            self.sched.queue_depth_high_water.max(depth_after as u64);
+        let Some(t) = self.on() else { return };
+        t.sched.admitted += 1;
+        t.sched.queue_depth_high_water = t.sched.queue_depth_high_water.max(depth_after as u64);
     }
 
     /// Records one request evicted by the shed-oldest policy.
     #[inline]
     pub fn record_sched_shed(&mut self) {
-        if !self.enabled {
-            return;
+        if let Some(t) = self.on() {
+            t.sched.shed_oldest += 1;
         }
-        self.sched.shed_oldest += 1;
     }
 
     /// Records one request dropped at the door by reject-new.
     #[inline]
     pub fn record_sched_reject(&mut self) {
-        if !self.enabled {
-            return;
+        if let Some(t) = self.on() {
+            t.sched.rejected_new += 1;
         }
-        self.sched.rejected_new += 1;
     }
 
     /// Records one request held at the door by the block policy.
     #[inline]
     pub fn record_sched_block(&mut self) {
-        if !self.enabled {
-            return;
+        if let Some(t) = self.on() {
+            t.sched.blocked += 1;
         }
-        self.sched.blocked += 1;
     }
 
     /// Records a wall-clock runtime's measured-vs-modeled summary.
     /// Last write wins — a registry describes one run.
     #[inline]
     pub fn record_runtime(&mut self, runtime: RuntimeSnapshot) {
-        if !self.enabled {
-            return;
+        if let Some(t) = self.on() {
+            t.runtime = runtime;
         }
-        self.runtime = runtime;
     }
 
     /// Appends one tenant's end-of-run breakout. Called by the
@@ -542,10 +512,9 @@ impl MetricsRegistry {
     /// drained (it allocates, so it must never run in steady state);
     /// tenants appear in the snapshot in recording order.
     pub fn record_tenant(&mut self, tenant: TenantSnapshot) {
-        if !self.enabled {
-            return;
+        if let Some(t) = self.on() {
+            t.tenants.push(tenant);
         }
-        self.tenants.push(tenant);
     }
 
     /// Records a replan the engine accepted: a migration of
@@ -553,46 +522,39 @@ impl MetricsRegistry {
     /// a modeled cost of `migration_ns`.
     #[inline]
     pub(crate) fn record_replan_begin(&mut self, rows_moved: u64, bytes: u64, migration_ns: f64) {
-        if !self.enabled {
-            return;
-        }
-        self.drift.replans_triggered += 1;
-        self.drift.rows_moved += rows_moved;
-        self.drift.migrated_bytes += bytes;
-        self.drift.migration_ns += migration_ns;
+        let Some(t) = self.on() else { return };
+        t.drift.replans_triggered += 1;
+        t.drift.rows_moved += rows_moved;
+        t.drift.migrated_bytes += bytes;
+        t.drift.migration_ns += migration_ns;
     }
 
     /// Records a replan the policy triggered but the engine declined.
     #[inline]
     pub(crate) fn record_replan_skip(&mut self) {
-        if !self.enabled {
-            return;
+        if let Some(t) = self.on() {
+            t.drift.replans_skipped += 1;
         }
-        self.drift.replans_skipped += 1;
     }
 
     /// Records a completed migration flip at modeled time `now_ns`.
     #[inline]
     pub(crate) fn record_migration_flip(&mut self, now_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.drift.migrations_completed += 1;
-        self.drift.last_flip_ns = now_ns;
+        let Some(t) = self.on() else { return };
+        t.drift.migrations_completed += 1;
+        t.drift.last_flip_ns = now_ns;
     }
 
     /// Records one formed batch: its size and why it was closed.
     #[inline]
     pub fn record_sched_batch(&mut self, size: usize, trigger: SchedTrigger) {
-        if !self.enabled {
-            return;
-        }
-        self.sched.batches += 1;
-        self.sched.batch_fill.record(size as f64);
+        let Some(t) = self.on() else { return };
+        t.sched.batches += 1;
+        t.sched.batch_fill.record(size as f64);
         match trigger {
-            SchedTrigger::Size => self.sched.trigger_size += 1,
-            SchedTrigger::Deadline => self.sched.trigger_deadline += 1,
-            SchedTrigger::Drain => self.sched.trigger_drain += 1,
+            SchedTrigger::Size => t.sched.trigger_size += 1,
+            SchedTrigger::Deadline => t.sched.trigger_deadline += 1,
+            SchedTrigger::Drain => t.sched.trigger_drain += 1,
         }
     }
 
@@ -606,50 +568,47 @@ impl MetricsRegistry {
     /// wall clock). Called once per tenant after the serving loop has
     /// drained, never in steady state.
     pub fn absorb(&mut self, other: &MetricsRegistry, dpu_offset: usize) {
-        if !self.enabled || !other.enabled {
+        if !other.enabled() {
             return;
         }
-        self.serves += other.serves;
-        self.batches += other.batches;
-        self.samples += other.samples;
-        self.route_ns.merge(&other.route_ns);
-        self.stage1_ns.merge(&other.stage1_ns);
-        self.stage2_ns.merge(&other.stage2_ns);
-        self.stage3_ns.merge(&other.stage3_ns);
-        self.combine_ns.merge(&other.combine_ns);
-        self.energy_pj += other.energy_pj;
-        self.serve_wall_ns += other.serve_wall_ns;
-        self.sequential_wall_ns += other.sequential_wall_ns;
-        self.overlap_saved_ns += other.overlap_saved_ns;
-        self.stage1_bytes += other.stage1_bytes;
-        self.stage3_bytes += other.stage3_bytes;
-        self.launches += other.launches;
-        self.load_imbalance.merge(&other.load_imbalance);
-        self.cache.lookups += other.cache.lookups;
-        self.cache.refs += other.cache.refs;
-        self.cache.hit_entries += other.cache.hit_entries;
-        self.cache.covered_refs += other.cache.covered_refs;
-        self.cache.residual_refs += other.cache.residual_refs;
-        self.sched.admitted += other.sched.admitted;
-        self.sched.shed_oldest += other.sched.shed_oldest;
-        self.sched.rejected_new += other.sched.rejected_new;
-        self.sched.blocked += other.sched.blocked;
-        self.sched.batches += other.sched.batches;
-        self.sched.trigger_size += other.sched.trigger_size;
-        self.sched.trigger_deadline += other.sched.trigger_deadline;
-        self.sched.trigger_drain += other.sched.trigger_drain;
-        self.sched.queue_depth_high_water = self
-            .sched
-            .queue_depth_high_water
-            .max(other.sched.queue_depth_high_water);
-        self.sched.batch_fill.merge(&other.sched.batch_fill);
-        self.drift.replans_triggered += other.drift.replans_triggered;
-        self.drift.replans_skipped += other.drift.replans_skipped;
-        self.drift.migrations_completed += other.drift.migrations_completed;
-        self.drift.rows_moved += other.drift.rows_moved;
-        self.drift.migrated_bytes += other.drift.migrated_bytes;
-        self.drift.migration_ns += other.drift.migration_ns;
-        self.drift.last_flip_ns = self.drift.last_flip_ns.max(other.drift.last_flip_ns);
+        let Some(t) = self.on() else { return };
+        let o = &other.totals;
+        t.serves += o.serves;
+        t.batches += o.batches;
+        t.samples += o.samples;
+        t.route_ns.merge(&o.route_ns);
+        t.stage1_ns.merge(&o.stage1_ns);
+        t.stage2_ns.merge(&o.stage2_ns);
+        t.stage3_ns.merge(&o.stage3_ns);
+        t.combine_ns.merge(&o.combine_ns);
+        t.energy_pj += o.energy_pj;
+        t.serve_wall_ns += o.serve_wall_ns;
+        t.sequential_wall_ns += o.sequential_wall_ns;
+        t.overlap_saved_ns += o.overlap_saved_ns;
+        t.stage1_bytes += o.stage1_bytes;
+        t.stage3_bytes += o.stage3_bytes;
+        t.launches += o.launches;
+        t.load_imbalance.merge(&o.load_imbalance);
+        let (s, os) = (&mut t.sched, &o.sched);
+        s.admitted += os.admitted;
+        s.shed_oldest += os.shed_oldest;
+        s.rejected_new += os.rejected_new;
+        s.blocked += os.blocked;
+        s.batches += os.batches;
+        s.trigger_size += os.trigger_size;
+        s.trigger_deadline += os.trigger_deadline;
+        s.trigger_drain += os.trigger_drain;
+        s.queue_depth_high_water = s.queue_depth_high_water.max(os.queue_depth_high_water);
+        s.batch_fill.merge(&os.batch_fill);
+        let (d, od) = (&mut t.drift, &o.drift);
+        d.replans_triggered += od.replans_triggered;
+        d.replans_skipped += od.replans_skipped;
+        d.migrations_completed += od.migrations_completed;
+        d.rows_moved += od.rows_moved;
+        d.migrated_bytes += od.migrated_bytes;
+        d.migration_ns += od.migration_ns;
+        d.last_flip_ns = d.last_flip_ns.max(od.last_flip_ns);
+        self.cache.merge(&other.cache);
         let n = self.per_dpu.len();
         if n > 0 {
             for (i, c) in other.per_dpu.iter().enumerate() {
@@ -662,38 +621,18 @@ impl MetricsRegistry {
     /// [`Snapshot`]. Allocates (the per-DPU vector) — call it outside
     /// the serving loop.
     pub fn snapshot(&self) -> Snapshot {
+        let c = &self.cache;
         Snapshot {
             schema_version: SNAPSHOT_SCHEMA_VERSION,
-            enabled: self.enabled,
-            serves: self.serves,
-            batches: self.batches,
-            samples: self.samples,
-            route_ns: self.route_ns,
-            stage1_ns: self.stage1_ns,
-            stage2_ns: self.stage2_ns,
-            stage3_ns: self.stage3_ns,
-            combine_ns: self.combine_ns,
-            energy_pj: self.energy_pj,
-            serve_wall_ns: self.serve_wall_ns,
-            sequential_wall_ns: self.sequential_wall_ns,
-            overlap_saved_ns: self.overlap_saved_ns,
-            stage1_bytes: self.stage1_bytes,
-            stage3_bytes: self.stage3_bytes,
-            launches: self.launches,
-            load_imbalance: self.load_imbalance,
             cache: CacheSnapshot {
-                lookups: self.cache.lookups,
-                refs: self.cache.refs,
-                hit_entries: self.cache.hit_entries,
-                covered_refs: self.cache.covered_refs,
-                residual_refs: self.cache.residual_refs,
-                hit_rate: self.cache.hit_rate(),
-                fetches_saved: self.cache.fetches_saved(),
+                lookups: c.lookups,
+                refs: c.refs,
+                hit_entries: c.hit_entries,
+                covered_refs: c.covered_refs,
+                residual_refs: c.residual_refs,
+                hit_rate: c.hit_rate(),
+                fetches_saved: c.fetches_saved(),
             },
-            sched: self.sched,
-            runtime: self.runtime,
-            drift: self.drift,
-            tenants: self.tenants.clone(),
             per_dpu: self
                 .per_dpu
                 .iter()
@@ -709,6 +648,7 @@ impl MetricsRegistry {
                     tasklet_occupancy: c.occupancy(),
                 })
                 .collect(),
+            ..self.totals.clone()
         }
     }
 }

@@ -289,6 +289,57 @@ fn an_mram_overflow_names_its_table() {
     }
 }
 
+/// A table with more rows than its partitions' EMT capacity fails
+/// naming the table and counting rows, under every greedy packer: NU,
+/// NU+R and CA. Int8 rows at `N_c = 2` are 16 bytes, so the EMT holds
+/// half the rows the tiling's f32 check admits and the packer is the
+/// one to fail — for table 1, four times the size of table 0.
+#[test]
+fn a_table_too_large_for_its_partitions_is_named_in_rows() {
+    use cooccur_cache::CacheListSet;
+    const ROWS: [usize; 2] = [1024, 4096];
+    let tables: Vec<EmbeddingTable> = ROWS
+        .iter()
+        .map(|&rows| EmbeddingTable::random_integer_valued(rows, 2, 3, rows as u64).unwrap())
+        .collect();
+    let profiles: Vec<FreqProfile> = ROWS.iter().map(|&rows| FreqProfile::new(rows)).collect();
+    let lists = vec![CacheListSet::default(); 2];
+    for strategy in [
+        PartitionStrategy::NonUniform,
+        PartitionStrategy::Replicated,
+        PartitionStrategy::CacheAware,
+    ] {
+        let mut config = UpdlrmConfig::with_dpus(8, strategy)
+            .with_fixed_nc(2)
+            .with_embed_dtype(EmbedDtype::Int8);
+        // 4 partitions per table: table 1's 1,024-row tiles pass the
+        // f32 check at 8 KB, and 512 int8 rows fit per partition.
+        config.emt_capacity_bytes = 1024 * 2 * 4;
+        let err = UpdlrmEngine::new(config, &tables, &profiles, &lists).unwrap_err();
+        match err {
+            CoreError::CapacityExceeded {
+                table: Some(1),
+                partition: None,
+                required,
+                available,
+            } => assert!(
+                required > available,
+                "{strategy}: {required} <= {available}"
+            ),
+            ref other => panic!("{strategy}: expected table 1 to overflow, got {other:?}"),
+        }
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("table 1: ") && msg.contains(" rows"),
+            "{msg}"
+        );
+        assert!(
+            !msg.contains("bytes") && !msg.contains("partition"),
+            "{msg}"
+        );
+    }
+}
+
 /// Only the dedup format keeps a shared WRAM accumulator block, one row
 /// per sample; the CSR kernel accumulates one row at a time, so a batch
 /// whose rows would not fit the block is the dedup format's to refuse.

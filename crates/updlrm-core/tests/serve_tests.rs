@@ -6,11 +6,13 @@
 //! `pipeline.rs` exactly — not approximately.
 
 use dlrm_model::EmbeddingTable;
+use placement::{Catalog, PlannerConfig};
 use updlrm_core::{
     pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, PipelineMode, UpdlrmConfig,
     UpdlrmEngine,
 };
-use workloads::{DatasetSpec, TraceConfig, Workload};
+use upmem_sim::RankTopology;
+use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
 const DIM: usize = 32;
 
@@ -75,6 +77,68 @@ fn doublebuf_serve_matches_sequential_run_batch_bitwise() {
                 "strategy {strategy}, batch {i} breakdown"
             );
         }
+    }
+}
+
+/// Both schedules run one stage sequence: a double-buffered serve and
+/// back-to-back `run_batch` calls, each on a fresh engine, leave equal
+/// telemetry — every counter, every span `Accum` (its f64 sum included,
+/// so a reordered record call shows) and every per-DPU cell — except
+/// the four serve-level fields only a serve records. For the four
+/// strategies and a plan-built engine with a host tier.
+#[test]
+fn doublebuf_serve_records_what_run_batch_records() {
+    let (tables, workload) = fig10_setup(2, 5);
+    let rows = tables[0].rows();
+    let profiles: Vec<FreqProfile> = (0..2)
+        .map(|t| FreqProfile::from_inputs(rows, workload.table_inputs(t)))
+        .collect();
+    let planner = PlannerConfig {
+        topology: RankTopology {
+            nr_ranks: 2,
+            dpus_per_rank: 8,
+        },
+        emt_capacity_bytes: (rows / 3 + 64) * DIM * 4,
+        host_cache_bytes: 2 * 64 * DIM * 4,
+        replicate_top: 16,
+        ..PlannerConfig::default()
+    };
+    let plan = placement::plan(&Catalog::homogeneous(2, rows, DIM), &profiles, &planner).unwrap();
+    assert!(plan.tables.iter().all(|t| !t.host_rows.is_empty()));
+    for strategy in [
+        Some(PartitionStrategy::Uniform),
+        Some(PartitionStrategy::NonUniform),
+        Some(PartitionStrategy::CacheAware),
+        Some(PartitionStrategy::Replicated),
+        None, // the plan
+    ] {
+        let build = |mode| {
+            let config = match strategy {
+                Some(s) => UpdlrmConfig::with_dpus(16, s),
+                None => UpdlrmConfig::default(),
+            };
+            let config = config.with_telemetry().with_pipeline_mode(mode);
+            match strategy {
+                Some(_) => engine(config, &tables, &workload),
+                None => UpdlrmEngine::from_plan(config, &plan, &tables).unwrap(),
+            }
+        };
+        let mut back_to_back = build(PipelineMode::Sequential);
+        for batch in &workload.batches {
+            back_to_back.run_batch(batch).unwrap();
+        }
+        let mut piped = build(PipelineMode::DoubleBuf);
+        piped.serve(&workload.batches).unwrap();
+
+        let want = back_to_back.metrics_snapshot();
+        let mut got = piped.metrics_snapshot();
+        assert_eq!(got.serves, 1, "{strategy:?}");
+        assert!(got.serve_wall_ns < got.sequential_wall_ns, "{strategy:?}");
+        got.serves = want.serves;
+        got.serve_wall_ns = want.serve_wall_ns;
+        got.sequential_wall_ns = want.sequential_wall_ns;
+        got.overlap_saved_ns = want.overlap_saved_ns;
+        assert_eq!(got, want, "{strategy:?}");
     }
 }
 
