@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD primitives for the embedding/MLP hot loops.
 //!
 //! Every serving-path inner loop — the MLPs' matrix products, the
-//! kernel's row accumulation, `gather_combine`'s little-endian
-//! partial-sum adds and the dequant-on-gather fuse — funnels through
-//! the six primitives in this module.
+//! kernel's row accumulation, `stage3`'s little-endian partial-sum
+//! adds and the dequant-on-gather fuse — funnels through the six
+//! primitives in this module.
 //!
 //! **One source per primitive.** Each primitive is written once, in
 //! `mod body`, as a plain safe loop over fixed-width blocks that the
@@ -445,7 +445,7 @@ multiversion! {
 multiversion! {
     /// `out[i] += f32::from_le_bytes(bytes[4i..4i+4])` over
     /// `min(out.len(), bytes.len() / 4)` elements — the partial-sum decode
-    /// used by `gather_combine` and the kernel's row accumulation.
+    /// used by `stage3` and the kernel's row accumulation.
     #[inline]
     pub fn add_assign_le(out: &mut [f32], bytes: &[u8]) = body::add_assign_le, elems out.len();
 }

@@ -66,7 +66,7 @@ use scheduler::{
     SchedReport, Serve, Tally,
 };
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::{CoreError, MetricsRegistry, Result, SchedTrigger, UpdlrmEngine};
+use updlrm_core::{CoreError, Result, RuntimeSnapshot, SchedTrigger, UpdlrmEngine};
 use workloads::{Workload, NS_PER_SEC};
 
 pub use ring::{ring, Consumer, Producer};
@@ -169,10 +169,6 @@ pub struct RuntimeReport {
     /// subset (elapsed, qps, service sums) is still measured; it
     /// reflects host compute cost, not the modeled timeline.
     pub wall: WallStats,
-    /// Shards the run used.
-    pub shards: usize,
-    /// Whether the run was oracle-locked.
-    pub deterministic: bool,
     /// Batches each shard executed (`len() == shards`).
     pub batches_per_shard: Vec<u64>,
     /// `histogram[k]` = batches formed with exactly `k` queries.
@@ -233,9 +229,9 @@ impl Runtime {
     /// migrates exactly as it does under the modeled scheduler.
     /// `sink(batch_seq, query_ids, pooled, breakdown)` fires once per
     /// executed batch on the calling thread — in launch order when
-    /// deterministic, in completion order otherwise. The front-end's
-    /// admission and batching counters land in shard 0's telemetry
-    /// registry.
+    /// deterministic, in completion order otherwise. Once the threads
+    /// have joined, the run's scheduler counters and its runtime
+    /// measurements are recorded in shard 0's telemetry registry.
     ///
     /// # Errors
     ///
@@ -271,13 +267,8 @@ impl Runtime {
         for replica in engines.iter_mut().skip(1) {
             replica.prefill_resident()?;
         }
-        // The workers own the engines for the whole run, so the batcher
-        // counts into a registry of its own, folded into shard 0's once
-        // the workers have handed the engines back.
-        let mut metrics = MetricsRegistry::new(engines[0].metrics_mut().enabled(), 0);
-
         let start = Instant::now();
-        let report = std::thread::scope(|s| -> Result<RuntimeReport> {
+        let (report, counts) = std::thread::scope(|s| -> Result<_> {
             let (arrival_tx, mut arrival_rx) = ring::<(u32, u64)>(cfg.ring_capacity);
             let mut work_txs = Vec::with_capacity(cfg.shards);
             let mut done_rxs = Vec::with_capacity(cfg.shards);
@@ -299,7 +290,6 @@ impl Runtime {
                 done_rxs,
                 start,
                 sink,
-                metrics: &mut metrics,
                 batches_per_shard: vec![0; cfg.shards],
                 modeled_service_ns: 0.0,
                 measured_service_ns: 0.0,
@@ -316,7 +306,7 @@ impl Runtime {
             };
             let sched = tally.finish(makespan_ns);
             let wall_elapsed_ns = start.elapsed().as_nanos() as f64;
-            Ok(RuntimeReport {
+            let report = RuntimeReport {
                 wall: WallStats {
                     wall_elapsed_ns,
                     measured_qps: if wall_elapsed_ns > 0.0 {
@@ -329,13 +319,26 @@ impl Runtime {
                     time_scale: cfg.time_scale,
                 },
                 sched,
-                shards: cfg.shards,
-                deterministic: cfg.deterministic,
                 batches_per_shard: b.batches_per_shard,
                 batch_histogram: tally.histogram().to_vec(),
-            })
+            };
+            Ok((report, tally.snapshot()))
         })?;
-        engines[0].metrics_mut().absorb(&metrics, 0);
+        // The workers have handed the engines back: record the run.
+        let metrics = engines[0].metrics_mut();
+        metrics.record_sched(&counts);
+        metrics.record_runtime(RuntimeSnapshot {
+            shards: cfg.shards as u64,
+            deterministic: cfg.deterministic,
+            time_scale: cfg.time_scale,
+            wall_elapsed_ns: report.wall.wall_elapsed_ns,
+            measured_qps: report.wall.measured_qps,
+            modeled_service_ns: report.wall.modeled_service_ns,
+            measured_service_ns: report.wall.measured_service_ns,
+            measured_p50_latency_ns: report.sched.p50_latency_ns,
+            measured_p95_latency_ns: report.sched.p95_latency_ns,
+            measured_p99_latency_ns: report.sched.p99_latency_ns,
+        });
         Ok(report)
     }
 }
@@ -426,9 +429,6 @@ struct Batcher<'a, F> {
     done_rxs: Vec<Consumer<Completion>>,
     start: Instant,
     sink: F,
-    /// Where the front-end's admission and batching counters go while
-    /// the workers hold the engines.
-    metrics: &'a mut MetricsRegistry,
     batches_per_shard: Vec<u64>,
     modeled_service_ns: f64,
     measured_service_ns: f64,
@@ -519,7 +519,7 @@ where
                     .position(|&(s, _)| s == done.seq)
                     .expect("every dispatched seq has a pending trigger");
                 let (_, trigger) = fl.triggers.swap_remove(slot);
-                fl.tally.batch(done.ids.len(), trigger, self.metrics);
+                fl.tally.batch(done.ids.len(), trigger);
                 self.book(&done);
                 for &id in &done.ids {
                     // Open-loop latency: measured completion minus
@@ -577,7 +577,7 @@ where
                     }
                 }
                 let Some((id, at)) = peeked else { break };
-                if fl.tally.admit(&mut policy, id, at, self.metrics) {
+                if fl.tally.admit(&mut policy, id, at) {
                     peeked = None;
                 } else {
                     door_blocked = true;
@@ -635,11 +635,7 @@ impl<F> Serve for Batcher<'_, F>
 where
     F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
 {
-    fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        self.metrics
-    }
-
-    fn serve(&mut self, launch: &Launch<'_>) -> Result<u64> {
+    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<u64> {
         let shard = launch.seq % self.cfg.shards;
         let item = self.make_item(launch);
         self.work_txs[shard]

@@ -2,9 +2,9 @@
 //!
 //! [`EventLoop::run`] owns what the serving front-ends have in common:
 //! the door latch, admission accounting, the `launch_at` / `take_batch`
-//! / launch-monotonicity sequence, the trigger and histogram tallies,
-//! the telemetry records and — through [`Tally::finish`] — the
-//! [`SchedReport`] statistics. A front-end chooses only two things:
+//! / launch-monotonicity sequence, the trigger and histogram tallies
+//! and — through [`Tally::finish`] — the [`SchedReport`] statistics. A
+//! front-end chooses only two things:
 //!
 //! 1. **where the next arrival comes from** — a closure yielding
 //!    `(id, arrival_ns)` in order and `None` at end of stream. The loop
@@ -17,8 +17,12 @@
 //! The free-running wall batcher is the one front-end that is *not*
 //! this loop — it never blocks, keeps many batches in flight and books
 //! them in completion order — but it counts through the same [`Tally`].
+//! Nothing here records telemetry: whoever finishes a [`Tally`] —
+//! `Scheduler::run`, `Runtime::run`, the tenant fleet — records its
+//! [`Tally::snapshot`] once, with `MetricsRegistry::record_sched`.
 
-use updlrm_core::{percentile, CoreError, MetricsRegistry, Result, SchedTrigger};
+use updlrm_core::telemetry::Accum;
+use updlrm_core::{percentile, CoreError, Result, SchedSnapshot, SchedTrigger};
 use workloads::{ArrivalTrace, NS_PER_SEC};
 
 use crate::{AdmitOutcome, BatchPolicy, SchedConfig, SchedReport};
@@ -36,20 +40,17 @@ pub struct Launch<'a> {
 
 /// How a front-end serves the batches [`EventLoop::run`] forms.
 pub trait Serve {
-    /// The registry the loop records admissions, overload outcomes and
-    /// formed batches in — the serving engine's own, so one snapshot
-    /// carries both halves of the run.
-    fn metrics_mut(&mut self) -> &mut MetricsRegistry;
-
     /// Serves `launch` to completion and returns its service time in
     /// integer ns on the loop's clock (the single modeled server is
-    /// busy until `launch.at_ns + service`).
+    /// busy until `launch.at_ns + service`). `tally` is the run so far
+    /// — every admission up to this launch, every earlier batch — for a
+    /// server that takes a mid-run snapshot.
     ///
     /// # Errors
     ///
     /// Whatever the serving engine reports; the loop stops on the
     /// first error.
-    fn serve(&mut self, launch: &Launch<'_>) -> Result<u64>;
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<u64>;
 }
 
 /// Checks that `trace` can be served open-loop under `cfg` by an engine
@@ -124,47 +125,37 @@ impl Tally {
     }
 
     /// Offers arrival `(id, at_ns)` to `policy` and folds the outcome
-    /// into the report and `metrics`. Returns `false` when the arrival
-    /// was *not* consumed: the queue is full under `Block` and the
-    /// caller must latch its door shut until the next launch frees a
-    /// slot (re-offering immediately would spin).
-    pub fn admit(
-        &mut self,
-        policy: &mut BatchPolicy,
-        id: u32,
-        at_ns: u64,
-        metrics: &mut MetricsRegistry,
-    ) -> bool {
+    /// into the report. Returns `false` when the arrival was *not*
+    /// consumed: the queue is full under `Block` and the caller must
+    /// latch its door shut until the next launch frees a slot
+    /// (re-offering immediately would spin).
+    pub fn admit(&mut self, policy: &mut BatchPolicy, id: u32, at_ns: u64) -> bool {
         let r = &mut self.report;
         let depth = match policy.admit(id, at_ns) {
             AdmitOutcome::Admitted { depth } => depth,
             AdmitOutcome::AdmittedAfterShed { depth, .. } => {
                 r.shed += 1;
-                metrics.record_sched_shed();
                 depth
             }
             AdmitOutcome::Rejected => {
                 r.rejected += 1;
-                metrics.record_sched_reject();
                 return true;
             }
             AdmitOutcome::Blocked => {
                 if id >= self.blocked_counted {
                     r.blocked += 1;
                     self.blocked_counted = id + 1;
-                    metrics.record_sched_block();
                 }
                 return false;
             }
         };
         r.admitted += 1;
         r.queue_high_water = r.queue_high_water.max(depth as u64);
-        metrics.record_sched_admit(depth);
         true
     }
 
     /// Books one formed batch of `size` queries closed by `trigger`.
-    pub fn batch(&mut self, size: usize, trigger: SchedTrigger, metrics: &mut MetricsRegistry) {
+    pub fn batch(&mut self, size: usize, trigger: SchedTrigger) {
         self.report.batches += 1;
         match trigger {
             SchedTrigger::Size => self.report.trigger_size += 1,
@@ -173,12 +164,36 @@ impl Tally {
         }
         self.hist[size] += 1;
         self.report.completed += size as u64;
-        metrics.record_sched_batch(size, trigger);
     }
 
     /// `histogram()[k]` = batches formed with exactly `k` queries.
     pub fn histogram(&self) -> &[u64] {
         &self.hist
+    }
+
+    /// The run's counters as a telemetry [`SchedSnapshot`]. Batch sizes
+    /// are integers, so the fills are exact: count = batches, sum =
+    /// completed, extrema = the smallest and largest non-empty bucket.
+    pub fn snapshot(&self) -> SchedSnapshot {
+        let r = &self.report;
+        let fill = |size: Option<usize>| size.map_or(0.0, |k| k as f64);
+        SchedSnapshot {
+            admitted: r.admitted,
+            shed_oldest: r.shed,
+            rejected_new: r.rejected,
+            blocked: r.blocked,
+            batches: r.batches,
+            trigger_size: r.trigger_size,
+            trigger_deadline: r.trigger_deadline,
+            trigger_drain: r.trigger_drain,
+            queue_depth_high_water: r.queue_high_water,
+            batch_fill: Accum {
+                count: r.batches,
+                sum: r.completed as f64,
+                min: fill(self.hist.iter().position(|&n| n > 0)),
+                max: fill(self.hist.iter().rposition(|&n| n > 0)),
+            },
+        }
     }
 
     /// Derives the report's f64 statistics from the counters, the
@@ -300,9 +315,7 @@ impl EventLoop {
                 // reopens.
                 (_, Some((id, at))) => {
                     now = now.max(at);
-                    let consumed = self
-                        .tally
-                        .admit(&mut self.policy, id, at, server.metrics_mut());
+                    let consumed = self.tally.admit(&mut self.policy, id, at);
                     if consumed {
                         peeked = next_arrival();
                     }
@@ -328,16 +341,16 @@ impl EventLoop {
                      admitted at {newest} ns"
                 )));
             }
-            let service_ns = server.serve(&Launch {
+            let launch = Launch {
                 seq,
                 at_ns: now,
                 ids: &self.ids,
-            })?;
+            };
+            let service_ns = server.serve(&launch, &self.tally)?;
             // Modeled time is monotone: the server is never marked free
             // before the batch drains (and `now` only grows).
             engine_free = now.saturating_add(service_ns);
-            self.tally
-                .batch(self.ids.len(), plan.trigger, server.metrics_mut());
+            self.tally.batch(self.ids.len(), plan.trigger);
             for &id in &self.ids {
                 // Latency from the original arrival to the batch drain;
                 // arrival <= now <= engine_free, so this never wraps.

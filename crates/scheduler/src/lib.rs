@@ -52,7 +52,7 @@ pub mod policy;
 
 use dlrm_model::{Matrix, QueryBatch};
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::{CoreError, MetricsRegistry, Result, UpdlrmEngine};
+use updlrm_core::{CoreError, Result, UpdlrmEngine};
 use workloads::Workload;
 
 pub use event_loop::{check_servable, EventLoop, Launch, Serve, Tally};
@@ -124,7 +124,7 @@ impl std::fmt::Display for OverloadPolicy {
 pub struct SchedConfig {
     /// Close a batch as soon as this many queries are queued. Must not
     /// exceed twice the engine's configured `batch_size` (the staged
-    /// MRAM capacity `route_batch` enforces).
+    /// MRAM capacity `stage1` enforces).
     pub max_batch_size: usize,
     /// Close a batch once its oldest query has waited this long (ns of
     /// modeled time).
@@ -310,7 +310,8 @@ impl Scheduler {
     /// forming batches and running each through `engine.serve_stream`.
     /// `sink(batch_seq, query_ids, pooled, breakdown)` fires once per
     /// formed batch in launch order, lending the pooled embeddings
-    /// exactly as `serve_stream` does.
+    /// exactly as `serve_stream` does. Once the run has drained, its
+    /// scheduler counters are added to the engine's telemetry.
     ///
     /// # Errors
     ///
@@ -329,14 +330,17 @@ impl Scheduler {
         let makespan_ns = self.form(engine, workload, |launch, pooled, bd| {
             sink(launch.seq, launch.ids, pooled, bd)
         })?;
-        Ok(self.core.tally.finish(makespan_ns))
+        let tally = &mut self.core.tally;
+        let report = tally.finish(makespan_ns);
+        engine.metrics_mut().record_sched(&tally.snapshot());
+        Ok(report)
     }
 
     /// [`run`](Self::run) without the report: forms and serves every
     /// batch, lending `sink` each [`Launch`] (so it sees the launch
     /// instant too), and returns the dedicated-server makespan. The
     /// counters and latencies stay in [`tally_mut`](Self::tally_mut)
-    /// until the caller finishes them.
+    /// until the caller finishes (and records) them.
     ///
     /// # Errors
     ///
@@ -384,16 +388,18 @@ impl<F> Serve for InThread<'_, F>
 where
     F: FnMut(&Launch<'_>, &[Matrix], &EmbeddingBreakdown),
 {
-    fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        self.engine.metrics_mut()
-    }
-
-    fn serve(&mut self, launch: &Launch<'_>) -> Result<u64> {
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<u64> {
         // Between-batch tick: lets the engine's online replanner flip a
         // completed migration (or begin one) at the launch instant,
         // never mid-pipeline — serve_stream below runs a single batch,
         // so placement is stable within it.
+        let first = self.engine.drift_snapshot().is_none();
         self.engine.on_tick(launch.at_ns)?;
+        // A drift snapshot this tick took is a mid-run picture: it gets
+        // the run's scheduler counts so far.
+        if let Some(snap) = self.engine.drift_snapshot_mut().filter(|_| first) {
+            snap.sched.merge(&tally.snapshot());
+        }
         assemble_into(self.workload, launch.ids, self.batch);
         let mut service_ns = 0.0f64;
         let sink = &mut self.sink;

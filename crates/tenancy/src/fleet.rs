@@ -463,8 +463,9 @@ impl TenantFleet {
         completion
     }
 
-    /// Folds the lanes into a [`FleetReport`] and records the
-    /// per-tenant telemetry breakout (since schema v5).
+    /// Folds the lanes into a [`FleetReport`] and records each lane's
+    /// finished scheduler counters and its per-tenant telemetry
+    /// breakout (since schema v5).
     fn build_report(&mut self) -> FleetReport {
         let total_w: f64 = self.lanes.iter().map(|l| l.spec.weight).sum();
         let total_busy: u64 = self.lanes.iter().map(|l| l.busy_ns).sum();
@@ -474,7 +475,6 @@ impl TenantFleet {
             .map(|l| l.last_completion_ns)
             .max()
             .unwrap_or(0);
-        let mut agg = vec![0u64; self.cfg.fleet_dpus];
         let mut tenants = Vec::with_capacity(self.lanes.len());
         for lane in &mut self.lanes {
             let slo_ns = (lane.spec.slo_p99_us * 1_000.0).round() as u64;
@@ -482,6 +482,7 @@ impl TenantFleet {
             let tally = lane.sched.tally_mut();
             debug_assert_eq!(tally.latencies.len(), lane.members.len());
             let r = tally.finish(lane.last_completion_ns);
+            self.metrics.record_sched(&tally.snapshot());
             let violations = if slo_ns > 0 {
                 tally.latencies.iter().filter(|&&l| l > slo_ns).count() as u64
             } else {
@@ -493,13 +494,10 @@ impl TenantFleet {
             } else {
                 0.0
             };
-            for d in lane.engine.metrics_mut().snapshot().per_dpu {
-                agg[(d.dpu as usize + lane.dpu_offset) % self.cfg.fleet_dpus] += d.cycles;
-            }
-            // Fold the lane engine's stage/traffic/scheduler counters
-            // into the fleet registry, rotated to fleet DPU ids, so
-            // `--metrics` writes one fleet-wide snapshot next to the
-            // per-tenant breakout below.
+            // Fold the lane engine's stage/traffic/per-DPU counters into
+            // the fleet registry, rotated to fleet DPU ids, so `--metrics`
+            // writes one fleet-wide snapshot next to the per-tenant
+            // breakout below.
             self.metrics
                 .absorb(lane.engine.metrics_mut(), lane.dpu_offset);
             self.metrics.record_tenant(TenantSnapshot {
@@ -531,9 +529,12 @@ impl TenantFleet {
                 sched: r,
             });
         }
-        let mean = agg.iter().map(|&c| c as f64).sum::<f64>() / agg.len() as f64;
+        // The lanes' per-DPU cycles folded in above (none without telemetry).
+        let per_dpu = self.metrics.snapshot().per_dpu;
+        let cycles = per_dpu.iter().map(|d| d.cycles as f64);
+        let mean = cycles.clone().sum::<f64>() / per_dpu.len() as f64;
         let imbalance = if mean > 0.0 {
-            agg.iter().map(|&c| c as f64).fold(0.0, f64::max) / mean
+            cycles.fold(0.0, f64::max) / mean
         } else {
             0.0
         };

@@ -325,6 +325,13 @@ impl UpdlrmEngine {
         self.drift.as_ref().and_then(|d| d.first_snapshot.as_ref())
     }
 
+    /// [`drift_snapshot`](Self::drift_snapshot), mutably: the engine
+    /// counts no scheduler events, so the front-end whose tick captured
+    /// the snapshot adds its run's counts so far to the `sched` block.
+    pub fn drift_snapshot_mut(&mut self) -> Option<&mut Snapshot> {
+        self.drift.as_mut().and_then(|d| d.first_snapshot.as_mut())
+    }
+
     /// Whether the policy calls for a replan on the window so far.
     fn replan_due(&self, drift: &DriftState) -> bool {
         match self.config.replan {

@@ -19,10 +19,17 @@
 //!   disabled every record call is a single branch.
 //! * [`Snapshot`] — a serde-serializable, order-stable copy of the
 //!   registry taken *outside* the hot path. Every value in a snapshot
-//!   is a count or a *modeled* time (never a measured wall clock), so
-//!   two runs with the same seed and flags produce byte-identical
-//!   snapshots — which is what lets CI diff them against a committed
-//!   golden (`tests/golden/metrics_snapshot.json`).
+//!   outside the `runtime` block is a count or a *modeled* time (never
+//!   a measured wall clock), so two runs with the same seed and flags
+//!   produce byte-identical snapshots — which is what lets CI diff them
+//!   against a committed golden (`tests/golden/metrics_snapshot.json`).
+//!
+//! Each block is counted in one place. The engine records the stage
+//! spans, traffic, per-DPU cells and `drift` counters as it serves. The
+//! serving front-ends record the rest once a run has drained:
+//! `Scheduler::run`, `Runtime::run` and the tenant fleet add their
+//! finished tally's `sched` counts ([`MetricsRegistry::record_sched`]),
+//! `Runtime::run` writes `runtime`, and the fleet appends `tenants`.
 
 use cooccur_cache::CacheTraffic;
 use upmem_sim::DpuCounters;
@@ -153,9 +160,9 @@ pub struct CacheSnapshot {
 }
 
 /// Open-loop scheduler counters in a [`Snapshot`]: admission, overload
-/// and batch-formation statistics recorded by the `scheduler` crate
-/// through the engine's registry. Fixed-size, so recording never
-/// allocates.
+/// and batch-formation statistics, recorded once per serving run from
+/// the front-end's finished tally ([`MetricsRegistry::record_sched`]).
+/// Fixed-size, so recording never allocates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SchedSnapshot {
     /// Requests admitted into the queue.
@@ -179,6 +186,25 @@ pub struct SchedSnapshot {
     pub queue_depth_high_water: u64,
     /// Formed batch sizes (count, sum, extrema).
     pub batch_fill: Accum,
+}
+
+impl SchedSnapshot {
+    /// Adds another run's counters: counts add, the queue high-water
+    /// mark is the deeper of the two, batch fills merge.
+    pub fn merge(&mut self, other: &SchedSnapshot) {
+        self.admitted += other.admitted;
+        self.shed_oldest += other.shed_oldest;
+        self.rejected_new += other.rejected_new;
+        self.blocked += other.blocked;
+        self.batches += other.batches;
+        self.trigger_size += other.trigger_size;
+        self.trigger_deadline += other.trigger_deadline;
+        self.trigger_drain += other.trigger_drain;
+        self.queue_depth_high_water = self
+            .queue_depth_high_water
+            .max(other.queue_depth_high_water);
+        self.batch_fill.merge(&other.batch_fill);
+    }
 }
 
 /// Wall-clock serving-runtime measurements in a [`Snapshot`] — the one
@@ -465,36 +491,12 @@ impl MetricsRegistry {
         t.overlap_saved_ns += sequential_ns - report.wall_ns;
     }
 
-    /// Records one request admitted into the scheduler queue and the
-    /// queue depth right after admission.
-    #[inline]
-    pub fn record_sched_admit(&mut self, depth_after: usize) {
-        let Some(t) = self.on() else { return };
-        t.sched.admitted += 1;
-        t.sched.queue_depth_high_water = t.sched.queue_depth_high_water.max(depth_after as u64);
-    }
-
-    /// Records one request evicted by the shed-oldest policy.
-    #[inline]
-    pub fn record_sched_shed(&mut self) {
+    /// Adds one finished serving run's scheduler counters — the
+    /// snapshot its front-end's tally reports once the run has drained
+    /// — to the totals ([`SchedSnapshot::merge`]).
+    pub fn record_sched(&mut self, run: &SchedSnapshot) {
         if let Some(t) = self.on() {
-            t.sched.shed_oldest += 1;
-        }
-    }
-
-    /// Records one request dropped at the door by reject-new.
-    #[inline]
-    pub fn record_sched_reject(&mut self) {
-        if let Some(t) = self.on() {
-            t.sched.rejected_new += 1;
-        }
-    }
-
-    /// Records one request held at the door by the block policy.
-    #[inline]
-    pub fn record_sched_block(&mut self) {
-        if let Some(t) = self.on() {
-            t.sched.blocked += 1;
+            t.sched.merge(run);
         }
     }
 
@@ -545,27 +547,16 @@ impl MetricsRegistry {
         t.drift.last_flip_ns = now_ns;
     }
 
-    /// Records one formed batch: its size and why it was closed.
-    #[inline]
-    pub fn record_sched_batch(&mut self, size: usize, trigger: SchedTrigger) {
-        let Some(t) = self.on() else { return };
-        t.sched.batches += 1;
-        t.sched.batch_fill.record(size as f64);
-        match trigger {
-            SchedTrigger::Size => t.sched.trigger_size += 1,
-            SchedTrigger::Deadline => t.sched.trigger_deadline += 1,
-            SchedTrigger::Drain => t.sched.trigger_drain += 1,
-        }
-    }
-
     /// Folds another registry's recorded telemetry into this one,
     /// rotating its per-DPU cells by `dpu_offset` (mod this fleet's
     /// size). The multi-tenant fleet uses this to aggregate each
     /// tenant engine's counters into one fleet-wide snapshot: stage
-    /// spans, traffic, scheduler and drift counters fold into fleet
-    /// totals, while the per-tenant breakout keeps the per-lane split.
-    /// Runtime measurements are not merged (a modeled fleet has no
-    /// wall clock). Called once per tenant after the serving loop has
+    /// spans, traffic and drift counters fold into fleet totals, while
+    /// the per-tenant breakout keeps the per-lane split. An engine holds
+    /// no scheduler or runtime counters — front-ends record those
+    /// blocks themselves ([`record_sched`](Self::record_sched),
+    /// [`record_runtime`](Self::record_runtime)) — so neither is
+    /// merged. Called once per tenant after the serving loop has
     /// drained, never in steady state.
     pub fn absorb(&mut self, other: &MetricsRegistry, dpu_offset: usize) {
         if !other.enabled() {
@@ -589,17 +580,6 @@ impl MetricsRegistry {
         t.stage3_bytes += o.stage3_bytes;
         t.launches += o.launches;
         t.load_imbalance.merge(&o.load_imbalance);
-        let (s, os) = (&mut t.sched, &o.sched);
-        s.admitted += os.admitted;
-        s.shed_oldest += os.shed_oldest;
-        s.rejected_new += os.rejected_new;
-        s.blocked += os.blocked;
-        s.batches += os.batches;
-        s.trigger_size += os.trigger_size;
-        s.trigger_deadline += os.trigger_deadline;
-        s.trigger_drain += os.trigger_drain;
-        s.queue_depth_high_water = s.queue_depth_high_water.max(os.queue_depth_high_water);
-        s.batch_fill.merge(&os.batch_fill);
         let (d, od) = (&mut t.drift, &o.drift);
         d.replans_triggered += od.replans_triggered;
         d.replans_skipped += od.replans_skipped;
@@ -719,35 +699,56 @@ mod tests {
 
     #[test]
     fn sched_counters_accumulate_and_reset() {
+        let fill = |count, sum, min, max| Accum {
+            count,
+            sum,
+            min,
+            max,
+        };
+        let a = SchedSnapshot {
+            admitted: 3,
+            shed_oldest: 1,
+            rejected_new: 2,
+            batches: 2,
+            trigger_size: 1,
+            trigger_deadline: 1,
+            queue_depth_high_water: 7,
+            batch_fill: fill(2, 76.0, 12.0, 64.0),
+            ..SchedSnapshot::default()
+        };
+        let b = SchedSnapshot {
+            admitted: 5,
+            blocked: 4,
+            batches: 1,
+            trigger_drain: 1,
+            queue_depth_high_water: 5,
+            batch_fill: fill(1, 3.0, 3.0, 3.0),
+            ..SchedSnapshot::default()
+        };
         let mut m = MetricsRegistry::new(true, 1);
-        m.record_sched_admit(3);
-        m.record_sched_admit(7);
-        m.record_sched_admit(5);
-        m.record_sched_shed();
-        m.record_sched_reject();
-        m.record_sched_block();
-        m.record_sched_batch(64, SchedTrigger::Size);
-        m.record_sched_batch(12, SchedTrigger::Deadline);
-        m.record_sched_batch(3, SchedTrigger::Drain);
-        let s = m.snapshot();
-        assert_eq!(s.sched.admitted, 3);
-        assert_eq!(s.sched.queue_depth_high_water, 7);
-        assert_eq!(s.sched.shed_oldest, 1);
-        assert_eq!(s.sched.rejected_new, 1);
-        assert_eq!(s.sched.blocked, 1);
-        assert_eq!(s.sched.batches, 3);
-        assert_eq!(s.sched.trigger_size, 1);
-        assert_eq!(s.sched.trigger_deadline, 1);
-        assert_eq!(s.sched.trigger_drain, 1);
-        assert_eq!(s.sched.batch_fill.max, 64.0);
-        assert_eq!(s.sched.batch_fill.min, 3.0);
+        m.record_sched(&a);
+        assert_eq!(m.snapshot().sched, a, "one record is the run's counts");
+        // Two runs into one registry: counts add, the high-water mark
+        // is the deeper one, fills merge.
+        m.record_sched(&b);
+        let s = m.snapshot().sched;
+        assert_eq!(s.admitted, 8);
+        assert_eq!(s.shed_oldest, 1);
+        assert_eq!(s.rejected_new, 2);
+        assert_eq!(s.blocked, 4);
+        assert_eq!(s.batches, 3);
+        assert_eq!(
+            (s.trigger_size, s.trigger_deadline, s.trigger_drain),
+            (1, 1, 1)
+        );
+        assert_eq!(s.queue_depth_high_water, 7);
+        assert_eq!(s.batch_fill, fill(3, 79.0, 3.0, 64.0));
         m.reset();
         assert_eq!(m.snapshot().sched, SchedSnapshot::default());
 
         // Disabled registries ignore sched records too.
         let mut off = MetricsRegistry::new(false, 1);
-        off.record_sched_admit(9);
-        off.record_sched_batch(4, SchedTrigger::Size);
+        off.record_sched(&a);
         assert_eq!(off.snapshot().sched, SchedSnapshot::default());
     }
 

@@ -113,19 +113,17 @@ impl Args {
         let mut flags = HashMap::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if BARE_FLAGS.contains(&name) {
-                    flags.insert(name.to_string(), "true".to_string());
-                } else {
-                    match it.next() {
-                        Some(v) => {
-                            flags.insert(name.to_string(), v.clone());
-                        }
-                        None => usage(),
-                    }
-                }
+            let Some(name) = a.strip_prefix("--") else {
+                usage()
+            };
+            let value = if BARE_FLAGS.contains(&name) {
+                "true".to_string()
             } else {
-                usage();
+                it.next().cloned().unwrap_or_else(|| usage())
+            };
+            if flags.insert(name.to_string(), value).is_some() {
+                eprintln!("--{name} is given more than once");
+                std::process::exit(2)
             }
         }
         Args { flags }
@@ -192,6 +190,18 @@ impl Args {
             }
         }
     }
+}
+
+/// `us` microseconds, the value of flag `--name`, in ns; exits 2 naming
+/// the flag when that does not fit a `u64`.
+fn us_to_ns(name: &str, us: usize) -> u64 {
+    (us as u64).checked_mul(1_000).unwrap_or_else(|| {
+        eprintln!(
+            "--{name} {us} is too long (at most {} us)",
+            u64::MAX / 1_000
+        );
+        std::process::exit(2)
+    })
 }
 
 /// Builds the arrival process for `serve` / `trace --arrival` from
@@ -1047,7 +1057,7 @@ fn tenants_file_or_exit(args: &Args, path: &str) -> TenantsFile {
         file.fleet.fleet_dpus = args.num("dpus", file.fleet.fleet_dpus);
     }
     if args.flag_set("quantum-us") {
-        file.fleet.quantum_ns = args.num("quantum-us", 0) as u64 * 1_000;
+        file.fleet.quantum_ns = us_to_ns("quantum-us", args.num("quantum-us", 0));
     }
     if args.flag_set("no-isolation") {
         file.fleet.arbitration = Arbitration::Fcfs;
@@ -1221,6 +1231,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("--max-wait-us must be >= 1 (a zero deadline degenerates to batch-of-one)");
         std::process::exit(2)
     }
+    let max_wait_ns = us_to_ns("max-wait-us", max_wait_us);
     let queue_cap = args.num("queue-cap", 4 * max_batch);
     if queue_cap == 0 {
         eprintln!("--queue-cap must be >= 1 (a zero-length queue admits nothing)");
@@ -1324,7 +1335,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     config.telemetry = metrics_path.is_some() || replan.enabled();
     let sched_config = SchedConfig {
         max_batch_size: max_batch,
-        max_wait_ns: max_wait_us as u64 * 1_000,
+        max_wait_ns,
         queue_cap,
         policy,
     };
@@ -1358,18 +1369,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             ring_capacity: 64,
         })?;
         let r = rt.run(&mut engines, &workload, |_, _, _, _| {})?;
-        engines[0].metrics_mut().record_runtime(RuntimeSnapshot {
-            shards: shards as u64,
-            deterministic,
-            time_scale,
-            wall_elapsed_ns: r.wall.wall_elapsed_ns,
-            measured_qps: r.wall.measured_qps,
-            modeled_service_ns: r.wall.modeled_service_ns,
-            measured_service_ns: r.wall.measured_service_ns,
-            measured_p50_latency_ns: r.sched.p50_latency_ns,
-            measured_p95_latency_ns: r.sched.p95_latency_ns,
-            measured_p99_latency_ns: r.sched.p99_latency_ns,
-        });
         println!(
             "wall-clock serve on {} ({} arrivals, {} shard{}, time-scale {:.0}x, {})",
             spec.name,

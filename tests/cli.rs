@@ -212,6 +212,32 @@ fn unknown_flags_are_rejected_naming_the_flag_and_subcommand() {
 }
 
 #[test]
+fn a_repeated_flag_is_rejected_naming_it() {
+    // The second value used to overwrite the first without a word.
+    for (args, flag) in [
+        (&["run", "--seed", "1", "--seed", "2"][..], "--seed"),
+        (
+            &[
+                "serve",
+                "--qps",
+                "1000",
+                "--runtime",
+                "wall",
+                "--deterministic",
+                "--deterministic",
+            ][..],
+            "--deterministic",
+        ),
+    ] {
+        let out = updlrm().args(args).output().expect("updlrm");
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        assert!(out.stdout.is_empty(), "args {args:?} must not run anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "args {args:?}: stderr {err}");
+    }
+}
+
+#[test]
 fn run_pipeline_doublebuf_reports_serving_stats() {
     let out = updlrm()
         .args(QUICK_RUN)
@@ -511,6 +537,42 @@ fn serve_rejects_bad_flags_with_usage() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(needle), "args {bad:?}: stderr {err}");
     }
+}
+
+/// The smallest microsecond count whose nanoseconds do not fit a u64.
+fn overflowing_micros() -> String {
+    (u64::MAX / 1_000 + 1).to_string()
+}
+
+#[test]
+fn serve_rejects_a_max_wait_that_overflows_nanoseconds() {
+    // Wrapped, this deadline came out at 384 ns and every batch closed
+    // on it; a debug build panicked instead.
+    let us = overflowing_micros();
+    let out = updlrm()
+        .args(["serve", "--qps", "1000", "--max-wait-us", &us])
+        .args(["--batches", "2", "--dpus", "64"])
+        .output()
+        .expect("serve");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--max-wait-us"), "stderr {err}");
+}
+
+#[test]
+fn serve_tenants_rejects_a_quantum_that_overflows_nanoseconds() {
+    let us = overflowing_micros();
+    let out = updlrm()
+        .args(["serve", "--tenants"])
+        .arg(tenants_toml())
+        .args(["--quantum-us", &us])
+        .output()
+        .expect("serve --tenants");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--quantum-us"), "stderr {err}");
 }
 
 #[test]
