@@ -64,7 +64,7 @@ impl Fae {
                 let mut flags = vec![false; p.num_items()];
                 let target = p.total_accesses() as f64 * coverage_target;
                 let mut covered = 0u64;
-                for item in p.items_by_frequency().into_iter().take(budget_rows) {
+                for item in p.hottest(budget_rows) {
                     if covered as f64 >= target {
                         break;
                     }

@@ -47,7 +47,7 @@ impl CpuMemoryModel {
         let share = self.llc_bytes / tables.max(1);
         let budget_rows = share / row_bytes.max(1);
         let mut flags = vec![false; profile.num_items()];
-        for item in profile.items_by_frequency().into_iter().take(budget_rows) {
+        for item in profile.hottest(budget_rows) {
             flags[item as usize] = true;
         }
         flags

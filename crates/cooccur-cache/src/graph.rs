@@ -7,12 +7,13 @@
 //! amortize cached partial sums.
 //!
 //! The graph is not held as a set of edges. Recording a sample stores
-//! the sample's hot ranks (at most [`CooccurGraph::MAX_PAIR_SPAN`] of
-//! them) in one flat arena; edge weights are counted on demand, one
-//! adjacency row at a time, by [`crate::CacheListSet::mine`], which
-//! only ever asks for the rows of the seeds it reaches. Memory is the
-//! arena, an index of the same size and one row, whatever the number of
-//! nonzero edges.
+//! all of the sample's distinct hot ranks in one flat arena; edge
+//! weights are counted on demand, one adjacency row at a time, by
+//! [`crate::CacheListSet::mine`], which only ever asks for the rows of
+//! the seeds it reaches. Memory is the arena, an index of the same size
+//! and one row, whatever the number of nonzero edges; the caller bounds
+//! the arena by how many samples it records
+//! ([`CooccurGraph::stored_ranks`]), so every stored sample is whole.
 
 use workloads::FreqProfile;
 
@@ -27,26 +28,23 @@ pub struct CooccurGraph {
     /// Hot ranks the profile counted at least once — a prefix, since
     /// ranks run hottest first. Only these may seed a list.
     seed_ranks: usize,
-    /// Every recorded sample's hot ranks — ascending, distinct, strided
-    /// to at most `MAX_PAIR_SPAN` — back to back. Samples with fewer
-    /// than two hot ranks hold no pair and are not stored.
+    /// Every recorded sample's hot ranks — ascending, distinct, all of
+    /// them — back to back. Samples with fewer than two hot ranks hold
+    /// no pair and are not stored.
     sample_ranks: Vec<u32>,
     /// Where each stored sample's run starts in `sample_ranks`, plus the
     /// end of the last one.
     run_starts: Vec<usize>,
-    /// The current sample's hot ranks before striding (reused).
-    scratch: Vec<u32>,
+    /// The current sample's hot ranks, one bit per rank (reused; all
+    /// clear between samples).
+    marks: Vec<u64>,
 }
 
 impl CooccurGraph {
     /// Creates a graph tracking the `hot_set_size` most frequent items
     /// of `profile`.
     pub fn new(profile: &FreqProfile, hot_set_size: usize) -> Self {
-        let hot_items: Vec<u64> = profile
-            .items_by_frequency()
-            .into_iter()
-            .take(hot_set_size)
-            .collect();
+        let hot_items = profile.hottest(hot_set_size);
         let mut rank_of_row = vec![0u32; profile.num_items()];
         for (r, &i) in hot_items.iter().enumerate() {
             rank_of_row[i as usize] = r as u32 + 1;
@@ -54,11 +52,11 @@ impl CooccurGraph {
         let seed_ranks = hot_items.partition_point(|&i| profile.count(i) > 0);
         CooccurGraph {
             rank_of_row,
-            hot_items,
             seed_ranks,
             sample_ranks: Vec::new(),
             run_starts: vec![0],
-            scratch: Vec::new(),
+            marks: vec![0; hot_items.len().div_ceil(64)],
+            hot_items,
         }
     }
 
@@ -83,33 +81,52 @@ impl CooccurGraph {
         self.hot_items[rank as usize]
     }
 
-    /// Cap on hot items per sample considered for pair counting: keeps
-    /// the per-sample cost bounded on reduction-heavy traces (GRACE
-    /// similarly samples its graph construction).
-    pub const MAX_PAIR_SPAN: usize = 64;
-
     /// Records one sample's index list: every pair of distinct hot
     /// items in the sample gains one unit of edge weight (an item named
-    /// twice still occurs once — it does not co-occur with itself). At
-    /// most [`CooccurGraph::MAX_PAIR_SPAN`] of the sample's hot items
-    /// take part (pair counting is quadratic); when a sample exceeds
-    /// that, an evenly-strided subset is used so that mid-popularity
-    /// pairs are not systematically dropped.
+    /// twice still occurs once — it does not co-occur with itself).
+    ///
+    /// The sample's hot ranks are marked in a bitmap and read back a
+    /// word at a time, which yields them ascending and distinct without
+    /// a sort.
     pub fn record_sample(&mut self, sample: &[u64]) {
-        let hot = &mut self.scratch;
-        hot.clear();
-        hot.extend(sample.iter().filter_map(|&i| {
-            let rank = *self.rank_of_row.get(i as usize)?;
-            rank.checked_sub(1)
-        }));
-        hot.sort_unstable();
-        hot.dedup();
-        if hot.len() < 2 {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &i in sample {
+            let Some(rank) = self
+                .rank_of_row
+                .get(i as usize)
+                .and_then(|r| r.checked_sub(1))
+            else {
+                continue;
+            };
+            let word = rank as usize / 64;
+            self.marks[word] |= 1 << (rank % 64);
+            lo = lo.min(word);
+            hi = hi.max(word);
+        }
+        if lo > hi {
             return;
         }
-        let stride = hot.len().div_ceil(Self::MAX_PAIR_SPAN);
-        self.sample_ranks.extend(hot.iter().step_by(stride));
-        self.run_starts.push(self.sample_ranks.len());
+        let start = self.sample_ranks.len();
+        for (w, marks) in (lo..).zip(&mut self.marks[lo..=hi]) {
+            let mut bits = std::mem::take(marks);
+            while bits != 0 {
+                self.sample_ranks
+                    .push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        if self.sample_ranks.len() - start < 2 {
+            self.sample_ranks.truncate(start);
+        } else {
+            self.run_starts.push(self.sample_ranks.len());
+        }
+    }
+
+    /// Hot ranks held by the stored samples (the arena's length) — what
+    /// [`crate::CacheListSet::from_trace`] holds to
+    /// [`crate::MinerConfig::rank_budget`].
+    pub fn stored_ranks(&self) -> usize {
+        self.sample_ranks.len()
     }
 
     /// Records every sample of an iterator of CSR inputs.
@@ -173,11 +190,25 @@ impl CooccurGraph {
     /// Writes the adjacency row of `rank` into `row` (`hot_set_size()`
     /// wide): `row[b]` becomes the weight of edge `(rank, b)`. Walks
     /// only the stored samples that hold `rank`.
+    ///
+    /// This loop is most of a cache-aware build: a whole sample is a run
+    /// of ≈ 236 ranks on `pool_heavy`, and the hottest seeds are in
+    /// nearly every run. Four increments per step keep the row pointer
+    /// in a register across them (one at a time, it was reloaded for
+    /// each): ≈ 0.7 instead of ≈ 0.95 ns per increment on a 2-vCPU
+    /// Xeon.
     pub(crate) fn count_row(&self, rank: u32, index: &SamplesByRank, row: &mut [u32]) {
         let r = rank as usize;
         row.fill(0);
         for &s in &index.samples[index.starts[r]..index.starts[r + 1]] {
-            for &b in self.run(s as usize) {
+            let mut quads = self.run(s as usize).chunks_exact(4);
+            for q in &mut quads {
+                row[q[0] as usize] += 1;
+                row[q[1] as usize] += 1;
+                row[q[2] as usize] += 1;
+                row[q[3] as usize] += 1;
+            }
+            for &b in quads.remainder() {
                 row[b as usize] += 1;
             }
         }
@@ -293,18 +324,39 @@ mod tests {
         }
     }
 
+    /// A sample with far more hot items than any list is recorded
+    /// whole: all of its pairs count.
     #[test]
-    fn oversized_sample_is_strided_to_the_span() {
-        let n = 2 * CooccurGraph::MAX_PAIR_SPAN + 6;
+    fn oversized_sample_counts_every_pair() {
+        let n = 134;
         let p = profile_with_counts(&vec![1; n]);
         let mut g = CooccurGraph::new(&p, n);
-        let sample: Vec<u64> = (0..n as u64).collect();
+        let sample: Vec<u64> = (0..n as u64).rev().collect();
         g.record_sample(&sample);
-        // stride = ceil(134 / 64) = 3: ranks 0, 3, 6, ... take part.
-        assert_eq!(g.edge(0, 3), 1);
-        assert_eq!(g.edge(3, 132), 1);
-        assert_eq!(g.edge(0, 1), 0);
-        assert_eq!(g.run_starts, [0, n.div_ceil(3)]);
+        assert_eq!(g.run_starts, [0, n]);
+        assert_eq!(g.sample_ranks, (0..n as u32).collect::<Vec<_>>());
+        let rows = all_rows(&g);
+        for a in 0..n {
+            for b in 0..n {
+                assert_eq!(rows[a * n + b], u32::from(a != b), "edge ({a}, {b})");
+            }
+        }
+    }
+
+    /// The arena holds every stored sample's ranks and nothing of a
+    /// sample with fewer than two, and a sample leaves no marks behind.
+    #[test]
+    fn stored_ranks_count_the_stored_samples() {
+        let p = profile_with_counts(&[9, 8, 7, 6, 5, 4]);
+        let mut g = CooccurGraph::new(&p, 6);
+        g.record_sample(&[2, 0, 1, 2]);
+        g.record_sample(&[3, 99]); // one hot rank: not stored
+        g.record_sample(&[4, 0]);
+        assert_eq!(g.stored_ranks(), 5);
+        assert_eq!(g.run_starts, [0, 3, 5]);
+        assert_eq!(g.sample_ranks, [0, 1, 2, 0, 4]);
+        g.record_sample(&[5, 3]);
+        assert_eq!(g.sample_ranks[5..], [3, 5]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    sums + residual rows = full reduction).
 //!
 //! [`CacheListSet::from_trace`] runs steps 1 and 2 for one table's
-//! trace the way the engine build does (sample budget, measured
+//! trace the way the engine build does (sample and rank budget, measured
 //! benefit); the example below spells the steps out.
 //!
 //! The paper notes UpDLRM "does not rely on GRACE and can work with any

@@ -55,7 +55,9 @@ pub struct MinerConfig {
     pub max_lists: usize,
     /// Maximum trace samples fed into graph construction (mining cost
     /// control only: edge weights and their bar are counted over the
-    /// same samples, and benefits are measured on the full trace).
+    /// same samples, and benefits are measured on the full trace). It
+    /// also sizes the graph's arena: recording stops early once the
+    /// arena holds [`MinerConfig::rank_budget`] ranks.
     pub max_samples: usize,
 }
 
@@ -72,6 +74,18 @@ impl Default for MinerConfig {
 }
 
 impl MinerConfig {
+    /// Hot ranks of graph arena per `max_samples` slot. A sample keeps
+    /// all of its hot ranks; the budget is shared, so wide samples may
+    /// spend it before `max_samples` is reached.
+    pub const RANKS_PER_SAMPLE: usize = 64;
+
+    /// Hot ranks at which recording stops: `RANKS_PER_SAMPLE ×
+    /// max_samples` (1 MB of arena at the defaults; the sample that
+    /// reaches it may overshoot by its own width).
+    pub fn rank_budget(&self) -> usize {
+        self.max_samples.saturating_mul(Self::RANKS_PER_SAMPLE)
+    }
+
     /// Checks the fields a trace cannot be mined without: a nonempty
     /// hot set, and lists of 2 to [`CacheList::MAX_ITEMS`] items.
     ///
@@ -103,7 +117,9 @@ pub struct CacheListSet {
 impl CacheListSet {
     /// Mines one table's cache lists from its trace and measures their
     /// benefit on it: the first `config.max_samples` samples of `inputs`
-    /// build the co-occurrence graph, [`CacheListSet::mine`] clusters
+    /// build the co-occurrence graph (fewer if its arena reaches
+    /// [`MinerConfig::rank_budget`] ranks first: the sample that reaches
+    /// it is the last recorded), [`CacheListSet::mine`] clusters
     /// it, and [`CacheListSet::measure_benefit`] scores the lists on the
     /// whole of `inputs`. `config` is taken as given — check it with
     /// [`MinerConfig::validate`] first: an empty hot set or lists of
@@ -117,8 +133,12 @@ impl CacheListSet {
         let inputs: Vec<&SparseInput> = inputs.into_iter().collect();
         let mut set = {
             let mut graph = CooccurGraph::new(profile, config.hot_set_size);
+            let rank_budget = config.rank_budget();
             let samples = inputs.iter().flat_map(|input| input.iter());
             for sample in samples.take(config.max_samples) {
+                if graph.stored_ranks() >= rank_budget {
+                    break;
+                }
                 graph.record_sample(sample);
             }
             CacheListSet::mine(&graph, config)
@@ -428,6 +448,30 @@ mod tests {
         let set = CacheListSet::mine(&g, &cfg);
         assert_eq!(set.len(), 1);
         assert_eq!(set.lists[0].items, [0, 1]);
+    }
+
+    /// Recording stops once the arena holds `RANKS_PER_SAMPLE ×
+    /// max_samples` ranks: the sample that reaches the budget is the
+    /// last one recorded, though `max_samples` has room for another,
+    /// and a pair seen only after it never becomes an edge.
+    #[test]
+    fn recording_stops_exactly_at_the_rank_budget() {
+        let config = MinerConfig {
+            max_samples: 3,
+            ..MinerConfig::default()
+        };
+        assert_eq!(config.rank_budget(), 192);
+        for (second, pair_listed) in [(92u64, false), (91, true)] {
+            let input = SparseInput::from_samples([
+                (0..100u64).collect(),
+                (0..second).collect(),
+                vec![200u64, 201],
+            ]);
+            let profile = FreqProfile::from_inputs(300, [&input]);
+            let set = CacheListSet::from_trace(&profile, [&input], &config);
+            let listed = set.lists.iter().any(|l| l.items.contains(&200));
+            assert_eq!(listed, pair_listed, "100 + {second} ranks recorded first");
+        }
     }
 
     #[test]

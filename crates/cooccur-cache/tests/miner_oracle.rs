@@ -10,7 +10,9 @@
 //! hot ranks are deduplicated) and in the measured benefit (a repeat
 //! saves no access); and a seed's edge threshold is a fraction of its
 //! occurrences among the recorded samples the edges are counted over,
-//! not of its profile count. The real path — rank arena,
+//! not of its profile count; and a recorded sample keeps all of its hot
+//! ranks (no stride), recording ending once the recorded samples hold
+//! 64 ranks per `max_samples` slot. The real path — rank arena,
 //! adjacency rows counted per seed, top-k row scan, direct-mapped
 //! benefit — must
 //! emit byte-identical `CacheListSet` JSON: same lists, same item order,
@@ -25,7 +27,7 @@ use std::collections::HashSet;
 use workloads::FreqProfile;
 
 mod oracle {
-    use cooccur_cache::{CacheList, CacheListSet, CooccurGraph, MinerConfig};
+    use cooccur_cache::{CacheList, CacheListSet, MinerConfig};
     use dlrm_model::{FxHashMap, FxHashSet, SparseInput};
     use workloads::FreqProfile;
 
@@ -33,8 +35,8 @@ mod oracle {
     /// property test can show it is not vacuous.
     #[derive(Debug, Default, Clone, Copy)]
     pub struct Coverage {
-        /// A sample held more than `MAX_PAIR_SPAN` hot items.
-        pub strided: bool,
+        /// The rank budget ended recording before `max_samples` did.
+        pub rank_budget_cut: bool,
         /// A sample named a hot row more than once.
         pub repeats: bool,
         /// `max_samples` was smaller than the trace.
@@ -58,6 +60,8 @@ mod oracle {
         freq: Vec<u64>,
         /// Per rank, the recorded samples holding it that hold a pair.
         occurrences: Vec<u64>,
+        /// Hot ranks held by the recorded samples that hold a pair.
+        stored_ranks: usize,
     }
 
     impl Graph {
@@ -79,6 +83,7 @@ mod oracle {
                 hot_items,
                 edges: FxHashMap::default(),
                 freq,
+                stored_ranks: 0,
             }
         }
 
@@ -91,12 +96,8 @@ mod oracle {
             let with_repeats = hot.len();
             hot.dedup(); // a row does not co-occur with itself
             cov.repeats |= hot.len() < with_repeats;
-            if hot.len() > CooccurGraph::MAX_PAIR_SPAN {
-                cov.strided = true;
-                let stride = hot.len().div_ceil(CooccurGraph::MAX_PAIR_SPAN);
-                hot = hot.into_iter().step_by(stride).collect();
-            }
             if hot.len() >= 2 {
+                self.stored_ranks += hot.len();
                 for &a in &hot {
                     self.occurrences[a as usize] += 1;
                 }
@@ -220,7 +221,9 @@ mod oracle {
         });
     }
 
-    /// The budgeted record loop, `mine`, `measure_benefit`.
+    /// The budgeted record loop (`max_samples` samples, or until the
+    /// recorded samples hold 64 hot ranks per sample slot), `mine`,
+    /// `measure_benefit`.
     pub fn from_trace(
         profile: &FreqProfile,
         inputs: &[SparseInput],
@@ -229,10 +232,15 @@ mod oracle {
         let mut cov = Coverage::default();
         let mut graph = Graph::new(profile, config.hot_set_size);
         let mut budget = config.max_samples;
+        let rank_budget = config.max_samples.saturating_mul(64);
         'record: for input in inputs {
             for sample in input.iter() {
                 if budget == 0 {
                     cov.budget_cut = true;
+                    break 'record;
+                }
+                if graph.stored_ranks >= rank_budget {
+                    cov.rank_budget_cut = true;
                     break 'record;
                 }
                 graph.record_sample(sample, &mut cov);
@@ -257,10 +265,10 @@ struct Case {
 /// Rows are drawn as `rows * u^3` (low ids hot); each sample also pulls
 /// in whole planted groups, which is what gives edges weights near a
 /// seed's frequency, equal-weight neighbours and full lists. Sample
-/// sizes reach past `MAX_PAIR_SPAN` hot items, hot sets run from a few
-/// ranks to past the table, and `max_lists`,
-/// `max_samples` and the zero-frequency tail each end the seed loop in
-/// some cases.
+/// sizes reach past 64 hot items, so a small `max_samples` can run out
+/// of rank budget first; hot sets run from a few ranks to past the
+/// table, and `max_lists`, `max_samples` and the zero-frequency tail
+/// each end the seed loop in some cases.
 fn case(seed: u64) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
     let rows = [24usize, 150, 400, 700][rng.random_range(0..4)];
@@ -340,7 +348,7 @@ proptest! {
     }
 
     /// Edge weights answered from the stored samples equal the oracle's
-    /// edge map, including after strided and repeated samples.
+    /// edge map, including after wide and repeated samples.
     #[test]
     fn edges_match_the_oracle(seed in any::<u64>()) {
         let case = case(seed);
@@ -365,7 +373,7 @@ proptest! {
 /// seeds are fixed, so this cannot rot silently into a vacuous test.
 #[test]
 fn generated_cases_cover_the_miners_edge_cases() {
-    let mut strided = 0;
+    let mut rank_budget_cut = 0;
     let mut repeats = 0;
     let mut budget_cut = 0;
     let mut weight_tie = 0;
@@ -379,7 +387,7 @@ fn generated_cases_cover_the_miners_edge_cases() {
         let case = case(seed);
         let (real, want, cov) = run(&case);
         assert_eq!(real, want, "seed {seed}");
-        strided += cov.strided as u32;
+        rank_budget_cut += cov.rank_budget_cut as u32;
         repeats += cov.repeats as u32;
         budget_cut += cov.budget_cut as u32;
         weight_tie += cov.weight_tie as u32;
@@ -391,7 +399,7 @@ fn generated_cases_cover_the_miners_edge_cases() {
         nonempty += (want.len() > r#"{"lists":[]}"#.len()) as u32;
     }
     for (what, n) in [
-        ("sample strided to MAX_PAIR_SPAN", strided),
+        ("rank budget ends recording", rank_budget_cut),
         ("repeated hot row in a sample", repeats),
         ("max_samples below the trace", budget_cut),
         ("equal-weight neighbours", weight_tie),

@@ -641,10 +641,14 @@ mod tests {
             (PartitionStrategy::CacheAware, EmbedDtype::F32),
             (PartitionStrategy::CacheAware, EmbedDtype::Int8),
         ] {
-            let config = UpdlrmConfig::with_dpus(16, strategy)
+            let mut config = UpdlrmConfig::with_dpus(16, strategy)
                 .with_replan(ReplanPolicy::Periodic { every_batches: 3 })
                 .with_embed_dtype(dtype)
                 .with_telemetry();
+            // Unbounded, the miner lists every row of a 472-row table
+            // and leaves its EMT tiles empty; 64 lists keep both kinds
+            // of tile in the comparison.
+            config.miner.max_lists = 64;
             let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
             for (i, batch) in workload.batches.iter().enumerate() {
                 engine.on_tick((i as u64 + 1) * 50_000).unwrap();

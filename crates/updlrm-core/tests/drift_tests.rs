@@ -313,10 +313,14 @@ fn the_fill_is_charged_at_build_and_at_every_flip_and_nowhere_else() {
             }
             worst
         };
+        // Two passes over the trace: a cache-aware migration moves every
+        // cache row and outlasts three 50 µs ticks, so one pass of 12
+        // batches completes only one flip.
+        let batches = workload.batches.iter().cycle().take(2 * NUM_BATCHES);
         let mut flips_seen = 0u64;
         let mut fills = 0;
         let mut expect_fill = true; // the build
-        for (i, batch) in workload.batches.iter().enumerate() {
+        for (i, batch) in batches.enumerate() {
             engine.on_tick((i as u64 + 1) * TICK_NS).unwrap();
             let flips = engine.metrics_snapshot().drift.migrations_completed;
             expect_fill |= flips > flips_seen;

@@ -92,6 +92,22 @@ impl FreqProfile {
         ids
     }
 
+    /// The `k` hottest items: [`FreqProfile::items_by_frequency`]'s
+    /// first `k` (all of them when `k` exceeds the profile), found by
+    /// selecting them and sorting only those — not the whole table.
+    pub fn hottest(&self, k: usize) -> Vec<u64> {
+        let key = |&i: &u64| (std::cmp::Reverse(self.counts[i as usize]), i);
+        let mut ids: Vec<u64> = (0..self.counts.len() as u64).collect();
+        if k < ids.len() {
+            if k > 0 {
+                ids.select_nth_unstable_by_key(k - 1, key);
+            }
+            ids.truncate(k);
+        }
+        ids.sort_unstable_by_key(key);
+        ids
+    }
+
     /// [`FreqProfile::items_by_frequency`] restricted to items `< rows`.
     ///
     /// A profile may legitimately cover more items than a table has rows
@@ -196,6 +212,25 @@ mod tests {
         p.record(3);
         let order = p.items_by_frequency();
         assert_eq!(order, vec![0, 2, 3, 1]); // ties broken by id
+    }
+
+    /// The selected prefix is the sorted order's prefix for every `k`,
+    /// ties at the cut included: equal counts keep id order.
+    #[test]
+    fn hottest_is_the_sorted_prefix() {
+        // 300 items over 7 counts: long runs of ties, scattered by id.
+        let n = 300;
+        let mut p = FreqProfile::new(n);
+        for i in 0..n as u64 {
+            for _ in 0..(i * 37 + 11) % 7 {
+                p.record(i);
+            }
+        }
+        let sorted = p.items_by_frequency();
+        for k in [0, 1, 2, 5, 43, 44, 150, 299, 300, 301, 1000] {
+            assert_eq!(p.hottest(k), sorted[..k.min(n)], "k = {k}");
+        }
+        assert!(FreqProfile::new(0).hottest(3).is_empty());
     }
 
     #[test]
