@@ -42,6 +42,5 @@ pub use fleet::{
     TenantFleet, TenantReport,
 };
 pub use spec::{
-    parse_strategy, parse_tenants_toml, Arbitration, ArrivalKind, FleetConfig, TenantSpec,
-    TenantsFile,
+    parse_tenants_toml, Arbitration, ArrivalKind, FleetConfig, TenantSpec, TenantsFile,
 };

@@ -288,19 +288,6 @@ pub struct TenantsFile {
     pub tenants: Vec<TenantSpec>,
 }
 
-/// Parses partitioning-strategy tags (the CLI's spellings).
-pub fn parse_strategy(s: &str) -> Result<PartitionStrategy, String> {
-    match s {
-        "u" | "uniform" => Ok(PartitionStrategy::Uniform),
-        "nu" | "non-uniform" => Ok(PartitionStrategy::NonUniform),
-        "ca" | "cache-aware" => Ok(PartitionStrategy::CacheAware),
-        "nur" | "replicated" => Ok(PartitionStrategy::Replicated),
-        other => Err(format!(
-            "unknown strategy '{other}' (expected u, nu, ca or nur)"
-        )),
-    }
-}
-
 /// Strips a `#` comment, honoring double-quoted strings.
 fn strip_comment(line: &str) -> &str {
     let mut in_str = false;
@@ -446,7 +433,8 @@ pub fn parse_tenants_toml(text: &str) -> Result<TenantsFile, String> {
                             .map_err(|e| format!("line {ln}: {e}"))?
                     }
                     "strategy" => {
-                        t.strategy = parse_strategy(&parse_quoted(val, ln, key)?)
+                        t.strategy = parse_quoted(val, ln, key)?
+                            .parse()
                             .map_err(|e| format!("line {ln}: {e}"))?
                     }
                     "dtype" => {
@@ -572,14 +560,17 @@ seed = 42
     fn comments_respect_quotes_and_strategy_tags_round_trip() {
         let f = parse_tenants_toml("[[tenant]]\nname = \"a#b\" # trailing\n").unwrap();
         assert_eq!(f.tenants[0].name, "a#b");
+        // The loader reads the same strategy spellings as the CLI.
         for (tag, want) in [
             ("u", PartitionStrategy::Uniform),
-            ("nu", PartitionStrategy::NonUniform),
+            ("non-uniform", PartitionStrategy::NonUniform),
             ("ca", PartitionStrategy::CacheAware),
-            ("nur", PartitionStrategy::Replicated),
+            ("replicated", PartitionStrategy::Replicated),
         ] {
-            assert_eq!(parse_strategy(tag).unwrap(), want);
+            let toml = format!("[[tenant]]\nname = \"t\"\nstrategy = \"{tag}\"\n");
+            assert_eq!(parse_tenants_toml(&toml).unwrap().tenants[0].strategy, want);
         }
-        assert!(parse_strategy("zigzag").is_err());
+        let err = parse_tenants_toml("[[tenant]]\nstrategy = \"zigzag\"\n").unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 }

@@ -183,7 +183,7 @@ fn shared_fleet_embeddings_are_bit_identical_to_solo_serving() {
         name: "search".into(),
         qps: 40_000.0,
         dataset: "movie".into(),
-        strategy: tenancy::parse_strategy("ca").unwrap(),
+        strategy: "ca".parse().unwrap(),
         num_batches: 6,
         seed: 21,
         ..TenantSpec::default()

@@ -42,6 +42,24 @@ impl std::fmt::Display for PartitionStrategy {
     }
 }
 
+impl std::str::FromStr for PartitionStrategy {
+    type Err = String;
+
+    /// Parses the CLI tags (`u`, `nu`, `ca`, `nur`) and their long
+    /// spellings (`uniform`, `non-uniform`, `cache-aware`, `replicated`).
+    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
+        match s {
+            "u" | "uniform" => Ok(PartitionStrategy::Uniform),
+            "nu" | "non-uniform" => Ok(PartitionStrategy::NonUniform),
+            "ca" | "cache-aware" => Ok(PartitionStrategy::CacheAware),
+            "nur" | "replicated" => Ok(PartitionStrategy::Replicated),
+            other => Err(format!(
+                "unknown strategy '{other}' (expected u, nu, ca or nur)"
+            )),
+        }
+    }
+}
+
 /// Sentinel slot for rows that live in the partial-sum cache instead of
 /// the EMT region (their embedding is only reachable through cached
 /// combination rows).
@@ -140,7 +158,8 @@ pub fn uniform(
 
 /// §3.2 non-uniform partitioning: rows sorted by descending access
 /// frequency, each assigned to the least-loaded partition with spare
-/// capacity (greedy bin packing with a fixed bin count).
+/// capacity (greedy bin packing with a fixed bin count) — the
+/// replication extension with no replica block.
 ///
 /// # Errors
 ///
@@ -152,32 +171,7 @@ pub fn non_uniform(
     capacity_rows: usize,
     profile: &FreqProfile,
 ) -> Result<RowAssignment> {
-    check_inputs(rows, parts, profile)?;
-    let mut part_of_row = vec![0u32; rows];
-    let mut slot_of_row = vec![0u32; rows];
-    let mut rows_per_part = vec![0u32; parts];
-    let mut part_load = vec![0.0f64; parts];
-    for item in profile.items_by_frequency_in_range(rows) {
-        let r = item as usize;
-        let p = least_loaded_with_room(&part_load, &rows_per_part, 1, capacity_rows).ok_or(
-            CoreError::CapacityExceeded {
-                table: None,
-                partition: None,
-                required: rows,
-                available: capacity_rows * parts,
-            },
-        )?;
-        part_of_row[r] = p as u32;
-        slot_of_row[r] = rows_per_part[p];
-        rows_per_part[p] += 1;
-        part_load[p] += profile.count(item) as f64;
-    }
-    Ok(RowAssignment {
-        part_of_row,
-        slot_of_row,
-        rows_per_part,
-        part_load,
-    })
+    replicated_non_uniform(rows, parts, capacity_rows, profile, 0)
 }
 
 /// Extension: non-uniform packing with the `replicate_top` hottest rows
@@ -613,6 +607,21 @@ mod tests {
         assert_eq!(PartitionStrategy::Uniform.to_string(), "U");
         assert_eq!(PartitionStrategy::NonUniform.to_string(), "NU");
         assert_eq!(PartitionStrategy::CacheAware.to_string(), "CA");
+    }
+
+    #[test]
+    fn strategy_tags_parse_in_short_and_long_form() {
+        for (short, long, want) in [
+            ("u", "uniform", PartitionStrategy::Uniform),
+            ("nu", "non-uniform", PartitionStrategy::NonUniform),
+            ("ca", "cache-aware", PartitionStrategy::CacheAware),
+            ("nur", "replicated", PartitionStrategy::Replicated),
+        ] {
+            assert_eq!(short.parse::<PartitionStrategy>().unwrap(), want);
+            assert_eq!(long.parse::<PartitionStrategy>().unwrap(), want);
+        }
+        let err = "zigzag".parse::<PartitionStrategy>().unwrap_err();
+        assert!(err.contains("'zigzag'"), "{err}");
     }
 }
 

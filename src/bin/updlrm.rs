@@ -6,8 +6,7 @@
 //!              [--scale 200] [--batches 10] [--seed 7] [--host-threads N]
 //!              [--embed-dtype f32|int8] [--tables FILE]
 //!              [--pipeline sequential|doublebuf] [--queue-depth N]
-//!              [--plan FILE] [--iters 1] [--warmup 0] [--json FILE]
-//!              [--metrics FILE]
+//!              [--plan FILE] [--json FILE] [--metrics FILE]
 //! updlrm pack  --out FILE [--dataset read] [--scale 200] [--seed 7]
 //! updlrm plan  --out FILE [--dataset read] [--scale 200] [--tables 8]
 //!              [--batches 10] [--seed 7] [--ranks 4] [--dpus-per-rank 64]
@@ -47,7 +46,7 @@ fn usage() -> ! {
          [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|2|4|8] [--scale N] [--batches N] [--seed N] \
          [--host-threads N] [--embed-dtype f32|int8] [--tables FILE] \
          [--pipeline sequential|doublebuf] [--queue-depth N] \
-         [--plan FILE] [--iters N] [--warmup N] [--json FILE] [--metrics FILE]\n  \
+         [--plan FILE] [--json FILE] [--metrics FILE]\n  \
          updlrm pack  --out FILE [--dataset TAG] [--scale N] [--seed N]\n  \
          updlrm plan  --out FILE [--dataset TAG] [--scale N] [--tables N] [--batches N] [--seed N] \
          [--ranks N] [--dpus-per-rank N] [--emt-kb N] [--host-kb N] [--replicate-top N]\n  \
@@ -94,7 +93,7 @@ const FORMS: &[(&str, &[&str])] = &[
     ("info", &["dataset"]),
 ];
 const RUN_FLAGS: &str = "dataset backend strategy dpus nc scale batches seed host-threads \
-    embed-dtype tables pipeline queue-depth plan iters warmup json metrics";
+    embed-dtype tables pipeline queue-depth plan json metrics";
 const PLAN_FLAGS: &str = "out load dataset scale tables batches seed ranks dpus-per-rank emt-kb \
     host-kb replicate-top";
 const SERVE_FLAGS: &str = "qps arrival max-batch max-wait-us policy queue-cap runtime dataset \
@@ -192,13 +191,13 @@ impl Args {
     }
 }
 
-/// `us` microseconds, the value of flag `--name`, in ns; exits 2 naming
-/// the flag when that does not fit a `u64`.
-fn us_to_ns(name: &str, us: usize) -> u64 {
-    (us as u64).checked_mul(1_000).unwrap_or_else(|| {
+/// `value`, the flag `--name` in `unit`s, times `factor`; exits 2
+/// naming the flag when the product does not fit a `usize`.
+fn scale_or_exit(name: &str, value: usize, factor: usize, unit: &str) -> usize {
+    value.checked_mul(factor).unwrap_or_else(|| {
         eprintln!(
-            "--{name} {us} is too long (at most {} us)",
-            u64::MAX / 1_000
+            "--{name} {value} is too large (at most {} {unit})",
+            usize::MAX / factor
         );
         std::process::exit(2)
     })
@@ -278,26 +277,10 @@ fn dlrm_for(
     })
 }
 
-/// Measured (host wall-clock, not modeled) timing section of the
-/// `--json` report — filled in when `--iters`/`--warmup` request a
-/// steady-state measurement.
-#[derive(serde::Serialize)]
-struct MeasuredJson {
-    /// Timed passes over the batch stream.
-    iters: usize,
-    /// Untimed warm-up passes before measurement (the arenas and
-    /// staging-slot kernels reach their high-water marks here).
-    warmup: usize,
-    /// Mean host wall-clock per pass (ns).
-    host_wall_ns_mean: f64,
-    /// Mean host wall-clock per served sample (ns).
-    host_ns_per_sample: f64,
-}
-
 /// Per-stage breakdown section of the `--json` report — the JSON mirror
 /// of the text output's "PIM stages" line, so the JSON report is a
 /// superset of what the terminal prints (present for every PIM-backed
-/// run, with or without `--iters`).
+/// run).
 #[derive(serde::Serialize)]
 struct StagesJson {
     /// Mean stage-1 (CPU→MRAM scatter) time per batch, microseconds.
@@ -323,13 +306,9 @@ struct StagesJson {
 }
 
 impl StagesJson {
-    /// Builds the section from an accumulated breakdown over `n`
+    /// Builds the section from an accumulated breakdown over `n >= 1`
     /// batches and the stream's pipelining estimate.
     fn from_totals(pim: &EmbeddingBreakdown, n: f64, pr: &PipelineReport) -> StagesJson {
-        // An empty batch stream must serialize finite zeros, never
-        // 0/0 = NaN (the vendored serde would emit a "NaN" string that
-        // no typed parse accepts).
-        let n = n.max(1.0);
         let t = pim.total_ns();
         let pct = |stage_ns: f64| if t > 0.0 { 100.0 * stage_ns / t } else { 0.0 };
         StagesJson {
@@ -407,29 +386,24 @@ struct RunJson {
     mean_total_us: f64,
     stages: Option<StagesJson>,
     serve: Option<ServeJson>,
-    measured: Option<MeasuredJson>,
 }
 
 impl RunJson {
-    /// Prints a back-to-back run's per-batch means and fills the
-    /// report's derived sections from them: `total` is summed over `n`
-    /// batches, `breakdowns` holds one pass's PIM stage splits (empty
-    /// for the CPU/GPU backends).
-    fn fill_sequential(
-        &mut self,
-        passes: &Passes,
-        total: &LatencyReport,
-        n: f64,
-        breakdowns: &[EmbeddingBreakdown],
-        measured: MeasuredJson,
-    ) {
+    /// Prints the run's per-batch means and fills the report's derived
+    /// sections from them: `total` is summed over the run's batches,
+    /// `breakdowns` holds their PIM stage splits (empty for the CPU/GPU
+    /// backends).
+    fn fill_means(&mut self, total: &LatencyReport, breakdowns: &[EmbeddingBreakdown]) {
+        // `--batches 0` is a legal (if degenerate) run: divide by at
+        // least one so every derived mean serializes as a finite zero,
+        // never 0/0 = NaN (the vendored serde would emit a "NaN" string
+        // that no typed parse accepts).
+        let n = (self.batches as f64).max(1.0);
         println!("per-batch mean:");
         println!("  embedding: {:10.1} us", total.embedding_ns / n / 1e3);
         println!("  dense:     {:10.1} us", total.dense_ns / n / 1e3);
         println!("  transfer:  {:10.1} us", total.transfer_ns / n / 1e3);
         println!("  total:     {:10.1} us", total.total_ns() / n / 1e3);
-        passes.print_measured(&measured);
-        self.measured = Some(measured);
         self.mean_embedding_us = total.embedding_ns / n / 1e3;
         self.mean_dense_us = total.dense_ns / n / 1e3;
         self.mean_total_us = total.total_ns() / n / 1e3;
@@ -477,93 +451,6 @@ fn write_metrics(path: &str, snapshot: &Snapshot) -> Result<(), Box<dyn std::err
     Ok(())
 }
 
-/// `--iters` / `--warmup`: the host wall-clock measurement every `run`
-/// path shares.
-struct Passes {
-    iters: usize,
-    warmup: usize,
-    /// Measured wall-clock is nondeterministic; keep default stdout
-    /// byte-stable (the host-threads determinism diff depends on it)
-    /// and only print the measured line when measurement was asked for.
-    /// The `--json` report always carries it.
-    print: bool,
-}
-
-impl Passes {
-    fn from_args(args: &Args) -> Passes {
-        let iters = args.num("iters", 1);
-        if iters == 0 {
-            eprintln!("--iters must be >= 1 (0 measures nothing)");
-            std::process::exit(2)
-        }
-        Passes {
-            iters,
-            warmup: args.num("warmup", 0),
-            print: args.flag_set("iters") || args.flag_set("warmup"),
-        }
-    }
-
-    /// Runs the warm-up passes — they fill the scratch arenas and both
-    /// staging slots' kernels, so the timed passes see the steady
-    /// state — then times `iters` passes over `samples` queries each.
-    /// `pass(None)` is a warm-up pass, `pass(Some(i))` the `i`-th timed
-    /// one; modeled results repeat identically per pass, so callers
-    /// keep pass 0's.
-    fn time(
-        &self,
-        samples: usize,
-        mut pass: impl FnMut(Option<usize>) -> Result<(), Box<dyn std::error::Error>>,
-    ) -> Result<MeasuredJson, Box<dyn std::error::Error>> {
-        for _ in 0..self.warmup {
-            pass(None)?;
-        }
-        let t0 = std::time::Instant::now();
-        for i in 0..self.iters {
-            pass(Some(i))?;
-        }
-        let host_wall_ns_mean = t0.elapsed().as_nanos() as f64 / self.iters as f64;
-        Ok(MeasuredJson {
-            iters: self.iters,
-            warmup: self.warmup,
-            host_wall_ns_mean,
-            host_ns_per_sample: host_wall_ns_mean / samples.max(1) as f64,
-        })
-    }
-
-    /// [`time`](Self::time) over `serve_stream` passes of `engine`;
-    /// also returns the first timed pass's per-batch breakdowns.
-    fn time_stream(
-        &self,
-        engine: &mut UpdlrmEngine,
-        batches: &[QueryBatch],
-    ) -> Result<(Vec<EmbeddingBreakdown>, MeasuredJson), Box<dyn std::error::Error>> {
-        let samples = batches.iter().map(|b| b.batch_size()).sum();
-        let mut breakdowns = Vec::new();
-        let measured = self.time(samples, |pass| {
-            engine.serve_stream(batches, |_, _, bd| {
-                if pass == Some(0) {
-                    breakdowns.push(*bd);
-                }
-            })?;
-            Ok(())
-        })?;
-        Ok((breakdowns, measured))
-    }
-
-    fn print_measured(&self, m: &MeasuredJson) {
-        if self.print {
-            println!(
-                "  host wall (measured): {:.1} us/pass  {:.1} ns/sample  \
-                 ({} timed passes, {} warm-up)",
-                m.host_wall_ns_mean / 1e3,
-                m.host_ns_per_sample,
-                m.iters,
-                m.warmup,
-            );
-        }
-    }
-}
-
 fn sum_breakdowns(breakdowns: &[EmbeddingBreakdown]) -> EmbeddingBreakdown {
     let mut total = EmbeddingBreakdown::default();
     for bd in breakdowns {
@@ -573,13 +460,10 @@ fn sum_breakdowns(breakdowns: &[EmbeddingBreakdown]) -> EmbeddingBreakdown {
 }
 
 fn strategy_or_exit(args: &Args) -> PartitionStrategy {
-    match args.str("strategy", "ca").as_str() {
-        "u" => PartitionStrategy::Uniform,
-        "nu" => PartitionStrategy::NonUniform,
-        "ca" => PartitionStrategy::CacheAware,
-        "nur" => PartitionStrategy::Replicated,
-        other => {
-            eprintln!("unknown strategy '{other}'");
+    match args.str("strategy", "ca").parse() {
+        Ok(strategy) => strategy,
+        Err(e) => {
+            eprintln!("{e}");
             usage()
         }
     }
@@ -734,13 +618,16 @@ fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let catalog = Catalog::homogeneous(num_tables, spec.num_items, dim);
     let defaults = PlannerConfig::default();
+    let kb = |name: &str, default_bytes: usize| {
+        scale_or_exit(name, args.num(name, default_bytes / 1024), 1024, "KB")
+    };
     let config = PlannerConfig {
         topology: RankTopology {
             nr_ranks: args.num("ranks", defaults.topology.nr_ranks),
             dpus_per_rank: args.num("dpus-per-rank", defaults.topology.dpus_per_rank),
         },
-        emt_capacity_bytes: args.num("emt-kb", defaults.emt_capacity_bytes / 1024) * 1024,
-        host_cache_bytes: args.num("host-kb", defaults.host_cache_bytes / 1024) * 1024,
+        emt_capacity_bytes: kb("emt-kb", defaults.emt_capacity_bytes),
+        host_cache_bytes: kb("host-kb", defaults.host_cache_bytes),
         replicate_top: args.num("replicate-top", defaults.replicate_top),
         // `run --plan` serves the plan on a default-configured engine.
         wram_resident_bytes: UpdlrmConfig::default().wram_resident_bytes(dim),
@@ -836,7 +723,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     config.pipeline_mode = pipeline;
     config.queue_depth = queue_depth;
     config.telemetry = args.flag_set("metrics");
-    let passes = Passes::from_args(args);
     let mut report_json = RunJson {
         backend: backend_name.clone(),
         dataset: spec.short.to_string(),
@@ -860,63 +746,51 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
         print_plan_summary(path, plan);
     }
-    let mem = CpuMemoryModel::default();
     // The one place the two engine constructors differ.
     let pim_engine = |config: UpdlrmConfig| match &plan {
         Some((_, plan)) => UpdlrmEngine::from_plan(config, plan, model.tables()),
         None => UpdlrmEngine::from_workload(config, model.tables(), &workload),
     };
 
-    if pipeline == PipelineMode::DoubleBuf {
+    if pipeline == PipelineMode::DoubleBuf || plan.is_some() {
+        // The embedding layer alone, served once through the engine: a
+        // plan describes only that layer, and the double-buffered
+        // schedule is the engine's. No dense layers are modeled.
         let mut engine = pim_engine(config)?;
-        let (_, measured) = passes.time_stream(&mut engine, &workload.batches)?;
-        let outcome = engine.serve(&workload.batches)?;
-        let n = outcome.report.batches.max(1) as f64;
-        let mean_embedding_ns = outcome.breakdowns.iter().map(|b| b.total_ns()).sum::<f64>() / n;
-        let pr = PipelineReport::from_batches(&outcome.breakdowns);
-        println!(
-            "UpDLRM serving {} batches double-buffered (queue depth {})",
-            outcome.report.batches, outcome.report.queue_depth,
-        );
-        println!(
-            "  wall {:.1} us  throughput {:.0} samples/s",
-            outcome.report.wall_ns / 1e3,
-            outcome.report.throughput_qps,
-        );
-        println!(
-            "  latency p50 {:.1} us  p95 {:.1} us  p99 {:.1} us",
-            outcome.report.p50_latency_ns / 1e3,
-            outcome.report.p95_latency_ns / 1e3,
-            outcome.report.p99_latency_ns / 1e3,
-        );
-        println!("  speedup over back-to-back: {:.2}x", pr.speedup());
-        print_residency(&engine.residency(), &sum_breakdowns(&outcome.breakdowns));
-        passes.print_measured(&measured);
-        report_json.measured = Some(measured);
-        report_json.mean_embedding_us = mean_embedding_ns / 1e3;
-        report_json.mean_total_us = mean_embedding_ns / 1e3;
-        let pim_total = sum_breakdowns(&outcome.breakdowns);
-        report_json.stages = Some(StagesJson::from_totals(&pim_total, n, &pr));
-        report_json.serve = Some(ServeJson {
-            mode: outcome.report.mode.to_string(),
-            queue_depth: outcome.report.queue_depth,
-            wall_ns: outcome.report.wall_ns,
-            throughput_qps: outcome.report.throughput_qps,
-            p50_latency_ns: outcome.report.p50_latency_ns,
-            p95_latency_ns: outcome.report.p95_latency_ns,
-            p99_latency_ns: outcome.report.p99_latency_ns,
-            speedup_vs_sequential: pr.speedup(),
-        });
-        return report_json.write(args, || engine.metrics_snapshot());
-    }
-    if plan.is_some() {
-        // A plan describes the embedding layer only: serve the trace
-        // through the engine and report its stages, no dense layers.
-        let mut engine = pim_engine(config)?;
-        let (breakdowns, measured) = passes.time_stream(&mut engine, &workload.batches)?;
+        let mut breakdowns = Vec::with_capacity(workload.batches.len());
+        let served = engine.serve_stream(&workload.batches, |_, _, bd| breakdowns.push(*bd))?;
         let pim_total = sum_breakdowns(&breakdowns);
+        if pipeline == PipelineMode::DoubleBuf {
+            let speedup = PipelineReport::from_batches(&breakdowns).speedup();
+            println!(
+                "UpDLRM serving {} batches double-buffered (queue depth {})",
+                served.batches, served.queue_depth,
+            );
+            println!(
+                "  wall {:.1} us  throughput {:.0} samples/s",
+                served.wall_ns / 1e3,
+                served.throughput_qps,
+            );
+            println!(
+                "  latency p50 {:.1} us  p95 {:.1} us  p99 {:.1} us",
+                served.p50_latency_ns / 1e3,
+                served.p95_latency_ns / 1e3,
+                served.p99_latency_ns / 1e3,
+            );
+            println!("  speedup over back-to-back: {speedup:.2}x");
+            report_json.serve = Some(ServeJson {
+                mode: served.mode.to_string(),
+                queue_depth: served.queue_depth,
+                wall_ns: served.wall_ns,
+                throughput_qps: served.throughput_qps,
+                p50_latency_ns: served.p50_latency_ns,
+                p95_latency_ns: served.p95_latency_ns,
+                p99_latency_ns: served.p99_latency_ns,
+                speedup_vs_sequential: speedup,
+            });
+        }
         let lookups = pim_total.cache_hits + pim_total.emt_lookups;
-        if lookups > 0 {
+        if plan.is_some() && lookups > 0 {
             println!(
                 "  tier routing: {} host hits, {} PIM lookups ({:.1}% served from host DRAM)",
                 pim_total.cache_hits,
@@ -929,11 +803,11 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             pim: Some(pim_total),
             ..LatencyReport::default()
         };
-        let n = (breakdowns.len() as f64).max(1.0);
-        report_json.fill_sequential(&passes, &total, n, &breakdowns, measured);
-        print_residency(&engine.residency(), &sum_breakdowns(&breakdowns));
+        report_json.fill_means(&total, &breakdowns);
+        print_residency(&engine.residency(), &pim_total);
         return report_json.write(args, || engine.metrics_snapshot());
     }
+    let mem = CpuMemoryModel::default();
     let mut backend: Box<dyn InferenceBackend> = match backend_name.as_str() {
         "updlrm" => Box::new(UpdlrmBackend::from_workload(
             config,
@@ -971,24 +845,13 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         workload.config.batch_size,
     );
     let mut total = LatencyReport::default();
-    let mut breakdowns = Vec::new();
-    let samples = workload.batches.iter().map(|b| b.batch_size()).sum();
-    let measured = passes.time(samples, |pass| {
-        for batch in &workload.batches {
-            let (_, report) = backend.run_batch(batch)?;
-            if pass.is_some() {
-                total.accumulate(&report);
-            }
-            if let (Some(0), Some(pim)) = (pass, report.pim) {
-                breakdowns.push(pim);
-            }
-        }
-        Ok(())
-    })?;
-    // `--batches 0` is a legal (if degenerate) run: divide by at least
-    // one so every derived mean serializes as a finite zero.
-    let n = ((workload.batches.len() * passes.iters) as f64).max(1.0);
-    report_json.fill_sequential(&passes, &total, n, &breakdowns, measured);
+    let mut breakdowns = Vec::with_capacity(workload.batches.len());
+    for batch in &workload.batches {
+        let (_, report) = backend.run_batch(batch)?;
+        total.accumulate(&report);
+        breakdowns.extend(report.pim);
+    }
+    report_json.fill_means(&total, &breakdowns);
     if let Some(r) = backend.residency() {
         print_residency(&r, &sum_breakdowns(&breakdowns));
     }
@@ -1057,7 +920,8 @@ fn tenants_file_or_exit(args: &Args, path: &str) -> TenantsFile {
         file.fleet.fleet_dpus = args.num("dpus", file.fleet.fleet_dpus);
     }
     if args.flag_set("quantum-us") {
-        file.fleet.quantum_ns = us_to_ns("quantum-us", args.num("quantum-us", 0));
+        file.fleet.quantum_ns =
+            scale_or_exit("quantum-us", args.num("quantum-us", 0), 1_000, "us") as u64;
     }
     if args.flag_set("no-isolation") {
         file.fleet.arbitration = Arbitration::Fcfs;
@@ -1231,7 +1095,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("--max-wait-us must be >= 1 (a zero deadline degenerates to batch-of-one)");
         std::process::exit(2)
     }
-    let max_wait_ns = us_to_ns("max-wait-us", max_wait_us);
+    let max_wait_ns = scale_or_exit("max-wait-us", max_wait_us, 1_000, "us") as u64;
     let queue_cap = args.num("queue-cap", 4 * max_batch);
     if queue_cap == 0 {
         eprintln!("--queue-cap must be >= 1 (a zero-length queue admits nothing)");

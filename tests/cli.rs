@@ -442,12 +442,11 @@ fn stats_without_metrics_flag_exits_with_usage() {
 
 #[test]
 fn json_report_is_a_superset_of_the_text_breakdown() {
-    // Regression: with --iters the text output printed the "PIM stages"
-    // line but the --json report dropped the per-stage breakdown.
+    // Every PIM-backed run prints the "PIM stages" line, so its --json
+    // report must carry the per-stage breakdown too.
     let dir = std::env::temp_dir().join("updlrm-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     for (name, extra) in [
-        ("stages-iters.json", &["--iters", "2", "--json"][..]),
         ("stages-plain.json", &["--json"][..]),
         (
             "stages-dbl.json",
@@ -478,6 +477,116 @@ fn json_report_is_a_superset_of_the_text_breakdown() {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Runs `args` with `--metrics` into `name` under the test temp dir and
+/// returns (stdout, snapshot text).
+fn run_with_metrics(args: &[&str], name: &str) -> (String, String) {
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(name);
+    let out = updlrm()
+        .args(args)
+        .arg("--metrics")
+        .arg(&path)
+        .output()
+        .expect("run");
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let metrics = std::fs::read_to_string(&path).expect("metrics written");
+    std::fs::remove_file(&path).ok();
+    (String::from_utf8_lossy(&out.stdout).into_owned(), metrics)
+}
+
+/// The residency report's fill line ("... the fill took N cycles ...").
+fn fill_line(stdout: &str) -> &str {
+    stdout
+        .lines()
+        .find(|l| l.contains("the fill took"))
+        .unwrap_or_else(|| panic!("no fill line in: {stdout}"))
+}
+
+#[test]
+fn a_doublebuf_run_serves_its_trace_once() {
+    // The double-buffered run used to serve the trace twice and report
+    // the warm second pass: "serves": 2, "batches": 4 and a 0-cycle fill.
+    let run = [&QUICK_RUN[..], &["--seed", "7"]].concat();
+    let (dbl, metrics) = run_with_metrics(
+        &[&run[..], &["--pipeline", "doublebuf"]].concat(),
+        "once-dbl.json",
+    );
+    assert!(
+        metrics.contains("\"serves\": 1,\n  \"batches\": 2,"),
+        "{metrics}"
+    );
+    let (seq, _) = run_with_metrics(&run, "once-seq.json");
+    assert_eq!(fill_line(&dbl), fill_line(&seq));
+    assert!(
+        fill_line(&seq).contains("the fill took 14624 cycles"),
+        "{seq}"
+    );
+
+    let plan = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/placement_plan.json"
+    );
+    let (_, metrics) = run_with_metrics(
+        &[
+            "run",
+            "--dataset",
+            "read",
+            "--plan",
+            plan,
+            "--pipeline",
+            "doublebuf",
+        ],
+        "once-plan-dbl.json",
+    );
+    assert!(
+        metrics.contains("\"serves\": 1,\n  \"batches\": 2,"),
+        "{metrics}"
+    );
+}
+
+#[test]
+fn run_has_no_host_timer_flags() {
+    for flag in ["--iters", "--warmup"] {
+        let out = updlrm()
+            .args(QUICK_RUN)
+            .args([flag, "2"])
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag} must not run anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{flag}: stderr {err}");
+    }
+}
+
+#[test]
+fn run_accepts_the_long_strategy_spellings() {
+    // A tenants file always accepted `strategy = "uniform"`; the CLI
+    // used to refuse the same word.
+    let out = updlrm()
+        .args(QUICK_RUN)
+        .args(["--strategy", "uniform"])
+        .output()
+        .expect("run");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = updlrm()
+        .args(QUICK_RUN)
+        .args(["--strategy", "zigzag"])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown strategy 'zigzag'"));
 }
 
 /// Small, fast `serve` argument prefix shared by the open-loop tests.
@@ -987,6 +1096,43 @@ fn plan_generation_is_deterministic_and_inspectable() {
     assert!(text.contains("rank balance"), "stdout: {text}");
     std::fs::remove_file(&a).ok();
     std::fs::remove_file(&b).ok();
+}
+
+/// `plan` with the golden flags, `flag`'s value replaced by `value`.
+fn plan_with(flag: &str, value: &str) -> std::process::Output {
+    let mut args = GOLDEN_PLAN_FLAGS.to_vec();
+    let at = args.iter().position(|a| *a == flag).expect("a golden flag") + 1;
+    args[at] = value;
+    let out = std::env::temp_dir()
+        .join("updlrm-cli-test")
+        .join("never-written.json");
+    updlrm()
+        .args(args)
+        .arg("--out")
+        .arg(out)
+        .output()
+        .expect("plan")
+}
+
+#[test]
+fn plan_rejects_an_emt_budget_that_overflows_bytes() {
+    // Wrapped, 2^54 KB came out at 0 bytes and the planner reported
+    // "capacity exceeded ... only 0 available".
+    let out = plan_with("--emt-kb", "18014398509481984");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--emt-kb"), "stderr {err}");
+}
+
+#[test]
+fn plan_rejects_a_host_budget_that_overflows_bytes() {
+    // Wrapped, this came out at 1024 bytes and a plan was written.
+    let out = plan_with("--host-kb", "18014398509481985");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--host-kb"), "stderr {err}");
 }
 
 #[test]
