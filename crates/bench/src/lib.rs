@@ -18,6 +18,7 @@
 //! `BENCH_<name>.json`. Nothing in this crate reads a host clock —
 //! host time is measured by the `benchmark/` package (`BENCHMARK.json`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

@@ -161,103 +161,6 @@ impl EmbeddingTable {
         }
         out
     }
-
-    /// A borrowed [`TableView`] over this table's storage.
-    pub fn view(&self) -> TableView<'_> {
-        TableView {
-            rows: self.rows,
-            dim: self.dim,
-            data: &self.data,
-        }
-    }
-
-    /// Copies a [`TableView`] (e.g. one borrowed from a memory-mapped
-    /// packed file) into an owned table — one `memcpy`, no parsing.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the view is empty.
-    pub fn from_view(view: &TableView<'_>) -> Result<Self> {
-        let mut t = Self::zeros(view.rows, view.dim)?;
-        t.data.copy_from_slice(view.data);
-        Ok(t)
-    }
-}
-
-/// A borrowed, read-only embedding table: the zero-copy form handed
-/// out by the packed on-disk format (`workloads::pack`), whose
-/// memory-mapped f32 sections serve lookups without ever being copied
-/// into the heap. Mirrors the read API of [`EmbeddingTable`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TableView<'a> {
-    rows: usize,
-    dim: usize,
-    data: &'a [f32],
-}
-
-impl<'a> TableView<'a> {
-    /// Wraps `data` as a `rows x dim` table view.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the dimensions are zero or do not match `data`'s length.
-    pub fn new(rows: usize, dim: usize, data: &'a [f32]) -> Result<Self> {
-        if rows == 0 || dim == 0 || data.len() != rows * dim {
-            return Err(ModelError::InvalidConfig(format!(
-                "table view must be non-empty and exactly rows*dim, got {rows}x{dim} over {}",
-                data.len()
-            )));
-        }
-        Ok(TableView { rows, dim, data })
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Embedding dimension.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Raw row-major storage.
-    #[inline]
-    pub fn as_slice(&self) -> &'a [f32] {
-        self.data
-    }
-
-    /// Borrow row `i`'s embedding vector.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `i` is out of range.
-    pub fn row(&self, i: u64) -> Result<&'a [f32]> {
-        let idx = usize::try_from(i).ok().filter(|&v| v < self.rows).ok_or(
-            ModelError::IndexOutOfRange {
-                index: i,
-                rows: self.rows,
-            },
-        )?;
-        Ok(&self.data[idx * self.dim..(idx + 1) * self.dim])
-    }
-
-    /// Sum of an arbitrary set of rows — bit-identical to
-    /// [`EmbeddingTable::partial_sum`] on the same data.
-    ///
-    /// # Errors
-    ///
-    /// Fails on out-of-range indices.
-    pub fn partial_sum(&self, indices: &[u64]) -> Result<Vec<f32>> {
-        let mut acc = vec![0.0f32; self.dim];
-        for &idx in indices {
-            let row = self.row(idx)?;
-            simd::add_assign(&mut acc, row);
-        }
-        Ok(acc)
-    }
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub mod simd;
 pub mod tensor;
 pub mod train;
 
-pub use embedding::{EmbeddingTable, TableView};
+pub use embedding::EmbeddingTable;
 pub use error::{ModelError, Result};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mlp::{Activation, Linear, LinearGrads, Mlp};

@@ -45,6 +45,7 @@
 //! assert_eq!(reloaded, plan);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -7,7 +7,7 @@
 //! simulation that runs entirely on modeled time:
 //!
 //! * queries arrive according to the workload's
-//!   [`ArrivalTrace`](workloads::ArrivalTrace) (UPWL v2);
+//!   [`ArrivalTrace`](workloads::ArrivalTrace) (UPWL v3);
 //! * a bounded admission queue absorbs them, applying an
 //!   [`OverloadPolicy`] when full;
 //! * a deadline-aware dynamic batcher closes a batch when it reaches
@@ -44,6 +44,7 @@
 //! [`BatchPolicy`], which the free-running wall
 //! batcher also drives, with real timestamps.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -31,6 +31,7 @@
 //! ([`capacity_sweep`]) to answer "how many DPUs do these tenants
 //! need at these SLOs?".
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

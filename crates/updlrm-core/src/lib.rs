@@ -18,6 +18,7 @@
 //!
 //! See the crate-level example in [`engine::UpdlrmEngine`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -9,21 +9,19 @@
 //!
 //! ## Versions
 //!
-//! * **v1** — spec + config + batches, no arrival block. No longer
-//!   read: a v1 file fails with `unsupported UPWL version 1`.
-//! * **v2** — spec + config, an arrival block (a process tag — `0`
-//!   closed-loop, `1` Poisson, `2` bursty — the process parameters and
-//!   the per-query timestamps), then the batches.
-//! * **v3** (current) — v2 plus a drift block between the arrivals and
-//!   the batches: an optional hot-set rotation (`num_sets`, `set_size`,
-//!   `period_ns`, `hot_fraction`), a list of flash-crowd spikes
-//!   (`start_ns`, `duration_ns`, `target_set`, `extra_hot`,
-//!   `rate_boost`) and an optional diurnal curve (`period_ns`,
-//!   `amplitude`). [`Workload::save`] stamps v3 only when a drift
-//!   schedule is attached — stationary workloads keep writing v2
-//!   byte-for-byte, and v2 files still load. The loader rejects v3
-//!   files whose schedule references hot-set rows beyond the spec's row
-//!   count.
+//! v3 is the only version written or read; a v1 or v2 file fails with
+//! `unsupported UPWL version N`. A v3 file holds the spec and the trace
+//! configuration, an arrival block (a process tag — `0` closed-loop,
+//! `1` Poisson, `2` bursty — the process parameters and the per-query
+//! timestamps), a drift block, then the batches. The drift block is an
+//! optional hot-set rotation (`num_sets`, `set_size`, `period_ns`,
+//! `hot_fraction`), a list of flash-crowd spikes (`start_ns`,
+//! `duration_ns`, `target_set`, `extra_hot`, `rate_boost`) and an
+//! optional diurnal curve (`period_ns`, `amplitude`). A stationary
+//! workload writes the empty block (rotation tag 0, no spikes, diurnal
+//! tag 0), which loads back as no drift schedule. The loader rejects
+//! files whose schedule references hot-set rows beyond the spec's row
+//! count.
 
 use crate::arrival::{ArrivalProcess, ArrivalTrace};
 use crate::drift::{DiurnalCurve, DriftSchedule, FlashCrowd, HotSetRotation};
@@ -33,8 +31,7 @@ use dlrm_model::{QueryBatch, SparseInput};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"UPWL";
-const VERSION: u32 = 2;
-const V3: u32 = 3;
+const VERSION: u32 = 3;
 
 fn w_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -233,18 +230,16 @@ fn r_arrivals<R: Read>(reader: &mut R) -> io::Result<ArrivalTrace> {
 }
 
 impl Workload {
-    /// Serializes the workload to `writer` (format `UPWL`): v3 when a
-    /// drift schedule is attached, v2 otherwise — so stationary
-    /// workloads stay byte-identical to pre-v3 writers.
+    /// Serializes the workload to `writer` (format `UPWL` v3; a
+    /// stationary workload writes the empty drift block).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `writer`. A mut reference to any
     /// `Write` works (`workload.save(&mut file)?`).
     pub fn save<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        let version = if self.drift.is_some() { V3 } else { VERSION };
         writer.write_all(MAGIC)?;
-        w_u32(writer, version)?;
+        w_u32(writer, VERSION)?;
         // Spec.
         w_str(writer, &self.spec.name)?;
         w_str(writer, &self.spec.short)?;
@@ -269,10 +264,10 @@ impl Workload {
         w_u64(writer, self.config.num_dense as u64)?;
         w_u64(writer, self.config.seed)?;
         w_arrivals(writer, &self.arrivals)?;
-        // Drift schedule (v3 only).
-        if let Some(drift) = &self.drift {
-            w_drift(writer, drift)?;
-        }
+        w_drift(
+            writer,
+            self.drift.as_ref().unwrap_or(&DriftSchedule::default()),
+        )?;
         // Batches.
         w_u64(writer, self.batches.len() as u64)?;
         for batch in &self.batches {
@@ -308,7 +303,7 @@ impl Workload {
             return Err(bad("not a UPWL workload file"));
         }
         let version = r_u32(reader)?;
-        if version != VERSION && version != V3 {
+        if version != VERSION {
             return Err(bad(&format!("unsupported UPWL version {version}")));
         }
         let name = r_str(reader)?;
@@ -346,15 +341,11 @@ impl Workload {
             seed: r_u64(reader)?,
         };
         let arrivals = r_arrivals(reader)?;
-        // v3 adds the drift block; validate its hot-set geometry
-        // against the spec before trusting any of its row ranges.
-        let drift = if version == V3 {
-            let schedule = r_drift(reader)?;
-            schedule.validate(spec.num_items).map_err(|e| bad(&e))?;
-            Some(schedule)
-        } else {
-            None
-        };
+        // Validate the drift schedule's hot-set geometry against the
+        // spec before trusting any of its row ranges.
+        let schedule = r_drift(reader)?;
+        schedule.validate(spec.num_items).map_err(|e| bad(&e))?;
+        let drift = (!schedule.is_trivial()).then_some(schedule);
         let n_batches = r_u64(reader)?;
         if n_batches > 1 << 24 {
             return Err(bad("batch count implausible"));
@@ -501,13 +492,15 @@ mod tests {
     }
 
     #[test]
-    fn stationary_workloads_still_stamp_v2() {
+    fn stationary_workloads_stamp_v3_and_load_without_drift() {
         let mut w = sample_workload();
         w.stamp_arrivals(ArrivalProcess::poisson(20_000.0, 42));
         let mut buf = Vec::new();
         w.save(&mut buf).unwrap();
-        assert_eq!(&buf[4..8], &2u32.to_le_bytes());
-        assert_eq!(Workload::load(&mut buf.as_slice()).unwrap().drift, None);
+        assert_eq!(&buf[4..8], &3u32.to_le_bytes());
+        let loaded = Workload::load(&mut buf.as_slice()).unwrap();
+        assert_eq!(loaded.drift, None);
+        assert_eq!(loaded, w);
     }
 
     #[test]
@@ -577,8 +570,8 @@ mod tests {
     fn rejects_bad_version() {
         let mut buf = Vec::new();
         sample_workload().save(&mut buf).unwrap();
-        // v1 had no arrival block and is no longer read.
-        for version in [0u8, 1, 4, 99] {
+        // v1 had no arrival block and v2 no drift block; neither is read.
+        for version in [0u8, 1, 2, 4, 99] {
             buf[4] = version;
             let err = Workload::load(&mut buf.as_slice()).unwrap_err();
             assert_eq!(
@@ -634,7 +627,6 @@ mod tests {
             fields.push((p, width, v));
             (p + width, v as usize)
         };
-        let version = u32_at(4);
         let mut p = 8;
         for _ in 0..2 {
             p += 4 + u32_at(p) as usize; // name, short
@@ -645,12 +637,10 @@ mod tests {
         p += 4 + [0, 16, 32][u32_at(p) as usize]; // arrival tag, parameters
         let (q, n) = count(p, 8);
         p = q + 8 * n;
-        if version == 3 {
-            p += 4 + 32 * u32_at(p) as usize; // rotation
-            let (q, n) = count(p, 4);
-            p = q + 40 * n;
-            p += 4 + 16 * u32_at(p) as usize; // diurnal
-        }
+        p += 4 + 32 * u32_at(p) as usize; // rotation
+        let (q, n) = count(p, 4);
+        p = q + 40 * n;
+        p += 4 + 16 * u32_at(p) as usize; // diurnal
         let (q, n_batches) = count(p, 8);
         p = q;
         for _ in 0..n_batches {
@@ -675,7 +665,7 @@ mod tests {
         // "memory allocation of … bytes failed" instead of returning.
         for buf in [tiny(false), tiny(true)] {
             let fields = count_fields(&buf);
-            assert!(fields.len() >= 2 + 2 * (2 + 2 * 2));
+            assert!(fields.len() >= 3 + 2 * (2 + 2 * 2));
             for (p, width, v) in fields {
                 for lie in [1u64 << 60, v + 1] {
                     let mut doctored = buf.clone();
@@ -702,8 +692,9 @@ mod tests {
     #[test]
     fn rejects_a_sparse_count_that_is_not_the_table_count() {
         let buf = tiny(false);
-        // The second count of a batch, after the batch and dense counts.
-        let (p, _, v) = count_fields(&buf)[3];
+        // The second count of a batch, after the arrival, spike, batch
+        // and dense counts.
+        let (p, _, v) = count_fields(&buf)[4];
         assert_eq!(v, 2);
         let mut doctored = buf.clone();
         doctored[p..p + 8].copy_from_slice(&1u64.to_le_bytes());

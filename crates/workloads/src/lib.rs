@@ -23,12 +23,12 @@
 //! assert!(profile.block_skew(8) > 1.0); // GoodReads-like traces are skewed
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod arrival;
 pub mod drift;
-pub mod import;
 pub mod io;
 pub mod pack;
 pub mod profile;
@@ -38,8 +38,7 @@ pub mod zipf;
 
 pub use arrival::{ArrivalProcess, ArrivalTrace, NS_PER_SEC};
 pub use drift::{ActiveHotSet, DiurnalCurve, DriftSchedule, FlashCrowd, HotSetRotation};
-pub use import::{import_text_trace, ImportConfig};
-pub use pack::{save_packed, write_packed, PackError, PackedTables};
+pub use pack::{load_packed, save_packed, write_packed, PackError};
 pub use profile::FreqProfile;
 pub use spec::{CooccurConfig, DatasetSpec, Hotness};
 pub use trace::{TraceConfig, Workload};

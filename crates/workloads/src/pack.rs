@@ -1,11 +1,10 @@
-//! Zero-copy packed embedding-table persistence.
+//! Packed embedding-table persistence.
 //!
 //! Building realistic embedding tables dominates cold-start time: a
 //! GoodReads-scale table set is hundreds of megabytes of RNG output.
 //! This module persists built tables in a page-aligned binary format
-//! (`updlrm pack`) that loads by memory-mapping the file and handing
-//! out borrowed [`TableView`]s straight over the mapped bytes — no
-//! parse, no copy, no allocation proportional to table size.
+//! (`updlrm pack`), and [`load_packed`] reads them straight back into
+//! owned [`EmbeddingTable`]s in one pass over the file.
 //!
 //! ## On-disk layout (version 1, little-endian)
 //!
@@ -18,21 +17,21 @@
 //! 24..     directory: per table { rows u64, dim u64, offset u64, bytes u64 }
 //! ```
 //!
-//! The header region is zero-padded to [`PAGE`] bytes and every table's
-//! f32 data section starts on a [`PAGE`]-aligned offset, so a mapped
-//! section reinterprets as `&[f32]` in place (little-endian hosts).
-//! Hosts where the in-place reinterpret is unavailable (big-endian, or
-//! a misaligned fallback read) decode into an owned buffer at open —
-//! same API, no silent wrong answers.
+//! The header region is zero-padded to [`PAGE`] bytes, every table's
+//! f32 data section starts on a [`PAGE`]-aligned offset, and the
+//! sections follow one another in directory order.
 //!
 //! Corrupt or foreign files are rejected with a typed [`PackError`]
-//! (bad magic, unsupported version, checksum mismatch, truncation);
-//! the CLI maps these to exit code 2 like every other argument error.
+//! (bad magic, unsupported version, checksum mismatch, truncation, a
+//! directory entry that overflows or does not fit the file); the CLI
+//! maps these to exit code 2 like every other argument error. A
+//! directory is checked against the file's length before any table is
+//! allocated.
 
-use dlrm_model::{EmbeddingTable, TableView};
+use dlrm_model::EmbeddingTable;
 use std::fmt;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 /// Alignment of the header region and every data section.
@@ -47,7 +46,7 @@ pub const FORMAT_VERSION: u32 = 1;
 const HEADER_FIXED: usize = 24;
 const DIR_ENTRY: usize = 32;
 
-/// Errors opening or validating a packed table file.
+/// Errors writing or loading a packed table file.
 #[derive(Debug)]
 pub enum PackError {
     /// Underlying filesystem error.
@@ -64,7 +63,7 @@ pub enum PackError {
         actual: u64,
     },
     /// Structurally invalid (truncated, overlapping or misaligned
-    /// sections, zero dimensions).
+    /// sections, zero dimensions, sizes that overflow).
     Malformed(String),
 }
 
@@ -189,310 +188,116 @@ pub fn save_packed<P: AsRef<Path>>(tables: &[EmbeddingTable], path: P) -> Result
     Ok(())
 }
 
-#[cfg(unix)]
-mod sys {
-    //! Minimal read-only `mmap` binding. `std` already links libc on
-    //! unix targets, so the raw symbols are available without adding a
-    //! crate dependency.
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
+/// Bytes decoded per read while loading a section.
+const CHUNK: usize = 64 * 1024;
 
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// A read-only private file mapping, unmapped on drop.
-    #[derive(Debug)]
-    pub struct Map {
-        ptr: *mut core::ffi::c_void,
-        len: usize,
-    }
-
-    // The mapping is immutable (PROT_READ, MAP_PRIVATE) for its whole
-    // lifetime, so shared references to it are safe across threads.
-    unsafe impl Send for Map {}
-    unsafe impl Sync for Map {}
-
-    impl Map {
-        /// Maps `len` bytes of `file` read-only, or `None` if the
-        /// kernel refuses (caller falls back to a buffered read).
-        pub fn new(file: &File, len: usize) -> Option<Map> {
-            if len == 0 {
-                return None;
-            }
-            // SAFETY: mapping a valid fd read-only with a null hint
-            // has no preconditions; failure returns MAP_FAILED.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 || ptr.is_null() {
-                None
-            } else {
-                Some(Map { ptr, len })
-            }
-        }
-
-        /// The mapped bytes.
-        pub fn as_slice(&self) -> &[u8] {
-            // SAFETY: ptr/len describe a live PROT_READ mapping held
-            // for self's lifetime.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Map {
-        fn drop(&mut self) {
-            // SAFETY: ptr/len came from a successful mmap and are
-            // unmapped exactly once.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-}
-
-/// Backing storage of an opened packed file.
-#[derive(Debug)]
-enum Storage {
-    /// Memory-mapped file (the zero-copy path).
-    #[cfg(unix)]
-    Mapped(sys::Map),
-    /// Whole-file buffered read (fallback when mapping is unavailable).
-    Owned(Vec<u8>),
-}
-
-impl Storage {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            Storage::Mapped(m) => m.as_slice(),
-            Storage::Owned(v) => v,
-        }
-    }
-}
-
-/// An opened packed table file: validated header plus backing bytes.
+/// Reads the packed file at `path` back into owned tables, in file
+/// order (the inverse of [`save_packed`]).
 ///
-/// [`PackedTables::view`] hands out [`TableView`]s borrowing the
-/// backing storage directly — on the mmap path the table data is never
-/// copied into the heap.
-#[derive(Debug)]
-pub struct PackedTables {
-    storage: Storage,
-    dir: Vec<DirEntry>,
-    /// Per-table owned decode, populated only when the in-place f32
-    /// reinterpret is unavailable (big-endian host or misaligned
-    /// fallback buffer).
-    owned: Vec<Option<Vec<f32>>>,
-    mapped: bool,
+/// # Errors
+///
+/// [`PackError::BadMagic`], [`PackError::UnsupportedVersion`],
+/// [`PackError::ChecksumMismatch`] or [`PackError::Malformed`] for
+/// invalid files; [`PackError::Io`] for filesystem failures.
+pub fn load_packed<P: AsRef<Path>>(path: P) -> Result<Vec<EmbeddingTable>, PackError> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    read_packed(BufReader::new(file), len)
 }
 
-impl PackedTables {
-    /// Opens and validates `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`PackError::BadMagic`], [`PackError::UnsupportedVersion`],
-    /// [`PackError::ChecksumMismatch`] or [`PackError::Malformed`] for
-    /// invalid files; [`PackError::Io`] for filesystem failures.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, PackError> {
-        let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len() as usize;
-        let storage = match () {
-            #[cfg(unix)]
-            () => match sys::Map::new(&file, file_len) {
-                Some(m) => Storage::Mapped(m),
-                None => {
-                    let mut buf = Vec::with_capacity(file_len);
-                    file.read_to_end(&mut buf)?;
-                    Storage::Owned(buf)
-                }
-            },
-            #[cfg(not(unix))]
-            () => {
-                let mut buf = Vec::with_capacity(file_len);
-                file.read_to_end(&mut buf)?;
-                Storage::Owned(buf)
-            }
-        };
-        Self::from_storage(storage)
+/// [`load_packed`] over a reader holding a `len`-byte packed file.
+///
+/// The header and the whole directory are checked against `len`
+/// before any table is allocated; each section is then read straight
+/// into its table, decoding little-endian f32 and folding the
+/// checksum as it goes.
+fn read_packed<R: Read>(mut r: R, len: u64) -> Result<Vec<EmbeddingTable>, PackError> {
+    let malformed = |m: String| Err(PackError::Malformed(m));
+    let u64_at = |b: &[u8], i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+    if len < HEADER_FIXED as u64 {
+        return malformed("shorter than the fixed header".into());
     }
-
-    fn from_storage(storage: Storage) -> Result<Self, PackError> {
-        #[cfg(unix)]
-        let mapped = matches!(&storage, Storage::Mapped(_));
-        #[cfg(not(unix))]
-        let mapped = false;
-        let bytes = storage.bytes();
-        if bytes.len() < HEADER_FIXED {
-            return Err(PackError::Malformed("shorter than the fixed header".into()));
+    let mut fixed = [0u8; HEADER_FIXED];
+    r.read_exact(&mut fixed)?;
+    if fixed[0..4] != MAGIC {
+        return Err(PackError::BadMagic);
+    }
+    let version = u32::from_le_bytes(fixed[4..8].try_into().expect("4 bytes"));
+    if version != FORMAT_VERSION {
+        return Err(PackError::UnsupportedVersion(version));
+    }
+    let n_tables = u32::from_le_bytes(fixed[8..12].try_into().expect("4 bytes"));
+    let expected = u64_at(&fixed, 16);
+    let dir_end = HEADER_FIXED as u64 + u64::from(n_tables) * DIR_ENTRY as u64;
+    if len < dir_end {
+        return malformed("truncated directory".into());
+    }
+    // Sections follow the directory and one another in file order, so
+    // the reader never seeks back.
+    let mut dir = Vec::with_capacity(n_tables as usize);
+    let mut free = dir_end;
+    let mut entry = [0u8; DIR_ENTRY];
+    for t in 0..n_tables {
+        r.read_exact(&mut entry)?;
+        let [rows, dim, offset, bytes] = [0, 8, 16, 24].map(|i| u64_at(&entry, i));
+        if rows == 0 || dim == 0 {
+            return malformed(format!("table {t}: empty dimensions"));
         }
-        if bytes[0..4] != MAGIC {
-            return Err(PackError::BadMagic);
+        if rows.checked_mul(dim).and_then(|n| n.checked_mul(4)) != Some(bytes) {
+            return malformed(format!(
+                "table {t}: section is {bytes} bytes for {rows}x{dim}"
+            ));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
-            return Err(PackError::UnsupportedVersion(version));
+        if !offset.is_multiple_of(PAGE as u64) {
+            return malformed(format!(
+                "table {t}: section offset {offset} not page-aligned"
+            ));
         }
-        let n_tables = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let expected = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-        let dir_end = HEADER_FIXED + n_tables * DIR_ENTRY;
-        if bytes.len() < dir_end {
-            return Err(PackError::Malformed("truncated directory".into()));
-        }
-        let mut dir = Vec::with_capacity(n_tables);
-        let u = |i: usize| -> usize {
-            u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes")) as usize
-        };
-        for t in 0..n_tables {
-            let base = HEADER_FIXED + t * DIR_ENTRY;
-            let e = DirEntry {
-                rows: u(base),
-                dim: u(base + 8),
-                offset: u(base + 16),
-                bytes: u(base + 24),
-            };
-            if e.rows == 0 || e.dim == 0 {
-                return Err(PackError::Malformed(format!("table {t}: empty dimensions")));
-            }
-            if e.bytes != e.rows * e.dim * 4 {
-                return Err(PackError::Malformed(format!(
-                    "table {t}: section is {} bytes for {}x{}",
-                    e.bytes, e.rows, e.dim
-                )));
-            }
-            if !e.offset.is_multiple_of(PAGE) {
-                return Err(PackError::Malformed(format!(
-                    "table {t}: section offset {} not page-aligned",
-                    e.offset
-                )));
-            }
-            if e.offset < dir_end || e.offset + e.bytes > bytes.len() {
-                return Err(PackError::Malformed(format!(
-                    "table {t}: section {}..{} outside file of {} bytes",
-                    e.offset,
-                    e.offset + e.bytes,
-                    bytes.len()
-                )));
-            }
-            dir.push(e);
-        }
-        let mut actual = FNV_SEED;
-        for e in &dir {
-            actual = fnv1a(actual, &bytes[e.offset..e.offset + e.bytes]);
-        }
-        if actual != expected {
-            return Err(PackError::ChecksumMismatch { expected, actual });
-        }
-        // Decode eagerly wherever the zero-copy reinterpret is
-        // unavailable, so `view` is infallible.
-        let mut owned: Vec<Option<Vec<f32>>> = vec![None; dir.len()];
-        for (t, e) in dir.iter().enumerate() {
-            let section = &bytes[e.offset..e.offset + e.bytes];
-            if reinterpret_f32(section).is_none() {
-                owned[t] = Some(
-                    section
-                        .chunks_exact(4)
-                        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-                        .collect(),
-                );
+        match offset.checked_add(bytes) {
+            Some(end) if offset >= free && end <= len => free = end,
+            _ => {
+                return malformed(format!(
+                    "table {t}: {bytes}-byte section at {offset} overlaps the directory or \
+                     a previous section, or ends past the file of {len} bytes"
+                ))
             }
         }
-        Ok(PackedTables {
-            storage,
-            dir,
-            owned,
-            mapped,
-        })
+        dir.push(DirEntry {
+            rows: rows as usize,
+            dim: dim as usize,
+            offset: offset as usize,
+            bytes: bytes as usize,
+        });
     }
-
-    /// Number of tables in the file.
-    pub fn len(&self) -> usize {
-        self.dir.len()
-    }
-
-    /// Whether the file holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.dir.is_empty()
-    }
-
-    /// Whether the backing storage is a memory mapping (as opposed to
-    /// the buffered-read fallback).
-    pub fn is_mapped(&self) -> bool {
-        self.mapped
-    }
-
-    /// A zero-copy view of table `t` (panics if `t` is out of range —
-    /// the count is validated at open).
-    pub fn view(&self, t: usize) -> TableView<'_> {
-        let e = self.dir[t];
-        let data: &[f32] = match &self.owned[t] {
-            Some(v) => v,
-            None => {
-                let section = &self.storage.bytes()[e.offset..e.offset + e.bytes];
-                reinterpret_f32(section).expect("checked reinterpretable at open")
-            }
-        };
-        TableView::new(e.rows, e.dim, data).expect("directory validated at open")
-    }
-
-    /// All tables as zero-copy views, in file order.
-    pub fn views(&self) -> Vec<TableView<'_>> {
-        (0..self.len()).map(|t| self.view(t)).collect()
-    }
-
-    /// Copies every table out into owned [`EmbeddingTable`]s (one
-    /// memcpy each) — for consumers that need ownership, e.g. engine
-    /// construction.
-    ///
-    /// # Errors
-    ///
-    /// Never fails on a file that passed [`PackedTables::open`]
-    /// validation; the `Result` mirrors [`EmbeddingTable::from_view`].
-    pub fn to_tables(&self) -> Result<Vec<EmbeddingTable>, dlrm_model::ModelError> {
-        (0..self.len())
-            .map(|t| EmbeddingTable::from_view(&self.view(t)))
-            .collect()
-    }
-}
-
-/// Reinterprets little-endian f32 bytes in place when the host layout
-/// allows it (little-endian and 4-byte aligned); `None` otherwise.
-fn reinterpret_f32(bytes: &[u8]) -> Option<&[f32]> {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: f32 has no invalid bit patterns and align_to verifies
-        // alignment; on a little-endian host the byte order matches the
-        // file format.
-        let (prefix, mid, suffix) = unsafe { bytes.align_to::<f32>() };
-        if prefix.is_empty() && suffix.is_empty() {
-            return Some(mid);
+    let mut at = dir_end as usize;
+    let mut checksum = FNV_SEED;
+    let mut raw = vec![0u8; CHUNK];
+    let mut tables = Vec::with_capacity(dir.len());
+    for e in &dir {
+        let pad = (e.offset - at) as u64;
+        if std::io::copy(&mut r.by_ref().take(pad), &mut std::io::sink())? != pad {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
         }
-        None
+        let mut table = EmbeddingTable::zeros(e.rows, e.dim)
+            .map_err(|err| PackError::Malformed(err.to_string()))?;
+        for values in table.as_mut_slice().chunks_mut(CHUNK / 4) {
+            let raw = &mut raw[..values.len() * 4];
+            r.read_exact(raw)?;
+            checksum = fnv1a(checksum, raw);
+            for (v, b) in values.iter_mut().zip(raw.chunks_exact(4)) {
+                *v = f32::from_le_bytes(b.try_into().expect("4 bytes"));
+            }
+        }
+        at = e.offset + e.bytes;
+        tables.push(table);
     }
-    #[cfg(not(target_endian = "little"))]
-    {
-        let _ = bytes;
-        None
+    if checksum != expected {
+        return Err(PackError::ChecksumMismatch {
+            expected,
+            actual: checksum,
+        });
     }
+    Ok(tables)
 }
 
 #[cfg(test)]
@@ -514,24 +319,33 @@ mod tests {
         ]
     }
 
+    /// [`read_packed`] over an in-memory file.
+    fn read(bytes: &[u8]) -> Result<Vec<EmbeddingTable>, PackError> {
+        read_packed(bytes, bytes.len() as u64)
+    }
+
     #[test]
     fn round_trip_is_bit_exact() {
         let tables = sample_tables();
         let path = tmp("roundtrip");
         save_packed(&tables, &path).unwrap();
-        let packed = PackedTables::open(&path).unwrap();
-        assert_eq!(packed.len(), tables.len());
-        for (t, table) in tables.iter().enumerate() {
-            let v = packed.view(t);
-            assert_eq!(v.rows(), table.rows());
-            assert_eq!(v.dim(), table.dim());
-            let a: Vec<u32> = table.as_slice().iter().map(|x| x.to_bits()).collect();
-            let b: Vec<u32> = v.as_slice().iter().map(|x| x.to_bits()).collect();
+        let loaded = load_packed(&path).unwrap();
+        assert_eq!(loaded.len(), tables.len());
+        for (t, (a, b)) in tables.iter().zip(&loaded).enumerate() {
+            assert_eq!((a.rows(), a.dim()), (b.rows(), b.dim()), "table {t}");
+            let a: Vec<u32> = a.as_slice().iter().map(|x| x.to_bits()).collect();
+            let b: Vec<u32> = b.as_slice().iter().map(|x| x.to_bits()).collect();
             assert_eq!(a, b, "table {t}");
         }
-        let owned = packed.to_tables().unwrap();
-        assert_eq!(owned, tables);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_section_larger_than_a_chunk_round_trips() {
+        let tables = vec![EmbeddingTable::random(CHUNK / 64 + 3, 32, 1.0, 4).unwrap()];
+        let mut buf = Vec::new();
+        write_packed(&tables, &mut buf).unwrap();
+        assert_eq!(read(&buf).unwrap(), tables);
     }
 
     #[test]
@@ -562,10 +376,7 @@ mod tests {
     fn bad_magic_is_rejected() {
         let path = tmp("magic");
         std::fs::write(&path, b"NOPE000000000000000000000000").unwrap();
-        assert!(matches!(
-            PackedTables::open(&path),
-            Err(PackError::BadMagic)
-        ));
+        assert!(matches!(load_packed(&path), Err(PackError::BadMagic)));
         std::fs::remove_file(&path).ok();
     }
 
@@ -579,7 +390,7 @@ mod tests {
         f.write_all(&99u32.to_le_bytes()).unwrap();
         drop(f);
         assert!(matches!(
-            PackedTables::open(&path),
+            load_packed(&path),
             Err(PackError::UnsupportedVersion(99))
         ));
         std::fs::remove_file(&path).ok();
@@ -600,7 +411,7 @@ mod tests {
         bytes[off + 5] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            PackedTables::open(&path),
+            load_packed(&path),
             Err(PackError::ChecksumMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();
@@ -613,36 +424,93 @@ mod tests {
         save_packed(&tables, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 64]).unwrap();
-        assert!(matches!(
-            PackedTables::open(&path),
-            Err(PackError::Malformed(_))
-        ));
+        assert!(matches!(load_packed(&path), Err(PackError::Malformed(_))));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn view_partial_sum_matches_owned_table() {
-        let tables = sample_tables();
-        let path = tmp("psum");
-        save_packed(&tables, &path).unwrap();
-        let packed = PackedTables::open(&path).unwrap();
-        let idx = [0u64, 3, 3, 30];
-        let a = tables[0].partial_sum(&idx).unwrap();
-        let b = packed.view(0).partial_sum(&idx).unwrap();
-        let ab: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
-        let bb: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(ab, bb);
-        std::fs::remove_file(&path).ok();
+    fn rejects_every_strict_prefix() {
+        let mut buf = Vec::new();
+        write_packed(&sample_tables(), &mut buf).unwrap();
+        assert!(read(&buf).is_ok());
+        for len in 0..buf.len() {
+            assert!(
+                matches!(read(&buf[..len]), Err(PackError::Malformed(_))),
+                "a {len}-byte prefix of a {}-byte file loaded",
+                buf.len()
+            );
+        }
     }
 
-    #[cfg(unix)]
+    /// A one-page file of one table whose directory entry is
+    /// `{rows, dim, offset, bytes}`, checksummed as if it had no data.
+    fn one_entry(fields: [u64; 4]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        for word in [FORMAT_VERSION, 1, 0] {
+            buf.extend(word.to_le_bytes());
+        }
+        buf.extend(FNV_SEED.to_le_bytes());
+        for f in fields {
+            buf.extend(f.to_le_bytes());
+        }
+        buf.resize(PAGE, 0);
+        buf
+    }
+
     #[test]
-    fn unix_open_uses_mmap() {
-        let tables = sample_tables();
-        let path = tmp("mapped");
-        save_packed(&tables, &path).unwrap();
-        let packed = PackedTables::open(&path).unwrap();
-        assert!(packed.is_mapped(), "unix open should take the mmap path");
-        std::fs::remove_file(&path).ok();
+    fn directory_arithmetic_that_overflows_is_malformed() {
+        // Regression: unchecked, the first wrapped `offset + bytes` past
+        // the bounds check and then panicked slicing the file; the
+        // second wrapped `rows * dim * 4` to 0 and opened a 2^62-row
+        // table. A debug build panicked on both.
+        for fields in [[1, 1024, u64::MAX - 4095, 4096], [1 << 62, 4, 4096, 0]] {
+            let err = read(&one_entry(fields)).unwrap_err();
+            assert!(matches!(err, PackError::Malformed(_)), "{fields:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn sections_that_overlap_are_malformed() {
+        let mut buf = Vec::new();
+        write_packed(&sample_tables(), &mut buf).unwrap();
+        let offset_of = |t: usize| HEADER_FIXED + t * DIR_ENTRY + 16;
+        let first = buf[offset_of(0)..offset_of(0) + 8].to_vec();
+        // Table 1 over table 0's section, then table 0 over the header.
+        for (t, offset) in [(1, first), (0, 0u64.to_le_bytes().to_vec())] {
+            let mut doctored = buf.clone();
+            doctored[offset_of(t)..offset_of(t) + 8].copy_from_slice(&offset);
+            let err = read(&doctored).unwrap_err();
+            assert!(matches!(err, PackError::Malformed(_)), "table {t}: {err}");
+        }
+    }
+
+    #[test]
+    fn lying_directory_fields_fail_before_they_allocate() {
+        let mut buf = Vec::new();
+        write_packed(&sample_tables(), &mut buf).unwrap();
+        // The table count, then every field of every directory entry.
+        let mut fields = vec![(8, 4)];
+        fields.extend((0..3 * 4).map(|f| (HEADER_FIXED + 8 * f, 8)));
+        for (p, width) in fields {
+            let v = if width == 4 {
+                u32::from_le_bytes(buf[p..p + 4].try_into().unwrap()).into()
+            } else {
+                u64::from_le_bytes(buf[p..p + 8].try_into().unwrap())
+            };
+            for lie in [1u64 << 60, v + 1] {
+                let mut doctored = buf.clone();
+                if width == 4 {
+                    let lie = u32::try_from(lie).unwrap_or(u32::MAX);
+                    doctored[p..p + 4].copy_from_slice(&lie.to_le_bytes());
+                } else {
+                    doctored[p..p + 8].copy_from_slice(&lie.to_le_bytes());
+                }
+                let err = read(&doctored).expect_err("a field that lies about the file");
+                assert!(
+                    matches!(err, PackError::Malformed(_)),
+                    "field at byte {p} set to {lie}: {err}"
+                );
+            }
+        }
     }
 }

@@ -71,7 +71,7 @@ pub struct Workload {
     /// Per-query arrival timestamps (empty = closed-loop).
     pub arrivals: ArrivalTrace,
     /// Non-stationary schedule the trace was generated under (None =
-    /// stationary v1/v2 workload).
+    /// stationary workload, saved as an empty drift block).
     pub drift: Option<DriftSchedule>,
 }
 

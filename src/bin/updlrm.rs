@@ -35,6 +35,8 @@
 //!
 //! A flag a subcommand does not read is an error (exit 2), not ignored.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -164,6 +166,18 @@ impl Args {
             .unwrap_or_else(|| default.to_string())
     }
 
+    /// `--scale` (default 200), the factor the dataset's rows are cut
+    /// by; exits 2 on 0, which `DatasetSpec::scaled_down` would read as
+    /// full scale.
+    fn scale(&self) -> usize {
+        let scale = self.num("scale", 200);
+        if scale == 0 {
+            eprintln!("--scale must be >= 1 (it divides the dataset's row count)");
+            std::process::exit(2)
+        }
+        scale
+    }
+
     fn num(&self, name: &str, default: usize) -> usize {
         match self.flags.get(name) {
             None => default,
@@ -238,7 +252,7 @@ fn build_setting(
     let prov = match plan {
         Some(p) => p.provenance.clone(),
         None => PlanProvenance {
-            scale: args.num("scale", 200) as u64,
+            scale: args.scale() as u64,
             tables: 8,
             batches: args.num("batches", 10),
             seed: args.num("seed", 7) as u64,
@@ -544,12 +558,12 @@ fn embed_dtype_or_exit(args: &Args) -> EmbedDtype {
     }
 }
 
-/// Opens a packed table file, refusing foreign formats/versions and
-/// corrupt payloads with exit 2 before any row is consumed (the same
-/// contract `plan --load` and `stats` apply to their inputs).
-fn load_packed_or_exit(path: &str) -> PackedTables {
-    match PackedTables::open(path) {
-        Ok(p) => p,
+/// Loads a packed table file, refusing foreign formats/versions and
+/// corrupt payloads with exit 2 (the same contract `plan --load` and
+/// `stats` apply to their inputs).
+fn load_packed_or_exit(path: &str) -> Vec<EmbeddingTable> {
+    match load_packed(path) {
+        Ok(tables) => tables,
         Err(PackError::UnsupportedVersion(found)) => {
             eprintln!(
                 "packed tables {path} use format v{found}, but this binary reads v1; \
@@ -566,7 +580,7 @@ fn load_packed_or_exit(path: &str) -> PackedTables {
 
 /// `updlrm pack`: write the deterministic embedding tables for a
 /// dataset/scale/seed to the page-aligned on-disk format, so later
-/// `run --tables FILE` invocations mmap them instead of regenerating.
+/// `run --tables FILE` invocations load them instead of regenerating.
 /// Rows are always stored as f32 — int8 quantization happens at engine
 /// load, so one packed file serves both `--embed-dtype` modes.
 fn cmd_pack(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
@@ -598,7 +612,7 @@ fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("plan needs --out FILE (write a new plan) or --load FILE (inspect one)");
         usage()
     };
-    let scale = args.num("scale", 200);
+    let scale = args.scale();
     let spec = spec_or_exit(args).scaled_down(scale);
     let num_tables = args.num("tables", 8);
     let num_batches = args.num("batches", 10);
@@ -684,14 +698,16 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         (path.as_str(), load_plan_or_exit(path))
     });
+    let packed = args
+        .flags
+        .get("tables")
+        .map(|path| (path, load_packed_or_exit(path)));
     let (spec, workload, mut model) = build_setting(args, plan.as_ref().map(|(_, p)| p))?;
-    if let Some(path) = args.flags.get("tables") {
-        let packed = load_packed_or_exit(path);
+    if let Some((path, packed)) = packed {
         let dlrm = Arc::get_mut(&mut model).expect("model not yet shared");
-        let want: Vec<(usize, usize)> = dlrm.tables().iter().map(|t| (t.rows(), t.dim())).collect();
-        let got: Vec<(usize, usize)> = (0..packed.len())
-            .map(|t| (packed.view(t).rows(), packed.view(t).dim()))
-            .collect();
+        let shape = |t: &EmbeddingTable| (t.rows(), t.dim());
+        let want: Vec<(usize, usize)> = dlrm.tables().iter().map(shape).collect();
+        let got: Vec<(usize, usize)> = packed.iter().map(shape).collect();
         if want != got {
             eprintln!(
                 "packed tables {path} do not match this run's model shape \
@@ -700,8 +716,8 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             );
             std::process::exit(2)
         }
-        for (slot, view) in dlrm.tables_mut().iter_mut().zip(packed.views()) {
-            *slot = EmbeddingTable::from_view(&view)?;
+        for (slot, table) in dlrm.tables_mut().iter_mut().zip(packed) {
+            *slot = table;
         }
     }
     let profiles: Vec<FreqProfile> = (0..workload.config.num_tables)
@@ -1147,7 +1163,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let (spec, workload, model) = if let Some(path) = &workload_path {
-        // A stamped UPWL file (v2/v3) replayed as-is: the loader
+        // A stamped UPWL file replayed as-is: the loader
         // already validated the drift schedule against the embedded
         // spec's row count, and a file without arrivals cannot be
         // served open-loop.
@@ -1623,7 +1639,7 @@ fn parse_drift(args: &Args, spec: &DatasetSpec) -> Option<DriftSchedule> {
 }
 
 fn cmd_trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = spec_or_exit(args).scaled_down(args.num("scale", 200));
+    let spec = spec_or_exit(args).scaled_down(args.scale());
     let trace_config = TraceConfig {
         num_batches: args.num("batches", 10),
         seed: args.num("seed", 7) as u64,
@@ -1655,13 +1671,13 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             workload.arrivals.process.offered_qps().unwrap_or(0.0),
         )
     };
-    let version = if workload.drift.is_some() {
-        "UPWL v3, drifting"
+    let drifting = if workload.drift.is_some() {
+        ", drifting"
     } else {
-        "UPWL"
+        ""
     };
     println!(
-        "wrote {} ({} batches, {} lookups, {} items/table, {arrivals}, {version}) to {out}",
+        "wrote {} ({} batches, {} lookups, {} items/table, {arrivals}, UPWL v3{drifting}) to {out}",
         spec.name,
         workload.batches.len(),
         workload.total_lookups(),

@@ -55,6 +55,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use baselines;
@@ -95,8 +96,8 @@ pub mod prelude {
     };
     pub use upmem_sim::{CostModel, DpuId, PimConfig, PimSystem, RankCostModel, RankTopology};
     pub use workloads::{
-        save_packed, ArrivalProcess, ArrivalTrace, DatasetSpec, DiurnalCurve, DriftSchedule,
-        FlashCrowd, FreqProfile, HotSetRotation, Hotness, PackError, PackedTables, TraceConfig,
+        load_packed, save_packed, ArrivalProcess, ArrivalTrace, DatasetSpec, DiurnalCurve,
+        DriftSchedule, FlashCrowd, FreqProfile, HotSetRotation, Hotness, PackError, TraceConfig,
         Workload, ZipfSampler, NS_PER_SEC,
     };
 }

@@ -999,7 +999,7 @@ fn trace_with_arrivals_emits_a_v2_file_that_round_trips() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("bursty arrivals at 250000 qps"));
     let mut f = std::fs::File::open(&path).expect("trace file written");
-    let loaded = updlrm::workloads::Workload::load(&mut f).expect("valid UPWL v2 file");
+    let loaded = updlrm::workloads::Workload::load(&mut f).expect("valid UPWL v3 file");
     assert_eq!(loaded.arrivals.len(), loaded.num_queries());
     assert_eq!(loaded.arrivals.process.tag(), "bursty");
 
@@ -1432,11 +1432,11 @@ fn serve_rejects_doctored_v3_with_out_of_range_hot_sets() {
 
 #[test]
 fn serve_rejects_a_count_that_lies_about_the_file() {
-    // Regression: 138 bytes — a valid v2 header, one batch announced,
+    // Regression: 150 bytes — a valid v3 header, one batch announced,
     // its dense vector 1 << 60 floats long — used to abort the process
     // (SIGABRT, "memory allocation of … bytes failed") inside the loader.
     let mut bytes = b"UPWL".to_vec();
-    bytes.extend(2u32.to_le_bytes());
+    bytes.extend(3u32.to_le_bytes());
     for text in ["m", "m"] {
         bytes.extend(1u32.to_le_bytes());
         bytes.extend(text.as_bytes());
@@ -1457,9 +1457,12 @@ fn serve_rejects_a_count_that_lies_about_the_file() {
     }
     bytes.extend(0u32.to_le_bytes()); // closed loop,
     bytes.extend(0u64.to_le_bytes()); // no arrival stamps
+    for empty in [0u32, 0, 0] {
+        bytes.extend(empty.to_le_bytes()); // no rotation, spikes or diurnal curve
+    }
     bytes.extend(1u64.to_le_bytes()); // one batch
     bytes.extend((1u64 << 60).to_le_bytes()); // of 2^60 dense values
-    assert_eq!(bytes.len(), 138);
+    assert_eq!(bytes.len(), 150);
 
     let dir = std::env::temp_dir().join("updlrm-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -1474,7 +1477,127 @@ fn serve_rejects_a_count_that_lies_about_the_file() {
     assert_eq!(out.status.code(), Some(2), "a lying count must exit 2");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("huge.upwl"), "stderr: {err}");
+    // The file must get past the version check to reach the count.
+    assert!(!err.contains("version"), "stderr: {err}");
     std::fs::remove_file(&path).ok();
+}
+
+/// A one-page packed-table file of one table whose directory entry is
+/// `{rows, dim, offset, bytes}` and whose checksum is the FNV-1a seed
+/// (the checksum of no data).
+fn one_entry_uptb(fields: [u64; 4]) -> Vec<u8> {
+    let mut bytes = b"UPTB".to_vec();
+    for word in [1u32, 1, 0] {
+        bytes.extend(word.to_le_bytes()); // version, table count, reserved
+    }
+    bytes.extend(0xCBF2_9CE4_8422_2325u64.to_le_bytes());
+    for f in fields {
+        bytes.extend(f.to_le_bytes());
+    }
+    bytes.resize(4096, 0);
+    bytes
+}
+
+#[test]
+fn run_rejects_packed_tables_whose_directory_overflows() {
+    // Regression: the first file's `offset + bytes` wrapped past the
+    // bounds check and the release binary exited 101 slicing the file;
+    // the second's `rows * dim * 4` wrapped to 0 and loaded a 2^62-row
+    // table. Both are malformed and exit 2.
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, fields) in [
+        ("wrap-offset.uptb", [1, 1024, u64::MAX - 4095, 4096]),
+        ("wrap-rows.uptb", [1 << 62, 4, 4096, 0]),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, one_entry_uptb(fields)).expect("write");
+        let out = updlrm()
+            .args(["run", "--dataset", "read", "--scale", "5000", "--dpus", "8"])
+            .args(["--batches", "1", "--tables"])
+            .arg(&path)
+            .output()
+            .expect("run --tables");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: stderr {err}");
+        assert!(out.stdout.is_empty(), "{name}: nothing may run");
+        assert!(err.contains("malformed"), "{name}: stderr {err}");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn a_packed_table_run_matches_the_regenerated_run() {
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let tables = dir.join("cli-pack.uptb");
+    let flags = ["--dataset", "read", "--scale", "5000", "--seed", "7"];
+    let out = updlrm()
+        .arg("pack")
+        .args(flags)
+        .arg("--out")
+        .arg(&tables)
+        .output()
+        .expect("pack");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut snapshots = Vec::new();
+    for packed in [false, true] {
+        let metrics = dir.join(format!("cli-pack-metrics-{packed}.json"));
+        let mut cmd = updlrm();
+        cmd.arg("run")
+            .args(flags)
+            .args(["--dpus", "32", "--batches", "2", "--host-threads", "1"])
+            .arg("--metrics")
+            .arg(&metrics);
+        if packed {
+            cmd.arg("--tables").arg(&tables);
+        }
+        let out = cmd.output().expect("run");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        snapshots.push(std::fs::read(&metrics).expect("metrics"));
+        std::fs::remove_file(&metrics).ok();
+    }
+    assert!(snapshots[0] == snapshots[1], "--tables changed the run");
+    std::fs::remove_file(&tables).ok();
+}
+
+#[test]
+fn scale_zero_is_rejected_by_every_subcommand_that_reads_it() {
+    // `DatasetSpec::scaled_down(0)` means full scale: `trace --scale 0`
+    // wrote 2,360,650 items per table and `pack --scale 0` 2.4 GB.
+    let out_path = std::env::temp_dir()
+        .join("updlrm-cli-test")
+        .join("scale-zero-never-written");
+    let out_path = out_path.to_str().expect("utf-8 temp path");
+    for args in [
+        &["run", "--batches", "1"][..],
+        &["pack", "--out", out_path],
+        &["plan", "--out", out_path],
+        &["serve", "--qps", "1000", "--batches", "1"],
+        &["trace", "--batches", "1", "--out", out_path],
+    ] {
+        let out = updlrm()
+            .args(args)
+            .args(["--scale", "0"])
+            .output()
+            .expect("updlrm");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {err}");
+        assert!(
+            err.contains("--scale must be >= 1"),
+            "{args:?}: stderr {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+        assert!(!std::path::Path::new(out_path).exists(), "{args:?} wrote");
+    }
 }
 
 #[test]
