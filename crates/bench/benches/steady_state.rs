@@ -94,7 +94,6 @@ fn engine(
     let batch_size = workload.config.batch_size;
     let mut config = UpdlrmConfig::with_dpus(NR_DPUS, PartitionStrategy::CacheAware)
         .with_pipeline_mode(mode)
-        .with_queue_depth(2)
         .with_embed_dtype(dtype);
     // MRAM staging slots are sized for `config.batch_size` samples.
     config.batch_size = batch_size;

@@ -26,7 +26,7 @@
 //!   `serve_stream`, and reports the pooled embeddings plus the modeled
 //!   breakdown and its *measured* wall time back on a completion ring.
 //!
-//! All rings are the hand-rolled lock-free SPSC of [`mod@ring`] — bounded,
+//! All rings are the SPSC rings of [`mod@ring`] — std's bounded channel,
 //! so a slow stage exerts backpressure instead of growing a queue.
 //!
 //! ## The oracle lock
@@ -53,11 +53,13 @@
 //! host CPU contention between shards, and ring backpressure — see
 //! DESIGN.md §4.8.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod ring;
 
+use std::sync::mpsc::{TryRecvError, TrySendError};
 use std::time::Instant;
 
 use dlrm_model::{Matrix, QueryBatch};
@@ -482,8 +484,10 @@ where
     /// Wall-mode dispatch. Must NOT block without draining completions:
     /// with a full work ring *and* a full completion ring, the worker
     /// blocks pushing its completion and a blocked batcher would never
-    /// drain it — a cycle. So this spins on `try_push`, draining
-    /// completions between attempts.
+    /// drain it — a cycle. So this spins on `try_send`, draining
+    /// completions between attempts. A worker that is gone pushed its
+    /// engine error before it exited, so that shard's completions are
+    /// drained first and the invariant error is only the fallback.
     fn dispatch_wall(
         &mut self,
         fl: &mut InFlight,
@@ -493,11 +497,15 @@ where
         let shard = launch.seq % self.cfg.shards;
         fl.triggers.push((launch.seq, trigger));
         let mut item = self.make_item(launch);
-        while let Err(back) = self.work_txs[shard].try_push(item) {
-            if self.work_txs[shard].is_disconnected() {
-                return Err(Self::worker_gone(shard, launch.seq, "was dispatched"));
+        loop {
+            match self.work_txs[shard].try_send(item) {
+                Ok(()) => break,
+                Err(TrySendError::Full(back)) => item = back,
+                Err(TrySendError::Disconnected(_)) => {
+                    self.drain_shard(fl, shard)?;
+                    return Err(Self::worker_gone(shard, launch.seq, "was dispatched"));
+                }
             }
-            item = back;
             self.drain_completions(fl)?;
             std::thread::yield_now();
         }
@@ -506,30 +514,34 @@ where
     }
 
     /// Books every completion currently waiting on any shard's ring
-    /// (non-blocking): trigger attribution, measured latency, sink.
+    /// (non-blocking).
     fn drain_completions(&mut self, fl: &mut InFlight) -> Result<()> {
+        (0..self.cfg.shards).try_for_each(|shard| self.drain_shard(fl, shard))
+    }
+
+    /// Books every completion currently waiting on `shard`'s ring
+    /// (non-blocking): trigger attribution, measured latency, sink.
+    fn drain_shard(&mut self, fl: &mut InFlight, shard: usize) -> Result<()> {
         let times = &self.workload.arrivals.times_ns;
-        for shard in 0..self.cfg.shards {
-            while let Some(msg) = self.done_rxs[shard].try_pop() {
-                let done = msg?;
-                fl.last_done_wall = fl.last_done_wall.max(done.done_wall_ns);
-                let slot = fl
-                    .triggers
-                    .iter()
-                    .position(|&(s, _)| s == done.seq)
-                    .expect("every dispatched seq has a pending trigger");
-                let (_, trigger) = fl.triggers.swap_remove(slot);
-                fl.tally.batch(done.ids.len(), trigger);
-                self.book(&done);
-                for &id in &done.ids {
-                    // Open-loop latency: measured completion minus
-                    // *ideal* arrival, so ingest lag counts against us
-                    // (no coordinated omission).
-                    let ideal = modeled_to_wall(times[id as usize], self.cfg.time_scale);
-                    fl.tally
-                        .latencies
-                        .push(done.done_wall_ns.saturating_sub(ideal));
-                }
+        while let Some(msg) = self.done_rxs[shard].try_pop() {
+            let done = msg?;
+            fl.last_done_wall = fl.last_done_wall.max(done.done_wall_ns);
+            let slot = fl
+                .triggers
+                .iter()
+                .position(|&(s, _)| s == done.seq)
+                .expect("every dispatched seq has a pending trigger");
+            let (_, trigger) = fl.triggers.swap_remove(slot);
+            fl.tally.batch(done.ids.len(), trigger);
+            self.book(&done);
+            for &id in &done.ids {
+                // Open-loop latency: measured completion minus
+                // *ideal* arrival, so ingest lag counts against us
+                // (no coordinated omission).
+                let ideal = modeled_to_wall(times[id as usize], self.cfg.time_scale);
+                fl.tally
+                    .latencies
+                    .push(done.done_wall_ns.saturating_sub(ideal));
             }
         }
         Ok(())
@@ -567,13 +579,11 @@ where
             }
             while !door_blocked {
                 if peeked.is_none() {
-                    peeked = arrival_rx.try_pop();
-                    // Empty + producer gone = end of stream; re-pop
-                    // after the liveness load so a value pushed between
-                    // the two cannot be missed.
-                    if peeked.is_none() && arrival_rx.is_disconnected() {
-                        peeked = arrival_rx.try_pop();
-                        eos = peeked.is_none();
+                    match arrival_rx.try_recv() {
+                        Ok(arrival) => peeked = Some(arrival),
+                        // Producer gone and ring drained.
+                        Err(TryRecvError::Disconnected) => eos = true,
+                        Err(TryRecvError::Empty) => {}
                     }
                 }
                 let Some((id, at)) = peeked else { break };
@@ -678,6 +688,56 @@ mod tests {
                 "time_scale {bad} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn dispatch_to_a_gone_worker_returns_its_queued_error() {
+        let spec = workloads::DatasetSpec::goodreads().scaled_down(1000);
+        let workload = Workload::generate(
+            &spec,
+            workloads::TraceConfig {
+                num_tables: 1,
+                num_batches: 1,
+                ..Default::default()
+            },
+        );
+        let (work_tx, work_rx) = ring::<WorkItem>(1);
+        let (mut done_tx, done_rx) = ring::<Completion>(1);
+        let mut b = Batcher {
+            cfg: RuntimeConfig::default(),
+            workload: &workload,
+            work_txs: vec![work_tx],
+            done_rxs: vec![done_rx],
+            start: Instant::now(),
+            sink: |_: usize, _: &[u32], _: &[Matrix], _: &EmbeddingBreakdown| {},
+            batches_per_shard: vec![0],
+            modeled_service_ns: 0.0,
+            measured_service_ns: 0.0,
+        };
+        let mut fl = InFlight {
+            tally: Tally::new(64),
+            triggers: Vec::new(),
+            last_done_wall: 0,
+        };
+        // A worker that failed: its engine error is queued, then it exits.
+        let failed = CoreError::InvalidConfig("engine failed".into());
+        assert!(done_tx.try_push(Err(failed)).is_ok());
+        drop((work_rx, done_tx));
+        let launch = |seq| Launch {
+            seq,
+            at_ns: 0,
+            ids: &[0, 1],
+        };
+        let err = b
+            .dispatch_wall(&mut fl, &launch(0), SchedTrigger::Size)
+            .unwrap_err();
+        assert!(err.to_string().contains("engine failed"), "{err}");
+        // Nothing queued any more: the invariant error is the fallback.
+        let err = b
+            .dispatch_wall(&mut fl, &launch(1), SchedTrigger::Size)
+            .unwrap_err();
+        assert!(err.to_string().contains("worker exited"), "{err}");
+        assert_eq!(b.batches_per_shard, [0]);
     }
 
     #[test]

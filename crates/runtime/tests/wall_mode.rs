@@ -183,3 +183,50 @@ fn wall_mode_rejects_closed_loop_and_mismatched_shards() {
     let err = rt.run(&mut two, &closed, |_, _, _, _| {}).unwrap_err();
     assert!(err.to_string().contains("arrival"), "{err}");
 }
+
+#[test]
+fn a_failing_shard_reports_its_own_error() {
+    // Shard 1's engine has one table for a two-table workload, so the
+    // first batch it gets fails in stage 1. The run must return that
+    // engine error — not the follow-on "worker exited" invariant a
+    // later dispatch to the dead shard would report — and must not
+    // hang, in both modes. Wall mode runs repeatedly: whether a drain
+    // or a dispatch is first to meet the dead shard depends on the
+    // thread schedule.
+    let (tables, workload) = setup(2, ArrivalProcess::poisson(500_000.0, 43));
+    let spec = DatasetSpec::goodreads().scaled_down(5000);
+    let mut one_table = Workload::generate(
+        &spec,
+        TraceConfig {
+            num_tables: 1,
+            num_batches: 1,
+            ..TraceConfig::default()
+        },
+    );
+    one_table.stamp_arrivals(ArrivalProcess::poisson(500_000.0, 43));
+    let sched = SchedConfig {
+        max_batch_size: 16,
+        max_wait_ns: 20_000,
+        queue_cap: 256,
+        policy: OverloadPolicy::ShedOldest,
+    };
+    for (deterministic, runs) in [(true, 1), (false, 20)] {
+        for run in 0..runs {
+            let mut eng = engines(&tables, &workload, 64, 1);
+            eng.extend(engines(&tables[..1], &one_table, 64, 1));
+            let rt = Runtime::new(RuntimeConfig {
+                sched,
+                shards: 2,
+                time_scale: 5.0,
+                deterministic,
+                ring_capacity: 2,
+            })
+            .unwrap();
+            let err = rt.run(&mut eng, &workload, |_, _, _, _| {}).unwrap_err();
+            assert!(
+                err.to_string().contains("sparse groups"),
+                "deterministic = {deterministic}, run {run}: {err}"
+            );
+        }
+    }
+}

@@ -58,11 +58,6 @@ pub struct UpdlrmConfig {
     /// back-to-back (the paper's measurement mode) or double-buffered
     /// across the two MRAM staging slots (DESIGN.md §4.5).
     pub pipeline_mode: PipelineMode,
-    /// Maximum batches in flight when serving. `1` degenerates to the
-    /// sequential schedule even under
-    /// [`PipelineMode::DoubleBuf`]; values above the number of MRAM
-    /// staging slots (2) are capped there. `0` is rejected by `serve`.
-    pub queue_depth: usize,
     /// Record fleet telemetry (per-stage spans, per-DPU counters, cache
     /// traffic) into the engine's
     /// [`MetricsRegistry`](crate::telemetry::MetricsRegistry). Off by
@@ -112,7 +107,6 @@ impl Default for UpdlrmConfig {
             replicate_top: 64,
             host_threads: 1,
             pipeline_mode: PipelineMode::Sequential,
-            queue_depth: 2,
             telemetry: false,
             embed_dtype: EmbedDtype::F32,
             replan: ReplanPolicy::Off,
@@ -157,9 +151,12 @@ impl UpdlrmConfig {
         self
     }
 
-    /// Returns a copy with the given serve queue depth.
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth;
+    /// Returns `self` unchanged. The serve depth is what
+    /// [`PipelineMode`] says — one batch in flight when `Sequential`,
+    /// one per MRAM staging slot (2) when `DoubleBuf` — so there is no
+    /// depth to set; this stays only for callers written against the
+    /// old knob.
+    pub fn with_queue_depth(self, _depth: usize) -> Self {
         self
     }
 
@@ -233,7 +230,6 @@ mod tests {
         assert!(c.n_c.is_none());
         // Serving defaults to the paper's back-to-back measurement mode.
         assert_eq!(c.pipeline_mode, PipelineMode::Sequential);
-        assert_eq!(c.queue_depth, 2);
         // Telemetry is opt-in, and tables are stored full-precision
         // unless quantization is requested.
         assert!(!c.telemetry);
@@ -249,13 +245,11 @@ mod tests {
         let c = UpdlrmConfig::with_dpus(32, PartitionStrategy::Uniform)
             .with_fixed_nc(4)
             .with_cache_fraction(0.4)
-            .with_pipeline_mode(PipelineMode::DoubleBuf)
-            .with_queue_depth(3);
+            .with_pipeline_mode(PipelineMode::DoubleBuf);
         assert_eq!(c.nr_dpus, 32);
         assert_eq!(c.strategy, PartitionStrategy::Uniform);
         assert_eq!(c.n_c, Some(4));
         assert_eq!(c.cache_fraction, 0.4);
         assert_eq!(c.pipeline_mode, PipelineMode::DoubleBuf);
-        assert_eq!(c.queue_depth, 3);
     }
 }

@@ -19,7 +19,7 @@
 //! (both checked by `tests/serve_tests.rs`).
 
 use crate::engine::{EmbeddingBreakdown, UpdlrmEngine, STAGING_SLOTS};
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::pipeline::{pipelined_schedule, sequential_wall_ns};
 use crate::stats::percentile;
 use dlrm_model::{Matrix, QueryBatch};
@@ -71,9 +71,6 @@ impl std::str::FromStr for PipelineMode {
 pub struct ServeReport {
     /// Schedule that was executed.
     pub mode: PipelineMode,
-    /// Effective batches in flight (the configured depth capped at the
-    /// number of MRAM staging slots).
-    pub queue_depth: usize,
     /// Number of batches served.
     pub batches: usize,
     /// Total samples across all batches.
@@ -117,7 +114,6 @@ pub(crate) struct ServeScratch {
 /// scratch (sorts the latency list in place).
 fn finish_report(
     mode: PipelineMode,
-    queue_depth: usize,
     batches: &[QueryBatch],
     scr: &mut ServeScratch,
     wall_ns: f64,
@@ -127,7 +123,6 @@ fn finish_report(
         .sort_unstable_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     ServeReport {
         mode,
-        queue_depth,
         batches: batches.len(),
         samples,
         wall_ns,
@@ -144,15 +139,14 @@ fn finish_report(
 
 impl UpdlrmEngine {
     /// Serves a stream of batches under the configured
-    /// [`PipelineMode`] and queue depth, returning per-batch pooled
-    /// embeddings and breakdowns plus a [`ServeReport`].
+    /// [`PipelineMode`], returning per-batch pooled embeddings and
+    /// breakdowns plus a [`ServeReport`].
     ///
-    /// Under [`PipelineMode::DoubleBuf`] (with `queue_depth >= 2`) the
-    /// executed wall equals
+    /// Under [`PipelineMode::DoubleBuf`] (one batch per MRAM staging
+    /// slot in flight) the executed wall equals
     /// [`pipelined_wall_ns`](crate::pipeline::pipelined_wall_ns) of the
     /// returned breakdowns exactly; under [`PipelineMode::Sequential`]
-    /// (or `queue_depth == 1`) it equals
-    /// [`sequential_wall_ns`].
+    /// it equals [`sequential_wall_ns`].
     ///
     /// This is a convenience wrapper over
     /// [`UpdlrmEngine::serve_stream`] that clones every batch's pooled
@@ -162,9 +156,7 @@ impl UpdlrmEngine {
     ///
     /// # Errors
     ///
-    /// `queue_depth == 0` is rejected with
-    /// [`CoreError::InvalidConfig`]; batch-level errors are as in
-    /// [`UpdlrmEngine::run_batch`].
+    /// Batch-level errors are as in [`UpdlrmEngine::run_batch`].
     pub fn serve(&mut self, batches: &[QueryBatch]) -> Result<ServeOutcome> {
         let mut pooled: Vec<Vec<Matrix>> = Vec::with_capacity(batches.len());
         let report = self.serve_stream(batches, |i, p, _| {
@@ -201,21 +193,14 @@ impl UpdlrmEngine {
     where
         F: FnMut(usize, &[Matrix], &EmbeddingBreakdown),
     {
-        let queue_depth = self.config().queue_depth;
         let mode = self.config().pipeline_mode;
-        if queue_depth == 0 {
-            return Err(CoreError::InvalidConfig(
-                "queue_depth must be >= 1 (0 admits no batch in flight)".into(),
-            ));
-        }
-        let depth = queue_depth.min(STAGING_SLOTS);
         // Take the scratch out of the engine so stage methods can borrow
         // `self` mutably; restore it afterwards (on error it is simply
         // rebuilt — and re-warmed — by the next call).
         let mut scr = std::mem::take(&mut self.serve_scratch);
-        let result = match (mode, depth) {
-            (PipelineMode::DoubleBuf, d) if d >= 2 => self.serve_doublebuf(batches, &mut scr, sink),
-            _ => self.serve_sequential(batches, mode, &mut scr, sink),
+        let result = match mode {
+            PipelineMode::DoubleBuf => self.serve_doublebuf(batches, &mut scr, sink),
+            PipelineMode::Sequential => self.serve_sequential(batches, &mut scr, sink),
         };
         self.serve_scratch = scr;
         if let Ok(report) = &result {
@@ -233,7 +218,6 @@ impl UpdlrmEngine {
     fn serve_sequential<F>(
         &mut self,
         batches: &[QueryBatch],
-        mode: PipelineMode,
         scr: &mut ServeScratch,
         mut sink: F,
     ) -> Result<ServeReport>
@@ -253,7 +237,7 @@ impl UpdlrmEngine {
             self.recycle_pooled(pooled);
         }
         debug_assert_eq!(wall, sequential_wall_ns(&scr.breakdowns));
-        Ok(finish_report(mode, 1, batches, scr, wall))
+        Ok(finish_report(PipelineMode::Sequential, batches, scr, wall))
     }
 
     /// Depth-2 double-buffered schedule: the three stage methods of
@@ -293,13 +277,7 @@ impl UpdlrmEngine {
         let wall = pipelined_schedule(&scr.breakdowns, |issue, drain| {
             latencies.push(drain - issue);
         });
-        Ok(finish_report(
-            PipelineMode::DoubleBuf,
-            STAGING_SLOTS,
-            batches,
-            scr,
-            wall,
-        ))
+        Ok(finish_report(PipelineMode::DoubleBuf, batches, scr, wall))
     }
 }
 

@@ -86,7 +86,6 @@ fn setup(placement: Placement, telemetry: bool) -> (UpdlrmEngine, Workload) {
     };
     let mut config = UpdlrmConfig::with_dpus(16, strategy)
         .with_pipeline_mode(PipelineMode::DoubleBuf)
-        .with_queue_depth(2)
         // Serial fleet execution: the parallel path spawns threads
         // (which allocate); steady-state serving is the 1-thread path.
         .with_host_threads(1);

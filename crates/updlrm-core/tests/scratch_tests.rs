@@ -57,9 +57,7 @@ fn serve_stream_matches_serve_bitwise() {
         PartitionStrategy::CacheAware,
     ] {
         for mode in [PipelineMode::Sequential, PipelineMode::DoubleBuf] {
-            let config = UpdlrmConfig::with_dpus(16, strategy)
-                .with_pipeline_mode(mode)
-                .with_queue_depth(2);
+            let config = UpdlrmConfig::with_dpus(16, strategy).with_pipeline_mode(mode);
             let mut reference = engine(config.clone(), &tables, &workload);
             let outcome = reference.serve(&workload.batches).unwrap();
 
@@ -98,8 +96,7 @@ fn serve_stream_matches_serve_bitwise() {
 fn repeated_serves_are_stable() {
     let (tables, workload) = setup(2, 3, 32);
     let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware)
-        .with_pipeline_mode(PipelineMode::DoubleBuf)
-        .with_queue_depth(2);
+        .with_pipeline_mode(PipelineMode::DoubleBuf);
     let mut eng = engine(config, &tables, &workload);
     let cold = eng.serve(&workload.batches).unwrap();
     let first = eng.serve(&workload.batches).unwrap();

@@ -161,7 +161,6 @@ fn doublebuf_wall_equals_analytic_schedule_exactly() {
     // Pipelining must actually pay off relative to back-to-back.
     assert!(outcome.report.wall_ns <= sequential_wall_ns(&outcome.breakdowns));
     assert_eq!(outcome.report.mode, PipelineMode::DoubleBuf);
-    assert_eq!(outcome.report.queue_depth, 2);
     assert_eq!(outcome.report.batches, workload.batches.len());
     assert!(outcome.report.throughput_qps > 0.0);
     assert!(outcome.report.p50_latency_ns > 0.0);
@@ -177,39 +176,9 @@ fn sequential_serve_wall_equals_sequential_model_exactly() {
     let mut eng = engine(config, &tables, &workload);
     let outcome = eng.serve(&workload.batches).unwrap();
     assert_eq!(outcome.report.mode, PipelineMode::Sequential);
-    assert_eq!(outcome.report.queue_depth, 1);
     assert_eq!(
         outcome.report.wall_ns.to_bits(),
         sequential_wall_ns(&outcome.breakdowns).to_bits()
-    );
-}
-
-#[test]
-fn queue_depth_one_degenerates_to_sequential() {
-    let (tables, workload) = fig10_setup(2, 3);
-    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::Uniform)
-        .with_pipeline_mode(PipelineMode::DoubleBuf)
-        .with_queue_depth(1);
-    let mut eng = engine(config, &tables, &workload);
-    let outcome = eng.serve(&workload.batches).unwrap();
-    // Mode echoes the configuration, but the schedule is back-to-back.
-    assert_eq!(outcome.report.mode, PipelineMode::DoubleBuf);
-    assert_eq!(outcome.report.queue_depth, 1);
-    assert_eq!(
-        outcome.report.wall_ns.to_bits(),
-        sequential_wall_ns(&outcome.breakdowns).to_bits()
-    );
-}
-
-#[test]
-fn queue_depth_zero_is_rejected() {
-    let (tables, workload) = fig10_setup(2, 1);
-    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::Uniform).with_queue_depth(0);
-    let mut eng = engine(config, &tables, &workload);
-    let err = eng.serve(&workload.batches).unwrap_err();
-    assert!(
-        matches!(err, updlrm_core::CoreError::InvalidConfig(_)),
-        "unexpected error: {err}"
     );
 }
 

@@ -12,14 +12,7 @@
 
 use std::sync::Arc;
 use updlrm::prelude::*;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
+use updlrm::updlrm_core::percentile;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = DatasetSpec::meta_fbgemm2().scaled_down(400);

@@ -5,7 +5,7 @@
 //!              [--strategy u|nu|ca|nur] [--dpus 256] [--nc auto|2|4|8]
 //!              [--scale 200] [--batches 10] [--seed 7] [--host-threads N]
 //!              [--embed-dtype f32|int8] [--tables FILE]
-//!              [--pipeline sequential|doublebuf] [--queue-depth N]
+//!              [--pipeline sequential|doublebuf]
 //!              [--plan FILE] [--json FILE] [--metrics FILE]
 //! updlrm pack  --out FILE [--dataset read] [--scale 200] [--seed 7]
 //! updlrm plan  --out FILE [--dataset read] [--scale 200] [--tables 8]
@@ -47,7 +47,7 @@ fn usage() -> ! {
         "usage:\n  updlrm run   [--dataset TAG] [--backend updlrm|cpu|hybrid|fae] \
          [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|2|4|8] [--scale N] [--batches N] [--seed N] \
          [--host-threads N] [--embed-dtype f32|int8] [--tables FILE] \
-         [--pipeline sequential|doublebuf] [--queue-depth N] \
+         [--pipeline sequential|doublebuf] \
          [--plan FILE] [--json FILE] [--metrics FILE]\n  \
          updlrm pack  --out FILE [--dataset TAG] [--scale N] [--seed N]\n  \
          updlrm plan  --out FILE [--dataset TAG] [--scale N] [--tables N] [--batches N] [--seed N] \
@@ -95,7 +95,7 @@ const FORMS: &[(&str, &[&str])] = &[
     ("info", &["dataset"]),
 ];
 const RUN_FLAGS: &str = "dataset backend strategy dpus nc scale batches seed host-threads \
-    embed-dtype tables pipeline queue-depth plan json metrics";
+    embed-dtype tables pipeline plan json metrics";
 const PLAN_FLAGS: &str = "out load dataset scale tables batches seed ranks dpus-per-rank emt-kb \
     host-kb replicate-top";
 const SERVE_FLAGS: &str = "qps arrival max-batch max-wait-us policy queue-cap runtime dataset \
@@ -344,7 +344,6 @@ impl StagesJson {
 #[derive(serde::Serialize)]
 struct ServeJson {
     mode: String,
-    queue_depth: usize,
     wall_ns: f64,
     throughput_qps: f64,
     p50_latency_ns: f64,
@@ -394,7 +393,6 @@ struct RunJson {
     batches: usize,
     host_threads: usize,
     pipeline: String,
-    queue_depth: usize,
     mean_embedding_us: f64,
     mean_dense_us: f64,
     mean_total_us: f64,
@@ -731,13 +729,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         v => config.n_c = Some(v.parse()?),
     }
     config.host_threads = args.num("host-threads", config.host_threads);
-    let queue_depth = args.num("queue-depth", config.queue_depth);
-    if queue_depth == 0 {
-        eprintln!("--queue-depth must be >= 1 (0 admits no batch in flight)");
-        std::process::exit(2)
-    }
     config.pipeline_mode = pipeline;
-    config.queue_depth = queue_depth;
     config.telemetry = args.flag_set("metrics");
     let mut report_json = RunJson {
         backend: backend_name.clone(),
@@ -747,7 +739,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         batches: workload.batches.len(),
         host_threads: config.host_threads,
         pipeline: pipeline.to_string(),
-        queue_depth,
         ..RunJson::default()
     };
     if let Some((path, plan)) = &plan {
@@ -779,8 +770,8 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         if pipeline == PipelineMode::DoubleBuf {
             let speedup = PipelineReport::from_batches(&breakdowns).speedup();
             println!(
-                "UpDLRM serving {} batches double-buffered (queue depth {})",
-                served.batches, served.queue_depth,
+                "UpDLRM serving {} batches double-buffered (2 staging slots)",
+                served.batches,
             );
             println!(
                 "  wall {:.1} us  throughput {:.0} samples/s",
@@ -796,7 +787,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             println!("  speedup over back-to-back: {speedup:.2}x");
             report_json.serve = Some(ServeJson {
                 mode: served.mode.to_string(),
-                queue_depth: served.queue_depth,
                 wall_ns: served.wall_ns,
                 throughput_qps: served.throughput_qps,
                 p50_latency_ns: served.p50_latency_ns,

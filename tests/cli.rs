@@ -272,7 +272,7 @@ fn run_pipeline_sequential_is_the_default_and_accepted() {
 }
 
 #[test]
-fn run_rejects_bad_pipeline_and_queue_depth() {
+fn run_rejects_bad_pipeline() {
     let out = updlrm()
         .args(QUICK_RUN)
         .args(["--pipeline", "turbo"])
@@ -281,23 +281,6 @@ fn run_rejects_bad_pipeline_and_queue_depth() {
     assert!(!out.status.success());
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("pipeline mode"));
-
-    let out = updlrm()
-        .args(QUICK_RUN)
-        .args(["--queue-depth", "0"])
-        .output()
-        .expect("run");
-    assert!(!out.status.success());
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("queue-depth"));
-
-    let out = updlrm()
-        .args(QUICK_RUN)
-        .args(["--queue-depth", "many"])
-        .output()
-        .expect("run");
-    assert!(!out.status.success());
-    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]
@@ -319,15 +302,7 @@ fn json_report_reflects_flags() {
     let path = dir.join("run-report.json");
     let out = updlrm()
         .args(QUICK_RUN)
-        .args([
-            "--host-threads",
-            "2",
-            "--pipeline",
-            "doublebuf",
-            "--queue-depth",
-            "3",
-            "--json",
-        ])
+        .args(["--host-threads", "2", "--pipeline", "doublebuf", "--json"])
         .arg(&path)
         .output()
         .expect("run");
@@ -338,12 +313,10 @@ fn json_report_reflects_flags() {
     );
     let json = std::fs::read_to_string(&path).expect("json written");
     assert!(json.contains("\"pipeline\": \"doublebuf\""), "{json}");
-    assert!(json.contains("\"queue_depth\": 3"), "{json}");
     assert!(json.contains("\"host_threads\": 2"), "{json}");
     assert!(json.contains("\"throughput_qps\""), "{json}");
-    // The effective in-flight depth is capped at the two MRAM slots.
     assert!(
-        json.contains("\"serve\": {\n    \"mode\": \"doublebuf\",\n    \"queue_depth\": 2"),
+        json.contains("\"serve\": {\n    \"mode\": \"doublebuf\",\n"),
         "{json}"
     );
     std::fs::remove_file(&path).ok();
