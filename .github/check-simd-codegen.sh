@@ -13,7 +13,7 @@ objdump -d -C --no-show-raw-insn "${1:-target/release/updlrm}" | awk '
   sym != "" && /%zmm[0-9]/ { zmm[sym]++ }
   sym != "" && /%ymm[0-9]/ { ymm[sym]++ }
   END {
-    n = split("add_assign add_assign_le add_assign_into_le add_assign_dequant_u8 sum_rows_le gemm", name)
+    n = split("add_assign add_assign_le add_assign_into_le add_assign_dequant_u8 sum_rows_le sum_rows_tagged_le gemm", name)
     for (i = 1; i <= n; i++) {
       wide = name[i] "::avx512"; half = name[i] "::avx2"
       printf "%-22s avx512: %3d zmm   avx2: %3d ymm, %d zmm\n", name[i], zmm[wide], ymm[half], zmm[half]

@@ -12,7 +12,10 @@
 //! with `q = round((v - min) / scale)` clamped to `0..=255`,
 //! `scale = (max - min) / 255`, and dequantization
 //! `v' = min + scale * q` (the op order every backend, scalar or SIMD,
-//! reproduces exactly — see [`crate::simd::add_assign_dequant_u8`]).
+//! reproduces exactly — see [`crate::simd::add_assign_dequant_u8`] for
+//! one record and [`crate::simd::sum_rows_tagged_le`] for records mixed
+//! into a list of f32 rows). A row whose `max - min` overflows f32 is
+//! refused rather than stored with an infinite `scale`.
 //!
 //! **Error model.** With exact arithmetic the reconstruction error is
 //! at most `scale / 2` per element (the value is rounded to the nearest
@@ -46,8 +49,9 @@ pub fn max_abs_error_bound(scale: f32, max_abs: f32) -> f32 {
 ///
 /// # Errors
 ///
-/// Fails if `dst` has the wrong length or `src` contains a non-finite
-/// value (quantization needs a finite min/max).
+/// Fails if `dst` has the wrong length, `src` contains a non-finite
+/// value (quantization needs a finite min/max), or `max - min`
+/// overflows f32 (the row's `scale` would be infinite).
 pub fn quantize_row_into(src: &[f32], dst: &mut [u8]) -> Result<()> {
     if dst.len() != quantized_row_bytes(src.len()) {
         return Err(ModelError::InvalidConfig(format!(
@@ -73,6 +77,13 @@ pub fn quantize_row_into(src: &[f32], dst: &mut [u8]) -> Result<()> {
         max = 0.0;
     }
     let scale = (max - min) / 255.0;
+    // A finite row can still span more than f32 holds: `max - min`
+    // overflows and every dequantized value would be NaN.
+    if !scale.is_finite() {
+        return Err(ModelError::InvalidConfig(format!(
+            "cannot quantize a row spanning {min:e} to {max:e}: its range overflows f32"
+        )));
+    }
     dst[0..4].copy_from_slice(&scale.to_le_bytes());
     dst[4..8].copy_from_slice(&min.to_le_bytes());
     for (d, &v) in dst[QROW_HEADER_BYTES..].iter_mut().zip(src.iter()) {
@@ -315,6 +326,22 @@ mod tests {
         let mut dst = vec![0u8; quantized_row_bytes(2)];
         assert!(quantize_row_into(&[1.0, f32::NAN], &mut dst).is_err());
         assert!(quantize_row_into(&[f32::INFINITY, 0.0], &mut dst).is_err());
+    }
+
+    #[test]
+    fn rows_whose_range_overflows_f32_are_rejected() {
+        // Every value is finite, but `max - min` is not: before this was
+        // refused, the row stored `scale = inf` and every element
+        // dequantized to NaN.
+        let mut dst = vec![0u8; quantized_row_bytes(4)];
+        let err = quantize_row_into(&[-3e38, 3e38, 1.0, 0.0], &mut dst).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("spanning -3e38 to 3e38"), "{msg}");
+        assert!(msg.contains("overflows f32"), "{msg}");
+        // Rows as wide as f32 allows still round-trip to finite values.
+        for wide in [[-1.5e38f32, 1.5e38, 0.0, 1.0], [0.0, f32::MAX, 1.0, 2.0]] {
+            assert!(round_trip(&wide).iter().all(|v| v.is_finite()), "{wide:?}");
+        }
     }
 
     #[test]

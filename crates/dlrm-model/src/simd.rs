@@ -2,7 +2,7 @@
 //!
 //! Every serving-path inner loop — the MLPs' matrix products, the
 //! kernel's row accumulation, `stage3`'s little-endian partial-sum
-//! adds and the dequant-on-gather fuse — funnels through the six
+//! adds and the dequant-on-gather fuse — funnels through the seven
 //! primitives in this module.
 //!
 //! **One source per primitive.** Each primitive is written once, in
@@ -146,6 +146,7 @@ pub(crate) fn test_tier_lock() -> std::sync::MutexGuard<'static, ()> {
 
 mod body {
     use super::RowOffset;
+    use crate::quant::QROW_HEADER_BYTES;
 
     #[inline(always)]
     pub fn add_assign(out: &mut [f32], x: &[f32]) {
@@ -224,6 +225,85 @@ mod body {
         if i < n {
             for o in offs.iter().map(|o| o.to_usize()) {
                 add_assign_le(&mut out[i..], &data[o + 4 * i..o + 4 * n]);
+            }
+        }
+    }
+
+    /// The `(scale, min)` header of the quantized record at `rec`.
+    #[inline(always)]
+    fn record_params(rec: &[u8]) -> (f32, f32) {
+        let h = &rec[..QROW_HEADER_BYTES];
+        (
+            f32::from_le_bytes([h[0], h[1], h[2], h[3]]),
+            f32::from_le_bytes([h[4], h[5], h[6], h[7]]),
+        )
+    }
+
+    /// Elements `i..i + W` of [`sum_rows_tagged_le`]: [`sum_rows_block`]
+    /// with each tagged offset's `W` values dequantized from its record.
+    #[inline(always)]
+    fn sum_tagged_block<const W: usize>(
+        out: &mut [f32],
+        data: &[u8],
+        offs: &[u32],
+        tag: u32,
+        i: usize,
+    ) {
+        let out = &mut out[i..i + W];
+        let mut acc = [0.0f32; W];
+        acc.copy_from_slice(out);
+        for &o in offs {
+            if o & tag == 0 {
+                let row = &data[o as usize + 4 * i..][..4 * W];
+                for (a, c) in acc.iter_mut().zip(row.chunks_exact(4)) {
+                    *a += f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+                }
+            } else {
+                let rec = &data[(o & !tag) as usize..][..QROW_HEADER_BYTES + i + W];
+                let (scale, min) = record_params(rec);
+                for (a, &b) in acc.iter_mut().zip(&rec[QROW_HEADER_BYTES + i..]) {
+                    *a += min + scale * b as f32;
+                }
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+
+    #[inline(always)]
+    pub fn sum_rows_tagged_le(out: &mut [f32], data: &[u8], offs: &[u32], tag: u32) {
+        let n = out.len();
+        let mut i = 0;
+        while i + 32 <= n {
+            sum_tagged_block::<32>(out, data, offs, tag, i);
+            i += 32;
+        }
+        if i + 16 <= n {
+            sum_tagged_block::<16>(out, data, offs, tag, i);
+            i += 16;
+        }
+        if i + 8 <= n {
+            sum_tagged_block::<8>(out, data, offs, tag, i);
+            i += 8;
+        }
+        if i + 4 <= n {
+            sum_tagged_block::<4>(out, data, offs, tag, i);
+            i += 4;
+        }
+        if i < n {
+            for &o in offs {
+                if o & tag == 0 {
+                    let o = o as usize;
+                    add_assign_le(&mut out[i..], &data[o + 4 * i..o + 4 * n]);
+                } else {
+                    let rec = &data[(o & !tag) as usize..];
+                    let (scale, min) = record_params(rec);
+                    add_assign_dequant_u8(
+                        &mut out[i..],
+                        &rec[QROW_HEADER_BYTES + i..QROW_HEADER_BYTES + n],
+                        scale,
+                        min,
+                    );
+                }
             }
         }
     }
@@ -538,6 +618,24 @@ multiversion! {
         body::sum_rows_le, elems out.len();
 }
 
+multiversion! {
+    /// [`sum_rows_le`] over a list that mixes f32 rows with quantized
+    /// records: an offset `o` without the `tag` bit is an f32 row at
+    /// `data[o..]`, added as [`sum_rows_le`] adds it; one with the bit
+    /// is a [`crate::quant`] record `[scale][min][q…]` at `o & !tag`,
+    /// whose values `min + scale * q[i]` are added as
+    /// [`add_assign_dequant_u8`] adds them. The accumulator stays in
+    /// vector registers across the whole list, and every element's
+    /// additions run in `offs` order, so the result is bit-identical to
+    /// one per-row call per offset. With `tag == 0` every offset is an
+    /// f32 row.
+    ///
+    /// Panics if any row or record runs past `data`.
+    #[inline]
+    pub fn sum_rows_tagged_le(out: &mut [f32], data: &[u8], offs: &[u32], tag: u32) =
+        body::sum_rows_tagged_le, elems out.len();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,6 +734,27 @@ mod tests {
             for i in 0..out.len() {
                 for &o in offs {
                     out[i] = out[i] + le(&data[o..], i);
+                }
+            }
+        }
+
+        /// One row at a time, in `offs` order: an f32 row, or a
+        /// `[scale][min][q…]` record dequantized element by element.
+        pub fn sum_rows_tagged_le(out: &mut [f32], data: &[u8], offs: &[u32], tag: u32) {
+            for &o in offs {
+                if o & tag == 0 {
+                    let row = &data[o as usize..];
+                    for i in 0..out.len() {
+                        out[i] = out[i] + le(row, i);
+                    }
+                } else {
+                    let rec = &data[(o - tag) as usize..];
+                    let (scale, min) = (le(rec, 0), le(rec, 1));
+                    for i in 0..out.len() {
+                        let product = scale * f32::from(rec[8 + i]);
+                        let value = min + product;
+                        out[i] = out[i] + value;
+                    }
                 }
             }
         }
@@ -960,6 +1079,152 @@ mod tests {
             }
             for (i, (f, p)) in fused.iter().zip(per_row.iter()).enumerate() {
                 assert_eq!(f.to_bits(), p.to_bits(), "len {len} lane {i}: {f} != {p}");
+            }
+        }
+    }
+
+    /// The tag bit the kernel marks quantized records with.
+    const TAG: u32 = 1 << 31;
+
+    /// `(scale, min)` of the records [`mixed_rows`] writes, in turn:
+    /// constant records (`scale == 0`), negative and positive `min`.
+    const RECORD_PARAMS: [(f32, f32); 5] = [
+        (0.0, 0.0),
+        (0.013, -1.7),
+        (2.0e-4, 0.55),
+        (0.0, -3.25),
+        (1.5, -200.0),
+    ];
+
+    /// One store holding a row of `len` values per entry of `tagged` —
+    /// an f32 row where it is false, a quantized record (padded like
+    /// the kernel's) where it is true — and the offsets that visit
+    /// them in order, records tagged with [`TAG`].
+    fn mixed_rows(len: usize, tagged: &[bool], seed: u32) -> (Vec<u8>, Vec<u32>) {
+        let mut data = Vec::new();
+        let mut offs = Vec::new();
+        for (r, &t) in tagged.iter().enumerate() {
+            let at = data.len();
+            if t {
+                let (scale, min) = RECORD_PARAMS[r % RECORD_PARAMS.len()];
+                data.extend(scale.to_le_bytes());
+                data.extend(min.to_le_bytes());
+                data.extend((0..len).map(|i| ((i * 37 + r * 11) as u32 ^ seed) as u8));
+                data.resize(at + crate::quant::quantized_row_bytes(len), 0);
+                offs.push(at as u32 | TAG);
+            } else {
+                data.extend(le_bytes(&gen(len, seed.wrapping_add(r as u32))));
+                offs.push(at as u32);
+            }
+        }
+        (data, offs)
+    }
+
+    /// Which of `n` rows are records: none, all, every other one, and
+    /// exactly one at each position in turn (the first and the last
+    /// among them).
+    fn tag_patterns(n: usize) -> Vec<Vec<bool>> {
+        let mut patterns = vec![vec![false; n], vec![true; n]];
+        patterns.push((0..n).map(|r| r % 2 == 1).collect());
+        for p in 0..n {
+            patterns.push((0..n).map(|r| r == p).collect());
+        }
+        patterns
+    }
+
+    #[test]
+    fn sum_rows_tagged_le_matches_per_row_oracle_all_tiers() {
+        for len in lens() {
+            for n_rows in [0usize, 1, 2, 7] {
+                for tagged in tag_patterns(n_rows) {
+                    let (data, offs) = mixed_rows(len, &tagged, 17);
+                    let mut want = gen(len, 18);
+                    oracle::sum_rows_tagged_le(&mut want, &data, &offs, TAG);
+                    differential(&want, || {
+                        let mut out = gen(len, 18);
+                        sum_rows_tagged_le(&mut out, &data, &offs, TAG);
+                        out
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_rows_tagged_le_without_a_tag_is_sum_rows_le() {
+        for len in lens() {
+            let (data, offs) = mixed_rows(len, &[false; 9], 19);
+            let mut want = gen(len, 20);
+            sum_rows_le(&mut want, &data, &offs);
+            // A clear tag bit on every offset, or no tag bit at all.
+            for tag in [TAG, 0] {
+                differential(&want, || {
+                    let mut out = gen(len, 20);
+                    sum_rows_tagged_le(&mut out, &data, &offs, tag);
+                    out
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn sum_rows_tagged_le_with_every_tag_is_chained_dequant_calls() {
+        for len in lens() {
+            let (data, offs) = mixed_rows(len, &[true; 9], 21);
+            let mut want = gen(len, 22);
+            for &o in &offs {
+                let rec = &data[(o & !TAG) as usize..];
+                let scale = f32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
+                let min = f32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]);
+                add_assign_dequant_u8(&mut want, &rec[8..8 + len], scale, min);
+            }
+            differential(&want, || {
+                let mut out = gen(len, 22);
+                sum_rows_tagged_le(&mut out, &data, &offs, TAG);
+                out
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn sum_rows_tagged_le_panics_when_a_record_runs_past_data() {
+        let len = 44;
+        let (data, mut offs) = mixed_rows(len, &[false, true], 23);
+        // The record starts eight bytes late: its last values are past
+        // the end of `data`.
+        offs[1] += 8;
+        let mut out = gen(len, 24);
+        sum_rows_tagged_le(&mut out, &data, &offs, TAG);
+    }
+
+    proptest::proptest! {
+        /// The tagged gather-sum against its per-row oracle: any row
+        /// width, any mix of f32 rows and records in any order, on every
+        /// tier, `to_bits` equality.
+        #[test]
+        fn sum_rows_tagged_le_matches_per_row_oracle_on_every_tier(
+            len in 0usize..=70,
+            tagged in proptest::collection::vec(proptest::any::<bool>(), 0..13),
+            seed in proptest::any::<u32>(),
+        ) {
+            let (data, offs) = mixed_rows(len, &tagged, seed);
+            let start = gen(len, seed ^ 0x33);
+            let mut want = start.clone();
+            oracle::sum_rows_tagged_le(&mut want, &data, &offs, TAG);
+            let _guard = test_tier_lock();
+            for t in capability_tiers() {
+                force_tier(Some(t));
+                let mut got = start.clone();
+                sum_rows_tagged_le(&mut got, &data, &offs, TAG);
+                force_tier(None);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    proptest::prop_assert_eq!(
+                        g.to_bits(), w.to_bits(),
+                        "tier {} len {} tags {:?} element {}: {} != {}",
+                        t.as_str(), len, tagged, i, g, w
+                    );
+                }
             }
         }
     }

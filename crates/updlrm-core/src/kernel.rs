@@ -295,16 +295,6 @@ fn charge_chunked(costs: &CostTable, stats: &mut TaskletStats, len: usize) {
     costs.charge_dma(stats, rest, u64::from(rest > 0));
 }
 
-/// Adds the quantized EMT record `qrow` into `acc`, dequantizing on the
-/// fly.
-#[inline]
-fn add_dequant(acc: &mut [f32], qrow: &[u8]) -> Result<(), SimError> {
-    let (scale, min) = quant::row_params(qrow).map_err(|e| SimError::KernelFault(e.to_string()))?;
-    let q = &qrow[QROW_HEADER_BYTES..QROW_HEADER_BYTES + acc.len()];
-    simd::add_assign_dequant_u8(acc, q, scale, min);
-    Ok(())
-}
-
 /// Everything a decode depends on besides the stream bytes, the bank's
 /// length and the cost model: a held decode serves a DPU only under an
 /// equal key.
@@ -579,9 +569,9 @@ impl Decoded {
     /// sample (CSR) or entry order per tasklet stream (dedup) — the
     /// order the tasklet program accumulates in, so the rows are
     /// bit-equal to its.
-    fn sum_into(&mut self, key: &DecodeKey, rows: &Rows, bank: &mut [u8]) -> Result<(), SimError> {
+    fn sum_into(&mut self, key: &DecodeKey, rows: &Rows, bank: &mut [u8]) {
         if key.n_samples == 0 {
-            return Ok(());
+            return;
         }
         let row_bytes = key.row_bytes;
         let out_base = key.task.output_base as usize;
@@ -605,45 +595,36 @@ impl Decoded {
                         *a = f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
                     }
                 } else {
+                    // `Rows::resolve` checked that the whole record is
+                    // in the bank.
+                    let rec = &bank[abs..abs + rows.emt_stride];
+                    let (scale, min) = quant::row_params(rec).expect("a record holds its header");
                     acc.fill(0.0);
-                    add_dequant(acc, &bank[abs..abs + rows.emt_stride])?;
+                    simd::add_assign_dequant_u8(acc, &rec[QROW_HEADER_BYTES..], scale, min);
                 }
                 for &sample in &users[users_of_row] {
                     let dst = out_base + sample as usize * row_bytes;
                     simd::add_assign_into_le(&mut bank[dst..dst + row_bytes], acc);
                 }
             }
-            return Ok(());
+            return;
         }
         for (s, refs) in spans.enumerate() {
             acc.fill(0.0);
-            // A run of f32 rows — every row, on an f32 tile — is one
-            // fused SIMD pass that keeps the accumulator in registers
-            // (an untagged offset is the row's address); quantized
-            // records in between are dequantized one by one.
-            let mut refs = &offs[refs];
-            while let Some((&row, rest)) = refs.split_first() {
-                if row & QUANT_ROW_BIT != 0 {
-                    let abs = (row & !QUANT_ROW_BIT) as usize;
-                    add_dequant(acc, &bank[abs..abs + rows.emt_stride])?;
-                    refs = rest;
-                    continue;
-                }
-                let run = if rows.emt_f32 {
-                    refs.len()
-                } else {
-                    let quantized = |&row: &u32| row & QUANT_ROW_BIT != 0;
-                    refs.iter().position(quantized).unwrap_or(refs.len())
-                };
-                simd::sum_rows_le(acc, bank, &refs[..run]);
-                refs = &refs[run..];
+            // One fused SIMD pass per sample that keeps the accumulator
+            // in registers; on an int8 tile it dequantizes the tagged
+            // offsets (quantized records) in place, in reference order.
+            let refs = &offs[refs];
+            if rows.emt_f32 {
+                simd::sum_rows_le(acc, bank, refs);
+            } else {
+                simd::sum_rows_tagged_le(acc, bank, refs, QUANT_ROW_BIT);
             }
             let dst = &mut bank[out_base + s * row_bytes..][..row_bytes];
             for (b, a) in dst.chunks_exact_mut(4).zip(acc.iter()) {
                 b.copy_from_slice(&a.to_le_bytes());
             }
         }
-        Ok(())
     }
 }
 
@@ -846,7 +827,7 @@ impl DpuProgram for EmbeddingKernel {
                 decoded.decode_csr(&key, &rows, bank, costs)?;
             }
         }
-        decoded.sum_into(&key, &rows, pass.mram().committed_mut(out_end))?;
+        decoded.sum_into(&key, &rows, pass.mram().committed_mut(out_end));
         let (phase1, phase2) = pass.stats_mut();
         phase1.copy_from_slice(&decoded.stats[0][..n_tasklets]);
         phase2.copy_from_slice(&decoded.stats[1][..n_tasklets]);

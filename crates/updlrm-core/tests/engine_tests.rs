@@ -648,6 +648,27 @@ fn int8_constant_rows_stay_exact() {
 }
 
 #[test]
+fn an_int8_engine_refuses_a_row_whose_range_overflows_f32() {
+    // Every value is finite, but the first slice of one row spans
+    // -3e38..3e38: its quantization step would be infinite and every
+    // value it serves NaN, so the build fails instead.
+    let spec = DatasetSpec::amazon_home().scaled_down(5000);
+    let (mut tables, workload) = setup(&spec, 2, 1);
+    tables[1].as_mut_slice()[..4].copy_from_slice(&[-3e38, 3e38, 1.0, 0.0]);
+    let base = UpdlrmConfig::with_dpus(16, PartitionStrategy::Uniform).with_fixed_nc(8);
+    assert!(UpdlrmEngine::from_workload(base.clone(), &tables, &workload).is_ok());
+    let int8 = base.with_embed_dtype(EmbedDtype::Int8);
+    let Err(err) = UpdlrmEngine::from_workload(int8, &tables, &workload) else {
+        panic!("an int8 engine stored a row whose range overflows f32");
+    };
+    let msg = err.to_string();
+    assert!(
+        msg.contains("-3e38 to 3e38") && msg.contains("overflows f32"),
+        "{msg}"
+    );
+}
+
+#[test]
 fn repeated_indices_sum_every_occurrence() {
     // Samples may name a row more than once (imported traces do); each
     // occurrence counts — of cached rows (the mask holds an item once,

@@ -1543,6 +1543,53 @@ fn a_packed_table_run_matches_the_regenerated_run() {
 }
 
 #[test]
+fn an_int8_run_refuses_packed_rows_whose_range_overflows_f32() {
+    // A valid pack whose first row starts -3e38, 3e38: every value is
+    // finite, so f32 serves it, but its int8 step would be infinite and
+    // every value it dequantizes NaN. Uniform partitioning stores every
+    // row in the EMT, where the int8 rows are.
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let tables = dir.join("cli-pack-wide-row.uptb");
+    let flags = ["--dataset", "read", "--scale", "5000", "--seed", "7"];
+    let out = updlrm()
+        .arg("pack")
+        .args(flags)
+        .arg("--out")
+        .arg(&tables)
+        .output()
+        .expect("pack");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut packed = updlrm::workloads::load_packed(&tables).expect("load");
+    packed[0].as_mut_slice()[..4].copy_from_slice(&[-3e38, 3e38, 1.0, 0.0]);
+    updlrm::workloads::save_packed(&packed, &tables).expect("save");
+    for (dtype, refused) in [("f32", false), ("int8", true)] {
+        let out = updlrm()
+            .arg("run")
+            .args(flags)
+            .args(["--dpus", "32", "--batches", "1", "--strategy", "u"])
+            .args(["--embed-dtype", dtype])
+            .arg("--tables")
+            .arg(&tables)
+            .output()
+            .expect("run --tables");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(!out.status.success(), refused, "{dtype}: stderr {err}");
+        if refused {
+            assert!(
+                err.contains("-3e38 to 3e38") && err.contains("overflows f32"),
+                "{dtype}: stderr {err}"
+            );
+        }
+    }
+    std::fs::remove_file(&tables).ok();
+}
+
+#[test]
 fn scale_zero_is_rejected_by_every_subcommand_that_reads_it() {
     // `DatasetSpec::scaled_down(0)` means full scale: `trace --scale 0`
     // wrote 2,360,650 items per table and `pack --scale 0` 2.4 GB.
