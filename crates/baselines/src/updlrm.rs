@@ -5,7 +5,7 @@ use crate::backend::{InferenceBackend, LatencyReport};
 use crate::memory::CpuMemoryModel;
 use dlrm_model::{Dlrm, QueryBatch};
 use std::sync::Arc;
-use updlrm_core::{CoreError, UpdlrmConfig, UpdlrmEngine};
+use updlrm_core::{CoreError, EmbeddingBreakdown, UpdlrmConfig, UpdlrmEngine};
 use workloads::Workload;
 
 /// UpDLRM as an inference backend: embeddings on the (simulated) UPMEM
@@ -45,6 +45,26 @@ impl UpdlrmBackend {
     pub fn engine_mut(&mut self) -> &mut UpdlrmEngine {
         &mut self.engine
     }
+
+    /// The backend's latency report for `batch`, whose embedding layer
+    /// the engine served with `breakdown`: the PIM embedding time with
+    /// host routing and combination, and `model`'s dense layers on the
+    /// CPU under `mem`.
+    pub fn latency_report(
+        model: &Dlrm,
+        mem: &CpuMemoryModel,
+        batch: &QueryBatch,
+        breakdown: EmbeddingBreakdown,
+    ) -> LatencyReport {
+        let flops = (model.bottom_mlp().flops_per_sample() + model.top_mlp().flops_per_sample())
+            * batch.batch_size() as u64;
+        LatencyReport {
+            embedding_ns: breakdown.total_with_host_ns(),
+            dense_ns: mem.mlp_ns(flops),
+            transfer_ns: 0.0,
+            pim: Some(breakdown),
+        }
+    }
 }
 
 impl InferenceBackend for UpdlrmBackend {
@@ -54,15 +74,7 @@ impl InferenceBackend for UpdlrmBackend {
 
     fn run_batch(&mut self, batch: &QueryBatch) -> Result<(Vec<f32>, LatencyReport), CoreError> {
         let (out, breakdown) = self.engine.run_inference(&self.model, batch)?;
-        let flops = (self.model.bottom_mlp().flops_per_sample()
-            + self.model.top_mlp().flops_per_sample())
-            * batch.batch_size() as u64;
-        let report = LatencyReport {
-            embedding_ns: breakdown.total_with_host_ns(),
-            dense_ns: self.mem.mlp_ns(flops),
-            transfer_ns: 0.0,
-            pim: Some(breakdown),
-        };
+        let report = Self::latency_report(&self.model, &self.mem, batch, breakdown);
         Ok((out, report))
     }
 

@@ -1,12 +1,13 @@
-//! Sequential vs executed double-buffered serving.
+//! Back-to-back vs executed double-buffered serving.
 //!
-//! Serves the same batch stream twice through `UpdlrmEngine::serve` —
-//! once back-to-back, once double-buffered — sweeping the number of
-//! batches, and records the modeled walls, throughput, and tail
-//! latency. Two invariants are asserted along the way: the executed
-//! double-buffered wall equals the analytic `pipelined_wall_ns` of the
-//! collected breakdowns bit-for-bit, and pipelining never loses to the
-//! sequential schedule for two or more batches. The rows are the
+//! Serves a batch stream through `UpdlrmEngine::serve`, sweeping the
+//! number of batches, and records the executed double-buffered wall
+//! next to the back-to-back wall of the same breakdowns, plus
+//! throughput and tail latency. Three invariants are asserted along the
+//! way: the executed wall equals the analytic `pipelined_wall_ns` of
+//! the collected breakdowns bit-for-bit, the back-to-back wall equals
+//! `sequential_wall_ns` of them, and pipelining never loses to the
+//! back-to-back schedule for two or more batches. The rows are the
 //! golden `BENCH_pipeline.json` (`--check FILE | --out FILE`, see
 //! `bench::protocol`).
 
@@ -14,8 +15,7 @@ use bench::protocol::Mode;
 use dlrm_model::EmbeddingTable;
 use serde::Serialize;
 use updlrm_core::{
-    pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, PipelineMode, UpdlrmConfig,
-    UpdlrmEngine,
+    pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, UpdlrmConfig, UpdlrmEngine,
 };
 use workloads::{DatasetSpec, TraceConfig, Workload};
 
@@ -61,43 +61,30 @@ fn main() {
         let (tables, workload) = build(n);
         let config = UpdlrmConfig::with_dpus(NR_DPUS, PartitionStrategy::CacheAware);
 
-        let mut seq_engine = UpdlrmEngine::from_workload(
-            config.clone().with_pipeline_mode(PipelineMode::Sequential),
-            &tables,
-            &workload,
-        )
-        .expect("engine builds");
-        let seq = seq_engine.serve(&workload.batches).expect("serves");
+        let mut engine =
+            UpdlrmEngine::from_workload(config, &tables, &workload).expect("engine builds");
+        let dbl = engine.serve(&workload.batches).expect("serves");
+        let sequential = dbl.report.sequential_wall_ns;
 
-        let mut dbl_engine = UpdlrmEngine::from_workload(
-            config.with_pipeline_mode(PipelineMode::DoubleBuf),
-            &tables,
-            &workload,
-        )
-        .expect("engine builds");
-        let dbl = dbl_engine.serve(&workload.batches).expect("serves");
-
-        assert_eq!(seq.pooled, dbl.pooled, "schedules must agree functionally");
         let matches_model =
             dbl.report.wall_ns.to_bits() == pipelined_wall_ns(&dbl.breakdowns).to_bits();
         assert!(matches_model, "executed wall departed from the model");
         assert_eq!(
-            seq.report.wall_ns.to_bits(),
-            sequential_wall_ns(&seq.breakdowns).to_bits()
+            sequential.to_bits(),
+            sequential_wall_ns(&dbl.breakdowns).to_bits()
         );
         if n >= 2 {
             assert!(
-                dbl.report.wall_ns <= seq.report.wall_ns,
-                "pipelined {} > sequential {} at {n} batches",
+                dbl.report.wall_ns <= sequential,
+                "pipelined {} > sequential {sequential} at {n} batches",
                 dbl.report.wall_ns,
-                seq.report.wall_ns
             );
         }
 
-        let speedup = seq.report.wall_ns / dbl.report.wall_ns;
+        let speedup = sequential / dbl.report.wall_ns;
         rows.push(SweepRow {
             batches: n,
-            sequential_wall_ns: seq.report.wall_ns,
+            sequential_wall_ns: sequential,
             pipelined_wall_ns: dbl.report.wall_ns,
             speedup,
             pipelined_matches_model: matches_model,

@@ -1,16 +1,18 @@
 //! Steady-state serving: modeled ns/sample and its stage split across
-//! batch size × pipeline mode.
+//! batch size × schedule.
 //!
-//! One engine per configuration serves the same batch stream through
-//! `UpdlrmEngine::serve`. Four identities are asserted on every f32
-//! configuration:
+//! One engine per batch size serves the same batch stream through
+//! `UpdlrmEngine::serve`; its double-buffered wall fills the
+//! `doublebuf` row and the back-to-back wall of the same breakdowns
+//! (`ServeReport::sequential_wall_ns`) the `sequential` row. Four
+//! identities are asserted on every f32 configuration:
 //!
 //! 1. every pooled row equals the ground-truth
 //!    `EmbeddingTable::partial_sum` bit-for-bit (integer tables);
 //! 2. serve output is bit-identical to back-to-back `run_batch` calls
 //!    on a fresh engine;
-//! 3. the executed wall equals the analytic model
-//!    (`pipelined_wall_ns` / `sequential_wall_ns`) bit-for-bit;
+//! 3. both walls equal the analytic models (`pipelined_wall_ns`,
+//!    `sequential_wall_ns`) bit-for-bit;
 //! 4. serve output under the detected SIMD tier is bit-identical to a
 //!    forced-scalar serve (the `bit_identical` column records this).
 //!
@@ -25,8 +27,7 @@ use bench::protocol::Mode;
 use dlrm_model::{simd, EmbedDtype, EmbeddingTable};
 use serde::Serialize;
 use updlrm_core::{
-    pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, PipelineMode, UpdlrmConfig,
-    UpdlrmEngine,
+    pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, UpdlrmConfig, UpdlrmEngine,
 };
 use workloads::{DatasetSpec, TraceConfig, Workload};
 
@@ -45,7 +46,8 @@ struct Row {
     mode: String,
     batches: usize,
     samples_per_serve: usize,
-    /// Modeled hardware time per sample (`ServeReport::wall_ns`).
+    /// Modeled hardware time per sample (`ServeReport::wall_ns`, or
+    /// `sequential_wall_ns` in a `sequential` row).
     modeled_ns_per_sample: f64,
     /// Modeled host share: (route + combine) / total_with_host.
     host_overhead_share: f64,
@@ -85,16 +87,10 @@ fn build_workload(batch_size: usize) -> Workload {
     )
 }
 
-fn engine(
-    mode: PipelineMode,
-    tables: &[EmbeddingTable],
-    workload: &Workload,
-    dtype: EmbedDtype,
-) -> UpdlrmEngine {
+fn engine(tables: &[EmbeddingTable], workload: &Workload, dtype: EmbedDtype) -> UpdlrmEngine {
     let batch_size = workload.config.batch_size;
-    let mut config = UpdlrmConfig::with_dpus(NR_DPUS, PartitionStrategy::CacheAware)
-        .with_pipeline_mode(mode)
-        .with_embed_dtype(dtype);
+    let mut config =
+        UpdlrmConfig::with_dpus(NR_DPUS, PartitionStrategy::CacheAware).with_embed_dtype(dtype);
     // MRAM staging slots are sized for `config.batch_size` samples.
     config.batch_size = batch_size;
     UpdlrmEngine::from_workload(config, tables, workload).expect("engine builds")
@@ -103,7 +99,6 @@ fn engine(
 /// Asserts identities 1–3 documented in the module docs (f32 only —
 /// int8 EMT rows are quantized, so ground truth is approximate there).
 fn assert_bit_identity(
-    mode: PipelineMode,
     tables: &[EmbeddingTable],
     workload: &Workload,
     outcome: &updlrm_core::ServeOutcome,
@@ -127,7 +122,7 @@ fn assert_bit_identity(
         }
     }
     // 2. differential vs back-to-back run_batch on a fresh engine.
-    let mut fresh = engine(mode, tables, workload, EmbedDtype::F32);
+    let mut fresh = engine(tables, workload, EmbedDtype::F32);
     for (i, batch) in workload.batches.iter().enumerate() {
         let (pooled, bd) = fresh.run_batch(batch).expect("run_batch");
         assert_eq!(pooled, outcome.pooled[i], "pooled departs from run_batch");
@@ -136,15 +131,16 @@ fn assert_bit_identity(
         assert_eq!(bd.route_ns.to_bits(), sbd.route_ns.to_bits());
         assert_eq!(bd.combine_ns.to_bits(), sbd.combine_ns.to_bits());
     }
-    // 3. executed wall equals the analytic model.
-    let model = match mode {
-        PipelineMode::DoubleBuf => pipelined_wall_ns(&outcome.breakdowns),
-        PipelineMode::Sequential => sequential_wall_ns(&outcome.breakdowns),
-    };
+    // 3. both walls equal the analytic models.
     assert_eq!(
         outcome.report.wall_ns.to_bits(),
-        model.to_bits(),
+        pipelined_wall_ns(&outcome.breakdowns).to_bits(),
         "executed wall departed from the model"
+    );
+    assert_eq!(
+        outcome.report.sequential_wall_ns.to_bits(),
+        sequential_wall_ns(&outcome.breakdowns).to_bits(),
+        "back-to-back wall departed from the model"
     );
 }
 
@@ -152,20 +148,18 @@ fn assert_bit_identity(
 /// produces bit-identical pooled rows and modeled wall. Returns `true`
 /// (it asserts on divergence) so the row records a checked value.
 fn assert_scalar_identity(
-    mode: PipelineMode,
     tables: &[EmbeddingTable],
     workload: &Workload,
     dtype: EmbedDtype,
     outcome: &updlrm_core::ServeOutcome,
 ) -> bool {
     simd::force_tier(Some(simd::SimdTier::Scalar));
-    let mut eng = engine(mode, tables, workload, dtype);
+    let mut eng = engine(tables, workload, dtype);
     let scalar = eng.serve(&workload.batches).expect("serves");
     simd::force_tier(None);
     assert_eq!(
-        scalar.report.wall_ns.to_bits(),
-        outcome.report.wall_ns.to_bits(),
-        "modeled wall depends on SIMD tier"
+        scalar.report, outcome.report,
+        "modeled walls depend on SIMD tier"
     );
     for (i, (sp, op)) in scalar.pooled.iter().zip(outcome.pooled.iter()).enumerate() {
         for (t, (sm, om)) in sp.iter().zip(op.iter()).enumerate() {
@@ -185,24 +179,18 @@ fn assert_scalar_identity(
     true
 }
 
-/// Serves one configuration, asserts its identities and returns its row.
-fn sweep_point(
-    tables: &[EmbeddingTable],
-    batch_size: usize,
-    mode: PipelineMode,
-    dtype: EmbedDtype,
-) -> Row {
+/// Serves one configuration, asserts its identities and returns its
+/// `sequential` and `doublebuf` rows.
+fn sweep_point(tables: &[EmbeddingTable], batch_size: usize, dtype: EmbedDtype) -> [Row; 2] {
     let workload = build_workload(batch_size);
     let samples = (batch_size * NUM_BATCHES) as f64;
-    let dtype_name = dtype.as_str();
-    let mut eng = engine(mode, tables, &workload, dtype);
+    let mut eng = engine(tables, &workload, dtype);
     let outcome = eng.serve(&workload.batches).expect("serves");
     if dtype == EmbedDtype::F32 {
-        assert_bit_identity(mode, tables, &workload, &outcome);
+        assert_bit_identity(tables, &workload, &outcome);
     }
-    let bit_identical = assert_scalar_identity(mode, tables, &workload, dtype, &outcome);
+    let bit_identical = assert_scalar_identity(tables, &workload, dtype, &outcome);
 
-    let modeled = outcome.report.wall_ns / samples;
     let (host, total_with_host) = outcome.breakdowns.iter().fold((0.0, 0.0), |(h, t), b| {
         (h + b.route_ns + b.combine_ns, t + b.total_with_host_ns())
     });
@@ -212,19 +200,23 @@ fn sweep_point(
         .fold((0.0, 0.0, 0.0), |(a, b, c), bd| {
             (a + bd.stage1_ns, b + bd.stage2_ns, c + bd.stage3_ns)
         });
-    Row {
+    let row = |mode: &str, wall_ns: f64| Row {
         batch_size,
-        mode: mode.as_str().to_string(),
+        mode: mode.to_string(),
         batches: NUM_BATCHES,
         samples_per_serve: batch_size * NUM_BATCHES,
-        modeled_ns_per_sample: modeled,
+        modeled_ns_per_sample: wall_ns / samples,
         host_overhead_share: host / total_with_host,
         bit_identical,
-        embed_dtype: dtype_name.to_string(),
+        embed_dtype: dtype.as_str().to_string(),
         stage1_ns_per_sample: s1 / samples,
         stage2_ns_per_sample: s2 / samples,
         stage3_ns_per_sample: s3 / samples,
-    }
+    };
+    [
+        row("sequential", outcome.report.sequential_wall_ns),
+        row("doublebuf", outcome.report.wall_ns),
+    ]
 }
 
 fn main() {
@@ -238,20 +230,13 @@ fn main() {
     let tables = build_tables();
     let mut rows: Vec<Row> = Vec::new();
     for batch_size in BATCH_SIZES {
-        for mode in [PipelineMode::Sequential, PipelineMode::DoubleBuf] {
-            rows.push(sweep_point(&tables, batch_size, mode, EmbedDtype::F32));
-        }
+        rows.extend(sweep_point(&tables, batch_size, EmbedDtype::F32));
     }
 
-    // Int8 EMT rider: one sequential config; the quantized kernel must
+    // Int8 EMT rider: its sequential row; the quantized kernel must
     // model a strictly smaller stage 2 than its f32 twin (smaller MRAM
     // rows and the cheaper u8 accumulate path).
-    let int8 = sweep_point(
-        &tables,
-        INT8_BATCH,
-        PipelineMode::Sequential,
-        EmbedDtype::Int8,
-    );
+    let [int8, _] = sweep_point(&tables, INT8_BATCH, EmbedDtype::Int8);
     let f32_twin = rows
         .iter()
         .find(|r| r.batch_size == INT8_BATCH && r.mode == "sequential")

@@ -36,7 +36,9 @@
 //! [`EventLoop`], fed from the arrival ring (whose blocking pop gives
 //! the loop its one-arrival lookahead) and served in lockstep — each
 //! batch is dispatched to its shard and awaited before modeled time
-//! advances. The result is
+//! advances, and its stage times go to the loop's depth-2 pipeline
+//! clock, so modeled batches overlap exactly as under the scheduler
+//! while the host runs one at a time. The result is
 //! **byte-identical batches, pooled embeddings and `SchedReport`** to
 //! [`Scheduler::run`](scheduler::Scheduler::run) on the same trace —
 //! `tests/differential.rs` enforces it. That lock is what makes the
@@ -64,10 +66,11 @@ use std::time::Instant;
 
 use dlrm_model::{Matrix, QueryBatch};
 use scheduler::{
-    assemble_into, check_servable, service_ns_to_u64, BatchPolicy, EventLoop, Launch, SchedConfig,
+    assemble_into, check_servable, service_stages, BatchPolicy, EventLoop, Launch, SchedConfig,
     SchedReport, Serve, Tally,
 };
 use updlrm_core::engine::EmbeddingBreakdown;
+use updlrm_core::pipeline::Stages;
 use updlrm_core::{CoreError, Result, RuntimeSnapshot, SchedTrigger, UpdlrmEngine};
 use workloads::{Workload, NS_PER_SEC};
 
@@ -607,8 +610,8 @@ where
             }
 
             // 3. Launch when the policy says so, on the measured clock.
-            // `engine_free = 0`: shard availability is expressed by
-            // ring backpressure, not by a single modeled server.
+            // `slot_free = 0`: shard availability is expressed by ring
+            // backpressure, not by a modeled pipeline clock.
             let now = (self.start.elapsed().as_nanos() as f64 / scale) as u64;
             let plan = policy
                 .launch_at(now, 0, drained)
@@ -639,13 +642,14 @@ where
 
 /// The oracle-locked mode's half of [`EventLoop::run`]: each formed
 /// batch is dispatched to its round-robin shard and awaited before
-/// modeled time advances. The loop never has more than one batch in
-/// flight, so a plain blocking push cannot deadlock.
+/// modeled time advances, and its stage times go back to the loop's
+/// pipeline clock. The host never has more than one batch in flight,
+/// so a plain blocking push cannot deadlock.
 impl<F> Serve for Batcher<'_, F>
 where
     F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
 {
-    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<u64> {
+    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages<u64>> {
         let shard = launch.seq % self.cfg.shards;
         let item = self.make_item(launch);
         self.work_txs[shard]
@@ -657,7 +661,7 @@ where
             .ok_or_else(|| Self::worker_gone(shard, launch.seq, "completed"))??;
         debug_assert_eq!(done.seq, launch.seq, "lockstep completion order");
         self.book(&done);
-        Ok(service_ns_to_u64(done.breakdown.total_ns()))
+        Ok(service_stages(&done.breakdown))
     }
 }
 

@@ -12,7 +12,15 @@
 //!    (`Scheduler::run`, the tenant lanes) and a blocking SPSC-ring pop
 //!    (the deterministic wall runtime) make byte-identical decisions;
 //! 2. **how a formed batch is served** — a [`Serve`] implementation
-//!    returning the batch's integer-ns service time.
+//!    returning the batch's three integer-ns stage times.
+//!
+//! The loop times batches on the engine's depth-2 pipeline: the one
+//! [`PipelineClock`] of `updlrm_core::pipeline`, on the integer-ns
+//! clock. A batch launches once a staging slot is free — when the batch
+//! two ahead of it has drained — so its stage 1 overlaps the stage 2 of
+//! the batch ahead. Its requests complete when its stage 3 drains,
+//! which the clock places when the next batch launches (or at the end
+//! of the run).
 //!
 //! The free-running wall batcher is the one front-end that is *not*
 //! this loop — it never blocks, keeps many batches in flight and books
@@ -21,6 +29,7 @@
 //! `Scheduler::run`, `Runtime::run`, the tenant fleet — records its
 //! [`Tally::snapshot`] once, with `MetricsRegistry::record_sched`.
 
+use updlrm_core::pipeline::{PipelineClock, Stages};
 use updlrm_core::telemetry::Accum;
 use updlrm_core::{percentile, CoreError, Result, SchedSnapshot, SchedTrigger};
 use workloads::{ArrivalTrace, NS_PER_SEC};
@@ -40,17 +49,17 @@ pub struct Launch<'a> {
 
 /// How a front-end serves the batches [`EventLoop::run`] forms.
 pub trait Serve {
-    /// Serves `launch` to completion and returns its service time in
-    /// integer ns on the loop's clock (the single modeled server is
-    /// busy until `launch.at_ns + service`). `tally` is the run so far
-    /// — every admission up to this launch, every earlier batch — for a
-    /// server that takes a mid-run snapshot.
+    /// Serves `launch` to completion and returns its stage times in
+    /// integer ns on the loop's clock ([`service_stages`](crate::service_stages)).
+    /// `tally` is the run so far — every admission up to this launch,
+    /// every earlier batch — for a server that takes a mid-run
+    /// snapshot.
     ///
     /// # Errors
     ///
     /// Whatever the serving engine reports; the loop stops on the
     /// first error.
-    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<u64>;
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages<u64>>;
 }
 
 /// Checks that `trace` can be served open-loop under `cfg` by an engine
@@ -83,7 +92,7 @@ pub fn check_servable(cfg: &SchedConfig, trace: &ArrivalTrace, staged: usize) ->
 pub struct Tally {
     report: SchedReport,
     /// Completed-request latencies, integer ns; sorted by `finish`.
-    /// [`EventLoop::run`] records dedicated-server latencies; a
+    /// [`EventLoop::run`] records them on its own pipeline clock; a
     /// front-end that completes batches on another clock (the tenant
     /// fleet's shared timeline) clears them and records its own.
     pub latencies: Vec<u64>,
@@ -166,6 +175,15 @@ impl Tally {
         self.report.completed += size as u64;
     }
 
+    /// Books the latencies of a batch of `ids` that drained at
+    /// `drain_ns`: each from its original arrival in `times`. Every
+    /// member arrived before its launch, which precedes the drain, so
+    /// this never wraps.
+    pub fn complete(&mut self, ids: &[u32], times: &[u64], drain_ns: u64) {
+        self.latencies
+            .extend(ids.iter().map(|&id| drain_ns - times[id as usize]));
+    }
+
     /// `histogram()[k]` = batches formed with exactly `k` queries.
     pub fn histogram(&self) -> &[u64] {
         &self.hist
@@ -238,6 +256,8 @@ pub struct EventLoop {
     policy: BatchPolicy,
     /// Ids popped for the batch being formed.
     ids: Vec<u32>,
+    /// Ids of the batch whose stage 3 the clock has not yet placed.
+    pending: Vec<u32>,
     /// The last run's counters and latencies, for the caller to
     /// [`finish`](Tally::finish).
     pub tally: Tally,
@@ -254,6 +274,7 @@ impl EventLoop {
         Ok(EventLoop {
             policy: BatchPolicy::new(cfg)?,
             ids: Vec::with_capacity(cfg.max_batch_size),
+            pending: Vec::with_capacity(cfg.max_batch_size),
             tally: Tally::new(cfg.max_batch_size),
         })
     }
@@ -264,10 +285,11 @@ impl EventLoop {
     }
 
     /// Replays `trace` through admission and batch formation, serving
-    /// every formed batch through `server`. `next_arrival` yields the
-    /// trace's `(id, arrival_ns)` pairs in order and `None` once the
-    /// stream has drained. Returns the makespan — the instant the last
-    /// batch drains — for [`Tally::finish`].
+    /// every formed batch through `server` and timing it on the depth-2
+    /// [`PipelineClock`]. `next_arrival` yields the trace's
+    /// `(id, arrival_ns)` pairs in order and `None` once the stream has
+    /// drained. Returns the makespan — the instant the last batch
+    /// drains — for [`Tally::finish`].
     ///
     /// # Errors
     ///
@@ -291,7 +313,7 @@ impl EventLoop {
         // it before a launch can commit.
         let mut peeked = next_arrival();
         let mut now = 0u64;
-        let mut engine_free = 0u64;
+        let mut clock = PipelineClock::<u64>::default();
         let mut seq = 0usize;
         // Under Block a full queue latches the door shut until the next
         // launch frees slots.
@@ -299,10 +321,11 @@ impl EventLoop {
 
         loop {
             // Earliest legal launch instant for the current queue —
-            // never before `now` (events already applied) or
-            // `engine_free` (single modeled server). `None` = empty.
+            // never before `now` (events already applied) or the
+            // instant a staging slot frees. `None` = empty.
             let plan = match (
-                self.policy.launch_at(now, engine_free, peeked.is_none()),
+                self.policy
+                    .launch_at(now, clock.slot_free(), peeked.is_none()),
                 peeked,
             ) {
                 (None, None) => break,
@@ -346,19 +369,21 @@ impl EventLoop {
                 at_ns: now,
                 ids: &self.ids,
             };
-            let service_ns = server.serve(&launch, &self.tally)?;
-            // Modeled time is monotone: the server is never marked free
-            // before the batch drains (and `now` only grows).
-            engine_free = now.saturating_add(service_ns);
+            let stages = server.serve(&launch, &self.tally)?;
             self.tally.batch(self.ids.len(), plan.trigger);
-            for &id in &self.ids {
-                // Latency from the original arrival to the batch drain;
-                // arrival <= now <= engine_free, so this never wraps.
-                self.tally.latencies.push(engine_free - times[id as usize]);
+            // Placing this batch places the pending one's stage 3: its
+            // requests complete then. This batch becomes the pending one.
+            if let Some(d) = clock.push(now, stages) {
+                self.tally.complete(&self.pending, times, d.drain);
             }
+            std::mem::swap(&mut self.ids, &mut self.pending);
             seq += 1;
             door_blocked = false;
         }
-        Ok(engine_free)
+        if let Some(d) = clock.finish() {
+            self.tally.complete(&self.pending, times, d.drain);
+        }
+        // The last batch drains last: the bus places stage 3s in order.
+        Ok(clock.slot_free())
     }
 }

@@ -15,8 +15,9 @@
 //!   `max_wait_ns` (plus a final drain flush at end of trace);
 //! * each formed batch runs through
 //!   [`UpdlrmEngine::serve_stream`](updlrm_core::UpdlrmEngine::serve_stream),
-//!   whose modeled wall becomes the engine-busy interval of the event
-//!   loop;
+//!   and its three modeled stage times are placed on the engine's
+//!   depth-2 pipeline clock: batch `i + 1`'s stage 1 overlaps batch
+//!   `i`'s stage 2 through the two MRAM staging slots;
 //! * per-request latency = queue wait + batch wait + modeled pipeline
 //!   time, i.e. `batch completion − arrival`.
 //!
@@ -53,23 +54,37 @@ pub mod policy;
 
 use dlrm_model::{Matrix, QueryBatch};
 use updlrm_core::engine::EmbeddingBreakdown;
+use updlrm_core::pipeline::Stages;
 use updlrm_core::{CoreError, Result, UpdlrmEngine};
 use workloads::Workload;
 
 pub use event_loop::{check_servable, EventLoop, Launch, Serve, Tally};
 pub use policy::{AdmitOutcome, BatchPolicy, LaunchPlan};
 
-/// Converts a modeled f64 service time (ns) to the integer-ns clock.
-///
-/// `ceil` keeps the single-server invariant conservative: the engine is
-/// never marked free before the modeled pipeline has fully drained, and
-/// a positive service time always advances the clock by at least 1 ns.
-pub fn service_ns_to_u64(service_ns: f64) -> u64 {
-    debug_assert!(
-        service_ns.is_finite() && service_ns >= 0.0,
-        "modeled service time must be finite and nonnegative, got {service_ns}"
-    );
-    service_ns.max(0.0).ceil() as u64
+/// A served batch's stage times on the integer-ns clock: the
+/// *cumulative* boundaries `s1`, `s1 + s2` and `s1 + s2 + s3` are each
+/// rounded up, and the stages are their differences. Rounding up keeps
+/// the clock conservative — no stage is marked done before the modeled
+/// pipeline has reached it, and a positive stage time always advances
+/// the clock — and rounding the boundaries rather than the stages means
+/// a batch that has the pipeline to itself drains exactly
+/// `ceil(bd.total_ns())` after it launches.
+pub fn service_stages(bd: &EmbeddingBreakdown) -> Stages<u64> {
+    let ceil = |ns: f64| {
+        debug_assert!(
+            ns.is_finite() && ns >= 0.0,
+            "modeled stage times must be finite and nonnegative, got {ns}"
+        );
+        ns.max(0.0).ceil() as u64
+    };
+    let s1 = ceil(bd.stage1_ns);
+    let s12 = ceil(bd.stage1_ns + bd.stage2_ns);
+    let total = ceil(bd.total_ns());
+    Stages {
+        s1,
+        s2: s12 - s1,
+        s3: total - s12,
+    }
 }
 
 /// What to do with a new arrival when the admission queue is full.
@@ -339,7 +354,7 @@ impl Scheduler {
 
     /// [`run`](Self::run) without the report: forms and serves every
     /// batch, lending `sink` each [`Launch`] (so it sees the launch
-    /// instant too), and returns the dedicated-server makespan. The
+    /// instant too), and returns the dedicated-engine makespan. The
     /// counters and latencies stay in [`tally_mut`](Self::tally_mut)
     /// until the caller finishes (and records) them.
     ///
@@ -389,11 +404,14 @@ impl<F> Serve for InThread<'_, F>
 where
     F: FnMut(&Launch<'_>, &[Matrix], &EmbeddingBreakdown),
 {
-    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<u64> {
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages<u64>> {
         // Between-batch tick: lets the engine's online replanner flip a
         // completed migration (or begin one) at the launch instant,
-        // never mid-pipeline — serve_stream below runs a single batch,
-        // so placement is stable within it.
+        // never mid-batch — serve_stream below runs a single batch, so
+        // placement is stable within it. The batch ahead may still be
+        // in flight on the old placement, but a tick never both flips
+        // and begins a scatter, and the next launch waits for that
+        // batch to drain, so no scatter writes what it reads.
         let first = self.engine.drift_snapshot().is_none();
         self.engine.on_tick(launch.at_ns)?;
         // A drift snapshot this tick took is a mid-run picture: it gets
@@ -402,14 +420,14 @@ where
             snap.sched.merge(&tally.snapshot());
         }
         assemble_into(self.workload, launch.ids, self.batch);
-        let mut service_ns = 0.0f64;
+        let mut stages = Stages::default();
         let sink = &mut self.sink;
         self.engine
             .serve_stream(std::slice::from_ref(&*self.batch), |_, pooled, bd| {
-                service_ns = bd.total_ns();
+                stages = service_stages(bd);
                 sink(launch, pooled, bd);
             })?;
-        Ok(service_ns_to_u64(service_ns))
+        Ok(stages)
     }
 }
 
@@ -615,6 +633,22 @@ mod tests {
             s.batch_histogram()[17..].iter().all(|&c| c == 0),
             "no batch above max_batch_size"
         );
+    }
+
+    #[test]
+    fn stage_boundaries_round_up_and_sum_to_the_rounded_total() {
+        let bd = |s1: f64, s2: f64, s3: f64| EmbeddingBreakdown {
+            stage1_ns: s1,
+            stage2_ns: s2,
+            stage3_ns: s3,
+            ..Default::default()
+        };
+        let s = service_stages(&bd(0.5, 0.5, 0.5));
+        assert_eq!((s.s1, s.s2, s.s3), (1, 0, 1));
+        assert_eq!(s.total(), 2, "ceil(1.5)");
+        let s = service_stages(&bd(10.0, 0.25, 3.0));
+        assert_eq!((s.s1, s.s2, s.s3), (10, 1, 3));
+        assert_eq!(service_stages(&bd(0.0, 0.0, 0.0)), Stages::default());
     }
 
     #[test]

@@ -144,15 +144,15 @@ impl BatchPolicy {
 
     /// The earliest instant the queued work may launch, or `None` when
     /// the queue is empty (nothing to launch). A launch can never
-    /// precede `now_ns` (events already applied) or `engine_free_ns`
-    /// (the server is busy until then); `drained` means no further
+    /// precede `now_ns` (events already applied) or `slot_free_ns`
+    /// (no engine staging slot is free before then); `drained` means no further
     /// arrival can ever join the queue, enabling the final flush.
     ///
     /// The trigger attribution ties are broken by **exact integer
     /// equality** — size beats deadline beats drain.
-    pub fn launch_at(&self, now_ns: u64, engine_free_ns: u64, drained: bool) -> Option<LaunchPlan> {
+    pub fn launch_at(&self, now_ns: u64, slot_free_ns: u64, drained: bool) -> Option<LaunchPlan> {
         let head = self.head_arrival_ns()?;
-        let floor = engine_free_ns.max(now_ns);
+        let floor = slot_free_ns.max(now_ns);
         // The deadline candidate always exists for a nonempty queue;
         // saturate so a huge max_wait_ns cannot wrap modeled time.
         let t_deadline = head.saturating_add(self.cfg.max_wait_ns).max(floor);

@@ -11,15 +11,20 @@
 //!    single-tenant [`Scheduler`] — the one shared event loop, so
 //!    admission order, overload policy and size/deadline/drain
 //!    triggers are the solo scheduler's by construction — paced by a
-//!    *virtual dedicated-fleet clock* (the instant the tenant's own
-//!    engine would free up if it had the whole fleet to itself). Every
-//!    formed batch runs through the tenant's engine here, producing
-//!    pooled embeddings and a modeled service time.
+//!    *virtual dedicated-fleet clock* (the depth-2 pipeline clock the
+//!    tenant's own engine would run on if it had the whole fleet to
+//!    itself). Every formed batch runs through the tenant's engine
+//!    here, producing pooled embeddings and three modeled stage times.
 //! 2. **Arbitration** (across tenants): the formed batches — each a
-//!    `(ready_ns, service_ns)` pair — are dispatched onto the shared
-//!    single-server fleet timeline under weighted deficit round robin
-//!    or FCFS. Completion times (and hence per-request latencies and
-//!    SLO verdicts) come from this shared timeline.
+//!    ready instant and its stage times — are dispatched onto the
+//!    shared fleet timeline under weighted deficit round robin or
+//!    FCFS. The timeline is the same depth-2
+//!    [`PipelineClock`](updlrm_core::pipeline::PipelineClock) a single
+//!    tenant's scheduler runs on: the fleet's DPUs and host bus are one
+//!    pipeline with two staging slots, so one tenant's stage 1 may
+//!    overlap another's stage 2. Completion times (and hence
+//!    per-request latencies and SLO verdicts) come from this shared
+//!    timeline.
 //!
 //! Because phase 1 never sees the other tenants, a tenant's batch
 //! content and pooled embeddings are a pure function of its own spec —
@@ -34,13 +39,16 @@
 //! Tenant `i` holds a deficit counter. Each round-robin visit while it
 //! has a ready batch credits `quantum_ns x weight_i`; the fleet then
 //! serves its ready batches while the deficit covers their service
-//! time, debiting as it goes. A tenant with no ready batch at the end
-//! of its visit forfeits its deficit (no banking credit while idle —
-//! a bursty tenant cannot save up fleet time during its quiet phase).
-//! With every queue backlogged, long-run fleet shares converge to
-//! `weight_i / sum(weights)`; a victim's extra wait behind an
-//! adversary is bounded by the in-flight batch plus one adversary
-//! quantum, independent of the adversary's backlog depth.
+//! time (their three stage times summed), debiting as it goes. A
+//! tenant with no ready batch at the end of its visit forfeits its
+//! deficit (no banking credit while idle — a bursty tenant cannot save
+//! up fleet time during its quiet phase). With every queue backlogged,
+//! long-run fleet shares converge to `weight_i / sum(weights)`; a
+//! victim's extra wait behind an adversary is bounded by the batches
+//! in flight on the pipeline plus one adversary quantum, independent
+//! of the adversary's backlog depth. The arbiter decides when the DPU
+//! array has run every placed batch's stage 2, so a batch that turns
+//! ready while the array is busy still competes for the next slot.
 //!
 //! All arbitration arithmetic is integer-ns; a fixed seed produces
 //! byte-identical [`FleetReport`]s and telemetry snapshots.
@@ -48,20 +56,61 @@
 use crate::spec::{Arbitration, FleetConfig, TenantSpec};
 use dlrm_model::{EmbeddingTable, Matrix};
 use placement::interleaved_offsets;
-use scheduler::{service_ns_to_u64, SchedReport, Scheduler};
+use scheduler::{service_stages, SchedReport, Scheduler};
 use updlrm_core::engine::EmbeddingBreakdown;
+use updlrm_core::pipeline::{PipelineClock, Stages};
 use updlrm_core::telemetry::Snapshot;
 use updlrm_core::{CoreError, MetricsRegistry, Result, TenantSnapshot, UpdlrmConfig, UpdlrmEngine};
 use workloads::{TraceConfig, Workload};
 
 /// One formed batch awaiting fleet dispatch: its phase-1 launch
-/// instant, integer-ns service time and member range into the lane's
+/// instant, integer-ns stage times and member range into the lane's
 /// flat member-id buffer.
 #[derive(Debug, Clone, Copy)]
 struct FormedBatch {
     ready_ns: u64,
-    service_ns: u64,
+    stages: Stages<u64>,
     members: (u32, u32),
+}
+
+/// The shared fleet pipeline: the one depth-2 clock and the batch on it
+/// whose stage 3 is not yet placed, as `(lane, batch)` indices.
+#[derive(Debug, Default)]
+struct Timeline {
+    clock: PipelineClock<u64>,
+    pending: Option<(usize, usize)>,
+}
+
+impl Timeline {
+    /// Launches lane `i`'s next batch as early as a staging slot and its
+    /// ready instant allow, which places the pending batch's stage 3 and
+    /// completes it. Returns the arbiter's next decision instant: when
+    /// the DPU array has run every placed batch's stage 2 (and a slot
+    /// is free). Choosing the next batch then, among those ready by
+    /// then, costs the array no idle time — its stage 1 may still have
+    /// started earlier — and lets a batch that turns ready while the
+    /// array is busy compete for the slot instead of queueing behind a
+    /// batch committed the moment the slot freed.
+    fn dispatch(&mut self, lanes: &mut [Lane], i: usize, head: &mut usize) -> u64 {
+        let lane = &mut lanes[i];
+        let b = lane.batches[*head];
+        lane.busy_ns += b.stages.total();
+        let launch = self.clock.slot_free().max(b.ready_ns);
+        let drained = self.clock.push(launch, b.stages);
+        if let (Some(d), Some((l, k))) = (drained, self.pending) {
+            lanes[l].complete(k, d.drain);
+        }
+        self.pending = Some((i, *head));
+        *head += 1;
+        self.clock.slot_free().max(self.clock.dpu_free())
+    }
+
+    /// Places the last pending stage 3 and completes its batch.
+    fn finish(&mut self, lanes: &mut [Lane]) {
+        if let (Some(d), Some((l, k))) = (self.clock.finish(), self.pending.take()) {
+            lanes[l].complete(k, d.drain);
+        }
+    }
 }
 
 /// Per-tenant serving state: spec, workload, engine, the tenant's own
@@ -113,7 +162,7 @@ impl Lane {
                 members.extend_from_slice(launch.ids);
                 batches.push(FormedBatch {
                     ready_ns: launch.at_ns,
-                    service_ns: service_ns_to_u64(bd.total_ns()),
+                    stages: service_stages(bd),
                     members: (start, members.len() as u32),
                 });
                 sink(tenant, launch.seq, launch.ids, pooled, bd);
@@ -128,6 +177,16 @@ impl Lane {
         // latencies that count come from the shared timeline.
         sched.tally_mut().latencies.clear();
         Ok(())
+    }
+
+    /// Books batch `k`'s requests as completed at `drain_ns` on the
+    /// shared timeline. Latency = shared completion − original arrival.
+    fn complete(&mut self, k: usize, drain_ns: u64) {
+        let (lo, hi) = self.batches[k].members;
+        let ids = &self.members[lo as usize..hi as usize];
+        let times = &self.workload.arrivals.times_ns;
+        self.sched.tally_mut().complete(ids, times, drain_ns);
+        self.last_completion_ns = drain_ns;
     }
 }
 
@@ -166,9 +225,11 @@ pub struct FleetReport {
     pub quantum_ns: u64,
     /// Modeled instant the last batch drained, ns.
     pub makespan_ns: f64,
-    /// Total fleet busy time across tenants, ns.
+    /// Total fleet busy time across tenants — every batch's summed
+    /// stage times — ns.
     pub total_busy_ns: f64,
-    /// `total_busy / makespan` — shared-fleet duty cycle.
+    /// `total_busy / makespan` — shared-fleet duty cycle; above 1 when
+    /// one batch's bus stages overlap another's kernel.
     pub fleet_utilization: f64,
     /// Max/mean of per-DPU aggregate kernel cycles across all tenants
     /// with their interleave rotations applied (`0` without telemetry).
@@ -369,8 +430,9 @@ impl TenantFleet {
         Ok(self.build_report())
     }
 
-    /// Phase 2: dispatch every formed batch onto the shared
-    /// single-server fleet timeline. Integer-ns throughout.
+    /// Phase 2: dispatch every formed batch onto the shared fleet
+    /// pipeline. Integer-ns throughout; `now` is the arbiter's decision
+    /// instant ([`Timeline::dispatch`]).
     fn arbitrate(&mut self) {
         let nt = self.lanes.len();
         let total: usize = self.lanes.iter().map(|l| l.batches.len()).sum();
@@ -381,6 +443,7 @@ impl TenantFleet {
             .collect();
         let mut head = vec![0usize; nt];
         let mut deficit = vec![0u64; nt];
+        let mut timeline = Timeline::default();
         let mut now = 0u64;
         let mut rr = 0usize;
         let mut done = 0usize;
@@ -398,7 +461,7 @@ impl TenantFleet {
                         }
                     }
                     let (_, i) = best.expect("done < total implies a pending batch");
-                    now = Self::dispatch(&mut self.lanes[i], &mut head[i], now);
+                    now = now.max(timeline.dispatch(&mut self.lanes, i, &mut head[i]));
                     done += 1;
                 }
                 Arbitration::Drr => {
@@ -417,24 +480,26 @@ impl TenantFleet {
                     }
                     for k in 0..nt {
                         let i = (rr + k) % nt;
-                        let lane = &mut self.lanes[i];
-                        match lane.batches.get(head[i]) {
+                        match self.lanes[i].batches.get(head[i]) {
                             Some(b) if b.ready_ns <= now => {}
                             _ => continue,
                         }
                         deficit[i] = deficit[i].saturating_add(quantum[i]);
-                        while let Some(b) = lane.batches.get(head[i]) {
-                            if b.ready_ns > now || deficit[i] < b.service_ns {
+                        while let Some(&b) = self.lanes[i].batches.get(head[i]) {
+                            let service_ns = b.stages.total();
+                            if b.ready_ns > now || deficit[i] < service_ns {
                                 break;
                             }
-                            deficit[i] -= b.service_ns;
-                            now = Self::dispatch(lane, &mut head[i], now);
+                            deficit[i] -= service_ns;
+                            now = now.max(timeline.dispatch(&mut self.lanes, i, &mut head[i]));
                             done += 1;
                         }
                         // No banking while idle: forfeit leftover credit
                         // unless a ready batch is still waiting on it.
-                        let still_ready =
-                            lane.batches.get(head[i]).is_some_and(|b| b.ready_ns <= now);
+                        let still_ready = self.lanes[i]
+                            .batches
+                            .get(head[i])
+                            .is_some_and(|b| b.ready_ns <= now);
                         if !still_ready {
                             deficit[i] = 0;
                         }
@@ -444,23 +509,7 @@ impl TenantFleet {
                 }
             }
         }
-    }
-
-    /// Serves one batch on the shared timeline; returns the new fleet
-    /// clock. Latency = shared completion − original arrival.
-    fn dispatch(lane: &mut Lane, head: &mut usize, now: u64) -> u64 {
-        let b = lane.batches[*head];
-        let start = now.max(b.ready_ns);
-        let completion = start.saturating_add(b.service_ns);
-        let times = &lane.workload.arrivals.times_ns;
-        let tally = lane.sched.tally_mut();
-        for &id in &lane.members[b.members.0 as usize..b.members.1 as usize] {
-            tally.latencies.push(completion - times[id as usize]);
-        }
-        lane.busy_ns += b.service_ns;
-        lane.last_completion_ns = completion;
-        *head += 1;
-        completion
+        timeline.finish(&mut self.lanes);
     }
 
     /// Folds the lanes into a [`FleetReport`] and records each lane's

@@ -54,10 +54,6 @@ pub struct UpdlrmConfig {
     /// thread has not raised it on any box measured (EXPERIMENTS.md,
     /// "Stage 2 simulates a DPU").
     pub host_threads: usize,
-    /// Batch schedule used by [`UpdlrmEngine::serve`](crate::engine::UpdlrmEngine::serve):
-    /// back-to-back (the paper's measurement mode) or double-buffered
-    /// across the two MRAM staging slots (DESIGN.md §4.5).
-    pub pipeline_mode: PipelineMode,
     /// Record fleet telemetry (per-stage spans, per-DPU counters, cache
     /// traffic) into the engine's
     /// [`MetricsRegistry`](crate::telemetry::MetricsRegistry). Off by
@@ -106,7 +102,6 @@ impl Default for UpdlrmConfig {
             miner: MinerConfig::default(),
             replicate_top: 64,
             host_threads: 1,
-            pipeline_mode: PipelineMode::Sequential,
             telemetry: false,
             embed_dtype: EmbedDtype::F32,
             replan: ReplanPolicy::Off,
@@ -145,17 +140,16 @@ impl UpdlrmConfig {
         self
     }
 
-    /// Returns a copy with the given serving schedule.
-    pub fn with_pipeline_mode(mut self, mode: PipelineMode) -> Self {
-        self.pipeline_mode = mode;
+    /// Returns `self` unchanged. Every serve is double-buffered, so
+    /// there is no schedule to set; this stays only for callers written
+    /// against the old option.
+    pub fn with_pipeline_mode(self, _mode: PipelineMode) -> Self {
         self
     }
 
-    /// Returns `self` unchanged. The serve depth is what
-    /// [`PipelineMode`] says — one batch in flight when `Sequential`,
-    /// one per MRAM staging slot (2) when `DoubleBuf` — so there is no
-    /// depth to set; this stays only for callers written against the
-    /// old knob.
+    /// Returns `self` unchanged. The serve depth is one batch per MRAM
+    /// staging slot (2), so there is no depth to set; this stays only
+    /// for callers written against the old knob.
     pub fn with_queue_depth(self, _depth: usize) -> Self {
         self
     }
@@ -228,8 +222,6 @@ mod tests {
         assert_eq!(c.strategy, PartitionStrategy::CacheAware);
         assert_eq!(c.cache_fraction, 1.0);
         assert!(c.n_c.is_none());
-        // Serving defaults to the paper's back-to-back measurement mode.
-        assert_eq!(c.pipeline_mode, PipelineMode::Sequential);
         // Telemetry is opt-in, and tables are stored full-precision
         // unless quantization is requested.
         assert!(!c.telemetry);
@@ -244,12 +236,16 @@ mod tests {
     fn builder_helpers_compose() {
         let c = UpdlrmConfig::with_dpus(32, PartitionStrategy::Uniform)
             .with_fixed_nc(4)
-            .with_cache_fraction(0.4)
-            .with_pipeline_mode(PipelineMode::DoubleBuf);
+            .with_cache_fraction(0.4);
         assert_eq!(c.nr_dpus, 32);
         assert_eq!(c.strategy, PartitionStrategy::Uniform);
         assert_eq!(c.n_c, Some(4));
         assert_eq!(c.cache_fraction, 0.4);
-        assert_eq!(c.pipeline_mode, PipelineMode::DoubleBuf);
+        // The shims for retired options change nothing.
+        let shimmed = c
+            .clone()
+            .with_pipeline_mode(PipelineMode::DoubleBuf)
+            .with_queue_depth(2);
+        assert_eq!(shimmed, c);
     }
 }

@@ -4,11 +4,16 @@
 //! future work).
 //!
 //! Stages 1 (CPU→DPU) and 3 (DPU→CPU) contend for the host memory bus,
-//! while stage 2 runs on the DPU array — two distinct resources. With
-//! double buffering in MRAM, batch `i+1`'s stage 1 can overlap batch
-//! `i`'s stage 2. [`pipelined_wall_ns`] computes the exact wall time of
-//! that schedule from per-batch breakdowns via a small event
-//! simulation.
+//! while stage 2 runs on the DPU array — two distinct resources. Every
+//! engine reserves two MRAM staging slots per DPU, so batch `i + 1`'s
+//! stage 1 can overlap batch `i`'s stage 2. [`PipelineClock`] is the
+//! one recurrence that times that depth-2 schedule: the closed-loop
+//! serve ([`pipelined_wall_ns`], `UpdlrmEngine::serve_stream`) feeds it
+//! every batch at instant 0 on an f64 clock, and the open-loop
+//! front-ends (the scheduler's event loop, the oracle-locked runtime,
+//! the tenant fleet) feed it each batch at its launch instant on the
+//! integer-ns clock. [`sequential_wall_ns`] is the paper's back-to-back
+//! figure of the same batches.
 
 use crate::engine::EmbeddingBreakdown;
 
@@ -27,64 +32,167 @@ pub fn sequential_wall_ns(batches: &[EmbeddingBreakdown]) -> f64 {
 /// order (stage 3 of batch `i` before stage 1 of batch `i + 2`), which
 /// is what a host driver with a bounded MRAM staging area does.
 pub fn pipelined_wall_ns(batches: &[EmbeddingBreakdown]) -> f64 {
-    pipelined_schedule(batches, |_, _| {})
+    pipelined_schedule(batches, |_| {})
 }
 
-/// The depth-2 recurrence behind [`pipelined_wall_ns`]: returns the
-/// wall and reports, batch by batch in order, the instant its stage 1
-/// was issued and the instant its stage 3 drained as
-/// `on_drain(issue_ns, drain_ns)`. The executed double-buffered serve
-/// takes its wall and latencies from here.
+/// [`PipelineClock`] fed every batch of a closed loop at instant 0:
+/// returns the wall (the last drain) and reports each batch, in batch
+/// order, as it drains. The executed serve takes its wall and
+/// latencies from here.
 pub(crate) fn pipelined_schedule(
     batches: &[EmbeddingBreakdown],
-    mut on_drain: impl FnMut(f64, f64),
+    mut on_drain: impl FnMut(Drained<f64>),
 ) -> f64 {
-    // Only two batches are ever in flight (batch i's and batch i - 1's),
-    // so the recurrence needs no arrays and stays heap-free, which the
-    // steady-state serve path relies on.
-    let mut bus_free = 0.0f64; // when the host bus is next available
-    let mut dpu_free = 0.0f64; // when the DPU array is next available
-    let mut s1_issue_prev; // stage-1 issue of batch i - 1
-    let mut s1_issue_cur = 0.0f64; // stage-1 issue of batch i
-    let mut s2_done_prev; // s2_done of batch i - 1
-    let mut s2_done_cur = 0.0f64; // s2_done of batch i
-    let mut finish = 0.0f64;
-
-    // Interleave bus phases in batch order: s1_0, s1_1, s3_0, s1_2,
-    // s3_1, ... — i.e. before batch i's stage 3, batch i+1's stage 1
-    // has been issued (double buffering depth 2).
-    for i in 0..batches.len() {
-        // stage 1 of batch i.
-        let start = bus_free;
-        bus_free = start + batches[i].stage1_ns;
-        let s1_landed = bus_free;
-        s1_issue_prev = s1_issue_cur;
-        s1_issue_cur = start;
-
-        // stage 2 of batch i can start once its stage 1 landed and the
-        // DPU array is free.
-        let start = s1_landed.max(dpu_free);
-        dpu_free = start + batches[i].stage2_ns;
-        s2_done_prev = s2_done_cur;
-        s2_done_cur = dpu_free;
-
-        // stage 3 of batch i - 1 (its results are ready by now or we
-        // wait for them); keeping one batch in flight bounds staging.
-        if i > 0 {
-            let j = i - 1;
-            let start = s2_done_prev.max(bus_free);
-            bus_free = start + batches[j].stage3_ns;
-            finish = finish.max(bus_free);
-            on_drain(s1_issue_prev, bus_free);
+    let mut clock = PipelineClock::default();
+    for bd in batches {
+        if let Some(d) = clock.push(0.0, Stages::of(bd)) {
+            on_drain(d);
         }
     }
-    if let Some(last) = batches.len().checked_sub(1) {
-        let start = s2_done_cur.max(bus_free);
-        let drain = start + batches[last].stage3_ns;
-        finish = finish.max(drain);
-        on_drain(s1_issue_cur, drain);
+    if let Some(d) = clock.finish() {
+        on_drain(d);
     }
-    finish
+    clock.slot_free()
+}
+
+/// An instant on one of the clocks the recurrence runs on: f64 ns for
+/// the closed-loop serve, integer ns for the open-loop front-ends.
+pub trait ClockTime: Copy + PartialOrd + Default {
+    /// `self + d`; saturating on the integer clock.
+    fn plus(self, d: Self) -> Self;
+}
+
+impl ClockTime for f64 {
+    fn plus(self, d: f64) -> f64 {
+        self + d
+    }
+}
+
+impl ClockTime for u64 {
+    fn plus(self, d: u64) -> u64 {
+        self.saturating_add(d)
+    }
+}
+
+/// The later of two instants (`a` on ties, like `f64::max` on the
+/// non-negative, NaN-free times the clock sees).
+fn later<T: ClockTime>(a: T, b: T) -> T {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// One batch's three stage durations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Stages<T> {
+    /// Stage 1: CPU→DPU scatter, on the host bus.
+    pub s1: T,
+    /// Stage 2: the lookup kernel, on the DPU array.
+    pub s2: T,
+    /// Stage 3: DPU→CPU gather, on the host bus.
+    pub s3: T,
+}
+
+impl<T: ClockTime> Stages<T> {
+    /// The three stages back to back.
+    pub fn total(&self) -> T {
+        self.s1.plus(self.s2).plus(self.s3)
+    }
+}
+
+impl Stages<f64> {
+    /// The modeled stage times of one served batch.
+    pub fn of(bd: &EmbeddingBreakdown) -> Self {
+        Stages {
+            s1: bd.stage1_ns,
+            s2: bd.stage2_ns,
+            s3: bd.stage3_ns,
+        }
+    }
+}
+
+/// A batch [`PipelineClock`] has finished placing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Drained<T> {
+    /// The instant its stage 1 was issued on the bus.
+    pub issue: T,
+    /// The instant its stage 3 drained — its staging slot frees then.
+    pub drain: T,
+}
+
+/// The depth-2 pipeline recurrence, one batch at a time.
+///
+/// Stage 2 serializes on the DPU array; stages 1 and 3 serialize on the
+/// host bus; each batch's stages stay ordered. Two staging slots mean
+/// batch `i` may start once batch `i − 2` has drained. On the bus a
+/// batch's stage 1 goes before the pending stage 3 of the batch ahead
+/// of it (`s1_0, s1_1, s3_0, s1_2, s3_1, …`), unless the batch
+/// launches after that stage 3 would already have started.
+///
+/// Only two batches are ever in flight, so the state is four instants
+/// and one pending stage 3: no arrays, no allocation.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PipelineClock<T> {
+    /// When the host bus is next free.
+    bus_free: T,
+    /// When the DPU array is next free.
+    dpu_free: T,
+    /// The batch whose stage 3 is not yet on the bus: its issue
+    /// instant, its stage-2 completion and its stage-3 length.
+    pending: Option<(T, T, T)>,
+    /// The drain of the batch before the pending one.
+    slot_free: T,
+}
+
+impl<T: ClockTime> PipelineClock<T> {
+    /// The instant a staging slot frees for the next batch: the drain
+    /// of the batch before the pending one. No batch may launch
+    /// earlier. After [`finish`](Self::finish), the last drain.
+    pub fn slot_free(&self) -> T {
+        self.slot_free
+    }
+
+    /// The instant the DPU array finishes the stage 2 of every batch
+    /// placed so far.
+    pub fn dpu_free(&self) -> T {
+        self.dpu_free
+    }
+
+    /// Places a batch launched at `launch` (no earlier than
+    /// [`slot_free`](Self::slot_free)) with stage times `stages`, and
+    /// with it the pending stage 3 of the batch before. Returns that
+    /// batch, now drained.
+    pub fn push(&mut self, launch: T, stages: Stages<T>) -> Option<Drained<T>> {
+        let mut drained = None;
+        let pending = self.pending.take();
+        if let Some(p @ (_, s2_done, _)) = pending {
+            if launch > later(self.bus_free, s2_done) {
+                drained = Some(self.stage3(p));
+            }
+        }
+        let issue = later(launch, self.bus_free);
+        self.bus_free = issue.plus(stages.s1);
+        self.dpu_free = later(self.bus_free, self.dpu_free).plus(stages.s2);
+        if drained.is_none() {
+            drained = pending.map(|p| self.stage3(p));
+        }
+        self.pending = Some((issue, self.dpu_free, stages.s3));
+        drained
+    }
+
+    /// Places the pending stage 3, if any, and returns that batch.
+    pub fn finish(&mut self) -> Option<Drained<T>> {
+        self.pending.take().map(|p| self.stage3(p))
+    }
+
+    fn stage3(&mut self, (issue, s2_done, s3): (T, T, T)) -> Drained<T> {
+        let drain = later(s2_done, self.bus_free).plus(s3);
+        self.bus_free = drain;
+        self.slot_free = drain;
+        Drained { issue, drain }
+    }
 }
 
 /// Summary of the pipelining gain over a trace.
@@ -177,6 +285,52 @@ mod tests {
         assert!(r.speedup() > 1.2, "speedup {}", r.speedup());
         let empty = PipelineReport::from_batches(&[]);
         assert_eq!(empty.speedup(), 1.0);
+    }
+
+    #[test]
+    fn a_lone_batch_drains_after_its_three_stages() {
+        let mut clock = PipelineClock::<u64>::default();
+        assert_eq!(
+            clock.push(
+                100,
+                Stages {
+                    s1: 3,
+                    s2: 5,
+                    s3: 7
+                }
+            ),
+            None
+        );
+        assert_eq!(clock.slot_free(), 0, "the other slot is free");
+        let d = clock.finish().expect("one batch pending");
+        assert_eq!((d.issue, d.drain), (100, 115));
+        assert_eq!(clock.slot_free(), 115);
+        assert_eq!(clock.finish(), None);
+    }
+
+    #[test]
+    fn a_late_launch_drains_the_pending_batch_first() {
+        let s = Stages {
+            s1: 10,
+            s2: 10,
+            s3: 10,
+        };
+        // Batch 1 launches at 15, before batch 0's stage 3 could start
+        // (its stage 2 ends at 20): s1_1 takes the bus 15..25 and s3_0
+        // waits for it.
+        let mut clock = PipelineClock::<u64>::default();
+        clock.push(0, s);
+        let d0 = clock.push(15, s).expect("batch 0 placed");
+        assert_eq!(d0.drain, 35);
+        // Batch 1 launching at 21 finds s3_0 already due at 20 and
+        // on the bus from then on: s3_0 goes first.
+        let mut clock = PipelineClock::<u64>::default();
+        clock.push(0, s);
+        let d0 = clock.push(21, s).expect("batch 0 placed");
+        assert_eq!(d0.drain, 30);
+        assert_eq!(clock.slot_free(), 30);
+        let d1 = clock.finish().expect("batch 1 pending");
+        assert_eq!((d1.issue, d1.drain), (30, 60));
     }
 
     #[test]

@@ -37,6 +37,30 @@ pub(crate) struct Placement {
     pub(crate) resident: Vec<PartResidency>,
 }
 
+impl Placement {
+    /// Whether `other` writes the same tiles and tasks as `self`: every
+    /// row in the same (partition, slot), the same replica block, the
+    /// same cache entry routes and the same WRAM-resident prefixes. The
+    /// predicted loads the two were fitted with do not count: windows
+    /// with one ranking but different totals give one layout.
+    pub(crate) fn same_layout(&self, other: &Placement) -> bool {
+        let (a, b) = (&self.assignment, &other.assignment);
+        fn routes(c: &CachePlacement) -> (&[(u32, u32)], usize) {
+            (&c.entry_route, c.placed_lists)
+        }
+        let prefix = |r: &PartResidency| (r.emt_rows, r.cache_rows);
+        a.part_of_row == b.part_of_row
+            && a.slot_of_row == b.slot_of_row
+            && self.replicas == other.replicas
+            && self.cache.as_ref().map(routes) == other.cache.as_ref().map(routes)
+            && self
+                .resident
+                .iter()
+                .map(prefix)
+                .eq(other.resident.iter().map(prefix))
+    }
+}
+
 /// The cache half of a cache-aware [`Placement`].
 pub(crate) struct CachePlacement {
     pub(crate) store: PartialSumCache,

@@ -358,8 +358,8 @@ impl UpdlrmEngine {
     /// regions' capacities, pushed onto the (empty) `staged`. Takes
     /// `&self`: planning reads the engine and cannot mutate what
     /// serves. Returns `false` to decline the replan — a placement that
-    /// cannot fit the staged regions, or one whose assignment compares
-    /// equal to the serving one's (`part_load` included).
+    /// cannot fit the staged regions, or one that would write the same
+    /// tiles and tasks as the serving one ([`Placement::same_layout`]).
     fn plan_flips(&self, window: &[FreqProfile], staged: &mut Vec<Placement>) -> bool {
         // A refit exists because load must follow the window; a uniform
         // re-cut would reproduce the contiguous hot block behind it.
@@ -377,7 +377,7 @@ impl UpdlrmEngine {
             else {
                 return false;
             };
-            changed |= placement.assignment != state.placement.assignment;
+            changed |= !placement.same_layout(&state.placement);
             staged.push(placement);
         }
         changed

@@ -5,18 +5,21 @@
 //! the three-stage pipeline using the two MRAM staging slots reserved
 //! per DPU ([`crate::engine`]): batch `i` lands in slot `i % 2`, so
 //! batch `i + 1`'s stage-1 scatter can be issued while batch `i` still
-//! owns the other slot, exactly the depth-2 schedule that
-//! [`pipelined_wall_ns`](crate::pipeline::pipelined_wall_ns) assumes.
-//! The host bus serializes all stage-1/stage-3 phases in batch order
+//! owns the other slot. That depth-2 schedule is the only one: the host
+//! bus serializes all stage-1/stage-3 phases in batch order
 //! (`s1_0, s1_1, s3_0, s1_2, s3_1, …`) while stage-2 kernels overlap
-//! them on the DPU array.
+//! them on the DPU array. The paper's back-to-back figure of the same
+//! batches is reported next to it as
+//! [`ServeReport::sequential_wall_ns`].
 //!
 //! The schedule calls the same three stage methods as
 //! [`UpdlrmEngine::run_batch`] and takes its wall from the one
 //! recurrence in [`crate::pipeline`], so the executed wall *is*
 //! `pipelined_wall_ns` of the collected breakdowns, and the pooled
 //! embeddings are bit-identical to back-to-back `run_batch` calls
-//! (both checked by `tests/serve_tests.rs`).
+//! (both checked by `tests/serve_tests.rs`). The open-loop front-ends
+//! serve one batch per call and time the overlap between calls on the
+//! same [`PipelineClock`](crate::pipeline::PipelineClock).
 
 use crate::engine::{EmbeddingBreakdown, UpdlrmEngine, STAGING_SLOTS};
 use crate::error::Result;
@@ -24,59 +27,31 @@ use crate::pipeline::{pipelined_schedule, sequential_wall_ns};
 use crate::stats::percentile;
 use dlrm_model::{Matrix, QueryBatch};
 
-/// Batch schedule used by [`UpdlrmEngine::serve`].
+/// The serve schedule, kept only so callers written against the old
+/// schedule option still compile: every serve is double-buffered, so
+/// the one value selects nothing
+/// ([`UpdlrmConfig::with_pipeline_mode`](crate::UpdlrmConfig::with_pipeline_mode)
+/// ignores it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PipelineMode {
-    /// Batches run back to back — stage 1 of batch `i + 1` waits for
-    /// stage 3 of batch `i` (the paper's measurement mode).
-    #[default]
-    Sequential,
     /// Batch `i + 1`'s stage-1 scatter overlaps batch `i`'s stage-2
     /// kernel via the two MRAM staging slots per DPU.
+    #[default]
     DoubleBuf,
-}
-
-impl PipelineMode {
-    /// CLI spelling of the mode.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PipelineMode::Sequential => "sequential",
-            PipelineMode::DoubleBuf => "doublebuf",
-        }
-    }
-}
-
-impl std::fmt::Display for PipelineMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for PipelineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s {
-            "sequential" => Ok(PipelineMode::Sequential),
-            "doublebuf" => Ok(PipelineMode::DoubleBuf),
-            other => Err(format!(
-                "unknown pipeline mode '{other}' (expected 'sequential' or 'doublebuf')"
-            )),
-        }
-    }
 }
 
 /// Aggregate statistics of one [`UpdlrmEngine::serve`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeReport {
-    /// Schedule that was executed.
-    pub mode: PipelineMode,
     /// Number of batches served.
     pub batches: usize,
     /// Total samples across all batches.
     pub samples: usize,
-    /// Modeled wall-clock of the whole schedule (ns).
+    /// Modeled wall-clock of the double-buffered schedule (ns).
     pub wall_ns: f64,
+    /// Modeled wall-clock of the same batches run back to back (ns) —
+    /// the paper's measurement mode, [`sequential_wall_ns`].
+    pub sequential_wall_ns: f64,
     /// Modeled throughput in samples per second.
     pub throughput_qps: f64,
     /// Median per-batch modeled latency (stage-1 issue → stage-3
@@ -112,20 +87,15 @@ pub(crate) struct ServeScratch {
 
 /// Assembles the aggregate [`ServeReport`] from a finished schedule's
 /// scratch (sorts the latency list in place).
-fn finish_report(
-    mode: PipelineMode,
-    batches: &[QueryBatch],
-    scr: &mut ServeScratch,
-    wall_ns: f64,
-) -> ServeReport {
+fn finish_report(batches: &[QueryBatch], scr: &mut ServeScratch, wall_ns: f64) -> ServeReport {
     let samples: usize = batches.iter().map(QueryBatch::batch_size).sum();
     scr.latencies
         .sort_unstable_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     ServeReport {
-        mode,
         batches: batches.len(),
         samples,
         wall_ns,
+        sequential_wall_ns: sequential_wall_ns(&scr.breakdowns),
         throughput_qps: if wall_ns > 0.0 {
             samples as f64 / (wall_ns * 1e-9)
         } else {
@@ -138,15 +108,11 @@ fn finish_report(
 }
 
 impl UpdlrmEngine {
-    /// Serves a stream of batches under the configured
-    /// [`PipelineMode`], returning per-batch pooled embeddings and
-    /// breakdowns plus a [`ServeReport`].
-    ///
-    /// Under [`PipelineMode::DoubleBuf`] (one batch per MRAM staging
-    /// slot in flight) the executed wall equals
+    /// Serves a stream of batches double-buffered (one batch per MRAM
+    /// staging slot in flight), returning per-batch pooled embeddings
+    /// and breakdowns plus a [`ServeReport`]. The executed wall equals
     /// [`pipelined_wall_ns`](crate::pipeline::pipelined_wall_ns) of the
-    /// returned breakdowns exactly; under [`PipelineMode::Sequential`]
-    /// it equals [`sequential_wall_ns`].
+    /// returned breakdowns exactly.
     ///
     /// This is a convenience wrapper over
     /// [`UpdlrmEngine::serve_stream`] that clones every batch's pooled
@@ -193,51 +159,19 @@ impl UpdlrmEngine {
     where
         F: FnMut(usize, &[Matrix], &EmbeddingBreakdown),
     {
-        let mode = self.config().pipeline_mode;
         // Take the scratch out of the engine so stage methods can borrow
         // `self` mutably; restore it afterwards (on error it is simply
         // rebuilt — and re-warmed — by the next call).
         let mut scr = std::mem::take(&mut self.serve_scratch);
-        let result = match mode {
-            PipelineMode::DoubleBuf => self.serve_doublebuf(batches, &mut scr, sink),
-            PipelineMode::Sequential => self.serve_sequential(batches, &mut scr, sink),
-        };
+        let result = self.serve_doublebuf(batches, &mut scr, sink);
         self.serve_scratch = scr;
         if let Ok(report) = &result {
             // Serve-level telemetry: the executed wall plus what the same
             // batches would cost back-to-back — the difference is the
             // wall the pipeline overlap saved.
-            let sequential = sequential_wall_ns(&self.serve_scratch.breakdowns);
-            self.metrics.record_serve(report, sequential);
+            self.metrics.record_serve(report);
         }
         result
-    }
-
-    /// Back-to-back schedule: each batch fully drains before the next
-    /// one's stage 1 is issued. Wall equals `sequential_wall_ns`.
-    fn serve_sequential<F>(
-        &mut self,
-        batches: &[QueryBatch],
-        scr: &mut ServeScratch,
-        mut sink: F,
-    ) -> Result<ServeReport>
-    where
-        F: FnMut(usize, &[Matrix], &EmbeddingBreakdown),
-    {
-        scr.breakdowns.clear();
-        scr.latencies.clear();
-        let mut wall = 0.0f64;
-        for (i, batch) in batches.iter().enumerate() {
-            let (pooled, bd) = self.run_batch(batch)?;
-            // Matches `sequential_wall_ns`'s `map(total_ns).sum()` fold.
-            wall += bd.total_ns();
-            scr.latencies.push(bd.total_ns());
-            scr.breakdowns.push(bd);
-            sink(i, &pooled, &bd);
-            self.recycle_pooled(pooled);
-        }
-        debug_assert_eq!(wall, sequential_wall_ns(&scr.breakdowns));
-        Ok(finish_report(PipelineMode::Sequential, batches, scr, wall))
     }
 
     /// Depth-2 double-buffered schedule: the three stage methods of
@@ -274,24 +208,7 @@ impl UpdlrmEngine {
         }
         scr.latencies.clear();
         let latencies = &mut scr.latencies;
-        let wall = pipelined_schedule(&scr.breakdowns, |issue, drain| {
-            latencies.push(drain - issue);
-        });
-        Ok(finish_report(PipelineMode::DoubleBuf, batches, scr, wall))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pipeline_mode_round_trips_through_strings() {
-        for mode in [PipelineMode::Sequential, PipelineMode::DoubleBuf] {
-            let parsed: PipelineMode = mode.as_str().parse().expect("round trip");
-            assert_eq!(parsed, mode);
-            assert_eq!(format!("{mode}"), mode.as_str());
-        }
-        assert!("dbl".parse::<PipelineMode>().is_err());
+        let wall = pipelined_schedule(&scr.breakdowns, |d| latencies.push(d.drain - d.issue));
+        Ok(finish_report(batches, scr, wall))
     }
 }

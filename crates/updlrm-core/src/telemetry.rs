@@ -483,12 +483,12 @@ impl MetricsRegistry {
     /// Records one completed serve: its executed wall and the
     /// back-to-back wall of the same batches.
     #[inline]
-    pub(crate) fn record_serve(&mut self, report: &ServeReport, sequential_ns: f64) {
+    pub(crate) fn record_serve(&mut self, report: &ServeReport) {
         let Some(t) = self.on() else { return };
         t.serves += 1;
         t.serve_wall_ns += report.wall_ns;
-        t.sequential_wall_ns += sequential_ns;
-        t.overlap_saved_ns += sequential_ns - report.wall_ns;
+        t.sequential_wall_ns += report.sequential_wall_ns;
+        t.overlap_saved_ns += report.sequential_wall_ns - report.wall_ns;
     }
 
     /// Adds one finished serving run's scheduler counters — the

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cooccur_cache::{CacheList, CacheListSet, CooccurGraph, MinerConfig, PartialSumCache};
 use dlrm_model::{EmbeddingTable, SparseInput};
 use placement::{plan, Catalog, PlannerConfig};
-use updlrm_core::{PartitionStrategy, PipelineMode, UpdlrmConfig, UpdlrmEngine};
+use updlrm_core::{PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
 use upmem_sim::RankTopology;
 use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
@@ -85,7 +85,6 @@ fn setup(placement: Placement, telemetry: bool) -> (UpdlrmEngine, Workload) {
         Placement::Plan => PartitionStrategy::Uniform, // unused by from_plan
     };
     let mut config = UpdlrmConfig::with_dpus(16, strategy)
-        .with_pipeline_mode(PipelineMode::DoubleBuf)
         // Serial fleet execution: the parallel path spawns threads
         // (which allocate); steady-state serving is the 1-thread path.
         .with_host_threads(1);

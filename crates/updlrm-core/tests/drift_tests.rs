@@ -146,6 +146,43 @@ fn uniform_replan_rebalances_toward_the_window() {
     assert!(drift.replans_triggered >= 1);
 }
 
+/// A refit that would move no row is declined. The second window is
+/// the first served twice over: the same ranking fits the same layout
+/// under doubled predicted loads, so the second replan is skipped and
+/// nothing is re-scattered.
+#[test]
+fn a_refit_that_moves_no_row_is_declined() {
+    let (tables, workload) = drifting_setup();
+    let window = &workload.batches[..3];
+    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::NonUniform)
+        .with_replan(ReplanPolicy::Periodic { every_batches: 3 })
+        .with_telemetry();
+    let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+    let serve = |engine: &mut UpdlrmEngine| {
+        engine.serve_stream(window, |_, _, _| {}).unwrap();
+    };
+    serve(&mut engine);
+    engine.on_tick(TICK_NS).unwrap();
+    assert!(engine.migration_in_flight(), "the first window moves rows");
+    engine.on_tick(u64::MAX).unwrap();
+    let first = engine.metrics_snapshot().drift;
+    assert_eq!(
+        (first.replans_triggered, first.migrations_completed),
+        (1, 1)
+    );
+    assert_eq!(first.replans_skipped, 0);
+
+    serve(&mut engine);
+    serve(&mut engine);
+    engine.on_tick(u64::MAX).unwrap();
+    assert!(!engine.migration_in_flight());
+    let second = engine.metrics_snapshot().drift;
+    assert_eq!(second.replans_skipped, first.replans_skipped + 1);
+    assert_eq!(second.replans_triggered, first.replans_triggered);
+    assert_eq!(second.rows_moved, first.rows_moved);
+    assert_eq!(second.migration_ns, first.migration_ns);
+}
+
 #[test]
 fn mid_migration_snapshot_is_byte_deterministic() {
     // The fixed-seed mid-migration golden the CI byte-compares: two

@@ -17,8 +17,8 @@ use placement::{plan, Catalog, PlacementPlan, PlannerConfig, TablePlacement, TIE
 use proptest::prelude::*;
 use proptest::TestRunner;
 use updlrm_core::{
-    non_uniform, pipelined_wall_ns, sequential_wall_ns, CoreError, PartitionStrategy, PipelineMode,
-    ReplanPolicy, UpdlrmConfig, UpdlrmEngine,
+    non_uniform, pipelined_wall_ns, sequential_wall_ns, CoreError, PartitionStrategy, ReplanPolicy,
+    UpdlrmConfig, UpdlrmEngine,
 };
 use upmem_sim::{RankCostModel, RankTopology};
 use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
@@ -444,10 +444,11 @@ fn degenerate_plan_reproduces_the_strategy_breakdown() {
     }
 }
 
-/// Everything the serving path offers is reachable from a plan: both
-/// schedules, with and without dedup, keep the pooled embeddings
-/// bit-identical to the strategy engine's and the executed wall equal
-/// to the analytic model of the collected breakdowns.
+/// Everything the serving path offers is reachable from a plan: with
+/// and without dedup, the pooled embeddings stay bit-identical to the
+/// strategy engine's, the executed wall equals the analytic model of
+/// the collected breakdowns, and the back-to-back wall beside it is the
+/// sequential model of the same breakdowns.
 #[test]
 fn plan_serves_under_every_schedule_and_dedup() {
     let fix = fixture();
@@ -460,35 +461,36 @@ fn plan_serves_under_every_schedule_and_dedup() {
         TABLES * 48 * DIM * 4,
         16,
     );
-    for mode in [PipelineMode::Sequential, PipelineMode::DoubleBuf] {
-        for dedup in [false, true] {
-            let config = UpdlrmConfig {
-                dedup,
-                ..UpdlrmConfig::default().with_pipeline_mode(mode)
-            };
-            let mut engine = UpdlrmEngine::from_plan(config, &p, &fix.tables).unwrap();
-            let outcome = engine.serve(&fix.workload.batches).unwrap();
-            let ctx = format!("{mode} dedup={dedup}");
-            assert_eq!(outcome.report.mode, mode, "{ctx}");
-            let analytic = match mode {
-                PipelineMode::Sequential => sequential_wall_ns(&outcome.breakdowns),
-                PipelineMode::DoubleBuf => pipelined_wall_ns(&outcome.breakdowns),
-            };
-            assert_eq!(outcome.report.wall_ns, analytic, "{ctx}");
-            if mode == PipelineMode::DoubleBuf {
-                assert!(
-                    outcome.report.wall_ns < sequential_wall_ns(&outcome.breakdowns),
-                    "{ctx}: the overlap must save wall"
-                );
-            }
-            assert!(
-                outcome.breakdowns.iter().all(|bd| bd.cache_hits > 0),
-                "{ctx}: every batch hits the host tier"
-            );
-            for (bi, (got, want)) in outcome.pooled.iter().zip(&fix.reference).enumerate() {
-                for (t, (a, b)) in got.iter().zip(want).enumerate() {
-                    assert_bit_identical(a, b, &format!("{ctx} batch {bi} table {t}"));
-                }
+    for dedup in [false, true] {
+        let config = UpdlrmConfig {
+            dedup,
+            ..UpdlrmConfig::default()
+        };
+        let mut engine = UpdlrmEngine::from_plan(config, &p, &fix.tables).unwrap();
+        let outcome = engine.serve(&fix.workload.batches).unwrap();
+        let ctx = format!("dedup={dedup}");
+        let report = &outcome.report;
+        assert_eq!(
+            report.wall_ns,
+            pipelined_wall_ns(&outcome.breakdowns),
+            "{ctx}"
+        );
+        assert_eq!(
+            report.sequential_wall_ns,
+            sequential_wall_ns(&outcome.breakdowns),
+            "{ctx}"
+        );
+        assert!(
+            report.wall_ns < report.sequential_wall_ns,
+            "{ctx}: the overlap must save wall"
+        );
+        assert!(
+            outcome.breakdowns.iter().all(|bd| bd.cache_hits > 0),
+            "{ctx}: every batch hits the host tier"
+        );
+        for (bi, (got, want)) in outcome.pooled.iter().zip(&fix.reference).enumerate() {
+            for (t, (a, b)) in got.iter().zip(want).enumerate() {
+                assert_bit_identical(a, b, &format!("{ctx} batch {bi} table {t}"));
             }
         }
     }

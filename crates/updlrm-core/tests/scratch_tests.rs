@@ -8,9 +8,7 @@
 //! the staging-slot capacity guard.
 
 use dlrm_model::{EmbeddingTable, Matrix};
-use updlrm_core::{
-    EmbeddingBreakdown, PartitionStrategy, PipelineMode, UpdlrmConfig, UpdlrmEngine,
-};
+use updlrm_core::{EmbeddingBreakdown, PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
 use workloads::{DatasetSpec, TraceConfig, Workload};
 
 const DIM: usize = 32;
@@ -47,7 +45,7 @@ fn assert_matrices_bit_equal(a: &[Matrix], b: &[Matrix], what: &str) {
 }
 
 /// `serve_stream`'s lent results must be bit-identical to `serve`'s
-/// owned outcome, for both schedules and across strategies.
+/// owned outcome, across strategies.
 #[test]
 fn serve_stream_matches_serve_bitwise() {
     let (tables, workload) = setup(2, 4, 32);
@@ -56,33 +54,31 @@ fn serve_stream_matches_serve_bitwise() {
         PartitionStrategy::NonUniform,
         PartitionStrategy::CacheAware,
     ] {
-        for mode in [PipelineMode::Sequential, PipelineMode::DoubleBuf] {
-            let config = UpdlrmConfig::with_dpus(16, strategy).with_pipeline_mode(mode);
-            let mut reference = engine(config.clone(), &tables, &workload);
-            let outcome = reference.serve(&workload.batches).unwrap();
+        let config = UpdlrmConfig::with_dpus(16, strategy);
+        let mut reference = engine(config.clone(), &tables, &workload);
+        let outcome = reference.serve(&workload.batches).unwrap();
 
-            let mut streamed = engine(config, &tables, &workload);
-            let mut seen: Vec<(usize, Vec<Matrix>, EmbeddingBreakdown)> = Vec::new();
-            let report = streamed
-                .serve_stream(&workload.batches, |i, pooled, bd| {
-                    seen.push((i, pooled.to_vec(), *bd));
-                })
-                .unwrap();
+        let mut streamed = engine(config, &tables, &workload);
+        let mut seen: Vec<(usize, Vec<Matrix>, EmbeddingBreakdown)> = Vec::new();
+        let report = streamed
+            .serve_stream(&workload.batches, |i, pooled, bd| {
+                seen.push((i, pooled.to_vec(), *bd));
+            })
+            .unwrap();
 
-            assert_eq!(report, outcome.report, "{strategy}/{mode} report");
-            assert_eq!(seen.len(), workload.batches.len(), "{strategy}/{mode}");
-            for (i, pooled, bd) in &seen {
-                assert_matrices_bit_equal(
-                    pooled,
-                    &outcome.pooled[*i],
-                    &format!("{strategy}/{mode} batch {i}"),
-                );
-                assert_eq!(bd, &outcome.breakdowns[*i], "{strategy}/{mode} batch {i}");
-            }
-            // The sink fires in batch order.
-            for (pos, (i, _, _)) in seen.iter().enumerate() {
-                assert_eq!(pos, *i, "{strategy}/{mode} sink order");
-            }
+        assert_eq!(report, outcome.report, "{strategy} report");
+        assert_eq!(seen.len(), workload.batches.len(), "{strategy}");
+        for (i, pooled, bd) in &seen {
+            assert_matrices_bit_equal(
+                pooled,
+                &outcome.pooled[*i],
+                &format!("{strategy} batch {i}"),
+            );
+            assert_eq!(bd, &outcome.breakdowns[*i], "{strategy} batch {i}");
+        }
+        // The sink fires in batch order.
+        for (pos, (i, _, _)) in seen.iter().enumerate() {
+            assert_eq!(pos, *i, "{strategy} sink order");
         }
     }
 }
@@ -95,8 +91,7 @@ fn serve_stream_matches_serve_bitwise() {
 #[test]
 fn repeated_serves_are_stable() {
     let (tables, workload) = setup(2, 3, 32);
-    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware)
-        .with_pipeline_mode(PipelineMode::DoubleBuf);
+    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware);
     let mut eng = engine(config, &tables, &workload);
     let cold = eng.serve(&workload.batches).unwrap();
     let first = eng.serve(&workload.batches).unwrap();

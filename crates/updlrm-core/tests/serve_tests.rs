@@ -8,8 +8,7 @@
 use dlrm_model::EmbeddingTable;
 use placement::{Catalog, PlannerConfig};
 use updlrm_core::{
-    pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, PipelineMode, UpdlrmConfig,
-    UpdlrmEngine,
+    pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, UpdlrmConfig, UpdlrmEngine,
 };
 use upmem_sim::RankTopology;
 use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
@@ -53,11 +52,7 @@ fn doublebuf_serve_matches_sequential_run_batch_bitwise() {
             reference.push(seq.run_batch(batch).unwrap());
         }
 
-        let mut piped = engine(
-            config.with_pipeline_mode(PipelineMode::DoubleBuf),
-            &tables,
-            &workload,
-        );
+        let mut piped = engine(config, &tables, &workload);
         let outcome = piped.serve(&workload.batches).unwrap();
 
         assert_eq!(outcome.pooled.len(), workload.batches.len());
@@ -80,7 +75,7 @@ fn doublebuf_serve_matches_sequential_run_batch_bitwise() {
     }
 }
 
-/// Both schedules run one stage sequence: a double-buffered serve and
+/// The serve and `run_batch` run one stage sequence: a double-buffered serve and
 /// back-to-back `run_batch` calls, each on a fresh engine, leave equal
 /// telemetry — every counter, every span `Accum` (its f64 sum included,
 /// so a reordered record call shows) and every per-DPU cell — except
@@ -112,22 +107,22 @@ fn doublebuf_serve_records_what_run_batch_records() {
         Some(PartitionStrategy::Replicated),
         None, // the plan
     ] {
-        let build = |mode| {
+        let build = || {
             let config = match strategy {
                 Some(s) => UpdlrmConfig::with_dpus(16, s),
                 None => UpdlrmConfig::default(),
             };
-            let config = config.with_telemetry().with_pipeline_mode(mode);
+            let config = config.with_telemetry();
             match strategy {
                 Some(_) => engine(config, &tables, &workload),
                 None => UpdlrmEngine::from_plan(config, &plan, &tables).unwrap(),
             }
         };
-        let mut back_to_back = build(PipelineMode::Sequential);
+        let mut back_to_back = build();
         for batch in &workload.batches {
             back_to_back.run_batch(batch).unwrap();
         }
-        let mut piped = build(PipelineMode::DoubleBuf);
+        let mut piped = build();
         piped.serve(&workload.batches).unwrap();
 
         let want = back_to_back.metrics_snapshot();
@@ -145,8 +140,7 @@ fn doublebuf_serve_records_what_run_batch_records() {
 #[test]
 fn doublebuf_wall_equals_analytic_schedule_exactly() {
     let (tables, workload) = fig10_setup(2, 6);
-    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware)
-        .with_pipeline_mode(PipelineMode::DoubleBuf);
+    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware);
     let mut eng = engine(config, &tables, &workload);
     let outcome = eng.serve(&workload.batches).unwrap();
 
@@ -159,8 +153,7 @@ fn doublebuf_wall_equals_analytic_schedule_exactly() {
         model
     );
     // Pipelining must actually pay off relative to back-to-back.
-    assert!(outcome.report.wall_ns <= sequential_wall_ns(&outcome.breakdowns));
-    assert_eq!(outcome.report.mode, PipelineMode::DoubleBuf);
+    assert!(outcome.report.wall_ns <= outcome.report.sequential_wall_ns);
     assert_eq!(outcome.report.batches, workload.batches.len());
     assert!(outcome.report.throughput_qps > 0.0);
     assert!(outcome.report.p50_latency_ns > 0.0);
@@ -169,24 +162,25 @@ fn doublebuf_wall_equals_analytic_schedule_exactly() {
     assert!(outcome.report.p99_latency_ns <= outcome.report.wall_ns);
 }
 
+/// Every serve reports the paper's back-to-back wall of its batches
+/// next to the executed one.
 #[test]
 fn sequential_serve_wall_equals_sequential_model_exactly() {
     let (tables, workload) = fig10_setup(2, 3);
     let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::NonUniform);
     let mut eng = engine(config, &tables, &workload);
     let outcome = eng.serve(&workload.batches).unwrap();
-    assert_eq!(outcome.report.mode, PipelineMode::Sequential);
     assert_eq!(
-        outcome.report.wall_ns.to_bits(),
+        outcome.report.sequential_wall_ns.to_bits(),
         sequential_wall_ns(&outcome.breakdowns).to_bits()
     );
+    assert!(outcome.report.wall_ns < outcome.report.sequential_wall_ns);
 }
 
 #[test]
 fn serve_handles_empty_and_single_batch_streams() {
     let (tables, workload) = fig10_setup(2, 1);
-    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware)
-        .with_pipeline_mode(PipelineMode::DoubleBuf);
+    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware);
     let mut eng = engine(config, &tables, &workload);
 
     let empty = eng.serve(&[]).unwrap();
@@ -214,8 +208,7 @@ fn repeated_serves_are_deterministic() {
     // serve after a build also fills the resident rows — its first
     // batch, and only that, is charged for it.
     let (tables, workload) = fig10_setup(2, 3);
-    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware)
-        .with_pipeline_mode(PipelineMode::DoubleBuf);
+    let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware);
     let mut eng = engine(config, &tables, &workload);
     let cold = eng.serve(&workload.batches).unwrap();
     let first = eng.serve(&workload.batches).unwrap();

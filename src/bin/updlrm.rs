@@ -5,7 +5,6 @@
 //!              [--strategy u|nu|ca|nur] [--dpus 256] [--nc auto|2|4|8]
 //!              [--scale 200] [--batches 10] [--seed 7] [--host-threads N]
 //!              [--embed-dtype f32|int8] [--tables FILE]
-//!              [--pipeline sequential|doublebuf]
 //!              [--plan FILE] [--json FILE] [--metrics FILE]
 //! updlrm pack  --out FILE [--dataset read] [--scale 200] [--seed 7]
 //! updlrm plan  --out FILE [--dataset read] [--scale 200] [--tables 8]
@@ -47,7 +46,6 @@ fn usage() -> ! {
         "usage:\n  updlrm run   [--dataset TAG] [--backend updlrm|cpu|hybrid|fae] \
          [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|2|4|8] [--scale N] [--batches N] [--seed N] \
          [--host-threads N] [--embed-dtype f32|int8] [--tables FILE] \
-         [--pipeline sequential|doublebuf] \
          [--plan FILE] [--json FILE] [--metrics FILE]\n  \
          updlrm pack  --out FILE [--dataset TAG] [--scale N] [--seed N]\n  \
          updlrm plan  --out FILE [--dataset TAG] [--scale N] [--tables N] [--batches N] [--seed N] \
@@ -95,7 +93,7 @@ const FORMS: &[(&str, &[&str])] = &[
     ("info", &["dataset"]),
 ];
 const RUN_FLAGS: &str = "dataset backend strategy dpus nc scale batches seed host-threads \
-    embed-dtype tables pipeline plan json metrics";
+    embed-dtype tables plan json metrics";
 const PLAN_FLAGS: &str = "out load dataset scale tables batches seed ranks dpus-per-rank emt-kb \
     host-kb replicate-top";
 const SERVE_FLAGS: &str = "qps arrival max-batch max-wait-us policy queue-cap runtime dataset \
@@ -315,7 +313,7 @@ struct StagesJson {
     stage3_pct: f64,
     /// Slowest-over-mean DPU lookup cycles (1.0 = balanced).
     lookup_imbalance: f64,
-    /// Wall that inter-batch pipelining saves (or would save), percent.
+    /// Wall that inter-batch pipelining saves, percent.
     pipelining_savings_pct: f64,
 }
 
@@ -343,8 +341,8 @@ impl StagesJson {
 /// Serve-schedule section of the `--json` report.
 #[derive(serde::Serialize)]
 struct ServeJson {
-    mode: String,
     wall_ns: f64,
+    sequential_wall_ns: f64,
     throughput_qps: f64,
     p50_latency_ns: f64,
     p95_latency_ns: f64,
@@ -392,7 +390,6 @@ struct RunJson {
     dpus: usize,
     batches: usize,
     host_threads: usize,
-    pipeline: String,
     mean_embedding_us: f64,
     mean_dense_us: f64,
     mean_total_us: f64,
@@ -430,7 +427,7 @@ impl RunJson {
             );
             let pr = PipelineReport::from_batches(breakdowns);
             println!(
-                "  inter-batch pipelining would save {:.1}%",
+                "  inter-batch pipelining saves {:.1}%",
                 (1.0 - 1.0 / pr.speedup()) * 100.0
             );
             self.stages = Some(StagesJson::from_totals(pim, n, &pr));
@@ -660,24 +657,19 @@ fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// `updlrm run`. With `--plan FILE` the PIM engine executes that
-/// placement plan on the workload rebuilt from its provenance instead of
-/// partitioning the tables itself; every other flag means the same.
+/// `updlrm run`. The PIM backend serves the trace once through the
+/// engine's double-buffered schedule and reports its wall next to the
+/// back-to-back wall of the same batches. With `--plan FILE` the engine
+/// executes that placement plan on the workload rebuilt from its
+/// provenance instead of partitioning the tables itself; every other
+/// flag means the same.
 fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let backend_name = args.str("backend", "updlrm");
-    let pipeline: PipelineMode = match args.str("pipeline", "sequential").parse() {
-        Ok(mode) => mode,
-        Err(e) => {
-            eprintln!("{e}");
-            usage()
-        }
-    };
-    // Placement plans, the double-buffered schedule and fleet telemetry
-    // live in the PIM embedding engine; the CPU/GPU baselines have no
-    // DPUs to place rows on, overlap or report on.
+    // Placement plans and fleet telemetry live in the PIM embedding
+    // engine; the CPU/GPU baselines have no DPUs to place rows on or
+    // report on.
     let pim_only = [
         ("plan", args.flag_set("plan")),
-        ("pipeline doublebuf", pipeline == PipelineMode::DoubleBuf),
         ("metrics", args.flag_set("metrics")),
     ];
     let misused = pim_only
@@ -718,9 +710,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             *slot = table;
         }
     }
-    let profiles: Vec<FreqProfile> = (0..workload.config.num_tables)
-        .map(|t| FreqProfile::from_inputs(spec.num_items, workload.table_inputs(t)))
-        .collect();
     let strategy = strategy_or_exit(args);
     let mut config = UpdlrmConfig::with_dpus(args.num("dpus", 256), strategy);
     config.embed_dtype = embed_dtype_or_exit(args);
@@ -729,7 +718,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         v => config.n_c = Some(v.parse()?),
     }
     config.host_threads = args.num("host-threads", config.host_threads);
-    config.pipeline_mode = pipeline;
     config.telemetry = args.flag_set("metrics");
     let mut report_json = RunJson {
         backend: backend_name.clone(),
@@ -738,7 +726,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         dpus: config.nr_dpus,
         batches: workload.batches.len(),
         host_threads: config.host_threads,
-        pipeline: pipeline.to_string(),
         ..RunJson::default()
     };
     if let Some((path, plan)) = &plan {
@@ -753,74 +740,52 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
         print_plan_summary(path, plan);
     }
-    // The one place the two engine constructors differ.
-    let pim_engine = |config: UpdlrmConfig| match &plan {
-        Some((_, plan)) => UpdlrmEngine::from_plan(config, plan, model.tables()),
-        None => UpdlrmEngine::from_workload(config, model.tables(), &workload),
-    };
-
-    if pipeline == PipelineMode::DoubleBuf || plan.is_some() {
-        // The embedding layer alone, served once through the engine: a
-        // plan describes only that layer, and the double-buffered
-        // schedule is the engine's. No dense layers are modeled.
-        let mut engine = pim_engine(config)?;
+    let mem = CpuMemoryModel::default();
+    if backend_name == "updlrm" {
+        // The one place the two engine constructors differ.
+        let mut engine = match &plan {
+            Some((_, plan)) => UpdlrmEngine::from_plan(config, plan, model.tables())?,
+            None => {
+                print_run_header("UpDLRM", &spec, &workload);
+                UpdlrmEngine::from_workload(config, model.tables(), &workload)?
+            }
+        };
         let mut breakdowns = Vec::with_capacity(workload.batches.len());
         let served = engine.serve_stream(&workload.batches, |_, _, bd| breakdowns.push(*bd))?;
+        report_json.serve = Some(print_serve(&served));
         let pim_total = sum_breakdowns(&breakdowns);
-        if pipeline == PipelineMode::DoubleBuf {
-            let speedup = PipelineReport::from_batches(&breakdowns).speedup();
-            println!(
-                "UpDLRM serving {} batches double-buffered (2 staging slots)",
-                served.batches,
-            );
-            println!(
-                "  wall {:.1} us  throughput {:.0} samples/s",
-                served.wall_ns / 1e3,
-                served.throughput_qps,
-            );
-            println!(
-                "  latency p50 {:.1} us  p95 {:.1} us  p99 {:.1} us",
-                served.p50_latency_ns / 1e3,
-                served.p95_latency_ns / 1e3,
-                served.p99_latency_ns / 1e3,
-            );
-            println!("  speedup over back-to-back: {speedup:.2}x");
-            report_json.serve = Some(ServeJson {
-                mode: served.mode.to_string(),
-                wall_ns: served.wall_ns,
-                throughput_qps: served.throughput_qps,
-                p50_latency_ns: served.p50_latency_ns,
-                p95_latency_ns: served.p95_latency_ns,
-                p99_latency_ns: served.p99_latency_ns,
-                speedup_vs_sequential: speedup,
-            });
-        }
-        let lookups = pim_total.cache_hits + pim_total.emt_lookups;
-        if plan.is_some() && lookups > 0 {
-            println!(
-                "  tier routing: {} host hits, {} PIM lookups ({:.1}% served from host DRAM)",
-                pim_total.cache_hits,
-                pim_total.emt_lookups,
-                100.0 * pim_total.cache_hits as f64 / lookups as f64,
-            );
-        }
-        let total = LatencyReport {
-            embedding_ns: pim_total.total_ns(),
-            pim: Some(pim_total),
-            ..LatencyReport::default()
+        let total = if plan.is_some() {
+            // A plan describes only the embedding layer: no dense
+            // layers are modeled.
+            let lookups = pim_total.cache_hits + pim_total.emt_lookups;
+            if lookups > 0 {
+                println!(
+                    "  tier routing: {} host hits, {} PIM lookups ({:.1}% served from host DRAM)",
+                    pim_total.cache_hits,
+                    pim_total.emt_lookups,
+                    100.0 * pim_total.cache_hits as f64 / lookups as f64,
+                );
+            }
+            LatencyReport {
+                embedding_ns: pim_total.total_ns(),
+                pim: Some(pim_total),
+                ..LatencyReport::default()
+            }
+        } else {
+            let mut total = LatencyReport::default();
+            for (batch, bd) in workload.batches.iter().zip(&breakdowns) {
+                total.accumulate(&UpdlrmBackend::latency_report(&model, &mem, batch, *bd));
+            }
+            total
         };
         report_json.fill_means(&total, &breakdowns);
         print_residency(&engine.residency(), &pim_total);
         return report_json.write(args, || engine.metrics_snapshot());
     }
-    let mem = CpuMemoryModel::default();
+    let profiles: Vec<FreqProfile> = (0..workload.config.num_tables)
+        .map(|t| FreqProfile::from_inputs(spec.num_items, workload.table_inputs(t)))
+        .collect();
     let mut backend: Box<dyn InferenceBackend> = match backend_name.as_str() {
-        "updlrm" => Box::new(UpdlrmBackend::from_workload(
-            config,
-            model.clone(),
-            &workload,
-            mem,
-        )?),
         "cpu" => Box::new(DlrmCpu::new(model.clone(), &profiles, mem)?),
         "hybrid" => Box::new(DlrmHybrid::new(
             model.clone(),
@@ -841,15 +806,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     };
 
-    println!(
-        "{} on {} ({} items/table, avg reduction {:.1}, {} batches of {})",
-        backend.name(),
-        spec.name,
-        spec.num_items,
-        workload.measured_avg_reduction(),
-        workload.batches.len(),
-        workload.config.batch_size,
-    );
+    print_run_header(backend.name(), &spec, &workload);
     let mut total = LatencyReport::default();
     let mut breakdowns = Vec::with_capacity(workload.batches.len());
     for batch in &workload.batches {
@@ -858,14 +815,56 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         breakdowns.extend(report.pim);
     }
     report_json.fill_means(&total, &breakdowns);
-    if let Some(r) = backend.residency() {
-        print_residency(&r, &sum_breakdowns(&breakdowns));
-    }
     report_json.write(args, || {
-        backend
-            .metrics_snapshot()
-            .expect("--metrics was validated to require the updlrm backend")
+        unreachable!("--metrics was validated to require the updlrm backend")
     })
+}
+
+fn print_run_header(backend: &str, spec: &DatasetSpec, workload: &Workload) {
+    println!(
+        "{backend} on {} ({} items/table, avg reduction {:.1}, {} batches of {})",
+        spec.name,
+        spec.num_items,
+        workload.measured_avg_reduction(),
+        workload.batches.len(),
+        workload.config.batch_size,
+    );
+}
+
+/// Prints a served trace's schedule — the executed double-buffered wall
+/// next to the back-to-back wall of the same batches — and returns its
+/// `--json` section.
+fn print_serve(served: &ServeReport) -> ServeJson {
+    let speedup = if served.wall_ns > 0.0 {
+        served.sequential_wall_ns / served.wall_ns
+    } else {
+        1.0
+    };
+    println!(
+        "UpDLRM serving {} batches double-buffered (2 staging slots)",
+        served.batches,
+    );
+    println!(
+        "  wall {:.1} us (back-to-back {:.1} us, {speedup:.2}x)  throughput {:.0} samples/s",
+        served.wall_ns / 1e3,
+        served.sequential_wall_ns / 1e3,
+        served.throughput_qps,
+    );
+    println!(
+        "  latency p50 {:.1} us  p95 {:.1} us  p99 {:.1} us",
+        served.p50_latency_ns / 1e3,
+        served.p95_latency_ns / 1e3,
+        served.p99_latency_ns / 1e3,
+    );
+    ServeJson {
+        wall_ns: served.wall_ns,
+        sequential_wall_ns: served.sequential_wall_ns,
+        throughput_qps: served.throughput_qps,
+        p50_latency_ns: served.p50_latency_ns,
+        p95_latency_ns: served.p95_latency_ns,
+        p99_latency_ns: served.p99_latency_ns,
+        speedup_vs_sequential: speedup,
+    }
 }
 
 /// Machine-readable mirror of a `serve` invocation (`--json FILE`).
