@@ -4,9 +4,9 @@
 //! number of batches, and records the executed double-buffered wall
 //! next to the back-to-back wall of the same breakdowns, plus
 //! throughput and tail latency. Three invariants are asserted along the
-//! way: the executed wall equals the analytic `pipelined_wall_ns` of
-//! the collected breakdowns bit-for-bit, the back-to-back wall equals
-//! `sequential_wall_ns` of them, and pipelining never loses to the
+//! way: the executed wall equals the analytic `pipelined_wall` of the
+//! collected breakdowns to the picosecond, the back-to-back wall equals
+//! `sequential_wall` of them, and pipelining never loses to the
 //! back-to-back schedule for two or more batches. The rows are the
 //! golden `BENCH_pipeline.json` (`--check FILE | --out FILE`, see
 //! `bench::protocol`).
@@ -14,9 +14,7 @@
 use bench::protocol::Mode;
 use dlrm_model::EmbeddingTable;
 use serde::Serialize;
-use updlrm_core::{
-    pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, UpdlrmConfig, UpdlrmEngine,
-};
+use updlrm_core::{pipelined_wall, sequential_wall, PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
 use workloads::{DatasetSpec, TraceConfig, Workload};
 
 const NUM_TABLES: usize = 4;
@@ -65,19 +63,19 @@ fn main() {
             UpdlrmEngine::from_workload(config, &tables, &workload).expect("engine builds");
         let dbl = engine.serve(&workload.batches).expect("serves");
         let sequential = dbl.report.sequential_wall_ns;
-
-        let matches_model =
-            dbl.report.wall_ns.to_bits() == pipelined_wall_ns(&dbl.breakdowns).to_bits();
-        assert!(matches_model, "executed wall departed from the model");
-        assert_eq!(
-            sequential.to_bits(),
-            sequential_wall_ns(&dbl.breakdowns).to_bits()
+        let (model_wall, model_sequential) = (
+            pipelined_wall(&dbl.breakdowns),
+            sequential_wall(&dbl.breakdowns),
         );
+
+        // The report prints the model's picoseconds in ns.
+        let matches_model = dbl.report.wall_ns == model_wall.as_ns();
+        assert!(matches_model, "executed wall departed from the model");
+        assert_eq!(sequential, model_sequential.as_ns());
         if n >= 2 {
             assert!(
-                dbl.report.wall_ns <= sequential,
-                "pipelined {} > sequential {sequential} at {n} batches",
-                dbl.report.wall_ns,
+                model_wall <= model_sequential,
+                "pipelined {model_wall} > sequential {model_sequential} at {n} batches",
             );
         }
 

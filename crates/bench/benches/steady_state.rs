@@ -11,8 +11,8 @@
 //!    `EmbeddingTable::partial_sum` bit-for-bit (integer tables);
 //! 2. serve output is bit-identical to back-to-back `run_batch` calls
 //!    on a fresh engine;
-//! 3. both walls equal the analytic models (`pipelined_wall_ns`,
-//!    `sequential_wall_ns`) bit-for-bit;
+//! 3. both walls equal the analytic models (`pipelined_wall`,
+//!    `sequential_wall`) to the picosecond;
 //! 4. serve output under the detected SIMD tier is bit-identical to a
 //!    forced-scalar serve (the `bit_identical` column records this).
 //!
@@ -27,7 +27,7 @@ use bench::protocol::Mode;
 use dlrm_model::{simd, EmbedDtype, EmbeddingTable};
 use serde::Serialize;
 use updlrm_core::{
-    pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, UpdlrmConfig, UpdlrmEngine,
+    pipelined_wall, sequential_wall, PartitionStrategy, Ps, UpdlrmConfig, UpdlrmEngine,
 };
 use workloads::{DatasetSpec, TraceConfig, Workload};
 
@@ -127,19 +127,20 @@ fn assert_bit_identity(
         let (pooled, bd) = fresh.run_batch(batch).expect("run_batch");
         assert_eq!(pooled, outcome.pooled[i], "pooled departs from run_batch");
         let sbd = &outcome.breakdowns[i];
-        assert_eq!(bd.stage2_ns.to_bits(), sbd.stage2_ns.to_bits());
-        assert_eq!(bd.route_ns.to_bits(), sbd.route_ns.to_bits());
-        assert_eq!(bd.combine_ns.to_bits(), sbd.combine_ns.to_bits());
+        assert_eq!(bd.stage2, sbd.stage2);
+        assert_eq!(bd.route, sbd.route);
+        assert_eq!(bd.combine, sbd.combine);
     }
-    // 3. both walls equal the analytic models.
+    // 3. both walls equal the analytic models (the report prints the
+    // same picoseconds in ns).
     assert_eq!(
-        outcome.report.wall_ns.to_bits(),
-        pipelined_wall_ns(&outcome.breakdowns).to_bits(),
+        outcome.report.wall_ns,
+        pipelined_wall(&outcome.breakdowns).as_ns(),
         "executed wall departed from the model"
     );
     assert_eq!(
-        outcome.report.sequential_wall_ns.to_bits(),
-        sequential_wall_ns(&outcome.breakdowns).to_bits(),
+        outcome.report.sequential_wall_ns,
+        sequential_wall(&outcome.breakdowns).as_ns(),
         "back-to-back wall departed from the model"
     );
 }
@@ -192,14 +193,18 @@ fn sweep_point(tables: &[EmbeddingTable], batch_size: usize, dtype: EmbedDtype) 
     let bit_identical = assert_scalar_identity(tables, &workload, dtype, &outcome);
 
     let (host, total_with_host) = outcome.breakdowns.iter().fold((0.0, 0.0), |(h, t), b| {
-        (h + b.route_ns + b.combine_ns, t + b.total_with_host_ns())
+        (
+            h + (b.route + b.combine).as_ns(),
+            t + b.total_with_host_ns(),
+        )
     });
     let (s1, s2, s3) = outcome
         .breakdowns
         .iter()
-        .fold((0.0, 0.0, 0.0), |(a, b, c), bd| {
-            (a + bd.stage1_ns, b + bd.stage2_ns, c + bd.stage3_ns)
+        .fold((Ps::ZERO, Ps::ZERO, Ps::ZERO), |(a, b, c), bd| {
+            (a + bd.stage1, b + bd.stage2, c + bd.stage3)
         });
+    let (s1, s2, s3) = (s1.as_ns(), s2.as_ns(), s3.as_ns());
     let row = |mode: &str, wall_ns: f64| Row {
         batch_size,
         mode: mode.to_string(),

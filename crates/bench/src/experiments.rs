@@ -27,7 +27,7 @@ pub fn fig3() -> Vec<Fig3Row> {
     while size <= 2048 {
         out.push(Fig3Row {
             size_bytes: size,
-            latency_ns: cost.dma_nanos(size),
+            latency_ns: cost.dma_cycles(size).to_ps(cost.clock_hz).as_ns(),
         });
         size *= 2;
     }
@@ -400,11 +400,11 @@ pub fn fig10(eval: EvalConfig) -> Result<Vec<Fig10Row>, CoreError> {
             out.push(Fig10Row {
                 strategy: strategy.to_string(),
                 n_c,
-                stage1_frac: acc.stage1_ns / total,
-                stage2_frac: acc.stage2_ns / total,
-                stage3_frac: acc.stage3_ns / total,
+                stage1_frac: acc.stage1.as_ns() / total,
+                stage2_frac: acc.stage2.as_ns() / total,
+                stage3_frac: acc.stage3.as_ns() / total,
                 total_ns: acc.total_ns(),
-                resident_stage2_frac: resident.stage2_ns
+                resident_stage2_frac: resident.stage2.as_ns()
                     / resident.total_ns().max(f64::MIN_POSITIVE),
                 resident_total_ns: resident.total_ns(),
             });
@@ -459,7 +459,7 @@ pub fn fig11(eval: EvalConfig) -> Result<Vec<Fig11Row>, CoreError> {
             let mut stage2 = 0.0;
             for batch in &w.batches {
                 let (_, b) = engine.run_batch(batch)?;
-                stage2 += b.stage2_ns;
+                stage2 += b.stage2.as_ns();
             }
             out.push(Fig11Row {
                 avg_reduction: red,
@@ -509,7 +509,7 @@ pub fn cache_capacity(eval: EvalConfig) -> Result<Vec<CacheCapacityRow>, CoreErr
         let mut stage2 = 0.0;
         for batch in &setup.workload.batches {
             let (_, report) = backend.run_batch(batch)?;
-            stage2 += report.pim.expect("pim backend").stage2_ns;
+            stage2 += report.pim.expect("pim backend").stage2.as_ns();
         }
         Ok(stage2)
     };
@@ -612,8 +612,8 @@ pub fn pipeline(specs: &[DatasetSpec], eval: EvalConfig) -> Result<Vec<PipelineR
         let report = updlrm_core::PipelineReport::from_batches(&breakdowns);
         out.push(PipelineRow {
             dataset: spec.short.clone(),
-            sequential_ns: report.sequential_ns,
-            pipelined_ns: report.pipelined_ns,
+            sequential_ns: report.sequential.as_ns(),
+            pipelined_ns: report.pipelined.as_ns(),
         });
     }
     Ok(out)

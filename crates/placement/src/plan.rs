@@ -1,6 +1,7 @@
 //! The serializable [`PlacementPlan`] and its invariant checker.
 
 use crate::error::{PlanError, Result};
+use upmem_sim::cost::check_ns;
 use upmem_sim::{CostModel, RankCostModel, RankTopology};
 
 /// Schema version written into every serialized plan. Bump on any
@@ -117,6 +118,28 @@ impl Default for PlannerConfig {
             wram_resident_bytes: 0,
             seed: 7,
         }
+    }
+}
+
+impl PlannerConfig {
+    /// Checks every field that prices modeled time — the PIM cost
+    /// model's ([`CostModel::check_times`]), the rank charges
+    /// ([`RankCostModel::check_times`]) and the host-tier charges: each
+    /// must be a finite, nonnegative time the picosecond clock can hold,
+    /// the clock nonzero and the ragged factor positive. The planner
+    /// checks its inputs with it and [`PlacementPlan::from_json`] the
+    /// plans it reads.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::InvalidConfig`] naming the first offending field.
+    pub fn check_times(&self) -> Result<()> {
+        self.cost
+            .check_times()
+            .and_then(|()| self.rank_cost.check_times())
+            .and_then(|()| check_ns("host_probe_ns", self.host_probe_ns))
+            .and_then(|()| check_ns("host_combine_ns_per_add", self.host_combine_ns_per_add))
+            .map_err(PlanError::InvalidConfig)
     }
 }
 
@@ -266,7 +289,8 @@ impl PlacementPlan {
     ///
     /// [`PlanError::Parse`] for malformed JSON,
     /// [`PlanError::SchemaVersion`] for a readable file written by a
-    /// different schema.
+    /// different schema, [`PlanError::InvalidConfig`] for time
+    /// constants [`PlannerConfig::check_times`] refuses.
     pub fn from_json(text: &str) -> Result<PlacementPlan> {
         let doc = serde::json::parse(text).map_err(|e| PlanError::Parse(e.to_string()))?;
         let found = match doc.get("schema_version") {
@@ -284,7 +308,10 @@ impl PlacementPlan {
                 expected: PLAN_SCHEMA_VERSION,
             });
         }
-        serde::json::from_str(text).map_err(|e| PlanError::Parse(e.to_string()))
+        let plan: PlacementPlan =
+            serde::json::from_str(text).map_err(|e| PlanError::Parse(e.to_string()))?;
+        plan.config.check_times()?;
+        Ok(plan)
     }
 
     /// Total embedding rows across the plan's tables.

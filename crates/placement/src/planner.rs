@@ -94,6 +94,7 @@ fn validate(catalog: &Catalog, profiles: &[FreqProfile], config: &PlannerConfig)
     {
         return bad("batch_hint and avg_reduction_hint must be positive".into());
     }
+    config.check_times()?;
     for (t, (desc, profile)) in catalog.tables.iter().zip(profiles).enumerate() {
         if desc.rows == 0 || desc.dim == 0 {
             return bad(format!("table {t} has zero rows or dim"));

@@ -87,3 +87,35 @@ fn error_messages_name_the_versions() {
         "{msg}"
     );
 }
+
+/// The planner and the plan reader refuse the same time constants:
+/// anything the picosecond modeled clock cannot hold.
+#[test]
+fn planner_and_reader_share_one_time_check() {
+    let catalog = Catalog::homogeneous(1, 64, 8);
+    let profile = FreqProfile::new(64);
+    type Breaks = fn(&mut PlannerConfig);
+    let cases: [(&str, Breaks); 5] = [
+        ("rank_base_ns", |c| c.rank_cost.rank_base_ns = -1e9),
+        ("rank_launch_ns", |c| c.rank_cost.rank_launch_ns = 1e300),
+        ("clock_hz", |c| c.cost.clock_hz = 0),
+        ("ragged_bw_factor", |c| c.cost.ragged_bw_factor = 0.0),
+        ("host_combine_ns_per_add", |c| {
+            c.host_combine_ns_per_add = -0.1
+        }),
+    ];
+    for (field, break_it) in cases {
+        let mut config = PlannerConfig::default();
+        break_it(&mut config);
+        match plan(&catalog, std::slice::from_ref(&profile), &config) {
+            Err(PlanError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("{field}: the planner returned {other:?}"),
+        }
+        let mut doctored = sample_plan();
+        break_it(&mut doctored.config);
+        match PlacementPlan::from_json(&doctored.to_json()) {
+            Err(PlanError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("{field}: the reader returned {other:?}"),
+        }
+    }
+}

@@ -66,12 +66,12 @@ use std::time::Instant;
 
 use dlrm_model::{Matrix, QueryBatch};
 use scheduler::{
-    assemble_into, check_servable, service_stages, BatchPolicy, EventLoop, Launch, SchedConfig,
-    SchedReport, Serve, Tally,
+    assemble_into, check_servable, BatchPolicy, EventLoop, Launch, SchedConfig, SchedReport, Serve,
+    Tally,
 };
 use updlrm_core::engine::EmbeddingBreakdown;
 use updlrm_core::pipeline::Stages;
-use updlrm_core::{CoreError, Result, RuntimeSnapshot, SchedTrigger, UpdlrmEngine};
+use updlrm_core::{CoreError, Ps, Result, RuntimeSnapshot, SchedTrigger, UpdlrmEngine};
 use workloads::{Workload, NS_PER_SEC};
 
 pub use ring::{ring, Consumer, Producer};
@@ -183,9 +183,9 @@ pub struct RuntimeReport {
 /// A formed batch on its way to a shard worker.
 struct WorkItem {
     seq: usize,
-    /// Launch instant in modeled ns, for the engine's between-batch
+    /// Launch instant in modeled time, for the engine's between-batch
     /// tick.
-    launch_ns: u64,
+    launch: Ps,
     ids: Vec<u32>,
     batch: QueryBatch,
 }
@@ -299,17 +299,17 @@ impl Runtime {
                 modeled_service_ns: 0.0,
                 measured_service_ns: 0.0,
             };
-            let (mut tally, makespan_ns) = if cfg.deterministic {
+            let (mut tally, makespan) = if cfg.deterministic {
                 // The oracle-locked mode is the modeled scheduler's own
                 // loop: arrivals off the ring, batches served in
                 // lockstep (see `impl Serve for Batcher`).
                 let mut core = EventLoop::new(cfg.sched)?;
-                let makespan_ns = core.run(trace, || arrival_rx.pop_blocking(), &mut b)?;
-                (core.tally, makespan_ns)
+                let makespan = core.run(trace, || arrival_rx.pop_blocking(), &mut b)?;
+                (core.tally, makespan)
             } else {
                 b.run_wall(&mut arrival_rx)?
             };
-            let sched = tally.finish(makespan_ns);
+            let sched = tally.finish(makespan);
             let wall_elapsed_ns = start.elapsed().as_nanos() as f64;
             let report = RuntimeReport {
                 wall: WallStats {
@@ -374,7 +374,7 @@ fn shard_worker(
     start: Instant,
 ) {
     while let Some(item) = work_rx.pop_blocking() {
-        let ticked = engine.on_tick(item.launch_ns);
+        let ticked = engine.on_tick(item.launch);
         let t0 = Instant::now();
         let mut pooled = Vec::new();
         let mut breakdown = EmbeddingBreakdown::default();
@@ -463,7 +463,7 @@ where
         assemble_into(self.workload, launch.ids, &mut batch);
         WorkItem {
             seq: launch.seq,
-            launch_ns: launch.at_ns,
+            launch: launch.at,
             ids: launch.ids.to_vec(),
             batch,
         }
@@ -542,9 +542,8 @@ where
                 // *ideal* arrival, so ingest lag counts against us
                 // (no coordinated omission).
                 let ideal = modeled_to_wall(times[id as usize], self.cfg.time_scale);
-                fl.tally
-                    .latencies
-                    .push(done.done_wall_ns.saturating_sub(ideal));
+                let latency = done.done_wall_ns.saturating_sub(ideal);
+                fl.tally.latencies.push(Ps::from_whole_ns(latency));
             }
         }
         Ok(())
@@ -555,9 +554,10 @@ where
     /// latencies are measured, not modeled. Unlike [`EventLoop::run`] it
     /// never blocks on one batch — many are in flight and they are
     /// booked in completion order — so it is its own loop over the same
-    /// [`BatchPolicy`] and [`Tally`]. Returns the tally and the measured
-    /// makespan (wall ns of the last completion).
-    fn run_wall(&mut self, arrival_rx: &mut Consumer<(u32, u64)>) -> Result<(Tally, u64)> {
+    /// [`BatchPolicy`] and [`Tally`] — the policy on measured ns, the
+    /// tally in ps like every front-end's. Returns the tally and the
+    /// measured makespan (the wall instant of the last completion).
+    fn run_wall(&mut self, arrival_rx: &mut Consumer<(u32, u64)>) -> Result<(Tally, Ps)> {
         let scale = self.cfg.time_scale;
         let mut policy = BatchPolicy::new(self.cfg.sched)?;
         let mut fl = InFlight {
@@ -620,7 +620,7 @@ where
                 policy.take_batch(&mut ids).expect("queue is nonempty");
                 let launch = Launch {
                     seq,
-                    at_ns: now,
+                    at: Ps::from_whole_ns(now),
                     ids: &ids,
                 };
                 self.dispatch_wall(&mut fl, &launch, plan.trigger)?;
@@ -636,7 +636,7 @@ where
                 sleep_until(self.start, elapsed + slice);
             }
         }
-        Ok((fl.tally, fl.last_done_wall))
+        Ok((fl.tally, Ps::from_whole_ns(fl.last_done_wall)))
     }
 }
 
@@ -649,7 +649,7 @@ impl<F> Serve for Batcher<'_, F>
 where
     F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
 {
-    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages<u64>> {
+    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages> {
         let shard = launch.seq % self.cfg.shards;
         let item = self.make_item(launch);
         self.work_txs[shard]
@@ -661,7 +661,7 @@ where
             .ok_or_else(|| Self::worker_gone(shard, launch.seq, "completed"))??;
         debug_assert_eq!(done.seq, launch.seq, "lockstep completion order");
         self.book(&done);
-        Ok(service_stages(&done.breakdown))
+        Ok(done.breakdown.stages())
     }
 }
 
@@ -729,7 +729,7 @@ mod tests {
         drop((work_rx, done_tx));
         let launch = |seq| Launch {
             seq,
-            at_ns: 0,
+            at: Ps::ZERO,
             ids: &[0, 1],
         };
         let err = b

@@ -12,13 +12,15 @@
 //!    (`Scheduler::run`, the tenant lanes) and a blocking SPSC-ring pop
 //!    (the deterministic wall runtime) make byte-identical decisions;
 //! 2. **how a formed batch is served** — a [`Serve`] implementation
-//!    returning the batch's three integer-ns stage times.
+//!    returning the batch's three stage times.
 //!
 //! The loop times batches on the engine's depth-2 pipeline: the one
-//! [`PipelineClock`] of `updlrm_core::pipeline`, on the integer-ns
-//! clock. A batch launches once a staging slot is free — when the batch
-//! two ahead of it has drained — so its stage 1 overlaps the stage 2 of
-//! the batch ahead. Its requests complete when its stage 3 drains,
+//! [`PipelineClock`] of `updlrm_core::pipeline`, on the one modeled
+//! clock, integer picoseconds. Arrivals and the wait deadline come in
+//! whole ns and are scaled to ps exactly; the [`BatchPolicy`] the loop
+//! drives is unit-agnostic and sees ps. A batch launches once a staging
+//! slot is free — when the batch two ahead of it has drained — so its
+//! stage 1 overlaps the stage 2 of the batch ahead. Its requests complete when its stage 3 drains,
 //! which the clock places when the next batch launches (or at the end
 //! of the run).
 //!
@@ -31,7 +33,7 @@
 
 use updlrm_core::pipeline::{PipelineClock, Stages};
 use updlrm_core::telemetry::Accum;
-use updlrm_core::{percentile, CoreError, Result, SchedSnapshot, SchedTrigger};
+use updlrm_core::{percentile, CoreError, Ps, Result, SchedSnapshot, SchedTrigger, MAX_WHOLE_NS};
 use workloads::{ArrivalTrace, NS_PER_SEC};
 
 use crate::{AdmitOutcome, BatchPolicy, SchedConfig, SchedReport};
@@ -41,16 +43,16 @@ use crate::{AdmitOutcome, BatchPolicy, SchedConfig, SchedReport};
 pub struct Launch<'a> {
     /// Formed-batch sequence number, from 0 in launch order.
     pub seq: usize,
-    /// Launch instant on the loop's clock (integer ns).
-    pub at_ns: u64,
+    /// Launch instant on the loop's clock.
+    pub at: Ps,
     /// Member query ids in admission (FIFO) order.
     pub ids: &'a [u32],
 }
 
 /// How a front-end serves the batches [`EventLoop::run`] forms.
 pub trait Serve {
-    /// Serves `launch` to completion and returns its stage times in
-    /// integer ns on the loop's clock ([`service_stages`](crate::service_stages)).
+    /// Serves `launch` to completion and returns its stage times
+    /// ([`EmbeddingBreakdown::stages`](updlrm_core::EmbeddingBreakdown::stages)).
     /// `tally` is the run so far — every admission up to this launch,
     /// every earlier batch — for a server that takes a mid-run
     /// snapshot.
@@ -59,7 +61,7 @@ pub trait Serve {
     ///
     /// Whatever the serving engine reports; the loop stops on the
     /// first error.
-    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages<u64>>;
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages>;
 }
 
 /// Checks that `trace` can be served open-loop under `cfg` by an engine
@@ -67,13 +69,19 @@ pub trait Serve {
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidConfig`] on an empty (closed-loop) trace or a
+/// [`CoreError::InvalidConfig`] on an empty (closed-loop) trace, an
+/// arrival past the picosecond clock's range ([`MAX_WHOLE_NS`]) or a
 /// `max_batch_size` beyond the engine's staged capacity.
 pub fn check_servable(cfg: &SchedConfig, trace: &ArrivalTrace, staged: usize) -> Result<()> {
-    if trace.times_ns.is_empty() {
+    let Some(&last) = trace.times_ns.iter().max() else {
         return Err(CoreError::InvalidConfig(
             "workload has no arrival trace (closed-loop); stamp arrivals first".into(),
         ));
+    };
+    if last > MAX_WHOLE_NS {
+        return Err(CoreError::InvalidConfig(format!(
+            "arrival at {last} ns is past the modeled clock's range ({MAX_WHOLE_NS} ns)"
+        )));
     }
     if cfg.max_batch_size > staged {
         return Err(CoreError::InvalidConfig(format!(
@@ -91,13 +99,12 @@ pub fn check_servable(cfg: &SchedConfig, trace: &ArrivalTrace, staged: usize) ->
 #[derive(Debug)]
 pub struct Tally {
     report: SchedReport,
-    /// Completed-request latencies, integer ns; sorted by `finish`.
+    /// Completed-request latencies; sorted by `finish`.
     /// [`EventLoop::run`] records them on its own pipeline clock; a
     /// front-end that completes batches on another clock (the tenant
-    /// fleet's shared timeline) clears them and records its own.
-    pub latencies: Vec<u64>,
-    /// f64 view of the sorted latencies for the quantile statistics.
-    lat_stats: Vec<f64>,
+    /// fleet's shared timeline, the wall runtime's measured one) clears
+    /// them and records its own.
+    pub latencies: Vec<Ps>,
     /// `hist[k]` = batches formed with exactly `k` queries.
     hist: Vec<u64>,
     /// First arrival id not yet counted as blocked, so a query held at
@@ -111,7 +118,6 @@ impl Tally {
         Tally {
             report: SchedReport::default(),
             latencies: Vec::new(),
-            lat_stats: Vec::new(),
             hist: vec![0; max_batch_size + 1],
             blocked_counted: 0,
         }
@@ -127,20 +133,18 @@ impl Tally {
         };
         self.latencies.clear();
         self.latencies.reserve(n);
-        self.lat_stats.clear();
-        self.lat_stats.reserve(n);
         self.hist.fill(0);
         self.blocked_counted = 0;
     }
 
-    /// Offers arrival `(id, at_ns)` to `policy` and folds the outcome
-    /// into the report. Returns `false` when the arrival was *not*
-    /// consumed: the queue is full under `Block` and the caller must
-    /// latch its door shut until the next launch frees a slot
-    /// (re-offering immediately would spin).
-    pub fn admit(&mut self, policy: &mut BatchPolicy, id: u32, at_ns: u64) -> bool {
+    /// Offers arrival `(id, at)` — an instant on `policy`'s clock — to
+    /// `policy` and folds the outcome into the report. Returns `false`
+    /// when the arrival was *not* consumed: the queue is full under
+    /// `Block` and the caller must latch its door shut until the next
+    /// launch frees a slot (re-offering immediately would spin).
+    pub fn admit(&mut self, policy: &mut BatchPolicy, id: u32, at: u64) -> bool {
         let r = &mut self.report;
-        let depth = match policy.admit(id, at_ns) {
+        let depth = match policy.admit(id, at) {
             AdmitOutcome::Admitted { depth } => depth,
             AdmitOutcome::AdmittedAfterShed { depth, .. } => {
                 r.shed += 1;
@@ -175,13 +179,15 @@ impl Tally {
         self.report.completed += size as u64;
     }
 
-    /// Books the latencies of a batch of `ids` that drained at
-    /// `drain_ns`: each from its original arrival in `times`. Every
-    /// member arrived before its launch, which precedes the drain, so
-    /// this never wraps.
-    pub fn complete(&mut self, ids: &[u32], times: &[u64], drain_ns: u64) {
-        self.latencies
-            .extend(ids.iter().map(|&id| drain_ns - times[id as usize]));
+    /// Books the latencies of a batch of `ids` that drained at `drain`:
+    /// each from its original arrival in `times_ns`. Every member
+    /// arrived before its launch, which precedes the drain, so this
+    /// never wraps.
+    pub fn complete(&mut self, ids: &[u32], times_ns: &[u64], drain: Ps) {
+        self.latencies.extend(
+            ids.iter()
+                .map(|&id| drain - Ps::from_whole_ns(times_ns[id as usize])),
+        );
     }
 
     /// `histogram()[k]` = batches formed with exactly `k` queries.
@@ -218,11 +224,11 @@ impl Tally {
     /// latencies and the run's makespan — the only place f64 touches
     /// event times, and the only place the latency quantiles are
     /// computed.
-    pub fn finish(&mut self, makespan_ns: u64) -> SchedReport {
+    pub fn finish(&mut self, makespan: Ps) -> SchedReport {
         let r = &mut self.report;
-        r.makespan_ns = makespan_ns as f64;
-        r.achieved_qps = if makespan_ns > 0 {
-            r.completed as f64 * NS_PER_SEC / makespan_ns as f64
+        r.makespan_ns = makespan.as_ns();
+        r.achieved_qps = if makespan > Ps::ZERO {
+            r.completed as f64 * NS_PER_SEC / r.makespan_ns
         } else {
             0.0
         };
@@ -231,18 +237,16 @@ impl Tally {
         } else {
             0.0
         };
-        self.latencies.sort_unstable();
-        self.lat_stats.clear();
-        self.lat_stats
-            .extend(self.latencies.iter().map(|&l| l as f64));
-        if let Some(&max) = self.latencies.last() {
-            r.max_latency_ns = max as f64;
-            r.mean_latency_ns = self.latencies.iter().map(|&l| l as u128).sum::<u128>() as f64
-                / self.latencies.len() as f64;
+        let lat = &mut self.latencies;
+        lat.sort_unstable();
+        if let Some(&max) = lat.last() {
+            r.max_latency_ns = max.as_ns();
+            let sum: u128 = lat.iter().map(|l| u128::from(l.0)).sum();
+            r.mean_latency_ns = Ps((sum / lat.len() as u128) as u64).as_ns();
         }
-        r.p50_latency_ns = percentile(&self.lat_stats, 0.50);
-        r.p95_latency_ns = percentile(&self.lat_stats, 0.95);
-        r.p99_latency_ns = percentile(&self.lat_stats, 0.99);
+        r.p50_latency_ns = percentile(lat, 0.50).as_ns();
+        r.p95_latency_ns = percentile(lat, 0.95).as_ns();
+        r.p99_latency_ns = percentile(lat, 0.99).as_ns();
         debug_assert!(crate::report_is_finite(r), "non-finite stat in {r:?}");
         *r
     }
@@ -253,6 +257,8 @@ impl Tally {
 /// `EventLoop` drives many runs without allocating after the first.
 #[derive(Debug)]
 pub struct EventLoop {
+    cfg: SchedConfig,
+    /// Runs on the loop's ps clock: `cfg` with `max_wait_ns` in ps.
     policy: BatchPolicy,
     /// Ids popped for the batch being formed.
     ids: Vec<u32>,
@@ -271,8 +277,13 @@ impl EventLoop {
     /// [`CoreError::InvalidConfig`] if `cfg` fails
     /// [`SchedConfig::validate`].
     pub fn new(cfg: SchedConfig) -> Result<EventLoop> {
+        let max_wait = Ps::from_whole_ns(cfg.max_wait_ns);
         Ok(EventLoop {
-            policy: BatchPolicy::new(cfg)?,
+            cfg,
+            policy: BatchPolicy::new(SchedConfig {
+                max_wait_ns: max_wait.0,
+                ..cfg
+            })?,
             ids: Vec::with_capacity(cfg.max_batch_size),
             pending: Vec::with_capacity(cfg.max_batch_size),
             tally: Tally::new(cfg.max_batch_size),
@@ -281,15 +292,16 @@ impl EventLoop {
 
     /// The configuration this loop batches under.
     pub fn config(&self) -> &SchedConfig {
-        self.policy.config()
+        &self.cfg
     }
 
     /// Replays `trace` through admission and batch formation, serving
     /// every formed batch through `server` and timing it on the depth-2
     /// [`PipelineClock`]. `next_arrival` yields the trace's
     /// `(id, arrival_ns)` pairs in order and `None` once the stream has
-    /// drained. Returns the makespan — the instant the last batch
-    /// drains — for [`Tally::finish`].
+    /// drained; the caller has checked them with [`check_servable`].
+    /// Returns the makespan — the instant the last batch drains — for
+    /// [`Tally::finish`].
     ///
     /// # Errors
     ///
@@ -300,7 +312,7 @@ impl EventLoop {
         trace: &ArrivalTrace,
         mut next_arrival: A,
         server: &mut S,
-    ) -> Result<u64>
+    ) -> Result<Ps>
     where
         A: FnMut() -> Option<(u32, u64)>,
         S: Serve,
@@ -308,12 +320,15 @@ impl EventLoop {
         let times = &trace.times_ns;
         self.policy.clear();
         self.tally.begin(trace);
+        // Arrivals on the loop's clock: whole ns, scaled to ps exactly.
+        let mut next_arrival = || next_arrival().map(|(id, at)| (id, Ps::from_whole_ns(at).0));
         // One-arrival lookahead: the next arrival not yet admitted or
         // dropped (`None` = stream drained). Every decision below needs
         // it before a launch can commit.
         let mut peeked = next_arrival();
+        // Instants in ps; the policy's API is plain u64.
         let mut now = 0u64;
-        let mut clock = PipelineClock::<u64>::default();
+        let mut clock = PipelineClock::default();
         let mut seq = 0usize;
         // Under Block a full queue latches the door shut until the next
         // launch frees slots.
@@ -325,7 +340,7 @@ impl EventLoop {
             // instant a staging slot frees. `None` = empty.
             let plan = match (
                 self.policy
-                    .launch_at(now, clock.slot_free(), peeked.is_none()),
+                    .launch_at(now, clock.slot_free().0, peeked.is_none()),
                 peeked,
             ) {
                 (None, None) => break,
@@ -355,25 +370,25 @@ impl EventLoop {
                 .policy
                 .take_batch(&mut self.ids)
                 .expect("launch_at planned a nonempty queue");
-            // Exact integer-ns invariant, enforced in release builds
-            // too: every admitted arrival precedes (or coincides with)
-            // the launch instant.
+            // Exact integer invariant, enforced in release builds too:
+            // every admitted arrival precedes (or coincides with) the
+            // launch instant.
             if newest > now {
                 return Err(CoreError::Invariant(format!(
-                    "batch {seq} launches at {now} ns but contains an arrival \
-                     admitted at {newest} ns"
+                    "batch {seq} launches at {now} ps but contains an arrival \
+                     admitted at {newest} ps"
                 )));
             }
             let launch = Launch {
                 seq,
-                at_ns: now,
+                at: Ps(now),
                 ids: &self.ids,
             };
             let stages = server.serve(&launch, &self.tally)?;
             self.tally.batch(self.ids.len(), plan.trigger);
             // Placing this batch places the pending one's stage 3: its
             // requests complete then. This batch becomes the pending one.
-            if let Some(d) = clock.push(now, stages) {
+            if let Some(d) = clock.push(Ps(now), stages) {
                 self.tally.complete(&self.pending, times, d.drain);
             }
             std::mem::swap(&mut self.ids, &mut self.pending);

@@ -29,13 +29,15 @@
 //! the queue, the assembly scratch and the latency buffer are
 //! preallocated and recycled (`tests/alloc_tests.rs`).
 //!
-//! All event times are **integer nanoseconds** (`u64`) end to end: the
-//! loop never does f64 arithmetic on arrival or launch instants, so ns
-//! precision survives arbitrarily long modeled traces (f64 starts
-//! dropping nanoseconds past 2^53 ns ≈ 104 days) and the
-//! size/deadline/drain trigger attribution is an exact integer
-//! comparison rather than an ulp-sensitive float equality. f64 appears
-//! only in [`SchedReport`]'s derived statistics.
+//! All event times are **integer picoseconds** end to end — the engine's
+//! one modeled clock ([`Ps`]): arrivals (integer ns in
+//! the trace) and the wait deadline are scaled to ps exactly, stage
+//! times arrive in ps, and the loop never does f64 arithmetic on an
+//! instant, so the size/deadline/drain trigger attribution is an exact
+//! integer comparison rather than an ulp-sensitive float equality. A
+//! `u64` of ps spans 213 days; traces whose arrivals do not fit are
+//! refused ([`check_servable`]). f64 appears only in [`SchedReport`]'s
+//! derived statistics, which report ns.
 //!
 //! The loop itself is [`EventLoop`] (module [`event_loop`]): one copy,
 //! parameterised by where arrivals come from and how a formed batch is
@@ -55,37 +57,11 @@ pub mod policy;
 use dlrm_model::{Matrix, QueryBatch};
 use updlrm_core::engine::EmbeddingBreakdown;
 use updlrm_core::pipeline::Stages;
-use updlrm_core::{CoreError, Result, UpdlrmEngine};
+use updlrm_core::{CoreError, Ps, Result, UpdlrmEngine};
 use workloads::Workload;
 
 pub use event_loop::{check_servable, EventLoop, Launch, Serve, Tally};
 pub use policy::{AdmitOutcome, BatchPolicy, LaunchPlan};
-
-/// A served batch's stage times on the integer-ns clock: the
-/// *cumulative* boundaries `s1`, `s1 + s2` and `s1 + s2 + s3` are each
-/// rounded up, and the stages are their differences. Rounding up keeps
-/// the clock conservative — no stage is marked done before the modeled
-/// pipeline has reached it, and a positive stage time always advances
-/// the clock — and rounding the boundaries rather than the stages means
-/// a batch that has the pipeline to itself drains exactly
-/// `ceil(bd.total_ns())` after it launches.
-pub fn service_stages(bd: &EmbeddingBreakdown) -> Stages<u64> {
-    let ceil = |ns: f64| {
-        debug_assert!(
-            ns.is_finite() && ns >= 0.0,
-            "modeled stage times must be finite and nonnegative, got {ns}"
-        );
-        ns.max(0.0).ceil() as u64
-    };
-    let s1 = ceil(bd.stage1_ns);
-    let s12 = ceil(bd.stage1_ns + bd.stage2_ns);
-    let total = ceil(bd.total_ns());
-    Stages {
-        s1,
-        s2: s12 - s1,
-        s3: total - s12,
-    }
-}
 
 /// What to do with a new arrival when the admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -343,11 +319,11 @@ impl Scheduler {
     where
         F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
     {
-        let makespan_ns = self.form(engine, workload, |launch, pooled, bd| {
+        let makespan = self.form(engine, workload, |launch, pooled, bd| {
             sink(launch.seq, launch.ids, pooled, bd)
         })?;
         let tally = &mut self.core.tally;
-        let report = tally.finish(makespan_ns);
+        let report = tally.finish(makespan);
         engine.metrics_mut().record_sched(&tally.snapshot());
         Ok(report)
     }
@@ -361,12 +337,7 @@ impl Scheduler {
     /// # Errors
     ///
     /// As [`run`](Self::run).
-    pub fn form<F>(
-        &mut self,
-        engine: &mut UpdlrmEngine,
-        workload: &Workload,
-        sink: F,
-    ) -> Result<u64>
+    pub fn form<F>(&mut self, engine: &mut UpdlrmEngine, workload: &Workload, sink: F) -> Result<Ps>
     where
         F: FnMut(&Launch<'_>, &[Matrix], &EmbeddingBreakdown),
     {
@@ -404,7 +375,7 @@ impl<F> Serve for InThread<'_, F>
 where
     F: FnMut(&Launch<'_>, &[Matrix], &EmbeddingBreakdown),
 {
-    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages<u64>> {
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages> {
         // Between-batch tick: lets the engine's online replanner flip a
         // completed migration (or begin one) at the launch instant,
         // never mid-batch — serve_stream below runs a single batch, so
@@ -413,7 +384,7 @@ where
         // and begins a scatter, and the next launch waits for that
         // batch to drain, so no scatter writes what it reads.
         let first = self.engine.drift_snapshot().is_none();
-        self.engine.on_tick(launch.at_ns)?;
+        self.engine.on_tick(launch.at)?;
         // A drift snapshot this tick took is a mid-run picture: it gets
         // the run's scheduler counts so far.
         if let Some(snap) = self.engine.drift_snapshot_mut().filter(|_| first) {
@@ -424,7 +395,7 @@ where
         let sink = &mut self.sink;
         self.engine
             .serve_stream(std::slice::from_ref(&*self.batch), |_, pooled, bd| {
-                stages = service_stages(bd);
+                stages = bd.stages();
                 sink(launch, pooled, bd);
             })?;
         Ok(stages)
@@ -636,19 +607,18 @@ mod tests {
     }
 
     #[test]
-    fn stage_boundaries_round_up_and_sum_to_the_rounded_total() {
-        let bd = |s1: f64, s2: f64, s3: f64| EmbeddingBreakdown {
-            stage1_ns: s1,
-            stage2_ns: s2,
-            stage3_ns: s3,
+    fn refuses_arrivals_past_the_picosecond_clock() {
+        use updlrm_core::MAX_WHOLE_NS;
+        // The trace reader refuses the same stamps.
+        assert_eq!(workloads::MAX_ARRIVAL_NS, MAX_WHOLE_NS);
+        let trace = |last| workloads::ArrivalTrace {
+            times_ns: vec![0, last],
             ..Default::default()
         };
-        let s = service_stages(&bd(0.5, 0.5, 0.5));
-        assert_eq!((s.s1, s.s2, s.s3), (1, 0, 1));
-        assert_eq!(s.total(), 2, "ceil(1.5)");
-        let s = service_stages(&bd(10.0, 0.25, 3.0));
-        assert_eq!((s.s1, s.s2, s.s3), (10, 1, 3));
-        assert_eq!(service_stages(&bd(0.0, 0.0, 0.0)), Stages::default());
+        let cfg = SchedConfig::default();
+        assert!(check_servable(&cfg, &trace(MAX_WHOLE_NS), 64).is_ok());
+        let err = check_servable(&cfg, &trace(MAX_WHOLE_NS + 1), 64).unwrap_err();
+        assert!(err.to_string().contains("range"), "{err}");
     }
 
     #[test]

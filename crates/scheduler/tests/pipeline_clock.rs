@@ -1,44 +1,53 @@
 //! The event loop times batches on the engine's depth-2 pipeline: the
-//! one `PipelineClock` recurrence `serve_stream` uses for a closed loop.
+//! one `PipelineClock` recurrence `serve_stream` uses for a closed loop,
+//! on the one picosecond clock.
 //!
-//! 1. **Differential** — an `EventLoop` fed a closed-loop trace (every
-//!    arrival at 0, size-triggered full batches) drains each batch
-//!    exactly where `pipelined_schedule` (through `pipelined_wall_ns`
-//!    and the clock itself) says, over random integer stage triples
-//!    that cover bus-bound and DPU-bound mixes.
-//! 2. **Replans stay safe** — at `periodic:1` on a saturated drifting
+//! 1. **Differential, scripted** — an `EventLoop` fed a closed-loop
+//!    trace (every arrival at 0, size-triggered full batches) drains
+//!    each batch exactly where `pipelined_schedule` (through
+//!    `pipelined_wall` and the clock itself) says, over random integer
+//!    stage triples that cover bus-bound and DPU-bound mixes.
+//! 2. **Differential, engine** — the same closed loop with real stage
+//!    times: `serve_stream` over a batch stream on one engine, and the
+//!    `EventLoop` over the same requests, all arriving at 0, on a twin
+//!    engine. Every batch issues and drains at the same integer
+//!    instant on both, and the walls are equal.
+//! 3. **Replans stay safe** — at `periodic:1` on a saturated drifting
 //!    trace, no migration scatter begins before every batch that read
 //!    the region it writes has drained, and no tick both flips and
 //!    begins a scatter.
 
 use dlrm_model::{EmbeddingTable, QueryBatch};
 use proptest::prelude::*;
-use scheduler::{
-    assemble_into, service_stages, EventLoop, Launch, OverloadPolicy, SchedConfig, Serve, Tally,
-};
+use scheduler::{assemble_into, EventLoop, Launch, OverloadPolicy, SchedConfig, Serve, Tally};
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::pipeline::{PipelineClock, Stages};
+use updlrm_core::pipeline::{Drained, PipelineClock, Stages};
 use updlrm_core::{
-    pipelined_wall_ns, PartitionStrategy, ReplanPolicy, Result, UpdlrmConfig, UpdlrmEngine,
+    pipelined_wall, PartitionStrategy, Ps, ReplanPolicy, Result, UpdlrmConfig, UpdlrmEngine,
 };
 use workloads::{
     ArrivalProcess, ArrivalTrace, DatasetSpec, DriftSchedule, HotSetRotation, TraceConfig, Workload,
 };
 
 /// Serves batch `seq` with the `seq`-th stage triple.
-struct Scripted(Vec<Stages<u64>>);
+struct Scripted(Vec<Stages>);
 
 impl Serve for Scripted {
-    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages<u64>> {
+    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages> {
         Ok(self.0[launch.seq])
     }
 }
 
-/// Runs `stages.len()` full batches of `batch` requests, all arriving
-/// at 0, through an event loop; returns its makespan and its sorted
-/// per-request latencies.
-fn closed_loop_through_the_event_loop(stages: &[Stages<u64>], batch: usize) -> (u64, Vec<u64>) {
-    let n = stages.len() * batch;
+/// `batches` full batches of `batch` requests, every one arriving at 0,
+/// through an event loop serving with `server`. Returns the loop's
+/// makespan and its sorted per-request latencies — each request's drain,
+/// since it arrived at 0.
+fn closed_loop_through_the_event_loop<S: Serve>(
+    batches: usize,
+    batch: usize,
+    server: &mut S,
+) -> (Ps, Vec<Ps>) {
+    let n = batches * batch;
     let trace = ArrivalTrace {
         times_ns: vec![0; n],
         ..ArrivalTrace::default()
@@ -51,48 +60,64 @@ fn closed_loop_through_the_event_loop(stages: &[Stages<u64>], batch: usize) -> (
     })
     .unwrap();
     let mut arrivals = (0u32..).zip(trace.times_ns.clone());
-    let mut server = Scripted(stages.to_vec());
-    let makespan = core.run(&trace, || arrivals.next(), &mut server).unwrap();
-    assert_eq!(core.tally.histogram()[batch] as usize, stages.len());
+    let makespan = core.run(&trace, || arrivals.next(), server).unwrap();
+    assert_eq!(core.tally.histogram()[batch] as usize, batches);
     let mut latencies = core.tally.latencies.clone();
     latencies.sort_unstable();
     (makespan, latencies)
 }
 
+/// Every batch as the clock places it when each is pushed at its
+/// `(launch, stages)`, in batch order.
+fn placed(pushes: impl IntoIterator<Item = (Ps, Stages)>) -> Vec<Drained> {
+    let mut clock = PipelineClock::default();
+    let mut out: Vec<Drained> = pushes
+        .into_iter()
+        .filter_map(|(at, s)| clock.push(at, s))
+        .collect();
+    out.extend(clock.finish());
+    out
+}
+
+/// Each batch's drain, once per request of a `batch`-request batch,
+/// sorted: what the loop's tally books when every request arrives at 0.
+fn per_request(drains: &[Drained], batch: usize) -> Vec<Ps> {
+    let mut want: Vec<Ps> = drains
+        .iter()
+        .flat_map(|d| std::iter::repeat_n(d.drain, batch))
+        .collect();
+    want.sort_unstable();
+    want
+}
+
 /// Asserts the event loop drains every batch where the closed-loop
 /// recurrence does.
-fn assert_loop_equals_recurrence(stages: &[Stages<u64>], batch: usize) {
-    let (makespan, latencies) = closed_loop_through_the_event_loop(stages, batch);
+fn assert_loop_equals_recurrence(stages: &[Stages], batch: usize) {
+    let mut server = Scripted(stages.to_vec());
+    let (makespan, latencies) =
+        closed_loop_through_the_event_loop(stages.len(), batch, &mut server);
     let breakdowns: Vec<EmbeddingBreakdown> = stages
         .iter()
         .map(|s| EmbeddingBreakdown {
-            stage1_ns: s.s1 as f64,
-            stage2_ns: s.s2 as f64,
-            stage3_ns: s.s3 as f64,
+            stage1: s.s1,
+            stage2: s.s2,
+            stage3: s.s3,
             ..Default::default()
         })
         .collect();
     // The closed loop feeds the clock every batch at instant 0.
-    let mut clock = PipelineClock::<u64>::default();
-    let mut drains: Vec<u64> = stages
-        .iter()
-        .filter_map(|&s| clock.push(0, s))
-        .map(|d| d.drain)
-        .collect();
-    drains.extend(clock.finish().map(|d| d.drain));
-    let mut want: Vec<u64> = drains
-        .iter()
-        .flat_map(|&d| std::iter::repeat_n(d, batch))
-        .collect();
-    want.sort_unstable();
-    assert_eq!(latencies, want, "per-batch drains");
-    assert_eq!(makespan, drains.last().copied().unwrap_or(0));
-    // Small integers are exact in f64: the f64 closed loop agrees.
-    assert_eq!(makespan as f64, pipelined_wall_ns(&breakdowns));
+    let drains = placed(stages.iter().map(|&s| (Ps::ZERO, s)));
+    assert_eq!(latencies, per_request(&drains, batch), "per-batch drains");
+    assert_eq!(makespan, drains.last().map_or(Ps::ZERO, |d| d.drain));
+    assert_eq!(makespan, pipelined_wall(&breakdowns));
 }
 
-fn triple(s1: u64, s2: u64, s3: u64) -> Stages<u64> {
-    Stages { s1, s2, s3 }
+fn triple(s1: u64, s2: u64, s3: u64) -> Stages {
+    Stages {
+        s1: Ps(s1),
+        s2: Ps(s2),
+        s3: Ps(s3),
+    }
 }
 
 #[test]
@@ -122,7 +147,7 @@ proptest! {
         jitter in prop::collection::vec((0u64..500, 0u64..500, 0u64..500), 0..24),
         batch in 1usize..6,
     ) {
-        let stages: Vec<Stages<u64>> = jitter
+        let stages: Vec<Stages> = jitter
             .iter()
             .map(|&(a, b, c)| triple(bus_scale / 2 + a, dpu_scale + b, bus_scale / 2 + c))
             .collect();
@@ -130,14 +155,105 @@ proptest! {
     }
 }
 
+/// Serves each formed batch through `serve_stream` on its own engine,
+/// logging the launch instant and the breakdown.
+struct Twin<'a> {
+    engine: &'a mut UpdlrmEngine,
+    workload: &'a Workload,
+    batch: QueryBatch,
+    log: Vec<(Ps, EmbeddingBreakdown)>,
+}
+
+impl Serve for Twin<'_> {
+    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages> {
+        assemble_into(self.workload, launch.ids, &mut self.batch);
+        let mut breakdown = EmbeddingBreakdown::default();
+        self.engine
+            .serve_stream(std::slice::from_ref(&self.batch), |_, _, bd| {
+                breakdown = *bd;
+            })?;
+        self.log.push((launch.at, breakdown));
+        Ok(breakdown.stages())
+    }
+}
+
+#[test]
+fn a_closed_and_an_open_loop_drain_every_real_batch_at_the_same_instant() {
+    const BATCH: usize = 32;
+    let spec = DatasetSpec::goodreads().scaled_down(5000);
+    let workload = Workload::generate(
+        &spec,
+        TraceConfig {
+            num_tables: 2,
+            batch_size: BATCH,
+            num_batches: 9,
+            ..TraceConfig::default()
+        },
+    );
+    let tables: Vec<EmbeddingTable> = (0..2)
+        .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, 32, 3, t as u64).unwrap())
+        .collect();
+    let config = UpdlrmConfig {
+        batch_size: BATCH,
+        ..UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware)
+    };
+    let twin = || {
+        let mut engine = UpdlrmEngine::from_workload(config.clone(), &tables, &workload).unwrap();
+        // Warm-up: the first batch after a build pays the WRAM fill.
+        engine.run_batch(&workload.batches[0]).unwrap();
+        engine
+    };
+
+    // Closed loop: the whole stream through one serve_stream call.
+    let mut closed_engine = twin();
+    let mut closed: Vec<EmbeddingBreakdown> = Vec::new();
+    let report = closed_engine
+        .serve_stream(&workload.batches, |_, _, bd| closed.push(*bd))
+        .unwrap();
+    let closed_drains = placed(closed.iter().map(|bd| (Ps::ZERO, bd.stages())));
+    let wall = pipelined_wall(&closed);
+    assert_eq!(closed_drains.last().map(|d| d.drain), Some(wall));
+    assert_eq!(report.wall_ns, wall.as_ns());
+
+    // Open loop: the same requests, every one arriving at 0, formed
+    // into the same batches by the event loop on the twin engine.
+    let mut open_engine = twin();
+    let mut server = Twin {
+        engine: &mut open_engine,
+        workload: &workload,
+        batch: QueryBatch {
+            sparse: vec![Default::default(); 2],
+            ..Default::default()
+        },
+        log: Vec::new(),
+    };
+    let batches = workload.batches.len();
+    let (makespan, latencies) = closed_loop_through_the_event_loop(batches, BATCH, &mut server);
+    let open: Vec<EmbeddingBreakdown> = server.log.iter().map(|&(_, bd)| bd).collect();
+    assert_eq!(open, closed, "the twins priced the batches alike");
+    let open_drains = placed(server.log.iter().map(|(at, bd)| (*at, bd.stages())));
+    assert_eq!(
+        latencies,
+        per_request(&open_drains, BATCH),
+        "the loop booked them"
+    );
+
+    // Every batch issues and drains at the same instant on both loops.
+    assert_eq!(open_drains, closed_drains);
+    assert_eq!(makespan, wall);
+    // Anti-vacuous: stage times are not whole ns, and batches overlap.
+    assert!(closed.iter().any(|bd| bd.stage2.0 % 1_000 != 0));
+    assert!(wall < closed.iter().map(EmbeddingBreakdown::total).sum());
+}
+
 /// What one launch saw: its instant, the EMT region it read, whether
 /// its tick flipped or began a migration, and its stage times.
 struct Seen {
-    at_ns: u64,
+    at: Ps,
     region: usize,
     flipped: bool,
     began: bool,
-    stages: Stages<u64>,
+    stages: Stages,
 }
 
 /// Serves like the scheduler's in-thread front-end — tick at the launch
@@ -152,9 +268,9 @@ struct Probe<'a> {
 }
 
 impl Serve for Probe<'_> {
-    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages<u64>> {
+    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages> {
         let before = self.engine.metrics_snapshot().drift;
-        self.engine.on_tick(launch.at_ns)?;
+        self.engine.on_tick(launch.at)?;
         let after = self.engine.metrics_snapshot().drift;
         let flipped = after.migrations_completed > before.migrations_completed;
         let began = after.replans_triggered > before.replans_triggered;
@@ -165,10 +281,10 @@ impl Serve for Probe<'_> {
         let mut stages = Stages::default();
         self.engine
             .serve_stream(std::slice::from_ref(&self.batch), |_, _, bd| {
-                stages = service_stages(bd);
+                stages = bd.stages();
             })?;
         self.log.push(Seen {
-            at_ns: launch.at_ns,
+            at: launch.at,
             region: self.region,
             flipped,
             began,
@@ -236,13 +352,10 @@ fn no_scatter_begins_before_the_batches_reading_its_region_drain() {
     let log = probe.log;
 
     // Each batch's drain, from the clock the loop runs.
-    let mut clock = PipelineClock::<u64>::default();
-    let mut drains: Vec<u64> = log
+    let drains: Vec<Ps> = placed(log.iter().map(|s| (s.at, s.stages)))
         .iter()
-        .filter_map(|s| clock.push(s.at_ns, s.stages))
         .map(|d| d.drain)
         .collect();
-    drains.extend(clock.finish().map(|d| d.drain));
     assert_eq!(drains.len(), log.len());
 
     let mut checked = 0;
@@ -259,11 +372,11 @@ fn no_scatter_begins_before_the_batches_reading_its_region_drain() {
         for (j, earlier) in log[..k].iter().enumerate() {
             if earlier.region == written {
                 assert!(
-                    drains[j] <= seen.at_ns,
+                    drains[j] <= seen.at,
                     "batch {j} read region {written} until {} but batch {k}'s tick began \
                      scattering into it at {}",
                     drains[j],
-                    seen.at_ns
+                    seen.at
                 );
                 checked += 1;
             }
@@ -277,7 +390,7 @@ fn no_scatter_begins_before_the_batches_reading_its_region_drain() {
     );
     assert!(checked > 0, "no scatter had an earlier reader to wait for");
     let overlapped = (1..log.len())
-        .filter(|&i| log[i].at_ns < drains[i - 1])
+        .filter(|&i| log[i].at < drains[i - 1])
         .count();
     assert!(
         overlapped > 0,

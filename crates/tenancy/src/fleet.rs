@@ -18,9 +18,9 @@
 //! 2. **Arbitration** (across tenants): the formed batches — each a
 //!    ready instant and its stage times — are dispatched onto the
 //!    shared fleet timeline under weighted deficit round robin or
-//!    FCFS. The timeline is the same depth-2
-//!    [`PipelineClock`](updlrm_core::pipeline::PipelineClock) a single
-//!    tenant's scheduler runs on: the fleet's DPUs and host bus are one
+//!    FCFS. The timeline is the same depth-2 [`PipelineClock`], on the
+//!    same picosecond clock, that a single tenant's scheduler runs
+//!    on: the fleet's DPUs and host bus are one
 //!    pipeline with two staging slots, so one tenant's stage 1 may
 //!    overlap another's stage 2. Completion times (and hence
 //!    per-request latencies and SLO verdicts) come from this shared
@@ -56,20 +56,22 @@
 use crate::spec::{Arbitration, FleetConfig, TenantSpec};
 use dlrm_model::{EmbeddingTable, Matrix};
 use placement::interleaved_offsets;
-use scheduler::{service_stages, SchedReport, Scheduler};
+use scheduler::{SchedReport, Scheduler};
 use updlrm_core::engine::EmbeddingBreakdown;
 use updlrm_core::pipeline::{PipelineClock, Stages};
 use updlrm_core::telemetry::Snapshot;
-use updlrm_core::{CoreError, MetricsRegistry, Result, TenantSnapshot, UpdlrmConfig, UpdlrmEngine};
+use updlrm_core::{
+    CoreError, MetricsRegistry, Ps, Result, TenantSnapshot, UpdlrmConfig, UpdlrmEngine,
+};
 use workloads::{TraceConfig, Workload};
 
 /// One formed batch awaiting fleet dispatch: its phase-1 launch
-/// instant, integer-ns stage times and member range into the lane's
-/// flat member-id buffer.
+/// instant, stage times and member range into the lane's flat
+/// member-id buffer.
 #[derive(Debug, Clone, Copy)]
 struct FormedBatch {
-    ready_ns: u64,
-    stages: Stages<u64>,
+    ready: Ps,
+    stages: Stages,
     members: (u32, u32),
 }
 
@@ -77,7 +79,7 @@ struct FormedBatch {
 /// whose stage 3 is not yet placed, as `(lane, batch)` indices.
 #[derive(Debug, Default)]
 struct Timeline {
-    clock: PipelineClock<u64>,
+    clock: PipelineClock,
     pending: Option<(usize, usize)>,
 }
 
@@ -91,11 +93,11 @@ impl Timeline {
     /// started earlier — and lets a batch that turns ready while the
     /// array is busy compete for the slot instead of queueing behind a
     /// batch committed the moment the slot freed.
-    fn dispatch(&mut self, lanes: &mut [Lane], i: usize, head: &mut usize) -> u64 {
+    fn dispatch(&mut self, lanes: &mut [Lane], i: usize, head: &mut usize) -> Ps {
         let lane = &mut lanes[i];
         let b = lane.batches[*head];
-        lane.busy_ns += b.stages.total();
-        let launch = self.clock.slot_free().max(b.ready_ns);
+        lane.busy += b.stages.total();
+        let launch = self.clock.slot_free().max(b.ready);
         let drained = self.clock.push(launch, b.stages);
         if let (Some(d), Some((l, k))) = (drained, self.pending) {
             lanes[l].complete(k, d.drain);
@@ -126,8 +128,8 @@ struct Lane {
     dpu_offset: usize,
     batches: Vec<FormedBatch>,
     members: Vec<u32>,
-    last_completion_ns: u64,
-    busy_ns: u64,
+    last_completion: Ps,
+    busy: Ps,
 }
 
 impl Lane {
@@ -145,8 +147,8 @@ impl Lane {
         self.batches.reserve(n);
         self.members.clear();
         self.members.reserve(n);
-        self.last_completion_ns = 0;
-        self.busy_ns = 0;
+        self.last_completion = Ps::ZERO;
+        self.busy = Ps::ZERO;
         let Lane {
             spec,
             sched,
@@ -161,8 +163,8 @@ impl Lane {
                 let start = members.len() as u32;
                 members.extend_from_slice(launch.ids);
                 batches.push(FormedBatch {
-                    ready_ns: launch.at_ns,
-                    stages: service_stages(bd),
+                    ready: launch.at,
+                    stages: bd.stages(),
                     members: (start, members.len() as u32),
                 });
                 sink(tenant, launch.seq, launch.ids, pooled, bd);
@@ -179,14 +181,14 @@ impl Lane {
         Ok(())
     }
 
-    /// Books batch `k`'s requests as completed at `drain_ns` on the
+    /// Books batch `k`'s requests as completed at `drain` on the
     /// shared timeline. Latency = shared completion − original arrival.
-    fn complete(&mut self, k: usize, drain_ns: u64) {
+    fn complete(&mut self, k: usize, drain: Ps) {
         let (lo, hi) = self.batches[k].members;
         let ids = &self.members[lo as usize..hi as usize];
         let times = &self.workload.arrivals.times_ns;
-        self.sched.tally_mut().complete(ids, times, drain_ns);
-        self.last_completion_ns = drain_ns;
+        self.sched.tally_mut().complete(ids, times, drain);
+        self.last_completion = drain;
     }
 }
 
@@ -377,8 +379,8 @@ impl TenantFleet {
                     dpu_offset,
                     batches: Vec::new(),
                     members: Vec::new(),
-                    last_completion_ns: 0,
-                    busy_ns: 0,
+                    last_completion: Ps::ZERO,
+                    busy: Ps::ZERO,
                 })
             })
             .collect::<Result<Vec<_>>>()?;
@@ -431,20 +433,20 @@ impl TenantFleet {
     }
 
     /// Phase 2: dispatch every formed batch onto the shared fleet
-    /// pipeline. Integer-ns throughout; `now` is the arbiter's decision
+    /// pipeline. Integer ps throughout; `now` is the arbiter's decision
     /// instant ([`Timeline::dispatch`]).
     fn arbitrate(&mut self) {
         let nt = self.lanes.len();
         let total: usize = self.lanes.iter().map(|l| l.batches.len()).sum();
-        let quantum: Vec<u64> = self
+        let quantum: Vec<Ps> = self
             .lanes
             .iter()
-            .map(|l| ((self.cfg.quantum_ns as f64 * l.spec.weight).round() as u64).max(1))
+            .map(|l| Ps::from_ns(self.cfg.quantum_ns as f64 * l.spec.weight).max(Ps(1)))
             .collect();
         let mut head = vec![0usize; nt];
-        let mut deficit = vec![0u64; nt];
+        let mut deficit = vec![Ps::ZERO; nt];
         let mut timeline = Timeline::default();
-        let mut now = 0u64;
+        let mut now = Ps::ZERO;
         let mut rr = 0usize;
         let mut done = 0usize;
         while done < total {
@@ -452,11 +454,11 @@ impl TenantFleet {
                 Arbitration::Fcfs => {
                     // Earliest-ready batch next; ties go to the lowest
                     // tenant index (strict < keeps the first winner).
-                    let mut best: Option<(u64, usize)> = None;
+                    let mut best: Option<(Ps, usize)> = None;
                     for (i, lane) in self.lanes.iter().enumerate() {
                         if let Some(b) = lane.batches.get(head[i]) {
-                            if best.is_none_or(|(r, _)| b.ready_ns < r) {
-                                best = Some((b.ready_ns, i));
+                            if best.is_none_or(|(r, _)| b.ready < r) {
+                                best = Some((b.ready, i));
                             }
                         }
                     }
@@ -466,11 +468,11 @@ impl TenantFleet {
                 }
                 Arbitration::Drr => {
                     let mut any_ready = false;
-                    let mut min_ready = u64::MAX;
+                    let mut min_ready = Ps::MAX;
                     for (i, lane) in self.lanes.iter().enumerate() {
                         if let Some(b) = lane.batches.get(head[i]) {
-                            min_ready = min_ready.min(b.ready_ns);
-                            any_ready |= b.ready_ns <= now;
+                            min_ready = min_ready.min(b.ready);
+                            any_ready |= b.ready <= now;
                         }
                     }
                     if !any_ready {
@@ -481,16 +483,16 @@ impl TenantFleet {
                     for k in 0..nt {
                         let i = (rr + k) % nt;
                         match self.lanes[i].batches.get(head[i]) {
-                            Some(b) if b.ready_ns <= now => {}
+                            Some(b) if b.ready <= now => {}
                             _ => continue,
                         }
-                        deficit[i] = deficit[i].saturating_add(quantum[i]);
+                        deficit[i] += quantum[i];
                         while let Some(&b) = self.lanes[i].batches.get(head[i]) {
-                            let service_ns = b.stages.total();
-                            if b.ready_ns > now || deficit[i] < service_ns {
+                            let service = b.stages.total();
+                            if b.ready > now || deficit[i] < service {
                                 break;
                             }
-                            deficit[i] -= service_ns;
+                            deficit[i] = deficit[i] - service;
                             now = now.max(timeline.dispatch(&mut self.lanes, i, &mut head[i]));
                             done += 1;
                         }
@@ -499,9 +501,9 @@ impl TenantFleet {
                         let still_ready = self.lanes[i]
                             .batches
                             .get(head[i])
-                            .is_some_and(|b| b.ready_ns <= now);
+                            .is_some_and(|b| b.ready <= now);
                         if !still_ready {
-                            deficit[i] = 0;
+                            deficit[i] = Ps::ZERO;
                         }
                         rr = (i + 1) % nt;
                         break;
@@ -517,29 +519,29 @@ impl TenantFleet {
     /// breakout (since schema v5).
     fn build_report(&mut self) -> FleetReport {
         let total_w: f64 = self.lanes.iter().map(|l| l.spec.weight).sum();
-        let total_busy: u64 = self.lanes.iter().map(|l| l.busy_ns).sum();
+        let total_busy: Ps = self.lanes.iter().map(|l| l.busy).sum();
         let makespan = self
             .lanes
             .iter()
-            .map(|l| l.last_completion_ns)
+            .map(|l| l.last_completion)
             .max()
-            .unwrap_or(0);
+            .unwrap_or_default();
         let mut tenants = Vec::with_capacity(self.lanes.len());
         for lane in &mut self.lanes {
-            let slo_ns = (lane.spec.slo_p99_us * 1_000.0).round() as u64;
+            let slo = Ps::from_ns(lane.spec.slo_p99_us * 1_000.0);
             // The lane's report, finished on the shared timeline.
             let tally = lane.sched.tally_mut();
             debug_assert_eq!(tally.latencies.len(), lane.members.len());
-            let r = tally.finish(lane.last_completion_ns);
+            let r = tally.finish(lane.last_completion);
             self.metrics.record_sched(&tally.snapshot());
-            let violations = if slo_ns > 0 {
-                tally.latencies.iter().filter(|&&l| l > slo_ns).count() as u64
+            let violations = if slo > Ps::ZERO {
+                tally.latencies.iter().filter(|&&l| l > slo).count() as u64
             } else {
                 0
             };
             let share_conf = lane.spec.weight / total_w;
-            let share_ach = if total_busy > 0 {
-                lane.busy_ns as f64 / total_busy as f64
+            let share_ach = if total_busy > Ps::ZERO {
+                lane.busy.0 as f64 / total_busy.0 as f64
             } else {
                 0.0
             };
@@ -558,7 +560,7 @@ impl TenantFleet {
                 blocked: r.blocked,
                 completed: r.completed,
                 batches: r.batches,
-                slo_p99_ns: slo_ns as f64,
+                slo_p99_ns: slo.as_ns(),
                 slo_violations: violations,
                 mean_latency_ns: r.mean_latency_ns,
                 p50_latency_ns: r.p50_latency_ns,
@@ -570,7 +572,7 @@ impl TenantFleet {
             tenants.push(TenantReport {
                 name: lane.spec.name.clone(),
                 weight: lane.spec.weight,
-                slo_p99_ns: slo_ns as f64,
+                slo_p99_ns: slo.as_ns(),
                 slo_violations: violations,
                 fleet_share_configured: share_conf,
                 fleet_share_achieved: share_ach,
@@ -591,10 +593,10 @@ impl TenantFleet {
             fleet_dpus: self.cfg.fleet_dpus,
             arbitration: self.cfg.arbitration.as_str().to_string(),
             quantum_ns: self.cfg.quantum_ns,
-            makespan_ns: makespan as f64,
-            total_busy_ns: total_busy as f64,
-            fleet_utilization: if makespan > 0 {
-                total_busy as f64 / makespan as f64
+            makespan_ns: makespan.as_ns(),
+            total_busy_ns: total_busy.as_ns(),
+            fleet_utilization: if makespan > Ps::ZERO {
+                total_busy.0 as f64 / makespan.0 as f64
             } else {
                 0.0
             },

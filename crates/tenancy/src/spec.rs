@@ -10,7 +10,7 @@
 //! would let a typo'd SLO slip through a capacity plan.
 
 use scheduler::{OverloadPolicy, SchedConfig};
-use updlrm_core::PartitionStrategy;
+use updlrm_core::{PartitionStrategy, Ps, MAX_WHOLE_NS};
 use workloads::{ArrivalProcess, DatasetSpec};
 
 /// How the shared fleet arbitrates between tenants' formed batches.
@@ -311,6 +311,31 @@ fn parse_u64(v: &str, ln: usize, key: &str) -> Result<u64, String> {
         .map_err(|_| format!("line {ln}: {key} expects a nonnegative integer, got '{v}'"))
 }
 
+/// The longest time, in whole µs, the picosecond modeled clock holds.
+const MAX_US: u64 = MAX_WHOLE_NS / 1_000;
+
+/// A whole number of µs that modeled time can hold.
+fn parse_micros(v: &str, ln: usize, key: &str) -> Result<u64, String> {
+    let us = parse_u64(v, ln, key)?;
+    if us > MAX_US {
+        return Err(format!(
+            "line {ln}: {key} {us} is past the modeled clock's range (at most {MAX_US} us)"
+        ));
+    }
+    Ok(us)
+}
+
+/// A time in (fractional) µs that modeled time can hold.
+fn parse_f64_micros(v: &str, ln: usize, key: &str) -> Result<f64, String> {
+    let us = parse_f64(v, ln, key)?;
+    if Ps::checked_from_ns(us * 1e3).is_none() {
+        return Err(format!(
+            "line {ln}: {key} must be a finite, nonnegative time of at most {MAX_US} us, got {v}"
+        ));
+    }
+    Ok(us)
+}
+
 fn parse_usize(v: &str, ln: usize, key: &str) -> Result<usize, String> {
     v.parse::<usize>()
         .map_err(|_| format!("line {ln}: {key} expects a nonnegative integer, got '{v}'"))
@@ -392,9 +417,7 @@ pub fn parse_tenants_toml(text: &str) -> Result<TenantsFile, String> {
             }
             Section::Fleet => match key {
                 "dpus" => file.fleet.fleet_dpus = parse_usize(val, ln, key)?,
-                "quantum_us" => {
-                    file.fleet.quantum_ns = parse_u64(val, ln, key)?.saturating_mul(1_000)
-                }
+                "quantum_us" => file.fleet.quantum_ns = parse_micros(val, ln, key)? * 1_000,
                 "arbitration" => {
                     file.fleet.arbitration = parse_quoted(val, ln, key)?
                         .parse()
@@ -409,7 +432,7 @@ pub fn parse_tenants_toml(text: &str) -> Result<TenantsFile, String> {
                 match key {
                     "name" => t.name = parse_quoted(val, ln, key)?,
                     "weight" => t.weight = parse_f64(val, ln, key)?,
-                    "slo_p99_us" => t.slo_p99_us = parse_f64(val, ln, key)?,
+                    "slo_p99_us" => t.slo_p99_us = parse_f64_micros(val, ln, key)?,
                     "qps" => t.qps = parse_f64(val, ln, key)?,
                     "arrival" => {
                         t.arrival = parse_quoted(val, ln, key)?
@@ -425,7 +448,7 @@ pub fn parse_tenants_toml(text: &str) -> Result<TenantsFile, String> {
                     "batches" => t.num_batches = parse_usize(val, ln, key)?,
                     "dim" => t.dim = parse_usize(val, ln, key)?,
                     "max_batch" => t.max_batch = parse_usize(val, ln, key)?,
-                    "max_wait_us" => t.max_wait_us = parse_u64(val, ln, key)?,
+                    "max_wait_us" => t.max_wait_us = parse_micros(val, ln, key)?,
                     "queue_cap" => t.queue_cap = parse_usize(val, ln, key)?,
                     "policy" => {
                         t.policy = parse_quoted(val, ln, key)?
@@ -547,6 +570,23 @@ seed = 42
                 "burst_factor must be > 1",
             ),
             ("[fleet]\ndpus = 0\n[[tenant]]\n", "dpus must be >= 1"),
+            // Times modeled time (a u64 of ps) cannot hold.
+            (
+                "[[tenant]]\nslo_p99_us = 1e300\n",
+                "line 2: slo_p99_us must be",
+            ),
+            (
+                "[[tenant]]\nslo_p99_us = -1.0\n",
+                "line 2: slo_p99_us must be",
+            ),
+            (
+                "[[tenant]]\nmax_wait_us = 18446744073710\n",
+                "line 2: max_wait_us 18446744073710 is past",
+            ),
+            (
+                "[fleet]\nquantum_us = 18446744073710\n",
+                "line 2: quantum_us 18446744073710 is past",
+            ),
         ] {
             let err = parse_tenants_toml(text).unwrap_err();
             assert!(err.contains(needle), "for {text:?}: got '{err}'");

@@ -42,6 +42,7 @@ mod route;
 use crate::config::UpdlrmConfig;
 use crate::error::Result;
 use crate::kernel::{EmbeddingKernel, ResidentRows, StreamWriter};
+use crate::pipeline::Stages;
 use crate::replan::DriftState;
 use crate::residency::ResidencyReport;
 use crate::telemetry::{MetricsRegistry, Snapshot};
@@ -49,21 +50,23 @@ use crate::tiling::Tiling;
 use build::TableState;
 use cooccur_cache::{CacheHit, LookupScratch};
 use dlrm_model::{Dlrm, EmbeddingTable, Matrix, QueryBatch};
-use upmem_sim::{DpuId, Fleet, LaunchReport, TransferReport};
+use upmem_sim::{DpuId, Fleet, LaunchReport, Ps, TransferReport};
 
-/// Per-batch latency breakdown of the embedding layer (Fig. 10).
+/// Per-batch latency breakdown of the embedding layer (Fig. 10). Its
+/// five times are integer picoseconds, each rounded once where the
+/// simulator priced it ([`Ps`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EmbeddingBreakdown {
-    /// Stage 1: CPU→DPU reference-stream transfer (ns).
-    pub stage1_ns: f64,
-    /// Stage 2: DPU lookup + in-DPU reduction (ns).
-    pub stage2_ns: f64,
-    /// Stage 3: DPU→CPU partial-sum transfer (ns).
-    pub stage3_ns: f64,
-    /// Host-side routing/stream building (ns), outside the 3 stages.
-    pub route_ns: f64,
-    /// Host-side final partial-sum combination (ns), outside the 3 stages.
-    pub combine_ns: f64,
+    /// Stage 1: CPU→DPU reference-stream transfer.
+    pub stage1: Ps,
+    /// Stage 2: DPU lookup + in-DPU reduction.
+    pub stage2: Ps,
+    /// Stage 3: DPU→CPU partial-sum transfer.
+    pub stage3: Ps,
+    /// Host-side routing/stream building, outside the 3 stages.
+    pub route: Ps,
+    /// Host-side final partial-sum combination, outside the 3 stages.
+    pub combine: Ps,
     /// Modeled DPU + link energy (picojoules).
     pub energy_pj: f64,
     /// MRAM DMA transfers issued by the kernels.
@@ -80,30 +83,47 @@ pub struct EmbeddingBreakdown {
     /// an MRAM DMA.
     pub wram_rows: u64,
     /// Cycles the slowest DPU spent copying its resident rows
-    /// MRAM→WRAM (inside `stage2_ns`): nonzero on the first batch after
+    /// MRAM→WRAM (inside `stage2`): nonzero on the first batch after
     /// a build or a migration flip, zero otherwise.
     pub wram_fill_cycles: u64,
 }
 
 impl EmbeddingBreakdown {
-    /// The paper's embedding-layer time: stage 1 + stage 2 + stage 3.
-    pub fn total_ns(&self) -> f64 {
-        self.stage1_ns + self.stage2_ns + self.stage3_ns
+    /// The three pipeline stages, as the [`PipelineClock`] places them.
+    ///
+    /// [`PipelineClock`]: crate::pipeline::PipelineClock
+    pub fn stages(&self) -> Stages {
+        Stages {
+            s1: self.stage1,
+            s2: self.stage2,
+            s3: self.stage3,
+        }
     }
 
-    /// Embedding time including host-side routing and combination.
+    /// The paper's embedding-layer time: stage 1 + stage 2 + stage 3.
+    pub fn total(&self) -> Ps {
+        self.stages().total()
+    }
+
+    /// [`total`](Self::total) in ns, for reports.
+    pub fn total_ns(&self) -> f64 {
+        self.total().as_ns()
+    }
+
+    /// Embedding time including host-side routing and combination, in
+    /// ns, for reports.
     pub fn total_with_host_ns(&self) -> f64 {
-        self.total_ns() + self.route_ns + self.combine_ns
+        (self.total() + self.route + self.combine).as_ns()
     }
 
     /// Accumulates another batch's breakdown (imbalance is averaged by
     /// the caller; here the max is kept).
     pub fn accumulate(&mut self, other: &EmbeddingBreakdown) {
-        self.stage1_ns += other.stage1_ns;
-        self.stage2_ns += other.stage2_ns;
-        self.stage3_ns += other.stage3_ns;
-        self.route_ns += other.route_ns;
-        self.combine_ns += other.combine_ns;
+        self.stage1 += other.stage1;
+        self.stage2 += other.stage2;
+        self.stage3 += other.stage3;
+        self.route += other.route;
+        self.combine += other.combine;
         self.energy_pj += other.energy_pj;
         self.dma_transfers += other.dma_transfers;
         self.instrs += other.instrs;
@@ -212,8 +232,8 @@ struct BatchScratch {
     /// Recycled per-launch report (per-DPU stats vectors reused; one
     /// for all launch groups, so a batch's launches stay in cache).
     launch: LaunchReport,
-    /// `(wall_ns, energy_pj)` per launch group of the batch in progress.
-    launches: Vec<(f64, f64)>,
+    /// `(wall, energy_pj)` per launch group of the batch in progress.
+    launches: Vec<(Ps, f64)>,
     /// Per-DPU cycle counts across all launch groups of one batch.
     all_cycles: Vec<u64>,
     /// Returned pooled-output sets available for reuse (see
@@ -264,10 +284,10 @@ pub struct UpdlrmEngine {
     stream_groups: Vec<Vec<DpuId>>,
     /// Ranks holding at least one partition, ascending.
     ranks: Vec<RankIo>,
-    /// Host ns per host-tier probe / per host-tier scalar add (from the
-    /// plan; `0.0` without one).
-    host_probe_ns: f64,
-    host_combine_ns_per_add: f64,
+    /// Time per host-tier probe / per host-tier scalar add (from the
+    /// plan, rounded to ps once; zero without one).
+    host_probe: Ps,
+    host_combine_per_add: Ps,
     scratch: BatchScratch,
     pub(crate) serve_scratch: crate::serve::ServeScratch,
     /// Telemetry recorder; a disabled registry (the default) makes every
@@ -651,11 +671,11 @@ mod tests {
             config.miner.max_lists = 64;
             let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
             for (i, batch) in workload.batches.iter().enumerate() {
-                engine.on_tick((i as u64 + 1) * 50_000).unwrap();
+                engine.on_tick(Ps(50_000_000) * (i as u64 + 1)).unwrap();
                 engine.run_batch(batch).unwrap();
             }
             if engine.migration_in_flight() {
-                engine.on_tick(u64::MAX).unwrap();
+                engine.on_tick(Ps::MAX).unwrap();
             }
             assert!(
                 engine.metrics_snapshot().drift.migrations_completed >= 1,
@@ -814,11 +834,11 @@ mod tests {
             let case = format!("seed {seed} {dtype:?}");
             proptest::prop_assert!(assert_cache_rows_are_partial_sums(&engine, &case) > 0);
             for (i, batch) in workload.batches.iter().enumerate() {
-                engine.on_tick((i as u64 + 1) * 50_000).unwrap();
+                engine.on_tick(Ps(50_000_000) * (i as u64 + 1)).unwrap();
                 engine.run_batch(batch).unwrap();
             }
             if engine.migration_in_flight() {
-                engine.on_tick(u64::MAX).unwrap();
+                engine.on_tick(Ps::MAX).unwrap();
             }
             proptest::prop_assert!(engine.metrics_snapshot().drift.migrations_completed >= 1);
             let flipped = assert_cache_rows_are_partial_sums(&engine, &format!("{case}, flipped"));

@@ -17,7 +17,7 @@ use cooccur_cache::CacheListSet;
 use dlrm_model::{quant, EmbedDtype, EmbeddingTable};
 use placement::PlacementPlan;
 use upmem_sim::arch::WRAM_CAPACITY;
-use upmem_sim::{DpuId, Fleet, RankCostModel, RankTopology};
+use upmem_sim::{DpuId, Fleet, Ps, RankCostModel, RankTopology};
 use workloads::{FreqProfile, Workload};
 
 pub(crate) struct TableState {
@@ -397,7 +397,7 @@ impl UpdlrmEngine {
                 dpus_per_table,
             )?);
         }
-        Self::assemble(config, fleet, states, tables, 0.0, 0.0)
+        Self::assemble(config, fleet, states, tables, Ps::ZERO, Ps::ZERO)
     }
 
     /// Builds an engine that executes `plan` instead of partitioning the
@@ -517,8 +517,8 @@ impl UpdlrmEngine {
             fleet,
             states,
             tables,
-            plan.config.host_probe_ns,
-            plan.config.host_combine_ns_per_add,
+            Ps::from_ns(plan.config.host_probe_ns),
+            Ps::from_ns(plan.config.host_combine_ns_per_add),
         )
     }
 
@@ -531,8 +531,8 @@ impl UpdlrmEngine {
         mut fleet: Fleet,
         states: Vec<TableState>,
         tables: &[EmbeddingTable],
-        host_probe_ns: f64,
-        host_combine_ns_per_add: f64,
+        host_probe: Ps,
+        host_combine_per_add: Ps,
     ) -> Result<Self> {
         let mut tile_scratch = <[PartLists; 2]>::default();
         for (table, state) in tables.iter().zip(&states) {
@@ -659,8 +659,8 @@ impl UpdlrmEngine {
             launch_groups,
             stream_groups,
             ranks,
-            host_probe_ns,
-            host_combine_ns_per_add,
+            host_probe,
+            host_combine_per_add,
             scratch: BatchScratch {
                 streams,
                 ..BatchScratch::default()

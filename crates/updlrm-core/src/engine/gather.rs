@@ -4,10 +4,11 @@
 use super::{EmbeddingBreakdown, UpdlrmEngine, STAGING_SLOTS};
 use crate::error::Result;
 use dlrm_model::{simd, Matrix};
+use upmem_sim::Ps;
 
-/// Host CPU nanoseconds per scalar add when combining partial sums
+/// Host CPU time per scalar add when combining partial sums, 0.1 ns
 /// (calibration constants: DESIGN.md §7).
-const COMBINE_NS_PER_ADD: f64 = 0.1;
+const COMBINE_PER_ADD: Ps = Ps(100);
 
 impl UpdlrmEngine {
     /// Stage 3 of the batch in staging slot `slot`: gathers the slot's
@@ -27,7 +28,7 @@ impl UpdlrmEngine {
             ranks,
             scratch,
             metrics,
-            host_combine_ns_per_add,
+            host_combine_per_add,
             ..
         } = self;
         let b = scratch.staged[slot].samples;
@@ -45,7 +46,7 @@ impl UpdlrmEngine {
         }
         let report = fleet.combine_transfers(&scratch.transfers);
         metrics.record_transfer(false, &report);
-        bd.stage3_ns = report.wall_ns;
+        bd.stage3 = report.wall;
         bd.energy_pj += report.energy_pj;
 
         // Pooled outputs come from the recycle pool when a returned set
@@ -86,8 +87,7 @@ impl UpdlrmEngine {
                 }
             }
         }
-        bd.combine_ns =
-            combine_adds as f64 * COMBINE_NS_PER_ADD + host_adds as f64 * *host_combine_ns_per_add;
+        bd.combine = COMBINE_PER_ADD * combine_adds + *host_combine_per_add * host_adds;
         metrics.record_batch(b, bd);
         Ok(pooled)
     }

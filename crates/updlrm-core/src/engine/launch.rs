@@ -31,7 +31,7 @@ impl UpdlrmEngine {
             fleet
                 .rank_mut(g.rank)?
                 .launch_into(&g.ids, &g.kernels[slot], report)?;
-            scratch.launches.push((report.wall_ns, report.energy_pj));
+            scratch.launches.push((report.wall, report.energy_pj));
             bd.dma_transfers += report.total_dma_transfers();
             bd.instrs += report.total_instrs();
             bd.wram_rows += report.total_wram_rows();
@@ -43,8 +43,8 @@ impl UpdlrmEngine {
                 .all_cycles
                 .extend(report.per_dpu.iter().map(|(_, s)| s.cycles.0));
         }
-        let (wall_ns, energy_pj) = fleet.combine_launches(scratch.launches.iter().copied());
-        bd.stage2_ns = wall_ns;
+        let (wall, energy_pj) = fleet.combine_launches(scratch.launches.iter().copied());
+        bd.stage2 = wall;
         bd.energy_pj += energy_pj;
         let all_cycles = &scratch.all_cycles;
         if !all_cycles.is_empty() {

@@ -8,13 +8,14 @@ use cooccur_cache::CacheTraffic;
 use dlrm_model::QueryBatch;
 use placement::HOST_ROW_PART;
 use upmem_sim::arch::WRAM_CAPACITY;
+use upmem_sim::Ps;
 
 /// [`UpdlrmEngine::route_row`]'s partition for a host-tier row.
 const HOST_PART: usize = HOST_ROW_PART as usize;
 
-/// Host CPU nanoseconds per routed reference (stage-1 preprocessing;
+/// Host CPU time per routed reference, 1 ns (stage-1 preprocessing;
 /// calibration constants: DESIGN.md §7).
-const ROUTE_NS_PER_REF: f64 = 1.0;
+const ROUTE_PER_REF: Ps = Ps(1_000);
 
 impl UpdlrmEngine {
     /// Stage 1 of `batch` into staging slot `slot`. Validates the
@@ -78,7 +79,7 @@ impl UpdlrmEngine {
             scratch,
             metrics,
             drift,
-            host_probe_ns,
+            host_probe,
             ..
         } = self;
         let BatchScratch {
@@ -175,8 +176,7 @@ impl UpdlrmEngine {
         bd.cache_hits = traffic.hit_entries + host_refs.len() as u64;
         bd.emt_lookups += traffic.residual_refs;
         metrics.record_cache_traffic(&traffic);
-        bd.route_ns =
-            route_refs as f64 * ROUTE_NS_PER_REF + host_refs.len() as f64 * *host_probe_ns;
+        bd.route = ROUTE_PER_REF * route_refs as u64 + *host_probe * host_refs.len() as u64;
         if let Some(d) = drift.as_mut() {
             d.batches_in_window += 1;
         }
@@ -202,7 +202,7 @@ impl UpdlrmEngine {
         }
         let report = fleet.combine_transfers(&*transfers);
         metrics.record_transfer(true, &report);
-        bd.stage1_ns = report.wall_ns;
+        bd.stage1 = report.wall;
         bd.energy_pj += report.energy_pj;
         Ok(bd)
     }

@@ -44,7 +44,7 @@ pub use partition::{
     cache_aware, non_uniform, uniform, CacheAwareAssignment, PartitionStrategy, RowAssignment,
     CACHED_ROW_SLOT,
 };
-pub use pipeline::{pipelined_wall_ns, sequential_wall_ns, PipelineReport};
+pub use pipeline::{pipelined_wall, sequential_wall, PipelineReport};
 pub use replan::ReplanPolicy;
 pub use residency::ResidencyReport;
 pub use serve::{PipelineMode, ServeOutcome, ServeReport};
@@ -54,3 +54,4 @@ pub use telemetry::{
     TenantSnapshot, SNAPSHOT_SCHEMA_VERSION,
 };
 pub use tiling::{Tiling, TilingProblem, CANDIDATE_NC, MAX_TILE_ELEMENTS};
+pub use upmem_sim::{Ps, MAX_WHOLE_NS};

@@ -29,7 +29,7 @@ use crate::partition::{self, PartitionStrategy, RowAssignment};
 use crate::place::{place, Placement};
 use crate::telemetry::Snapshot;
 use dlrm_model::EmbeddingTable;
-use upmem_sim::Cycles;
+use upmem_sim::{Cycles, Ps};
 use workloads::FreqProfile;
 
 /// When (and whether) the engine refreshes its placement from the
@@ -240,7 +240,7 @@ pub(crate) fn window_imbalance(assignment: &RowAssignment, window: &FreqProfile)
 /// instant the scatter completes, at which point
 /// [`UpdlrmEngine::on_tick`] performs the atomic flip.
 struct PendingMigration {
-    done_at_ns: u64,
+    done_at: Ps,
     tables: Vec<Placement>,
 }
 
@@ -281,7 +281,7 @@ impl DriftState {
 }
 
 impl UpdlrmEngine {
-    /// Advances the replanner to modeled instant `now_ns`: completes a
+    /// Advances the replanner to modeled instant `now`: completes a
     /// migration whose staged scatter has drained (the atomic flip), or
     /// checks the replan policy against the sliding window and begins a
     /// new migration. A no-op unless
@@ -296,16 +296,16 @@ impl UpdlrmEngine {
     /// are *not* errors: the replan is declined, counted in
     /// [`DriftSnapshot::replans_skipped`](crate::telemetry::DriftSnapshot),
     /// and the window resets.
-    pub fn on_tick(&mut self, now_ns: u64) -> Result<()> {
+    pub fn on_tick(&mut self, now: Ps) -> Result<()> {
         let Some(mut drift) = self.drift.take() else {
             return Ok(());
         };
         let result = match &drift.pending {
-            Some(p) if now_ns >= p.done_at_ns => {
-                self.complete_migration(&mut drift, now_ns);
+            Some(p) if now >= p.done_at => {
+                self.complete_migration(&mut drift, now);
                 Ok(())
             }
-            None if self.replan_due(&drift) => self.begin_migration(&mut drift, now_ns),
+            None if self.replan_due(&drift) => self.begin_migration(&mut drift, now),
             _ => Ok(()),
         };
         self.drift = Some(drift);
@@ -389,7 +389,7 @@ impl UpdlrmEngine {
     /// deferred to the modeled instant the scatter completes
     /// ([`UpdlrmEngine::on_tick`]); until then serving continues on the
     /// old placement, whose regions the scatter never touches.
-    fn begin_migration(&mut self, drift: &mut DriftState, now_ns: u64) -> Result<()> {
+    fn begin_migration(&mut self, drift: &mut DriftState, now: Ps) -> Result<()> {
         let mut staged = std::mem::take(&mut drift.staged_buf);
         let go = self.plan_flips(&drift.window, &mut staged);
 
@@ -445,19 +445,19 @@ impl UpdlrmEngine {
                 }
             }
         }
-        let migration_ns = cost.host_to_mram_ns(total_bytes)
-            + cost.host_transfer_base_ns
-            + cost.cycles_to_ns(max_dpu);
-        let done_at_ns = now_ns.saturating_add(migration_ns.max(0.0).ceil() as u64);
+        // The bulk transfer phase and the slowest DPU's absorption, each
+        // rounded to ps once, as a launch and a transfer are.
+        let migration = Ps::from_ns(cost.host_to_mram_ns(total_bytes) + cost.host_transfer_base_ns)
+            + max_dpu.to_ps(cost.clock_hz);
         self.metrics
-            .record_replan_begin(rows_moved, total_bytes as u64, migration_ns);
+            .record_replan_begin(rows_moved, total_bytes as u64, migration);
         // The mid-migration golden: counters show the replan charged
         // but not yet flipped.
         if self.config.telemetry && drift.first_snapshot.is_none() {
             drift.first_snapshot = Some(self.metrics.snapshot());
         }
         drift.pending = Some(PendingMigration {
-            done_at_ns,
+            done_at: now + migration,
             tables: staged,
         });
         Ok(())
@@ -468,7 +468,7 @@ impl UpdlrmEngine {
     /// scattered regions. Between two batches this is instantaneous in
     /// modeled time; the migration's cost was charged when the scatter
     /// was staged.
-    fn complete_migration(&mut self, drift: &mut DriftState, now_ns: u64) {
+    fn complete_migration(&mut self, drift: &mut DriftState, now: Ps) {
         let mut staged = drift.pending.take().expect("migration in flight").tables;
         for (state, placement) in self.tables.iter_mut().zip(staged.drain(..)) {
             state.placement = placement;
@@ -495,7 +495,7 @@ impl UpdlrmEngine {
                 }
             }
         }
-        self.metrics.record_migration_flip(now_ns);
+        self.metrics.record_migration_flip(now);
     }
 }
 

@@ -15,7 +15,7 @@
 //! The schedule calls the same three stage methods as
 //! [`UpdlrmEngine::run_batch`] and takes its wall from the one
 //! recurrence in [`crate::pipeline`], so the executed wall *is*
-//! `pipelined_wall_ns` of the collected breakdowns, and the pooled
+//! `pipelined_wall` of the collected breakdowns, and the pooled
 //! embeddings are bit-identical to back-to-back `run_batch` calls
 //! (both checked by `tests/serve_tests.rs`). The open-loop front-ends
 //! serve one batch per call and time the overlap between calls on the
@@ -23,8 +23,8 @@
 
 use crate::engine::{EmbeddingBreakdown, UpdlrmEngine, STAGING_SLOTS};
 use crate::error::Result;
-use crate::pipeline::{pipelined_schedule, sequential_wall_ns};
-use crate::stats::percentile;
+use crate::pipeline::{pipelined_schedule, sequential_wall};
+use crate::{stats::percentile, Ps};
 use dlrm_model::{Matrix, QueryBatch};
 
 /// The serve schedule, kept only so callers written against the old
@@ -50,7 +50,7 @@ pub struct ServeReport {
     /// Modeled wall-clock of the double-buffered schedule (ns).
     pub wall_ns: f64,
     /// Modeled wall-clock of the same batches run back to back (ns) —
-    /// the paper's measurement mode, [`sequential_wall_ns`].
+    /// the paper's measurement mode, [`sequential_wall`].
     pub sequential_wall_ns: f64,
     /// Modeled throughput in samples per second.
     pub throughput_qps: f64,
@@ -81,29 +81,28 @@ pub struct ServeOutcome {
 /// warm-up.
 #[derive(Debug, Default)]
 pub(crate) struct ServeScratch {
-    latencies: Vec<f64>,
+    latencies: Vec<Ps>,
     pub(crate) breakdowns: Vec<EmbeddingBreakdown>,
 }
 
 /// Assembles the aggregate [`ServeReport`] from a finished schedule's
 /// scratch (sorts the latency list in place).
-fn finish_report(batches: &[QueryBatch], scr: &mut ServeScratch, wall_ns: f64) -> ServeReport {
+fn finish_report(batches: &[QueryBatch], scr: &mut ServeScratch, wall: Ps) -> ServeReport {
     let samples: usize = batches.iter().map(QueryBatch::batch_size).sum();
-    scr.latencies
-        .sort_unstable_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    scr.latencies.sort_unstable();
     ServeReport {
         batches: batches.len(),
         samples,
-        wall_ns,
-        sequential_wall_ns: sequential_wall_ns(&scr.breakdowns),
-        throughput_qps: if wall_ns > 0.0 {
-            samples as f64 / (wall_ns * 1e-9)
+        wall_ns: wall.as_ns(),
+        sequential_wall_ns: sequential_wall(&scr.breakdowns).as_ns(),
+        throughput_qps: if wall > Ps::ZERO {
+            samples as f64 / (wall.as_ns() * 1e-9)
         } else {
             0.0
         },
-        p50_latency_ns: percentile(&scr.latencies, 0.50),
-        p95_latency_ns: percentile(&scr.latencies, 0.95),
-        p99_latency_ns: percentile(&scr.latencies, 0.99),
+        p50_latency_ns: percentile(&scr.latencies, 0.50).as_ns(),
+        p95_latency_ns: percentile(&scr.latencies, 0.95).as_ns(),
+        p99_latency_ns: percentile(&scr.latencies, 0.99).as_ns(),
     }
 }
 
@@ -111,7 +110,7 @@ impl UpdlrmEngine {
     /// Serves a stream of batches double-buffered (one batch per MRAM
     /// staging slot in flight), returning per-batch pooled embeddings
     /// and breakdowns plus a [`ServeReport`]. The executed wall equals
-    /// [`pipelined_wall_ns`](crate::pipeline::pipelined_wall_ns) of the
+    /// [`pipelined_wall`](crate::pipeline::pipelined_wall) of the
     /// returned breakdowns exactly.
     ///
     /// This is a convenience wrapper over
@@ -180,7 +179,7 @@ impl UpdlrmEngine {
     /// `i`'s scatter reuses slot `i % 2`, which batch `i - 2` released
     /// when its stage 3 drained one iteration earlier. The wall and the
     /// per-batch latencies are then read off [`pipelined_schedule`] —
-    /// the recurrence behind `pipelined_wall_ns` — over the breakdowns
+    /// the recurrence behind `pipelined_wall` — over the breakdowns
     /// measured here.
     fn serve_doublebuf<F>(
         &mut self,

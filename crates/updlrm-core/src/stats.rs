@@ -7,15 +7,15 @@
 //! tables use — instead of two drifting copies.
 
 /// Nearest-rank percentile (`q` in `[0, 1]`) of an ascending-sorted
-/// nonempty slice; `0.0` for an empty one.
+/// nonempty slice; the zero value (`T::default()`) for an empty one.
 ///
 /// Nearest-rank returns an actual observation (rank `ceil(q * n)`,
 /// clamped to `[1, n]`), so the result is always bounded by the
 /// slice's min and max and is monotone in `q` — both properties are
 /// pinned down by proptests.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+pub fn percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
-        return 0.0;
+        return T::default();
     }
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
@@ -31,7 +31,7 @@ mod tests {
         assert_eq!(percentile(&v, 0.50), 2.0);
         assert_eq!(percentile(&v, 0.95), 4.0);
         assert_eq!(percentile(&v, 0.25), 1.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile::<f64>(&[], 0.5), 0.0);
         assert_eq!(percentile(&[7.0], 0.99), 7.0);
     }
 

@@ -32,7 +32,7 @@
 //! `Runtime::run` writes `runtime`, and the fleet appends `tenants`.
 
 use cooccur_cache::CacheTraffic;
-use upmem_sim::DpuCounters;
+use upmem_sim::{DpuCounters, Ps, PS_PER_NS};
 
 use crate::engine::EmbeddingBreakdown;
 use crate::serve::ServeReport;
@@ -434,11 +434,11 @@ impl MetricsRegistry {
         let Some(t) = self.on() else { return };
         t.batches += 1;
         t.samples += batch_size as u64;
-        t.route_ns.record(bd.route_ns);
-        t.stage1_ns.record(bd.stage1_ns);
-        t.stage2_ns.record(bd.stage2_ns);
-        t.stage3_ns.record(bd.stage3_ns);
-        t.combine_ns.record(bd.combine_ns);
+        t.route_ns.record(bd.route.as_ns());
+        t.stage1_ns.record(bd.stage1.as_ns());
+        t.stage2_ns.record(bd.stage2.as_ns());
+        t.stage3_ns.record(bd.stage3.as_ns());
+        t.combine_ns.record(bd.combine.as_ns());
         t.energy_pj += bd.energy_pj;
     }
 
@@ -521,14 +521,14 @@ impl MetricsRegistry {
 
     /// Records a replan the engine accepted: a migration of
     /// `rows_moved` row copies (`bytes` total traffic) was started at
-    /// a modeled cost of `migration_ns`.
+    /// a modeled cost of `migration`.
     #[inline]
-    pub(crate) fn record_replan_begin(&mut self, rows_moved: u64, bytes: u64, migration_ns: f64) {
+    pub(crate) fn record_replan_begin(&mut self, rows_moved: u64, bytes: u64, migration: Ps) {
         let Some(t) = self.on() else { return };
         t.drift.replans_triggered += 1;
         t.drift.rows_moved += rows_moved;
         t.drift.migrated_bytes += bytes;
-        t.drift.migration_ns += migration_ns;
+        t.drift.migration_ns += migration.as_ns();
     }
 
     /// Records a replan the policy triggered but the engine declined.
@@ -539,12 +539,13 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records a completed migration flip at modeled time `now_ns`.
+    /// Records a completed migration flip at modeled instant `now`
+    /// (kept in whole ns, rounded down).
     #[inline]
-    pub(crate) fn record_migration_flip(&mut self, now_ns: u64) {
+    pub(crate) fn record_migration_flip(&mut self, now: Ps) {
         let Some(t) = self.on() else { return };
         t.drift.migrations_completed += 1;
-        t.drift.last_flip_ns = now_ns;
+        t.drift.last_flip_ns = now.0 / PS_PER_NS;
     }
 
     /// Folds another registry's recorded telemetry into this one,
@@ -668,11 +669,11 @@ mod tests {
     fn enabled_registry_accumulates_and_resets() {
         let mut m = MetricsRegistry::new(true, 2);
         let bd = EmbeddingBreakdown {
-            stage1_ns: 10.0,
-            stage2_ns: 20.0,
-            stage3_ns: 30.0,
-            route_ns: 1.0,
-            combine_ns: 2.0,
+            stage1: Ps(10_000),
+            stage2: Ps(20_000),
+            stage3: Ps(30_000),
+            route: Ps(1_000),
+            combine: Ps(2_000),
             energy_pj: 100.0,
             ..EmbeddingBreakdown::default()
         };
@@ -782,10 +783,10 @@ mod tests {
     #[test]
     fn drift_counters_accumulate_and_reset() {
         let mut m = MetricsRegistry::new(true, 1);
-        m.record_replan_begin(100, 25_600, 5_000.0);
-        m.record_replan_begin(50, 12_800, 2_500.0);
+        m.record_replan_begin(100, 25_600, Ps(5_000_000));
+        m.record_replan_begin(50, 12_800, Ps(2_500_000));
         m.record_replan_skip();
-        m.record_migration_flip(123_456);
+        m.record_migration_flip(Ps(123_456_789));
         let s = m.snapshot();
         assert_eq!(s.drift.replans_triggered, 2);
         assert_eq!(s.drift.replans_skipped, 1);
@@ -799,8 +800,8 @@ mod tests {
 
         // Disabled registries ignore drift records too.
         let mut off = MetricsRegistry::new(false, 1);
-        off.record_replan_begin(1, 1, 1.0);
-        off.record_migration_flip(9);
+        off.record_replan_begin(1, 1, Ps(1_000));
+        off.record_migration_flip(Ps(9_000));
         assert_eq!(off.snapshot().drift, DriftSnapshot::default());
     }
 
@@ -846,9 +847,9 @@ mod tests {
         m.record_batch(
             16,
             &EmbeddingBreakdown {
-                stage1_ns: 1.5,
-                stage2_ns: 2.5,
-                stage3_ns: 3.5,
+                stage1: Ps(1_500),
+                stage2: Ps(2_500),
+                stage3: Ps(3_500),
                 ..EmbeddingBreakdown::default()
             },
         );

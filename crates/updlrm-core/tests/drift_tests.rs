@@ -10,7 +10,7 @@
 //! byte-deterministic under a fixed seed.
 
 use dlrm_model::EmbeddingTable;
-use updlrm_core::{PartitionStrategy, ReplanPolicy, Snapshot, UpdlrmConfig, UpdlrmEngine};
+use updlrm_core::{PartitionStrategy, Ps, ReplanPolicy, Snapshot, UpdlrmConfig, UpdlrmEngine};
 use workloads::{
     ArrivalProcess, DatasetSpec, DriftSchedule, HotSetRotation, TraceConfig, Workload,
 };
@@ -21,7 +21,7 @@ const NUM_BATCHES: usize = 12;
 /// Modeled gap between scheduler ticks in these tests: large enough
 /// that a migration (≈0.2 ms for these table sizes) completes within a
 /// few batches, small enough that serving happens mid-migration too.
-const TICK_NS: u64 = 50_000;
+const TICK: Ps = Ps(50_000_000);
 
 /// A rotating-hot-set (UPWL v3) workload over integer-valued tables so
 /// pooled sums are exact regardless of summation order.
@@ -61,7 +61,7 @@ fn serve_ticked(mut engine: UpdlrmEngine, workload: &Workload) -> (Vec<u32>, Upd
     let mut bits = Vec::new();
     let mut saw_in_flight = false;
     for (i, batch) in workload.batches.iter().enumerate() {
-        engine.on_tick((i as u64 + 1) * TICK_NS).unwrap();
+        engine.on_tick(TICK * (i as u64 + 1)).unwrap();
         saw_in_flight |= engine.migration_in_flight();
         engine
             .serve_stream(std::slice::from_ref(batch), |_, pooled, _| {
@@ -162,9 +162,9 @@ fn a_refit_that_moves_no_row_is_declined() {
         engine.serve_stream(window, |_, _, _| {}).unwrap();
     };
     serve(&mut engine);
-    engine.on_tick(TICK_NS).unwrap();
+    engine.on_tick(TICK).unwrap();
     assert!(engine.migration_in_flight(), "the first window moves rows");
-    engine.on_tick(u64::MAX).unwrap();
+    engine.on_tick(Ps::MAX).unwrap();
     let first = engine.metrics_snapshot().drift;
     assert_eq!(
         (first.replans_triggered, first.migrations_completed),
@@ -174,7 +174,7 @@ fn a_refit_that_moves_no_row_is_declined() {
 
     serve(&mut engine);
     serve(&mut engine);
-    engine.on_tick(u64::MAX).unwrap();
+    engine.on_tick(Ps::MAX).unwrap();
     assert!(!engine.migration_in_flight());
     let second = engine.metrics_snapshot().drift;
     assert_eq!(second.replans_skipped, first.replans_skipped + 1);
@@ -227,7 +227,7 @@ fn imbalance_policy_triggers_only_past_threshold() {
         let engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
         let mut engine = engine;
         for (i, batch) in workload.batches.iter().enumerate() {
-            engine.on_tick((i as u64 + 1) * TICK_NS).unwrap();
+            engine.on_tick(TICK * (i as u64 + 1)).unwrap();
             engine
                 .serve_stream(std::slice::from_ref(batch), |_, _, _| {})
                 .unwrap();
@@ -280,10 +280,10 @@ fn a_refit_on_the_fit_profile_is_the_build() {
         for batch in &workload.batches {
             engine.run_batch(batch).unwrap();
         }
-        engine.on_tick(TICK_NS).unwrap();
+        engine.on_tick(TICK).unwrap();
         let migrates = strategy == PartitionStrategy::Uniform;
         assert_eq!(engine.migration_in_flight(), migrates, "{strategy}");
-        engine.on_tick(u64::MAX).unwrap();
+        engine.on_tick(Ps::MAX).unwrap();
         let drift = engine.metrics_snapshot().drift;
         assert_eq!(
             (drift.replans_skipped, drift.migrations_completed),
@@ -302,7 +302,7 @@ fn replan_off_allocates_no_drift_state() {
         &workload,
     )
     .unwrap();
-    engine.on_tick(u64::MAX).unwrap();
+    engine.on_tick(Ps::MAX).unwrap();
     assert!(!engine.migration_in_flight());
     assert!(engine.drift_snapshot().is_none());
     assert_eq!(engine.metrics_snapshot().drift, Default::default());
@@ -358,7 +358,7 @@ fn the_fill_is_charged_at_build_and_at_every_flip_and_nowhere_else() {
         let mut fills = 0;
         let mut expect_fill = true; // the build
         for (i, batch) in batches.enumerate() {
-            engine.on_tick((i as u64 + 1) * TICK_NS).unwrap();
+            engine.on_tick(TICK * (i as u64 + 1)).unwrap();
             let flips = engine.metrics_snapshot().drift.migrations_completed;
             expect_fill |= flips > flips_seen;
             flips_seen = flips;
@@ -367,8 +367,8 @@ fn the_fill_is_charged_at_build_and_at_every_flip_and_nowhere_else() {
             assert_eq!(b.wram_fill_cycles, want, "{strategy} batch {i}");
             if expect_fill {
                 assert!(want > 0, "{strategy} batch {i}: something is resident");
-                let fill_ns = cost.cycles_to_ns(upmem_sim::Cycles(want));
-                assert!(b.stage2_ns > fill_ns, "{strategy} batch {i}");
+                let fill = upmem_sim::Cycles(want).to_ps(cost.clock_hz);
+                assert!(b.stage2 > fill, "{strategy} batch {i}");
                 fills += 1;
             }
             expect_fill = false;

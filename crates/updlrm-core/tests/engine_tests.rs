@@ -190,7 +190,7 @@ fn ragged_transfers_are_slower_than_padded() {
         };
         let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
         let (_, b) = engine.run_batch(&workload.batches[0]).unwrap();
-        b.stage1_ns
+        b.stage1
     };
     // Uniform partitioning on skewed data gives ragged per-partition
     // streams; padding restores parallel rank transfers.
@@ -607,15 +607,15 @@ fn int8_stage2_strictly_below_f32() {
     let (_, f32_b) = f32_engine.run_batch(&workload.batches[0]).unwrap();
     let (_, i8_b) = i8_engine.run_batch(&workload.batches[0]).unwrap();
     assert!(
-        i8_b.stage2_ns < f32_b.stage2_ns,
+        i8_b.stage2 < f32_b.stage2,
         "int8 stage2 {} !< f32 stage2 {}",
-        i8_b.stage2_ns,
-        f32_b.stage2_ns
+        i8_b.stage2,
+        f32_b.stage2
     );
     // Stage 1 (transfer) and stage 3 (gather/combine) are untouched by
     // the EMT dtype: streams and outputs stay f32.
-    assert_eq!(i8_b.stage1_ns.to_bits(), f32_b.stage1_ns.to_bits());
-    assert_eq!(i8_b.stage3_ns.to_bits(), f32_b.stage3_ns.to_bits());
+    assert_eq!(i8_b.stage1, f32_b.stage1);
+    assert_eq!(i8_b.stage3, f32_b.stage3);
 }
 
 #[test]

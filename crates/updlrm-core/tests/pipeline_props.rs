@@ -1,36 +1,34 @@
 //! Property tests for the analytic pipeline model in `pipeline.rs`.
 //!
-//! The double-buffered schedule computed by `pipelined_wall_ns` is the
+//! The double-buffered schedule computed by `pipelined_wall` is the
 //! contract the executed serving path (`serve.rs`) is checked against,
 //! so the model itself gets fuzzed here: for arbitrary non-negative
 //! stage times it must never lose to the sequential schedule, never
 //! beat the resource lower bounds (the DPU array must run every stage
 //! 2; the bus must carry every stage 1 and 3), degenerate to the
 //! sequential wall for a single batch, and respond monotonically to
-//! longer stages.
+//! longer stages. Times are integer picoseconds, so every bound holds
+//! exactly, with no slack for rounding.
 
 use proptest::prelude::*;
-use updlrm_core::{pipelined_wall_ns, sequential_wall_ns, EmbeddingBreakdown, PipelineReport};
+use updlrm_core::{pipelined_wall, sequential_wall, EmbeddingBreakdown, PipelineReport, Ps};
 
-/// Stage times in nanoseconds; generous enough to cover bus-bound,
+/// Stage times in picoseconds; generous enough to cover bus-bound,
 /// lookup-bound, and zero-length batches.
-const STAGE_NS: std::ops::Range<f64> = 0.0..5_000.0;
+const STAGE_PS: std::ops::Range<u64> = 0..5_000_000;
 
-fn bd((s1, s2, s3): (f64, f64, f64)) -> EmbeddingBreakdown {
+fn bd((s1, s2, s3): (u64, u64, u64)) -> EmbeddingBreakdown {
     EmbeddingBreakdown {
-        stage1_ns: s1,
-        stage2_ns: s2,
-        stage3_ns: s3,
+        stage1: Ps(s1),
+        stage2: Ps(s2),
+        stage3: Ps(s3),
         ..Default::default()
     }
 }
 
 fn batches() -> impl Strategy<Value = Vec<EmbeddingBreakdown>> {
-    prop::collection::vec((STAGE_NS, STAGE_NS, STAGE_NS).prop_map(bd), 0..24)
+    prop::collection::vec((STAGE_PS, STAGE_PS, STAGE_PS).prop_map(bd), 0..24)
 }
-
-/// Absolute slack for f64 comparisons across differently-ordered sums.
-const EPS: f64 = 1e-6;
 
 proptest! {
     /// Overlap can only help: the pipelined schedule never loses to
@@ -38,10 +36,10 @@ proptest! {
     #[test]
     fn pipelined_never_exceeds_sequential(b in batches()) {
         prop_assert!(
-            pipelined_wall_ns(&b) <= sequential_wall_ns(&b) + EPS,
+            pipelined_wall(&b) <= sequential_wall(&b),
             "pipelined {} > sequential {}",
-            pipelined_wall_ns(&b),
-            sequential_wall_ns(&b)
+            pipelined_wall(&b),
+            sequential_wall(&b)
         );
     }
 
@@ -50,10 +48,10 @@ proptest! {
     /// whichever is larger bounds the schedule from below.
     #[test]
     fn pipelined_respects_resource_lower_bounds(b in batches()) {
-        let wall = pipelined_wall_ns(&b);
-        let dpu: f64 = b.iter().map(|x| x.stage2_ns).sum();
-        let bus: f64 = b.iter().map(|x| x.stage1_ns + x.stage3_ns).sum();
-        prop_assert!(wall >= dpu.max(bus) - EPS, "wall {} < max(dpu {}, bus {})", wall, dpu, bus);
+        let wall = pipelined_wall(&b);
+        let dpu: Ps = b.iter().map(|x| x.stage2).sum();
+        let bus: Ps = b.iter().map(|x| x.stage1 + x.stage3).sum();
+        prop_assert!(wall >= dpu.max(bus), "wall {} < max(dpu {}, bus {})", wall, dpu, bus);
     }
 
     /// The critical path of the first batch's lead-in and the last
@@ -63,22 +61,21 @@ proptest! {
         if b.is_empty() {
             return Ok(());
         }
-        let wall = pipelined_wall_ns(&b);
-        let dpu: f64 = b.iter().map(|x| x.stage2_ns).sum();
-        let bound = b[0].stage1_ns + dpu + b[b.len() - 1].stage3_ns;
-        prop_assert!(wall >= bound - EPS, "wall {} < lead-in bound {}", wall, bound);
+        let wall = pipelined_wall(&b);
+        let dpu: Ps = b.iter().map(|x| x.stage2).sum();
+        let bound = b[0].stage1 + dpu + b[b.len() - 1].stage3;
+        prop_assert!(wall >= bound, "wall {} < lead-in bound {}", wall, bound);
     }
 
     /// A single batch has nothing to overlap with: both schedules
     /// degenerate to stage1 + stage2 + stage3 exactly.
     #[test]
-    fn single_batch_equals_sequential(t in (STAGE_NS, STAGE_NS, STAGE_NS)) {
+    fn single_batch_equals_sequential(t in (STAGE_PS, STAGE_PS, STAGE_PS)) {
         let b = [bd(t)];
-        prop_assert_eq!(pipelined_wall_ns(&b), sequential_wall_ns(&b));
+        prop_assert_eq!(pipelined_wall(&b), sequential_wall(&b));
     }
 
-    /// The sequential wall is a sum, hence permutation-invariant (up to
-    /// f64 reassociation).
+    /// The sequential wall is a sum, hence permutation-invariant.
     #[test]
     fn sequential_is_permutation_invariant(b in batches(), rot in 0usize..24) {
         let mut rotated = b.clone();
@@ -86,15 +83,14 @@ proptest! {
             let mid = rot % rotated.len();
             rotated.rotate_left(mid);
         }
-        let (a, c) = (sequential_wall_ns(&b), sequential_wall_ns(&rotated));
-        prop_assert!((a - c).abs() <= EPS, "{} != {}", a, c);
+        prop_assert_eq!(sequential_wall(&b), sequential_wall(&rotated));
     }
 
     /// Growing any single stage of any batch never shrinks either wall.
     #[test]
     fn walls_are_monotone_in_stage_times(
         b in batches(),
-        pick in (0usize..24, 0usize..3, STAGE_NS),
+        pick in (0usize..24, 0usize..3, STAGE_PS),
     ) {
         if b.is_empty() {
             return Ok(());
@@ -103,21 +99,21 @@ proptest! {
         let mut grown = b.clone();
         let slot = &mut grown[i % b.len()];
         match stage {
-            0 => slot.stage1_ns += extra,
-            1 => slot.stage2_ns += extra,
-            _ => slot.stage3_ns += extra,
+            0 => slot.stage1 += Ps(extra),
+            1 => slot.stage2 += Ps(extra),
+            _ => slot.stage3 += Ps(extra),
         }
-        prop_assert!(pipelined_wall_ns(&grown) >= pipelined_wall_ns(&b) - EPS);
-        prop_assert!(sequential_wall_ns(&grown) >= sequential_wall_ns(&b) - EPS);
+        prop_assert!(pipelined_wall(&grown) >= pipelined_wall(&b));
+        prop_assert!(sequential_wall(&grown) >= sequential_wall(&b));
     }
 
     /// The report wraps the same two numbers and never reports a
-    /// speedup below 1 (up to rounding).
+    /// speedup below 1.
     #[test]
     fn report_is_consistent_with_walls(b in batches()) {
         let r = PipelineReport::from_batches(&b);
-        prop_assert_eq!(r.sequential_ns, sequential_wall_ns(&b));
-        prop_assert_eq!(r.pipelined_ns, pipelined_wall_ns(&b));
-        prop_assert!(r.speedup() >= 1.0 - EPS, "speedup {}", r.speedup());
+        prop_assert_eq!(r.sequential, sequential_wall(&b));
+        prop_assert_eq!(r.pipelined, pipelined_wall(&b));
+        prop_assert!(r.speedup() >= 1.0, "speedup {}", r.speedup());
     }
 }

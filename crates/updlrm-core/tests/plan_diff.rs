@@ -17,10 +17,10 @@ use placement::{plan, Catalog, PlacementPlan, PlannerConfig, TablePlacement, TIE
 use proptest::prelude::*;
 use proptest::TestRunner;
 use updlrm_core::{
-    non_uniform, pipelined_wall_ns, sequential_wall_ns, CoreError, PartitionStrategy, ReplanPolicy,
+    non_uniform, pipelined_wall, sequential_wall, CoreError, PartitionStrategy, ReplanPolicy,
     UpdlrmConfig, UpdlrmEngine,
 };
-use upmem_sim::{RankCostModel, RankTopology};
+use upmem_sim::{Ps, RankCostModel, RankTopology};
 use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
 const DIM: usize = 32;
@@ -256,7 +256,7 @@ fn tiered_runs_are_deterministic() {
     for (bi, batch) in fix.workload.batches.iter().enumerate() {
         let (pa, bda) = a.run_batch(batch).unwrap();
         let (pb, bdb) = b.run_batch(batch).unwrap();
-        assert_eq!(bda.total_ns().to_bits(), bdb.total_ns().to_bits());
+        assert_eq!(bda.total(), bdb.total());
         assert_eq!(bda.cache_hits, bdb.cache_hits);
         assert_eq!(bda.emt_lookups, bdb.emt_lookups);
         for (t, (ma, mb)) in pa.iter().zip(&pb).enumerate() {
@@ -438,8 +438,8 @@ fn degenerate_plan_reproduces_the_strategy_breakdown() {
         // ...and the equality is not blind to the rank tolls: charging
         // one breaks it in exactly the transfer stages.
         let (_, bd_t) = by_tolled_plan.run_batch(batch).unwrap();
-        assert_eq!(bd_t.stage2_ns, bd_s.stage2_ns);
-        assert_eq!(bd_t.stage1_ns, 1_500.0 + bd_s.stage1_ns);
+        assert_eq!(bd_t.stage2, bd_s.stage2);
+        assert_eq!(bd_t.stage1, Ps(1_500_000) + bd_s.stage1);
         assert_ne!(bd_t, bd_s);
     }
 }
@@ -471,13 +471,13 @@ fn plan_serves_under_every_schedule_and_dedup() {
         let ctx = format!("dedup={dedup}");
         let report = &outcome.report;
         assert_eq!(
-            report.wall_ns,
-            pipelined_wall_ns(&outcome.breakdowns),
+            Ps::from_ns(report.wall_ns),
+            pipelined_wall(&outcome.breakdowns),
             "{ctx}"
         );
         assert_eq!(
-            report.sequential_wall_ns,
-            sequential_wall_ns(&outcome.breakdowns),
+            Ps::from_ns(report.sequential_wall_ns),
+            sequential_wall(&outcome.breakdowns),
             "{ctx}"
         );
         assert!(
@@ -545,10 +545,7 @@ fn plan_with_int8_rows_stays_within_the_quantization_bound() {
         for batch in &fix.workload.batches {
             let (want, f32_bd) = f32_engine.run_batch(batch).unwrap();
             let (got, i8_bd) = i8_engine.run_batch(batch).unwrap();
-            assert!(
-                i8_bd.stage2_ns < f32_bd.stage2_ns,
-                "narrower rows, less DMA"
-            );
+            assert!(i8_bd.stage2 < f32_bd.stage2, "narrower rows, less DMA");
             for (t, (a, b)) in want.iter().zip(&got).enumerate() {
                 if exact {
                     assert_bit_identical(a, b, &format!("constant rows table {t}"));

@@ -7,10 +7,8 @@
 
 use dlrm_model::EmbeddingTable;
 use placement::{Catalog, PlannerConfig};
-use updlrm_core::{
-    pipelined_wall_ns, sequential_wall_ns, PartitionStrategy, UpdlrmConfig, UpdlrmEngine,
-};
-use upmem_sim::RankTopology;
+use updlrm_core::{pipelined_wall, sequential_wall, PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
+use upmem_sim::{Ps, RankTopology};
 use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
 const DIM: usize = 32;
@@ -144,14 +142,9 @@ fn doublebuf_wall_equals_analytic_schedule_exactly() {
     let mut eng = engine(config, &tables, &workload);
     let outcome = eng.serve(&workload.batches).unwrap();
 
-    let model = pipelined_wall_ns(&outcome.breakdowns);
-    assert_eq!(
-        outcome.report.wall_ns.to_bits(),
-        model.to_bits(),
-        "executed wall {} != analytic {}",
-        outcome.report.wall_ns,
-        model
-    );
+    // The report's ns are the model's picoseconds, exactly.
+    let model = pipelined_wall(&outcome.breakdowns);
+    assert_eq!(Ps::from_ns(outcome.report.wall_ns), model);
     // Pipelining must actually pay off relative to back-to-back.
     assert!(outcome.report.wall_ns <= outcome.report.sequential_wall_ns);
     assert_eq!(outcome.report.batches, workload.batches.len());
@@ -171,8 +164,8 @@ fn sequential_serve_wall_equals_sequential_model_exactly() {
     let mut eng = engine(config, &tables, &workload);
     let outcome = eng.serve(&workload.batches).unwrap();
     assert_eq!(
-        outcome.report.sequential_wall_ns.to_bits(),
-        sequential_wall_ns(&outcome.breakdowns).to_bits()
+        Ps::from_ns(outcome.report.sequential_wall_ns),
+        sequential_wall(&outcome.breakdowns)
     );
     assert!(outcome.report.wall_ns < outcome.report.sequential_wall_ns);
 }
@@ -191,14 +184,9 @@ fn serve_handles_empty_and_single_batch_streams() {
     let one = eng.serve(&workload.batches[..1]).unwrap();
     // A single batch cannot overlap with anything: its pipelined wall
     // is its sequential wall, and the latency is the whole schedule.
-    assert_eq!(
-        one.report.wall_ns.to_bits(),
-        sequential_wall_ns(&one.breakdowns).to_bits()
-    );
-    assert_eq!(
-        one.report.p50_latency_ns.to_bits(),
-        one.report.wall_ns.to_bits()
-    );
+    let wall = sequential_wall(&one.breakdowns);
+    assert_eq!(Ps::from_ns(one.report.wall_ns), wall);
+    assert_eq!(Ps::from_ns(one.report.p50_latency_ns), wall);
 }
 
 #[test]
@@ -217,6 +205,6 @@ fn repeated_serves_are_deterministic() {
     assert_eq!(first.breakdowns, second.breakdowns);
     assert_eq!(first.report, second.report);
     assert_eq!(cold.pooled, first.pooled);
-    assert!(cold.breakdowns[0].stage2_ns > first.breakdowns[0].stage2_ns);
+    assert!(cold.breakdowns[0].stage2 > first.breakdowns[0].stage2);
     assert_eq!(cold.breakdowns[1..], first.breakdowns[1..]);
 }

@@ -82,8 +82,8 @@ impl From<u32> for DpuId {
 
 /// A cycle count on the DPU clock domain.
 ///
-/// Newtype so cycle math cannot be accidentally mixed with nanoseconds;
-/// convert explicitly with [`Cycles::to_nanos`].
+/// Newtype so cycle math cannot be accidentally mixed with modeled time;
+/// convert explicitly with [`Cycles::to_ps`].
 #[derive(
     Debug,
     Clone,
@@ -103,16 +103,18 @@ impl Cycles {
     /// Zero cycles.
     pub const ZERO: Cycles = Cycles(0);
 
-    /// Converts a cycle count into nanoseconds at clock `hz`.
+    /// The modeled time of this many cycles at clock `hz`, rounded once
+    /// to the nearest picosecond (ties up; a 350 MHz cycle is
+    /// 2,857.142857 ps). Saturates at [`Ps::MAX`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hz` is zero.
     #[inline]
-    pub fn to_nanos(self, hz: u64) -> f64 {
-        self.0 as f64 * 1e9 / hz as f64
-    }
-
-    /// Converts a cycle count into microseconds at clock `hz`.
-    #[inline]
-    pub fn to_micros(self, hz: u64) -> f64 {
-        self.to_nanos(hz) / 1e3
+    pub fn to_ps(self, hz: u64) -> Ps {
+        let hz = u128::from(hz);
+        let ps = (u128::from(self.0) * PS_PER_SEC + hz / 2) / hz;
+        Ps(u64::try_from(ps).unwrap_or(u64::MAX))
     }
 
     /// Saturating addition.
@@ -154,6 +156,118 @@ impl fmt::Display for Cycles {
     }
 }
 
+/// Picoseconds in one nanosecond.
+pub const PS_PER_NS: u64 = 1_000;
+
+/// The latest whole-ns instant the picosecond clock holds (≈ 213 days):
+/// integer-ns inputs beyond it — arrival stamps, waits, quanta — are
+/// refused where they are parsed.
+pub const MAX_WHOLE_NS: u64 = u64::MAX / PS_PER_NS;
+
+/// Picoseconds in one second.
+const PS_PER_SEC: u128 = 1_000_000_000_000;
+
+/// An instant or a duration of modeled time, in integer picoseconds —
+/// the one unit every stage time, schedule instant and latency of the
+/// model is carried in.
+///
+/// Every default cost constant is a whole number of picoseconds (bus
+/// bytes at 156 / 210 ps, 260 / 350 ps ragged; a 2,500,000 ps transfer
+/// phase; 1,500,000 / 500,000 ps rank terms; route, combine and probe
+/// charges of 1,000 / 100 / 2,000 ps), so time is rounded once, where
+/// it is priced: a launch's cycle total ([`Cycles::to_ps`]), a transfer
+/// phase and any other f64 ns figure ([`Ps::from_ns`]). From there on
+/// it is summed and compared as integers. A `u64` of picoseconds spans
+/// 213 days; arithmetic saturates at [`Ps::MAX`] instead of wrapping.
+/// Floats appear only where a report prints ns or µs ([`Ps::as_ns`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Ps(pub u64);
+
+impl Ps {
+    /// Zero time.
+    pub const ZERO: Ps = Ps(0);
+
+    /// The latest representable instant (≈ 213 days).
+    pub const MAX: Ps = Ps(u64::MAX);
+
+    /// `ns` rounded to the nearest picosecond: the one rounding a
+    /// priced f64 figure gets. Saturating: NaN and negatives become
+    /// zero, and anything past [`Ps::MAX`] becomes it — inputs that can
+    /// reach either are refused where they are parsed
+    /// ([`Ps::checked_from_ns`]).
+    #[inline]
+    pub fn from_ns(ns: f64) -> Ps {
+        Ps((ns * PS_PER_NS as f64).round() as u64)
+    }
+
+    /// [`Ps::from_ns`] for a value that must be a finite, nonnegative
+    /// time whose picoseconds fit a `u64`; `None` otherwise.
+    pub fn checked_from_ns(ns: f64) -> Option<Ps> {
+        let ps = (ns * PS_PER_NS as f64).round();
+        // `u64::MAX as f64` is 2^64, itself out of range.
+        (ps.is_finite() && ps >= 0.0 && ps < u64::MAX as f64).then_some(Ps(ps as u64))
+    }
+
+    /// A whole number of nanoseconds, exactly up to [`MAX_WHOLE_NS`]
+    /// and saturating past it.
+    #[inline]
+    pub fn from_whole_ns(ns: u64) -> Ps {
+        Ps(ns.saturating_mul(PS_PER_NS))
+    }
+
+    /// This time in nanoseconds, for reports.
+    #[inline]
+    pub fn as_ns(self) -> f64 {
+        self.0 as f64 / PS_PER_NS as f64
+    }
+}
+
+impl std::ops::Add for Ps {
+    type Output = Ps;
+    #[inline]
+    fn add(self, rhs: Ps) -> Ps {
+        Ps(self.0.saturating_add(rhs.0))
+    }
+}
+
+impl std::ops::AddAssign for Ps {
+    #[inline]
+    fn add_assign(&mut self, rhs: Ps) {
+        *self = *self + rhs;
+    }
+}
+
+/// The time from `rhs` to `self`; `rhs` must not be later (an
+/// instant before the one it is measured from is a bug, not a
+/// saturation).
+impl std::ops::Sub for Ps {
+    type Output = Ps;
+    #[inline]
+    fn sub(self, rhs: Ps) -> Ps {
+        Ps(self.0 - rhs.0)
+    }
+}
+
+impl std::ops::Mul<u64> for Ps {
+    type Output = Ps;
+    #[inline]
+    fn mul(self, rhs: u64) -> Ps {
+        Ps(self.0.saturating_mul(rhs))
+    }
+}
+
+impl std::iter::Sum for Ps {
+    fn sum<I: Iterator<Item = Ps>>(iter: I) -> Ps {
+        iter.fold(Ps::ZERO, |a, b| a + b)
+    }
+}
+
+impl fmt::Display for Ps {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ps", self.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,9 +295,33 @@ mod tests {
 
     #[test]
     fn cycles_to_time_at_350mhz() {
-        let c = Cycles(350);
-        assert!((c.to_nanos(DEFAULT_CLOCK_HZ) - 1000.0).abs() < 1e-9);
-        assert!((c.to_micros(DEFAULT_CLOCK_HZ) - 1.0).abs() < 1e-12);
+        assert_eq!(Cycles(350).to_ps(DEFAULT_CLOCK_HZ), Ps(1_000_000));
+        // One cycle is 2,857.142857 ps: rounded once, to the nearest.
+        assert_eq!(Cycles(1).to_ps(DEFAULT_CLOCK_HZ), Ps(2_857));
+        assert_eq!(Cycles(3).to_ps(DEFAULT_CLOCK_HZ), Ps(8_571));
+        assert_eq!(Cycles(u64::MAX).to_ps(1), Ps::MAX, "saturates");
+    }
+
+    #[test]
+    fn ps_conversions_round_once_and_refuse_what_does_not_fit() {
+        // The default bus costs are whole picoseconds per byte.
+        assert_eq!(Ps::from_ns(4096.0 * 0.156), Ps(4096 * 156));
+        assert_eq!(Ps::from_ns(2048.0 * 0.21 / 0.6), Ps(2048 * 350));
+        assert_eq!(Ps::from_ns(f64::NAN), Ps::ZERO);
+        assert_eq!(Ps::from_ns(-1.0), Ps::ZERO);
+        assert_eq!(Ps::from_ns(1e300), Ps::MAX);
+        assert_eq!(Ps::from_whole_ns(3), Ps(3_000));
+        assert_eq!(Ps::checked_from_ns(2.0), Some(Ps(2_000)));
+        for bad in [f64::NAN, f64::INFINITY, -1e-3, 1e300, u64::MAX as f64 / 1e3] {
+            assert_eq!(Ps::checked_from_ns(bad), None, "{bad}");
+        }
+        assert_eq!(Ps::from_whole_ns(MAX_WHOLE_NS), Ps(MAX_WHOLE_NS * 1000));
+        assert_eq!(Ps::from_whole_ns(MAX_WHOLE_NS + 1), Ps::MAX);
+        assert_eq!(Ps(1_500).as_ns(), 1.5);
+        assert_eq!(Ps::MAX + Ps(1), Ps::MAX, "saturates");
+        assert_eq!(Ps(7) * 3, Ps(21));
+        assert_eq!(Ps(7) - Ps(3), Ps(4));
+        assert_eq!([Ps(1), Ps(2)].into_iter().sum::<Ps>(), Ps(3));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   what WRAM costs is its 64 KB, divided by [`WramBudget`].
 
 use crate::arch::{
-    Cycles, DEFAULT_CLOCK_HZ, DMA_ALIGN, DMA_MAX_TRANSFER, PIPELINE_DEPTH, WRAM_CAPACITY,
+    Cycles, Ps, DEFAULT_CLOCK_HZ, DMA_ALIGN, DMA_MAX_TRANSFER, PIPELINE_DEPTH, WRAM_CAPACITY,
 };
 use crate::stats::TaskletStats;
 
@@ -150,13 +150,6 @@ impl CostModel {
         self.accumulate_base_instrs + (slope * n_elems as f64).round() as u64
     }
 
-    /// Nanoseconds for one MRAM DMA transfer of `len` bytes — the Fig. 3
-    /// curve in time units.
-    #[inline]
-    pub fn dma_nanos(&self, len: usize) -> f64 {
-        self.dma_cycles(len).to_nanos(self.clock_hz)
-    }
-
     /// Host→MRAM transfer time for one DPU buffer of `bytes` bytes.
     #[inline]
     pub fn host_to_mram_ns(&self, bytes: usize) -> f64 {
@@ -169,10 +162,27 @@ impl CostModel {
         bytes as f64 * self.mram_to_host_ns_per_byte
     }
 
-    /// Converts DPU cycles to nanoseconds under this model's clock.
-    #[inline]
-    pub fn cycles_to_ns(&self, c: Cycles) -> f64 {
-        c.to_nanos(self.clock_hz)
+    /// Checks the fields that price modeled time: a nonzero clock, a
+    /// finite positive ragged-bandwidth factor, and ns figures that are
+    /// finite, nonnegative and whose picoseconds fit a `u64`
+    /// ([`Ps::checked_from_ns`]). Returns the first offending field.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the field.
+    pub fn check_times(&self) -> Result<(), String> {
+        if self.clock_hz == 0 {
+            return Err("clock_hz must be > 0".into());
+        }
+        if !(self.ragged_bw_factor.is_finite() && self.ragged_bw_factor > 0.0) {
+            return Err(format!(
+                "ragged_bw_factor must be finite and > 0, got {}",
+                self.ragged_bw_factor
+            ));
+        }
+        check_ns("host_to_mram_ns_per_byte", self.host_to_mram_ns_per_byte)?;
+        check_ns("mram_to_host_ns_per_byte", self.mram_to_host_ns_per_byte)?;
+        check_ns("host_transfer_base_ns", self.host_transfer_base_ns)
     }
 
     /// DMA-engine cycles for `rows` back-to-back row transfers of
@@ -187,6 +197,22 @@ impl CostModel {
             return Cycles(0);
         }
         Cycles(rows * self.dma_engine_cycles(row_bytes).0)
+    }
+}
+
+/// Refuses an ns figure that is not a time the picosecond clock can
+/// hold: non-finite, negative, or past [`Ps::MAX`].
+///
+/// # Errors
+///
+/// A message naming `field` and its value.
+pub fn check_ns(field: &str, ns: f64) -> Result<(), String> {
+    match Ps::checked_from_ns(ns) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "{field} must be a finite, nonnegative time of at most {} ns, got {ns}",
+            crate::arch::MAX_WHOLE_NS
+        )),
     }
 }
 
@@ -499,10 +525,8 @@ mod tests {
         // The paper's Fig. 3 observation: 8 B -> 32 B grows slowly,
         // beyond 32 B it grows "more dramatically".
         let m = CostModel::default();
-        let l8 = m.dma_nanos(8);
-        let l32 = m.dma_nanos(32);
-        let l128 = m.dma_nanos(128);
-        let l2048 = m.dma_nanos(2048);
+        let ns = |len| m.dma_cycles(len).0 as f64;
+        let (l8, l32, l128, l2048) = (ns(8), ns(32), ns(128), ns(2048));
         // Flat region: 4x the bytes costs < 1.2x the time.
         assert!(
             l32 / l8 < 1.2,
@@ -518,9 +542,9 @@ mod tests {
     #[test]
     fn dma_latency_monotonic_in_size() {
         let m = CostModel::default();
-        let mut prev = 0.0;
+        let mut prev = Cycles::ZERO;
         for len in (8..=2048).step_by(8) {
-            let c = m.dma_nanos(len);
+            let c = m.dma_cycles(len);
             assert!(c >= prev);
             prev = c;
         }
@@ -548,7 +572,32 @@ mod tests {
         let back: CostModel = serde::json::from_str(&json).unwrap();
         assert_eq!(back, m);
         // And the timing it computes is identical.
-        assert_eq!(m.dma_nanos(512).to_bits(), back.dma_nanos(512).to_bits());
+        assert_eq!(
+            m.dma_cycles(512).to_ps(m.clock_hz),
+            back.dma_cycles(512).to_ps(back.clock_hz)
+        );
+    }
+
+    #[test]
+    fn time_checks_name_the_first_bad_field() {
+        assert_eq!(CostModel::default().check_times(), Ok(()));
+        let bad = |m: CostModel| m.check_times().unwrap_err();
+        let d = CostModel::default;
+        assert!(bad(CostModel { clock_hz: 0, ..d() }).contains("clock_hz"));
+        for f in [0.0, -0.6, f64::NAN] {
+            let e = bad(CostModel {
+                ragged_bw_factor: f,
+                ..d()
+            });
+            assert!(e.contains("ragged_bw_factor"), "{e}");
+        }
+        for ns in [-1.0, f64::INFINITY, 1e300] {
+            let e = bad(CostModel {
+                host_transfer_base_ns: ns,
+                ..d()
+            });
+            assert!(e.contains("host_transfer_base_ns"), "{e}");
+        }
     }
 
     #[test]

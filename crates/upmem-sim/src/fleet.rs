@@ -25,7 +25,8 @@
 //! (the embedding engine) and tests agree on one implementation.
 //! DESIGN.md §4.9 documents the model and its known divergences.
 
-use crate::cost::CostModel;
+use crate::arch::Ps;
+use crate::cost::{check_ns, CostModel};
 use crate::error::{Result, SimError};
 use crate::host::{PimConfig, PimSystem};
 use crate::stats::TransferReport;
@@ -67,6 +68,19 @@ pub struct RankCostModel {
     pub rank_launch_ns: f64,
 }
 
+impl RankCostModel {
+    /// Checks both charges with [`check_ns`]: finite, nonnegative and
+    /// within the picosecond clock's range.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field.
+    pub fn check_times(&self) -> std::result::Result<(), String> {
+        check_ns("rank_base_ns", self.rank_base_ns)?;
+        check_ns("rank_launch_ns", self.rank_launch_ns)
+    }
+}
+
 impl Default for RankCostModel {
     fn default() -> Self {
         // A per-rank `dpu_push_xfer`/`dpu_launch` driver round trip is
@@ -85,7 +99,9 @@ impl Default for RankCostModel {
 pub struct Fleet {
     ranks: Vec<PimSystem>,
     topology: RankTopology,
-    rank_cost: RankCostModel,
+    /// The [`RankCostModel`]'s two charges, rounded to ps once.
+    rank_base: Ps,
+    rank_launch: Ps,
 }
 
 impl Fleet {
@@ -96,7 +112,8 @@ impl Fleet {
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] for zero ranks or zero DPUs per
-    /// rank; rank construction errors propagate.
+    /// rank, or a rank charge [`RankCostModel::check_times`] refuses;
+    /// rank construction errors propagate.
     pub fn new(
         topology: RankTopology,
         tasklets: usize,
@@ -110,6 +127,7 @@ impl Fleet {
                 topology.nr_ranks, topology.dpus_per_rank
             )));
         }
+        rank_cost.check_times().map_err(SimError::InvalidConfig)?;
         let mut ranks = Vec::with_capacity(topology.nr_ranks);
         for _ in 0..topology.nr_ranks {
             ranks.push(PimSystem::new(
@@ -121,18 +139,14 @@ impl Fleet {
         Ok(Fleet {
             ranks,
             topology,
-            rank_cost,
+            rank_base: Ps::from_ns(rank_cost.rank_base_ns),
+            rank_launch: Ps::from_ns(rank_cost.rank_launch_ns),
         })
     }
 
     /// The fleet's shape.
     pub fn topology(&self) -> RankTopology {
         self.topology
-    }
-
-    /// The rank-level cost extension.
-    pub fn rank_cost(&self) -> &RankCostModel {
-        &self.rank_cost
     }
 
     /// Total DPUs across all ranks.
@@ -180,12 +194,12 @@ impl Fleet {
         reports: impl IntoIterator<Item = &'a TransferReport>,
     ) -> TransferReport {
         let mut out = TransferReport::default();
-        let mut ranks_touched = 0usize;
-        let mut max_wall = 0.0f64;
+        let mut ranks_touched = 0u64;
+        let mut max_wall = Ps::ZERO;
         out.parallel = true;
         for r in reports {
             ranks_touched += 1;
-            max_wall = max_wall.max(r.wall_ns);
+            max_wall = max_wall.max(r.wall);
             out.bytes += r.bytes;
             out.buffers += r.buffers;
             out.parallel &= r.parallel;
@@ -195,33 +209,30 @@ impl Fleet {
             out.parallel = false;
             return out;
         }
-        out.wall_ns = self.rank_cost.rank_base_ns * ranks_touched as f64 + max_wall;
+        out.wall = self.rank_base * ranks_touched + max_wall;
         out
     }
 
-    /// Combines the `(wall_ns, energy_pj)` of every launch of one
+    /// Combines the `(wall, energy_pj)` of every launch of one
     /// fleet-wide launch phase: launches run concurrently (max wall)
     /// after a serial `rank_launch_ns` dispatch per launch issued.
-    /// Returns the combined `(wall_ns, energy_pj)`; per-DPU statistics
+    /// Returns the combined `(wall, energy_pj)`; per-DPU statistics
     /// stay with the per-launch [`LaunchReport`]s.
     ///
     /// [`LaunchReport`]: crate::stats::LaunchReport
-    pub fn combine_launches(&self, launches: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
-        let mut issued = 0usize;
-        let mut max_wall = 0.0f64;
+    pub fn combine_launches(&self, launches: impl IntoIterator<Item = (Ps, f64)>) -> (Ps, f64) {
+        let mut issued = 0u64;
+        let mut max_wall = Ps::ZERO;
         let mut energy = 0.0f64;
-        for (wall_ns, energy_pj) in launches {
+        for (wall, energy_pj) in launches {
             issued += 1;
-            max_wall = max_wall.max(wall_ns);
+            max_wall = max_wall.max(wall);
             energy += energy_pj;
         }
         if issued == 0 {
-            return (0.0, 0.0);
+            return (Ps::ZERO, 0.0);
         }
-        (
-            self.rank_cost.rank_launch_ns * issued as f64 + max_wall,
-            energy,
-        )
+        (self.rank_launch * issued + max_wall, energy)
     }
 }
 
@@ -295,22 +306,22 @@ mod tests {
     fn transfer_combine_is_max_plus_per_rank_setup() {
         let fleet = small_fleet(2, 4);
         let a = TransferReport {
-            wall_ns: 10_000.0,
+            wall: Ps(10_000_000),
             bytes: 4096,
             buffers: 4,
             parallel: true,
             energy_pj: 100.0,
         };
         let b = TransferReport {
-            wall_ns: 30_000.0,
+            wall: Ps(30_000_000),
             bytes: 8192,
             buffers: 2,
             parallel: false,
             energy_pj: 50.0,
         };
         let c = fleet.combine_transfers([&a, &b]);
-        let base = fleet.rank_cost().rank_base_ns;
-        assert_eq!(c.wall_ns, 2.0 * base + 30_000.0);
+        // The default rank setup is 1,500,000 ps.
+        assert_eq!(c.wall, Ps(2 * 1_500_000 + 30_000_000));
         assert_eq!(c.bytes, 12_288);
         assert_eq!(c.buffers, 6);
         assert!(!c.parallel, "any ragged rank marks the phase ragged");
@@ -318,22 +329,23 @@ mod tests {
 
         // One rank: its wall plus one setup charge.
         let one = fleet.combine_transfers([&a]);
-        assert_eq!(one.wall_ns, base + 10_000.0);
+        assert_eq!(one.wall, Ps(1_500_000 + 10_000_000));
         assert!(one.parallel);
 
         // No ranks touched: free phase.
         let none = fleet.combine_transfers([]);
-        assert_eq!(none.wall_ns, 0.0);
+        assert_eq!(none.wall, Ps::ZERO);
         assert_eq!(none.bytes, 0);
     }
 
     #[test]
     fn launch_combine_is_max_plus_dispatch() {
         let fleet = small_fleet(3, 2);
-        let (wall, energy) = fleet.combine_launches([(5_000.0, 10.0), (7_000.0, 20.0)]);
-        assert_eq!(wall, 2.0 * fleet.rank_cost().rank_launch_ns + 7_000.0);
+        let (wall, energy) = fleet.combine_launches([(Ps(5_000), 10.0), (Ps(7_000), 20.0)]);
+        // The default launch dispatch is 500,000 ps.
+        assert_eq!(wall, Ps(2 * 500_000 + 7_000));
         assert_eq!(energy, 30.0);
-        assert_eq!(fleet.combine_launches([]), (0.0, 0.0));
+        assert_eq!(fleet.combine_launches([]), (Ps::ZERO, 0.0));
     }
 
     #[test]
@@ -343,7 +355,7 @@ mod tests {
         // (a max) stays flat. This is what tiering buys back.
         let fleet = small_fleet(8, 4);
         let per_rank = TransferReport {
-            wall_ns: 4_000.0,
+            wall: Ps(4_000_000),
             bytes: 1024,
             buffers: 1,
             parallel: true,
@@ -351,11 +363,7 @@ mod tests {
         };
         let touch2 = fleet.combine_transfers(std::iter::repeat_n(&per_rank, 2));
         let touch8 = fleet.combine_transfers(std::iter::repeat_n(&per_rank, 8));
-        assert!(touch8.wall_ns > touch2.wall_ns);
-        assert_eq!(
-            touch8.wall_ns - touch2.wall_ns,
-            6.0 * fleet.rank_cost().rank_base_ns
-        );
+        assert_eq!(touch8.wall.0 - touch2.wall.0, 6 * 1_500_000);
     }
 
     #[test]
@@ -373,5 +381,22 @@ mod tests {
         };
         let back: RankTopology = serde::json::from_str(&serde::json::to_string(&t)).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn a_rank_charge_the_clock_cannot_hold_is_refused() {
+        for (base, launch) in [(-1e9, 500.0), (1e300, 500.0), (1_500.0, -1e12)] {
+            let rank_cost = RankCostModel {
+                rank_base_ns: base,
+                rank_launch_ns: launch,
+            };
+            assert!(rank_cost.check_times().is_err(), "{base} {launch}");
+            let topology = RankTopology {
+                nr_ranks: 1,
+                dpus_per_rank: 1,
+            };
+            let fleet = Fleet::new(topology, 8, CostModel::default(), 1, rank_cost);
+            assert!(fleet.is_err());
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! The default is serial: a launch group is a handful of DPUs of a few
 //! hundred nanoseconds each, less than spawning its workers costs.
 
-use crate::arch::{Cycles, DpuId};
+use crate::arch::{Cycles, DpuId, Ps};
 use crate::cost::{CostModel, CostTable};
 use crate::dpu::{Dpu, DpuProgram};
 use crate::error::{Result, SimError};
@@ -109,6 +109,7 @@ impl PimSystem {
                 "host_threads must be > 0 (1 = serial execution)".into(),
             ));
         }
+        config.cost.check_times().map_err(SimError::InvalidConfig)?;
         let dpus = (0..config.nr_dpus)
             .map(|i| Dpu::new(DpuId(i as u32)))
             .collect();
@@ -309,6 +310,7 @@ impl PimSystem {
         // is what `max_len` bounds. With the default `ragged_bw_factor`
         // (< 1) the serialized term always dominates, so the floor only
         // bites for calibrations where the factor exceeds 1.
+        // The phase is priced in f64 ns and rounded to ps once, here.
         let wall_ns = if uniform {
             cost.host_transfer_base_ns + total as f64 * per_byte
         } else {
@@ -317,7 +319,7 @@ impl PimSystem {
             cost.host_transfer_base_ns + serialized.max(parallel_floor)
         };
         TransferReport {
-            wall_ns,
+            wall: Ps::from_ns(wall_ns),
             bytes: total,
             buffers: n,
             parallel: uniform,
@@ -400,7 +402,7 @@ impl PimSystem {
             energy += stats.energy_pj;
         }
         out.wall_cycles = wall;
-        out.wall_ns = self.config.cost.cycles_to_ns(wall);
+        out.wall = wall.to_ps(self.config.cost.clock_hz);
         out.energy_pj = energy;
         Ok(())
     }
@@ -570,7 +572,7 @@ mod tests {
         assert!(!r_ragged.parallel);
         // Sequential 3*1024+8 bytes beats parallel max(1024) in bytes but
         // costs more time.
-        assert!(r_ragged.wall_ns > r_uniform.wall_ns);
+        assert!(r_ragged.wall > r_uniform.wall);
     }
 
     #[test]
@@ -640,8 +642,8 @@ mod tests {
     /// floored by the largest single buffer at parallel bandwidth.
     #[test]
     fn transfer_timing_model_uniform_and_ragged() {
-        let cost = CostModel::default();
-        let per_byte = cost.host_to_mram_ns_per_byte;
+        // Default constants, in ps: a 2,500,000 phase base, 156 per byte
+        // in parallel and 156 / 0.6 = 260 per byte ragged.
         let mut sys = PimSystem::new(PimConfig::new(4, 14)).unwrap();
         let big = vec![0u8; 1024];
         let small = vec![0u8; 8];
@@ -649,15 +651,14 @@ mod tests {
         let uniform: Vec<(DpuId, u32, &[u8])> =
             (0..4).map(|i| (DpuId(i), 0, big.as_slice())).collect();
         let r = sys.scatter(&uniform).unwrap();
-        assert!((r.wall_ns - (cost.host_transfer_base_ns + 4096.0 * per_byte)).abs() < 1e-9);
+        assert_eq!(r.wall, Ps(2_500_000 + 4096 * 156));
 
         let ragged: Vec<(DpuId, u32, &[u8])> = vec![
             (DpuId(0), 0, big.as_slice()),
             (DpuId(1), 0, small.as_slice()),
         ];
         let r = sys.scatter(&ragged).unwrap();
-        let serialized = 1032.0 * per_byte / cost.ragged_bw_factor;
-        assert!((r.wall_ns - (cost.host_transfer_base_ns + serialized)).abs() < 1e-9);
+        assert_eq!(r.wall, Ps(2_500_000 + 1032 * 260));
     }
 
     /// With a (hypothetical) ragged bandwidth factor above 1 the
@@ -669,8 +670,6 @@ mod tests {
             ragged_bw_factor: 100.0,
             ..CostModel::default()
         };
-        let per_byte = cost.host_to_mram_ns_per_byte;
-        let base = cost.host_transfer_base_ns;
         let mut sys = PimSystem::new(PimConfig {
             nr_dpus: 2,
             cost,
@@ -685,7 +684,7 @@ mod tests {
         ];
         let r = sys.scatter(&ragged).unwrap();
         assert!(!r.parallel);
-        assert!((r.wall_ns - (base + 2048.0 * per_byte)).abs() < 1e-9);
+        assert_eq!(r.wall, Ps(2_500_000 + 2048 * 156));
     }
 
     /// A kernel whose per-DPU and per-tasklet work is deliberately
@@ -725,7 +724,7 @@ mod tests {
         for threads in [2, 3, 8, 64] {
             let parallel = run(threads);
             assert_eq!(serial, parallel, "host_threads={threads} diverged");
-            assert_eq!(serial.wall_ns.to_bits(), parallel.wall_ns.to_bits());
+            assert_eq!(serial.wall, parallel.wall);
             assert_eq!(serial.energy_pj.to_bits(), parallel.energy_pj.to_bits());
         }
     }
@@ -788,7 +787,7 @@ mod tests {
         let mut sys = PimSystem::new(PimConfig::new(1, 1)).unwrap();
         let rep = sys.scatter(&[]).unwrap();
         assert_eq!(rep.bytes, 0);
-        assert_eq!(rep.wall_ns, 0.0);
+        assert_eq!(rep.wall, Ps::ZERO);
         let _ = sys.launch(&[], &Nop).unwrap();
     }
 }

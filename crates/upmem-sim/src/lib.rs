@@ -70,7 +70,7 @@ pub mod host;
 pub mod mem;
 pub mod stats;
 
-pub use arch::{Cycles, DpuId};
+pub use arch::{Cycles, DpuId, Ps, MAX_WHOLE_NS, PS_PER_NS};
 pub use cost::{CostModel, CostTable, WramBudget, TASKLET_STACK_BYTES};
 pub use dpu::{Charges, Dpu, DpuPass, DpuProgram, Kernel, TaskletCtx};
 pub use error::{Result, SimError};

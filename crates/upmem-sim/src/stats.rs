@@ -1,6 +1,6 @@
 //! Execution and transfer statistics reported by the simulator.
 
-use crate::arch::{Cycles, DpuId};
+use crate::arch::{Cycles, DpuId, Ps};
 
 /// Per-tasklet counters accumulated while a kernel runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -139,8 +139,8 @@ impl DpuCounters {
 pub struct LaunchReport {
     /// Wall-clock cycles: maximum over the launched DPUs.
     pub wall_cycles: Cycles,
-    /// Wall-clock time in nanoseconds.
-    pub wall_ns: f64,
+    /// Wall-clock time: `wall_cycles` at the DPU clock, rounded once.
+    pub wall: Ps,
     /// Per-DPU run statistics, in launch order.
     pub per_dpu: Vec<(DpuId, DpuRunStats)>,
     /// Total modeled energy across DPUs (picojoules).
@@ -203,8 +203,8 @@ impl LaunchReport {
 /// UpDLRM pipeline).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TransferReport {
-    /// Wall-clock nanoseconds for the phase.
-    pub wall_ns: f64,
+    /// Wall-clock time of the phase.
+    pub wall: Ps,
     /// Total bytes moved across all DPUs.
     pub bytes: u64,
     /// Number of per-DPU buffers in the phase.
@@ -309,7 +309,7 @@ mod tests {
         };
         let r = LaunchReport {
             wall_cycles: Cycles(300),
-            wall_ns: 0.0,
+            wall: Ps::ZERO,
             per_dpu: vec![(DpuId(0), mk(100)), (DpuId(1), mk(300))],
             energy_pj: 0.0,
         };

@@ -1,7 +1,7 @@
 //! Integration tests for host transfer semantics and the two-phase
 //! (barrier) kernel protocol.
 
-use upmem_sim::{CostModel, DpuId, Kernel, PimConfig, PimSystem, SimError, TaskletCtx};
+use upmem_sim::{CostModel, DpuId, Kernel, PimConfig, PimSystem, Ps, SimError, TaskletCtx};
 
 #[test]
 fn broadcast_charges_bytes_once_per_group() {
@@ -20,7 +20,7 @@ fn broadcast_charges_bytes_once_per_group() {
 
     assert_eq!(broadcast.bytes, 4096);
     assert_eq!(scatter.bytes, 8 * 4096);
-    assert!(broadcast.wall_ns < scatter.wall_ns);
+    assert!(broadcast.wall < scatter.wall);
 
     // Functionally, every DPU received the broadcast buffer.
     for &d in &all {
@@ -33,19 +33,17 @@ fn broadcast_charges_bytes_once_per_group() {
 fn transfer_wall_time_uses_aggregate_bus() {
     // Doubling the DPU count at the same per-DPU buffer size doubles
     // total bytes and therefore the wall time (shared bus), minus the
-    // fixed base.
-    let cost = CostModel::default();
+    // fixed base — exactly, on the picosecond clock.
+    let base = Ps::from_ns(CostModel::default().host_transfer_base_ns);
     let wall = |n_dpus: usize| {
         let mut sys = PimSystem::new(PimConfig::new(n_dpus, 1)).unwrap();
         let buf = vec![0u8; 8192];
         let transfers: Vec<(DpuId, u32, &[u8])> =
             sys.dpu_ids().map(|d| (d, 0u32, buf.as_slice())).collect();
         let transfers: Vec<(DpuId, u32, &[u8])> = transfers;
-        sys.scatter(&transfers).unwrap().wall_ns - cost.host_transfer_base_ns
+        sys.scatter(&transfers).unwrap().wall.0 - base.0
     };
-    let w4 = wall(4);
-    let w8 = wall(8);
-    assert!((w8 / w4 - 2.0).abs() < 0.05, "expected ~2x: {w4} vs {w8}");
+    assert_eq!(wall(8), 2 * wall(4));
 }
 
 /// Kernel that writes in phase 1 and verifies cross-tasklet visibility

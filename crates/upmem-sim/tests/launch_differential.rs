@@ -58,11 +58,7 @@ fn ragged_system(host_threads: usize) -> PimSystem {
 
 fn assert_bit_identical(a: &LaunchReport, b: &LaunchReport, what: &str) {
     assert_eq!(a, b, "{what}: structural mismatch");
-    assert_eq!(
-        a.wall_ns.to_bits(),
-        b.wall_ns.to_bits(),
-        "{what}: wall_ns bits differ"
-    );
+    assert_eq!(a.wall, b.wall, "{what}: wall differs");
     assert_eq!(
         a.energy_pj.to_bits(),
         b.energy_pj.to_bits(),

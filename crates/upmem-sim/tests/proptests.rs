@@ -9,7 +9,7 @@ use upmem_sim::{CostModel, Mram, Wram};
 fn launch_with_cycles(cycles: &[u64]) -> LaunchReport {
     LaunchReport {
         wall_cycles: Cycles(cycles.iter().copied().max().unwrap_or(0)),
-        wall_ns: 0.0,
+        wall: Default::default(),
         per_dpu: cycles
             .iter()
             .enumerate()
@@ -206,7 +206,7 @@ proptest! {
     fn dma_latency_monotonic(a in 1usize..=256, b in 1usize..=256) {
         let m = CostModel::default();
         let (small, large) = (a.min(b) * 8, a.max(b) * 8);
-        prop_assert!(m.dma_nanos(small) <= m.dma_nanos(large));
+        prop_assert!(m.dma_cycles(small) <= m.dma_cycles(large));
     }
 
     /// The load-imbalance index (slowest DPU over mean) is at least 1:

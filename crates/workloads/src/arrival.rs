@@ -29,6 +29,11 @@ use rand::{Rng, SeedableRng};
 /// Nanoseconds per second, the conversion between QPS and modeled time.
 pub const NS_PER_SEC: f64 = 1e9;
 
+/// The latest arrival stamp, in ns, that the serving front-ends' modeled
+/// clock — a `u64` of picoseconds, ≈ 213 days — can hold. Traces are
+/// refused past it when read.
+pub const MAX_ARRIVAL_NS: u64 = u64::MAX / 1_000;
+
 /// How query arrival times are produced.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ArrivalProcess {

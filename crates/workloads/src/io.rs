@@ -23,7 +23,7 @@
 //! files whose schedule references hot-set rows beyond the spec's row
 //! count.
 
-use crate::arrival::{ArrivalProcess, ArrivalTrace};
+use crate::arrival::{ArrivalProcess, ArrivalTrace, MAX_ARRIVAL_NS};
 use crate::drift::{DiurnalCurve, DriftSchedule, FlashCrowd, HotSetRotation};
 use crate::spec::{CooccurConfig, DatasetSpec, Hotness};
 use crate::trace::{TraceConfig, Workload};
@@ -222,6 +222,11 @@ fn r_arrivals<R: Read>(reader: &mut R) -> io::Result<ArrivalTrace> {
         let t = r_u64(r)?;
         if t < prev {
             return Err(bad("arrival times must be non-decreasing"));
+        }
+        if t > MAX_ARRIVAL_NS {
+            return Err(bad(&format!(
+                "arrival time {t} ns is past the modeled clock's range ({MAX_ARRIVAL_NS} ns)"
+            )));
         }
         prev = t;
         Ok(t)
@@ -556,6 +561,24 @@ mod tests {
         w.save(&mut buf).unwrap();
         let err = Workload::load(&mut buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("non-decreasing"), "{err}");
+    }
+
+    #[test]
+    fn rejects_arrivals_past_the_modeled_clock() {
+        let mut w = sample_workload();
+        let n = w.num_queries() as u64;
+        for (last, ok) in [(MAX_ARRIVAL_NS, true), (MAX_ARRIVAL_NS + 1, false)] {
+            w.arrivals = ArrivalTrace {
+                process: ArrivalProcess::poisson(1000.0, 1),
+                times_ns: (0..n).map(|i| if i + 1 == n { last } else { i }).collect(),
+            };
+            let mut buf = Vec::new();
+            w.save(&mut buf).unwrap();
+            match Workload::load(&mut buf.as_slice()) {
+                Ok(back) => assert!(ok && back.arrivals == w.arrivals),
+                Err(e) => assert!(!ok && e.to_string().contains("range"), "{e}"),
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod spec;
 pub mod trace;
 pub mod zipf;
 
-pub use arrival::{ArrivalProcess, ArrivalTrace, NS_PER_SEC};
+pub use arrival::{ArrivalProcess, ArrivalTrace, MAX_ARRIVAL_NS, NS_PER_SEC};
 pub use drift::{ActiveHotSet, DiurnalCurve, DriftSchedule, FlashCrowd, HotSetRotation};
 pub use pack::{load_packed, save_packed, write_packed, PackError};
 pub use profile::FreqProfile;

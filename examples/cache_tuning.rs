@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for batch in &workload.batches {
             let (_, report) = backend.run_batch(batch)?;
             let pim = report.pim.expect("PIM backend");
-            lookup_ns += pim.stage2_ns;
+            lookup_ns += pim.stage2.as_ns();
             dma += pim.dma_transfers;
         }
         Ok((lookup_ns, dma))

@@ -81,18 +81,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  stage 1 (CPU->DPU): {:9.1} us ({:4.1}%)",
-        acc.stage1_ns / 1e3,
-        100.0 * acc.stage1_ns / total
+        acc.stage1.as_ns() / 1e3,
+        100.0 * acc.stage1.as_ns() / total
     );
     println!(
         "  stage 2 (lookup):   {:9.1} us ({:4.1}%)",
-        acc.stage2_ns / 1e3,
-        100.0 * acc.stage2_ns / total
+        acc.stage2.as_ns() / 1e3,
+        100.0 * acc.stage2.as_ns() / total
     );
     println!(
         "  stage 3 (DPU->CPU): {:9.1} us ({:4.1}%)",
-        acc.stage3_ns / 1e3,
-        100.0 * acc.stage3_ns / total
+        acc.stage3.as_ns() / 1e3,
+        100.0 * acc.stage3.as_ns() / total
     );
     println!("  total:              {:9.1} us", total / 1e3);
     println!("  MRAM DMA transfers: {}", acc.dma_transfers);

@@ -215,6 +215,19 @@ fn scale_or_exit(name: &str, value: usize, factor: usize, unit: &str) -> usize {
     })
 }
 
+/// `--NAME`'s microseconds in ns, or exit 2 naming the flag when modeled
+/// time — a `u64` of picoseconds — cannot hold them.
+fn micros_or_exit(name: &str, us: usize) -> u64 {
+    let max_us = MAX_WHOLE_NS / 1_000;
+    match u64::try_from(us) {
+        Ok(us) if us <= max_us => us * 1_000,
+        _ => {
+            eprintln!("--{name} {us} is too large (at most {max_us} us of modeled time)");
+            std::process::exit(2)
+        }
+    }
+}
+
 /// Builds the arrival process for `serve` / `trace --arrival` from
 /// `--arrival` (default poisson) and the already-parsed `--qps`.
 fn arrival_or_exit(args: &Args, qps: f64) -> ArrivalProcess {
@@ -322,16 +335,23 @@ impl StagesJson {
     /// batches and the stream's pipelining estimate.
     fn from_totals(pim: &EmbeddingBreakdown, n: f64, pr: &PipelineReport) -> StagesJson {
         let t = pim.total_ns();
-        let pct = |stage_ns: f64| if t > 0.0 { 100.0 * stage_ns / t } else { 0.0 };
+        let pct = |stage: Ps| {
+            if t > 0.0 {
+                100.0 * stage.as_ns() / t
+            } else {
+                0.0
+            }
+        };
+        let us = |time: Ps| time.as_ns() / n / 1e3;
         StagesJson {
-            stage1_us: pim.stage1_ns / n / 1e3,
-            stage2_us: pim.stage2_ns / n / 1e3,
-            stage3_us: pim.stage3_ns / n / 1e3,
-            route_us: pim.route_ns / n / 1e3,
-            combine_us: pim.combine_ns / n / 1e3,
-            stage1_pct: pct(pim.stage1_ns),
-            stage2_pct: pct(pim.stage2_ns),
-            stage3_pct: pct(pim.stage3_ns),
+            stage1_us: us(pim.stage1),
+            stage2_us: us(pim.stage2),
+            stage3_us: us(pim.stage3),
+            route_us: us(pim.route),
+            combine_us: us(pim.combine),
+            stage1_pct: pct(pim.stage1),
+            stage2_pct: pct(pim.stage2),
+            stage3_pct: pct(pim.stage3),
             lookup_imbalance: pim.lookup_imbalance,
             pipelining_savings_pct: (1.0 - 1.0 / pr.speedup()) * 100.0,
         }
@@ -420,9 +440,9 @@ impl RunJson {
             let t = pim.total_ns().max(f64::MIN_POSITIVE);
             println!(
                 "  PIM stages: s1 {:.0}% / s2 {:.0}% / s3 {:.0}%  (imbalance {:.2})",
-                100.0 * pim.stage1_ns / t,
-                100.0 * pim.stage2_ns / t,
-                100.0 * pim.stage3_ns / t,
+                100.0 * pim.stage1.as_ns() / t,
+                100.0 * pim.stage2.as_ns() / t,
+                100.0 * pim.stage3.as_ns() / t,
                 pim.lookup_imbalance,
             );
             let pr = PipelineReport::from_batches(breakdowns);
@@ -925,8 +945,7 @@ fn tenants_file_or_exit(args: &Args, path: &str) -> TenantsFile {
         file.fleet.fleet_dpus = args.num("dpus", file.fleet.fleet_dpus);
     }
     if args.flag_set("quantum-us") {
-        file.fleet.quantum_ns =
-            scale_or_exit("quantum-us", args.num("quantum-us", 0), 1_000, "us") as u64;
+        file.fleet.quantum_ns = micros_or_exit("quantum-us", args.num("quantum-us", 0));
     }
     if args.flag_set("no-isolation") {
         file.fleet.arbitration = Arbitration::Fcfs;
@@ -1100,7 +1119,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("--max-wait-us must be >= 1 (a zero deadline degenerates to batch-of-one)");
         std::process::exit(2)
     }
-    let max_wait_ns = scale_or_exit("max-wait-us", max_wait_us, 1_000, "us") as u64;
+    let max_wait_ns = micros_or_exit("max-wait-us", max_wait_us);
     let queue_cap = args.num("queue-cap", 4 * max_batch);
     if queue_cap == 0 {
         eprintln!("--queue-cap must be >= 1 (a zero-length queue admits nothing)");

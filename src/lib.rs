@@ -49,7 +49,7 @@
 //! println!(
 //!     "embedding layer: {:.1} us (stage2 = {:.0}%)",
 //!     breakdown.total_ns() / 1e3,
-//!     100.0 * breakdown.stage2_ns / breakdown.total_ns(),
+//!     100.0 * breakdown.stage2.as_ns() / breakdown.total_ns(),
 //! );
 //! # Ok(())
 //! # }
@@ -94,7 +94,9 @@ pub mod prelude {
         ReplanPolicy, ResidencyReport, RuntimeSnapshot, ServeOutcome, ServeReport, Snapshot,
         TenantSnapshot, Tiling, TilingProblem, UpdlrmConfig, UpdlrmEngine, SNAPSHOT_SCHEMA_VERSION,
     };
-    pub use upmem_sim::{CostModel, DpuId, PimConfig, PimSystem, RankCostModel, RankTopology};
+    pub use upmem_sim::{
+        CostModel, DpuId, PimConfig, PimSystem, Ps, RankCostModel, RankTopology, MAX_WHOLE_NS,
+    };
     pub use workloads::{
         load_packed, save_packed, ArrivalProcess, ArrivalTrace, DatasetSpec, DiurnalCurve,
         DriftSchedule, FlashCrowd, FreqProfile, HotSetRotation, Hotness, PackError, TraceConfig,

@@ -619,6 +619,79 @@ fn serve_tenants_rejects_a_quantum_that_overflows_nanoseconds() {
     assert!(err.contains("--quantum-us"), "stderr {err}");
 }
 
+/// The smallest microsecond count whose picoseconds — modeled time's
+/// unit — do not fit a u64, though its nanoseconds do.
+fn micros_past_the_modeled_clock() -> String {
+    (u64::MAX / 1_000_000 + 1).to_string()
+}
+
+#[test]
+fn serve_rejects_waits_and_quanta_past_the_modeled_clock() {
+    let us = micros_past_the_modeled_clock();
+    let tenants = tenants_toml();
+    let tenants = tenants.to_str().expect("utf-8 path");
+    for (flag, args) in [
+        (
+            "--max-wait-us",
+            vec!["serve", "--qps", "1000", "--batches", "2", "--max-wait-us"],
+        ),
+        (
+            "--quantum-us",
+            vec!["serve", "--tenants", tenants, "--quantum-us"],
+        ),
+    ] {
+        let out = updlrm().args(args).arg(&us).output().expect("serve");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}: nothing may run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "stderr {err}");
+    }
+}
+
+#[test]
+fn serve_rejects_a_trace_stamped_past_the_modeled_clock() {
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("cli-trace-past-the-clock.upwl");
+    let out = updlrm()
+        .args([
+            "trace",
+            "--dataset",
+            "read",
+            "--scale",
+            "5000",
+            "--batches",
+            "2",
+        ])
+        .args(["--qps", "10000", "--out"])
+        .arg(&path)
+        .output()
+        .expect("trace");
+    assert!(out.status.success());
+    let mut workload = {
+        let mut f = std::fs::File::open(&path).expect("trace written");
+        updlrm::workloads::Workload::load(&mut f).expect("valid trace")
+    };
+    *workload.arrivals.times_ns.last_mut().expect("stamped") = u64::MAX / 1_000 + 1;
+    let mut f = std::fs::File::create(&path).expect("rewrite trace");
+    workload.save(&mut f).expect("save");
+    drop(f);
+    let out = updlrm()
+        .args(["serve", "--workload-v3"])
+        .arg(&path)
+        .args(["--max-batch", "32", "--dpus", "16", "--strategy", "u"])
+        .output()
+        .expect("serve");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--workload-v3") && err.contains("arrival time"),
+        "stderr {err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn serve_runtime_flags_are_validated() {
     // Wall-only flags must be rejected under the default modeled
@@ -1129,6 +1202,41 @@ fn plan_and_run_reject_foreign_schema_versions() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("schema v99"), "stderr: {err}");
         assert!(err.contains("reads v2"), "stderr: {err}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn plan_time_constants_the_modeled_clock_cannot_hold_are_refused() {
+    // Trusted unchecked, a rank setup of -1e9 ns printed a negative
+    // wall, one of 1e300 ns a 300-digit wall, and a rank launch of
+    // -1e12 ns a -138,426,410x overlap.
+    let golden = std::fs::read_to_string("tests/golden/placement_plan.json").expect("golden");
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("plan-bad-times.json");
+    for (field, value, wrong) in [
+        ("rank_base_ns", "1500.0", "-1e9"),
+        ("rank_base_ns", "1500.0", "1e300"),
+        ("rank_launch_ns", "500.0", "-1e12"),
+        ("clock_hz", "350000000", "0"),
+        ("ragged_bw_factor", "0.6", "0.0"),
+        ("host_probe_ns", "2.0", "-2.0"),
+    ] {
+        let from = format!("\"{field}\": {value}");
+        assert!(golden.contains(&from), "{from}");
+        let doctored = golden.replace(&from, &format!("\"{field}\": {wrong}"));
+        std::fs::write(&path, doctored).expect("doctor plan");
+        for args in [
+            vec!["plan", "--load"],
+            vec!["run", "--dataset", "read", "--plan"],
+        ] {
+            let out = updlrm().args(&args).arg(&path).output().expect("doctored");
+            assert_eq!(out.status.code(), Some(2), "{field} = {wrong}: {args:?}");
+            assert!(out.stdout.is_empty(), "{field} = {wrong}: nothing may run");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(field), "{field} = {wrong}: stderr {err}");
+        }
     }
     std::fs::remove_file(&path).ok();
 }

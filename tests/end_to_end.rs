@@ -115,7 +115,7 @@ fn facade_prelude_covers_the_quickstart_surface() {
     // Compile-time check that the prelude exports the types the README
     // and examples rely on; exercised lightly at runtime.
     let cost = CostModel::default();
-    assert!(cost.dma_nanos(8) > 0.0);
+    assert!(cost.dma_cycles(8).to_ps(cost.clock_hz) > Ps::ZERO);
     let sampler = ZipfSampler::new(10, 1.0);
     assert_eq!(sampler.len(), 10);
     let sys = PimSystem::new(PimConfig::new(2, 4)).expect("pim system");
