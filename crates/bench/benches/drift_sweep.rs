@@ -150,9 +150,7 @@ fn engine(
     strategy: PartitionStrategy,
     replan: bool,
 ) -> UpdlrmEngine {
-    let mut config = UpdlrmConfig::with_dpus(NR_DPUS, strategy)
-        .with_host_threads(1)
-        .with_telemetry();
+    let mut config = UpdlrmConfig::with_dpus(NR_DPUS, strategy).with_telemetry();
     if replan {
         config = config.with_replan(ReplanPolicy::Periodic {
             every_batches: REPLAN_EVERY,

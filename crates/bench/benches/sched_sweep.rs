@@ -66,8 +66,7 @@ fn build(num_batches: usize) -> (Vec<EmbeddingTable>, Workload) {
 }
 
 fn engine(tables: &[EmbeddingTable], workload: &Workload) -> UpdlrmEngine {
-    let mut config =
-        UpdlrmConfig::with_dpus(NR_DPUS, PartitionStrategy::CacheAware).with_host_threads(1);
+    let mut config = UpdlrmConfig::with_dpus(NR_DPUS, PartitionStrategy::CacheAware);
     config.batch_size = MAX_BATCH;
     UpdlrmEngine::from_workload(config, tables, workload).expect("engine builds")
 }

@@ -1,21 +1,21 @@
-//! Concurrency correctness for the SPSC ring, two ways (ISSUE 6
-//! satellite — no external model checker is vendored, so this is a
-//! loom-style harness built from scratch):
+//! What the runtime's ring pins, two ways. The ring is std's bounded
+//! channel (`sync_channel`) behind a one-producer, one-consumer
+//! wrapper; these tests check the wrapper's handling of the channel's
+//! outcomes, not the channel itself.
 //!
-//! 1. **Exhaustive interleaving enumeration** — the ring has exactly
-//!    one producer and one consumer, so every cross-thread history is
-//!    some interleaving of the producer's operation sequence with the
-//!    consumer's. We enumerate *all* of them (thousands per shape)
-//!    and check each against a reference `VecDeque` model: same
-//!    accept/reject on every push, same value/empty on every pop, FIFO
-//!    order, nothing lost, nothing duplicated. This pins the counter
-//!    logic (full/empty detection, wrap behaviour) over the entire
-//!    schedule space at operation granularity.
-//! 2. **Real-thread stress** — what enumeration cannot see (the
-//!    Acquire/Release pairing actually publishing slot writes between
-//!    cores) is exercised by high-volume two-thread runs that assert
-//!    every value arrives exactly once, in order. Run both via the CI
-//!    concurrency job's `RUST_TEST_THREADS=1` and default settings.
+//! 1. **Exhaustive interleaving enumeration** — with one producer and
+//!    one consumer, every history is some interleaving of the
+//!    producer's pushes with the consumer's pops. All of them (hundreds
+//!    per shape) are run against a reference `VecDeque` model: a push
+//!    is refused exactly when the model is full, a pop returns the
+//!    model's front or nothing when it is empty, and the drain yields
+//!    what the model still holds, in order.
+//! 2. **Real-thread stress** — two threads: every value arrives exactly
+//!    once and in order, a producer that hangs up ends the consumer's
+//!    stream (`pop_blocking` returns `None`), a consumer that hangs up
+//!    makes the producer's push fail with its value instead of
+//!    blocking, and a request/response pair over two capacity-1 rings
+//!    loses no wakeup.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

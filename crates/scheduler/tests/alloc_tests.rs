@@ -62,10 +62,7 @@ fn setup(telemetry: bool) -> (UpdlrmEngine, Workload) {
     let tables: Vec<EmbeddingTable> = (0..num_tables)
         .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, 32, 3, t as u64).unwrap())
         .collect();
-    let mut config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware)
-        // Serial fleet execution: the parallel path spawns threads
-        // (which allocate); steady-state serving is the 1-thread path.
-        .with_host_threads(1);
+    let mut config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware);
     config.telemetry = telemetry;
     config.batch_size = 32;
     let engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();

@@ -48,12 +48,6 @@ pub struct UpdlrmConfig {
     /// Rows replicated into every partition under
     /// [`PartitionStrategy::Replicated`] (ignored otherwise).
     pub replicate_top: usize,
-    /// Host threads used to fan out the functional DPU simulation
-    /// (`1` = serial, the default). Modeled timing is unaffected; this
-    /// only changes simulator wall-clock throughput, and more than one
-    /// thread has not raised it on any box measured (EXPERIMENTS.md,
-    /// "Stage 2 simulates a DPU").
-    pub host_threads: usize,
     /// Record fleet telemetry (per-stage spans, per-DPU counters, cache
     /// traffic) into the engine's
     /// [`MetricsRegistry`](crate::telemetry::MetricsRegistry). Off by
@@ -101,7 +95,6 @@ impl Default for UpdlrmConfig {
             pad_transfers: true,
             miner: MinerConfig::default(),
             replicate_top: 64,
-            host_threads: 1,
             telemetry: false,
             embed_dtype: EmbedDtype::F32,
             replan: ReplanPolicy::Off,
@@ -134,9 +127,10 @@ impl UpdlrmConfig {
         self
     }
 
-    /// Returns a copy with the given number of simulation host threads.
-    pub fn with_host_threads(mut self, host_threads: usize) -> Self {
-        self.host_threads = host_threads;
+    /// Returns `self` unchanged. Every DPU launch runs on the calling
+    /// thread, so there is no worker count to set; this stays only for
+    /// callers written against the old knob.
+    pub fn with_host_threads(self, _host_threads: usize) -> Self {
         self
     }
 

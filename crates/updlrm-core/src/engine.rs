@@ -692,7 +692,6 @@ mod tests {
                     topology,
                     engine.config.tasklets,
                     engine.config.cost.clone(),
-                    1,
                     RankCostModel {
                         rank_base_ns: 0.0,
                         rank_launch_ns: 0.0,

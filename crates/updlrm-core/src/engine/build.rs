@@ -379,7 +379,6 @@ impl UpdlrmEngine {
             },
             config.tasklets,
             config.cost.clone(),
-            config.host_threads,
             RankCostModel {
                 rank_base_ns: 0.0,
                 rank_launch_ns: 0.0,
@@ -450,7 +449,6 @@ impl UpdlrmEngine {
             topo,
             config.tasklets,
             config.cost.clone(),
-            config.host_threads,
             plan.config.rank_cost.clone(),
         )?;
         let mut states = Vec::with_capacity(tables.len());

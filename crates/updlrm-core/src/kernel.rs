@@ -68,7 +68,7 @@
 
 use dlrm_model::quant::{self, QROW_HEADER_BYTES};
 use dlrm_model::{simd, EmbedDtype, FxHashMap};
-use std::sync::{Mutex, TryLockError};
+use std::cell::RefCell;
 use upmem_sim::arch::{DMA_ALIGN, DMA_MAX_TRANSFER, MAX_TASKLETS, MRAM_CAPACITY};
 use upmem_sim::{
     CostModel, CostTable, DpuId, DpuPass, DpuProgram, Mram, SimError, TaskletStats, WramBudget,
@@ -190,9 +190,9 @@ pub struct EmbeddingKernel {
     /// Registered DPUs; others return immediately.
     dpus: FxHashMap<DpuId, DpuTask>,
     /// The last stream decoded, for the DPUs that received the same
-    /// bytes. Serial launches always get the lock; a parallel launch
-    /// worker that finds it taken decodes into a buffer of its own.
-    decoded: Mutex<Decoded>,
+    /// bytes. A launch runs one DPU at a time, so one pass borrows it
+    /// at a time.
+    decoded: RefCell<Decoded>,
 }
 
 /// Where one DPU's reference words point: the EMT tile and the cached
@@ -798,23 +798,7 @@ impl DpuProgram for EmbeddingKernel {
             n_samples: self.n_samples,
             n_tasklets,
         };
-        let (mut shared, mut own);
-        let decoded: &mut Decoded = match self.decoded.try_lock() {
-            Ok(guard) => {
-                shared = guard;
-                &mut shared
-            }
-            // A decode is reusable only once complete, so whatever a
-            // panicking holder left behind is safe to overwrite.
-            Err(TryLockError::Poisoned(poisoned)) => {
-                shared = poisoned.into_inner();
-                &mut shared
-            }
-            Err(TryLockError::WouldBlock) => {
-                own = Decoded::default();
-                &mut own
-            }
-        };
+        let mut decoded = self.decoded.borrow_mut();
         // The stream and the rows may lie anywhere in the committed
         // bank, which reaches at least to the output region (the layout
         // places it last).

@@ -84,10 +84,7 @@ fn setup(placement: Placement, telemetry: bool) -> (UpdlrmEngine, Workload) {
         Placement::Strategy(s) => s,
         Placement::Plan => PartitionStrategy::Uniform, // unused by from_plan
     };
-    let mut config = UpdlrmConfig::with_dpus(16, strategy)
-        // Serial fleet execution: the parallel path spawns threads
-        // (which allocate); steady-state serving is the 1-thread path.
-        .with_host_threads(1);
+    let mut config = UpdlrmConfig::with_dpus(16, strategy);
     config.telemetry = telemetry;
     config.batch_size = workload.config.batch_size;
     let engine = match placement {

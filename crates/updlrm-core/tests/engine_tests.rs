@@ -803,3 +803,13 @@ proptest! {
         }
     }
 }
+
+/// The runtime's shard workers each move a `&mut UpdlrmEngine` into a
+/// scoped thread. Nothing else about the engine crosses threads: its
+/// DPU programs need not be `Sync`, and the stage-2 kernel keeps its
+/// decode memo in a `RefCell`.
+#[test]
+fn engine_is_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<UpdlrmEngine>();
+}

@@ -458,9 +458,8 @@ impl Shape {
     /// A system of one DPU per stream — each with a tile and cache rows
     /// of its own, as the column slices of a partition have — with
     /// `streams[d]` loaded at DPU `d`'s `task.input_base`.
-    fn fleet(&self, task: DpuTask, streams: &[&[u8]], host_threads: usize) -> PimSystem {
-        let config = PimConfig::new(streams.len(), self.n_tasklets).with_host_threads(host_threads);
-        let mut sys = PimSystem::new(config).unwrap();
+    fn fleet(&self, task: DpuTask, streams: &[&[u8]]) -> PimSystem {
+        let mut sys = PimSystem::new(PimConfig::new(streams.len(), self.n_tasklets)).unwrap();
         for (d, stream) in streams.iter().enumerate() {
             let dpu = DpuId(d as u32);
             let (emt, cache) = self.regions(d);
@@ -571,7 +570,7 @@ fn single_fault_streams_fail_like_the_longhand_kernel_and_leave_no_memo() {
         };
         let good = build_stream(&refs, shape.n_tasklets, dedup);
         let want = launch(
-            &mut shape.fleet(TASK, &[&good], 1),
+            &mut shape.fleet(TASK, &[&good]),
             &shape.longhand(TASK),
             TASK,
             shape,
@@ -580,7 +579,7 @@ fn single_fault_streams_fail_like_the_longhand_kernel_and_leave_no_memo() {
         for (what, task, bytes) in faulty_streams(shape) {
             let case = format!("{what}, int8={int8} dedup={dedup}");
             let longhand = launch(
-                &mut shape.fleet(task, &[&bytes], 1),
+                &mut shape.fleet(task, &[&bytes]),
                 &shape.longhand(task),
                 task,
                 shape,
@@ -589,7 +588,7 @@ fn single_fault_streams_fail_like_the_longhand_kernel_and_leave_no_memo() {
             assert!(is_stream_fault(&longhand), "{case}: longhand {longhand}");
 
             let mut kernel = shape.kernel(TASK, 1);
-            let mut sys = shape.fleet(TASK, &[&good], 1);
+            let mut sys = shape.fleet(TASK, &[&good]);
             assert_eq!(
                 launch(&mut sys, &kernel, TASK, shape).unwrap(),
                 want,
@@ -636,7 +635,7 @@ fn repointed_bases_are_served_from_the_new_regions() {
             n_samples: refs.len(),
         };
         let stream = build_stream(&refs, shape.n_tasklets, dedup);
-        let mut sys = shape.fleet(TASK, &[&stream], 1);
+        let mut sys = shape.fleet(TASK, &[&stream]);
         let (emt, cache) = shape.regions(9);
         sys.load_mram(DpuId(0), flipped.emt_base, &emt).unwrap();
         sys.load_mram(DpuId(0), flipped.cache_base, &cache).unwrap();
@@ -749,7 +748,7 @@ fn nothing_resident_is_the_pre_change_closed_form() {
         };
         let stream = build_stream(&refs, shape.n_tasklets, dedup);
         let got = launch(
-            &mut shape.fleet(TASK, &[&stream], 1),
+            &mut shape.fleet(TASK, &[&stream]),
             &shape.kernel(TASK, 1),
             TASK,
             shape,
@@ -799,14 +798,14 @@ fn wram_rows_plus_row_fetches_are_the_references() {
         };
         let stream = build_stream(&refs, shape.n_tasklets, dedup);
         let plain = launch(
-            &mut shape.fleet(TASK, &[&stream], 1),
+            &mut shape.fleet(TASK, &[&stream]),
             &shape.kernel(TASK, 1),
             TASK,
             shape,
         )
         .unwrap();
         let task = resident_task(TASK, 40, 10, 1);
-        let mut sys = shape.fleet(task, &[&stream], 1);
+        let mut sys = shape.fleet(task, &[&stream]);
         let kernel = shape.kernel(task, 1);
         launch(&mut sys, &kernel, task, shape).unwrap(); // pays the fill
         let warm = launch(&mut sys, &kernel, task, shape).unwrap();
@@ -863,7 +862,7 @@ fn the_fill_is_charged_exactly_once_per_generation() {
             })
             .collect();
         let engine: u64 = chunks.iter().map(|&c| model.dma_engine_cycles(c).0).sum();
-        let mut sys = shape.fleet(task, &[&stream], 1);
+        let mut sys = shape.fleet(task, &[&stream]);
         let mut kernel = shape.kernel(task, 1);
         let first = launch(&mut sys, &kernel, task, shape).unwrap();
         let second = launch(&mut sys, &kernel, task, shape).unwrap();
@@ -883,7 +882,7 @@ fn the_fill_is_charged_exactly_once_per_generation() {
         );
         assert_eq!(first.totals.wram_rows, second.totals.wram_rows, "{case}");
         // The longhand program agrees on both launches.
-        let mut oracle = shape.fleet(task, &[&stream], 1);
+        let mut oracle = shape.fleet(task, &[&stream]);
         let want_first = launch(&mut oracle, &shape.longhand(task), task, shape).unwrap();
         let want_second = launch(&mut oracle, &shape.longhand(task), task, shape).unwrap();
         assert_eq!(
@@ -923,13 +922,13 @@ fn a_resident_row_rewritten_by_a_migration_is_served_new_after_the_flip() {
         let flipped = resident_task(TASK, 16, 8, 3);
         let (emt, cache) = shape.regions(9);
         // What a fresh DPU holding the new rows serves.
-        let mut fresh = shape.fleet(flipped, &[&stream], 1);
+        let mut fresh = shape.fleet(flipped, &[&stream]);
         fresh.load_mram(DpuId(0), TASK.emt_base, &emt).unwrap();
         fresh.load_mram(DpuId(0), TASK.cache_base, &cache).unwrap();
         let want = launch(&mut fresh, &shape.longhand(flipped), flipped, shape).unwrap();
 
-        let mut sys = shape.fleet(task, &[&stream], 1);
-        let mut oracle = shape.fleet(task, &[&stream], 1);
+        let mut sys = shape.fleet(task, &[&stream]);
+        let mut oracle = shape.fleet(task, &[&stream]);
         let mut kernel = shape.kernel(task, 1);
         let before = launch(&mut sys, &kernel, task, shape).unwrap();
         let old = launch(&mut oracle, &shape.longhand(task), task, shape).unwrap();
@@ -972,7 +971,7 @@ proptest! {
     /// (in the CSR format that is one byte). The kernel may decode once
     /// for the DPUs that share bytes but must notice the one that does
     /// not — every DPU's rows and counters, tasklet by tasklet, equal
-    /// the longhand kernel's, whatever the number of launch workers.
+    /// the longhand kernel's.
     #[test]
     fn kernel_matches_the_longhand_kernel_in_rows_and_counters(
         samples in prop::collection::vec(
@@ -1005,25 +1004,23 @@ proptest! {
                 let streams = [&stream[..], &stream, &odd_one, &stream, &stream];
                 // Two launches each: the first fills the resident block,
                 // the second finds it in WRAM.
-                let mut oracle = shape.fleet(task, &streams, 1);
+                let mut oracle = shape.fleet(task, &streams);
                 let want = [(); 2].map(|()| {
                     launch(&mut oracle, &shape.longhand(task), task, shape).unwrap()
                 });
                 let filled = want[0].iter().all(|(_, stats)| stats.fill_cycles.0 > 0);
                 prop_assert_eq!(filled, resident != (0, 0));
                 prop_assert!(want[1].iter().all(|(_, stats)| stats.fill_cycles.0 == 0));
-                for host_threads in [1, 4] {
-                    let mut sys = shape.fleet(task, &streams, host_threads);
-                    let kernel = shape.kernel(task, streams.len());
-                    for (nth, want) in want.iter().enumerate() {
-                        let got = launch(&mut sys, &kernel, task, shape).unwrap();
-                        for (d, (got, want)) in got.iter().zip(want).enumerate() {
-                            prop_assert_eq!(
-                                got, want,
-                                "launch {} DPU {} int8={} dedup={} host_threads={}",
-                                nth, d, int8, dedup, host_threads
-                            );
-                        }
+                let mut sys = shape.fleet(task, &streams);
+                let kernel = shape.kernel(task, streams.len());
+                for (nth, want) in want.iter().enumerate() {
+                    let got = launch(&mut sys, &kernel, task, shape).unwrap();
+                    for (d, (got, want)) in got.iter().zip(want).enumerate() {
+                        prop_assert_eq!(
+                            got, want,
+                            "launch {} DPU {} int8={} dedup={}",
+                            nth, d, int8, dedup
+                        );
                     }
                 }
             }

@@ -602,12 +602,10 @@ mod tests {
 
     #[test]
     fn pim_config_serde_round_trip() {
-        let cfg = crate::PimConfig::new(37, 12)
-            .with_host_threads(5)
-            .with_cost(CostModel {
-                launch_overhead_cycles: 7_777,
-                ..CostModel::default()
-            });
+        let cfg = crate::PimConfig::new(37, 12).with_cost(CostModel {
+            launch_overhead_cycles: 7_777,
+            ..CostModel::default()
+        });
         let json = serde::json::to_string_pretty(&cfg);
         let back: crate::PimConfig = serde::json::from_str(&json).unwrap();
         assert_eq!(back, cfg);

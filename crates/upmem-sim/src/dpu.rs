@@ -38,14 +38,8 @@ use crate::stats::{DpuRunStats, TaskletStats};
 /// One kernel value is shared by every tasklet of every launched DPU; the
 /// per-tasklet entry point receives a [`TaskletCtx`] identifying which
 /// DPU/tasklet is running and mediating all memory access and cycle
-/// charging.
-///
-/// `Sync` is a supertrait because the host may fan a launch out across
-/// host threads (see `PimConfig::host_threads`), with every worker
-/// reading the same kernel value concurrently. Kernels are plain data in
-/// practice (per-DPU task tables built before the launch), so the bound
-/// is free. Kernel *results* belong in MRAM/WRAM.
-pub trait Kernel: Sync {
+/// charging. Kernel *results* belong in MRAM/WRAM.
+pub trait Kernel {
     /// Bytes of WRAM reserved as a region shared by all tasklets of a
     /// DPU (e.g. a software row cache). The remainder of WRAM is split
     /// evenly into per-tasklet private regions.
@@ -110,12 +104,11 @@ pub trait Kernel: Sync {
 /// time. Every [`Kernel`] is a `DpuProgram` whose pass is the tasklet
 /// interpreter.
 ///
-/// `Sync` for the same reason as [`Kernel`]: launch workers share one
-/// program value. A program may keep reusable buffers behind
-/// thread-safe interior mutability, as long as what they hold only
-/// shortens the way to the result a fresh pass computes — which worker
-/// runs which DPU, and in what order, must not reach the report.
-pub trait DpuProgram: Sync {
+/// A program may keep reusable buffers behind interior mutability, as
+/// long as what they hold only shortens the way to the result a fresh
+/// pass computes: the order in which DPUs run must not reach the
+/// report.
+pub trait DpuProgram {
     /// Bytes of WRAM the modeled program reserves as a region shared by
     /// all tasklets; the launch fails unless every tasklet is left its
     /// [`DpuProgram::tasklet_wram_bytes`] beside it.

@@ -107,7 +107,7 @@ pub struct Fleet {
 impl Fleet {
     /// Builds a fleet of `topology.nr_ranks` identical ranks, each a
     /// [`PimSystem`] of `topology.dpus_per_rank` DPUs configured with
-    /// `tasklets`, `cost` and `host_threads` (per rank).
+    /// `tasklets` and `cost`.
     ///
     /// # Errors
     ///
@@ -118,7 +118,6 @@ impl Fleet {
         topology: RankTopology,
         tasklets: usize,
         cost: CostModel,
-        host_threads: usize,
         rank_cost: RankCostModel,
     ) -> Result<Fleet> {
         if topology.nr_ranks == 0 || topology.dpus_per_rank == 0 {
@@ -131,9 +130,7 @@ impl Fleet {
         let mut ranks = Vec::with_capacity(topology.nr_ranks);
         for _ in 0..topology.nr_ranks {
             ranks.push(PimSystem::new(
-                PimConfig::new(topology.dpus_per_rank, tasklets)
-                    .with_cost(cost.clone())
-                    .with_host_threads(host_threads),
+                PimConfig::new(topology.dpus_per_rank, tasklets).with_cost(cost.clone()),
             )?);
         }
         Ok(Fleet {
@@ -249,7 +246,6 @@ mod tests {
             },
             8,
             CostModel::default(),
-            1,
             RankCostModel::default(),
         )
         .unwrap()
@@ -278,7 +274,6 @@ mod tests {
                 },
                 8,
                 CostModel::default(),
-                1,
                 RankCostModel::default(),
             )
             .is_err());
@@ -395,7 +390,7 @@ mod tests {
                 nr_ranks: 1,
                 dpus_per_rank: 1,
             };
-            let fleet = Fleet::new(topology, 8, CostModel::default(), 1, rank_cost);
+            let fleet = Fleet::new(topology, 8, CostModel::default(), rank_cost);
             assert!(fleet.is_err());
         }
     }

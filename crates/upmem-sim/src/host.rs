@@ -6,12 +6,9 @@
 //! timing follows the UPMEM rank rule: per-DPU buffers move in parallel
 //! when they all have the same size and serialize otherwise.
 //!
-//! Kernel launches can be *functionally* executed across
-//! [`PimConfig::host_threads`] host worker threads (DPUs are isolated,
-//! so the fleet is embarrassingly parallel), while *modeled* timing
-//! stays bit-identical to serial execution — see [`PimSystem::launch`].
-//! The default is serial: a launch group is a handful of DPUs of a few
-//! hundred nanoseconds each, less than spawning its workers costs.
+//! A kernel launch runs its DPUs one after another on the calling
+//! thread; the hardware's overlap of them lives in modeled time, where
+//! a launch's wall is the slowest DPU's — see [`PimSystem::launch`].
 
 use crate::arch::{Cycles, DpuId, Ps};
 use crate::cost::{CostModel, CostTable};
@@ -26,22 +23,8 @@ pub struct PimConfig {
     pub nr_dpus: usize,
     /// Tasklets used per kernel launch (the paper uses 14).
     pub tasklets: usize,
-    /// Host worker threads used to *execute* kernel launches
-    /// functionally. Purely a simulator-throughput knob: the modeled
-    /// timing/energy is bit-identical for every value (see
-    /// [`PimSystem::launch`]). `1`, the default, runs the fleet serially
-    /// on the calling thread; more has not paid for its thread spawns on
-    /// any box measured (EXPERIMENTS.md, "Stage 2 simulates a DPU").
-    pub host_threads: usize,
     /// Timing/energy model.
     pub cost: CostModel,
-}
-
-/// The host's available parallelism (at least 1): the most workers
-/// [`PimConfig::host_threads`] can put to use. Not the default, which
-/// is 1 — a sweep over `host_threads` ends here.
-pub fn default_host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 impl Default for PimConfig {
@@ -56,15 +39,15 @@ impl PimConfig {
         PimConfig {
             nr_dpus,
             tasklets,
-            host_threads: 1,
             cost: CostModel::default(),
         }
     }
 
-    /// Returns `self` with [`PimConfig::host_threads`] set to `n`.
+    /// Returns `self` unchanged. Every launch runs on the calling
+    /// thread, so there is no worker count to set; this stays only for
+    /// callers written against the old knob.
     #[must_use]
-    pub fn with_host_threads(mut self, n: usize) -> Self {
-        self.host_threads = n;
+    pub fn with_host_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -103,11 +86,6 @@ impl PimSystem {
                 crate::arch::MAX_TASKLETS,
                 config.tasklets
             )));
-        }
-        if config.host_threads == 0 {
-            return Err(SimError::InvalidConfig(
-                "host_threads must be > 0 (1 = serial execution)".into(),
-            ));
         }
         config.cost.check_times().map_err(SimError::InvalidConfig)?;
         let dpus = (0..config.nr_dpus)
@@ -329,24 +307,19 @@ impl PimSystem {
 
     /// Launches `kernel` — a [`Kernel`](crate::dpu::Kernel), interpreted
     /// tasklet by tasklet, or any other [`DpuProgram`] — on the given
-    /// DPUs with the configured tasklet count. DPUs execute in parallel:
-    /// the report's wall time is the slowest DPU's time.
-    ///
-    /// Functionally, the fleet is executed across up to
-    /// [`PimConfig::host_threads`] host worker threads. Real thread
-    /// count never changes the result: each DPU's run is deterministic
-    /// and isolated (its own MRAM/WRAM, a shared read-only kernel), and
-    /// per-DPU statistics are merged back in `ids` order, so
-    /// `wall_cycles` (a max) and `energy_pj` (a left-to-right f64 sum)
-    /// are bit-identical to `host_threads = 1`.
+    /// DPUs with the configured tasklet count. The DPUs run one after
+    /// another on the calling thread, in `ids` order, once per
+    /// occurrence; in modeled time they run at once, so the report's
+    /// wall time is the slowest DPU's and its energy the sum over
+    /// `ids`.
     ///
     /// # Errors
     ///
-    /// Propagates kernel faults and unknown DPU ids. When several DPUs
-    /// fault, the error reported is the faulting DPU earliest in `ids`.
-    /// As with a mid-scatter error, DPU memory state afterwards is
-    /// unspecified-but-valid: workers that already ran other DPUs leave
-    /// their writes in place.
+    /// Propagates kernel faults and unknown DPU ids: the first DPU in
+    /// `ids` that fails ends the launch with its error. As with a
+    /// mid-scatter error, DPU memory state afterwards is
+    /// unspecified-but-valid: the DPUs that ran before it keep their
+    /// writes.
     pub fn launch<K: DpuProgram + ?Sized>(
         &mut self,
         ids: &[DpuId],
@@ -359,9 +332,9 @@ impl PimSystem {
 
     /// Like [`PimSystem::launch`], but writes the report into a
     /// caller-owned `out`, reusing its `per_dpu` buffers (including each
-    /// entry's per-tasklet vector). With a warm `out` the serial path
-    /// (`host_threads = 1`) performs no heap allocation; the report is
-    /// bit-identical to [`PimSystem::launch`] either way.
+    /// entry's per-tasklet vector). With a warm `out` a launch performs
+    /// no heap allocation; the report is bit-identical to
+    /// [`PimSystem::launch`] either way.
     ///
     /// # Errors
     ///
@@ -373,28 +346,17 @@ impl PimSystem {
         kernel: &K,
         out: &mut LaunchReport,
     ) -> Result<()> {
-        let workers = self.config.host_threads.min(ids.len());
-        if workers <= 1 {
-            self.run_fleet_serial_into(ids, kernel, &mut out.per_dpu)?;
-        } else {
-            match Self::disjoint_dpu_refs(&mut self.dpus, ids)? {
-                // Duplicate ids cannot be split into disjoint `&mut`
-                // chunks; re-launching the same DPU is deterministic
-                // either way, so fall back to the serial path.
-                None => self.run_fleet_serial_into(ids, kernel, &mut out.per_dpu)?,
-                Some(fleet) => {
-                    let (tasklets, costs) = (self.config.tasklets, &self.costs);
-                    let results =
-                        Self::run_fleet_parallel(fleet, kernel, tasklets, costs, workers)?;
-                    out.per_dpu.clear();
-                    out.per_dpu.extend(results);
-                }
-            }
+        out.per_dpu
+            .resize_with(ids.len(), || (DpuId(0), DpuRunStats::default()));
+        let nr_dpus = self.dpus.len();
+        for (&id, slot) in ids.iter().zip(out.per_dpu.iter_mut()) {
+            slot.0 = id;
+            let dpu = self
+                .dpus
+                .get_mut(id.index())
+                .ok_or(SimError::UnknownDpu { id, nr_dpus })?;
+            dpu.launch_into(kernel, self.config.tasklets, &self.costs, &mut slot.1)?;
         }
-        // Deterministic merge in `ids` order. The max over u64 cycles is
-        // order-independent, but the f64 energy sum is not — summing in
-        // launch order is what keeps the report bit-identical across
-        // `host_threads` settings.
         let mut wall = Cycles::ZERO;
         let mut energy = 0.0;
         for (_, stats) in &out.per_dpu {
@@ -405,120 +367,6 @@ impl PimSystem {
         out.wall = wall.to_ps(self.config.cost.clock_hz);
         out.energy_pj = energy;
         Ok(())
-    }
-
-    /// Serial fleet execution on the calling thread (`host_threads = 1`
-    /// and the duplicate-id fallback), writing each DPU's stats in place
-    /// over `out`'s recycled entries.
-    fn run_fleet_serial_into<K: DpuProgram + ?Sized>(
-        &mut self,
-        ids: &[DpuId],
-        kernel: &K,
-        out: &mut Vec<(DpuId, DpuRunStats)>,
-    ) -> Result<()> {
-        out.truncate(ids.len());
-        out.resize_with(ids.len(), || (DpuId(0), DpuRunStats::default()));
-        for (&id, slot) in ids.iter().zip(out.iter_mut()) {
-            slot.0 = id;
-            let n = self.dpus.len();
-            let dpu = self
-                .dpus
-                .get_mut(id.index())
-                .ok_or(SimError::UnknownDpu { id, nr_dpus: n })?;
-            dpu.launch_into(kernel, self.config.tasklets, &self.costs, &mut slot.1)?;
-        }
-        Ok(())
-    }
-
-    /// Splits the DPU pool into one disjoint `&mut Dpu` per launched id,
-    /// tagged with its position in `ids`.
-    ///
-    /// Returns `Ok(None)` when `ids` contains duplicates (no disjoint
-    /// split exists).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::UnknownDpu`] for the out-of-range id earliest in
-    /// `ids`, matching the serial path's error.
-    fn disjoint_dpu_refs<'a>(
-        dpus: &'a mut [Dpu],
-        ids: &[DpuId],
-    ) -> Result<Option<Vec<(usize, &'a mut Dpu)>>> {
-        let nr_dpus = dpus.len();
-        if let Some(&bad) = ids.iter().find(|id| id.index() >= nr_dpus) {
-            return Err(SimError::UnknownDpu { id: bad, nr_dpus });
-        }
-        // Walk the pool in id order, repeatedly splitting off the next
-        // launched DPU — each split hands out a `&mut` that cannot alias
-        // the remainder.
-        let mut order: Vec<usize> = (0..ids.len()).collect();
-        order.sort_unstable_by_key(|&pos| ids[pos].index());
-        let mut fleet = Vec::with_capacity(ids.len());
-        let mut rest: &mut [Dpu] = dpus;
-        let mut consumed = 0usize;
-        for &pos in &order {
-            let idx = ids[pos].index();
-            if idx < consumed {
-                return Ok(None); // duplicate id
-            }
-            let (_, tail) = rest.split_at_mut(idx - consumed);
-            let (dpu, tail) = tail.split_first_mut().expect("idx validated in range");
-            fleet.push((pos, dpu));
-            rest = tail;
-            consumed = idx + 1;
-        }
-        Ok(Some(fleet))
-    }
-
-    /// Executes the fleet on `workers` scoped host threads, returning
-    /// per-DPU results re-assembled in launch order.
-    fn run_fleet_parallel<K: DpuProgram + ?Sized>(
-        mut fleet: Vec<(usize, &mut Dpu)>,
-        kernel: &K,
-        tasklets: usize,
-        costs: &CostTable,
-        workers: usize,
-    ) -> Result<Vec<(DpuId, DpuRunStats)>> {
-        let n = fleet.len();
-        let chunk_len = n.div_ceil(workers);
-        let worker_outputs: Vec<Vec<(usize, DpuId, Result<DpuRunStats>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = fleet
-                    .chunks_mut(chunk_len)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .map(|(pos, dpu)| {
-                                    (*pos, dpu.id(), dpu.launch(kernel, tasklets, costs))
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("DPU worker thread panicked"))
-                    .collect()
-            });
-        let mut slots: Vec<Option<(DpuId, DpuRunStats)>> = (0..n).map(|_| None).collect();
-        let mut first_err: Option<(usize, SimError)> = None;
-        for (pos, id, result) in worker_outputs.into_iter().flatten() {
-            match result {
-                Ok(stats) => slots[pos] = Some((id, stats)),
-                Err(e) if first_err.as_ref().is_none_or(|(p, _)| pos < *p) => {
-                    first_err = Some((pos, e));
-                }
-                Err(_) => {}
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every launch position filled"))
-            .collect())
     }
 
     /// Launches `kernel` on *all* DPUs.
@@ -618,23 +466,13 @@ mod tests {
             sys.load_mram(DpuId(7), 0, &[0u8; 8]),
             Err(SimError::UnknownDpu { .. })
         ));
-        // The parallel launch path validates ids up-front and must
-        // report the same error as the serial path.
-        for threads in [1, 4] {
-            let mut sys = PimSystem::new(PimConfig::new(2, 2).with_host_threads(threads)).unwrap();
-            assert!(matches!(
-                sys.launch(&[DpuId(0), DpuId(9)], &Nop),
-                Err(SimError::UnknownDpu {
-                    id: DpuId(9),
-                    nr_dpus: 2
-                })
-            ));
-        }
-    }
-
-    #[test]
-    fn rejects_zero_host_threads() {
-        assert!(PimSystem::new(PimConfig::new(4, 14).with_host_threads(0)).is_err());
+        assert!(matches!(
+            sys.launch(&[DpuId(0), DpuId(9)], &Nop),
+            Err(SimError::UnknownDpu {
+                id: DpuId(9),
+                nr_dpus: 2
+            })
+        ));
     }
 
     /// Uniform transfers pay total bytes at parallel bandwidth; ragged
@@ -708,58 +546,38 @@ mod tests {
         }
     }
 
-    /// Tentpole invariant: every field of the LaunchReport is
-    /// bit-identical between serial and multi-threaded execution.
-    #[test]
-    fn parallel_launch_report_is_bit_identical_to_serial() {
-        let run = |threads: usize| {
-            let mut sys =
-                PimSystem::new(PimConfig::new(37, 14).with_host_threads(threads)).unwrap();
-            for id in 0..37 {
-                sys.load_mram(DpuId(id), 0, &vec![id as u8; 4096]).unwrap();
-            }
-            sys.launch_all(&SkewedWork).unwrap()
-        };
-        let serial = run(1);
-        for threads in [2, 3, 8, 64] {
-            let parallel = run(threads);
-            assert_eq!(serial, parallel, "host_threads={threads} diverged");
-            assert_eq!(serial.wall, parallel.wall);
-            assert_eq!(serial.energy_pj.to_bits(), parallel.energy_pj.to_bits());
-        }
-    }
-
-    /// Launching a strict subset of ids, in scrambled order, must also
-    /// be order- and thread-count-stable.
+    /// A DPU's result does not depend on which DPUs launch beside it:
+    /// a strict subset in scrambled order reports, in launch order, what
+    /// a launch of every DPU reports for the same ids.
     #[test]
     fn parallel_subset_launch_matches_serial() {
         let ids = [DpuId(5), DpuId(0), DpuId(11), DpuId(3), DpuId(7)];
-        let run = |threads: usize| {
-            let mut sys = PimSystem::new(PimConfig::new(12, 4).with_host_threads(threads)).unwrap();
-            sys.launch(&ids, &SkewedWork).unwrap()
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(serial, parallel);
-        let order: Vec<DpuId> = parallel.per_dpu.iter().map(|(id, _)| *id).collect();
+        let system = || PimSystem::new(PimConfig::new(12, 4)).unwrap();
+        let subset = system().launch(&ids, &SkewedWork).unwrap();
+        let all = system().launch_all(&SkewedWork).unwrap();
+        let order: Vec<DpuId> = subset.per_dpu.iter().map(|(id, _)| *id).collect();
         assert_eq!(order, ids, "per_dpu must stay in launch order");
+        for (id, stats) in &subset.per_dpu {
+            assert_eq!(stats, &all.per_dpu[id.index()].1, "{id:?}");
+        }
     }
 
-    /// Duplicate ids cannot be split into disjoint `&mut` chunks; the
-    /// launch must still succeed (serial fallback), running the DPU once
-    /// per occurrence exactly like `host_threads = 1`.
+    /// A duplicate id runs its DPU once per occurrence, each run
+    /// reported in its own launch position.
     #[test]
     fn duplicate_ids_fall_back_to_serial() {
         let ids = [DpuId(1), DpuId(0), DpuId(1)];
-        let run = |threads: usize| {
-            let mut sys = PimSystem::new(PimConfig::new(2, 2).with_host_threads(threads)).unwrap();
-            sys.launch(&ids, &SkewedWork).unwrap()
-        };
-        assert_eq!(run(1), run(4));
+        let mut sys = PimSystem::new(PimConfig::new(2, 2)).unwrap();
+        let rep = sys.launch(&ids, &SkewedWork).unwrap();
+        let order: Vec<DpuId> = rep.per_dpu.iter().map(|(id, _)| *id).collect();
+        assert_eq!(order, ids);
+        assert_eq!(rep.per_dpu[0].1, rep.per_dpu[2].1);
+        let energy: f64 = rep.per_dpu.iter().map(|(_, s)| s.energy_pj).sum();
+        assert_eq!(rep.energy_pj.to_bits(), energy.to_bits());
     }
 
-    /// A fault on one DPU surfaces as that DPU's error and must not
-    /// poison the other workers (they complete; the system stays usable).
+    /// A fault on one DPU surfaces as that DPU's error and leaves the
+    /// system usable: a subsequent healthy launch works.
     #[test]
     fn kernel_fault_does_not_poison_other_workers() {
         struct FaultOn3;
@@ -772,14 +590,11 @@ mod tests {
                 Ok(())
             }
         }
-        for threads in [1, 4] {
-            let mut sys = PimSystem::new(PimConfig::new(8, 2).with_host_threads(threads)).unwrap();
-            let err = sys.launch_all(&FaultOn3).unwrap_err();
-            assert_eq!(err, SimError::KernelFault("dpu3 exploded".into()));
-            // The system is not poisoned: a subsequent healthy launch works.
-            let rep = sys.launch_all(&Nop).unwrap();
-            assert_eq!(rep.per_dpu.len(), 8);
-        }
+        let mut sys = PimSystem::new(PimConfig::new(8, 2)).unwrap();
+        let err = sys.launch_all(&FaultOn3).unwrap_err();
+        assert_eq!(err, SimError::KernelFault("dpu3 exploded".into()));
+        let rep = sys.launch_all(&Nop).unwrap();
+        assert_eq!(rep.per_dpu.len(), 8);
     }
 
     #[test]

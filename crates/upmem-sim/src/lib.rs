@@ -75,6 +75,6 @@ pub use cost::{CostModel, CostTable, WramBudget, TASKLET_STACK_BYTES};
 pub use dpu::{Charges, Dpu, DpuPass, DpuProgram, Kernel, TaskletCtx};
 pub use error::{Result, SimError};
 pub use fleet::{Fleet, RankCostModel, RankTopology};
-pub use host::{default_host_threads, PimConfig, PimSystem};
+pub use host::{PimConfig, PimSystem};
 pub use mem::{Mram, MramLayout, Wram};
 pub use stats::{DpuCounters, DpuRunStats, LaunchReport, TaskletStats, TransferReport};

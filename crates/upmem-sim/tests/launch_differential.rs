@@ -1,16 +1,17 @@
-//! Differential tests for the host-parallel DPU-fleet launch path:
-//! whatever `host_threads` is set to, `launch` must produce
-//! `LaunchReport`s that are bit-identical to the serial path — down to
-//! the f64 bit patterns of `wall_ns` and `energy_pj` — and must keep
-//! the serial path's error semantics (the *earliest* faulting launch
-//! id wins) on mixed fleets with faulting DPUs, duplicate ids, and
-//! ragged MRAM loads.
+//! Differential tests for the DPU-fleet launch path: a launch of any
+//! subset of a ragged fleet — scrambled, with duplicate ids, after a
+//! fault — must report, position by position, what a launch of the
+//! whole fleet on a fresh system reports for the same DPUs, down to the
+//! f64 bit patterns of `energy_pj`, with the wall the max and the
+//! energy the launch-order sum of its entries. When DPUs fault, the
+//! one earliest in launch order wins.
 
-use upmem_sim::{DpuId, Kernel, LaunchReport, PimConfig, PimSystem, Result, SimError, TaskletCtx};
+use upmem_sim::{
+    Cycles, DpuId, Kernel, LaunchReport, PimConfig, PimSystem, Result, SimError, TaskletCtx,
+};
 
 const NR_DPUS: usize = 16;
 const TASKLETS: usize = 4;
-const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// Mixed-work kernel: per-DPU/per-tasklet work skew plus MRAM traffic,
 /// faulting on every DPU listed in `fault_on`.
@@ -46,9 +47,8 @@ impl Kernel for MixedFleet {
 /// Builds a system whose per-DPU MRAM loads are deliberately ragged
 /// (every DPU holds a different-sized region) so the transfer path the
 /// fleet rides in on is the serialized one.
-fn ragged_system(host_threads: usize) -> PimSystem {
-    let mut sys = PimSystem::new(PimConfig::new(NR_DPUS, TASKLETS).with_host_threads(host_threads))
-        .expect("valid config");
+fn ragged_system() -> PimSystem {
+    let mut sys = PimSystem::new(PimConfig::new(NR_DPUS, TASKLETS)).expect("valid config");
     for d in 0..NR_DPUS {
         let bytes = vec![d as u8; 512 + d * 64];
         sys.load_mram(DpuId(d as u32), 0, &bytes).expect("fits");
@@ -56,53 +56,48 @@ fn ragged_system(host_threads: usize) -> PimSystem {
     sys
 }
 
-fn assert_bit_identical(a: &LaunchReport, b: &LaunchReport, what: &str) {
-    assert_eq!(a, b, "{what}: structural mismatch");
-    assert_eq!(a.wall, b.wall, "{what}: wall differs");
+/// Checks `report`, a healthy launch of `ids`, against a launch of
+/// every DPU of a fresh ragged system.
+fn assert_matches_whole_fleet(report: &LaunchReport, ids: &[DpuId], what: &str) {
+    let all: Vec<DpuId> = (0..NR_DPUS as u32).map(DpuId).collect();
+    let whole = ragged_system()
+        .launch(&all, &MixedFleet::healthy())
+        .unwrap();
     assert_eq!(
-        a.energy_pj.to_bits(),
-        b.energy_pj.to_bits(),
-        "{what}: energy_pj bits differ"
+        report.per_dpu.len(),
+        ids.len(),
+        "{what}: one entry per position"
     );
-    for ((id_a, s_a), (id_b, s_b)) in a.per_dpu.iter().zip(b.per_dpu.iter()) {
-        assert_eq!(id_a, id_b, "{what}: per-DPU order differs");
+    let (mut wall, mut energy) = (Cycles::ZERO, 0.0);
+    for (&want_id, (id, stats)) in ids.iter().zip(&report.per_dpu) {
+        assert_eq!(*id, want_id, "{what}: per-DPU order differs");
+        let want = &whole.per_dpu[id.index()].1;
+        assert_eq!(stats, want, "{what}: DPU {id:?} differs");
         assert_eq!(
-            s_a.energy_pj.to_bits(),
-            s_b.energy_pj.to_bits(),
-            "{what}: DPU {id_a:?} energy bits differ"
+            stats.energy_pj.to_bits(),
+            want.energy_pj.to_bits(),
+            "{what}: DPU {id:?} energy bits differ"
         );
+        wall = wall.max(stats.cycles);
+        energy += stats.energy_pj;
     }
-}
-
-#[test]
-fn thread_sweep_is_bit_identical_on_ragged_fleet() {
-    let ids: Vec<DpuId> = (0..NR_DPUS as u32).map(DpuId).collect();
-    let mut serial = ragged_system(1);
-    let baseline = serial.launch(&ids, &MixedFleet::healthy()).unwrap();
-    assert_eq!(baseline.per_dpu.len(), NR_DPUS);
-
-    for threads in THREAD_SWEEP {
-        let mut sys = ragged_system(threads);
-        let report = sys.launch(&ids, &MixedFleet::healthy()).unwrap();
-        assert_bit_identical(&baseline, &report, &format!("host_threads={threads}"));
-    }
+    assert_eq!(report.wall_cycles, wall, "{what}: wall is not the max");
+    assert_eq!(
+        report.energy_pj.to_bits(),
+        energy.to_bits(),
+        "{what}: energy is not the launch-order sum"
+    );
 }
 
 #[test]
 fn subset_launch_order_is_preserved_across_threads() {
     // Launch a shuffled, non-contiguous subset: per_dpu must come back
-    // in launch order (not DPU-id order) on every thread count.
+    // in launch order (not DPU-id order).
     let ids = [DpuId(9), DpuId(2), DpuId(15), DpuId(4), DpuId(11)];
-    let mut serial = ragged_system(1);
-    let baseline = serial.launch(&ids, &MixedFleet::healthy()).unwrap();
-    let order: Vec<DpuId> = baseline.per_dpu.iter().map(|(d, _)| *d).collect();
-    assert_eq!(order, ids.to_vec());
-
-    for threads in THREAD_SWEEP {
-        let mut sys = ragged_system(threads);
-        let report = sys.launch(&ids, &MixedFleet::healthy()).unwrap();
-        assert_bit_identical(&baseline, &report, &format!("subset threads={threads}"));
-    }
+    let report = ragged_system()
+        .launch(&ids, &MixedFleet::healthy())
+        .unwrap();
+    assert_matches_whole_fleet(&report, &ids, "subset");
 }
 
 #[test]
@@ -113,60 +108,34 @@ fn fault_surfaces_earliest_launch_position_on_every_thread_count() {
         fault_on: vec![DpuId(5), DpuId(13)],
     };
     let ids = [DpuId(7), DpuId(13), DpuId(0), DpuId(5), DpuId(2)];
-    for threads in THREAD_SWEEP {
-        let mut sys = ragged_system(threads);
-        let err = sys.launch(&ids, &kernel).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::KernelFault("dpu 13 exploded".into()),
-            "host_threads={threads}"
-        );
-        // The fleet is not poisoned: a healthy launch still works and
-        // still matches the serial report bit for bit.
-        let healthy = sys.launch(&ids, &MixedFleet::healthy()).unwrap();
-        let mut serial = ragged_system(1);
-        let baseline = serial.launch(&ids, &MixedFleet::healthy()).unwrap();
-        assert_bit_identical(
-            &baseline,
-            &healthy,
-            &format!("post-fault threads={threads}"),
-        );
-    }
+    let mut sys = ragged_system();
+    let err = sys.launch(&ids, &kernel).unwrap_err();
+    assert_eq!(err, SimError::KernelFault("dpu 13 exploded".into()));
+    // The fleet is not poisoned: a healthy launch still works and
+    // still matches a fresh system's bit for bit.
+    let healthy = sys.launch(&ids, &MixedFleet::healthy()).unwrap();
+    assert_matches_whole_fleet(&healthy, &ids, "post-fault");
 }
 
 #[test]
 fn duplicate_ids_fall_back_to_serial_and_stay_identical() {
-    // Duplicate launch ids force the serial fallback; the report must
-    // still be bit-identical across thread counts, with one per_dpu
-    // entry per occurrence.
+    // A duplicate id runs its DPU once per occurrence: one per_dpu
+    // entry per position, each equal to the DPU's own result.
     let ids = [DpuId(3), DpuId(8), DpuId(3), DpuId(1), DpuId(8)];
-    let mut serial = ragged_system(1);
-    let baseline = serial.launch(&ids, &MixedFleet::healthy()).unwrap();
-    assert_eq!(baseline.per_dpu.len(), ids.len());
-
-    for threads in THREAD_SWEEP {
-        let mut sys = ragged_system(threads);
-        let report = sys.launch(&ids, &MixedFleet::healthy()).unwrap();
-        assert_bit_identical(&baseline, &report, &format!("dupes threads={threads}"));
-    }
+    let report = ragged_system()
+        .launch(&ids, &MixedFleet::healthy())
+        .unwrap();
+    assert_matches_whole_fleet(&report, &ids, "dupes");
 }
 
 #[test]
 fn duplicate_ids_with_fault_error_on_earliest_position() {
-    // Serial fallback + fault: the earliest *position* referencing a
-    // faulting DPU reports, even though a smaller faulting id occurs
-    // later in the list.
+    // The earliest *position* referencing a faulting DPU reports, even
+    // though a smaller faulting id occurs later in the list.
     let kernel = MixedFleet {
         fault_on: vec![DpuId(1), DpuId(8)],
     };
     let ids = [DpuId(3), DpuId(8), DpuId(3), DpuId(1), DpuId(8)];
-    for threads in THREAD_SWEEP {
-        let mut sys = ragged_system(threads);
-        let err = sys.launch(&ids, &kernel).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::KernelFault("dpu 8 exploded".into()),
-            "host_threads={threads}"
-        );
-    }
+    let err = ragged_system().launch(&ids, &kernel).unwrap_err();
+    assert_eq!(err, SimError::KernelFault("dpu 8 exploded".into()));
 }

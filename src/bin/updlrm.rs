@@ -3,7 +3,7 @@
 //! ```text
 //! updlrm run   [--dataset read] [--backend updlrm|cpu|hybrid|fae]
 //!              [--strategy u|nu|ca|nur] [--dpus 256] [--nc auto|2|4|8]
-//!              [--scale 200] [--batches 10] [--seed 7] [--host-threads N]
+//!              [--scale 200] [--batches 10] [--seed 7]
 //!              [--embed-dtype f32|int8] [--tables FILE]
 //!              [--plan FILE] [--json FILE] [--metrics FILE]
 //! updlrm pack  --out FILE [--dataset read] [--scale 200] [--seed 7]
@@ -16,7 +16,7 @@
 //!              [--queue-cap N] [--runtime modeled|wall] [--shards N]
 //!              [--time-scale X] [--deterministic] [--dataset read]
 //!              [--strategy u|nu|ca|nur] [--dpus 256] [--scale 200]
-//!              [--batches 10] [--seed 7] [--host-threads N]
+//!              [--batches 10] [--seed 7]
 //!              [--workload-v3 FILE] [--replan off|periodic:N|imbalance:T[:N]]
 //!              [--drift-snapshot FILE] [--json FILE] [--metrics FILE]
 //! updlrm serve --tenants FILE.toml [--no-isolation] [--quantum-us N]
@@ -45,7 +45,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  updlrm run   [--dataset TAG] [--backend updlrm|cpu|hybrid|fae] \
          [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|2|4|8] [--scale N] [--batches N] [--seed N] \
-         [--host-threads N] [--embed-dtype f32|int8] [--tables FILE] \
+         [--embed-dtype f32|int8] [--tables FILE] \
          [--plan FILE] [--json FILE] [--metrics FILE]\n  \
          updlrm pack  --out FILE [--dataset TAG] [--scale N] [--seed N]\n  \
          updlrm plan  --out FILE [--dataset TAG] [--scale N] [--tables N] [--batches N] [--seed N] \
@@ -55,7 +55,7 @@ fn usage() -> ! {
          [--policy block|shed-oldest|reject-new] [--queue-cap N] \
          [--runtime modeled|wall] [--shards N] [--time-scale X] [--deterministic] \
          [--dataset TAG] [--strategy u|nu|ca|nur] [--dpus N] [--scale N] [--batches N] [--seed N] \
-         [--host-threads N] [--workload-v3 FILE] [--replan off|periodic:N|imbalance:T[:N]] \
+         [--workload-v3 FILE] [--replan off|periodic:N|imbalance:T[:N]] \
          [--drift-snapshot FILE] [--json FILE] [--metrics FILE]\n  \
          updlrm serve --tenants FILE.toml [--no-isolation] [--quantum-us N] [--dpus N] \
          [--json FILE] [--metrics FILE]\n  \
@@ -92,12 +92,12 @@ const FORMS: &[(&str, &[&str])] = &[
     ("trace", &[TRACE_FLAGS]),
     ("info", &["dataset"]),
 ];
-const RUN_FLAGS: &str = "dataset backend strategy dpus nc scale batches seed host-threads \
-    embed-dtype tables plan json metrics";
+const RUN_FLAGS: &str =
+    "dataset backend strategy dpus nc scale batches seed embed-dtype tables plan json metrics";
 const PLAN_FLAGS: &str = "out load dataset scale tables batches seed ranks dpus-per-rank emt-kb \
     host-kb replicate-top";
 const SERVE_FLAGS: &str = "qps arrival max-batch max-wait-us policy queue-cap runtime dataset \
-    strategy dpus scale batches seed host-threads workload-v3 replan drift-snapshot json metrics";
+    strategy dpus scale batches seed workload-v3 replan drift-snapshot json metrics";
 const WALL_FLAGS: &str = "shards time-scale deterministic";
 const TENANT_FLAGS: &str = "tenants no-isolation quantum-us";
 const TRACE_FLAGS: &str = "dataset scale batches seed arrival qps rotate spike diurnal out";
@@ -409,7 +409,6 @@ struct RunJson {
     strategy: String,
     dpus: usize,
     batches: usize,
-    host_threads: usize,
     mean_embedding_us: f64,
     mean_dense_us: f64,
     mean_total_us: f64,
@@ -737,7 +736,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "auto" => {}
         v => config.n_c = Some(v.parse()?),
     }
-    config.host_threads = args.num("host-threads", config.host_threads);
     config.telemetry = args.flag_set("metrics");
     let mut report_json = RunJson {
         backend: backend_name.clone(),
@@ -745,7 +743,6 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         strategy: args.str("strategy", "ca"),
         dpus: config.nr_dpus,
         batches: workload.batches.len(),
-        host_threads: config.host_threads,
         ..RunJson::default()
     };
     if let Some((path, plan)) = &plan {
@@ -1214,7 +1211,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // The batcher never forms more than `max_batch` queries, so size the
     // engine's staging slots to exactly that.
     config.batch_size = max_batch;
-    config.host_threads = args.num("host-threads", config.host_threads);
     config.replan = replan;
     let metrics_path = args.flags.get("metrics").cloned();
     // Replanning implies telemetry: the drift counters (and the

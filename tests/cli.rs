@@ -145,32 +145,26 @@ const QUICK_RUN: [&str; 9] = [
 ];
 
 #[test]
-fn run_accepts_host_threads_values() {
-    for threads in ["1", "2", "8"] {
+fn run_and_serve_refuse_the_deleted_host_threads_flag() {
+    // Every launch runs on the calling thread, so there is no worker
+    // count to set.
+    for (args, form) in [
+        (&["run"][..], "updlrm run"),
+        (&["serve", "--qps", "1000"][..], "updlrm serve"),
+    ] {
         let out = updlrm()
-            .args(QUICK_RUN)
-            .args(["--host-threads", threads])
+            .args(args)
+            .args(["--host-threads", "1"])
             .output()
-            .expect("run");
+            .expect("updlrm");
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        assert!(out.stdout.is_empty(), "args {args:?} must not run anything");
+        let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            out.status.success(),
-            "--host-threads {threads}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            err.contains("unknown flag --host-threads") && err.contains(form),
+            "args {args:?}: stderr {err}"
         );
     }
-}
-
-#[test]
-fn run_rejects_garbage_host_threads() {
-    let out = updlrm()
-        .args(QUICK_RUN)
-        .args(["--host-threads", "lots"])
-        .output()
-        .expect("run");
-    assert!(!out.status.success());
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("host-threads"), "stderr: {err}");
 }
 
 #[test]
@@ -281,7 +275,7 @@ fn json_report_reflects_flags() {
     let path = dir.join("run-report.json");
     let out = updlrm()
         .args(QUICK_RUN)
-        .args(["--host-threads", "2", "--json"])
+        .args(["--json"])
         .arg(&path)
         .output()
         .expect("run");
@@ -292,7 +286,6 @@ fn json_report_reflects_flags() {
     );
     let json = std::fs::read_to_string(&path).expect("json written");
     assert!(!json.contains("\"pipeline\""), "{json}");
-    assert!(json.contains("\"host_threads\": 2"), "{json}");
     assert!(json.contains("\"throughput_qps\""), "{json}");
     assert!(json.contains("\"serve\": {\n    \"wall_ns\": "), "{json}");
     assert!(json.contains("\"sequential_wall_ns\": "), "{json}");
@@ -308,7 +301,7 @@ fn metrics_snapshot_is_deterministic_across_runs() {
     for path in [&a, &b] {
         let out = updlrm()
             .args(QUICK_RUN)
-            .args(["--seed", "7", "--host-threads", "1", "--metrics"])
+            .args(["--seed", "7", "--metrics"])
             .arg(path)
             .output()
             .expect("run");
@@ -730,8 +723,6 @@ fn serve_runtime_wall_deterministic_locks_to_the_oracle() {
         .args([
             "--seed",
             "7",
-            "--host-threads",
-            "1",
             "--runtime",
             "wall",
             "--shards",
@@ -868,7 +859,7 @@ fn serve_json_and_metrics_are_deterministic_across_runs() {
     for (json, metrics) in &paths {
         let out = updlrm()
             .args(QUICK_SERVE)
-            .args(["--seed", "7", "--host-threads", "1", "--json"])
+            .args(["--seed", "7", "--json"])
             .arg(json)
             .arg("--metrics")
             .arg(metrics)
@@ -1328,7 +1319,7 @@ fn golden_plan_run_snapshot_matches_checked_in_file() {
             env!("CARGO_MANIFEST_DIR"),
             "/tests/golden/placement_plan.json"
         ))
-        .args(["--host-threads", "1", "--metrics"])
+        .args(["--metrics"])
         .arg(&path)
         .output()
         .expect("run --plan");
@@ -1352,7 +1343,7 @@ fn golden_plan_run_snapshot_matches_checked_in_file() {
         fresh == golden,
         "plan-run snapshot diverges from tests/golden/plan_run_snapshot.json; if intentional, \
          regenerate it with `updlrm run --dataset read --plan tests/golden/placement_plan.json \
-         --host-threads 1 --metrics tests/golden/plan_run_snapshot.json`"
+         --metrics tests/golden/plan_run_snapshot.json`"
     );
     std::fs::remove_file(&path).ok();
 }
@@ -1592,7 +1583,7 @@ fn a_packed_table_run_matches_the_regenerated_run() {
         let mut cmd = updlrm();
         cmd.arg("run")
             .args(flags)
-            .args(["--dpus", "32", "--batches", "2", "--host-threads", "1"])
+            .args(["--dpus", "32", "--batches", "2"])
             .arg("--metrics")
             .arg(&metrics);
         if packed {
@@ -1749,7 +1740,7 @@ fn serve_wall_deterministic_records_the_modeled_sched_telemetry() {
     let args: Vec<&str> = QUICK_SERVE
         .iter()
         .copied()
-        .chain(["--seed", "7", "--host-threads", "1", "--arrival", "bursty"])
+        .chain(["--seed", "7", "--arrival", "bursty"])
         .chain(["--max-batch", "32", "--queue-cap", "48"])
         .collect();
     let (_, modeled) = serve_with_metrics(&args, &[], "sched-modeled");
@@ -1806,8 +1797,6 @@ fn serve_wall_replans_like_the_modeled_scheduler() {
         "128",
         "--strategy",
         "u",
-        "--host-threads",
-        "1",
         "--replan",
         "periodic:8",
     ];
