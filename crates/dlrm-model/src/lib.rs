@@ -5,6 +5,10 @@
 //! tables with multi-hot sum-reduction lookups, bottom/top MLPs, feature
 //! interaction and a sigmoid CTR head.
 //!
+//! Like the paper, it only serves: a model's weights and tables are a
+//! fixed, seed-deterministic input (or tables loaded from a packed
+//! file), and there is no backward pass or optimizer.
+//!
 //! The [`Dlrm::forward`] path is the *reference implementation*: every
 //! accelerated backend in this workspace (PIM, CPU, hybrid, FAE) must
 //! produce embedding-layer outputs that agree with it.
@@ -51,15 +55,13 @@ pub mod quant;
 pub mod query;
 pub mod simd;
 pub mod tensor;
-pub mod train;
 
 pub use embedding::EmbeddingTable;
 pub use error::{ModelError, Result};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use mlp::{Activation, Linear, LinearGrads, Mlp};
+pub use mlp::{Activation, Linear, Mlp};
 pub use model::{Dlrm, DlrmConfig};
 pub use quant::{EmbedDtype, QuantTable};
 pub use query::{QueryBatch, SparseInput};
 pub use simd::SimdTier;
 pub use tensor::Matrix;
-pub use train::{bce_loss, SgdConfig, TrainStats};

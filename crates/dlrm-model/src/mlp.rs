@@ -134,123 +134,6 @@ impl Linear {
     pub fn flops_per_sample(&self) -> u64 {
         2 * self.weight.rows() as u64 * self.weight.cols() as u64
     }
-
-    /// Forward pass that also returns the cache needed for
-    /// [`Linear::backward`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on a shape mismatch.
-    pub fn forward_cached(&self, x: &Matrix) -> Result<(Matrix, LinearCache)> {
-        let mut pre = x.matmul(&self.weight)?;
-        pre.add_bias(&self.bias)?;
-        let mut out = pre.clone();
-        match self.activation {
-            Activation::Relu => out.relu_in_place(),
-            Activation::Sigmoid => out.sigmoid_in_place(),
-            Activation::None => {}
-        }
-        Ok((
-            out.clone(),
-            LinearCache {
-                input: x.clone(),
-                pre,
-                out,
-            },
-        ))
-    }
-
-    /// Backward pass: given `d_out = dL/d(activation output)` (or, with
-    /// `skip_activation`, `dL/d(pre-activation)` — the BCE+sigmoid
-    /// shortcut), returns `dL/d(input)` and the parameter gradients.
-    ///
-    /// # Errors
-    ///
-    /// Fails on shape mismatches between cache and `d_out`.
-    pub fn backward(
-        &self,
-        cache: &LinearCache,
-        d_out: &Matrix,
-        skip_activation: bool,
-    ) -> Result<(Matrix, LinearGrads)> {
-        // d_pre = d_out ∘ act'(pre)
-        let mut d_pre = d_out.clone();
-        if !skip_activation {
-            match self.activation {
-                Activation::Relu => {
-                    for (g, &p) in d_pre.as_mut_slice().iter_mut().zip(cache.pre.as_slice()) {
-                        if p <= 0.0 {
-                            *g = 0.0;
-                        }
-                    }
-                }
-                Activation::Sigmoid => {
-                    for (g, &s) in d_pre.as_mut_slice().iter_mut().zip(cache.out.as_slice()) {
-                        *g *= s * (1.0 - s);
-                    }
-                }
-                Activation::None => {}
-            }
-        }
-        let d_weight = cache.input.transpose().matmul(&d_pre)?;
-        let d_bias = d_pre.column_sums();
-        let d_input = d_pre.matmul(&self.weight.transpose())?;
-        Ok((
-            d_input,
-            LinearGrads {
-                weight: d_weight,
-                bias: d_bias,
-            },
-        ))
-    }
-
-    /// SGD update: `param -= lr * grad`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gradient shapes do not match this layer.
-    pub fn apply_grads(&mut self, grads: &LinearGrads, lr: f32) {
-        assert_eq!(grads.weight.rows(), self.weight.rows(), "weight grad shape");
-        assert_eq!(grads.weight.cols(), self.weight.cols(), "weight grad shape");
-        for (w, &g) in self
-            .weight
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grads.weight.as_slice())
-        {
-            *w -= lr * g;
-        }
-        for (b, &g) in self.bias.iter_mut().zip(grads.bias.iter()) {
-            *b -= lr * g;
-        }
-    }
-
-    /// Borrow the weight matrix (tests and gradient checks).
-    pub fn weight(&self) -> &Matrix {
-        &self.weight
-    }
-
-    /// Mutably borrow the weight matrix (gradient checks perturb it).
-    pub fn weight_mut(&mut self) -> &mut Matrix {
-        &mut self.weight
-    }
-}
-
-/// Activation/input cache of one [`Linear`] forward pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearCache {
-    input: Matrix,
-    pre: Matrix,
-    out: Matrix,
-}
-
-/// Parameter gradients of one [`Linear`] layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearGrads {
-    /// `dL/dW`, same shape as the weight matrix.
-    pub weight: Matrix,
-    /// `dL/db`, one value per output unit.
-    pub bias: Vec<f32>,
 }
 
 /// A stack of [`Linear`] layers.
@@ -336,77 +219,6 @@ impl Mlp {
     pub fn flops_per_sample(&self) -> u64 {
         self.layers.iter().map(Linear::flops_per_sample).sum()
     }
-
-    /// Forward pass returning per-layer caches for [`Mlp::backward`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on a shape mismatch.
-    pub fn forward_cached(&self, x: &Matrix) -> Result<(Matrix, MlpCache)> {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut cur = x.clone();
-        for layer in &self.layers {
-            let (out, cache) = layer.forward_cached(&cur)?;
-            caches.push(cache);
-            cur = out;
-        }
-        Ok((cur, MlpCache { layers: caches }))
-    }
-
-    /// Backward pass. `d_out` is `dL/d(output)`; with
-    /// `last_is_pre_activation` it is interpreted as the *pre-activation*
-    /// delta of the final layer (the numerically stable BCE+sigmoid
-    /// path). Returns `dL/d(input)` and per-layer gradients in layer
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Fails on shape mismatches.
-    pub fn backward(
-        &self,
-        cache: &MlpCache,
-        d_out: &Matrix,
-        last_is_pre_activation: bool,
-    ) -> Result<(Matrix, Vec<LinearGrads>)> {
-        let mut grads = vec![None; self.layers.len()];
-        let mut d = d_out.clone();
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let skip = last_is_pre_activation && i + 1 == self.layers.len();
-            let (d_in, g) = layer.backward(&cache.layers[i], &d, skip)?;
-            grads[i] = Some(g);
-            d = d_in;
-        }
-        Ok((
-            d,
-            grads
-                .into_iter()
-                .map(|g| g.expect("all layers visited"))
-                .collect(),
-        ))
-    }
-
-    /// Applies per-layer SGD updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` does not match the layer count/shapes.
-    pub fn apply_grads(&mut self, grads: &[LinearGrads], lr: f32) {
-        assert_eq!(grads.len(), self.layers.len(), "gradient count");
-        for (layer, g) in self.layers.iter_mut().zip(grads.iter()) {
-            layer.apply_grads(g, lr);
-        }
-    }
-
-    /// Mutable access to the layers (gradient checks).
-    pub fn layers_mut(&mut self) -> &mut [Linear] {
-        &mut self.layers
-    }
-}
-
-/// Per-layer caches of one [`Mlp`] forward pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpCache {
-    layers: Vec<LinearCache>,
 }
 
 #[cfg(test)]

@@ -171,17 +171,8 @@ impl Dlrm {
         &self.top
     }
 
-    /// Mutable bottom MLP (training).
-    pub fn bottom_mlp_mut(&mut self) -> &mut Mlp {
-        &mut self.bottom
-    }
-
-    /// Mutable top MLP (training).
-    pub fn top_mlp_mut(&mut self) -> &mut Mlp {
-        &mut self.top
-    }
-
-    /// Mutable embedding tables (training).
+    /// Mutable embedding tables (loading trained rows, e.g. from a
+    /// packed-table file).
     pub fn tables_mut(&mut self) -> &mut [EmbeddingTable] {
         &mut self.tables
     }

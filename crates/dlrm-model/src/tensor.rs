@@ -1,9 +1,10 @@
-//! Minimal row-major matrix type and the dense ops DLRM needs.
+//! Minimal row-major matrix type: the activations of DLRM's dense side.
 //!
-//! The workspace implements its own linear algebra (no external crates):
-//! DLRM's dense side only needs matmul, bias add, ReLU and sigmoid over
-//! small matrices, so a simple cache-friendly row-major implementation
-//! suffices.
+//! The workspace implements its own linear algebra (no external crates).
+//! The product itself is [`simd::gemm`], called by
+//! [`Linear`](crate::Linear) on a matrix's slices; a [`Matrix`] only
+//! carries the shape and the element-wise steps around it — bias add,
+//! ReLU and sigmoid.
 
 use crate::error::{ModelError, Result};
 use crate::simd;
@@ -98,69 +99,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f32 {
-        self.data[r * self.cols + c]
-    }
-
-    /// Element setter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// `self @ other` — matrix multiplication.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(other, &mut out)?;
-        Ok(out)
-    }
-
-    /// `self @ other` written into the caller-provided `out`, which is
-    /// reshaped and zeroed in place (its allocation is reused when the
-    /// capacity suffices) — the allocation-free form of
-    /// [`Matrix::matmul`], bit-identical to it.
-    ///
-    /// This is [`simd::gemm`] over a zeroed `out`: each output element
-    /// accumulates its products in ascending-`k` order with a
-    /// multiply-then-add per product (no FMA), so the result matches
-    /// the naive i-j-k ordering bit for bit on every dispatch tier.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `self.cols != other.rows`; `out` is untouched then.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
-        if self.cols != other.rows {
-            return Err(ModelError::ShapeMismatch {
-                op: "matmul",
-                lhs: (self.rows, self.cols),
-                rhs: (other.rows, other.cols),
-            });
-        }
-        out.reset_zeroed(self.rows, other.cols);
-        simd::gemm(
-            &mut out.data,
-            &self.data,
-            self.cols,
-            &other.data,
-            other.cols,
-        );
-        Ok(())
-    }
-
     /// Adds a bias row vector to every row in place.
     ///
     /// # Errors
@@ -232,116 +170,13 @@ impl Matrix {
     pub fn into_vec(self) -> Vec<f32> {
         self.data
     }
-
-    /// Returns the transposed matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    /// Scales every element in place.
-    pub fn scale_in_place(&mut self, k: f32) {
-        for v in &mut self.data {
-            *v *= k;
-        }
-    }
-
-    /// Sums each column into a length-`cols` vector (used for bias
-    /// gradients).
-    pub fn column_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        for r in 0..self.rows {
-            simd::add_assign(&mut out, self.row(r));
-        }
-        out
-    }
-
-    /// Splits the matrix horizontally at `col`, returning the left and
-    /// right parts.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `col > cols`.
-    pub fn hsplit(&self, col: usize) -> Result<(Matrix, Matrix)> {
-        if col > self.cols {
-            return Err(ModelError::ShapeMismatch {
-                op: "hsplit",
-                lhs: (self.rows, self.cols),
-                rhs: (0, col),
-            });
-        }
-        let mut left = Matrix::zeros(self.rows, col);
-        let mut right = Matrix::zeros(self.rows, self.cols - col);
-        for r in 0..self.rows {
-            left.row_mut(r).copy_from_slice(&self.row(r)[..col]);
-            right.row_mut(r).copy_from_slice(&self.row(r)[col..]);
-        }
-        Ok((left, right))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn matmul_identity() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let i = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        assert_eq!(a.matmul(&i).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_shape_mismatch_is_error() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.matmul(&b),
-            Err(ModelError::ShapeMismatch { .. })
-        ));
-        let mut out = Matrix::from_vec(1, 1, vec![42.0]).unwrap();
-        assert!(a.matmul_into(&b, &mut out).is_err());
-        // `out` untouched on error.
-        assert_eq!(out.as_slice(), &[42.0]);
-    }
-
-    /// Naive i-j-k matmul with the same zero-skip — the "old ordering"
-    /// reference. Every output element accumulates its products in
-    /// ascending-k order in both versions, so they must agree bit for
-    /// bit, not just approximately.
-    fn matmul_ijk(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                let mut sum = 0.0f32;
-                for k in 0..a.cols() {
-                    let av = a.get(i, k);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    sum += av * b.get(k, j);
-                }
-                out.set(i, j, sum);
-            }
-        }
-        out
-    }
-
-    /// Deterministic ill-conditioned-ish fill with sprinkled zeros so
-    /// the zero-skip path is exercised.
+    /// Deterministic fill with sprinkled zeros.
     fn fill(rows: usize, cols: usize, seed: u32) -> Matrix {
         let data = (0..rows * cols)
             .map(|i| {
@@ -357,61 +192,23 @@ mod tests {
     }
 
     #[test]
-    fn matmul_ikj_bit_identical_to_ijk_reference() {
-        for (m, k, n, seed) in [(4, 7, 5, 1), (1, 16, 1, 2), (9, 3, 8, 3), (6, 6, 6, 4)] {
-            let a = fill(m, k, seed);
-            let b = fill(k, n, seed.wrapping_add(100));
-            let fast = a.matmul(&b).unwrap();
-            let reference = matmul_ijk(&a, &b);
-            for (x, y) in fast.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "ikj diverged from ijk");
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_scalar_and_simd_are_bit_identical() {
-        // The dispatched axpy must reproduce the scalar loop exactly
-        // on whatever tier this machine detects.
+    fn add_bias_scalar_and_simd_are_bit_identical() {
+        // The dispatched add must reproduce the scalar loop exactly on
+        // whatever tier this machine detects; rows of 37 and more reach
+        // the vector copies (`AVX2_MIN_ELEMS`, `AVX512_MIN_ELEMS`).
         use crate::simd::{self, SimdTier};
         let _guard = simd::test_tier_lock();
-        for (m, k, n, seed) in [(4, 7, 5, 11), (8, 32, 16, 12), (3, 5, 9, 13)] {
-            let a = fill(m, k, seed);
-            let b = fill(k, n, seed.wrapping_add(100));
+        for (m, n) in [(4, 5), (3, 9), (2, 37), (3, 64), (2, 100)] {
+            let bias = fill(1, n, 100).into_vec();
             simd::force_tier(Some(SimdTier::Scalar));
-            let scalar = a.matmul(&b).unwrap();
-            let mut scalar_bias = scalar.clone();
-            scalar_bias.add_bias(&vec![0.25; n]).unwrap();
-            let scalar_sums = scalar.column_sums();
+            let mut scalar = fill(m, n, 7);
+            scalar.add_bias(&bias).unwrap();
             simd::force_tier(None);
-            let vector = a.matmul(&b).unwrap();
-            let mut vector_bias = vector.clone();
-            vector_bias.add_bias(&vec![0.25; n]).unwrap();
-            let vector_sums = vector.column_sums();
+            let mut vector = fill(m, n, 7);
+            vector.add_bias(&bias).unwrap();
             for (x, y) in scalar.as_slice().iter().zip(vector.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "matmul diverged across tiers");
-            }
-            for (x, y) in scalar_bias.as_slice().iter().zip(vector_bias.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "add_bias diverged across tiers");
             }
-            for (x, y) in scalar_sums.iter().zip(vector_sums.iter()) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "column_sums diverged across tiers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_into_reuses_buffer_and_matches_matmul() {
-        let mut out = Matrix::zeros(0, 0);
-        for seed in 0..4u32 {
-            let a = fill(5, 6, seed);
-            let b = fill(6, 4, seed + 50);
-            a.matmul_into(&b, &mut out).unwrap();
-            assert_eq!(out, a.matmul(&b).unwrap());
         }
     }
 

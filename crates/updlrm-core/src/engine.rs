@@ -150,10 +150,10 @@ pub struct TableReport {
     pub cache_rows_per_part: Vec<u32>,
 }
 
-/// Number of MRAM staging slots per DPU: slot 0 serves `run_batch` and
-/// sequential serving, slot 1 is the double-buffer partner that lets
-/// batch `i + 1`'s reference streams land while batch `i` still owns
-/// the other slot (see [`crate::serve`]).
+/// Number of MRAM staging slots per DPU. A served batch `i` lands in
+/// slot `i % 2`, so batch `i + 1`'s reference streams land while batch
+/// `i` still owns the other slot (see [`crate::serve`]); `run_batch`
+/// uses slot 0.
 pub(crate) const STAGING_SLOTS: usize = 2;
 
 /// Per-DPU MRAM bytes reserved for each staging slot's reference

@@ -405,8 +405,8 @@ impl UpdlrmEngine {
     /// rows (`col_slices = 1`, `n_c = dim`) behind the shared replica
     /// block, and host-tier rows stay in a host-side store. From
     /// `config`, `nr_dpus`, `strategy`, `n_c` and the cache knobs are
-    /// unused — the plan governs placement; everything else (pipeline
-    /// mode, queue depth, dtype, dedup, telemetry, …) applies as for
+    /// unused — the plan governs placement; everything else (dtype,
+    /// dedup, telemetry, WRAM residency, …) applies as for
     /// [`UpdlrmEngine::new`].
     ///
     /// Under *any* valid plan the pooled embeddings equal the

@@ -79,37 +79,7 @@ impl Workload {
     /// Synthesizes a workload from `spec` deterministically in
     /// `config.seed`.
     pub fn generate(spec: &DatasetSpec, config: TraceConfig) -> Workload {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let item_sampler = ZipfSampler::new(spec.num_items, spec.zipf_theta);
-        let cluster_sampler = ClusterPlan::new(spec);
-
-        let mut batches = Vec::with_capacity(config.num_batches);
-        for _ in 0..config.num_batches {
-            let dense: Vec<f32> = (0..config.batch_size * config.num_dense)
-                .map(|_| rng.random_range(-1.0..1.0))
-                .collect();
-            let sparse: Vec<SparseInput> = (0..config.num_tables)
-                .map(|_| {
-                    SparseInput::from_samples(
-                        (0..config.batch_size)
-                            .map(|_| {
-                                sample_multi_hot(
-                                    spec,
-                                    &item_sampler,
-                                    &cluster_sampler,
-                                    None,
-                                    &mut rng,
-                                )
-                            })
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
-            batches.push(
-                QueryBatch::new(dense, config.num_dense, sparse)
-                    .expect("generated batches are valid by construction"),
-            );
-        }
+        let batches = synthesize_batches(spec, config, |_| None);
         Workload {
             spec: spec.clone(),
             config,
@@ -167,38 +137,8 @@ impl Workload {
         }
         let arrivals = ArrivalTrace { process, times_ns };
 
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let item_sampler = ZipfSampler::new(spec.num_items, spec.zipf_theta);
-        let cluster_sampler = ClusterPlan::new(spec);
-        let mut batches = Vec::with_capacity(config.num_batches);
-        for b in 0..config.num_batches {
-            let dense: Vec<f32> = (0..config.batch_size * config.num_dense)
-                .map(|_| rng.random_range(-1.0..1.0))
-                .collect();
-            let sparse: Vec<SparseInput> = (0..config.num_tables)
-                .map(|_| {
-                    SparseInput::from_samples(
-                        (0..config.batch_size)
-                            .map(|s| {
-                                let k = b * config.batch_size + s;
-                                let hot = drift.active_hot_set(arrivals.times_ns[k]);
-                                sample_multi_hot(
-                                    spec,
-                                    &item_sampler,
-                                    &cluster_sampler,
-                                    hot,
-                                    &mut rng,
-                                )
-                            })
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
-            batches.push(
-                QueryBatch::new(dense, config.num_dense, sparse)
-                    .expect("generated batches are valid by construction"),
-            );
-        }
+        let batches =
+            synthesize_batches(spec, config, |k| drift.active_hot_set(arrivals.times_ns[k]));
         Workload {
             spec: spec.clone(),
             config,
@@ -254,6 +194,40 @@ impl Workload {
     }
 }
 
+/// The batch loop both generators share: one `StdRng` seeded from
+/// `config.seed` draws each batch's dense features, then each table's
+/// samples; query `k` (batch-major) draws its indices under `hot(k)`.
+fn synthesize_batches(
+    spec: &DatasetSpec,
+    config: TraceConfig,
+    hot: impl Fn(usize) -> Option<ActiveHotSet>,
+) -> Vec<QueryBatch> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let items = ZipfSampler::new(spec.num_items, spec.zipf_theta);
+    let clusters = ClusterPlan::new(spec);
+    (0..config.num_batches)
+        .map(|b| {
+            let dense: Vec<f32> = (0..config.batch_size * config.num_dense)
+                .map(|_| rng.random_range(-1.0..1.0))
+                .collect();
+            let sparse: Vec<SparseInput> = (0..config.num_tables)
+                .map(|_| {
+                    SparseInput::from_samples(
+                        (0..config.batch_size)
+                            .map(|s| {
+                                let k = b * config.batch_size + s;
+                                sample_multi_hot(spec, &items, &clusters, hot(k), &mut rng)
+                            })
+                            .collect::<Vec<_>>(),
+                    )
+                })
+                .collect();
+            QueryBatch::new(dense, config.num_dense, sparse)
+                .expect("generated batches are valid by construction")
+        })
+        .collect()
+}
+
 /// Where the planted co-occurrence clusters live in the item space.
 #[derive(Debug)]
 struct ClusterPlan {
@@ -288,8 +262,9 @@ impl ClusterPlan {
 /// Draws one sample's distinct multi-hot index list. With `hot` set,
 /// each draw is redirected uniformly into the active hot set with the
 /// schedule's probability before the Zipf/cluster machinery runs; with
-/// `hot = None` the draw sequence is bit-identical to the stationary
-/// generator.
+/// `hot = None` it makes no redirect draw, so a drifting trace whose
+/// schedule sets no hot set draws the stationary batches
+/// (`drifting_without_hot_sets_draws_the_stationary_batches`).
 fn sample_multi_hot(
     spec: &DatasetSpec,
     items: &ZipfSampler,
@@ -528,6 +503,33 @@ mod tests {
         assert!(frac > 0.55, "hot-set concentration too low: {frac}");
         // Stationary generation is untouched by the drift machinery.
         assert_eq!(Workload::generate(&spec, cfg).drift, None);
+    }
+
+    #[test]
+    fn drifting_without_hot_sets_draws_the_stationary_batches() {
+        use crate::drift::{DiurnalCurve, DriftSchedule};
+        let spec = small_spec();
+        let cfg = TraceConfig {
+            num_tables: 3,
+            num_batches: 5,
+            ..TraceConfig::default()
+        };
+        // A diurnal-only schedule warps arrivals but redirects no draw.
+        let drift = DriftSchedule {
+            diurnal: Some(DiurnalCurve {
+                period_ns: 1_000_000,
+                amplitude: 0.5,
+            }),
+            ..DriftSchedule::default()
+        };
+        let process = ArrivalProcess::poisson(50_000.0, 3);
+        let drifting = Workload::generate_drifting(&spec, cfg, drift.clone(), process);
+        assert!(drifting
+            .arrivals
+            .times_ns
+            .iter()
+            .all(|&t| drift.active_hot_set(t).is_none()));
+        assert_eq!(drifting.batches, Workload::generate(&spec, cfg).batches);
     }
 
     #[test]
