@@ -6,8 +6,8 @@
 //! interaction and a sigmoid CTR head.
 //!
 //! Like the paper, it only serves: a model's weights and tables are a
-//! fixed, seed-deterministic input (or tables loaded from a packed
-//! file), and there is no backward pass or optimizer.
+//! fixed, seed-deterministic input, and there is no backward pass or
+//! optimizer.
 //!
 //! The [`Dlrm::forward`] path is the *reference implementation*: every
 //! accelerated backend in this workspace (PIM, CPU, hybrid, FAE) must

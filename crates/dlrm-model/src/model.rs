@@ -171,12 +171,6 @@ impl Dlrm {
         &self.top
     }
 
-    /// Mutable embedding tables (loading trained rows, e.g. from a
-    /// packed-table file).
-    pub fn tables_mut(&mut self) -> &mut [EmbeddingTable] {
-        &mut self.tables
-    }
-
     /// Total embedding storage in bytes.
     pub fn embedding_bytes(&self) -> usize {
         self.tables.iter().map(EmbeddingTable::size_bytes).sum()

@@ -115,7 +115,8 @@ impl DriftSchedule {
             if !(0.0..=1.0).contains(&rot.hot_fraction) {
                 return Err(format!("hot_fraction {} outside [0, 1]", rot.hot_fraction));
             }
-            let end = rot.num_sets as u64 * rot.set_size as u64;
+            // Saturating: a product past u64 is out of range, not 0.
+            let end = (rot.num_sets as u64).saturating_mul(rot.set_size as u64);
             if end > num_items as u64 {
                 return Err(format!(
                     "drift schedule references hot-set rows up to {end} but the table has only {num_items} rows"
@@ -127,7 +128,9 @@ impl DriftSchedule {
         }
         for (i, sp) in self.spikes.iter().enumerate() {
             let set_size = self.rotation.as_ref().map_or(0, |r| r.set_size) as u64;
-            let end = (sp.target_set as u64 + 1) * set_size;
+            let end = (sp.target_set as u64)
+                .saturating_add(1)
+                .saturating_mul(set_size);
             if end > num_items as u64 {
                 return Err(format!(
                     "spike {i} targets hot set {} spanning rows up to {end} but the table has only {num_items} rows",
@@ -304,6 +307,31 @@ mod tests {
         };
         let err = s.validate(500).unwrap_err();
         assert!(err.contains("hot set 9"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_hot_set_extents_that_wrap_u64() {
+        // An extent past u64 is out of range; wrapped, it read as 0 rows.
+        let mut wide = rotation();
+        (wide.num_sets, wide.set_size) = (1 << 32, 1 << 32);
+        let rotated = DriftSchedule {
+            rotation: Some(wide),
+            ..DriftSchedule::default()
+        };
+        let spiked = DriftSchedule {
+            rotation: Some(rotation()),
+            spikes: vec![FlashCrowd {
+                start_ns: 0,
+                duration_ns: 1,
+                target_set: usize::MAX,
+                extra_hot: 0.0,
+                rate_boost: 1.0,
+            }],
+            diurnal: None,
+        };
+        for s in [rotated, spiked] {
+            assert!(s.validate(1 << 40).is_err(), "{s:?}");
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@
 pub mod arrival;
 pub mod drift;
 pub mod io;
-pub mod pack;
 pub mod profile;
 pub mod spec;
 pub mod trace;
@@ -38,7 +37,6 @@ pub mod zipf;
 
 pub use arrival::{ArrivalProcess, ArrivalTrace, MAX_ARRIVAL_NS, NS_PER_SEC};
 pub use drift::{ActiveHotSet, DiurnalCurve, DriftSchedule, FlashCrowd, HotSetRotation};
-pub use pack::{load_packed, save_packed, write_packed, PackError};
 pub use profile::FreqProfile;
 pub use spec::{CooccurConfig, DatasetSpec, Hotness};
 pub use trace::{TraceConfig, Workload};

@@ -4,9 +4,8 @@
 //! updlrm run   [--dataset read] [--backend updlrm|cpu|hybrid|fae]
 //!              [--strategy u|nu|ca|nur] [--dpus 256] [--nc auto|2|4|8]
 //!              [--scale 200] [--batches 10] [--seed 7]
-//!              [--embed-dtype f32|int8] [--tables FILE]
+//!              [--embed-dtype f32|int8]
 //!              [--plan FILE] [--json FILE] [--metrics FILE]
-//! updlrm pack  --out FILE [--dataset read] [--scale 200] [--seed 7]
 //! updlrm plan  --out FILE [--dataset read] [--scale 200] [--tables 8]
 //!              [--batches 10] [--seed 7] [--ranks 4] [--dpus-per-rank 64]
 //!              [--emt-kb N] [--host-kb N] [--replicate-top 64]
@@ -45,9 +44,8 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  updlrm run   [--dataset TAG] [--backend updlrm|cpu|hybrid|fae] \
          [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|2|4|8] [--scale N] [--batches N] [--seed N] \
-         [--embed-dtype f32|int8] [--tables FILE] \
+         [--embed-dtype f32|int8] \
          [--plan FILE] [--json FILE] [--metrics FILE]\n  \
-         updlrm pack  --out FILE [--dataset TAG] [--scale N] [--seed N]\n  \
          updlrm plan  --out FILE [--dataset TAG] [--scale N] [--tables N] [--batches N] [--seed N] \
          [--ranks N] [--dpus-per-rank N] [--emt-kb N] [--host-kb N] [--replicate-top N]\n  \
          updlrm plan  --load FILE\n  \
@@ -82,7 +80,6 @@ const BARE_FLAGS: &[&str] = &["deterministic", "no-isolation"];
 /// command line against before the subcommand runs.
 const FORMS: &[(&str, &[&str])] = &[
     ("run", &[RUN_FLAGS]),
-    ("pack", &["out dataset scale seed"]),
     ("plan", &[PLAN_FLAGS]),
     ("serve", &[SERVE_FLAGS]),
     ("serve --runtime wall", &[SERVE_FLAGS, WALL_FLAGS]),
@@ -93,7 +90,7 @@ const FORMS: &[(&str, &[&str])] = &[
     ("info", &["dataset"]),
 ];
 const RUN_FLAGS: &str =
-    "dataset backend strategy dpus nc scale batches seed embed-dtype tables plan json metrics";
+    "dataset backend strategy dpus nc scale batches seed embed-dtype plan json metrics";
 const PLAN_FLAGS: &str = "out load dataset scale tables batches seed ranks dpus-per-rank emt-kb \
     host-kb replicate-top";
 const SERVE_FLAGS: &str = "qps arrival max-batch max-wait-us policy queue-cap runtime dataset \
@@ -560,6 +557,18 @@ fn print_plan_summary(path: &str, plan: &PlacementPlan) {
     );
 }
 
+/// Parses `--nc` (default auto): `None` lets the tiler choose the
+/// column count, a number fixes it.
+fn nc_or_exit(args: &Args) -> Option<usize> {
+    match args.str("nc", "auto").as_str() {
+        "auto" => None,
+        v => Some(v.parse().unwrap_or_else(|_| {
+            eprintln!("--nc expects auto or a number, got '{v}'");
+            std::process::exit(2)
+        })),
+    }
+}
+
 /// Parses `--embed-dtype` (default f32) into the EMT storage dtype.
 fn embed_dtype_or_exit(args: &Args) -> EmbedDtype {
     let v = args.str("embed-dtype", "f32");
@@ -570,50 +579,6 @@ fn embed_dtype_or_exit(args: &Args) -> EmbedDtype {
             std::process::exit(2)
         }
     }
-}
-
-/// Loads a packed table file, refusing foreign formats/versions and
-/// corrupt payloads with exit 2 (the same contract `plan --load` and
-/// `stats` apply to their inputs).
-fn load_packed_or_exit(path: &str) -> Vec<EmbeddingTable> {
-    match load_packed(path) {
-        Ok(tables) => tables,
-        Err(PackError::UnsupportedVersion(found)) => {
-            eprintln!(
-                "packed tables {path} use format v{found}, but this binary reads v1; \
-                 regenerate them with `updlrm pack --out {path}`",
-            );
-            std::process::exit(2)
-        }
-        Err(e) => {
-            eprintln!("invalid packed tables {path}: {e}");
-            std::process::exit(2)
-        }
-    }
-}
-
-/// `updlrm pack`: write the deterministic embedding tables for a
-/// dataset/scale/seed to the page-aligned on-disk format, so later
-/// `run --tables FILE` invocations load them instead of regenerating.
-/// Rows are always stored as f32 — int8 quantization happens at engine
-/// load, so one packed file serves both `--embed-dtype` modes.
-fn cmd_pack(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(out) = args.flags.get("out") else {
-        eprintln!("pack needs --out FILE");
-        usage()
-    };
-    let (spec, _, model) = build_setting(args, None)?;
-    save_packed(model.tables(), out)?;
-    let bytes: usize = model.tables().iter().map(|t| t.rows() * t.dim() * 4).sum();
-    println!(
-        "packed {} tables ({} rows x {} dims, {:.1} MB) for {} to {out}",
-        model.tables().len(),
-        spec.num_items,
-        model.tables()[0].dim(),
-        bytes as f64 / 1e6,
-        spec.name,
-    );
-    Ok(())
 }
 
 fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
@@ -698,44 +663,15 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("--{flag} requires --backend updlrm (got '{backend_name}')");
         std::process::exit(2)
     }
-    let plan = args.flags.get("plan").map(|path| {
-        if args.flag_set("tables") {
-            // The tables are rebuilt from the plan's provenance; refusing
-            // here beats silently ignoring the flag.
-            eprintln!("--tables does not apply to `run --plan`");
-            std::process::exit(2)
-        }
-        (path.as_str(), load_plan_or_exit(path))
-    });
-    let packed = args
+    let plan = args
         .flags
-        .get("tables")
-        .map(|path| (path, load_packed_or_exit(path)));
-    let (spec, workload, mut model) = build_setting(args, plan.as_ref().map(|(_, p)| p))?;
-    if let Some((path, packed)) = packed {
-        let dlrm = Arc::get_mut(&mut model).expect("model not yet shared");
-        let shape = |t: &EmbeddingTable| (t.rows(), t.dim());
-        let want: Vec<(usize, usize)> = dlrm.tables().iter().map(shape).collect();
-        let got: Vec<(usize, usize)> = packed.iter().map(shape).collect();
-        if want != got {
-            eprintln!(
-                "packed tables {path} do not match this run's model shape \
-                 (packed {got:?}, model wants {want:?}); \
-                 regenerate them with `updlrm pack` at the same --dataset/--scale/--seed",
-            );
-            std::process::exit(2)
-        }
-        for (slot, table) in dlrm.tables_mut().iter_mut().zip(packed) {
-            *slot = table;
-        }
-    }
+        .get("plan")
+        .map(|path| (path.as_str(), load_plan_or_exit(path)));
+    let (spec, workload, model) = build_setting(args, plan.as_ref().map(|(_, p)| p))?;
     let strategy = strategy_or_exit(args);
     let mut config = UpdlrmConfig::with_dpus(args.num("dpus", 256), strategy);
     config.embed_dtype = embed_dtype_or_exit(args);
-    match args.str("nc", "auto").as_str() {
-        "auto" => {}
-        v => config.n_c = Some(v.parse()?),
-    }
+    config.n_c = nc_or_exit(args);
     config.telemetry = args.flag_set("metrics");
     let mut report_json = RunJson {
         backend: backend_name.clone(),
@@ -1581,23 +1517,63 @@ fn cmd_stats(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Splits a colon-separated flag value into exactly `n` parsed fields,
-/// exiting 2 with a usage hint otherwise.
-fn split_fields<T: std::str::FromStr>(flag: &str, value: &str, n: usize, hint: &str) -> Vec<T> {
-    let parts: Vec<&str> = value.split(':').collect();
-    if parts.len() != n {
-        eprintln!("--{flag} expects {hint}, got '{value}'");
+/// A colon-separated flag value split into the fields its `hint`
+/// names (`SETS:ROWS:…`); every malformed field exits 2 naming the flag.
+struct Fields<'a> {
+    flag: &'a str,
+    value: &'a str,
+    hint: &'a str,
+    parts: Vec<&'a str>,
+}
+
+impl<'a> Fields<'a> {
+    fn split(flag: &'a str, value: &'a str, hint: &'a str) -> Self {
+        let parts: Vec<&str> = value.split(':').collect();
+        if parts.len() != hint.split(':').count() {
+            eprintln!("--{flag} expects {hint}, got '{value}'");
+            std::process::exit(2)
+        }
+        Fields {
+            flag,
+            value,
+            hint,
+            parts,
+        }
+    }
+
+    fn refuse(&self, i: usize, want: &str) -> ! {
+        let name = self.hint.split(':').nth(i).unwrap_or_default();
+        let (flag, part, value) = (self.flag, self.parts[i], self.value);
+        eprintln!("--{flag}: {name} '{part}' in '{value}' must be {want}");
         std::process::exit(2)
     }
-    parts
-        .iter()
-        .map(|p| {
-            p.parse().unwrap_or_else(|_| {
-                eprintln!("--{flag}: cannot parse '{p}' in '{value}' (want {hint})");
-                std::process::exit(2)
-            })
-        })
-        .collect()
+
+    /// Field `i` as an unsigned integer (a count or an index).
+    fn count(&self, i: usize) -> usize {
+        self.parts[i]
+            .parse()
+            .unwrap_or_else(|_| self.refuse(i, "an unsigned integer"))
+    }
+
+    /// Field `i` as a float; the schedule's own validation bounds it.
+    fn float(&self, i: usize) -> f64 {
+        self.parts[i]
+            .parse()
+            .unwrap_or_else(|_| self.refuse(i, "a number"))
+    }
+
+    /// Field `i`, microseconds, in ns: refused unless it is finite,
+    /// non-negative and within what modeled time can hold (the bound
+    /// of [`micros_or_exit`]).
+    fn micros(&self, i: usize) -> u64 {
+        let max_us = MAX_WHOLE_NS / 1_000;
+        match self.parts[i].parse::<f64>() {
+            Ok(us) if us.is_finite() && (0.0..=max_us as f64).contains(&us) => {
+                (us * 1_000.0) as u64
+            }
+            _ => self.refuse(i, &format!("0 to {max_us} us of modeled time")),
+        }
+    }
 }
 
 /// Builds the UPWL v3 drift schedule from `--rotate` / `--spike` /
@@ -1607,29 +1583,29 @@ fn split_fields<T: std::str::FromStr>(flag: &str, value: &str, n: usize, hint: &
 fn parse_drift(args: &Args, spec: &DatasetSpec) -> Option<DriftSchedule> {
     let mut drift = DriftSchedule::default();
     if let Some(v) = args.flags.get("rotate") {
-        let f = split_fields::<f64>("rotate", v, 4, "SETS:ROWS:PERIOD_US:HOT_FRACTION");
+        let f = Fields::split("rotate", v, "SETS:ROWS:PERIOD_US:HOT_FRACTION");
         drift.rotation = Some(HotSetRotation {
-            num_sets: f[0] as usize,
-            set_size: f[1] as usize,
-            period_ns: (f[2] * 1_000.0) as u64,
-            hot_fraction: f[3],
+            num_sets: f.count(0),
+            set_size: f.count(1),
+            period_ns: f.micros(2),
+            hot_fraction: f.float(3),
         });
     }
     if let Some(v) = args.flags.get("spike") {
-        let f = split_fields::<f64>("spike", v, 5, "START_US:DUR_US:SET:EXTRA_HOT:RATE_BOOST");
+        let f = Fields::split("spike", v, "START_US:DUR_US:SET:EXTRA_HOT:RATE_BOOST");
         drift.spikes.push(FlashCrowd {
-            start_ns: (f[0] * 1_000.0) as u64,
-            duration_ns: (f[1] * 1_000.0) as u64,
-            target_set: f[2] as usize,
-            extra_hot: f[3],
-            rate_boost: f[4],
+            start_ns: f.micros(0),
+            duration_ns: f.micros(1),
+            target_set: f.count(2),
+            extra_hot: f.float(3),
+            rate_boost: f.float(4),
         });
     }
     if let Some(v) = args.flags.get("diurnal") {
-        let f = split_fields::<f64>("diurnal", v, 2, "PERIOD_US:AMPLITUDE");
+        let f = Fields::split("diurnal", v, "PERIOD_US:AMPLITUDE");
         drift.diurnal = Some(DiurnalCurve {
-            period_ns: (f[0] * 1_000.0) as u64,
-            amplitude: f[1],
+            period_ns: f.micros(0),
+            amplitude: f.float(1),
         });
     }
     if drift.is_trivial() {
@@ -1721,7 +1697,6 @@ fn main() -> ExitCode {
     });
     let result = match cmd.as_str() {
         "run" => cmd_run(&args),
-        "pack" => cmd_pack(&args),
         "plan" => cmd_plan(&args),
         "serve" => cmd_serve(&args),
         "capacity" => cmd_capacity(&args),

@@ -98,8 +98,7 @@ pub mod prelude {
         CostModel, DpuId, PimConfig, PimSystem, Ps, RankCostModel, RankTopology, MAX_WHOLE_NS,
     };
     pub use workloads::{
-        load_packed, save_packed, ArrivalProcess, ArrivalTrace, DatasetSpec, DiurnalCurve,
-        DriftSchedule, FlashCrowd, FreqProfile, HotSetRotation, Hotness, PackError, TraceConfig,
-        Workload, ZipfSampler, NS_PER_SEC,
+        ArrivalProcess, ArrivalTrace, DatasetSpec, DiurnalCurve, DriftSchedule, FlashCrowd,
+        FreqProfile, HotSetRotation, Hotness, TraceConfig, Workload, ZipfSampler, NS_PER_SEC,
     };
 }

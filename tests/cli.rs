@@ -184,11 +184,6 @@ fn unknown_flags_are_rejected_naming_the_flag_and_subcommand() {
             "updlrm serve",
         ),
         (
-            &["pack", "--out", "x", "--batches", "2"][..],
-            "--batches",
-            "updlrm pack",
-        ),
-        (
             &["stats", "--metrics", "x", "--json", "y"][..],
             "--json",
             "updlrm stats",
@@ -1289,18 +1284,13 @@ fn run_with_plan_serves_the_tiered_engine() {
     assert!(json.contains("\"strategy\": \"plan\""), "{json}");
     assert!(json.contains("\"speedup_vs_sequential\""), "{json}");
     assert!(!json.contains("\"serve\": null"), "{json}");
-    // A tiered backend other than updlrm is a contradiction, and packed
-    // tables cannot replace the ones the plan was made for: exit 2.
-    for extra in [["--backend", "cpu"], ["--tables", "nonexistent.uptb"]] {
-        let out = updlrm()
-            .args(["run", "--dataset", "read"])
-            .args(extra)
-            .arg("--plan")
-            .arg(&plan_path)
-            .output()
-            .expect("run --plan with a contradicting flag");
-        assert_eq!(out.status.code(), Some(2), "{extra:?}");
-    }
+    // A tiered backend other than updlrm is a contradiction: exit 2.
+    let out = updlrm()
+        .args(["run", "--dataset", "read", "--backend", "cpu", "--plan"])
+        .arg(&plan_path)
+        .output()
+        .expect("run --plan with a contradicting flag");
+    assert_eq!(out.status.code(), Some(2));
     for p in [&plan_path, &json_path, &metrics_path] {
         std::fs::remove_file(p).ok();
     }
@@ -1515,151 +1505,16 @@ fn serve_rejects_a_count_that_lies_about_the_file() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A one-page packed-table file of one table whose directory entry is
-/// `{rows, dim, offset, bytes}` and whose checksum is the FNV-1a seed
-/// (the checksum of no data).
-fn one_entry_uptb(fields: [u64; 4]) -> Vec<u8> {
-    let mut bytes = b"UPTB".to_vec();
-    for word in [1u32, 1, 0] {
-        bytes.extend(word.to_le_bytes()); // version, table count, reserved
-    }
-    bytes.extend(0xCBF2_9CE4_8422_2325u64.to_le_bytes());
-    for f in fields {
-        bytes.extend(f.to_le_bytes());
-    }
-    bytes.resize(4096, 0);
-    bytes
-}
-
-#[test]
-fn run_rejects_packed_tables_whose_directory_overflows() {
-    // Regression: the first file's `offset + bytes` wrapped past the
-    // bounds check and the release binary exited 101 slicing the file;
-    // the second's `rows * dim * 4` wrapped to 0 and loaded a 2^62-row
-    // table. Both are malformed and exit 2.
-    let dir = std::env::temp_dir().join("updlrm-cli-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    for (name, fields) in [
-        ("wrap-offset.uptb", [1, 1024, u64::MAX - 4095, 4096]),
-        ("wrap-rows.uptb", [1 << 62, 4, 4096, 0]),
-    ] {
-        let path = dir.join(name);
-        std::fs::write(&path, one_entry_uptb(fields)).expect("write");
-        let out = updlrm()
-            .args(["run", "--dataset", "read", "--scale", "5000", "--dpus", "8"])
-            .args(["--batches", "1", "--tables"])
-            .arg(&path)
-            .output()
-            .expect("run --tables");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{name}: stderr {err}");
-        assert!(out.stdout.is_empty(), "{name}: nothing may run");
-        assert!(err.contains("malformed"), "{name}: stderr {err}");
-        std::fs::remove_file(&path).ok();
-    }
-}
-
-#[test]
-fn a_packed_table_run_matches_the_regenerated_run() {
-    let dir = std::env::temp_dir().join("updlrm-cli-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let tables = dir.join("cli-pack.uptb");
-    let flags = ["--dataset", "read", "--scale", "5000", "--seed", "7"];
-    let out = updlrm()
-        .arg("pack")
-        .args(flags)
-        .arg("--out")
-        .arg(&tables)
-        .output()
-        .expect("pack");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let mut snapshots = Vec::new();
-    for packed in [false, true] {
-        let metrics = dir.join(format!("cli-pack-metrics-{packed}.json"));
-        let mut cmd = updlrm();
-        cmd.arg("run")
-            .args(flags)
-            .args(["--dpus", "32", "--batches", "2"])
-            .arg("--metrics")
-            .arg(&metrics);
-        if packed {
-            cmd.arg("--tables").arg(&tables);
-        }
-        let out = cmd.output().expect("run");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        snapshots.push(std::fs::read(&metrics).expect("metrics"));
-        std::fs::remove_file(&metrics).ok();
-    }
-    assert!(snapshots[0] == snapshots[1], "--tables changed the run");
-    std::fs::remove_file(&tables).ok();
-}
-
-#[test]
-fn an_int8_run_refuses_packed_rows_whose_range_overflows_f32() {
-    // A valid pack whose first row starts -3e38, 3e38: every value is
-    // finite, so f32 serves it, but its int8 step would be infinite and
-    // every value it dequantizes NaN. Uniform partitioning stores every
-    // row in the EMT, where the int8 rows are.
-    let dir = std::env::temp_dir().join("updlrm-cli-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let tables = dir.join("cli-pack-wide-row.uptb");
-    let flags = ["--dataset", "read", "--scale", "5000", "--seed", "7"];
-    let out = updlrm()
-        .arg("pack")
-        .args(flags)
-        .arg("--out")
-        .arg(&tables)
-        .output()
-        .expect("pack");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let mut packed = updlrm::workloads::load_packed(&tables).expect("load");
-    packed[0].as_mut_slice()[..4].copy_from_slice(&[-3e38, 3e38, 1.0, 0.0]);
-    updlrm::workloads::save_packed(&packed, &tables).expect("save");
-    for (dtype, refused) in [("f32", false), ("int8", true)] {
-        let out = updlrm()
-            .arg("run")
-            .args(flags)
-            .args(["--dpus", "32", "--batches", "1", "--strategy", "u"])
-            .args(["--embed-dtype", dtype])
-            .arg("--tables")
-            .arg(&tables)
-            .output()
-            .expect("run --tables");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(!out.status.success(), refused, "{dtype}: stderr {err}");
-        if refused {
-            assert!(
-                err.contains("-3e38 to 3e38") && err.contains("overflows f32"),
-                "{dtype}: stderr {err}"
-            );
-        }
-    }
-    std::fs::remove_file(&tables).ok();
-}
-
 #[test]
 fn scale_zero_is_rejected_by_every_subcommand_that_reads_it() {
     // `DatasetSpec::scaled_down(0)` means full scale: `trace --scale 0`
-    // wrote 2,360,650 items per table and `pack --scale 0` 2.4 GB.
+    // wrote 2,360,650 items per table.
     let out_path = std::env::temp_dir()
         .join("updlrm-cli-test")
         .join("scale-zero-never-written");
     let out_path = out_path.to_str().expect("utf-8 temp path");
     for args in [
         &["run", "--batches", "1"][..],
-        &["pack", "--out", out_path],
         &["plan", "--out", out_path],
         &["serve", "--qps", "1000", "--batches", "1"],
         &["trace", "--batches", "1", "--out", out_path],
@@ -1677,6 +1532,81 @@ fn scale_zero_is_rejected_by_every_subcommand_that_reads_it() {
         );
         assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
         assert!(!std::path::Path::new(out_path).exists(), "{args:?} wrote");
+    }
+}
+
+#[test]
+fn tables_are_generated_never_loaded() {
+    // There is no packed-table file: `pack` is no subcommand and `run`
+    // reads no `--tables`. Both exit 2 and write nothing.
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("never-packed.uptb");
+    let path = path.to_str().expect("utf-8 temp path");
+    for args in [
+        &["pack", "--out", path][..],
+        &["run", "--scale", "5000", "--batches", "1", "--tables", path],
+    ] {
+        let out = updlrm().args(args).output().expect("updlrm");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+        assert!(!std::path::Path::new(path).exists(), "{args:?} wrote");
+    }
+}
+
+#[test]
+fn a_malformed_nc_exits_2_naming_the_flag() {
+    // Like every numeric flag, a malformed `--nc` is a usage error that
+    // names the flag, not a run error ("invalid digit found in string").
+    for nc in ["x", "-1"] {
+        let out = updlrm()
+            .args(QUICK_RUN)
+            .args(["--nc", nc])
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--nc {nc}: stderr {err}");
+        assert!(err.contains("--nc expects"), "--nc {nc}: stderr {err}");
+        assert!(out.stdout.is_empty(), "--nc {nc}: nothing may run");
+    }
+}
+
+#[test]
+fn drift_flags_refuse_fields_they_used_to_coerce() {
+    // A field is refused, not cast: 4.7 sets is not 4, a negative start
+    // is not 0, set 1.9 is not set 1, and 1e30 us does not saturate.
+    let out_path = std::env::temp_dir()
+        .join("updlrm-cli-test")
+        .join("coerced-drift-never-written.upwl");
+    let out_path = out_path.to_str().expect("utf-8 temp path");
+    for (drift, flag, field) in [
+        (&["--rotate", "4.7:100:100:0.5"][..], "--rotate", "SETS"),
+        (
+            &["--rotate", "4:100:100:0.5", "--spike", "-10:5:0:0.5:2"],
+            "--spike",
+            "START_US",
+        ),
+        (
+            &["--rotate", "4:100:100:0.5", "--spike", "10:5:1.9:0.5:2"],
+            "--spike",
+            "SET",
+        ),
+        (&["--rotate", "4:100:1e30:0.5"], "--rotate", "PERIOD_US"),
+    ] {
+        let out = updlrm()
+            .args(["trace", "--scale", "5000", "--batches", "1"])
+            .args(["--qps", "1000"])
+            .args(drift)
+            .args(["--out", out_path])
+            .output()
+            .expect("trace");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{drift:?}: stderr {err}");
+        assert!(
+            err.contains(&format!("{flag}: {field} ")),
+            "{drift:?}: stderr {err}"
+        );
+        assert!(!std::path::Path::new(out_path).exists(), "{drift:?} wrote");
     }
 }
 
