@@ -79,11 +79,6 @@ impl DlrmCpu {
             * batch_size as u64;
         self.mem.mlp_ns(flops)
     }
-
-    /// The memory model in effect.
-    pub fn memory_model(&self) -> &CpuMemoryModel {
-        &self.mem
-    }
 }
 
 impl InferenceBackend for DlrmCpu {

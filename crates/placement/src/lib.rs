@@ -59,4 +59,4 @@ pub use plan::{
     TablePlacement, HOST_ROW_PART, PLAN_SCHEMA_VERSION, REPLICATED_ROW_PART, TIER_COLD, TIER_HOST,
     TIER_REPLICATED,
 };
-pub use planner::{interleaved_offsets, plan};
+pub use planner::{interleaved_offsets, least_loaded_with_room, plan};

@@ -181,15 +181,8 @@ fn place_table(
     let mut rows_per_part = vec![0u32; parts];
     let mut part_load = vec![0.0f64; parts];
     for &r in cold {
-        let mut best = usize::MAX;
-        for p in 0..parts {
-            if (rows_per_part[p] as usize) < local_cap
-                && (best == usize::MAX || part_load[p] < part_load[best])
-            {
-                best = p;
-            }
-        }
-        debug_assert!(best != usize::MAX, "parts sized to hold every cold row");
+        let best = least_loaded_with_room(&part_load, &rows_per_part, 1, local_cap)
+            .expect("parts sized to hold every cold row");
         tier_of_row[r as usize] = TIER_COLD;
         part_of_row[r as usize] = best as u32;
         slot_of_row[r as usize] = (replicas + rows_per_part[best] as usize) as u32;
@@ -220,6 +213,30 @@ fn place_table(
         host_mass,
         replica_mass,
     })
+}
+
+/// The bin with minimum `load` among those whose `used` units leave at
+/// least `need` units of room under `capacity`; ties break toward the
+/// lower index, so every greedy packer built on it is deterministic.
+/// `None` when no bin has room.
+pub fn least_loaded_with_room(
+    load: &[f64],
+    used: &[u32],
+    need: u32,
+    capacity: usize,
+) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for p in 0..load.len() {
+        if used[p] as usize + need as usize > capacity {
+            continue;
+        }
+        match best {
+            None => best = Some(p),
+            Some(b) if load[p] < load[b] => best = Some(p),
+            _ => {}
+        }
+    }
+    best
 }
 
 struct RankPacking {
@@ -260,26 +277,19 @@ fn pack_ranks(tables: &mut [TablePlacement], config: &PlannerConfig) -> Result<R
 
     let mut rank_load = vec![0.0f64; topo.nr_ranks];
     let mut rank_rows = vec![0u64; topo.nr_ranks];
-    let mut used = vec![0usize; topo.nr_ranks];
+    let mut used = vec![0u32; topo.nr_ranks];
     let mut binding = false;
     let balance_bound = items.first().map(|i| i.0).unwrap_or(0.0);
     for &(load, t, p) in &items {
         let global_min = rank_load.iter().copied().fold(f64::INFINITY, f64::min);
-        let mut best = usize::MAX;
-        for r in 0..topo.nr_ranks {
-            if used[r] < topo.dpus_per_rank
-                && (best == usize::MAX || rank_load[r] < rank_load[best])
-            {
-                best = r;
-            }
-        }
-        debug_assert!(best != usize::MAX, "parts_total <= nr_dpus");
+        let best = least_loaded_with_room(&rank_load, &used, 1, topo.dpus_per_rank)
+            .expect("parts_total <= nr_dpus");
         if rank_load[best] > global_min {
             // A strictly less-loaded rank existed but was out of DPUs:
             // the LPT balance bound no longer applies.
             binding = true;
         }
-        tables[t].dpus[p] = best * topo.dpus_per_rank + used[best];
+        tables[t].dpus[p] = best * topo.dpus_per_rank + used[best] as usize;
         used[best] += 1;
         rank_load[best] += load;
         rank_rows[best] +=

@@ -22,7 +22,8 @@
 //!   are one implementation, not a reimplementation — and dispatches
 //!   formed batches round-robin to the shard rings;
 //! * each **worker** owns one [`UpdlrmEngine`] shard, ticks
-//!   it to the batch's launch instant, runs the batch through
+//!   it to the batch's launch instant with the batcher's counts so far
+//!   (the same `on_tick` call the scheduler makes), runs the batch through
 //!   `serve_stream`, and reports the pooled embeddings plus the modeled
 //!   breakdown and its *measured* wall time back on a completion ring.
 //!
@@ -71,7 +72,9 @@ use scheduler::{
 };
 use updlrm_core::engine::EmbeddingBreakdown;
 use updlrm_core::pipeline::Stages;
-use updlrm_core::{CoreError, Ps, Result, RuntimeSnapshot, SchedTrigger, UpdlrmEngine};
+use updlrm_core::{
+    CoreError, Ps, Result, RuntimeSnapshot, SchedSnapshot, SchedTrigger, UpdlrmEngine,
+};
 use workloads::{Workload, NS_PER_SEC};
 
 pub use ring::{ring, Consumer, Producer};
@@ -186,6 +189,9 @@ struct WorkItem {
     /// Launch instant in modeled time, for the engine's between-batch
     /// tick.
     launch: Ps,
+    /// The batcher's tally at the launch, for the same tick: a
+    /// mid-migration snapshot it takes carries the run's counts so far.
+    counts: SchedSnapshot,
     ids: Vec<u32>,
     batch: QueryBatch,
 }
@@ -374,7 +380,7 @@ fn shard_worker(
     start: Instant,
 ) {
     while let Some(item) = work_rx.pop_blocking() {
-        let ticked = engine.on_tick(item.launch);
+        let ticked = engine.on_tick(item.launch, item.counts);
         let t0 = Instant::now();
         let mut pooled = Vec::new();
         let mut breakdown = EmbeddingBreakdown::default();
@@ -454,8 +460,9 @@ impl<F> Batcher<'_, F>
 where
     F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
 {
-    /// Assembles `launch` into a fresh [`WorkItem`].
-    fn make_item(&self, launch: &Launch<'_>) -> WorkItem {
+    /// Assembles `launch` into a fresh [`WorkItem`] that carries the
+    /// tally's `counts` at the launch.
+    fn make_item(&self, launch: &Launch<'_>, counts: SchedSnapshot) -> WorkItem {
         let mut batch = QueryBatch {
             sparse: vec![Default::default(); self.workload.config.num_tables],
             ..Default::default()
@@ -464,6 +471,7 @@ where
         WorkItem {
             seq: launch.seq,
             launch: launch.at,
+            counts,
             ids: launch.ids.to_vec(),
             batch,
         }
@@ -499,7 +507,7 @@ where
     ) -> Result<()> {
         let shard = launch.seq % self.cfg.shards;
         fl.triggers.push((launch.seq, trigger));
-        let mut item = self.make_item(launch);
+        let mut item = self.make_item(launch, fl.tally.snapshot());
         loop {
             match self.work_txs[shard].try_send(item) {
                 Ok(()) => break,
@@ -649,9 +657,9 @@ impl<F> Serve for Batcher<'_, F>
 where
     F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
 {
-    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages> {
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages> {
         let shard = launch.seq % self.cfg.shards;
-        let item = self.make_item(launch);
+        let item = self.make_item(launch, tally.snapshot());
         self.work_txs[shard]
             .push_blocking(item)
             .map_err(|_| Self::worker_gone(shard, launch.seq, "was dispatched"))?;

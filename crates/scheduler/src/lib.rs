@@ -383,13 +383,7 @@ where
         // in flight on the old placement, but a tick never both flips
         // and begins a scatter, and the next launch waits for that
         // batch to drain, so no scatter writes what it reads.
-        let first = self.engine.drift_snapshot().is_none();
-        self.engine.on_tick(launch.at)?;
-        // A drift snapshot this tick took is a mid-run picture: it gets
-        // the run's scheduler counts so far.
-        if let Some(snap) = self.engine.drift_snapshot_mut().filter(|_| first) {
-            snap.sched.merge(&tally.snapshot());
-        }
+        self.engine.on_tick(launch.at, tally.snapshot())?;
         assemble_into(self.workload, launch.ids, self.batch);
         let mut stages = Stages::default();
         let sink = &mut self.sink;

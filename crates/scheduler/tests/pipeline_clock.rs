@@ -268,9 +268,9 @@ struct Probe<'a> {
 }
 
 impl Serve for Probe<'_> {
-    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages> {
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages> {
         let before = self.engine.metrics_snapshot().drift;
-        self.engine.on_tick(launch.at)?;
+        self.engine.on_tick(launch.at, tally.snapshot())?;
         let after = self.engine.metrics_snapshot().drift;
         let flipped = after.migrations_completed > before.migrations_completed;
         let began = after.replans_triggered > before.replans_triggered;

@@ -396,11 +396,6 @@ impl TenantFleet {
         &self.cfg
     }
 
-    /// Tenant names, in spec order.
-    pub fn tenant_names(&self) -> Vec<&str> {
-        self.lanes.iter().map(|l| l.spec.name.as_str()).collect()
-    }
-
     /// The fleet-level telemetry snapshot of the last [`run`](Self::run)
     /// (schema v6: per-tenant breakouts live in `tenants`).
     pub fn metrics_snapshot(&self) -> Snapshot {

@@ -463,6 +463,7 @@ mod tests {
     use super::*;
     use crate::partition::PartitionStrategy;
     use crate::replan::{self, PartLists, ReplanPolicy};
+    use crate::telemetry::SchedSnapshot;
     use dlrm_model::EmbedDtype;
     use upmem_sim::arch::WRAM_CAPACITY;
     use upmem_sim::RankCostModel;
@@ -671,11 +672,13 @@ mod tests {
             config.miner.max_lists = 64;
             let mut engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
             for (i, batch) in workload.batches.iter().enumerate() {
-                engine.on_tick(Ps(50_000_000) * (i as u64 + 1)).unwrap();
+                engine
+                    .on_tick(Ps(50_000_000) * (i as u64 + 1), SchedSnapshot::default())
+                    .unwrap();
                 engine.run_batch(batch).unwrap();
             }
             if engine.migration_in_flight() {
-                engine.on_tick(Ps::MAX).unwrap();
+                engine.on_tick(Ps::MAX, SchedSnapshot::default()).unwrap();
             }
             assert!(
                 engine.metrics_snapshot().drift.migrations_completed >= 1,
@@ -833,11 +836,11 @@ mod tests {
             let case = format!("seed {seed} {dtype:?}");
             proptest::prop_assert!(assert_cache_rows_are_partial_sums(&engine, &case) > 0);
             for (i, batch) in workload.batches.iter().enumerate() {
-                engine.on_tick(Ps(50_000_000) * (i as u64 + 1)).unwrap();
+                engine.on_tick(Ps(50_000_000) * (i as u64 + 1), SchedSnapshot::default()).unwrap();
                 engine.run_batch(batch).unwrap();
             }
             if engine.migration_in_flight() {
-                engine.on_tick(Ps::MAX).unwrap();
+                engine.on_tick(Ps::MAX, SchedSnapshot::default()).unwrap();
             }
             proptest::prop_assert!(engine.metrics_snapshot().drift.migrations_completed >= 1);
             let flipped = assert_cache_rows_are_partial_sums(&engine, &format!("{case}, flipped"));

@@ -10,6 +10,7 @@
 
 use crate::error::{CoreError, Result};
 use cooccur_cache::CacheListSet;
+use placement::least_loaded_with_room;
 use workloads::FreqProfile;
 
 /// Which partitioning strategy to run (paper's U / NU / CA, plus the
@@ -376,23 +377,6 @@ fn check_inputs(rows: usize, parts: usize, profile: &FreqProfile) -> Result<()> 
         )));
     }
     Ok(())
-}
-
-/// The partition with minimum load among those with at least `need`
-/// units of room under `capacity`. Ties break toward the lower index.
-fn least_loaded_with_room(load: &[f64], used: &[u32], need: u32, capacity: usize) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for p in 0..load.len() {
-        if used[p] as usize + need as usize > capacity {
-            continue;
-        }
-        match best {
-            None => best = Some(p),
-            Some(b) if load[p] < load[b] => best = Some(p),
-            _ => {}
-        }
-    }
-    best
 }
 
 #[cfg(test)]

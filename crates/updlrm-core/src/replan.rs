@@ -7,12 +7,12 @@
 //! the stage-2 wall — the slowest DPU — blows up. This module holds
 //! live reconfiguration, decision and mechanism:
 //!
-//! * [`ReplanPolicy`] — when to refresh the placement (`off`,
-//!   `periodic:N` batches, `imbalance:T[:N]` threshold);
+//! * [`ReplanPolicy`] — whether to refresh the placement: `off`, or
+//!   `periodic:N`, every `N` served batches;
 //! * a sliding-window access profile per table, accumulated by stage 1
-//!   and consumed by [`UpdlrmEngine::on_tick`];
-//! * `window_imbalance`, the quantity the imbalance policy thresholds,
-//!   and `rows_in_parts` / `PartLists`, the slot-order inverses the
+//!   and consumed by [`UpdlrmEngine::on_tick`], the one call every
+//!   front-end ticks the replanner through;
+//! * `rows_in_parts` / `PartLists`, the slot-order inverses the
 //!   engine's tile writer reads;
 //! * the migration itself: plan, scatter into the inactive one of each
 //!   table's double-buffered MRAM regions at a modeled cost, and the
@@ -27,7 +27,7 @@ use crate::engine::{build::write_tiles, UpdlrmEngine};
 use crate::error::Result;
 use crate::partition::{self, PartitionStrategy, RowAssignment};
 use crate::place::{place, Placement};
-use crate::telemetry::Snapshot;
+use crate::telemetry::{SchedSnapshot, Snapshot};
 use dlrm_model::EmbeddingTable;
 use upmem_sim::{Cycles, Ps};
 use workloads::FreqProfile;
@@ -35,10 +35,8 @@ use workloads::FreqProfile;
 /// When (and whether) the engine refreshes its placement from the
 /// sliding-window access profile.
 ///
-/// Parsed from / displayed as the CLI spellings `off`, `periodic:N`
-/// and `imbalance:T[:N]` (threshold `T`, minimum window `N` batches,
-/// default 8).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Parsed from / displayed as the CLI spellings `off` and `periodic:N`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplanPolicy {
     /// Never replan (the static-placement baseline).
     #[default]
@@ -47,16 +45,6 @@ pub enum ReplanPolicy {
     Periodic {
         /// Window length in batches between replans.
         every_batches: u64,
-    },
-    /// Replan when the window-predicted load imbalance of the current
-    /// placement exceeds `threshold` (max-over-mean, 1.0 = perfect),
-    /// checked only once `min_batches` batches have accumulated so a
-    /// near-empty window cannot trigger on noise.
-    Imbalance {
-        /// Max-over-mean partition load that triggers a replan.
-        threshold: f64,
-        /// Minimum window size (batches) before the check applies.
-        min_batches: u64,
     },
 }
 
@@ -72,10 +60,6 @@ impl ReplanPolicy {
         match self {
             ReplanPolicy::Off => "off".into(),
             ReplanPolicy::Periodic { every_batches } => format!("periodic:{every_batches}"),
-            ReplanPolicy::Imbalance {
-                threshold,
-                min_batches,
-            } => format!("imbalance:{threshold}:{min_batches}"),
         }
     }
 }
@@ -102,35 +86,8 @@ impl std::str::FromStr for ReplanPolicy {
             }
             return Ok(ReplanPolicy::Periodic { every_batches });
         }
-        if let Some(rest) = s.strip_prefix("imbalance:") {
-            let (t, n) = match rest.split_once(':') {
-                Some((t, n)) => (t, Some(n)),
-                None => (rest, None),
-            };
-            let threshold: f64 = t
-                .parse()
-                .map_err(|_| format!("bad imbalance threshold '{t}'"))?;
-            if !threshold.is_finite() || threshold < 1.0 {
-                return Err(format!(
-                    "imbalance threshold must be a finite value >= 1.0, got {t}"
-                ));
-            }
-            let min_batches = match n {
-                Some(n) => n
-                    .parse()
-                    .map_err(|_| format!("bad imbalance window '{n}' (expected a batch count)"))?,
-                None => 8,
-            };
-            if min_batches == 0 {
-                return Err("imbalance window must be >= 1 batch".into());
-            }
-            return Ok(ReplanPolicy::Imbalance {
-                threshold,
-                min_batches,
-            });
-        }
         Err(format!(
-            "unknown replan policy '{s}' (expected 'off', 'periodic:N' or 'imbalance:T[:N]')"
+            "unknown replan policy '{s}' (expected 'off' or 'periodic:N')"
         ))
     }
 }
@@ -190,51 +147,6 @@ pub(crate) fn rows_in_parts(assignment: &RowAssignment, rc: usize, out: &mut Par
     }
 }
 
-/// Max-over-mean partition load the *current* assignment would see
-/// under the window profile — the quantity
-/// [`ReplanPolicy::Imbalance`] thresholds. Replicated rows spread
-/// their window mass evenly (matching the engine's round-robin
-/// routing); cache-resident and host-tier rows load the cache / the
-/// host, not the EMT, and are excluded.
-pub(crate) fn window_imbalance(assignment: &RowAssignment, window: &FreqProfile) -> f64 {
-    let parts = assignment.num_parts();
-    if parts == 0 {
-        return 1.0;
-    }
-    let mut load = vec![0.0f64; parts];
-    let mut spread = 0.0f64;
-    for (r, (&p, &s)) in assignment
-        .part_of_row
-        .iter()
-        .zip(assignment.slot_of_row.iter())
-        .enumerate()
-    {
-        let c = window.count(r as u64) as f64;
-        if c == 0.0 || s == partition::CACHED_ROW_SLOT || p == placement::HOST_ROW_PART {
-            continue;
-        }
-        if p == partition::REPLICATED_ROW_PART {
-            spread += c;
-            continue;
-        }
-        load[p as usize] += c;
-    }
-    let share = spread / parts as f64;
-    let mut max = 0.0f64;
-    let mut sum = 0.0f64;
-    for l in &load {
-        let v = l + share;
-        max = max.max(v);
-        sum += v;
-    }
-    let mean = sum / parts as f64;
-    if mean <= 0.0 {
-        1.0
-    } else {
-        max / mean
-    }
-}
-
 /// An in-flight migration: the staged per-table placements, whose
 /// tiles already sit in the inactive MRAM regions, and the modeled
 /// instant the scatter completes, at which point
@@ -287,7 +199,11 @@ impl UpdlrmEngine {
     /// new migration. A no-op unless
     /// [`UpdlrmConfig::replan`](crate::config::UpdlrmConfig) is
     /// enabled. Front-ends call this between batches — the scheduler's
-    /// event loop ticks it at every launch instant.
+    /// event loop and the wall runtime's shard workers tick it at every
+    /// launch instant — with `counts`, their scheduler tally so far
+    /// ([`SchedSnapshot`]): the engine counts no scheduler events, so a
+    /// tick that takes the mid-migration snapshot stamps them into its
+    /// `sched` block.
     ///
     /// # Errors
     ///
@@ -296,7 +212,7 @@ impl UpdlrmEngine {
     /// are *not* errors: the replan is declined, counted in
     /// [`DriftSnapshot::replans_skipped`](crate::telemetry::DriftSnapshot),
     /// and the window resets.
-    pub fn on_tick(&mut self, now: Ps) -> Result<()> {
+    pub fn on_tick(&mut self, now: Ps, counts: SchedSnapshot) -> Result<()> {
         let Some(mut drift) = self.drift.take() else {
             return Ok(());
         };
@@ -305,7 +221,7 @@ impl UpdlrmEngine {
                 self.complete_migration(&mut drift, now);
                 Ok(())
             }
-            None if self.replan_due(&drift) => self.begin_migration(&mut drift, now),
+            None if self.replan_due(&drift) => self.begin_migration(&mut drift, now, &counts),
             _ => Ok(()),
         };
         self.drift = Some(drift);
@@ -325,31 +241,11 @@ impl UpdlrmEngine {
         self.drift.as_ref().and_then(|d| d.first_snapshot.as_ref())
     }
 
-    /// [`drift_snapshot`](Self::drift_snapshot), mutably: the engine
-    /// counts no scheduler events, so the front-end whose tick captured
-    /// the snapshot adds its run's counts so far to the `sched` block.
-    pub fn drift_snapshot_mut(&mut self) -> Option<&mut Snapshot> {
-        self.drift.as_mut().and_then(|d| d.first_snapshot.as_mut())
-    }
-
     /// Whether the policy calls for a replan on the window so far.
     fn replan_due(&self, drift: &DriftState) -> bool {
         match self.config.replan {
             ReplanPolicy::Off => false,
             ReplanPolicy::Periodic { every_batches } => drift.batches_in_window >= every_batches,
-            ReplanPolicy::Imbalance {
-                threshold,
-                min_batches,
-            } => {
-                drift.batches_in_window >= min_batches
-                    && self
-                        .tables
-                        .iter()
-                        .zip(drift.window.iter())
-                        .map(|(s, w)| window_imbalance(&s.placement.assignment, w))
-                        .fold(1.0f64, f64::max)
-                        > threshold
-            }
         }
     }
 
@@ -389,7 +285,12 @@ impl UpdlrmEngine {
     /// deferred to the modeled instant the scatter completes
     /// ([`UpdlrmEngine::on_tick`]); until then serving continues on the
     /// old placement, whose regions the scatter never touches.
-    fn begin_migration(&mut self, drift: &mut DriftState, now: Ps) -> Result<()> {
+    fn begin_migration(
+        &mut self,
+        drift: &mut DriftState,
+        now: Ps,
+        counts: &SchedSnapshot,
+    ) -> Result<()> {
         let mut staged = std::mem::take(&mut drift.staged_buf);
         let go = self.plan_flips(&drift.window, &mut staged);
 
@@ -452,9 +353,11 @@ impl UpdlrmEngine {
         self.metrics
             .record_replan_begin(rows_moved, total_bytes as u64, migration);
         // The mid-migration golden: counters show the replan charged
-        // but not yet flipped.
+        // but not yet flipped, and the front-end's run so far.
         if self.config.telemetry && drift.first_snapshot.is_none() {
-            drift.first_snapshot = Some(self.metrics.snapshot());
+            let mut snap = self.metrics.snapshot();
+            snap.sched.merge(counts);
+            drift.first_snapshot = Some(snap);
         }
         drift.pending = Some(PendingMigration {
             done_at: now + migration,
@@ -516,31 +419,12 @@ mod tests {
         for p in [
             ReplanPolicy::Off,
             ReplanPolicy::Periodic { every_batches: 12 },
-            ReplanPolicy::Imbalance {
-                threshold: 1.5,
-                min_batches: 4,
-            },
         ] {
             let parsed: ReplanPolicy = p.as_string().parse().expect("round trip");
             assert_eq!(parsed, p);
             assert_eq!(format!("{p}"), p.as_string());
         }
-        // The short imbalance form defaults the window to 8 batches.
-        assert_eq!(
-            "imbalance:2.0".parse::<ReplanPolicy>().unwrap(),
-            ReplanPolicy::Imbalance {
-                threshold: 2.0,
-                min_batches: 8
-            }
-        );
-        for bad in [
-            "on",
-            "periodic:0",
-            "periodic:x",
-            "imbalance:0.5",
-            "imbalance:nan",
-            "imbalance:2.0:0",
-        ] {
+        for bad in ["on", "periodic:0", "periodic:x"] {
             assert!(bad.parse::<ReplanPolicy>().is_err(), "{bad} must not parse");
         }
         assert!(!ReplanPolicy::Off.enabled());
@@ -555,22 +439,6 @@ mod tests {
             }
         }
         p
-    }
-
-    #[test]
-    fn window_imbalance_detects_a_hot_partition() {
-        // 4 rows uniform over 2 parts: rows 0-1 on part 0, 2-3 on part 1.
-        let profile = profile_from_counts(&[0, 0, 0, 0]);
-        let a = partition::uniform(4, 2, 4, &profile).unwrap();
-        let balanced = profile_from_counts(&[5, 5, 5, 5]);
-        assert!((window_imbalance(&a, &balanced) - 1.0).abs() < 1e-12);
-        let skewed = profile_from_counts(&[50, 50, 1, 1]);
-        assert!(window_imbalance(&a, &skewed) > 1.9);
-        // Empty window is neutral, not a trigger.
-        assert_eq!(
-            window_imbalance(&a, &profile_from_counts(&[0, 0, 0, 0])),
-            1.0
-        );
     }
 
     /// Places a table of `profile.num_items()` rows over `parts`
@@ -767,29 +635,6 @@ mod tests {
                         an, a, a + al, bn, b, b + bl);
                 }
             }
-        }
-
-        /// `window_imbalance` is always finite and >= 1 up to float
-        /// rounding, on plans produced by the planner itself.
-        #[test]
-        fn window_imbalance_is_finite_and_at_least_one(
-            rows in 1usize..120,
-            parts in 1usize..7,
-            seed in 0u64..500,
-        ) {
-            let mut counts = vec![0u32; rows];
-            let mut x = seed.wrapping_add(7);
-            for c in counts.iter_mut() {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                *c = (x >> 40) as u32 % 9;
-            }
-            let profile = profile_from_counts(&counts);
-            let none = CacheListSet::default();
-            let placed =
-                place_rows(PartitionStrategy::NonUniform, parts, 0, &profile, &none, (rows, 0));
-            let imb = window_imbalance(&placed.assignment, &profile);
-            prop_assert!(imb.is_finite());
-            prop_assert!(imb >= 1.0 - 1e-9, "imbalance {imb} below 1");
         }
     }
 }

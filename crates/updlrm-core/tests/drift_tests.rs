@@ -10,7 +10,9 @@
 //! byte-deterministic under a fixed seed.
 
 use dlrm_model::EmbeddingTable;
-use updlrm_core::{PartitionStrategy, Ps, ReplanPolicy, Snapshot, UpdlrmConfig, UpdlrmEngine};
+use updlrm_core::{
+    PartitionStrategy, Ps, ReplanPolicy, SchedSnapshot, Snapshot, UpdlrmConfig, UpdlrmEngine,
+};
 use workloads::{
     ArrivalProcess, DatasetSpec, DriftSchedule, HotSetRotation, TraceConfig, Workload,
 };
@@ -61,7 +63,9 @@ fn serve_ticked(mut engine: UpdlrmEngine, workload: &Workload) -> (Vec<u32>, Upd
     let mut bits = Vec::new();
     let mut saw_in_flight = false;
     for (i, batch) in workload.batches.iter().enumerate() {
-        engine.on_tick(TICK * (i as u64 + 1)).unwrap();
+        engine
+            .on_tick(TICK * (i as u64 + 1), SchedSnapshot::default())
+            .unwrap();
         saw_in_flight |= engine.migration_in_flight();
         engine
             .serve_stream(std::slice::from_ref(batch), |_, pooled, _| {
@@ -162,9 +166,9 @@ fn a_refit_that_moves_no_row_is_declined() {
         engine.serve_stream(window, |_, _, _| {}).unwrap();
     };
     serve(&mut engine);
-    engine.on_tick(TICK).unwrap();
+    engine.on_tick(TICK, SchedSnapshot::default()).unwrap();
     assert!(engine.migration_in_flight(), "the first window moves rows");
-    engine.on_tick(Ps::MAX).unwrap();
+    engine.on_tick(Ps::MAX, SchedSnapshot::default()).unwrap();
     let first = engine.metrics_snapshot().drift;
     assert_eq!(
         (first.replans_triggered, first.migrations_completed),
@@ -174,7 +178,7 @@ fn a_refit_that_moves_no_row_is_declined() {
 
     serve(&mut engine);
     serve(&mut engine);
-    engine.on_tick(Ps::MAX).unwrap();
+    engine.on_tick(Ps::MAX, SchedSnapshot::default()).unwrap();
     assert!(!engine.migration_in_flight());
     let second = engine.metrics_snapshot().drift;
     assert_eq!(second.replans_skipped, first.replans_skipped + 1);
@@ -208,37 +212,6 @@ fn mid_migration_snapshot_is_byte_deterministic() {
         serde::json::to_string_pretty(&snap)
     };
     assert_eq!(run(), run());
-}
-
-#[test]
-fn imbalance_policy_triggers_only_past_threshold() {
-    let (tables, workload) = drifting_setup();
-    // An absurdly high threshold never fires; a low one does. Uniform
-    // placement keeps the rotating hot set contiguous on a couple of
-    // DPUs, so the window imbalance is large — the configuration the
-    // policy exists to catch.
-    for (threshold, expect_replans) in [(1e9, false), (1.05, true)] {
-        let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::Uniform)
-            .with_replan(ReplanPolicy::Imbalance {
-                threshold,
-                min_batches: 2,
-            })
-            .with_telemetry();
-        let engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
-        let mut engine = engine;
-        for (i, batch) in workload.batches.iter().enumerate() {
-            engine.on_tick(TICK * (i as u64 + 1)).unwrap();
-            engine
-                .serve_stream(std::slice::from_ref(batch), |_, _, _| {})
-                .unwrap();
-        }
-        let drift = engine.metrics_snapshot().drift;
-        assert_eq!(
-            drift.replans_triggered >= 1,
-            expect_replans,
-            "threshold {threshold}: {drift:?}"
-        );
-    }
 }
 
 /// Build and refit are one function: an engine that serves exactly the
@@ -280,10 +253,10 @@ fn a_refit_on_the_fit_profile_is_the_build() {
         for batch in &workload.batches {
             engine.run_batch(batch).unwrap();
         }
-        engine.on_tick(TICK).unwrap();
+        engine.on_tick(TICK, SchedSnapshot::default()).unwrap();
         let migrates = strategy == PartitionStrategy::Uniform;
         assert_eq!(engine.migration_in_flight(), migrates, "{strategy}");
-        engine.on_tick(Ps::MAX).unwrap();
+        engine.on_tick(Ps::MAX, SchedSnapshot::default()).unwrap();
         let drift = engine.metrics_snapshot().drift;
         assert_eq!(
             (drift.replans_skipped, drift.migrations_completed),
@@ -302,7 +275,7 @@ fn replan_off_allocates_no_drift_state() {
         &workload,
     )
     .unwrap();
-    engine.on_tick(Ps::MAX).unwrap();
+    engine.on_tick(Ps::MAX, SchedSnapshot::default()).unwrap();
     assert!(!engine.migration_in_flight());
     assert!(engine.drift_snapshot().is_none());
     assert_eq!(engine.metrics_snapshot().drift, Default::default());
@@ -358,7 +331,9 @@ fn the_fill_is_charged_at_build_and_at_every_flip_and_nowhere_else() {
         let mut fills = 0;
         let mut expect_fill = true; // the build
         for (i, batch) in batches.enumerate() {
-            engine.on_tick(TICK * (i as u64 + 1)).unwrap();
+            engine
+                .on_tick(TICK * (i as u64 + 1), SchedSnapshot::default())
+                .unwrap();
             let flips = engine.metrics_snapshot().drift.migrations_completed;
             expect_fill |= flips > flips_seen;
             flips_seen = flips;

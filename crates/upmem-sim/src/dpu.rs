@@ -41,8 +41,9 @@ use crate::stats::{DpuRunStats, TaskletStats};
 /// charging. Kernel *results* belong in MRAM/WRAM.
 pub trait Kernel {
     /// Bytes of WRAM reserved as a region shared by all tasklets of a
-    /// DPU (e.g. a software row cache). The remainder of WRAM is split
-    /// evenly into per-tasklet private regions.
+    /// DPU (e.g. a software row cache). The remainder of WRAM is the
+    /// tasklets' private WRAM, which a launch only accounts for
+    /// ([`Kernel::tasklet_wram_bytes`]).
     fn shared_wram_bytes(&self) -> usize {
         0
     }
@@ -216,27 +217,19 @@ impl<'a> DpuPass<'a> {
     /// The tasklet interpreter: runs `kernel` tasklet by tasklet, phase
     /// by phase, collecting what each tasklet charged.
     fn interpret<K: Kernel + ?Sized>(&mut self, kernel: &K) -> Result<()> {
-        // Split WRAM: [shared | t0 local | t1 local | ...]. Tasklets run
-        // sequentially, so re-borrowing per tasklet is safe and keeps the
-        // shared region's contents visible across tasklets. A phase
-        // starts only after every tasklet completed the one before —
-        // the hardware barrier.
+        // Tasklets run sequentially, so re-borrowing the shared WRAM
+        // region per tasklet is safe and keeps its contents visible
+        // across tasklets. A phase starts only after every tasklet
+        // completed the one before — the hardware barrier.
         let n_tasklets = self.n_tasklets;
-        let local_len = (WRAM_CAPACITY - self.shared_len) / n_tasklets;
         for (phase, stats) in self.stats.iter_mut().enumerate() {
             for (t, slot) in stats.iter_mut().enumerate() {
-                let (shared, rest) = self
-                    .wram
-                    .slice_mut(0, WRAM_CAPACITY)?
-                    .split_at_mut(self.shared_len);
-                let local = &mut rest[t * local_len..(t + 1) * local_len];
                 let mut ctx = TaskletCtx {
                     dpu: self.dpu,
                     tasklet: t,
                     n_tasklets,
                     mram: self.mram,
-                    shared,
-                    local,
+                    shared: self.wram.slice_mut(0, self.shared_len)?,
                     charges: Charges {
                         costs: self.costs,
                         stats: TaskletStats::default(),
@@ -266,7 +259,6 @@ pub struct TaskletCtx<'a> {
     n_tasklets: usize,
     mram: &'a mut Mram,
     shared: &'a mut [u8],
-    local: &'a mut [u8],
     charges: Charges<'a>,
 }
 
@@ -397,12 +389,6 @@ impl<'a> TaskletCtx<'a> {
     #[inline]
     pub fn shared_wram(&mut self) -> &mut [u8] {
         self.shared
-    }
-
-    /// This tasklet's private WRAM region.
-    #[inline]
-    pub fn local_wram(&mut self) -> &mut [u8] {
-        self.local
     }
 }
 

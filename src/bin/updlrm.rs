@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! updlrm run   [--dataset read] [--backend updlrm|cpu|hybrid|fae]
-//!              [--strategy u|nu|ca|nur] [--dpus 256] [--nc auto|2|4|8]
+//!              [--strategy u|nu|ca|nur] [--dpus 256] [--nc auto|N]
 //!              [--scale 200] [--batches 10] [--seed 7]
 //!              [--embed-dtype f32|int8]
 //!              [--plan FILE] [--json FILE] [--metrics FILE]
@@ -16,7 +16,7 @@
 //!              [--time-scale X] [--deterministic] [--dataset read]
 //!              [--strategy u|nu|ca|nur] [--dpus 256] [--scale 200]
 //!              [--batches 10] [--seed 7]
-//!              [--workload-v3 FILE] [--replan off|periodic:N|imbalance:T[:N]]
+//!              [--workload-v3 FILE] [--replan off|periodic:N]
 //!              [--drift-snapshot FILE] [--json FILE] [--metrics FILE]
 //! updlrm serve --tenants FILE.toml [--no-isolation] [--quantum-us N]
 //!              [--dpus N] [--json FILE] [--metrics FILE]
@@ -32,6 +32,11 @@
 //! ```
 //!
 //! A flag a subcommand does not read is an error (exit 2), not ignored.
+//! `--nc` is `auto` (the Eq. 1 search) or a divisor `N` of the
+//! embedding dim (32) that leaves each table a DPU per column slice; a
+//! `--dpus` / `--nc` that admits no tiling exits 2 naming them.
+//! `--replan periodic:N` refits every table's placement every `N`
+//! served batches.
 
 #![forbid(unsafe_code)]
 
@@ -39,11 +44,12 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 use updlrm::prelude::*;
+use updlrm::updlrm_core::CoreError;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  updlrm run   [--dataset TAG] [--backend updlrm|cpu|hybrid|fae] \
-         [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|2|4|8] [--scale N] [--batches N] [--seed N] \
+         [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|N] [--scale N] [--batches N] [--seed N] \
          [--embed-dtype f32|int8] \
          [--plan FILE] [--json FILE] [--metrics FILE]\n  \
          updlrm plan  --out FILE [--dataset TAG] [--scale N] [--tables N] [--batches N] [--seed N] \
@@ -53,7 +59,7 @@ fn usage() -> ! {
          [--policy block|shed-oldest|reject-new] [--queue-cap N] \
          [--runtime modeled|wall] [--shards N] [--time-scale X] [--deterministic] \
          [--dataset TAG] [--strategy u|nu|ca|nur] [--dpus N] [--scale N] [--batches N] [--seed N] \
-         [--workload-v3 FILE] [--replan off|periodic:N|imbalance:T[:N]] \
+         [--workload-v3 FILE] [--replan off|periodic:N] \
          [--drift-snapshot FILE] [--json FILE] [--metrics FILE]\n  \
          updlrm serve --tenants FILE.toml [--no-isolation] [--quantum-us N] [--dpus N] \
          [--json FILE] [--metrics FILE]\n  \
@@ -63,7 +69,9 @@ fn usage() -> ! {
          updlrm trace [--dataset TAG] [--scale N] [--batches N] [--seed N] \
          [--arrival poisson|bursty --qps N] [--rotate SETS:ROWS:PERIOD_US:HOT] \
          [--spike START_US:DUR_US:SET:EXTRA:BOOST] [--diurnal PERIOD_US:AMPLITUDE] --out FILE\n  \
-         updlrm info  [--dataset TAG]\n\nTAG: clo home meta1 meta2 read read2 movie twitch"
+         updlrm info  [--dataset TAG]\n\nTAG: clo home meta1 meta2 read read2 movie twitch\n\
+         --nc: auto, or a divisor N of the embedding dim (32) that leaves each table a DPU per \
+         column slice (32 / N)"
     );
     std::process::exit(2)
 }
@@ -569,6 +577,21 @@ fn nc_or_exit(args: &Args) -> Option<usize> {
     }
 }
 
+/// `built`, unless it failed for want of a feasible tiling: that is a
+/// usage error of `--dpus` (and of `--nc`, when given), so it exits 2
+/// naming them.
+fn tiling_or_exit<T>(args: &Args, built: Result<T, CoreError>) -> Result<T, CoreError> {
+    if let Err(e @ CoreError::NoFeasibleTiling { .. }) = &built {
+        let nc = match args.flags.get("nc") {
+            Some(nc) => format!(" with --nc {nc}"),
+            None => String::new(),
+        };
+        eprintln!("--dpus {}{nc}: {e}", args.num("dpus", 256));
+        std::process::exit(2)
+    }
+    built
+}
+
 /// Parses `--embed-dtype` (default f32) into the EMT storage dtype.
 fn embed_dtype_or_exit(args: &Args) -> EmbedDtype {
     let v = args.str("embed-dtype", "f32");
@@ -700,7 +723,8 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             Some((_, plan)) => UpdlrmEngine::from_plan(config, plan, model.tables())?,
             None => {
                 print_run_header("UpDLRM", &spec, &workload);
-                UpdlrmEngine::from_workload(config, model.tables(), &workload)?
+                let built = UpdlrmEngine::from_workload(config, model.tables(), &workload);
+                tiling_or_exit(args, built)?
             }
         };
         let mut breakdowns = Vec::with_capacity(workload.batches.len());
@@ -1167,7 +1191,10 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .map(|i| {
             let mut c = config.clone();
             c.telemetry &= i == 0;
-            UpdlrmEngine::from_workload(c, model.tables(), &workload)
+            tiling_or_exit(
+                args,
+                UpdlrmEngine::from_workload(c, model.tables(), &workload),
+            )
         })
         .collect::<Result<_, _>>()?;
     let mut sched = Scheduler::new(sched_config)?;

@@ -1572,6 +1572,38 @@ fn a_malformed_nc_exits_2_naming_the_flag() {
 }
 
 #[test]
+fn an_infeasible_tiling_exits_2_naming_dpus_and_nc() {
+    // 64 DPUs over 8 tables leave 8 per table: no N_c of 0, 3 or 64
+    // tiles a 32-wide table on them, and 8 DPUs leave one per table,
+    // which no column count fits. Both are choices of the command line.
+    for (args, named) in [
+        (
+            &["--scale", "5000", "--dpus", "64", "--nc", "0"][..],
+            "--dpus 64 with --nc 0: ",
+        ),
+        (
+            &["--scale", "5000", "--dpus", "64", "--nc", "3"],
+            "--dpus 64 with --nc 3: ",
+        ),
+        (
+            &["--scale", "5000", "--dpus", "64", "--nc", "64"],
+            "--dpus 64 with --nc 64: ",
+        ),
+        (&["--dpus", "8"], "--dpus 8: "),
+    ] {
+        let out = updlrm()
+            .args(["run", "--batches", "1"])
+            .args(args)
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {err}");
+        assert!(err.starts_with(named), "{args:?}: stderr {err}");
+        assert!(err.contains("no feasible tiling"), "{args:?}: stderr {err}");
+    }
+}
+
+#[test]
 fn drift_flags_refuse_fields_they_used_to_coerce() {
     // A field is refused, not cast: 4.7 sets is not 4, a negative start
     // is not 0, set 1.9 is not set 1, and 1e30 us does not saturate.
@@ -1612,12 +1644,21 @@ fn drift_flags_refuse_fields_they_used_to_coerce() {
 
 #[test]
 fn serve_replan_flag_is_validated() {
-    // Unknown policy spelling: exit 2.
-    let out = updlrm()
-        .args(["serve", "--qps", "1000", "--replan", "sometimes"])
-        .output()
-        .expect("serve");
-    assert_eq!(out.status.code(), Some(2));
+    // Unknown policy spelling, and the deleted load-imbalance trigger:
+    // exit 2, listing the policies there are.
+    for policy in ["sometimes", "imbalance:2.0"] {
+        let out = updlrm()
+            .args(["serve", "--qps", "1000", "--replan", policy])
+            .output()
+            .expect("serve");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{policy}: stderr {err}");
+        assert!(
+            err.contains("'off'") && err.contains("'periodic:N'"),
+            "{policy}: stderr {err}"
+        );
+        assert!(out.stdout.is_empty(), "{policy}: nothing may run");
+    }
     // A drift snapshot without a replanner can never exist.
     let out = updlrm()
         .args([
@@ -1686,8 +1727,9 @@ fn serve_wall_deterministic_records_the_modeled_sched_telemetry() {
 #[test]
 fn serve_wall_replans_like_the_modeled_scheduler() {
     // The CI drift trace: the wall runtime's workers tick their engine
-    // at every launch instant, so an oracle-locked run migrates exactly
-    // as the modeled scheduler does.
+    // at every launch instant, with the batcher's counts so far, so an
+    // oracle-locked run migrates exactly as the modeled scheduler does
+    // and writes the same mid-migration snapshot, `sched` block too.
     let dir = std::env::temp_dir().join("updlrm-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace_path = dir.join("drift-wall.upwl");
@@ -1730,8 +1772,22 @@ fn serve_wall_replans_like_the_modeled_scheduler() {
         "--replan",
         "periodic:8",
     ];
-    let (_, modeled) = serve_with_metrics(&args, &[], "replan-modeled");
-    let (text, wall) = serve_with_metrics(&args, &WALL_LOCKED, "replan-wall");
+    let snapshot_modeled = dir.join("drift-modeled.json");
+    let snapshot_wall = dir.join("drift-wall.json");
+    let drift_flag = |path: &std::path::Path| {
+        let path = path.to_str().expect("utf8 temp path").to_string();
+        ["--drift-snapshot".to_string(), path]
+    };
+    let modeled_extra = drift_flag(&snapshot_modeled);
+    let modeled_extra: Vec<&str> = modeled_extra.iter().map(String::as_str).collect();
+    let wall_extra = drift_flag(&snapshot_wall);
+    let wall_extra: Vec<&str> = WALL_LOCKED
+        .iter()
+        .copied()
+        .chain(wall_extra.iter().map(String::as_str))
+        .collect();
+    let (_, modeled) = serve_with_metrics(&args, &modeled_extra, "replan-modeled");
+    let (text, wall) = serve_with_metrics(&args, &wall_extra, "replan-wall");
     std::fs::remove_file(&trace_path).ok();
     assert!(text.contains("oracle lock: OK"), "stdout: {text}");
     assert!(text.contains("replan [periodic:8]"), "stdout: {text}");
@@ -1741,6 +1797,16 @@ fn serve_wall_replans_like_the_modeled_scheduler() {
         modeled.drift
     );
     assert_eq!(wall.drift, modeled.drift);
+    let read = |path: &std::path::Path| {
+        let text = std::fs::read_to_string(path).expect("drift snapshot written");
+        std::fs::remove_file(path).ok();
+        text
+    };
+    let (modeled_snap, wall_snap) = (read(&snapshot_modeled), read(&snapshot_wall));
+    let parsed: updlrm::prelude::Snapshot =
+        serde::json::from_str(&modeled_snap).expect("parse drift snapshot");
+    assert!(parsed.sched.batches > 0, "{:?}", parsed.sched);
+    assert_eq!(wall_snap, modeled_snap, "the two fronts' drift snapshots");
 }
 
 fn tenants_toml() -> std::path::PathBuf {
