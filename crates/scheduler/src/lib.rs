@@ -116,7 +116,7 @@ impl std::fmt::Display for OverloadPolicy {
 pub struct SchedConfig {
     /// Close a batch as soon as this many queries are queued. Must not
     /// exceed twice the engine's configured `batch_size` (the staged
-    /// MRAM capacity `stage1` enforces).
+    /// MRAM capacity `route` enforces).
     pub max_batch_size: usize,
     /// Close a batch once its oldest query has waited this long (ns of
     /// modeled time).

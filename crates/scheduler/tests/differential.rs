@@ -106,6 +106,12 @@ fn scheduler_pooled_embeddings_match_direct_serve_stream() {
             report.batches > 1,
             "want a multi-batch sequence: {report:?}"
         );
+        // One batch per `serve_stream` call: nothing to overlap, so the
+        // engine never starts its DPU worker thread.
+        assert!(
+            format!("{eng:?}").contains("dpu_worker: false"),
+            "Scheduler::run started a DPU worker: {eng:?}"
+        );
 
         // Reference: assemble the same batch sequence and serve it
         // directly on a fresh engine.

@@ -28,16 +28,20 @@
 //! per-rank tolls are `0.0` for the one-rank engine.
 //!
 //! The module splits along the pipeline's seams: `build` makes the
-//! engine and writes its tiles, `route` is stage 1, `launch` stage 2
-//! and `gather` stage 3 with the combine. Each stage method fills the
-//! batch's [`EmbeddingBreakdown`] in place; [`UpdlrmEngine::run_batch`]
-//! is their one sequence, and the double-buffered serve
-//! ([`crate::serve`]) interleaves the same three calls.
+//! engine and writes its tiles, `route` is stage 1 (the host-only
+//! `route` and the bus phase `scatter`), `launch` stage 2 and `gather`
+//! stage 3 with the combine. Each stage method fills the batch's
+//! [`EmbeddingBreakdown`] in place; [`UpdlrmEngine::run_batch`] is
+//! their one sequence, and the double-buffered serve ([`crate::serve`])
+//! interleaves the same calls, running stage 2 of a multi-batch stream
+//! on the engine's DPU worker.
 
 pub(crate) mod build;
 mod gather;
 mod launch;
 mod route;
+
+pub(crate) use launch::DpuWorker;
 
 use crate::config::UpdlrmConfig;
 use crate::error::Result;
@@ -229,6 +233,22 @@ struct BatchScratch {
     hit: CacheHit,
     /// Per-rank reports of the bus phase in progress.
     transfers: Vec<TransferReport>,
+    /// Returned pooled-output sets available for reuse (see
+    /// [`UpdlrmEngine::recycle_pooled`]).
+    matrix_pool: Vec<Vec<Matrix>>,
+}
+
+/// Everything stage 2 touches besides the registry's
+/// [`LaunchCells`](crate::telemetry::LaunchCells): the fleet, its launch
+/// groups and the launch scratch. All of it is owned, so a multi-batch
+/// serve can lend it by value to the engine's DPU worker for one launch
+/// and take it back afterwards ([`crate::serve`]); the bus phases and
+/// the replanner use the fleet while it is home.
+#[derive(Debug)]
+pub(crate) struct DpuSide {
+    pub(crate) fleet: Fleet,
+    /// Stage-2 launches in (table, rank) order.
+    pub(crate) launch_groups: Vec<LaunchGroup>,
     /// Recycled per-launch report (per-DPU stats vectors reused; one
     /// for all launch groups, so a batch's launches stay in cache).
     launch: LaunchReport,
@@ -236,9 +256,37 @@ struct BatchScratch {
     launches: Vec<(Ps, f64)>,
     /// Per-DPU cycle counts across all launch groups of one batch.
     all_cycles: Vec<u64>,
-    /// Returned pooled-output sets available for reuse (see
-    /// [`UpdlrmEngine::recycle_pooled`]).
-    matrix_pool: Vec<Vec<Matrix>>,
+}
+
+/// Where an engine keeps its [`DpuSide`]: always here, except while a
+/// launch the engine sent to its DPU worker is in flight. A serve takes
+/// every such launch back before it returns, so outside a serve the side
+/// is home; only a panic during a serve can leave it away for good.
+#[derive(Debug)]
+pub(crate) struct DpuHome(Option<DpuSide>);
+
+impl DpuHome {
+    const AWAY: &'static str =
+        "the DPU side did not come back: a serve panicked while a launch was on the DPU worker";
+
+    pub(crate) fn get(&self) -> &DpuSide {
+        self.0.as_ref().expect(Self::AWAY)
+    }
+
+    pub(crate) fn get_mut(&mut self) -> &mut DpuSide {
+        self.0.as_mut().expect(Self::AWAY)
+    }
+
+    /// Takes the side away for one launch on the DPU worker.
+    pub(crate) fn lend(&mut self) -> DpuSide {
+        self.0.take().expect(Self::AWAY)
+    }
+
+    /// Puts back the side a launch brought home.
+    pub(crate) fn restore(&mut self, side: DpuSide) {
+        debug_assert!(self.0.is_none(), "one DPU side per engine");
+        self.0 = Some(side);
+    }
 }
 
 /// The UpDLRM system: a PIM fleet loaded with partitioned embedding
@@ -273,11 +321,10 @@ struct BatchScratch {
 /// # }
 /// ```
 pub struct UpdlrmEngine {
-    pub(crate) fleet: Fleet,
+    /// The fleet and what stage 2 needs of it.
+    pub(crate) dpu: DpuHome,
     pub(crate) config: UpdlrmConfig,
     pub(crate) tables: Vec<TableState>,
-    /// Stage-2 launches in (table, rank) order.
-    pub(crate) launch_groups: Vec<LaunchGroup>,
     /// Broadcast target group per reference stream (rank-local ids of
     /// the partition's column slices), aligned with
     /// `BatchScratch::streams`.
@@ -304,13 +351,23 @@ pub struct UpdlrmEngine {
     pub(crate) resident_epoch: u32,
     /// Replanner state; `None` unless `config.replan` is enabled.
     pub(crate) drift: Option<DriftState>,
+    /// Whether a multi-batch serve runs stage 2 on a DPU worker: the
+    /// process may use two or more cores (on one, the hand-off measured
+    /// slower than serving on one thread) and no spawn has failed.
+    pub(crate) overlap: bool,
+    /// The thread that runs stage 2 of multi-batch serves; spawned by
+    /// the first one ([`crate::serve`]).
+    pub(crate) worker: Option<DpuWorker>,
+    /// Launches sent to `worker` over the engine's lifetime.
+    pub(crate) handoffs: u64,
 }
 
 impl std::fmt::Debug for UpdlrmEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpdlrmEngine")
-            .field("topology", &self.fleet.topology())
+            .field("topology", &self.dpu.0.as_ref().map(|d| d.fleet.topology()))
             .field("tables", &self.tables.len())
+            .field("dpu_worker", &self.worker.is_some())
             .finish()
     }
 }
@@ -423,8 +480,9 @@ impl UpdlrmEngine {
     /// Runs the embedding layer for one batch: returns the pooled
     /// `batch x dim` embeddings per table and the stage breakdown.
     ///
-    /// This is the one sequence of the three stage methods, on staging
-    /// slot 0; [`UpdlrmEngine::serve`](crate::serve) makes the same
+    /// This is the one sequence of the stage methods (route, scatter,
+    /// launch, gather), on staging slot 0 and all on the calling
+    /// thread; [`UpdlrmEngine::serve`](crate::serve) makes the same
     /// calls interleaved over both slots to double-buffer consecutive
     /// batches.
     ///
@@ -433,8 +491,9 @@ impl UpdlrmEngine {
     /// Malformed batches, out-of-range indices, reference streams
     /// exceeding the input reserve, and simulator faults.
     pub fn run_batch(&mut self, batch: &QueryBatch) -> Result<(Vec<Matrix>, EmbeddingBreakdown)> {
-        let mut breakdown = self.stage1(batch, 0)?;
-        self.stage2(0, &mut breakdown)?;
+        let mut breakdown = self.route(batch, 0)?;
+        self.scatter(0, &mut breakdown)?;
+        self.launch_here(0, &mut breakdown)?;
         let pooled = self.stage3(0, &mut breakdown)?;
         Ok((pooled, breakdown))
     }
@@ -610,7 +669,7 @@ mod tests {
             assert!(report.max_bytes <= report.budget_bytes, "{case}");
             assert!(report.max_wram_bytes <= WRAM_CAPACITY, "{case}");
             // The tasks the kernels launch with carry the same rows.
-            for g in &mut engine.launch_groups {
+            for g in &mut engine.dpu.get_mut().launch_groups {
                 let state = &engine.tables[g.table];
                 for p in 0..state.tiling.row_parts {
                     for c in 0..state.tiling.col_slices {
@@ -686,7 +745,7 @@ mod tests {
             );
 
             let active = engine.active_emt;
-            let topology = engine.fleet.topology();
+            let topology = engine.dpu.get().fleet.topology();
             let mut scratch = <[PartLists; 2]>::default();
             let (mut emt_bytes, mut cache_bytes) = (0usize, 0usize);
             for (state, table) in engine.tables.iter().zip(&engine.host_tables) {
@@ -716,7 +775,7 @@ mod tests {
                         assert_eq!(
                             mram_bytes(&fresh, rank, dpu, state.regions.emt_bases[0], emt_len),
                             mram_bytes(
-                                &engine.fleet,
+                                &engine.dpu.get().fleet,
                                 rank,
                                 dpu,
                                 state.regions.emt_bases[active],
@@ -727,7 +786,7 @@ mod tests {
                         assert_eq!(
                             mram_bytes(&fresh, rank, dpu, state.regions.cache_bases[0], cache_len),
                             mram_bytes(
-                                &engine.fleet,
+                                &engine.dpu.get().fleet,
                                 rank,
                                 dpu,
                                 state.regions.cache_bases[active],
@@ -769,10 +828,11 @@ mod tests {
                     for c in 0..state.tiling.col_slices {
                         let (rank, dpu) = state.dpu(p, c);
                         let addr = state.regions.cache_bases[region] + (slot * row_bytes) as u32;
-                        let got: Vec<u32> = mram_bytes(&engine.fleet, rank, dpu, addr, row_bytes)
-                            .chunks_exact(4)
-                            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                            .collect();
+                        let got: Vec<u32> =
+                            mram_bytes(&engine.dpu.get().fleet, rank, dpu, addr, row_bytes)
+                                .chunks_exact(4)
+                                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+                                .collect();
                         let want: Vec<u32> = want[c * n_c..(c + 1) * n_c]
                             .iter()
                             .map(|v| v.to_bits())

@@ -2,7 +2,8 @@
 //! the one tile writer. Pre-processing, untimed as in the paper.
 
 use super::{
-    BatchScratch, LaunchGroup, RankIo, StreamSlot, UpdlrmEngine, INPUT_RESERVE_BYTES, STAGING_SLOTS,
+    BatchScratch, DpuHome, DpuSide, LaunchGroup, RankIo, StreamSlot, UpdlrmEngine,
+    INPUT_RESERVE_BYTES, STAGING_SLOTS,
 };
 use crate::config::UpdlrmConfig;
 use crate::error::{CoreError, Result};
@@ -17,7 +18,7 @@ use cooccur_cache::CacheListSet;
 use dlrm_model::{quant, EmbedDtype, EmbeddingTable};
 use placement::PlacementPlan;
 use upmem_sim::arch::WRAM_CAPACITY;
-use upmem_sim::{DpuId, Fleet, Ps, RankCostModel, RankTopology};
+use upmem_sim::{DpuId, Fleet, LaunchReport, Ps, RankCostModel, RankTopology};
 use workloads::{FreqProfile, Workload};
 
 pub(crate) struct TableState {
@@ -651,10 +652,15 @@ impl UpdlrmEngine {
             (Vec::new(), None)
         };
         Ok(UpdlrmEngine {
-            fleet,
+            dpu: DpuHome(Some(DpuSide {
+                fleet,
+                launch_groups,
+                launch: LaunchReport::default(),
+                launches: Vec::new(),
+                all_cycles: Vec::new(),
+            })),
             config,
             tables: states,
-            launch_groups,
             stream_groups,
             ranks,
             host_probe,
@@ -669,6 +675,9 @@ impl UpdlrmEngine {
             active_emt: 0,
             resident_epoch,
             drift,
+            overlap: std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2),
+            worker: None,
+            handoffs: 0,
         })
     }
 

@@ -23,7 +23,7 @@ impl UpdlrmEngine {
         bd: &mut EmbeddingBreakdown,
     ) -> Result<Vec<Matrix>> {
         let UpdlrmEngine {
-            fleet,
+            dpu,
             tables,
             ranks,
             scratch,
@@ -31,6 +31,7 @@ impl UpdlrmEngine {
             host_combine_per_add,
             ..
         } = self;
+        let fleet = &dpu.get().fleet;
         let b = scratch.staged[slot].samples;
         scratch.transfers.clear();
         for io in ranks.iter_mut() {

@@ -1,5 +1,7 @@
 //! Stage 1: the host routes every reference of a batch to its row
-//! partition and scatters the streams CPU→MRAM into a staging slot.
+//! partition ([`UpdlrmEngine::route`], host memory only) and scatters
+//! the streams CPU→MRAM into a staging slot
+//! ([`UpdlrmEngine::scatter`], the fleet's bus).
 
 use super::{BatchScratch, EmbeddingBreakdown, TableState, UpdlrmEngine, INPUT_RESERVE_BYTES};
 use crate::error::{CoreError, Result};
@@ -18,14 +20,14 @@ const HOST_PART: usize = HOST_ROW_PART as usize;
 const ROUTE_PER_REF: Ps = Ps(1_000);
 
 impl UpdlrmEngine {
-    /// Stage 1 of `batch` into staging slot `slot`. Validates the
-    /// batch, builds the per-partition reference streams (padded when
-    /// `pad_transfers`), records the batch's sample count and host-tier
-    /// hits in the slot, then scatters the streams rank by rank — each
-    /// row partition's stream broadcast to all of its column slices in
-    /// one bus pass, to groups fixed at construction. Returns the
-    /// batch's breakdown with routing and stage 1 filled in.
-    pub(crate) fn stage1(&mut self, batch: &QueryBatch, slot: usize) -> Result<EmbeddingBreakdown> {
+    /// The host half of stage 1 of `batch` into staging slot `slot`.
+    /// Validates the batch, builds the per-partition reference streams
+    /// (padded when `pad_transfers`) and records the batch's sample
+    /// count and host-tier hits in the slot. It touches no DPU, so it
+    /// runs while the DPU worker has the fleet. Returns the batch's
+    /// breakdown with routing filled in; [`UpdlrmEngine::scatter`]
+    /// sends the streams.
+    pub(crate) fn route(&mut self, batch: &QueryBatch, slot: usize) -> Result<EmbeddingBreakdown> {
         batch.validate()?;
         if batch.sparse.len() != self.tables.len() {
             return Err(CoreError::InvalidConfig(format!(
@@ -71,11 +73,8 @@ impl UpdlrmEngine {
         // telemetry registry once at the end.
         let mut traffic = CacheTraffic::default();
         let UpdlrmEngine {
-            fleet,
             tables,
             config,
-            stream_groups,
-            ranks,
             scratch,
             metrics,
             drift,
@@ -88,7 +87,6 @@ impl UpdlrmEngine {
             staged,
             lookup,
             hit,
-            transfers,
             ..
         } = scratch;
         let staged = &mut staged[slot];
@@ -186,7 +184,28 @@ impl UpdlrmEngine {
                 s.bytes.resize(max_len, 0);
             }
         }
+        Ok(bd)
+    }
 
+    /// The bus half of stage 1: scatters the streams
+    /// [`UpdlrmEngine::route`] built into staging slot `slot`, rank by
+    /// rank — each row partition's stream broadcast to all of its
+    /// column slices in one bus pass, to groups fixed at construction —
+    /// and fills in the batch's stage 1.
+    pub(crate) fn scatter(&mut self, slot: usize, bd: &mut EmbeddingBreakdown) -> Result<()> {
+        let UpdlrmEngine {
+            dpu,
+            tables,
+            stream_groups,
+            ranks,
+            scratch,
+            metrics,
+            ..
+        } = self;
+        let fleet = &mut dpu.get_mut().fleet;
+        let BatchScratch {
+            streams, transfers, ..
+        } = scratch;
         transfers.clear();
         for io in ranks.iter() {
             let groups = io.streams.iter().map(|&k| {
@@ -204,7 +223,7 @@ impl UpdlrmEngine {
         metrics.record_transfer(true, &report);
         bd.stage1 = report.wall;
         bd.energy_pj += report.energy_pj;
-        Ok(bd)
+        Ok(())
     }
 
     /// Resolves one EMT reference to `(partition, slot)`. A host-tier

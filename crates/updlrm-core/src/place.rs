@@ -234,3 +234,85 @@ fn cache_entry_routes(
     }
     (entry_route, slot_refs)
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::{PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
+    use dlrm_model::EmbeddingTable;
+    use workloads::{DatasetSpec, TraceConfig, Workload};
+
+    /// Two cache-aware engines built from the same inputs: the same
+    /// layout, one copy to doctor per clause.
+    fn twins() -> [UpdlrmEngine; 2] {
+        let spec = DatasetSpec::goodreads().scaled_down(5000);
+        let workload = Workload::generate(
+            &spec,
+            TraceConfig {
+                num_tables: 1,
+                num_batches: 2,
+                ..TraceConfig::default()
+            },
+        );
+        let tables = [EmbeddingTable::random(spec.num_items, 32, 0.1, 3).unwrap()];
+        let mut config = UpdlrmConfig::with_dpus(8, PartitionStrategy::CacheAware);
+        // Bounded, so the table keeps EMT rows beside its cache rows.
+        config.miner.max_lists = 64;
+        [(); 2].map(|()| UpdlrmEngine::from_workload(config.clone(), &tables, &workload).unwrap())
+    }
+
+    /// `same_layout` compares what a placement writes — every clause of
+    /// it: the rows' partitions and slots, the replica block, the cache
+    /// entry routes and list count, and both resident prefixes. Each
+    /// doctored copy differs from its twin in one clause only, so
+    /// dropping any clause from `same_layout` fails here. The fitted
+    /// loads are not layout.
+    #[test]
+    fn same_layout_compares_every_clause() {
+        type Doctor = fn(&mut super::Placement);
+        let swap_slots: Doctor = |p| {
+            let a = &mut p.assignment;
+            let rows: Vec<usize> = (0..a.part_of_row.len())
+                .filter(|&r| {
+                    a.part_of_row[r] == 0 && a.slot_of_row[r] != crate::partition::CACHED_ROW_SLOT
+                })
+                .take(2)
+                .collect();
+            assert_eq!(rows.len(), 2, "partition 0 holds two EMT rows");
+            a.slot_of_row.swap(rows[0], rows[1]);
+        };
+        let cases: [(&str, Doctor); 7] = [
+            ("slot_of_row", swap_slots),
+            ("part_of_row", |p| {
+                let parts = &mut p.assignment.part_of_row;
+                let r = parts.iter().position(|&q| q == 0).unwrap();
+                parts[r] = 1;
+            }),
+            ("replicas", |p| p.replicas.push(0)),
+            ("entry_route", |p| {
+                let routes = &mut p.cache.as_mut().unwrap().entry_route;
+                let other = routes.iter().position(|&r| r != routes[0]).unwrap();
+                routes.swap(0, other);
+            }),
+            ("placed_lists", |p| {
+                p.cache.as_mut().unwrap().placed_lists += 1
+            }),
+            ("resident emt_rows", |p| p.resident[0].emt_rows += 1),
+            ("resident cache_rows", |p| p.resident[0].cache_rows += 1),
+        ];
+        for (clause, doctor) in cases {
+            let [a, mut b] = twins();
+            let (pa, pb) = (&a.tables[0].placement, &mut b.tables[0].placement);
+            assert!(pa.same_layout(pb), "{clause}: twins share a layout");
+            doctor(pb);
+            assert!(!pa.same_layout(pb), "{clause}: a different layout");
+        }
+        let [a, mut b] = twins();
+        let pb = &mut b.tables[0].placement;
+        pb.assignment.part_load.iter_mut().for_each(|l| *l *= 2.0);
+        pb.resident[0].covered += 1.0;
+        assert!(
+            a.tables[0].placement.same_layout(pb),
+            "loads are not layout"
+        );
+    }
+}

@@ -320,7 +320,7 @@ impl UpdlrmEngine {
         for ((state, placement), table) in tables {
             let scratch = &mut drift.tile_scratch;
             write_tiles(
-                &mut self.fleet,
+                &mut self.dpu.get_mut().fleet,
                 state,
                 placement,
                 table,
@@ -383,7 +383,7 @@ impl UpdlrmEngine {
         // (and is charged for it) on its DPU's next launch.
         self.resident_epoch += 1;
         let (active, epoch) = (self.active_emt, self.resident_epoch);
-        for g in &mut self.launch_groups {
+        for g in &mut self.dpu.get_mut().launch_groups {
             let state = &self.tables[g.table];
             for p in (0..state.tiling.row_parts).filter(|&p| state.locs[p].0 == g.rank) {
                 for c in 0..state.tiling.col_slices {

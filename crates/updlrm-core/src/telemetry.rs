@@ -380,12 +380,47 @@ impl Snapshot {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     /// Every total, held in the shape a snapshot reports it. Its
-    /// `cache` and `per_dpu` stay empty: the two cells below record
-    /// those, and [`MetricsRegistry::snapshot`] converts them.
+    /// `cache`, `launches`, `load_imbalance` and `per_dpu` stay empty:
+    /// the two cells below record those, and
+    /// [`MetricsRegistry::snapshot`] converts them.
     totals: Snapshot,
     cache: CacheTraffic,
-    /// One preallocated cell per DPU, indexed by DPU id.
+    /// What stage 2 records.
+    pub(crate) launch: LaunchCells,
+}
+
+/// The registry's stage-2 cells: the launch count, the per-launch
+/// imbalance summary and one preallocated cell per DPU, indexed by DPU
+/// id. Stage 2 records into nothing else, so a launch on the engine's
+/// DPU worker takes these cells with it by value and brings them back
+/// with its result (`crate::serve`); every other cell stays on the
+/// serving thread.
+#[derive(Debug, Default)]
+pub(crate) struct LaunchCells {
+    enabled: bool,
+    launches: u64,
+    load_imbalance: Accum,
     per_dpu: Vec<DpuCounters>,
+}
+
+impl LaunchCells {
+    /// Records one stage-2 fleet launch's load-imbalance index.
+    #[inline]
+    pub(crate) fn record_launch(&mut self, imbalance: f64) {
+        if self.enabled {
+            self.launches += 1;
+            self.load_imbalance.record(imbalance);
+        }
+    }
+
+    /// Folds one DPU's launch statistics into its preallocated cell
+    /// (a disabled registry has none).
+    #[inline]
+    pub(crate) fn record_dpu(&mut self, dpu: usize, stats: &upmem_sim::DpuRunStats) {
+        if let Some(cell) = self.per_dpu.get_mut(dpu) {
+            cell.record(stats);
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -399,10 +434,14 @@ impl MetricsRegistry {
                 ..Snapshot::default()
             },
             cache: CacheTraffic::default(),
-            per_dpu: if enabled {
-                vec![DpuCounters::default(); nr_dpus]
-            } else {
-                Vec::new()
+            launch: LaunchCells {
+                enabled,
+                per_dpu: if enabled {
+                    vec![DpuCounters::default(); nr_dpus]
+                } else {
+                    Vec::new()
+                },
+                ..LaunchCells::default()
             },
         }
     }
@@ -425,7 +464,10 @@ impl MetricsRegistry {
             ..Snapshot::default()
         };
         self.cache = CacheTraffic::default();
-        self.per_dpu.fill(DpuCounters::default());
+        let cells = &mut self.launch;
+        cells.launches = 0;
+        cells.load_imbalance = Accum::default();
+        cells.per_dpu.fill(DpuCounters::default());
     }
 
     /// Records one completed batch's stage breakdown.
@@ -440,24 +482,6 @@ impl MetricsRegistry {
         t.stage3_ns.record(bd.stage3.as_ns());
         t.combine_ns.record(bd.combine.as_ns());
         t.energy_pj += bd.energy_pj;
-    }
-
-    /// Records one stage-2 fleet launch: its load-imbalance index and
-    /// every participating DPU's run statistics.
-    #[inline]
-    pub(crate) fn record_launch(&mut self, imbalance: f64) {
-        let Some(t) = self.on() else { return };
-        t.launches += 1;
-        t.load_imbalance.record(imbalance);
-    }
-
-    /// Folds one DPU's launch statistics into its preallocated cell
-    /// (a disabled registry has none).
-    #[inline]
-    pub(crate) fn record_dpu(&mut self, dpu: usize, stats: &upmem_sim::DpuRunStats) {
-        if let Some(cell) = self.per_dpu.get_mut(dpu) {
-            cell.record(stats);
-        }
     }
 
     /// Records one host⇄MRAM transfer phase (`to_mram` distinguishes
@@ -563,7 +587,10 @@ impl MetricsRegistry {
         if !other.enabled() {
             return;
         }
-        let Some(t) = self.on() else { return };
+        if !self.enabled() {
+            return;
+        }
+        let t = &mut self.totals;
         let o = &other.totals;
         t.serves += o.serves;
         t.batches += o.batches;
@@ -579,8 +606,6 @@ impl MetricsRegistry {
         t.overlap_saved_ns += o.overlap_saved_ns;
         t.stage1_bytes += o.stage1_bytes;
         t.stage3_bytes += o.stage3_bytes;
-        t.launches += o.launches;
-        t.load_imbalance.merge(&o.load_imbalance);
         let (d, od) = (&mut t.drift, &o.drift);
         d.replans_triggered += od.replans_triggered;
         d.replans_skipped += od.replans_skipped;
@@ -590,10 +615,13 @@ impl MetricsRegistry {
         d.migration_ns += od.migration_ns;
         d.last_flip_ns = d.last_flip_ns.max(od.last_flip_ns);
         self.cache.merge(&other.cache);
-        let n = self.per_dpu.len();
+        let (cells, o) = (&mut self.launch, &other.launch);
+        cells.launches += o.launches;
+        cells.load_imbalance.merge(&o.load_imbalance);
+        let n = cells.per_dpu.len();
         if n > 0 {
-            for (i, c) in other.per_dpu.iter().enumerate() {
-                self.per_dpu[(i + dpu_offset) % n].merge(c);
+            for (i, c) in o.per_dpu.iter().enumerate() {
+                cells.per_dpu[(i + dpu_offset) % n].merge(c);
             }
         }
     }
@@ -614,7 +642,10 @@ impl MetricsRegistry {
                 hit_rate: c.hit_rate(),
                 fetches_saved: c.fetches_saved(),
             },
+            launches: self.launch.launches,
+            load_imbalance: self.launch.load_imbalance,
             per_dpu: self
+                .launch
                 .per_dpu
                 .iter()
                 .enumerate()
@@ -656,7 +687,7 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let mut m = MetricsRegistry::new(false, 8);
         m.record_batch(64, &EmbeddingBreakdown::default());
-        m.record_launch(1.5);
+        m.launch.record_launch(1.5);
         m.record_transfer(true, &upmem_sim::TransferReport::default());
         let s = m.snapshot();
         assert!(!s.enabled);
@@ -679,7 +710,7 @@ mod tests {
         };
         m.record_batch(4, &bd);
         m.record_batch(4, &bd);
-        m.record_launch(1.25);
+        m.launch.record_launch(1.25);
         let s = m.snapshot();
         assert_eq!(s.batches, 2);
         assert_eq!(s.samples, 8);
@@ -853,7 +884,7 @@ mod tests {
                 ..EmbeddingBreakdown::default()
             },
         );
-        m.record_launch(1.1);
+        m.launch.record_launch(1.1);
         m.record_tenant(TenantSnapshot {
             name: "solo".into(),
             weight: 1.0,

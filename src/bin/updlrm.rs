@@ -4,8 +4,9 @@
 //! updlrm run   [--dataset read] [--backend updlrm|cpu|hybrid|fae]
 //!              [--strategy u|nu|ca|nur] [--dpus 256] [--nc auto|N]
 //!              [--scale 200] [--batches 10] [--seed 7]
-//!              [--embed-dtype f32|int8]
-//!              [--plan FILE] [--json FILE] [--metrics FILE]
+//!              [--embed-dtype f32|int8] [--json FILE] [--metrics FILE]
+//! updlrm run   --plan FILE [--dataset read] [--backend updlrm]
+//!              [--embed-dtype f32|int8] [--json FILE] [--metrics FILE]
 //! updlrm plan  --out FILE [--dataset read] [--scale 200] [--tables 8]
 //!              [--batches 10] [--seed 7] [--ranks 4] [--dpus-per-rank 64]
 //!              [--emt-kb N] [--host-kb N] [--replicate-top 64]
@@ -50,8 +51,9 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  updlrm run   [--dataset TAG] [--backend updlrm|cpu|hybrid|fae] \
          [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|N] [--scale N] [--batches N] [--seed N] \
-         [--embed-dtype f32|int8] \
-         [--plan FILE] [--json FILE] [--metrics FILE]\n  \
+         [--embed-dtype f32|int8] [--json FILE] [--metrics FILE]\n  \
+         updlrm run   --plan FILE [--dataset TAG] [--backend updlrm] [--embed-dtype f32|int8] \
+         [--json FILE] [--metrics FILE]\n  \
          updlrm plan  --out FILE [--dataset TAG] [--scale N] [--tables N] [--batches N] [--seed N] \
          [--ranks N] [--dpus-per-rank N] [--emt-kb N] [--host-kb N] [--replicate-top N]\n  \
          updlrm plan  --load FILE\n  \
@@ -88,6 +90,12 @@ const BARE_FLAGS: &[&str] = &["deterministic", "no-isolation"];
 /// command line against before the subcommand runs.
 const FORMS: &[(&str, &[&str])] = &[
     ("run", &[RUN_FLAGS]),
+    // The plan fixes the fleet, the tiling, the placement and the trace
+    // (its provenance), so `run`'s flags for those are refused here.
+    (
+        "run --plan",
+        &["plan dataset backend embed-dtype json metrics"],
+    ),
     ("plan", &[PLAN_FLAGS]),
     ("serve", &[SERVE_FLAGS]),
     ("serve --runtime wall", &[SERVE_FLAGS, WALL_FLAGS]),
@@ -98,7 +106,7 @@ const FORMS: &[(&str, &[&str])] = &[
     ("info", &["dataset"]),
 ];
 const RUN_FLAGS: &str =
-    "dataset backend strategy dpus nc scale batches seed embed-dtype plan json metrics";
+    "dataset backend strategy dpus nc scale batches seed embed-dtype json metrics";
 const PLAN_FLAGS: &str = "out load dataset scale tables batches seed ranks dpus-per-rank emt-kb \
     host-kb replicate-top";
 const SERVE_FLAGS: &str = "qps arrival max-batch max-wait-us policy queue-cap runtime dataset \
@@ -914,6 +922,19 @@ fn tenants_file_or_exit(args: &Args, path: &str) -> TenantsFile {
     file
 }
 
+/// Exits 2 unless a fleet of `dpus` DPUs divides into every tenant's
+/// table groups (each tenant engine spreads its tables over the whole
+/// fleet), naming `source`: the flag or file the count came from.
+fn tenant_fleet_or_exit(source: &str, dpus: usize, tenants: &[TenantSpec]) {
+    if let Some(t) = tenants.iter().find(|t| !dpus.is_multiple_of(t.num_tables)) {
+        eprintln!(
+            "{source}: {dpus} dpus not divisible into the {} table groups of tenant '{}'",
+            t.num_tables, t.name
+        );
+        std::process::exit(2)
+    }
+}
+
 /// A tenant's SLO verdict as the serve and stats printers show it.
 fn slo_label(slo_p99_ns: f64, violations: u64) -> String {
     if slo_p99_ns > 0.0 {
@@ -931,7 +952,19 @@ fn cmd_serve_tenants(args: &Args, path: &str) -> Result<(), Box<dyn std::error::
     if metrics_path.is_some() {
         file.fleet.telemetry = true;
     }
-    let mut fleet = TenantFleet::from_specs(&file.tenants, file.fleet.clone())?;
+    let dpus = file.fleet.fleet_dpus;
+    let source = match args.flag_set("dpus") {
+        true => format!("--dpus {dpus}"),
+        false => format!("--tenants {path} (fleet dpus = {dpus})"),
+    };
+    tenant_fleet_or_exit(&source, dpus, &file.tenants);
+    let mut fleet = match TenantFleet::from_specs(&file.tenants, file.fleet.clone()) {
+        Err(e @ CoreError::NoFeasibleTiling { .. }) => {
+            eprintln!("{source}: {e}");
+            std::process::exit(2)
+        }
+        built => built?,
+    };
     let report = fleet.run(|_, _, _, _, _| {})?;
 
     println!(
@@ -991,6 +1024,10 @@ fn cmd_capacity(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if min_dpus == 0 || min_dpus > max_dpus {
         eprintln!("need 1 <= --min-dpus <= --max-dpus (got {min_dpus}..{max_dpus})");
         std::process::exit(2)
+    }
+    // Every size swept is --min-dpus doubled or --max-dpus.
+    for (flag, dpus) in [("min-dpus", min_dpus), ("max-dpus", max_dpus)] {
+        tenant_fleet_or_exit(&format!("--{flag} {dpus}"), dpus, &file.tenants);
     }
     let mut candidates = Vec::new();
     let mut c = min_dpus;
@@ -1718,6 +1755,7 @@ fn main() -> ExitCode {
     };
     let args = Args::parse(rest);
     args.expect_form(match cmd.as_str() {
+        "run" if args.flag_set("plan") => "run --plan",
         "serve" if args.flag_set("tenants") => "serve --tenants",
         "serve" if args.str("runtime", "modeled") == "wall" => "serve --runtime wall",
         other => other,

@@ -1297,6 +1297,37 @@ fn run_with_plan_serves_the_tiered_engine() {
 }
 
 #[test]
+fn run_with_a_plan_refuses_the_flags_the_plan_fixes() {
+    // The plan carries the fleet, the tiling, the placement and the
+    // trace's provenance, so these flags could change nothing under
+    // --plan: each is refused, naming it.
+    let plan = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/placement_plan.json"
+    );
+    for (flag, value) in [
+        ("--dpus", "8"),
+        ("--nc", "3"),
+        ("--strategy", "u"),
+        ("--scale", "500"),
+        ("--batches", "3"),
+        ("--seed", "9"),
+    ] {
+        let out = updlrm()
+            .args(["run", "--dataset", "read", "--plan", plan, flag, value])
+            .output()
+            .expect("run --plan");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: stderr {err}");
+        assert!(out.stdout.is_empty(), "{flag} must not run anything");
+        assert!(
+            err.contains(flag) && err.contains("updlrm run --plan"),
+            "{flag}: stderr {err}"
+        );
+    }
+}
+
+#[test]
 fn golden_plan_run_snapshot_matches_checked_in_file() {
     // Recorded with the pre-merge tiered engine: the only artifact that
     // pins a plan-built engine's modeled per-stage, per-DPU numbers.
@@ -1891,6 +1922,66 @@ fn serve_tenants_rejects_incompatible_flags() {
         .output()
         .expect("serve");
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn tenant_fleet_sizes_that_cannot_hold_the_tables_exit_2_naming_their_source() {
+    // Each tenant engine spreads its 2 tables over the whole fleet: 2
+    // DPUs leave one per table, which no tiling fits, and 3 do not
+    // divide into 2 groups. Either is an input error, not a runtime one.
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let odd = dir.join("odd-fleet-tenants.toml");
+    let example = std::fs::read_to_string(tenants_toml()).expect("example");
+    assert!(example.contains("dpus = 16\n"));
+    std::fs::write(&odd, example.replace("dpus = 16\n", "dpus = 3\n")).expect("write");
+    let odd_path = odd.to_str().expect("utf-8 path").to_string();
+    let example_path = tenants_toml().to_str().expect("utf-8 path").to_string();
+    for (args, named, why) in [
+        (
+            vec!["serve", "--tenants", &example_path, "--dpus", "2"],
+            "--dpus 2".to_string(),
+            "no feasible tiling",
+        ),
+        (
+            vec!["serve", "--tenants", &example_path, "--dpus", "3"],
+            "--dpus 3".to_string(),
+            "not divisible",
+        ),
+        (
+            vec!["serve", "--tenants", &odd_path],
+            format!("--tenants {odd_path}"),
+            "not divisible",
+        ),
+        (
+            vec![
+                "capacity",
+                "--tenants",
+                &example_path,
+                "--min-dpus",
+                "1",
+                "--max-dpus",
+                "4",
+            ],
+            "--min-dpus 1".to_string(),
+            "not divisible",
+        ),
+        (
+            vec!["capacity", "--tenants", &example_path, "--max-dpus", "13"],
+            "--max-dpus 13".to_string(),
+            "not divisible",
+        ),
+    ] {
+        let out = updlrm().args(&args).output().expect("updlrm");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        assert!(
+            err.contains(&named) && err.contains(why),
+            "{args:?}: stderr {err}"
+        );
+    }
+    std::fs::remove_file(&odd).ok();
 }
 
 #[test]
