@@ -71,7 +71,7 @@ use scheduler::{
     Tally,
 };
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::pipeline::Stages;
+use updlrm_core::pipeline::Step;
 use updlrm_core::{
     CoreError, Ps, Result, RuntimeSnapshot, SchedSnapshot, SchedTrigger, UpdlrmEngine,
 };
@@ -650,14 +650,15 @@ where
 
 /// The oracle-locked mode's half of [`EventLoop::run`]: each formed
 /// batch is dispatched to its round-robin shard and awaited before
-/// modeled time advances, and its stage times go back to the loop's
-/// pipeline clock. The host never has more than one batch in flight,
+/// modeled time advances, and its three stage times go back whole to
+/// the loop's pipeline clock: unlike `Scheduler::run`, it never returns
+/// with a batch in flight. The host never has more than one batch in flight,
 /// so a plain blocking push cannot deadlock.
 impl<F> Serve for Batcher<'_, F>
 where
     F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
 {
-    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages> {
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Step> {
         let shard = launch.seq % self.cfg.shards;
         let item = self.make_item(launch, tally.snapshot());
         self.work_txs[shard]
@@ -669,7 +670,7 @@ where
             .ok_or_else(|| Self::worker_gone(shard, launch.seq, "completed"))??;
         debug_assert_eq!(done.seq, launch.seq, "lockstep completion order");
         self.book(&done);
-        Ok(done.breakdown.stages())
+        Ok(done.breakdown.stages().into())
     }
 }
 

@@ -12,7 +12,11 @@
 //!    (`Scheduler::run`, the tenant lanes) and a blocking SPSC-ring pop
 //!    (the deterministic wall runtime) make byte-identical decisions;
 //! 2. **how a formed batch is served** — a [`Serve`] implementation
-//!    returning the batch's three stage times.
+//!    returning the batch's stage times as a [`Step`]: all three when
+//!    it serves each batch to completion (the oracle-locked runtime),
+//!    or stage 1 with its stage 2 still in flight and the stages 2 and
+//!    3 of the batch before, which the call completed (the in-thread
+//!    front-end, `Scheduler::form`).
 //!
 //! The loop times batches on the engine's depth-2 pipeline: the one
 //! [`PipelineClock`] of `updlrm_core::pipeline`, on the one modeled
@@ -20,9 +24,13 @@
 //! whole ns and are scaled to ps exactly; the [`BatchPolicy`] the loop
 //! drives is unit-agnostic and sees ps. A batch launches once a staging
 //! slot is free — when the batch two ahead of it has drained — so its
-//! stage 1 overlaps the stage 2 of the batch ahead. Its requests complete when its stage 3 drains,
-//! which the clock places when the next batch launches (or at the end
-//! of the run).
+//! stage 1 overlaps the stage 2 of the batch ahead. Its requests
+//! complete when its stage 3 drains, which the clock places when the
+//! next batch launches (or at the end of the run). That launch instant
+//! needs only the stage 1 of the batch ahead
+//! ([`PipelineClock::issue`]), so a server may return before its
+//! batch's stage 2 has run and report it with the next batch, or from
+//! [`Serve::flush`] at the end of the run.
 //!
 //! The free-running wall batcher is the one front-end that is *not*
 //! this loop — it never blocks, keeps many batches in flight and books
@@ -31,7 +39,7 @@
 //! `Scheduler::run`, `Runtime::run`, the tenant fleet — records its
 //! [`Tally::snapshot`] once, with `MetricsRegistry::record_sched`.
 
-use updlrm_core::pipeline::{PipelineClock, Stages};
+use updlrm_core::pipeline::{PipelineClock, Step};
 use updlrm_core::telemetry::Accum;
 use updlrm_core::{percentile, CoreError, Ps, Result, SchedSnapshot, SchedTrigger, MAX_WHOLE_NS};
 use workloads::{ArrivalTrace, NS_PER_SEC};
@@ -51,17 +59,33 @@ pub struct Launch<'a> {
 
 /// How a front-end serves the batches [`EventLoop::run`] forms.
 pub trait Serve {
-    /// Serves `launch` to completion and returns its stage times
-    /// ([`EmbeddingBreakdown::stages`](updlrm_core::EmbeddingBreakdown::stages)).
-    /// `tally` is the run so far — every admission up to this launch,
-    /// every earlier batch — for a server that takes a mid-run
-    /// snapshot.
+    /// Serves `launch` and returns its stage times for the loop's
+    /// clock. A server that serves each batch to completion returns
+    /// its three stages ([`Step::from`] of
+    /// [`EmbeddingBreakdown::stages`](updlrm_core::EmbeddingBreakdown::stages));
+    /// one that returns with the batch's stage 2 in flight returns its
+    /// stage 1 with no [`tail`](Step::tail), and reports its stages 2
+    /// and 3 as the next call's [`settled`](Step::settled) or from
+    /// [`flush`](Self::flush). `tally` is the run so far — every
+    /// admission up to this launch, every earlier batch — for a server
+    /// that takes a mid-run snapshot.
     ///
     /// # Errors
     ///
     /// Whatever the serving engine reports; the loop stops on the
     /// first error.
-    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages>;
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Step>;
+
+    /// Completes the batch the last [`serve`](Self::serve) left in
+    /// flight, if any, and returns its stages 2 and 3. The loop calls it
+    /// once, after the last launch.
+    ///
+    /// # Errors
+    ///
+    /// As [`serve`](Self::serve).
+    fn flush(&mut self) -> Result<Option<(Ps, Ps)>> {
+        Ok(None)
+    }
 }
 
 /// Checks that `trace` can be served open-loop under `cfg` by an engine
@@ -297,7 +321,8 @@ impl EventLoop {
 
     /// Replays `trace` through admission and batch formation, serving
     /// every formed batch through `server` and timing it on the depth-2
-    /// [`PipelineClock`]. `next_arrival` yields the trace's
+    /// [`PipelineClock`] ([`PipelineClock::step`]); after the last
+    /// launch it flushes `server`. `next_arrival` yields the trace's
     /// `(id, arrival_ns)` pairs in order and `None` once the stream has
     /// drained; the caller has checked them with [`check_servable`].
     /// Returns the makespan — the instant the last batch drains — for
@@ -384,16 +409,19 @@ impl EventLoop {
                 at: Ps(now),
                 ids: &self.ids,
             };
-            let stages = server.serve(&launch, &self.tally)?;
+            let step = server.serve(&launch, &self.tally)?;
             self.tally.batch(self.ids.len(), plan.trigger);
             // Placing this batch places the pending one's stage 3: its
             // requests complete then. This batch becomes the pending one.
-            if let Some(d) = clock.push(Ps(now), stages) {
+            if let Some(d) = clock.step(Ps(now), step) {
                 self.tally.complete(&self.pending, times, d.drain);
             }
             std::mem::swap(&mut self.ids, &mut self.pending);
             seq += 1;
             door_blocked = false;
+        }
+        if let Some((s2, s3)) = server.flush()? {
+            clock.settle(s2, s3);
         }
         if let Some(d) = clock.finish() {
             self.tally.complete(&self.pending, times, d.drain);

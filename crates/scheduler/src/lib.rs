@@ -14,10 +14,13 @@
 //!   `max_batch_size` **or** when the oldest queued query has waited
 //!   `max_wait_ns` (plus a final drain flush at end of trace);
 //! * each formed batch runs through
-//!   [`UpdlrmEngine::serve_stream`](updlrm_core::UpdlrmEngine::serve_stream),
+//!   [`UpdlrmEngine::serve_step`](updlrm_core::UpdlrmEngine::serve_step),
 //!   and its three modeled stage times are placed on the engine's
 //!   depth-2 pipeline clock: batch `i + 1`'s stage 1 overlaps batch
-//!   `i`'s stage 2 through the two MRAM staging slots;
+//!   `i`'s stage 2 through the two MRAM staging slots. The host
+//!   overlaps them too: the call that serves batch `i + 1` routes it
+//!   while batch `i`'s kernels run on the engine's DPU worker, then
+//!   completes batch `i` and runs its sink;
 //! * per-request latency = queue wait + batch wait + modeled pipeline
 //!   time, i.e. `batch completion − arrival`.
 //!
@@ -56,7 +59,7 @@ pub mod policy;
 
 use dlrm_model::{Matrix, QueryBatch};
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::pipeline::Stages;
+use updlrm_core::pipeline::Step;
 use updlrm_core::{CoreError, Ps, Result, UpdlrmEngine};
 use workloads::Workload;
 
@@ -263,6 +266,35 @@ pub struct Scheduler {
     core: EventLoop,
     /// The assembled CSR batch handed to the engine.
     batch: QueryBatch,
+    /// The launch of the batch the engine has in flight, whose sink
+    /// runs during the next serve.
+    in_flight: Deferred,
+}
+
+/// A [`Launch`] kept past its serve: its ids are copied into a buffer
+/// preallocated to `max_batch_size`.
+#[derive(Debug)]
+struct Deferred {
+    seq: usize,
+    at: Ps,
+    ids: Vec<u32>,
+}
+
+impl Deferred {
+    fn launch(&self) -> Launch<'_> {
+        Launch {
+            seq: self.seq,
+            at: self.at,
+            ids: &self.ids,
+        }
+    }
+
+    fn keep(&mut self, launch: &Launch<'_>) {
+        self.seq = launch.seq;
+        self.at = launch.at;
+        self.ids.clear();
+        self.ids.extend_from_slice(launch.ids);
+    }
 }
 
 impl Scheduler {
@@ -277,6 +309,11 @@ impl Scheduler {
         Ok(Scheduler {
             core: EventLoop::new(cfg)?,
             batch: QueryBatch::default(),
+            in_flight: Deferred {
+                seq: 0,
+                at: Ps::ZERO,
+                ids: Vec::with_capacity(cfg.max_batch_size),
+            },
         })
     }
 
@@ -299,17 +336,22 @@ impl Scheduler {
     }
 
     /// Replays `workload`'s arrival trace through the event loop,
-    /// forming batches and running each through `engine.serve_stream`.
+    /// forming batches and running each through `engine.serve_step`.
     /// `sink(batch_seq, query_ids, pooled, breakdown)` fires once per
     /// formed batch in launch order, lending the pooled embeddings
-    /// exactly as `serve_stream` does. Once the run has drained, its
-    /// scheduler counters are added to the engine's telemetry.
+    /// exactly as `serve_stream` does; batch `i`'s sink runs while the
+    /// loop serves batch `i + 1`, or at the end of the run. Once the
+    /// run has drained, its scheduler counters are added to the
+    /// engine's telemetry.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] if the workload has no arrival
     /// trace (closed-loop) or the engine cannot take batches of
-    /// `max_batch_size`; engine errors propagate.
+    /// `max_batch_size`; engine errors propagate. A batch's error
+    /// returns once the batch ahead of it, still in flight, is back
+    /// home: that batch is dropped without reaching `sink`, and the
+    /// engine is idle.
     pub fn run<F>(
         &mut self,
         engine: &mut UpdlrmEngine,
@@ -349,25 +391,37 @@ impl Scheduler {
             self.batch.sparse = vec![Default::default(); workload.config.num_tables];
         }
         let mut arrivals = (0u32..).zip(trace.times_ns.iter().copied());
-        self.core.run(
+        let result = self.core.run(
             trace,
             || arrivals.next(),
             &mut InThread {
-                engine,
+                engine: &mut *engine,
                 workload,
                 batch: &mut self.batch,
+                in_flight: &mut self.in_flight,
                 sink,
             },
-        )
+        );
+        if result.is_err() {
+            // A serve that fails leaves nothing in flight; the loop's
+            // own invariant can stop it between serves. Either way the
+            // engine is idle once the run returns.
+            let _ = engine.serve_flush(|_, _| {});
+        }
+        result
     }
 }
 
-/// [`Serve`] on the caller's thread: tick the engine, assemble the
-/// batch into the reused scratch, run it through `serve_stream`.
+/// [`Serve`] on the caller's thread: assemble the batch into the reused
+/// scratch and run it through `serve_step`, which ticks the engine at
+/// the launch instant and leaves the batch's kernels in flight — on the
+/// engine's DPU worker where there is one — while the loop forms the
+/// next batch.
 struct InThread<'a, F> {
     engine: &'a mut UpdlrmEngine,
     workload: &'a Workload,
     batch: &'a mut QueryBatch,
+    in_flight: &'a mut Deferred,
     sink: F,
 }
 
@@ -375,24 +429,30 @@ impl<F> Serve for InThread<'_, F>
 where
     F: FnMut(&Launch<'_>, &[Matrix], &EmbeddingBreakdown),
 {
-    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages> {
-        // Between-batch tick: lets the engine's online replanner flip a
-        // completed migration (or begin one) at the launch instant,
-        // never mid-batch — serve_stream below runs a single batch, so
-        // placement is stable within it. The batch ahead may still be
-        // in flight on the old placement, but a tick never both flips
-        // and begins a scatter, and the next launch waits for that
-        // batch to drain, so no scatter writes what it reads.
-        self.engine.on_tick(launch.at, tally.snapshot())?;
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Step> {
+        // Between-batch tick, inside serve_step: the engine's online
+        // replanner flips a completed migration (or begins one) at the
+        // launch instant, never mid-batch. A tick that acts first
+        // completes the batch in flight, so no scatter writes what a
+        // batch still reads and no flip moves the placement under a
+        // batch not yet gathered; a tick never both flips and begins a
+        // scatter, and the next launch waits for the batch ahead to
+        // drain on the modeled clock.
         assemble_into(self.workload, launch.ids, self.batch);
-        let mut stages = Stages::default();
-        let sink = &mut self.sink;
+        let (ahead, sink) = (&*self.in_flight, &mut self.sink);
+        let step =
+            self.engine
+                .serve_step(launch.at, tally.snapshot(), self.batch, |pooled, bd| {
+                    sink(&ahead.launch(), pooled, bd)
+                })?;
+        self.in_flight.keep(launch);
+        Ok(step)
+    }
+
+    fn flush(&mut self) -> Result<Option<(Ps, Ps)>> {
+        let (ahead, sink) = (&*self.in_flight, &mut self.sink);
         self.engine
-            .serve_stream(std::slice::from_ref(&*self.batch), |_, pooled, bd| {
-                stages = bd.stages();
-                sink(launch, pooled, bd);
-            })?;
-        Ok(stages)
+            .serve_flush(|pooled, bd| sink(&ahead.launch(), pooled, bd))
     }
 }
 

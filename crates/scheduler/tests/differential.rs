@@ -4,11 +4,24 @@
 //! embeddings bit-identical to calling `serve_stream` directly on the
 //! same batch sequence with a fresh engine — queueing and batching
 //! decide *when* work runs, never *what* it computes.
+//!
+//! A second property pins the host pipelining of `Scheduler::run`: its
+//! batch `i`'s kernels are in flight while it serves batch `i + 1`, and
+//! a tick that replans first completes them. It must produce exactly
+//! what serving each batch to completion in its own call produces.
 
-use dlrm_model::{EmbeddingTable, Matrix, QueryBatch, SparseInput};
-use scheduler::{assemble_into, OverloadPolicy, SchedConfig, Scheduler};
-use updlrm_core::{PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
-use workloads::{ArrivalProcess, DatasetSpec, TraceConfig, Workload};
+use dlrm_model::{EmbedDtype, EmbeddingTable, Matrix, QueryBatch, SparseInput};
+use scheduler::{
+    assemble_into, EventLoop, Launch, OverloadPolicy, SchedConfig, SchedReport, Scheduler, Serve,
+    Tally,
+};
+use updlrm_core::engine::EmbeddingBreakdown;
+use updlrm_core::pipeline::Step;
+use updlrm_core::telemetry::Snapshot;
+use updlrm_core::{PartitionStrategy, ReplanPolicy, Result, UpdlrmConfig, UpdlrmEngine};
+use workloads::{
+    ArrivalProcess, DatasetSpec, DriftSchedule, HotSetRotation, TraceConfig, Workload,
+};
 
 const DIM: usize = 32;
 
@@ -106,12 +119,13 @@ fn scheduler_pooled_embeddings_match_direct_serve_stream() {
             report.batches > 1,
             "want a multi-batch sequence: {report:?}"
         );
-        // One batch per `serve_stream` call: nothing to overlap, so the
-        // engine never starts its DPU worker thread.
-        assert!(
-            format!("{eng:?}").contains("dpu_worker: false"),
-            "Scheduler::run started a DPU worker: {eng:?}"
-        );
+        // What the core-count gate chose is what ran: with two or more
+        // cores every batch's launch went to the DPU worker, with one
+        // none did.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let want = if cores >= 2 { report.batches } else { 0 };
+        assert_eq!(eng.dpu_handoffs(), want, "{cores} cores: {eng:?}");
+        assert_eq!(format!("{eng:?}").contains("dpu_worker: true"), cores >= 2);
 
         // Reference: assemble the same batch sequence and serve it
         // directly on a fresh engine.
@@ -170,6 +184,154 @@ fn assemble_into_copies_the_right_samples() {
                 workload.batches[bi].sparse[t].sample(si),
                 "table {t} row {row}"
             );
+        }
+    }
+}
+
+/// What one open-loop run produced: the report, every sink call's
+/// `(seq, ids, pooled, breakdown)` in order, and the engine's telemetry
+/// and mid-migration snapshot afterwards.
+type Run = (
+    SchedReport,
+    Vec<(usize, Vec<u32>, Vec<Matrix>, EmbeddingBreakdown)>,
+    Snapshot,
+    Option<Snapshot>,
+);
+
+/// Serves each formed batch to completion in its own call: tick at the
+/// launch instant, then a one-batch `serve_stream`.
+struct Lockstep<'a> {
+    engine: &'a mut UpdlrmEngine,
+    workload: &'a Workload,
+    batch: QueryBatch,
+    sunk: Vec<(usize, Vec<u32>, Vec<Matrix>, EmbeddingBreakdown)>,
+}
+
+impl Serve for Lockstep<'_> {
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Step> {
+        self.engine.on_tick(launch.at, tally.snapshot())?;
+        assemble_into(self.workload, launch.ids, &mut self.batch);
+        let (mut bd, sunk) = (EmbeddingBreakdown::default(), &mut self.sunk);
+        self.engine
+            .serve_stream(std::slice::from_ref(&self.batch), |_, pooled, b| {
+                sunk.push((launch.seq, launch.ids.to_vec(), pooled.to_vec(), *b));
+                bd = *b;
+            })?;
+        Ok(bd.stages().into())
+    }
+}
+
+/// `Scheduler::run` — every batch's kernels in flight across calls, on
+/// the DPU worker when the process may use two or more cores — equals
+/// serving every batch to completion in its own call: the same report,
+/// sink calls in the same order with the same pooled rows and
+/// breakdowns, the same telemetry snapshot and the same mid-migration
+/// drift snapshot. Over {U, NU, CA} × {f32, int8} × replan {off,
+/// `periodic:4`} with telemetry on, on a saturating drifting trace,
+/// where batches overlap and replan ticks flip and begin migrations.
+/// CI runs this file under `taskset -c 0` too, where `Scheduler::run`
+/// serves on one thread: both sides of the gate are checked against
+/// the same reference.
+#[test]
+fn pipelined_scheduler_run_equals_serving_each_batch_in_its_own_call() {
+    let spec = DatasetSpec::goodreads().scaled_down(5000);
+    let drift = DriftSchedule {
+        rotation: Some(HotSetRotation {
+            num_sets: 4,
+            set_size: 64,
+            period_ns: 300_000,
+            hot_fraction: 0.8,
+        }),
+        spikes: Vec::new(),
+        diurnal: None,
+    };
+    let workload = Workload::generate_drifting(
+        &spec,
+        TraceConfig {
+            num_tables: 2,
+            num_batches: 8,
+            ..TraceConfig::default()
+        },
+        drift,
+        ArrivalProcess::poisson(400_000.0, 5),
+    );
+    let tables: Vec<EmbeddingTable> = (0..2)
+        .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, DIM, 3, t as u64).unwrap())
+        .collect();
+    let cfg = SchedConfig {
+        max_batch_size: 32,
+        max_wait_ns: 100_000,
+        queue_cap: 64,
+        policy: OverloadPolicy::ShedOldest,
+    };
+    for strategy in [
+        PartitionStrategy::Uniform,
+        PartitionStrategy::NonUniform,
+        PartitionStrategy::CacheAware,
+    ] {
+        for dtype in [EmbedDtype::F32, EmbedDtype::Int8] {
+            for replan in [
+                ReplanPolicy::Off,
+                ReplanPolicy::Periodic { every_batches: 4 },
+            ] {
+                let case = format!("{strategy} {dtype:?} {replan}");
+                let config = UpdlrmConfig {
+                    batch_size: 32,
+                    ..UpdlrmConfig::with_dpus(16, strategy)
+                        .with_embed_dtype(dtype)
+                        .with_replan(replan)
+                        .with_telemetry()
+                };
+                let build = || UpdlrmEngine::from_workload(config.clone(), &tables, &workload);
+
+                let mut eng = build().unwrap();
+                let mut sunk = Vec::new();
+                let report = Scheduler::new(cfg)
+                    .unwrap()
+                    .run(&mut eng, &workload, |seq, ids, pooled, bd| {
+                        sunk.push((seq, ids.to_vec(), pooled.to_vec(), *bd));
+                    })
+                    .unwrap();
+                let pipelined: Run = (
+                    report,
+                    sunk,
+                    eng.metrics_snapshot(),
+                    eng.drift_snapshot().cloned(),
+                );
+
+                let mut reference = build().unwrap();
+                let mut core = EventLoop::new(cfg).unwrap();
+                let mut server = Lockstep {
+                    engine: &mut reference,
+                    workload: &workload,
+                    batch: QueryBatch {
+                        sparse: vec![SparseInput::default(); 2],
+                        ..QueryBatch::default()
+                    },
+                    sunk: Vec::new(),
+                };
+                let trace = &workload.arrivals;
+                let mut arrivals = (0u32..).zip(trace.times_ns.iter().copied());
+                let makespan = core.run(trace, || arrivals.next(), &mut server).unwrap();
+                let sunk = std::mem::take(&mut server.sunk);
+                reference.metrics_mut().record_sched(&core.tally.snapshot());
+                let lockstep: Run = (
+                    core.tally.finish(makespan),
+                    sunk,
+                    reference.metrics_snapshot(),
+                    reference.drift_snapshot().cloned(),
+                );
+                assert!(pipelined == lockstep, "{case}: the two runs differ");
+
+                // Anti-vacuous: the load saturates the engine, so each
+                // batch launches as soon as a staging slot frees, and
+                // the replanner migrated mid-run.
+                assert!(report.batches > 4, "{case}: {report:?}");
+                assert!(report.shed > 0, "{case}: {report:?}");
+                let drift = &pipelined.2.drift;
+                assert_eq!(drift.migrations_completed >= 1, replan.enabled(), "{case}");
+                assert_eq!(pipelined.3.is_some(), replan.enabled(), "{case}");
+            }
         }
     }
 }

@@ -6,22 +6,25 @@
 //!    trace (every arrival at 0, size-triggered full batches) drains
 //!    each batch exactly where `pipelined_schedule` (through
 //!    `pipelined_wall` and the clock itself) says, over random integer
-//!    stage triples that cover bus-bound and DPU-bound mixes.
+//!    stage triples that cover bus-bound and DPU-bound mixes — whether
+//!    its server reports each batch whole or leaves each one in flight
+//!    until the next serve or the flush.
 //! 2. **Differential, engine** — the same closed loop with real stage
 //!    times: `serve_stream` over a batch stream on one engine, and the
 //!    `EventLoop` over the same requests, all arriving at 0, on a twin
-//!    engine. Every batch issues and drains at the same integer
-//!    instant on both, and the walls are equal.
+//!    engine served through `serve_step`. Every batch issues and
+//!    drains at the same integer instant on both, and the walls are
+//!    equal.
 //! 3. **Replans stay safe** — at `periodic:1` on a saturated drifting
-//!    trace, no migration scatter begins before every batch that read
-//!    the region it writes has drained, and no tick both flips and
-//!    begins a scatter.
+//!    trace served through `serve_step`, no migration scatter begins
+//!    before every batch that read the region it writes has drained,
+//!    and no tick both flips and begins a scatter.
 
 use dlrm_model::{EmbeddingTable, QueryBatch};
 use proptest::prelude::*;
 use scheduler::{assemble_into, EventLoop, Launch, OverloadPolicy, SchedConfig, Serve, Tally};
 use updlrm_core::engine::EmbeddingBreakdown;
-use updlrm_core::pipeline::{Drained, PipelineClock, Stages};
+use updlrm_core::pipeline::{Drained, PipelineClock, Stages, Step};
 use updlrm_core::{
     pipelined_wall, PartitionStrategy, Ps, ReplanPolicy, Result, UpdlrmConfig, UpdlrmEngine,
 };
@@ -29,12 +32,39 @@ use workloads::{
     ArrivalProcess, ArrivalTrace, DatasetSpec, DriftSchedule, HotSetRotation, TraceConfig, Workload,
 };
 
-/// Serves batch `seq` with the `seq`-th stage triple.
+/// Serves batch `seq` with the `seq`-th stage triple, whole.
 struct Scripted(Vec<Stages>);
 
 impl Serve for Scripted {
-    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages> {
-        Ok(self.0[launch.seq])
+    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Step> {
+        Ok(self.0[launch.seq].into())
+    }
+}
+
+/// Serves batch `seq` with the `seq`-th stage triple, leaving its
+/// stages 2 and 3 to the next serve or the flush.
+struct InFlight(Vec<Stages>, Option<usize>);
+
+impl InFlight {
+    fn tail(&self, seq: Option<usize>) -> Option<(Ps, Ps)> {
+        seq.map(|k| (self.0[k].s2, self.0[k].s3))
+    }
+}
+
+impl Serve for InFlight {
+    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Step> {
+        let ahead = self.1.replace(launch.seq);
+        let settled = self.tail(ahead);
+        Ok(Step {
+            settled,
+            s1: self.0[launch.seq].s1,
+            tail: None,
+        })
+    }
+
+    fn flush(&mut self) -> Result<Option<(Ps, Ps)>> {
+        let ahead = self.1.take();
+        Ok(self.tail(ahead))
     }
 }
 
@@ -91,11 +121,15 @@ fn per_request(drains: &[Drained], batch: usize) -> Vec<Ps> {
 }
 
 /// Asserts the event loop drains every batch where the closed-loop
-/// recurrence does.
+/// recurrence does, with batches served whole and left in flight.
 fn assert_loop_equals_recurrence(stages: &[Stages], batch: usize) {
-    let mut server = Scripted(stages.to_vec());
+    let n = stages.len();
     let (makespan, latencies) =
-        closed_loop_through_the_event_loop(stages.len(), batch, &mut server);
+        closed_loop_through_the_event_loop(n, batch, &mut Scripted(stages.to_vec()));
+    let mut in_flight = InFlight(stages.to_vec(), None);
+    let late = closed_loop_through_the_event_loop(n, batch, &mut in_flight);
+    assert_eq!(late, (makespan, latencies.clone()), "in flight vs whole");
+    assert_eq!(in_flight.1, None, "the loop flushed the last batch");
     let breakdowns: Vec<EmbeddingBreakdown> = stages
         .iter()
         .map(|s| EmbeddingBreakdown {
@@ -155,25 +189,33 @@ proptest! {
     }
 }
 
-/// Serves each formed batch through `serve_stream` on its own engine,
-/// logging the launch instant and the breakdown.
+/// Serves each formed batch through `serve_step` on its own engine, as
+/// the scheduler does, logging the launch instants and, as each batch
+/// completes a serve later, its breakdown.
 struct Twin<'a> {
     engine: &'a mut UpdlrmEngine,
     workload: &'a Workload,
     batch: QueryBatch,
-    log: Vec<(Ps, EmbeddingBreakdown)>,
+    launches: Vec<Ps>,
+    breakdowns: Vec<EmbeddingBreakdown>,
 }
 
 impl Serve for Twin<'_> {
-    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Stages> {
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Step> {
         assemble_into(self.workload, launch.ids, &mut self.batch);
-        let mut breakdown = EmbeddingBreakdown::default();
-        self.engine
-            .serve_stream(std::slice::from_ref(&self.batch), |_, _, bd| {
-                breakdown = *bd;
+        let log = &mut self.breakdowns;
+        let step = self
+            .engine
+            .serve_step(launch.at, tally.snapshot(), &self.batch, |_, bd| {
+                log.push(*bd)
             })?;
-        self.log.push((launch.at, breakdown));
-        Ok(breakdown.stages())
+        self.launches.push(launch.at);
+        Ok(step)
+    }
+
+    fn flush(&mut self) -> Result<Option<(Ps, Ps)>> {
+        let log = &mut self.breakdowns;
+        self.engine.serve_flush(|_, bd| log.push(*bd))
     }
 }
 
@@ -225,13 +267,15 @@ fn a_closed_and_an_open_loop_drain_every_real_batch_at_the_same_instant() {
             sparse: vec![Default::default(); 2],
             ..Default::default()
         },
-        log: Vec::new(),
+        launches: Vec::new(),
+        breakdowns: Vec::new(),
     };
     let batches = workload.batches.len();
     let (makespan, latencies) = closed_loop_through_the_event_loop(batches, BATCH, &mut server);
-    let open: Vec<EmbeddingBreakdown> = server.log.iter().map(|&(_, bd)| bd).collect();
-    assert_eq!(open, closed, "the twins priced the batches alike");
-    let open_drains = placed(server.log.iter().map(|(at, bd)| (*at, bd.stages())));
+    let open = &server.breakdowns;
+    assert_eq!(open, &closed, "the twins priced the batches alike");
+    let log = server.launches.iter().zip(open);
+    let open_drains = placed(log.map(|(&at, bd)| (at, bd.stages())));
     assert_eq!(
         latencies,
         per_request(&open_drains, BATCH),
@@ -256,9 +300,10 @@ struct Seen {
     stages: Stages,
 }
 
-/// Serves like the scheduler's in-thread front-end — tick at the launch
-/// instant, then one batch through `serve_stream` — and logs each
-/// launch.
+/// Serves like the scheduler's in-thread front-end — one `serve_step`
+/// per batch, which ticks at the launch instant — and logs each launch,
+/// filling in its stages 2 and 3 when a later serve or the flush
+/// completes it.
 struct Probe<'a> {
     engine: &'a mut UpdlrmEngine,
     workload: &'a Workload,
@@ -267,30 +312,47 @@ struct Probe<'a> {
     log: Vec<Seen>,
 }
 
+impl Probe<'_> {
+    /// Fills in the stages 2 and 3 of the last batch logged.
+    fn settle(&mut self, tail: Option<(Ps, Ps)>) {
+        if let Some((s2, s3)) = tail {
+            let last = &mut self.log.last_mut().expect("a batch in flight").stages;
+            (last.s2, last.s3) = (s2, s3);
+        }
+    }
+}
+
 impl Serve for Probe<'_> {
-    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Stages> {
+    fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Step> {
         let before = self.engine.metrics_snapshot().drift;
-        self.engine.on_tick(launch.at, tally.snapshot())?;
+        assemble_into(self.workload, launch.ids, &mut self.batch);
+        let step = self
+            .engine
+            .serve_step(launch.at, tally.snapshot(), &self.batch, |_, _| {})?;
         let after = self.engine.metrics_snapshot().drift;
         let flipped = after.migrations_completed > before.migrations_completed;
         let began = after.replans_triggered > before.replans_triggered;
         if flipped {
             self.region ^= 1;
         }
-        assemble_into(self.workload, launch.ids, &mut self.batch);
-        let mut stages = Stages::default();
-        self.engine
-            .serve_stream(std::slice::from_ref(&self.batch), |_, _, bd| {
-                stages = bd.stages();
-            })?;
+        self.settle(step.settled);
         self.log.push(Seen {
             at: launch.at,
             region: self.region,
             flipped,
             began,
-            stages,
+            stages: Stages {
+                s1: step.s1,
+                ..Stages::default()
+            },
         });
-        Ok(stages)
+        Ok(step)
+    }
+
+    fn flush(&mut self) -> Result<Option<(Ps, Ps)>> {
+        let tail = self.engine.serve_flush(|_, _| {})?;
+        self.settle(tail);
+        Ok(tail)
     }
 }
 

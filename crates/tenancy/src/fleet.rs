@@ -662,7 +662,9 @@ pub fn capacity_sweep(
         };
         let mut fleet = match TenantFleet::from_specs(specs, cfg) {
             Ok(fleet) => fleet,
-            Err(CoreError::InvalidConfig(msg)) => return Err(CoreError::InvalidConfig(msg)),
+            Err(e @ (CoreError::InvalidConfig(_) | CoreError::FleetNotDivisible { .. })) => {
+                return Err(e)
+            }
             Err(_) => {
                 points.push(CapacityPoint {
                     fleet_dpus,

@@ -34,7 +34,7 @@
 //! [`EmbeddingBreakdown`] in place; [`UpdlrmEngine::run_batch`] is
 //! their one sequence, and the double-buffered serve ([`crate::serve`])
 //! interleaves the same calls, running stage 2 of a multi-batch stream
-//! on the engine's DPU worker.
+//! and of every open-loop step on the engine's DPU worker.
 
 pub(crate) mod build;
 mod gather;
@@ -240,7 +240,7 @@ struct BatchScratch {
 
 /// Everything stage 2 touches besides the registry's
 /// [`LaunchCells`](crate::telemetry::LaunchCells): the fleet, its launch
-/// groups and the launch scratch. All of it is owned, so a multi-batch
+/// groups and the launch scratch. All of it is owned, so a pipelined
 /// serve can lend it by value to the engine's DPU worker for one launch
 /// and take it back afterwards ([`crate::serve`]); the bus phases and
 /// the replanner use the fleet while it is home.
@@ -259,9 +259,12 @@ pub(crate) struct DpuSide {
 }
 
 /// Where an engine keeps its [`DpuSide`]: always here, except while a
-/// launch the engine sent to its DPU worker is in flight. A serve takes
-/// every such launch back before it returns, so outside a serve the side
-/// is home; only a panic during a serve can leave it away for good.
+/// launch the engine sent to its DPU worker is in flight. A stream takes
+/// every such launch back before it returns; a
+/// [`UpdlrmEngine::serve_step`] leaves its own away until the next step
+/// or [`UpdlrmEngine::serve_flush`] takes it back, and any error takes
+/// it back first. Only a panic during a serve can leave it away for
+/// good.
 #[derive(Debug)]
 pub(crate) struct DpuHome(Option<DpuSide>);
 
@@ -351,13 +354,17 @@ pub struct UpdlrmEngine {
     pub(crate) resident_epoch: u32,
     /// Replanner state; `None` unless `config.replan` is enabled.
     pub(crate) drift: Option<DriftState>,
-    /// Whether a multi-batch serve runs stage 2 on a DPU worker: the
-    /// process may use two or more cores (on one, the hand-off measured
-    /// slower than serving on one thread) and no spawn has failed.
+    /// Whether multi-batch streams and `serve_step` run stage 2 on a
+    /// DPU worker: the process may use two or more cores (on one, the
+    /// hand-off measured slower than serving on one thread) and no
+    /// spawn has failed.
     pub(crate) overlap: bool,
-    /// The thread that runs stage 2 of multi-batch serves; spawned by
-    /// the first one ([`crate::serve`]).
+    /// The thread that runs stage 2 of those serves; spawned by the
+    /// first one ([`crate::serve`]).
     pub(crate) worker: Option<DpuWorker>,
+    /// The batch a [`UpdlrmEngine::serve_step`] left between its stage
+    /// 2 and its stage 3 ([`crate::serve`]).
+    pub(crate) in_flight: Option<crate::serve::InFlight>,
     /// Launches sent to `worker` over the engine's lifetime.
     pub(crate) handoffs: u64,
 }
@@ -489,8 +496,11 @@ impl UpdlrmEngine {
     /// # Errors
     ///
     /// Malformed batches, out-of-range indices, reference streams
-    /// exceeding the input reserve, and simulator faults.
+    /// exceeding the input reserve, and simulator faults;
+    /// [`CoreError::Invariant`](crate::CoreError::Invariant) while a
+    /// [`UpdlrmEngine::serve_step`] batch is in flight.
     pub fn run_batch(&mut self, batch: &QueryBatch) -> Result<(Vec<Matrix>, EmbeddingBreakdown)> {
+        self.ensure_idle("run_batch")?;
         let mut breakdown = self.route(batch, 0)?;
         self.scatter(0, &mut breakdown)?;
         self.launch_here(0, &mut breakdown)?;

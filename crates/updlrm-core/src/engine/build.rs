@@ -357,11 +357,10 @@ impl UpdlrmEngine {
             )));
         }
         if config.nr_dpus == 0 || !config.nr_dpus.is_multiple_of(tables.len()) {
-            return Err(CoreError::InvalidConfig(format!(
-                "{} dpus not divisible into {} table groups",
-                config.nr_dpus,
-                tables.len()
-            )));
+            return Err(CoreError::FleetNotDivisible {
+                dpus: config.nr_dpus,
+                groups: tables.len(),
+            });
         }
         if config.strategy == PartitionStrategy::CacheAware && cache_lists.len() != tables.len() {
             return Err(CoreError::InvalidConfig(format!(
@@ -677,6 +676,7 @@ impl UpdlrmEngine {
             drift,
             overlap: std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2),
             worker: None,
+            in_flight: None,
             handoffs: 0,
         })
     }

@@ -277,31 +277,45 @@ impl Drop for DpuWorker {
 }
 
 impl UpdlrmEngine {
-    /// Sends stage 2 of the batch in staging slot `slot` to `worker`,
-    /// lending it the DPU side and the launch cells until
+    /// Sends stage 2 of the batch in staging slot `slot` to the DPU
+    /// worker, lending it the DPU side and the launch cells until
     /// [`UpdlrmEngine::launch_join`]. Until then the engine may route
     /// and combine, but not touch the fleet.
-    pub(crate) fn launch_away(&mut self, worker: &DpuWorker, slot: usize, bd: EmbeddingBreakdown) {
-        worker.handoff.put(Slot::Job(LaunchJob {
+    pub(crate) fn launch_away(&mut self, slot: usize, bd: EmbeddingBreakdown) {
+        let job = LaunchJob {
             side: self.dpu.lend(),
             cells: std::mem::take(&mut self.metrics.launch),
             slot,
             samples: self.scratch.staged[slot].samples,
             bd,
             result: Ok(()),
-        }));
+        };
+        self.worker().handoff.put(Slot::Job(job));
         self.handoffs += 1;
     }
 
     /// Waits for the launch [`UpdlrmEngine::launch_away`] sent, puts
     /// its DPU side and launch cells back, and returns its breakdown or
     /// its error.
-    pub(crate) fn launch_join(&mut self, worker: &DpuWorker) -> Result<EmbeddingBreakdown> {
-        let Slot::Done(job) = worker.handoff.take(false) else {
+    pub(crate) fn launch_join(&mut self) -> Result<EmbeddingBreakdown> {
+        let Slot::Done(job) = self.worker().handoff.take(false) else {
             panic!("{}", DpuWorker::GONE);
         };
         self.dpu.restore(job.side);
         self.metrics.launch = job.cells;
         job.result.map(|()| job.bd)
+    }
+
+    fn worker(&self) -> &DpuWorker {
+        self.worker
+            .as_ref()
+            .expect("a launch goes away only once the DPU worker runs")
+    }
+
+    /// Launches this engine has sent to its DPU worker thread so far —
+    /// zero where the process may use only one core, where the
+    /// launches run on the serving thread.
+    pub fn dpu_handoffs(&self) -> u64 {
+        self.handoffs
     }
 }

@@ -20,6 +20,14 @@ pub enum CoreError {
         /// DPUs available for the table.
         dpus: usize,
     },
+    /// The DPU count does not split into one equal group per table
+    /// (zero DPUs included).
+    FleetNotDivisible {
+        /// DPUs configured.
+        dpus: usize,
+        /// Table groups they must split into.
+        groups: usize,
+    },
     /// A partitioner ran out of EMT rows.
     CapacityExceeded {
         /// Table index, attached by the engine; `None` from a bare
@@ -66,6 +74,9 @@ impl fmt::Display for CoreError {
                 f,
                 "no feasible tiling for a {rows}x{cols} table on {dpus} dpus under Eq. 2-3"
             ),
+            CoreError::FleetNotDivisible { dpus, groups } => {
+                write!(f, "{dpus} dpus not divisible into {groups} table groups")
+            }
             CoreError::CapacityExceeded {
                 table,
                 partition,

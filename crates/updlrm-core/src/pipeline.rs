@@ -86,6 +86,35 @@ pub struct Drained {
     pub drain: Ps,
 }
 
+/// What one serve told the [`PipelineClock`] about its batch and the
+/// batch ahead of it, for a front-end whose serve returns with its
+/// batch's stage 2 still in flight (the scheduler's event loop, through
+/// [`UpdlrmEngine::serve_step`](crate::UpdlrmEngine::serve_step)).
+/// [`PipelineClock::step`] places it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Step {
+    /// Stages 2 and 3 `(s2, s3)` of the batch the serve before left in
+    /// flight and this one completed, or `None` if none was in flight.
+    pub settled: Option<(Ps, Ps)>,
+    /// Stage 1 of this serve's batch.
+    pub s1: Ps,
+    /// Stages 2 and 3 of this serve's batch if it completed within the
+    /// serve; `None` leaves it in flight for the next serve to settle.
+    pub tail: Option<(Ps, Ps)>,
+}
+
+impl From<Stages> for Step {
+    /// A batch served to completion within its call: nothing ahead of
+    /// it in flight, nothing left in flight behind.
+    fn from(s: Stages) -> Step {
+        Step {
+            settled: None,
+            s1: s.s1,
+            tail: Some((s.s2, s.s3)),
+        }
+    }
+}
+
 /// The depth-2 pipeline recurrence, one batch at a time.
 ///
 /// Stage 2 serializes on the DPU array; stages 1 and 3 serialize on the
@@ -95,14 +124,24 @@ pub struct Drained {
 /// of it (`s1_0, s1_1, s3_0, s1_2, s3_1, …`), unless the batch
 /// launches after that stage 3 would already have started.
 ///
-/// Only two batches are ever in flight, so the state is four instants
-/// and one pending stage 3: no arrays, no allocation.
+/// A batch is placed in two halves: [`issue`](Self::issue) places its
+/// stage 1, and with it the stage 3 of the batch ahead, and
+/// [`settle`](Self::settle) its stages 2 and 3. Nothing in between
+/// reads them: [`slot_free`](Self::slot_free), the next launch's
+/// bound, is the drain of the batch ahead, which `issue` has placed.
+/// [`push`](Self::push) is the two back to back.
+///
+/// Only two batches are ever in flight, so the state is four instants,
+/// one issued batch and one pending stage 3: no arrays, no allocation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineClock {
     /// When the host bus is next free.
     bus_free: Ps,
     /// When the DPU array is next free.
     dpu_free: Ps,
+    /// The batch issued but not yet settled: its issue instant and the
+    /// instant its stage 1 ends.
+    issued: Option<(Ps, Ps)>,
     /// The batch whose stage 3 is not yet on the bus: its issue
     /// instant, its stage-2 completion and its stage-3 length.
     pending: Option<(Ps, Ps, Ps)>,
@@ -119,7 +158,7 @@ impl PipelineClock {
     }
 
     /// The instant the DPU array finishes the stage 2 of every batch
-    /// placed so far.
+    /// settled so far.
     pub fn dpu_free(&self) -> Ps {
         self.dpu_free
     }
@@ -129,6 +168,24 @@ impl PipelineClock {
     /// with it the pending stage 3 of the batch before. Returns that
     /// batch, now drained.
     pub fn push(&mut self, launch: Ps, stages: Stages) -> Option<Drained> {
+        let drained = self.issue(launch, stages.s1);
+        self.settle(stages.s2, stages.s3);
+        drained
+    }
+
+    /// Places the stage 1 of a batch launched at `launch` (no earlier
+    /// than [`slot_free`](Self::slot_free)) and the pending stage 3 of
+    /// the batch before, and returns that batch, now drained. The batch
+    /// stays issued until [`settle`](Self::settle).
+    ///
+    /// # Panics
+    ///
+    /// If the batch issued before is not yet settled.
+    pub fn issue(&mut self, launch: Ps, s1: Ps) -> Option<Drained> {
+        assert!(
+            self.issued.is_none(),
+            "issue before settling the batch ahead"
+        );
         let mut drained = None;
         let pending = self.pending.take();
         if let Some(p @ (_, s2_done, _)) = pending {
@@ -137,17 +194,50 @@ impl PipelineClock {
             }
         }
         let issue = launch.max(self.bus_free);
-        self.bus_free = issue + stages.s1;
-        self.dpu_free = self.bus_free.max(self.dpu_free) + stages.s2;
+        self.bus_free = issue + s1;
+        self.issued = Some((issue, self.bus_free));
         if drained.is_none() {
             drained = pending.map(|p| self.stage3(p));
         }
-        self.pending = Some((issue, self.dpu_free, stages.s3));
+        drained
+    }
+
+    /// Places the stages 2 and 3 of the issued batch, which becomes the
+    /// pending one.
+    ///
+    /// # Panics
+    ///
+    /// If no batch is issued.
+    pub fn settle(&mut self, s2: Ps, s3: Ps) {
+        let (issue, s1_done) = self.issued.take().expect("settle without an issued batch");
+        self.dpu_free = s1_done.max(self.dpu_free) + s2;
+        self.pending = Some((issue, self.dpu_free, s3));
+    }
+
+    /// Places one serve's [`Step`]: settles the batch it completed,
+    /// issues its batch at `launch` and settles that too if it
+    /// completed. Returns the batch ahead, now drained.
+    pub fn step(&mut self, launch: Ps, step: Step) -> Option<Drained> {
+        if let Some((s2, s3)) = step.settled {
+            self.settle(s2, s3);
+        }
+        let drained = self.issue(launch, step.s1);
+        if let Some((s2, s3)) = step.tail {
+            self.settle(s2, s3);
+        }
         drained
     }
 
     /// Places the pending stage 3, if any, and returns that batch.
+    ///
+    /// # Panics
+    ///
+    /// If a batch is issued but not settled.
     pub fn finish(&mut self) -> Option<Drained> {
+        assert!(
+            self.issued.is_none(),
+            "finish before settling the last batch"
+        );
         self.pending.take().map(|p| self.stage3(p))
     }
 

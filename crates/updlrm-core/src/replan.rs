@@ -205,14 +205,23 @@ impl UpdlrmEngine {
     /// tick that takes the mid-migration snapshot stamps them into its
     /// `sched` block.
     ///
+    /// A tick that does nothing — no flip is due and no replan — may
+    /// come while a [`serve_step`](UpdlrmEngine::serve_step) batch is
+    /// in flight; any other needs the engine idle, which `serve_step`
+    /// sees to: it completes the batch in flight before such a tick.
+    ///
     /// # Errors
     ///
     /// Simulator faults while scattering the staged tiles. Planning
     /// failures (a placement that no longer fits the staged regions)
     /// are *not* errors: the replan is declined, counted in
     /// [`DriftSnapshot::replans_skipped`](crate::telemetry::DriftSnapshot),
-    /// and the window resets.
+    /// and the window resets. [`CoreError::Invariant`](crate::CoreError)
+    /// for a tick that acts while a batch is in flight.
     pub fn on_tick(&mut self, now: Ps, counts: SchedSnapshot) -> Result<()> {
+        if self.tick_acts(now) {
+            self.ensure_idle("a replan tick")?;
+        }
         let Some(mut drift) = self.drift.take() else {
             return Ok(());
         };
@@ -226,6 +235,17 @@ impl UpdlrmEngine {
         };
         self.drift = Some(drift);
         result
+    }
+
+    /// Whether [`on_tick`](Self::on_tick) at `now` would act: flip the
+    /// migration in flight, or decide a replan (begin or decline one).
+    /// Both touch the fleet or the placement a batch in flight was
+    /// routed on.
+    pub(crate) fn tick_acts(&self, now: Ps) -> bool {
+        self.drift.as_ref().is_some_and(|d| match &d.pending {
+            Some(p) => now >= p.done_at,
+            None => self.replan_due(d),
+        })
     }
 
     /// True while a migration's staged scatter has not yet flipped.

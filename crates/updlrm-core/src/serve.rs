@@ -21,23 +21,38 @@
 //! serve one batch per call and time the overlap between calls on the
 //! same [`PipelineClock`](crate::pipeline::PipelineClock).
 //!
-//! The host overlaps batches too. A stream of two or more batches runs
-//! each batch's stage 2 on the engine's one persistent DPU worker
-//! thread, spawned by the first such stream and joined when the engine
-//! drops. While the worker simulates batch `i`'s kernels, the calling
-//! thread runs batch `i - 1`'s sink and routes batch `i + 1`. What
-//! crosses is owned state only — the fleet, the launch groups and
-//! scratch, the registry's launch cells — moved by value into a
-//! one-slot hand-off and moved back; the batches themselves stay
-//! borrowed on the calling thread. The fleet is on one thread at a
-//! time, so every modeled number and every pooled row is what the same
-//! calls make on one thread. A one-batch stream — every open-loop
-//! front-end's call — has nothing to overlap and runs wholly on the
-//! calling thread, as `run_batch` does.
+//! The host overlaps batches too, with one pipelined step that both
+//! front-end shapes call. A step for batch `i + 1` routes it while
+//! batch `i`'s launch is still in flight, takes that launch back,
+//! scatters batch `i + 1` and gathers batch `i`, sends batch `i + 1`'s
+//! launch and lends batch `i`'s pooled rows to the sink; with no batch
+//! it is the drain. A stream is one step per batch and a drain;
+//! [`UpdlrmEngine::serve_step`] carries the same order across calls,
+//! one formed batch per call, for the scheduler's event loop, and
+//! [`UpdlrmEngine::serve_flush`] is its drain. A step launches on the
+//! engine's one persistent DPU worker thread — spawned by the first
+//! step that uses it, joined when the engine drops — when the process
+//! may use two or more cores and the serve has more than one batch to
+//! overlap: every `serve_step`, and a stream of two or more batches.
+//! While the worker simulates batch `i`'s kernels, the calling thread
+//! runs batch `i - 1`'s sink and routes batch `i + 1`. What crosses is
+//! owned state only — the fleet, the launch groups and scratch, the
+//! registry's launch cells — moved by value into a one-slot hand-off
+//! and moved back; the batches themselves stay borrowed on the calling
+//! thread. The fleet is on one thread at a time, so every modeled
+//! number and every pooled row is what the same calls make on one
+//! thread. Without the worker the launch runs in its place in the step.
+//!
+//! A failed launch reports its error at the step that takes it back,
+//! after the sink of the batch ahead of it, whichever thread ran it. A
+//! step that fails takes the launch in flight back first and drops it
+//! unsinked, so the DPU side is home and nothing is in flight whenever
+//! a step returns an error.
 
 use crate::engine::{DpuWorker, EmbeddingBreakdown, UpdlrmEngine, STAGING_SLOTS};
-use crate::error::Result;
-use crate::pipeline::{pipelined_schedule, sequential_wall};
+use crate::error::{CoreError, Result};
+use crate::pipeline::{pipelined_schedule, sequential_wall, Step};
+use crate::telemetry::SchedSnapshot;
 use crate::{stats::percentile, Ps};
 use dlrm_model::{Matrix, QueryBatch};
 
@@ -167,108 +182,248 @@ impl UpdlrmEngine {
     ///
     /// With two or more batches, on a host where the process may use
     /// two or more cores, every batch's stage 2 runs on the engine's
-    /// DPU worker thread (started by the first such call, joined when
-    /// the engine drops) while the sink runs here; results are the
-    /// same either way (module docs).
+    /// DPU worker thread (started by the first call that uses it,
+    /// joined when the engine drops) while the sink runs here; results
+    /// are the same either way (module docs).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`UpdlrmEngine::serve`].
+    /// Same conditions as [`UpdlrmEngine::serve`], and
+    /// [`CoreError::Invariant`] while a [`serve_step`](Self::serve_step)
+    /// batch is in flight.
     pub fn serve_stream<F>(&mut self, batches: &[QueryBatch], sink: F) -> Result<ServeReport>
     where
         F: FnMut(usize, &[Matrix], &EmbeddingBreakdown),
     {
-        // If the OS refuses a thread, this and every later stream is
-        // served on the calling thread.
-        let worker = match self.overlap && batches.len() >= 2 {
-            true => self.worker.take().or_else(|| DpuWorker::spawn().ok()),
-            false => None,
-        };
-        self.overlap &= batches.len() < 2 || worker.is_some();
-        // Take the scratch out of the engine so stage methods can borrow
+        self.ensure_idle("serve_stream")?;
+        let away = batches.len() >= 2 && self.dpu_worker_ready();
+        // Take the scratch out of the engine so the steps can borrow
         // `self` mutably; restore it afterwards (on error it is simply
         // rebuilt — and re-warmed — by the next call).
         let mut scr = std::mem::take(&mut self.serve_scratch);
-        let result = self.serve_doublebuf(batches, &mut scr, worker.as_ref(), sink);
+        let result = self.serve_doublebuf(batches, &mut scr, away, sink);
         self.serve_scratch = scr;
-        if worker.is_some() {
-            self.worker = worker;
-        }
         if let Ok(report) = &result {
             // Serve-level telemetry: the executed wall plus what the same
             // batches would cost back-to-back — the difference is the
             // wall the pipeline overlap saved.
-            self.metrics.record_serve(report);
+            self.metrics
+                .record_serve(report.wall_ns, report.sequential_wall_ns);
         }
         result
     }
 
-    /// Depth-2 double-buffered schedule: the stage methods of
-    /// [`UpdlrmEngine::run_batch`], interleaved so that the bus phases
-    /// run in batch order (`s1_0, s1_1, s3_0, s1_2, s3_1, …`) — batch
-    /// `i`'s scatter reuses slot `i % 2`, which batch `i - 2` released
-    /// when its stage 3 drained one iteration earlier. The wall and the
-    /// per-batch latencies are then read off [`pipelined_schedule`] —
-    /// the recurrence behind `pipelined_wall` — over the breakdowns
+    /// Depth-2 double-buffered schedule: one [`pipelined
+    /// step`](Self::pipelined_step) per batch and a drain, so the bus
+    /// phases run in batch order (`s1_0, s1_1, s3_0, s1_2, s3_1, …`) —
+    /// batch `i`'s scatter reuses the slot batch `i - 2` released when
+    /// its stage 3 drained one step earlier. The wall and the per-batch
+    /// latencies are then read off [`pipelined_schedule`] — the
+    /// recurrence behind `pipelined_wall` — over the breakdowns
     /// measured here.
-    ///
-    /// Iteration `i` routes batch `i`, takes launch `i - 1` back from
-    /// `worker`, scatters batch `i`, gathers batch `i - 1`, sends batch
-    /// `i`'s launch and then runs batch `i - 1`'s sink, so the sink and
-    /// the next route overlap the launch. Without a worker the launch
-    /// runs in its place in that order. Every return after a send takes
-    /// the launch back first, so the DPU side is home whenever this
-    /// returns; a failed launch reports its error one iteration later,
-    /// after batch `i - 1`'s sink.
     fn serve_doublebuf<F>(
         &mut self,
         batches: &[QueryBatch],
         scr: &mut ServeScratch,
-        worker: Option<&DpuWorker>,
+        away: bool,
         mut sink: F,
     ) -> Result<ServeReport>
     where
         F: FnMut(usize, &[Matrix], &EmbeddingBreakdown),
     {
         scr.breakdowns.clear();
-        for i in 0..=batches.len() {
-            let slot = i % STAGING_SLOTS;
-            let routed = batches.get(i).map(|batch| self.route(batch, slot));
-            if let (Some(w), 1..) = (worker, i) {
-                scr.breakdowns.push(self.launch_join(w)?);
-            }
-            let mut bd = routed.transpose()?;
-            if let Some(bd) = &mut bd {
-                self.scatter(slot, bd)?;
-            }
-            // Stage 3 of batch i - 1, one batch in flight behind i.
-            let gathered = match i.checked_sub(1) {
-                Some(j) => Some((j, self.stage3(j % STAGING_SLOTS, &mut scr.breakdowns[j])?)),
-                None => None,
-            };
-            if let Some(mut bd) = bd {
-                match worker {
-                    Some(w) => self.launch_away(w, slot, bd),
-                    None => {
-                        self.launch_here(slot, &mut bd)?;
-                        scr.breakdowns.push(bd);
-                    }
-                }
-            }
-            if let Some((j, pooled)) = gathered {
-                sink(j, &pooled, &scr.breakdowns[j]);
-                self.recycle_pooled(pooled);
-            }
+        let breakdowns = &mut scr.breakdowns;
+        for batch in batches.iter().map(Some).chain([None]) {
+            self.pipelined_step(batch, away, |pooled, bd| {
+                sink(breakdowns.len(), pooled, bd);
+                breakdowns.push(*bd);
+            })?;
         }
         scr.latencies.clear();
         let latencies = &mut scr.latencies;
         let wall = pipelined_schedule(&scr.breakdowns, |d| latencies.push(d.drain - d.issue));
         Ok(finish_report(batches, scr, wall))
     }
+
+    /// Serves one batch of an open-loop front-end, as one step of a
+    /// pipelined serve that spans calls (module docs): ticks the
+    /// replanner to the launch instant `now` with the front-end's
+    /// scheduler counts so far ([`UpdlrmEngine::on_tick`]), routes and
+    /// scatters `batch` and sends its launch, and completes the batch
+    /// the call before left in flight, lending its pooled rows and
+    /// breakdown to `sink`. `batch` is left in flight, for the next
+    /// call or [`serve_flush`](Self::serve_flush) to complete.
+    ///
+    /// A tick that flips or begins a migration (or declines one) first
+    /// completes the batch in flight, then ticks: the fleet, the
+    /// placement and the telemetry then see the operations of one batch
+    /// served to completion per call, in the same order. Each completed
+    /// batch is recorded as a one-batch serve, as a one-batch
+    /// [`serve_stream`](Self::serve_stream) records it.
+    ///
+    /// Returns what the [`PipelineClock`](crate::pipeline::PipelineClock)
+    /// places: `batch`'s stage 1 and the completed batch's stages 2
+    /// and 3.
+    ///
+    /// # Errors
+    ///
+    /// As [`UpdlrmEngine::on_tick`] and [`UpdlrmEngine::run_batch`].
+    /// An error leaves nothing in flight: the batch that was is dropped
+    /// without reaching `sink`.
+    pub fn serve_step<F>(
+        &mut self,
+        now: Ps,
+        counts: SchedSnapshot,
+        batch: &QueryBatch,
+        sink: F,
+    ) -> Result<Step>
+    where
+        F: FnOnce(&[Matrix], &EmbeddingBreakdown),
+    {
+        let away = self.dpu_worker_ready();
+        let (settled, s1) = if self.tick_acts(now) {
+            let done = self.pipelined_step(None, away, sink)?.0;
+            let settled = done.map(|bd| self.record_one_batch_serve(&bd));
+            self.on_tick(now, counts)?;
+            (
+                settled,
+                self.pipelined_step(Some(batch), away, |_, _| {})?.1,
+            )
+        } else {
+            self.on_tick(now, counts)?;
+            let (done, s1) = self.pipelined_step(Some(batch), away, sink)?;
+            (done.map(|bd| self.record_one_batch_serve(&bd)), s1)
+        };
+        Ok(Step {
+            settled,
+            s1,
+            tail: None,
+        })
+    }
+
+    /// Completes the batch [`serve_step`](Self::serve_step) left in
+    /// flight, if any: lends its pooled rows and breakdown to `sink` and
+    /// returns its stages 2 and 3. A front-end calls it once its last
+    /// batch is formed.
+    ///
+    /// # Errors
+    ///
+    /// As [`UpdlrmEngine::run_batch`].
+    pub fn serve_flush<F>(&mut self, sink: F) -> Result<Option<(Ps, Ps)>>
+    where
+        F: FnOnce(&[Matrix], &EmbeddingBreakdown),
+    {
+        let (done, _) = self.pipelined_step(None, false, sink)?;
+        Ok(done.map(|bd| self.record_one_batch_serve(&bd)))
+    }
+
+    /// Records `bd`'s batch as the one-batch serve it is — its wall is
+    /// its three stages back to back, and nothing overlapped it — and
+    /// returns its stages 2 and 3.
+    fn record_one_batch_serve(&mut self, bd: &EmbeddingBreakdown) -> (Ps, Ps) {
+        let wall = bd.total().as_ns();
+        self.metrics.record_serve(wall, wall);
+        (bd.stage2, bd.stage3)
+    }
+
+    /// The pipelined serve's one step (module docs). Routes `batch`
+    /// into the staging slot the batch in flight does not hold, takes
+    /// that batch's launch back, scatters `batch`, gathers the batch in
+    /// flight, launches `batch` — on the DPU worker when `away` — and
+    /// lends the gathered batch's pooled rows to `sink`. Returns the
+    /// gathered batch's breakdown and `batch`'s stage 1. With no batch
+    /// it is the drain; with nothing in flight it gathers nothing.
+    fn pipelined_step<F>(
+        &mut self,
+        batch: Option<&QueryBatch>,
+        away: bool,
+        sink: F,
+    ) -> Result<(Option<EmbeddingBreakdown>, Ps)>
+    where
+        F: FnOnce(&[Matrix], &EmbeddingBreakdown),
+    {
+        let slot = self
+            .in_flight
+            .as_ref()
+            .map_or(0, |f| (f.slot + 1) % STAGING_SLOTS);
+        let routed = batch.map(|batch| self.route(batch, slot));
+        // From here on the DPU side is home, whatever fails.
+        let ahead = match self.in_flight.take() {
+            Some(InFlight {
+                slot,
+                launched: Some(launched),
+            }) => Some((slot, launched?)),
+            Some(InFlight {
+                slot,
+                launched: None,
+            }) => Some((slot, self.launch_join()?)),
+            None => None,
+        };
+        let mut bd = routed.transpose()?;
+        if let Some(bd) = &mut bd {
+            self.scatter(slot, bd)?;
+        }
+        let gathered = match ahead {
+            Some((j, mut bd)) => Some((self.stage3(j, &mut bd)?, bd)),
+            None => None,
+        };
+        let s1 = bd.map_or(Ps::ZERO, |bd| bd.stage1);
+        if let Some(mut bd) = bd {
+            let launched = match away {
+                true => {
+                    self.launch_away(slot, bd);
+                    None
+                }
+                false => Some(self.launch_here(slot, &mut bd).map(|()| bd)),
+            };
+            self.in_flight = Some(InFlight { slot, launched });
+        }
+        let Some((pooled, bd)) = gathered else {
+            return Ok((None, s1));
+        };
+        sink(&pooled, &bd);
+        self.recycle_pooled(pooled);
+        Ok((Some(bd), s1))
+    }
+
+    /// Whether this serve may send launches to the DPU worker, spawning
+    /// it on first use. If the OS refuses the thread, this and every
+    /// later serve runs its launches on the calling thread.
+    fn dpu_worker_ready(&mut self) -> bool {
+        if self.overlap && self.worker.is_none() {
+            self.worker = DpuWorker::spawn().ok();
+            self.overlap = self.worker.is_some();
+        }
+        self.overlap
+    }
+
+    /// Fails `what` while a [`serve_step`](Self::serve_step) batch is
+    /// in flight: it holds a staging slot, and its stage 3 reads the
+    /// placement it was routed on.
+    pub(crate) fn ensure_idle(&self, what: &str) -> Result<()> {
+        match self.in_flight {
+            None => Ok(()),
+            Some(_) => Err(CoreError::Invariant(format!(
+                "{what} while a served batch is in flight: call serve_flush first"
+            ))),
+        }
+    }
+}
+
+/// The batch a pipelined serve left between its stage 2 and its stage
+/// 3: its staging slot and, unless its launch is on the DPU worker, the
+/// launch's outcome — the breakdown through stage 2, or its error,
+/// which the step that takes it back reports.
+#[derive(Debug)]
+pub(crate) struct InFlight {
+    slot: usize,
+    launched: Option<Result<EmbeddingBreakdown>>,
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::EmbeddingBreakdown;
+    use crate::pipeline::Step;
     use crate::telemetry::SchedSnapshot;
     use crate::{PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
     use dlrm_model::{EmbedDtype, EmbeddingTable, Matrix, QueryBatch, SparseInput};
@@ -352,12 +507,174 @@ mod tests {
         }
     }
 
+    /// What `serve_step` calls saw and returned, and the engine after
+    /// their flush.
+    #[derive(Debug, PartialEq)]
+    struct Stepped {
+        sunk: Vec<(Vec<Matrix>, EmbeddingBreakdown)>,
+        steps: Vec<Step>,
+        tail: Option<(Ps, Ps)>,
+        snapshot: crate::Snapshot,
+        drift: Option<crate::Snapshot>,
+    }
+
+    /// Serves `batches` as `Scheduler::run` drives an engine — one
+    /// `serve_step` per batch at launch instants 1 ms apart, then the
+    /// flush — with the launches on the DPU worker (`hop`) or here.
+    fn step_through(engine: &mut UpdlrmEngine, batches: &[QueryBatch], hop: bool) -> Stepped {
+        engine.overlap = hop;
+        let mut sunk = Vec::new();
+        let mut steps = Vec::new();
+        for (i, batch) in batches.iter().enumerate() {
+            let now = Ps::from_whole_ns(1_000_000) * (i as u64 + 1);
+            let counts = SchedSnapshot {
+                batches: i as u64,
+                ..SchedSnapshot::default()
+            };
+            let step = engine.serve_step(now, counts, batch, |p, bd| sunk.push((p.to_vec(), *bd)));
+            steps.push(step.unwrap());
+        }
+        let tail = engine.serve_flush(|p, bd| sunk.push((p.to_vec(), *bd)));
+        Stepped {
+            sunk,
+            steps,
+            tail: tail.unwrap(),
+            snapshot: engine.metrics_snapshot(),
+            drift: engine.drift_snapshot().cloned(),
+        }
+    }
+
+    /// Open-loop serving through `serve_step` gives the same sink
+    /// order, pooled rows, breakdowns, clock steps, telemetry and
+    /// drift snapshot with the launches on the DPU worker as on the
+    /// calling thread — for every strategy and dtype, with replanning
+    /// off and at `periodic:4`, where ticks that flip or begin a
+    /// migration complete the batch in flight first. Without
+    /// replanning the batches are also the closed-loop stream's.
+    #[test]
+    fn serve_steps_on_the_worker_equal_serve_steps_here() {
+        use crate::ReplanPolicy;
+        let (tables, workload) = setup(10);
+        let batches = &workload.batches;
+        for strategy in [
+            PartitionStrategy::Uniform,
+            PartitionStrategy::NonUniform,
+            PartitionStrategy::CacheAware,
+        ] {
+            for dtype in [EmbedDtype::F32, EmbedDtype::Int8] {
+                for replan in [
+                    ReplanPolicy::Off,
+                    ReplanPolicy::Periodic { every_batches: 4 },
+                ] {
+                    let case = format!("{strategy} {dtype:?} {replan}");
+                    let config = UpdlrmConfig::with_dpus(16, strategy)
+                        .with_embed_dtype(dtype)
+                        .with_replan(replan)
+                        .with_telemetry();
+                    let [mut away, mut here] =
+                        [(); 2].map(|()| engine(&config, &tables, &workload));
+                    let got = step_through(&mut away, batches, true);
+                    let want = step_through(&mut here, batches, false);
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(got.sunk.len(), batches.len(), "{case}");
+                    assert_eq!(away.handoffs, batches.len() as u64, "{case}");
+                    assert_eq!(here.handoffs, 0, "{case}");
+                    let drift = &got.snapshot.drift;
+                    if replan.enabled() {
+                        assert!(drift.migrations_completed >= 1, "{case}: {drift:?}");
+                        assert!(got.drift.is_some(), "{case}");
+                    } else {
+                        let mut closed = engine(&config, &tables, &workload);
+                        let (report, pooled) = serve(&mut closed, batches, false);
+                        report.unwrap();
+                        let sunk: Vec<_> = got.sunk.iter().map(|(p, _)| p.clone()).collect();
+                        assert_eq!(sunk, pooled, "{case}");
+                        let bds: Vec<_> = got.sunk.iter().map(|&(_, bd)| bd).collect();
+                        assert_eq!(bds, closed.serve_scratch.breakdowns, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An invalid batch at position 3 of a `serve_step` run fails its
+    /// step with the error its route reports on its own, after the
+    /// launch in flight (batch 2's) has come home and been dropped: the
+    /// engine is idle, and its next run sinks what a fresh engine's
+    /// does.
+    #[test]
+    fn a_bad_batch_mid_step_run_brings_the_dpu_side_home() {
+        let (tables, workload) = setup(6);
+        let mut batches = workload.batches.clone();
+        let mut samples: Vec<Vec<u64>> = batches[3].sparse[1].iter().map(<[u64]>::to_vec).collect();
+        samples[0].push(1 << 40);
+        batches[3].sparse[1] = SparseInput::from_samples(samples);
+        let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware).with_telemetry();
+        let want = engine(&config, &tables, &workload)
+            .run_batch(&batches[3])
+            .unwrap_err()
+            .to_string();
+        let fresh = step_through(
+            &mut engine(&config, &tables, &workload),
+            &workload.batches,
+            false,
+        );
+        let fresh: Vec<_> = fresh.sunk.into_iter().map(|(p, _)| p).collect();
+        for hop in [true, false] {
+            let mut e = engine(&config, &tables, &workload);
+            e.overlap = hop;
+            let mut sunk = 0;
+            for (i, batch) in batches.iter().enumerate().take(4) {
+                let now = Ps::from_whole_ns(1_000_000) * (i as u64 + 1);
+                let step = e.serve_step(now, SchedSnapshot::default(), batch, |_, _| sunk += 1);
+                match i {
+                    3 => assert_eq!(step.unwrap_err().to_string(), want, "hop {hop}"),
+                    _ => assert!(step.is_ok(), "hop {hop}: batch {i}"),
+                }
+            }
+            assert_eq!(sunk, 2, "hop {hop}: batches 0 and 1 drained, 2 dropped");
+            e.dpu.get(); // panics unless the DPU side is home
+            assert!(e.in_flight.is_none(), "hop {hop}");
+            e.run_batch(&workload.batches[0]).unwrap();
+            let again = step_through(&mut e, &workload.batches, hop);
+            let again: Vec<_> = again.sunk.into_iter().map(|(p, _)| p).collect();
+            assert_eq!(again, fresh, "hop {hop}");
+        }
+    }
+
+    /// A `serve_step` batch in flight holds a staging slot and the
+    /// placement it was routed on: `run_batch`, `serve_stream` and a
+    /// tick that would replan refuse to run until the flush.
+    #[test]
+    fn an_engine_with_a_batch_in_flight_refuses_other_serves() {
+        let (tables, workload) = setup(2);
+        let batches = &workload.batches;
+        let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::Uniform)
+            .with_replan(crate::ReplanPolicy::Periodic { every_batches: 1 });
+        let mut e = engine(&config, &tables, &workload);
+        let counts = SchedSnapshot::default();
+        e.serve_step(Ps(1), counts, &batches[0], |_, _| {}).unwrap();
+        assert!(e.tick_acts(Ps(2)), "one routed batch makes a replan due");
+        for err in [
+            e.run_batch(&batches[1]).map(|_| ()),
+            e.serve_stream(batches, |_, _, _| {}).map(|_| ()),
+            e.on_tick(Ps(2), counts),
+        ] {
+            let err = err.unwrap_err().to_string();
+            assert!(err.contains("in flight"), "{err}");
+        }
+        let tail = e.serve_flush(|_, _| {}).unwrap();
+        assert!(tail.is_some());
+        e.on_tick(Ps(2), counts).unwrap();
+        e.run_batch(&batches[1]).unwrap();
+    }
+
     /// What is selected at run time is what runs: a multi-batch
-    /// `serve_stream` hands every launch to the worker, and nothing
-    /// else does — not `run_batch`, not a one-batch stream, not the
-    /// per-batch calls `Scheduler::run` and the wall runtime's shards
-    /// make (a tick, then a one-batch stream), and not a multi-batch
-    /// stream on an engine that may not overlap (one core).
+    /// `serve_stream` and every `serve_step` hand their launches to the
+    /// worker, and nothing else does — not `run_batch`, not a one-batch
+    /// stream, not the per-batch calls the wall runtime's shards make
+    /// (a tick, then a one-batch stream), and not a multi-batch stream
+    /// on an engine that may not overlap (one core).
     #[test]
     fn only_multi_batch_streams_hand_launches_to_the_worker() {
         let (tables, workload) = setup(4);
@@ -382,6 +699,8 @@ mod tests {
         e.serve_stream(&batches[..1], |_, _, _| {}).unwrap();
         e.run_batch(&batches[0]).unwrap();
         assert_eq!(e.handoffs, batches.len() as u64);
+        step_through(&mut e, batches, true);
+        assert_eq!(e.handoffs, 2 * batches.len() as u64);
 
         let mut one_core = engine(&config, &tables, &workload);
         one_core.overlap = false;

@@ -35,7 +35,6 @@ use cooccur_cache::CacheTraffic;
 use upmem_sim::{DpuCounters, Ps, PS_PER_NS};
 
 use crate::engine::EmbeddingBreakdown;
-use crate::serve::ServeReport;
 
 /// Version stamp of the [`Snapshot`] schema; bump on any field change
 /// so the CI golden diff fails loudly instead of silently reshaping.
@@ -505,14 +504,14 @@ impl MetricsRegistry {
     }
 
     /// Records one completed serve: its executed wall and the
-    /// back-to-back wall of the same batches.
+    /// back-to-back wall of the same batches (ns).
     #[inline]
-    pub(crate) fn record_serve(&mut self, report: &ServeReport) {
+    pub(crate) fn record_serve(&mut self, wall_ns: f64, sequential_wall_ns: f64) {
         let Some(t) = self.on() else { return };
         t.serves += 1;
-        t.serve_wall_ns += report.wall_ns;
-        t.sequential_wall_ns += report.sequential_wall_ns;
-        t.overlap_saved_ns += report.sequential_wall_ns - report.wall_ns;
+        t.serve_wall_ns += wall_ns;
+        t.sequential_wall_ns += sequential_wall_ns;
+        t.overlap_saved_ns += sequential_wall_ns - wall_ns;
     }
 
     /// Adds one finished serving run's scheduler counters — the

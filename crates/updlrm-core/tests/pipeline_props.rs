@@ -9,8 +9,14 @@
 //! sequential wall for a single batch, and respond monotonically to
 //! longer stages. Times are integer picoseconds, so every bound holds
 //! exactly, with no slack for rounding.
+//!
+//! The clock's two halves get their own property: `issue` and `settle`
+//! applied one batch late, as the scheduler's event loop applies them
+//! when each batch's stage 2 is still in flight at the next launch,
+//! place every batch where `push` does.
 
 use proptest::prelude::*;
+use updlrm_core::pipeline::{PipelineClock, Stages};
 use updlrm_core::{pipelined_wall, sequential_wall, EmbeddingBreakdown, PipelineReport, Ps};
 
 /// Stage times in picoseconds; generous enough to cover bus-bound,
@@ -115,5 +121,53 @@ proptest! {
         prop_assert_eq!(r.sequential, sequential_wall(&b));
         prop_assert_eq!(r.pipelined, pipelined_wall(&b));
         prop_assert!(r.speedup() >= 1.0, "speedup {}", r.speedup());
+    }
+
+    /// `issue` at each launch and `settle` one batch late — just before
+    /// the next batch's `issue`, or before `finish` — place every batch
+    /// where `push` does. Launches come from the open loop's rule (no
+    /// earlier than `slot_free`, plus a random gap), read off the
+    /// one-batch-late clock after the batch ahead's `issue` only, which
+    /// must equal the `push` clock's. Every `Drained`, every
+    /// `slot_free` and every `dpu_free` are compared, over a bus-heavy
+    /// or DPU-heavy scale per case with per-batch jitter.
+    #[test]
+    fn issue_then_settle_one_batch_late_equals_push(
+        bus_scale in 0u64..4_000_000,
+        dpu_scale in 0u64..4_000_000,
+        batches in prop::collection::vec(
+            ((0u64..500_000, 0u64..500_000, 0u64..500_000), 0u64..6_000_000),
+            0..24,
+        ),
+    ) {
+        let (mut push, mut late) = (PipelineClock::default(), PipelineClock::default());
+        let mut unsettled: Option<Stages> = None;
+        let mut now = Ps::ZERO;
+        for &((a, b, c), gap) in &batches {
+            let stages = Stages {
+                s1: Ps(bus_scale / 2 + a),
+                s2: Ps(dpu_scale + b),
+                s3: Ps(bus_scale / 2 + c),
+            };
+            // The launch decision sees the late clock with the batch
+            // ahead issued but not settled.
+            prop_assert_eq!(late.slot_free(), push.slot_free());
+            now = late.slot_free().max(now + Ps(gap));
+            let dpu_free = push.dpu_free();
+            let want = push.push(now, stages);
+            if let Some(ahead) = unsettled.take() {
+                late.settle(ahead.s2, ahead.s3);
+                prop_assert_eq!(late.dpu_free(), dpu_free);
+            }
+            prop_assert_eq!(late.issue(now, stages.s1), want);
+            prop_assert_eq!(late.slot_free(), push.slot_free());
+            unsettled = Some(stages);
+        }
+        if let Some(ahead) = unsettled {
+            late.settle(ahead.s2, ahead.s3);
+        }
+        prop_assert_eq!(late.dpu_free(), push.dpu_free());
+        prop_assert_eq!(late.finish(), push.finish());
+        prop_assert_eq!(late.slot_free(), push.slot_free());
     }
 }

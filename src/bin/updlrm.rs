@@ -585,11 +585,13 @@ fn nc_or_exit(args: &Args) -> Option<usize> {
     }
 }
 
-/// `built`, unless it failed for want of a feasible tiling: that is a
-/// usage error of `--dpus` (and of `--nc`, when given), so it exits 2
-/// naming them.
+/// `built`, unless it failed for want of a feasible tiling or of a DPU
+/// count that splits into one group per table: those are usage errors
+/// of `--dpus` (and of `--nc`, when given), so it exits 2 naming them.
 fn tiling_or_exit<T>(args: &Args, built: Result<T, CoreError>) -> Result<T, CoreError> {
-    if let Err(e @ CoreError::NoFeasibleTiling { .. }) = &built {
+    if let Err(e @ (CoreError::NoFeasibleTiling { .. } | CoreError::FleetNotDivisible { .. })) =
+        &built
+    {
         let nc = match args.flags.get("nc") {
             Some(nc) => format!(" with --nc {nc}"),
             None => String::new(),

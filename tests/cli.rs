@@ -1635,6 +1635,149 @@ fn an_infeasible_tiling_exits_2_naming_dpus_and_nc() {
 }
 
 #[test]
+fn a_dpu_count_that_does_not_split_into_table_groups_exits_2_naming_dpus() {
+    // The read dataset has 8 tables: 12 DPUs make no equal group per
+    // table, in `run` and in single-engine `serve` alike.
+    for args in [
+        &["run", "--batches", "1", "--dpus", "12"][..],
+        &["serve", "--batches", "1", "--qps", "1000", "--dpus", "12"],
+    ] {
+        let out = updlrm().args(args).output().expect("updlrm");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {err}");
+        assert!(err.starts_with("--dpus 12: "), "{args:?}: stderr {err}");
+        assert!(
+            err.contains("12 dpus not divisible into 8 table groups"),
+            "{args:?}: stderr {err}"
+        );
+    }
+}
+
+/// Runs `updlrm` with `args`, which write `out` (a path under `dir`
+/// named by the `{out}` argument), and returns the bytes written.
+fn written_by(dir: &std::path::Path, args: &[&str], out: &str) -> Vec<u8> {
+    let path = dir.join(out);
+    let path = path.to_str().expect("utf-8 path");
+    let args: Vec<&str> = args
+        .iter()
+        .map(|&a| if a == "{out}" { path } else { a })
+        .collect();
+    let run = updlrm().args(&args).output().expect("updlrm");
+    assert!(
+        run.status.success(),
+        "{args:?}: stderr {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let bytes = std::fs::read(path).expect("the command wrote its output");
+    std::fs::remove_file(path).ok();
+    bytes
+}
+
+#[test]
+fn event_loop_goldens_regenerate_byte_identical() {
+    // CI's exact invocations of the three goldens the event loop
+    // writes: the open-loop scheduler's metrics, the mid-migration
+    // drift snapshot (its trace step included) and the tenant fleet's
+    // metrics. Each runs twice; both runs must equal the committed
+    // file byte for byte.
+    let dir = std::env::temp_dir().join("updlrm-cli-event-loop-goldens");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let golden = |name: &str| {
+        let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read(path).expect("checked-in golden")
+    };
+    let tenants = tenants_toml().to_str().expect("utf-8 path").to_string();
+    // The drift trace is CI's trace step, read by both drift runs.
+    let trace = dir.join("drift.upwl");
+    let trace = trace.to_str().expect("utf-8 path");
+    let out = updlrm()
+        .args([
+            "trace",
+            "--dataset",
+            "read",
+            "--scale",
+            "5000",
+            "--batches",
+            "6",
+        ])
+        .args(["--seed", "7", "--qps", "10000", "--rotate", "4:64:2000:0.8"])
+        .args(["--out", trace])
+        .output()
+        .expect("trace");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let cases: [(&str, Vec<&str>); 3] = [
+        (
+            "sched_snapshot.json",
+            vec![
+                "serve",
+                "--dataset",
+                "read",
+                "--dpus",
+                "32",
+                "--scale",
+                "1000",
+                "--batches",
+                "3",
+                "--seed",
+                "7",
+                "--qps",
+                "300000",
+                "--arrival",
+                "bursty",
+                "--max-batch",
+                "32",
+                "--max-wait-us",
+                "200",
+                "--queue-cap",
+                "48",
+                "--policy",
+                "shed-oldest",
+                "--metrics",
+                "{out}",
+            ],
+        ),
+        (
+            "drift_snapshot.json",
+            vec![
+                "serve",
+                "--workload-v3",
+                trace,
+                "--max-batch",
+                "32",
+                "--dpus",
+                "128",
+                "--strategy",
+                "u",
+                "--replan",
+                "periodic:8",
+                "--drift-snapshot",
+                "{out}",
+            ],
+        ),
+        (
+            "tenant_snapshot.json",
+            vec!["serve", "--tenants", &tenants, "--metrics", "{out}"],
+        ),
+    ];
+    for (name, args) in &cases {
+        let want = golden(name);
+        for run in 0..2 {
+            let got = written_by(&dir, args, name);
+            assert!(
+                got == want,
+                "{name} run {run} diverges from tests/golden/{name}; if the change is \
+                 intended, regenerate it with CI's invocation in .github/workflows/ci.yml"
+            );
+        }
+    }
+    std::fs::remove_file(trace).ok();
+}
+
+#[test]
 fn drift_flags_refuse_fields_they_used_to_coerce() {
     // A field is refused, not cast: 4.7 sets is not 4, a negative start
     // is not 0, set 1.9 is not set 1, and 1e30 us does not saturate.
