@@ -21,11 +21,17 @@
 //!   admission, overload policy, launch triggers and report statistics
 //!   are one implementation, not a reimplementation — and dispatches
 //!   formed batches round-robin to the shard rings;
-//! * each **worker** owns one [`UpdlrmEngine`] shard, ticks
-//!   it to the batch's launch instant with the batcher's counts so far
-//!   (the same `on_tick` call the scheduler makes), runs the batch through
-//!   `serve_stream`, and reports the pooled embeddings plus the modeled
-//!   breakdown and its *measured* wall time back on a completion ring.
+//! * each **worker** owns one [`UpdlrmEngine`] shard and serves each
+//!   batch as `Scheduler::run` does, through
+//!   [`serve_step`](UpdlrmEngine::serve_step): it ticks the engine to
+//!   the batch's launch instant with the batcher's counts so far, and
+//!   leaves the batch's kernels in flight — on the engine's DPU worker
+//!   when the process may use two or more cores — while it takes the
+//!   next batch off its ring. When the ring is empty it flushes
+//!   ([`serve_flush`](UpdlrmEngine::serve_flush)), so a lone batch
+//!   completes at once. Each completed batch's pooled embeddings,
+//!   modeled breakdown and *measured* wall time go back on a completion
+//!   ring.
 //!
 //! All rings are the SPSC rings of [`mod@ring`] — std's bounded channel,
 //! so a slow stage exerts backpressure instead of growing a queue.
@@ -98,7 +104,10 @@ pub struct RuntimeConfig {
     /// clock — the oracle-locked mode (see the module docs).
     pub deterministic: bool,
     /// Slots per SPSC ring (arrival ring and each shard's work /
-    /// completion rings). Bounds in-flight batches per shard.
+    /// completion rings). A shard holds at most `ring_capacity + 2`
+    /// batches in flight: its queued work, the batch its worker is
+    /// stepping and the batch that step's predecessor left on the
+    /// engine.
     pub ring_capacity: usize,
 }
 
@@ -153,8 +162,10 @@ pub struct WallStats {
     /// Sum of modeled pipeline walls across all batches (ns) — what the
     /// oracle says the engine work took.
     pub modeled_service_ns: f64,
-    /// Sum of measured `serve_stream` wall times across all batches
-    /// (ns) — what the host actually spent computing them.
+    /// Sum of the shards' measured `serve_step` and `serve_flush` wall
+    /// times (ns) — what the host actually spent computing the batches.
+    /// A step's wall holds the tail of the batch it completes and the
+    /// head of the batch it starts.
     pub measured_service_ns: f64,
     /// The `time_scale` the trace was replayed under.
     pub time_scale: f64,
@@ -202,7 +213,8 @@ struct Done {
     ids: Vec<u32>,
     pooled: Vec<Matrix>,
     breakdown: EmbeddingBreakdown,
-    /// Measured wall time of the `serve_stream` call (ns).
+    /// Measured wall of the shard's `serve_step` / `serve_flush` calls
+    /// since its previous completion, this one's included (ns).
     service_wall_ns: u64,
     /// Wall instant (ns since runtime start) the batch finished.
     done_wall_ns: u64,
@@ -369,41 +381,92 @@ fn ingest(times: &[u64], cfg: RuntimeConfig, start: Instant, mut tx: Producer<(u
     // Dropping `tx` is the end-of-stream signal.
 }
 
-/// One shard: ticks its engine to each batch's launch instant, executes
-/// the batch, and measures the wall cost of the modeled pipeline. Exits
-/// on end-of-stream, on engine error (after reporting it), or when the
-/// batcher is gone.
+/// One shard, the runtime's counterpart of `Scheduler::run`'s serving
+/// loop: each batch goes through `serve_step`, which ticks the engine to
+/// the batch's launch instant and leaves its kernels in flight — on the
+/// engine's DPU worker where there is one — while this thread takes the
+/// next batch. Whenever the work ring is empty the worker flushes, so a
+/// lone batch completes at once. Exits on end-of-stream, on engine error
+/// (after reporting it), or when the batcher is gone.
 fn shard_worker(
     engine: &mut UpdlrmEngine,
     mut work_rx: Consumer<WorkItem>,
-    mut done_tx: Producer<Completion>,
+    done_tx: Producer<Completion>,
     start: Instant,
 ) {
-    while let Some(item) = work_rx.pop_blocking() {
-        let ticked = engine.on_tick(item.launch, item.counts);
-        let t0 = Instant::now();
-        let mut pooled = Vec::new();
-        let mut breakdown = EmbeddingBreakdown::default();
-        let res = ticked.and_then(|()| {
-            engine.serve_stream(std::slice::from_ref(&item.batch), |_, p, bd| {
-                pooled = p.to_vec();
-                breakdown = *bd;
-            })
-        });
-        let service_wall_ns = t0.elapsed().as_nanos() as u64;
-        let done_wall_ns = start.elapsed().as_nanos() as u64;
-        let msg = res.map(|_| Done {
-            seq: item.seq,
-            ids: item.ids,
-            pooled,
-            breakdown,
-            service_wall_ns,
-            done_wall_ns,
-        });
-        let failed = msg.is_err();
-        if done_tx.push_blocking(msg).is_err() || failed {
-            return;
+    let mut shard = Shard {
+        engine,
+        done_tx,
+        start,
+        ahead: None,
+        unbooked_ns: 0,
+    };
+    let mut next = work_rx.pop_blocking();
+    while let Some(item) = next {
+        if !shard.serve(Some(item)) {
+            break;
         }
+        next = work_rx.try_pop();
+        if next.is_none() {
+            if !shard.serve(None) {
+                break;
+            }
+            next = work_rx.pop_blocking();
+        }
+    }
+    // A worker whose batcher is gone may stop with a batch in flight:
+    // the engine goes back idle.
+    let _ = shard.engine.serve_flush(|_, _| {});
+}
+
+/// A shard worker's engine and the batch it holds in flight.
+struct Shard<'e> {
+    engine: &'e mut UpdlrmEngine,
+    done_tx: Producer<Completion>,
+    start: Instant,
+    /// Seq and ids of the batch the last step left in flight: the rows
+    /// the next step or flush lends its sink are this batch's.
+    ahead: Option<(usize, Vec<u32>)>,
+    /// Wall of the steps and flushes since the last completion (ns),
+    /// charged to the next one.
+    unbooked_ns: u64,
+}
+
+impl Shard<'_> {
+    /// Steps `item` through the engine — with none, flushes it — and
+    /// sends the batch that call completed, if any, or its error.
+    /// Returns whether the worker goes on.
+    fn serve(&mut self, item: Option<WorkItem>) -> bool {
+        let t0 = Instant::now();
+        let mut rows = None;
+        let sink = |p: &[Matrix], bd: &EmbeddingBreakdown| rows = Some((p.to_vec(), *bd));
+        let (res, completed) = match item {
+            Some(item) => (
+                self.engine
+                    .serve_step(item.launch, item.counts, &item.batch, sink)
+                    .map(drop),
+                self.ahead.replace((item.seq, item.ids)),
+            ),
+            None => (self.engine.serve_flush(sink).map(drop), self.ahead.take()),
+        };
+        self.unbooked_ns += t0.elapsed().as_nanos() as u64;
+        let msg = match (res, rows) {
+            (Ok(()), None) => return true,
+            (Ok(()), Some((pooled, breakdown))) => {
+                let (seq, ids) = completed.expect("rows come back only for a batch in flight");
+                Ok(Done {
+                    seq,
+                    ids,
+                    pooled,
+                    breakdown,
+                    service_wall_ns: std::mem::take(&mut self.unbooked_ns),
+                    done_wall_ns: self.start.elapsed().as_nanos() as u64,
+                })
+            }
+            (Err(e), _) => Err(e),
+        };
+        let failed = msg.is_err();
+        self.done_tx.push_blocking(msg).is_ok() && !failed
     }
 }
 
@@ -492,13 +555,17 @@ where
         (self.sink)(done.seq, &done.ids, &done.pooled, &done.breakdown);
     }
 
-    /// Wall-mode dispatch. Must NOT block without draining completions:
-    /// with a full work ring *and* a full completion ring, the worker
-    /// blocks pushing its completion and a blocked batcher would never
-    /// drain it — a cycle. So this spins on `try_send`, draining
-    /// completions between attempts. A worker that is gone pushed its
-    /// engine error before it exited, so that shard's completions are
-    /// drained first and the invariant error is only the fallback.
+    /// Wall-mode dispatch. While the shard's work ring is full it waits
+    /// on that shard's completion ring, books the completion and tries
+    /// again. That wait cannot deadlock: a full work ring holds a batch
+    /// the worker has yet to step, and every batch it steps comes back
+    /// as a completion (from the next step, or the flush once the ring
+    /// is empty) — unless the worker exits first, having pushed its
+    /// engine error, or the batcher is gone. A blocked completion push
+    /// is no cycle either: it means the ring being waited on is
+    /// non-empty. A worker that is gone pushed its engine error before
+    /// it exited, so that shard's completions are booked first and the
+    /// invariant error is only the fallback.
     fn dispatch_wall(
         &mut self,
         fl: &mut InFlight,
@@ -517,8 +584,10 @@ where
                     return Err(Self::worker_gone(shard, launch.seq, "was dispatched"));
                 }
             }
-            self.drain_completions(fl)?;
-            std::thread::yield_now();
+            match self.done_rxs[shard].pop_blocking() {
+                Some(msg) => self.book_wall(fl, msg?),
+                None => return Err(Self::worker_gone(shard, launch.seq, "was dispatched")),
+            }
         }
         self.batches_per_shard[shard] += 1;
         Ok(())
@@ -531,30 +600,35 @@ where
     }
 
     /// Books every completion currently waiting on `shard`'s ring
-    /// (non-blocking): trigger attribution, measured latency, sink.
+    /// (non-blocking).
     fn drain_shard(&mut self, fl: &mut InFlight, shard: usize) -> Result<()> {
-        let times = &self.workload.arrivals.times_ns;
         while let Some(msg) = self.done_rxs[shard].try_pop() {
-            let done = msg?;
-            fl.last_done_wall = fl.last_done_wall.max(done.done_wall_ns);
-            let slot = fl
-                .triggers
-                .iter()
-                .position(|&(s, _)| s == done.seq)
-                .expect("every dispatched seq has a pending trigger");
-            let (_, trigger) = fl.triggers.swap_remove(slot);
-            fl.tally.batch(done.ids.len(), trigger);
-            self.book(&done);
-            for &id in &done.ids {
-                // Open-loop latency: measured completion minus
-                // *ideal* arrival, so ingest lag counts against us
-                // (no coordinated omission).
-                let ideal = modeled_to_wall(times[id as usize], self.cfg.time_scale);
-                let latency = done.done_wall_ns.saturating_sub(ideal);
-                fl.tally.latencies.push(Ps::from_whole_ns(latency));
-            }
+            self.book_wall(fl, msg?);
         }
         Ok(())
+    }
+
+    /// Books one wall-mode completion: trigger attribution, measured
+    /// latency, sink.
+    fn book_wall(&mut self, fl: &mut InFlight, done: Done) {
+        fl.last_done_wall = fl.last_done_wall.max(done.done_wall_ns);
+        let slot = fl
+            .triggers
+            .iter()
+            .position(|&(s, _)| s == done.seq)
+            .expect("every dispatched seq has a pending trigger");
+        let (_, trigger) = fl.triggers.swap_remove(slot);
+        fl.tally.batch(done.ids.len(), trigger);
+        self.book(&done);
+        let times = &self.workload.arrivals.times_ns;
+        for &id in &done.ids {
+            // Open-loop latency: measured completion minus *ideal*
+            // arrival, so ingest lag counts against us (no coordinated
+            // omission).
+            let ideal = modeled_to_wall(times[id as usize], self.cfg.time_scale);
+            let latency = done.done_wall_ns.saturating_sub(ideal);
+            fl.tally.latencies.push(Ps::from_whole_ns(latency));
+        }
     }
 
     /// The wall-clock mode: the batcher polls a monotonic clock (mapped
@@ -751,6 +825,81 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("worker exited"), "{err}");
         assert_eq!(b.batches_per_shard, [0]);
+    }
+
+    #[test]
+    fn dispatch_to_a_full_ring_waits_for_a_completion_and_books_it() {
+        let spec = workloads::DatasetSpec::goodreads().scaled_down(1000);
+        let mut workload = Workload::generate(
+            &spec,
+            workloads::TraceConfig {
+                num_tables: 1,
+                num_batches: 1,
+                ..Default::default()
+            },
+        );
+        workload.stamp_arrivals(workloads::ArrivalProcess::poisson(1_000.0, 3));
+        let (work_tx, mut work_rx) = ring::<WorkItem>(1);
+        let (mut done_tx, done_rx) = ring::<Completion>(1);
+        let mut sunk = Vec::new();
+        let mut b = Batcher {
+            cfg: RuntimeConfig::default(),
+            workload: &workload,
+            work_txs: vec![work_tx],
+            done_rxs: vec![done_rx],
+            start: Instant::now(),
+            sink: |seq: usize, ids: &[u32], _: &[Matrix], _: &EmbeddingBreakdown| {
+                sunk.push((seq, ids.to_vec()))
+            },
+            batches_per_shard: vec![0],
+            modeled_service_ns: 0.0,
+            measured_service_ns: 0.0,
+        };
+        let mut fl = InFlight {
+            tally: Tally::new(64),
+            triggers: vec![(0, SchedTrigger::Size)],
+            last_done_wall: 0,
+        };
+        let launch = |seq, ids| Launch {
+            seq,
+            at: Ps::ZERO,
+            ids,
+        };
+        // Batch 0 fills the one-slot work ring.
+        let queued = b.make_item(&launch(0, &[0, 1]), fl.tally.snapshot());
+        assert!(b.work_txs[0].try_push(queued).is_ok());
+        const SLOW: std::time::Duration = std::time::Duration::from_millis(30);
+        let sent = std::thread::scope(|s| {
+            // A slow but live worker: takes batch 0, completes it, then
+            // takes whatever comes next.
+            let worker = s.spawn(move || {
+                std::thread::sleep(SLOW);
+                let first = work_rx.pop_blocking().expect("batch 0 is queued");
+                let done = Done {
+                    seq: first.seq,
+                    ids: first.ids,
+                    pooled: Vec::new(),
+                    breakdown: EmbeddingBreakdown::default(),
+                    service_wall_ns: 7,
+                    done_wall_ns: 11,
+                };
+                assert!(done_tx.try_push(Ok(done)).is_ok());
+                work_rx.pop_blocking().expect("batch 1 follows").seq
+            });
+            let t0 = Instant::now();
+            b.dispatch_wall(&mut fl, &launch(1, &[2]), SchedTrigger::Deadline)
+                .unwrap();
+            assert!(t0.elapsed() >= SLOW, "the dispatch waited for the worker");
+            worker.join().unwrap()
+        });
+        assert_eq!(sent, 1, "batch 1 went out after batch 0 came back");
+        assert_eq!(b.batches_per_shard, [1]);
+        assert_eq!(b.measured_service_ns, 7.0);
+        drop(b);
+        assert_eq!(sunk, [(0, vec![0, 1])], "the sink fired once, for batch 0");
+        assert_eq!(fl.triggers, [(1, SchedTrigger::Deadline)]);
+        assert_eq!(fl.last_done_wall, 11);
+        assert_eq!(fl.tally.latencies.len(), 2);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! are machine-dependent; orderings with 40x modeled separation are
 //! not.
 
-use dlrm_model::EmbeddingTable;
+use std::collections::BTreeMap;
+
+use dlrm_model::{EmbeddingTable, Matrix};
 use runtime::{Runtime, RuntimeConfig, RuntimeReport};
 use scheduler::{report_is_finite, OverloadPolicy, SchedConfig, Scheduler};
 use updlrm_core::{PartitionStrategy, UpdlrmConfig, UpdlrmEngine};
@@ -184,6 +186,94 @@ fn wall_mode_rejects_closed_loop_and_mismatched_shards() {
     assert!(err.to_string().contains("arrival"), "{err}");
 }
 
+/// Each request's pooled rows, as bits, one `Vec` per table, keyed by
+/// request id.
+type RowsById = BTreeMap<u32, Vec<Vec<u32>>>;
+
+fn keep_rows(rows: &mut RowsById, ids: &[u32], pooled: &[Matrix]) {
+    for (k, &id) in ids.iter().enumerate() {
+        let per_table = pooled
+            .iter()
+            .map(|m| m.row(k).iter().map(|v| v.to_bits()).collect())
+            .collect();
+        assert!(
+            rows.insert(id, per_table).is_none(),
+            "request {id} sunk twice"
+        );
+    }
+}
+
+#[test]
+fn wall_mode_sinks_each_request_its_own_rows() {
+    // A shard completes the batch the previous step left in flight, so
+    // the rows a completion carries are that batch's, not the batch just
+    // stepped. Wall mode forms its own batches, but each request's pooled
+    // rows cannot depend on its batch mates: keyed by request id they
+    // must equal `Scheduler::run`'s exactly (integer-valued tables sum
+    // exactly in any order). Nothing may shed, so every request has rows.
+    let sched = SchedConfig {
+        max_batch_size: 16,
+        max_wait_ns: 50_000,
+        queue_cap: 1024,
+        policy: OverloadPolicy::ShedOldest,
+    };
+    let saturating = ArrivalProcess::poisson(50_000_000.0, 53);
+    let paced = ArrivalProcess::poisson(40_000.0, 59);
+    let handoffs = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+    for (arrivals, label) in [(saturating, "saturating"), (paced, "paced")] {
+        let (tables, workload) = setup(4, arrivals);
+        let mut oracle = RowsById::new();
+        let mut eng = engines(&tables, &workload, 16, 1);
+        Scheduler::new(sched)
+            .unwrap()
+            .run(&mut eng[0], &workload, |_, ids, pooled, _| {
+                keep_rows(&mut oracle, ids, pooled)
+            })
+            .unwrap();
+        assert_eq!(oracle.len(), workload.arrivals.times_ns.len());
+        for shards in [1usize, 2] {
+            for ring_capacity in [1usize, 8] {
+                let case = format!("{label}, {shards} shards, ring {ring_capacity}");
+                let mut eng = engines(&tables, &workload, 16, shards);
+                let rt = Runtime::new(RuntimeConfig {
+                    sched,
+                    shards,
+                    time_scale: 1.0,
+                    deterministic: false,
+                    ring_capacity,
+                })
+                .unwrap();
+                let mut rows = RowsById::new();
+                let r = rt
+                    .run(&mut eng, &workload, |_, ids, pooled, _| {
+                        keep_rows(&mut rows, ids, pooled)
+                    })
+                    .unwrap();
+                assert_eq!(r.sched.completed, r.sched.requests, "{case}");
+                assert!(rows == oracle, "{case}: rows differ from the oracle's");
+                for (s, e) in eng.iter().enumerate() {
+                    let want = if handoffs { r.batches_per_shard[s] } else { 0 };
+                    assert_eq!(e.dpu_handoffs(), want, "{case}, shard {s}");
+                }
+            }
+        }
+    }
+}
+
+/// `workload` with request `id`'s first table-0 index moved past every
+/// table's last row: whichever engine serves that request fails in
+/// stage 1 with its own "out of range" error.
+fn poison(workload: &mut Workload, id: usize) {
+    let bs = workload.config.batch_size;
+    let sparse = &mut workload.batches[id / bs].sparse[0];
+    let first = sparse.offsets[id % bs];
+    assert!(
+        first < sparse.offsets[id % bs + 1],
+        "request {id} has no lookup"
+    );
+    sparse.indices[first] = u64::MAX >> 1;
+}
+
 #[test]
 fn a_failing_shard_reports_its_own_error() {
     // Shard 1's engine has one table for a two-table workload, so the
@@ -193,6 +283,14 @@ fn a_failing_shard_reports_its_own_error() {
     // hang, in both modes. Wall mode runs repeatedly: whether a drain
     // or a dispatch is first to meet the dead shard depends on the
     // thread schedule.
+    //
+    // Then a shard fails on a *later* batch: a request three quarters
+    // into a saturating trace cannot be routed, so the engine that gets
+    // it fails while, in wall mode, the batch ahead of it is usually
+    // still in flight on that engine (the whole trace arrives at once
+    // and the rings hold every batch, so a worker's ring runs dry only
+    // at the end). The run must still return that
+    // engine's error, after the batches before it have been sunk.
     let (tables, workload) = setup(2, ArrivalProcess::poisson(500_000.0, 43));
     let spec = DatasetSpec::goodreads().scaled_down(5000);
     let mut one_table = Workload::generate(
@@ -226,6 +324,41 @@ fn a_failing_shard_reports_its_own_error() {
             assert!(
                 err.to_string().contains("sparse groups"),
                 "deterministic = {deterministic}, run {run}: {err}"
+            );
+        }
+    }
+
+    let mut late = setup(8, ArrivalProcess::poisson(50_000_000.0, 47));
+    let requests = late.1.arrivals.times_ns.len();
+    poison(&mut late.1, requests * 3 / 4);
+    let (tables, workload) = late;
+    // Room for the whole trace: the poisoned request is never shed.
+    let sched = SchedConfig {
+        queue_cap: requests,
+        ..sched
+    };
+    for (deterministic, runs) in [(true, 1), (false, 20)] {
+        for run in 0..runs {
+            let mut eng = engines(&tables, &workload, 64, 2);
+            let rt = Runtime::new(RuntimeConfig {
+                sched,
+                shards: 2,
+                time_scale: 1.0,
+                deterministic,
+                ring_capacity: 64,
+            })
+            .unwrap();
+            let mut sunk = 0;
+            let err = rt
+                .run(&mut eng, &workload, |_, _, _, _| sunk += 1)
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("out of range"),
+                "deterministic = {deterministic}, run {run}: {err}"
+            );
+            assert!(
+                sunk > 0,
+                "deterministic = {deterministic}, run {run}: no batch sunk"
             );
         }
     }

@@ -28,8 +28,9 @@
 //! launch and lends batch `i`'s pooled rows to the sink; with no batch
 //! it is the drain. A stream is one step per batch and a drain;
 //! [`UpdlrmEngine::serve_step`] carries the same order across calls,
-//! one formed batch per call, for the scheduler's event loop, and
-//! [`UpdlrmEngine::serve_flush`] is its drain. A step launches on the
+//! one formed batch per call, for the scheduler's event loop and the
+//! runtime's shard workers, and [`UpdlrmEngine::serve_flush`] is its
+//! drain. A step launches on the
 //! engine's one persistent DPU worker thread — spawned by the first
 //! step that uses it, joined when the engine drops — when the process
 //! may use two or more cores and the serve has more than one batch to
