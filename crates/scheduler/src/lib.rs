@@ -432,12 +432,12 @@ where
     fn serve(&mut self, launch: &Launch<'_>, tally: &Tally) -> Result<Step> {
         // Between-batch tick, inside serve_step: the engine's online
         // replanner flips a completed migration (or begins one) at the
-        // launch instant, never mid-batch. A tick that acts first
-        // completes the batch in flight, so no scatter writes what a
-        // batch still reads and no flip moves the placement under a
-        // batch not yet gathered; a tick never both flips and begins a
-        // scatter, and the next launch waits for the batch ahead to
-        // drain on the modeled clock.
+        // launch instant, never mid-batch. A tick that acts plans or
+        // installs while the batch in flight runs, and writes tiles or
+        // repoints kernels only once that batch is back and gathered,
+        // so no scatter writes what a launch still reads; a tick never
+        // both flips and begins a scatter, and the next launch waits
+        // for the batch ahead to drain on the modeled clock.
         assemble_into(self.workload, launch.ids, self.batch);
         let (ahead, sink) = (&*self.in_flight, &mut self.sink);
         let step =

@@ -6,9 +6,10 @@
 //! decide *when* work runs, never *what* it computes.
 //!
 //! A second property pins the host pipelining of `Scheduler::run`: its
-//! batch `i`'s kernels are in flight while it serves batch `i + 1`, and
-//! a tick that replans first completes them. It must produce exactly
-//! what serving each batch to completion in its own call produces.
+//! batch `i`'s kernels are in flight while it serves batch `i + 1`,
+//! across replan ticks too — a flip, a begun migration or a declined
+//! one. It must produce exactly what serving each batch to completion
+//! in its own call produces.
 
 use dlrm_model::{EmbedDtype, EmbeddingTable, Matrix, QueryBatch, SparseInput};
 use scheduler::{
@@ -333,5 +334,164 @@ fn pipelined_scheduler_run_equals_serving_each_batch_in_its_own_call() {
                 assert_eq!(pipelined.3.is_some(), replan.enabled(), "{case}");
             }
         }
+    }
+}
+
+/// Runs `workload` through `Scheduler::run` and through the `Lockstep`
+/// server, each on a fresh engine built with `config`. Returns both
+/// runs and the pipelined run's engine.
+fn pipelined_and_lockstep(
+    config: &UpdlrmConfig,
+    tables: &[EmbeddingTable],
+    workload: &Workload,
+    cfg: SchedConfig,
+) -> (Run, Run, UpdlrmEngine) {
+    let build = || UpdlrmEngine::from_workload(config.clone(), tables, workload).unwrap();
+    let mut eng = build();
+    let mut sunk = Vec::new();
+    let report = Scheduler::new(cfg)
+        .unwrap()
+        .run(&mut eng, workload, |seq, ids, pooled, bd| {
+            sunk.push((seq, ids.to_vec(), pooled.to_vec(), *bd));
+        })
+        .unwrap();
+    let pipelined: Run = (
+        report,
+        sunk,
+        eng.metrics_snapshot(),
+        eng.drift_snapshot().cloned(),
+    );
+
+    let mut reference = build();
+    let mut core = EventLoop::new(cfg).unwrap();
+    let mut server = Lockstep {
+        engine: &mut reference,
+        workload,
+        batch: QueryBatch {
+            sparse: vec![SparseInput::default(); workload.config.num_tables],
+            ..QueryBatch::default()
+        },
+        sunk: Vec::new(),
+    };
+    let trace = &workload.arrivals;
+    let mut arrivals = (0u32..).zip(trace.times_ns.iter().copied());
+    let makespan = core.run(trace, || arrivals.next(), &mut server).unwrap();
+    let sunk = std::mem::take(&mut server.sunk);
+    reference.metrics_mut().record_sched(&core.tally.snapshot());
+    let lockstep: Run = (
+        core.tally.finish(makespan),
+        sunk,
+        reference.metrics_snapshot(),
+        reference.drift_snapshot().cloned(),
+    );
+    (pipelined, lockstep, eng)
+}
+
+/// The saturating scheduler configuration of the replan properties.
+const SATURATING: SchedConfig = SchedConfig {
+    max_batch_size: 32,
+    max_wait_ns: 100_000,
+    queue_cap: 64,
+    policy: OverloadPolicy::ShedOldest,
+};
+
+/// Every replan tick of a `Scheduler::run` — a flip, a begun migration
+/// or a declined one — is served with the batch ahead still in flight,
+/// and the run still equals serving each batch to completion in its own
+/// call. At `periodic:2` on a rotating hot set, for {U, NU, CA}.
+#[test]
+fn replan_ticks_are_served_with_the_batch_ahead_in_flight() {
+    let spec = DatasetSpec::goodreads().scaled_down(5000);
+    let drift = DriftSchedule {
+        rotation: Some(HotSetRotation {
+            num_sets: 4,
+            set_size: 64,
+            period_ns: 300_000,
+            hot_fraction: 0.8,
+        }),
+        spikes: Vec::new(),
+        diurnal: None,
+    };
+    let workload = Workload::generate_drifting(
+        &spec,
+        TraceConfig {
+            num_tables: 2,
+            num_batches: 8,
+            ..TraceConfig::default()
+        },
+        drift,
+        ArrivalProcess::poisson(400_000.0, 5),
+    );
+    let tables: Vec<EmbeddingTable> = (0..2)
+        .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, DIM, 3, t as u64).unwrap())
+        .collect();
+    for strategy in [
+        PartitionStrategy::Uniform,
+        PartitionStrategy::NonUniform,
+        PartitionStrategy::CacheAware,
+    ] {
+        let config = UpdlrmConfig {
+            batch_size: 32,
+            ..UpdlrmConfig::with_dpus(16, strategy)
+                .with_replan(ReplanPolicy::Periodic { every_batches: 2 })
+                .with_telemetry()
+        };
+        let (pipelined, lockstep, eng) =
+            pipelined_and_lockstep(&config, &tables, &workload, SATURATING);
+        assert!(pipelined == lockstep, "{strategy}: the two runs differ");
+        let d = &pipelined.2.drift;
+        let acted = d.migrations_completed + d.replans_triggered + d.replans_skipped;
+        assert!(d.migrations_completed >= 2, "{strategy}: {d:?}");
+        assert_eq!(eng.overlapped_ticks(), acted, "{strategy}: {d:?}");
+    }
+}
+
+/// The decline path with the batch ahead in flight: on a trace whose
+/// every query is the same sample, a window ranks rows as the build's
+/// profile did, so a refit reproduces the serving layout and is
+/// declined (NU declines every replan; CA migrates once, then declines).
+/// `Scheduler::run` still equals serving each batch in its own call —
+/// report, sink rows, breakdowns, telemetry and drift snapshot — for NU
+/// and CA, which refit with their own strategy.
+#[test]
+fn declined_replans_equal_serving_each_batch_in_its_own_call() {
+    let spec = DatasetSpec::goodreads().scaled_down(5000);
+    let mut workload = Workload::generate(
+        &spec,
+        TraceConfig {
+            num_tables: 2,
+            num_batches: 8,
+            ..TraceConfig::default()
+        },
+    );
+    let first: Vec<Vec<u64>> = workload.batches[0]
+        .sparse
+        .iter()
+        .map(|s| s.sample(0).to_vec())
+        .collect();
+    for batch in &mut workload.batches {
+        let b = batch.batch_size();
+        for (sparse, sample) in batch.sparse.iter_mut().zip(&first) {
+            *sparse = SparseInput::from_samples(vec![sample.clone(); b]);
+        }
+    }
+    workload.stamp_arrivals(ArrivalProcess::poisson(400_000.0, 5));
+    let tables: Vec<EmbeddingTable> = (0..2)
+        .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, DIM, 3, t as u64).unwrap())
+        .collect();
+    for strategy in [PartitionStrategy::NonUniform, PartitionStrategy::CacheAware] {
+        let config = UpdlrmConfig {
+            batch_size: 32,
+            ..UpdlrmConfig::with_dpus(16, strategy)
+                .with_replan(ReplanPolicy::Periodic { every_batches: 2 })
+                .with_telemetry()
+        };
+        let (pipelined, lockstep, eng) =
+            pipelined_and_lockstep(&config, &tables, &workload, SATURATING);
+        assert!(pipelined == lockstep, "{strategy}: the two runs differ");
+        let d = &pipelined.2.drift;
+        assert!(d.replans_skipped >= 2, "{strategy}: {d:?}");
+        let acted = d.migrations_completed + d.replans_triggered + d.replans_skipped;
+        assert_eq!(eng.overlapped_ticks(), acted, "{strategy}: {d:?}");
     }
 }

@@ -52,7 +52,7 @@ use crate::residency::ResidencyReport;
 use crate::telemetry::{MetricsRegistry, Snapshot};
 use crate::tiling::Tiling;
 use build::TableState;
-use cooccur_cache::{CacheHit, LookupScratch};
+use cooccur_cache::{CacheHit, CacheTraffic, LookupScratch};
 use dlrm_model::{Dlrm, EmbeddingTable, Matrix, QueryBatch};
 use upmem_sim::{DpuId, Fleet, LaunchReport, Ps, TransferReport};
 
@@ -207,12 +207,14 @@ pub(crate) struct LaunchGroup {
 }
 
 /// The batch occupying one staging slot between its stage 1 and its
-/// stage 3: its sample count and its host-tier hits `(table, sample,
-/// host slot)` in route order, which wait for *its* combine.
+/// stage 3: its sample count, its host-tier hits `(table, sample, host
+/// slot)` in route order, which wait for *its* combine, and its cache
+/// probe counters, which its scatter records.
 #[derive(Debug, Default)]
 struct StagedBatch {
     samples: usize,
     host_refs: Vec<(u32, u32, u32)>,
+    traffic: CacheTraffic,
 }
 
 /// Reusable per-engine working memory for the per-batch pipeline. Every
@@ -367,6 +369,9 @@ pub struct UpdlrmEngine {
     pub(crate) in_flight: Option<crate::serve::InFlight>,
     /// Launches sent to `worker` over the engine's lifetime.
     pub(crate) handoffs: u64,
+    /// Replan ticks that acted while a `serve_step` batch was in
+    /// flight, over the engine's lifetime.
+    pub(crate) overlapped_ticks: u64,
 }
 
 impl std::fmt::Debug for UpdlrmEngine {

@@ -23,10 +23,13 @@ impl UpdlrmEngine {
     /// The host half of stage 1 of `batch` into staging slot `slot`.
     /// Validates the batch, builds the per-partition reference streams
     /// (padded when `pad_transfers`) and records the batch's sample
-    /// count and host-tier hits in the slot. It touches no DPU, so it
-    /// runs while the DPU worker has the fleet. Returns the batch's
-    /// breakdown with routing filled in; [`UpdlrmEngine::scatter`]
-    /// sends the streams.
+    /// count, host-tier hits and cache traffic in the slot. It touches
+    /// no DPU and records nothing in the registry, so it runs while the
+    /// DPU worker has the fleet, and before a replan tick's records; a
+    /// batch it refuses leaves no trace in the replanner's window
+    /// either. Returns the batch's breakdown with routing filled in;
+    /// [`UpdlrmEngine::scatter`] sends the streams and records the
+    /// traffic.
     pub(crate) fn route(&mut self, batch: &QueryBatch, slot: usize) -> Result<EmbeddingBreakdown> {
         batch.validate()?;
         if batch.sparse.len() != self.tables.len() {
@@ -76,7 +79,6 @@ impl UpdlrmEngine {
             tables,
             config,
             scratch,
-            metrics,
             drift,
             host_probe,
             ..
@@ -98,12 +100,6 @@ impl UpdlrmEngine {
             let sparse = &batch.sparse[t];
             let parts = state.tiling.row_parts;
             route_refs += sparse.total_lookups();
-            // Sliding-window profile for the replanner: raw row
-            // references, before the cache split, so a replan sees the
-            // same frequencies a fresh trace profile would.
-            if let Some(d) = drift.as_mut() {
-                d.window[t].record_input(sparse);
-            }
             // One pass over the table's indices, in sample order: every
             // reference goes straight into its partition's CSR stream.
             // The loop is picked once per table from what the table
@@ -173,9 +169,15 @@ impl UpdlrmEngine {
         // as cache hits and pay the probe on top of the routing pass.
         bd.cache_hits = traffic.hit_entries + host_refs.len() as u64;
         bd.emt_lookups += traffic.residual_refs;
-        metrics.record_cache_traffic(&traffic);
+        staged.traffic = traffic;
         bd.route = ROUTE_PER_REF * route_refs as u64 + *host_probe * host_refs.len() as u64;
+        // Sliding-window profile for the replanner: raw row references,
+        // before the cache split, so a replan sees the same frequencies
+        // a fresh trace profile would.
         if let Some(d) = drift.as_mut() {
+            for (window, sparse) in d.window.iter_mut().zip(&batch.sparse) {
+                window.record_input(sparse);
+            }
             d.batches_in_window += 1;
         }
         if config.pad_transfers {
@@ -191,7 +193,8 @@ impl UpdlrmEngine {
     /// [`UpdlrmEngine::route`] built into staging slot `slot`, rank by
     /// rank — each row partition's stream broadcast to all of its
     /// column slices in one bus pass, to groups fixed at construction —
-    /// and fills in the batch's stage 1.
+    /// fills in the batch's stage 1, and records the slot's cache
+    /// traffic and the transfer.
     pub(crate) fn scatter(&mut self, slot: usize, bd: &mut EmbeddingBreakdown) -> Result<()> {
         let UpdlrmEngine {
             dpu,
@@ -204,7 +207,10 @@ impl UpdlrmEngine {
         } = self;
         let fleet = &mut dpu.get_mut().fleet;
         let BatchScratch {
-            streams, transfers, ..
+            streams,
+            transfers,
+            staged,
+            ..
         } = scratch;
         transfers.clear();
         for io in ranks.iter() {
@@ -220,6 +226,7 @@ impl UpdlrmEngine {
             transfers.push(report);
         }
         let report = fleet.combine_transfers(&*transfers);
+        metrics.record_cache_traffic(&staged[slot].traffic);
         metrics.record_transfer(true, &report);
         bd.stage1 = report.wall;
         bd.energy_pj += report.energy_pj;

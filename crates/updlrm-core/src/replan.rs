@@ -156,6 +156,20 @@ struct PendingMigration {
     tables: Vec<Placement>,
 }
 
+/// A tick that acts, between its two halves:
+/// [`UpdlrmEngine::tick_host`] decided it, touching no DPU, and
+/// [`UpdlrmEngine::tick_fleet`] completes it with the DPU side home.
+pub(crate) enum Tick {
+    /// Begin a migration to these placements; their tiles are not
+    /// written yet.
+    Begin(Vec<Placement>),
+    /// Decline the replan: a refit does not fit or changes nothing.
+    Decline,
+    /// Flip: the staged placements are installed, and the kernels still
+    /// point at the old region.
+    Flip,
+}
+
 /// Replanner state, present only when
 /// [`UpdlrmConfig::replan`](crate::config::UpdlrmConfig) is enabled.
 pub(crate) struct DriftState {
@@ -200,15 +214,18 @@ impl UpdlrmEngine {
     /// [`UpdlrmConfig::replan`](crate::config::UpdlrmConfig) is
     /// enabled. Front-ends call this between batches — the scheduler's
     /// event loop and the wall runtime's shard workers tick it at every
-    /// launch instant — with `counts`, their scheduler tally so far
+    /// launch instant, through [`serve_step`](UpdlrmEngine::serve_step)
+    /// — with `counts`, their scheduler tally so far
     /// ([`SchedSnapshot`]): the engine counts no scheduler events, so a
     /// tick that takes the mid-migration snapshot stamps them into its
     /// `sched` block.
     ///
     /// A tick that does nothing — no flip is due and no replan — may
     /// come while a [`serve_step`](UpdlrmEngine::serve_step) batch is
-    /// in flight; any other needs the engine idle, which `serve_step`
-    /// sees to: it completes the batch in flight before such a tick.
+    /// in flight; any other needs the engine idle. `serve_step` ticks
+    /// with its batch in flight itself: it splits the tick at the fleet
+    /// and keeps the launch away across the half that does not touch
+    /// it.
     ///
     /// # Errors
     ///
@@ -222,19 +239,60 @@ impl UpdlrmEngine {
         if self.tick_acts(now) {
             self.ensure_idle("a replan tick")?;
         }
-        let Some(mut drift) = self.drift.take() else {
-            return Ok(());
-        };
-        let result = match &drift.pending {
+        match self.tick_host(now) {
+            Some(tick) => self.tick_fleet(tick, now, &counts),
+            None => Ok(()),
+        }
+    }
+
+    /// The half of a tick at `now` that touches no DPU, so it runs while
+    /// a launch is away: installs the staged placements of a flip that
+    /// is due, or plans a due replan and consumes the window. Returns
+    /// what is left for [`tick_fleet`](Self::tick_fleet), or `None` for
+    /// a tick that does not act.
+    pub(crate) fn tick_host(&mut self, now: Ps) -> Option<Tick> {
+        let mut drift = self.drift.take()?;
+        let tick = match &drift.pending {
             Some(p) if now >= p.done_at => {
-                self.complete_migration(&mut drift, now);
-                Ok(())
+                let mut staged = drift.pending.take().expect("a flip is due").tables;
+                for (state, placement) in self.tables.iter_mut().zip(staged.drain(..)) {
+                    state.placement = placement;
+                }
+                drift.staged_buf = staged;
+                Some(Tick::Flip)
             }
-            None if self.replan_due(&drift) => self.begin_migration(&mut drift, now, &counts),
-            _ => Ok(()),
+            None if self.replan_due(&drift) => {
+                let mut staged = std::mem::take(&mut drift.staged_buf);
+                let go = self.plan_flips(&drift.window, &mut staged);
+                // The window is consumed by the decision either way.
+                for w in &mut drift.window {
+                    w.clear();
+                }
+                drift.batches_in_window = 0;
+                if go {
+                    Some(Tick::Begin(staged))
+                } else {
+                    staged.clear();
+                    drift.staged_buf = staged;
+                    Some(Tick::Decline)
+                }
+            }
+            _ => None,
         };
         self.drift = Some(drift);
-        result
+        tick
+    }
+
+    /// The half of an acting tick that needs the DPU side home: writes
+    /// a begun migration's tiles, or repoints the kernels at a flip's
+    /// region, and records the tick.
+    pub(crate) fn tick_fleet(&mut self, tick: Tick, now: Ps, counts: &SchedSnapshot) -> Result<()> {
+        match tick {
+            Tick::Begin(staged) => self.begin_migration(staged, now, counts)?,
+            Tick::Decline => self.metrics.record_replan_skip(),
+            Tick::Flip => self.complete_migration(now),
+        }
+        Ok(())
     }
 
     /// Whether [`on_tick`](Self::on_tick) at `now` would act: flip the
@@ -299,33 +357,20 @@ impl UpdlrmEngine {
         changed
     }
 
-    /// Plans a fresh placement for every table from the sliding window,
-    /// scatters the re-partitioned tiles into the inactive MRAM
-    /// regions, and charges the modeled migration cost. The flip is
-    /// deferred to the modeled instant the scatter completes
-    /// ([`UpdlrmEngine::on_tick`]); until then serving continues on the
-    /// old placement, whose regions the scatter never touches.
+    /// Scatters the re-partitioned tiles of `staged`, the placements
+    /// [`tick_host`](Self::tick_host) planned from the sliding window,
+    /// into the inactive MRAM regions, and charges the modeled
+    /// migration cost. The flip is deferred to the modeled instant the
+    /// scatter completes ([`UpdlrmEngine::on_tick`]); until then serving
+    /// continues on the old placement, whose regions the scatter never
+    /// touches.
     fn begin_migration(
         &mut self,
-        drift: &mut DriftState,
+        staged: Vec<Placement>,
         now: Ps,
         counts: &SchedSnapshot,
     ) -> Result<()> {
-        let mut staged = std::mem::take(&mut drift.staged_buf);
-        let go = self.plan_flips(&drift.window, &mut staged);
-
-        // The window is consumed by the decision either way.
-        for w in &mut drift.window {
-            w.clear();
-        }
-        drift.batches_in_window = 0;
-        if !go {
-            staged.clear();
-            drift.staged_buf = staged;
-            self.metrics.record_replan_skip();
-            return Ok(());
-        }
-
+        let drift = self.drift.as_mut().expect("a replan has drift state");
         // Scatter phase: write the staged tiles into the inactive
         // regions (functionally safe — nothing serves from them) and
         // accumulate the modeled cost: one host->MRAM bulk pass over
@@ -386,17 +431,13 @@ impl UpdlrmEngine {
         Ok(())
     }
 
-    /// The atomic flip: installs every table's staged placement and
-    /// repoints every kernel task's EMT/cache bases at the freshly
-    /// scattered regions. Between two batches this is instantaneous in
-    /// modeled time; the migration's cost was charged when the scatter
-    /// was staged.
-    fn complete_migration(&mut self, drift: &mut DriftState, now: Ps) {
-        let mut staged = drift.pending.take().expect("migration in flight").tables;
-        for (state, placement) in self.tables.iter_mut().zip(staged.drain(..)) {
-            state.placement = placement;
-        }
-        drift.staged_buf = staged;
+    /// The atomic flip's fleet half, after [`tick_host`](Self::tick_host)
+    /// installed every table's staged placement: swaps the serving
+    /// region and repoints every kernel task's EMT/cache bases at the
+    /// freshly scattered one. Between two batches this is instantaneous
+    /// in modeled time; the migration's cost was charged when the
+    /// scatter was staged.
+    fn complete_migration(&mut self, now: Ps) {
         self.active_emt ^= 1;
         // A new generation: what a DPU's WRAM holds is a copy of the
         // region that stopped serving, so every resident block refills

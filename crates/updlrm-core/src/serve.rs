@@ -24,13 +24,15 @@
 //! The host overlaps batches too, with one pipelined step that both
 //! front-end shapes call. A step for batch `i + 1` routes it while
 //! batch `i`'s launch is still in flight, takes that launch back,
-//! scatters batch `i + 1` and gathers batch `i`, sends batch `i + 1`'s
+//! gathers batch `i` and scatters batch `i + 1`, sends batch `i + 1`'s
 //! launch and lends batch `i`'s pooled rows to the sink; with no batch
 //! it is the drain. A stream is one step per batch and a drain;
 //! [`UpdlrmEngine::serve_step`] carries the same order across calls,
 //! one formed batch per call, for the scheduler's event loop and the
 //! runtime's shard workers, and [`UpdlrmEngine::serve_flush`] is its
-//! drain. A step launches on the
+//! drain. A replan tick rides in the same step: the half of it that
+//! touches no DPU runs before the route, and the half that needs the
+//! fleet between the gather and the scatter. A step launches on the
 //! engine's one persistent DPU worker thread — spawned by the first
 //! step that uses it, joined when the engine drops — when the process
 //! may use two or more cores and the serve has more than one batch to
@@ -46,9 +48,11 @@
 //!
 //! A failed launch reports its error at the step that takes it back,
 //! after the sink of the batch ahead of it, whichever thread ran it. A
-//! step that fails takes the launch in flight back first and drops it
-//! unsinked, so the DPU side is home and nothing is in flight whenever
-//! a step returns an error.
+//! step that fails takes the launch in flight back first, so the DPU
+//! side is home and nothing is in flight whenever a step returns an
+//! error; a tick in the step completes first. A failed route or launch
+//! drops the batch it took back unsinked; once that batch is gathered
+//! it reaches the sink, whatever fails after.
 
 use crate::engine::{DpuWorker, EmbeddingBreakdown, UpdlrmEngine, STAGING_SLOTS};
 use crate::error::{CoreError, Result};
@@ -234,8 +238,9 @@ impl UpdlrmEngine {
     {
         scr.breakdowns.clear();
         let breakdowns = &mut scr.breakdowns;
+        let home = |_: &mut Self, _: Option<&EmbeddingBreakdown>| Ok(());
         for batch in batches.iter().map(Some).chain([None]) {
-            self.pipelined_step(batch, away, |pooled, bd| {
+            self.pipelined_step(batch, away, home, |pooled, bd| {
                 sink(breakdowns.len(), pooled, bd);
                 breakdowns.push(*bd);
             })?;
@@ -255,8 +260,14 @@ impl UpdlrmEngine {
     /// breakdown to `sink`. `batch` is left in flight, for the next
     /// call or [`serve_flush`](Self::serve_flush) to complete.
     ///
-    /// A tick that flips or begins a migration (or declines one) first
-    /// completes the batch in flight, then ticks: the fleet, the
+    /// A tick that flips or begins a migration (or declines one) keeps
+    /// the batch in flight too. Its half that touches no DPU runs
+    /// while that batch's kernels do, before `batch` is routed: the
+    /// flip installs the staged placements, the replan is planned and
+    /// the window consumed. Its other half runs once the launch is
+    /// back, after the batch is gathered and recorded and before
+    /// `batch` is scattered: the staged tiles are written, or the
+    /// kernels repointed, and the tick is recorded. The fleet, the
     /// placement and the telemetry then see the operations of one batch
     /// served to completion per call, in the same order. Each completed
     /// batch is recorded as a one-batch serve, as a one-batch
@@ -269,8 +280,12 @@ impl UpdlrmEngine {
     /// # Errors
     ///
     /// As [`UpdlrmEngine::on_tick`] and [`UpdlrmEngine::run_batch`].
-    /// An error leaves nothing in flight: the batch that was is dropped
-    /// without reaching `sink`.
+    /// An error leaves nothing in flight. The batch that was is dropped
+    /// without reaching `sink` when its launch or `batch`'s route
+    /// fails; when the tick's tile writes or `batch`'s scatter fail, it
+    /// was gathered and recorded first, and reaches `sink`. A flip
+    /// completes whatever else fails; a begin whose tile writes fail
+    /// records nothing, and the old placement keeps serving.
     pub fn serve_step<F>(
         &mut self,
         now: Ps,
@@ -282,19 +297,19 @@ impl UpdlrmEngine {
         F: FnOnce(&[Matrix], &EmbeddingBreakdown),
     {
         let away = self.dpu_worker_ready();
-        let (settled, s1) = if self.tick_acts(now) {
-            let done = self.pipelined_step(None, away, sink)?.0;
-            let settled = done.map(|bd| self.record_one_batch_serve(&bd));
-            self.on_tick(now, counts)?;
-            (
-                settled,
-                self.pipelined_step(Some(batch), away, |_, _| {})?.1,
-            )
-        } else {
-            self.on_tick(now, counts)?;
-            let (done, s1) = self.pipelined_step(Some(batch), away, sink)?;
-            (done.map(|bd| self.record_one_batch_serve(&bd)), s1)
+        let tick = self.tick_host(now);
+        if tick.is_some() && self.in_flight.is_some() {
+            self.overlapped_ticks += 1;
+        }
+        let mut settled = None;
+        let home = |engine: &mut Self, done: Option<&EmbeddingBreakdown>| {
+            settled = done.map(|bd| engine.record_one_batch_serve(bd));
+            match tick {
+                Some(tick) => engine.tick_fleet(tick, now, &counts),
+                None => Ok(()),
+            }
         };
+        let s1 = self.pipelined_step(Some(batch), away, home, sink)?;
         Ok(Step {
             settled,
             s1,
@@ -314,8 +329,13 @@ impl UpdlrmEngine {
     where
         F: FnOnce(&[Matrix], &EmbeddingBreakdown),
     {
-        let (done, _) = self.pipelined_step(None, false, sink)?;
-        Ok(done.map(|bd| self.record_one_batch_serve(&bd)))
+        let mut settled = None;
+        let home = |engine: &mut Self, done: Option<&EmbeddingBreakdown>| {
+            settled = done.map(|bd| engine.record_one_batch_serve(bd));
+            Ok(())
+        };
+        self.pipelined_step(None, false, home, sink)?;
+        Ok(settled)
     }
 
     /// Records `bd`'s batch as the one-batch serve it is — its wall is
@@ -329,62 +349,90 @@ impl UpdlrmEngine {
 
     /// The pipelined serve's one step (module docs). Routes `batch`
     /// into the staging slot the batch in flight does not hold, takes
-    /// that batch's launch back, scatters `batch`, gathers the batch in
-    /// flight, launches `batch` — on the DPU worker when `away` — and
-    /// lends the gathered batch's pooled rows to `sink`. Returns the
-    /// gathered batch's breakdown and `batch`'s stage 1. With no batch
-    /// it is the drain; with nothing in flight it gathers nothing.
-    fn pipelined_step<F>(
+    /// that batch's launch back, gathers it, runs `home` with the DPU
+    /// side home, scatters `batch`, launches it — on the DPU worker
+    /// when `away` — and lends the gathered batch's pooled rows to
+    /// `sink`. `home` gets the gathered batch's breakdown, or `None`
+    /// when nothing was gathered, and runs whatever else fails. Returns
+    /// `batch`'s stage 1. With no batch it is the drain; with nothing
+    /// in flight it gathers nothing.
+    fn pipelined_step<H, F>(
         &mut self,
         batch: Option<&QueryBatch>,
         away: bool,
+        home: H,
         sink: F,
-    ) -> Result<(Option<EmbeddingBreakdown>, Ps)>
+    ) -> Result<Ps>
     where
+        H: FnOnce(&mut Self, Option<&EmbeddingBreakdown>) -> Result<()>,
         F: FnOnce(&[Matrix], &EmbeddingBreakdown),
     {
         let slot = self
             .in_flight
             .as_ref()
             .map_or(0, |f| (f.slot + 1) % STAGING_SLOTS);
-        let routed = batch.map(|batch| self.route(batch, slot));
+        let routed = batch.map(|batch| self.route(batch, slot)).transpose();
         // From here on the DPU side is home, whatever fails.
         let ahead = match self.in_flight.take() {
             Some(InFlight {
                 slot,
                 launched: Some(launched),
-            }) => Some((slot, launched?)),
+            }) => launched.map(|bd| Some((slot, bd))),
             Some(InFlight {
                 slot,
                 launched: None,
-            }) => Some((slot, self.launch_join()?)),
-            None => None,
+            }) => self.launch_join().map(|bd| Some((slot, bd))),
+            None => Ok(None),
         };
-        let mut bd = routed.transpose()?;
-        if let Some(bd) = &mut bd {
-            self.scatter(slot, bd)?;
+        // A batch that fails its route drops the one ahead ungathered.
+        let gathered = match (ahead, &routed) {
+            (Ok(Some((j, mut bd))), Ok(_)) => self.stage3(j, &mut bd).map(|p| Some((p, bd))),
+            (Err(e), _) => Err(e),
+            (Ok(_), _) => Ok(None),
+        };
+        let done = match &gathered {
+            Ok(Some((_, bd))) => Some(bd),
+            _ => None,
+        };
+        let homed = home(self, done);
+        let gathered = gathered?;
+        // A gathered batch is recorded served, so it reaches the sink
+        // whatever fails after the gather.
+        let sent = routed
+            .and_then(|bd| homed.map(|()| bd))
+            .and_then(|bd| bd.map(|bd| self.send(slot, away, bd)).transpose());
+        if let Some((pooled, bd)) = gathered {
+            sink(&pooled, &bd);
+            self.recycle_pooled(pooled);
         }
-        let gathered = match ahead {
-            Some((j, mut bd)) => Some((self.stage3(j, &mut bd)?, bd)),
-            None => None,
+        Ok(sent?.unwrap_or(Ps::ZERO))
+    }
+
+    /// Scatters the batch routed into staging slot `slot`, whose
+    /// breakdown is `bd`, and launches it — on the DPU worker when
+    /// `away` — leaving it in flight. Returns its stage 1.
+    fn send(&mut self, slot: usize, away: bool, mut bd: EmbeddingBreakdown) -> Result<Ps> {
+        self.scatter(slot, &mut bd)?;
+        let s1 = bd.stage1;
+        let launched = match away {
+            true => {
+                self.launch_away(slot, bd);
+                None
+            }
+            false => Some(self.launch_here(slot, &mut bd).map(|()| bd)),
         };
-        let s1 = bd.map_or(Ps::ZERO, |bd| bd.stage1);
-        if let Some(mut bd) = bd {
-            let launched = match away {
-                true => {
-                    self.launch_away(slot, bd);
-                    None
-                }
-                false => Some(self.launch_here(slot, &mut bd).map(|()| bd)),
-            };
-            self.in_flight = Some(InFlight { slot, launched });
-        }
-        let Some((pooled, bd)) = gathered else {
-            return Ok((None, s1));
-        };
-        sink(&pooled, &bd);
-        self.recycle_pooled(pooled);
-        Ok((Some(bd), s1))
+        self.in_flight = Some(InFlight { slot, launched });
+        Ok(s1)
+    }
+
+    /// Replan ticks this engine has served with a
+    /// [`serve_step`](Self::serve_step) batch in flight: every tick that
+    /// flipped, began or declined a migration while the batch ahead of
+    /// it was still away. Tests read it to check that those ticks took
+    /// the overlapped path.
+    #[doc(hidden)]
+    pub fn overlapped_ticks(&self) -> u64 {
+        self.overlapped_ticks
     }
 
     /// Whether this serve may send launches to the DPU worker, spawning
@@ -399,8 +447,11 @@ impl UpdlrmEngine {
     }
 
     /// Fails `what` while a [`serve_step`](Self::serve_step) batch is
-    /// in flight: it holds a staging slot, and its stage 3 reads the
-    /// placement it was routed on.
+    /// in flight: it holds a staging slot, and its launch may be on the
+    /// DPU worker, so a caller that writes the fleet — a tick that acts
+    /// writes tiles or repoints kernels — would write it while the
+    /// launch is away. [`serve_step`](Self::serve_step) ticks with its
+    /// batch in flight by writing only once the launch is back.
     pub(crate) fn ensure_idle(&self, what: &str) -> Result<()> {
         match self.in_flight {
             None => Ok(()),
@@ -550,8 +601,9 @@ mod tests {
     /// drift snapshot with the launches on the DPU worker as on the
     /// calling thread — for every strategy and dtype, with replanning
     /// off and at `periodic:4`, where ticks that flip or begin a
-    /// migration complete the batch in flight first. Without
-    /// replanning the batches are also the closed-loop stream's.
+    /// migration keep the batch in flight and touch the fleet only
+    /// once its launch is back. Without replanning the batches are also
+    /// the closed-loop stream's.
     #[test]
     fn serve_steps_on_the_worker_equal_serve_steps_here() {
         use crate::ReplanPolicy;
@@ -643,9 +695,176 @@ mod tests {
         }
     }
 
-    /// A `serve_step` batch in flight holds a staging slot and the
-    /// placement it was routed on: `run_batch`, `serve_stream` and a
-    /// tick that would replan refuse to run until the flush.
+    /// Panics unless every kernel task points at the serving region
+    /// and carries the resident rows of its partition's placement at
+    /// the current epoch.
+    fn assert_kernels_follow_the_placement(e: &mut UpdlrmEngine, case: &str) {
+        let (active, epoch) = (e.active_emt, e.resident_epoch);
+        for g in &mut e.dpu.get_mut().launch_groups {
+            let state = &e.tables[g.table];
+            for p in (0..state.tiling.row_parts).filter(|&p| state.locs[p].0 == g.rank) {
+                for c in 0..state.tiling.col_slices {
+                    for kernel in &mut g.kernels {
+                        let task = kernel.task_mut(state.dpu(p, c).1).unwrap();
+                        assert_eq!(task.emt_base, state.regions.emt_bases[active], "{case}");
+                        assert_eq!(task.cache_base, state.regions.cache_bases[active], "{case}");
+                        let want = state.placement.resident[p].rows(epoch);
+                        assert_eq!(task.resident, want, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A bad batch at the step whose tick flips a migration, with the
+    /// batch ahead in flight: the step returns the batch's route error,
+    /// drops the batch ahead unsinked with the DPU side home, and leaves
+    /// the flip whole — the kernels point at the new region with the
+    /// new placement's resident rows, and the next run sinks and returns
+    /// what an engine that served to the same point, flushed and then
+    /// flipped in lockstep does.
+    #[test]
+    fn a_bad_batch_at_a_flip_step_leaves_the_flip_whole() {
+        use crate::ReplanPolicy;
+        let (tables, workload) = setup(8);
+        let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::NonUniform)
+            .with_replan(ReplanPolicy::Periodic { every_batches: 2 })
+            .with_telemetry();
+        let now = |i: usize| Ps::from_whole_ns(1_000_000) * (i as u64 + 1);
+        let counts = SchedSnapshot::default();
+        // The first step whose tick flips, on a good run.
+        let mut probe = engine(&config, &tables, &workload);
+        let flip = (0..workload.batches.len())
+            .find(|&i| {
+                let pending = probe.migration_in_flight();
+                probe
+                    .serve_step(now(i), counts, &workload.batches[i], |_, _| {})
+                    .unwrap();
+                pending && !probe.migration_in_flight()
+            })
+            .expect("a migration flips mid-run");
+        assert!(flip >= 2, "the flip comes with a batch in flight");
+
+        let mut batches = workload.batches.clone();
+        let mut samples: Vec<Vec<u64>> = batches[flip].sparse[1]
+            .iter()
+            .map(<[u64]>::to_vec)
+            .collect();
+        samples[0].push(1 << 40);
+        batches[flip].sparse[1] = SparseInput::from_samples(samples);
+        let want = engine(&config, &tables, &workload)
+            .run_batch(&batches[flip])
+            .unwrap_err()
+            .to_string();
+        for hop in [true, false] {
+            let case = format!("hop {hop}");
+            let mut e = engine(&config, &tables, &workload);
+            e.overlap = hop;
+            let mut sunk = 0;
+            for (i, batch) in batches.iter().enumerate().take(flip + 1) {
+                let step = e.serve_step(now(i), counts, batch, |_, _| sunk += 1);
+                match i == flip {
+                    true => assert_eq!(step.unwrap_err().to_string(), want, "{case}"),
+                    false => assert!(step.is_ok(), "{case}: batch {i}"),
+                }
+            }
+            assert_eq!(sunk, flip - 1, "{case}: the batch ahead is dropped");
+            assert_eq!(e.overlapped_ticks, 2, "{case}: the begin and the flip");
+            e.dpu.get(); // panics unless the DPU side is home
+            assert!(e.in_flight.is_none(), "{case}");
+            assert!(!e.migration_in_flight(), "{case}: the flip happened");
+            assert_eq!(e.metrics.snapshot().drift.migrations_completed, 1, "{case}");
+            assert_kernels_follow_the_placement(&mut e, &case);
+
+            let mut lockstep = engine(&config, &tables, &workload);
+            lockstep.overlap = hop;
+            for (i, batch) in batches.iter().enumerate().take(flip) {
+                lockstep
+                    .serve_step(now(i), counts, batch, |_, _| {})
+                    .unwrap();
+            }
+            lockstep.serve_flush(|_, _| {}).unwrap();
+            lockstep.on_tick(now(flip), counts).unwrap();
+            assert_eq!(
+                (e.active_emt, e.resident_epoch),
+                (lockstep.active_emt, lockstep.resident_epoch),
+                "{case}"
+            );
+            let got = step_through(&mut e, &workload.batches, hop);
+            let want = step_through(&mut lockstep, &workload.batches, hop);
+            assert_eq!(
+                (got.sunk, got.steps, got.tail),
+                (want.sunk, want.steps, want.tail),
+                "{case}"
+            );
+        }
+    }
+
+    /// Tile writes that fail at the step whose tick begins a migration,
+    /// with the batch ahead in flight: the step returns the write error,
+    /// and the batch ahead — gathered and recorded served before the
+    /// tick writes — still reaches the sink, so the sink and the
+    /// registry count the same batches. No migration begins, and the
+    /// DPU side is home.
+    #[test]
+    fn a_failed_tile_write_at_a_begin_step_still_sinks_the_batch_ahead() {
+        use crate::error::CoreError;
+        use crate::ReplanPolicy;
+        use upmem_sim::{arch::MRAM_CAPACITY, SimError};
+        let (tables, workload) = setup(8);
+        let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::NonUniform)
+            .with_replan(ReplanPolicy::Periodic { every_batches: 2 })
+            .with_telemetry();
+        let now = |i: usize| Ps::from_whole_ns(1_000_000) * (i as u64 + 1);
+        let counts = SchedSnapshot::default();
+        // The first step whose tick begins a migration, on a good run.
+        let mut probe = engine(&config, &tables, &workload);
+        let begin = (0..workload.batches.len())
+            .find(|&i| {
+                probe
+                    .serve_step(now(i), counts, &workload.batches[i], |_, _| {})
+                    .unwrap();
+                probe.migration_in_flight()
+            })
+            .expect("a migration begins mid-run");
+        assert!(begin >= 1, "the begin comes with a batch in flight");
+
+        for hop in [true, false] {
+            let case = format!("hop {hop}");
+            let mut e = engine(&config, &tables, &workload);
+            e.overlap = hop;
+            let mut sunk = 0;
+            let batches = &workload.batches;
+            for (i, batch) in batches.iter().enumerate().take(begin) {
+                e.serve_step(now(i), counts, batch, |_, _| sunk += 1)
+                    .unwrap();
+            }
+            // Point the region the migration writes past the end of MRAM.
+            let inactive = e.active_emt ^ 1;
+            for state in &mut e.tables {
+                state.regions.emt_bases[inactive] = MRAM_CAPACITY as u32;
+            }
+            let err = e
+                .serve_step(now(begin), counts, &batches[begin], |_, _| sunk += 1)
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::Sim(SimError::MramOutOfBounds { .. })),
+                "{case}: {err}"
+            );
+            assert_eq!(sunk, begin, "{case}: the batch ahead reached the sink");
+            let snap = e.metrics.snapshot();
+            assert_eq!(snap.serves, sunk as u64, "{case}: sink and registry agree");
+            assert_eq!(snap.drift.replans_triggered, 0, "{case}");
+            assert_eq!(e.overlapped_ticks, 1, "{case}: the begin");
+            e.dpu.get(); // panics unless the DPU side is home
+            assert!(e.in_flight.is_none(), "{case}");
+            assert!(!e.migration_in_flight(), "{case}: no migration began");
+        }
+    }
+
+    /// A `serve_step` batch in flight holds a staging slot, and its
+    /// launch may be on the DPU worker: `run_batch`, `serve_stream` and
+    /// a public tick that would replan refuse to run until the flush.
     #[test]
     fn an_engine_with_a_batch_in_flight_refuses_other_serves() {
         let (tables, workload) = setup(2);
