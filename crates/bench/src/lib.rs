@@ -11,11 +11,12 @@
 //! `quick` (CI), unset/`standard`, or `full` (the paper's 12,800
 //! inferences).
 //!
-//! The six `benches/` sweeps (`steady_state`, `sched_sweep`,
+//! The six [`sweeps`] (`steady_state`, `sched_sweep`,
 //! `placement_sweep`, `tenants`, `drift_sweep`, `pipeline_serve`) run
-//! on the modeled clock only: each asserts its gates, then hands its
-//! rows to [`protocol`], which writes or byte-compares the repo-root
-//! `BENCH_<name>.json`. Nothing in this crate reads a host clock —
+//! on the modeled clock only: each asserts its gates and returns its
+//! document, which [`protocol`] byte-compares with the repo-root
+//! `BENCH_<name>.json` (a tier-1 test per sweep) or writes to it (the
+//! `benches/` target of the same name). Nothing in this crate reads a host clock —
 //! host time is measured by the `benchmark/` package (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
@@ -25,6 +26,7 @@ pub mod experiments;
 pub mod protocol;
 pub mod report;
 pub mod setup;
+pub mod sweeps;
 
 pub use report::{fmt_ns, BarChart, Table};
 pub use setup::{EvalConfig, EvalSetup};

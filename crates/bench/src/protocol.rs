@@ -1,19 +1,22 @@
-//! The one command-line and file protocol of the `benches/` sweeps.
+//! The one file protocol of the sweeps in [`crate::sweeps`].
 //!
 //! Every sweep runs on the modeled clock, so the document it produces
 //! — a header object plus one object per row — is a pure function of
 //! the code. The repo-root `BENCH_<name>.json` files are therefore
 //! goldens, compared byte for byte like `tests/golden/`:
 //!
-//! * `--out FILE` writes the document to FILE (the default, to the
-//!   sweep's own repo-root file);
-//! * `--check FILE` regenerates the document, writes nothing, and
-//!   exits 1 unless FILE holds exactly those bytes, naming the first
-//!   row and column that differ. A missing, non-JSON or row-less FILE
-//!   fails too, so a gate can never pass against nothing.
+//! * [`Sweep::check`] writes nothing and fails unless the committed
+//!   file holds exactly the sweep's bytes, naming the first row and
+//!   column that differ and the command that regenerates the file. A
+//!   missing, non-JSON or row-less file fails too, so a gate can never
+//!   pass against nothing. `crates/bench/tests/sweeps.rs` runs it for
+//!   every sweep.
+//! * `cargo bench -p bench --bench <name> [-- --out FILE]` writes the
+//!   document ([`write_out`]), by default to the sweep's own repo-root
+//!   file.
 //!
 //! Relative paths resolve against the repo root (cargo runs benches
-//! from the package directory). Any other flag, or a flag without its
+//! from the package directory). Any other flag, or `--out` without its
 //! value, exits 2 naming it; `--bench`, which `cargo bench` appends,
 //! is accepted.
 
@@ -21,13 +24,75 @@ use std::path::{Path, PathBuf};
 
 use serde::{Serialize, Value};
 
-/// What a sweep does with the document it produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Mode {
-    /// Compare the document to this file; write nothing.
-    Check(PathBuf),
-    /// Write the document to this file.
-    Out(PathBuf),
+/// A sweep's finished document and the golden it is committed as.
+pub struct Sweep {
+    /// The `[[bench]]` target that writes it: `cargo bench -p bench
+    /// --bench NAME`.
+    name: &'static str,
+    /// The committed file, relative to the repo root.
+    file: &'static str,
+    /// The columns that identify a row in a mismatch report.
+    key: &'static [&'static str],
+    doc: Value,
+}
+
+impl Sweep {
+    /// Assembles the document of sweep `name`, committed as `file`,
+    /// from `header` and `rows`; `key` names the columns that identify
+    /// a row in a mismatch report.
+    pub fn new(
+        name: &'static str,
+        file: &'static str,
+        key: &'static [&'static str],
+        header: &[(&str, Value)],
+        rows: &[impl Serialize],
+    ) -> Sweep {
+        let doc = document(header, rows);
+        Sweep {
+            name,
+            file,
+            key,
+            doc,
+        }
+    }
+
+    /// Succeeds when the committed file holds exactly this document;
+    /// the error names the file, the first difference and the command
+    /// that regenerates the file.
+    pub fn check(&self) -> Result<(), String> {
+        check(&self.doc, self.key, &rooted(self.file)).map_err(|e| {
+            format!(
+                "{e}\nif the change is intended, regenerate it with \
+                 `cargo bench -p bench --bench {}`",
+                self.name
+            )
+        })
+    }
+}
+
+/// The whole `main` of a `[[bench]]` target: reads `--out FILE` from
+/// the process arguments, runs the sweep, prints its rows and writes its
+/// document to FILE, or to the committed file when the arguments name
+/// none. Exits 2 on a bad flag, before the sweep runs, and 1 on a
+/// failed write.
+pub fn write_out(run: fn() -> Sweep) {
+    let out = out_path(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!(
+            "error: {e}\nusage: [--out FILE]  (default: the sweep's BENCH_*.json; the check \
+             against it is `cargo test -p bench --test sweeps`)"
+        );
+        std::process::exit(2)
+    });
+    let sweep = run();
+    let path = out.unwrap_or_else(|| rooted(sweep.file));
+    for row in rows_of(&sweep.doc) {
+        println!("  {}", summary(row));
+    }
+    if let Err(e) = write(&sweep.doc, &path) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {}", path.display());
 }
 
 /// Resolves a relative path against the repo root.
@@ -36,59 +101,25 @@ fn rooted(path: &str) -> PathBuf {
     root.expect("crates/bench is two levels down").join(path)
 }
 
-impl Mode {
-    /// Parses a sweep's arguments (without the program name); the
-    /// error names the offending flag.
-    fn parse(args: impl Iterator<Item = String>, default_out: &str) -> Result<Mode, String> {
-        let mut args = args.peekable();
-        let mut mode = None;
-        while let Some(flag) = args.next() {
-            let make: fn(PathBuf) -> Mode = match flag.as_str() {
-                "--bench" => continue,
-                "--check" => Mode::Check,
-                "--out" => Mode::Out,
-                _ => return Err(format!("unknown flag {flag}")),
-            };
-            let value = args
-                .next_if(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("{flag} needs a file"))?;
-            if mode.replace(make(rooted(&value))).is_some() {
-                return Err(format!("{flag}: give one of --check FILE or --out FILE"));
-            }
+/// The file a sweep's arguments (without the program name) ask it to
+/// write, if they name one. The error names the offending flag.
+fn out_path(args: impl Iterator<Item = String>) -> Result<Option<PathBuf>, String> {
+    let mut args = args.peekable();
+    let mut out = None;
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--bench" => continue,
+            "--out" => {}
+            _ => return Err(format!("unknown flag {flag}")),
         }
-        Ok(mode.unwrap_or_else(|| Mode::Out(rooted(default_out))))
-    }
-
-    /// The mode the process arguments ask for; `default_out` is the
-    /// file written when they name none. Exits 2 on a bad flag.
-    pub fn from_env(default_out: &str) -> Mode {
-        Mode::parse(std::env::args().skip(1), default_out).unwrap_or_else(|e| {
-            eprintln!(
-                "error: {e}\nusage: [--check FILE | --out FILE]  (default: --out {default_out})"
-            );
-            std::process::exit(2)
-        })
-    }
-
-    /// Ends a sweep: assembles the document from `header` and `rows`,
-    /// prints the rows, and checks or writes the document. `key` names
-    /// the columns that identify a row in a mismatch report. Exits 1 on
-    /// a failed check or write.
-    pub fn finish(&self, key: &[&str], header: &[(&str, Value)], rows: &[impl Serialize]) {
-        let doc = document(header, rows);
-        for row in rows_of(&doc) {
-            println!("  {}", summary(row));
-        }
-        let result = match self {
-            Mode::Check(path) => check(&doc, key, path)
-                .map(|()| println!("check vs {}: OK ({} rows)", path.display(), rows.len())),
-            Mode::Out(path) => write(&doc, path).map(|()| println!("wrote {}", path.display())),
-        };
-        if let Err(e) = result {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+        let value = args
+            .next_if(|v| !v.starts_with("--"))
+            .ok_or("--out needs a file")?;
+        if out.replace(rooted(&value)).is_some() {
+            return Err("--out: give it once".to_string());
         }
     }
+    Ok(out)
 }
 
 /// The document of a sweep: the header's fields, then `rows`.
@@ -302,23 +333,24 @@ mod tests {
 
     #[test]
     fn flags_parse_in_one_place() {
-        let parse = |list: &[&str]| Mode::parse(list.iter().map(|s| s.to_string()), "BENCH_x.json");
-        assert_eq!(parse(&["--bench"]), Ok(Mode::Out(rooted("BENCH_x.json"))));
+        let parse = |list: &[&str]| out_path(list.iter().map(|s| s.to_string()));
+        assert_eq!(parse(&["--bench"]), Ok(None));
         assert_eq!(
-            parse(&["--check", "BENCH_y.json", "--bench"]),
-            Ok(Mode::Check(rooted("BENCH_y.json")))
+            parse(&["--out", "BENCH_y.json", "--bench"]),
+            Ok(Some(rooted("BENCH_y.json")))
         );
         assert_eq!(
             parse(&["--out", "/tmp/a.json"]),
-            Ok(Mode::Out(PathBuf::from("/tmp/a.json")))
+            Ok(Some(PathBuf::from("/tmp/a.json")))
         );
 
         let err = |list: &[&str]| parse(list).unwrap_err();
         assert_eq!(err(&["--iters", "3"]), "unknown flag --iters");
         assert_eq!(err(&["stray"]), "unknown flag stray");
-        assert_eq!(err(&["--check"]), "--check needs a file");
+        // The check is a test, not a flag of the writer.
+        assert_eq!(err(&["--check", "a"]), "unknown flag --check");
         // `cargo bench -- --out` arrives as `--out --bench`.
         assert_eq!(err(&["--out", "--bench"]), "--out needs a file");
-        assert!(err(&["--check", "a", "--out", "b"]).starts_with("--out: give one of"));
+        assert_eq!(err(&["--out", "a", "--out", "b"]), "--out: give it once");
     }
 }

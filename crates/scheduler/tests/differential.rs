@@ -226,15 +226,30 @@ impl Serve for Lockstep<'_> {
 /// the DPU worker when the process may use two or more cores — equals
 /// serving every batch to completion in its own call: the same report,
 /// sink calls in the same order with the same pooled rows and
-/// breakdowns, the same telemetry snapshot and the same mid-migration
-/// drift snapshot. Over {U, NU, CA} × {f32, int8} × replan {off,
-/// `periodic:4`} with telemetry on, on a saturating drifting trace,
-/// where batches overlap and replan ticks flip and begin migrations.
-/// CI runs this file under `taskset -c 0` too, where `Scheduler::run`
-/// serves on one thread: both sides of the gate are checked against
-/// the same reference.
+/// breakdowns and the same telemetry snapshot. Over {U, NU, CA} × {f32,
+/// int8} with telemetry on and replan off, on a saturating trace where
+/// batches overlap. CI runs this file under `taskset -c 0` too, where
+/// `Scheduler::run` serves on one thread: both sides of the gate are
+/// checked against the same reference.
 #[test]
 fn pipelined_scheduler_run_equals_serving_each_batch_in_its_own_call() {
+    assert_pipelined_equals_lockstep(ReplanPolicy::Off);
+}
+
+/// Every replan tick of a `Scheduler::run` — a flip, a begun migration
+/// or a declined one — is served with the batch ahead still in flight,
+/// and the run still equals serving each batch to completion in its own
+/// call, mid-migration drift snapshot included. At `periodic:2` on a
+/// rotating hot set, over {U, NU, CA} × {f32, int8}.
+#[test]
+fn replan_ticks_are_served_with_the_batch_ahead_in_flight() {
+    assert_pipelined_equals_lockstep(ReplanPolicy::Periodic { every_batches: 2 });
+}
+
+/// Runs a saturating trace whose hot set rotates through
+/// `pipelined_and_lockstep` with `replan`, for {U, NU, CA} × {f32,
+/// int8}, and asserts the two runs are equal and not vacuous.
+fn assert_pipelined_equals_lockstep(replan: ReplanPolicy) {
     let spec = DatasetSpec::goodreads().scaled_down(5000);
     let drift = DriftSchedule {
         rotation: Some(HotSetRotation {
@@ -259,80 +274,34 @@ fn pipelined_scheduler_run_equals_serving_each_batch_in_its_own_call() {
     let tables: Vec<EmbeddingTable> = (0..2)
         .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, DIM, 3, t as u64).unwrap())
         .collect();
-    let cfg = SchedConfig {
-        max_batch_size: 32,
-        max_wait_ns: 100_000,
-        queue_cap: 64,
-        policy: OverloadPolicy::ShedOldest,
-    };
     for strategy in [
         PartitionStrategy::Uniform,
         PartitionStrategy::NonUniform,
         PartitionStrategy::CacheAware,
     ] {
         for dtype in [EmbedDtype::F32, EmbedDtype::Int8] {
-            for replan in [
-                ReplanPolicy::Off,
-                ReplanPolicy::Periodic { every_batches: 4 },
-            ] {
-                let case = format!("{strategy} {dtype:?} {replan}");
-                let config = UpdlrmConfig {
-                    batch_size: 32,
-                    ..UpdlrmConfig::with_dpus(16, strategy)
-                        .with_embed_dtype(dtype)
-                        .with_replan(replan)
-                        .with_telemetry()
-                };
-                let build = || UpdlrmEngine::from_workload(config.clone(), &tables, &workload);
+            let case = format!("{strategy} {dtype:?} {replan}");
+            let config = UpdlrmConfig {
+                batch_size: 32,
+                ..UpdlrmConfig::with_dpus(16, strategy)
+                    .with_embed_dtype(dtype)
+                    .with_replan(replan)
+                    .with_telemetry()
+            };
+            let (pipelined, lockstep, eng) =
+                pipelined_and_lockstep(&config, &tables, &workload, SATURATING);
+            assert!(pipelined == lockstep, "{case}: the two runs differ");
 
-                let mut eng = build().unwrap();
-                let mut sunk = Vec::new();
-                let report = Scheduler::new(cfg)
-                    .unwrap()
-                    .run(&mut eng, &workload, |seq, ids, pooled, bd| {
-                        sunk.push((seq, ids.to_vec(), pooled.to_vec(), *bd));
-                    })
-                    .unwrap();
-                let pipelined: Run = (
-                    report,
-                    sunk,
-                    eng.metrics_snapshot(),
-                    eng.drift_snapshot().cloned(),
-                );
-
-                let mut reference = build().unwrap();
-                let mut core = EventLoop::new(cfg).unwrap();
-                let mut server = Lockstep {
-                    engine: &mut reference,
-                    workload: &workload,
-                    batch: QueryBatch {
-                        sparse: vec![SparseInput::default(); 2],
-                        ..QueryBatch::default()
-                    },
-                    sunk: Vec::new(),
-                };
-                let trace = &workload.arrivals;
-                let mut arrivals = (0u32..).zip(trace.times_ns.iter().copied());
-                let makespan = core.run(trace, || arrivals.next(), &mut server).unwrap();
-                let sunk = std::mem::take(&mut server.sunk);
-                reference.metrics_mut().record_sched(&core.tally.snapshot());
-                let lockstep: Run = (
-                    core.tally.finish(makespan),
-                    sunk,
-                    reference.metrics_snapshot(),
-                    reference.drift_snapshot().cloned(),
-                );
-                assert!(pipelined == lockstep, "{case}: the two runs differ");
-
-                // Anti-vacuous: the load saturates the engine, so each
-                // batch launches as soon as a staging slot frees, and
-                // the replanner migrated mid-run.
-                assert!(report.batches > 4, "{case}: {report:?}");
-                assert!(report.shed > 0, "{case}: {report:?}");
-                let drift = &pipelined.2.drift;
-                assert_eq!(drift.migrations_completed >= 1, replan.enabled(), "{case}");
-                assert_eq!(pipelined.3.is_some(), replan.enabled(), "{case}");
-            }
+            // Anti-vacuous: the load saturates the engine, so each batch
+            // launches as soon as a staging slot frees, and the
+            // replanner migrated mid-run, more than once.
+            let (report, d) = (&pipelined.0, &pipelined.2.drift);
+            assert!(report.batches > 4, "{case}: {report:?}");
+            assert!(report.shed > 0, "{case}: {report:?}");
+            assert_eq!(d.migrations_completed >= 2, replan.enabled(), "{case}");
+            assert_eq!(pipelined.3.is_some(), replan.enabled(), "{case}");
+            let acted = d.migrations_completed + d.replans_triggered + d.replans_skipped;
+            assert_eq!(eng.overlapped_ticks(), acted, "{case}: {d:?}");
         }
     }
 }
@@ -394,57 +363,6 @@ const SATURATING: SchedConfig = SchedConfig {
     queue_cap: 64,
     policy: OverloadPolicy::ShedOldest,
 };
-
-/// Every replan tick of a `Scheduler::run` — a flip, a begun migration
-/// or a declined one — is served with the batch ahead still in flight,
-/// and the run still equals serving each batch to completion in its own
-/// call. At `periodic:2` on a rotating hot set, for {U, NU, CA}.
-#[test]
-fn replan_ticks_are_served_with_the_batch_ahead_in_flight() {
-    let spec = DatasetSpec::goodreads().scaled_down(5000);
-    let drift = DriftSchedule {
-        rotation: Some(HotSetRotation {
-            num_sets: 4,
-            set_size: 64,
-            period_ns: 300_000,
-            hot_fraction: 0.8,
-        }),
-        spikes: Vec::new(),
-        diurnal: None,
-    };
-    let workload = Workload::generate_drifting(
-        &spec,
-        TraceConfig {
-            num_tables: 2,
-            num_batches: 8,
-            ..TraceConfig::default()
-        },
-        drift,
-        ArrivalProcess::poisson(400_000.0, 5),
-    );
-    let tables: Vec<EmbeddingTable> = (0..2)
-        .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, DIM, 3, t as u64).unwrap())
-        .collect();
-    for strategy in [
-        PartitionStrategy::Uniform,
-        PartitionStrategy::NonUniform,
-        PartitionStrategy::CacheAware,
-    ] {
-        let config = UpdlrmConfig {
-            batch_size: 32,
-            ..UpdlrmConfig::with_dpus(16, strategy)
-                .with_replan(ReplanPolicy::Periodic { every_batches: 2 })
-                .with_telemetry()
-        };
-        let (pipelined, lockstep, eng) =
-            pipelined_and_lockstep(&config, &tables, &workload, SATURATING);
-        assert!(pipelined == lockstep, "{strategy}: the two runs differ");
-        let d = &pipelined.2.drift;
-        let acted = d.migrations_completed + d.replans_triggered + d.replans_skipped;
-        assert!(d.migrations_completed >= 2, "{strategy}: {d:?}");
-        assert_eq!(eng.overlapped_ticks(), acted, "{strategy}: {d:?}");
-    }
-}
 
 /// The decline path with the batch ahead in flight: on a trace whose
 /// every query is the same sample, a window ranks rows as the build's

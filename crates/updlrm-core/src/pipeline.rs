@@ -209,8 +209,8 @@ impl PipelineClock {
     ///
     /// If no batch is issued.
     pub fn settle(&mut self, s2: Ps, s3: Ps) {
-        let (issue, s1_done) = self.issued.take().expect("settle without an issued batch");
-        self.dpu_free = s1_done.max(self.dpu_free) + s2;
+        let (issue, s1_end) = self.issued.take().expect("settle without an issued batch");
+        self.dpu_free = s1_end.max(self.dpu_free) + s2;
         self.pending = Some((issue, self.dpu_free, s3));
     }
 

@@ -288,40 +288,6 @@ fn json_report_reflects_flags() {
 }
 
 #[test]
-fn metrics_snapshot_is_deterministic_across_runs() {
-    let dir = std::env::temp_dir().join("updlrm-cli-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let a = dir.join("metrics-a.json");
-    let b = dir.join("metrics-b.json");
-    for path in [&a, &b] {
-        let out = updlrm()
-            .args(QUICK_RUN)
-            .args(["--seed", "7", "--metrics"])
-            .arg(path)
-            .output()
-            .expect("run");
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let first = std::fs::read(&a).expect("snapshot a");
-    let second = std::fs::read(&b).expect("snapshot b");
-    assert!(
-        first == second,
-        "same-seed metrics snapshots must be byte-identical"
-    );
-    // The snapshot carries only modeled values and counts.
-    let text = String::from_utf8(first).expect("utf8 json");
-    assert!(text.contains("\"schema_version\": 6"), "{text}");
-    assert!(text.contains("\"per_dpu\""), "{text}");
-    assert!(text.contains("\"load_imbalance\""), "{text}");
-    std::fs::remove_file(&a).ok();
-    std::fs::remove_file(&b).ok();
-}
-
-#[test]
 fn stats_pretty_prints_a_snapshot() {
     let dir = std::env::temp_dir().join("updlrm-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -1020,30 +986,173 @@ fn unknown_arguments_exit_nonzero() {
     assert!(!out.status.success());
 }
 
-/// Flags that regenerate `tests/golden/placement_plan.json` exactly.
-const GOLDEN_PLAN_FLAGS: [&str; 21] = [
-    "plan",
-    "--dataset",
-    "read",
-    "--scale",
-    "5000",
-    "--tables",
-    "2",
-    "--batches",
-    "2",
-    "--seed",
-    "7",
-    "--ranks",
-    "2",
-    "--dpus-per-rank",
-    "4",
-    "--emt-kb",
-    "24",
-    "--host-kb",
-    "12",
-    "--replicate-top",
-    "24",
+/// Every committed golden under `tests/golden/` and the commands that
+/// regenerate it, run in order from the repo root: `{out}` is the
+/// golden itself, `{trace}` the UPWL trace the drift golden's first
+/// command writes.
+const GOLDENS: [(&str, &[&str]); 6] = [
+    (
+        "metrics_snapshot.json",
+        &["run --dataset read --dpus 32 --scale 1000 --batches 2 --seed 7 --metrics {out}"],
+    ),
+    (
+        "sched_snapshot.json",
+        &[
+            "serve --dataset read --dpus 32 --scale 1000 --batches 3 --seed 7 --qps 300000 \
+             --arrival bursty --max-batch 32 --max-wait-us 200 --queue-cap 48 \
+             --policy shed-oldest --metrics {out}",
+        ],
+    ),
+    (
+        "drift_snapshot.json",
+        &[
+            "trace --dataset read --scale 5000 --batches 6 --seed 7 --qps 10000 \
+             --rotate 4:64:2000:0.8 --out {trace}",
+            "serve --workload-v3 {trace} --max-batch 32 --dpus 128 --strategy u \
+             --replan periodic:8 --drift-snapshot {out}",
+        ],
+    ),
+    (
+        "tenant_snapshot.json",
+        &["serve --tenants examples/tenants.toml --metrics {out}"],
+    ),
+    (
+        "placement_plan.json",
+        &[
+            "plan --dataset read --scale 5000 --tables 2 --batches 2 --seed 7 --ranks 2 \
+             --dpus-per-rank 4 --emt-kb 24 --host-kb 12 --replicate-top 24 --out {out}",
+        ],
+    ),
+    (
+        "plan_run_snapshot.json",
+        &["run --dataset read --plan tests/golden/placement_plan.json --metrics {out}"],
+    ),
 ];
+
+/// The commands of golden `name`, split into arguments, with `{out}`
+/// and `{trace}` filled in.
+fn golden_commands(name: &str, out: &str, trace: &str) -> Vec<Vec<String>> {
+    let (_, commands) = GOLDENS.iter().find(|(n, _)| *n == name).expect("a golden");
+    let fill = |a: &str| a.replace("{out}", out).replace("{trace}", trace);
+    let split = |c: &&str| c.split_whitespace().map(fill).collect();
+    commands.iter().map(split).collect()
+}
+
+/// `updlrm plan` with the golden plan's flags, writing `out`.
+fn golden_plan(out: &std::path::Path) -> Vec<String> {
+    let out = out.to_str().expect("utf-8 path");
+    golden_commands("placement_plan.json", out, "").remove(0)
+}
+
+/// Runs the commands of each golden in `names` twice, from the repo
+/// root into a temp directory named after `tag`, and asserts that both
+/// runs equal the committed file byte for byte. Returns the last run's
+/// output of each golden, in the order of `names`.
+fn assert_goldens_regenerate(tag: &str, names: &[&str]) -> Vec<Vec<u8>> {
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = std::env::temp_dir().join(format!("updlrm-cli-goldens-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("drift.upwl");
+    let trace = trace.to_str().expect("utf-8 path");
+    let mut written = Vec::new();
+    for &name in names {
+        let want = std::fs::read(repo.join("tests/golden").join(name)).expect("committed golden");
+        let regenerate: Vec<String> =
+            golden_commands(name, &format!("tests/golden/{name}"), "drift.upwl")
+                .iter()
+                .map(|args| format!("./target/release/updlrm {}", args.join(" ")))
+                .collect();
+        let out = dir.join(name);
+        let mut got = Vec::new();
+        for run in 0..2 {
+            for args in golden_commands(name, out.to_str().expect("utf-8 path"), trace) {
+                let done = updlrm()
+                    .current_dir(repo)
+                    .args(&args)
+                    .output()
+                    .expect("updlrm");
+                assert!(
+                    done.status.success(),
+                    "{name}: updlrm {}: stderr {}",
+                    args.join(" "),
+                    String::from_utf8_lossy(&done.stderr)
+                );
+            }
+            got = std::fs::read(&out).expect("the command wrote the golden");
+            assert!(
+                got == want,
+                "{name} run {run} diverges from tests/golden/{name}; if the change is \
+                 intended, regenerate it with\n  cargo build --release && {}",
+                regenerate.join(" && ")
+            );
+        }
+        written.push(got);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    written
+}
+
+#[test]
+fn metrics_snapshot_is_deterministic_across_runs() {
+    let written = assert_goldens_regenerate("metrics", &["metrics_snapshot.json"]);
+    // The snapshot carries only modeled values and counts.
+    let text = String::from_utf8(written[0].clone()).expect("utf8 json");
+    assert!(text.contains("\"schema_version\": 6"), "{text}");
+    assert!(text.contains("\"per_dpu\""), "{text}");
+    assert!(text.contains("\"load_imbalance\""), "{text}");
+}
+
+#[test]
+fn event_loop_goldens_regenerate_byte_identical() {
+    // The three goldens the event loop writes: the open-loop
+    // scheduler's metrics, the mid-migration drift snapshot (its trace
+    // step included) and the tenant fleet's metrics.
+    assert_goldens_regenerate(
+        "event-loop",
+        &[
+            "sched_snapshot.json",
+            "drift_snapshot.json",
+            "tenant_snapshot.json",
+        ],
+    );
+}
+
+#[test]
+fn golden_placement_plan_matches_checked_in_file() {
+    // The golden plan locks the planner's full serialized output.
+    assert_goldens_regenerate("plan", &["placement_plan.json"]);
+}
+
+#[test]
+fn golden_plan_run_snapshot_matches_checked_in_file() {
+    // The only artifact that pins a plan-built engine's modeled
+    // per-stage, per-DPU numbers.
+    assert_goldens_regenerate("plan-run", &["plan_run_snapshot.json"]);
+}
+
+#[test]
+fn every_golden_has_a_test() {
+    // The four golden tests above together cover every row of GOLDENS.
+    let tested = [
+        "metrics_snapshot.json",
+        "sched_snapshot.json",
+        "drift_snapshot.json",
+        "tenant_snapshot.json",
+        "placement_plan.json",
+        "plan_run_snapshot.json",
+    ];
+    for (name, _) in GOLDENS {
+        assert!(tested.contains(&name), "{name} is regenerated by no test");
+    }
+    let committed = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
+        .expect("tests/golden")
+        .count();
+    assert_eq!(
+        committed,
+        GOLDENS.len(),
+        "a file in tests/golden has no row"
+    );
+}
 
 #[test]
 fn plan_generation_is_deterministic_and_inspectable() {
@@ -1052,12 +1161,7 @@ fn plan_generation_is_deterministic_and_inspectable() {
     let a = dir.join("plan-a.json");
     let b = dir.join("plan-b.json");
     for path in [&a, &b] {
-        let out = updlrm()
-            .args(GOLDEN_PLAN_FLAGS)
-            .arg("--out")
-            .arg(path)
-            .output()
-            .expect("plan");
+        let out = updlrm().args(golden_plan(path)).output().expect("plan");
         assert!(
             out.status.success(),
             "stderr: {}",
@@ -1094,18 +1198,13 @@ fn plan_generation_is_deterministic_and_inspectable() {
 
 /// `plan` with the golden flags, `flag`'s value replaced by `value`.
 fn plan_with(flag: &str, value: &str) -> std::process::Output {
-    let mut args = GOLDEN_PLAN_FLAGS.to_vec();
-    let at = args.iter().position(|a| *a == flag).expect("a golden flag") + 1;
-    args[at] = value;
     let out = std::env::temp_dir()
         .join("updlrm-cli-test")
         .join("never-written.json");
-    updlrm()
-        .args(args)
-        .arg("--out")
-        .arg(out)
-        .output()
-        .expect("plan")
+    let mut args = golden_plan(&out);
+    let at = args.iter().position(|a| *a == flag).expect("a golden flag") + 1;
+    args[at] = value.to_string();
+    updlrm().args(args).output().expect("plan")
 }
 
 #[test]
@@ -1130,50 +1229,11 @@ fn plan_rejects_a_host_budget_that_overflows_bytes() {
 }
 
 #[test]
-fn golden_placement_plan_matches_checked_in_file() {
-    // The golden plan locks the planner's full serialized output: any
-    // intentional change must regenerate the file (same flags as
-    // GOLDEN_PLAN_FLAGS) and show up in review as a diff.
-    let dir = std::env::temp_dir().join("updlrm-cli-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("plan-golden.json");
-    let out = updlrm()
-        .args(GOLDEN_PLAN_FLAGS)
-        .arg("--out")
-        .arg(&path)
-        .output()
-        .expect("plan");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let fresh = std::fs::read(&path).expect("regenerated plan");
-    let golden = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/placement_plan.json"
-    ))
-    .expect("checked-in golden plan");
-    assert!(
-        fresh == golden,
-        "regenerated plan diverges from tests/golden/placement_plan.json; \
-         if intentional, regenerate it with `updlrm {}` --out tests/golden/placement_plan.json",
-        GOLDEN_PLAN_FLAGS[1..].join(" ")
-    );
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn plan_and_run_reject_foreign_schema_versions() {
     let dir = std::env::temp_dir().join("updlrm-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("plan-doctored.json");
-    let out = updlrm()
-        .args(GOLDEN_PLAN_FLAGS)
-        .arg("--out")
-        .arg(&path)
-        .output()
-        .expect("plan");
+    let out = updlrm().args(golden_plan(&path)).output().expect("plan");
     assert!(out.status.success());
     let text = std::fs::read_to_string(&path).expect("plan");
     assert!(text.contains("\"schema_version\": 2"), "{text}");
@@ -1235,9 +1295,7 @@ fn run_with_plan_serves_the_tiered_engine() {
     let json_path = dir.join("plan-run-report.json");
     let metrics_path = dir.join("plan-run-metrics.json");
     let out = updlrm()
-        .args(GOLDEN_PLAN_FLAGS)
-        .arg("--out")
-        .arg(&plan_path)
+        .args(golden_plan(&plan_path))
         .output()
         .expect("plan");
     assert!(out.status.success());
@@ -1257,8 +1315,10 @@ fn run_with_plan_serves_the_tiered_engine() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("UpDLRM (tiered plan)"), "stdout: {text}");
-    assert!(text.contains("tier routing:"), "stdout: {text}");
-    assert!(text.contains("host hits"), "stdout: {text}");
+    assert!(
+        text.contains("tier routing: 12005 host hits, 51470 PIM lookups"),
+        "stdout: {text}"
+    );
     let json = std::fs::read_to_string(&json_path).expect("report json");
     assert!(json.contains("\"strategy\": \"plan\""), "{json}");
     assert!(json.contains("\"dpus\": 6"), "{json}");
@@ -1325,48 +1385,6 @@ fn run_with_a_plan_refuses_the_flags_the_plan_fixes() {
             "{flag}: stderr {err}"
         );
     }
-}
-
-#[test]
-fn golden_plan_run_snapshot_matches_checked_in_file() {
-    // Recorded with the pre-merge tiered engine: the only artifact that
-    // pins a plan-built engine's modeled per-stage, per-DPU numbers.
-    let dir = std::env::temp_dir().join("updlrm-cli-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("plan-run-golden.json");
-    let out = updlrm()
-        .args(["run", "--dataset", "read", "--plan"])
-        .arg(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/placement_plan.json"
-        ))
-        .args(["--metrics"])
-        .arg(&path)
-        .output()
-        .expect("run --plan");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("tier routing: 12005 host hits, 51470 PIM lookups"),
-        "stdout: {text}"
-    );
-    let fresh = std::fs::read(&path).expect("regenerated snapshot");
-    let golden = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/plan_run_snapshot.json"
-    ))
-    .expect("checked-in golden snapshot");
-    assert!(
-        fresh == golden,
-        "plan-run snapshot diverges from tests/golden/plan_run_snapshot.json; if intentional, \
-         regenerate it with `updlrm run --dataset read --plan tests/golden/placement_plan.json \
-         --metrics tests/golden/plan_run_snapshot.json`"
-    );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -1653,130 +1671,6 @@ fn a_dpu_count_that_does_not_split_into_table_groups_exits_2_naming_dpus() {
     }
 }
 
-/// Runs `updlrm` with `args`, which write `out` (a path under `dir`
-/// named by the `{out}` argument), and returns the bytes written.
-fn written_by(dir: &std::path::Path, args: &[&str], out: &str) -> Vec<u8> {
-    let path = dir.join(out);
-    let path = path.to_str().expect("utf-8 path");
-    let args: Vec<&str> = args
-        .iter()
-        .map(|&a| if a == "{out}" { path } else { a })
-        .collect();
-    let run = updlrm().args(&args).output().expect("updlrm");
-    assert!(
-        run.status.success(),
-        "{args:?}: stderr {}",
-        String::from_utf8_lossy(&run.stderr)
-    );
-    let bytes = std::fs::read(path).expect("the command wrote its output");
-    std::fs::remove_file(path).ok();
-    bytes
-}
-
-#[test]
-fn event_loop_goldens_regenerate_byte_identical() {
-    // CI's exact invocations of the three goldens the event loop
-    // writes: the open-loop scheduler's metrics, the mid-migration
-    // drift snapshot (its trace step included) and the tenant fleet's
-    // metrics. Each runs twice; both runs must equal the committed
-    // file byte for byte.
-    let dir = std::env::temp_dir().join("updlrm-cli-event-loop-goldens");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let golden = |name: &str| {
-        let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-        std::fs::read(path).expect("checked-in golden")
-    };
-    let tenants = tenants_toml().to_str().expect("utf-8 path").to_string();
-    // The drift trace is CI's trace step, read by both drift runs.
-    let trace = dir.join("drift.upwl");
-    let trace = trace.to_str().expect("utf-8 path");
-    let out = updlrm()
-        .args([
-            "trace",
-            "--dataset",
-            "read",
-            "--scale",
-            "5000",
-            "--batches",
-            "6",
-        ])
-        .args(["--seed", "7", "--qps", "10000", "--rotate", "4:64:2000:0.8"])
-        .args(["--out", trace])
-        .output()
-        .expect("trace");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let cases: [(&str, Vec<&str>); 3] = [
-        (
-            "sched_snapshot.json",
-            vec![
-                "serve",
-                "--dataset",
-                "read",
-                "--dpus",
-                "32",
-                "--scale",
-                "1000",
-                "--batches",
-                "3",
-                "--seed",
-                "7",
-                "--qps",
-                "300000",
-                "--arrival",
-                "bursty",
-                "--max-batch",
-                "32",
-                "--max-wait-us",
-                "200",
-                "--queue-cap",
-                "48",
-                "--policy",
-                "shed-oldest",
-                "--metrics",
-                "{out}",
-            ],
-        ),
-        (
-            "drift_snapshot.json",
-            vec![
-                "serve",
-                "--workload-v3",
-                trace,
-                "--max-batch",
-                "32",
-                "--dpus",
-                "128",
-                "--strategy",
-                "u",
-                "--replan",
-                "periodic:8",
-                "--drift-snapshot",
-                "{out}",
-            ],
-        ),
-        (
-            "tenant_snapshot.json",
-            vec!["serve", "--tenants", &tenants, "--metrics", "{out}"],
-        ),
-    ];
-    for (name, args) in &cases {
-        let want = golden(name);
-        for run in 0..2 {
-            let got = written_by(&dir, args, name);
-            assert!(
-                got == want,
-                "{name} run {run} diverges from tests/golden/{name}; if the change is \
-                 intended, regenerate it with CI's invocation in .github/workflows/ci.yml"
-            );
-        }
-    }
-    std::fs::remove_file(trace).ok();
-}
-
 #[test]
 fn drift_flags_refuse_fields_they_used_to_coerce() {
     // A field is refused, not cast: 4.7 sets is not 4, a negative start
@@ -1900,31 +1794,22 @@ fn serve_wall_deterministic_records_the_modeled_sched_telemetry() {
 
 #[test]
 fn serve_wall_replans_like_the_modeled_scheduler() {
-    // The CI drift trace: the wall runtime's workers tick their engine
-    // at every launch instant, with the batcher's counts so far, so an
-    // oracle-locked run migrates exactly as the modeled scheduler does
-    // and writes the same mid-migration snapshot, `sched` block too.
+    // The drift golden's commands: the wall runtime's workers tick their
+    // engine at every launch instant, with the batcher's counts so far,
+    // so an oracle-locked run migrates exactly as the modeled scheduler
+    // does and writes the same mid-migration snapshot, `sched` block too.
     let dir = std::env::temp_dir().join("updlrm-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace_path = dir.join("drift-wall.upwl");
+    let trace = trace_path.to_str().expect("utf8 temp path");
+    let (snapshot_modeled, snapshot_wall) =
+        (dir.join("drift-modeled.json"), dir.join("drift-wall.json"));
+    let commands = |snapshot: &std::path::Path| {
+        let out = snapshot.to_str().expect("utf8 temp path");
+        golden_commands("drift_snapshot.json", out, trace)
+    };
     let out = updlrm()
-        .args([
-            "trace",
-            "--dataset",
-            "read",
-            "--scale",
-            "5000",
-            "--batches",
-            "6",
-            "--seed",
-            "7",
-            "--qps",
-            "10000",
-            "--rotate",
-            "4:64:2000:0.8",
-            "--out",
-        ])
-        .arg(&trace_path)
+        .args(&commands(&snapshot_modeled)[0])
         .output()
         .expect("trace");
     assert!(
@@ -1932,36 +1817,13 @@ fn serve_wall_replans_like_the_modeled_scheduler() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let trace = trace_path.to_str().expect("utf8 temp path");
-    let args = [
-        "serve",
-        "--workload-v3",
-        trace,
-        "--max-batch",
-        "32",
-        "--dpus",
-        "128",
-        "--strategy",
-        "u",
-        "--replan",
-        "periodic:8",
-    ];
-    let snapshot_modeled = dir.join("drift-modeled.json");
-    let snapshot_wall = dir.join("drift-wall.json");
-    let drift_flag = |path: &std::path::Path| {
-        let path = path.to_str().expect("utf8 temp path").to_string();
-        ["--drift-snapshot".to_string(), path]
-    };
-    let modeled_extra = drift_flag(&snapshot_modeled);
-    let modeled_extra: Vec<&str> = modeled_extra.iter().map(String::as_str).collect();
-    let wall_extra = drift_flag(&snapshot_wall);
-    let wall_extra: Vec<&str> = WALL_LOCKED
-        .iter()
-        .copied()
-        .chain(wall_extra.iter().map(String::as_str))
-        .collect();
-    let (_, modeled) = serve_with_metrics(&args, &modeled_extra, "replan-modeled");
-    let (text, wall) = serve_with_metrics(&args, &wall_extra, "replan-wall");
+    let serve = |snapshot: &std::path::Path| commands(snapshot).remove(1);
+    let (modeled_args, wall_args) = (serve(&snapshot_modeled), serve(&snapshot_wall));
+    fn strs(args: &[String]) -> Vec<&str> {
+        args.iter().map(String::as_str).collect()
+    }
+    let (_, modeled) = serve_with_metrics(&strs(&modeled_args), &[], "replan-modeled");
+    let (text, wall) = serve_with_metrics(&strs(&wall_args), &WALL_LOCKED, "replan-wall");
     std::fs::remove_file(&trace_path).ok();
     assert!(text.contains("oracle lock: OK"), "stdout: {text}");
     assert!(text.contains("replan [periodic:8]"), "stdout: {text}");
