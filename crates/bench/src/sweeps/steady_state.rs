@@ -154,10 +154,10 @@ fn assert_scalar_identity(
     dtype: EmbedDtype,
     outcome: &updlrm_core::ServeOutcome,
 ) -> bool {
-    simd::force_tier(Some(simd::SimdTier::Scalar));
-    let mut eng = engine(tables, workload, dtype);
-    let scalar = eng.serve(&workload.batches).expect("serves");
-    simd::force_tier(None);
+    let scalar = simd::with_tier(simd::SimdTier::Scalar, || {
+        let mut eng = engine(tables, workload, dtype);
+        eng.serve(&workload.batches).expect("serves")
+    });
     assert_eq!(
         scalar.report, outcome.report,
         "modeled walls depend on SIMD tier"

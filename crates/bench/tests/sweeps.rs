@@ -5,8 +5,9 @@
 //! repo-root file. A mismatch names the row and column that differ
 //! and the `cargo bench` command that regenerates the file.
 //!
-//! `steady_state` pins the process-global SIMD tier to scalar for part
-//! of its run, so the sweeps beside it may run some kernels on that
+//! `steady_state` serves each configuration a second time on the scalar
+//! tier, under `simd::with_tier`: the override covers its own thread and
+//! the engine's DPU worker, and the sweeps beside it keep the detected
 //! tier. No document depends on the tier: `steady_state` asserts it,
 //! and CI runs this file under `UPDLRM_FORCE_SCALAR=1` too.
 

@@ -18,6 +18,11 @@
 //!   taken when `is_x86_feature_detected!("avx2")` says so;
 //! * `avx512` — and under `avx512f,avx2`, when both are detected.
 //!
+//! **One tier per process, overridden only in scope.** The process
+//! detects its tier once; [`with_tier`] overrides it for one thread,
+//! until its closure returns or unwinds. The engine's DPU worker runs
+//! each launch on its sender's tier.
+//!
 //! **Bit-exactness contract.** Every tier performs the *same* sequence
 //! of IEEE-754 single operations on each output element (multiply, then
 //! add — never a fused multiply-add, which skips the intermediate
@@ -32,8 +37,6 @@
 //! and every caller's differential tests pin the tiers to each other.
 //! That is also why the dispatch tier is *not* recorded in any modeled
 //! output — only wall-clock speed changes with the tier.
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The instruction-set tier a primitive dispatches to, narrowest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -60,37 +63,27 @@ impl SimdTier {
     }
 }
 
-/// Cached tier: 0 = undetected, else `SimdTier as u8 + 1`.
-static TIER: AtomicU8 = AtomicU8::new(0);
-
-fn detect() -> SimdTier {
-    if std::env::var_os("UPDLRM_FORCE_SCALAR").is_some_and(|v| v == "1") {
-        return SimdTier::Scalar;
-    }
-    detect_capability()
+/// The process's tier, resolved once on first use and never stored
+/// again: scalar under `UPDLRM_FORCE_SCALAR=1`, else the CPU's widest.
+#[inline]
+fn detected() -> SimdTier {
+    static DETECTED: std::sync::OnceLock<SimdTier> = std::sync::OnceLock::new();
+    *DETECTED.get_or_init(|| match std::env::var_os("UPDLRM_FORCE_SCALAR") {
+        Some(v) if v == "1" => SimdTier::Scalar,
+        _ => detect_capability(),
+    })
 }
 
-/// Inverse of the `SimdTier as u8 + 1` that [`TIER`] stores.
-fn decode(v: u8) -> SimdTier {
-    match v {
-        2 => SimdTier::Avx2,
-        3 => SimdTier::Avx512,
-        _ => SimdTier::Scalar,
-    }
+thread_local! {
+    /// This thread's [`with_tier`] override, while one runs.
+    static OVERRIDE: std::cell::Cell<Option<SimdTier>> = const { std::cell::Cell::new(None) };
 }
 
-/// The tier every primitive currently dispatches to (detected once,
-/// then cached; honors `UPDLRM_FORCE_SCALAR=1` at first use).
+/// The tier every primitive dispatches to on this thread: the innermost
+/// [`with_tier`] override around the call, else the detected tier.
 #[inline]
 pub fn tier() -> SimdTier {
-    match TIER.load(Ordering::Relaxed) {
-        0 => {
-            let t = detect();
-            TIER.store(t as u8 + 1, Ordering::Relaxed);
-            t
-        }
-        v => decode(v),
-    }
+    OVERRIDE.get().unwrap_or_else(detected)
 }
 
 /// Stable name of the active tier (see [`SimdTier::as_str`]).
@@ -98,18 +91,21 @@ pub fn tier_name() -> &'static str {
     tier().as_str()
 }
 
-/// Overrides the dispatch tier for differential testing and in-bench
-/// scalar/SIMD identity checks. `Some(t)` forces `t` (requests above
-/// the machine's capability fall back to scalar rather than faulting);
-/// `None` re-runs detection. Not intended for production use — the
-/// detected tier is always correct.
-pub fn force_tier(t: Option<SimdTier>) {
-    let t = match t {
-        Some(want) if want <= detect_capability() => want,
-        Some(_) => SimdTier::Scalar,
-        None => detect(),
-    };
-    TIER.store(t as u8 + 1, Ordering::Relaxed);
+/// Runs `f` with every primitive on this thread — no other — dispatching
+/// to `t` (scalar if the CPU lacks `t`), until `f` returns or unwinds.
+/// For differential tests and scalar/SIMD identity checks: the detected
+/// tier is always correct.
+pub fn with_tier<R>(t: SimdTier, f: impl FnOnce() -> R) -> R {
+    /// Puts the outer override back, on return and on unwind alike.
+    struct Restore(Option<SimdTier>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OVERRIDE.set(self.0);
+        }
+    }
+    let capable = t <= detect_capability();
+    let _restore = Restore(OVERRIDE.replace(Some(if capable { t } else { SimdTier::Scalar })));
+    f()
 }
 
 /// Detection ignoring the `UPDLRM_FORCE_SCALAR` override: what the CPU
@@ -126,16 +122,6 @@ fn detect_capability() -> SimdTier {
         };
     }
     SimdTier::Scalar
-}
-
-/// The dispatch tier is process-global, so tests anywhere in this
-/// crate that override it with [`force_tier`] serialize on this lock.
-/// Continuing past a poisoned lock is fine: every user restores
-/// detection before releasing.
-#[cfg(test)]
-pub(crate) fn test_tier_lock() -> std::sync::MutexGuard<'static, ()> {
-    static TIER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---------------------------------------------------------------------------
@@ -669,13 +655,13 @@ mod tests {
     /// bit-identical to `want`, which the caller computed with an oracle
     /// from [`oracle`] or [`gemm_ijk`] — with one body per primitive,
     /// comparing tiers with each other would compare a function with
-    /// itself compiled wider. Restores detection after.
+    /// itself compiled wider.
     fn differential(want: &[f32], mut f: impl FnMut() -> Vec<f32>) {
-        let _guard = test_tier_lock();
         for t in capability_tiers() {
-            force_tier(Some(t));
-            assert_eq!(tier(), t, "a forced tier is the tier that runs");
-            let got = f();
+            let got = with_tier(t, || {
+                assert_eq!(tier(), t, "a forced tier is the tier that runs");
+                f()
+            });
             assert_eq!(got.len(), want.len());
             for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
                 assert_eq!(
@@ -687,7 +673,6 @@ mod tests {
                 );
             }
         }
-        force_tier(None);
     }
 
     /// What each primitive computes, one element at a time by index —
@@ -931,16 +916,15 @@ mod tests {
             let cuts: Vec<usize> = (0..=parts).map(|p| k * p / parts).collect();
             let mut want = start.clone();
             gemm_ijk(&mut want, &a, stride, &b, n, false);
-            let _guard = test_tier_lock();
             for t in capability_tiers() {
-                force_tier(Some(t));
                 let mut got = start.clone();
-                for w in cuts.windows(2) {
-                    // The last row's part must end inside `a`.
-                    let a_part = if rows == 0 { &a[..] } else { &a[w[0]..(rows - 1) * stride + w[1]] };
-                    gemm(&mut got, a_part, stride, &b[w[0] * n..w[1] * n], n);
-                }
-                force_tier(None);
+                with_tier(t, || {
+                    for w in cuts.windows(2) {
+                        // The last row's part must end inside `a`.
+                        let a_part = if rows == 0 { &a[..] } else { &a[w[0]..(rows - 1) * stride + w[1]] };
+                        gemm(&mut got, a_part, stride, &b[w[0] * n..w[1] * n], n);
+                    }
+                });
                 for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                     proptest::prop_assert_eq!(
                         g.to_bits(), w.to_bits(),
@@ -954,22 +938,53 @@ mod tests {
 
     #[test]
     fn tier_is_stable_across_calls() {
-        let _guard = test_tier_lock();
-        // From the undetected state: the call that detects and the
-        // calls that read the cache back must agree.
-        TIER.store(0, Ordering::Relaxed);
-        assert_eq!([tier(), tier(), tier()], [detect(); 3]);
+        // Outside an override, every call on every thread reads the one
+        // tier the process detected, and that is what the environment
+        // and the CPU say.
+        let forced = std::env::var_os("UPDLRM_FORCE_SCALAR").is_some_and(|v| v == "1");
+        let want = if forced {
+            SimdTier::Scalar
+        } else {
+            detect_capability()
+        };
+        let there = std::thread::spawn(|| [tier(), tier()]).join().unwrap();
+        assert_eq!([tier(), tier(), tier()], [want; 3]);
+        assert_eq!(there, [want; 2]);
     }
 
     #[test]
     fn forced_tier_is_the_tier_that_runs() {
-        let _guard = test_tier_lock();
         for t in capability_tiers() {
-            force_tier(Some(t));
-            assert_eq!([tier(), tier()], [t; 2]);
-            assert_eq!(tier_name(), t.as_str());
+            with_tier(t, || {
+                assert_eq!([tier(), tier()], [t; 2]);
+                assert_eq!(tier_name(), t.as_str());
+                // Only this thread is overridden.
+                let there = std::thread::spawn(tier).join().unwrap();
+                assert_eq!(there, detected());
+                // An inner override ends where its closure does.
+                for inner in capability_tiers() {
+                    assert_eq!(with_tier(inner, tier), inner);
+                    assert_eq!(tier(), t);
+                }
+            });
         }
-        force_tier(None);
+        assert_eq!(tier(), detected());
+    }
+
+    #[test]
+    fn the_override_ends_when_its_closure_panics() {
+        for outer in capability_tiers() {
+            with_tier(outer, || {
+                for t in capability_tiers() {
+                    let unwound = std::panic::catch_unwind(|| {
+                        with_tier(t, || panic!("planted panic on tier {}", t.as_str()))
+                    });
+                    assert!(unwound.is_err());
+                    assert_eq!(tier(), outer, "a panic on {t:?} left its override");
+                }
+            });
+            assert_eq!(tier(), detected());
+        }
     }
 
     #[test]
@@ -1064,8 +1079,6 @@ mod tests {
 
     #[test]
     fn sum_rows_le_matches_per_row_add_assign_le() {
-        let _guard = test_tier_lock();
-        force_tier(None);
         for len in [8usize, 16, 32, 48] {
             let n_rows = 9;
             let vals = gen(len * n_rows, 12);
@@ -1212,12 +1225,9 @@ mod tests {
             let start = gen(len, seed ^ 0x33);
             let mut want = start.clone();
             oracle::sum_rows_tagged_le(&mut want, &data, &offs, TAG);
-            let _guard = test_tier_lock();
             for t in capability_tiers() {
-                force_tier(Some(t));
                 let mut got = start.clone();
-                sum_rows_tagged_le(&mut got, &data, &offs, TAG);
-                force_tier(None);
+                with_tier(t, || sum_rows_tagged_le(&mut got, &data, &offs, TAG));
                 for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                     proptest::prop_assert_eq!(
                         g.to_bits(), w.to_bits(),
@@ -1231,14 +1241,15 @@ mod tests {
 
     #[test]
     fn forcing_unsupported_tier_falls_back_to_scalar() {
-        let _guard = test_tier_lock();
         let have = detect_capability();
         for want in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
-            force_tier(Some(want));
             let expect = if want <= have { want } else { SimdTier::Scalar };
-            assert_eq!(tier(), expect, "forcing {want:?} on a {have:?} host");
+            assert_eq!(
+                with_tier(want, tier),
+                expect,
+                "forcing {want:?} on a {have:?} host"
+            );
         }
-        force_tier(None);
     }
 
     #[test]

@@ -197,13 +197,10 @@ mod tests {
         // whatever tier this machine detects; rows of 37 and more reach
         // the vector copies (`AVX2_MIN_ELEMS`, `AVX512_MIN_ELEMS`).
         use crate::simd::{self, SimdTier};
-        let _guard = simd::test_tier_lock();
         for (m, n) in [(4, 5), (3, 9), (2, 37), (3, 64), (2, 100)] {
             let bias = fill(1, n, 100).into_vec();
-            simd::force_tier(Some(SimdTier::Scalar));
             let mut scalar = fill(m, n, 7);
-            scalar.add_bias(&bias).unwrap();
-            simd::force_tier(None);
+            simd::with_tier(SimdTier::Scalar, || scalar.add_bias(&bias)).unwrap();
             let mut vector = fill(m, n, 7);
             vector.add_bias(&bias).unwrap();
             for (x, y) in scalar.as_slice().iter().zip(vector.as_slice()) {

@@ -70,9 +70,8 @@ fn outputs() -> String {
     text
 }
 
-/// The only test this binary runs by default, so forcing the
-/// process-global tier races with nothing. A tier the machine lacks
-/// falls back to scalar.
+/// Each tier is an override on this test's thread only; a tier the
+/// machine lacks falls back to scalar.
 #[test]
 fn ctr_outputs_match_the_parent_on_every_tier() {
     let want = std::fs::read_to_string(path()).expect("committed golden");
@@ -82,10 +81,7 @@ fn ctr_outputs_match_the_parent_on_every_tier() {
         "golden holds both batches"
     );
     for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
-        simd::force_tier(Some(tier));
-        let got = outputs();
-        let ran = simd::tier_name();
-        simd::force_tier(None);
+        let (got, ran) = simd::with_tier(tier, || (outputs(), simd::tier_name()));
         assert!(
             got == want,
             "CTR outputs differ from the recorded parent on tier {ran}"

@@ -369,6 +369,8 @@ pub struct UpdlrmEngine {
     pub(crate) in_flight: Option<crate::serve::InFlight>,
     /// Launches sent to `worker` over the engine's lifetime.
     pub(crate) handoffs: u64,
+    /// The SIMD tier `worker` ran its last launch on.
+    pub(crate) worker_tier: Option<dlrm_model::simd::SimdTier>,
     /// Replan ticks that acted while a `serve_step` batch was in
     /// flight, over the engine's lifetime.
     pub(crate) overlapped_ticks: u64,

@@ -678,6 +678,7 @@ impl UpdlrmEngine {
             worker: None,
             in_flight: None,
             handoffs: 0,
+            worker_tier: None,
             overlapped_ticks: 0,
         })
     }

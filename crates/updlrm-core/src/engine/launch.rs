@@ -117,6 +117,8 @@ struct LaunchJob {
     slot: usize,
     samples: usize,
     bd: EmbeddingBreakdown,
+    /// The sender's SIMD tier, to run on; back home, the tier it ran on.
+    tier: dlrm_model::simd::SimdTier,
     result: Result<()>,
 }
 
@@ -229,9 +231,9 @@ impl Drop for CloseOnPanic {
 }
 
 /// The engine's persistent stage-2 thread ([`crate::serve`]): it takes
-/// a launch from the hand-off slot, runs [`DpuSide::stage2`] and puts
-/// the launch back. Dropping it closes the slot, which ends the
-/// thread's loop, and joins the thread.
+/// a launch from the hand-off slot, runs [`DpuSide::stage2`] on the
+/// sender's SIMD tier and puts the launch back. Dropping it closes the
+/// slot, which ends the thread's loop, and joins the thread.
 pub(crate) struct DpuWorker {
     handoff: Arc<Handoff>,
     thread: Option<JoinHandle<()>>,
@@ -252,9 +254,11 @@ impl DpuWorker {
             .spawn(move || {
                 let handoff = &guard.0;
                 while let Slot::Job(mut job) = handoff.take(true) {
-                    job.result =
+                    job.result = dlrm_model::simd::with_tier(job.tier, || {
+                        job.tier = dlrm_model::simd::tier();
                         job.side
-                            .stage2(&mut job.cells, job.slot, job.samples, &mut job.bd);
+                            .stage2(&mut job.cells, job.slot, job.samples, &mut job.bd)
+                    });
                     handoff.put(Slot::Done(job));
                 }
             })?;
@@ -288,6 +292,7 @@ impl UpdlrmEngine {
             slot,
             samples: self.scratch.staged[slot].samples,
             bd,
+            tier: dlrm_model::simd::tier(),
             result: Ok(()),
         };
         self.worker().handoff.put(Slot::Job(job));
@@ -303,6 +308,7 @@ impl UpdlrmEngine {
         };
         self.dpu.restore(job.side);
         self.metrics.launch = job.cells;
+        self.worker_tier = Some(job.tier);
         job.result.map(|()| job.bd)
     }
 

@@ -931,6 +931,30 @@ mod tests {
         assert!(one_core.worker.is_none());
     }
 
+    /// The DPU worker runs each launch on the SIMD tier of the thread
+    /// that sent it, so an override around a serve reaches stage 2 too.
+    /// Every tier gives the same bits, so only the tier the worker
+    /// records shows it; each tier is asked for, so a worker that kept
+    /// its own tier fails on any host with two tiers, under
+    /// `UPDLRM_FORCE_SCALAR=1` too.
+    #[test]
+    fn the_dpu_worker_runs_the_senders_simd_tier() {
+        use dlrm_model::simd::{self, SimdTier};
+        let (tables, workload) = setup(3);
+        let batches = &workload.batches;
+        let config = UpdlrmConfig::with_dpus(16, PartitionStrategy::CacheAware);
+        let mut e = engine(&config, &tables, &workload);
+        e.overlap = true;
+        for t in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+            let handoffs = e.handoffs;
+            simd::with_tier(t, || e.serve_stream(batches, |_, _, _| {})).unwrap();
+            assert_eq!(e.handoffs, handoffs + batches.len() as u64);
+            assert_eq!(e.worker_tier, Some(simd::with_tier(t, simd::tier)));
+            simd::with_tier(t, || step_through(&mut e, batches, true));
+            assert_eq!(e.worker_tier, Some(simd::with_tier(t, simd::tier)));
+        }
+    }
+
     /// An invalid batch at position 3 fails the stream with the error
     /// its route reports on its own, after the launch in flight has
     /// come home: the telemetry then equals the one-thread serve's, and

@@ -7,7 +7,7 @@
 //! [`record_sample_never_sorts`] are the two gates a pattern list
 //! cannot say. `lint_gates_hold` scans the tree as `grep -r` reads it:
 //! every file under each path, this file excepted. `every_gate_can_fail`
-//! plants each row's first pattern in a temp tree, so a pattern that
+//! plants each pattern of each row in a temp tree, so a pattern that
 //! can never match fails here too.
 
 use std::path::{Path, PathBuf};
@@ -18,8 +18,8 @@ enum Expect {
     Absent,
     /// Exactly this many lines.
     Exactly(usize),
-    /// At least one line, and every one in this file.
-    OnlyIn(&'static str),
+    /// At least one line, and every one in these files.
+    OnlyIn(&'static [&'static str]),
 }
 
 use Expect::{Absent, Exactly, OnlyIn};
@@ -40,6 +40,21 @@ struct Gate {
 const CORE: &[&str] = &["crates/updlrm-core/src"];
 const SOURCES: &[&str] = &["crates/*/src", "src"];
 const LAUNCH: &[&str] = &["crates/upmem-sim/src", "crates/updlrm-core/src", "src"];
+const EVERYWHERE: &[&str] = &["crates", "src", "tests", "examples"];
+const SIMD: &[&str] = &["crates/dlrm-model/src/simd.rs"];
+
+/// A row that holds one stage method to exactly `n` definitions.
+const fn one_stage(pattern: &'static [&'static str], n: usize) -> Gate {
+    Gate {
+        gate: "One stage sequence",
+        patterns: pattern,
+        paths: CORE,
+        expect: Exactly(n),
+        keeps_out: "a second copy of a stage method: `run_batch` and every serve call \
+                    the one `route` / `scatter` / `stage2` / `stage3` sequence, and \
+                    `PipelineClock::stage3` is the other `fn stage3` (DESIGN.md §4.4)",
+    }
+}
 
 const GATES: &[Gate] = &[
     Gate {
@@ -95,7 +110,7 @@ const GATES: &[Gate] = &[
         gate: "One stage sequence",
         patterns: &["bus_free"],
         paths: SOURCES,
-        expect: OnlyIn("crates/updlrm-core/src/pipeline.rs"),
+        expect: OnlyIn(&["crates/updlrm-core/src/pipeline.rs"]),
         keeps_out: "a second copy of the depth-2 schedule recurrence",
     },
     Gate {
@@ -268,6 +283,287 @@ const GATES: &[Gate] = &[
         keeps_out: "the miner's per-sample span cap and its stride: a recorded sample \
                     keeps every hot rank, under a rank budget",
     },
+    Gate {
+        gate: "Whole samples, recorded without a sort",
+        patterns: &[
+            "FxHashMap",
+            "FxHashSet",
+            "fn adjacency",
+            "fn neighbors_by_weight",
+        ],
+        paths: &[
+            "crates/cooccur-cache/src/graph.rs",
+            "crates/cooccur-cache/src/mine.rs",
+        ],
+        expect: Absent,
+        keeps_out: "the miner's edge map: the hash-map miner lives only in \
+                    `crates/cooccur-cache/tests/miner_oracle.rs`",
+    },
+    Gate {
+        gate: "Whole samples, recorded without a sort",
+        patterns: &["rank_freq", "freq:"],
+        paths: &["crates/cooccur-cache/src/graph.rs"],
+        expect: Absent,
+        keeps_out: "the whole-profile frequency as the edge bar: the profile ranks \
+                    seeds, and a seed's bar counts its recorded samples",
+    },
+    Gate {
+        gate: "Whole samples, recorded without a sort",
+        patterns: &["CacheListSet::mine("],
+        paths: &["crates/updlrm-core/src", "crates/bench/src"],
+        expect: Absent,
+        keeps_out: "a caller of the miner that bypasses `from_trace`",
+    },
+    Gate {
+        gate: "One embedding engine",
+        patterns: &[
+            "TieredEngine",
+            "mram_view",
+            "scatter_broadcast(",
+            "BatchServer",
+        ],
+        paths: EVERYWHERE,
+        expect: Absent,
+        keeps_out: "the second (tiered) engine, the runtime's serving trait and the \
+                    simulator's caller-less MRAM views: a plan is served by \
+                    `UpdlrmEngine::from_plan` (DESIGN.md §4.9)",
+    },
+    Gate {
+        gate: "One whole-DPU kernel pass",
+        patterns: &["fn run_csr", "fn run_dedup", "TaskletScratch"],
+        paths: &["crates/updlrm-core/src/kernel.rs"],
+        expect: Absent,
+        keeps_out: "the tasklet-by-tasklet kernel: it lives only in \
+                    `crates/updlrm-core/tests/stream_props.rs` as the `Longhand` oracle",
+    },
+    Gate {
+        gate: "One cost table",
+        patterns: &["fn charge_"],
+        paths: &["crates/upmem-sim/src/dpu.rs"],
+        expect: Exactly(8),
+        keeps_out: "a charge beside the eight formulas, each of which takes a count",
+    },
+    Gate {
+        gate: "One cost table",
+        patterns: &["round()"],
+        paths: &["crates/upmem-sim/src/dpu.rs"],
+        expect: Absent,
+        keeps_out: "a cost curve outside `cost.rs`'s `CostTable`",
+    },
+    Gate {
+        gate: "One WRAM account",
+        patterns: &["wram_tenants", "wram-"],
+        paths: &["src/bin/updlrm.rs"],
+        expect: Absent,
+        keeps_out: "a CLI switch for WRAM residency: `UpdlrmConfig::wram_tenants = 0` \
+                    (library only) is the paper's kernel",
+    },
+    Gate {
+        gate: "One WRAM account",
+        patterns: &["tasklets * 64"],
+        paths: CORE,
+        expect: Absent,
+        keeps_out: "a second WRAM account beside `kernel::wram_budget`",
+    },
+    Gate {
+        gate: "One WRAM account",
+        patterns: &["WramBudget"],
+        paths: &["crates/placement", "crates/bench", "src"],
+        expect: Absent,
+        keeps_out: "an estimator that derives its own WRAM budget: estimators are told \
+                    `UpdlrmConfig::wram_resident_bytes`",
+    },
+    Gate {
+        gate: "One WRAM account",
+        patterns: &["prefill_resident"],
+        paths: EVERYWHERE,
+        expect: OnlyIn(&[
+            "crates/runtime/src/lib.rs",
+            "crates/updlrm-core/src/engine/launch.rs",
+        ]),
+        keeps_out: "a second caller of the fill outside modeled time: only the wall \
+                    runtime fills its shards beyond the first that way (DESIGN.md §4.8)",
+    },
+    one_stage(&["fn route("], 1),
+    one_stage(&["fn scatter("], 1),
+    one_stage(&["fn stage2("], 1),
+    one_stage(&["fn stage3("], 2),
+    one_stage(&["fn run_batch("], 1),
+    one_stage(&["fn serve_doublebuf"], 1),
+    one_stage(&["fn pipelined_schedule("], 1),
+    one_stage(&["fn recycle_pooled("], 1),
+    Gate {
+        gate: "One stage sequence",
+        patterns: &[
+            "Sequential",
+            "pipeline_mode =",
+            "--pipeline",
+            "saturating_add(service",
+        ],
+        paths: &["crates/updlrm-core/src", "crates/scheduler/src", "src"],
+        expect: Absent,
+        keeps_out: "the back-to-back schedule, its flag and the scheduler's own \
+                    service clock: one schedule, one clock (DESIGN.md §4.4)",
+    },
+    Gate {
+        gate: "One modeled clock",
+        patterns: &["PipelineClock"],
+        paths: &["crates/*/src"],
+        expect: OnlyIn(&[
+            "crates/scheduler/src/event_loop.rs",
+            "crates/tenancy/src/fleet.rs",
+            "crates/updlrm-core/src/engine.rs",
+            "crates/updlrm-core/src/pipeline.rs",
+            "crates/updlrm-core/src/serve.rs",
+        ]),
+        keeps_out: "a front-end that keeps modeled time without the one depth-2 clock",
+    },
+    Gate {
+        gate: "One tile writer",
+        patterns: &["fn write_tiles"],
+        paths: CORE,
+        expect: Exactly(1),
+        keeps_out: "a second MRAM tile writer: the initial load and the migration \
+                    scatter share `write_tiles`",
+    },
+    Gate {
+        gate: "One tile writer",
+        patterns: &["fn build_emt_tile", "fn build_cache_tile"],
+        paths: CORE,
+        expect: Absent,
+        keeps_out: "the per-region tile builders `write_tiles` replaced",
+    },
+    Gate {
+        gate: "One tile writer",
+        patterns: &["CacheEntry", "Vec<f32>"],
+        paths: &["crates/cooccur-cache/src/store.rs"],
+        expect: Exactly(1),
+        keeps_out: "a host copy of each cached row: the partial-sum store keeps none, \
+                    and only `reduce_with_table` returns a row",
+    },
+    Gate {
+        gate: "One tile writer",
+        patterns: &["resize("],
+        paths: &["crates/upmem-sim/src/mem.rs"],
+        expect: Absent,
+        keeps_out: "an MRAM bank whose growth writes the bytes it adds",
+    },
+    Gate {
+        gate: "One bench protocol, no host clock",
+        patterns: &[
+            "fn num(",
+            "fn parse_rows(",
+            "--baseline-label",
+            "--smoke",
+            "timing::",
+            "Instant::now",
+        ],
+        paths: &["crates/bench/benches", "crates/bench/src"],
+        expect: Absent,
+        keeps_out: "per-bench flag parsers and host timers: the sweeps share \
+                    `bench::protocol` and read only the modeled clock",
+    },
+    Gate {
+        gate: "One bench protocol, no host clock",
+        patterns: &[
+            "measured_",
+            "baseline_",
+            "speedup_vs_baseline",
+            "telemetry_overhead_pct",
+            "\"simd\"",
+            "wall_ms",
+        ],
+        paths: &[
+            "BENCH_drift.json",
+            "BENCH_pipeline.json",
+            "BENCH_placement.json",
+            "BENCH_sched.json",
+            "BENCH_steady_state.json",
+            "BENCH_tenants.json",
+        ],
+        expect: Absent,
+        keeps_out: "host time in a committed sweep document: host time is \
+                    `benchmark/`'s",
+    },
+    Gate {
+        gate: "One matrix product",
+        patterns: &["axpy"],
+        paths: &[
+            "crates/dlrm-model/src/tensor.rs",
+            "crates/dlrm-model/src/mlp.rs",
+        ],
+        expect: Absent,
+        keeps_out: "the axpy-per-`k` matmul: every product is `simd::gemm`",
+    },
+    Gate {
+        gate: "One matrix product",
+        patterns: &["hconcat", "dense.clone()"],
+        paths: &["crates/dlrm-model/src/model.rs"],
+        expect: Exactly(2),
+        keeps_out: "a concatenation on the serving path: the two hits are the test \
+                    oracle that `forward_with_pooled` is compared with",
+    },
+    Gate {
+        gate: "One matrix product",
+        patterns: &["fmadd", "mul_add"],
+        paths: &["crates/dlrm-model/src"],
+        expect: Absent,
+        keeps_out: "a fused multiply-add, which would round differently on each tier \
+                    (DESIGN.md §4.10)",
+    },
+    Gate {
+        gate: "One source per SIMD primitive",
+        patterns: &[
+            "_mm_",
+            "_mm256_",
+            "_mm512_",
+            "vld1q",
+            "std::arch::x86_64::*",
+            "std::arch::aarch64::*",
+        ],
+        paths: SIMD,
+        expect: Absent,
+        keeps_out: "hand-written intrinsics: each tier is the one body compiled for it",
+    },
+    Gate {
+        gate: "One source per SIMD primitive",
+        patterns: &["unsafe"],
+        paths: SIMD,
+        expect: Exactly(2),
+        keeps_out: "an `unsafe` beyond the two calls into a `#[target_feature]` copy",
+    },
+    Gate {
+        gate: "One SIMD tier per process",
+        patterns: &["force_tier", "test_tier_lock", "TIER.store"],
+        paths: EVERYWHERE,
+        expect: Absent,
+        keeps_out: "a store to the process's tier after detection and the lock its \
+                    tests took: an override is `simd::with_tier`, per thread and in \
+                    scope (DESIGN.md §4.10)",
+    },
+    Gate {
+        gate: "Deleted knobs stay shims",
+        patterns: &[
+            "queue_depth(",
+            "queue_depth:",
+            "queue_depth =",
+            "\"queue_depth\"",
+            "queue-depth",
+        ],
+        paths: EVERYWHERE,
+        expect: Exactly(2),
+        keeps_out: "a queue depth that does anything: only the no-op \
+                    `with_queue_depth` and its one test caller remain, kept because \
+                    `benchmark/src/shapes.rs` still calls it",
+    },
+    Gate {
+        gate: "One placement path",
+        patterns: &["fn least_loaded_with_room"],
+        paths: &["crates"],
+        expect: OnlyIn(&["crates/placement/src/planner.rs"]),
+        keeps_out: "a second least-loaded scan: NU, CA and both plan packers call the \
+                    planner's",
+    },
 ];
 
 /// The repo root.
@@ -358,7 +654,7 @@ fn violation(gate: &Gate, root: &Path) -> Option<String> {
     let held = match gate.expect {
         Absent => hits.is_empty(),
         Exactly(n) => hits.len() == n,
-        OnlyIn(file) => !hits.is_empty() && hits.iter().all(|h| h.file == file),
+        OnlyIn(files) => !hits.is_empty() && hits.iter().all(|h| files.contains(&&*h.file)),
     };
     if held {
         return None;
@@ -366,7 +662,7 @@ fn violation(gate: &Gate, root: &Path) -> Option<String> {
     let wanted = match gate.expect {
         Absent => "no line".to_string(),
         Exactly(n) => format!("exactly {n} lines"),
-        OnlyIn(file) => format!("lines only in {file}"),
+        OnlyIn(files) => format!("lines only in {files:?}"),
     };
     let found: Vec<String> = hits
         .iter()
@@ -497,7 +793,7 @@ fn every_gate_can_fail() {
         // The row's first path, `*` made concrete; a directory gets a
         // new file, a file path is written itself.
         let path = gate.paths[0].replace('*', "planted");
-        let file = if path.ends_with(".rs") {
+        let file = if Path::new(&path).extension().is_some() {
             path
         } else {
             format!("{path}/planted.rs")
@@ -506,15 +802,16 @@ fn every_gate_can_fail() {
             Absent | OnlyIn(_) => 1,
             Exactly(n) => n + 1,
         };
-        let line = format!("let planted = {};\n", gate.patterns[0]);
-        let tree = TempTree::new(&format!("row{i}"));
-        tree.write(&file, &line.repeat(copies));
-        assert!(
-            violation(gate, &tree.0).is_some(),
-            "row {i} (\"{}\") holds with {copies} planted {:?} in {file}",
-            gate.gate,
-            gate.patterns[0]
-        );
+        for pattern in gate.patterns {
+            let line = format!("let planted = {pattern};\n");
+            let tree = TempTree::new(&format!("row{i}"));
+            tree.write(&file, &line.repeat(copies));
+            assert!(
+                violation(gate, &tree.0).is_some(),
+                "row {i} (\"{}\") holds with {copies} planted {pattern:?} in {file}",
+                gate.gate,
+            );
+        }
     }
 
     let tree = TempTree::new("unsafe");
