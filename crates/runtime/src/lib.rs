@@ -316,6 +316,7 @@ impl Runtime {
                 batches_per_shard: vec![0; cfg.shards],
                 modeled_service_ns: 0.0,
                 measured_service_ns: 0.0,
+                awaited: None,
             };
             let (mut tally, makespan) = if cfg.deterministic {
                 // The oracle-locked mode is the modeled scheduler's own
@@ -506,6 +507,9 @@ struct Batcher<'a, F> {
     batches_per_shard: Vec<u64>,
     modeled_service_ns: f64,
     measured_service_ns: f64,
+    /// Stages 2 and 3 of the batch the oracle-locked mode served last,
+    /// reported to the loop with the next launch or the flush.
+    awaited: Option<(Ps, Ps)>,
 }
 
 /// What the free-running mode tracks on top of [`Batcher`]: the report
@@ -724,10 +728,11 @@ where
 
 /// The oracle-locked mode's half of [`EventLoop::run`]: each formed
 /// batch is dispatched to its round-robin shard and awaited before
-/// modeled time advances, and its three stage times go back whole to
-/// the loop's pipeline clock: unlike `Scheduler::run`, it never returns
-/// with a batch in flight. The host never has more than one batch in flight,
-/// so a plain blocking push cannot deadlock.
+/// modeled time advances. Like `Scheduler::run`'s server, it returns
+/// the batch's stage 1 and reports its stages 2 and 3 with the next
+/// launch or from the flush, so the loop's pipeline clock sees one
+/// issue/settle order from every front-end. The host never has more
+/// than one batch in flight, so a plain blocking push cannot deadlock.
 impl<F> Serve for Batcher<'_, F>
 where
     F: FnMut(usize, &[u32], &[Matrix], &EmbeddingBreakdown),
@@ -744,7 +749,15 @@ where
             .ok_or_else(|| Self::worker_gone(shard, launch.seq, "completed"))??;
         debug_assert_eq!(done.seq, launch.seq, "lockstep completion order");
         self.book(&done);
-        Ok(done.breakdown.stages().into())
+        let stages = done.breakdown.stages();
+        Ok(Step {
+            settled: self.awaited.replace((stages.s2, stages.s3)),
+            s1: stages.s1,
+        })
+    }
+
+    fn flush(&mut self) -> Result<Option<(Ps, Ps)>> {
+        Ok(self.awaited.take())
     }
 }
 
@@ -800,6 +813,7 @@ mod tests {
             batches_per_shard: vec![0],
             modeled_service_ns: 0.0,
             measured_service_ns: 0.0,
+            awaited: None,
         };
         let mut fl = InFlight {
             tally: Tally::new(64),
@@ -854,6 +868,7 @@ mod tests {
             batches_per_shard: vec![0],
             modeled_service_ns: 0.0,
             measured_service_ns: 0.0,
+            awaited: None,
         };
         let mut fl = InFlight {
             tally: Tally::new(64),
@@ -870,6 +885,8 @@ mod tests {
         assert!(b.work_txs[0].try_push(queued).is_ok());
         const SLOW: std::time::Duration = std::time::Duration::from_millis(30);
         let sent = std::thread::scope(|s| {
+            // Read before the spawn: the worker's sleep starts after it.
+            let t0 = Instant::now();
             // A slow but live worker: takes batch 0, completes it, then
             // takes whatever comes next.
             let worker = s.spawn(move || {
@@ -886,7 +903,6 @@ mod tests {
                 assert!(done_tx.try_push(Ok(done)).is_ok());
                 work_rx.pop_blocking().expect("batch 1 follows").seq
             });
-            let t0 = Instant::now();
             b.dispatch_wall(&mut fl, &launch(1, &[2]), SchedTrigger::Deadline)
                 .unwrap();
             assert!(t0.elapsed() >= SLOW, "the dispatch waited for the worker");

@@ -12,11 +12,11 @@
 //!    (`Scheduler::run`, the tenant lanes) and a blocking SPSC-ring pop
 //!    (the deterministic wall runtime) make byte-identical decisions;
 //! 2. **how a formed batch is served** — a [`Serve`] implementation
-//!    returning the batch's stage times as a [`Step`]: all three when
-//!    it serves each batch to completion (the oracle-locked runtime),
-//!    or stage 1 with its stage 2 still in flight and the stages 2 and
-//!    3 of the batch before, which the call completed (the in-thread
-//!    front-end, `Scheduler::form`).
+//!    returning, as a [`Step`], the batch's stage 1 and the stages 2
+//!    and 3 of the batch before, which the call completed (the
+//!    in-thread front-end, `Scheduler::form`, whose batch's stage 2 is
+//!    still in flight, and the oracle-locked runtime, which awaited
+//!    its batch and reports it with the next launch all the same).
 //!
 //! The loop times batches on the engine's depth-2 pipeline: the one
 //! [`PipelineClock`] of `updlrm_core::pipeline`, on the one modeled
@@ -59,16 +59,12 @@ pub struct Launch<'a> {
 
 /// How a front-end serves the batches [`EventLoop::run`] forms.
 pub trait Serve {
-    /// Serves `launch` and returns its stage times for the loop's
-    /// clock. A server that serves each batch to completion returns
-    /// its three stages ([`Step::from`] of
-    /// [`EmbeddingBreakdown::stages`](updlrm_core::EmbeddingBreakdown::stages));
-    /// one that returns with the batch's stage 2 in flight returns its
-    /// stage 1 with no [`tail`](Step::tail), and reports its stages 2
-    /// and 3 as the next call's [`settled`](Step::settled) or from
-    /// [`flush`](Self::flush). `tally` is the run so far — every
-    /// admission up to this launch, every earlier batch — for a server
-    /// that takes a mid-run snapshot.
+    /// Serves `launch` and returns its stage 1 for the loop's clock,
+    /// with the stages 2 and 3 of the batch before as
+    /// [`settled`](Step::settled); this batch's stages 2 and 3 go out
+    /// with the next call or from [`flush`](Self::flush). `tally` is the
+    /// run so far — every admission up to this launch, every earlier
+    /// batch — for a server that takes a mid-run snapshot.
     ///
     /// # Errors
     ///
@@ -83,9 +79,7 @@ pub trait Serve {
     /// # Errors
     ///
     /// As [`serve`](Self::serve).
-    fn flush(&mut self) -> Result<Option<(Ps, Ps)>> {
-        Ok(None)
-    }
+    fn flush(&mut self) -> Result<Option<(Ps, Ps)>>;
 }
 
 /// Checks that `trace` can be served open-loop under `cfg` by an engine

@@ -19,7 +19,7 @@ use scheduler::{
 use updlrm_core::engine::EmbeddingBreakdown;
 use updlrm_core::pipeline::Step;
 use updlrm_core::telemetry::Snapshot;
-use updlrm_core::{PartitionStrategy, ReplanPolicy, Result, UpdlrmConfig, UpdlrmEngine};
+use updlrm_core::{PartitionStrategy, Ps, ReplanPolicy, Result, UpdlrmConfig, UpdlrmEngine};
 use workloads::{
     ArrivalProcess, DatasetSpec, DriftSchedule, HotSetRotation, TraceConfig, Workload,
 };
@@ -200,12 +200,15 @@ type Run = (
 );
 
 /// Serves each formed batch to completion in its own call: tick at the
-/// launch instant, then a one-batch `serve_stream`.
+/// launch instant, then a one-batch `serve_stream`. Like every server,
+/// it reports the batch's stages 2 and 3 with the next call or the
+/// flush.
 struct Lockstep<'a> {
     engine: &'a mut UpdlrmEngine,
     workload: &'a Workload,
     batch: QueryBatch,
     sunk: Vec<(usize, Vec<u32>, Vec<Matrix>, EmbeddingBreakdown)>,
+    awaited: Option<(Ps, Ps)>,
 }
 
 impl Serve for Lockstep<'_> {
@@ -218,7 +221,15 @@ impl Serve for Lockstep<'_> {
                 sunk.push((launch.seq, launch.ids.to_vec(), pooled.to_vec(), *b));
                 bd = *b;
             })?;
-        Ok(bd.stages().into())
+        let stages = bd.stages();
+        Ok(Step {
+            settled: self.awaited.replace((stages.s2, stages.s3)),
+            s1: stages.s1,
+        })
+    }
+
+    fn flush(&mut self) -> Result<Option<(Ps, Ps)>> {
+        Ok(self.awaited.take())
     }
 }
 
@@ -341,6 +352,7 @@ fn pipelined_and_lockstep(
             ..QueryBatch::default()
         },
         sunk: Vec::new(),
+        awaited: None,
     };
     let trace = &workload.arrivals;
     let mut arrivals = (0u32..).zip(trace.times_ns.iter().copied());

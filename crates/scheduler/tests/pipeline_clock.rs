@@ -6,9 +6,9 @@
 //!    trace (every arrival at 0, size-triggered full batches) drains
 //!    each batch exactly where `pipelined_schedule` (through
 //!    `pipelined_wall` and the clock itself) says, over random integer
-//!    stage triples that cover bus-bound and DPU-bound mixes — whether
-//!    its server reports each batch whole or leaves each one in flight
-//!    until the next serve or the flush.
+//!    stage triples that cover bus-bound and DPU-bound mixes, with its
+//!    server leaving each batch in flight until the next serve or the
+//!    flush.
 //! 2. **Differential, engine** — the same closed loop with real stage
 //!    times: `serve_stream` over a batch stream on one engine, and the
 //!    `EventLoop` over the same requests, all arriving at 0, on a twin
@@ -32,15 +32,6 @@ use workloads::{
     ArrivalProcess, ArrivalTrace, DatasetSpec, DriftSchedule, HotSetRotation, TraceConfig, Workload,
 };
 
-/// Serves batch `seq` with the `seq`-th stage triple, whole.
-struct Scripted(Vec<Stages>);
-
-impl Serve for Scripted {
-    fn serve(&mut self, launch: &Launch<'_>, _: &Tally) -> Result<Step> {
-        Ok(self.0[launch.seq].into())
-    }
-}
-
 /// Serves batch `seq` with the `seq`-th stage triple, leaving its
 /// stages 2 and 3 to the next serve or the flush.
 struct InFlight(Vec<Stages>, Option<usize>);
@@ -58,7 +49,6 @@ impl Serve for InFlight {
         Ok(Step {
             settled,
             s1: self.0[launch.seq].s1,
-            tail: None,
         })
     }
 
@@ -121,14 +111,11 @@ fn per_request(drains: &[Drained], batch: usize) -> Vec<Ps> {
 }
 
 /// Asserts the event loop drains every batch where the closed-loop
-/// recurrence does, with batches served whole and left in flight.
+/// recurrence does, with each batch left in flight until the next serve.
 fn assert_loop_equals_recurrence(stages: &[Stages], batch: usize) {
     let n = stages.len();
-    let (makespan, latencies) =
-        closed_loop_through_the_event_loop(n, batch, &mut Scripted(stages.to_vec()));
     let mut in_flight = InFlight(stages.to_vec(), None);
-    let late = closed_loop_through_the_event_loop(n, batch, &mut in_flight);
-    assert_eq!(late, (makespan, latencies.clone()), "in flight vs whole");
+    let (makespan, latencies) = closed_loop_through_the_event_loop(n, batch, &mut in_flight);
     assert_eq!(in_flight.1, None, "the loop flushed the last batch");
     let breakdowns: Vec<EmbeddingBreakdown> = stages
         .iter()

@@ -86,10 +86,12 @@ pub struct Drained {
     pub drain: Ps,
 }
 
-/// What one serve told the [`PipelineClock`] about its batch and the
-/// batch ahead of it, for a front-end whose serve returns with its
-/// batch's stage 2 still in flight (the scheduler's event loop, through
-/// [`UpdlrmEngine::serve_step`](crate::UpdlrmEngine::serve_step)).
+/// What one serve of an open-loop front-end told the [`PipelineClock`]:
+/// its batch's stage 1, and the stages 2 and 3 of the batch ahead,
+/// which this serve completed. The serve's own batch stays in flight
+/// until the next serve, or the front-end's flush, reports it — through
+/// [`UpdlrmEngine::serve_step`](crate::UpdlrmEngine::serve_step) and
+/// [`serve_flush`](crate::UpdlrmEngine::serve_flush) on an engine.
 /// [`PipelineClock::step`] places it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Step {
@@ -98,21 +100,6 @@ pub struct Step {
     pub settled: Option<(Ps, Ps)>,
     /// Stage 1 of this serve's batch.
     pub s1: Ps,
-    /// Stages 2 and 3 of this serve's batch if it completed within the
-    /// serve; `None` leaves it in flight for the next serve to settle.
-    pub tail: Option<(Ps, Ps)>,
-}
-
-impl From<Stages> for Step {
-    /// A batch served to completion within its call: nothing ahead of
-    /// it in flight, nothing left in flight behind.
-    fn from(s: Stages) -> Step {
-        Step {
-            settled: None,
-            s1: s.s1,
-            tail: Some((s.s2, s.s3)),
-        }
-    }
 }
 
 /// The depth-2 pipeline recurrence, one batch at a time.
@@ -214,18 +201,14 @@ impl PipelineClock {
         self.pending = Some((issue, self.dpu_free, s3));
     }
 
-    /// Places one serve's [`Step`]: settles the batch it completed,
-    /// issues its batch at `launch` and settles that too if it
-    /// completed. Returns the batch ahead, now drained.
+    /// Places one serve's [`Step`]: settles the batch it completed and
+    /// issues its batch at `launch`. Returns the batch ahead, now
+    /// drained.
     pub fn step(&mut self, launch: Ps, step: Step) -> Option<Drained> {
         if let Some((s2, s3)) = step.settled {
             self.settle(s2, s3);
         }
-        let drained = self.issue(launch, step.s1);
-        if let Some((s2, s3)) = step.tail {
-            self.settle(s2, s3);
-        }
-        drained
+        self.issue(launch, step.s1)
     }
 
     /// Places the pending stage 3, if any, and returns that batch.

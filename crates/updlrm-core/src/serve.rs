@@ -310,11 +310,7 @@ impl UpdlrmEngine {
             }
         };
         let s1 = self.pipelined_step(Some(batch), away, home, sink)?;
-        Ok(Step {
-            settled,
-            s1,
-            tail: None,
-        })
+        Ok(Step { settled, s1 })
     }
 
     /// Completes the batch [`serve_step`](Self::serve_step) left in
@@ -565,7 +561,7 @@ mod tests {
     struct Stepped {
         sunk: Vec<(Vec<Matrix>, EmbeddingBreakdown)>,
         steps: Vec<Step>,
-        tail: Option<(Ps, Ps)>,
+        flushed: Option<(Ps, Ps)>,
         snapshot: crate::Snapshot,
         drift: Option<crate::Snapshot>,
     }
@@ -586,11 +582,11 @@ mod tests {
             let step = engine.serve_step(now, counts, batch, |p, bd| sunk.push((p.to_vec(), *bd)));
             steps.push(step.unwrap());
         }
-        let tail = engine.serve_flush(|p, bd| sunk.push((p.to_vec(), *bd)));
+        let flushed = engine.serve_flush(|p, bd| sunk.push((p.to_vec(), *bd)));
         Stepped {
             sunk,
             steps,
-            tail: tail.unwrap(),
+            flushed: flushed.unwrap(),
             snapshot: engine.metrics_snapshot(),
             drift: engine.drift_snapshot().cloned(),
         }
@@ -793,8 +789,8 @@ mod tests {
             let got = step_through(&mut e, &workload.batches, hop);
             let want = step_through(&mut lockstep, &workload.batches, hop);
             assert_eq!(
-                (got.sunk, got.steps, got.tail),
-                (want.sunk, want.steps, want.tail),
+                (got.sunk, got.steps, got.flushed),
+                (want.sunk, want.steps, want.flushed),
                 "{case}"
             );
         }
@@ -890,11 +886,11 @@ mod tests {
     }
 
     /// What is selected at run time is what runs: a multi-batch
-    /// `serve_stream` and every `serve_step` hand their launches to the
-    /// worker, and nothing else does — not `run_batch`, not a one-batch
-    /// stream, not the per-batch calls the wall runtime's shards make
-    /// (a tick, then a one-batch stream), and not a multi-batch stream
-    /// on an engine that may not overlap (one core).
+    /// `serve_stream` and every `serve_step` — every call a front-end
+    /// makes, the wall runtime's shards included — hand their launches
+    /// to the worker, and nothing else does: not `run_batch`, not a
+    /// one-batch stream, and not a multi-batch stream on an engine that
+    /// may not overlap (one core).
     #[test]
     fn only_multi_batch_streams_hand_launches_to_the_worker() {
         let (tables, workload) = setup(4);

@@ -1,38 +1,9 @@
 //! `updlrm` — command-line driver for the reproduction.
 //!
-//! ```text
-//! updlrm run   [--dataset read] [--backend updlrm|cpu|hybrid|fae]
-//!              [--strategy u|nu|ca|nur] [--dpus 256] [--nc auto|N]
-//!              [--scale 200] [--batches 10] [--seed 7]
-//!              [--embed-dtype f32|int8] [--json FILE] [--metrics FILE]
-//! updlrm run   --plan FILE [--dataset read] [--backend updlrm]
-//!              [--embed-dtype f32|int8] [--json FILE] [--metrics FILE]
-//! updlrm plan  --out FILE [--dataset read] [--scale 200] [--tables 8]
-//!              [--batches 10] [--seed 7] [--ranks 4] [--dpus-per-rank 64]
-//!              [--emt-kb N] [--host-kb N] [--replicate-top 64]
-//! updlrm plan  --load FILE
-//! updlrm serve --qps N [--arrival poisson|bursty] [--max-batch 64]
-//!              [--max-wait-us 200] [--policy block|shed-oldest|reject-new]
-//!              [--queue-cap N] [--runtime modeled|wall] [--shards N]
-//!              [--time-scale X] [--deterministic] [--dataset read]
-//!              [--strategy u|nu|ca|nur] [--dpus 256] [--scale 200]
-//!              [--batches 10] [--seed 7]
-//!              [--workload-v3 FILE] [--replan off|periodic:N]
-//!              [--drift-snapshot FILE] [--json FILE] [--metrics FILE]
-//! updlrm serve --tenants FILE.toml [--no-isolation] [--quantum-us N]
-//!              [--dpus N] [--json FILE] [--metrics FILE]
-//! updlrm capacity --tenants FILE.toml [--min-dpus 8] [--max-dpus 256]
-//!              [--no-isolation] [--quantum-us N] [--json FILE]
-//! updlrm stats --metrics FILE
-//! updlrm trace [--dataset movie] [--scale 200] [--batches 10]
-//!              [--arrival poisson|bursty --qps N]
-//!              [--rotate SETS:ROWS:PERIOD_US:HOT]
-//!              [--spike START_US:DUR_US:SET:EXTRA:BOOST]
-//!              [--diurnal PERIOD_US:AMPLITUDE] --out trace.upwl
-//! updlrm info  [--dataset read]
-//! ```
-//!
-//! A flag a subcommand does not read is an error (exit 2), not ignored.
+//! `updlrm` with no arguments prints its usage: every form of every
+//! subcommand, the flags each reads and their defaults, generated from
+//! [`FLAGS`] and [`FORMS`] — the one place the CLI states its flags.
+//! A flag a form does not read is an error (exit 2), not ignored.
 //! `--nc` is `auto` (the Eq. 1 search) or a divisor `N` of the
 //! embedding dim (32) that leaves each table a DPU per column slice; a
 //! `--dpus` / `--nc` that admits no tiling exits 2 naming them.
@@ -47,31 +18,137 @@ use std::sync::Arc;
 use updlrm::prelude::*;
 use updlrm::updlrm_core::CoreError;
 
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
+/// The CLI's embedding dim: every table it generates, plans or serves
+/// has 32 columns.
+const DIM: usize = 32;
+
+/// Every flag, as `--name SHAPE=DEFAULT`: `SHAPE` is its value's (none
+/// for a bare flag, whose presence turns it on) and `DEFAULT` its
+/// literal default, where it has one. A flag without one is optional,
+/// required by a form, or defaulted where its default is computed:
+/// `--queue-cap` is 4 × `--max-batch`, `plan`'s fleet and budget flags
+/// take `PlannerConfig::default()`'s, and `serve --tenants` takes
+/// `--dpus` and `--quantum-us` from its file.
+const FLAGS: &str = "--dataset TAG=read --backend updlrm|cpu|hybrid|fae=updlrm \
+    --strategy u|nu|ca|nur=ca --dpus N=256 --nc auto|N=auto --scale N=200 --tables N=8 \
+    --batches N=10 --seed N=7 --embed-dtype f32|int8=f32 --plan FILE --load FILE --out FILE \
+    --ranks N --dpus-per-rank N --emt-kb N --host-kb N --replicate-top N --qps N \
+    --arrival poisson|bursty=poisson --max-batch N=64 --max-wait-us N=200 \
+    --policy block|shed-oldest|reject-new=shed-oldest --queue-cap N \
+    --runtime modeled|wall=modeled --shards N=1 --time-scale X=1 --deterministic \
+    --workload-v3 FILE --replan off|periodic:N=off --drift-snapshot FILE --tenants FILE.toml \
+    --no-isolation --quantum-us N --min-dpus N=8 --max-dpus N=256 \
+    --rotate SETS:ROWS:PERIOD_US:HOT --spike START_US:DUR_US:SET:EXTRA:BOOST \
+    --diurnal PERIOD_US:AMPLITUDE --json FILE --metrics FILE";
+
+/// One form of a subcommand: `(selector, reads, command)`. The selector
+/// is the subcommand, then conditions that must all hold: `flag` is
+/// given, or `flag=a|b` is given one of those values. The form reads its
+/// selector's flags and those in `reads`, where `flag!` is one it
+/// requires, and `command` runs it.
+type Form = (&'static str, &'static str, fn(&Args) -> CmdResult);
+
+/// Every form of every subcommand, one a row. `main` runs the first row
+/// of the subcommand whose selector holds.
+#[rustfmt::skip]
+const FORMS: &[Form] = &[
+    ("run backend=cpu|hybrid|fae", "dataset scale batches seed json", cmd_run_baseline),
+    // The plan fixes the fleet, the tiling, the placement and the trace
+    // (its provenance), so `run`'s flags for those are refused here.
+    ("run plan", "dataset backend embed-dtype json metrics", cmd_run),
+    ("run", "dataset backend strategy dpus nc scale batches seed embed-dtype json \
+        metrics", cmd_run),
+    ("plan load", "", cmd_plan_load),
+    ("plan", "out! dataset scale tables batches seed ranks dpus-per-rank emt-kb host-kb \
+        replicate-top", cmd_plan),
+    ("serve tenants", "no-isolation quantum-us dpus json metrics", cmd_serve_tenants),
+    // A `--workload-v3` trace carries its spec, queries and arrival
+    // stamps; a seed would only reseed embedding values no output shows.
+    ("serve workload-v3 runtime=wall", "max-batch max-wait-us policy queue-cap strategy dpus \
+        replan drift-snapshot json metrics shards time-scale deterministic", cmd_serve),
+    ("serve workload-v3", "max-batch max-wait-us policy queue-cap runtime strategy dpus replan \
+        drift-snapshot json metrics", cmd_serve),
+    ("serve runtime=wall", "qps! arrival max-batch max-wait-us policy queue-cap dataset strategy \
+        dpus scale batches seed replan drift-snapshot json metrics shards time-scale \
+        deterministic", cmd_serve),
+    ("serve", "qps! arrival max-batch max-wait-us policy queue-cap runtime dataset strategy dpus \
+        scale batches seed replan drift-snapshot json metrics", cmd_serve),
+    ("capacity", "tenants! min-dpus max-dpus no-isolation quantum-us json", cmd_capacity),
+    ("stats", "metrics!", cmd_stats),
+    ("trace", "out! dataset scale batches seed arrival qps rotate spike diurnal", cmd_trace),
+    ("info", "dataset", cmd_info),
+];
+
+/// `--name`'s value shape (empty for a bare flag) and literal default,
+/// or `None` for a flag that is not in [`FLAGS`].
+fn flag(name: &str) -> Option<(&'static str, Option<&'static str>)> {
+    FLAGS.split("--").find_map(|f| {
+        let (n, shape) = f.trim().split_once(' ').unwrap_or((f.trim(), ""));
+        (n == name).then(|| match shape.split_once('=') {
+            Some((shape, default)) => (shape, Some(default)),
+            None => (shape, None),
+        })
+    })
+}
+
+/// `--name` and its value's shape, as the usage writes a flag.
+fn shaped(name: &str) -> String {
+    match flag(name).expect("FORMS names only flags in FLAGS") {
+        ("", _) => format!("--{name}"),
+        (shape, _) => format!("--{name} {shape}"),
+    }
+}
+
+/// The conditions of `form`'s selector: a flag and, for `flag=a|b`,
+/// the values that select.
+fn conditions(form: &Form) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
+    let selector = form.0.split_whitespace().skip(1);
+    selector.map(|c| c.split_once('=').map_or((c, None), |(n, v)| (n, Some(v))))
+}
+
+/// Every flag `form` reads, with whether it requires it: its selector's
+/// (given by definition), then those of its `reads`.
+fn reads(form: &Form) -> impl Iterator<Item = (&'static str, bool)> {
+    let read = form.1.split_whitespace();
+    let read = read.map(|r| (r.trim_end_matches('!'), r.ends_with('!')));
+    conditions(form).map(|(name, _)| (name, true)).chain(read)
+}
+
+/// `form`'s subcommand and selector, as the usage and messages write
+/// them.
+fn head(form: &Form) -> String {
+    let sub = form.0.split(' ').next().unwrap_or_default().to_string();
+    conditions(form).fold(sub, |head, c| match c {
+        (name, Some(values)) => format!("{head} --{name} {values}"),
+        (name, None) => format!("{head} {}", shaped(name)),
+    })
+}
+
+/// Prints the usage — every form of [`FORMS`], required flags first and
+/// optional ones in brackets, and every literal default of [`FLAGS`] —
+/// and exits 2.
 fn usage() -> ! {
+    let mut text = "usage:".to_string();
+    for form in FORMS {
+        text += &format!("\n  updlrm {}", head(form));
+        for (name, required) in reads(form).skip(conditions(form).count()) {
+            let (open, close) = if required { ("", "") } else { ("[", "]") };
+            text += &format!(" {open}{}{close}", shaped(name));
+        }
+    }
+    text += "\n\ndefaults:";
+    let names = FLAGS
+        .split_whitespace()
+        .filter_map(|w| w.strip_prefix("--"));
+    for (name, default) in names.filter_map(|n| Some((n, flag(n)?.1?))) {
+        text += &format!(" --{name} {default}");
+    }
     eprintln!(
-        "usage:\n  updlrm run   [--dataset TAG] [--backend updlrm|cpu|hybrid|fae] \
-         [--strategy u|nu|ca|nur] [--dpus N] [--nc auto|N] [--scale N] [--batches N] [--seed N] \
-         [--embed-dtype f32|int8] [--json FILE] [--metrics FILE]\n  \
-         updlrm run   --plan FILE [--dataset TAG] [--backend updlrm] [--embed-dtype f32|int8] \
-         [--json FILE] [--metrics FILE]\n  \
-         updlrm plan  --out FILE [--dataset TAG] [--scale N] [--tables N] [--batches N] [--seed N] \
-         [--ranks N] [--dpus-per-rank N] [--emt-kb N] [--host-kb N] [--replicate-top N]\n  \
-         updlrm plan  --load FILE\n  \
-         updlrm serve --qps N [--arrival poisson|bursty] [--max-batch N] [--max-wait-us N] \
-         [--policy block|shed-oldest|reject-new] [--queue-cap N] \
-         [--runtime modeled|wall] [--shards N] [--time-scale X] [--deterministic] \
-         [--dataset TAG] [--strategy u|nu|ca|nur] [--dpus N] [--scale N] [--batches N] [--seed N] \
-         [--workload-v3 FILE] [--replan off|periodic:N] \
-         [--drift-snapshot FILE] [--json FILE] [--metrics FILE]\n  \
-         updlrm serve --tenants FILE.toml [--no-isolation] [--quantum-us N] [--dpus N] \
-         [--json FILE] [--metrics FILE]\n  \
-         updlrm capacity --tenants FILE.toml [--min-dpus N] [--max-dpus N] [--no-isolation] \
-         [--quantum-us N] [--json FILE]\n  \
-         updlrm stats --metrics FILE\n  \
-         updlrm trace [--dataset TAG] [--scale N] [--batches N] [--seed N] \
-         [--arrival poisson|bursty --qps N] [--rotate SETS:ROWS:PERIOD_US:HOT] \
-         [--spike START_US:DUR_US:SET:EXTRA:BOOST] [--diurnal PERIOD_US:AMPLITUDE] --out FILE\n  \
-         updlrm info  [--dataset TAG]\n\nTAG: clo home meta1 meta2 read read2 movie twitch\n\
+        "{text}\n--queue-cap: 4 x --max-batch; plan's fleet and budget flags: the planner's; \
+         serve --tenants's --dpus and --quantum-us: its file's\n\n\
+         TAG: clo home meta1 meta2 read read2 movie twitch\n\
          --nc: auto, or a divisor N of the embedding dim (32) that leaves each table a DPU per \
          column slice (32 / N)"
     );
@@ -82,44 +159,6 @@ struct Args {
     flags: HashMap<String, String>,
 }
 
-/// Flags that take no value (presence alone turns them on).
-const BARE_FLAGS: &[&str] = &["deterministic", "no-isolation"];
-
-/// Every form of every subcommand with the flags it reads (the union
-/// of its space-separated lists) — what [`Args::expect_form`] checks a
-/// command line against before the subcommand runs.
-const FORMS: &[(&str, &[&str])] = &[
-    ("run", &[RUN_FLAGS]),
-    // The plan fixes the fleet, the tiling, the placement and the trace
-    // (its provenance), so `run`'s flags for those are refused here.
-    (
-        "run --plan",
-        &["plan dataset backend embed-dtype json metrics"],
-    ),
-    ("plan", &[PLAN_FLAGS]),
-    ("serve", &[SERVE_FLAGS]),
-    ("serve --runtime wall", &[SERVE_FLAGS, WALL_FLAGS]),
-    ("serve --tenants", &[TENANT_FLAGS, "dpus json metrics"]),
-    ("capacity", &[TENANT_FLAGS, "min-dpus max-dpus json"]),
-    ("stats", &["metrics"]),
-    ("trace", &[TRACE_FLAGS]),
-    ("info", &["dataset"]),
-];
-const RUN_FLAGS: &str =
-    "dataset backend strategy dpus nc scale batches seed embed-dtype json metrics";
-const PLAN_FLAGS: &str = "out load dataset scale tables batches seed ranks dpus-per-rank emt-kb \
-    host-kb replicate-top";
-const SERVE_FLAGS: &str = "qps arrival max-batch max-wait-us policy queue-cap runtime dataset \
-    strategy dpus scale batches seed workload-v3 replan drift-snapshot json metrics";
-const WALL_FLAGS: &str = "shards time-scale deterministic";
-const TENANT_FLAGS: &str = "tenants no-isolation quantum-us";
-const TRACE_FLAGS: &str = "dataset scale batches seed arrival qps rotate spike diurnal out";
-
-/// Whether `name` is in one of the space-separated flag `lists`.
-fn reads(lists: &[&str], name: &str) -> bool {
-    lists.iter().any(|l| l.split(' ').any(|f| f == name))
-}
-
 impl Args {
     fn parse(raw: &[String]) -> Args {
         let mut flags = HashMap::new();
@@ -128,10 +167,9 @@ impl Args {
             let Some(name) = a.strip_prefix("--") else {
                 usage()
             };
-            let value = if BARE_FLAGS.contains(&name) {
-                "true".to_string()
-            } else {
-                it.next().cloned().unwrap_or_else(|| usage())
+            let value = match flag(name) {
+                Some(("", _)) => "true".to_string(),
+                _ => it.next().cloned().unwrap_or_else(|| usage()),
             };
             if flags.insert(name.to_string(), value).is_some() {
                 eprintln!("--{name} is given more than once");
@@ -141,68 +179,118 @@ impl Args {
         Args { flags }
     }
 
-    /// Exits 2 unless every flag given is one that `form` (a key of
-    /// [`FORMS`]) reads. A flag that belongs to a sibling form of the
-    /// same subcommand is pointed there instead of called unknown.
-    fn expect_form(&self, form: &str) {
-        let Some((_, allowed)) = FORMS.iter().find(|(f, _)| *f == form) else {
-            usage()
-        };
+    /// The first form of subcommand `sub` whose selector holds, or
+    /// `None` for an unknown subcommand.
+    fn form(&self, sub: &str) -> Option<&'static Form> {
+        FORMS.iter().find(|form| {
+            form.0.split(' ').next() == Some(sub)
+                && conditions(form).all(|(name, values)| match (self.flags.get(name), values) {
+                    (Some(v), Some(values)) => values.split('|').any(|x| x == v),
+                    (given, _) => given.is_some(),
+                })
+        })
+    }
+
+    /// Exits 2 unless `form` reads every flag given and every flag it
+    /// requires is given. A stray flag that a sibling form reads is
+    /// pointed at the value of `form`'s selector it needs, or at the
+    /// sibling whose selector differs least from `form`'s.
+    fn expect_form(&self, form: &Form) {
         // The alphabetically first offender, so the message is stable.
         let stray = self.flags.keys().map(String::as_str);
-        let Some(name) = stray.filter(|n| !reads(allowed, n)).min() else {
-            return;
-        };
-        let sub = form.split(' ').next();
-        let sibling = FORMS
-            .iter()
-            .find(|(f, lists)| f.split(' ').next() == sub && reads(lists, name));
-        match sibling {
-            Some((other, _)) => eprintln!(
-                "--{name} does not apply to `updlrm {form}` (it is a `updlrm {other}` flag)"
-            ),
-            None => eprintln!("unknown flag --{name} for `updlrm {form}`"),
+        if let Some(name) = stray.filter(|n| !reads(form).any(|(r, _)| r == *n)).min() {
+            let sub = form.0.split(' ').next();
+            let unshared = |a: &Form, b: &Form| {
+                let b: Vec<_> = b.0.split_whitespace().collect();
+                a.0.split_whitespace().filter(|c| !b.contains(c)).count()
+            };
+            let sibling = FORMS
+                .iter()
+                .filter(|f| f.0.split(' ').next() == sub && reads(f).any(|(r, _)| r == name))
+                .min_by_key(|f| unshared(f, form) + unshared(form, f));
+            let valued = |other: &Form| {
+                let other: Vec<_> = conditions(other).map(|(o, _)| o).collect();
+                conditions(form).find(|&(by, values)| values.is_some() && !other.contains(&by))
+            };
+            let this = head(form);
+            match sibling.map(|other| (other, valued(other))) {
+                None => eprintln!("unknown flag --{name} for `updlrm {this}`"),
+                Some((_, Some((by, _)))) => {
+                    let want = flag(by).and_then(|(_, default)| default);
+                    let (want, got) = (want.unwrap_or_default(), &self.flags[by]);
+                    eprintln!("--{name} requires --{by} {want} (got '{got}')")
+                }
+                Some((other, None)) => eprintln!(
+                    "--{name} does not apply to `updlrm {this}` (it is a `updlrm {}` flag)",
+                    head(other),
+                ),
+            }
+            std::process::exit(2)
         }
-        std::process::exit(2)
+        if let Some((name, _)) = reads(form).find(|&(n, req)| req && !self.flag_set(n)) {
+            eprintln!("`updlrm {}` needs {}", head(form), shaped(name));
+            usage()
+        }
     }
 
     fn flag_set(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
 
-    fn str(&self, name: &str, default: &str) -> String {
-        self.flags
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+    /// `--name`'s value, or its literal default in [`FLAGS`].
+    fn str(&self, name: &str) -> &str {
+        match (self.flags.get(name), flag(name)) {
+            (Some(v), _) => v,
+            (None, Some((_, Some(default)))) => default,
+            _ => panic!("--{name} has no literal default"),
+        }
     }
 
-    /// `--scale` (default 200), the factor the dataset's rows are cut
-    /// by; exits 2 on 0, which `DatasetSpec::scaled_down` would read as
-    /// full scale.
-    fn scale(&self) -> usize {
-        let scale = self.num("scale", 200);
-        if scale == 0 {
-            eprintln!("--scale must be >= 1 (it divides the dataset's row count)");
+    /// `--name` (or its literal default) through `parse`; exits 2
+    /// naming the flag when `parse` refuses it.
+    fn parsed<T, E: std::fmt::Display>(
+        &self,
+        name: &str,
+        parse: impl Fn(&str) -> Result<T, E>,
+    ) -> T {
+        parse(self.str(name)).unwrap_or_else(|e| {
+            eprintln!("--{name}: {e}");
             std::process::exit(2)
-        }
-        scale
+        })
     }
 
-    fn num(&self, name: &str, default: usize) -> usize {
-        match self.flags.get(name) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("--{name} expects a number, got '{v}'");
-                std::process::exit(2)
-            }),
-        }
+    /// `--name` (or its literal default) as a number; exits 2 naming
+    /// the flag when it is not one.
+    fn num(&self, name: &str) -> usize {
+        self.parsed(name, |v| {
+            v.parse()
+                .map_err(|_| format!("expects a number, got '{v}'"))
+        })
     }
 
-    /// A required flag that must parse as a finite, strictly positive
-    /// float (rates, i.e. `--qps`).
+    /// `--name` as a number when it is given: a flag whose default is
+    /// computed where it is read.
+    fn given_num(&self, name: &str) -> Option<usize> {
+        self.flag_set(name).then(|| self.num(name))
+    }
+
+    /// `--scale`, the factor the dataset's rows are cut by; exits 2 on
+    /// 0, which `DatasetSpec::scaled_down` would read as full scale.
+    fn scale(&self) -> usize {
+        let why = "it divides the dataset's row count";
+        at_least_one("scale", self.num("scale"), why)
+    }
+
+    /// `--name` (or its literal default) as a finite, strictly positive
+    /// float: `--qps`, which `trace` requires with `--arrival` or a
+    /// drift flag, and `--time-scale`.
     fn positive_float(&self, name: &str) -> f64 {
-        let Some(v) = self.flags.get(name) else {
+        let Some(v) = self
+            .flags
+            .get(name)
+            .map(String::as_str)
+            .or(flag(name).and_then(|f| f.1))
+        else {
             eprintln!("--{name} is required");
             usage()
         };
@@ -214,6 +302,16 @@ impl Args {
             }
         }
     }
+}
+
+/// `value`, the flag `--name`'s, unless it is 0: then exits 2 saying
+/// `why` the flag needs at least 1.
+fn at_least_one(name: &str, value: usize, why: &str) -> usize {
+    if value == 0 {
+        eprintln!("--{name} must be >= 1 ({why})");
+        std::process::exit(2)
+    }
+    value
 }
 
 /// `value`, the flag `--name` in `unit`s, times `factor`; exits 2
@@ -244,26 +342,20 @@ fn micros_or_exit(name: &str, us: usize) -> u64 {
 /// Builds the arrival process for `serve` / `trace --arrival` from
 /// `--arrival` (default poisson) and the already-parsed `--qps`.
 fn arrival_or_exit(args: &Args, qps: f64) -> ArrivalProcess {
-    let seed = args.num("seed", 7) as u64;
-    match args.str("arrival", "poisson").as_str() {
-        "poisson" => ArrivalProcess::poisson(qps, seed),
-        "bursty" => ArrivalProcess::bursty(qps, seed),
-        other => {
-            eprintln!("unknown arrival process '{other}' (want poisson or bursty)");
-            usage()
-        }
-    }
+    let seed = args.num("seed") as u64;
+    args.parsed("arrival", |arrival| match arrival {
+        "poisson" => Ok(ArrivalProcess::poisson(qps, seed)),
+        "bursty" => Ok(ArrivalProcess::bursty(qps, seed)),
+        other => Err(format!(
+            "unknown arrival process '{other}' (want poisson or bursty)"
+        )),
+    })
 }
 
 fn spec_or_exit(args: &Args) -> DatasetSpec {
-    let tag = args.str("dataset", "read");
-    match DatasetSpec::by_short_tag(&tag) {
-        Some(s) => s,
-        None => {
-            eprintln!("unknown dataset '{tag}'");
-            usage()
-        }
-    }
+    args.parsed("dataset", |tag| {
+        DatasetSpec::by_short_tag(tag).ok_or(format!("unknown dataset '{tag}'"))
+    })
 }
 
 /// Generates the dataset, trace and model a command runs on: shaped by
@@ -277,13 +369,25 @@ fn build_setting(
         Some(p) => p.provenance.clone(),
         None => PlanProvenance {
             scale: args.scale() as u64,
-            tables: 8,
-            batches: args.num("batches", 10),
-            seed: args.num("seed", 7) as u64,
-            dim: 32,
+            // `run` and `serve` read no `--tables`: theirs is its default.
+            tables: args.num("tables"),
+            batches: args.num("batches"),
+            seed: args.num("seed") as u64,
+            dim: DIM,
         },
     };
     let spec = spec_or_exit(args).scaled_down(prov.scale as usize);
+    if let Some(t) = plan.and_then(|p| p.tables.iter().find(|t| t.rows != spec.num_items)) {
+        eprintln!(
+            "--dataset {}: its tables have {} rows at the plan's scale {}, but the plan \
+             places {}",
+            args.str("dataset"),
+            spec.num_items,
+            prov.scale,
+            t.rows,
+        );
+        std::process::exit(2)
+    }
     let workload = Workload::generate(
         &spec,
         TraceConfig {
@@ -430,6 +534,19 @@ struct RunJson {
 }
 
 impl RunJson {
+    /// The report's header fields. A baseline's carries the PIM
+    /// backend's `--strategy` and `--dpus` defaults.
+    fn new(args: &Args, spec: &DatasetSpec, workload: &Workload) -> RunJson {
+        RunJson {
+            backend: args.str("backend").to_string(),
+            dataset: spec.short.to_string(),
+            strategy: args.str("strategy").to_string(),
+            dpus: args.num("dpus"),
+            batches: workload.batches.len(),
+            ..RunJson::default()
+        }
+    }
+
     /// Prints the run's per-batch means and fills the report's derived
     /// sections from them: `total` is summed over the run's batches,
     /// `breakdowns` holds their PIM stage splits (empty for the CPU/GPU
@@ -440,39 +557,30 @@ impl RunJson {
         // never 0/0 = NaN (the vendored serde would emit a "NaN" string
         // that no typed parse accepts).
         let n = (self.batches as f64).max(1.0);
-        println!("per-batch mean:");
-        println!("  embedding: {:10.1} us", total.embedding_ns / n / 1e3);
-        println!("  dense:     {:10.1} us", total.dense_ns / n / 1e3);
-        println!("  transfer:  {:10.1} us", total.transfer_ns / n / 1e3);
-        println!("  total:     {:10.1} us", total.total_ns() / n / 1e3);
         self.mean_embedding_us = total.embedding_ns / n / 1e3;
         self.mean_dense_us = total.dense_ns / n / 1e3;
         self.mean_total_us = total.total_ns() / n / 1e3;
+        println!("per-batch mean:");
+        println!("  embedding: {:10.1} us", self.mean_embedding_us);
+        println!("  dense:     {:10.1} us", self.mean_dense_us);
+        println!("  transfer:  {:10.1} us", total.transfer_ns / n / 1e3);
+        println!("  total:     {:10.1} us", self.mean_total_us);
         if let Some(pim) = &total.pim {
-            let t = pim.total_ns().max(f64::MIN_POSITIVE);
+            let pr = PipelineReport::from_batches(breakdowns);
+            let stages = StagesJson::from_totals(pim, n, &pr);
             println!(
                 "  PIM stages: s1 {:.0}% / s2 {:.0}% / s3 {:.0}%  (imbalance {:.2})",
-                100.0 * pim.stage1.as_ns() / t,
-                100.0 * pim.stage2.as_ns() / t,
-                100.0 * pim.stage3.as_ns() / t,
-                pim.lookup_imbalance,
+                stages.stage1_pct, stages.stage2_pct, stages.stage3_pct, stages.lookup_imbalance,
             );
-            let pr = PipelineReport::from_batches(breakdowns);
-            println!(
-                "  inter-batch pipelining saves {:.1}%",
-                (1.0 - 1.0 / pr.speedup()) * 100.0
-            );
-            self.stages = Some(StagesJson::from_totals(pim, n, &pr));
+            let saves = stages.pipelining_savings_pct;
+            println!("  inter-batch pipelining saves {saves:.1}%");
+            self.stages = Some(stages);
         }
     }
 
     /// Writes the `--json` report and, when `--metrics` asked for one,
     /// the engine's telemetry snapshot.
-    fn write(
-        &self,
-        args: &Args,
-        snapshot: impl FnOnce() -> Snapshot,
-    ) -> Result<(), Box<dyn std::error::Error>> {
+    fn write(&self, args: &Args, snapshot: impl FnOnce() -> Snapshot) -> CmdResult {
         if let Some(path) = args.flags.get("json") {
             std::fs::write(path, serde::json::to_string_pretty(self))?;
             println!("wrote {path}");
@@ -484,7 +592,7 @@ impl RunJson {
     }
 }
 
-fn write_metrics(path: &str, snapshot: &Snapshot) -> Result<(), Box<dyn std::error::Error>> {
+fn write_metrics(path: &str, snapshot: &Snapshot) -> CmdResult {
     let mut text = serde::json::to_string_pretty(snapshot);
     text.push('\n');
     std::fs::write(path, text)?;
@@ -498,16 +606,6 @@ fn sum_breakdowns(breakdowns: &[EmbeddingBreakdown]) -> EmbeddingBreakdown {
         total.accumulate(bd);
     }
     total
-}
-
-fn strategy_or_exit(args: &Args) -> PartitionStrategy {
-    match args.str("strategy", "ca").parse() {
-        Ok(strategy) => strategy,
-        Err(e) => {
-            eprintln!("{e}");
-            usage()
-        }
-    }
 }
 
 /// Reads and validates a placement plan, refusing foreign schema
@@ -576,7 +674,7 @@ fn print_plan_summary(path: &str, plan: &PlacementPlan) {
 /// Parses `--nc` (default auto): `None` lets the tiler choose the
 /// column count, a number fixes it.
 fn nc_or_exit(args: &Args) -> Option<usize> {
-    match args.str("nc", "auto").as_str() {
+    match args.str("nc") {
         "auto" => None,
         v => Some(v.parse().unwrap_or_else(|_| {
             eprintln!("--nc expects auto or a number, got '{v}'");
@@ -596,40 +694,27 @@ fn tiling_or_exit<T>(args: &Args, built: Result<T, CoreError>) -> Result<T, Core
             Some(nc) => format!(" with --nc {nc}"),
             None => String::new(),
         };
-        eprintln!("--dpus {}{nc}: {e}", args.num("dpus", 256));
+        eprintln!("--dpus {}{nc}: {e}", args.num("dpus"));
         std::process::exit(2)
     }
     built
 }
 
-/// Parses `--embed-dtype` (default f32) into the EMT storage dtype.
-fn embed_dtype_or_exit(args: &Args) -> EmbedDtype {
-    let v = args.str("embed-dtype", "f32");
-    match EmbedDtype::parse(&v) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2)
-        }
-    }
+/// `updlrm plan --load FILE`: prints a plan's summary.
+fn cmd_plan_load(args: &Args) -> CmdResult {
+    let path = &args.flags["load"];
+    print_plan_summary(path, &load_plan_or_exit(path));
+    Ok(())
 }
 
-fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(path) = args.flags.get("load") {
-        let plan = load_plan_or_exit(path);
-        print_plan_summary(path, &plan);
-        return Ok(());
-    }
-    let Some(out) = args.flags.get("out") else {
-        eprintln!("plan needs --out FILE (write a new plan) or --load FILE (inspect one)");
-        usage()
-    };
+fn cmd_plan(args: &Args) -> CmdResult {
+    let out = &args.flags["out"];
     let scale = args.scale();
     let spec = spec_or_exit(args).scaled_down(scale);
-    let num_tables = args.num("tables", 8);
-    let num_batches = args.num("batches", 10);
-    let seed = args.num("seed", 7) as u64;
-    let dim = 32;
+    let num_tables = args.num("tables");
+    let num_batches = args.num("batches");
+    let seed = args.num("seed") as u64;
+    let dim = DIM;
     let workload = Workload::generate(
         &spec,
         TraceConfig {
@@ -644,23 +729,41 @@ fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let catalog = Catalog::homogeneous(num_tables, spec.num_items, dim);
     let defaults = PlannerConfig::default();
+    let or = |name: &str, default: usize| args.given_num(name).unwrap_or(default);
     let kb = |name: &str, default_bytes: usize| {
-        scale_or_exit(name, args.num(name, default_bytes / 1024), 1024, "KB")
+        scale_or_exit(name, or(name, default_bytes / 1024), 1024, "KB")
     };
     let config = PlannerConfig {
         topology: RankTopology {
-            nr_ranks: args.num("ranks", defaults.topology.nr_ranks),
-            dpus_per_rank: args.num("dpus-per-rank", defaults.topology.dpus_per_rank),
+            nr_ranks: or("ranks", defaults.topology.nr_ranks),
+            dpus_per_rank: or("dpus-per-rank", defaults.topology.dpus_per_rank),
         },
         emt_capacity_bytes: kb("emt-kb", defaults.emt_capacity_bytes),
         host_cache_bytes: kb("host-kb", defaults.host_cache_bytes),
-        replicate_top: args.num("replicate-top", defaults.replicate_top),
+        replicate_top: or("replicate-top", defaults.replicate_top),
         // `run --plan` serves the plan on a default-configured engine.
         wram_resident_bytes: UpdlrmConfig::default().wram_resident_bytes(dim),
         seed,
         ..defaults
     };
-    let mut plan = plan_placement(&catalog, &profiles, &config)?;
+    let mut plan = match plan_placement(&catalog, &profiles, &config) {
+        // The tables and the fleet are both the command line's.
+        Err(e @ PlanError::CapacityExceeded { .. }) => {
+            let topology = &config.topology;
+            eprintln!(
+                "--dataset {} --scale {scale} --tables {num_tables} do not fit --ranks {} \
+                 --dpus-per-rank {} --emt-kb {} --host-kb {} --replicate-top {}: {e}",
+                args.str("dataset"),
+                topology.nr_ranks,
+                topology.dpus_per_rank,
+                config.emt_capacity_bytes / 1024,
+                config.host_cache_bytes / 1024,
+                config.replicate_top,
+            );
+            std::process::exit(2)
+        }
+        planned => planned?,
+    };
     plan.provenance = PlanProvenance {
         scale: scale as u64,
         tables: num_tables,
@@ -674,125 +777,101 @@ fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// `updlrm run`. The PIM backend serves the trace once through the
-/// engine's double-buffered schedule and reports its wall next to the
-/// back-to-back wall of the same batches. With `--plan FILE` the engine
-/// executes that placement plan on the workload rebuilt from its
+/// `updlrm run` on the PIM backend. It serves the trace once through
+/// the engine's double-buffered schedule and reports its wall next to
+/// the back-to-back wall of the same batches. With `--plan FILE` the
+/// engine executes that placement plan on the workload rebuilt from its
 /// provenance instead of partitioning the tables itself; every other
 /// flag means the same.
-fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let backend_name = args.str("backend", "updlrm");
-    // Placement plans and fleet telemetry live in the PIM embedding
-    // engine; the CPU/GPU baselines have no DPUs to place rows on or
-    // report on.
-    let pim_only = [
-        ("plan", args.flag_set("plan")),
-        ("metrics", args.flag_set("metrics")),
-    ];
-    let misused = pim_only
-        .iter()
-        .find(|(_, set)| *set && backend_name != "updlrm");
-    if let Some((flag, _)) = misused {
-        eprintln!("--{flag} requires --backend updlrm (got '{backend_name}')");
-        std::process::exit(2)
+fn cmd_run(args: &Args) -> CmdResult {
+    let backend = args.str("backend");
+    if backend != "updlrm" {
+        eprintln!("unknown backend '{backend}'");
+        usage()
     }
     let plan = args
         .flags
         .get("plan")
         .map(|path| (path.as_str(), load_plan_or_exit(path)));
     let (spec, workload, model) = build_setting(args, plan.as_ref().map(|(_, p)| p))?;
-    let strategy = strategy_or_exit(args);
-    let mut config = UpdlrmConfig::with_dpus(args.num("dpus", 256), strategy);
-    config.embed_dtype = embed_dtype_or_exit(args);
+    let strategy = args.parsed("strategy", str::parse::<PartitionStrategy>);
+    let mut config = UpdlrmConfig::with_dpus(args.num("dpus"), strategy);
+    config.embed_dtype = args.parsed("embed-dtype", EmbedDtype::parse);
     config.n_c = nc_or_exit(args);
     config.telemetry = args.flag_set("metrics");
-    let mut report_json = RunJson {
-        backend: backend_name.clone(),
-        dataset: spec.short.to_string(),
-        strategy: args.str("strategy", "ca"),
-        dpus: config.nr_dpus,
-        batches: workload.batches.len(),
-        ..RunJson::default()
-    };
-    if let Some((path, plan)) = &plan {
-        report_json.strategy = "plan".to_string();
-        report_json.dpus = plan.dpus_used;
-        println!(
-            "UpDLRM (tiered plan) on {} ({} items/table, {} batches of {})",
-            spec.name,
-            spec.num_items,
-            workload.batches.len(),
-            workload.config.batch_size,
-        );
-        print_plan_summary(path, plan);
-    }
+    let mut report_json = RunJson::new(args, &spec, &workload);
     let mem = CpuMemoryModel::default();
-    if backend_name == "updlrm" {
-        // The one place the two engine constructors differ.
-        let mut engine = match &plan {
-            Some((_, plan)) => UpdlrmEngine::from_plan(config, plan, model.tables())?,
-            None => {
-                print_run_header("UpDLRM", &spec, &workload);
-                let built = UpdlrmEngine::from_workload(config, model.tables(), &workload);
-                tiling_or_exit(args, built)?
-            }
-        };
-        let mut breakdowns = Vec::with_capacity(workload.batches.len());
-        let served = engine.serve_stream(&workload.batches, |_, _, bd| breakdowns.push(*bd))?;
-        report_json.serve = Some(print_serve(&served));
-        let pim_total = sum_breakdowns(&breakdowns);
-        let total = if plan.is_some() {
-            // A plan describes only the embedding layer: no dense
-            // layers are modeled.
-            let lookups = pim_total.cache_hits + pim_total.emt_lookups;
-            if lookups > 0 {
-                println!(
-                    "  tier routing: {} host hits, {} PIM lookups ({:.1}% served from host DRAM)",
-                    pim_total.cache_hits,
-                    pim_total.emt_lookups,
-                    100.0 * pim_total.cache_hits as f64 / lookups as f64,
-                );
-            }
-            LatencyReport {
-                embedding_ns: pim_total.total_ns(),
-                pim: Some(pim_total),
-                ..LatencyReport::default()
-            }
-        } else {
-            let mut total = LatencyReport::default();
-            for (batch, bd) in workload.batches.iter().zip(&breakdowns) {
-                total.accumulate(&UpdlrmBackend::latency_report(&model, &mem, batch, *bd));
-            }
-            total
-        };
-        report_json.fill_means(&total, &breakdowns);
-        print_residency(&engine.residency(), &pim_total);
-        return report_json.write(args, || engine.metrics_snapshot());
-    }
+    // The one place the two engine constructors differ.
+    let mut engine = match &plan {
+        Some((path, plan)) => {
+            report_json.strategy = "plan".to_string();
+            report_json.dpus = plan.dpus_used;
+            println!(
+                "UpDLRM (tiered plan) on {} ({} items/table, {} batches of {})",
+                spec.name,
+                spec.num_items,
+                workload.batches.len(),
+                workload.config.batch_size,
+            );
+            print_plan_summary(path, plan);
+            UpdlrmEngine::from_plan(config, plan, model.tables())?
+        }
+        None => {
+            let built = UpdlrmEngine::from_workload(config, model.tables(), &workload);
+            let engine = tiling_or_exit(args, built)?;
+            print_run_header("UpDLRM", &spec, &workload);
+            engine
+        }
+    };
+    let mut breakdowns = Vec::with_capacity(workload.batches.len());
+    let served = engine.serve_stream(&workload.batches, |_, _, bd| breakdowns.push(*bd))?;
+    report_json.serve = Some(print_serve(&served));
+    let pim_total = sum_breakdowns(&breakdowns);
+    let total = if plan.is_some() {
+        // A plan describes only the embedding layer: no dense
+        // layers are modeled.
+        let lookups = pim_total.cache_hits + pim_total.emt_lookups;
+        if lookups > 0 {
+            println!(
+                "  tier routing: {} host hits, {} PIM lookups ({:.1}% served from host DRAM)",
+                pim_total.cache_hits,
+                pim_total.emt_lookups,
+                100.0 * pim_total.cache_hits as f64 / lookups as f64,
+            );
+        }
+        LatencyReport {
+            embedding_ns: pim_total.total_ns(),
+            pim: Some(pim_total),
+            ..LatencyReport::default()
+        }
+    } else {
+        let mut total = LatencyReport::default();
+        for (batch, bd) in workload.batches.iter().zip(&breakdowns) {
+            total.accumulate(&UpdlrmBackend::latency_report(&model, &mem, batch, *bd));
+        }
+        total
+    };
+    report_json.fill_means(&total, &breakdowns);
+    print_residency(&engine.residency(), &pim_total);
+    report_json.write(args, || engine.metrics_snapshot())
+}
+
+/// `updlrm run --backend cpu|hybrid|fae`: a baseline with no DPUs to
+/// place rows on or report on.
+fn cmd_run_baseline(args: &Args) -> CmdResult {
+    let (spec, workload, model) = build_setting(args, None)?;
+    let report_json = &mut RunJson::new(args, &spec, &workload);
     let profiles: Vec<FreqProfile> = (0..workload.config.num_tables)
         .map(|t| FreqProfile::from_inputs(spec.num_items, workload.table_inputs(t)))
         .collect();
-    let mut backend: Box<dyn InferenceBackend> = match backend_name.as_str() {
-        "cpu" => Box::new(DlrmCpu::new(model.clone(), &profiles, mem)?),
-        "hybrid" => Box::new(DlrmHybrid::new(
-            model.clone(),
-            &profiles,
-            mem,
-            GpuModel::default(),
-        )?),
-        "fae" => Box::new(Fae::new(
-            model.clone(),
-            &profiles,
-            mem,
-            GpuModel::default(),
-            0.85,
-        )?),
-        other => {
-            eprintln!("unknown backend '{other}'");
-            usage()
-        }
+    let mem = CpuMemoryModel::default();
+    let gpu = GpuModel::default();
+    let mut backend: Box<dyn InferenceBackend> = match args.str("backend") {
+        "cpu" => Box::new(DlrmCpu::new(model, &profiles, mem)?),
+        "hybrid" => Box::new(DlrmHybrid::new(model, &profiles, mem, gpu)?),
+        // The form's selector admits no other backend.
+        _ => Box::new(Fae::new(model, &profiles, mem, gpu, 0.85)?),
     };
-
     print_run_header(backend.name(), &spec, &workload);
     let mut total = LatencyReport::default();
     let mut breakdowns = Vec::with_capacity(workload.batches.len());
@@ -802,9 +881,7 @@ fn cmd_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         breakdowns.extend(report.pim);
     }
     report_json.fill_means(&total, &breakdowns);
-    report_json.write(args, || {
-        unreachable!("--metrics was validated to require the updlrm backend")
-    })
+    report_json.write(args, || unreachable!("the form reads no --metrics"))
 }
 
 fn print_run_header(backend: &str, spec: &DatasetSpec, workload: &Workload) {
@@ -894,25 +971,17 @@ struct RuntimeJson {
 /// Loads and parses a `--tenants FILE.toml`, applying the CLI
 /// overrides (`--dpus`, `--quantum-us`, `--no-isolation`), or exits 2.
 fn tenants_file_or_exit(args: &Args, path: &str) -> TenantsFile {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("--tenants {path}: {e}");
-            std::process::exit(2)
-        }
-    };
-    let mut file = match parse_tenants_toml(&text) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("--tenants {path}: {e}");
-            std::process::exit(2)
-        }
-    };
-    if args.flag_set("dpus") {
-        file.fleet.fleet_dpus = args.num("dpus", file.fleet.fleet_dpus);
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
+    let parsed = text.and_then(|text| parse_tenants_toml(&text).map_err(|e| e.to_string()));
+    let mut file = parsed.unwrap_or_else(|e| {
+        eprintln!("--tenants {path}: {e}");
+        std::process::exit(2)
+    });
+    if let Some(dpus) = args.given_num("dpus") {
+        file.fleet.fleet_dpus = dpus;
     }
-    if args.flag_set("quantum-us") {
-        file.fleet.quantum_ns = micros_or_exit("quantum-us", args.num("quantum-us", 0));
+    if let Some(us) = args.given_num("quantum-us") {
+        file.fleet.quantum_ns = micros_or_exit("quantum-us", us);
     }
     if args.flag_set("no-isolation") {
         file.fleet.arbitration = Arbitration::Fcfs;
@@ -948,7 +1017,8 @@ fn slo_label(slo_p99_ns: f64, violations: u64) -> String {
 
 /// `updlrm serve --tenants FILE.toml`: the mixed multi-tenant workload
 /// end to end on one shared modeled fleet.
-fn cmd_serve_tenants(args: &Args, path: &str) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_serve_tenants(args: &Args) -> CmdResult {
+    let path = &args.flags["tenants"];
     let mut file = tenants_file_or_exit(args, path);
     let metrics_path = args.flags.get("metrics").cloned();
     if metrics_path.is_some() {
@@ -1015,14 +1085,10 @@ fn cmd_serve_tenants(args: &Args, path: &str) -> Result<(), Box<dyn std::error::
 /// `updlrm capacity --tenants FILE.toml`: answers "how many DPUs do
 /// these tenants need at these SLOs?" with a doubling sweep of fleet
 /// sizes through the full cost model.
-fn cmd_capacity(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.flags.get("tenants").cloned() else {
-        eprintln!("updlrm capacity needs --tenants FILE.toml");
-        std::process::exit(2)
-    };
-    let file = tenants_file_or_exit(args, &path);
-    let min_dpus = args.num("min-dpus", 8);
-    let max_dpus = args.num("max-dpus", 256);
+fn cmd_capacity(args: &Args) -> CmdResult {
+    let file = tenants_file_or_exit(args, &args.flags["tenants"]);
+    let min_dpus = args.num("min-dpus");
+    let max_dpus = args.num("max-dpus");
     if min_dpus == 0 || min_dpus > max_dpus {
         eprintln!("need 1 <= --min-dpus <= --max-dpus (got {min_dpus}..{max_dpus})");
         std::process::exit(2)
@@ -1031,12 +1097,8 @@ fn cmd_capacity(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     for (flag, dpus) in [("min-dpus", min_dpus), ("max-dpus", max_dpus)] {
         tenant_fleet_or_exit(&format!("--{flag} {dpus}"), dpus, &file.tenants);
     }
-    let mut candidates = Vec::new();
-    let mut c = min_dpus;
-    while c < max_dpus {
-        candidates.push(c);
-        c = c.saturating_mul(2);
-    }
+    let doubled = std::iter::successors(Some(min_dpus), |c| Some(c.saturating_mul(2)));
+    let mut candidates: Vec<usize> = doubled.take_while(|&c| c < max_dpus).collect();
     candidates.push(max_dpus);
 
     let points = capacity_sweep(&file.tenants, &file.fleet, &candidates)?;
@@ -1094,97 +1156,45 @@ fn cmd_capacity(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(path) = args.flags.get("tenants").cloned() {
-        return cmd_serve_tenants(args, &path);
-    }
-    let workload_path = args.flags.get("workload-v3").cloned();
-    if workload_path.is_some() && (args.flag_set("qps") || args.flag_set("arrival")) {
-        eprintln!(
-            "--workload-v3 replays the file's stamped arrivals; --qps/--arrival do not apply"
-        );
-        std::process::exit(2)
-    }
-    let max_batch = args.num("max-batch", 64);
-    if max_batch == 0 {
-        eprintln!("--max-batch must be >= 1 (a batcher that forms empty batches serves nothing)");
-        std::process::exit(2)
-    }
-    let max_wait_us = args.num("max-wait-us", 200);
-    if max_wait_us == 0 {
-        eprintln!("--max-wait-us must be >= 1 (a zero deadline degenerates to batch-of-one)");
-        std::process::exit(2)
-    }
+fn cmd_serve(args: &Args) -> CmdResult {
+    let workload_path = args.flags.get("workload-v3");
+    let why = "a batcher that forms empty batches serves nothing";
+    let max_batch = at_least_one("max-batch", args.num("max-batch"), why);
+    let why = "a zero deadline degenerates to batch-of-one";
+    let max_wait_us = at_least_one("max-wait-us", args.num("max-wait-us"), why);
     let max_wait_ns = micros_or_exit("max-wait-us", max_wait_us);
-    let queue_cap = args.num("queue-cap", 4 * max_batch);
-    if queue_cap == 0 {
-        eprintln!("--queue-cap must be >= 1 (a zero-length queue admits nothing)");
-        std::process::exit(2)
-    }
-    let policy: OverloadPolicy = match args.str("policy", "shed-oldest").parse() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            usage()
-        }
-    };
-
-    let replan: ReplanPolicy = match args.str("replan", "off").parse() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("--replan: {e}");
-            std::process::exit(2)
-        }
-    };
+    let queue_cap = args.given_num("queue-cap").unwrap_or(4 * max_batch);
+    let queue_cap = at_least_one("queue-cap", queue_cap, "a zero-length queue admits nothing");
+    let policy = args.parsed("policy", str::parse::<OverloadPolicy>);
+    let replan = args.parsed("replan", str::parse::<ReplanPolicy>);
     let drift_snapshot_path = args.flags.get("drift-snapshot").cloned();
     if drift_snapshot_path.is_some() && !replan.enabled() {
         eprintln!("--drift-snapshot needs --replan (a static placement never migrates)");
         std::process::exit(2)
     }
 
-    let runtime_mode = args.str("runtime", "modeled");
-    let shards = args.num("shards", 1);
+    let wall = args.parsed("runtime", |runtime| match runtime {
+        "modeled" => Ok(false),
+        "wall" => Ok(true),
+        other => Err(format!("unknown runtime '{other}' (want modeled or wall)")),
+    });
+    let why = "a runtime with no engine workers serves nothing";
+    let shards = at_least_one("shards", args.num("shards"), why);
     let deterministic = args.flag_set("deterministic");
-    let time_scale = if args.flag_set("time-scale") {
-        args.positive_float("time-scale")
-    } else {
-        1.0
-    };
-    match runtime_mode.as_str() {
-        "modeled" => {}
-        "wall" => {
-            if shards == 0 {
-                eprintln!(
-                    "--shards must be >= 1 (a runtime with no engine workers serves nothing)"
-                );
-                std::process::exit(2)
-            }
-        }
-        other => {
-            eprintln!("unknown runtime '{other}' (want modeled or wall)");
-            usage()
-        }
-    }
+    let time_scale = args.positive_float("time-scale");
 
-    let (spec, workload, model) = if let Some(path) = &workload_path {
+    let (spec, workload, model) = if let Some(path) = workload_path {
         // A stamped UPWL file replayed as-is: the loader
         // already validated the drift schedule against the embedded
         // spec's row count, and a file without arrivals cannot be
         // served open-loop.
-        let mut file = match std::fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("--workload-v3 {path}: {e}");
-                std::process::exit(2)
-            }
-        };
-        let workload = match Workload::load(&mut file) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("--workload-v3 {path}: {e}");
-                std::process::exit(2)
-            }
-        };
+        let loaded = std::fs::File::open(path).map_err(|e| e.to_string());
+        let loaded =
+            loaded.and_then(|mut file| Workload::load(&mut file).map_err(|e| e.to_string()));
+        let workload = loaded.unwrap_or_else(|e| {
+            eprintln!("--workload-v3 {path}: {e}");
+            std::process::exit(2)
+        });
         if workload.arrivals.process.is_closed_loop() {
             eprintln!(
                 "--workload-v3 {path}: the trace has no arrival stamps; regenerate it with \
@@ -1193,8 +1203,9 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             std::process::exit(2)
         }
         let spec = workload.spec.clone();
-        let seed = args.num("seed", 7) as u64;
-        let model = Arc::new(dlrm_for(&spec, workload.config.num_tables, 32, seed)?);
+        // The form reads no `--seed`: this is its default.
+        let seed = args.num("seed") as u64;
+        let model = Arc::new(dlrm_for(&spec, workload.config.num_tables, DIM, seed)?);
         (spec, workload, model)
     } else {
         let qps = args.positive_float("qps");
@@ -1206,7 +1217,10 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let process = workload.arrivals.process;
     let qps = process.offered_qps().unwrap_or(0.0);
 
-    let mut config = UpdlrmConfig::with_dpus(args.num("dpus", 256), strategy_or_exit(args));
+    let mut config = UpdlrmConfig::with_dpus(
+        args.num("dpus"),
+        args.parsed("strategy", str::parse::<PartitionStrategy>),
+    );
     // The batcher never forms more than `max_batch` queries, so size the
     // engine's staging slots to exactly that.
     config.batch_size = max_batch;
@@ -1237,7 +1251,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect::<Result<_, _>>()?;
     let mut sched = Scheduler::new(sched_config)?;
-    let (report, batch_hist, runtime) = if runtime_mode == "wall" {
+    let (report, batch_hist, runtime) = if wall {
         // The modeled oracle first — same trace, same policy, telemetry
         // off so the measured engines own the metrics registry — then
         // the concurrent runtime on `--shards` engine workers. In
@@ -1375,8 +1389,8 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = args.flags.get("json") {
         let json = SchedJson {
             dataset: spec.short.to_string(),
-            strategy: args.str("strategy", "ca"),
-            dpus: args.num("dpus", 256),
+            strategy: args.str("strategy").to_string(),
+            dpus: args.num("dpus"),
             arrival: process.tag().to_string(),
             offered_qps: qps,
             max_batch,
@@ -1411,11 +1425,8 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_stats(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = args.flags.get("metrics") else {
-        eprintln!("stats needs --metrics FILE (a snapshot written by `updlrm run --metrics`)");
-        usage()
-    };
+fn cmd_stats(args: &Args) -> CmdResult {
+    let path = &args.flags["metrics"];
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read metrics snapshot {path}: {e}");
         std::process::exit(2)
@@ -1678,17 +1689,22 @@ fn parse_drift(args: &Args, spec: &DatasetSpec) -> Option<DriftSchedule> {
         return None;
     }
     if let Err(e) = drift.validate(spec.num_items) {
-        eprintln!("invalid drift schedule: {e}");
+        eprintln!(
+            "invalid drift schedule for the {}-row tables of --dataset {} --scale {}: {e}",
+            spec.num_items,
+            args.str("dataset"),
+            args.num("scale"),
+        );
         std::process::exit(2)
     }
     Some(drift)
 }
 
-fn cmd_trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_trace(args: &Args) -> CmdResult {
     let spec = spec_or_exit(args).scaled_down(args.scale());
     let trace_config = TraceConfig {
-        num_batches: args.num("batches", 10),
-        seed: args.num("seed", 7) as u64,
+        num_batches: args.num("batches"),
+        seed: args.num("seed") as u64,
         ..TraceConfig::default()
     };
     let workload = if let Some(drift) = parse_drift(args, &spec) {
@@ -1705,8 +1721,8 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         workload
     };
-    let out = args.flags.get("out").cloned().unwrap_or_else(|| usage());
-    let mut file = std::fs::File::create(&out)?;
+    let out = &args.flags["out"];
+    let mut file = std::fs::File::create(out)?;
     workload.save(&mut file)?;
     let arrivals = if workload.arrivals.process.is_closed_loop() {
         "closed-loop".to_string()
@@ -1732,7 +1748,7 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_info(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_info(args: &Args) -> CmdResult {
     let spec = spec_or_exit(args);
     println!("{} ({})", spec.name, spec.short);
     println!("  category:       {}", spec.hotness);
@@ -1741,7 +1757,7 @@ fn cmd_info(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!("  zipf theta:     {}", spec.zipf_theta);
     println!(
         "  table size:     {:.1} MB at 32 dims",
-        spec.table_bytes(32) as f64 / 1e6
+        spec.table_bytes(DIM) as f64 / 1e6
     );
     println!(
         "  co-occurrence:  clusters of {}, rate {}, fraction {}",
@@ -1756,23 +1772,9 @@ fn main() -> ExitCode {
         usage();
     };
     let args = Args::parse(rest);
-    args.expect_form(match cmd.as_str() {
-        "run" if args.flag_set("plan") => "run --plan",
-        "serve" if args.flag_set("tenants") => "serve --tenants",
-        "serve" if args.str("runtime", "modeled") == "wall" => "serve --runtime wall",
-        other => other,
-    });
-    let result = match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "plan" => cmd_plan(&args),
-        "serve" => cmd_serve(&args),
-        "capacity" => cmd_capacity(&args),
-        "stats" => cmd_stats(&args),
-        "trace" => cmd_trace(&args),
-        "info" => cmd_info(&args),
-        _ => usage(),
-    };
-    match result {
+    let Some(form) = args.form(cmd) else { usage() };
+    args.expect_form(form);
+    match (form.2)(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -2041,3 +2041,342 @@ fn capacity_sweeps_fleet_sizes() {
     let out = updlrm().arg("capacity").output().expect("capacity");
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// The base invocation of every form the usage prints, keyed by its
+/// usage line up to the first optional flag: small, run from an empty
+/// directory, writing relative paths. `{plan}` and `{metrics}` are
+/// committed goldens; `{trace}` and `{tenants}` are written by the test
+/// (`CONTRACT_TENANTS`).
+const CONTRACT_BASES: &[(&str, &str)] = &[
+    (
+        "run --backend cpu|hybrid|fae",
+        "run --backend cpu --dataset clo --scale 5000 --batches 1",
+    ),
+    ("run --plan FILE", "run --plan {plan}"),
+    ("run", "run --dataset clo --dpus 64 --scale 5000 --batches 1"),
+    ("plan --load FILE", "plan --load {plan}"),
+    (
+        "plan --out FILE",
+        "plan --scale 5000 --tables 2 --batches 2 --ranks 2 --dpus-per-rank 4 --emt-kb 24 \
+         --host-kb 12 --replicate-top 24 --out plan.json",
+    ),
+    ("serve --tenants FILE.toml", "serve --tenants {tenants}"),
+    (
+        "serve --workload-v3 FILE --runtime wall",
+        "serve --workload-v3 {trace} --runtime wall --deterministic --dpus 32 --max-batch 32",
+    ),
+    (
+        "serve --workload-v3 FILE",
+        "serve --workload-v3 {trace} --dpus 32 --max-batch 32",
+    ),
+    (
+        "serve --runtime wall --qps N",
+        "serve --runtime wall --deterministic --qps 300000 --dataset clo --dpus 32 --scale 5000 \
+         --batches 2",
+    ),
+    (
+        "serve --qps N",
+        "serve --qps 300000 --dataset clo --dpus 32 --scale 5000 --batches 2",
+    ),
+    (
+        "capacity --tenants FILE.toml",
+        "capacity --tenants {tenants} --min-dpus 8 --max-dpus 16",
+    ),
+    ("stats --metrics FILE", "stats --metrics {metrics}"),
+    (
+        "trace --out FILE",
+        "trace --dataset clo --scale 5000 --batches 1 --qps 10000 --rotate 4:64:2000:0.8 --out t.upwl",
+    ),
+    ("info", "info"),
+];
+
+/// Each flag's other valid values, space-separated: the first that
+/// differs from the base invocation's is set. `flag@sub` overrides
+/// `flag` for one subcommand. A bare flag has none: it is toggled.
+const CONTRACT_ALTERNATES: &[(&str, &str)] = &[
+    ("dataset", "movie"),
+    ("dataset@trace", "home"),
+    ("backend", "hybrid cpu"),
+    ("strategy", "u"),
+    ("dpus", "64 32"),
+    ("nc", "4"),
+    ("scale", "10000"),
+    ("scale@trace", "2000"),
+    ("tables", "1"),
+    ("batches", "2 3"),
+    ("seed", "3"),
+    ("embed-dtype", "int8"),
+    ("plan", "{plan2}"),
+    ("load", "{plan2}"),
+    ("out", "other.out"),
+    ("ranks", "3"),
+    ("dpus-per-rank", "8"),
+    ("emt-kb", "32"),
+    ("host-kb", "4"),
+    ("replicate-top", "8"),
+    ("qps", "100000"),
+    ("arrival", "bursty"),
+    ("max-batch", "16"),
+    ("max-wait-us", "50"),
+    ("policy", "block"),
+    ("queue-cap", "100"),
+    ("runtime", "wall modeled"),
+    ("shards", "2"),
+    ("time-scale", "2"),
+    ("workload-v3", "{trace2}"),
+    ("replan", "periodic:2"),
+    ("drift-snapshot", "drift.json"),
+    ("tenants", "{tenants2}"),
+    ("quantum-us", "1000"),
+    ("min-dpus", "16"),
+    ("max-dpus", "32"),
+    ("rotate", "4:64:1000:0.5"),
+    ("spike", "0:500:1:0.5:2"),
+    ("diurnal", "2000:0.5"),
+    ("json", "report.json"),
+    ("metrics", "metrics.json"),
+    ("metrics@stats", "{metrics2}"),
+];
+
+/// Two small tenants, so DRR's quantum decides something; an SLO every
+/// swept fleet meets, so `capacity` finds one with or without isolation.
+const CONTRACT_TENANTS: &str = "[fleet]\ndpus = 16\nquantum_us = 100\n
+[[tenant]]\nname = \"search\"\nqps = 10000.0\nweight = 2.0\nslo_p99_us = 20000.0\nbatches = 3
+scale = 5000\ntables = 2\ndataset = \"clo\"\nstrategy = \"nu\"\n
+[[tenant]]\nname = \"ads\"\nqps = 30000.0\narrival = \"bursty\"\nmax_batch = 8\nbatches = 6
+scale = 5000\ntables = 2\ndataset = \"clo\"\nstrategy = \"nu\"\n";
+
+/// Every form the usage — `updlrm` with no arguments — prints, with
+/// the flags it reads: a form is its line up to the first optional
+/// flag, and reads every `--flag` on the line, bare when no value shape
+/// follows it (`[--deterministic]`).
+fn usage_forms() -> Vec<(String, Vec<(String, bool)>)> {
+    let out = updlrm().output().expect("updlrm");
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8(out.stderr).expect("utf-8 usage");
+    let lines = usage.lines().skip(1).take_while(|l| !l.is_empty());
+    lines
+        .map(|line| {
+            let line = line.strip_prefix("  updlrm ").expect("one form a line");
+            let form = line.split(" [").next().expect("a form").to_string();
+            let words = line.split_whitespace().map(|w| w.trim_start_matches('['));
+            let flags =
+                words
+                    .filter_map(|w| w.strip_prefix("--"))
+                    .map(|f| match f.strip_suffix(']') {
+                        Some(bare) => (bare.to_string(), true),
+                        None => (f.to_string(), false),
+                    });
+            (form, flags.collect())
+        })
+        .collect()
+}
+
+/// What one invocation left: its exit code, stdout with the lines that
+/// carry measured wall-clock numbers dropped, stderr, and every file it
+/// wrote into its (fresh) working directory.
+struct Ran {
+    code: Option<i32>,
+    stdout: String,
+    stderr: String,
+    files: Vec<(String, Vec<u8>)>,
+}
+
+fn run_in(dir: &std::path::Path, args: &[String]) -> Ran {
+    std::fs::create_dir_all(dir).expect("run dir");
+    let out = updlrm()
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("updlrm");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = stdout.lines().filter(|l| !l.contains("measured"));
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("run dir")
+        .map(|e| {
+            let e = e.expect("entry");
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).expect("written file"))
+        })
+        .collect();
+    files.sort();
+    Ran {
+        code: out.status.code(),
+        stdout: stdout.collect::<Vec<_>>().join("\n"),
+        stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+        files,
+    }
+}
+
+/// `f` of every job, spread over at least two threads.
+fn par_map<T: Sync, R: Send>(jobs: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let done = std::sync::Mutex::new(Vec::new());
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let r = f(i, job);
+                done.lock().expect("no job panics").push((i, r));
+            });
+        }
+    });
+    let mut done = done.into_inner().expect("no job panics");
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// `base` with `--flag` set to its first alternate that differs from
+/// the base's value, or toggled when it is `bare`; `None` when the test
+/// has no alternate for it.
+fn alternate(base: &[String], flag: &str, bare: bool) -> Option<Vec<String>> {
+    let key = format!("--{flag}");
+    let at = base.iter().position(|a| *a == key);
+    let mut args = base.to_vec();
+    if bare {
+        match at {
+            Some(i) => drop(args.remove(i)),
+            None => args.push(key),
+        }
+        return Some(args);
+    }
+    let lookup = |k: &str| CONTRACT_ALTERNATES.iter().find(|(f, _)| *f == k);
+    let (_, values) = lookup(&format!("{flag}@{}", base[0])).or_else(|| lookup(flag))?;
+    let current = at.map(|i| base[i + 1].as_str());
+    let value = values.split(' ').find(|v| Some(*v) != current)?;
+    match at {
+        Some(i) => args[i + 1] = value.to_string(),
+        None => args.extend([key, value.to_string()]),
+    }
+    Some(args)
+}
+
+#[test]
+fn every_flag_a_form_reads_changes_its_output_or_is_refused() {
+    // The contract the usage states: each (form, flag) it prints is
+    // read. Setting the flag to another valid value changes stdout or
+    // a written file, or exits 2 naming the flag — never nothing.
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = std::env::temp_dir().join(format!("updlrm-contract-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let at = |p: &std::path::Path| p.to_str().expect("utf-8 path").to_string();
+    std::fs::create_dir_all(&root).expect("temp dir");
+    // The second file's fleet and first tenant's rate differ: `serve`
+    // reads the one, `capacity`, which sweeps fleets, the other.
+    let tenants2 = CONTRACT_TENANTS
+        .replace("dpus = 16", "dpus = 32")
+        .replace("qps = 10000.0", "qps = 20000.0");
+    for (name, text) in [
+        ("tenants.toml", CONTRACT_TENANTS),
+        ("tenants2.toml", &tenants2),
+    ] {
+        std::fs::write(root.join(name), text).expect("tenants file");
+    }
+    let inputs = [
+        ("{plan}", at(&repo.join("tests/golden/placement_plan.json"))),
+        ("{plan2}", at(&root.join("plan2.json"))),
+        (
+            "{metrics}",
+            at(&repo.join("tests/golden/metrics_snapshot.json")),
+        ),
+        (
+            "{metrics2}",
+            at(&repo.join("tests/golden/sched_snapshot.json")),
+        ),
+        ("{tenants}", at(&root.join("tenants.toml"))),
+        ("{tenants2}", at(&root.join("tenants2.toml"))),
+        ("{trace}", at(&root.join("trace.upwl"))),
+        ("{trace2}", at(&root.join("trace2.upwl"))),
+    ];
+    let fill = |command: &str| -> Vec<String> {
+        let fill = |a: &str| {
+            inputs
+                .iter()
+                .fold(a.to_string(), |a, (k, v)| a.replace(k, v))
+        };
+        command.split_whitespace().map(fill).collect()
+    };
+    let trace = "trace --dataset clo --scale 5000 --batches 2 --rotate 4:64:2000:0.8 --qps";
+    let plan2 = golden_commands("placement_plan.json", "{plan2}", "").remove(0);
+    for setup in [
+        fill(&format!("{trace} 10000 --out {{trace}}")),
+        fill(&format!("{trace} 20000 --out {{trace2}}")),
+        fill(
+            &plan2
+                .join(" ")
+                .replace("--replicate-top 24", "--replicate-top 8"),
+        ),
+    ] {
+        let out = updlrm().args(&setup).output().expect("setup");
+        assert!(out.status.success(), "{setup:?}: {out:?}");
+    }
+
+    let forms = usage_forms();
+    let mut failures = Vec::new();
+    for (key, _) in CONTRACT_BASES {
+        if !forms.iter().any(|(form, _)| form == key) {
+            failures.push(format!(
+                "CONTRACT_BASES row `{key}` is no form of the usage"
+            ));
+        }
+    }
+    let mut bases = Vec::new();
+    for (form, _) in &forms {
+        match CONTRACT_BASES.iter().find(|(key, _)| key == form) {
+            Some((_, base)) => bases.push((form.as_str(), fill(base))),
+            None => failures.push(format!("`updlrm {form}` has no base invocation")),
+        }
+    }
+    let mut pairs = Vec::new();
+    for (form, flags) in &forms {
+        let Some((_, base)) = bases.iter().find(|(f, _)| f == form) else {
+            continue;
+        };
+        for (flag, bare) in flags {
+            match alternate(base, flag, *bare) {
+                Some(args) => pairs.push((form.as_str(), flag.as_str(), fill(&args.join(" ")))),
+                None => failures.push(format!("--{flag} of `updlrm {form}` has no alternate")),
+            }
+        }
+    }
+    let start = std::time::Instant::now();
+    let dir = |tag: &str, i: usize| root.join(format!("{tag}{i}"));
+    let base_runs = par_map(&bases, |i, (_, args)| run_in(&dir("base", i), args));
+    let alt_runs = par_map(&pairs, |i, (_, _, args)| run_in(&dir("pair", i), args));
+    for ((form, base), ran) in bases.iter().zip(&base_runs) {
+        if ran.code != Some(0) {
+            failures.push(format!(
+                "`updlrm {}` ({form}) failed: {}",
+                base.join(" "),
+                ran.stderr
+            ));
+        }
+    }
+    for ((form, flag, args), alt) in pairs.iter().zip(&alt_runs) {
+        let i = bases.iter().position(|(f, _)| f == form).expect("a base");
+        let base = &base_runs[i];
+        let refused = alt.code == Some(2)
+            && alt.stdout.is_empty()
+            && alt.stderr.contains(&format!("--{flag}"));
+        let changed = alt.code == Some(0) && (alt.stdout != base.stdout || alt.files != base.files);
+        if !refused && !changed {
+            failures.push(format!(
+                "`updlrm {form}` ignores --{flag}: `updlrm {}` exits {:?} with the base's \
+                 output (stderr: {})",
+                args.join(" "),
+                alt.code,
+                alt.stderr.trim(),
+            ));
+        }
+    }
+    eprintln!(
+        "{} forms, {} (form, flag) pairs in {:.1} s",
+        bases.len(),
+        pairs.len(),
+        start.elapsed().as_secs_f64()
+    );
+    std::fs::remove_dir_all(&root).ok();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}

@@ -557,6 +557,29 @@ const GATES: &[Gate] = &[
                     `benchmark/src/shapes.rs` still calls it",
     },
     Gate {
+        gate: "One CLI table",
+        patterns: &["[--dataset", "[--seed", "_FLAGS: &str", "BARE_FLAGS"],
+        paths: &["src/bin"],
+        expect: Absent,
+        keeps_out: "a hand-written usage or synopsis and per-form flag lists: every flag, \
+                    form and literal default is a row of `FLAGS` / `FORMS` in \
+                    `src/bin/updlrm.rs`, and the usage is generated from them",
+    },
+    Gate {
+        gate: "One Serve shape",
+        patterns: &[
+            "pub tail:",
+            "tail: None",
+            "tail: Some",
+            "From<Stages> for Step",
+        ],
+        paths: &["crates/*/src"],
+        expect: Absent,
+        keeps_out: "a server that reports its batch whole: every `Serve` returns its batch's \
+                    stage 1 and reports stages 2 and 3 with the next launch or the flush \
+                    (DESIGN.md §4.7)",
+    },
+    Gate {
         gate: "One placement path",
         patterns: &["fn least_loaded_with_room"],
         paths: &["crates"],
