@@ -48,11 +48,17 @@ impl EmbeddingTable {
     /// Fails if `rows` or `dim` is zero.
     pub fn random(rows: usize, dim: usize, scale: f32, seed: u64) -> Result<Self> {
         let mut t = Self::zeros(rows, dim)?;
+        t.fill_random(scale, seed);
+        Ok(t)
+    }
+
+    /// Overwrites every value with [`EmbeddingTable::random`]'s for
+    /// `seed`, in place.
+    pub(crate) fn fill_random(&mut self, scale: f32, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for v in &mut t.data {
+        for v in &mut self.data {
             *v = rng.random_range(-scale..scale);
         }
-        Ok(t)
     }
 
     /// Creates a table whose values are small *integers* stored as f32.
@@ -66,11 +72,17 @@ impl EmbeddingTable {
     /// Fails if `rows` or `dim` is zero.
     pub fn random_integer_valued(rows: usize, dim: usize, max_abs: i32, seed: u64) -> Result<Self> {
         let mut t = Self::zeros(rows, dim)?;
+        t.fill_integer_valued(max_abs, seed);
+        Ok(t)
+    }
+
+    /// Overwrites every value with
+    /// [`EmbeddingTable::random_integer_valued`]'s for `seed`, in place.
+    pub(crate) fn fill_integer_valued(&mut self, max_abs: i32, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for v in &mut t.data {
+        for v in &mut self.data {
             *v = rng.random_range(-max_abs..=max_abs) as f32;
         }
-        Ok(t)
     }
 
     /// Number of rows (distinct categorical values).

@@ -7,6 +7,67 @@ use crate::mlp::{Activation, Mlp};
 use crate::query::QueryBatch;
 use crate::tensor::Matrix;
 
+#[cfg(test)]
+thread_local! {
+    /// The worker count [`generate_tables`] uses on this thread.
+    static WORKERS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// One worker per core, at most one per table; in tests, `WORKERS`'
+/// count when set.
+fn workers(tables: usize) -> usize {
+    #[cfg(test)]
+    if let Some(n) = WORKERS.get() {
+        return n;
+    }
+    std::thread::available_parallelism().map_or(1, |p| p.get().min(tables))
+}
+
+/// Generates every table: allocates each zeroed on the calling thread,
+/// then fills table `i` with `fill(table, seed + 2000 + i)` in one thread
+/// scope on `min(available_parallelism, tables)` workers under the
+/// caller's SIMD tier. Each worker fills the next unfilled table until
+/// none is left, so a helper that cannot be spawned leaves its tables
+/// to the others. A table's bytes depend only on its own seed, so they
+/// equal a serial generation's. The tables are allocated where a serial
+/// generation allocates them, so the process's heap is laid out as one.
+fn generate_tables(
+    config: &DlrmConfig,
+    fill: impl Fn(&mut EmbeddingTable, u64) + Sync,
+) -> Result<Vec<EmbeddingTable>> {
+    let mut tables = config
+        .table_rows
+        .iter()
+        .map(|&rows| EmbeddingTable::zeros(rows, config.embedding_dim))
+        .collect::<Result<Vec<_>>>()?;
+    let workers = workers(tables.len());
+    let queue = std::sync::Mutex::new(tables.iter_mut().enumerate());
+    let drain = || loop {
+        let next = queue
+            .lock()
+            .expect("no table is filled under the lock")
+            .next();
+        let Some((i, table)) = next else {
+            return;
+        };
+        fill(table, config.seed.wrapping_add(2000 + i as u64));
+    };
+    let tier = crate::simd::tier();
+    // The scope joins every helper, and re-raises a helper's panic.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            let spawned = std::thread::Builder::new()
+                .name("table-gen".into())
+                .spawn_scoped(scope, || crate::simd::with_tier(tier, drain));
+            if spawned.is_err() {
+                break;
+            }
+        }
+        drain();
+    });
+    Ok(tables)
+}
+
 /// Hyperparameters of a DLRM instance.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DlrmConfig {
@@ -93,9 +154,7 @@ impl Dlrm {
     ///
     /// Fails on an invalid configuration.
     pub fn new(config: DlrmConfig) -> Result<Self> {
-        Self::with_table_init(config, |rows, dim, seed| {
-            EmbeddingTable::random(rows, dim, 0.1, seed)
-        })
+        Self::with_table_init(config, |table, seed| table.fill_random(0.1, seed))
     }
 
     /// Builds a model whose embedding tables hold small integer values
@@ -107,14 +166,12 @@ impl Dlrm {
     ///
     /// Fails on an invalid configuration.
     pub fn new_integer_tables(config: DlrmConfig) -> Result<Self> {
-        Self::with_table_init(config, |rows, dim, seed| {
-            EmbeddingTable::random_integer_valued(rows, dim, 4, seed)
-        })
+        Self::with_table_init(config, |table, seed| table.fill_integer_valued(4, seed))
     }
 
     fn with_table_init(
         config: DlrmConfig,
-        init: impl Fn(usize, usize, u64) -> Result<EmbeddingTable>,
+        fill: impl Fn(&mut EmbeddingTable, u64) + Sync,
     ) -> Result<Self> {
         config.validate()?;
         let mut bottom_sizes = vec![config.num_dense];
@@ -131,18 +188,7 @@ impl Dlrm {
             config.seed.wrapping_add(1000),
         )?;
 
-        let tables = config
-            .table_rows
-            .iter()
-            .enumerate()
-            .map(|(i, &rows)| {
-                init(
-                    rows,
-                    config.embedding_dim,
-                    config.seed.wrapping_add(2000 + i as u64),
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let tables = generate_tables(&config, fill)?;
         Ok(Dlrm {
             config,
             bottom,
@@ -255,6 +301,73 @@ mod tests {
     use crate::query::SparseInput;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn tables_equal_a_serial_generation_at_any_worker_count() {
+        let config = DlrmConfig {
+            num_dense: 4,
+            embedding_dim: 8,
+            table_rows: vec![300, 50, 1, 120, 7],
+            bottom_hidden: vec![16],
+            top_hidden: vec![16],
+            seed: 11,
+        };
+        let seed = |i: usize| config.seed + 2000 + i as u64;
+        let serial: Vec<_> = config
+            .table_rows
+            .iter()
+            .enumerate()
+            .map(|(i, &rows)| EmbeddingTable::random(rows, 8, 0.1, seed(i)).unwrap())
+            .collect();
+        let integer: Vec<_> = config
+            .table_rows
+            .iter()
+            .enumerate()
+            .map(|(i, &rows)| EmbeddingTable::random_integer_valued(rows, 8, 4, seed(i)).unwrap())
+            .collect();
+        for n in [1, 2, 4] {
+            WORKERS.set(Some(n));
+            let random = Dlrm::new(config.clone()).unwrap();
+            let integers = Dlrm::new_integer_tables(config.clone()).unwrap();
+            WORKERS.set(None);
+            for (got, want) in [(random.tables(), &serial), (integers.tables(), &integer)] {
+                for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                    assert_eq!(g.to_le_bytes(), w.to_le_bytes(), "{n} workers, table {i}");
+                }
+                assert_eq!(got.len(), want.len());
+            }
+        }
+    }
+
+    #[test]
+    fn every_generating_worker_runs_the_callers_simd_tier() {
+        let config = DlrmConfig {
+            table_rows: vec![10; 4],
+            ..DlrmConfig::paper_shape(10)
+        };
+        let barrier = std::sync::Barrier::new(4);
+        let ran = std::sync::Mutex::new(Vec::new());
+        WORKERS.set(Some(4));
+        crate::simd::with_tier(crate::simd::SimdTier::Scalar, || {
+            generate_tables(&config, |table, seed| {
+                // Each of the four holds its table until all four have
+                // one, so every worker fills exactly one.
+                barrier.wait();
+                let id = std::thread::current().id();
+                ran.lock().unwrap().push((id, crate::simd::tier()));
+                table.fill_random(0.1, seed);
+            })
+            .unwrap()
+        });
+        WORKERS.set(None);
+        let ran = ran.into_inner().unwrap();
+        assert!(
+            ran.iter().all(|(_, t)| *t == crate::simd::SimdTier::Scalar),
+            "{ran:?}"
+        );
+        let threads: std::collections::HashSet<_> = ran.iter().map(|(id, _)| id).collect();
+        assert_eq!(threads.len(), 4, "four workers");
+    }
 
     fn tiny_model() -> Dlrm {
         let config = DlrmConfig {

@@ -21,7 +21,9 @@
 //! **One tier per process, overridden only in scope.** The process
 //! detects its tier once; [`with_tier`] overrides it for one thread,
 //! until its closure returns or unwinds. The engine's DPU worker runs
-//! each launch on its sender's tier.
+//! each launch on its sender's tier. A loop that calls primitives per
+//! item reads the tier once before it, as a [`Dispatch`], and calls
+//! the primitives as its methods.
 //!
 //! **Bit-exactness contract.** Every tier performs the *same* sequence
 //! of IEEE-754 single operations on each output element (multiply, then
@@ -84,6 +86,19 @@ thread_local! {
 #[inline]
 pub fn tier() -> SimdTier {
     OVERRIDE.get().unwrap_or_else(detected)
+}
+
+/// This thread's [`tier`], read once: every primitive is a method of
+/// it that dispatches on that tier without reading it again, for a
+/// loop that calls primitives per item. Only [`dispatch`] makes one, so
+/// it never names a tier the CPU lacks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dispatch(SimdTier);
+
+/// This thread's [`tier`] as a [`Dispatch`].
+#[inline]
+pub fn dispatch() -> Dispatch {
+    Dispatch(tier())
 }
 
 /// Stable name of the active tier (see [`SimdTier::as_str`]).
@@ -457,9 +472,11 @@ const AVX512_MIN_ELEMS: usize = 64;
 
 /// Gives one entry point its three copies of one body. `$body` is
 /// called in an inlined baseline copy and, on x86_64, in an `avx2` and
-/// an `avx512` copy compiled with those features; the one `match
-/// tier()` picks a wide copy when the tier has it and the call spans at
-/// least that tier's cutoff of `$elems` elements. Each copy defines
+/// an `avx512` copy compiled with those features (module `$name`); the
+/// one `match` on a [`Dispatch`]'s tier, in the entry point's
+/// `Dispatch` method, picks a wide copy when the tier has it and the
+/// call spans at least that tier's cutoff of `$elems` elements. The
+/// free function is the method on [`dispatch`]`()`. Each copy defines
 /// `MAXW`, the widest [`gemm`] column block its register file holds,
 /// for `$body` to name.
 macro_rules! multiversion {
@@ -469,35 +486,51 @@ macro_rules! multiversion {
     ) => {
         $(#[$attr])*
         pub fn $name($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            {
-                #[target_feature(enable = "avx2")]
-                fn avx2($($arg: $ty),*) {
-                    #[allow(dead_code)]
-                    const MAXW: usize = 16;
-                    $body($($arg),*)
-                }
-                #[target_feature(enable = "avx512f,avx2")]
-                fn avx512($($arg: $ty),*) {
-                    #[allow(dead_code)]
-                    const MAXW: usize = 64;
-                    $body($($arg),*)
-                }
-                let elems: usize = $elems;
-                // SAFETY: tier() only names a tier the CPU was detected to support
-                match tier() {
-                    SimdTier::Avx512 if elems >= AVX512_MIN_ELEMS => {
-                        return unsafe { avx512($($arg),*) };
-                    }
-                    SimdTier::Avx512 | SimdTier::Avx2 if elems >= AVX2_MIN_ELEMS => {
-                        return unsafe { avx2($($arg),*) };
-                    }
-                    _ => {}
-                }
+            dispatch().$name($($arg),*)
+        }
+
+        /// The primitive's `avx2` and `avx512` copies.
+        #[cfg(target_arch = "x86_64")]
+        mod $name {
+            use super::*;
+
+            #[target_feature(enable = "avx2")]
+            pub(super) fn avx2($($arg: $ty),*) {
+                #[allow(dead_code)]
+                const MAXW: usize = 16;
+                $body($($arg),*)
             }
-            #[allow(dead_code)]
-            const MAXW: usize = 8;
-            $body($($arg),*)
+
+            #[target_feature(enable = "avx512f,avx2")]
+            pub(super) fn avx512($($arg: $ty),*) {
+                #[allow(dead_code)]
+                const MAXW: usize = 64;
+                $body($($arg),*)
+            }
+        }
+
+        impl Dispatch {
+            #[doc = concat!("[`", stringify!($name), "`] on this tier.")]
+            #[inline]
+            pub fn $name(self, $($arg: $ty),*) {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    let elems: usize = $elems;
+                    // SAFETY: a Dispatch only holds a tier the CPU was detected to support
+                    match self.0 {
+                        SimdTier::Avx512 if elems >= AVX512_MIN_ELEMS => {
+                            return unsafe { $name::avx512($($arg),*) };
+                        }
+                        SimdTier::Avx512 | SimdTier::Avx2 if elems >= AVX2_MIN_ELEMS => {
+                            return unsafe { $name::avx2($($arg),*) };
+                        }
+                        _ => {}
+                    }
+                }
+                #[allow(dead_code)]
+                const MAXW: usize = 8;
+                $body($($arg),*)
+            }
         }
     };
 }

@@ -535,7 +535,7 @@ impl UpdlrmEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::build::write_tiles;
+    use super::build::{split_dpus, write_tiles};
     use super::*;
     use crate::partition::PartitionStrategy;
     use crate::replan::{self, PartLists, ReplanPolicy};
@@ -777,7 +777,8 @@ mod tests {
                     },
                 )
                 .unwrap();
-                write_tiles(&mut fresh, state, placement, table, dtype, 0, &mut scratch).unwrap();
+                let mut dpus = split_dpus(&mut fresh, [state]).unwrap().remove(0);
+                write_tiles(&mut dpus, state, placement, table, dtype, 0, &mut scratch).unwrap();
                 assert_ne!(state.regions.emt_bases[0], state.regions.emt_bases[1]);
                 let emt_row_bytes = dtype.stored_row_bytes(state.tiling.n_c);
                 for p in 0..state.tiling.row_parts {

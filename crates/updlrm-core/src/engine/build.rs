@@ -1,5 +1,11 @@
 //! Building an engine: the constructors, each table's MRAM regions and
 //! the one tile writer. Pre-processing, untimed as in the paper.
+//!
+//! Each table's share of a build — its profile and mined lists, its
+//! tiling and placement, then its tile writes — reads only that table
+//! and writes only the DPUs it owns, so [`per_table`] runs the shares
+//! on one worker per core and merges them in table order (DESIGN.md
+//! §4.3).
 
 use super::{
     BatchScratch, DpuHome, DpuSide, LaunchGroup, RankIo, StreamSlot, UpdlrmEngine,
@@ -18,8 +24,124 @@ use cooccur_cache::CacheListSet;
 use dlrm_model::{quant, EmbedDtype, EmbeddingTable};
 use placement::PlacementPlan;
 use upmem_sim::arch::WRAM_CAPACITY;
-use upmem_sim::{DpuId, Fleet, LaunchReport, Ps, RankCostModel, RankTopology};
+use upmem_sim::{Dpu, DpuId, Fleet, LaunchReport, Ps, RankCostModel, RankTopology, SimError};
 use workloads::{FreqProfile, Workload};
+
+#[cfg(test)]
+thread_local! {
+    /// The worker count [`per_table`] uses on this thread, while
+    /// [`with_workers`] runs.
+    static WORKERS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with every build on this thread fanned out to `n` workers,
+/// whatever the core count: the seam the build-equivalence tests take.
+#[cfg(test)]
+pub(crate) fn with_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    let outer = WORKERS.replace(Some(n));
+    let out = f();
+    WORKERS.set(outer);
+    out
+}
+
+/// One worker per core, at most one per table; under [`with_workers`],
+/// its count.
+fn workers(tables: usize) -> usize {
+    #[cfg(test)]
+    if let Some(n) = WORKERS.get() {
+        return n;
+    }
+    std::thread::available_parallelism().map_or(1, |p| p.get().min(tables))
+}
+
+/// Runs `job(t, item)` for every `(t, item)` of `items`, in one thread
+/// scope on `min(available_parallelism, items)` helper threads, each
+/// under the caller's SIMD tier, and returns the results in table
+/// order. Each helper takes the next untaken table until none is left,
+/// so a helper that cannot be spawned leaves its tables to the others.
+/// The calling thread runs tables only when no helper does: on one
+/// core, or when no helper could be spawned, it runs them all, in
+/// order, as a serial build does. Otherwise it only waits, so what the
+/// jobs allocate and free never lands in its heap: with the caller
+/// taking tables too, the freed build scratch left there raised the
+/// peak resident memory of a process that builds engine after engine
+/// by 8% (EXPERIMENTS.md, "A cold build uses every core").
+fn per_table<I: Send, O: Send>(items: Vec<I>, job: impl Fn(usize, I) -> O + Sync) -> Vec<O> {
+    let n = items.len();
+    let workers = workers(n);
+    let queue = std::sync::Mutex::new(items.into_iter().enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("no job runs under the lock").next();
+            let Some((t, item)) = next else {
+                return done;
+            };
+            done.push((t, job(t, item)));
+        }
+    };
+    let tier = dlrm_model::simd::tier();
+    let mut out: Vec<Option<O>> = std::iter::repeat_with(|| None).take(n).collect();
+    std::thread::scope(|scope| {
+        let spawn = |_| {
+            std::thread::Builder::new()
+                .name("build-worker".into())
+                .spawn_scoped(scope, || dlrm_model::simd::with_tier(tier, drain))
+                .ok()
+        };
+        let helpers: Vec<_> = match workers {
+            0 | 1 => Vec::new(),
+            w => (0..w).filter_map(spawn).collect(),
+        };
+        let mut done = if helpers.is_empty() {
+            drain()
+        } else {
+            Vec::new()
+        };
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        for (t, o) in done {
+            out[t] = Some(o);
+        }
+    });
+    out.into_iter()
+        .map(|o| o.expect("every table was taken"))
+        .collect()
+}
+
+/// Borrows every table's DPUs from `fleet` at once, for [`per_table`]:
+/// element `p * col_slices + c` of a table's list is the DPU holding its
+/// `(p, c)` tile ([`TableState::dpus`] order).
+///
+/// # Errors
+///
+/// An id outside the fleet, or one DPU in two tables.
+pub(crate) fn split_dpus<'f, 's>(
+    fleet: &'f mut Fleet,
+    states: impl IntoIterator<Item = &'s TableState>,
+) -> Result<Vec<Vec<&'f mut Dpu>>> {
+    let nr_dpus = fleet.nr_dpus();
+    let mut free: Vec<Vec<Option<&mut Dpu>>> = fleet
+        .dpus_mut()
+        .map(|rank| rank.iter_mut().map(Some).collect())
+        .collect();
+    let mut take = |(rank, id): (usize, DpuId)| {
+        let slot = free.get_mut(rank).and_then(|dpus| dpus.get_mut(id.index()));
+        let slot = slot.ok_or(SimError::UnknownDpu { id, nr_dpus })?;
+        slot.take().ok_or_else(|| {
+            CoreError::InvalidConfig(format!("DPU {} of rank {rank} assigned twice", id.0))
+        })
+    };
+    states
+        .into_iter()
+        .map(|state| state.dpus().map(&mut take).collect())
+        .collect()
+}
 
 pub(crate) struct TableState {
     pub(crate) tiling: Tiling,
@@ -125,6 +247,12 @@ impl TableState {
     pub(crate) fn dpu(&self, part: usize, slice: usize) -> (usize, DpuId) {
         let (rank, first) = self.locs[part];
         (rank, DpuId(first + slice as u32))
+    }
+
+    /// The table's DPUs in `(partition, column slice)` order.
+    pub(crate) fn dpus(&self) -> impl Iterator<Item = (usize, DpuId)> + '_ {
+        (0..self.tiling.row_parts)
+            .flat_map(move |p| (0..self.tiling.col_slices).map(move |c| self.dpu(p, c)))
     }
 
     pub(super) fn input_base(&self, slot: usize) -> u32 {
@@ -256,10 +384,11 @@ pub(crate) fn compute_regions(
 /// the table's rows as it is written — no host copy of a cache row
 /// exists). The initial (untimed) load and the migration scatter are
 /// both this function, so the same placement yields byte-identical
-/// tiles whichever of them wrote it. `rows` / `entries` are scratch for
-/// the placement's slot-order inverses.
+/// tiles whichever of them wrote it. `dpus` are the table's own, in
+/// [`TableState::dpus`] order ([`split_dpus`]); `rows` / `entries` are
+/// scratch for the placement's slot-order inverses.
 pub(crate) fn write_tiles(
-    fleet: &mut Fleet,
+    dpus: &mut [&mut Dpu],
     state: &TableState,
     placement: &Placement,
     table: &EmbeddingTable,
@@ -286,10 +415,9 @@ pub(crate) fn write_tiles(
         let n = replicas.len() + local.len();
         for c in 0..tiling.col_slices {
             let cols = c * n_c..(c + 1) * n_c;
-            let (rank, dpu) = state.dpu(p, c);
-            let sys = fleet.rank_mut(rank)?;
+            let mram = dpus[p * tiling.col_slices + c].mram_mut();
             if n > 0 {
-                let tile = sys.load_mram_in_place(dpu, emt_base, n * emt_row_bytes)?;
+                let tile = mram.host_window_mut(emt_base, n * emt_row_bytes)?;
                 let rows = replicas.iter().chain(local);
                 for (&r, out) in rows.zip(tile.chunks_exact_mut(emt_row_bytes)) {
                     let slice = &table.row(r as u64)?[cols.clone()];
@@ -302,8 +430,7 @@ pub(crate) fn write_tiles(
             if let Some(cache) = &placement.cache {
                 let entries = entries.part(p);
                 if !entries.is_empty() {
-                    let tile =
-                        sys.load_mram_in_place(dpu, cache_base, entries.len() * row_bytes)?;
+                    let tile = mram.host_window_mut(cache_base, entries.len() * row_bytes)?;
                     for (&e, out) in entries.iter().zip(tile.chunks_exact_mut(row_bytes)) {
                         let e = e as usize;
                         cache
@@ -326,6 +453,16 @@ fn write_f32_le(src: &[f32], dst: &mut [u8]) {
     }
 }
 
+/// Where a strategy-built engine's per-table profiles and cache lists
+/// come from.
+#[derive(Clone, Copy)]
+enum Inputs<'a> {
+    /// The caller's, one profile per table and, under CA, one list set.
+    Given(&'a [FreqProfile], &'a [CacheListSet]),
+    /// Measured from the workload's trace, each on its table's worker.
+    Trace(&'a Workload),
+}
+
 impl UpdlrmEngine {
     /// Builds an engine from explicit per-table frequency profiles and
     /// cache lists.
@@ -344,17 +481,30 @@ impl UpdlrmEngine {
         profiles: &[FreqProfile],
         cache_lists: &[CacheListSet],
     ) -> Result<Self> {
+        Self::partitioned(config, tables, Inputs::Given(profiles, cache_lists))
+    }
+
+    /// [`UpdlrmEngine::new`] and [`UpdlrmEngine::from_workload`]: the
+    /// engine partitions the tables itself, table `t` on the `t`-th
+    /// group of `nr_dpus / tables` DPUs of one rank.
+    fn partitioned(
+        config: UpdlrmConfig,
+        tables: &[EmbeddingTable],
+        inputs: Inputs,
+    ) -> Result<Self> {
         if tables.is_empty() {
             return Err(CoreError::InvalidConfig(
                 "at least one embedding table".into(),
             ));
         }
-        if profiles.len() != tables.len() {
-            return Err(CoreError::InvalidConfig(format!(
-                "{} profiles for {} tables",
-                profiles.len(),
-                tables.len()
-            )));
+        if let Inputs::Given(profiles, _) = inputs {
+            if profiles.len() != tables.len() {
+                return Err(CoreError::InvalidConfig(format!(
+                    "{} profiles for {} tables",
+                    profiles.len(),
+                    tables.len()
+                )));
+            }
         }
         if config.nr_dpus == 0 || !config.nr_dpus.is_multiple_of(tables.len()) {
             return Err(CoreError::FleetNotDivisible {
@@ -362,12 +512,15 @@ impl UpdlrmEngine {
                 groups: tables.len(),
             });
         }
-        if config.strategy == PartitionStrategy::CacheAware && cache_lists.len() != tables.len() {
-            return Err(CoreError::InvalidConfig(format!(
-                "cache-aware partitioning needs one cache list set per table ({} for {})",
-                cache_lists.len(),
-                tables.len()
-            )));
+        let cache_aware = config.strategy == PartitionStrategy::CacheAware;
+        if let Inputs::Given(_, cache_lists) = inputs {
+            if cache_aware && cache_lists.len() != tables.len() {
+                return Err(CoreError::InvalidConfig(format!(
+                    "cache-aware partitioning needs one cache list set per table ({} for {})",
+                    cache_lists.len(),
+                    tables.len()
+                )));
+            }
         }
         // One rank of `nr_dpus` DPUs with free rank crossings: the
         // fleet combine rules then reproduce a single rank's timing
@@ -384,19 +537,23 @@ impl UpdlrmEngine {
                 rank_launch_ns: 0.0,
             },
         )?;
-        let dpus_per_table = config.nr_dpus / tables.len();
-        let mut states = Vec::with_capacity(tables.len());
-        for (t, table) in tables.iter().enumerate() {
-            states.push(Self::build_table(
-                &config,
-                t,
-                table,
-                &profiles[t],
-                cache_lists.get(t),
-                dpus_per_table,
-            )?);
-        }
-        Self::assemble(config, fleet, states, tables, Ps::ZERO, Ps::ZERO)
+        let dpus = config.nr_dpus / tables.len();
+        let build = |config: &UpdlrmConfig, t: usize| {
+            let table = &tables[t];
+            match inputs {
+                Inputs::Given(profiles, lists) => {
+                    Self::build_table(config, t, table, &profiles[t], lists.get(t), dpus)
+                }
+                Inputs::Trace(workload) => {
+                    let trace = || workload.table_inputs(t);
+                    let profile = FreqProfile::from_inputs(table.rows(), trace());
+                    let lists = cache_aware
+                        .then(|| CacheListSet::from_trace(&profile, trace(), &config.miner));
+                    Self::build_table(config, t, table, &profile, lists.as_ref(), dpus)
+                }
+            }
+        };
+        Self::assemble(config, fleet, tables, build, Ps::ZERO, Ps::ZERO)
     }
 
     /// Builds an engine that executes `plan` instead of partitioning the
@@ -451,8 +608,8 @@ impl UpdlrmEngine {
             config.cost.clone(),
             plan.config.rank_cost.clone(),
         )?;
-        let mut states = Vec::with_capacity(tables.len());
-        for (t, (table, tp)) in tables.iter().zip(plan.tables.iter()).enumerate() {
+        let build = |config: &UpdlrmConfig, t: usize| {
+            let (table, tp) = (&tables[t], &plan.tables[t]);
             if table.rows() != tp.rows || table.dim() != tp.dim {
                 return Err(CoreError::InvalidConfig(format!(
                     "table {t}: plan places {} x {}, engine got {} x {}",
@@ -503,66 +660,71 @@ impl UpdlrmEngine {
             }
             // No profile: the resident prefixes follow the plan's slot
             // order, and their `covered` counts mean nothing.
-            let placement = Placement::new(&config, &tiling, assignment, None, None);
-            states.push(TableState {
+            let placement = Placement::new(config, &tiling, assignment, None, None);
+            Ok(TableState {
                 host_store,
                 profiled: false,
-                ..TableState::new(&config, t, tiling, placement, 0, locs)?
-            });
-        }
+                ..TableState::new(config, t, tiling, placement, 0, locs)?
+            })
+        };
         Self::assemble(
             config,
             fleet,
-            states,
             tables,
+            build,
             Ps::from_ns(plan.config.host_probe_ns),
             Ps::from_ns(plan.config.host_combine_ns_per_add),
         )
     }
 
-    /// The constructors' shared back half: loads every table into MRAM
-    /// (untimed pre-processing, as in the paper) and fixes the
-    /// batch-independent launch/scatter/gather structure for the
-    /// engine's lifetime, so no per-batch call rebuilds it.
+    /// The constructors' shared back half. Builds every table's state
+    /// with `build`, loads them into MRAM (untimed pre-processing, as in
+    /// the paper) and fixes the batch-independent launch/scatter/gather
+    /// structure for the engine's lifetime, so no per-batch call
+    /// rebuilds it. The states are built, and the tiles written, by
+    /// [`per_table`]; the error of the lowest-indexed failing table is
+    /// the build's.
     fn assemble(
         config: UpdlrmConfig,
         mut fleet: Fleet,
-        states: Vec<TableState>,
         tables: &[EmbeddingTable],
+        build: impl Fn(&UpdlrmConfig, usize) -> Result<TableState> + Sync,
         host_probe: Ps,
         host_combine_per_add: Ps,
     ) -> Result<Self> {
-        let mut tile_scratch = <[PartLists; 2]>::default();
-        for (table, state) in tables.iter().zip(&states) {
-            // Size the bank of every DPU holding a partition once, to
-            // the end of its layout (through the last staging slot),
-            // *before* anything is written: the tiles then land in the
-            // bank's final allocation and no later launch regrows it.
-            // Committing writes nothing, so the staging reserves are
-            // address space until a batch's streams and partial sums
-            // touch them. DPUs a plan leaves empty stay uncommitted.
+        let states = per_table(vec![(); tables.len()], |t, ()| build(&config, t));
+        let states = states.into_iter().collect::<Result<Vec<_>>>()?;
+        // Size the bank of every DPU holding a partition once, to the
+        // end of its layout (through the last staging slot), *before*
+        // anything is written: the tiles then land in the bank's final
+        // allocation and no later launch regrows it. Committing writes
+        // nothing, so the staging reserves are address space until a
+        // batch's streams and partial sums touch them. DPUs a plan
+        // leaves empty stay uncommitted. The banks are allocated here,
+        // on the calling thread, where a serial build allocates them: a
+        // bank allocated on a worker would come from fresh pages where
+        // the serial build recycles freed heap, and a long-running
+        // process that builds engine after engine would hold more
+        // memory for it.
+        for state in &states {
             let mram_end = state.output_base(STAGING_SLOTS - 1) as usize
                 + config.batch_size * state.tiling.row_bytes() * 2;
-            for p in 0..state.tiling.row_parts {
-                for c in 0..state.tiling.col_slices {
-                    let (rank, dpu) = state.dpu(p, c);
-                    fleet
-                        .rank_mut(rank)?
-                        .dpu_mut(dpu)?
-                        .mram_mut()
-                        .commit(mram_end);
-                }
+            for (rank, dpu) in state.dpus() {
+                fleet
+                    .rank_mut(rank)?
+                    .dpu_mut(dpu)?
+                    .mram_mut()
+                    .commit(mram_end);
             }
-            write_tiles(
-                &mut fleet,
-                state,
-                &state.placement,
-                table,
-                config.embed_dtype,
-                0,
-                &mut tile_scratch,
-            )?;
         }
+        let dpus = split_dpus(&mut fleet, &states)?;
+        let written = per_table(dpus, |t, mut dpus| {
+            let state = &states[t];
+            let (placement, dtype) = (&state.placement, config.embed_dtype);
+            let scratch = &mut Default::default();
+            write_tiles(&mut dpus, state, placement, &tables[t], dtype, 0, scratch)
+        });
+        written.into_iter().collect::<Result<()>>()?;
 
         let mut rank_ids: Vec<usize> = states
             .iter()
@@ -646,7 +808,7 @@ impl UpdlrmEngine {
 
         let metrics = MetricsRegistry::new(config.telemetry, fleet.nr_dpus());
         let (host_tables, drift) = if config.replan.enabled() {
-            (tables.to_vec(), Some(DriftState::new(tables, tile_scratch)))
+            (tables.to_vec(), Some(DriftState::new(tables)))
         } else {
             (Vec::new(), None)
         };
@@ -706,22 +868,7 @@ impl UpdlrmEngine {
             config.miner.validate().map_err(CoreError::InvalidConfig)?;
         }
         config.avg_reduction_hint = workload.measured_avg_reduction().max(1.0);
-        let mut profiles = Vec::with_capacity(tables.len());
-        let mut lists = Vec::with_capacity(tables.len());
-        for (t, table) in tables.iter().enumerate() {
-            let profile = FreqProfile::from_inputs(table.rows(), workload.table_inputs(t));
-            if config.strategy == PartitionStrategy::CacheAware {
-                lists.push(CacheListSet::from_trace(
-                    &profile,
-                    workload.table_inputs(t),
-                    &config.miner,
-                ));
-            } else {
-                lists.push(CacheListSet::default());
-            }
-            profiles.push(profile);
-        }
-        Self::new(config, tables, &profiles, &lists)
+        Self::partitioned(config, tables, Inputs::Trace(workload))
     }
 
     /// Tiles and places table `t` on its group of `dpus` DPUs of the
@@ -810,5 +957,211 @@ impl UpdlrmEngine {
             lists,
             ..TableState::new(config, t, tiling, placement, cache_cap_rows, locs)?
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlrm_model::simd::{self, SimdTier};
+    use dlrm_model::QueryBatch;
+    use placement::{plan, Catalog, PlannerConfig};
+    use workloads::{DatasetSpec, TraceConfig};
+
+    const TABLES: usize = 4;
+
+    /// Four tables (so four workers each get one) and their trace.
+    fn fixture() -> (Workload, Vec<EmbeddingTable>) {
+        let spec = DatasetSpec::goodreads().scaled_down(5000);
+        let workload = Workload::generate(
+            &spec,
+            TraceConfig {
+                num_tables: TABLES,
+                num_batches: 2,
+                ..TraceConfig::default()
+            },
+        );
+        let tables = (0..TABLES)
+            .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, 32, 3, t as u64))
+            .collect::<std::result::Result<_, _>>()
+            .unwrap();
+        (workload, tables)
+    }
+
+    /// A two-rank plan with replicated, host-tier and cold rows.
+    fn two_rank_plan(workload: &Workload, tables: &[EmbeddingTable]) -> PlacementPlan {
+        let rows = tables[0].rows();
+        let profiles: Vec<FreqProfile> = (0..TABLES)
+            .map(|t| FreqProfile::from_inputs(rows, workload.table_inputs(t)))
+            .collect();
+        let planner = PlannerConfig {
+            topology: RankTopology {
+                nr_ranks: 2,
+                dpus_per_rank: 8,
+            },
+            emt_capacity_bytes: (rows / 3 + 64) * 32 * 4,
+            host_cache_bytes: TABLES * 48 * 32 * 4,
+            replicate_top: 16,
+            ..PlannerConfig::default()
+        };
+        plan(&Catalog::homogeneous(TABLES, rows, 32), &profiles, &planner).unwrap()
+    }
+
+    /// What a build leaves for serving to read must not depend on the
+    /// worker count: every DPU's committed MRAM, each table's layout and
+    /// placement, and every kernel's tasks.
+    fn assert_same_build(a: &mut UpdlrmEngine, b: &mut UpdlrmEngine, case: &str) {
+        for (t, (x, y)) in a.tables.iter().zip(&b.tables).enumerate() {
+            assert!(
+                x.placement.same_layout(&y.placement),
+                "{case}: table {t} placement"
+            );
+            assert_eq!(x.tiling, y.tiling, "{case}: table {t} tiling");
+            assert_eq!(x.locs, y.locs, "{case}: table {t} DPUs");
+            assert_eq!(
+                x.regions.emt_bases, y.regions.emt_bases,
+                "{case}: table {t}"
+            );
+            assert_eq!(x.regions.slots, y.regions.slots, "{case}: table {t}");
+            assert_eq!(x.host_store, y.host_store, "{case}: table {t} host store");
+        }
+        let (x, y) = (a.dpu.get_mut(), b.dpu.get_mut());
+        let mut committed = 0;
+        for (r, (xs, ys)) in x.fleet.dpus_mut().zip(y.fleet.dpus_mut()).enumerate() {
+            for (i, (xd, yd)) in xs.iter_mut().zip(ys.iter_mut()).enumerate() {
+                let (xm, ym) = (
+                    xd.mram_mut().committed_mut(0),
+                    yd.mram_mut().committed_mut(0),
+                );
+                assert!(xm == ym, "{case}: rank {r} DPU {i} MRAM differs");
+                committed += usize::from(!xm.is_empty());
+            }
+        }
+        assert!(committed > 0, "{case}: no DPU was loaded");
+        assert_eq!(x.launch_groups.len(), y.launch_groups.len(), "{case}");
+        for (gx, gy) in x.launch_groups.iter_mut().zip(&mut y.launch_groups) {
+            assert_eq!(
+                (gx.table, gx.rank, &gx.ids),
+                (gy.table, gy.rank, &gy.ids),
+                "{case}"
+            );
+            for (kx, ky) in gx.kernels.iter_mut().zip(&mut gy.kernels) {
+                for id in &gx.ids {
+                    assert_eq!(kx.task_mut(*id), ky.task_mut(*id), "{case}: {id:?}");
+                }
+            }
+        }
+    }
+
+    /// One served batch: its pooled rows as bits, and its breakdown.
+    fn serve(
+        e: &mut UpdlrmEngine,
+        batch: &QueryBatch,
+    ) -> (Vec<Vec<u32>>, super::super::EmbeddingBreakdown) {
+        let (pooled, breakdown) = e.run_batch(batch).unwrap();
+        let bits = pooled
+            .iter()
+            .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (bits, breakdown)
+    }
+
+    #[test]
+    fn builds_are_equal_at_one_two_and_four_workers() {
+        let (workload, tables) = fixture();
+        let plan = two_rank_plan(&workload, &tables);
+        let batch = &workload.batches[0];
+        for dtype in [EmbedDtype::F32, EmbedDtype::Int8] {
+            let mut builds: Vec<(String, Box<dyn Fn() -> UpdlrmEngine>)> = Vec::new();
+            for strategy in [
+                PartitionStrategy::Uniform,
+                PartitionStrategy::NonUniform,
+                PartitionStrategy::CacheAware,
+            ] {
+                let (workload, tables) = (&workload, &tables);
+                let mut config = UpdlrmConfig::with_dpus(16, strategy).with_embed_dtype(dtype);
+                config.batch_size = workload.config.batch_size;
+                config.miner.max_lists = 64;
+                builds.push((
+                    format!("from_workload {strategy} {dtype:?}"),
+                    Box::new(move || {
+                        UpdlrmEngine::from_workload(config.clone(), tables, workload).unwrap()
+                    }),
+                ));
+            }
+            let (plan, tables) = (&plan, &tables);
+            let mut config = UpdlrmConfig::default().with_embed_dtype(dtype);
+            config.batch_size = workload.config.batch_size;
+            builds.push((
+                format!("from_plan {dtype:?}"),
+                Box::new(move || UpdlrmEngine::from_plan(config.clone(), plan, tables).unwrap()),
+            ));
+            for (case, build) in &builds {
+                let mut serial = with_workers(1, build);
+                let mut fanned: Vec<UpdlrmEngine> = [2, 4].map(|n| with_workers(n, build)).into();
+                for e in &mut fanned {
+                    assert_same_build(&mut serial, e, case);
+                }
+                let want = serve(&mut serial, batch);
+                for (e, n) in fanned.iter_mut().zip([2, 4]) {
+                    assert_eq!(
+                        serve(e, batch),
+                        want,
+                        "{case}: {n} workers served differently"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_table_names_the_error() {
+        // Tables 1 and 3 overflow a 64 KB EMT budget on their four DPUs,
+        // each by its own margin; tables 0 and 2 fit.
+        let tables: Vec<EmbeddingTable> = [100, 3000, 100, 5000]
+            .iter()
+            .map(|&rows| EmbeddingTable::random_integer_valued(rows, 32, 3, 1).unwrap())
+            .collect();
+        let profiles: Vec<FreqProfile> =
+            tables.iter().map(|t| FreqProfile::new(t.rows())).collect();
+        let mut config = UpdlrmConfig::with_dpus(16, PartitionStrategy::Uniform);
+        config.emt_capacity_bytes = 64 << 10;
+        let build = || {
+            UpdlrmEngine::new(config.clone(), &tables, &profiles, &[])
+                .expect_err("tables 1 and 3 do not fit")
+                .to_string()
+        };
+        let serial = with_workers(1, build);
+        let other = with_workers(1, || {
+            let config = UpdlrmConfig {
+                nr_dpus: 4,
+                ..config.clone()
+            };
+            UpdlrmEngine::new(config, &tables[3..], &profiles[3..], &[])
+                .expect_err("table 3 alone does not fit")
+                .to_string()
+        });
+        assert_ne!(serial, other, "the two failures must be told apart");
+        for n in [2, 4] {
+            assert_eq!(with_workers(n, build), serial, "{n} workers");
+        }
+    }
+
+    #[test]
+    fn every_worker_runs_the_callers_simd_tier() {
+        let barrier = std::sync::Barrier::new(4);
+        let ran = simd::with_tier(SimdTier::Scalar, || {
+            with_workers(4, || {
+                per_table(vec![(); 4], |_, ()| {
+                    // Each of the four holds its table until all four
+                    // have one, so every worker runs exactly one.
+                    barrier.wait();
+                    (std::thread::current().id(), simd::tier())
+                })
+            })
+        });
+        let threads: std::collections::HashSet<_> = ran.iter().map(|(id, _)| id).collect();
+        assert_eq!(threads.len(), 4, "four workers");
+        assert!(ran.iter().all(|&(_, t)| t == SimdTier::Scalar), "{ran:?}");
     }
 }

@@ -583,6 +583,8 @@ impl Decoded {
             ..
         } = self;
         acc.resize(row_bytes / 4, 0.0);
+        // The tier is read once per pass, not per sample or row.
+        let tier = simd::dispatch();
         let spans = ends.windows(2).map(|w| w[0] as usize..w[1] as usize);
         if key.dedup {
             bank[out_base..out_base + key.n_samples as usize * row_bytes].fill(0);
@@ -600,11 +602,11 @@ impl Decoded {
                     let rec = &bank[abs..abs + rows.emt_stride];
                     let (scale, min) = quant::row_params(rec).expect("a record holds its header");
                     acc.fill(0.0);
-                    simd::add_assign_dequant_u8(acc, &rec[QROW_HEADER_BYTES..], scale, min);
+                    tier.add_assign_dequant_u8(acc, &rec[QROW_HEADER_BYTES..], scale, min);
                 }
                 for &sample in &users[users_of_row] {
                     let dst = out_base + sample as usize * row_bytes;
-                    simd::add_assign_into_le(&mut bank[dst..dst + row_bytes], acc);
+                    tier.add_assign_into_le(&mut bank[dst..dst + row_bytes], acc);
                 }
             }
             return;
@@ -616,9 +618,9 @@ impl Decoded {
             // offsets (quantized records) in place, in reference order.
             let refs = &offs[refs];
             if rows.emt_f32 {
-                simd::sum_rows_le(acc, bank, refs);
+                tier.sum_rows_le(acc, bank, refs);
             } else {
-                simd::sum_rows_tagged_le(acc, bank, refs, QUANT_ROW_BIT);
+                tier.sum_rows_tagged_le(acc, bank, refs, QUANT_ROW_BIT);
             }
             let dst = &mut bank[out_base + s * row_bytes..][..row_bytes];
             for (b, a) in dst.chunks_exact_mut(4).zip(acc.iter()) {

@@ -23,7 +23,8 @@
 //! property tests below pin down that its placements put every row
 //! exactly once.
 
-use crate::engine::{build::write_tiles, UpdlrmEngine};
+use crate::engine::build::{split_dpus, write_tiles};
+use crate::engine::UpdlrmEngine;
 use crate::error::Result;
 use crate::partition::{self, PartitionStrategy, RowAssignment};
 use crate::place::{place, Placement};
@@ -193,14 +194,14 @@ pub(crate) struct DriftState {
 }
 
 impl DriftState {
-    /// An empty window over `tables`, keeping the build's tile scratch.
-    pub(crate) fn new(tables: &[EmbeddingTable], tile_scratch: [PartLists; 2]) -> DriftState {
+    /// An empty window over `tables`.
+    pub(crate) fn new(tables: &[EmbeddingTable]) -> DriftState {
         DriftState {
             window: tables.iter().map(|t| FreqProfile::new(t.rows())).collect(),
             batches_in_window: 0,
             pending: None,
             staged_buf: Vec::with_capacity(tables.len()),
-            tile_scratch,
+            tile_scratch: Default::default(),
             first_snapshot: None,
         }
     }
@@ -384,15 +385,9 @@ impl UpdlrmEngine {
         let tables = self.tables.iter().zip(&staged).zip(&self.host_tables);
         for ((state, placement), table) in tables {
             let scratch = &mut drift.tile_scratch;
-            write_tiles(
-                &mut self.dpu.get_mut().fleet,
-                state,
-                placement,
-                table,
-                dtype,
-                inactive,
-                scratch,
-            )?;
+            let fleet = &mut self.dpu.get_mut().fleet;
+            let mut dpus = split_dpus(fleet, [state])?.remove(0);
+            write_tiles(&mut dpus, state, placement, table, dtype, inactive, scratch)?;
             let tiling = &state.tiling;
             // Every column slice of a partition absorbs the same
             // `n` rows of `bytes` each.

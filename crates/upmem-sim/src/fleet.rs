@@ -27,6 +27,7 @@
 
 use crate::arch::Ps;
 use crate::cost::{check_ns, CostModel};
+use crate::dpu::Dpu;
 use crate::error::{Result, SimError};
 use crate::host::{PimConfig, PimSystem};
 use crate::stats::TransferReport;
@@ -176,6 +177,14 @@ impl Fleet {
         self.ranks
             .get_mut(r)
             .ok_or_else(|| SimError::InvalidConfig(format!("rank {r} out of range ({n} ranks)")))
+    }
+
+    /// Every rank's DPUs, mutably, one slice per rank in rank order
+    /// (element `i` of rank `r`'s slice is its `DpuId(i)`): a split
+    /// callers can borrow disjoint DPU sets from at once, to load
+    /// tables owning separate DPUs on separate threads.
+    pub fn dpus_mut(&mut self) -> impl Iterator<Item = &mut [Dpu]> {
+        self.ranks.iter_mut().map(|rank| &mut rank.dpus[..])
     }
 
     /// Combines per-rank transfer reports of one fleet-wide phase.

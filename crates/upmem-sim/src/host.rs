@@ -62,7 +62,7 @@ impl PimConfig {
 /// A simulated UPMEM system: a pool of DPUs plus the host transfer engine.
 #[derive(Debug)]
 pub struct PimSystem {
-    dpus: Vec<Dpu>,
+    pub(crate) dpus: Vec<Dpu>,
     config: PimConfig,
     /// `config.cost` with its launch-path curves tabulated, built once
     /// here so no launch evaluates (or clones) the model.

@@ -523,8 +523,10 @@ fn print_residency(r: &ResidencyReport, pim: &EmbeddingBreakdown) {
 struct RunJson {
     backend: String,
     dataset: String,
-    strategy: String,
-    dpus: usize,
+    /// `null` for a baseline, which places no rows.
+    strategy: Option<String>,
+    /// `null` for a baseline, which has no DPUs.
+    dpus: Option<usize>,
     batches: usize,
     mean_embedding_us: f64,
     mean_dense_us: f64,
@@ -534,14 +536,12 @@ struct RunJson {
 }
 
 impl RunJson {
-    /// The report's header fields. A baseline's carries the PIM
-    /// backend's `--strategy` and `--dpus` defaults.
+    /// The report's header fields, without the PIM backend's
+    /// `strategy` and `dpus`: a baseline's form reads neither.
     fn new(args: &Args, spec: &DatasetSpec, workload: &Workload) -> RunJson {
         RunJson {
             backend: args.str("backend").to_string(),
             dataset: spec.short.to_string(),
-            strategy: args.str("strategy").to_string(),
-            dpus: args.num("dpus"),
             batches: workload.batches.len(),
             ..RunJson::default()
         }
@@ -799,13 +799,17 @@ fn cmd_run(args: &Args) -> CmdResult {
     config.embed_dtype = args.parsed("embed-dtype", EmbedDtype::parse);
     config.n_c = nc_or_exit(args);
     config.telemetry = args.flag_set("metrics");
-    let mut report_json = RunJson::new(args, &spec, &workload);
+    let mut report_json = RunJson {
+        strategy: Some(args.str("strategy").to_string()),
+        dpus: Some(args.num("dpus")),
+        ..RunJson::new(args, &spec, &workload)
+    };
     let mem = CpuMemoryModel::default();
     // The one place the two engine constructors differ.
     let mut engine = match &plan {
         Some((path, plan)) => {
-            report_json.strategy = "plan".to_string();
-            report_json.dpus = plan.dpus_used;
+            report_json.strategy = Some("plan".to_string());
+            report_json.dpus = Some(plan.dpus_used);
             println!(
                 "UpDLRM (tiered plan) on {} ({} items/table, {} batches of {})",
                 spec.name,

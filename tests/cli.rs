@@ -50,7 +50,10 @@ fn run_reports_latency_breakdown() {
 
 #[test]
 fn run_supports_every_backend() {
+    let dir = std::env::temp_dir().join(format!("updlrm-cli-backends-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
     for backend in ["cpu", "hybrid", "fae"] {
+        let json = dir.join(format!("{backend}.json"));
         let out = updlrm()
             .args([
                 "run",
@@ -62,7 +65,9 @@ fn run_supports_every_backend() {
                 "2000",
                 "--batches",
                 "1",
+                "--json",
             ])
+            .arg(&json)
             .output()
             .expect("run");
         assert!(
@@ -70,7 +75,14 @@ fn run_supports_every_backend() {
             "{backend}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+        // A baseline places no rows on DPUs: its report names neither
+        // a strategy nor a DPU count.
+        let body = std::fs::read_to_string(&json).expect("baseline json");
+        for field in ["\"strategy\": null", "\"dpus\": null"] {
+            assert!(body.contains(field), "{backend}: no {field} in {body}");
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -214,16 +214,20 @@ const GATES: &[Gate] = &[
     },
     Gate {
         gate: "One launch path",
-        patterns: &[
-            "thread::scope",
-            "run_fleet_parallel",
-            "disjoint_dpu_refs",
-            "TryLockError",
-        ],
+        patterns: &["run_fleet_parallel", "disjoint_dpu_refs", "TryLockError"],
         paths: LAUNCH,
         expect: Absent,
         keeps_out: "the per-launch worker fan-out, its disjoint-borrow split and the \
                     kernel's lock fallback: a launch runs whole on one thread (DESIGN.md §4.3)",
+    },
+    Gate {
+        gate: "One launch path",
+        patterns: &["thread::scope", "spawn_scoped"],
+        paths: LAUNCH,
+        expect: OnlyIn(&["crates/updlrm-core/src/engine/build.rs"]),
+        keeps_out: "a scoped fan-out per launch: the launch fan-out stays deleted, and a \
+                    thread scope is allowed only at build grain, over a cold build's \
+                    per-table work of tens to hundreds of ms (DESIGN.md §4.3)",
     },
     Gate {
         gate: "One launch path",
